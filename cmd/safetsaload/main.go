@@ -5,8 +5,7 @@
 //	safetsaload -targets http://h1:8743,http://h2:8743 \
 //	    [-workers 8] [-duration 10s | -requests N] [-units 16] \
 //	    [-tenants 1] [-run-fraction 0.8] [-zipf 1.2] [-seed 1] \
-//	    [-maxsteps 1000000] [-maxallocs N] \
-//	    [-engine prepared|compiled|reference] [-o report.json]
+//	    [-maxsteps 1000000] [-maxallocs N] [-o report.json]
 //
 // An invalid flag combination (negative worker count, zipf skew outside
 // (1, 64], ...) is rejected before any traffic is sent: the process
@@ -51,7 +50,6 @@ func main() {
 	maxSteps := flag.Int64("maxsteps", 1_000_000, "per-run step budget sent with run requests")
 	maxAllocs := flag.Int64("maxallocs", 0, "per-run allocation budget sent with run requests (0 = server cap only)")
 	tenants := flag.Int("tenants", 1, "distinct tenant identities to spread run traffic over")
-	engine := flag.String("engine", "", "execution engine override sent with run requests: prepared, compiled, or reference (empty = server default)")
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	flag.Parse()
 
@@ -77,7 +75,6 @@ func main() {
 		MaxSteps:    *maxSteps,
 		MaxAllocs:   *maxAllocs,
 		Tenants:     *tenants,
-		Engine:      *engine,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "safetsaload:", err)

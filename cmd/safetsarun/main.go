@@ -3,11 +3,11 @@
 // which makes ill-formed references inexpressible), runs the residual
 // link verification, and executes static main.
 //
-//	safetsarun [-engine prepared|reference] unit.tsa
+//	safetsarun [-maxsteps N] [-engine compiled|reference] unit.tsa
 //
-// The default engine is the prepared register machine (load-time
-// operand resolution); -engine=reference selects the direct CST
-// evaluator instead.
+// The default engine is the closure-threaded compiled form, the one
+// safetsad serves; -engine=reference selects the direct CST evaluator,
+// the executable semantics the compiled engine is tested against.
 package main
 
 import (
@@ -22,11 +22,11 @@ import (
 
 func main() {
 	maxSteps := flag.Int64("maxsteps", 0, "abort after this many executed instructions (0 = unlimited)")
-	engine := flag.String("engine", driver.EnginePrepared,
-		"execution engine: prepared (register machine) or reference (CST evaluator)")
+	engine := flag.String("engine", driver.EngineCompiled,
+		"execution engine: compiled (closure-threaded, what safetsad serves) or reference (CST evaluator)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: safetsarun unit.tsa")
+		fmt.Fprintln(os.Stderr, "usage: safetsarun [-maxsteps N] [-engine compiled|reference] unit.tsa")
 		os.Exit(2)
 	}
 	data, err := os.ReadFile(flag.Arg(0))

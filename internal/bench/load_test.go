@@ -34,7 +34,6 @@ func TestRunLoadReplay(t *testing.T) {
 		Units:    8,
 		Tenants:  3,
 		Seed:     42,
-		Engine:   "compiled", // exercise the per-request engine override
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +230,6 @@ func TestRunLoadRejectsInvalidConfig(t *testing.T) {
 		{"zipf NaN", LoadConfig{ZipfS: nan}, "ZipfS"},
 		{"zipf infinite", LoadConfig{ZipfS: math.Inf(1)}, "ZipfS"},
 		{"negative maxsteps", LoadConfig{MaxSteps: -5}, "MaxSteps"},
-		{"unknown engine", LoadConfig{Engine: "jit"}, "Engine"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

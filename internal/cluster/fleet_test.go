@@ -43,6 +43,13 @@ type fleet struct {
 
 func newFleet(t *testing.T, names []string, mut func(*Config)) *fleet {
 	t.Helper()
+	return newFleetOf(t, names, codeserver.Config{}, mut)
+}
+
+// newFleetOf builds the fleet from members that share the server
+// configuration srvCfg (node name and disk tier are per member).
+func newFleetOf(t *testing.T, names []string, srvCfg codeserver.Config, mut func(*Config)) *fleet {
+	t.Helper()
 	f := &fleet{
 		names: names,
 		urls:  make(map[string]string),
@@ -58,7 +65,8 @@ func newFleet(t *testing.T, names []string, mut func(*Config)) *fleet {
 		f.urls[name] = ts.URL
 	}
 	for _, name := range names {
-		srv, err := codeserver.New(codeserver.Config{NodeName: name, CacheDir: t.TempDir()})
+		srvCfg.NodeName, srvCfg.CacheDir = name, t.TempDir()
+		srv, err := codeserver.New(srvCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +103,12 @@ class P {
 
 func fleetCompile(t *testing.T, url string, files map[string]string) codeserver.CompileResponse {
 	t.Helper()
-	body, _ := json.Marshal(codeserver.CompileRequest{Files: files})
+	return fleetCompileReq(t, url, codeserver.CompileRequest{Files: files})
+}
+
+func fleetCompileReq(t *testing.T, url string, req codeserver.CompileRequest) codeserver.CompileResponse {
+	t.Helper()
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/compile", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +183,10 @@ func TestFleetSingleCompilePerUnit(t *testing.T) {
 						return
 					}
 				} else {
-					rr, _, err := fleetRun(f.urls[node], hashes[unit])
+					rr, status, err := fleetRun(f.urls[node], hashes[unit])
+					if status == http.StatusNotFound {
+						continue // no worker has compiled this unit yet
+					}
 					if err != nil {
 						errCh <- fmt.Errorf("run on %s: %w", node, err)
 						return
@@ -239,6 +255,43 @@ func TestFleetSingleCompilePerUnit(t *testing.T) {
 	}
 	if fills == 0 {
 		t.Error("no peer fills recorded — traffic never crossed node boundaries")
+	}
+}
+
+// TestFleetCompileOneHashFromEveryNode: a unit has one content address
+// in the fleet whichever member was asked to compile it. The members
+// run a non-default server configuration (wire v2) and the request asks
+// for the interprocedural tier, so the hash depends on options the
+// routing layer has to resolve and forward exactly as the owner does;
+// a node that hashes or forwards anything else mints a second address
+// that the other members answer 404 for.
+func TestFleetCompileOneHashFromEveryNode(t *testing.T) {
+	names := []string{"a1", "b2", "c3"}
+	f := newFleetOf(t, names, codeserver.Config{WireVersion: 2}, nil)
+
+	req := codeserver.CompileRequest{Files: fleetProgram(4), ModuleOpt: true}
+	want := codeserver.KeyFor(req.Files,
+		codeserver.Options{Optimize: true, ModuleOpt: true, WireV2: true}).String()
+	for _, name := range names {
+		if cr := fleetCompileReq(t, f.urls[name], req); cr.Hash != want {
+			t.Errorf("compile via %s minted %s, want %s", name, cr.Hash, want)
+		}
+	}
+	var compiles uint64
+	for _, name := range names {
+		compiles += f.srvs[name].Stats().Compiles
+	}
+	if compiles != 1 {
+		t.Errorf("fleet ran %d compiles for one unit", compiles)
+	}
+	for _, name := range names {
+		rr, status, err := fleetRun(f.urls[name], want)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("run on %s: status %d, err %v", name, status, err)
+		}
+		if !rr.OK || rr.Output != "p32\n" {
+			t.Errorf("run on %s: %+v, want output %q", name, rr, "p32\n")
+		}
 	}
 }
 

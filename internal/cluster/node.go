@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -166,6 +164,10 @@ func (n *Node) Handler() http.Handler {
 // local store or coalesces callers onto one forwarded compile whose
 // result bytes are re-admitted locally before caching.
 func (n *Node) Compile(ctx context.Context, files map[string]string, opts codeserver.Options) (*codeserver.Unit, bool, error) {
+	// Route on the key the owner will mint: every member resolves the
+	// options the same way (the fleet shares one server configuration),
+	// so a unit has one hash and one owner whichever node was asked.
+	opts = n.srv.ResolveOptions(opts)
 	k := codeserver.KeyFor(files, opts)
 	owner := n.ring.Owner(k.String())
 	if owner == n.cfg.Self {
@@ -190,26 +192,11 @@ func (n *Node) FetchUnit(ctx context.Context, k codeserver.Key) ([]byte, bool, e
 }
 
 func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
-	maxBody := n.srv.MaxSourceBytes()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		codeserver.WriteError(w, err)
+	files, opts, ok := n.srv.ReadCompileRequest(w, r)
+	if !ok {
 		return
 	}
-	if int64(len(body)) > maxBody {
-		codeserver.WriteJSON(w, http.StatusRequestEntityTooLarge, codeserver.ErrorResponse{
-			Error: fmt.Sprintf("source set exceeds %d bytes", maxBody),
-			Kind:  "parse",
-		})
-		return
-	}
-	var req codeserver.CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		codeserver.WriteJSON(w, http.StatusBadRequest, codeserver.ErrorResponse{
-			Error: "bad request body: " + err.Error(), Kind: "parse"})
-		return
-	}
-	u, cached, err := n.Compile(r.Context(), req.Files, codeserver.Options{Optimize: req.Optimize})
+	u, cached, err := n.Compile(r.Context(), files, opts)
 	if err != nil {
 		codeserver.WriteError(w, err)
 		return

@@ -47,24 +47,11 @@ func (n *Node) handlePeerUnit(w http.ResponseWriter, r *http.Request) {
 // (singleflight, metrics, traces), so a storm of forwarded requests for
 // one new unit still compiles exactly once.
 func (n *Node) handlePeerCompile(w http.ResponseWriter, r *http.Request) {
-	maxBody := n.srv.MaxSourceBytes()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		codeserver.WriteError(w, err)
+	files, opts, ok := n.srv.ReadCompileRequest(w, r)
+	if !ok {
 		return
 	}
-	if int64(len(body)) > maxBody {
-		codeserver.WriteJSON(w, http.StatusRequestEntityTooLarge, codeserver.ErrorResponse{
-			Error: fmt.Sprintf("source set exceeds %d bytes", maxBody), Kind: "parse"})
-		return
-	}
-	var req codeserver.CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		codeserver.WriteJSON(w, http.StatusBadRequest, codeserver.ErrorResponse{
-			Error: "bad request body: " + err.Error(), Kind: "parse"})
-		return
-	}
-	u, _, err := n.srv.CompileUnit(r.Context(), req.Files, codeserver.Options{Optimize: req.Optimize})
+	u, _, err := n.srv.CompileUnit(r.Context(), files, opts)
 	if err != nil {
 		codeserver.WriteError(w, err)
 		return
@@ -145,7 +132,8 @@ func (n *Node) fetchUnitFrom(ctx context.Context, peer string, k codeserver.Key)
 // forwardCompile asks the owner to compile a source set and returns the
 // resulting encoded unit bytes (re-verified by the caller).
 func (n *Node) forwardCompile(ctx context.Context, owner string, files map[string]string, opts codeserver.Options) ([]byte, bool, error) {
-	body, err := json.Marshal(codeserver.CompileRequest{Files: files, Optimize: opts.Optimize})
+	body, err := json.Marshal(codeserver.CompileRequest{
+		Files: files, Optimize: opts.Optimize, ModuleOpt: opts.ModuleOpt})
 	if err != nil {
 		return nil, false, err
 	}

@@ -22,7 +22,6 @@ import (
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/obs"
-	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
 
@@ -56,8 +55,8 @@ type Config struct {
 	// run beyond the bound is rejected with a TenantBusyError (HTTP 429
 	// + Retry-After) before any work happens (0: unlimited).
 	TenantMaxInFlight int
-	// PoolUnits bounds the warm-session pool: per-(unit, engine)
-	// snapshots of post-static-init state cloned into later sessions so
+	// PoolUnits bounds the warm-session pool: per-unit snapshots of
+	// post-static-init state cloned into later sessions so
 	// static init runs once per unit, not once per request (0: default
 	// 256; negative: pool disabled, every session runs init fresh).
 	PoolUnits int
@@ -72,11 +71,6 @@ type Config struct {
 	// tier participates in the content hash, so units built either way
 	// remain distinct.
 	ModuleOpt bool
-	// Engine selects the default execution engine for run sessions:
-	// driver.EnginePrepared (also the "" default),
-	// driver.EngineCompiled, or driver.EngineReference. Requests may
-	// override it per session.
-	Engine string
 	// NodeName identifies this server inside a fleet: it labels every
 	// Prometheus series and the stats snapshot. Empty for single-node
 	// deployments (no label, historical wire shape).
@@ -135,9 +129,6 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("codeserver: unknown wire version %d (want 1 or 2)", cfg.WireVersion)
 	}
-	if _, err := resolveEngine(cfg.Engine, ""); err != nil {
-		return nil, err
-	}
 	m := &Metrics{node: cfg.NodeName}
 	store, err := NewStore(cfg.CacheDir, cfg.MaxUnits, m)
 	if err != nil {
@@ -168,10 +159,6 @@ func New(cfg Config) (*Server, error) {
 // SetPeerFiller installs the cluster peer-fill hook. Call before the
 // server starts serving traffic; the hook is read without locking.
 func (s *Server) SetPeerFiller(f PeerFiller) { s.peerFiller = f }
-
-// MaxSourceBytes reports the configured /compile request-body bound, so
-// outer routing layers can enforce the same limit before forwarding.
-func (s *Server) MaxSourceBytes() int64 { return s.cfg.MaxSourceBytes }
 
 // Shutdown interrupts every in-flight guest run (each dies with
 // rt.ErrInterrupted, which is reported inside its RunResult like any
@@ -206,6 +193,53 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
+// ResolveOptions folds the server configuration into a request's
+// options: a server configured for the interprocedural tier upgrades
+// every optimizing request, ModuleOpt always implies Optimize, and the
+// configured wire version is the one units are encoded in. The result
+// is the one canonical form per effective pipeline, and the only form
+// KeyFor may be asked to hash — every layer that addresses a compile
+// (CompileUnit, the fleet's ring routing) resolves first, so one source
+// set has one hash on every node. Resolving is idempotent.
+func (s *Server) ResolveOptions(opts Options) Options {
+	if s.cfg.ModuleOpt && opts.Optimize {
+		opts.ModuleOpt = true
+	}
+	if opts.ModuleOpt {
+		opts.Optimize = true
+	}
+	if s.cfg.WireVersion == 2 {
+		opts.WireV2 = true
+	}
+	return opts
+}
+
+// ReadCompileRequest reads the body of one compile request (the public
+// POST /compile and the fleet's peer hop share the shape): bounded by
+// Config.MaxSourceBytes, parsed as a CompileRequest, options resolved.
+// On failure it has written the error response and reports false.
+func (s *Server) ReadCompileRequest(w http.ResponseWriter, r *http.Request) (map[string]string, Options, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSourceBytes+1))
+	if err != nil {
+		WriteError(w, err)
+		return nil, Options{}, false
+	}
+	if int64(len(body)) > s.cfg.MaxSourceBytes {
+		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			Error: fmt.Sprintf("source set exceeds %d bytes", s.cfg.MaxSourceBytes),
+			Kind:  "parse",
+		})
+		return nil, Options{}, false
+	}
+	var req CompileRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
+			Error: "bad request body: " + err.Error(), Kind: "parse"})
+		return nil, Options{}, false
+	}
+	return req.Files, s.ResolveOptions(Options{Optimize: req.Optimize, ModuleOpt: req.ModuleOpt}), true
+}
+
 // CompileUnit compiles (or fetches) the unit for a source set. The bool
 // reports whether the unit was served from cache. Each call is recorded
 // as one trace in the server's ring buffer, with the producer stages as
@@ -218,19 +252,7 @@ func (s *Server) CompileUnit(ctx context.Context, files map[string]string, opts 
 	ctx, tr := s.tracer.StartTrace(ctx, "compile")
 	defer tr.Finish()
 	s.m.compileRequests.Add(1)
-	// Normalize the tier before hashing: a server configured for the
-	// interprocedural tier upgrades every optimizing request, and
-	// ModuleOpt always implies Optimize. Hashing the normalized form
-	// keeps one canonical key per effective pipeline.
-	if s.cfg.ModuleOpt && opts.Optimize {
-		opts.ModuleOpt = true
-	}
-	if opts.ModuleOpt {
-		opts.Optimize = true
-	}
-	if s.cfg.WireVersion == 2 {
-		opts.WireV2 = true
-	}
+	opts = s.ResolveOptions(opts)
 	k := KeyFor(files, opts)
 	return s.store.GetOrFill(ctx, k, func(ctx context.Context) (*Unit, error) {
 		u, err := s.pool.Compile(ctx, files, opts)
@@ -339,26 +361,6 @@ func (e *TenantBusyError) Error() string {
 	return fmt.Sprintf("codeserver: tenant %q at its in-flight run limit (%d)", e.Tenant, e.Limit)
 }
 
-// resolveEngine folds the per-request engine over the server default
-// ("" falls through to the config, which itself defaults to prepared).
-func resolveEngine(cfgEngine, reqEngine string) (string, error) {
-	e := reqEngine
-	if e == "" {
-		e = cfgEngine
-	}
-	switch e {
-	case "", driver.EnginePrepared:
-		return driver.EnginePrepared, nil
-	case driver.EngineCompiled:
-		return driver.EngineCompiled, nil
-	case driver.EngineReference:
-		return driver.EngineReference, nil
-	}
-	return "", &driver.Error{Kind: driver.KindParse,
-		Err: fmt.Errorf("codeserver: unknown engine %q (want %q, %q, or %q)",
-			e, driver.EnginePrepared, driver.EngineCompiled, driver.EngineReference)}
-}
-
 // clampBudget folds a per-request budget over the server cap: requests
 // may ask for less than the cap but never more, and a request that asks
 // for nothing (<= 0) gets the cap itself (or unlimited when the server
@@ -373,74 +375,43 @@ func clampBudget(req, cap int64) int64 {
 	return req
 }
 
-// RunOptions selects the budgets, engine, and accounting identity of
-// one run session. The zero value means: server-default budgets and
-// engine, tenant DefaultTenant.
+// RunOptions selects the budgets and accounting identity of one run
+// session. The zero value means: server-default budgets, tenant
+// DefaultTenant.
 type RunOptions struct {
 	// MaxSteps / MaxAllocs request per-run budgets; both are clamped to
 	// the server caps (<= 0 requests the cap itself).
 	MaxSteps  int64
 	MaxAllocs int64
-	// Engine overrides the server's default evaluator ("" keeps it).
-	Engine string
 	// Tenant is the accounting identity ("" folds to DefaultTenant).
 	Tenant string
 }
 
-// RunUnit executes the unit's main on the server's default engine; see
-// RunUnitOpts.
+// RunUnit executes the unit's main under a step budget; see RunUnitOpts.
 func (s *Server) RunUnit(ctx context.Context, k Key, maxSteps int64) (RunResult, error) {
 	return s.RunUnitOpts(ctx, k, RunOptions{MaxSteps: maxSteps})
 }
 
-// RunUnitEngine executes the unit's main with an explicit engine; see
-// RunUnitOpts.
-func (s *Server) RunUnitEngine(ctx context.Context, k Key, maxSteps int64, engine string) (RunResult, error) {
-	return s.RunUnitOpts(ctx, k, RunOptions{MaxSteps: maxSteps, Engine: engine})
-}
-
-// RunUnitOpts executes the unit's main in an isolated session: the
-// decoded module and its prepared and compiled forms come from the
-// loader cache (shared read-only), while the class metadata, statics,
-// and heap are per-session, so concurrent sessions cannot observe each
-// other. When the warm-session pool holds a snapshot for (unit, engine)
-// and the request's budgets admit it, the session is cloned from the
-// post-static-init snapshot instead of re-running the initializers —
-// byte-exact with a fresh session by the Snapshot contract. Guest
-// failures (uncaught exceptions, budget kills) are reported inside
-// RunResult, not as an error; a tenant over its in-flight bound gets a
-// *TenantBusyError before any work happens.
+// RunUnitOpts executes the unit's main in an isolated session on the
+// closure-compiled form: the decoded module and its compiled code come
+// from the loader cache (shared read-only), while the class metadata,
+// statics, and heap are per-session, so concurrent sessions cannot
+// observe each other. When the warm-session pool holds a snapshot for
+// the unit and the request's budgets admit it, the session is cloned
+// from the post-static-init snapshot instead of re-running the
+// initializers — byte-exact with a fresh session by the Snapshot
+// contract. Guest failures (uncaught exceptions, budget kills) are
+// reported inside RunResult, not as an error; a tenant over its
+// in-flight bound gets a *TenantBusyError before any work happens.
 func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunResult, error) {
-	engine, err := resolveEngine(s.cfg.Engine, opts.Engine)
+	sess, err := s.newSession(ctx, "run", opts)
 	if err != nil {
 		return RunResult{}, err
 	}
-	tenant := opts.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	tc := s.m.tenant(tenant)
-	// Fair admission: bound the tenant's concurrent sessions before any
-	// load or execution work happens, so one tenant's burst cannot
-	// monopolize the run capacity of the node.
-	if lim := s.cfg.TenantMaxInFlight; lim > 0 {
-		if tc.inFlight.Add(1) > int64(lim) {
-			tc.inFlight.Add(-1)
-			tc.rejects.Add(1)
-			s.m.tenantRejects.Add(1)
-			return RunResult{}, &TenantBusyError{Tenant: tenant, Limit: lim}
-		}
-	} else {
-		tc.inFlight.Add(1)
-	}
-	defer tc.inFlight.Add(-1)
-	ctx, tr := s.tracer.StartTrace(ctx, "run")
-	defer tr.Finish()
-	maxSteps := clampBudget(opts.MaxSteps, s.cfg.MaxSteps)
-	maxAllocs := clampBudget(opts.MaxAllocs, s.cfg.MaxAllocs)
+	defer sess.release()
 	var snap *interp.Snapshot
 	if s.sessions != nil {
-		if snap = s.sessions.Get(k, engine); snap != nil && !snap.Admits(maxSteps, maxAllocs) {
+		if snap = s.sessions.Get(k); snap != nil && !snap.Admits(sess.maxSteps, sess.maxAllocs) {
 			// The request's budgets would have killed static init; a
 			// clone cannot reproduce that mid-init death, so run fresh.
 			s.m.poolDeclines.Add(1)
@@ -449,7 +420,7 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 	}
 	var lu *LoadedUnit
 	if snap == nil {
-		lctx, lsp := obs.Start(ctx, "load")
+		lctx, lsp := obs.Start(sess.ctx, "load")
 		lu, err = s.loader.GetOrLoad(lctx, k, func() ([]byte, error) {
 			u, ok := s.store.Get(k)
 			if !ok {
@@ -469,78 +440,21 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 			return RunResult{}, err
 		}
 	}
-	s.m.runs.Add(1)
-	s.m.runsInFlight.Add(1)
-	_, esp := obs.Start(ctx, "exec")
-	start := time.Now()
-	var out bytes.Buffer
-	// The guest's interrupt fires when the request is abandoned, the
-	// server is draining (Shutdown cancelled baseCtx), or the wall-clock
-	// run deadline expires — in every case the guest dies with
-	// rt.ErrInterrupted while its HTTP exchange stays up.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	stopAfter := context.AfterFunc(s.baseCtx, cancelRun)
-	defer stopAfter()
-	var deadlineCtx context.Context
-	if s.cfg.RunTimeout > 0 {
-		var cancelDeadline context.CancelFunc
-		deadlineCtx, cancelDeadline = context.WithTimeout(context.Background(), s.cfg.RunTimeout)
-		defer cancelDeadline()
-		stopDeadline := context.AfterFunc(deadlineCtx, cancelRun)
-		defer stopDeadline()
-	}
-	env := &rt.Env{Out: &out, MaxSteps: maxSteps, MaxAlloc: maxAllocs, Interrupt: runCtx.Done()}
-	res := RunResult{OK: true}
+	env := sess.begin()
 	var l *interp.Loader
 	if snap != nil {
-		l, err = snap.NewSession(env)
-		if err == nil {
+		if l, err = snap.NewSession(env); err == nil {
 			s.m.poolHits.Add(1)
 		}
-	} else {
-		switch engine {
-		case driver.EnginePrepared:
-			l, err = interp.LoadTrustedDeferred(lu.Mod, lu.Prep, nil, env)
-		case driver.EngineCompiled:
-			l, err = interp.LoadTrustedDeferred(lu.Mod, nil, lu.Comp, env)
-		default:
-			l, err = interp.LoadTrustedDeferred(lu.Mod, nil, nil, env)
-		}
-		if err == nil {
-			err = l.RunStaticInit()
-			if err == nil && s.sessions != nil {
-				s.sessions.Offer(k, engine, l, out.Bytes())
-			}
+	} else if l, err = interp.LoadTrustedDeferred(lu.Mod, nil, lu.Comp, env); err == nil {
+		if err = l.RunStaticInit(); err == nil && s.sessions != nil {
+			s.sessions.Offer(k, l, sess.out.Bytes())
 		}
 	}
 	if err == nil {
 		err = l.RunMain()
 	}
-	s.m.runHist.Observe(time.Since(start))
-	esp.End()
-	s.m.runsInFlight.Add(-1)
-	s.m.guestSteps.Add(env.Steps)
-	s.m.guestAllocs.Add(env.Allocs)
-	tc.runs.Add(1)
-	tc.steps.Add(env.Steps)
-	tc.allocs.Add(env.Allocs)
-	res.Output = out.String()
-	res.Steps = env.Steps
-	res.Allocs = env.Allocs
-	if err != nil {
-		s.m.runErrors.Add(1)
-		reason := rt.KillReason(err)
-		if reason == "interrupt" && deadlineCtx != nil && deadlineCtx.Err() != nil {
-			// The interrupt the guest saw was the wall-clock enforcer,
-			// not a client abort or drain.
-			reason = "deadline"
-		}
-		s.m.recordKill(reason, tc)
-		res.OK = false
-		res.Error = err.Error()
-	}
-	return res, nil
+	return sess.finish(err), nil
 }
 
 // RunStreamResult is the outcome of one streaming run session: the run
@@ -563,110 +477,55 @@ const maxStreamUnitBytes = 64 << 20
 // tables are decoded and statically verified up front, each function is
 // admitted by the plane-counter verifier the moment it streams in, and
 // execution proceeds exactly as far as admitted code exists
-// (wire.DecodeVerifiedStream + interp.LoadTrustedStreaming, reference
-// engine). Any failure anywhere in the stream — truncation, a function
-// the verifier rejects, trailing garbage — rejects the whole unit: the
-// response is a verify error and nothing is cached in either the store
-// or the loader tier. Only after Wait returns nil are the exact bytes
-// cached under their wire address.
+// (wire.DecodeVerifiedStream + interp.LoadTrustedStreaming). The
+// session runs on the reference walker, the only evaluator that can
+// execute a module whose function list is still filling in. Any failure
+// anywhere in the stream — truncation, a function the verifier rejects,
+// trailing garbage — rejects the whole unit: the response is a verify
+// error and nothing is cached in either the store or the loader tier.
+// Only after Wait returns nil are the exact bytes cached under their
+// wire address.
 func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOptions) (RunStreamResult, error) {
-	if opts.Engine != "" && opts.Engine != driver.EngineReference {
-		return RunStreamResult{}, &driver.Error{Kind: driver.KindParse,
-			Err: fmt.Errorf("codeserver: streaming runs use the %q engine, not %q",
-				driver.EngineReference, opts.Engine)}
+	sess, err := s.newSession(ctx, "run_stream", opts)
+	if err != nil {
+		return RunStreamResult{}, err
 	}
-	tenant := opts.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	tc := s.m.tenant(tenant)
-	if lim := s.cfg.TenantMaxInFlight; lim > 0 {
-		if tc.inFlight.Add(1) > int64(lim) {
-			tc.inFlight.Add(-1)
-			tc.rejects.Add(1)
-			s.m.tenantRejects.Add(1)
-			return RunStreamResult{}, &TenantBusyError{Tenant: tenant, Limit: lim}
-		}
-	} else {
-		tc.inFlight.Add(1)
-	}
-	defer tc.inFlight.Add(-1)
-	ctx, tr := s.tracer.StartTrace(ctx, "run_stream")
-	defer tr.Finish()
-	maxSteps := clampBudget(opts.MaxSteps, s.cfg.MaxSteps)
-	maxAllocs := clampBudget(opts.MaxAllocs, s.cfg.MaxAllocs)
+	defer sess.release()
 
 	// The body is teed into a buffer as it is consumed, so the bytes the
 	// decoder admitted — and only those — can be cached afterwards.
 	var buf bytes.Buffer
 	tee := io.TeeReader(io.LimitReader(body, maxStreamUnitBytes+1), &buf)
 
-	_, dsp := obs.Start(ctx, "wire_decode_stream")
+	_, dsp := obs.Start(sess.ctx, "wire_decode_stream")
 	decodeStart := time.Now()
-	su, err := wire.DecodeVerifiedStream(tee, wire.DecodeOptions{})
-	if err != nil {
+	rejected := func(err error) (RunStreamResult, error) {
 		s.m.wireDecodeStreamHist.Observe(time.Since(decodeStart))
 		dsp.End()
 		s.m.streamRejects.Add(1)
 		return RunStreamResult{}, &driver.Error{Kind: driver.KindVerify,
 			Err: fmt.Errorf("codeserver: streamed unit rejected: %w", err)}
 	}
-
-	s.m.runs.Add(1)
-	s.m.runsInFlight.Add(1)
-	_, esp := obs.Start(ctx, "exec")
-	start := time.Now()
-	var out bytes.Buffer
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	stopAfter := context.AfterFunc(s.baseCtx, cancelRun)
-	defer stopAfter()
-	var deadlineCtx context.Context
-	if s.cfg.RunTimeout > 0 {
-		var cancelDeadline context.CancelFunc
-		deadlineCtx, cancelDeadline = context.WithTimeout(context.Background(), s.cfg.RunTimeout)
-		defer cancelDeadline()
-		stopDeadline := context.AfterFunc(deadlineCtx, cancelRun)
-		defer stopDeadline()
+	su, err := wire.DecodeVerifiedStream(tee, wire.DecodeOptions{})
+	if err != nil {
+		return rejected(err)
 	}
-	env := &rt.Env{Out: &out, MaxSteps: maxSteps, MaxAlloc: maxAllocs, Interrupt: runCtx.Done()}
-	res := RunStreamResult{RunResult: RunResult{OK: true}}
-	l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, env)
+
+	l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, sess.begin())
 	if err == nil {
 		err = l.RunMain()
 	}
 	// The guest may finish before the tail of the stream arrives;
 	// admissibility of the whole unit is decided only by Wait.
-	werr := su.Wait()
+	if werr := su.Wait(); werr != nil {
+		// The run happened and failed, but what the guest did with a
+		// rejected unit is not reported: the stream's error is.
+		sess.finish(werr)
+		return rejected(werr)
+	}
 	s.m.wireDecodeStreamHist.Observe(time.Since(decodeStart))
 	dsp.End()
-	s.m.runHist.Observe(time.Since(start))
-	esp.End()
-	s.m.runsInFlight.Add(-1)
-	s.m.guestSteps.Add(env.Steps)
-	s.m.guestAllocs.Add(env.Allocs)
-	tc.runs.Add(1)
-	tc.steps.Add(env.Steps)
-	tc.allocs.Add(env.Allocs)
-	if werr != nil {
-		s.m.streamRejects.Add(1)
-		s.m.runErrors.Add(1)
-		return RunStreamResult{}, &driver.Error{Kind: driver.KindVerify,
-			Err: fmt.Errorf("codeserver: streamed unit rejected: %w", werr)}
-	}
-	res.Output = out.String()
-	res.Steps = env.Steps
-	res.Allocs = env.Allocs
-	if err != nil {
-		s.m.runErrors.Add(1)
-		reason := rt.KillReason(err)
-		if reason == "interrupt" && deadlineCtx != nil && deadlineCtx.Err() != nil {
-			reason = "deadline"
-		}
-		s.m.recordKill(reason, tc)
-		res.OK = false
-		res.Error = err.Error()
-	}
+	res := RunStreamResult{RunResult: sess.finish(err)}
 	data := bytes.Clone(buf.Bytes())
 	k := KeyForWire(data)
 	s.store.Put(&Unit{Key: k, Wire: data, Size: len(data), Instrs: su.Mod.NumInstrs()})
@@ -700,9 +559,6 @@ type CompileResponse struct {
 type RunRequest struct {
 	MaxSteps  int64 `json:"max_steps"`
 	MaxAllocs int64 `json:"max_allocs"`
-	// Engine optionally overrides the server's default evaluator for
-	// this session: "prepared", "compiled", or "reference".
-	Engine string `json:"engine,omitempty"`
 	// Tenant is the accounting identity of the session; empty falls
 	// back to the TenantHeader request header, then DefaultTenant.
 	Tenant string `json:"tenant,omitempty"`
@@ -776,26 +632,11 @@ func WriteError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSourceBytes+1))
-	if err != nil {
-		WriteError(w, err)
+	files, opts, ok := s.ReadCompileRequest(w, r)
+	if !ok {
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxSourceBytes {
-		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
-			Error: fmt.Sprintf("source set exceeds %d bytes", s.cfg.MaxSourceBytes),
-			Kind:  "parse",
-		})
-		return
-	}
-	var req CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error: "bad request body: " + err.Error(), Kind: "parse"})
-		return
-	}
-	u, cached, err := s.CompileUnit(r.Context(), req.Files,
-		Options{Optimize: req.Optimize, ModuleOpt: req.ModuleOpt})
+	u, cached, err := s.CompileUnit(r.Context(), files, opts)
 	if err != nil {
 		WriteError(w, err)
 		return
@@ -851,7 +692,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	res, err := s.RunUnitOpts(r.Context(), k, RunOptions{
 		MaxSteps:  req.MaxSteps,
 		MaxAllocs: req.MaxAllocs,
-		Engine:    req.Engine,
 		Tenant:    req.Tenant,
 	})
 	if err != nil {

@@ -132,6 +132,25 @@ func TestHTTPCompileFetchRun(t *testing.T) {
 	}
 }
 
+// TestHTTPRunIgnoresEngineField: a run body written for the servers that
+// let a request pick an evaluator is still accepted, and the field picks
+// nothing — the answer is the one a body without it gets.
+func TestHTTPRunIgnoresEngineField(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cr := decodeBody[CompileResponse](t, postJSON(t, ts.URL+"/compile", CompileRequest{Files: helloFiles()}))
+	plain := decodeBody[RunResult](t, postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{MaxSteps: 1_000_000}))
+	resp := postJSON(t, ts.URL+"/run/"+cr.Hash, map[string]any{"max_steps": 1_000_000, "engine": "reference"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run with an engine field: status %d", resp.StatusCode)
+	}
+	if got := decodeBody[RunResult](t, resp); !got.OK || got != plain {
+		t.Errorf("run with an engine field answered %+v, want %+v", got, plain)
+	}
+}
+
 func TestHTTPErrorMapping(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

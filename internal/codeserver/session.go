@@ -1,0 +1,139 @@
+package codeserver
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"time"
+
+	"safetsa/internal/obs"
+	"safetsa/internal/rt"
+)
+
+// session is the lifecycle of one guest run on behalf of a tenant, the
+// same for POST /run and POST /run-stream: newSession admits it, begin
+// hands out the rt.Env the guest executes in, finish closes the books,
+// and release (deferred right after newSession) frees what was taken.
+// There is no other way in this package to obtain an rt.Env, which is
+// what makes four invariants hold on every run path rather than on the
+// first one written:
+//
+//  1. Fair admission first: the tenant's in-flight slot is taken, or the
+//     run refused with a *TenantBusyError, before any load, decode or
+//     guest work.
+//  2. Budgets are clamped: the env's MaxSteps and MaxAlloc are
+//     clampBudget of the request over the server caps; a path cannot
+//     forget one.
+//  3. One interrupt: the guest dies with rt.ErrInterrupted when the
+//     request is abandoned, the server drains (Shutdown), or
+//     Config.RunTimeout expires, while its HTTP exchange stays up.
+//  4. The books balance: a begun session is counted once in runs, the
+//     run histogram, the guest drain totals and its tenant's row; an
+//     abnormal end is one run_error and at most one kill, with the
+//     reason decided here.
+type session struct {
+	s  *Server
+	tc *tenantCounters
+	// ctx is the request context carrying the session's trace; load and
+	// decode spans started from it nest under that trace.
+	ctx context.Context
+	tr  *obs.Trace
+
+	maxSteps, maxAllocs int64
+
+	// Set by begin.
+	env      *rt.Env
+	out      bytes.Buffer
+	start    time.Time
+	execSpan *obs.Span
+	runCtx   context.Context
+	cancels  []context.CancelFunc
+}
+
+// errRunTimeout is the cancellation cause that tells the wall-clock
+// enforcer's interrupt apart from a client abort or a drain.
+var errRunTimeout = errors.New("codeserver: run deadline exceeded")
+
+// newSession admits one run for opts.Tenant: it bounds the tenant's
+// concurrent sessions before any work happens, so one tenant's burst
+// cannot monopolize the run capacity of the node, then opens the
+// request trace and clamps the budgets.
+func (s *Server) newSession(ctx context.Context, trace string, opts RunOptions) (*session, error) {
+	tenant := opts.Tenant
+	if tenant == "" {
+		tenant = DefaultTenant
+	}
+	tc := s.m.tenant(tenant)
+	lim := s.cfg.TenantMaxInFlight
+	if n := tc.inFlight.Add(1); lim > 0 && n > int64(lim) {
+		tc.inFlight.Add(-1)
+		tc.rejects.Add(1)
+		s.m.tenantRejects.Add(1)
+		return nil, &TenantBusyError{Tenant: tenant, Limit: lim}
+	}
+	ctx, tr := s.tracer.StartTrace(ctx, trace)
+	return &session{
+		s: s, tc: tc, ctx: ctx, tr: tr,
+		maxSteps:  clampBudget(opts.MaxSteps, s.cfg.MaxSteps),
+		maxAllocs: clampBudget(opts.MaxAllocs, s.cfg.MaxAllocs),
+	}, nil
+}
+
+// begin starts the execution phase — everything before it (load, the
+// streamed table header) can still fail without a run being counted —
+// and returns the env the guest runs in. Every begun session must be
+// finished.
+func (ss *session) begin() *rt.Env {
+	s := ss.s
+	s.m.runs.Add(1)
+	s.m.runsInFlight.Add(1)
+	_, ss.execSpan = obs.Start(ss.ctx, "exec")
+	ss.start = time.Now()
+	runCtx, cancel := context.WithCancel(ss.ctx)
+	stopDrain := context.AfterFunc(s.baseCtx, cancel)
+	ss.cancels = append(ss.cancels, cancel, func() { stopDrain() })
+	if s.cfg.RunTimeout > 0 {
+		runCtx, cancel = context.WithTimeoutCause(runCtx, s.cfg.RunTimeout, errRunTimeout)
+		ss.cancels = append(ss.cancels, cancel)
+	}
+	ss.runCtx = runCtx
+	ss.env = &rt.Env{Out: &ss.out, MaxSteps: ss.maxSteps, MaxAlloc: ss.maxAllocs, Interrupt: runCtx.Done()}
+	return ss.env
+}
+
+// finish closes the books of a begun session. err is what ended the
+// guest (nil for a clean run); budget kills and uncaught exceptions are
+// reported inside the result, not as an error.
+func (ss *session) finish(err error) RunResult {
+	s, env := ss.s, ss.env
+	s.m.runHist.Observe(time.Since(ss.start))
+	ss.execSpan.End()
+	s.m.runsInFlight.Add(-1)
+	s.m.guestSteps.Add(env.Steps)
+	s.m.guestAllocs.Add(env.Allocs)
+	ss.tc.runs.Add(1)
+	ss.tc.steps.Add(env.Steps)
+	ss.tc.allocs.Add(env.Allocs)
+	res := RunResult{OK: err == nil, Output: ss.out.String(), Steps: env.Steps, Allocs: env.Allocs}
+	if err != nil {
+		s.m.runErrors.Add(1)
+		reason := rt.KillReason(err)
+		if reason == "interrupt" && context.Cause(ss.runCtx) == errRunTimeout {
+			reason = "deadline"
+		}
+		s.m.recordKill(reason, ss.tc)
+		res.Error = err.Error()
+	}
+	return res
+}
+
+// release frees the interrupt wiring, ends the trace and gives the
+// tenant its slot back; it runs on every path out of a run, begun or
+// not.
+func (ss *session) release() {
+	for _, cancel := range ss.cancels {
+		cancel()
+	}
+	ss.tr.Finish()
+	ss.tc.inFlight.Add(-1)
+}

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,20 +115,35 @@ func (s *Store) Get(k Key) (*Unit, bool) {
 // running fill in this call (memory/disk hit); callers that coalesced
 // onto another caller's in-flight fill see cached=false. Fill errors are
 // not cached: every waiter gets the error and the next request retries.
+//
+// The store serves two fill flavors under one key — a compile, and a
+// lookup of the unit at a fleet peer — and only the lookup can come up
+// empty. A caller that joined a flight which ended in ErrUnitNotFound
+// has therefore learned nothing about its own fill (a compile joined to
+// a run's failed lookup would answer "not found" for a source set it
+// was handed), so it starts over instead of adopting that error.
 func (s *Store) GetOrFill(ctx context.Context, k Key, fill func(context.Context) (*Unit, error)) (u *Unit, cached bool, err error) {
 	sh := s.shardOf(k)
-	sh.mu.Lock()
-	if el, ok := sh.entries[k]; ok {
-		sh.order.MoveToFront(el)
-		sh.mu.Unlock()
-		s.m.cacheHits.Add(1)
-		return el.Value.(*Unit), true, nil
-	}
-	if fl, ok := sh.inflight[k]; ok {
+	for {
+		sh.mu.Lock()
+		if el, ok := sh.entries[k]; ok {
+			sh.order.MoveToFront(el)
+			sh.mu.Unlock()
+			s.m.cacheHits.Add(1)
+			return el.Value.(*Unit), true, nil
+		}
+		fl, ok := sh.inflight[k]
+		if !ok {
+			break // this caller leads the fill; the shard stays locked
+		}
 		sh.mu.Unlock()
 		s.m.coalesced.Add(1)
 		select {
 		case <-fl.done:
+			if errors.Is(fl.err, ErrUnitNotFound) {
+				s.m.coalesced.Add(^uint64(0)) // not served by that flight after all
+				continue
+			}
 			if fl.err != nil {
 				return nil, false, fl.err
 			}

@@ -214,6 +214,61 @@ func TestGetOrFillOwnerCancelDoesNotPoison(t *testing.T) {
 	}
 }
 
+// TestGetOrFillCompileNotAnsweredByEmptyLookup: in a fleet a run's peer
+// lookup and a compile of the same key share the singleflight slot. The
+// lookup coming up empty must not become the compile's answer — the
+// compile was handed the sources and runs its own fill.
+func TestGetOrFillCompileNotAnsweredByEmptyLookup(t *testing.T) {
+	m := &Metrics{}
+	st, err := NewStore("", 0, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := KeyFor(map[string]string{"f": "z"}, Options{})
+
+	block := make(chan struct{})
+	lookupStarted := make(chan struct{})
+	lookupDone := make(chan error, 1)
+	go func() {
+		_, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (*Unit, error) {
+			close(lookupStarted)
+			<-block
+			return nil, ErrUnitNotFound
+		})
+		lookupDone <- err
+	}()
+	<-lookupStarted
+
+	type filled struct {
+		u   *Unit
+		err error
+	}
+	compileDone := make(chan filled, 1)
+	go func() {
+		u, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (*Unit, error) {
+			return &Unit{Wire: []byte{3}, Size: 1, Instrs: 1}, nil
+		})
+		compileDone <- filled{u, err}
+	}()
+	for i := 0; m.coalesced.Load() == 0; i++ {
+		if i > 4000 {
+			t.Fatal("compile never coalesced onto the in-flight lookup")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(block)
+	if err := <-lookupDone; !errors.Is(err, ErrUnitNotFound) {
+		t.Fatalf("lookup returned %v, want ErrUnitNotFound", err)
+	}
+	got := <-compileDone
+	if got.err != nil || got.u == nil {
+		t.Fatalf("compile coalesced onto an empty lookup returned (%v, %v), want its own unit", got.u, got.err)
+	}
+	if n := m.coalesced.Load(); n != 0 {
+		t.Errorf("coalesced = %d after the compile ran its own fill, want 0", n)
+	}
+}
+
 // TestStorePutPublishesBothTiers covers the replica landing point: Put
 // makes the unit visible in memory and persists it so a restarted node
 // still holds its replicas.

@@ -187,18 +187,6 @@ func TestHTTPRunStreamTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestRunStreamRejectsNonReferenceEngine: the streaming path only
-// serves the reference engine; asking for another is a clean user
-// error, not a surprise fallback.
-func TestRunStreamRejectsNonReferenceEngine(t *testing.T) {
-	s := newTestServer(t, Config{})
-	data, _ := streamUnit(t, true)
-	_, err := s.RunUnitStream(t.Context(), bytes.NewReader(data), RunOptions{Engine: driver.EngineCompiled})
-	if err == nil || !strings.Contains(err.Error(), "reference") {
-		t.Fatalf("compiled-engine stream run: %v", err)
-	}
-}
-
 // TestWireVersionCacheKey: the configured wire version is part of unit
 // identity — the same source compiled under v1 and v2 servers yields
 // different keys and differently encoded units, and each server's unit

@@ -260,15 +260,13 @@ func TestStressMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestStressEngineSplit runs 32 concurrent sessions of one cached unit
-// with the engine choice split evenly across the prepared register
-// machine, the reference evaluator, and the closure-threaded compiled
-// engine. All three engines share the single decoded+prepared+compiled
-// module, must produce identical output, and — the key accounting
-// invariant — preparation happens once per distinct unit load, never
-// once per run: the prepare-stage histogram count equals Loads (1), not
-// the number of run requests.
-func TestStressEngineSplit(t *testing.T) {
+// TestStressSharedUnit runs 32 concurrent sessions of one cached unit.
+// All of them share the single decoded and compiled module, must
+// produce identical output and steps, and — the key accounting
+// invariant — lowering and backend compilation happen once per distinct
+// unit load, never once per run: the prepare and compile_backend stage
+// counts equal Loads (1), not the number of run requests.
+func TestStressSharedUnit(t *testing.T) {
 	s := newTestServer(t, Config{})
 	u, ok := corpus.ByName("BigDecimal")
 	if !ok {
@@ -289,14 +287,7 @@ func TestStressEngineSplit(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			engine := driver.EnginePrepared
-			switch i % 3 {
-			case 1:
-				engine = driver.EngineReference
-			case 2:
-				engine = driver.EngineCompiled
-			}
-			results[i], errs[i] = s.RunUnitEngine(context.Background(), unit.Key, 0, engine)
+			results[i], errs[i] = s.RunUnit(context.Background(), unit.Key, 0)
 		}(i)
 	}
 	close(start)
@@ -309,9 +300,9 @@ func TestStressEngineSplit(t *testing.T) {
 		if !results[i].OK {
 			t.Fatalf("session %d failed: %s", i, results[i].Error)
 		}
-		if results[i].Output != results[0].Output {
-			t.Fatalf("session %d (engine split) output diverged:\n%q\nvs\n%q",
-				i, results[i].Output, results[0].Output)
+		if results[i].Output != results[0].Output || results[i].Steps != results[0].Steps {
+			t.Fatalf("session %d diverged: %d steps, output\n%q\nvs %d steps, output\n%q",
+				i, results[i].Steps, results[i].Output, results[0].Steps, results[0].Output)
 		}
 	}
 
@@ -322,11 +313,8 @@ func TestStressEngineSplit(t *testing.T) {
 	if st.Runs != sessions {
 		t.Errorf("runs = %d, want %d", st.Runs, sessions)
 	}
-	if st.PrepareLatency.Count != st.Loads {
-		t.Errorf("prepare histogram count %d != loads %d (preparation must be per-load)",
-			st.PrepareLatency.Count, st.Loads)
-	}
-	if st.PrepareLatency.Count == st.Runs {
-		t.Errorf("prepare histogram count %d tracks runs, not loads", st.PrepareLatency.Count)
+	if st.PrepareLatency.Count != 1 || st.CompileBackendLatency.Count != 1 {
+		t.Errorf("prepare count %d, compile_backend count %d, want 1 each (lowering is per load, not per run)",
+			st.PrepareLatency.Count, st.CompileBackendLatency.Count)
 	}
 }

@@ -172,7 +172,10 @@ func RunBytecode(p *bytecode.Program, maxSteps int64) (string, error) {
 	return out.String(), err
 }
 
-// Engine names accepted by RunModuleEngine and the cmd -engine flags.
+// Names of the three evaluators inside internal/interp, as the oracles
+// label them. RunModuleEngine and safetsarun -engine accept only the
+// served one (compiled) and the reference; the prepared register machine
+// is run by the differential oracles alone.
 const (
 	EngineReference = "reference"
 	EnginePrepared  = "prepared"
@@ -202,47 +205,10 @@ func RunModuleContext(ctx context.Context, mod *core.Module, maxSteps int64) (st
 	return out.String(), nil
 }
 
-// RunModulePrepared verifies, prepares, and executes a module on the
-// prepared register machine.
-func RunModulePrepared(mod *core.Module, maxSteps int64) (string, error) {
-	return RunModulePreparedContext(context.Background(), mod, maxSteps)
-}
-
-// RunModulePreparedContext is the context-aware form of
-// RunModulePrepared: verifier first, then the load-time Prepare pass
-// (under a "prepare" span), then a prepared-engine session.
-func RunModulePreparedContext(ctx context.Context, mod *core.Module, maxSteps int64) (string, error) {
-	if err := mod.Verify(core.VerifyOptions{}); err != nil {
-		return "", wrapKind(KindVerify, fmt.Errorf("interp: module rejected by verifier: %w", err))
-	}
-	_, psp := obs.Start(ctx, "prepare")
-	prep, err := interp.Prepare(mod)
-	psp.End()
-	if err != nil {
-		return "", wrapKind(KindVerify, err)
-	}
-	var out bytes.Buffer
-	env := &rt.Env{Out: &out, MaxSteps: maxSteps, Interrupt: ctx.Done()}
-	l, err := interp.LoadTrustedPrepared(mod, prep, env)
-	if err != nil {
-		return out.String(), wrapKind(KindVerify, err)
-	}
-	if err := l.RunMain(); err != nil {
-		return out.String(), wrapKind(KindRuntime, err)
-	}
-	return out.String(), nil
-}
-
-// RunModuleCompiled verifies, prepares, compiles, and executes a module
-// on the closure-threaded engine.
-func RunModuleCompiled(mod *core.Module, maxSteps int64) (string, error) {
-	return RunModuleCompiledContext(context.Background(), mod, maxSteps)
-}
-
-// RunModuleCompiledContext is the context-aware form of
-// RunModuleCompiled: verifier first, then the load-time Prepare pass
-// (under a "prepare" span), the closure-fusing Compile pass (under a
-// "compile_backend" span), then a compiled-engine session.
+// RunModuleCompiledContext verifies a module, lowers it (interp.Prepare
+// under a "prepare" span, then the closure-fusing interp.Compile under a
+// "compile_backend" span) and executes it on the closure-threaded
+// engine; cancelling ctx interrupts the guest.
 func RunModuleCompiledContext(ctx context.Context, mod *core.Module, maxSteps int64) (string, error) {
 	if err := mod.Verify(core.VerifyOptions{}); err != nil {
 		return "", wrapKind(KindVerify, fmt.Errorf("interp: module rejected by verifier: %w", err))
@@ -271,17 +237,16 @@ func RunModuleCompiledContext(ctx context.Context, mod *core.Module, maxSteps in
 	return out.String(), nil
 }
 
-// RunModuleEngine dispatches to the named engine: "prepared" (also the
-// default for ""), "compiled", or "reference".
+// RunModuleEngine dispatches to the named engine: "compiled" (also the
+// default for ""), the one the daemon serves, or "reference", the CST
+// walker the compiled engine is tested against.
 func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engine string) (string, error) {
 	switch engine {
-	case "", EnginePrepared:
-		return RunModulePreparedContext(ctx, mod, maxSteps)
-	case EngineCompiled:
+	case "", EngineCompiled:
 		return RunModuleCompiledContext(ctx, mod, maxSteps)
 	case EngineReference:
 		return RunModuleContext(ctx, mod, maxSteps)
 	}
-	return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q, %q, or %q)",
-		engine, EnginePrepared, EngineCompiled, EngineReference))
+	return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q or %q)",
+		engine, EngineCompiled, EngineReference))
 }
