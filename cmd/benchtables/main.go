@@ -3,101 +3,76 @@
 //	benchtables -table fig5    # Figure 5: sizes and instruction counts
 //	benchtables -table fig6    # Figure 6: checks before/after optimization
 //	benchtables -claims        # section 7/8 prose claims, paper vs measured
-//	benchtables -all           # everything
-//	benchtables -json out.json # every table cell + claims + per-stage
-//	                           # latency histogram summaries + the
-//	                           # three-way reference/prepared/compiled
-//	                           # run comparison + the warm-vs-cold
-//	                           # session-pool comparison + the
-//	                           # interprocedural-tier comparison as JSON
-//	                           # ("-" = stdout)
+//	benchtables -all           # everything (also the default with no flag)
+//	benchtables -experiments   # the EXPERIMENTS.md body (Markdown)
+//
+// It exits 2 on a usage error and 1 when a measurement fails or a printed
+// claim does not hold. Timings live in the repository benchmark
+// (go run ./benchmark --trace 1), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"safetsa/internal/bench"
 )
 
 func main() {
-	table := flag.String("table", "", "table to print: fig5, fig6, or wire")
-	claims := flag.Bool("claims", false, "check the prose claims")
-	all := flag.Bool("all", false, "print every table and the claims")
-	experiments := flag.Bool("experiments", false, "emit the EXPERIMENTS.md body (Markdown)")
-	jsonOut := flag.String("json", "", "write the tables and claims as JSON to this file (\"-\" = stdout)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, bench.MeasureAll))
+}
 
-	rows, timings, err := bench.MeasureAllTimed()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(1)
+// run is main with its inputs as parameters, so the flag handling and
+// the exit codes can be tested without measuring the corpus.
+func run(args []string, stdout, stderr io.Writer, measure func() ([]bench.Row, error)) int {
+	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "", "table to print: fig5 or fig6")
+	claims := fs.Bool("claims", false, "check the prose claims")
+	all := fs.Bool("all", false, "print every table and the claims")
+	experiments := fs.Bool("experiments", false, "emit the EXPERIMENTS.md body (Markdown)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *jsonOut != "" {
-		rc, err := bench.MeasureRunComparison()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		wp, err := bench.MeasureWarmPool()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		mo, err := bench.MeasureModuleOpt()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		wc, err := bench.MeasureWire(0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		data, err := bench.FormatJSONTimed(rows, timings, rc, wp, mo, wc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		return
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "benchtables: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+	switch *table {
+	case "", "fig5", "fig6":
+	default:
+		fmt.Fprintf(stderr, "benchtables: unknown -table %q\n", *table)
+		fs.Usage()
+		return 2
+	}
+
+	rows, err := measure()
+	if err != nil {
+		fmt.Fprintln(stderr, "benchtables:", err)
+		return 1
 	}
 	if *experiments {
-		fmt.Print(bench.FormatExperiments(rows))
-		return
+		fmt.Fprint(stdout, bench.FormatExperiments(rows))
+		return 0
 	}
-	printed := false
-	if *all || *table == "fig5" {
-		fmt.Println(bench.FormatFig5(rows))
-		printed = true
+	everything := *all || (*table == "" && !*claims)
+	if everything || *table == "fig5" {
+		fmt.Fprintln(stdout, bench.FormatFig5(rows))
 	}
-	if *all || *table == "fig6" {
-		fmt.Println(bench.FormatFig6(rows))
-		printed = true
+	if everything || *table == "fig6" {
+		fmt.Fprintln(stdout, bench.FormatFig6(rows))
 	}
-	if *all || *table == "wire" {
-		wc, err := bench.MeasureWire(0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
+	if everything || *claims {
+		fmt.Fprintln(stdout, bench.FormatClaims(rows))
+		for _, c := range bench.CheckClaims(rows) {
+			if !c.Holds {
+				fmt.Fprintf(stderr, "benchtables: claim does not hold: %s\n", c.Claim)
+				return 1
+			}
 		}
-		fmt.Println(bench.FormatWire(wc))
-		printed = true
 	}
-	if *all || *claims {
-		fmt.Println(bench.FormatClaims(rows))
-		printed = true
-	}
-	if !printed {
-		fmt.Println(bench.FormatFig5(rows))
-		fmt.Println(bench.FormatFig6(rows))
-		fmt.Println(bench.FormatClaims(rows))
-	}
+	return 0
 }

@@ -1,6 +1,6 @@
 // Command safetsaload replays mixed compile/run traffic against a
 // running safetsad (or a fleet of them) and reports client-observed
-// latency percentiles per stage as a safetsa-bench-v8 JSON snapshot.
+// latency percentiles per stage as a JSON report (bench.FormatJSONLoad).
 //
 //	safetsaload -targets http://h1:8743,http://h2:8743 \
 //	    [-workers 8] [-duration 10s | -requests N] [-units 16] \

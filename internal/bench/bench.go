@@ -8,13 +8,9 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"safetsa/internal/core"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
-	"safetsa/internal/interp"
-	"safetsa/internal/obs"
 	"safetsa/internal/opt"
 	"safetsa/internal/wire"
 )
@@ -36,129 +32,52 @@ type Row struct {
 	Paper corpus.PaperRow
 }
 
-// StageTimings aggregates producer-stage latencies over a corpus
-// measurement run into obs histograms, one per pipeline stage, so that
-// benchtables -json records the paper's producer-side costs as latency
-// distributions — the perf-trajectory counterpart of the size tables.
-type StageTimings struct {
-	Frontend obs.Histogram
-	Bytecode obs.Histogram
-	SSABuild obs.Histogram
-	Optimize obs.Histogram
-	Encode   obs.Histogram
-	Decode   obs.Histogram
-	Verify   obs.Histogram
-	Prepare  obs.Histogram
-}
-
-// Summaries digests the per-stage histograms, keyed by stage name.
-func (t *StageTimings) Summaries() map[string]obs.LatencySummary {
-	return map[string]obs.LatencySummary{
-		"frontend": t.Frontend.Summary(),
-		"bytecode": t.Bytecode.Summary(),
-		"ssabuild": t.SSABuild.Summary(),
-		"optimize": t.Optimize.Summary(),
-		"encode":   t.Encode.Summary(),
-		"decode":   t.Decode.Summary(),
-		"verify":   t.Verify.Summary(),
-		"prepare":  t.Prepare.Summary(),
-	}
-}
-
 // MeasureUnit compiles one unit through both pipelines and collects every
 // table cell.
 func MeasureUnit(u corpus.Unit) (Row, error) {
-	return measureUnit(u, &StageTimings{}) // timings discarded
-}
-
-func measureUnit(u corpus.Unit, tm *StageTimings) (Row, error) {
 	row := Row{Name: u.Name, Group: u.Group, Generated: u.Generated, Paper: u.Paper}
 
-	start := time.Now()
 	prog, err := driver.Frontend(u.Files)
-	tm.Frontend.Observe(time.Since(start))
 	if err != nil {
 		return row, fmt.Errorf("%s: frontend: %w", u.Name, err)
 	}
-	start = time.Now()
 	bc, err := driver.CompileBytecode(prog)
-	tm.Bytecode.Observe(time.Since(start))
 	if err != nil {
 		return row, fmt.Errorf("%s: bytecode: %w", u.Name, err)
 	}
 	row.BCSize = bc.SerializedSize()
 	row.BCInstrs = bc.NumInstrs()
 
-	start = time.Now()
 	mod, err := driver.CompileTSA(prog)
-	tm.SSABuild.Observe(time.Since(start))
 	if err != nil {
 		return row, fmt.Errorf("%s: safetsa: %w", u.Name, err)
 	}
 	row.TSAInstrs = mod.NumInstrs()
 	row.TSASize = len(wire.EncodeModule(mod))
-	instrs, phis, nulls, arrs := opt.Count(mod)
-	row.PhiBefore, row.NullBefore, row.ArrayBefore = phis, nulls, arrs
-	_ = instrs
+	_, row.PhiBefore, row.NullBefore, row.ArrayBefore = opt.Count(mod)
 
-	start = time.Now()
 	st, err := driver.OptimizeModule(mod)
-	tm.Optimize.Observe(time.Since(start))
 	if err != nil {
 		return row, fmt.Errorf("%s: optimize: %w", u.Name, err)
 	}
 	row.Stats = st
 	row.TSAOptInstrs = mod.NumInstrs()
-	start = time.Now()
-	encoded := wire.EncodeModule(mod)
-	tm.Encode.Observe(time.Since(start))
-	row.TSAOptSize = len(encoded)
-	_, phis, nulls, arrs = opt.Count(mod)
-	row.PhiAfter, row.NullAfter, row.ArrayAfter = phis, nulls, arrs
-
-	// Consumer-side stages: the paper's claim that SafeTSA needs no
-	// dataflow verification is a latency claim, so the decode and
-	// residual-verify costs belong in the trajectory too.
-	start = time.Now()
-	dec, err := wire.DecodeModule(encoded)
-	tm.Decode.Observe(time.Since(start))
-	if err != nil {
-		return row, fmt.Errorf("%s: decode: %w", u.Name, err)
-	}
-	start = time.Now()
-	err = dec.Verify(core.VerifyOptions{})
-	tm.Verify.Observe(time.Since(start))
-	if err != nil {
-		return row, fmt.Errorf("%s: verify: %w", u.Name, err)
-	}
-	start = time.Now()
-	_, err = interp.Prepare(dec)
-	tm.Prepare.Observe(time.Since(start))
-	if err != nil {
-		return row, fmt.Errorf("%s: prepare: %w", u.Name, err)
-	}
+	row.TSAOptSize = len(wire.EncodeModule(mod))
+	_, row.PhiAfter, row.NullAfter, row.ArrayAfter = opt.Count(mod)
 	return row, nil
 }
 
 // MeasureAll measures the whole corpus.
 func MeasureAll() ([]Row, error) {
-	rows, _, err := MeasureAllTimed()
-	return rows, err
-}
-
-// MeasureAllTimed measures the whole corpus and aggregates per-stage
-// latency histograms across it.
-func MeasureAllTimed() ([]Row, *StageTimings, error) {
 	var rows []Row
-	tm := &StageTimings{}
 	for _, u := range corpus.Units() {
-		r, err := measureUnit(u, tm)
+		r, err := MeasureUnit(u)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rows = append(rows, r)
 	}
-	return rows, tm, nil
+	return rows, nil
 }
 
 func pct(before, after int) string {

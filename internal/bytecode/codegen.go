@@ -464,11 +464,18 @@ func (g *gen) genDoWhile(s *ast.DoWhileStmt) {
 }
 
 func (g *gen) genTry(s *ast.TryStmt) {
+	// The statement stays on the try stack through its catch bodies: a
+	// return, break or continue inside one still owes the finally block.
 	g.tries = append(g.tries, &tryGen{finallyAST: s.Finally})
+	defer func() { g.tries = g.tries[:len(g.tries)-1] }()
 	start := g.pc()
 	for _, st := range s.Body.Stmts {
 		g.genStmt(st)
 	}
+	// The protected range ends with the try block: the finally copy of
+	// the normal path must not be covered by this statement's own
+	// handlers, or an exception inside it would run it a second time.
+	end := g.pc()
 	bodyTerm := g.terminated
 	if !bodyTerm && s.Finally != nil {
 		g.inFinally++
@@ -478,8 +485,6 @@ func (g *gen) genTry(s *ast.TryStmt) {
 		g.inFinally--
 		bodyTerm = g.terminated
 	}
-	end := g.pc()
-	g.tries = g.tries[:len(g.tries)-1]
 	if end == start {
 		// Empty protected region: nothing can throw.
 		g.terminated = bodyTerm

@@ -1,12 +1,17 @@
 package driver_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
 
 	"safetsa/internal/corpus"
+	"safetsa/internal/driver"
+	"safetsa/internal/opt"
 	"safetsa/internal/oracle"
+	"safetsa/internal/wire"
 )
 
 // TestRandomProgramDifferential generates random (deterministic) TJ
@@ -60,17 +65,160 @@ func FuzzFrontend(f *testing.F) {
 	})
 }
 
+// finallyPrograms pin the lowering of finally, foremost where a try
+// statement's protected region ends: at the end of the try block, before
+// the finally copy of the normal path. Both producers once emitted that
+// copy inside the region, where the SafeTSA builder and the wire decoder
+// disagreed on which handler its exception sites belong to and where the
+// bytecode handler ran it twice.
+var finallyPrograms = []struct{ name, src, want string }{
+	// A try block without a throw site needs no handler; its body must
+	// not be left behind as a block nothing branches to.
+	{"Z", `class Z {
+    static int n;
+    static void main() {
+        try { Z.n = Z.n + 1; } finally { Z.n = Z.n + 10; }
+        System.out.println(Z.n);
+    }
+}`, "11\n"},
+	// A throwing finally copy under an outer catch: its exception edge
+	// belongs to the outer handler on both ends of the wire.
+	{"X", `class X {
+    static int[] table = new int[8];
+    static int risky(int i) { if (i == 0) { throw new Exception("x"); } return i; }
+    static int guarded(int i) {
+        int r = 0;
+        try {
+            try { r = risky(i); } finally { r = r + 1; table[7] = table[7] + 1; }
+        } catch (ArithmeticException e) { r = -1; }
+        return r;
+    }
+    static void main() { System.out.println(guarded(1)); }
+}`, "2\n"},
+	// A finally block that throws on the normal path runs once.
+	{"W", `class W {
+    static int n;
+    static int[] t = new int[4];
+    static int g(int x) { return x; }
+    static void f(int i) {
+        try { W.n = W.n + W.g(0); W.n = W.n + 1; } finally { W.n = W.n + 10; W.t[i] = 1; }
+    }
+    static void main() {
+        try { W.f(9); } catch (Exception e) { System.out.println(W.n); }
+        System.out.println(W.n);
+    }
+}`, "11\n11\n"},
+	// A return inside a catch body still owes the finally block; the
+	// bytecode baseline once forgot the statement before its catch arms.
+	{"R", `class R {
+    static int n;
+    static int g(int x) { if (x > 5) { throw new Exception("big"); } return x; }
+    static int f(int x) {
+        try { return R.g(x); } catch (Exception e) { return -7; } finally { R.n = R.n + 1000; }
+    }
+    static void main() {
+        System.out.println(f(2));
+        System.out.println(f(20));
+        System.out.println(R.n);
+    }
+}`, "2\n-7\n2000\n"},
+}
+
+// TestFinallyEndsProtectedRegion holds the finally programs to their
+// Java output on every path a unit can take: the four-pipeline oracle,
+// then each optimizer tier encoded at each wire version, decoded,
+// verified, and run on all three engines.
+func TestFinallyEndsProtectedRegion(t *testing.T) {
+	ctx := context.Background()
+	for _, p := range finallyPrograms {
+		t.Run(p.name, func(t *testing.T) {
+			files := map[string]string{p.name + ".tj": p.src}
+			got, err := oracle.Differential(files, oracle.Budgets{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != p.want {
+				t.Fatalf("pipelines agree on %q, Java prints %q", got, p.want)
+			}
+			tiers := []struct {
+				name string
+				opts *opt.Options
+			}{{"O0", nil}, {"O1", &opt.Options{}}, {"O2", &opt.Options{ModuleLevel: true}}}
+			for _, tier := range tiers {
+				mod, err := driver.CompileTSASource(files)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tier.opts != nil {
+					if _, err := driver.OptimizeModuleOptions(ctx, mod, *tier.opts); err != nil {
+						t.Fatalf("%s: %v", tier.name, err)
+					}
+				}
+				for v, data := range [][]byte{wire.EncodeModule(mod), wire.EncodeModuleV2(mod, nil)} {
+					where := fmt.Sprintf("%s wire v%d", tier.name, v+1)
+					dec, err := wire.DecodeVerified(data)
+					if err != nil {
+						t.Fatalf("%s: the producer's own unit is rejected: %v", where, err)
+					}
+					if err := oracle.PreparedDifferential(data, oracle.Budgets{}); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					for _, engine := range []string{driver.EngineCompiled, driver.EngineReference} {
+						got, err := driver.RunModuleEngine(ctx, dec, 1<<20, engine)
+						if err != nil || got != p.want {
+							t.Errorf("%s, %s engine: output %q, error %v; want %q", where, engine, got, err, p.want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// terminatesOnBaseline reports whether files is a valid program that the
+// bytecode baseline verifies and runs to completion within maxSteps.
+func terminatesOnBaseline(files map[string]string, maxSteps int64) bool {
+	prog, err := driver.Frontend(files)
+	if err != nil {
+		return false
+	}
+	bc, err := driver.CompileBytecode(prog)
+	if err != nil || bc.Verify() != nil {
+		return false
+	}
+	_, err = driver.RunBytecode(bc, maxSteps)
+	return err == nil
+}
+
 // FuzzDifferential lets the fuzzer steer the corpus generator: the input
 // bytes pick the generator seed and program shape, and the resulting
 // program must satisfy the full four-pipeline differential oracle.
-// Unlike FuzzFrontend this never sees invalid programs — every failure
-// is a genuine cross-pipeline fidelity bug.
+// Unlike FuzzFrontend this never holds an invalid program to the oracle
+// — every failure is a genuine cross-pipeline fidelity bug. An input
+// that reads as TJ source is the program itself, which is how
+// hand-written regression programs (constructs the generator never
+// emits, such as finally) enter the seed corpus; a mutation of one
+// counts only while the bytecode baseline still finishes it well inside
+// the budget.
 func FuzzDifferential(f *testing.F) {
 	f.Add([]byte("0"))
 	f.Add([]byte("differential"))
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
+	for _, p := range finallyPrograms {
+		f.Add([]byte(p.src))
+	}
 	budgets := oracle.Budgets{MaxSteps: 50_000_000, MaxAlloc: 1 << 26}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if bytes.HasPrefix(data, []byte("class ")) {
+			files := map[string]string{"Seed.tj": string(data)}
+			if !terminatesOnBaseline(files, 1<<16) {
+				t.Skip("not a short terminating program")
+			}
+			if _, err := oracle.Differential(files, oracle.Budgets{}); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
 		h := fnv.New64a()
 		h.Write(data)
 		sum := h.Sum64()

@@ -132,17 +132,6 @@ func LoadTrustedCompiled(mod *core.Module, comp *Compiled, env *rt.Env) (*Loader
 	return l, nil
 }
 
-// RunCompiled loads a verified module with its compiled form and runs
-// the entry point on the thunk chains — the compiled-engine counterpart
-// of LoadTrusted + RunMain.
-func RunCompiled(mod *core.Module, comp *Compiled, env *rt.Env) error {
-	l, err := LoadTrustedCompiled(mod, comp, env)
-	if err != nil {
-		return err
-	}
-	return l.RunMain()
-}
-
 // cframePoolCap bounds the per-session free lists: deep recursion grows
 // the pool only this far, so a pathological guest cannot pin an
 // unbounded number of retired frames.

@@ -173,10 +173,11 @@ func RunPassesVerifiedOptions(mod *core.Module, o opt.Options, passes []opt.Pass
 // Differential compiles files through all four pipelines — bytecode VM,
 // plain SafeTSA, per-pass-verified optimized SafeTSA, and the wire round
 // trip of the optimized module — and requires identical printed output
-// everywhere. It returns that output on success. Any compile failure,
-// verifier rejection, runtime failure, or divergence is an error: the
-// inputs are expected to be valid programs (generated corpus or
-// checked-in seeds), so nothing here is a "clean rejection".
+// everywhere; the plain module must round-trip the wire as well. It
+// returns that output on success. Any compile failure, verifier
+// rejection, runtime failure, or divergence is an error: the inputs are
+// expected to be valid programs (generated corpus or checked-in seeds),
+// so nothing here is a "clean rejection".
 func Differential(files map[string]string, b Budgets) (string, error) {
 	b = b.orDefaults()
 	prog, err := driver.Frontend(files)
@@ -206,6 +207,12 @@ func Differential(files map[string]string, b Budgets) (string, error) {
 	}
 	if got != want {
 		return want, divergence("plain SafeTSA", want, got)
+	}
+	// The unoptimized module is a distribution unit too (safetsac without
+	// -O): what the builder holds and what a consumer derives from its
+	// wire image must be the same module before any pass has run.
+	if err := CheckCanonicalWire(mod); err != nil {
+		return want, fmt.Errorf("plain SafeTSA: %w", err)
 	}
 
 	if _, err := OptimizePerPass(mod); err != nil {

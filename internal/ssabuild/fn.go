@@ -729,6 +729,14 @@ func (fb *fnBuilder) throwValue(v core.ValueID, seq *[]*core.CSTNode) {
 	fb.cur = nil
 }
 
+// buildTry lowers a try statement. The protected region — the CTry
+// body, the only place whose exception sites belong to this handler — is
+// exactly the statements of the try block: a consumer derives the
+// exception edges from CST nesting alone, so anything emitted inside the
+// body sequence is protected whether the builder meant it or not. The
+// finally block of the normal path is therefore built once, after the
+// join that follows the CTry node, where the body's and the catch arms'
+// normal exits meet; its own exceptions belong to the enclosing try.
 func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 	c := fb.cur
 	entryScope := len(fb.scope)
@@ -744,29 +752,34 @@ func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 	fb.buildStmts(s.Body.Stmts, &bodySeq)
 	fb.popScope(entryScope)
 	ctx.routing = false
-	// Normal-path finally.
-	if fb.cur != nil && s.Finally != nil {
-		fb.inFinally++
-		fb.buildStmts(s.Finally.Stmts, &bodySeq)
-		fb.popScope(entryScope)
-		fb.inFinally--
-	}
-	var bodyEnd *core.Block
-	var bodyVars snapshot
-	if fb.cur != nil {
-		bodyEnd, bodyVars = fb.cur, fb.snapshotVars()
+
+	// The finally block of the normal path, built once control has left
+	// the CTry node.
+	normalFinally := func() {
+		if fb.cur != nil && s.Finally != nil {
+			fb.inFinally++
+			fb.buildStmts(s.Finally.Stmts, seq)
+			fb.popScope(entryScope)
+			fb.inFinally--
+		}
 	}
 
 	if len(ctx.sites) == 0 {
 		// Nothing inside the body can throw: no handler is needed and
-		// the whole statement reduces to its body.
+		// the body is straight-line code of the enclosing sequence. A
+		// block is only ever entered through a control construct, so the
+		// body's entry block folds back into its predecessor.
 		fb.tries = fb.tries[:len(fb.tries)-1]
-		*seq = append(*seq, &core.CSTNode{Kind: core.CSeq, Kids: bodySeq})
-		fb.cur = bodyEnd
-		if bodyEnd != nil {
-			fb.vars = bodyVars
-		}
+		fb.foldBlock(bodyEntry, c, bodySeq)
+		*seq = append(*seq, bodySeq[1:]...)
+		fb.seq = seq
+		normalFinally()
 		return
+	}
+
+	var snaps []edgeSnap
+	if fb.cur != nil {
+		snaps = append(snaps, edgeSnap{fb.cur, fb.snapshotVars()})
 	}
 
 	// Handler block: exception phis over every potential point of
@@ -796,10 +809,8 @@ func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 	caught := fb.emit(&core.Instr{Op: core.OpCatch, Type: fb.tt().Throwable})
 
 	fb.buildCatchChain(s, 0, caught, &handlerSeq)
-	var handlerEnd *core.Block
-	var handlerVars snapshot
 	if fb.cur != nil {
-		handlerEnd, handlerVars = fb.cur, fb.snapshotVars()
+		snaps = append(snaps, edgeSnap{fb.cur, fb.snapshotVars()})
 	}
 	fb.tries = fb.tries[:len(fb.tries)-1]
 
@@ -809,20 +820,62 @@ func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 		{Kind: core.CSeq, Kids: handlerSeq},
 	}
 	*seq = append(*seq, node)
-
-	var snaps []edgeSnap
-	if bodyEnd != nil {
-		snaps = append(snaps, edgeSnap{bodyEnd, bodyVars})
-	}
-	if handlerEnd != nil {
-		snaps = append(snaps, edgeSnap{handlerEnd, handlerVars})
-	}
 	fb.join(snaps, c, seq)
+	normalFinally()
+}
+
+// foldBlock merges dead — a block entered by one edge from into, whose
+// leaf heads nodes — back into that predecessor: its code moves over and
+// every reference the builder has made to it since (dominator links,
+// edges, CST reference points, pending loop exits, the current block) is
+// redirected.
+func (fb *fnBuilder) foldBlock(dead, into *core.Block, nodes []*core.CSTNode) {
+	swap := func(b **core.Block) {
+		if *b == dead {
+			*b = into
+		}
+	}
+	for _, in := range dead.Code {
+		in.Blk = into
+	}
+	into.Code = append(into.Code, dead.Code...)
+	live := fb.f.Blocks[:0]
+	for _, b := range fb.f.Blocks {
+		if b == dead {
+			continue
+		}
+		swap(&b.IDom)
+		for i := range b.Preds {
+			swap(&b.Preds[i].From)
+		}
+		live = append(live, b)
+	}
+	fb.f.Blocks = live
+	for _, l := range fb.loops {
+		for i := range l.breakSnaps {
+			swap(&l.breakSnaps[i].from)
+		}
+		for i := range l.contSnaps {
+			swap(&l.contSnaps[i].from)
+		}
+	}
+	var walk func(n *core.CSTNode)
+	walk = func(n *core.CSTNode) {
+		swap(&n.At)
+		for _, k := range n.Kids {
+			walk(k)
+		}
+	}
+	for _, n := range nodes {
+		walk(n)
+	}
+	swap(&fb.cur)
 }
 
 // buildCatchChain lowers the catch clauses into an instanceof dispatch
 // chain; the final arm inlines the finally block and rethrows, giving
-// the "default, possibly empty, catch block" of section 7.
+// the "default, possibly empty, catch block" of section 7. A catch arm
+// that completes normally leaves the finally block to buildTry.
 func (fb *fnBuilder) buildCatchChain(s *ast.TryStmt, i int, caught core.ValueID, seq *[]*core.CSTNode) {
 	tt := fb.tt()
 	if i == len(s.Catches) {
@@ -865,12 +918,6 @@ func (fb *fnBuilder) buildCatchChain(s *ast.TryStmt, i int, caught core.ValueID,
 	fb.scope = append(fb.scope, ccLocal)
 	fb.buildStmts(cc.Body.Stmts, &armSeq)
 	fb.popScope(mark)
-	if fb.cur != nil && s.Finally != nil {
-		fb.inFinally++
-		fb.buildStmts(s.Finally.Stmts, &armSeq)
-		fb.popScope(mark)
-		fb.inFinally--
-	}
 	node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: armSeq})
 
 	var snaps []edgeSnap
