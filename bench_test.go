@@ -1,22 +1,21 @@
 // Package safetsa's root benchmarks regenerate the paper's evaluation:
-// one benchmark per table/figure plus the consumer-side cost comparisons
-// of section 9. Custom metrics report the table cells (bytes,
-// instructions, checks) alongside the usual ns/op.
+// one benchmark per table/figure plus the field-sensitive-Mem ablation.
+// Their custom metrics are the table cells (bytes, instructions, checks,
+// residual loads); timings are the repository benchmark's job
+// (go run ./benchmark --trace 1), not theirs.
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchtime=1x
 package safetsa
 
 import (
 	"testing"
 
 	"safetsa/internal/bench"
-	"safetsa/internal/bytecode"
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
 	"safetsa/internal/lang/sema"
 	"safetsa/internal/opt"
-	"safetsa/internal/wire"
 )
 
 // frontendAll parses and checks the whole corpus once.
@@ -91,125 +90,6 @@ func BenchmarkFigure6(b *testing.B) {
 	b.ReportMetric(arrA, "arrchk-after")
 }
 
-// corpusModules compiles the corpus once for the consumer-side benches.
-func corpusModules(b *testing.B, optimize bool) ([]*core.Module, []*bytecode.Program) {
-	b.Helper()
-	var mods []*core.Module
-	var bcs []*bytecode.Program
-	for _, p := range frontendAll(b) {
-		mod, err := driver.CompileTSA(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if optimize {
-			if _, err := driver.OptimizeModule(mod); err != nil {
-				b.Fatal(err)
-			}
-		}
-		mods = append(mods, mod)
-		bc, err := driver.CompileBytecode(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bcs = append(bcs, bc)
-	}
-	return mods, bcs
-}
-
-// BenchmarkVerifySafeTSA measures the consumer-side verification SafeTSA
-// needs: the structural/counter checks of the module verifier (section 9:
-// "simple counters holding the numbers of defined values").
-func BenchmarkVerifySafeTSA(b *testing.B) {
-	mods, _ := corpusModules(b, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, m := range mods {
-			if err := m.Verify(core.VerifyOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkVerifyBytecode measures the baseline's dataflow verification —
-// the "time consuming verification phase" the paper eliminates.
-func BenchmarkVerifyBytecode(b *testing.B) {
-	_, bcs := corpusModules(b, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range bcs {
-			if err := p.Verify(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkWireEncode/Decode measure the externalization round trip over
-// the optimized corpus (section 7's three-phase symbol stream).
-func BenchmarkWireEncode(b *testing.B) {
-	mods, _ := corpusModules(b, true)
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total = 0
-		for _, m := range mods {
-			total += len(wire.EncodeModule(m))
-		}
-	}
-	b.ReportMetric(float64(total), "bytes")
-}
-
-func BenchmarkWireDecode(b *testing.B) {
-	mods, _ := corpusModules(b, true)
-	var units [][]byte
-	for _, m := range mods {
-		units = append(units, wire.EncodeModule(m))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, u := range units {
-			if _, err := wire.DecodeModule(u); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkExecuteLinpackSafeTSA/Bytecode run the numeric workload on the
-// two consumers over the shared runtime.
-func BenchmarkExecuteLinpackSafeTSA(b *testing.B) {
-	u, _ := corpus.ByName("Linpack")
-	mod, _, err := driver.CompileTSASourceOpt(u.Files)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := driver.RunModule(mod, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExecuteLinpackBytecode(b *testing.B) {
-	u, _ := corpus.ByName("Linpack")
-	prog, err := driver.Frontend(u.Files)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bc, err := driver.CompileBytecode(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := driver.RunBytecode(bc, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationFieldSensitiveMem compares the paper's measured
 // configuration (single conservative Mem) against its proposed
 // improvement (Mem partitioned by field name / element type, section 8's
@@ -250,20 +130,4 @@ func BenchmarkAblationFieldSensitiveMem(b *testing.B) {
 	}
 	b.ReportMetric(consLoads, "loads-single-mem")
 	b.ReportMetric(partLoads, "loads-field-mem")
-}
-
-// BenchmarkCompileSafeTSA measures the producer pipeline end to end
-// (parse to optimized distribution unit) over the corpus.
-func BenchmarkCompileSafeTSA(b *testing.B) {
-	units := corpus.Units()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, u := range units {
-			mod, _, err := driver.CompileTSASourceOpt(u.Files)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wire.EncodeModule(mod)
-		}
-	}
 }

@@ -201,13 +201,7 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 		codeserver.WriteError(w, err)
 		return
 	}
-	codeserver.WriteJSON(w, http.StatusOK, codeserver.CompileResponse{
-		Hash:         u.Key.String(),
-		Size:         u.Size,
-		Instructions: u.Instrs,
-		Optimized:    u.Optimized,
-		Cached:       cached,
-	})
+	codeserver.WriteCompileResponse(w, u, cached)
 }
 
 // handleRun feeds the hot-unit tracker, then delegates to the wrapped

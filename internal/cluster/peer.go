@@ -12,11 +12,6 @@ import (
 	"safetsa/internal/driver"
 )
 
-// maxPeerUnitBytes bounds how much a peer response may claim to be one
-// encoded unit. Units are source-derived and small; anything near this
-// is a broken or hostile peer, not a real unit.
-const maxPeerUnitBytes = 64 << 20
-
 // optimizedHeader carries the unit's optimization flag alongside its
 // bytes; the flag is cache-key metadata, not part of the wire image.
 const optimizedHeader = "X-Safetsa-Optimized"
@@ -28,10 +23,8 @@ const optimizedHeader = "X-Safetsa-Optimized"
 // rather than a recursive fill, so a misconfigured ring cannot create
 // fetch cycles.
 func (n *Node) handlePeerUnit(w http.ResponseWriter, r *http.Request) {
-	k, err := codeserver.ParseKey(r.PathValue("hash"))
-	if err != nil {
-		codeserver.WriteJSON(w, http.StatusBadRequest,
-			codeserver.ErrorResponse{Error: err.Error(), Kind: "parse"})
+	k, ok := codeserver.PathKey(w, r)
+	if !ok {
 		return
 	}
 	u, ok := n.srv.Unit(k)
@@ -64,20 +57,18 @@ func (n *Node) handlePeerCompile(w http.ResponseWriter, r *http.Request) {
 // push that fails verification is rejected with 422 and leaves no trace
 // in either store tier.
 func (n *Node) handlePeerReplicate(w http.ResponseWriter, r *http.Request) {
-	k, err := codeserver.ParseKey(r.PathValue("hash"))
-	if err != nil {
-		codeserver.WriteJSON(w, http.StatusBadRequest,
-			codeserver.ErrorResponse{Error: err.Error(), Kind: "parse"})
+	k, ok := codeserver.PathKey(w, r)
+	if !ok {
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxPeerUnitBytes+1))
+	data, err := io.ReadAll(io.LimitReader(r.Body, codeserver.MaxUnitBytes+1))
 	if err != nil {
 		codeserver.WriteError(w, err)
 		return
 	}
-	if len(data) > maxPeerUnitBytes {
+	if len(data) > codeserver.MaxUnitBytes {
 		codeserver.WriteJSON(w, http.StatusRequestEntityTooLarge, codeserver.ErrorResponse{
-			Error: fmt.Sprintf("replica exceeds %d bytes", maxPeerUnitBytes), Kind: "verify"})
+			Error: fmt.Sprintf("replica exceeds %d bytes", codeserver.MaxUnitBytes), Kind: "verify"})
 		return
 	}
 	optimized := r.Header.Get(optimizedHeader) == "1"
@@ -92,15 +83,15 @@ func (n *Node) handlePeerReplicate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeUnit is the peer API's unit response: the public download plus
+// the optimization flag.
 func writeUnit(w http.ResponseWriter, u *codeserver.Unit) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(u.Wire)))
 	if u.Optimized {
 		w.Header().Set(optimizedHeader, "1")
 	} else {
 		w.Header().Set(optimizedHeader, "0")
 	}
-	_, _ = w.Write(u.Wire)
+	codeserver.WriteUnit(w, u)
 }
 
 // ---- peer API: client side -------------------------------------------
@@ -184,12 +175,12 @@ func (n *Node) pushReplica(ctx context.Context, peer string, u *codeserver.Unit)
 func (n *Node) peerURL(peer string) string { return n.cfg.Peers[peer] }
 
 func readUnitBody(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxPeerUnitBytes+1))
+	data, err := io.ReadAll(io.LimitReader(r, codeserver.MaxUnitBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(data) > maxPeerUnitBytes {
-		return nil, fmt.Errorf("unit exceeds %d bytes", maxPeerUnitBytes)
+	if len(data) > codeserver.MaxUnitBytes {
+		return nil, fmt.Errorf("unit exceeds %d bytes", codeserver.MaxUnitBytes)
 	}
 	return data, nil
 }

@@ -1,10 +1,8 @@
 package codeserver
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"safetsa/internal/core"
@@ -32,22 +30,11 @@ type LoadedUnit struct {
 }
 
 // LoaderCache is the consumer-side cache: it decodes and verifies a wire
-// image exactly once (singleflight, like the store) and then hands the
-// immutable module to any number of interpreter sessions.
+// image exactly once (lru.fill's singleflight, like the store) and then
+// hands the immutable module to any number of interpreter sessions.
 type LoaderCache struct {
-	max int
-	m   *Metrics
-
-	mu       sync.Mutex
-	entries  map[Key]*list.Element
-	order    *list.List
-	inflight map[Key]*loadCall
-}
-
-type loadCall struct {
-	done chan struct{}
-	unit *LoadedUnit
-	err  error
+	m     *Metrics
+	units lru[*LoadedUnit]
 }
 
 // NewLoaderCache creates a cache holding at most maxModules decoded
@@ -56,63 +43,23 @@ func NewLoaderCache(maxModules int, m *Metrics) *LoaderCache {
 	if maxModules <= 0 {
 		maxModules = 256
 	}
-	return &LoaderCache{
-		max:      maxModules,
-		m:        m,
-		entries:  make(map[Key]*list.Element),
-		order:    list.New(),
-		inflight: make(map[Key]*loadCall),
-	}
+	return &LoaderCache{m: m, units: newLRU[*LoadedUnit](maxModules, &m.loaderEvict, nil)}
 }
 
 // Len reports the number of resident decoded modules.
-func (c *LoaderCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *LoaderCache) Len() int { return c.units.len() }
 
 // GetOrLoad returns the loaded unit for k, fetching the wire bytes and
 // running decode+verify only on a miss. The decode and verify latencies
 // feed the metrics; a unit already resident is served without touching
 // the wire decoder again.
 func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func() ([]byte, error)) (*LoadedUnit, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
-		c.mu.Unlock()
+	u, how, err := c.units.fill(ctx, k, func(ctx context.Context) (*LoadedUnit, error) {
+		return c.load(ctx, k, fetch)
+	})
+	if how == resident {
 		c.m.loaderHits.Add(1)
-		return el.Value.(*LoadedUnit), nil
 	}
-	if fl, ok := c.inflight[k]; ok {
-		c.mu.Unlock()
-		select {
-		case <-fl.done:
-			return fl.unit, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	fl := &loadCall{done: make(chan struct{})}
-	c.inflight[k] = fl
-	c.mu.Unlock()
-
-	u, err := c.load(ctx, k, fetch)
-	fl.unit, fl.err = u, err
-	c.mu.Lock()
-	delete(c.inflight, k)
-	if err == nil {
-		c.entries[k] = c.order.PushFront(u)
-		for c.order.Len() > c.max {
-			back := c.order.Back()
-			old := back.Value.(*LoadedUnit)
-			c.order.Remove(back)
-			delete(c.entries, old.Key)
-			c.m.loaderEvict.Add(1)
-		}
-	}
-	c.mu.Unlock()
-	close(fl.done)
 	return u, err
 }
 

@@ -467,10 +467,13 @@ type RunStreamResult struct {
 	Hash string `json:"hash,omitempty"`
 }
 
-// maxStreamUnitBytes bounds the body of one streaming run. A longer
-// body is surfaced as a truncation (the decoder sees the stream end
-// mid-unit) or as trailing garbage, both of which reject the unit.
-const maxStreamUnitBytes = 64 << 20
+// MaxUnitBytes bounds what any endpoint accepts as one encoded unit: the
+// body of a streaming run (a longer body is surfaced as a truncation —
+// the decoder sees the stream end mid-unit — or as trailing garbage, both
+// of which reject the unit) and a fleet peer's unit response or replica
+// push. Units are source-derived and small; anything near this is a
+// broken or hostile sender, not a real unit.
+const MaxUnitBytes = 64 << 20
 
 // RunUnitStream executes a distribution unit delivered as raw wire
 // bytes, starting the guest before the final byte arrives: the symbol
@@ -495,7 +498,7 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	// The body is teed into a buffer as it is consumed, so the bytes the
 	// decoder admitted — and only those — can be cached afterwards.
 	var buf bytes.Buffer
-	tee := io.TeeReader(io.LimitReader(body, maxStreamUnitBytes+1), &buf)
+	tee := io.TeeReader(io.LimitReader(body, MaxUnitBytes+1), &buf)
 
 	_, dsp := obs.Start(sess.ctx, "wire_decode_stream")
 	decodeStart := time.Now()
@@ -631,6 +634,35 @@ func WriteError(w http.ResponseWriter, err error) {
 	WriteJSON(w, status, ErrorResponse{Error: err.Error(), Kind: kindStr})
 }
 
+// WriteCompileResponse answers a compile request, public or fleet-routed,
+// with the unit's summary.
+func WriteCompileResponse(w http.ResponseWriter, u *Unit, cached bool) {
+	WriteJSON(w, http.StatusOK, CompileResponse{
+		Hash:         u.Key.String(),
+		Size:         u.Size,
+		Instructions: u.Instrs,
+		Optimized:    u.Optimized,
+		Cached:       cached,
+	})
+}
+
+// WriteUnit writes a unit's encoded bytes as the response body.
+func WriteUnit(w http.ResponseWriter, u *Unit) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", fmt.Sprint(len(u.Wire)))
+	_, _ = w.Write(u.Wire)
+}
+
+// PathKey parses the {hash} path element of a unit-addressed route. On a
+// malformed hash it has written the 400 response and reports false.
+func PathKey(w http.ResponseWriter, r *http.Request) (Key, bool) {
+	k, err := ParseKey(r.PathValue("hash"))
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Kind: "parse"})
+	}
+	return k, err == nil
+}
+
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	files, opts, ok := s.ReadCompileRequest(w, r)
 	if !ok {
@@ -641,19 +673,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, CompileResponse{
-		Hash:         u.Key.String(),
-		Size:         u.Size,
-		Instructions: u.Instrs,
-		Optimized:    u.Optimized,
-		Cached:       cached,
-	})
+	WriteCompileResponse(w, u, cached)
 }
 
 func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
-	k, err := ParseKey(r.PathValue("hash"))
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Kind: "parse"})
+	k, ok := PathKey(w, r)
+	if !ok {
 		return
 	}
 	u, ok := s.store.Get(k)
@@ -667,15 +692,12 @@ func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
 		}
 		u = pu
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(u.Wire)))
-	_, _ = w.Write(u.Wire)
+	WriteUnit(w, u)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	k, err := ParseKey(r.PathValue("hash"))
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Kind: "parse"})
+	k, ok := PathKey(w, r)
+	if !ok {
 		return
 	}
 	var req RunRequest

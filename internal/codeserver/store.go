@@ -1,14 +1,11 @@
 package codeserver
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"safetsa/internal/obs"
 	"safetsa/internal/opt"
@@ -29,28 +26,13 @@ type Unit struct {
 const numShards = 16
 
 // Store is the content-addressed unit store: a sharded in-memory LRU in
-// front of an optional on-disk store, with singleflight on fills so that
-// concurrent requests for the same key run the producer pipeline exactly
-// once.
+// front of an optional on-disk store, with singleflight on fills (see
+// lru.fill) so that concurrent requests for the same key run the producer
+// pipeline exactly once.
 type Store struct {
-	dir         string // "" disables the disk tier
-	maxPerShard int
-	m           *Metrics
-	shards      [numShards]storeShard
-}
-
-type storeShard struct {
-	mu       sync.Mutex
-	entries  map[Key]*list.Element // values are *Unit inside list elements
-	order    *list.List            // front = most recently used
-	inflight map[Key]*inflightCall
-}
-
-type inflightCall struct {
-	done     chan struct{} // closed after unit/err are set
-	unit     *Unit
-	err      error
-	fromDisk bool // fill satisfied by the disk tier, not a compile
+	dir    string // "" disables the disk tier
+	m      *Metrics
+	shards [numShards]lru[*Unit]
 }
 
 // NewStore creates a store holding at most maxUnits encoded units in
@@ -60,33 +42,25 @@ func NewStore(dir string, maxUnits int, m *Metrics) (*Store, error) {
 	if maxUnits <= 0 {
 		maxUnits = 1024
 	}
-	per := (maxUnits + numShards - 1) / numShards
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("codeserver: cache dir: %w", err)
 		}
 	}
-	s := &Store{dir: dir, maxPerShard: per, m: m}
+	s := &Store{dir: dir, m: m}
 	for i := range s.shards {
-		s.shards[i] = storeShard{
-			entries:  make(map[Key]*list.Element),
-			order:    list.New(),
-			inflight: make(map[Key]*inflightCall),
-		}
+		s.shards[i] = newLRU[*Unit]((maxUnits+numShards-1)/numShards, &m.evictions, &m.coalesced)
 	}
 	return s, nil
 }
 
-func (s *Store) shardOf(k Key) *storeShard { return &s.shards[k[0]%numShards] }
+func (s *Store) shardOf(k Key) *lru[*Unit] { return &s.shards[k[0]%numShards] }
 
 // Len reports the number of units resident in memory.
 func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
+		n += s.shards[i].len()
 	}
 	return n
 }
@@ -96,103 +70,53 @@ func (s *Store) Len() int {
 // counted as compile-path cache hits.
 func (s *Store) Get(k Key) (*Unit, bool) {
 	sh := s.shardOf(k)
-	sh.mu.Lock()
-	if el, ok := sh.entries[k]; ok {
-		sh.order.MoveToFront(el)
-		sh.mu.Unlock()
-		return el.Value.(*Unit), true
+	if u, ok := sh.get(k); ok {
+		return u, true
 	}
-	sh.mu.Unlock()
 	if u, ok := s.loadDisk(k); ok {
-		s.insert(sh, u)
+		sh.add(k, u)
 		return u, true
 	}
 	return nil, false
 }
 
-// GetOrFill returns the unit for k, running fill (under singleflight) on
-// a miss. The second result reports whether the unit was served without
-// running fill in this call (memory/disk hit); callers that coalesced
-// onto another caller's in-flight fill see cached=false. Fill errors are
-// not cached: every waiter gets the error and the next request retries.
-//
-// The store serves two fill flavors under one key — a compile, and a
-// lookup of the unit at a fleet peer — and only the lookup can come up
-// empty. A caller that joined a flight which ended in ErrUnitNotFound
-// has therefore learned nothing about its own fill (a compile joined to
-// a run's failed lookup would answer "not found" for a source set it
-// was handed), so it starts over instead of adopting that error.
+// GetOrFill returns the unit for k, running fill (under the shard's
+// singleflight) on a miss. The second result reports whether the unit was
+// served without running fill in this call (memory/disk hit); callers that
+// coalesced onto another caller's in-flight fill see cached=false. Fill
+// errors are not cached; lru.fill says which of them a coalesced caller
+// adopts and after which it starts over. Error accounting (compile vs
+// peer-fill failure) is the fill callback's job: the store serves both
+// fill flavors.
 func (s *Store) GetOrFill(ctx context.Context, k Key, fill func(context.Context) (*Unit, error)) (u *Unit, cached bool, err error) {
-	sh := s.shardOf(k)
-	for {
-		sh.mu.Lock()
-		if el, ok := sh.entries[k]; ok {
-			sh.order.MoveToFront(el)
-			sh.mu.Unlock()
-			s.m.cacheHits.Add(1)
-			return el.Value.(*Unit), true, nil
+	fromDisk := false
+	u, how, err := s.shardOf(k).fill(ctx, k, func(ctx context.Context) (*Unit, error) {
+		_, dsp := obs.Start(ctx, "disk")
+		du, ok := s.loadDisk(k)
+		dsp.End()
+		if ok {
+			s.m.diskHits.Add(1)
+			fromDisk = true
+			return du, nil
 		}
-		fl, ok := sh.inflight[k]
-		if !ok {
-			break // this caller leads the fill; the shard stays locked
+		fctx, fsp := obs.Start(ctx, "fill")
+		defer fsp.End()
+		fu, err := fill(fctx)
+		if err != nil {
+			return nil, err
 		}
-		sh.mu.Unlock()
-		s.m.coalesced.Add(1)
-		select {
-		case <-fl.done:
-			if errors.Is(fl.err, ErrUnitNotFound) {
-				s.m.coalesced.Add(^uint64(0)) // not served by that flight after all
-				continue
-			}
-			if fl.err != nil {
-				return nil, false, fl.err
-			}
-			return fl.unit, false, nil
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		fu.Key = k
+		return fu, nil
+	})
+	switch {
+	case err != nil:
+		return nil, false, err
+	case how == resident:
+		s.m.cacheHits.Add(1)
+	case how == led && !fromDisk:
+		s.writeDisk(u) // after the memory tier, so Get never sees disk first
 	}
-	fl := &inflightCall{done: make(chan struct{})}
-	sh.inflight[k] = fl
-	sh.mu.Unlock()
-
-	u, err = s.runFill(ctx, sh, k, fl, fill)
-	return u, err == nil && fl.fromDisk, err
-}
-
-func (s *Store) runFill(ctx context.Context, sh *storeShard, k Key, fl *inflightCall, fill func(context.Context) (*Unit, error)) (*Unit, error) {
-	var u *Unit
-	var err error
-	defer func() {
-		fl.unit, fl.err = u, err
-		sh.mu.Lock()
-		delete(sh.inflight, k)
-		sh.mu.Unlock()
-		close(fl.done)
-	}()
-
-	_, dsp := obs.Start(ctx, "disk")
-	du, ok := s.loadDisk(k)
-	dsp.End()
-	if ok {
-		s.m.diskHits.Add(1)
-		fl.fromDisk = true
-		u = du
-		s.insert(sh, u)
-		return u, nil
-	}
-	fctx, fsp := obs.Start(ctx, "fill")
-	u, err = fill(fctx)
-	fsp.End()
-	if err != nil {
-		// Error accounting (compile vs peer-fill failure) is the fill
-		// callback's job: the store serves both fill flavors.
-		return nil, err
-	}
-	u.Key = k
-	s.insert(sh, u)
-	s.writeDisk(u)
-	return u, nil
+	return u, how == resident || fromDisk, nil
 }
 
 // Put publishes an already-admitted unit into both tiers, bypassing the
@@ -201,26 +125,8 @@ func (s *Store) runFill(ctx context.Context, sh *storeShard, k Key, fl *inflight
 // admission path (Server.AdmitUnit) first; raw peer bytes never enter
 // the store.
 func (s *Store) Put(u *Unit) {
-	s.insert(s.shardOf(u.Key), u)
+	s.shardOf(u.Key).add(u.Key, u)
 	s.writeDisk(u)
-}
-
-// insert publishes a unit into the memory tier and evicts past capacity.
-func (s *Store) insert(sh *storeShard, u *Unit) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[u.Key]; ok {
-		sh.order.MoveToFront(el)
-		return
-	}
-	sh.entries[u.Key] = sh.order.PushFront(u)
-	for sh.order.Len() > s.maxPerShard {
-		back := sh.order.Back()
-		old := back.Value.(*Unit)
-		sh.order.Remove(back)
-		delete(sh.entries, old.Key)
-		s.m.evictions.Add(1)
-	}
 }
 
 // unitMeta is the sidecar the disk tier keeps next to the raw wire bytes,

@@ -3,8 +3,12 @@ package codeserver
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -158,9 +162,10 @@ func TestGetOrFillCoalescedCancel(t *testing.T) {
 }
 
 // TestGetOrFillOwnerCancelDoesNotPoison: when the *filling* caller's ctx
-// is cancelled mid-fill, the fill error reaches the owner and every
-// coalesced waiter, but the slot is released — the next caller re-runs
-// the fill and succeeds.
+// is cancelled mid-fill, the owner gets its own cancellation, but a
+// coalesced waiter whose context is intact does not inherit it — it runs
+// its own fill and gets the unit. Nothing is cached from the failed
+// flight: the unit a later caller hits is the waiter's.
 func TestGetOrFillOwnerCancelDoesNotPoison(t *testing.T) {
 	m := &Metrics{}
 	st, err := NewStore("", 0, m)
@@ -182,35 +187,120 @@ func TestGetOrFillOwnerCancelDoesNotPoison(t *testing.T) {
 	}()
 	<-fillStarted
 
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, _, err := st.GetOrFill(context.Background(), k, mustNotFill)
-		waiterDone <- err
-	}()
-	for i := 0; m.coalesced.Load() == 0; i++ {
-		if i > 4000 {
-			t.Fatal("waiter never coalesced onto the in-flight fill")
-		}
-		time.Sleep(time.Millisecond)
+	type filled struct {
+		u      *Unit
+		cached bool
+		err    error
 	}
+	waiterDone := make(chan filled, 1)
+	go func() {
+		u, cached, err := st.GetOrFill(context.Background(), k, func(context.Context) (*Unit, error) {
+			return &Unit{Wire: []byte{2}, Size: 1, Instrs: 1}, nil
+		})
+		waiterDone <- filled{u, cached, err}
+	}()
+	eventually(t, "the waiter coalesced onto the in-flight fill", func() bool { return m.coalesced.Load() == 1 })
 	ownerCancel()
-	for i, done := range []chan error{ownerDone, waiterDone} {
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("caller %d returned %v, want context.Canceled", i, err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("caller %d did not observe the failed fill", i)
+	select {
+	case err := <-ownerDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("owner returned %v, want context.Canceled", err)
 		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("owner did not observe its cancellation")
+	}
+	select {
+	case got := <-waiterDone:
+		if got.err != nil || got.cached || got.u == nil || got.u.Wire[0] != 2 {
+			t.Fatalf("healthy waiter behind an abandoned leader got (%v, cached %v, %v), want the unit from its own fill",
+				got.u, got.cached, got.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter did not start over after the abandoned flight")
+	}
+	if n := m.coalesced.Load(); n != 0 {
+		t.Errorf("coalesced = %d after the waiter ran its own fill, want 0", n)
 	}
 
-	// The failed fill is not cached: a fresh caller retries and wins.
-	u, cached, err := st.GetOrFill(context.Background(), k, func(context.Context) (*Unit, error) {
-		return &Unit{Wire: []byte{2}, Size: 1, Instrs: 1}, nil
+	// Only the waiter's fill was cached.
+	u, cached, err := st.GetOrFill(context.Background(), k, mustNotFill)
+	if err != nil || !cached || u == nil || u.Wire[0] != 2 {
+		t.Fatalf("lookup after the abandoned flight: unit %v cached %v err %v, want the waiter's unit from memory", u, cached, err)
+	}
+}
+
+// TestHTTPCompileSurvivesAbandonedLeader is the same rule seen by
+// clients: two clients POST /compile the same new source set, the first
+// disconnects mid-compile, and the second — connection intact — must get
+// its unit, not the first client's 499. The only worker slot is held by
+// the test, so the leading compile is in flight exactly as long as the
+// test wants.
+func TestHTTPCompileSurvivesAbandonedLeader(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.pool.sem <- struct{}{}
+
+	body, err := json.Marshal(CompileRequest{Files: helloFiles()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(ctx context.Context) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/compile", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		return http.DefaultClient.Do(req)
+	}
+
+	firstCtx, disconnect := context.WithCancel(context.Background())
+	defer disconnect()
+	firstDone := make(chan error, 1)
+	go func() {
+		resp, err := post(firstCtx)
+		if err == nil {
+			resp.Body.Close()
+		}
+		firstDone <- err
+	}()
+	eventually(t, "the first compile is in flight", func() bool { return s.m.compileRequests.Load() == 1 })
+
+	type answer struct {
+		status int
+		body   string
+		err    error
+	}
+	secondDone := make(chan answer, 1)
+	go func() {
+		resp, err := post(context.Background())
+		if err != nil {
+			secondDone <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		secondDone <- answer{status: resp.StatusCode, body: string(b)}
+	}()
+	eventually(t, "the second compile joined the first", func() bool { return s.m.coalesced.Load() == 1 })
+
+	disconnect()
+	if err := <-firstDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first client: %v, want its own cancellation", err)
+	}
+	// The server notices the closed connection and the leader gives up its
+	// wait for a worker; the second request starts over (or, before the
+	// fix, was answered with the leader's cancellation).
+	eventually(t, "the abandoned flight ended", func() bool {
+		return s.m.coalesced.Load() == 0 || len(secondDone) == 1
 	})
-	if err != nil || cached || u == nil {
-		t.Fatalf("retry after failed fill: unit %v cached %v err %v, want fresh fill", u, cached, err)
+	<-s.pool.sem
+
+	got := <-secondDone
+	if got.err != nil || got.status != http.StatusOK {
+		t.Fatalf("client with an intact connection got status %d body %s err %v, want 200", got.status, got.body, got.err)
+	}
+	if st := s.Stats(); st.Compiles != 1 || st.UnitsCached != 1 {
+		t.Errorf("compiles %d units cached %d, want 1 and 1", st.Compiles, st.UnitsCached)
 	}
 }
 
