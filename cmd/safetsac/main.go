@@ -75,8 +75,8 @@ func main() {
 				st.ArrayChecksBefore, st.ArrayChecksAfter)
 			if *moduleOpt {
 				fmt.Fprintf(os.Stderr,
-					"devirtualized %d, inlined %d, checks elided %d, exception edges pruned %d\n",
-					st.Devirtualized, st.Inlined, st.ChecksElided, st.ExcEdgesPruned)
+					"devirtualized %d, inlined %d, exception edges pruned %d\n",
+					st.Devirtualized, st.Inlined, st.ExcEdgesPruned)
 			}
 		}
 	}

@@ -484,18 +484,18 @@ func TestFleetHotReplication(t *testing.T) {
 			t.Fatalf("run %d on owner: %+v err %v", i, rr, err)
 		}
 	}
+	// The owner counts a push only after the replica has answered it, so
+	// the unit can be visible on the replica a moment before the counter
+	// moves: wait for both.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := f.srvs[replica].Unit(k); ok {
+		if _, ok := f.srvs[replica].Unit(k); ok && f.nodes[owner].replicaPushes.Load() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("hot unit never replicated to %s", replica)
+			t.Fatalf("hot unit never replicated to %s (owner recorded %d pushes)", replica, f.nodes[owner].replicaPushes.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if got := f.nodes[owner].replicaPushes.Load(); got == 0 {
-		t.Error("owner recorded no replica pushes")
 	}
 	if st := f.srvs[replica].Stats(); st.PeerFills == 0 {
 		t.Error("replica admission did not go through the peer-fill counters")

@@ -129,10 +129,10 @@ func (s *Store) Put(u *Unit) {
 	s.writeDisk(u)
 }
 
-// unitMeta is the sidecar the disk tier keeps next to the raw wire bytes,
-// so a disk hit does not need to re-decode the unit to answer /compile.
+// unitMeta is the sidecar the disk tier keeps next to the raw wire bytes:
+// the producer-side facts a /compile answer carries that the unit itself
+// does not encode.
 type unitMeta struct {
-	Instrs    int       `json:"instructions"`
 	Optimized bool      `json:"optimized"`
 	OptStats  opt.Stats `json:"opt_stats"`
 }
@@ -140,6 +140,11 @@ type unitMeta struct {
 func (s *Store) wirePath(k Key) string { return filepath.Join(s.dir, k.String()+".tsa") }
 func (s *Store) metaPath(k Key) string { return filepath.Join(s.dir, k.String()+".json") }
 
+// loadDisk re-admits a unit from the disk tier. The directory is one more
+// untrusted source — writeDisk does not fsync, so a crash can leave a torn
+// .tsa next to an intact sidecar — and gets the same rule as a peer fill:
+// the bytes pass wire.DecodeVerified or they are a miss. A rejected unit's
+// files are removed so the key recompiles instead of failing every run.
 func (s *Store) loadDisk(k Key) (*Unit, bool) {
 	if s.dir == "" {
 		return nil, false
@@ -148,21 +153,19 @@ func (s *Store) loadDisk(k Key) (*Unit, bool) {
 	if err != nil {
 		return nil, false
 	}
-	u := &Unit{Key: k, Wire: data, Size: len(data)}
+	mod, err := wire.DecodeVerified(data)
+	if err != nil {
+		_ = os.Remove(s.wirePath(k))
+		_ = os.Remove(s.metaPath(k))
+		return nil, false
+	}
+	u := &Unit{Key: k, Wire: data, Size: len(data), Instrs: mod.NumInstrs()}
 	if mb, err := os.ReadFile(s.metaPath(k)); err == nil {
 		var meta unitMeta
 		if json.Unmarshal(mb, &meta) == nil {
-			u.Instrs, u.Optimized, u.OptStats = meta.Instrs, meta.Optimized, meta.OptStats
-			return u, true
+			u.Optimized, u.OptStats = meta.Optimized, meta.OptStats
 		}
 	}
-	// Meta sidecar missing or unreadable: recover the instruction count
-	// from the unit itself; a corrupt unit is treated as a miss.
-	mod, err := wire.DecodeModule(data)
-	if err != nil {
-		return nil, false
-	}
-	u.Instrs = mod.NumInstrs()
 	return u, true
 }
 
@@ -177,12 +180,13 @@ func (s *Store) writeDisk(u *Unit) {
 	// for the same key truncate each other's half-written file and then
 	// rename the torn result over the cache entry, which loadDisk would
 	// serve as a (corrupt) unit. The wire file lands before the sidecar,
-	// so a reader between the two renames at worst re-decodes the unit.
-	// There is deliberately no fsync: the cache is regenerable from
-	// source, so a crash costs at most a recompile, and loadDisk treats
-	// undecodable units as misses.
+	// so a reader between the two renames at worst answers without the
+	// optimizer's statistics. There is deliberately no fsync: the cache is
+	// regenerable from source, so a crash costs at most a recompile —
+	// loadDisk re-admits every unit it reads and treats a rejected one as
+	// a miss.
 	atomicWrite(s.wirePath(u.Key), u.Wire)
-	if mb, err := json.Marshal(unitMeta{Instrs: u.Instrs, Optimized: u.Optimized, OptStats: u.OptStats}); err == nil {
+	if mb, err := json.Marshal(unitMeta{Optimized: u.Optimized, OptStats: u.OptStats}); err == nil {
 		atomicWrite(s.metaPath(u.Key), mb)
 	}
 }

@@ -14,15 +14,28 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"safetsa/internal/wire"
 )
+
+// helloUnit compiles the hello program into a real unit (loadDisk
+// re-admits what it reads, so disk-tier tests need bytes that decode).
+func helloUnit(t *testing.T) *Unit {
+	t.Helper()
+	u, _, err := newTestServer(t, Config{}).CompileUnit(context.Background(), helloFiles(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
 
 // TestWriteDiskTornWriteRace is the regression test for a torn-write
 // race in the disk tier: writeDisk used one fixed "<key>.tmp" scratch
 // name, so two concurrent writers for the same key could truncate each
-// other's half-written file and rename the torn result into the cache,
-// after which loadDisk served a corrupt unit as a hit. With unique temp
-// files plus rename, every published file is complete, so a reader may
-// see a hit or a miss but never wrong bytes.
+// other's half-written file and rename the torn result into the cache.
+// With unique temp files plus rename, every published file is complete,
+// so a reader racing the writers always gets a hit with the right bytes
+// (a torn file would be rejected by loadDisk's re-admission: a miss).
 func TestWriteDiskTornWriteRace(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir, 8, &Metrics{})
@@ -30,15 +43,8 @@ func TestWriteDiskTornWriteRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var key Key
-	key[0] = 7
-	wireBytes := make([]byte, 1<<20)
-	for i := range wireBytes {
-		wireBytes[i] = byte(i*31 + 7)
-	}
-	u := &Unit{Key: key, Wire: wireBytes, Size: len(wireBytes), Instrs: 1}
-	// Publish once up front so the meta sidecar exists and loadDisk
-	// serves the raw wire bytes without a validating decode.
+	u := helloUnit(t)
+	key, wireBytes := u.Key, u.Wire
 	s.writeDisk(u)
 
 	stop := make(chan struct{})
@@ -67,7 +73,7 @@ func TestWriteDiskTornWriteRace(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
 				got, ok := s.loadDisk(key)
-				if ok && !bytes.Equal(got.Wire, wireBytes) {
+				if !ok || !bytes.Equal(got.Wire, wireBytes) {
 					mu.Lock()
 					torn++
 					mu.Unlock()
@@ -80,7 +86,7 @@ func TestWriteDiskTornWriteRace(t *testing.T) {
 	writers.Wait()
 
 	if torn > 0 {
-		t.Fatalf("loadDisk served torn wire bytes %d times", torn)
+		t.Fatalf("loadDisk missed or served torn wire bytes %d times", torn)
 	}
 
 	// Failed or abandoned publishes must not strand scratch files.
@@ -92,6 +98,73 @@ func TestWriteDiskTornWriteRace(t *testing.T) {
 		if strings.Contains(e.Name(), ".tmp-") {
 			t.Errorf("leftover temp file %s", e.Name())
 		}
+	}
+}
+
+// TestDiskTierReadmitsUnits is the regression test for the disk tier
+// serving bytes it never decoded: with an intact sidecar, loadDisk
+// returned whatever the .tsa held, so a torn unit (writeDisk does not
+// fsync) was a hit forever — answered as cached by /compile, served by
+// /unit, failing every /run — and the key never recompiled. The disk is
+// one more untrusted source: a unit that does not pass DecodeVerified is
+// a miss, its files go, and the next fill rewrites them.
+func TestDiskTierReadmitsUnits(t *testing.T) {
+	dir := t.TempDir()
+	m := &Metrics{}
+	st, err := NewStore(dir, 8, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := helloUnit(t)
+	st.Put(u)
+	wirePath := st.wirePath(u.Key)
+	if err := os.Truncate(wirePath, int64(len(u.Wire)/2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(st.metaPath(u.Key)); err != nil {
+		t.Fatalf("sidecar missing: %v", err)
+	}
+
+	// A restart: fresh memory tier over the same directory.
+	st, err = NewStore(dir, 8, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.Get(u.Key); ok {
+		t.Fatalf("Get served a truncated unit from disk (%d of %d bytes)", len(got.Wire), len(u.Wire))
+	}
+	for _, p := range []string{wirePath, st.metaPath(u.Key)} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("rejected unit left %s behind (%v)", p, err)
+		}
+	}
+	fills := 0
+	got, cached, err := st.GetOrFill(context.Background(), u.Key, func(context.Context) (*Unit, error) {
+		fills++
+		return &Unit{Wire: u.Wire, Size: u.Size, Instrs: u.Instrs}, nil
+	})
+	if err != nil || cached || fills != 1 || m.diskHits.Load() != 0 {
+		t.Fatalf("GetOrFill after a rejected disk unit: cached=%v fills=%d disk_hits=%d err=%v, want one fill",
+			cached, fills, m.diskHits.Load(), err)
+	}
+	if !bytes.Equal(got.Wire, u.Wire) {
+		t.Fatal("fill result not returned")
+	}
+	data, err := os.ReadFile(wirePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.DecodeVerified(data); err != nil {
+		t.Fatalf("rewritten unit does not decode: %v", err)
+	}
+
+	// And the intact unit is a disk hit on the next restart, its
+	// instruction count taken from the decode.
+	if st, err = NewStore(dir, 8, m); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.Get(u.Key); !ok || got.Instrs != u.Instrs {
+		t.Fatalf("intact unit after restart: ok=%v unit=%+v, want %d instructions", ok, got, u.Instrs)
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 // going through the shared evalPrim switch.
 //
 // Compile runs strictly after Prepare (which runs strictly after the
-// verifier) and repeats no verification: the prepared form is already a
-// faithful lowering of a verified module, and re-checking it would buy
-// nothing — the thunks trust the same invariants runPrepared trusts.
-// Like Prepare, however, Compile bounds-checks every table index it
-// bakes into a closure (registers, jump targets, methods, types),
-// returning an error — never panicking — on a reference only a
-// hand-built or corrupted prepared form could contain.
+// verifier) and repeats none of their checks. Prepare is the single gate
+// that bounds every register, jump target, move, exception edge, method
+// and type id of the lowered form; Compile accepts only a form Prepare
+// minted from this very module (see bound) and bakes those indices into
+// closures as they stand, trusting them exactly as runPrepared does when
+// it executes the same []PreparedInst. A minted form is read-only, like
+// the verified module it came from.
 //
 // Budget parity is structural: every thunk lowered from an opcode below
 // pCtrl calls rt.Env.Step() before any side effect, exactly where
@@ -64,6 +64,8 @@ type Compiled struct {
 	// Insts is the total fused thunk count (for diagnostics and cache
 	// accounting).
 	Insts int
+	// mod is the module Compile minted this form from (see bound).
+	mod *core.Module
 }
 
 // cframe is the per-invocation state of one compiled function: the
@@ -91,45 +93,35 @@ func (fr *cframe) craise(rs *RaiseSite, v rt.Value) int32 {
 	return rs.Target
 }
 
-// Compile fuses a prepared module into closure-threaded code. prep must
-// have been built by Prepare from mod; Compile never executes guest
-// code and never panics — a prepared form whose embedded references do
-// not resolve yields an error.
-func Compile(mod *core.Module, prep *Prepared) (*Compiled, error) {
-	if prep == nil || len(prep.Funcs) != len(mod.Funcs) {
-		return nil, fmt.Errorf("interp: prepared form does not match module")
+// from is the module c was minted from; nil for a nil or hand-built form.
+func (c *Compiled) from() *core.Module {
+	if c == nil {
+		return nil
 	}
-	c := &Compiled{Funcs: make([]*CFunc, len(prep.Funcs))}
-	for i, pf := range prep.Funcs {
-		cf, err := compileFunc(mod, pf)
-		if err != nil {
-			return nil, fmt.Errorf("interp: compile %s: %w", pf.Name, err)
-		}
-		c.Funcs[i] = cf
-		c.Insts += len(cf.Code)
-	}
-	return c, nil
+	return c.mod
 }
 
-// LoadTrustedCompiled is LoadTrusted for a session that executes the
-// closure-threaded form: same link checks, class metadata, and static
-// initializers, but every function body (the initializers included)
-// runs through the thunk chains. comp must have been built by Compile
-// from this exact module; like the module, it is read-only and may back
-// any number of concurrent sessions.
-func LoadTrustedCompiled(mod *core.Module, comp *Compiled, env *rt.Env) (*Loader, error) {
-	if comp == nil || len(comp.Funcs) != len(mod.Funcs) {
-		return nil, fmt.Errorf("interp: compiled form does not match module")
-	}
-	l, err := loadCommon(mod, env)
-	if err != nil {
+// Compile fuses a prepared module into closure-threaded code. prep must
+// be the form Prepare minted from mod — any other is rejected. Compile
+// never executes guest code.
+func Compile(mod *core.Module, prep *Prepared) (*Compiled, error) {
+	if err := bound(mod, "prepared", prep.from()); err != nil {
 		return nil, err
 	}
-	l.comp = comp
-	if err := l.RunStaticInit(); err != nil {
-		return nil, err
+	c := &Compiled{mod: mod, Funcs: make([]*CFunc, len(prep.Funcs))}
+	for i, pf := range prep.Funcs {
+		code := make([]cthunk, len(pf.Code))
+		for pc := range pf.Code {
+			th, err := thunk(mod.Methods, &pf.Code[pc], int32(pc+1))
+			if err != nil {
+				return nil, fmt.Errorf("interp: compile %s: pc %d: %w", pf.Name, pc, err)
+			}
+			code[pc] = th
+		}
+		c.Funcs[i] = &CFunc{Name: pf.Name, NumRegs: pf.NumRegs, Code: code}
+		c.Insts += len(code)
 	}
-	return l, nil
+	return c, nil
 }
 
 // cframePoolCap bounds the per-session free lists: deep recursion grows
@@ -240,85 +232,16 @@ func (l *Loader) ccallProtected(mr *core.MethodRef, fi int32, args []rt.Value) (
 // ---------------------------------------------------------------------
 // The fusing compiler.
 
-// ccomp validates prepared-form references while lowering one function.
-type ccomp struct {
-	mod *core.Module
-	pf  *PFunc
-}
-
-func compileFunc(mod *core.Module, pf *PFunc) (*CFunc, error) {
-	c := &ccomp{mod: mod, pf: pf}
-	code := make([]cthunk, len(pf.Code))
-	for i := range pf.Code {
-		th, err := c.thunk(&pf.Code[i], int32(i+1))
-		if err != nil {
-			return nil, fmt.Errorf("pc %d (%s): %w", i, pf.Code[i].Op, err)
-		}
-		code[i] = th
-	}
-	return &CFunc{Name: pf.Name, NumRegs: pf.NumRegs, Code: code}, nil
-}
-
-// reg validates a register index against the function's register file.
-func (c *ccomp) reg(r int32) (int32, error) {
-	if r < 0 || r >= c.pf.NumRegs {
-		return 0, fmt.Errorf("register r%d out of range (%d registers)", r, c.pf.NumRegs)
-	}
-	return r, nil
-}
-
-// target validates a jump destination. The prepared form always ends in
-// a PReturn, so every legal target is a real instruction index.
-func (c *ccomp) target(t int32) (int32, error) {
-	if t < 0 || int(t) >= len(c.pf.Code) {
-		return 0, fmt.Errorf("jump target %d out of range (%d instructions)", t, len(c.pf.Code))
-	}
-	return t, nil
-}
-
-func (c *ccomp) moves(mv []Move) ([]Move, error) {
-	for _, m := range mv {
-		if _, err := c.reg(m.Dst); err != nil {
-			return nil, err
-		}
-		if _, err := c.reg(m.Src); err != nil {
-			return nil, err
-		}
-	}
-	return mv, nil
-}
-
-// raise validates an exception edge; a nil site (exception leaves the
-// function) stays nil.
-func (c *ccomp) raise(rs *RaiseSite) (*RaiseSite, error) {
-	if rs == nil {
-		return nil, nil
-	}
-	if _, err := c.target(rs.Target); err != nil {
-		return nil, fmt.Errorf("exception edge: %w", err)
-	}
-	if _, err := c.moves(rs.Moves); err != nil {
-		return nil, fmt.Errorf("exception edge: %w", err)
-	}
-	return rs, nil
-}
-
-func (c *ccomp) typeArg(t core.TypeID) (core.TypeID, error) {
-	if c.mod.Types.Get(t) == nil {
-		return 0, fmt.Errorf("type id %d out of range", t)
-	}
-	return t, nil
-}
-
 // thunk fuses one prepared instruction into its closure. next is the
 // fallthrough pc (the slot after this instruction).
-func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
+func thunk(methods []core.MethodRef, in *PreparedInst, next int32) (cthunk, error) {
+	// The operands exactly as Prepare bounded them; each closure captures
+	// (by value) only the ones its opcode uses.
+	dst, a, b, cc := in.Dst, in.A, in.B, in.C
+	typ, rs := in.Type, in.Raise
+	target, mv := in.Target, in.Moves
 	switch in.Op {
 	case PConst:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
 		val := in.Val
 		return func(fr *cframe) int32 {
 			fr.env.Step()
@@ -327,10 +250,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PConstStr:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
 		str := in.Str
 		// A fresh *rt.Str per execution, like the other two engines —
 		// reference identity (PREq) must not observe compiled-form
@@ -342,11 +261,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PParam:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a := in.A // validated against the argument slice at runtime by construction: Prepare bounds Aux to the param list
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			fr.regs[dst] = fr.args[a]
@@ -354,14 +268,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PCopy:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			fr.regs[dst] = fr.regs[a]
@@ -369,37 +275,9 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PPrim:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.reg(in.B)
-		if err != nil {
-			return nil, err
-		}
 		return compilePrim(in.Prim, dst, a, b, next), nil
 
 	case PXPrim:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.reg(in.B)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := c.raise(in.Raise)
-		if err != nil {
-			return nil, err
-		}
 		switch in.Prim {
 		case core.PIDiv:
 			return func(fr *cframe) int32 {
@@ -445,18 +323,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		return nil, fmt.Errorf("primitive %s is not a trapping division", in.Prim)
 
 	case PNullCheck:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := c.raise(in.Raise)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			v := fr.regs[a]
@@ -468,22 +334,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PIndexCheck:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.reg(in.B)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := c.raise(in.Raise)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			arr := fr.regs[a].R.(*rt.Array)
@@ -497,22 +347,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PUpcast:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := c.typeArg(in.Type)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := c.raise(in.Raise)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			v := fr.regs[a]
@@ -525,18 +359,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PInstanceOf:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := c.typeArg(in.Type)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			v := fr.regs[a]
@@ -545,14 +367,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PGetField:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
 		slot := in.B
 		return func(fr *cframe) int32 {
 			fr.env.Step()
@@ -561,14 +375,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PSetField:
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		cc, err := c.reg(in.C)
-		if err != nil {
-			return nil, err
-		}
 		slot := in.B
 		return func(fr *cframe) int32 {
 			fr.env.Step()
@@ -577,14 +383,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PGetStatic:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := c.typeArg(in.Type)
-		if err != nil {
-			return nil, err
-		}
 		slot := in.B
 		// Statics are per-session storage, so the ClassInfo lookup must
 		// go through the frame's Loader rather than be pre-bound.
@@ -595,14 +393,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PSetStatic:
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := c.typeArg(in.Type)
-		if err != nil {
-			return nil, err
-		}
 		slot := in.B
 		return func(fr *cframe) int32 {
 			fr.env.Step()
@@ -611,18 +401,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PGetElt:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.reg(in.B)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			arr := fr.regs[a].R.(*rt.Array)
@@ -631,18 +409,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PSetElt:
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.reg(in.B)
-		if err != nil {
-			return nil, err
-		}
-		cc, err := c.reg(in.C)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			arr := fr.regs[a].R.(*rt.Array)
@@ -651,14 +417,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PArrayLen:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			fr.regs[dst] = rt.IntValue(int32(len(fr.regs[a].R.(*rt.Array).Elems)))
@@ -666,14 +424,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PNew:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := c.typeArg(in.Type)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			fr.regs[dst] = rt.RefValue(fr.env.NewObject(fr.l.classes[typ]))
@@ -681,22 +431,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PNewArray:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := c.typeArg(in.Type)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := c.raise(in.Raise)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			n := fr.regs[a].Int()
@@ -708,13 +442,9 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PCall, PDispatch:
-		return c.callThunk(in, next)
+		return callThunk(methods, in, next), nil
 
 	case PCatch:
-		dst, err := c.reg(in.Dst)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			fr.regs[dst] = fr.caught
@@ -730,14 +460,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PJump:
-		target, err := c.target(in.Target)
-		if err != nil {
-			return nil, err
-		}
-		mv, err := c.moves(in.Moves)
-		if err != nil {
-			return nil, err
-		}
 		switch len(mv) {
 		case 0:
 			return func(fr *cframe) int32 { return target }, nil
@@ -754,18 +476,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PBranchFalse:
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		target, err := c.target(in.Target)
-		if err != nil {
-			return nil, err
-		}
-		mv, err := c.moves(in.Moves)
-		if err != nil {
-			return nil, err
-		}
 		switch len(mv) {
 		case 0:
 			return func(fr *cframe) int32 {
@@ -793,10 +503,6 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PMoves:
-		mv, err := c.moves(in.Moves)
-		if err != nil {
-			return nil, err
-		}
 		if len(mv) == 1 {
 			d, s := mv[0].Dst, mv[0].Src
 			return func(fr *cframe) int32 {
@@ -816,24 +522,12 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 		}, nil
 
 	case PReturnVal:
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			fr.ret = fr.regs[a]
 			return cDone
 		}, nil
 
 	case PThrow:
-		a, err := c.reg(in.A)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := c.raise(in.Raise)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *cframe) int32 {
 			v := fr.regs[a]
 			if v.R == nil {
@@ -848,28 +542,15 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 // callThunk fuses a PCall/PDispatch. The static MethodRef is pre-bound
 // (the module is immutable); dispatch re-resolves through the
 // receiver's vtable exactly like pcall.
-func (c *ccomp) callThunk(in *PreparedInst, next int32) (cthunk, error) {
-	if in.A < 0 || int(in.A) >= len(c.mod.Methods) {
-		return nil, fmt.Errorf("method index %d out of range", in.A)
-	}
-	if in.Op == PCall && in.B >= 0 && int(in.B) >= len(c.mod.Funcs) {
-		return nil, fmt.Errorf("function index %d out of range", in.B)
-	}
-	dst, err := c.reg(in.Dst)
-	if err != nil {
-		return nil, err
-	}
-	argRegs := in.Args
-	for _, r := range argRegs {
-		if _, err := c.reg(r); err != nil {
-			return nil, err
-		}
-	}
-	rs, err := c.raise(in.Raise)
-	if err != nil {
-		return nil, err
-	}
-	methods := c.mod.Methods
+//
+// Not inlined into thunk on purpose: thunk is past the compiler's
+// big-function threshold, and a closure built by an inlined copy there
+// is compiled with Step, getArgs and putArgs as real calls — on every
+// guest call.
+//
+//go:noinline
+func callThunk(methods []core.MethodRef, in *PreparedInst, next int32) cthunk {
+	dst, argRegs, rs := in.Dst, in.Args, in.Raise
 	base := &methods[in.A]
 	staticFi := in.B
 	dispatch := in.Op == PDispatch
@@ -902,7 +583,7 @@ func (c *ccomp) callThunk(in *PreparedInst, next int32) (cthunk, error) {
 		}
 		fr.regs[dst] = out
 		return next
-	}, nil
+	}
 }
 
 // compilePrim specializes the hot primitives — int/long/double

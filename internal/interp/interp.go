@@ -63,14 +63,7 @@ func Load(mod *core.Module, env *rt.Env) (*Loader, error) {
 // one mutates the module (e.g. runs opt.Optimize on it) after it is
 // shared.
 func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
-	l, err := loadCommon(mod, env)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.RunStaticInit(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return newLoader(&Loader{Mod: mod, Env: env}, true)
 }
 
 // LoadTrustedStreaming prepares a module whose function bodies are
@@ -85,20 +78,56 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // engines need the complete function list at load time, which is the
 // opposite of the point.
 func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env) (*Loader, error) {
-	l, err := loadCommon(mod, env)
-	if err != nil {
-		return nil, err
-	}
-	l.gate = gate
-	if err := l.RunStaticInit(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return newLoader(&Loader{Mod: mod, Env: env, gate: gate}, true)
 }
 
-// loadCommon performs the engine-independent part of loading: link
-// checks and runtime class metadata, but no guest execution.
-func loadCommon(mod *core.Module, env *rt.Env) (*Loader, error) {
+// LoadTrustedPrepared is LoadTrusted for a session that executes the
+// prepared form on the register machine. prep must be the form Prepare
+// minted from this exact module; like the module, it is read-only and
+// may back any number of concurrent sessions.
+func LoadTrustedPrepared(mod *core.Module, prep *Prepared, env *rt.Env) (*Loader, error) {
+	if err := bound(mod, "prepared", prep.from()); err != nil {
+		return nil, err
+	}
+	return newLoader(&Loader{Mod: mod, Env: env, prep: prep}, true)
+}
+
+// LoadTrustedCompiled is LoadTrusted for a session that executes the
+// closure-threaded form. comp must be the form Compile minted from this
+// exact module; like the module, it is read-only and may back any number
+// of concurrent sessions.
+func LoadTrustedCompiled(mod *core.Module, comp *Compiled, env *rt.Env) (*Loader, error) {
+	if err := bound(mod, "compiled", comp.from()); err != nil {
+		return nil, err
+	}
+	return newLoader(&Loader{Mod: mod, Env: env, comp: comp}, true)
+}
+
+// LoadTrustedDeferred leaves static initialization to the caller
+// (RunStaticInit): the session exists but has executed no guest code —
+// the warm-pool build path. A nil form means "not this engine"; both nil
+// selects the reference CST walker, and comp takes precedence over prep.
+func LoadTrustedDeferred(mod *core.Module, prep *Prepared, comp *Compiled, env *rt.Env) (*Loader, error) {
+	if prep != nil {
+		if err := bound(mod, "prepared", prep.from()); err != nil {
+			return nil, err
+		}
+	}
+	if comp != nil {
+		if err := bound(mod, "compiled", comp.from()); err != nil {
+			return nil, err
+		}
+	}
+	return newLoader(&Loader{Mod: mod, Env: env, prep: prep, comp: comp}, false)
+}
+
+// newLoader is the one session constructor behind every Load* name. l
+// arrives holding what the entry point decided — module, environment,
+// engine binding (prep/comp/gate) — and newLoader completes it: link
+// checks, runtime class metadata, then — when init is set — the static
+// initializers, the first guest code the session runs.
+func newLoader(l *Loader, init bool) (*Loader, error) {
+	mod := l.Mod
 	// Every host-implemented method must map to a builtin this consumer
 	// actually provides; a module referencing an unknown import is
 	// rejected at link time.
@@ -121,7 +150,7 @@ func loadCommon(mod *core.Module, env *rt.Env) (*Loader, error) {
 				mr.Name)
 		}
 	}
-	l := &Loader{Mod: mod, Env: env, classes: make(map[core.TypeID]*rt.ClassInfo)}
+	l.classes = make(map[core.TypeID]*rt.ClassInfo)
 	tt := mod.Types
 
 	// Imported class hierarchy.
@@ -161,11 +190,16 @@ func loadCommon(mod *core.Module, env *rt.Env) (*Loader, error) {
 		l.classes[cd.Type] = ci
 	}
 
+	if init {
+		if err := l.RunStaticInit(); err != nil {
+			return nil, err
+		}
+	}
 	return l, nil
 }
 
 // RunStaticInit executes the static initializers in class order on the
-// session's engine. The LoadTrusted* entry points call it internally;
+// session's engine. The Load* entry points run it inside newLoader;
 // sessions built with LoadTrustedDeferred (the warm-pool build path)
 // call it exactly once themselves, before either RunMain or Snapshot.
 func (l *Loader) RunStaticInit() error {

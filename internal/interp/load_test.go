@@ -1,0 +1,172 @@
+package interp_test
+
+import (
+	"bytes"
+	"errors"
+	"strings"
+	"testing"
+
+	"safetsa/internal/core"
+	"safetsa/internal/interp"
+	"safetsa/internal/rt"
+)
+
+// lowered compiles src and mints both lowered forms from the module.
+func lowered(t *testing.T, src string) (*core.Module, *interp.Prepared, *interp.Compiled) {
+	t.Helper()
+	mod := compile(t, src)
+	prep, err := interp.Prepare(mod)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	comp, err := interp.Compile(mod, prep)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return mod, prep, comp
+}
+
+// TestLoweredFormsAreBoundToTheirModule pins the one hazard a lowered
+// form really has: being run against a module it was not built from. The
+// two modules below have the same number of functions — all the old
+// len(Funcs) comparison looked at — but different bodies, so a foreign
+// form would index one module's tables with the other's ids. Every
+// entry point that takes a form must refuse it, and must refuse a nil,
+// zero-value or hand-assembled form as well: only Prepare and Compile
+// can mint one.
+func TestLoweredFormsAreBoundToTheirModule(t *testing.T) {
+	modA, prepA, compA := lowered(t, `
+class Main {
+    static int f(int n) { return n + 1; }
+    static void main() { System.out.println(f(41)); }
+}`)
+	modB, prepB, compB := lowered(t, `
+class Main {
+    static String g(String s, String u) { return s + u + s; }
+    static void main() { System.out.println(g("a", "b")); }
+}`)
+	if len(modA.Funcs) != len(modB.Funcs) {
+		t.Fatalf("test modules must have equal function counts, got %d and %d", len(modA.Funcs), len(modB.Funcs))
+	}
+	handPrep := &interp.Prepared{Funcs: prepB.Funcs, Insts: prepB.Insts}
+	handComp := &interp.Compiled{Funcs: compB.Funcs, Insts: compB.Insts}
+	env := func() *rt.Env { return &rt.Env{Out: &bytes.Buffer{}, MaxSteps: 1_000_000} }
+
+	cases := []struct {
+		name string
+		try  func() error
+	}{
+		{"Compile/foreign", func() error { _, err := interp.Compile(modB, prepA); return err }},
+		{"Compile/nil", func() error { _, err := interp.Compile(modB, nil); return err }},
+		{"Compile/zero", func() error { _, err := interp.Compile(modB, &interp.Prepared{}); return err }},
+		{"Compile/hand-built", func() error { _, err := interp.Compile(modB, handPrep); return err }},
+		{"LoadTrustedPrepared/foreign", func() error { _, err := interp.LoadTrustedPrepared(modB, prepA, env()); return err }},
+		{"LoadTrustedPrepared/nil", func() error { _, err := interp.LoadTrustedPrepared(modB, nil, env()); return err }},
+		{"LoadTrustedPrepared/hand-built", func() error { _, err := interp.LoadTrustedPrepared(modB, handPrep, env()); return err }},
+		{"LoadTrustedCompiled/foreign", func() error { _, err := interp.LoadTrustedCompiled(modB, compA, env()); return err }},
+		{"LoadTrustedCompiled/nil", func() error { _, err := interp.LoadTrustedCompiled(modB, nil, env()); return err }},
+		{"LoadTrustedCompiled/zero", func() error { _, err := interp.LoadTrustedCompiled(modB, &interp.Compiled{}, env()); return err }},
+		{"LoadTrustedCompiled/hand-built", func() error { _, err := interp.LoadTrustedCompiled(modB, handComp, env()); return err }},
+		{"LoadTrustedDeferred/foreign-compiled", func() error { _, err := interp.LoadTrustedDeferred(modB, nil, compA, env()); return err }},
+		{"LoadTrustedDeferred/foreign-prepared", func() error { _, err := interp.LoadTrustedDeferred(modB, prepA, nil, env()); return err }},
+		{"LoadTrustedDeferred/zero", func() error { _, err := interp.LoadTrustedDeferred(modB, nil, &interp.Compiled{}, env()); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.try()
+			if err == nil || !strings.Contains(err.Error(), "does not match module") {
+				t.Fatalf("got %v, want the form/module mismatch error", err)
+			}
+		})
+	}
+
+	// The forms minted from modB itself are accepted.
+	if _, err := interp.LoadTrustedDeferred(modB, prepB, compB, env()); err != nil {
+		t.Fatalf("own forms rejected: %v", err)
+	}
+}
+
+// TestCompileRejectsUnknownOpcode: Compile trusts the operands of a
+// minted form but still answers an opcode it has no closure for with an
+// error, not a panic or a nil thunk.
+func TestCompileRejectsUnknownOpcode(t *testing.T) {
+	mod, prep, _ := lowered(t, `class Main { static void main() { System.out.println(1); } }`)
+	prep.Funcs[0].Code[0].Op = interp.POp(250)
+	if _, err := interp.Compile(mod, prep); err == nil || !strings.Contains(err.Error(), "unhandled prepared opcode") {
+		t.Fatalf("got %v, want an unhandled-opcode error", err)
+	}
+}
+
+// TestLoadEntryPoints drives the six Load* names through the one
+// constructor behind them and checks the three things it decides: which
+// engine the session is bound to, whether every invocation goes through
+// the gate, and whether the static initializers have run by the time the
+// call returns.
+func TestLoadEntryPoints(t *testing.T) {
+	mod, prep, comp := lowered(t, `
+class Main {
+    static int seed = boot();
+    static int boot() { System.out.println("init"); return 7; }
+    static void main() { System.out.println(seed); }
+}`)
+	var gated []int
+	gate := func(fi int) error { gated = append(gated, fi); return nil }
+
+	cases := []struct {
+		name     string
+		load     func(env *rt.Env) (*interp.Loader, error)
+		engine   string
+		gated    bool
+		deferred bool
+	}{
+		{"Load", func(env *rt.Env) (*interp.Loader, error) { return interp.Load(mod, env) }, "reference", false, false},
+		{"LoadTrusted", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrusted(mod, env) }, "reference", false, false},
+		{"LoadTrustedStreaming", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedStreaming(mod, gate, env) }, "reference", true, false},
+		{"LoadTrustedPrepared", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedPrepared(mod, prep, env) }, "prepared", false, false},
+		{"LoadTrustedCompiled", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedCompiled(mod, comp, env) }, "compiled", false, false},
+		{"LoadTrustedDeferred/reference", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedDeferred(mod, nil, nil, env) }, "reference", false, true},
+		{"LoadTrustedDeferred/prepared", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedDeferred(mod, prep, nil, env) }, "prepared", false, true},
+		{"LoadTrustedDeferred/compiled-wins", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedDeferred(mod, prep, comp, env) }, "compiled", false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gated = nil
+			var out bytes.Buffer
+			l, err := tc.load(&rt.Env{Out: &out, MaxSteps: 1_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := interp.EngineOf(l); got != tc.engine {
+				t.Errorf("engine %s, want %s", got, tc.engine)
+			}
+			if tc.deferred {
+				if out.Len() != 0 {
+					t.Fatalf("deferred load ran guest code: %q", out.String())
+				}
+				if err := l.RunStaticInit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if out.String() != "init\n" {
+				t.Fatalf("after static init: %q, want %q", out.String(), "init\n")
+			}
+			if err := l.RunMain(); err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != "init\n7\n" {
+				t.Errorf("output %q, want %q", out.String(), "init\n7\n")
+			}
+			if tc.gated != (len(gated) > 0) {
+				t.Errorf("gate consulted %d times, want gated=%v", len(gated), tc.gated)
+			}
+		})
+	}
+
+	// A gate that refuses aborts the load with the gate's error: the
+	// static initializer is the first function it is asked about.
+	cut := errors.New("stream cut")
+	refuse := func(int) error { return cut }
+	if _, err := interp.LoadTrustedStreaming(mod, refuse, &rt.Env{Out: &bytes.Buffer{}}); err != cut {
+		t.Fatalf("refusing gate: got %v, want %v", err, cut)
+	}
+}

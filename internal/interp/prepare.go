@@ -32,6 +32,9 @@ import (
 // table index it embeds into the prepared form (operands, phi inputs,
 // fields, methods, types), returning an error — never panicking — on a
 // reference that only a corrupted or hand-built module could contain.
+// That makes it the single gate for both consumers of the form:
+// runPrepared and Compile take the indices of a form minted here (see
+// bound) as they stand.
 
 // POp is a prepared-form opcode. Ordering is semantic: every opcode
 // below pCtrl consumes one step of rt.Env budget when executed (they
@@ -177,6 +180,29 @@ type Prepared struct {
 	// Insts is the total prepared instruction count (for diagnostics
 	// and cache accounting).
 	Insts int
+	// mod is the module Prepare minted this form from (see bound).
+	mod *core.Module
+}
+
+// from is the module p was minted from; nil for a nil or hand-built form.
+func (p *Prepared) from() *core.Module {
+	if p == nil {
+		return nil
+	}
+	return p.mod
+}
+
+// bound is the one check that ties a lowered form to a module. Prepare
+// and Compile record the *core.Module they lower in an unexported field,
+// so minted is non-nil only for a form they built; identity with mod is
+// what the engines rely on when they index mod's tables with the form's
+// baked-in ids, and two modules that merely look alike (same function
+// count, even the same source) do not have it.
+func bound(mod *core.Module, form string, minted *core.Module) error {
+	if minted == nil || minted != mod {
+		return fmt.Errorf("interp: %s form does not match module", form)
+	}
+	return nil
 }
 
 // Prepare compiles a verified module into its prepared form. It never
@@ -184,7 +210,7 @@ type Prepared struct {
 // not resolve (unreachable after the verifier, but reachable from
 // hand-built or corrupted modules) yields an error.
 func Prepare(mod *core.Module) (*Prepared, error) {
-	p := &Prepared{Funcs: make([]*PFunc, len(mod.Funcs))}
+	p := &Prepared{mod: mod, Funcs: make([]*PFunc, len(mod.Funcs))}
 	for i, f := range mod.Funcs {
 		pf, err := prepareFunc(mod, f)
 		if err != nil {

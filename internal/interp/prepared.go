@@ -15,27 +15,6 @@ import (
 // exactly one step, mirroring the reference evaluator's one step per
 // straight-line instruction plus one per loop iteration.
 
-// LoadTrustedPrepared is LoadTrusted for a session that executes the
-// prepared form: same link checks, class metadata, and static
-// initializers, but every function body (including the initializers
-// themselves) runs on the register machine. prep must have been built
-// by Prepare from this exact module; like the module, it is read-only
-// and may back any number of concurrent sessions.
-func LoadTrustedPrepared(mod *core.Module, prep *Prepared, env *rt.Env) (*Loader, error) {
-	if prep == nil || len(prep.Funcs) != len(mod.Funcs) {
-		return nil, fmt.Errorf("interp: prepared form does not match module")
-	}
-	l, err := loadCommon(mod, env)
-	if err != nil {
-		return nil, err
-	}
-	l.prep = prep
-	if err := l.RunStaticInit(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 // applyMoves performs one parallel move set (the phi writes of a block
 // entry): all sources are read before any destination is written.
 func applyMoves(regs []rt.Value, mv []Move) {

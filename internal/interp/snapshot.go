@@ -31,28 +31,6 @@ import (
 //     to survive init (Admits reports false) are declined and must run
 //     fresh, so mid-init kills keep their exact fresh-session behavior.
 
-// LoadTrustedDeferred is loadCommon plus engine binding, with static
-// initialization left to the caller (RunStaticInit): the session exists
-// but has executed no guest code. comp takes precedence over prep; both
-// nil selects the reference CST walker — mirroring LoadTrusted /
-// LoadTrustedPrepared / LoadTrustedCompiled, which are equivalent to
-// this followed immediately by RunStaticInit.
-func LoadTrustedDeferred(mod *core.Module, prep *Prepared, comp *Compiled, env *rt.Env) (*Loader, error) {
-	if comp != nil && len(comp.Funcs) != len(mod.Funcs) {
-		return nil, fmt.Errorf("interp: compiled form does not match module")
-	}
-	if comp == nil && prep != nil && len(prep.Funcs) != len(mod.Funcs) {
-		return nil, fmt.Errorf("interp: prepared form does not match module")
-	}
-	l, err := loadCommon(mod, env)
-	if err != nil {
-		return nil, err
-	}
-	l.prep = prep
-	l.comp = comp
-	return l, nil
-}
-
 // Snapshot is the frozen post-static-init state of one (module, engine)
 // pair: a detached deep copy of every class's statics and the heap
 // reachable from them, the initializers' printed bytes and budget
@@ -116,7 +94,7 @@ func copyStatics(src, dst map[core.TypeID]*rt.ClassInfo) {
 // response carries the same bytes a fresh session would print during
 // init.
 func (l *Loader) Snapshot(initOut []byte) (*Snapshot, error) {
-	detached, err := loadCommon(l.Mod, &rt.Env{})
+	detached, err := newLoader(&Loader{Mod: l.Mod, Env: &rt.Env{}}, false)
 	if err != nil {
 		return nil, err
 	}

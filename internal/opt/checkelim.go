@@ -4,233 +4,19 @@ import (
 	"safetsa/internal/core"
 )
 
-// Flow-based check elimination, beyond what dominator-scoped CSE
-// removes. Two mechanisms:
-//
-//  1. Witness-phi merging. A nullcheck/indexcheck whose equivalent has
-//     already executed on *every* incoming edge of its block is replaced
-//     by a phi of the per-edge witness values — CSE only reuses a check
-//     from a dominator, so a check re-established independently on both
-//     arms of a diamond, or in a loop preheader plus each iteration,
-//     stays invisible to it. A witness for an edge is an equivalent
-//     check positioned before the edge's source point (before the
-//     throwing site for exception edges) in the source block, or
-//     anywhere in one of its strict dominators; the eliminated check
-//     itself is a legal witness on back edges (the block dominates the
-//     edge source), in which case the synthesized phi refers to itself
-//     for that operand — exactly the paper's loop-carried safe value.
-//     Only a check (or a phi of checks) can populate a safe plane, so
-//     elimination always synthesizes the phi witness rather than
-//     forging a plane transition the verifier would reject.
-//
-//  2. Exception-edge pruning with range reasoning. A check that provably
-//     cannot throw — an indexcheck of a constant index into an array
-//     allocated with a larger constant length, a newarray with a
-//     non-negative constant length, a division by a non-zero constant,
-//     or a nullcheck of a value that came off a safe plane — keeps its
-//     instruction (it is the plane witness the consumer re-verifies) but
-//     loses its exception edge, shrinking every handler phi and the
-//     encoded edge set.
-//
-// Soundness of the dominator-scan witness leans on the structural
-// dominator tree being conservative around try regions: a block after a
-// try join is *not* dominated by try-body blocks (its immediate
-// dominator is the pre-try block), so a witness that might have been
-// skipped by an exception transfer is never found. See DESIGN.md §10.
+// Exception-edge pruning with range reasoning. A check that provably
+// cannot throw — an indexcheck of a constant index into an array
+// allocated with a larger constant length, a newarray with a
+// non-negative constant length, a division by a non-zero constant, or a
+// nullcheck of a value that came off a safe plane — keeps its
+// instruction (it is the plane witness the consumer re-verifies) but
+// loses its exception edge, shrinking every handler phi and the encoded
+// edge set. (The pass elides no checks itself — CSE does that; DESIGN.md
+// §10 records why the join-merging half is gone.)
 func checkElimPass() Pass {
 	return Pass{Name: "checkelim", Run: func(m *core.Module, f *core.Func, o Options, st *Stats) {
 		st.ExcEdgesPruned += pruneExcEdges(m, f)
-		st.ChecksElided += mergeCheckWitnesses(f)
 	}}
-}
-
-// checkKey identifies equivalent checks: same opcode, same resolved
-// operands, same result plane type.
-type checkKey struct {
-	op     core.Op
-	a0, a1 core.ValueID
-	t      core.TypeID
-}
-
-func keyOf(in *core.Instr, resolve func(core.ValueID) core.ValueID) (checkKey, bool) {
-	switch in.Op {
-	case core.OpNullCheck:
-		return checkKey{op: in.Op, a0: resolve(in.Args[0]), t: in.Type}, true
-	case core.OpIndexCheck:
-		return checkKey{op: in.Op, a0: resolve(in.Args[0]), a1: resolve(in.Args[1]), t: in.Type}, true
-	}
-	return checkKey{}, false
-}
-
-func mergeCheckWitnesses(f *core.Func) int {
-	n := 0
-	repl := make(map[core.ValueID]core.ValueID)
-	resolve := func(v core.ValueID) core.ValueID {
-		for {
-			r, ok := repl[v]
-			if !ok {
-				return v
-			}
-			v = r
-		}
-	}
-	// made records witness phis synthesized per block, so later blocks
-	// can use them as witnesses too.
-	made := make(map[checkKey]map[*core.Block]core.ValueID)
-
-	// scanBlock finds an equivalent live check among the first limit
-	// code instructions of blk (or its synthesized phis), excluding
-	// skip, and returns its current value.
-	scanBlock := func(blk *core.Block, limit int, key checkKey, skip *core.Instr) core.ValueID {
-		if limit > len(blk.Code) {
-			limit = len(blk.Code)
-		}
-		for i := limit - 1; i >= 0; i-- {
-			cand := blk.Code[i]
-			if cand == skip || cand.Op != key.op {
-				continue
-			}
-			if k2, ok := keyOf(cand, resolve); ok && k2 == key {
-				return resolve(cand.ID)
-			}
-		}
-		if m := made[key]; m != nil {
-			if w, ok := m[blk]; ok {
-				return w
-			}
-		}
-		return core.NoValue
-	}
-
-	// witnessOnEdge finds the witness available along one incoming edge:
-	// in the source block before the edge's departure point, or in any
-	// strict dominator of the source block.
-	witnessOnEdge := func(e core.Pred, key checkKey, c *core.Instr, sitePos map[*core.Instr]int) core.ValueID {
-		limit := len(e.From.Code)
-		if e.Site != nil {
-			if p, ok := sitePos[e.Site]; ok {
-				limit = p
-			} else {
-				return core.NoValue
-			}
-		}
-		if w := scanBlock(e.From, limit, key, c); w != core.NoValue {
-			return w
-		}
-		for d := e.From.IDom; d != nil; d = d.IDom {
-			if w := scanBlock(d, len(d.Code), key, c); w != core.NoValue {
-				return w
-			}
-		}
-		return core.NoValue
-	}
-
-	// Exception-edge sources are identified by instruction; index their
-	// code positions once per source block on demand.
-	posCache := make(map[*core.Block]map[*core.Instr]int)
-	positions := func(b *core.Block) map[*core.Instr]int {
-		if p, ok := posCache[b]; ok {
-			return p
-		}
-		p := make(map[*core.Instr]int, len(b.Code))
-		for i, in := range b.Code {
-			p[in] = i
-		}
-		posCache[b] = p
-		return p
-	}
-
-	// Blocks are in dominator pre-order, so witnesses synthesized in a
-	// dominator are visible in made before dominated blocks scan.
-	for _, b := range f.Blocks {
-		if len(b.Preds) == 0 {
-			continue
-		}
-		removed := false
-		var kept []*core.Instr
-		for _, c := range b.Code {
-			key, isCheck := keyOf(c, resolve)
-			if !isCheck {
-				kept = append(kept, c)
-				continue
-			}
-			// Bind of an eventual witness phi must be available at the
-			// phi position (before all code), so for indexchecks the
-			// array value must come from a strict dominator.
-			bind := core.NoValue
-			if c.Op == core.OpIndexCheck {
-				bind = key.a0
-				db := f.DefBlock(bind)
-				if db == nil || db == b || !db.Dominates(b) {
-					kept = append(kept, c)
-					continue
-				}
-			}
-			witnesses := make([]core.ValueID, len(b.Preds))
-			ok := true
-			for i, e := range b.Preds {
-				var w core.ValueID
-				if e.From != b {
-					w = witnessOnEdge(e, key, c, positions(e.From))
-				}
-				if w == core.NoValue && b.Dominates(e.From) {
-					// Back edge: the check itself ran on every path
-					// around the loop; the phi will self-reference.
-					w = c.ID
-				}
-				if w == core.NoValue {
-					ok = false
-					break
-				}
-				witnesses[i] = w
-			}
-			if !ok {
-				kept = append(kept, c)
-				continue
-			}
-			// Removing the check must also remove its exception edge;
-			// if that would leave a handler's phis with no predecessors,
-			// leave the check alone.
-			if h := f.HandlerOf[c]; h != nil && len(h.Preds) == 1 && len(h.Phis) > 0 {
-				kept = append(kept, c)
-				continue
-			}
-			allSame := true
-			for _, w := range witnesses {
-				if w != witnesses[0] {
-					allSame = false
-				}
-			}
-			if db := f.DefBlock(witnesses[0]); allSame && witnesses[0] != c.ID && db != nil && db != b && db.Dominates(b) {
-				repl[c.ID] = witnesses[0]
-			} else {
-				phi := &core.Instr{Op: core.OpPhi, Type: c.Type, Bind: bind, Blk: b}
-				f.Define(phi)
-				phi.Args = make([]core.ValueID, len(witnesses))
-				for i, w := range witnesses {
-					if w == c.ID {
-						w = phi.ID
-					}
-					phi.Args[i] = w
-				}
-				b.Phis = append(b.Phis, phi)
-				if made[key] == nil {
-					made[key] = make(map[*core.Block]core.ValueID)
-				}
-				made[key][b] = phi.ID
-				repl[c.ID] = phi.ID
-			}
-			f.RemoveExcSite(c)
-			delete(posCache, b)
-			removed = true
-			n++
-		}
-		if removed {
-			b.Code = kept
-		}
-	}
-	replaceUses(f, repl)
-	return n
 }
 
 // pruneExcEdges removes the exception edge of every try-covered site

@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"math"
-
 	"safetsa/internal/core"
 	"safetsa/internal/rt"
 )
@@ -90,177 +88,58 @@ func constProp(m *core.Module, f *core.Func) int {
 	return changed
 }
 
-// foldPrim evaluates a non-throwing primitive whose operands are all
-// constants. String-producing primitives are not folded: their results
-// have object identity.
+// foldable is the explicit list of primitives constant propagation
+// folds: the non-trapping int/long/double/boolean/char arithmetic,
+// comparisons and conversions. Everything else stays an instruction —
+// the trapping divisions (OpXPrim), the long/double min/max/abs-long,
+// remainder and transcendental intrinsics the paper's measured
+// configuration never folded, reference equality, and the
+// String-producing primitives, whose results have object identity.
+func foldable(p core.PrimOp) bool {
+	switch p {
+	case core.PIAdd, core.PISub, core.PIMul, core.PINeg, core.PIShl, core.PIShr,
+		core.PIAnd, core.PIOr, core.PIXor, core.PIEq, core.PINe, core.PILt, core.PILe,
+		core.PIGt, core.PIGe, core.PIAbs, core.PIMin, core.PIMax, core.PI2L, core.PI2D, core.PI2C,
+		core.PLAdd, core.PLSub, core.PLMul, core.PLNeg, core.PLShl, core.PLShr,
+		core.PLAnd, core.PLOr, core.PLXor, core.PLEq, core.PLNe, core.PLLt, core.PLLe,
+		core.PLGt, core.PLGe, core.PL2I, core.PL2D,
+		core.PDAdd, core.PDSub, core.PDMul, core.PDDiv, core.PDNeg, core.PDEq, core.PDNe,
+		core.PDLt, core.PDLe, core.PDGt, core.PDGe, core.PDAbs, core.PDSqrt, core.PD2I, core.PD2L,
+		core.PBNot, core.PBAnd, core.PBOr, core.PBXor, core.PBEq, core.PBNe,
+		core.PC2I:
+		return true
+	}
+	return false
+}
+
+// foldPrim evaluates a foldable primitive whose operands are all
+// constants, through the evaluator the engines execute it with
+// (rt.EvalPure): folding is an instance of evaluation, so the producer
+// cannot compute a different answer than the consumer would have.
 func foldPrim(in *core.Instr, consts map[core.ValueID]core.ConstVal) (core.ConstVal, bool) {
-	args := make([]core.ConstVal, len(in.Args))
+	if !foldable(in.Prim) {
+		return core.ConstVal{}, false
+	}
+	var args [2]rt.Value // unary primitives ignore the second
 	for i, a := range in.Args {
 		cv, ok := consts[a]
 		if !ok {
 			return core.ConstVal{}, false
 		}
-		args[i] = cv
+		args[i] = rt.Value{I: cv.I, D: cv.D}
 	}
-	ci := func(v int32) (core.ConstVal, bool) {
-		return core.ConstVal{Kind: core.KInt, I: int64(v)}, true
-	}
-	cl := func(v int64) (core.ConstVal, bool) {
-		return core.ConstVal{Kind: core.KLong, I: v}, true
-	}
-	cd := func(v float64) (core.ConstVal, bool) {
-		return core.ConstVal{Kind: core.KDouble, D: v}, true
-	}
-	cb := func(v bool) (core.ConstVal, bool) {
-		i := int64(0)
-		if v {
-			i = 1
-		}
-		return core.ConstVal{Kind: core.KBool, I: i}, true
-	}
-	cc := func(v uint16) (core.ConstVal, bool) {
-		return core.ConstVal{Kind: core.KChar, I: int64(v)}, true
-	}
-	i32 := func(i int) int32 { return int32(args[i].I) }
-	i64v := func(i int) int64 { return args[i].I }
-	f64 := func(i int) float64 { return args[i].D }
-	bl := func(i int) bool { return args[i].I != 0 }
-
-	switch in.Prim {
-	case core.PIAdd:
-		return ci(i32(0) + i32(1))
-	case core.PISub:
-		return ci(i32(0) - i32(1))
-	case core.PIMul:
-		return ci(i32(0) * i32(1))
-	case core.PINeg:
-		return ci(-i32(0))
-	case core.PIShl:
-		return ci(i32(0) << (uint32(i32(1)) & 31))
-	case core.PIShr:
-		return ci(i32(0) >> (uint32(i32(1)) & 31))
-	case core.PIAnd:
-		return ci(i32(0) & i32(1))
-	case core.PIOr:
-		return ci(i32(0) | i32(1))
-	case core.PIXor:
-		return ci(i32(0) ^ i32(1))
-	case core.PIEq:
-		return cb(i32(0) == i32(1))
-	case core.PINe:
-		return cb(i32(0) != i32(1))
-	case core.PILt:
-		return cb(i32(0) < i32(1))
-	case core.PILe:
-		return cb(i32(0) <= i32(1))
-	case core.PIGt:
-		return cb(i32(0) > i32(1))
-	case core.PIGe:
-		return cb(i32(0) >= i32(1))
-	case core.PIAbs:
-		v := i32(0)
-		if v < 0 {
-			v = -v
-		}
-		return ci(v)
-	case core.PIMin:
-		if i32(0) < i32(1) {
-			return ci(i32(0))
-		}
-		return ci(i32(1))
-	case core.PIMax:
-		if i32(0) > i32(1) {
-			return ci(i32(0))
-		}
-		return ci(i32(1))
-	case core.PI2L:
-		return cl(int64(i32(0)))
-	case core.PI2D:
-		return cd(float64(i32(0)))
-	case core.PI2C:
-		return cc(uint16(i32(0)))
-
-	case core.PLAdd:
-		return cl(i64v(0) + i64v(1))
-	case core.PLSub:
-		return cl(i64v(0) - i64v(1))
-	case core.PLMul:
-		return cl(i64v(0) * i64v(1))
-	case core.PLNeg:
-		return cl(-i64v(0))
-	case core.PLShl:
-		return cl(i64v(0) << (uint32(i32(1)) & 63))
-	case core.PLShr:
-		return cl(i64v(0) >> (uint32(i32(1)) & 63))
-	case core.PLAnd:
-		return cl(i64v(0) & i64v(1))
-	case core.PLOr:
-		return cl(i64v(0) | i64v(1))
-	case core.PLXor:
-		return cl(i64v(0) ^ i64v(1))
-	case core.PLEq:
-		return cb(i64v(0) == i64v(1))
-	case core.PLNe:
-		return cb(i64v(0) != i64v(1))
-	case core.PLLt:
-		return cb(i64v(0) < i64v(1))
-	case core.PLLe:
-		return cb(i64v(0) <= i64v(1))
-	case core.PLGt:
-		return cb(i64v(0) > i64v(1))
-	case core.PLGe:
-		return cb(i64v(0) >= i64v(1))
-	case core.PL2I:
-		return ci(int32(i64v(0)))
-	case core.PL2D:
-		return cd(float64(i64v(0)))
-
-	case core.PDAdd:
-		return cd(f64(0) + f64(1))
-	case core.PDSub:
-		return cd(f64(0) - f64(1))
-	case core.PDMul:
-		return cd(f64(0) * f64(1))
-	case core.PDDiv:
-		return cd(f64(0) / f64(1))
-	case core.PDNeg:
-		return cd(-f64(0))
-	case core.PDEq:
-		return cb(f64(0) == f64(1))
-	case core.PDNe:
-		return cb(f64(0) != f64(1))
-	case core.PDLt:
-		return cb(f64(0) < f64(1))
-	case core.PDLe:
-		return cb(f64(0) <= f64(1))
-	case core.PDGt:
-		return cb(f64(0) > f64(1))
-	case core.PDGe:
-		return cb(f64(0) >= f64(1))
-	case core.PDAbs:
-		return cd(math.Abs(f64(0)))
-	case core.PDSqrt:
-		return cd(math.Sqrt(f64(0)))
-	case core.PD2I:
-		return ci(rt.D2I(f64(0)))
-	case core.PD2L:
-		return cl(rt.D2L(f64(0)))
-
-	case core.PBNot:
-		return cb(!bl(0))
-	case core.PBAnd:
-		return cb(bl(0) && bl(1))
-	case core.PBOr:
-		return cb(bl(0) || bl(1))
-	case core.PBXor:
-		return cb(bl(0) != bl(1))
-	case core.PBEq:
-		return cb(bl(0) == bl(1))
-	case core.PBNe:
-		return cb(bl(0) != bl(1))
-
-	case core.PC2I:
-		return ci(int32(uint16(args[0].I)))
+	v := rt.EvalPure(in.Prim, args[0], args[1])
+	switch in.Prim.Sig().Result {
+	case core.PlInt:
+		return core.ConstVal{Kind: core.KInt, I: v.I}, true
+	case core.PlLong:
+		return core.ConstVal{Kind: core.KLong, I: v.I}, true
+	case core.PlDouble:
+		return core.ConstVal{Kind: core.KDouble, D: v.D}, true
+	case core.PlBool:
+		return core.ConstVal{Kind: core.KBool, I: v.I}, true
+	case core.PlChar:
+		return core.ConstVal{Kind: core.KChar, I: v.I}, true
 	}
 	return core.ConstVal{}, false
 }

@@ -358,34 +358,8 @@ class Main {
 	})
 }
 
-// TestCheckElimination pins the flow-based tier: witness phis at joins
-// and exception-edge pruning by range reasoning.
+// TestCheckElimination pins exception-edge pruning by range reasoning.
 func TestCheckElimination(t *testing.T) {
-	t.Run("diamond-witness-merge", func(t *testing.T) {
-		// a[2] is checked in both arms of the diamond; the check
-		// after the join can reuse a phi of the two witnesses. The
-		// null call at the end pins that eliding checks never elides
-		// the exception.
-		src := `
-class Main {
-    static int f(int[] a, boolean p) {
-        int x = 0;
-        if (p) { x = a[2]; } else { x = a[2] + 1; }
-        return x + a[2];
-    }
-    static void main() {
-        int[] a = new int[5];
-        a[2] = 40;
-        System.out.println(f(a, true));
-        System.out.println(f(a, false));
-        System.out.println(f(null, true));
-    }
-}`
-		_, st := runBoth(t, src)
-		if st.ChecksElided == 0 {
-			t.Error("join-point check not merged into a witness phi")
-		}
-	})
 	t.Run("const-bounds-prunes-exception-edge", func(t *testing.T) {
 		// new int[5] indexed at constants in range: the accesses
 		// provably cannot throw, so handler edges are pruned while the

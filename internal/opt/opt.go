@@ -35,7 +35,7 @@ type Stats struct {
 	// Interprocedural-tier counts (zero unless Options.ModuleLevel).
 	Devirtualized  int // xdispatch sites rewritten to direct xcalls
 	Inlined        int // call sites expanded into the caller
-	ChecksElided   int // checks replaced by witness phis at joins
+	ChecksElided   int // always 0 (no pass sets it); kept for benchmark/layers.go's row
 	ExcEdgesPruned int // exception edges of provably-safe sites removed
 }
 
@@ -72,8 +72,8 @@ type Options struct {
 	// ModuleLevel enables the interprocedural tier on top of the
 	// intraprocedural pipeline: CHA/RTA devirtualization of monomorphic
 	// xdispatch sites, inlining of small non-recursive callees, and
-	// flow-based null/bounds-check elimination, followed by a cleanup
-	// round. Off by default: the paper's measured configuration is
+	// exception-edge pruning of provably safe sites, followed by a
+	// cleanup round. Off by default: the paper's measured configuration is
 	// intraprocedural.
 	ModuleLevel bool
 }
@@ -130,9 +130,9 @@ func Pipeline() []Pass {
 // ModulePipeline returns the interprocedural tier: the intraprocedural
 // pipeline first (smaller callees inline better), then devirtualization
 // (turning dispatch sites into inlinable direct calls), inlining, a
-// cleanup constprop+CSE round over the merged bodies, flow-based check
-// elimination (CSE first, so checkelim only sees the join cases CSE
-// cannot reach), and a final DCE sweep. Every pass is per-function and
+// cleanup constprop+CSE round over the merged bodies, exception-edge
+// pruning (after constprop, which exposes the constants it reasons
+// about), and a final DCE sweep. Every pass is per-function and
 // leaves the module verifier-clean, so oracle.RunPassesVerified can
 // re-check each intermediate state.
 func ModulePipeline() []Pass {

@@ -18,8 +18,8 @@ import (
 // analysis can prove a dispatch monomorphic (and where it must not),
 // dispatch-heavy loops through a common root, recursive callees the
 // inliner must refuse, small throwing callees whose exception edges get
-// stitched into the caller's handlers, and diamonds whose join-point
-// checks merge into witness phis.
+// stitched into the caller's handlers, and a diamond that re-checks one
+// access on both arms and again after the join.
 var moduleSeedSources = map[string]string{
 	"branching_hierarchy": `
 class Shape { int area() { return 0; } int tag() { return 1; } }
