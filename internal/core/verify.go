@@ -12,63 +12,105 @@ type VerifyOptions struct {
 	AllowMem bool
 }
 
-// Verify checks the module's structural invariants: well-formed symbol
-// tables and, for every function, type separation (each operand lives on
-// exactly the plane its opcode implies), referential integrity (every
-// operand's definition structurally dominates its use), phi/edge
-// consistency, and safe-index binding. This is the consumer-side
-// verification of the paper reduced to its essence — everything else is
-// inexpressible in the encoding.
+// Verify checks the module's structural invariants. Admission says each
+// rule once and runs it in one of two schedules: all at once here, or
+// function by function as a unit arrives (wire.DecodeVerifiedStream).
+// Both are "VerifyTables, then Admission.Admit for every function index"
+// — there is no second spelling for the two to disagree about.
+//
+// Per function, Admit checks type separation (each operand lives on
+// exactly the plane Module.Signature implies for its opcode),
+// referential integrity (every operand's definition structurally
+// dominates its use), phi/edge consistency and safe-index binding. For
+// a module the wire decoder produced, the typing half holds by
+// construction — the decoder reads its operands through the same
+// Signature — and only the structural half is an independent check; for
+// ssabuild and opt output, which build instructions by hand, all of it
+// is.
 func (m *Module) Verify(opts VerifyOptions) error {
+	adm, err := m.VerifyTables(len(m.Funcs))
+	if err != nil {
+		return err
+	}
 	var errs []error
-	errs = append(errs, m.verifyTables(true)...)
-	for _, f := range m.Funcs {
-		if err := m.verifyFunc(f, opts); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", f.Name, err))
+	for j, f := range m.Funcs {
+		if err := adm.Admit(j, f, opts); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// VerifyFunc runs the per-function checks of Verify on a single
-// function: type separation, referential integrity, phi/edge
-// consistency, and safe-index binding. The streaming wire decoder
-// admits each function with this the moment it arrives, before the
-// rest of the unit exists.
-func (m *Module) VerifyFunc(f *Func, opts VerifyOptions) error {
-	return m.verifyFunc(f, opts)
+// Admission is a module whose symbol tables passed VerifyTables, ready
+// to admit its function bodies one index at a time.
+type Admission struct {
+	m *Module
+	// want holds what the tables claim about function indices: the
+	// Method a body must carry — the index of the method that names it
+	// as its body, or -1 for a static initializer.
+	want map[int32]int32
 }
 
-// VerifyTables runs only the symbol-table consistency checks — the
-// paper's residual "trivial counter comparisons". The wire decoder runs
-// this as its final admission step so that DecodeModule can never hand
-// out a module with inconsistent linking metadata; the full Verify
-// additionally checks every function body.
-func (m *Module) VerifyTables() error {
-	return errors.Join(m.verifyTables(true)...)
+// Link checks function j against the claims the tables make about index
+// j: a body some method names as its own must name that method back (so
+// no body can be dispatched under another method's signature), and a
+// static initializer has no method and no parameters. A function no
+// table entry points at may name any method; nothing can reach it. This
+// is all the non-verifying decoder runs per function.
+func (a *Admission) Link(j int, f *Func) error {
+	want, claimed := a.want[int32(j)]
+	switch {
+	case !claimed:
+		return nil
+	case want < 0 && (f.Method >= 0 || len(f.Params) != 0):
+		return fmt.Errorf("function %d (%s): static initializer has a signature", j, f.Name)
+	case want >= 0 && f.Method != want:
+		return fmt.Errorf("function %d (%s): body of method %d (%s) names method %d",
+			j, f.Name, want, a.m.Methods[want].Name, f.Method)
+	}
+	return nil
 }
 
-// VerifyTablesStatic runs the symbol-table checks that do not inspect
-// the function list — the half of VerifyTables a streaming consumer can
-// discharge before any function body has arrived. The function-linked
-// residue (method-body backlinks, static-initializer signatures) is
-// enforced incrementally per arriving function and re-checked in full
-// by the final VerifyTables before a streamed unit may be cached.
-func (m *Module) VerifyTablesStatic() error {
-	return errors.Join(m.verifyTables(false)...)
+// Admit is the per-function admission rule: Link, then the body checks.
+// It depends only on the verified tables and on f, which is why a
+// function admitted while the rest of its unit is still in flight is
+// exactly as trustworthy as one admitted by Verify.
+func (a *Admission) Admit(j int, f *Func, opts VerifyOptions) error {
+	if err := a.Link(j, f); err != nil {
+		return err
+	}
+	if err := a.m.verifyFunc(f, opts); err != nil {
+		return fmt.Errorf("function %d (%s): %w", j, f.Name, err)
+	}
+	return nil
 }
 
-// verifyTables checks the linking consistency of the symbol tables: field
-// slots within their class's storage, dispatch tables that agree with the
-// superclass layout, and method/function cross references. These are the
-// "safe linking" conditions of section 4 — the parts of the type table
-// that come from the mobile program must be internally consistent before
-// any instruction is trusted. withFuncs gates the checks that look into
-// m.Funcs, which is still filling during a streaming decode.
-func (m *Module) verifyTables(withFuncs bool) []error {
+// VerifyTables checks the linking consistency of the symbol tables
+// before any function body is looked at: field slots within their
+// class's storage, dispatch tables that agree with the superclass
+// layout, every method with a body or a host implementation, and body
+// and static-initializer indices inside the nFuncs bodies the unit
+// declares, no index claimed for two roles. These are the "safe
+// linking" conditions of section 4 — the paper's residual "trivial
+// counter comparisons" — and the precondition of every per-function
+// rule.
+func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 	var errs []error
 	bad := func(format string, args ...interface{}) {
 		errs = append(errs, fmt.Errorf(format, args...))
+	}
+	want := make(map[int32]int32, len(m.Methods))
+	// claim records that function fi must carry the given Method; it
+	// answers why it cannot, or "".
+	claim := func(fi, method int32) string {
+		if int(fi) >= nFuncs {
+			return "out of range"
+		}
+		if prev, dup := want[fi]; dup && prev != method {
+			return "already claimed for another role"
+		}
+		want[fi] = method
+		return ""
 	}
 
 	defByType := make(map[TypeID]*ClassDef)
@@ -190,13 +232,8 @@ func (m *Module) verifyTables(withFuncs bool) []error {
 		}
 		switch {
 		case mr.FuncIdx >= 0:
-			if !withFuncs {
-				break
-			}
-			if int(mr.FuncIdx) >= len(m.Funcs) {
-				bad("method %d (%s): body index out of range", i, mr.Name)
-			} else if m.Funcs[mr.FuncIdx].Method != int32(i) {
-				bad("method %d (%s): body belongs to another method", i, mr.Name)
+			if why := claim(mr.FuncIdx, int32(i)); why != "" {
+				bad("method %d (%s): body index %d %s", i, mr.Name, mr.FuncIdx, why)
 			}
 		case mr.IsCtor:
 			// Imported constructors: the no-arg Object/Throwable forms
@@ -222,16 +259,17 @@ func (m *Module) verifyTables(withFuncs bool) []error {
 		}
 	}
 	for i, si := range m.StaticInit {
-		if si < 0 || !withFuncs {
+		if si < 0 {
 			continue
 		}
-		if int(si) >= len(m.Funcs) {
-			bad("static initializer %d out of range", i)
-		} else if f := m.Funcs[si]; f.Method >= 0 || len(f.Params) != 0 {
-			bad("static initializer %d has a signature", i)
+		if why := claim(si, -1); why != "" {
+			bad("static initializer %d: function index %d %s", i, si, why)
 		}
 	}
-	return errs
+	if errs != nil {
+		return nil, errors.Join(errs...)
+	}
+	return &Admission{m: m, want: want}, nil
 }
 
 func sameMethodShape(a, b *MethodRef) bool {
@@ -318,26 +356,6 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 		return nil
 	}
 
-	planeOf := func(v ValueID) (PlaneKey, error) {
-		def := f.Value(v)
-		if def == nil {
-			return PlaneKey{}, fmt.Errorf("undefined value v%d", v)
-		}
-		return def.Plane(), nil
-	}
-
-	wantPlane := func(v ValueID, want PlaneKey, what string) error {
-		got, err := planeOf(v)
-		if err != nil {
-			return err
-		}
-		if got != want {
-			return fmt.Errorf("%s: operand v%d on plane %s, want %s",
-				what, v, describePlane(tt, got), describePlane(tt, want))
-		}
-		return nil
-	}
-
 	var errs []error
 	report := func(b *Block, in *Instr, err error) {
 		if err != nil {
@@ -370,8 +388,8 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 					report(b, in, err)
 					continue
 				}
-				if err := wantPlane(a, want, fmt.Sprintf("operand %d", k)); err != nil {
-					report(b, in, err)
+				if err := m.wantPlane(f, a, want); err != nil {
+					report(b, in, fmt.Errorf("operand %d: %w", k, err))
 				}
 			}
 			// Safe-index phis stay on one plane only if the binding
@@ -393,9 +411,7 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 					report(b, in, err)
 				}
 			}
-			if err := m.verifyInstrTyping(f, in, wantPlane, opts); err != nil {
-				report(b, in, err)
-			}
+			report(b, in, m.verifyInstrTyping(f, in, opts))
 		}
 	}
 
@@ -405,37 +421,24 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 		if n == nil {
 			return
 		}
-		check := func(v ValueID, want TypeID, what string) {
-			if v == NoValue {
-				return
+		// A missing condition or thrown value (NoValue) is not a typing
+		// error here: such a node has no wire spelling, so the encoder
+		// refuses it.
+		slot, want, err := m.RefPlane(f, n)
+		switch {
+		case err != nil:
+			errs = append(errs, err)
+		case slot == nil || *slot == NoValue:
+		case n.At == nil:
+			errs = append(errs, fmt.Errorf("%s node without reference block", n.Kind))
+		default:
+			err := available(*slot, n.At, len(n.At.Code)+1)
+			if err == nil {
+				err = m.wantPlane(f, *slot, want)
 			}
-			if n.At == nil {
-				errs = append(errs, fmt.Errorf("%s node without reference block", n.Kind))
-				return
+			if err != nil {
+				errs = append(errs, fmt.Errorf("%s reference: %w", n.Kind, err))
 			}
-			if err := available(v, n.At, len(n.At.Code)+1); err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", what, err))
-				return
-			}
-			if want != NoType {
-				if err := wantPlane(v, PlaneKey{Type: want}, what); err != nil {
-					errs = append(errs, err)
-				}
-			}
-		}
-		switch n.Kind {
-		case CIf, CWhile, CDoWhile:
-			check(n.Cond, tt.Boolean, "condition")
-		case CReturn:
-			if n.Val != NoValue && (f.Result == NoType || f.Result == tt.Void) {
-				errs = append(errs, fmt.Errorf("value returned from a void function"))
-				break
-			}
-			check(n.Val, f.Result, "return value")
-		case CThrow:
-			// The builder normalizes thrown values onto the Throwable
-			// ref plane.
-			check(n.Val, tt.Throwable, "thrown value")
 		}
 		for _, k := range n.Kids {
 			walkCST(k)
@@ -454,273 +457,45 @@ func describePlane(tt *TypeTable, k PlaneKey) string {
 	return s
 }
 
-// verifyInstrTyping checks type separation for one non-phi instruction.
-func (m *Module) verifyInstrTyping(f *Func, in *Instr,
-	wantPlane func(ValueID, PlaneKey, string) error, opts VerifyOptions) error {
-	tt := m.Types
-	plain := func(t TypeID) PlaneKey { return PlaneKey{Type: t} }
-	nargs := func(n int) error {
-		if len(in.Args) != n {
-			return fmt.Errorf("want %d operands, have %d", n, len(in.Args))
-		}
-		return nil
+// wantPlane is type separation for one reference: v must be defined on
+// the plane the rule implies for it.
+func (m *Module) wantPlane(f *Func, v ValueID, want PlaneKey) error {
+	def := f.Value(v)
+	if def == nil {
+		return fmt.Errorf("undefined value v%d", v)
 	}
-	result := func(want TypeID) error {
-		if in.Type != want {
-			return fmt.Errorf("result plane %s, want %s", tt.Describe(in.Type), tt.Describe(want))
-		}
-		return nil
+	if got := def.Plane(); got != want {
+		return fmt.Errorf("v%d on plane %s, want %s",
+			v, describePlane(m.Types, got), describePlane(m.Types, want))
 	}
+	return nil
+}
 
-	switch in.Op {
-	case OpParam:
-		if int(in.Aux) < 0 || int(in.Aux) >= len(f.Params) {
-			return fmt.Errorf("parameter index %d out of range", in.Aux)
-		}
-		return result(f.Params[in.Aux])
-	case OpConst:
-		switch in.Const.Kind {
-		case KInt:
-			return result(tt.Int)
-		case KLong:
-			return result(tt.Long)
-		case KDouble:
-			return result(tt.Double)
-		case KBool:
-			return result(tt.Boolean)
-		case KChar:
-			return result(tt.Char)
-		case KString:
-			return result(tt.String)
-		case KNull:
-			if !tt.IsRefType(in.Type) {
-				return fmt.Errorf("null constant on non-reference plane %s", tt.Describe(in.Type))
-			}
-			return nil
-		}
-		return fmt.Errorf("constant without kind")
-	case OpPrim, OpXPrim:
-		if !in.Prim.Valid() {
-			return fmt.Errorf("unknown primitive")
-		}
-		sig := in.Prim.Sig()
-		if sig.Throws != (in.Op == OpXPrim) {
-			return fmt.Errorf("%s must use %s", sig.Name, map[bool]Op{true: OpXPrim, false: OpPrim}[sig.Throws])
-		}
-		if err := nargs(len(sig.Params)); err != nil {
-			return err
-		}
-		for i, pc := range sig.Params {
-			if err := wantPlane(in.Args[i], plain(PlaneType(tt, pc)), fmt.Sprintf("operand %d", i)); err != nil {
-				return err
-			}
-		}
-		return result(PlaneType(tt, sig.Result))
-	case OpNullCheck:
-		if err := nargs(1); err != nil {
-			return err
-		}
-		if !tt.IsRefType(in.ArgType) {
-			return fmt.Errorf("nullcheck of non-reference type %s", tt.Describe(in.ArgType))
-		}
-		if err := wantPlane(in.Args[0], plain(in.ArgType), "operand"); err != nil {
-			return err
-		}
-		return result(tt.SafeRefOf(in.ArgType))
-	case OpIndexCheck:
-		if err := nargs(2); err != nil {
-			return err
-		}
-		at := tt.Get(in.TypeArg)
-		if at == nil || at.Kind != TArray {
-			return fmt.Errorf("indexcheck of non-array type")
-		}
-		if err := wantPlane(in.Args[0], plain(tt.SafeRefOf(in.TypeArg)), "array"); err != nil {
-			return err
-		}
-		if err := wantPlane(in.Args[1], plain(tt.Int), "index"); err != nil {
-			return err
-		}
-		if in.Bind != in.Args[0] {
-			return fmt.Errorf("safe-index result must bind to the checked array value")
-		}
-		return result(tt.SafeIndexOf(in.TypeArg))
-	case OpUpcast:
-		if err := nargs(1); err != nil {
-			return err
-		}
-		if !tt.IsRefType(in.ArgType) || !tt.IsRefType(in.TypeArg) {
-			return fmt.Errorf("upcast between non-reference types")
-		}
-		if err := wantPlane(in.Args[0], plain(in.ArgType), "operand"); err != nil {
-			return err
-		}
-		return result(in.TypeArg)
-	case OpDowncast:
-		if err := nargs(1); err != nil {
-			return err
-		}
-		src, dst := in.ArgType, in.TypeArg
-		if err := wantPlane(in.Args[0], plain(src), "operand"); err != nil {
-			return err
-		}
-		srcT, dstT := tt.Get(src), tt.Get(dst)
-		if srcT == nil || dstT == nil {
-			return fmt.Errorf("downcast with invalid types")
-		}
-		if dstT.Kind == TSafeRef && srcT.Kind != TSafeRef {
-			return fmt.Errorf("downcast cannot add safety (%s to %s)",
-				tt.Describe(src), tt.Describe(dst))
-		}
-		if !tt.IsSubclass(tt.BaseRef(src), tt.BaseRef(dst)) {
-			return fmt.Errorf("downcast %s to %s is not statically safe",
-				tt.Describe(src), tt.Describe(dst))
-		}
-		return result(dst)
-	case OpGetField, OpSetField:
-		if int(in.Field) < 0 || int(in.Field) >= len(m.Fields) {
-			return fmt.Errorf("field index %d out of range", in.Field)
-		}
-		fr := m.Fields[in.Field]
-		want := 1
-		if fr.Static {
-			want = 0
-		}
-		if in.Op == OpSetField {
-			want++
-		}
-		if err := nargs(want); err != nil {
-			return err
-		}
-		argi := 0
-		if !fr.Static {
-			if err := wantPlane(in.Args[0], plain(tt.SafeRefOf(fr.Owner)), "object"); err != nil {
-				return err
-			}
-			argi = 1
-		}
-		if in.Op == OpSetField {
-			if err := wantPlane(in.Args[argi], plain(fr.Type), "value"); err != nil {
-				return err
-			}
-			return result(tt.Void)
-		}
-		return result(fr.Type)
-	case OpGetElt, OpSetElt:
-		at := tt.Get(in.TypeArg)
-		if at == nil || at.Kind != TArray {
-			return fmt.Errorf("element access on non-array type")
-		}
-		want := 2
-		if in.Op == OpSetElt {
-			want = 3
-		}
-		if err := nargs(want); err != nil {
-			return err
-		}
-		if err := wantPlane(in.Args[0], plain(tt.SafeRefOf(in.TypeArg)), "array"); err != nil {
-			return err
-		}
-		// The index must come from the safe-index plane bound to this
-		// very array value — Appendix A's per-value binding.
-		idxPlane := PlaneKey{Type: tt.SafeIndexOf(in.TypeArg), Bind: in.Args[0]}
-		if err := wantPlane(in.Args[1], idxPlane, "index"); err != nil {
-			return err
-		}
-		if in.Op == OpSetElt {
-			if err := wantPlane(in.Args[2], plain(at.Elem), "value"); err != nil {
-				return err
-			}
-			return result(tt.Void)
-		}
-		return result(at.Elem)
-	case OpArrayLen:
-		if err := nargs(1); err != nil {
-			return err
-		}
-		at := tt.Get(in.TypeArg)
-		if at == nil || at.Kind != TArray {
-			return fmt.Errorf("arraylen of non-array type")
-		}
-		if err := wantPlane(in.Args[0], plain(tt.SafeRefOf(in.TypeArg)), "array"); err != nil {
-			return err
-		}
-		return result(tt.Int)
-	case OpXCall, OpXDispatch:
-		if int(in.Method) < 0 || int(in.Method) >= len(m.Methods) {
-			return fmt.Errorf("method index %d out of range", in.Method)
-		}
-		mr := m.Methods[in.Method]
-		if in.Op == OpXDispatch && mr.VSlot < 0 {
-			return fmt.Errorf("xdispatch of non-virtual method %s", mr.Sig(tt))
-		}
-		want := len(mr.Params)
-		argi := 0
-		if !mr.Static {
-			want++
-			argi = 1
-		}
-		if err := nargs(want); err != nil {
-			return err
-		}
-		if !mr.Static {
-			if err := wantPlane(in.Args[0], plain(tt.SafeRefOf(mr.Owner)), "receiver"); err != nil {
-				return err
-			}
-		}
-		for i, pt := range mr.Params {
-			if err := wantPlane(in.Args[argi+i], plain(pt), fmt.Sprintf("argument %d", i)); err != nil {
-				return err
-			}
-		}
-		if mr.Result == NoType || mr.Result == tt.Void {
-			return result(tt.Void)
-		}
-		return result(mr.Result)
-	case OpNew:
-		if err := nargs(0); err != nil {
-			return err
-		}
-		ct := tt.Get(in.TypeArg)
-		if ct == nil || ct.Kind != TClass {
-			return fmt.Errorf("new of non-class type")
-		}
-		return result(tt.SafeRefOf(in.TypeArg))
-	case OpNewArray:
-		if err := nargs(1); err != nil {
-			return err
-		}
-		at := tt.Get(in.TypeArg)
-		if at == nil || at.Kind != TArray {
-			return fmt.Errorf("newarray of non-array type")
-		}
-		if err := wantPlane(in.Args[0], plain(tt.Int), "length"); err != nil {
-			return err
-		}
-		return result(tt.SafeRefOf(in.TypeArg))
-	case OpInstanceOf:
-		if err := nargs(1); err != nil {
-			return err
-		}
-		if !tt.IsRefType(in.ArgType) || !tt.IsRefType(in.TypeArg) {
-			return fmt.Errorf("instanceof between non-reference types")
-		}
-		if err := wantPlane(in.Args[0], plain(in.ArgType), "operand"); err != nil {
-			return err
-		}
-		return result(tt.Boolean)
-	case OpCatch:
-		if err := nargs(0); err != nil {
-			return err
-		}
-		return result(tt.Throwable)
-	case OpMem0:
-		if !opts.AllowMem {
-			return fmt.Errorf("memory-state value outside optimization")
-		}
-		return result(tt.Mem)
-	case OpPhi:
-		return fmt.Errorf("phi outside the phi section")
+// verifyInstrTyping checks type separation for one code-section
+// instruction against the signature its opcode implies: arity, each
+// operand's plane, the result plane, and indexcheck's binding.
+func (m *Module) verifyInstrTyping(f *Func, in *Instr, opts VerifyOptions) error {
+	tt := m.Types
+	sig, err := m.Signature(f, in)
+	if in.Op == OpMem0 && opts.AllowMem {
+		sig, err = Signature{Result: tt.Mem}, nil
 	}
-	return fmt.Errorf("unknown opcode %d", in.Op)
+	if err != nil {
+		return err
+	}
+	if n := sig.NumOperands(); len(in.Args) != n {
+		return fmt.Errorf("want %d operands, have %d", n, len(in.Args))
+	}
+	for i, a := range in.Args {
+		if err := m.wantPlane(f, a, sig.Operand(i, in.Args[0])); err != nil {
+			return fmt.Errorf("operand %d: %w", i, err)
+		}
+	}
+	if in.Type != sig.Result {
+		return fmt.Errorf("result plane %s, want %s", tt.Describe(in.Type), tt.Describe(sig.Result))
+	}
+	if sig.BindResult && in.Bind != in.Args[0] {
+		return fmt.Errorf("safe-index result must bind to the checked array value")
+	}
+	return nil
 }

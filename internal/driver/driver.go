@@ -159,11 +159,25 @@ func CompileBytecode(prog *sema.Program) (*bytecode.Program, error) {
 	return bytecode.Compile(prog)
 }
 
+// maxAlloc is the allocation budget of every guest this package runs, in
+// rt.Env's abstract units (field slots, array elements, string bytes).
+// The step budget alone does not bound memory: a loop that doubles a
+// string reaches gigabytes in a few dozen steps. It is a constant, not a
+// knob: the budget the repository benchmark runs its guests under, four
+// orders of magnitude above what any corpus program allocates.
+const maxAlloc = 64 << 20
+
+// newEnv is the one place the package builds a guest environment, so no
+// entry point can forget a budget.
+func newEnv(ctx context.Context, out *bytes.Buffer, maxSteps int64) *rt.Env {
+	return &rt.Env{Out: out, MaxSteps: maxSteps, MaxAlloc: maxAlloc, Interrupt: ctx.Done()}
+}
+
 // RunBytecode links and executes a bytecode program's main, returning its
 // printed output.
 func RunBytecode(p *bytecode.Program, maxSteps int64) (string, error) {
 	var out bytes.Buffer
-	env := &rt.Env{Out: &out, MaxSteps: maxSteps}
+	env := newEnv(context.Background(), &out, maxSteps)
 	vm, err := bytecode.NewVM(p, env)
 	if err != nil {
 		return out.String(), err
@@ -183,7 +197,8 @@ const (
 )
 
 // RunModule loads and executes a module's main method, returning its
-// printed output. maxSteps bounds execution (0 = unlimited).
+// printed output. maxSteps bounds execution (0 = unlimited); allocation
+// is always bounded by maxAlloc.
 func RunModule(mod *core.Module, maxSteps int64) (string, error) {
 	return RunModuleContext(context.Background(), mod, maxSteps)
 }
@@ -194,7 +209,7 @@ func RunModule(mod *core.Module, maxSteps int64) (string, error) {
 // failures are tagged KindRuntime.
 func RunModuleContext(ctx context.Context, mod *core.Module, maxSteps int64) (string, error) {
 	var out bytes.Buffer
-	env := &rt.Env{Out: &out, MaxSteps: maxSteps, Interrupt: ctx.Done()}
+	env := newEnv(ctx, &out, maxSteps)
 	l, err := interp.Load(mod, env)
 	if err != nil {
 		return out.String(), wrapKind(KindVerify, err)
@@ -226,7 +241,7 @@ func RunModuleCompiledContext(ctx context.Context, mod *core.Module, maxSteps in
 		return "", wrapKind(KindVerify, err)
 	}
 	var out bytes.Buffer
-	env := &rt.Env{Out: &out, MaxSteps: maxSteps, Interrupt: ctx.Done()}
+	env := newEnv(ctx, &out, maxSteps)
 	l, err := interp.LoadTrustedCompiled(mod, comp, env)
 	if err != nil {
 		return out.String(), wrapKind(KindVerify, err)

@@ -1,8 +1,13 @@
 package driver
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"safetsa/internal/bytecode"
+	"safetsa/internal/rt"
 )
 
 func run(t *testing.T, src string) string {
@@ -264,5 +269,47 @@ class Main {
 }`)
 	if out != "18\n" {
 		t.Fatalf("got %q", out)
+	}
+}
+
+// TestAllocationBombDiesOnTheBudget: every way this package runs a guest
+// carries an allocation budget, so a loop that doubles a string a couple
+// of dozen times — nowhere near any step budget — ends with
+// rt.ErrAllocLimit instead of the 128 MB string it was after. The loop
+// is bounded so that a run without the budget completes (and fails the
+// test) rather than taking the host down.
+func TestAllocationBombDiesOnTheBudget(t *testing.T) {
+	files := map[string]string{"Main.tj": `
+class Main {
+    static void main() {
+        String s = "xxxxxxxxxxxxxxxx";
+        for (int i = 0; i < 23; i++) {
+            s = s + s;
+        }
+        System.out.println(s.length());
+    }
+}`}
+	prog, err := Frontend(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := CompileTSA(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := bytecode.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() (string, error){
+		"RunModule": func() (string, error) { return RunModule(mod, 1_000_000) },
+		"RunModuleEngine compiled": func() (string, error) {
+			return RunModuleEngine(context.Background(), mod, 1_000_000, EngineCompiled)
+		},
+		"RunBytecode": func() (string, error) { return RunBytecode(bc, 1_000_000) },
+	} {
+		if out, err := run(); !errors.Is(err, rt.ErrAllocLimit) {
+			t.Errorf("%s: allocation bomb ended with %v (output %q), want rt.ErrAllocLimit", name, err, out)
+		}
 	}
 }

@@ -69,6 +69,18 @@ func (b Budgets) newEnv(out *bytes.Buffer) *rt.Env {
 // wire form, and executing that module under the budgets must terminate
 // without panicking the host. Guest-level failures (uncaught exceptions,
 // budget exhaustion) are legal outcomes.
+//
+// "Decodes ⇒ the verifier accepts" has two halves. The typing half —
+// arity, operand planes, result plane, every opcode side condition, the
+// CST reference planes, the link rule — holds by construction: the
+// decoder reads each instruction through the same core.Module.Signature
+// and links each function through the same core.Admission the verifier
+// checks with, so the Verify call below cannot fail there. The
+// structural half — every operand's definition dominates its use, phi
+// arity matches the incoming edges, phi operands are available on their
+// edge, CST references are available at their block — is enforced in
+// the decoder by its (l, r) alphabets and in Verify by separate code;
+// for that half this is still an independent check.
 func CheckWire(data []byte, b Budgets) error {
 	mod, err := wire.DecodeModule(data)
 	if err != nil {

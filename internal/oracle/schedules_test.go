@@ -1,0 +1,225 @@
+package oracle_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"safetsa/internal/core"
+	"safetsa/internal/corpus"
+	"safetsa/internal/driver"
+	"safetsa/internal/oracle"
+	"safetsa/internal/wire"
+)
+
+// scheduleCuts are the truncation points that matter to a streaming
+// consumer: the very start, every function boundary, and one byte past
+// each boundary, which lands inside the next function's first varint.
+func scheduleCuts(t *testing.T, data []byte, o wire.DecodeOptions) []int {
+	t.Helper()
+	su, err := wire.DecodeVerifiedStream(bytes.NewReader(data), o)
+	if err == nil {
+		err = su.Wait()
+	}
+	if err != nil {
+		t.Fatalf("clean stream rejected: %v", err)
+	}
+	cuts := []int{0, 1, 3}
+	for _, b := range su.Boundaries() {
+		for _, c := range []int64{b, b + 1} {
+			if c > 3 && c < int64(len(data)) {
+				cuts = append(cuts, int(c))
+			}
+		}
+	}
+	return cuts
+}
+
+// TestSchedulesCannotDisagreeCorpus sweeps oracle.CheckStreamingWire over
+// the paper corpus at every wire spelling (v1, v2, v2 with a trained
+// dictionary): the clean stream, a cut at every function boundary and
+// mid-varint around it, and a byte-flip stride. One-shot and streaming
+// admission must return the same verdict and the same rule error each
+// time, and a rejected stream may have opened its gate only for the
+// functions before the rejected one.
+func TestSchedulesCannotDisagreeCorpus(t *testing.T) {
+	units := corpus.Units()
+	mods := make([]*core.Module, len(units))
+	for i, u := range units {
+		mod, err := driver.CompileTSASource(u.Files)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		mods[i] = mod
+	}
+	dict := wire.TrainDictionary(mods)
+	if dict == nil {
+		t.Fatal("the corpus trains no dictionary")
+	}
+	for i, u := range units {
+		mod := mods[i]
+		t.Run(u.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, sp := range []struct {
+				label string
+				data  []byte
+				opts  wire.DecodeOptions
+			}{
+				{"v1", wire.EncodeModule(mod), wire.DecodeOptions{}},
+				{"v2", wire.EncodeModuleV2(mod, nil), wire.DecodeOptions{}},
+				{"v2+dict", wire.EncodeModuleV2(mod, dict), wire.DecodeOptions{Dict: dict}},
+			} {
+				check := func(what string, data []byte) {
+					if err := oracle.CheckStreamingWireOpts(data, sp.opts, fuzzBudgets); err != nil {
+						t.Fatalf("%s %s: %v", sp.label, what, err)
+					}
+				}
+				check("clean", sp.data)
+				for _, cut := range scheduleCuts(t, sp.data, sp.opts) {
+					check("cut at "+strconv.Itoa(cut), sp.data[:cut])
+				}
+				stride := len(sp.data)/16 + 1
+				if testing.Short() {
+					stride *= 4
+				}
+				for at := 0; at < len(sp.data); at += stride {
+					mut := bytes.Clone(sp.data)
+					mut[at] ^= 0x40
+					check("flip at "+strconv.Itoa(at), mut)
+				}
+			}
+		})
+	}
+}
+
+// checkedInSeeds reads every seed file of a fuzz target's testdata
+// directory (the `go test fuzz v1` format with one []byte argument).
+func checkedInSeeds(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make(map[string][]byte)
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitN(strings.TrimSpace(string(raw)), "\n", 2)
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-argument []byte seed file", e.Name())
+		}
+		s, err := strconv.Unquote(lines[1][len("[]byte(") : len(lines[1])-1])
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		seeds[e.Name()] = []byte(s)
+	}
+	if len(seeds) == 0 {
+		t.Fatalf("%s holds no seeds", dir)
+	}
+	return seeds
+}
+
+// TestSchedulesCannotDisagreeSeeds holds the same property over every
+// checked-in FuzzWireDecode and FuzzAdaptiveWire seed — past crashers
+// included, among them the orphan-body unit on which the two
+// hand-written copies of the link rule once disagreed — clean, truncated
+// at every prefix that is cheap to try, and under a byte-flip sweep.
+func TestSchedulesCannotDisagreeSeeds(t *testing.T) {
+	for _, dir := range []string{
+		filepath.Join("..", "wire", "testdata", "fuzz", "FuzzWireDecode"),
+		filepath.Join("testdata", "fuzz", "FuzzAdaptiveWire"),
+	} {
+		for name, data := range checkedInSeeds(t, dir) {
+			t.Run(filepath.Base(dir)+"/"+name, func(t *testing.T) {
+				check := func(what string, data []byte) {
+					if err := oracle.CheckStreamingWire(data, fuzzBudgets); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+				}
+				check("clean", data)
+				for cut := 0; cut < len(data); cut += len(data)/64 + 1 {
+					check("cut at "+strconv.Itoa(cut), data[:cut])
+				}
+				for at := 0; at < len(data); at += 7 {
+					mut := bytes.Clone(data)
+					mut[at] ^= 0x40
+					check("flip at "+strconv.Itoa(at), mut)
+				}
+			})
+		}
+	}
+}
+
+// TestStreamGateStaysShutOnLinkFailure drives the one rejection the
+// encoder will spell — a body whose method back-link is wrong — through
+// every schedule: the non-verifying decoder, the one-shot verifying
+// decoder and the stream all refuse it with the same rule text, as a
+// wire.ErrMalformed, and the stream's gate opens for the functions
+// before the bad one and never for it.
+func TestStreamGateStaysShutOnLinkFailure(t *testing.T) {
+	mod, err := driver.CompileTSASource(map[string]string{"Main.tj": `
+class Main {
+    static int twice(int x) { return x + x; }
+    static int square(int x) { return x * x; }
+    static void main() { System.out.println(twice(3) + square(4)); }
+}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mislink the last of the two same-shaped bodies: it still decodes
+	// under the other's signature, so only the link rule can object.
+	method := func(name string) int32 {
+		for i := range mod.Methods {
+			if mod.Methods[i].Name == name && mod.Methods[i].FuncIdx >= 0 {
+				return int32(i)
+			}
+		}
+		t.Fatalf("no method %s with a body", name)
+		return -1
+	}
+	claimed, other := method("twice"), method("square")
+	if mod.Methods[claimed].FuncIdx < mod.Methods[other].FuncIdx {
+		claimed, other = other, claimed
+	}
+	bad := int(mod.Methods[claimed].FuncIdx)
+	if bad < 1 {
+		t.Fatal("the mislinked body must not be the first function")
+	}
+	mod.Funcs[bad].Method = other
+	want := "body of method " + strconv.Itoa(int(claimed))
+
+	for label, data := range map[string][]byte{"v1": wire.EncodeModule(mod), "v2": wire.EncodeModuleV2(mod, nil)} {
+		if err := oracle.CheckStreamingWire(data, fuzzBudgets); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		_, linkErr := wire.DecodeModule(data)
+		_, fullErr := wire.DecodeVerified(data)
+		su, err := wire.DecodeVerifiedStream(bytes.NewReader(data), wire.DecodeOptions{})
+		if err != nil {
+			t.Fatalf("%s: tables rejected: %v", label, err)
+		}
+		streamErr := su.Wait()
+		for schedule, err := range map[string]error{"DecodeModule": linkErr, "DecodeVerified": fullErr, "stream": streamErr} {
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), wire.ErrMalformed.Error()) {
+				t.Errorf("%s %s: got %v, want a malformed-stream error naming the link rule (%q)", label, schedule, err, want)
+			}
+		}
+		if linkErr != nil && fullErr != nil && streamErr != nil &&
+			(linkErr.Error() != fullErr.Error() || fullErr.Error() != streamErr.Error()) {
+			t.Errorf("%s: schedules word the rejection differently:\n%v\n%v\n%v", label, linkErr, fullErr, streamErr)
+		}
+		if err := su.WaitFunc(bad - 1); err != nil {
+			t.Errorf("%s: function %d, before the bad one, was not admitted: %v", label, bad-1, err)
+		}
+		if err := su.WaitFunc(bad); err == nil {
+			t.Errorf("%s: WaitFunc(%d) opened the gate for the mislinked body", label, bad)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"safetsa/internal/core"
@@ -36,32 +37,81 @@ func CheckCanonicalWireV2(mod *core.Module, dict *wire.Dictionary) error {
 	return nil
 }
 
-// CheckStreamingWire holds the streaming decoder to the non-streaming
-// decoder over arbitrary bytes: both must agree on admissibility (a
-// unit the full decode+verify path accepts must stream-admit, and one
-// it rejects must stream-reject — at any point, with nothing admitted),
-// and on acceptance the streamed module must be structurally identical
-// to the fully decoded one and executable under the budgets without
-// crashing the host.
+// CheckStreamingWire holds the two schedules of admission to each other
+// over arbitrary bytes. One-shot (wire.DecodeVerified) and streaming
+// (wire.DecodeVerifiedStream) run the same rule in the same order, so
+// they must agree on the verdict and, on rejection, on the reason — the
+// same error text for the first rejected function — and every rejection
+// is a wire.ErrMalformed or a wire.ErrUnsupportedVersion. A rejected
+// stream must have published exactly the functions before the rejected
+// one: WaitFunc answers nil for those, each of which the rule admits
+// when asked again, and the stream's error from there on. On acceptance
+// the streamed module must be structurally identical to the fully
+// decoded one, pass Module.Verify (the same rule, run all at once), and
+// execute under the budgets without crashing the host.
 func CheckStreamingWire(data []byte, b Budgets) error {
-	full, fullErr := wire.DecodeVerified(data)
-	var streamed *core.Module
-	su, streamErr := wire.DecodeVerifiedStream(bytes.NewReader(data), wire.DecodeOptions{})
+	return CheckStreamingWireOpts(data, wire.DecodeOptions{}, b)
+}
+
+// CheckStreamingWireOpts is CheckStreamingWire for a stream that needs
+// negotiation state (a shared dictionary).
+func CheckStreamingWireOpts(data []byte, o wire.DecodeOptions, b Budgets) error {
+	full, fullErr := wire.DecodeVerifiedOpts(data, o)
+	su, streamErr := wire.DecodeVerifiedStream(bytes.NewReader(data), o)
 	if streamErr == nil {
 		streamErr = su.Wait()
-		streamed = su.Mod
 	}
 	if (fullErr == nil) != (streamErr == nil) {
 		return fmt.Errorf("oracle: streaming and full decode disagree on admissibility:\nfull:   %v\nstream: %v",
 			fullErr, streamErr)
 	}
 	if fullErr != nil {
-		return nil // both rejected cleanly: the specified behavior
+		if fullErr.Error() != streamErr.Error() {
+			return fmt.Errorf("oracle: streaming and full decode reject for different reasons:\nfull:   %v\nstream: %v",
+				fullErr, streamErr)
+		}
+		if !errors.Is(fullErr, wire.ErrMalformed) && !errors.Is(fullErr, wire.ErrUnsupportedVersion) {
+			return fmt.Errorf("oracle: rejection is neither ErrMalformed nor ErrUnsupportedVersion: %v", fullErr)
+		}
+		if su != nil {
+			return checkRejectedPrefix(su)
+		}
+		return nil // both rejected the header or the tables
 	}
-	if full.Dump() != streamed.Dump() {
+	if full.Dump() != su.Mod.Dump() {
 		return fmt.Errorf("oracle: streamed module differs structurally from the full decode")
 	}
-	_, _ = runBounded(streamed, b)
+	if err := su.Mod.Verify(core.VerifyOptions{}); err != nil {
+		return fmt.Errorf("oracle: streamed module rejected by verifier: %w", err)
+	}
+	_, _ = runBounded(su.Mod, b)
+	return nil
+}
+
+// checkRejectedPrefix inspects a stream that failed after its tables were
+// admitted: the gate opened for a prefix of the functions and for
+// nothing else, and the rule stands behind every function it opened for.
+func checkRejectedPrefix(su *wire.StreamingUnit) error {
+	adm, err := su.Mod.VerifyTables(su.NumFuncs())
+	if err != nil {
+		return fmt.Errorf("oracle: stream started on tables the static check rejects: %w", err)
+	}
+	ready, n := su.Ready(), su.NumFuncs()
+	for j := 0; j < ready; j++ {
+		if err := su.WaitFunc(j); err != nil {
+			return fmt.Errorf("oracle: admitted function %d is no longer available: %v", j, err)
+		}
+		if err := adm.Admit(j, su.Mod.Funcs[j], core.VerifyOptions{}); err != nil {
+			return fmt.Errorf("oracle: stream published a function the rule rejects: %w", err)
+		}
+	}
+	// The rejected function and the last one (a hostile header may
+	// declare millions; the ones between are gated by the same counter).
+	for _, j := range []int{ready, n - 1} {
+		if j >= ready && j < n && su.WaitFunc(j) == nil {
+			return fmt.Errorf("oracle: WaitFunc(%d) opened the gate at or past the rejected function %d", j, ready)
+		}
+	}
 	return nil
 }
 

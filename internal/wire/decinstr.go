@@ -106,7 +106,7 @@ func (fd *funcDecoder) decodeBlock(b *core.Block) error {
 	base := len(b.Code) // parameter pre-loads already in place for entry
 	for i := 0; i < nCode; i++ {
 		p := base + i + 1
-		in, err := fd.decodeInstr(b, p)
+		in, err := fd.decodeInstr(b)
 		if err != nil {
 			return err
 		}
@@ -186,20 +186,15 @@ func (fd *funcDecoder) decodeCSTRefs(n *core.CSTNode) error {
 	if n == nil {
 		return nil
 	}
-	tt := fd.d.m.Types
-	var err error
-	switch n.Kind {
-	case core.CIf, core.CWhile, core.CDoWhile:
-		n.Cond, err = fd.decodeRef(n.At, core.PlaneKey{Type: tt.Boolean})
-	case core.CReturn:
-		if n.Val != core.NoValue { // placeholder set during phase 1
-			n.Val, err = fd.decodeRef(n.At, core.PlaneKey{Type: fd.f.Result})
-		}
-	case core.CThrow:
-		n.Val, err = fd.decodeRef(n.At, core.PlaneKey{Type: tt.Throwable})
-	}
+	// A return's Val is a placeholder from phase 1 when it carries one.
+	slot, plane, err := fd.d.m.RefPlane(fd.f, n)
 	if err != nil {
-		return err
+		return malformedf("%v", err)
+	}
+	if slot != nil {
+		if *slot, err = fd.decodeRef(n.At, plane); err != nil {
+			return err
+		}
 	}
 	for _, k := range n.Kids {
 		if err := fd.decodeCSTRefs(k); err != nil {
@@ -209,12 +204,15 @@ func (fd *funcDecoder) decodeCSTRefs(n *core.CSTNode) error {
 	return nil
 }
 
-// decodeInstr mirrors encoder.encodeInstr; every operand is read against
-// the plane the opcode and type arguments imply.
-func (fd *funcDecoder) decodeInstr(b *core.Block, p int) (*core.Instr, error) {
+// decodeInstr mirrors encoder.encodeInstr: opcode, the opcode's
+// immediates, then one reference per operand plane of the instruction's
+// core.Signature, whose result plane the instruction takes. Operands and
+// result are never free to disagree with the rule the verifier checks —
+// they are read through it — and a stream whose immediates break one of
+// its side conditions is malformed.
+func (fd *funcDecoder) decodeInstr(b *core.Block) (*core.Instr, error) {
 	d := fd.d
 	r := d.r
-	tt := d.m.Types
 	r.setProd(prodOp)
 	opv, err := r.symbol(core.NumOps)
 	if err != nil {
@@ -224,263 +222,89 @@ func (fd *funcDecoder) decodeInstr(b *core.Block, p int) (*core.Instr, error) {
 	// mirroring encodeInstr.
 	r.setProd(opv)
 	in := &core.Instr{Op: core.Op(opv)}
-	ref := func(plane core.PlaneKey) error {
-		v, err := fd.decodeRef(b, plane)
-		if err != nil {
-			return err
-		}
-		in.Args = append(in.Args, v)
-		return nil
+	if err := d.decodeImmediates(in); err != nil {
+		return nil, err
 	}
-	plainRef := func(t core.TypeID) error { return ref(core.PlaneKey{Type: t}) }
-
-	switch in.Op {
-	case core.OpParam:
-		aux, err := d.count("parameter index")
-		if err != nil {
-			return nil, err
-		}
-		if aux >= len(fd.f.Params) {
-			return nil, malformedf("parameter %d out of range", aux)
-		}
-		in.Aux = int32(aux)
-		in.Type = fd.f.Params[aux]
-	case core.OpConst:
-		kv, err := r.symbol(7)
-		if err != nil {
-			return nil, err
-		}
-		in.Const.Kind = core.ConstKind(kv + 1)
-		switch in.Const.Kind {
-		case core.KInt, core.KChar:
-			if in.Const.I, err = r.svarint(); err != nil {
-				return nil, err
-			}
-			if in.Const.Kind == core.KInt {
-				in.Const.I = int64(int32(in.Const.I))
-				in.Type = tt.Int
-			} else {
-				in.Const.I = int64(uint16(in.Const.I))
-				in.Type = tt.Char
-			}
-		case core.KLong:
-			if in.Const.I, err = r.svarint(); err != nil {
-				return nil, err
-			}
-			in.Type = tt.Long
-		case core.KBool:
-			if in.Const.I, err = r.svarint(); err != nil {
-				return nil, err
-			}
-			in.Const.I &= 1
-			in.Type = tt.Boolean
-		case core.KDouble:
-			if in.Const.D, err = r.float64bits(); err != nil {
-				return nil, err
-			}
-			in.Type = tt.Double
-		case core.KString:
-			if in.Const.S, err = r.str(); err != nil {
-				return nil, err
-			}
-			in.Type = tt.String
-		case core.KNull:
-			t, err := d.refTypeRef()
-			if err != nil {
-				return nil, err
-			}
-			in.Type = t
-		}
-	case core.OpPrim, core.OpXPrim:
-		pv, err := r.symbol(core.NumPrimOps)
-		if err != nil {
-			return nil, err
-		}
-		in.Prim = core.PrimOp(pv)
-		if !in.Prim.Valid() {
-			return nil, malformedf("unknown primitive %d", pv)
-		}
-		sig := in.Prim.Sig()
-		if sig.Throws != (in.Op == core.OpXPrim) {
-			return nil, malformedf("%s used with the wrong primitive instruction", sig.Name)
-		}
-		for _, pc := range sig.Params {
-			if err := plainRef(core.PlaneType(tt, pc)); err != nil {
+	sig, err := d.m.Signature(fd.f, in)
+	if err != nil {
+		return nil, malformedf("%s: %v", in.Op, err)
+	}
+	if n := sig.NumOperands(); n > 0 {
+		in.Args = make([]core.ValueID, n)
+		for i := range in.Args {
+			if in.Args[i], err = fd.decodeRef(b, sig.Operand(i, in.Args[0])); err != nil {
 				return nil, err
 			}
 		}
-		in.Type = core.PlaneType(tt, sig.Result)
-	case core.OpNullCheck:
-		t, err := d.refTypeRef()
-		if err != nil {
-			return nil, err
-		}
-		in.ArgType = t
-		if err := plainRef(t); err != nil {
-			return nil, err
-		}
-		in.Type = tt.SafeRefOf(t)
-	case core.OpIndexCheck:
-		t, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		if tt.MustGet(t).Kind != core.TArray {
-			return nil, malformedf("indexcheck of a non-array type")
-		}
-		in.TypeArg = t
-		if err := plainRef(tt.SafeRefOf(t)); err != nil {
-			return nil, err
-		}
-		if err := plainRef(tt.Int); err != nil {
-			return nil, err
-		}
+	}
+	in.Type = sig.Result
+	if sig.BindResult {
 		in.Bind = in.Args[0]
-		in.Type = tt.SafeIndexOf(t)
-	case core.OpUpcast, core.OpDowncast, core.OpInstanceOf:
-		at, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		ta, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		in.ArgType, in.TypeArg = at, ta
-		argt := tt.MustGet(at)
-		switch in.Op {
-		case core.OpUpcast, core.OpInstanceOf:
-			if !tt.IsRefType(at) || !tt.IsRefType(ta) {
-				return nil, malformedf("%s between non-reference types", in.Op)
-			}
-		case core.OpDowncast:
-			dstt := tt.MustGet(ta)
-			if dstt.Kind == core.TSafeRef && argt.Kind != core.TSafeRef {
-				return nil, malformedf("downcast cannot add safety")
-			}
-			if !tt.IsSubclass(tt.BaseRef(at), tt.BaseRef(ta)) {
-				return nil, malformedf("downcast is not statically safe")
-			}
-		}
-		if err := plainRef(at); err != nil {
-			return nil, err
-		}
-		if in.Op == core.OpInstanceOf {
-			in.Type = tt.Boolean
-		} else {
-			in.Type = ta
-		}
-	case core.OpGetField, core.OpSetField:
-		fi, err := r.symbol(len(d.m.Fields))
-		if err != nil {
-			return nil, err
-		}
-		in.Field = int32(fi)
-		fr := d.m.Fields[fi]
-		if !fr.Static {
-			if err := plainRef(tt.SafeRefOf(fr.Owner)); err != nil {
-				return nil, err
-			}
-		}
-		if in.Op == core.OpSetField {
-			if err := plainRef(fr.Type); err != nil {
-				return nil, err
-			}
-			in.Type = tt.Void
-		} else {
-			in.Type = fr.Type
-		}
-	case core.OpGetElt, core.OpSetElt:
-		t, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		at := tt.MustGet(t)
-		if at.Kind != core.TArray {
-			return nil, malformedf("element access on a non-array type")
-		}
-		in.TypeArg = t
-		if err := plainRef(tt.SafeRefOf(t)); err != nil {
-			return nil, err
-		}
-		// The index plane is bound to the array value decoded above —
-		// only indices checked against this very array are expressible.
-		if err := ref(core.PlaneKey{Type: tt.SafeIndexOf(t), Bind: in.Args[0]}); err != nil {
-			return nil, err
-		}
-		if in.Op == core.OpSetElt {
-			if err := plainRef(at.Elem); err != nil {
-				return nil, err
-			}
-			in.Type = tt.Void
-		} else {
-			in.Type = at.Elem
-		}
-	case core.OpArrayLen:
-		t, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		if tt.MustGet(t).Kind != core.TArray {
-			return nil, malformedf("arraylen of a non-array type")
-		}
-		in.TypeArg = t
-		if err := plainRef(tt.SafeRefOf(t)); err != nil {
-			return nil, err
-		}
-		in.Type = tt.Int
-	case core.OpXCall, core.OpXDispatch:
-		mi, err := r.symbol(len(d.m.Methods))
-		if err != nil {
-			return nil, err
-		}
-		in.Method = int32(mi)
-		mr := d.m.Methods[mi]
-		if in.Op == core.OpXDispatch && mr.VSlot < 0 {
-			return nil, malformedf("xdispatch of a non-virtual method")
-		}
-		if !mr.Static {
-			if err := plainRef(tt.SafeRefOf(mr.Owner)); err != nil {
-				return nil, err
-			}
-		}
-		for _, pt := range mr.Params {
-			if err := plainRef(pt); err != nil {
-				return nil, err
-			}
-		}
-		if mr.Result == tt.Void {
-			in.Type = tt.Void
-		} else {
-			in.Type = mr.Result
-		}
-	case core.OpNew:
-		t, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		if tt.MustGet(t).Kind != core.TClass {
-			return nil, malformedf("new of a non-class type")
-		}
-		in.TypeArg = t
-		in.Type = tt.SafeRefOf(t)
-	case core.OpNewArray:
-		t, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		if tt.MustGet(t).Kind != core.TArray {
-			return nil, malformedf("newarray of a non-array type")
-		}
-		in.TypeArg = t
-		if err := plainRef(tt.Int); err != nil {
-			return nil, err
-		}
-		in.Type = tt.SafeRefOf(t)
-	case core.OpCatch:
-		in.Type = tt.Throwable
-	default:
-		return nil, malformedf("opcode %d is not valid in a code section", opv)
 	}
 	return in, nil
+}
+
+// decodeImmediates reads what an opcode carries besides its operands.
+// Every value is drawn from the alphabet of its table, so it is in
+// range; whether it is of the right kind is core.Signature's question.
+func (d *decoder) decodeImmediates(in *core.Instr) (err error) {
+	r := d.r
+	var v int
+	switch in.Op {
+	case core.OpParam:
+		v, err = d.count("parameter index")
+		in.Aux = int32(v)
+	case core.OpConst:
+		return d.decodeConst(in)
+	case core.OpPrim, core.OpXPrim:
+		v, err = r.symbol(core.NumPrimOps)
+		in.Prim = core.PrimOp(v)
+	case core.OpNullCheck:
+		in.ArgType, err = d.typeRef()
+	case core.OpUpcast, core.OpDowncast, core.OpInstanceOf:
+		if in.ArgType, err = d.typeRef(); err == nil {
+			in.TypeArg, err = d.typeRef()
+		}
+	case core.OpIndexCheck, core.OpGetElt, core.OpSetElt, core.OpArrayLen, core.OpNew, core.OpNewArray:
+		in.TypeArg, err = d.typeRef()
+	case core.OpGetField, core.OpSetField:
+		v, err = r.symbol(len(d.m.Fields))
+		in.Field = int32(v)
+	case core.OpXCall, core.OpXDispatch:
+		v, err = r.symbol(len(d.m.Methods))
+		in.Method = int32(v)
+	}
+	return err
+}
+
+// decodeConst reads a constant's kind and payload, normalized to the
+// kind's range; a null constant's payload is the type of its plane.
+func (d *decoder) decodeConst(in *core.Instr) error {
+	r, c := d.r, &in.Const
+	kv, err := r.symbol(7)
+	if err != nil {
+		return err
+	}
+	c.Kind = core.ConstKind(kv + 1)
+	switch c.Kind {
+	case core.KInt, core.KChar, core.KLong, core.KBool:
+		if c.I, err = r.svarint(); err != nil {
+			return err
+		}
+		switch c.Kind {
+		case core.KInt:
+			c.I = int64(int32(c.I))
+		case core.KChar:
+			c.I = int64(uint16(c.I))
+		case core.KBool:
+			c.I &= 1
+		}
+	case core.KDouble:
+		c.D, err = r.float64bits()
+	case core.KString:
+		c.S, err = r.str()
+	case core.KNull:
+		in.Type, err = d.typeRef()
+	}
+	return err
 }

@@ -29,14 +29,43 @@ type DecodeOptions struct {
 // version. Every symbol is decoded against the alphabet the preceding
 // context allows, so the result is always a well-formed module (or an
 // error) — in particular, no operand can name a register that is not in
-// scope on the required plane. The residual checks are the trivial
-// counter comparisons of the paper.
+// scope on the required plane, and the required plane is the one
+// core.Module.Signature implies for the opcode. The residual checks are
+// the trivial counter comparisons of the paper: core.Module.VerifyTables
+// over the symbol tables before any body, core.Admission.Link per body.
 func DecodeModule(data []byte) (*core.Module, error) {
 	return DecodeModuleOpts(data, DecodeOptions{})
 }
 
 // DecodeModuleOpts is DecodeModule with explicit negotiation options.
-func DecodeModuleOpts(data []byte, o DecodeOptions) (m *core.Module, err error) {
+func DecodeModuleOpts(data []byte, o DecodeOptions) (*core.Module, error) {
+	return decodeUnit(data, o, false, false)
+}
+
+// DecodeModuleV1 decodes with the original fixed-probability code only,
+// behaving like a consumer that predates the adaptive model: a v2
+// stream is rejected with a clean ErrUnsupportedVersion, never a parse
+// error or panic.
+func DecodeModuleV1(data []byte) (*core.Module, error) {
+	return decodeUnit(data, DecodeOptions{}, true, false)
+}
+
+// DecodeVerified decodes a distribution unit and admits every function
+// through the module verifier as it is decoded — the full consumer-side
+// admission check, the same rule in the same order as
+// DecodeVerifiedStream. Loader caches call this exactly once per unit;
+// the returned module is safe to share read-only between concurrent
+// execution sessions (see interp.LoadTrusted).
+func DecodeVerified(data []byte) (*core.Module, error) {
+	return DecodeVerifiedOpts(data, DecodeOptions{})
+}
+
+// DecodeVerifiedOpts is DecodeVerified with explicit negotiation options.
+func DecodeVerifiedOpts(data []byte, o DecodeOptions) (*core.Module, error) {
+	return decodeUnit(data, o, false, true)
+}
+
+func decodeUnit(data []byte, o DecodeOptions, v1Only, verify bool) (m *core.Module, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// Structural panics during decoding indicate a malformed
@@ -44,30 +73,21 @@ func DecodeModuleOpts(data []byte, o DecodeOptions) (m *core.Module, err error) 
 			m, err = nil, malformedf("invalid structure: %v", r)
 		}
 	}()
-	src := bytes.NewReader(data)
-	r, err := newStreamReader(src, o, false)
+	r, err := newStreamReader(bytes.NewReader(data), o, v1Only)
 	if err != nil {
 		return nil, err
 	}
-	return decodeBody(r)
-}
-
-// DecodeModuleV1 decodes with the original fixed-probability code only,
-// behaving like a consumer that predates the adaptive model: a v2
-// stream is rejected with a clean ErrUnsupportedVersion, never a parse
-// error or panic.
-func DecodeModuleV1(data []byte) (m *core.Module, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, malformedf("invalid structure: %v", r)
-		}
-	}()
-	src := bytes.NewReader(data)
-	r, err := newStreamReader(src, DecodeOptions{}, true)
+	d, err := decodeHead(r)
 	if err != nil {
 		return nil, err
 	}
-	return decodeBody(r)
+	err = d.admitFuncs(verify, func(_ int, f *core.Func) {
+		d.m.Funcs = append(d.m.Funcs, f)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return d.m, nil
 }
 
 // newStreamReader parses the container header from an incremental byte
@@ -133,61 +153,59 @@ func newStreamReader(src io.ByteReader, o DecodeOptions, v1Only bool) (symReader
 	}
 }
 
-// decodeBody runs the shared production walk over an already-negotiated
-// symbol reader.
-func decodeBody(r symReader) (*core.Module, error) {
+// decodeHead reads the symbol tables and runs the static half of
+// admission over them, before any function body is decoded: the residual
+// cross-table checks that context-restricted alphabets cannot express
+// structurally (the paper's "trivial counter comparisons").
+func decodeHead(r symReader) (*decoder, error) {
 	d := &decoder{r: r, m: &core.Module{Types: core.NewTypeTable()}}
-	nFuncs, err := d.decodeTables()
-	if err != nil {
+	var err error
+	if d.nFuncs, err = d.decodeTables(); err != nil {
 		return nil, err
 	}
-	for i := 0; i < nFuncs; i++ {
+	if d.adm, err = d.m.VerifyTables(d.nFuncs); err != nil {
+		return nil, malformedf("inconsistent tables: %v", err)
+	}
+	return d, nil
+}
+
+// admitFuncs is the one loop over function bodies, shared by every
+// decoder entry point: decode function j, admit it — the link rule only
+// for the non-verifying DecodeModule, link plus body verification for
+// DecodeVerified and the stream — and hand it to publish; then require
+// the stream to end. Nothing is published that admission rejected, and a
+// module whose functions were all published is one Module.Verify
+// accepts (given verify), because Verify is this loop without the
+// decoding.
+func (d *decoder) admitFuncs(verify bool, publish func(int, *core.Func)) error {
+	for j := 0; j < d.nFuncs; j++ {
 		f, err := d.decodeFunc()
 		if err != nil {
-			return nil, fmt.Errorf("function %d: %w", i, err)
+			return fmt.Errorf("function %d: %w", j, err)
 		}
-		d.m.Funcs = append(d.m.Funcs, f)
+		if verify {
+			err = d.adm.Admit(j, f, core.VerifyOptions{})
+		} else {
+			err = d.adm.Link(j, f)
+		}
+		if err != nil {
+			return malformedf("%v", err)
+		}
+		publish(j, f)
 	}
 	// A distribution unit has exactly one spelling: anything after the
 	// final production — trailing bytes, nonzero padding, or a payload
 	// length that disagrees with the coder — is rejected.
-	if err := r.end(); err != nil {
-		return nil, err
-	}
-	// Residual admission checks (the paper's "trivial counter
-	// comparisons"): cross-table linking consistency that the
-	// context-restricted alphabets cannot express structurally. After
-	// this, a successfully decoded module is well-formed by construction
-	// — DecodeModule never returns a module the verifier would reject.
-	if err := d.m.VerifyTables(); err != nil {
-		return nil, malformedf("inconsistent tables: %v", err)
-	}
-	return d.m, nil
-}
-
-// DecodeVerified decodes a distribution unit and runs the module verifier
-// over the result — the full consumer-side admission check. Loader caches
-// call this exactly once per unit; the returned module is safe to share
-// read-only between concurrent execution sessions (see interp.LoadTrusted).
-func DecodeVerified(data []byte) (*core.Module, error) {
-	return DecodeVerifiedOpts(data, DecodeOptions{})
-}
-
-// DecodeVerifiedOpts is DecodeVerified with explicit negotiation options.
-func DecodeVerifiedOpts(data []byte, o DecodeOptions) (*core.Module, error) {
-	m, err := DecodeModuleOpts(data, o)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Verify(core.VerifyOptions{}); err != nil {
-		return nil, fmt.Errorf("wire: decoded module rejected by verifier: %w", err)
-	}
-	return m, nil
+	return d.r.end()
 }
 
 type decoder struct {
 	r symReader
 	m *core.Module
+	// Set by decodeHead: the declared function count and the admission
+	// the verified tables grant those functions.
+	nFuncs int
+	adm    *core.Admission
 }
 
 func (d *decoder) typeRef() (core.TypeID, error) {

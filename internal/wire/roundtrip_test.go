@@ -3,6 +3,8 @@ package wire_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"safetsa/internal/core"
@@ -223,6 +225,49 @@ func TestDecodeAppendedGarbage(t *testing.T) {
 		}
 	}
 
+}
+
+// TestEncoderPanicsOnRuleErrors: the encoder is a client of the same
+// core.Signature the verifier checks, so a module that breaks an
+// instruction's rule — which only a producer bug can hand it — has no
+// encoding: the encoder panics rather than emit bytes the decoder would
+// refuse or, worse, read back as a different module.
+func TestEncoderPanicsOnRuleErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hack func(tt *core.TypeTable, in *core.Instr)
+		want string
+	}{
+		{"side condition", func(_ *core.TypeTable, in *core.Instr) { in.Op = core.OpXPrim }, "used with xprimitive"},
+		{"result plane", func(tt *core.TypeTable, in *core.Instr) { in.Type = tt.Double }, "result on plane double"},
+		{"arity", func(_ *core.TypeTable, in *core.Instr) { in.Args = in.Args[:1] }, "want 2 operands, have 1"},
+		{"optimizer-internal opcode", func(_ *core.TypeTable, in *core.Instr) { in.Op = core.OpMem0 }, "memory-state value"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mod := compileAll(t, testPrograms["arith"], false)
+			var victim *core.Instr
+			for _, f := range mod.Funcs {
+				for _, b := range f.Blocks {
+					for _, in := range b.Code {
+						if victim == nil && in.Op == core.OpPrim && len(in.Args) == 2 {
+							victim = in
+						}
+					}
+				}
+			}
+			if victim == nil {
+				t.Fatal("no binary primitive to break")
+			}
+			tc.hack(mod.Types, victim)
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "is not externalizable") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("encoder said %q; want a panic naming the broken rule (%q)", msg, tc.want)
+				}
+			}()
+			wire.EncodeModule(mod)
+		})
+	}
 }
 
 // TestTamperResistance is the paper's section 2 security argument made

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"fmt"
 	"io"
 	"sync"
 
@@ -9,24 +8,23 @@ import (
 )
 
 // StreamingUnit is a distribution unit being decoded and verified
-// incrementally behind an io.Reader. The symbol tables are complete and
-// statically verified before the constructor returns; function bodies
-// are admitted one by one, in transmission (dominator pre-) order, each
-// passing the full per-function plane-counter verification the moment
-// it arrives. A consumer may begin executing any admitted function —
+// incrementally behind an io.Reader: the second schedule of the one
+// admission rule. The symbol tables are complete and statically verified
+// (core.Module.VerifyTables) before the constructor returns; function
+// bodies then pass through the same decode-admit loop DecodeVerified
+// runs, on a goroutine, each published the moment core.Admission.Admit
+// accepts it. A consumer may begin executing any admitted function —
 // WaitFunc provides the gate — while later functions are still in
 // flight. Any failure, at any point, poisons the whole unit: WaitFunc
 // and Wait report the error, and nothing may be cached unless Wait
 // returns nil.
 //
-// Soundness sketch (DESIGN.md §11): the admitted prefix is exactly as
+// Soundness (DESIGN.md §11): the admitted prefix is exactly as
 // trustworthy as a fully decoded unit because (a) the tables are
-// immutable and statically verified up front, (b) a function's
-// verification depends only on the tables and its own body, (c) the
-// cross-table residue — method↔body backlinks and static-initializer
-// signatures — is enforced per arrival against the claims the method
-// table made, and (d) the final VerifyTables re-checks everything
-// before Wait can succeed.
+// immutable and statically verified up front, and (b) Admit for
+// function j depends only on those tables and on body j — so running it
+// when j arrives or after everything has arrived is the same
+// computation, and Module.Verify is by definition that rule for every j.
 type StreamingUnit struct {
 	// Mod has complete, verified tables from construction time. Funcs
 	// is pre-sized; slot i is published only after function i is
@@ -35,9 +33,6 @@ type StreamingUnit struct {
 
 	nFuncs    int
 	entryNeed int // highest func index needed to begin main, -1 if none
-
-	claims    map[int32]int32 // func index -> method that declares it as body
-	staticSet map[int32]bool
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -63,118 +58,49 @@ func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (su *StreamingUnit, err 
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{r: sr, m: &core.Module{Types: core.NewTypeTable()}}
-	nFuncs, err := d.decodeTables()
+	d, err := decodeHead(sr)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.m.VerifyTablesStatic(); err != nil {
-		return nil, malformedf("inconsistent tables: %v", err)
-	}
 
-	su = &StreamingUnit{Mod: d.m, nFuncs: nFuncs, entryNeed: -1}
+	su = &StreamingUnit{Mod: d.m, nFuncs: d.nFuncs, entryNeed: -1}
 	su.cond = sync.NewCond(&su.mu)
-
-	// The function-linked residue of VerifyTables cannot run yet, but
-	// the method table's claims can be pinned now: every body index in
-	// range, and no two methods sharing one body. Each arriving
-	// function is then checked against these claims, so no admitted
-	// prefix can ever dispatch a body under the wrong signature.
-	su.claims = make(map[int32]int32)
-	for i := range d.m.Methods {
-		fi := d.m.Methods[i].FuncIdx
-		if fi < 0 {
-			continue
-		}
-		if int(fi) >= nFuncs {
-			return nil, malformedf("method %d: body index out of range", i)
-		}
-		if _, dup := su.claims[fi]; dup {
-			return nil, malformedf("two methods claim function %d as their body", fi)
-		}
-		su.claims[fi] = int32(i)
+	// VerifyTables has put every index below in range.
+	for _, si := range d.m.StaticInit {
+		su.entryNeed = max(su.entryNeed, int(si))
 	}
-	su.staticSet = make(map[int32]bool)
-	for i, si := range d.m.StaticInit {
-		if si < 0 {
-			continue
-		}
-		if int(si) >= nFuncs {
-			return nil, malformedf("static initializer %d out of range", i)
-		}
-		su.staticSet[si] = true
-		if int(si) > su.entryNeed {
-			su.entryNeed = int(si)
-		}
-	}
-	if d.m.Entry >= 0 && int(d.m.Entry) < len(d.m.Methods) {
-		if fi := d.m.Methods[d.m.Entry].FuncIdx; fi >= 0 && int(fi) > su.entryNeed {
-			su.entryNeed = int(fi)
-		}
+	if d.m.Entry >= 0 {
+		su.entryNeed = max(su.entryNeed, int(d.m.Methods[d.m.Entry].FuncIdx))
 	}
 
-	d.m.Funcs = make([]*core.Func, nFuncs)
-	go su.run(d, sr, src)
+	d.m.Funcs = make([]*core.Func, d.nFuncs)
+	go su.run(d, src)
 	return su, nil
 }
 
-// run is the background decode loop: decode, verify, publish, repeat;
-// then the canonical-tail and final whole-unit table checks.
-func (su *StreamingUnit) run(d *decoder, r symReader, src *byteSource) {
+// run is the background schedule of admitFuncs: each admitted function
+// is published to waiters before the next is decoded.
+func (su *StreamingUnit) run(d *decoder, src *byteSource) {
 	err := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = malformedf("invalid structure: %v", p)
 			}
 		}()
-		for j := 0; j < su.nFuncs; j++ {
-			f, err := d.decodeFunc()
-			if err != nil {
-				return fmt.Errorf("function %d: %w", j, err)
-			}
-			if err := su.admit(j, f); err != nil {
-				return err
-			}
+		return d.admitFuncs(true, func(j int, f *core.Func) {
 			su.mu.Lock()
 			su.Mod.Funcs[j] = f
 			su.ready = j + 1
 			su.boundaries = append(su.boundaries, src.off)
 			su.cond.Broadcast()
 			su.mu.Unlock()
-		}
-		if err := r.end(); err != nil {
-			return err
-		}
-		if err := su.Mod.VerifyTables(); err != nil {
-			return malformedf("inconsistent tables: %v", err)
-		}
-		return nil
+		})
 	}()
 	su.mu.Lock()
 	su.done = true
 	su.err = err
 	su.cond.Broadcast()
 	su.mu.Unlock()
-}
-
-// admit runs the per-function admission: the plane-counter verifier
-// over the body, plus the incremental half of the cross-table residue —
-// exactly as strict as the final VerifyTables, no more and no less, so
-// the streaming and the full decoder always agree on admissibility. The
-// residue checks only the method→body direction (a method that claims j
-// must be named back by f); an orphan function naming a method that
-// never dispatches it is tolerated by both paths.
-func (su *StreamingUnit) admit(j int, f *core.Func) error {
-	if mi, ok := su.claims[int32(j)]; ok && f.Method != mi {
-		return malformedf("function %d: body belongs to another method", j)
-	}
-	if su.staticSet[int32(j)] && (f.Method >= 0 || len(f.Params) != 0) {
-		return malformedf("static initializer %d has a signature", j)
-	}
-	if err := su.Mod.VerifyFunc(f, core.VerifyOptions{}); err != nil {
-		return fmt.Errorf("wire: streamed function %d rejected by verifier: %w", j, err)
-	}
-	return nil
 }
 
 // NumFuncs reports the declared function count.
