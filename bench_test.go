@@ -2,20 +2,25 @@
 // one benchmark per table/figure plus the field-sensitive-Mem ablation.
 // Their custom metrics are the table cells (bytes, instructions, checks,
 // residual loads); timings are the repository benchmark's job
-// (go run ./benchmark --trace 1), not theirs.
+// (go run ./benchmark --trace 1), not theirs. BenchmarkColdLoad is the
+// exception: the one-line reproduction of the cold consumer's library
+// cost, unit by unit, for whoever next puts that path on a diet.
 //
 //	go test -bench=. -benchtime=1x
 package safetsa
 
 import (
+	"context"
 	"testing"
 
 	"safetsa/internal/bench"
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
+	"safetsa/internal/interp"
 	"safetsa/internal/lang/sema"
 	"safetsa/internal/opt"
+	"safetsa/internal/wire"
 )
 
 // frontendAll parses and checks the whole corpus once.
@@ -58,6 +63,45 @@ func BenchmarkFigure5(b *testing.B) {
 	b.ReportMetric(bcInstrs, "bytecode-instrs")
 	b.ReportMetric(tsaInstrs, "safetsa-instrs")
 	b.ReportMetric(optInstrs, "safetsa-opt-instrs")
+}
+
+// BenchmarkColdLoad is what a cold consumer does to a unit before the
+// first guest instruction runs: decode, verify, lower, closure-compile.
+// Each corpus unit (O2, wire v2 — what safetsad serves) is its own
+// sub-benchmark, so allocs/op and B/op read per unit:
+//
+//	go test -run='^$' -bench=ColdLoad -benchtime=100x .
+func BenchmarkColdLoad(b *testing.B) {
+	for _, u := range corpus.Units() {
+		mod, err := driver.CompileTSASource(u.Files)
+		if err == nil {
+			_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := wire.EncodeModuleV2(mod, nil)
+		b.Run(u.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				dec, err := wire.DecodeModule(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := dec.Verify(core.VerifyOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				prep, err := interp.Prepare(dec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := interp.Compile(dec, prep); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFigure6 times the producer-side optimizer over the corpus and

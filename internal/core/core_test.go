@@ -316,8 +316,7 @@ func TestRemoveExcSite(t *testing.T) {
 	d1, d2, d3 := div(), div(), div()
 	for i, in := range []*Instr{d1, d2, d3} {
 		handler.Preds = append(handler.Preds, Pred{From: entry, Site: in})
-		f.ExcEdge[in] = i
-		f.HandlerOf[in] = handler
+		f.AddExcSite(in, handler, i)
 	}
 	phi := &Instr{Op: OpPhi, Type: tt.Int, Args: []ValueID{d1.Args[0], d2.Args[0], d3.Args[0]}, Blk: handler}
 	f.Define(phi)

@@ -246,17 +246,32 @@ type Func struct {
 	ThrowHandler map[*CSTNode]*Block
 }
 
-// NewFunc creates an empty function.
+// NewFunc creates an empty function, with room for a small body's values.
+// The exception-edge maps are made by AddExcSite and AddThrowSite when a
+// first try region needs them; most functions have none, and a nil map
+// reads as empty.
 func NewFunc(name string) *Func {
-	return &Func{
-		Name:         name,
-		Method:       -1,
-		values:       make([]*Instr, 1),
-		ExcEdge:      make(map[*Instr]int),
-		HandlerOf:    make(map[*Instr]*Block),
-		ThrowEdge:    make(map[*CSTNode]int),
-		ThrowHandler: make(map[*CSTNode]*Block),
+	return &Func{Name: name, Method: -1, values: make([]*Instr, 1, 16)}
+}
+
+// AddExcSite records that potentially-throwing instruction in raises into
+// handler block h along h.Preds[edge].
+func (f *Func) AddExcSite(in *Instr, h *Block, edge int) {
+	if f.ExcEdge == nil {
+		f.ExcEdge = make(map[*Instr]int)
+		f.HandlerOf = make(map[*Instr]*Block)
 	}
+	f.ExcEdge[in], f.HandlerOf[in] = edge, h
+}
+
+// AddThrowSite is AddExcSite for an explicit CThrow node inside a try
+// region.
+func (f *Func) AddThrowSite(n *CSTNode, h *Block, edge int) {
+	if f.ThrowEdge == nil {
+		f.ThrowEdge = make(map[*CSTNode]int)
+		f.ThrowHandler = make(map[*CSTNode]*Block)
+	}
+	f.ThrowEdge[n], f.ThrowHandler[n] = edge, h
 }
 
 // NewBlock appends a fresh block.
@@ -314,27 +329,21 @@ func (f *Func) CountOps(counts map[Op]int) {
 // the dominator tree"). Every block appears exactly once: as a CBlock
 // leaf or as a CTry handler entry.
 func (f *Func) CSTBlocks() []*Block {
-	var out []*Block
-	var walk func(n *CSTNode)
-	walk = func(n *CSTNode) {
-		if n == nil {
-			return
-		}
-		switch n.Kind {
-		case CBlock:
-			out = append(out, n.Block)
-		case CTry:
-			walk(n.Kids[0])
-			// The handler entry block is the first leaf of kids[1];
-			// it is emitted by that walk.
-			walk(n.Kids[1])
-		default:
-			for _, k := range n.Kids {
-				walk(k)
-			}
-		}
+	return cstBlocks(f.Body, make([]*Block, 0, len(f.Blocks)))
+}
+
+// cstBlocks appends the CBlock leaves under n in walk order; a CTry's
+// handler entry block is the first leaf of its kids[1].
+func cstBlocks(n *CSTNode, out []*Block) []*Block {
+	if n == nil {
+		return out
 	}
-	walk(f.Body)
+	if n.Kind == CBlock {
+		return append(out, n.Block)
+	}
+	for _, k := range n.Kids {
+		out = cstBlocks(k, out)
+	}
 	return out
 }
 
@@ -344,15 +353,19 @@ func (f *Func) CSTBlocks() []*Block {
 // pre/post numbering used by Dominates. It must be called after
 // construction and after any pass that changes block structure.
 func (f *Func) Finish() {
-	order := f.CSTBlocks()
+	// The order is written over f.Blocks itself: it is read off the CST,
+	// and holds the same blocks when the check below passes.
+	order := cstBlocks(f.Body, f.Blocks[:0])
 	if len(order) != len(f.Blocks) {
 		panic(fmt.Sprintf("core: %s: CST covers %d blocks, function has %d",
 			f.Name, len(order), len(f.Blocks)))
 	}
-	pos := make(map[*Block]int, len(order))
-	for i, b := range order {
-		pos[b] = i
-		b.Children = nil
+	// Children are carved from one vector, each list cut to its exact
+	// capacity (counted in preIn, which the numbering below overwrites),
+	// and filled in CST order — which keeps the dominator pre-order equal
+	// to the CST walk order on both ends of the wire.
+	for _, b := range order {
+		b.Children, b.preIn = nil, 0
 	}
 	for _, b := range order {
 		if b == f.Entry {
@@ -361,35 +374,35 @@ func (f *Func) Finish() {
 		if b.IDom == nil {
 			panic(fmt.Sprintf("core: %s: block without immediate dominator", f.Name))
 		}
-		b.IDom.Children = append(b.IDom.Children, b)
+		b.IDom.preIn++
 	}
-	// Children in CST order keeps the dominator pre-order equal to the
-	// CST walk order on both ends of the wire.
-	for _, b := range order {
-		kids := b.Children
-		for i := 1; i < len(kids); i++ {
-			for j := i; j > 0 && pos[kids[j-1]] > pos[kids[j]]; j-- {
-				kids[j-1], kids[j] = kids[j], kids[j-1]
-			}
-		}
-	}
-	counter := 0
-	var walk func(b *Block, depth int)
-	walk = func(b *Block, depth int) {
-		b.Depth = depth
-		b.preIn = counter
-		counter++
-		for _, c := range b.Children {
-			walk(c, depth+1)
-		}
-		b.preOut = counter
-		counter++
-	}
-	walk(f.Entry, 0)
+	kids := make([]*Block, len(order))
 	for i, b := range order {
 		b.Index = i
+		if n := b.preIn; n > 0 {
+			b.Children, kids = kids[:0:n], kids[n:]
+		}
 	}
+	for _, b := range order {
+		if b != f.Entry {
+			b.IDom.Children = append(b.IDom.Children, b)
+		}
+	}
+	f.Entry.number(0, 0)
 	f.Blocks = order
+}
+
+// number assigns Depth and the pre/post interval of Dominates to the
+// dominator subtree under b, and returns the next free counter value.
+func (b *Block) number(depth, counter int) int {
+	b.Depth = depth
+	b.preIn = counter
+	counter++
+	for _, c := range b.Children {
+		counter = c.number(depth+1, counter)
+	}
+	b.preOut = counter
+	return counter + 1
 }
 
 // RemoveExcSite detaches a potentially-throwing instruction from its

@@ -284,24 +284,80 @@ func sameMethodShape(a, b *MethodRef) bool {
 	return true
 }
 
-// pos orders instructions within a block: phis all share position 0 (they
-// execute in parallel on block entry), code starts at 1.
-func blockPositions(f *Func) map[*Instr]int {
-	pos := make(map[*Instr]int)
+// Positions is the one table of intra-block positions: phis all share
+// position 0 (they execute in parallel on block entry), code starts at 1.
+// It is dense in both ways it is asked — by value, and by incoming edge —
+// and valid for a function as Finish left it.
+type Positions struct {
+	val   []int32 // by ValueID; -1 when no block holds the defining instruction
+	first []int32 // by Block.Index: where the block's incoming edges start in limit
+	limit []int32 // by edge: the position of its throwing site, -1 for a normal edge
+}
+
+// Positions builds the table. An exception edge whose site no block holds
+// (or that HandlerOf/ExcEdge do not name) keeps position 0: nothing of its
+// source block is in scope on it.
+func (f *Func) Positions() Positions {
+	nv, nb, ne := len(f.values), len(f.Blocks), 0
 	for _, b := range f.Blocks {
-		for _, in := range b.Phis {
-			pos[in] = 0
-		}
-		for i, in := range b.Code {
-			pos[in] = i + 1
+		ne += len(b.Preds)
+	}
+	tab := make([]int32, nv+nb+ne)
+	p := Positions{val: tab[:nv], first: tab[nv : nv+nb], limit: tab[nv+nb:]}
+	for i := range p.val {
+		p.val[i] = -1
+	}
+	ne = 0
+	for i, b := range f.Blocks {
+		p.first[i] = int32(ne)
+		for _, e := range b.Preds {
+			if e.Site == nil {
+				p.limit[ne] = -1
+			}
+			ne++
 		}
 	}
-	return pos
+	place := func(b *Block, in *Instr, at int32) {
+		if f.Value(in.ID) == in {
+			p.val[in.ID] = at
+		}
+		h := f.HandlerOf[in]
+		if h == nil || uint(h.Index) >= uint(nb) || f.Blocks[h.Index] != h {
+			return
+		}
+		if k := f.ExcEdge[in]; uint(k) < uint(len(h.Preds)) && h.Preds[k] == (Pred{From: b, Site: in}) {
+			p.limit[int(p.first[h.Index])+k] = at
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Phis {
+			place(b, in, 0)
+		}
+		for i, in := range b.Code {
+			place(b, in, int32(i+1))
+		}
+	}
+	return p
 }
+
+// Of returns the position of the instruction defining v, and whether that
+// instruction is in the instruction stream at all.
+func (p Positions) Of(v ValueID) (int, bool) {
+	at := p.val[v]
+	return int(at), at >= 0
+}
+
+// Limit returns how far into its source block edge k of b can see: the
+// position of the edge's throwing site, or -1 (the whole block) for a
+// normal edge.
+func (p Positions) Limit(b *Block, k int) int { return p.limitAt(b.Index, k) }
+
+// limitAt is Limit for the block at index bi of Func.Blocks.
+func (p Positions) limitAt(bi, k int) int { return int(p.limit[int(p.first[bi])+k]) }
 
 func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 	tt := m.Types
-	pos := blockPositions(f)
+	pos := f.Positions()
 
 	// available reports whether value v may be used by instruction user
 	// (at position userPos in block userBlk). A definition that has been
@@ -313,7 +369,7 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 		if def == nil {
 			return fmt.Errorf("use of undefined value v%d", v)
 		}
-		defPos, present := pos[def]
+		defPos, present := pos.Of(v)
 		if !present {
 			return fmt.Errorf("v%d was removed from the instruction stream but is still used", v)
 		}
@@ -332,18 +388,18 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 
 	// availableOnEdge checks a phi operand: it must be defined at the
 	// edge's source point (end of block for normal edges, before the
-	// throwing site for exception edges).
-	availableOnEdge := func(v ValueID, e Pred) error {
+	// throwing site — limit — for exception edges).
+	availableOnEdge := func(v ValueID, e Pred, limit int) error {
 		def := f.Value(v)
 		if def == nil {
 			return fmt.Errorf("phi uses undefined value v%d", v)
 		}
-		defPos, present := pos[def]
+		defPos, present := pos.Of(v)
 		if !present {
 			return fmt.Errorf("phi operand v%d was removed from the instruction stream but is still used", v)
 		}
 		if def.Blk == e.From {
-			if e.Site != nil && defPos >= pos[e.Site] {
+			if limit >= 0 && defPos >= limit {
 				return fmt.Errorf("phi operand v%d defined after exception site in block %d",
 					v, e.From.Index)
 			}
@@ -363,7 +419,7 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 		}
 	}
 
-	for _, b := range f.Blocks {
+	for bi, b := range f.Blocks {
 		if len(b.Phis) > 0 && len(b.Preds) < 1 {
 			errs = append(errs, fmt.Errorf("block %d has phis but no predecessors", b.Index))
 		}
@@ -384,7 +440,7 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 			}
 			want := in.Plane()
 			for k, a := range in.Args {
-				if err := availableOnEdge(a, b.Preds[k]); err != nil {
+				if err := availableOnEdge(a, b.Preds[k], pos.limitAt(bi, k)); err != nil {
 					report(b, in, err)
 					continue
 				}

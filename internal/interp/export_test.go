@@ -1,5 +1,7 @@
 package interp
 
+import "safetsa/internal/core"
+
 // EngineOf names the engine a session's function bodies run on, in the
 // precedence Loader.call applies.
 func EngineOf(l *Loader) string {
@@ -10,4 +12,18 @@ func EngineOf(l *Loader) string {
 		return "prepared"
 	}
 	return "reference"
+}
+
+// ArenaSlack lowers mod and reports how many operand and phi-move slots
+// prepareFunc counted for its functions and never carved.
+func ArenaSlack(mod *core.Module) (args, moves int, err error) {
+	c := newFcomp(mod)
+	for _, f := range mod.Funcs {
+		if _, err := c.prepareFunc(f); err != nil {
+			return 0, 0, err
+		}
+		args += len(c.args)
+		moves += len(c.moves)
+	}
+	return args, moves, nil
 }

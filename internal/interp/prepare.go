@@ -211,8 +211,9 @@ func bound(mod *core.Module, form string, minted *core.Module) error {
 // hand-built or corrupted modules) yields an error.
 func Prepare(mod *core.Module) (*Prepared, error) {
 	p := &Prepared{mod: mod, Funcs: make([]*PFunc, len(mod.Funcs))}
+	c := newFcomp(mod)
 	for i, f := range mod.Funcs {
-		pf, err := prepareFunc(mod, f)
+		pf, err := c.prepareFunc(f)
 		if err != nil {
 			return nil, fmt.Errorf("interp: prepare %s: %w", f.Name, err)
 		}
@@ -256,12 +257,20 @@ type loopCtx struct {
 	continues []pendingJump
 }
 
+// fcomp lowers the functions of one module, one after the other. What a
+// lowered function keeps is allocated once per function at its exact
+// size: code is emitted into a buffer the next function reuses and
+// copied out when its length is known, and operand and move vectors are
+// carved from two per-function arenas counted up front.
 type fcomp struct {
 	mod  *core.Module
 	f    *core.Func
 	code []PreparedInst
 	fl   flow
-	loop []*loopCtx
+	loop []loopCtx
+
+	args  []int32 // arena of PCall/PDispatch operand vectors
+	moves []Move  // arena of phi-move sets
 
 	// raiseFix defers exception-edge resolution until every handler's
 	// pc is known (handlers compile after their protected bodies, and
@@ -270,19 +279,55 @@ type fcomp struct {
 	handlers map[*core.Block]int32
 }
 
+// newFcomp sizes the emission buffer for the module's largest function:
+// one prepared instruction per instruction, and per block at most its
+// entry moves plus what the construct it opens (branch, loop step, back
+// jump) and the terminator that ends it emit.
+func newFcomp(mod *core.Module) *fcomp {
+	room := 0
+	for _, f := range mod.Funcs {
+		n := 1
+		for _, b := range f.Blocks {
+			n += len(b.Code) + 5
+		}
+		room = max(room, n)
+	}
+	return &fcomp{mod: mod, handlers: make(map[*core.Block]int32), code: make([]PreparedInst, 0, room)}
+}
+
+// carve cuts the next n elements off an arena; a function that needs
+// more than was counted for it — no verified one does — gets them fresh.
+func carve[T any](arena *[]T, n int) []T {
+	if n > len(*arena) {
+		return make([]T, n)
+	}
+	v := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return v
+}
+
 type raiseFixup struct {
 	at      int // instruction index whose Raise to fill
 	handler *core.Block
 	edge    int
 }
 
-func prepareFunc(mod *core.Module, f *core.Func) (*PFunc, error) {
-	c := &fcomp{
-		mod:      mod,
-		f:        f,
-		handlers: make(map[*core.Block]int32),
-		fl:       flow{open: true},
+func (c *fcomp) prepareFunc(f *core.Func) (*PFunc, error) {
+	c.f, c.fl, c.code, c.raiseFix = f, flow{open: true}, c.code[:0], c.raiseFix[:0]
+	clear(c.handlers)
+	// Every edge into a block applies that block's phis once, and only
+	// calls keep their operand vector.
+	nArgs, nMoves := 0, 0
+	for _, b := range f.Blocks {
+		nMoves += len(b.Phis) * len(b.Preds)
+		for _, in := range b.Code {
+			if in.Op == core.OpXCall || in.Op == core.OpXDispatch {
+				nArgs += len(in.Args)
+			}
+		}
 	}
+	c.args, c.moves = make([]int32, nArgs), make([]Move, nMoves)
+
 	if err := c.node(f.Body); err != nil {
 		return nil, err
 	}
@@ -291,7 +336,8 @@ func prepareFunc(mod *core.Module, f *core.Func) (*PFunc, error) {
 	// function) land here too.
 	c.patchTo(int32(len(c.code)), nil)
 	c.emit(PreparedInst{Op: PReturn})
-	for _, fix := range c.raiseFix {
+	sites := make([]RaiseSite, len(c.raiseFix))
+	for i, fix := range c.raiseFix {
 		target, ok := c.handlers[fix.handler]
 		if !ok {
 			return nil, fmt.Errorf("exception edge into uncompiled handler block %d", fix.handler.Index)
@@ -300,12 +346,13 @@ func prepareFunc(mod *core.Module, f *core.Func) (*PFunc, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.code[fix.at].Raise = &RaiseSite{Target: target, Moves: mv}
+		sites[i] = RaiseSite{Target: target, Moves: mv}
+		c.code[fix.at].Raise = &sites[i]
 	}
 	return &PFunc{
 		Name:    f.Name,
 		NumRegs: int32(f.NumValues() + 1),
-		Code:    c.code,
+		Code:    append(make([]PreparedInst, 0, len(c.code)), c.code...),
 	}, nil
 }
 
@@ -339,7 +386,7 @@ func (c *fcomp) edgeMoves(b *core.Block, k int) ([]Move, error) {
 		return nil, fmt.Errorf("edge %d out of range for block %d (%d predecessors)",
 			k, b.Index, len(b.Preds))
 	}
-	mv := make([]Move, len(b.Phis))
+	mv := carve(&c.moves, len(b.Phis))
 	for i, phi := range b.Phis {
 		if len(phi.Args) != len(b.Preds) {
 			return nil, fmt.Errorf("phi v%d of block %d has %d inputs for %d edges",
@@ -507,6 +554,13 @@ func (c *fcomp) divert() []pendingJump {
 	return jumps
 }
 
+// popLoop closes the innermost loop and returns the exits it collected.
+func (c *fcomp) popLoop() loopCtx {
+	lc := c.loop[len(c.loop)-1]
+	c.loop = c.loop[:len(c.loop)-1]
+	return lc
+}
+
 func (c *fcomp) node(n *core.CSTNode) error {
 	if n == nil {
 		return nil
@@ -567,13 +621,12 @@ func (c *fcomp) node(n *core.CSTNode) error {
 			return err
 		}
 		exit := c.emit(PreparedInst{Op: PBranchFalse, A: cond})
-		lc := &loopCtx{}
-		c.loop = append(c.loop, lc)
+		c.loop = append(c.loop, loopCtx{})
 		c.fl = flow{open: true, src: condSrc}
 		if err := c.node(n.Kids[1]); err != nil {
 			return err
 		}
-		c.loop = c.loop[:len(c.loop)-1]
+		lc := c.popLoop()
 		if err := c.closeLoop(n.Block, loopPC, lc.continues); err != nil {
 			return err
 		}
@@ -586,12 +639,11 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		}
 		loopPC := c.pc()
 		c.emit(PreparedInst{Op: PLoopStep})
-		lc := &loopCtx{}
-		c.loop = append(c.loop, lc)
+		c.loop = append(c.loop, loopCtx{})
 		if err := c.node(n.Kids[0]); err != nil {
 			return err
 		}
-		c.loop = c.loop[:len(c.loop)-1]
+		lc := c.popLoop()
 		// A continue in the body falls through to the latch sequence,
 		// which resolves each path's phi moves at its first block.
 		c.fl.jumps = append(c.fl.jumps, lc.continues...)
@@ -631,7 +683,7 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		if len(c.loop) == 0 {
 			return fmt.Errorf("break outside a loop")
 		}
-		lc := c.loop[len(c.loop)-1]
+		lc := &c.loop[len(c.loop)-1]
 		lc.breaks = append(lc.breaks, c.divert()...)
 		return nil
 
@@ -639,7 +691,7 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		if len(c.loop) == 0 {
 			return fmt.Errorf("continue outside a loop")
 		}
-		lc := c.loop[len(c.loop)-1]
+		lc := &c.loop[len(c.loop)-1]
 		lc.continues = append(lc.continues, c.divert()...)
 		return nil
 
@@ -715,18 +767,16 @@ func (c *fcomp) block(b *core.Block) error {
 	return nil
 }
 
-// args validates and converts instruction operands to registers.
-func (c *fcomp) argRegs(in *core.Instr, want int) ([]int32, error) {
+// argRegs validates the operands of an instruction of fixed arity (at
+// most three) and converts them to registers.
+func (c *fcomp) argRegs(in *core.Instr, want int) (out [3]int32, err error) {
 	if len(in.Args) != want {
-		return nil, fmt.Errorf("%d operands, want %d", len(in.Args), want)
+		return out, fmt.Errorf("%d operands, want %d", len(in.Args), want)
 	}
-	out := make([]int32, want)
 	for i, id := range in.Args {
-		r, err := c.reg(id)
-		if err != nil {
-			return nil, err
+		if out[i], err = c.reg(id); err != nil {
+			return out, err
 		}
-		out[i] = r
 	}
 	return out, nil
 }
@@ -909,7 +959,7 @@ func (c *fcomp) instr(in *core.Instr) error {
 		if in.Method < 0 || int(in.Method) >= len(c.mod.Methods) {
 			return fmt.Errorf("method index %d out of range", in.Method)
 		}
-		args := make([]int32, len(in.Args))
+		args := carve(&c.args, len(in.Args))
 		for i, id := range in.Args {
 			r, err := c.reg(id)
 			if err != nil {

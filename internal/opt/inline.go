@@ -263,7 +263,6 @@ func stitchExcEdges(f *core.Func, call *core.Instr, clones []*core.Instr) {
 		}
 	}
 	for i, t := range throwers {
-		f.ExcEdge[t] = k + i
-		f.HandlerOf[t] = h
+		f.AddExcSite(t, h, k+i)
 	}
 }

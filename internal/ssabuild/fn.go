@@ -788,11 +788,9 @@ func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 	for i, site := range ctx.sites {
 		h.Preds = append(h.Preds, core.Pred{From: site.from, Site: site.site})
 		if site.site != nil {
-			fb.f.ExcEdge[site.site] = i
-			fb.f.HandlerOf[site.site] = h
+			fb.f.AddExcSite(site.site, h, i)
 		} else {
-			fb.f.ThrowEdge[site.throw] = i
-			fb.f.ThrowHandler[site.throw] = h
+			fb.f.AddThrowSite(site.throw, h, i)
 		}
 	}
 	hVars := make(snapshot)

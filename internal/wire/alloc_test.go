@@ -1,0 +1,134 @@
+package wire_test
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"safetsa/internal/core"
+	"safetsa/internal/corpus"
+	"safetsa/internal/driver"
+	"safetsa/internal/opt"
+	"safetsa/internal/wire"
+)
+
+// corpusO2 compiles one corpus unit the way safetsad serves it: the full
+// O2 pipeline, to be sent as wire v2.
+func corpusO2(t testing.TB, u corpus.Unit) *core.Module {
+	t.Helper()
+	mod, err := driver.CompileTSASource(u.Files)
+	if err == nil {
+		_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", u.Name, err)
+	}
+	return mod
+}
+
+// decodeAllocCeiling is the committed allocation budget of one
+// wire.DecodeModule call per corpus unit at O2/wire v2: what this tree
+// measures plus 10 %. The count is exact for a given tree (no pool, no
+// global), so exceeding it means the decoder went back to allocating per
+// node; ROADMAP item 3's target for the corpus mean is 1500.
+var decodeAllocCeiling = map[string]float64{
+	"BatchEnvironment":        811, // measured 737
+	"BatchParser":             414, // measured 376
+	"CompilerMember":          225, // measured 204
+	"ErrorMessage":            229, // measured 208
+	"Main":                    691, // measured 628
+	"SourceClass":             779, // measured 708
+	"SourceMember":            664, // measured 603
+	"AmbiguousClass":          194, // measured 176
+	"AmbiguousMember":         240, // measured 218
+	"ArrayType":               236, // measured 214
+	"BinaryAttribute":         343, // measured 311
+	"BinaryClass":             517, // measured 470
+	"BinaryCode":              369, // measured 335
+	"Parser":                  667, // measured 606
+	"Scanner":                 410, // measured 372
+	"BigDecimal":              318, // measured 289
+	"BigInteger":              425, // measured 386
+	"BitSieve":                296, // measured 269
+	"MutableBigInteger":       455, // measured 413
+	"SignedMutableBigInteger": 493, // measured 448
+	"Linpack":                 438, // measured 398
+}
+
+// TestDecodeAllocCeiling is ROADMAP item 1's exact gate as a plain test:
+// allocations per decoded unit, unit by unit, against the committed
+// ceiling.
+func TestDecodeAllocCeiling(t *testing.T) {
+	var sum float64
+	units := corpus.Units()
+	for _, u := range units {
+		data := wire.EncodeModuleV2(corpusO2(t, u), nil)
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := wire.DecodeModule(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		sum += got
+		ceiling, ok := decodeAllocCeiling[u.Name]
+		if !ok {
+			t.Errorf("%s: %.0f allocations per decode and no committed ceiling", u.Name, got)
+		} else if got > ceiling {
+			t.Errorf("%s: %.0f allocations per decode, ceiling %.0f", u.Name, got, ceiling)
+		}
+	}
+	if mean := sum / float64(len(units)); mean > 1500 {
+		t.Errorf("corpus mean %.0f allocations per decoded unit, target 1500", mean)
+	}
+}
+
+// TestManyPlanesDecodeIsLinear: every indexcheck mints its own
+// safe-index plane (core.PlaneKey.Bind), so a body can have as many
+// planes as it has array values. The register file must find a plane in
+// O(1) and a register by binary search: ten times the body is about ten
+// times the work, on both sides of the wire, not a hundred.
+func TestManyPlanesDecodeIsLinear(t *testing.T) {
+	unit := func(arrays int) *core.Module {
+		var src strings.Builder
+		src.WriteString("class Main {\n static void main() {\n  int s = 0;\n")
+		for i := 0; i < arrays; i++ {
+			fmt.Fprintf(&src, "  int[] a%d = new int[1]; s += a%d[0];\n", i, i)
+		}
+		src.WriteString("  System.out.println(s);\n }\n}\n")
+		mod, err := driver.CompileTSASource(map[string]string{"Main.tj": src.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mod
+	}
+	// The fastest of three: the claim is about the codec's work, not
+	// about what else the machine was doing.
+	cost := func(mod *core.Module) (enc, dec time.Duration) {
+		enc, dec = time.Hour, time.Hour
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			data := wire.EncodeModuleV2(mod, nil)
+			t1 := time.Now()
+			if _, err := wire.DecodeModule(data); err != nil {
+				t.Fatal(err)
+			}
+			enc, dec = min(enc, t1.Sub(t0)), min(dec, time.Since(t1))
+		}
+		return enc, dec
+	}
+	small, large := unit(2_000), unit(20_000)
+	// A scanned plane list makes the ratio ~100 every time; noise on a
+	// linear one only ever inflates a single attempt.
+	var encRatio, decRatio float64
+	for attempt := 0; attempt < 8; attempt++ {
+		enc1, dec1 := cost(small)
+		enc10, dec10 := cost(large)
+		encRatio, decRatio = float64(enc10)/float64(enc1), float64(dec10)/float64(dec1)
+		t.Logf("2 000 planes: encode %v decode %v; 20 000 planes: encode %v decode %v", enc1, dec1, enc10, dec10)
+		if encRatio <= 15 && decRatio <= 15 {
+			return
+		}
+	}
+	t.Errorf("10x the planes took %.1fx the time to encode and %.1fx to decode; linear is at most 15x", encRatio, decRatio)
+}

@@ -4,53 +4,40 @@ import (
 	"safetsa/internal/core"
 )
 
-// funcDecoder decodes the instruction phases of one function.
-type funcDecoder struct {
-	d   *decoder
-	f   *core.Func
-	rf  *regFile
-	pos map[*core.Instr]int
-	// handler stack for exception-edge registration during the phase-2
-	// walk (sites register in program order, as on the producer side).
-	handlers []*core.Block
-}
-
-func (fd *funcDecoder) innermostHandler() *core.Block {
-	if len(fd.handlers) == 0 {
+func (d *decoder) innermostHandler() *core.Block {
+	if len(d.handlers) == 0 {
 		return nil
 	}
-	return fd.handlers[len(fd.handlers)-1]
+	return d.handlers[len(d.handlers)-1]
 }
 
 // decodeBlocks walks the CST in transmission order decoding each block's
 // phi types and instructions, maintaining the try context so that
 // potentially-throwing instructions and throw nodes register their
 // implicit exception edges exactly as the producer did.
-func (fd *funcDecoder) decodeBlocks(n *core.CSTNode) error {
+func (d *decoder) decodeBlocks(n *core.CSTNode) error {
 	if n == nil {
 		return nil
 	}
 	switch n.Kind {
 	case core.CBlock:
-		return fd.decodeBlock(n.Block)
+		return d.decodeBlock(n.Block)
 	case core.CThrow:
-		if h := fd.innermostHandler(); h != nil {
-			edge := len(h.Preds)
+		if h := d.innermostHandler(); h != nil {
+			d.f.AddThrowSite(n, h, len(h.Preds))
 			h.Preds = append(h.Preds, core.Pred{From: n.At})
-			fd.f.ThrowEdge[n] = edge
-			fd.f.ThrowHandler[n] = h
 		}
 		return nil
 	case core.CTry:
-		fd.handlers = append(fd.handlers, n.Handler)
-		if err := fd.decodeBlocks(n.Kids[0]); err != nil {
+		d.handlers = append(d.handlers, n.Handler)
+		if err := d.decodeBlocks(n.Kids[0]); err != nil {
 			return err
 		}
-		fd.handlers = fd.handlers[:len(fd.handlers)-1]
-		return fd.decodeBlocks(n.Kids[1])
+		d.handlers = d.handlers[:len(d.handlers)-1]
+		return d.decodeBlocks(n.Kids[1])
 	default:
 		for _, k := range n.Kids {
-			if err := fd.decodeBlocks(k); err != nil {
+			if err := d.decodeBlocks(k); err != nil {
 				return err
 			}
 		}
@@ -58,9 +45,8 @@ func (fd *funcDecoder) decodeBlocks(n *core.CSTNode) error {
 	}
 }
 
-func (fd *funcDecoder) decodeBlock(b *core.Block) error {
-	d := fd.d
-	tt := d.m.Types
+func (d *decoder) decodeBlock(b *core.Block) error {
+	f, tt := d.f, d.m.Types
 	d.r.setProd(prodBlock)
 	nPhis, err := d.count("phi")
 	if err != nil {
@@ -73,17 +59,21 @@ func (fd *funcDecoder) decodeBlock(b *core.Block) error {
 		// wire admission must not produce unverifiable modules at all).
 		return malformedf("phis in a block with no predecessors")
 	}
-	if b == fd.f.Entry {
+	// Both sections are collected on d.code and kept at the length they
+	// turned out to have; nPhis and nCode are only what the stream claims.
+	code := d.code[:0]
+	if b == f.Entry {
 		// Re-create the untransmitted parameter pre-loads from the
 		// signature.
-		for i, pt := range fd.f.Params {
-			in := &core.Instr{Op: core.OpParam, Type: pt, Aux: int32(i), Blk: b}
-			fd.f.Define(in)
-			b.Code = append(b.Code, in)
-			fd.rf.add(b, in, i+1)
-			fd.pos[in] = i + 1
+		for i, pt := range f.Params {
+			in := d.instrs.one()
+			*in = core.Instr{Op: core.OpParam, Type: pt, Aux: int32(i), Blk: b}
+			f.Define(in)
+			code = append(code, in)
+			d.rf.add(b, in, i+1)
 		}
 	}
+	base := len(code) // parameter pre-loads already in place for entry
 	for i := 0; i < nPhis; i++ {
 		t, err := d.typeRef()
 		if err != nil {
@@ -93,48 +83,46 @@ func (fd *funcDecoder) decodeBlock(b *core.Block) error {
 		if pt.Kind == core.TVoid || pt.Kind == core.TMem || pt.Kind == core.TSafeIndex {
 			return malformedf("phi on plane %s", tt.Describe(t))
 		}
-		phi := &core.Instr{Op: core.OpPhi, Type: t, Blk: b}
-		fd.f.Define(phi)
-		b.Phis = append(b.Phis, phi)
-		fd.rf.add(b, phi, 0)
-		fd.pos[phi] = 0
+		phi := d.instrs.one()
+		*phi = core.Instr{Op: core.OpPhi, Type: t, Blk: b}
+		f.Define(phi)
+		code = append(code, phi)
+		d.rf.add(b, phi, 0)
 	}
+	b.Phis = d.instrVec.keep(code[base:])
+	code = code[:base]
 	nCode, err := d.count("instruction")
 	if err != nil {
 		return err
 	}
-	base := len(b.Code) // parameter pre-loads already in place for entry
 	for i := 0; i < nCode; i++ {
 		p := base + i + 1
-		in, err := fd.decodeInstr(b)
+		in, err := d.decodeInstr(b)
 		if err != nil {
 			return err
 		}
-		in.Blk = b
-		if in.Type != tt.Void {
-			fd.f.Define(in)
-		}
-		b.Code = append(b.Code, in)
-		fd.rf.add(b, in, p)
-		fd.pos[in] = p
+		code = append(code, in)
+		d.rf.add(b, in, p)
 		if in.Op.CanThrow() {
-			if h := fd.innermostHandler(); h != nil {
-				edge := len(h.Preds)
+			if h := d.innermostHandler(); h != nil {
+				f.AddExcSite(in, h, len(h.Preds))
 				h.Preds = append(h.Preds, core.Pred{From: b, Site: in})
-				fd.f.ExcEdge[in] = edge
-				fd.f.HandlerOf[in] = h
+				d.sitePos[in] = p
 			}
 		}
 	}
+	b.Code = d.instrVec.keep(code)
+	d.code = code
 	return nil
 }
 
-// decodeRef reads an (l, r) reference used from block b at intra-block
-// position p. The alphabets are derived from the register file, so any
-// successfully decoded reference names a value that structurally
+// decodeRef reads an (l, r) reference used from block b: l levels up the
+// dominator tree, register r of the plane there, as far as limit (< 0:
+// the whole block). The alphabets are derived from the register file, so
+// any successfully decoded reference names a value that structurally
 // dominates the use — referential integrity without verification.
-func (fd *funcDecoder) decodeRef(b *core.Block, plane core.PlaneKey) (core.ValueID, error) {
-	l, err := fd.d.r.symbol(b.Depth + 1)
+func (d *decoder) decodeRef(b *core.Block, plane core.PlaneKey, limit int) (core.ValueID, error) {
+	l, err := d.r.symbol(b.Depth + 1)
 	if err != nil {
 		return core.NoValue, err
 	}
@@ -142,62 +130,43 @@ func (fd *funcDecoder) decodeRef(b *core.Block, plane core.PlaneKey) (core.Value
 	for i := 0; i < l; i++ {
 		def = def.IDom
 	}
-	n := fd.rf.countBefore(def, plane, -1)
-	r, err := fd.d.r.symbol(n)
+	if l > 0 {
+		limit = -1
+	}
+	w := d.rf.window(def, plane, limit)
+	r, err := d.r.symbol(len(w))
 	if err != nil {
 		return core.NoValue, err
 	}
-	v := fd.rf.at(def, plane, r, -1)
-	if v == core.NoValue {
-		return core.NoValue, malformedf("register %d-%d empty", l, r)
-	}
-	return v, nil
+	return w[r].id, nil
 }
 
 // decodeEdgeRef reads a phi operand relative to an edge source, windowed
 // to the registers before the throwing site on exception edges.
-func (fd *funcDecoder) decodeEdgeRef(edge core.Pred, plane core.PlaneKey) (core.ValueID, error) {
-	from := edge.From
-	l, err := fd.d.r.symbol(from.Depth + 1)
-	if err != nil {
-		return core.NoValue, err
-	}
-	def := from
-	for i := 0; i < l; i++ {
-		def = def.IDom
-	}
+func (d *decoder) decodeEdgeRef(edge core.Pred, plane core.PlaneKey) (core.ValueID, error) {
 	limit := -1
-	if l == 0 && edge.Site != nil {
-		limit = fd.pos[edge.Site]
+	if edge.Site != nil {
+		limit = d.sitePos[edge.Site]
 	}
-	n := fd.rf.countBefore(def, plane, limit)
-	r, err := fd.d.r.symbol(n)
-	if err != nil {
-		return core.NoValue, err
-	}
-	v := fd.rf.at(def, plane, r, limit)
-	if v == core.NoValue {
-		return core.NoValue, malformedf("phi operand register %d-%d empty", l, r)
-	}
-	return v, nil
+	return d.decodeRef(edge.From, plane, limit)
 }
 
-func (fd *funcDecoder) decodeCSTRefs(n *core.CSTNode) error {
+func (d *decoder) decodeCSTRefs(n *core.CSTNode) error {
 	if n == nil {
 		return nil
 	}
 	// A return's Val is a placeholder from phase 1 when it carries one.
-	slot, plane, err := fd.d.m.RefPlane(fd.f, n)
+	slot, plane, err := d.m.RefPlane(d.f, n)
 	if err != nil {
 		return malformedf("%v", err)
 	}
 	if slot != nil {
-		if *slot, err = fd.decodeRef(n.At, plane); err != nil {
+		if *slot, err = d.decodeRef(n.At, plane, -1); err != nil {
 			return err
 		}
 	}
 	for _, k := range n.Kids {
-		if err := fd.decodeCSTRefs(k); err != nil {
+		if err := d.decodeCSTRefs(k); err != nil {
 			return err
 		}
 	}
@@ -210,8 +179,7 @@ func (fd *funcDecoder) decodeCSTRefs(n *core.CSTNode) error {
 // result are never free to disagree with the rule the verifier checks —
 // they are read through it — and a stream whose immediates break one of
 // its side conditions is malformed.
-func (fd *funcDecoder) decodeInstr(b *core.Block) (*core.Instr, error) {
-	d := fd.d
+func (d *decoder) decodeInstr(b *core.Block) (*core.Instr, error) {
 	r := d.r
 	r.setProd(prodOp)
 	opv, err := r.symbol(core.NumOps)
@@ -221,18 +189,19 @@ func (fd *funcDecoder) decodeInstr(b *core.Block) (*core.Instr, error) {
 	// Payload symbols adapt in the opcode's own production context,
 	// mirroring encodeInstr.
 	r.setProd(opv)
-	in := &core.Instr{Op: core.Op(opv)}
+	in := d.instrs.one()
+	in.Op, in.Blk = core.Op(opv), b
 	if err := d.decodeImmediates(in); err != nil {
 		return nil, err
 	}
-	sig, err := d.m.Signature(fd.f, in)
+	sig, err := d.m.Signature(d.f, in)
 	if err != nil {
 		return nil, malformedf("%s: %v", in.Op, err)
 	}
 	if n := sig.NumOperands(); n > 0 {
-		in.Args = make([]core.ValueID, n)
+		in.Args = d.args.take(n)
 		for i := range in.Args {
-			if in.Args[i], err = fd.decodeRef(b, sig.Operand(i, in.Args[0])); err != nil {
+			if in.Args[i], err = d.decodeRef(b, sig.Operand(i, in.Args[0]), -1); err != nil {
 				return nil, err
 			}
 		}
@@ -240,6 +209,9 @@ func (fd *funcDecoder) decodeInstr(b *core.Block) (*core.Instr, error) {
 	in.Type = sig.Result
 	if sig.BindResult {
 		in.Bind = in.Args[0]
+	}
+	if in.Type != d.m.Types.Void {
+		d.f.Define(in)
 	}
 	return in, nil
 }

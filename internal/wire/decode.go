@@ -158,7 +158,7 @@ func newStreamReader(src io.ByteReader, o DecodeOptions, v1Only bool) (symReader
 // cross-table checks that context-restricted alphabets cannot express
 // structurally (the paper's "trivial counter comparisons").
 func decodeHead(r symReader) (*decoder, error) {
-	d := &decoder{r: r, m: &core.Module{Types: core.NewTypeTable()}}
+	d := &decoder{r: r, m: &core.Module{Types: core.NewTypeTable()}, sitePos: make(map[*core.Instr]int)}
 	var err error
 	if d.nFuncs, err = d.decodeTables(); err != nil {
 		return nil, err
@@ -206,6 +206,71 @@ type decoder struct {
 	// the verified tables grant those functions.
 	nFuncs int
 	adm    *core.Admission
+
+	// The unit's decoded memory (DESIGN.md §5, "who owns decoded
+	// memory"): everything a function body is made of is carved from
+	// these, so a unit costs a chunk per ~128 nodes, not an allocation per
+	// node.
+	instrs   slab[core.Instr]
+	nodes    slab[core.CSTNode]
+	blocks   slab[core.Block]
+	args     slab[core.ValueID]  // Instr.Args
+	instrVec slab[*core.Instr]   // Block.Phis, Block.Code
+	nodeVec  slab[*core.CSTNode] // CSTNode.Kids
+	blockVec slab[*core.Block]   // Func.Blocks
+	preds    slab[core.Pred]     // Block.Preds, normal edges
+
+	// Per-function state, reused from one function to the next; nothing
+	// here is reachable from the module.
+	f     *core.Func
+	rf    regFile
+	kids  []*core.CSTNode // children collected so far, innermost node last
+	blks  []*core.Block   // the function's blocks, in creation order
+	code  []*core.Instr   // the block section being collected
+	loops []loopShape     // linkShape's stack of open loops
+	// handlers is the try context of the phase-2 walk (sites register in
+	// program order, as on the producer side); sitePos the position of
+	// each registered site, which windows its edge's phi operands.
+	handlers []*core.Block
+	sitePos  map[*core.Instr]int
+}
+
+// slab hands out a unit's decoded memory from chunks. A chunk is never
+// sized by a count the stream merely declares: chunks double from 16
+// elements to maxChunk, so capacity follows what has actually been
+// decoded, and a single vector longer than a chunk is as long as
+// structure already decoded makes it. Every vector is cut to its exact
+// capacity, so appending to one later (an optimizer pass may) reallocates
+// it and cannot write into its neighbour.
+type slab[T any] struct {
+	free []T // the unused rest of the newest chunk
+	next int // size of that chunk
+}
+
+// maxChunk bounds what one surviving element can pin and what a unit
+// wastes in each slab's last chunk.
+const maxChunk = 1 << 7
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		s.next = min(max(2*s.next, 16), maxChunk)
+		s.free = make([]T, max(n, s.next))
+	}
+	v := s.free[:n:n]
+	s.free = s.free[n:]
+	return v
+}
+
+func (s *slab[T]) one() *T { return &s.take(1)[0] }
+
+// keep returns an exactly-sized copy of v; nil for none.
+func (s *slab[T]) keep(v []T) []T {
+	if len(v) == 0 {
+		return nil
+	}
+	out := s.take(len(v))
+	copy(out, v)
+	return out
 }
 
 func (d *decoder) typeRef() (core.TypeID, error) {
@@ -457,6 +522,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 		return nil, err
 	}
 	f := core.NewFunc(name)
+	d.f = f
 	mi, err := r.svarint()
 	if err != nil {
 		return nil, err
@@ -467,6 +533,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 			return nil, malformedf("function names method %d outside the table", f.Method)
 		}
 		mr := d.m.Methods[f.Method]
+		f.Params = make([]core.TypeID, 0, len(mr.Params)+1)
 		if !mr.Static {
 			f.Params = append(f.Params, tt.SafeRefOf(mr.Owner))
 		}
@@ -491,19 +558,23 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 
 	// Phase 1: CST productions; blocks materialize in order.
 	r.setProd(prodCST)
-	f.Body, err = d.decodeCST(f, 0)
+	d.blks = d.blks[:0]
+	f.Body, err = d.decodeCST(0)
 	if err != nil {
 		return nil, err
 	}
+	f.Blocks = d.blockVec.keep(d.blks)
 	// Structural replay: edges, dominators, reference blocks.
-	if err := linkShape(f); err != nil {
+	if err := linkShape(f, d); err != nil {
 		return nil, err
 	}
 	f.Finish()
 
 	// Phase 2: block contents in the canonical CST order.
-	fd := &funcDecoder{d: d, f: f, rf: newRegFile(), pos: make(map[*core.Instr]int)}
-	if err := fd.decodeBlocks(f.Body); err != nil {
+	d.rf.reset()
+	d.handlers = d.handlers[:0]
+	clear(d.sitePos)
+	if err := d.decodeBlocks(f.Body); err != nil {
 		return nil, err
 	}
 
@@ -511,9 +582,9 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 	r.setProd(prodRefs)
 	for _, b := range f.Blocks {
 		for _, phi := range b.Phis {
-			phi.Args = make([]core.ValueID, len(b.Preds))
+			phi.Args = d.args.take(len(b.Preds))
 			for k := range phi.Args {
-				v, err := fd.decodeEdgeRef(b.Preds[k], phi.Plane())
+				v, err := d.decodeEdgeRef(b.Preds[k], phi.Plane())
 				if err != nil {
 					return nil, err
 				}
@@ -521,7 +592,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 			}
 		}
 	}
-	if err := fd.decodeCSTRefs(f.Body); err != nil {
+	if err := d.decodeCSTRefs(f.Body); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -529,7 +600,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 
 const maxCSTDepth = 512
 
-func (d *decoder) decodeCST(f *core.Func, depth int) (*core.CSTNode, error) {
+func (d *decoder) decodeCST(depth int) (*core.CSTNode, error) {
 	if depth > maxCSTDepth {
 		return nil, malformedf("control structure tree too deep")
 	}
@@ -537,48 +608,32 @@ func (d *decoder) decodeCST(f *core.Func, depth int) (*core.CSTNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &core.CSTNode{Kind: core.CSTKind(kind)}
+	n := d.nodes.one()
+	n.Kind = core.CSTKind(kind)
+	// A node's children are collected on d.kids above base, then kept at
+	// their exact number: nk below is only what the stream declares.
+	base, nk := len(d.kids), 0
 	switch n.Kind {
 	case core.CSeq:
-		nk, err := d.count("CST child")
-		if err != nil {
+		if nk, err = d.count("CST child"); err != nil {
 			return nil, err
 		}
-		for i := 0; i < nk; i++ {
-			k, err := d.decodeCST(f, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			n.Kids = append(n.Kids, k)
-		}
 	case core.CBlock:
-		n.Block = f.NewBlock()
+		n.Block = d.blocks.one()
+		n.Block.Index = len(d.blks)
+		d.blks = append(d.blks, n.Block)
 	case core.CBreak, core.CContinue, core.CThrow:
 	case core.CIf:
 		hasElse, err := d.r.bit()
 		if err != nil {
 			return nil, err
 		}
-		k0, err := d.decodeCST(f, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		n.Kids = append(n.Kids, k0)
+		nk = 1
 		if hasElse {
-			k1, err := d.decodeCST(f, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			n.Kids = append(n.Kids, k1)
+			nk = 2
 		}
 	case core.CWhile, core.CDoWhile, core.CTry:
-		for i := 0; i < 2; i++ {
-			k, err := d.decodeCST(f, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			n.Kids = append(n.Kids, k)
-		}
+		nk = 2
 	case core.CReturn:
 		hasVal, err := d.r.bit()
 		if err != nil {
@@ -590,5 +645,14 @@ func (d *decoder) decodeCST(f *core.Func, depth int) (*core.CSTNode, error) {
 	default:
 		return nil, malformedf("unknown CST production %d", kind)
 	}
+	for i := 0; i < nk; i++ {
+		k, err := d.decodeCST(depth + 1)
+		if err != nil {
+			return nil, err
+		}
+		d.kids = append(d.kids, k)
+	}
+	n.Kids = d.nodeVec.keep(d.kids[base:])
+	d.kids = d.kids[:base]
 	return n, nil
 }

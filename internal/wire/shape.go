@@ -14,9 +14,11 @@ import (
 // This is the consumer half of the paper's claim that control flow and
 // dominance are integrated in the transmitted structure: nothing about
 // edges or dominators appears in the byte stream.
-func linkShape(f *core.Func) error {
-	s := &shaper{f: f}
-	if err := s.walk(f.Body); err != nil {
+func linkShape(f *core.Func, d *decoder) error {
+	s := shaper{f: f, preds: &d.preds, loops: d.loops[:0]}
+	err := s.walk(f.Body)
+	d.loops = s.loops
+	if err != nil {
 		return err
 	}
 	if f.Entry == nil {
@@ -33,13 +35,30 @@ type loopShape struct {
 }
 
 type shaper struct {
-	f   *core.Func
-	cur *core.Block
+	f     *core.Func
+	preds *slab[core.Pred] // where the decoder keeps the edge lists
+	cur   *core.Block
 	// pending carries the edges and structural dominator for the next
 	// CBlock leaf.
 	pending     []core.Pred
 	pendingIDom *core.Block
-	loops       []*loopShape
+	loops       []loopShape
+}
+
+// edges keeps the edge list "first, then rest" in the unit's memory.
+func (s *shaper) edges(first *core.Block, rest ...core.Pred) []core.Pred {
+	out := s.preds.take(1 + len(rest))
+	out[0] = core.Pred{From: first}
+	copy(out[1:], rest)
+	return out
+}
+
+// headerEdges is edges(first) with room for the back edge a loop header
+// receives once its body has been walked.
+func (s *shaper) headerEdges(first *core.Block) []core.Pred {
+	out := s.preds.take(2)[:1]
+	out[0] = core.Pred{From: first}
+	return out
 }
 
 // terminated reports whether the active path has ended.
@@ -96,31 +115,18 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 			return flows, malformedf("if without a current block")
 		}
 		n.At = c
-		thenTerm, thenEnd, err := s.walkRegion(n.Kids[0], []core.Pred{{From: c}}, c)
+		thenTerm, thenEnd, err := s.walkRegion(n.Kids[0], s.edges(c), c)
 		if err != nil {
 			return flows, err
 		}
-		var pend []core.Pred
-		if thenTerm == flows {
-			pend = append(pend, core.Pred{From: thenEnd})
-		}
+		elseTerm, elseEnd := flows, c
 		if len(n.Kids) > 1 {
-			elseTerm, elseEnd, err := s.walkRegion(n.Kids[1], []core.Pred{{From: c}}, c)
+			elseTerm, elseEnd, err = s.walkRegion(n.Kids[1], s.edges(c), c)
 			if err != nil {
 				return flows, err
 			}
-			if elseTerm == flows {
-				pend = append(pend, core.Pred{From: elseEnd})
-			}
-		} else {
-			pend = append(pend, core.Pred{From: c})
 		}
-		if len(pend) == 0 {
-			s.cur = nil
-			return terminated, nil
-		}
-		s.pending, s.pendingIDom = pend, c
-		return flows, nil
+		return s.join(c, thenTerm, thenEnd, elseTerm, elseEnd), nil
 
 	case core.CWhile:
 		c := s.cur
@@ -129,7 +135,7 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 		}
 		// Condition region: its first leaf is the loop header, whose
 		// back and continue edges are appended below.
-		condTerm, condEnd, err := s.walkRegion(n.Kids[0], []core.Pred{{From: c}}, c)
+		condTerm, condEnd, err := s.walkRegion(n.Kids[0], s.headerEdges(c), c)
 		if err != nil {
 			return flows, err
 		}
@@ -143,18 +149,16 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 		n.Block = header
 		n.At = condEnd
 
-		ls := &loopShape{header: header, contToHeader: true}
-		s.loops = append(s.loops, ls)
-		bodyTerm, bodyEnd, err := s.walkRegion(n.Kids[1], []core.Pred{{From: condEnd}}, condEnd)
+		s.loops = append(s.loops, loopShape{header: header, contToHeader: true})
+		bodyTerm, bodyEnd, err := s.walkRegion(n.Kids[1], s.edges(condEnd), condEnd)
 		if err != nil {
 			return flows, err
 		}
-		s.loops = s.loops[:len(s.loops)-1]
+		ls := s.popLoop()
 		if bodyTerm == flows {
 			header.Preds = append(header.Preds, core.Pred{From: bodyEnd})
 		}
-		pend := append([]core.Pred{{From: condEnd}}, ls.breakEdges...)
-		s.pending, s.pendingIDom = pend, condEnd
+		s.pending, s.pendingIDom = s.edges(condEnd, ls.breakEdges...), condEnd
 		return flows, nil
 
 	case core.CDoWhile:
@@ -167,15 +171,14 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 			return flows, malformedf("do-while without a body block")
 		}
 		n.Block = bodyEntry
-		ls := &loopShape{header: bodyEntry}
-		s.loops = append(s.loops, ls)
-		bodyTerm, bodyEnd, err := s.walkRegion(n.Kids[0], []core.Pred{{From: c}}, c)
+		s.loops = append(s.loops, loopShape{header: bodyEntry})
+		bodyTerm, bodyEnd, err := s.walkRegion(n.Kids[0], s.headerEdges(c), c)
 		if err != nil {
 			return flows, err
 		}
-		s.loops = s.loops[:len(s.loops)-1]
+		ls := s.popLoop()
 
-		latchPreds := append([]core.Pred(nil), ls.contEdges...)
+		latchPreds := ls.contEdges
 		if bodyTerm == flows {
 			latchPreds = append(latchPreds, core.Pred{From: bodyEnd})
 		}
@@ -192,8 +195,7 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 		n.At = condEnd
 		bodyEntry.Preds = append(bodyEntry.Preds, core.Pred{From: condEnd})
 
-		pend := append([]core.Pred{{From: condEnd}}, ls.breakEdges...)
-		s.pending, s.pendingIDom = pend, bodyEntry
+		s.pending, s.pendingIDom = s.edges(condEnd, ls.breakEdges...), bodyEntry
 		return flows, nil
 
 	case core.CReturn, core.CThrow:
@@ -208,7 +210,7 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 		if len(s.loops) == 0 || s.cur == nil {
 			return flows, malformedf("break outside a loop")
 		}
-		ls := s.loops[len(s.loops)-1]
+		ls := &s.loops[len(s.loops)-1]
 		ls.breakEdges = append(ls.breakEdges, core.Pred{From: s.cur})
 		s.cur = nil
 		return terminated, nil
@@ -217,7 +219,7 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 		if len(s.loops) == 0 || s.cur == nil {
 			return flows, malformedf("continue outside a loop")
 		}
-		ls := s.loops[len(s.loops)-1]
+		ls := &s.loops[len(s.loops)-1]
 		if ls.contToHeader {
 			ls.header.Preds = append(ls.header.Preds, core.Pred{From: s.cur})
 		} else {
@@ -231,7 +233,7 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 		if c == nil {
 			return flows, malformedf("try without a current block")
 		}
-		bodyTerm, bodyEnd, err := s.walkRegion(n.Kids[0], []core.Pred{{From: c}}, c)
+		bodyTerm, bodyEnd, err := s.walkRegion(n.Kids[0], s.edges(c), c)
 		if err != nil {
 			return flows, err
 		}
@@ -246,21 +248,35 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 		if err != nil {
 			return flows, err
 		}
-		var pend []core.Pred
-		if bodyTerm == flows {
-			pend = append(pend, core.Pred{From: bodyEnd})
-		}
-		if handlerTerm == flows {
-			pend = append(pend, core.Pred{From: handlerEnd})
-		}
-		if len(pend) == 0 {
-			s.cur = nil
-			return terminated, nil
-		}
-		s.pending, s.pendingIDom = pend, c
-		return flows, nil
+		return s.join(c, bodyTerm, bodyEnd, handlerTerm, handlerEnd), nil
 	}
 	return flows, malformedf("unknown CST production %d", n.Kind)
+}
+
+// popLoop closes the innermost loop and returns what it collected.
+func (s *shaper) popLoop() loopShape {
+	ls := s.loops[len(s.loops)-1]
+	s.loops = s.loops[:len(s.loops)-1]
+	return ls
+}
+
+// join merges the two arms of an if or a try below their common
+// dominator: the arms that flow are the pending edges of the next leaf,
+// in order; with neither, the construct terminates the path.
+func (s *shaper) join(idom *core.Block, aTerm walkResult, aEnd *core.Block, bTerm walkResult, bEnd *core.Block) walkResult {
+	switch {
+	case aTerm == flows && bTerm == flows:
+		s.pending = s.edges(aEnd, core.Pred{From: bEnd})
+	case aTerm == flows:
+		s.pending = s.edges(aEnd)
+	case bTerm == flows:
+		s.pending = s.edges(bEnd)
+	default:
+		s.cur = nil
+		return terminated
+	}
+	s.pendingIDom = idom
+	return flows
 }
 
 // walkRegion enters a sub-region whose first leaf takes the given edges

@@ -3,8 +3,11 @@ package wire_test
 import (
 	"bytes"
 	"io"
+	"sync"
 	"testing"
+	"testing/iotest"
 
+	"safetsa/internal/core"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
@@ -259,5 +262,71 @@ func TestStreamMidStreamFailurePoisonsWait(t *testing.T) {
 	// property; cacheability is Wait's alone.)
 	if su != nil && su.Err() == nil {
 		t.Fatal("Err() reports nil on a poisoned stream")
+	}
+}
+
+// TestStreamConsumersReadBesideTheCarver is the streaming half of "slabs
+// do not alias", meant for -race: function j is published out of chunks
+// the decoder goes on carving function j+1 from. One consumer executes
+// the unit through the WaitFunc gate while the tail is in flight; another
+// reads every admitted function end to end the moment it is published.
+// Neither may observe a write, and the run must print what the fully
+// decoded unit prints.
+func TestStreamConsumersReadBesideTheCarver(t *testing.T) {
+	for _, name := range []string{"Scanner", "BigInteger"} {
+		u, ok := corpus.ByName(name)
+		if !ok {
+			t.Fatalf("no corpus unit %s", name)
+		}
+		data := wire.EncodeModuleV2(corpusO2(t, u), nil)
+		whole, err := wire.DecodeVerified(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runMod(t, whole)
+
+		su, err := wire.DecodeVerifiedStream(iotest.OneByteReader(bytes.NewReader(data)), wire.DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < su.NumFuncs(); j++ {
+				if err := su.WaitFunc(j); err != nil {
+					t.Errorf("%s: function %d: %v", name, j, err)
+					return
+				}
+				f, ref := su.Mod.Funcs[j], whole.Funcs[j]
+				if f.NumInstrs() != ref.NumInstrs() || f.NumValues() != ref.NumValues() {
+					t.Errorf("%s: function %d published incomplete", name, j)
+				}
+				for _, b := range f.Blocks {
+					b.Instrs(func(in *core.Instr) {
+						for _, a := range in.Args {
+							if f.Value(a) == nil {
+								t.Errorf("%s: function %d: operand v%d has no definition", name, j, a)
+							}
+						}
+					})
+				}
+			}
+		}()
+		var out bytes.Buffer
+		l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, &rt.Env{Out: &out, MaxSteps: 50_000_000})
+		if err == nil {
+			err = l.RunMain()
+		}
+		if err != nil {
+			t.Fatalf("%s: streamed run: %v", name, err)
+		}
+		wg.Wait()
+		if err := su.Wait(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if out.String() != want {
+			t.Errorf("%s: streamed run printed %q, want %q", name, out.String(), want)
+		}
 	}
 }
