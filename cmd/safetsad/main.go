@@ -9,8 +9,7 @@
 //	         [-run-timeout D] [-tenant-inflight N] [-pool-units N]
 //	         [-stagetimeout D] [-traces N] [-debug-addr ADDR]
 //	         [-module-opt] [-wire-version 1|2] [-drain D]
-//	         [-node NAME -peers NAME=URL,... [-vnodes N] [-gossip D]
-//	          [-hot-threshold N] [-hot-window D] [-replicas N]]
+//	         [-node NAME -peers NAME=URL,... [-vnodes N] [-gossip D]]
 //
 // API:
 //
@@ -42,10 +41,11 @@
 //
 // Cluster mode (-node plus -peers) turns the daemon into one member of a
 // consistent-hash sharded fleet: compiles route to each unit's ring
-// owner, store misses fill from peers (re-verified locally before
-// caching — peers are never trusted), hot units replicate to ring
-// successors, and GET /stats reports a gossiped fleet view. The /peer/*
-// routes are the fleet-internal API.
+// owner, store misses fill from that owner (re-verified locally before
+// caching — a peer is trusted for which program a hash names, never for
+// its safety), and GET /stats reports a gossiped fleet view. The /peer/*
+// routes are the fleet-internal API; all of them answer requests, none
+// accepts a unit.
 //
 // On SIGTERM/SIGINT the daemon drains: it stops accepting connections,
 // interrupts in-flight guest runs (each still receives its complete HTTP
@@ -100,10 +100,6 @@ func main() {
 		"comma-separated fleet membership as NAME=URL pairs, including this node (its URL may be omitted)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per fleet member on the placement ring (0 = default)")
 	gossip := flag.Duration("gossip", 5*time.Second, "fleet stats gossip interval (0 = disabled)")
-	hotThreshold := flag.Int("hot-threshold", 0,
-		"runs of one unit within -hot-window that trigger replication (0 = disabled)")
-	hotWindow := flag.Duration("hot-window", 10*time.Second, "hot-unit run-rate window")
-	replicas := flag.Int("replicas", 2, "fleet members holding each hot unit (owner included)")
 	flag.Parse()
 
 	srv, err := codeserver.New(codeserver.Config{
@@ -139,9 +135,6 @@ func main() {
 			Self:           *node,
 			Peers:          peerMap,
 			VNodes:         *vnodes,
-			HotThreshold:   *hotThreshold,
-			HotWindow:      *hotWindow,
-			Replicas:       *replicas,
 			GossipInterval: *gossip,
 		})
 		if err != nil {

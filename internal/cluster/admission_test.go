@@ -16,13 +16,15 @@ import (
 )
 
 // corruptPeerFixture is a victim node whose ring partner is a hostile
-// httptest server: it answers peer unit fetches with whatever bytes the
-// test plants. The guest program is chosen so its key is owned by the
-// hostile peer, forcing the victim onto the peer-fill path.
+// httptest server: it answers peer unit fetches and forwarded compiles
+// with whatever bytes the test plants. The guest program is chosen so its
+// key is owned by the hostile peer, forcing the victim onto the peer-fill
+// path.
 type corruptPeerFixture struct {
 	victim   *Node
 	srv      *codeserver.Server
 	cacheDir string
+	files    map[string]string
 	key      codeserver.Key
 	good     []byte // the owner's true encoding
 	serve    func() []byte
@@ -38,7 +40,7 @@ func newCorruptPeerFixture(t *testing.T) *corruptPeerFixture {
 
 	fx := &corruptPeerFixture{cacheDir: t.TempDir()}
 	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/peer/unit/") {
+		if !strings.HasPrefix(r.URL.Path, "/peer/unit/") && r.URL.Path != "/peer/compile" {
 			http.NotFound(w, r)
 			return
 		}
@@ -76,7 +78,7 @@ func newCorruptPeerFixture(t *testing.T) *corruptPeerFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fx.key, fx.good = k, u.Wire
+		fx.files, fx.key, fx.good = files, k, u.Wire
 		return fx
 	}
 }
@@ -93,7 +95,7 @@ func (fx *corruptPeerFixture) fill(t *testing.T) error {
 // are visible nowhere — not in memory, not on disk.
 func (fx *corruptPeerFixture) assertNotAdmitted(t *testing.T) {
 	t.Helper()
-	if _, ok := fx.srv.Unit(fx.key); ok {
+	if _, ok := fx.srv.Unit(context.Background(), fx.key); ok {
 		t.Fatal("rejected peer unit is resident in the memory tier")
 	}
 	if _, err := os.Stat(fmt.Sprintf("%s/%s.tsa", fx.cacheDir, fx.key)); err == nil {

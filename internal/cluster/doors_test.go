@@ -1,0 +1,301 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"safetsa/internal/codeserver"
+	"safetsa/internal/wire"
+)
+
+// TestUnsolicitedWriteCannotRebindHash: nothing a client or peer sends
+// unasked can change which program a hash names. The old replica push
+// (PUT /peer/replicate/{hash}, live even with replication disabled)
+// re-verified the bytes it was sent — any valid unit passes — and then
+// wrote them over <hash>.tsa, so after a restart the victim's hash ran,
+// and its own sources "compiled" to, the sender's program.
+func TestUnsolicitedWriteCannotRebindHash(t *testing.T) {
+	f := newFleet(t, []string{"solo"})
+	url, dir := f.urls["solo"], f.dirs["solo"]
+	a := fleetCompile(t, url, fleetProgram(1))
+	b := fleetCompile(t, url, fleetProgram(2))
+	aBytes, bBytes := fetchUnitBytes(t, url, a.Hash), fetchUnitBytes(t, url, b.Hash)
+
+	for _, method := range []string{http.MethodPut, http.MethodPost} {
+		if status := sendUnit(t, method, url+"/peer/replicate/"+a.Hash, bBytes); status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
+			t.Errorf("%s /peer/replicate/<hash> answered %d, want 404 or 405", method, status)
+		}
+	}
+
+	// The restart: what the directory holds is all the new server knows.
+	fresh, err := codeserver.New(codeserver.Config{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := codeserver.ParseKey(a.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fresh.RunUnit(context.Background(), k, 1_000_000)
+	if err != nil || !res.OK || res.Output != "p8\n" {
+		t.Errorf("run of A's hash after restart = %+v, %v; want A's output %q", res, err, "p8\n")
+	}
+	u, _, err := fresh.CompileUnit(context.Background(), fleetProgram(1), codeserver.Options{})
+	if err != nil || !bytes.Equal(u.Wire, aBytes) {
+		t.Errorf("compile of A's sources after restart does not answer A's bytes (err %v)", err)
+	}
+}
+
+// TestPeerRoutesAcceptNoWrites: the peer API answers requests; no route
+// under /peer/ takes a write, whatever unit rides in the body.
+func TestPeerRoutesAcceptNoWrites(t *testing.T) {
+	f := newFleet(t, []string{"solo"})
+	url, srv := f.urls["solo"], f.srvs["solo"]
+	a := fleetCompile(t, url, fleetProgram(1))
+	body := fetchUnitBytes(t, url, fleetCompile(t, url, fleetProgram(2)).Hash)
+	before, files := srv.Stats(), dirNames(t, f.dirs["solo"])
+
+	for _, path := range []string{"/peer/unit/" + a.Hash, "/peer/compile", "/peer/stats", "/peer/replicate/" + a.Hash} {
+		for _, method := range []string{http.MethodPut, http.MethodPatch, http.MethodDelete} {
+			if status := sendUnit(t, method, url+path, body); status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s answered %d, want 404 or 405", method, path, status)
+			}
+		}
+	}
+	if after := srv.Stats(); after.UnitsCached != before.UnitsCached || after.PeerFills != before.PeerFills {
+		t.Errorf("refused writes changed the store: %d units, %d peer fills; were %d, %d",
+			after.UnitsCached, after.PeerFills, before.UnitsCached, before.PeerFills)
+	}
+	if now := dirNames(t, f.dirs["solo"]); !slices.Equal(now, files) {
+		t.Errorf("refused writes changed the cache directory: %v, was %v", now, files)
+	}
+}
+
+func sendUnit(t *testing.T, method, url string, body []byte) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// assertNothingCached is the one checker behind every door into the
+// store. srv has just refused bytes offered as the unit for k (before is
+// its Stats from just before the attempt; the door started with an empty
+// store and directory): nothing of them may be anywhere a later request
+// could find — not the store's memory tier, not the cache directory (temp
+// files included), not the loader cache — the refusal moved rejects reject
+// counters and nothing that reports a success, and it was not remembered
+// against the key: honest, the same door given the true bytes, succeeds.
+func assertNothingCached(t *testing.T, srv *codeserver.Server, dir string, k codeserver.Key, before codeserver.Stats, rejects uint64, honest func() error) {
+	t.Helper()
+	if _, ok := srv.Unit(context.Background(), k); ok {
+		t.Errorf("refused unit %s is served by the store", k)
+	}
+	if names := dirNames(t, dir); len(names) != 0 {
+		t.Errorf("refused unit left files in the cache directory: %v", names)
+	}
+	after := srv.Stats()
+	if after.UnitsCached != before.UnitsCached || after.ModulesLoaded != before.ModulesLoaded {
+		t.Errorf("after a refusal the store holds %d units and the loader %d modules; before, %d and %d",
+			after.UnitsCached, after.ModulesLoaded, before.UnitsCached, before.ModulesLoaded)
+	}
+	if got := (after.PeerFillRejects + after.StreamRejects) - (before.PeerFillRejects + before.StreamRejects); got != rejects {
+		t.Errorf("the refusal moved the reject counters by %d, want %d", got, rejects)
+	}
+	if after.PeerFills != before.PeerFills || after.DiskHits != before.DiskHits ||
+		after.CacheHits != before.CacheHits || after.Loads != before.Loads {
+		t.Errorf("a refusal was counted as a success: %+v, before %+v", after, before)
+	}
+	if err := honest(); err != nil {
+		t.Errorf("the honest unit was refused after a refusal of the same door: %v", err)
+	}
+}
+
+// door is one way bytes this node did not produce reach its store, opened
+// on a fresh node with an empty store and cache directory.
+type door struct {
+	srv  *codeserver.Server
+	dir  string
+	good []byte // the true unit
+	// keyOf is the key data is offered under: the source hash the node
+	// asked for, or — on the one door whose keys bind themselves — the
+	// hash of data.
+	keyOf func(data []byte) codeserver.Key
+	// send offers data through the door and reports what the caller saw.
+	send func(data []byte) error
+	// rejects is how far one refusal moves the reject counters.
+	rejects uint64
+}
+
+func runOK(res codeserver.RunResult, err error) error {
+	if err == nil && !res.OK {
+		err = errors.New(res.Error)
+	}
+	return err
+}
+
+// scratchUnit is a true unit, compiled by a server that is not the door's.
+func scratchUnit(t *testing.T) *codeserver.Unit {
+	t.Helper()
+	scratch, err := codeserver.New(codeserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, _, err := scratch.CompileUnit(context.Background(), fleetProgram(1), codeserver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// diskServer is a standalone server over an empty cache directory.
+func diskServer(t *testing.T) (*codeserver.Server, string) {
+	t.Helper()
+	dir := t.TempDir()
+	srv, err := codeserver.New(codeserver.Config{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, dir
+}
+
+// The four doors that remain. Each is a fill: the node asked for the key.
+var doors = []struct {
+	name string
+	open func(t *testing.T) door
+}{
+	{"peer fill on run miss", func(t *testing.T) door {
+		fx := newCorruptPeerFixture(t)
+		return door{srv: fx.srv, dir: fx.cacheDir, good: fx.good, rejects: 1,
+			keyOf: func([]byte) codeserver.Key { return fx.key },
+			send: func(data []byte) error {
+				fx.serve = func() []byte { return data }
+				return runOK(fx.srv.RunUnit(context.Background(), fx.key, 1_000_000))
+			}}
+	}},
+	{"forwarded compile", func(t *testing.T) door {
+		fx := newCorruptPeerFixture(t)
+		return door{srv: fx.srv, dir: fx.cacheDir, good: fx.good, rejects: 1,
+			keyOf: func([]byte) codeserver.Key { return fx.key },
+			send: func(data []byte) error {
+				fx.serve = func() []byte { return data }
+				_, _, err := fx.victim.Compile(context.Background(), fx.files, codeserver.Options{})
+				return err
+			}}
+	}},
+	// The disk tier has no reject counter: a file it refuses is a miss,
+	// which must not be a disk hit and leaves the run with nothing to load.
+	{"disk re-admission", func(t *testing.T) door {
+		u := scratchUnit(t)
+		srv, dir := diskServer(t)
+		return door{srv: srv, dir: dir, good: u.Wire, rejects: 0,
+			keyOf: func([]byte) codeserver.Key { return u.Key },
+			send: func(data []byte) error {
+				if err := os.WriteFile(filepath.Join(dir, u.Key.String()+".tsa"), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return runOK(srv.RunUnit(context.Background(), u.Key, 1_000_000))
+			}}
+	}},
+	{"run-stream", func(t *testing.T) door {
+		srv, dir := diskServer(t)
+		return door{srv: srv, dir: dir, good: scratchUnit(t).Wire, rejects: 1,
+			keyOf: codeserver.KeyForWire,
+			send: func(data []byte) error {
+				res, err := srv.RunUnitStream(context.Background(), bytes.NewReader(data), codeserver.RunOptions{MaxSteps: 1_000_000})
+				return runOK(res.RunResult, err)
+			}}
+	}},
+}
+
+// mangles are the ways a unit arrives damaged; each yields the damaged
+// copies of good to try, every one of which local admission refuses.
+var mangles = []struct {
+	name string
+	of   func(t *testing.T, good []byte) [][]byte
+}{
+	{"bit flip", func(t *testing.T, good []byte) [][]byte {
+		// Some flips (inside a string constant, say) leave a different but
+		// still safe unit, which is admissible by design: take the first
+		// that does not.
+		for i := range good {
+			bad := bytes.Clone(good)
+			bad[i] ^= 0x40
+			if _, err := wire.DecodeVerified(bad); err != nil {
+				return [][]byte{bad}
+			}
+		}
+		t.Fatal("no byte flip breaks verification")
+		return nil
+	}},
+	{"truncation", func(t *testing.T, good []byte) (out [][]byte) {
+		for cut := 0; cut < len(good); cut += 3 {
+			out = append(out, good[:cut:cut])
+		}
+		return out
+	}},
+	{"appended garbage", func(t *testing.T, good []byte) [][]byte {
+		return [][]byte{append(bytes.Clone(good), "\x00garbage"...)}
+	}},
+}
+
+// TestNothingRejectedIsCachedThroughAnyDoor is north-star 3 as one table:
+// every remaining door into the store, times every way a unit arrives
+// damaged, through the one checker.
+func TestNothingRejectedIsCachedThroughAnyDoor(t *testing.T) {
+	for _, d := range doors {
+		for _, m := range mangles {
+			t.Run(d.name+"/"+m.name, func(t *testing.T) {
+				dr := d.open(t)
+				for i, bad := range m.of(t, dr.good) {
+					if i > 0 {
+						dr = d.open(t) // every refusal meets a fresh node
+					}
+					before := dr.srv.Stats()
+					if err := dr.send(bad); err == nil {
+						t.Fatalf("damaged unit %d (%d of %d bytes) was accepted", i, len(bad), len(dr.good))
+					}
+					assertNothingCached(t, dr.srv, dr.dir, dr.keyOf(bad), before, dr.rejects, func() error {
+						if err := dr.send(dr.good); err != nil {
+							return err
+						}
+						if u, ok := dr.srv.Unit(context.Background(), dr.keyOf(dr.good)); !ok || !bytes.Equal(u.Wire, dr.good) {
+							return errors.New("the honest unit ran but is not in the store")
+						}
+						return nil
+					})
+					if t.Failed() {
+						t.Fatalf("damaged unit %d (%d of %d bytes)", i, len(bad), len(dr.good))
+					}
+				}
+			})
+		}
+	}
+}

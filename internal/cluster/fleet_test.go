@@ -37,22 +37,24 @@ func (s *switchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type fleet struct {
 	names []string
 	urls  map[string]string
+	dirs  map[string]string // each member's CacheDir
 	srvs  map[string]*codeserver.Server
 	nodes map[string]*Node
 }
 
-func newFleet(t *testing.T, names []string, mut func(*Config)) *fleet {
+func newFleet(t *testing.T, names []string) *fleet {
 	t.Helper()
-	return newFleetOf(t, names, codeserver.Config{}, mut)
+	return newFleetOf(t, names, codeserver.Config{})
 }
 
 // newFleetOf builds the fleet from members that share the server
 // configuration srvCfg (node name and disk tier are per member).
-func newFleetOf(t *testing.T, names []string, srvCfg codeserver.Config, mut func(*Config)) *fleet {
+func newFleetOf(t *testing.T, names []string, srvCfg codeserver.Config) *fleet {
 	t.Helper()
 	f := &fleet{
 		names: names,
 		urls:  make(map[string]string),
+		dirs:  make(map[string]string),
 		srvs:  make(map[string]*codeserver.Server),
 		nodes: make(map[string]*Node),
 	}
@@ -65,16 +67,13 @@ func newFleetOf(t *testing.T, names []string, srvCfg codeserver.Config, mut func
 		f.urls[name] = ts.URL
 	}
 	for _, name := range names {
-		srvCfg.NodeName, srvCfg.CacheDir = name, t.TempDir()
+		f.dirs[name] = t.TempDir()
+		srvCfg.NodeName, srvCfg.CacheDir = name, f.dirs[name]
 		srv, err := codeserver.New(srvCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Self: name, Peers: f.urls, VNodes: 16}
-		if mut != nil {
-			mut(&cfg)
-		}
-		node, err := NewNode(srv, cfg)
+		node, err := NewNode(srv, Config{Self: name, Peers: f.urls, VNodes: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +147,7 @@ func fleetRun(url, hash string) (codeserver.RunResult, int, error) {
 // every node ends up serving byte-identical, locally re-verified units.
 func TestFleetSingleCompilePerUnit(t *testing.T) {
 	names := []string{"a1", "b2", "c3"}
-	f := newFleet(t, names, nil)
+	f := newFleet(t, names)
 
 	const units = 6
 	keys := make([]codeserver.Key, units)
@@ -267,7 +266,7 @@ func TestFleetSingleCompilePerUnit(t *testing.T) {
 // that the other members answer 404 for.
 func TestFleetCompileOneHashFromEveryNode(t *testing.T) {
 	names := []string{"a1", "b2", "c3"}
-	f := newFleetOf(t, names, codeserver.Config{WireVersion: 2}, nil)
+	f := newFleetOf(t, names, codeserver.Config{WireVersion: 2})
 
 	req := codeserver.CompileRequest{Files: fleetProgram(4), ModuleOpt: true}
 	want := codeserver.KeyFor(req.Files,
@@ -314,7 +313,7 @@ func fetchUnitBytes(t *testing.T, url, hash string) []byte {
 // owner's parse/sema classification survives the peer hop instead of
 // collapsing into a 500.
 func TestFleetForwardedCompileKeepsErrorKind(t *testing.T) {
-	f := newFleet(t, []string{"a1", "b2", "c3"}, nil)
+	f := newFleet(t, []string{"a1", "b2", "c3"})
 	bad := map[string]string{"Bad.tj": "class Bad { static void main() { int x = \"notanint\"; } }"}
 	for _, name := range f.names {
 		body, _ := json.Marshal(codeserver.CompileRequest{Files: bad})
@@ -341,7 +340,7 @@ func TestFleetForwardedCompileKeepsErrorKind(t *testing.T) {
 // /stats reports a fleet view covering all three members with their
 // per-node counters.
 func TestFleetStatsGossip(t *testing.T) {
-	f := newFleet(t, []string{"a1", "b2", "c3"}, nil)
+	f := newFleet(t, []string{"a1", "b2", "c3"})
 	cr := fleetCompile(t, f.urls["a1"], fleetProgram(0))
 	for _, name := range f.names {
 		if rr, _, err := fleetRun(f.urls[name], cr.Hash); err != nil || !rr.OK {
@@ -393,7 +392,7 @@ func TestFleetStatsGossip(t *testing.T) {
 // nodes completes without errors and emits a valid safetsa-bench-v8
 // report with a real run-latency distribution.
 func TestFleetLoadReplay(t *testing.T) {
-	f := newFleet(t, []string{"a1", "b2", "c3"}, nil)
+	f := newFleet(t, []string{"a1", "b2", "c3"})
 	targets := make([]string, 0, 3)
 	for _, name := range f.names {
 		targets = append(targets, f.urls[name])
@@ -452,58 +451,5 @@ func TestFleetLoadReplay(t *testing.T) {
 	}
 	if compiles != 8 {
 		t.Errorf("fleet ran %d compiles for an 8-unit universe", compiles)
-	}
-}
-
-// TestFleetHotReplication: a unit whose run rate crosses the threshold
-// on its owner is pushed to its ring successor, which re-admits it
-// through local verification and then serves it from its own store.
-func TestFleetHotReplication(t *testing.T) {
-	f := newFleet(t, []string{"a1", "b2", "c3"}, func(c *Config) {
-		c.HotThreshold = 3
-		c.HotWindow = time.Minute
-		c.Replicas = 2
-	})
-	cr := fleetCompile(t, f.urls["a1"], fleetProgram(1))
-	k, err := codeserver.ParseKey(cr.Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := f.owner(k)
-	succ := f.nodes[owner].Ring().Successors(cr.Hash, 2)
-	if len(succ) != 2 {
-		t.Fatalf("successors %v", succ)
-	}
-	replica := succ[1]
-
-	if _, ok := f.srvs[replica].Unit(k); ok {
-		t.Fatalf("replica node %s already holds the unit before it is hot", replica)
-	}
-	for i := 0; i < 3; i++ {
-		if rr, _, err := fleetRun(f.urls[owner], cr.Hash); err != nil || !rr.OK {
-			t.Fatalf("run %d on owner: %+v err %v", i, rr, err)
-		}
-	}
-	// The owner counts a push only after the replica has answered it, so
-	// the unit can be visible on the replica a moment before the counter
-	// moves: wait for both.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := f.srvs[replica].Unit(k); ok && f.nodes[owner].replicaPushes.Load() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hot unit never replicated to %s (owner recorded %d pushes)", replica, f.nodes[owner].replicaPushes.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := f.srvs[replica].Stats(); st.PeerFills == 0 {
-		t.Error("replica admission did not go through the peer-fill counters")
-	}
-	// The replica arrived verified and byte-identical.
-	ownerBytes := fetchUnitBytes(t, f.urls[owner], cr.Hash)
-	u, _ := f.srvs[replica].Unit(k)
-	if !bytes.Equal(u.Wire, ownerBytes) {
-		t.Error("replica bytes differ from owner encoding")
 	}
 }

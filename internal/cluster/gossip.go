@@ -27,7 +27,6 @@ type NodeStats struct {
 	RunsInFlight    int64  `json:"runs_in_flight"`
 	PeerFills       uint64 `json:"peer_fills"`
 	PeerFillRejects uint64 `json:"peer_fill_rejects"`
-	ReplicaPushes   uint64 `json:"replica_pushes"`
 	Forwards        uint64 `json:"forwards"`
 	TenantRejects   uint64 `json:"tenant_rejects"`
 	// AgeSeconds is how stale this row was at snapshot time: 0 for the
@@ -73,7 +72,6 @@ func (n *Node) localRow() NodeStats {
 		RunsInFlight:    st.RunsInFlight,
 		PeerFills:       st.PeerFills,
 		PeerFillRejects: st.PeerFillRejects,
-		ReplicaPushes:   n.replicaPushes.Load(),
 		Forwards:        n.forwards.Load(),
 		TenantRejects:   st.TenantRejects,
 		Reachable:       true,

@@ -24,15 +24,6 @@ type Config struct {
 	VNodes int
 	// Client performs peer requests (nil: 15s-timeout default client).
 	Client *http.Client
-	// HotThreshold is the number of run requests for one unit within
-	// HotWindow after which the unit is replicated to its ring
-	// successors (<=0 disables replication).
-	HotThreshold int
-	// HotWindow is the run-rate measurement window (<=0: 10s).
-	HotWindow time.Duration
-	// Replicas is how many members (starting at the owner, walking the
-	// ring) should hold a hot unit (<=0: 2).
-	Replicas int
 	// GossipInterval is how often the background loop refreshes peer
 	// stats for the fleet view (<=0: background gossip disabled; the
 	// fleet view then only covers what GossipOnce was asked to fetch).
@@ -48,16 +39,12 @@ type Node struct {
 	srv    *codeserver.Server
 	ring   *Ring
 	client *http.Client
-	inner  http.Handler
-	hot    *hotTracker
 
 	// Cluster-level counters (the per-request store/admission counters
 	// live in codeserver.Metrics; these cover what only the cluster
 	// layer sees).
-	forwards          atomic.Uint64 // compiles forwarded to their owner
-	replicaPushes     atomic.Uint64
-	replicaPushErrors atomic.Uint64
-	gossipErrors      atomic.Uint64
+	forwards     atomic.Uint64 // compiles forwarded to their owner
+	gossipErrors atomic.Uint64
 
 	gmu   sync.Mutex
 	fleet map[string]NodeStats // last gossiped stats per peer
@@ -88,12 +75,6 @@ func NewNode(srv *codeserver.Server, cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.HotWindow <= 0 {
-		cfg.HotWindow = 10 * time.Second
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 15 * time.Second}
@@ -103,8 +84,6 @@ func NewNode(srv *codeserver.Server, cfg Config) (*Node, error) {
 		srv:    srv,
 		ring:   ring,
 		client: client,
-		inner:  srv.Handler(),
-		hot:    newHotTracker(cfg.HotThreshold, cfg.HotWindow),
 		fleet:  make(map[string]NodeStats),
 		stop:   make(chan struct{}),
 	}
@@ -138,23 +117,22 @@ func (n *Node) Close() {
 // wrapped server (which itself peer-fills store misses on the run and
 // unit-download paths via the PeerFiller hook).
 //
-//	POST /compile              ring-routed compile (owner compiles once)
-//	POST /run/{hash}           local run, peer fill on miss (+ hot tracking)
-//	GET  /stats                fleet view (local stats + gossiped peers)
-//	GET  /peer/unit/{hash}     encoded unit bytes for peers (no recursion)
-//	POST /peer/compile         owner-side compile on behalf of a peer
-//	PUT  /peer/replicate/{hash} hot-unit replica push (re-verified locally)
-//	GET  /peer/stats           condensed per-node stats row for gossip
+//	POST /compile           ring-routed compile (owner compiles once)
+//	GET  /stats             fleet view (local stats + gossiped peers)
+//	GET  /peer/unit/{hash}  encoded unit bytes for peers (no recursion)
+//	POST /peer/compile      owner-side compile on behalf of a peer
+//	GET  /peer/stats        condensed per-node stats row for gossip
+//
+// No peer route accepts a write: a unit enters this node's store only
+// because this node asked for it (see codeserver.Store).
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", n.handleCompile)
-	mux.HandleFunc("POST /run/{hash}", n.handleRun)
 	mux.HandleFunc("GET /stats", n.handleStats)
 	mux.HandleFunc("GET /peer/unit/{hash}", n.handlePeerUnit)
 	mux.HandleFunc("POST /peer/compile", n.handlePeerCompile)
-	mux.HandleFunc("PUT /peer/replicate/{hash}", n.handlePeerReplicate)
 	mux.HandleFunc("GET /peer/stats", n.handlePeerStats)
-	mux.Handle("/", n.inner)
+	mux.Handle("/", n.srv.Handler())
 	return mux
 }
 
@@ -202,13 +180,4 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	codeserver.WriteCompileResponse(w, u, cached)
-}
-
-// handleRun feeds the hot-unit tracker, then delegates to the wrapped
-// server (whose run path peer-fills missing units through FetchUnit).
-func (n *Node) handleRun(w http.ResponseWriter, r *http.Request) {
-	if k, err := codeserver.ParseKey(r.PathValue("hash")); err == nil {
-		n.noteRun(k)
-	}
-	n.inner.ServeHTTP(w, r)
 }

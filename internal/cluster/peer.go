@@ -27,7 +27,7 @@ func (n *Node) handlePeerUnit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	u, ok := n.srv.Unit(k)
+	u, ok := n.srv.Unit(r.Context(), k)
 	if !ok {
 		codeserver.WriteError(w, codeserver.ErrUnitNotFound)
 		return
@@ -52,37 +52,6 @@ func (n *Node) handlePeerCompile(w http.ResponseWriter, r *http.Request) {
 	writeUnit(w, u)
 }
 
-// handlePeerReplicate accepts a hot-unit replica push. The bytes pass
-// through the same local decode+verify admission as any peer fill; a
-// push that fails verification is rejected with 422 and leaves no trace
-// in either store tier.
-func (n *Node) handlePeerReplicate(w http.ResponseWriter, r *http.Request) {
-	k, ok := codeserver.PathKey(w, r)
-	if !ok {
-		return
-	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, codeserver.MaxUnitBytes+1))
-	if err != nil {
-		codeserver.WriteError(w, err)
-		return
-	}
-	if len(data) > codeserver.MaxUnitBytes {
-		codeserver.WriteJSON(w, http.StatusRequestEntityTooLarge, codeserver.ErrorResponse{
-			Error: fmt.Sprintf("replica exceeds %d bytes", codeserver.MaxUnitBytes), Kind: "verify"})
-		return
-	}
-	optimized := r.Header.Get(optimizedHeader) == "1"
-	u, err := n.srv.AdmitReplica(k, data, optimized)
-	if err != nil {
-		codeserver.WriteJSON(w, http.StatusUnprocessableEntity,
-			codeserver.ErrorResponse{Error: err.Error(), Kind: driver.KindOf(err).String()})
-		return
-	}
-	codeserver.WriteJSON(w, http.StatusOK, map[string]any{
-		"hash": u.Key.String(), "size": u.Size,
-	})
-}
-
 // writeUnit is the peer API's unit response: the public download plus
 // the optimization flag.
 func writeUnit(w http.ResponseWriter, u *codeserver.Unit) {
@@ -97,31 +66,17 @@ func writeUnit(w http.ResponseWriter, u *codeserver.Unit) {
 // ---- peer API: client side -------------------------------------------
 
 // fetchUnitFrom pulls the encoded unit bytes for k from a named peer.
-// The caller re-verifies them locally (PeerFillUnit → AdmitUnit); this
-// function only moves bytes.
 func (n *Node) fetchUnitFrom(ctx context.Context, peer string, k codeserver.Key) ([]byte, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		n.peerURL(peer)+"/peer/unit/"+k.String(), nil)
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, false, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, peerError(peer, resp)
-	}
-	data, err := readUnitBody(resp.Body)
-	if err != nil {
-		return nil, false, fmt.Errorf("cluster: reading unit from peer %s: %w", peer, err)
-	}
-	return data, resp.Header.Get(optimizedHeader) == "1", nil
+	return n.unitFrom(peer, req)
 }
 
 // forwardCompile asks the owner to compile a source set and returns the
-// resulting encoded unit bytes (re-verified by the caller).
+// resulting encoded unit bytes.
 func (n *Node) forwardCompile(ctx context.Context, owner string, files map[string]string, opts codeserver.Options) ([]byte, bool, error) {
 	body, err := json.Marshal(codeserver.CompileRequest{
 		Files: files, Optimize: opts.Optimize, ModuleOpt: opts.ModuleOpt})
@@ -134,56 +89,32 @@ func (n *Node) forwardCompile(ctx context.Context, owner string, files map[strin
 		return nil, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	return n.unitFrom(owner, req)
+}
+
+// unitFrom sends req to a peer and reads the unit it answers with. It
+// only moves bytes: the caller re-verifies them locally (codeserver's
+// peer fill) before anything is cached.
+func (n *Node) unitFrom(peer string, req *http.Request) ([]byte, bool, error) {
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return nil, false, fmt.Errorf("cluster: owner %s unreachable: %w", owner, err)
+		return nil, false, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, false, peerError(owner, resp)
+		return nil, false, peerError(peer, resp)
 	}
-	data, err := readUnitBody(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, codeserver.MaxUnitBytes+1))
+	if err == nil && len(data) > codeserver.MaxUnitBytes {
+		err = fmt.Errorf("unit exceeds %d bytes", codeserver.MaxUnitBytes)
+	}
 	if err != nil {
-		return nil, false, fmt.Errorf("cluster: reading unit from owner %s: %w", owner, err)
+		return nil, false, fmt.Errorf("cluster: reading unit from peer %s: %w", peer, err)
 	}
 	return data, resp.Header.Get(optimizedHeader) == "1", nil
 }
 
-// pushReplica sends a locally held unit to a peer's replicate endpoint.
-func (n *Node) pushReplica(ctx context.Context, peer string, u *codeserver.Unit) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		n.peerURL(peer)+"/peer/replicate/"+u.Key.String(), bytes.NewReader(u.Wire))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if u.Optimized {
-		req.Header.Set(optimizedHeader, "1")
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("cluster: replica push to %s: %w", peer, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return peerError(peer, resp)
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	return nil
-}
-
 func (n *Node) peerURL(peer string) string { return n.cfg.Peers[peer] }
-
-func readUnitBody(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, codeserver.MaxUnitBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(data) > codeserver.MaxUnitBytes {
-		return nil, fmt.Errorf("unit exceeds %d bytes", codeserver.MaxUnitBytes)
-	}
-	return data, nil
-}
 
 // peerError reconstructs a typed error from a peer's JSON error body so
 // user-program faults (a parse error on a forwarded compile, say) keep

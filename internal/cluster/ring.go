@@ -6,13 +6,17 @@
 // .tsa bytes from the owner over an internal peer API and re-admitting
 // them through the local decode+verify path before caching.
 //
-// The trust model is the paper's: re-establishing type safety and
-// referential security of received code costs only local counter
-// checks, so a node can accept units from an arbitrarily hostile peer
-// at the same price as from a client. Peers ship bytes; admission is
+// The trust model is the paper's, and no wider: re-establishing type
+// safety and referential security of received code costs only local
+// counter checks, so a node can accept units from an arbitrarily hostile
+// peer at the same price as from a client. Peers ship bytes; admission is
 // always local. A corrupted or malicious peer can cause a fill to fail
 // (counted, never cached) but can never place unverified code in a
-// store tier or an interpreter session.
+// store tier or an interpreter session. What local admission cannot
+// re-establish is identity: that a source-addressed hash names *this*
+// safe program is taken from exactly one party, the ring owner this node
+// chose to ask. So the peer API only answers requests; nothing can be
+// written into a node's store from outside (DESIGN.md §8).
 package cluster
 
 import (
@@ -101,37 +105,12 @@ func keyHash(key string) uint64 {
 // Owner returns the member that owns key: the only node that compiles
 // it, and the node every peer fill for it is directed at.
 func (r *Ring) Owner(key string) string {
-	return r.points[r.search(keyHash(key))].node
-}
-
-// Successors returns up to n distinct members clockwise from key's ring
-// position, starting with the owner — the placement order for hot-unit
-// replicas.
-func (r *Ring) Successors(key string, n int) []string {
-	if n > len(r.names) {
-		n = len(r.names)
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i, start := 0, r.search(keyHash(key)); i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
-}
-
-func (r *Ring) search(h uint64) int {
+	h := keyHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
-		return 0 // wrap: the ring is circular
+		i = 0 // wrap: the ring is circular
 	}
-	return i
+	return r.points[i].node
 }
 
 // Nodes returns the sorted member names.

@@ -45,33 +45,6 @@ func TestRingCoversAllNodes(t *testing.T) {
 	}
 }
 
-func TestRingSuccessors(t *testing.T) {
-	r, err := NewRing([]string{"a1", "b2", "c3"}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		succ := r.Successors(k, 2)
-		if len(succ) != 2 {
-			t.Fatalf("Successors(%s, 2) = %v", k, succ)
-		}
-		if succ[0] != r.Owner(k) {
-			t.Fatalf("successor list %v does not start with owner %s", succ, r.Owner(k))
-		}
-		if succ[0] == succ[1] {
-			t.Fatalf("successor list %v repeats a node", succ)
-		}
-	}
-	// Asking for more members than exist returns every member once.
-	if got := r.Successors("k", 99); len(got) != 3 {
-		t.Errorf("Successors(k, 99) = %v, want all 3 members", got)
-	}
-	if got := r.Successors("k", 0); got != nil {
-		t.Errorf("Successors(k, 0) = %v, want nil", got)
-	}
-}
-
 func TestRingSingleNodeOwnsEverything(t *testing.T) {
 	r, err := NewRing([]string{"solo"}, 4)
 	if err != nil {

@@ -3,7 +3,6 @@ package codeserver
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"safetsa/internal/core"
 	"safetsa/internal/driver"
@@ -63,51 +62,35 @@ func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func() ([]byte
 	return u, err
 }
 
+// load runs the consumer pipeline on the fetched bytes, each stage under
+// one clock (obs.Timed). A failure at any stage is one load error and a
+// verify-kind rejection naming the stage.
 func (c *LoaderCache) load(ctx context.Context, k Key, fetch func() ([]byte, error)) (*LoadedUnit, error) {
 	data, err := fetch()
 	if err != nil {
 		c.m.loadErrors.Add(1)
 		return nil, err
 	}
-	_, dsp := obs.Start(ctx, "decode")
-	start := time.Now()
-	mod, err := wire.DecodeModule(data)
-	c.m.decodeHist.Observe(time.Since(start))
-	dsp.End()
-	if err != nil {
-		c.m.loadErrors.Add(1)
-		return nil, &driver.Error{Kind: driver.KindVerify,
-			Err: fmt.Errorf("codeserver: unit %s: %w", k, err)}
-	}
-	_, vsp := obs.Start(ctx, "verify")
-	start = time.Now()
-	err = mod.Verify(core.VerifyOptions{})
-	c.m.verifyHist.Observe(time.Since(start))
-	vsp.End()
-	if err != nil {
-		c.m.loadErrors.Add(1)
-		return nil, &driver.Error{Kind: driver.KindVerify,
-			Err: fmt.Errorf("codeserver: unit %s rejected by verifier: %w", k, err)}
-	}
-	_, psp := obs.Start(ctx, "prepare")
-	start = time.Now()
-	prep, err := interp.Prepare(mod)
-	c.m.prepareHist.Observe(time.Since(start))
-	psp.End()
-	if err != nil {
-		c.m.loadErrors.Add(1)
-		return nil, &driver.Error{Kind: driver.KindVerify,
-			Err: fmt.Errorf("codeserver: unit %s failed to prepare: %w", k, err)}
-	}
-	_, csp := obs.Start(ctx, "compile_backend")
-	start = time.Now()
-	comp, err := interp.Compile(mod, prep)
-	c.m.compileBackendHist.Observe(time.Since(start))
-	csp.End()
-	if err != nil {
-		c.m.loadErrors.Add(1)
-		return nil, &driver.Error{Kind: driver.KindVerify,
-			Err: fmt.Errorf("codeserver: unit %s failed to compile: %w", k, err)}
+	var (
+		mod  *core.Module
+		prep *interp.Prepared
+		comp *interp.Compiled
+	)
+	for _, st := range []struct {
+		name string
+		hist *obs.Histogram
+		run  func(context.Context) error
+	}{
+		{"decode", &c.m.decodeHist, func(context.Context) (err error) { mod, err = wire.DecodeModule(data); return }},
+		{"verify", &c.m.verifyHist, func(context.Context) error { return mod.Verify(core.VerifyOptions{}) }},
+		{"prepare", &c.m.prepareHist, func(context.Context) (err error) { prep, err = interp.Prepare(mod); return }},
+		{"compile_backend", &c.m.compileBackendHist, func(context.Context) (err error) { comp, err = interp.Compile(mod, prep); return }},
+	} {
+		if err := obs.Timed(ctx, st.name, st.hist, st.run); err != nil {
+			c.m.loadErrors.Add(1)
+			return nil, &driver.Error{Kind: driver.KindVerify,
+				Err: fmt.Errorf("codeserver: unit %s: %s: %w", k, st.name, err)}
+		}
 	}
 	c.m.loads.Add(1)
 	return &LoadedUnit{Key: k, Mod: mod, Comp: comp, Instrs: mod.NumInstrs()}, nil

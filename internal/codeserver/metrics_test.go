@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -137,6 +138,18 @@ func TestMetricsEndpointMatchesCounters(t *testing.T) {
 		resp = postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{})
 		decodeBody[RunResult](t, resp)
 	}
+	// One peer fill of each outcome: admitted, refused, never fetched.
+	good := helloUnit(t).Wire
+	for i, fetch := range []func(context.Context) ([]byte, bool, error){
+		func(context.Context) ([]byte, bool, error) { return good, false, nil },
+		func(context.Context) ([]byte, bool, error) { return good[:len(good)/2], false, nil },
+		func(context.Context) ([]byte, bool, error) { return nil, false, errors.New("owner unreachable") },
+	} {
+		_, _, err := s.PeerFillUnit(context.Background(), Key{0: 0xfe, 1: byte(i)}, fetch)
+		if (err == nil) != (i == 0) {
+			t.Fatalf("peer fill %d: err %v", i, err)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -164,6 +177,11 @@ func TestMetricsEndpointMatchesCounters(t *testing.T) {
 	}
 	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="run"}`); got != float64(st.Runs) {
 		t.Errorf("run histogram count %v != runs %d", got, st.Runs)
+	}
+	if got, want := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="peer_fill"}`),
+		st.PeerFills+st.PeerFillRejects+st.PeerFillErrors; got != float64(want) || want != 3 {
+		t.Errorf("peer_fill histogram count %v != fills %d + rejects %d + errors %d (one of each)",
+			got, st.PeerFills, st.PeerFillRejects, st.PeerFillErrors)
 	}
 	if got := promValue(t, text, "safetsa_compile_requests_total"); got != float64(st.CompileRequests) {
 		t.Errorf("compile_requests %v != %d", got, st.CompileRequests)

@@ -68,10 +68,10 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{Optimized: opts.Optimize || opts.ModuleOpt}
-	if opts.Optimize || opts.ModuleOpt {
+	meta := unitMeta{Optimized: opts.Optimize || opts.ModuleOpt}
+	if meta.Optimized {
 		err = p.stage(ctx, "optimize", func(ctx context.Context) (err error) {
-			u.OptStats, err = driver.OptimizeModuleOptions(ctx, mod,
+			meta.OptStats, err = driver.OptimizeModuleOptions(ctx, mod,
 				opt.Options{ModuleLevel: opts.ModuleOpt})
 			return err
 		})
@@ -79,22 +79,21 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 			return nil, err
 		}
 	}
+	var data []byte
 	err = p.stage(ctx, "encode", func(context.Context) error {
 		if opts.WireV2 {
-			u.Wire = wire.EncodeModuleV2(mod, nil)
+			data = wire.EncodeModuleV2(mod, nil)
 		} else {
-			u.Wire = wire.EncodeModule(mod)
+			data = wire.EncodeModule(mod)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	u.Size = len(u.Wire)
-	u.Instrs = mod.NumInstrs()
 	p.m.compiles.Add(1)
 	p.m.compileHist.Observe(time.Since(start))
-	return u, nil
+	return newUnit(mod, data, meta), nil
 }
 
 // stage runs one pipeline stage under the stage deadline. A stage that

@@ -263,78 +263,57 @@ func (s *Server) CompileUnit(ctx context.Context, files map[string]string, opts 
 	})
 }
 
-// AdmitUnit re-establishes type safety and referential security of
-// peer-supplied wire bytes through the exact admission path a consumer
-// applies to any received unit — wire.DecodeVerified, the paper's cheap
-// per-plane counter checks — and builds the Unit from locally derived
-// facts only (size and instruction count come from the local decode,
-// never from peer metadata). Rejections are counted and returned as
-// verify-kind errors; rejected bytes never reach either store tier.
-func (s *Server) AdmitUnit(k Key, data []byte, optimized bool) (*Unit, error) {
-	mod, err := wire.DecodeVerified(data)
-	if err != nil {
-		s.m.peerFillRejects.Add(1)
-		return nil, &driver.Error{Kind: driver.KindVerify,
-			Err: fmt.Errorf("codeserver: peer unit %s rejected by local admission: %w", k, err)}
-	}
-	return &Unit{Key: k, Wire: data, Size: len(data), Instrs: mod.NumInstrs(), Optimized: optimized}, nil
-}
-
-// AdmitReplica verifies and stores a unit pushed by a peer (hot-unit
-// replication). The push is unsolicited, so it goes through the same
-// admission as a pull-based peer fill before touching the store.
-func (s *Server) AdmitReplica(k Key, data []byte, optimized bool) (*Unit, error) {
-	u, err := s.AdmitUnit(k, data, optimized)
-	if err != nil {
-		return nil, err
-	}
-	s.m.peerFills.Add(1)
-	s.store.Put(u)
-	return u, nil
-}
-
-// PeerFillUnit returns the unit for k from the local store, or fills it
-// with bytes fetched from its owner elsewhere in the fleet. The fetched
-// bytes are untrusted: they must pass AdmitUnit before they are cached
-// in either tier. Concurrent callers coalesce on one fetch through the
-// store's singleflight, so a node asks the owner for a missing unit at
-// most once at a time no matter how many requests race. The bool
+// PeerFillUnit is the compile path of a node that does not own k: the
+// unit from the local store, or filled with what fetch brings from the
+// owner (see peerFill). Concurrent callers coalesce on one fetch through
+// the store's singleflight, so a node asks the owner for a missing unit
+// at most once at a time no matter how many requests race. The bool
 // reports a local cache hit.
 func (s *Server) PeerFillUnit(ctx context.Context, k Key, fetch func(context.Context) (data []byte, optimized bool, err error)) (*Unit, bool, error) {
-	return s.store.GetOrFill(ctx, k, func(ctx context.Context) (*Unit, error) {
-		fctx, sp := obs.Start(ctx, "peer_fill")
-		defer sp.End()
-		start := time.Now()
-		data, optimized, err := fetch(fctx)
-		if err != nil {
-			s.m.peerFillErrors.Add(1)
-			return nil, err
-		}
-		u, err := s.AdmitUnit(k, data, optimized)
-		s.m.peerFillHist.Observe(time.Since(start))
-		if err != nil {
-			return nil, err
-		}
-		s.m.peerFills.Add(1)
-		return u, nil
-	})
+	return s.store.GetOrFill(ctx, k, s.peerFill(k, fetch))
 }
 
-// fillFromPeer resolves a store miss through the peer filler when one
-// is installed; without one the miss stays ErrUnitNotFound.
-func (s *Server) fillFromPeer(ctx context.Context, k Key) (*Unit, error) {
-	if s.peerFiller == nil {
-		return nil, ErrUnitNotFound
+// peerFill is the store miss that asks a peer. fetch only moves bytes
+// (optimized is peer-reported bookkeeping); they are untrusted, and
+// re-establish type safety and referential security through the admission
+// a consumer applies to any received unit (admit) or reach no tier. Every
+// attempt is one peer_fill sample and exactly one of the three counters.
+func (s *Server) peerFill(k Key, fetch func(context.Context) ([]byte, bool, error)) func(context.Context) (*Unit, error) {
+	return func(ctx context.Context) (u *Unit, err error) {
+		err = obs.Timed(ctx, "peer_fill", &s.m.peerFillHist, func(ctx context.Context) error {
+			data, optimized, err := fetch(ctx)
+			if err != nil {
+				s.m.peerFillErrors.Add(1)
+				return err
+			}
+			if u, err = admit(data, unitMeta{Optimized: optimized}); err != nil {
+				s.m.peerFillRejects.Add(1)
+				return &driver.Error{Kind: driver.KindVerify,
+					Err: fmt.Errorf("codeserver: peer unit %s rejected by local admission: %w", k, err)}
+			}
+			s.m.peerFills.Add(1)
+			return nil
+		})
+		return u, err
 	}
-	u, _, err := s.PeerFillUnit(ctx, k, func(ctx context.Context) ([]byte, bool, error) {
-		return s.peerFiller.FetchUnit(ctx, k)
-	})
+}
+
+// lookup returns the unit for k without compiling: the store's tiers,
+// then — in cluster mode — the key's owner, whose bytes are re-admitted
+// locally before anything sees them. Without a peer filler a miss is
+// ErrUnitNotFound. Lookups are not compile-path cache hits.
+func (s *Server) lookup(ctx context.Context, k Key) (*Unit, error) {
+	var miss func(context.Context) (*Unit, error)
+	if pf := s.peerFiller; pf != nil {
+		miss = s.peerFill(k, func(ctx context.Context) ([]byte, bool, error) { return pf.FetchUnit(ctx, k) })
+	}
+	u, _, err := s.store.fill(ctx, k, miss)
 	return u, err
 }
 
 // Unit returns the encoded distribution unit for a key, if present in
-// the store (memory or disk).
-func (s *Server) Unit(k Key) (*Unit, bool) { return s.store.Get(k) }
+// the store (memory or disk); it never asks a peer.
+func (s *Server) Unit(ctx context.Context, k Key) (*Unit, bool) { return s.store.Get(ctx, k) }
 
 // RunResult is the outcome of one execution session.
 type RunResult struct {
@@ -422,16 +401,9 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 	if snap == nil {
 		lctx, lsp := obs.Start(sess.ctx, "load")
 		lu, err = s.loader.GetOrLoad(lctx, k, func() ([]byte, error) {
-			u, ok := s.store.Get(k)
-			if !ok {
-				// Cluster mode: a run for a unit this node lacks pulls the
-				// encoded bytes from the owner and re-admits them locally
-				// before the loader ever sees them.
-				pu, perr := s.fillFromPeer(lctx, k)
-				if perr != nil {
-					return nil, perr
-				}
-				u = pu
+			u, err := s.lookup(lctx, k)
+			if err != nil {
+				return nil, err
 			}
 			return u.Wire, nil
 		})
@@ -470,9 +442,9 @@ type RunStreamResult struct {
 // MaxUnitBytes bounds what any endpoint accepts as one encoded unit: the
 // body of a streaming run (a longer body is surfaced as a truncation —
 // the decoder sees the stream end mid-unit — or as trailing garbage, both
-// of which reject the unit) and a fleet peer's unit response or replica
-// push. Units are source-derived and small; anything near this is a
-// broken or hostile sender, not a real unit.
+// of which reject the unit) and a fleet peer's unit response. Units are
+// source-derived and small; anything near this is a broken or hostile
+// sender, not a real unit.
 const MaxUnitBytes = 64 << 20
 
 // RunUnitStream executes a distribution unit delivered as raw wire
@@ -500,39 +472,44 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	var buf bytes.Buffer
 	tee := io.TeeReader(io.LimitReader(body, MaxUnitBytes+1), &buf)
 
-	_, dsp := obs.Start(sess.ctx, "wire_decode_stream")
-	decodeStart := time.Now()
-	rejected := func(err error) (RunStreamResult, error) {
-		s.m.wireDecodeStreamHist.Observe(time.Since(decodeStart))
-		dsp.End()
+	var su *wire.StreamingUnit
+	var runErr error
+	err = obs.Timed(sess.ctx, "wire_decode_stream", &s.m.wireDecodeStreamHist, func(context.Context) (err error) {
+		if su, err = wire.DecodeVerifiedStream(tee, wire.DecodeOptions{}); err != nil {
+			return err
+		}
+		var l *interp.Loader
+		if l, runErr = interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, sess.begin()); runErr == nil {
+			runErr = l.RunMain()
+		}
+		// The guest may finish before the tail of the stream arrives;
+		// admissibility of the whole unit is decided only by Wait.
+		return su.Wait()
+	})
+	if err != nil {
+		if su != nil {
+			// The session began (the header was admitted): the run happened,
+			// but what the guest did with a rejected unit is not reported:
+			// the stream's error is.
+			sess.finish(err)
+		}
 		s.m.streamRejects.Add(1)
 		return RunStreamResult{}, &driver.Error{Kind: driver.KindVerify,
 			Err: fmt.Errorf("codeserver: streamed unit rejected: %w", err)}
 	}
-	su, err := wire.DecodeVerifiedStream(tee, wire.DecodeOptions{})
-	if err != nil {
-		return rejected(err)
-	}
+	res := RunStreamResult{RunResult: sess.finish(runErr)}
 
-	l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, sess.begin())
+	// Publication is a fill like any other: a key already resident or on
+	// disk costs no copy and no write, and identical concurrent streams
+	// coalesce. It outlives the guest's interrupt; should it adopt another
+	// caller's failed peer fill of the same key, the unit is simply not
+	// cached and no hash is reported.
+	u, _, err := s.store.fill(context.WithoutCancel(sess.ctx), KeyForWire(buf.Bytes()), func(context.Context) (*Unit, error) {
+		return newUnit(su.Mod, bytes.Clone(buf.Bytes()), unitMeta{}), nil
+	})
 	if err == nil {
-		err = l.RunMain()
+		res.Hash = u.Key.String()
 	}
-	// The guest may finish before the tail of the stream arrives;
-	// admissibility of the whole unit is decided only by Wait.
-	if werr := su.Wait(); werr != nil {
-		// The run happened and failed, but what the guest did with a
-		// rejected unit is not reported: the stream's error is.
-		sess.finish(werr)
-		return rejected(werr)
-	}
-	s.m.wireDecodeStreamHist.Observe(time.Since(decodeStart))
-	dsp.End()
-	res := RunStreamResult{RunResult: sess.finish(err)}
-	data := bytes.Clone(buf.Bytes())
-	k := KeyForWire(data)
-	s.store.Put(&Unit{Key: k, Wire: data, Size: len(data), Instrs: su.Mod.NumInstrs()})
-	res.Hash = k.String()
 	return res, nil
 }
 
@@ -681,16 +658,10 @@ func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	u, ok := s.store.Get(k)
-	if !ok {
-		// Cluster mode: pull the unit from its owner (re-verified
-		// locally) instead of bouncing the download back to the client.
-		pu, err := s.fillFromPeer(r.Context(), k)
-		if err != nil {
-			WriteError(w, err)
-			return
-		}
-		u = pu
+	u, err := s.lookup(r.Context(), k)
+	if err != nil {
+		WriteError(w, err)
+		return
 	}
 	WriteUnit(w, u)
 }

@@ -271,7 +271,7 @@ func TestStoreEviction(t *testing.T) {
 				if _, _, err := st.GetOrFill(context.Background(), k, fill); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := st.Get(prev); ok {
+				if _, ok := st.Get(context.Background(), prev); ok {
 					t.Error("evicted unit still resident")
 				}
 				if m.evictions.Load() != 1 {

@@ -58,7 +58,7 @@ func (tc *sessionCase) drive(t *testing.T, s *Server, path string) (RunResult, e
 		if tc.mangle != nil {
 			bad := tc.mangle(u.Wire)
 			k = KeyForWire(bad)
-			s.store.Put(&Unit{Key: k, Wire: bad, Size: len(bad)})
+			plantUnit(s.store, &Unit{Key: k, Wire: bad, Size: len(bad)})
 		}
 		if tc.unknown {
 			k = KeyForWire([]byte("no such unit"))

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"safetsa/internal/core"
 	"safetsa/internal/obs"
 	"safetsa/internal/opt"
 	"safetsa/internal/wire"
@@ -15,20 +16,48 @@ import (
 // Unit is one compiled distribution unit: the producer pipeline's output
 // for a content key. Units are immutable once published.
 type Unit struct {
-	Key       Key       `json:"-"`
-	Wire      []byte    `json:"-"`
-	Size      int       `json:"size"`
-	Instrs    int       `json:"instructions"`
+	Key    Key    `json:"-"`
+	Wire   []byte `json:"-"`
+	Size   int    `json:"size"`
+	Instrs int    `json:"instructions"`
+	unitMeta
+}
+
+// unitMeta is what a /compile answer carries that the unit itself does
+// not encode: producer-side facts, kept in the disk tier's sidecar and
+// sent beside the bytes by a peer. They are bookkeeping, never safety.
+type unitMeta struct {
 	Optimized bool      `json:"optimized"`
 	OptStats  opt.Stats `json:"opt_stats"`
+}
+
+// newUnit is the only way a Unit comes to exist outside tests. Its
+// evidence is mod, the verified module that data encodes: the one the
+// producer's driver verified before encoding it, or the one the decoder
+// admitted from it. Size and instruction count come from that pair and
+// from nowhere else; the store stamps the key the unit was filled under.
+func newUnit(mod *core.Module, data []byte, meta unitMeta) *Unit {
+	return &Unit{Wire: data, Size: len(data), Instrs: mod.NumInstrs(), unitMeta: meta}
+}
+
+// admit is how bytes this process did not just produce (a peer's answer,
+// a file in the cache directory) become a Unit: they pass the consumer's
+// admission, wire.DecodeVerified, or there is no unit.
+func admit(data []byte, meta unitMeta) (*Unit, error) {
+	mod, err := wire.DecodeVerified(data)
+	if err != nil {
+		return nil, err
+	}
+	return newUnit(mod, data, meta), nil
 }
 
 const numShards = 16
 
 // Store is the content-addressed unit store: a sharded in-memory LRU in
-// front of an optional on-disk store, with singleflight on fills (see
-// lru.fill) so that concurrent requests for the same key run the producer
-// pipeline exactly once.
+// front of an optional on-disk store. It has one way in, fill, under the
+// shard's singleflight (see lru.fill): an entry exists because a caller
+// on this node asked for its key, and concurrent requests for one key
+// probe the disk and run the producer pipeline or the peer fetch once.
 type Store struct {
 	dir    string // "" disables the disk tier
 	m      *Metrics
@@ -65,76 +94,68 @@ func (s *Store) Len() int {
 	return n
 }
 
+// fill returns the unit for k from memory, else — one caller at a time per
+// key — from the disk tier, else from miss; a nil miss is a lookup with
+// nowhere further to ask. Whatever miss returns is published under k in
+// memory and then, being the value that won the memory tier, on disk.
+// Fill errors are not cached; lru.fill says which of them a coalesced
+// caller adopts and after which it starts over. Error accounting is the
+// miss callback's job: the store serves every fill flavor.
+func (s *Store) fill(ctx context.Context, k Key, miss func(context.Context) (*Unit, error)) (*Unit, fillHow, error) {
+	fromDisk := false
+	u, how, err := s.shardOf(k).fill(ctx, k, func(ctx context.Context) (u *Unit, err error) {
+		_, dsp := obs.Start(ctx, "disk")
+		u, fromDisk = s.loadDisk(k)
+		dsp.End()
+		if !fromDisk {
+			if miss == nil {
+				return nil, ErrUnitNotFound
+			}
+			fctx, fsp := obs.Start(ctx, "fill")
+			u, err = miss(fctx)
+			fsp.End()
+			if err != nil {
+				return nil, err
+			}
+		}
+		u.Key = k
+		return u, nil
+	})
+	if err == nil && how == led && !fromDisk {
+		s.writeDisk(u) // after the memory tier, so a lookup never sees the disk copy first
+	}
+	return u, how, err
+}
+
 // Get returns a unit from the memory or disk tier without compiling.
 // Lookups on this path (unit downloads, loader-cache fills) are not
 // counted as compile-path cache hits.
-func (s *Store) Get(k Key) (*Unit, bool) {
-	sh := s.shardOf(k)
-	if u, ok := sh.get(k); ok {
-		return u, true
-	}
-	if u, ok := s.loadDisk(k); ok {
-		sh.add(k, u)
-		return u, true
-	}
-	return nil, false
+func (s *Store) Get(ctx context.Context, k Key) (*Unit, bool) {
+	u, _, err := s.fill(ctx, k, nil)
+	return u, err == nil
 }
 
-// GetOrFill returns the unit for k, running fill (under the shard's
-// singleflight) on a miss. The second result reports whether the unit was
-// served without running fill in this call (memory/disk hit); callers that
-// coalesced onto another caller's in-flight fill see cached=false. Fill
-// errors are not cached; lru.fill says which of them a coalesced caller
-// adopts and after which it starts over. Error accounting (compile vs
-// peer-fill failure) is the fill callback's job: the store serves both
-// fill flavors.
+// GetOrFill is fill with the compile path's accounting. The second result
+// reports whether the unit was served without running fill in this call
+// (memory/disk hit); callers that coalesced onto another caller's
+// in-flight fill see cached=false.
 func (s *Store) GetOrFill(ctx context.Context, k Key, fill func(context.Context) (*Unit, error)) (u *Unit, cached bool, err error) {
-	fromDisk := false
-	u, how, err := s.shardOf(k).fill(ctx, k, func(ctx context.Context) (*Unit, error) {
-		_, dsp := obs.Start(ctx, "disk")
-		du, ok := s.loadDisk(k)
-		dsp.End()
-		if ok {
-			s.m.diskHits.Add(1)
-			fromDisk = true
-			return du, nil
-		}
-		fctx, fsp := obs.Start(ctx, "fill")
-		defer fsp.End()
-		fu, err := fill(fctx)
-		if err != nil {
-			return nil, err
-		}
-		fu.Key = k
-		return fu, nil
+	ran := false
+	u, how, err := s.fill(ctx, k, func(ctx context.Context) (*Unit, error) {
+		ran = true
+		return fill(ctx)
 	})
 	switch {
 	case err != nil:
 		return nil, false, err
 	case how == resident:
 		s.m.cacheHits.Add(1)
-	case how == led && !fromDisk:
-		s.writeDisk(u) // after the memory tier, so Get never sees disk first
+	case how == led && !ran:
+		s.m.diskHits.Add(1)
+	default: // this call, or the flight it joined, ran fill
+		return u, false, nil
 	}
-	return u, how == resident || fromDisk, nil
-}
-
-// Put publishes an already-admitted unit into both tiers, bypassing the
-// fill path. It is the landing point for hot-unit replicas pushed by a
-// fleet peer — the caller must have run the unit through the local
-// admission path (Server.AdmitUnit) first; raw peer bytes never enter
-// the store.
-func (s *Store) Put(u *Unit) {
-	s.shardOf(u.Key).add(u.Key, u)
-	s.writeDisk(u)
-}
-
-// unitMeta is the sidecar the disk tier keeps next to the raw wire bytes:
-// the producer-side facts a /compile answer carries that the unit itself
-// does not encode.
-type unitMeta struct {
-	Optimized bool      `json:"optimized"`
-	OptStats  opt.Stats `json:"opt_stats"`
+	return u, true, nil
 }
 
 func (s *Store) wirePath(k Key) string { return filepath.Join(s.dir, k.String()+".tsa") }
@@ -143,8 +164,8 @@ func (s *Store) metaPath(k Key) string { return filepath.Join(s.dir, k.String()+
 // loadDisk re-admits a unit from the disk tier. The directory is one more
 // untrusted source — writeDisk does not fsync, so a crash can leave a torn
 // .tsa next to an intact sidecar — and gets the same rule as a peer fill:
-// the bytes pass wire.DecodeVerified or they are a miss. A rejected unit's
-// files are removed so the key recompiles instead of failing every run.
+// the bytes pass admit or they are a miss. A rejected unit's files are
+// removed so the key recompiles instead of failing every run.
 func (s *Store) loadDisk(k Key) (*Unit, bool) {
 	if s.dir == "" {
 		return nil, false
@@ -153,18 +174,15 @@ func (s *Store) loadDisk(k Key) (*Unit, bool) {
 	if err != nil {
 		return nil, false
 	}
-	mod, err := wire.DecodeVerified(data)
+	var meta unitMeta
+	if mb, err := os.ReadFile(s.metaPath(k)); err == nil && json.Unmarshal(mb, &meta) != nil {
+		meta = unitMeta{}
+	}
+	u, err := admit(data, meta)
 	if err != nil {
 		_ = os.Remove(s.wirePath(k))
 		_ = os.Remove(s.metaPath(k))
 		return nil, false
-	}
-	u := &Unit{Key: k, Wire: data, Size: len(data), Instrs: mod.NumInstrs()}
-	if mb, err := os.ReadFile(s.metaPath(k)); err == nil {
-		var meta unitMeta
-		if json.Unmarshal(mb, &meta) == nil {
-			u.Optimized, u.OptStats = meta.Optimized, meta.OptStats
-		}
 	}
 	return u, true
 }
@@ -186,7 +204,7 @@ func (s *Store) writeDisk(u *Unit) {
 	// loadDisk re-admits every unit it reads and treats a rejected one as
 	// a miss.
 	atomicWrite(s.wirePath(u.Key), u.Wire)
-	if mb, err := json.Marshal(unitMeta{Optimized: u.Optimized, OptStats: u.OptStats}); err == nil {
+	if mb, err := json.Marshal(u.unitMeta); err == nil {
 		atomicWrite(s.metaPath(u.Key), mb)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +16,15 @@ import (
 
 	"safetsa/internal/wire"
 )
+
+// plantUnit puts u into both tiers of st without admitting it — what no
+// code outside the tests can do. It is for tests that need a unit
+// resident that admission would refuse (to prove the loader refuses it
+// too), or an entry to corrupt.
+func plantUnit(st *Store, u *Unit) {
+	st.shardOf(u.Key).add(u.Key, u)
+	st.writeDisk(u)
+}
 
 // helloUnit compiles the hello program into a real unit (loadDisk
 // re-admits what it reads, so disk-tier tests need bytes that decode).
@@ -116,7 +124,7 @@ func TestDiskTierReadmitsUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := helloUnit(t)
-	st.Put(u)
+	plantUnit(st, u)
 	wirePath := st.wirePath(u.Key)
 	if err := os.Truncate(wirePath, int64(len(u.Wire)/2)); err != nil {
 		t.Fatal(err)
@@ -130,7 +138,7 @@ func TestDiskTierReadmitsUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := st.Get(u.Key); ok {
+	if got, ok := st.Get(context.Background(), u.Key); ok {
 		t.Fatalf("Get served a truncated unit from disk (%d of %d bytes)", len(got.Wire), len(u.Wire))
 	}
 	for _, p := range []string{wirePath, st.metaPath(u.Key)} {
@@ -163,7 +171,7 @@ func TestDiskTierReadmitsUnits(t *testing.T) {
 	if st, err = NewStore(dir, 8, m); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := st.Get(u.Key); !ok || got.Instrs != u.Instrs {
+	if got, ok := st.Get(context.Background(), u.Key); !ok || got.Instrs != u.Instrs {
 		t.Fatalf("intact unit after restart: ok=%v unit=%+v, want %d instructions", ok, got, u.Instrs)
 	}
 }
@@ -432,22 +440,135 @@ func TestGetOrFillCompileNotAnsweredByEmptyLookup(t *testing.T) {
 	}
 }
 
-// TestStorePutPublishesBothTiers covers the replica landing point: Put
-// makes the unit visible in memory and persists it so a restarted node
-// still holds its replicas.
+// TestStorePutPublishesBothTiers keeps its name from Store.Put, whose
+// last caller was the stream publication; that is a fill now, and this is
+// what it must still do: make the streamed unit visible in memory and
+// persist it, so a restarted node still holds it. Publishing the same
+// unit again is a resident hit and must leave the file on disk alone —
+// Put rewrote both files (two CreateTemp + rename, a new inode) on every
+// repeated stream.
 func TestStorePutPublishesBothTiers(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir, 8, &Metrics{})
+	s := newTestServer(t, Config{CacheDir: dir})
+	data, want := streamUnit(t, true)
+	k := KeyForWire(data)
+	wirePath := s.store.wirePath(k)
+
+	stream := func() {
+		t.Helper()
+		res, err := s.RunUnitStream(context.Background(), bytes.NewReader(data), RunOptions{})
+		if err != nil || !res.OK || res.Output != want || res.Hash != k.String() {
+			t.Fatalf("stream run = %+v, %v; want output %q under hash %s", res, err, want, k)
+		}
+	}
+	stream()
+	u, ok := s.Unit(context.Background(), k)
+	if !ok || !bytes.Equal(u.Wire, data) || u.Size != len(data) || u.Instrs <= 0 {
+		t.Fatalf("streamed unit not resident as delivered: ok=%v unit=%+v", ok, u)
+	}
+	first, err := os.Stat(wirePath)
+	if err != nil {
+		t.Fatalf("streamed unit not persisted: %v", err)
+	}
+
+	stream()
+	second, err := os.Stat(wirePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var k Key
-	k[0] = 9
-	st.Put(&Unit{Key: k, Wire: []byte{1, 2, 3}, Size: 3, Instrs: 1})
-	if _, ok := st.Get(k); !ok {
-		t.Fatal("Put unit not resident in memory")
+	if !os.SameFile(first, second) {
+		t.Error("a repeated stream of a resident unit rewrote its file on disk")
 	}
-	if _, err := os.Stat(fmt.Sprintf("%s/%s.tsa", dir, k)); err != nil {
-		t.Fatalf("Put unit not persisted: %v", err)
+	if again, _ := s.Unit(context.Background(), k); again != u {
+		t.Error("a repeated stream replaced the resident unit")
+	}
+	if st := s.Stats(); st.UnitsCached != 1 || st.CacheHits != 0 || st.DiskHits != 0 {
+		t.Errorf("units cached %d, cache_hits %d, disk_hits %d; want 1 unit and no compile-path hits from publications",
+			st.UnitsCached, st.CacheHits, st.DiskHits)
+	}
+
+	// A restart: the unit is served from the disk tier.
+	s2 := newTestServer(t, Config{CacheDir: dir})
+	if got, ok := s2.Unit(context.Background(), k); !ok || !bytes.Equal(got.Wire, data) {
+		t.Fatalf("restarted node lost the streamed unit: ok=%v", ok)
+	}
+}
+
+// TestStoreOneUnitPerKeyThroughEveryDoor: after a restart, callers that
+// reach one disk-resident key at once — lookups, a compile-path fill, a
+// stream publication — all go through the one fill, so the disk is read
+// and the unit admitted once, every caller holds the same *Unit, the
+// store holds one entry and the file is not rewritten. Store.Get used to
+// probe the disk outside the singleflight: each concurrent lookup decoded
+// its own copy and returned it, though only the first was kept.
+func TestStoreOneUnitPerKeyThroughEveryDoor(t *testing.T) {
+	dir := t.TempDir()
+	m := &Metrics{}
+	st, err := NewStore(dir, 8, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := helloUnit(t)
+	u.Key = KeyForWire(u.Wire) // a key all three doors can honestly ask for
+	k := u.Key
+	st.writeDisk(u)
+	before, err := os.Stat(st.wirePath(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = NewStore(dir, 8, m); err != nil { // the restart
+		t.Fatal(err)
+	}
+
+	const callers = 16
+	got := make([]*Unit, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ctx := context.Background()
+			switch i % 3 {
+			case 0:
+				if v, ok := st.Get(ctx, k); ok {
+					got[i] = v
+				} else {
+					errs[i] = ErrUnitNotFound
+				}
+			case 1:
+				got[i], _, errs[i] = st.GetOrFill(ctx, k, mustNotFill)
+			case 2: // what RunUnitStream does with an admitted stream
+				got[i], _, errs[i] = st.fill(ctx, k, func(context.Context) (*Unit, error) {
+					return &Unit{Wire: bytes.Clone(u.Wire), Size: u.Size, Instrs: u.Instrs}, nil
+				})
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if got[i] != got[0] {
+			t.Errorf("caller %d holds its own copy of the unit (%p, caller 0 holds %p)", i, got[i], got[0])
+		}
+	}
+	if !bytes.Equal(got[0].Wire, u.Wire) || got[0].Key != k {
+		t.Error("the resident unit is not the one on disk")
+	}
+	if n := st.Len(); n != 1 {
+		t.Errorf("store holds %d entries for one key", n)
+	}
+	after, err := os.Stat(st.wirePath(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("serving a disk-resident unit rewrote its file")
 	}
 }

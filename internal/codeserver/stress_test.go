@@ -162,7 +162,7 @@ func TestStressMixedTraffic(t *testing.T) {
 				}
 				switch (w + it) % 3 {
 				case 0: // fetch: the stored bytes must be the compile result
-					got, ok := s.Unit(u.Key)
+					got, ok := s.Unit(context.Background(), u.Key)
 					if !ok {
 						errc <- fmt.Errorf("worker %d: unit %s vanished", w, u.Key)
 						return

@@ -114,12 +114,34 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 
 // End closes the span. Nil-safe.
 func (sp *Span) End() {
-	if sp == nil {
-		return
+	if sp != nil {
+		sp.endAt(time.Now())
 	}
+}
+
+func (sp *Span) endAt(at time.Time) {
 	sp.trace.mu.Lock()
-	sp.end = time.Now()
+	sp.end = at
 	sp.trace.mu.Unlock()
+}
+
+// Timed runs fn as one stage: inside a span named name (when ctx carries
+// a trace) and as one sample of h, failed runs included. Both are fed by
+// the same two clock readings, so a stage's span and its histogram
+// cannot disagree about what the stage cost.
+func Timed(ctx context.Context, name string, h *Histogram, fn func(context.Context) error) error {
+	ctx, sp := Start(ctx, name)
+	start := time.Now()
+	if sp != nil {
+		start = sp.start // immutable once the span exists
+	}
+	err := fn(ctx)
+	end := time.Now()
+	h.Observe(end.Sub(start))
+	if sp != nil {
+		sp.endAt(end)
+	}
+	return err
 }
 
 // TraceSnapshot is the JSON form of one completed trace, as served by

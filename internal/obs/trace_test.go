@@ -2,8 +2,10 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSpanNesting runs a synthetic compile pipeline through the tracer
@@ -120,6 +122,46 @@ func TestUnfinishedSpanClamped(t *testing.T) {
 	sp := ts.Spans[0]
 	if sp.DurationNanos < 0 || sp.OffsetNanos+sp.DurationNanos > ts.DurationNanos {
 		t.Errorf("abandoned span not clamped: %+v vs trace %d", sp, ts.DurationNanos)
+	}
+}
+
+// TestTimedFeedsSpanAndHistogramOneClock: a stage run through Timed is
+// one span and one histogram sample of exactly the same duration, nested
+// spans hang under it, a failed stage is still a sample, and without a
+// trace the histogram is fed all the same.
+func TestTimedFeedsSpanAndHistogramOneClock(t *testing.T) {
+	tr := NewTracer(2)
+	ctx, trace := tr.StartTrace(context.Background(), "req")
+	var h Histogram
+	failed := errors.New("stage failed")
+	err := Timed(ctx, "stage", &h, func(ctx context.Context) error {
+		_, inner := Start(ctx, "inner")
+		time.Sleep(time.Millisecond)
+		inner.End()
+		return failed
+	})
+	trace.Finish()
+	if err != failed {
+		t.Fatalf("Timed returned %v, want the stage's error", err)
+	}
+	ts := tr.Recent()[0]
+	if len(ts.Spans) != 1 || ts.Spans[0].Name != "stage" {
+		t.Fatalf("spans = %+v, want one stage span", ts.Spans)
+	}
+	sp := ts.Spans[0]
+	if len(sp.Children) != 1 || sp.Children[0].Name != "inner" {
+		t.Errorf("stage children = %+v, want [inner]", sp.Children)
+	}
+	if h.Count() != 1 || h.Sum() != sp.DurationNanos || sp.DurationNanos < int64(time.Millisecond) {
+		t.Errorf("histogram count %d sum %d ns, span %d ns: want one sample of the span's own duration",
+			h.Count(), h.Sum(), sp.DurationNanos)
+	}
+
+	if err := Timed(context.Background(), "stage", &h, func(context.Context) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if h.Count() != 2 {
+		t.Errorf("untraced stage not sampled: count %d", h.Count())
 	}
 }
 
