@@ -4,7 +4,8 @@
 // residual loads); timings are the repository benchmark's job
 // (go run ./benchmark --trace 1), not theirs. BenchmarkColdLoad is the
 // exception: the one-line reproduction of the cold consumer's library
-// cost, unit by unit, for whoever next puts that path on a diet.
+// cost, unit by unit, for whoever next puts that path on a diet, and
+// BenchmarkColdProduce is the same for the producer.
 //
 //	go test -bench=. -benchtime=1x
 package safetsa
@@ -20,6 +21,7 @@ import (
 	"safetsa/internal/interp"
 	"safetsa/internal/lang/sema"
 	"safetsa/internal/opt"
+	"safetsa/internal/ssabuild"
 	"safetsa/internal/wire"
 )
 
@@ -103,6 +105,40 @@ func BenchmarkColdLoad(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkColdProduce is what a store miss costs the producer: front
+// end, ssabuild, the O2 module pipeline and the v2 encoder — what
+// safetsad's compile path runs, less its two verifier calls. Each corpus
+// unit is its own sub-benchmark, so allocs/op and B/op read per unit:
+//
+//	go test -run='^$' -bench=ColdProduce -benchtime=100x .
+func BenchmarkColdProduce(b *testing.B) {
+	for _, u := range corpus.Units() {
+		srcBytes := 0
+		for _, src := range u.Files {
+			srcBytes += len(src)
+		}
+		b.Run(u.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(srcBytes))
+			for i := 0; i < b.N; i++ {
+				prog, err := driver.Frontend(u.Files)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mod, err := ssabuild.Build(prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opt.OptimizeWithOptions(mod, opt.Options{ModuleLevel: true})
+				producedBytes = wire.EncodeModuleV2(mod, nil)
+			}
+		})
+	}
+}
+
+// producedBytes keeps BenchmarkColdProduce's last encoding reachable.
+var producedBytes []byte
 
 // BenchmarkFigure6 times the producer-side optimizer over the corpus and
 // reports the aggregate check/phi eliminations of Figure 6.

@@ -14,55 +14,37 @@ import (
 // transitive, this implies every structural ancestor truly dominates, and
 // therefore every (l, r) wire reference is referentially secure.
 func CheckStructuralDominators(f *Func) error {
+	// The flow graph over Block.Index, its edge lists cut from one vector.
 	n := len(f.Blocks)
-	idx := make(map[*Block]int, n)
+	start := make([]int, n+1)
 	for i, b := range f.Blocks {
-		idx[b] = i
-	}
-	preds := func(v int) []int {
-		b := f.Blocks[v]
-		out := make([]int, 0, len(b.Preds))
-		for _, p := range b.Preds {
-			out = append(out, idx[p.From])
+		if b.Index != i {
+			return fmt.Errorf("%s: block %d carries index %d: Finish has not run", f.Name, i, b.Index)
 		}
-		return out
+		start[i+1] = start[i] + len(b.Preds)
 	}
-	entry := idx[f.Entry]
-	idom := dom.Compute(n, entry, preds)
-	// in/out numbering of the true dominator tree.
-	children := make([][]int, n)
-	for i := range f.Blocks {
+	edges := make([]int, start[n])
+	for i, b := range f.Blocks {
+		for k, p := range b.Preds {
+			edges[start[i]+k] = p.From.Index
+		}
+	}
+	entry := f.Entry.Index
+	idom := dom.Compute(n, entry, func(v int) []int { return edges[start[v]:start[v+1]] })
+	for i, b := range f.Blocks {
 		if i == entry {
 			continue
 		}
 		if idom[i] < 0 {
 			return fmt.Errorf("%s: block %d unreachable", f.Name, i)
 		}
-		children[idom[i]] = append(children[idom[i]], i)
-	}
-	in := make([]int, n)
-	out := make([]int, n)
-	c := 0
-	var walk func(v int)
-	walk = func(v int) {
-		in[v] = c
-		c++
-		for _, k := range children[v] {
-			walk(k)
-		}
-		out[v] = c
-		c++
-	}
-	walk(entry)
-	trueDom := func(a, b int) bool { return in[a] <= in[b] && out[b] <= out[a] }
-	for i, b := range f.Blocks {
-		if b == f.Entry {
-			continue
-		}
-		d := idx[b.IDom]
-		if !trueDom(d, i) {
-			return fmt.Errorf("%s: structural idom %d of block %d is not a true dominator",
-				f.Name, d, i)
+		// d truly dominates i when it is on i's true dominator chain.
+		d := b.IDom.Index
+		for x := idom[i]; x != d; x = idom[x] {
+			if x == entry {
+				return fmt.Errorf("%s: structural idom %d of block %d is not a true dominator",
+					f.Name, d, i)
+			}
 		}
 	}
 	return nil

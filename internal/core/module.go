@@ -433,15 +433,3 @@ func (f *Func) RemoveExcSite(in *Instr) {
 		}
 	}
 }
-
-// Succs derives the successor edges of every block from the predecessor
-// lists (normal edges only).
-func (f *Func) Succs() map[*Block][]*Block {
-	out := make(map[*Block][]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, p := range b.Preds {
-			out[p.From] = append(out[p.From], b)
-		}
-	}
-	return out
-}

@@ -15,9 +15,23 @@ type Graph struct {
 	Preds func(int) [][2]int // (pred node, edge tag); tag ignored here
 }
 
-// succsOf inverts the predecessor lists.
+// succsOf inverts the predecessor lists. The successor lists are cut from
+// one vector, each to its exact length.
 func succsOf(n int, preds func(int) []int) [][]int {
 	succ := make([][]int, n)
+	count := make([]int, n+1) // count[p+1]: successors of p, then its offset
+	for v := 0; v < n; v++ {
+		for _, p := range preds(v) {
+			count[p+1]++
+		}
+	}
+	for p := 0; p < n; p++ {
+		count[p+1] += count[p]
+	}
+	flat := make([]int, count[n])
+	for p := 0; p < n; p++ {
+		succ[p] = flat[count[p]:count[p]:count[p+1]]
+	}
 	for v := 0; v < n; v++ {
 		for _, p := range preds(v) {
 			succ[p] = append(succ[p], v)

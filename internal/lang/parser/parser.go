@@ -25,6 +25,7 @@ type bailout struct{}
 const maxErrors = 20
 
 type parser struct {
+	file string // the name every token position is reported in
 	toks []token.Token
 	pos  int
 	errs []error
@@ -34,7 +35,7 @@ type parser struct {
 // returns the partial AST together with the error list.
 func ParseFile(file, src string) (*ast.File, []error) {
 	toks, errs := scanner.ScanAll(file, src)
-	p := &parser{toks: toks, errs: errs}
+	p := &parser{file: file, toks: toks, errs: errs}
 	f := &ast.File{Name: file}
 	func() {
 		defer func() {
@@ -52,6 +53,12 @@ func ParseFile(file, src string) (*ast.File, []error) {
 }
 
 func (p *parser) tok() token.Token { return p.toks[p.pos] }
+
+// posOf is where t stands in the file being parsed; here, where the
+// current token does.
+func (p *parser) posOf(t token.Token) token.Pos { return t.Pos(p.file) }
+
+func (p *parser) here() token.Pos { return p.posOf(p.tok()) }
 
 func (p *parser) at(k token.Kind) bool { return p.tok().Kind == k }
 
@@ -80,9 +87,10 @@ func (p *parser) errorf(pos token.Pos, format string, args ...interface{}) {
 
 func (p *parser) expect(k token.Kind) token.Token {
 	if !p.at(k) {
-		p.errorf(p.tok().Pos, "expected %q, found %s", k.String(), p.tok())
+		p.errorf(p.here(), "expected %q, found %s", k.String(), p.tok())
 		// Do not consume: let the caller's loop structure resynchronize.
-		return token.Token{Kind: k, Pos: p.tok().Pos}
+		cur := p.tok()
+		return token.Token{Kind: k, Line: cur.Line, Col: cur.Col}
 	}
 	return p.next()
 }
@@ -118,7 +126,7 @@ func (p *parser) parseClass() *ast.ClassDecl {
 	p.skipModifiers()
 	start := p.expect(token.CLASS)
 	name := p.expect(token.IDENT)
-	c := &ast.ClassDecl{Name: name.Lit, P: start.Pos}
+	c := &ast.ClassDecl{Name: name.Lit, P: p.posOf(start)}
 	if p.accept(token.EXTENDS) {
 		c.Super = p.expect(token.IDENT).Lit
 	}
@@ -134,7 +142,7 @@ func (p *parser) parseClass() *ast.ClassDecl {
 // appends it to c.
 func (p *parser) parseMember(c *ast.ClassDecl) {
 	static, final := p.skipModifiers()
-	pos := p.tok().Pos
+	pos := p.here()
 
 	// Constructor: IDENT matching the class name followed by '('.
 	if p.at(token.IDENT) && p.tok().Lit == c.Name && p.peekKind(1) == token.LPAREN {
@@ -196,7 +204,7 @@ func (p *parser) parseParams() []*ast.Param {
 		if len(params) > 0 {
 			p.expect(token.COMMA)
 		}
-		pos := p.tok().Pos
+		pos := p.here()
 		typ := p.parseType()
 		name := p.expect(token.IDENT)
 		for p.accept(token.LBRACK) {
@@ -218,7 +226,7 @@ func isPrimTypeToken(k token.Kind) bool {
 }
 
 func (p *parser) parseType() ast.TypeExpr {
-	pos := p.tok().Pos
+	pos := p.here()
 	var t ast.TypeExpr
 	switch {
 	case isPrimTypeToken(p.tok().Kind):
@@ -243,14 +251,14 @@ func (p *parser) parseType() ast.TypeExpr {
 
 func (p *parser) parseBlock() *ast.BlockStmt {
 	start := p.expect(token.LBRACE)
-	b := &ast.BlockStmt{P: start.Pos}
+	b := &ast.BlockStmt{P: p.posOf(start)}
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		before := p.pos
 		b.Stmts = append(b.Stmts, p.parseStmt())
 		if p.pos == before {
 			// No progress: discard a token to avoid an infinite loop
 			// after a syntax error.
-			p.errorf(p.tok().Pos, "unexpected %s", p.tok())
+			p.errorf(p.here(), "unexpected %s", p.tok())
 			p.next()
 		}
 	}
@@ -275,7 +283,7 @@ func (p *parser) startsLocalDecl() bool {
 }
 
 func (p *parser) parseStmt() ast.Stmt {
-	pos := p.tok().Pos
+	pos := p.here()
 	switch p.tok().Kind {
 	case token.LBRACE:
 		return p.parseBlock()
@@ -347,7 +355,7 @@ func (p *parser) parseStmt() ast.Stmt {
 // parseLocalDecl parses "Type name [= init] (, name [= init])*" without
 // the trailing semicolon; multiple declarators are wrapped in a block.
 func (p *parser) parseLocalDecl() ast.Stmt {
-	pos := p.tok().Pos
+	pos := p.here()
 	typ := p.parseType()
 	var decls []ast.Stmt
 	for {
@@ -357,7 +365,7 @@ func (p *parser) parseLocalDecl() ast.Stmt {
 			p.expect(token.RBRACK)
 			declType = &ast.ArrayTypeExpr{Elem: declType, P: pos}
 		}
-		d := &ast.VarDeclStmt{Name: name.Lit, Type: declType, P: name.Pos}
+		d := &ast.VarDeclStmt{Name: name.Lit, Type: declType, P: p.posOf(name)}
 		if p.accept(token.ASSIGN) {
 			d.Init = p.parseExpr()
 		}
@@ -373,7 +381,7 @@ func (p *parser) parseLocalDecl() ast.Stmt {
 }
 
 func (p *parser) parseFor() ast.Stmt {
-	pos := p.tok().Pos
+	pos := p.here()
 	p.expect(token.FOR)
 	p.expect(token.LPAREN)
 	s := &ast.ForStmt{P: pos}
@@ -381,7 +389,7 @@ func (p *parser) parseFor() ast.Stmt {
 		if p.startsLocalDecl() {
 			s.Init = p.parseLocalDecl()
 		} else {
-			s.Init = &ast.ExprStmt{X: p.parseExpr(), P: p.tok().Pos}
+			s.Init = &ast.ExprStmt{X: p.parseExpr(), P: p.here()}
 		}
 	}
 	p.expect(token.SEMI)
@@ -390,7 +398,7 @@ func (p *parser) parseFor() ast.Stmt {
 	}
 	p.expect(token.SEMI)
 	if !p.at(token.RPAREN) {
-		s.Post = &ast.ExprStmt{X: p.parseExpr(), P: p.tok().Pos}
+		s.Post = &ast.ExprStmt{X: p.parseExpr(), P: p.here()}
 	}
 	p.expect(token.RPAREN)
 	s.Body = p.parseStmt()
@@ -398,11 +406,11 @@ func (p *parser) parseFor() ast.Stmt {
 }
 
 func (p *parser) parseTry() ast.Stmt {
-	pos := p.expect(token.TRY).Pos
+	pos := p.posOf(p.expect(token.TRY))
 	s := &ast.TryStmt{P: pos}
 	s.Body = p.parseBlock()
 	for p.at(token.CATCH) {
-		cp := p.next().Pos
+		cp := p.posOf(p.next())
 		p.expect(token.LPAREN)
 		typ := p.parseType()
 		name := p.expect(token.IDENT)
@@ -436,10 +444,10 @@ func (p *parser) parseAssign() ast.Expr {
 	if p.tok().Kind.IsAssignOp() {
 		op := p.next()
 		if !isLValue(lhs) {
-			p.errorf(op.Pos, "left operand of %s is not assignable", op.Kind)
+			p.errorf(p.posOf(op), "left operand of %s is not assignable", op.Kind)
 		}
 		rhs := p.parseAssign() // right associative
-		return &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs, P: op.Pos}
+		return &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs, P: p.posOf(op)}
 	}
 	return lhs
 }
@@ -447,7 +455,7 @@ func (p *parser) parseAssign() ast.Expr {
 func (p *parser) parseTernary() ast.Expr {
 	c := p.parseBinary(1)
 	if p.at(token.QUESTION) {
-		pos := p.next().Pos
+		pos := p.posOf(p.next())
 		then := p.parseAssign()
 		p.expect(token.COLON)
 		els := p.parseTernary()
@@ -467,11 +475,11 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 		p.next()
 		if op.Kind == token.INSTANCEOF {
 			typ := p.parseType()
-			x = &ast.InstanceOf{X: x, Type: typ, P: op.Pos}
+			x = &ast.InstanceOf{X: x, Type: typ, P: p.posOf(op)}
 			continue
 		}
 		y := p.parseBinary(prec + 1)
-		x = &ast.Binary{Op: op.Kind, X: x, Y: y, P: op.Pos}
+		x = &ast.Binary{Op: op.Kind, X: x, Y: y, P: p.posOf(op)}
 	}
 }
 
@@ -513,7 +521,7 @@ func (p *parser) startsCast() bool {
 }
 
 func (p *parser) parseUnary() ast.Expr {
-	pos := p.tok().Pos
+	pos := p.here()
 	switch p.tok().Kind {
 	case token.SUB, token.ADD, token.NOT, token.TILDE:
 		op := p.next().Kind
@@ -555,7 +563,7 @@ func (p *parser) parseUnary() ast.Expr {
 
 func (p *parser) parsePostfix(x ast.Expr) ast.Expr {
 	for {
-		pos := p.tok().Pos
+		pos := p.here()
 		switch p.tok().Kind {
 		case token.DOT:
 			p.next()
@@ -598,7 +606,7 @@ func (p *parser) parseArgs() []ast.Expr {
 }
 
 func (p *parser) parsePrimary() ast.Expr {
-	pos := p.tok().Pos
+	pos := p.here()
 	switch p.tok().Kind {
 	case token.INTLIT:
 		t := p.next()
@@ -688,12 +696,12 @@ func parseIntDigits(lit string) (u uint64, hex bool, err error) {
 func (p *parser) intLitValue(t token.Token, neg bool) int32 {
 	u, hex, err := parseIntDigits(t.Lit)
 	if err != nil {
-		p.errorf(t.Pos, "invalid int literal %q: %v", t.Lit, err)
+		p.errorf(p.posOf(t), "invalid int literal %q: %v", t.Lit, err)
 		return 0
 	}
 	if hex {
 		if u > 0xFFFFFFFF {
-			p.errorf(t.Pos, "hex int literal %s does not fit in 32 bits (JLS 3.10.1)", t.Lit)
+			p.errorf(p.posOf(t), "hex int literal %s does not fit in 32 bits (JLS 3.10.1)", t.Lit)
 			return 0
 		}
 		v := int32(uint32(u))
@@ -708,9 +716,9 @@ func (p *parser) intLitValue(t token.Token, neg bool) int32 {
 	}
 	if u > max {
 		if neg {
-			p.errorf(t.Pos, "int literal -%s out of range (JLS 3.10.1: minimum is -2147483648)", t.Lit)
+			p.errorf(p.posOf(t), "int literal -%s out of range (JLS 3.10.1: minimum is -2147483648)", t.Lit)
 		} else {
-			p.errorf(t.Pos, "int literal %s out of range (JLS 3.10.1: 2147483648 is legal only as the operand of unary minus)", t.Lit)
+			p.errorf(p.posOf(t), "int literal %s out of range (JLS 3.10.1: 2147483648 is legal only as the operand of unary minus)", t.Lit)
 		}
 		return 0
 	}
@@ -727,7 +735,7 @@ func (p *parser) intLitValue(t token.Token, neg bool) int32 {
 func (p *parser) longLitValue(t token.Token, neg bool) int64 {
 	u, hex, err := parseIntDigits(t.Lit)
 	if err != nil {
-		p.errorf(t.Pos, "invalid long literal %q: %v", t.Lit, err)
+		p.errorf(p.posOf(t), "invalid long literal %q: %v", t.Lit, err)
 		return 0
 	}
 	if hex {
@@ -743,9 +751,9 @@ func (p *parser) longLitValue(t token.Token, neg bool) int64 {
 	}
 	if u > max {
 		if neg {
-			p.errorf(t.Pos, "long literal -%sL out of range (JLS 3.10.1: minimum is -9223372036854775808)", t.Lit)
+			p.errorf(p.posOf(t), "long literal -%sL out of range (JLS 3.10.1: minimum is -9223372036854775808)", t.Lit)
 		} else {
-			p.errorf(t.Pos, "long literal %sL out of range (JLS 3.10.1: 9223372036854775808L is legal only as the operand of unary minus)", t.Lit)
+			p.errorf(p.posOf(t), "long literal %sL out of range (JLS 3.10.1: 9223372036854775808L is legal only as the operand of unary minus)", t.Lit)
 		}
 		return 0
 	}
@@ -757,7 +765,7 @@ func (p *parser) longLitValue(t token.Token, neg bool) int64 {
 }
 
 func (p *parser) parseNew() ast.Expr {
-	pos := p.expect(token.NEW).Pos
+	pos := p.posOf(p.expect(token.NEW))
 	var base ast.TypeExpr
 	switch {
 	case isPrimTypeToken(p.tok().Kind) && !p.at(token.VOID):

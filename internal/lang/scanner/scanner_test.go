@@ -1,8 +1,10 @@
 package scanner
 
 import (
+	"strings"
 	"testing"
 
+	"safetsa/internal/corpus"
 	"safetsa/internal/lang/token"
 )
 
@@ -117,14 +119,14 @@ func TestErrors(t *testing.T) {
 
 func TestPositions(t *testing.T) {
 	toks, _ := ScanAll("f.tj", "a\n  b")
-	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
-		t.Errorf("a at %v", toks[0].Pos)
+	if toks[0].Line != 1 || toks[0].Col != 1 {
+		t.Errorf("a at %v", toks[0].Pos("f.tj"))
 	}
-	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
-		t.Errorf("b at %v", toks[1].Pos)
+	if toks[1].Line != 2 || toks[1].Col != 3 {
+		t.Errorf("b at %v", toks[1].Pos("f.tj"))
 	}
-	if toks[1].Pos.String() != "f.tj:2:3" {
-		t.Errorf("pos string %q", toks[1].Pos.String())
+	if toks[1].Pos("f.tj").String() != "f.tj:2:3" {
+		t.Errorf("pos string %q", toks[1].Pos("f.tj").String())
 	}
 }
 
@@ -149,6 +151,49 @@ func TestNonLetterHighBytesMakeProgress(t *testing.T) {
 		}
 		if len(toks) > len(src)+1 {
 			t.Errorf("%q: %d tokens for %d bytes", src, len(toks), len(src))
+		}
+	}
+}
+
+// TestScanAllAllocatesOnce: the token vector is sized from len(src) alone
+// — one allocation for sources of ordinary density, one more when the
+// estimate fills up — and never holds room for more than len(src)+1
+// tokens, however dense or hostile the source.
+func TestScanAllAllocatesOnce(t *testing.T) {
+	sources := map[string]string{
+		"empty":        "",
+		"4 KiB parens": strings.Repeat("(", 4<<10), // a token per byte: the estimate fills up
+	}
+	for _, u := range corpus.Units() {
+		for name, src := range u.Files {
+			sources[name] = src
+		}
+	}
+	for name, src := range sources {
+		// What scanning costs without a vector: the decoded text of
+		// string and char literals, and the error list.
+		// (AllocsPerRun truncates its mean, which drops the odd allocation
+		// the runtime makes behind a run's back.)
+		scan := testing.AllocsPerRun(4, func() {
+			for s := New(name, src); s.Next().Kind != token.EOF; {
+			}
+		})
+		all := testing.AllocsPerRun(4, func() { ScanAll(name, src) })
+		if vec := all - scan; vec > 2 {
+			t.Errorf("%s: %v allocations for the token vector, want at most 2", name, vec)
+		}
+	}
+	// One pass each over the hostile shapes: a token per byte, and one
+	// token for all of them.
+	sources["1 MiB parens"] = strings.Repeat("(", 1<<20)
+	sources["1 MiB ident"] = strings.Repeat("a", 1<<20)
+	for name, src := range sources {
+		toks, _ := ScanAll(name, src)
+		if cap(toks) > len(src)+1 {
+			t.Errorf("%s: room for %d tokens from %d source bytes", name, cap(toks), len(src))
+		}
+		if toks[len(toks)-1].Kind != token.EOF {
+			t.Errorf("%s: token vector does not end in EOF", name)
 		}
 	}
 }

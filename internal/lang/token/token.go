@@ -256,11 +256,24 @@ func (p Pos) String() string {
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
 // Token is a single lexical token with its position and, for literal
-// kinds, its source text.
+// kinds, its source text. Line and Col are 1-based, as in Pos; the file
+// is the one its scanner was given — one name per token vector, so a
+// token does not carry it.
 type Token struct {
 	Kind Kind
 	Lit  string
-	Pos  Pos
+	Line int32
+	Col  int32
+}
+
+// At makes a token of the given kind and text at p.
+func At(k Kind, lit string, p Pos) Token {
+	return Token{Kind: k, Lit: lit, Line: int32(p.Line), Col: int32(p.Col)}
+}
+
+// Pos returns the token's position in file.
+func (t Token) Pos(file string) Pos {
+	return Pos{File: file, Line: int(t.Line), Col: int(t.Col)}
 }
 
 // String renders the token for diagnostics.

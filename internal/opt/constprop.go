@@ -10,50 +10,30 @@ import (
 // instructions are replaced in place by constants, so the paper's claim
 // that constant propagation shrinks programs by only 1–2% can be measured
 // directly. Returns the number of instructions removed or folded.
-func constProp(m *core.Module, f *core.Func) int {
+func constProp(sc *scratch, f *core.Func) int {
 	changed := 0
+	sc.repl = sized(sc.repl, f.NumValues()+1)
+	repl := sc.repl
 	for {
-		repl := make(map[core.ValueID]core.ValueID)
-		consts := make(map[core.ValueID]core.ConstVal)
-		for _, b := range f.Blocks {
-			for _, in := range b.Code {
-				if in.Op == core.OpConst {
-					consts[in.ID] = in.Const
-				}
-			}
-		}
-		var dead []*core.Instr
+		dead := 0
 		for _, b := range f.Blocks {
 			// phi(x, x, ..., x) -> x when x's definition structurally
 			// dominates the phi's block (which keeps the result
 			// expressible as an (l, r) reference).
+			kept := 0
 			for _, phi := range b.Phis {
-				// Trivial-phi removal: operands that are the phi itself
-				// (loop-invariant variables produce phi(x, self)) are
-				// ignored; a phi whose remaining operands agree on a
-				// single value collapses to it.
-				x := core.NoValue
-				trivial := true
-				for _, a := range phi.Args {
-					if a == phi.ID {
+				if x := trivialPhi(phi); x != core.NoValue {
+					def := f.DefBlock(x)
+					if def != nil && def != b && def.Dominates(b) {
+						repl[phi.ID] = x
+						dead++
 						continue
 					}
-					if x == core.NoValue {
-						x = a
-					} else if a != x {
-						trivial = false
-						break
-					}
 				}
-				if !trivial || x == core.NoValue {
-					continue
-				}
-				def := f.DefBlock(x)
-				if def != nil && def != b && def.Dominates(b) {
-					repl[phi.ID] = x
-					dead = append(dead, phi)
-				}
+				b.Phis[kept] = phi
+				kept++
 			}
+			b.Phis = b.Phis[:kept]
 		}
 		folded := 0
 		for _, b := range f.Blocks {
@@ -61,7 +41,7 @@ func constProp(m *core.Module, f *core.Func) int {
 				if in.Op != core.OpPrim {
 					continue
 				}
-				cv, ok := foldPrim(in, consts)
+				cv, ok := foldPrim(f, in)
 				if !ok {
 					continue
 				}
@@ -71,21 +51,37 @@ func constProp(m *core.Module, f *core.Func) int {
 				in.Args = nil
 				in.Prim = core.PInvalid
 				in.Const = cv
-				consts[in.ID] = cv
 				folded++
 			}
 		}
-		if len(repl) == 0 && folded == 0 {
+		if dead == 0 && folded == 0 {
 			break
 		}
-		for _, in := range dead {
-			removeInstr(in)
+		if dead > 0 {
+			replaceUses(f, repl)
+			clear(repl)
 		}
-		replaceUses(f, repl)
-		changed += len(dead) + folded
+		changed += dead + folded
 	}
-	_ = m
 	return changed
+}
+
+// trivialPhi returns the single value a phi's operands agree on, NoValue
+// when they do not. Operands that are the phi itself are ignored:
+// loop-invariant variables produce phi(x, self).
+func trivialPhi(phi *core.Instr) core.ValueID {
+	x := core.NoValue
+	for _, a := range phi.Args {
+		if a == phi.ID {
+			continue
+		}
+		if x == core.NoValue {
+			x = a
+		} else if a != x {
+			return core.NoValue
+		}
+	}
+	return x
 }
 
 // foldable is the explicit list of primitives constant propagation
@@ -115,18 +111,20 @@ func foldable(p core.PrimOp) bool {
 // foldPrim evaluates a foldable primitive whose operands are all
 // constants, through the evaluator the engines execute it with
 // (rt.EvalPure): folding is an instance of evaluation, so the producer
-// cannot compute a different answer than the consumer would have.
-func foldPrim(in *core.Instr, consts map[core.ValueID]core.ConstVal) (core.ConstVal, bool) {
+// cannot compute a different answer than the consumer would have. An
+// operand is constant when its definition is an OpConst — which a folded
+// primitive has become, so folds chain within a round.
+func foldPrim(f *core.Func, in *core.Instr) (core.ConstVal, bool) {
 	if !foldable(in.Prim) {
 		return core.ConstVal{}, false
 	}
 	var args [2]rt.Value // unary primitives ignore the second
 	for i, a := range in.Args {
-		cv, ok := consts[a]
-		if !ok {
+		d := f.Value(a)
+		if d == nil || d.Op != core.OpConst {
 			return core.ConstVal{}, false
 		}
-		args[i] = rt.Value{I: cv.I, D: cv.D}
+		args[i] = rt.Value{I: d.Const.I, D: d.Const.D}
 	}
 	v := rt.EvalPure(in.Prim, args[0], args[1])
 	switch in.Prim.Sig().Result {

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"safetsa/internal/core"
 )
 
@@ -10,9 +12,18 @@ import (
 // Mem variable with phi nodes at joins, kept purely producer-side ("this
 // mechanism is used solely during the optimization phase and is not part
 // of the transmitted code").
+//
+// The token space of one function is dense and the same for every alias
+// class: 0 is the initial memory, 1..K name the function's K
+// memory-killing instructions in block and code order (CSE never removes
+// one, so the numbering holds for the whole run), and K+1+Block.Index is
+// the memory phi of a block.
 type memVersion int32
 
-const memInit memVersion = 0
+const (
+	memInit    memVersion = 0
+	memUnknown memVersion = -1 // not reached yet; also "no kill" and "no memory dependence"
+)
 
 // killsMemory reports whether an instruction invalidates memory-dependent
 // expressions (stores and calls; calls conservatively return a new Mem,
@@ -52,93 +63,138 @@ func killsPartition(in *core.Instr, p partition) bool {
 	return false
 }
 
-// memInOf computes the memory-in version of every block for one
-// partition by fixpoint; it also returns the per-instruction kill tokens.
-func memInOf(f *core.Func, p partition) (map[*core.Block]memVersion, map[*core.Instr]memVersion) {
-	// Token space: 0 = init; 1+instrIndex for killing instructions;
-	// phi tokens allocated per block from a separate range.
-	killToken := make(map[*core.Instr]memVersion)
-	next := memVersion(1)
-	for _, b := range f.Blocks {
-		for _, in := range b.Code {
+// cseScratch is what one cse run keeps beside the function, all of it
+// indexed by ValueID or Block.Index or scoped as a stack (see scratch).
+type cseScratch struct {
+	// table is the scoped value table. A key is entered only when its
+	// lookup has just missed, so a key never holds more than one value
+	// and leaving a scope is a delete; the map is empty between runs.
+	table map[cseKey]core.ValueID
+	// pushed is the function-wide stack of keys entered and not yet left;
+	// a block cuts it at its entry and unwinds to the cut on exit.
+	pushed []cseKey
+	// kills are the memory-killing instructions seen so far in the block
+	// being walked, with their tokens; kept stages that block's surviving
+	// code until the block is done.
+	kills []seenKill
+	kept  []*core.Instr
+	// killsBefore[i] is the number of killing instructions in blocks
+	// before f.Blocks[i].
+	killsBefore []memVersion
+	// parts are the alias classes the run has met, each with its
+	// memory-in versions at mem[off+Block.Index].
+	parts []memPart
+	mem   []memVersion
+	// memInOf's working vectors: memory-out and last kill token per
+	// block, and the last kill token before each exception edge's site.
+	memOut   []memVersion
+	lastKill []memVersion
+	siteKill []memVersion
+}
+
+type seenKill struct {
+	in  *core.Instr
+	tok memVersion
+}
+
+type memPart struct {
+	p   partition
+	off int
+}
+
+// lastKillIn scans code up to (not including) upto, numbering the killing
+// instructions from tok, and returns the token of the last one that kills
+// p — memUnknown when none does.
+func lastKillIn(code []*core.Instr, upto *core.Instr, p partition, tok memVersion) memVersion {
+	last := memUnknown
+	for _, in := range code {
+		if in == upto {
+			break
+		}
+		if killsMemory(in.Op) {
+			tok++
 			if killsPartition(in, p) {
-				killToken[in] = next
-				next++
+				last = tok
 			}
 		}
 	}
-	phiToken := make(map[*core.Block]memVersion)
-	for _, b := range f.Blocks {
-		phiToken[b] = next
-		next++
-	}
+	return last
+}
 
-	const unknown = memVersion(-1)
-	memIn := make(map[*core.Block]memVersion, len(f.Blocks))
-	memOut := make(map[*core.Block]memVersion, len(f.Blocks))
-	for _, b := range f.Blocks {
-		memIn[b] = unknown
-		memOut[b] = unknown
-	}
-	memIn[f.Entry] = memInit
-
-	outOf := func(b *core.Block, upto *core.Instr) memVersion {
-		cur := memIn[b]
-		for _, in := range b.Code {
-			if in == upto {
-				break
-			}
-			if t, ok := killToken[in]; ok {
-				cur = t
+// memInOf computes the memory-in version of every block for one
+// partition by fixpoint, into memIn (one slot per block). Each block's
+// code is scanned once, before the rounds: what a round needs of a block
+// is the token of its last kill, and of an exception edge the last kill
+// before the throwing site.
+func (c *cseRun) memInOf(p partition, memIn []memVersion) {
+	f, sc := c.f, &c.sc.cse
+	n := len(f.Blocks)
+	sc.memOut = sized(sc.memOut, n)
+	sc.lastKill = sized(sc.lastKill, n)
+	sc.siteKill = sc.siteKill[:0]
+	memOut, lastKill := sc.memOut, sc.lastKill
+	for i, b := range f.Blocks {
+		memIn[i], memOut[i] = memUnknown, memUnknown
+		lastKill[i] = lastKillIn(b.Code, nil, p, sc.killsBefore[i])
+		for _, pr := range b.Preds {
+			if pr.Site != nil {
+				sc.siteKill = append(sc.siteKill,
+					lastKillIn(pr.From.Code, pr.Site, p, sc.killsBefore[pr.From.Index]))
 			}
 		}
-		return cur
 	}
+	memIn[f.Entry.Index] = memInit
+	phiToken := 1 + c.numKills
 
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			in := memIn[b]
-			if b != f.Entry {
-				v := unknown
-				conflict := false
-				for _, p := range b.Preds {
-					var pv memVersion
-					if p.Site != nil {
-						// Exception edge: memory state at the throwing
-						// site.
-						if memIn[p.From] == unknown {
-							continue
-						}
-						pv = outOf(p.From, p.Site)
-					} else {
-						pv = memOut[p.From]
-					}
-					if pv == unknown {
+		site := 0
+		for i, b := range f.Blocks {
+			v := memUnknown
+			conflict := false
+			for _, pr := range b.Preds {
+				from := pr.From.Index
+				var pv memVersion
+				if pr.Site != nil {
+					// Exception edge: memory state at the throwing
+					// site.
+					pv = sc.siteKill[site]
+					site++
+					if memIn[from] == memUnknown {
 						continue
 					}
-					if v == unknown {
-						v = pv
-					} else if v != pv {
-						conflict = true
+					if pv == memUnknown {
+						pv = memIn[from]
 					}
+				} else {
+					pv = memOut[from]
 				}
-				if conflict {
-					v = phiToken[b]
+				if pv == memUnknown {
+					continue
 				}
-				if v != unknown && v != in {
-					memIn[b] = v
-					changed = true
+				if v == memUnknown {
+					v = pv
+				} else if v != pv {
+					conflict = true
 				}
 			}
-			out := outOf(b, nil)
-			if out != memOut[b] {
-				memOut[b] = out
+			if conflict {
+				v = phiToken + memVersion(i)
+			}
+			if b != f.Entry && v != memUnknown && v != memIn[i] {
+				memIn[i] = v
+				changed = true
+			}
+			out := lastKill[i]
+			if out == memUnknown {
+				out = memIn[i]
+			}
+			if out != memOut[i] {
+				memOut[i] = out
 				changed = true
 			}
 		}
 	}
-	return memIn, killToken
 }
 
 // cseKey identifies an expression for value numbering. mem is only
@@ -157,7 +213,7 @@ type cseKey struct {
 // when the instruction must not be merged (calls, stores, allocations,
 // and string-producing primitives, whose results have object identity).
 func cseable(in *core.Instr, mem memVersion) (cseKey, bool) {
-	k := cseKey{op: in.Op, mem: -1}
+	k := cseKey{op: in.Op, mem: memUnknown}
 	arg := func(i int) core.ValueID {
 		if i < len(in.Args) {
 			return in.Args[i]
@@ -201,134 +257,160 @@ func cseable(in *core.Instr, mem memVersion) (cseKey, bool) {
 	return k, false
 }
 
+// cseRun is one cse call: the function, the variant, and what the walk
+// accumulates.
+type cseRun struct {
+	sc             *scratch
+	f              *core.Func
+	fieldSensitive bool
+	numKills       memVersion
+	removed        int
+	replaced       bool
+}
+
 // cse performs dominator-scoped common subexpression elimination: a
 // pre-order walk of the structural dominator tree with a scoped value
 // table, so every replacement value dominates its new uses and remains
 // expressible as an (l, r) reference. Redundant checks are deleted
 // outright — a dominating identical check already performed the runtime
 // test — which is exactly the paper's producer-side check elimination.
-func cse(m *core.Module, f *core.Func, o Options) int {
-	// Partition dataflow is computed lazily, once per alias class in
-	// use. The conservative configuration uses the single memAll class.
-	type partData struct {
-		memIn map[*core.Block]memVersion
-		kills map[*core.Instr]memVersion
+func cse(sc *scratch, f *core.Func, o Options) int {
+	c := cseRun{sc: sc, f: f, fieldSensitive: o.FieldSensitiveMem}
+	sc.repl = sized(sc.repl, f.NumValues()+1)
+	cs := &sc.cse
+	if cs.table == nil {
+		cs.table = make(map[cseKey]core.ValueID)
 	}
-	parts := make(map[partition]*partData)
-	dataOf := func(p partition) *partData {
-		pd, ok := parts[p]
-		if !ok {
-			memIn, kills := memInOf(f, p)
-			pd = &partData{memIn: memIn, kills: kills}
-			parts[p] = pd
+	cs.pushed, cs.parts, cs.mem = cs.pushed[:0], cs.parts[:0], cs.mem[:0]
+	cs.killsBefore = sized(cs.killsBefore, len(f.Blocks))
+	for i, b := range f.Blocks {
+		cs.killsBefore[i] = c.numKills
+		for _, in := range b.Code {
+			if killsMemory(in.Op) {
+				c.numKills++
+			}
 		}
-		return pd
 	}
-	partOf := func(in *core.Instr) partition {
-		if !o.FieldSensitiveMem {
-			return memAll
+	c.walk(f.Entry)
+	if c.replaced {
+		// The walk rewrote every code operand as it went (a definition is
+		// walked before its uses); phi operands, which a back edge brings
+		// from later blocks, and CST references see the replacements now.
+		for _, b := range f.Blocks {
+			for _, phi := range b.Phis {
+				replaceOperands(phi, sc.repl)
+			}
 		}
+		replaceRefs(f.Body, sc.repl)
+	}
+	return c.removed
+}
+
+// partOf names the alias class a load reads.
+func (c *cseRun) partOf(in *core.Instr) partition {
+	if c.fieldSensitive {
 		switch in.Op {
 		case core.OpGetField:
 			return partition{kind: 'f', sym: in.Field}
 		case core.OpGetElt:
 			return partition{kind: 'a', sym: int32(in.TypeArg)}
 		}
-		return memAll
 	}
+	return memAll
+}
 
-	table := make(map[cseKey][]core.ValueID) // value stacks, scoped
-	repl := make(map[core.ValueID]core.ValueID)
-	removed := 0
-
-	resolve := func(v core.ValueID) core.ValueID {
-		for {
-			n, ok := repl[v]
-			if !ok {
-				return v
-			}
-			v = n
+// memInFor returns the memory-in versions of partition p, by Block.Index.
+// The dataflow is computed on first use, once per alias class the
+// function actually loads from, over the code as the walk has left it by
+// then; the conservative configuration has the single memAll class.
+func (c *cseRun) memInFor(p partition) []memVersion {
+	cs := &c.sc.cse
+	n := len(c.f.Blocks)
+	for _, part := range cs.parts {
+		if part.p == p {
+			return cs.mem[part.off : part.off+n]
 		}
 	}
+	off := len(cs.mem)
+	cs.parts = append(cs.parts, memPart{p: p, off: off})
+	cs.mem = slices.Grow(cs.mem, n)[:off+n]
+	memIn := cs.mem[off:]
+	c.memInOf(p, memIn)
+	return memIn
+}
 
-	var walk func(b *core.Block)
-	walk = func(b *core.Block) {
-		var pushed []cseKey
-		// Kill instructions seen so far in this block; the current
-		// version of any partition replays them against its token map.
-		var seenKills []*core.Instr
-		versionAt := func(p partition) memVersion {
-			pd := dataOf(p)
-			ver := pd.memIn[b]
-			for _, k := range seenKills {
-				if t, ok := pd.kills[k]; ok {
-					ver = t
-				}
-			}
-			return ver
+// versionAt is the version of partition p after the kills seen so far in
+// block b.
+func (c *cseRun) versionAt(b *core.Block, p partition) memVersion {
+	memIn := c.memInFor(p)
+	kills := c.sc.cse.kills
+	for i := len(kills) - 1; i >= 0; i-- {
+		if killsPartition(kills[i].in, p) {
+			return kills[i].tok
 		}
-		var kept []*core.Instr
-		for _, in := range b.Code {
-			for i := range in.Args {
-				in.Args[i] = resolve(in.Args[i])
-			}
-			if in.Bind != core.NoValue {
-				in.Bind = resolve(in.Bind)
-			}
-			// A null check of a value that was downcast from a safe-ref
-			// plane is statically redundant: the safe source value is
-			// the checked result (e.g. `new X()` results are already
-			// non-null).
-			if in.Op == core.OpNullCheck {
-				if d := f.Value(in.Args[0]); d != nil && d.Op == core.OpDowncast {
-					if src := f.Value(d.Args[0]); src != nil && src.Type == in.Type {
-						repl[in.ID] = d.Args[0]
-						f.RemoveExcSite(in)
-						removed++
-						continue
-					}
+	}
+	return memIn[b.Index]
+}
+
+func (c *cseRun) walk(b *core.Block) {
+	f, cs, repl := c.f, &c.sc.cse, c.sc.repl
+	mark := len(cs.pushed)
+	cs.kills = cs.kills[:0]
+	tok := cs.killsBefore[b.Index]
+	// b.Code stays whole until the block is done — memInOf may still read
+	// it — so the survivors are staged and copied back over it.
+	kept := cs.kept[:0]
+	for _, in := range b.Code {
+		replaceOperands(in, repl)
+		// A null check of a value that was downcast from a safe-ref
+		// plane is statically redundant: the safe source value is
+		// the checked result (e.g. `new X()` results are already
+		// non-null).
+		if in.Op == core.OpNullCheck {
+			if d := f.Value(in.Args[0]); d != nil && d.Op == core.OpDowncast {
+				if src := f.Value(d.Args[0]); src != nil && src.Type == in.Type {
+					repl[in.ID] = d.Args[0]
+					c.replaced = true
+					f.RemoveExcSite(in)
+					c.removed++
+					continue
 				}
 			}
-			var mem memVersion = -1
-			if in.Op == core.OpGetField || in.Op == core.OpGetElt {
-				mem = versionAt(partOf(in))
-			}
-			key, ok := cseable(in, mem)
-			if ok {
-				if stack := table[key]; len(stack) > 0 {
-					prev := stack[len(stack)-1]
-					if in.HasResult() {
-						repl[in.ID] = prev
-					}
-					if in.Op.CanThrow() {
-						f.RemoveExcSite(in)
-					}
-					removed++
-					continue // drop the redundant instruction
-				}
+		}
+		mem := memUnknown
+		if in.Op == core.OpGetField || in.Op == core.OpGetElt {
+			mem = c.versionAt(b, c.partOf(in))
+		}
+		if key, ok := cseable(in, mem); ok {
+			if prev, hit := cs.table[key]; hit {
 				if in.HasResult() {
-					table[key] = append(table[key], in.ID)
-					pushed = append(pushed, key)
+					repl[in.ID] = prev
+					c.replaced = true
 				}
+				if in.Op.CanThrow() {
+					f.RemoveExcSite(in)
+				}
+				c.removed++
+				continue // drop the redundant instruction
 			}
-			if killsMemory(in.Op) {
-				seenKills = append(seenKills, in)
+			if in.HasResult() {
+				cs.table[key] = in.ID
+				cs.pushed = append(cs.pushed, key)
 			}
-			kept = append(kept, in)
 		}
-		b.Code = kept
-		for _, c := range b.Children {
-			walk(c)
+		if killsMemory(in.Op) {
+			tok++
+			cs.kills = append(cs.kills, seenKill{in: in, tok: tok})
 		}
-		for _, k := range pushed {
-			s := table[k]
-			table[k] = s[:len(s)-1]
-		}
+		kept = append(kept, in)
 	}
-	walk(f.Entry)
-
-	// Phi operands and CST references see the replacements too.
-	replaceUses(f, repl)
-	_ = m
-	return removed
+	b.Code = b.Code[:copy(b.Code, kept)]
+	cs.kept = kept
+	for _, ch := range b.Children {
+		c.walk(ch)
+	}
+	for _, k := range cs.pushed[mark:] {
+		delete(cs.table, k)
+	}
+	cs.pushed = cs.pushed[:mark]
 }

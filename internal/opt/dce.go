@@ -11,54 +11,23 @@ import (
 // referenced by the Control Structure Tree; everything else, notably the
 // pessimistically placed phi instructions, is swept when unmarked. The
 // paper reports this removing 31% of phi instructions on average.
-func dce(m *core.Module, f *core.Func) int {
-	live := make(map[core.ValueID]bool)
-	var work []core.ValueID
-
-	markVal := func(v core.ValueID) {
-		if v != core.NoValue && !live[v] {
-			live[v] = true
-			work = append(work, v)
-		}
-	}
+func dce(sc *scratch, f *core.Func) int {
+	sc.live, sc.work = sized(sc.live, f.NumValues()+1), sc.work[:0]
 	for _, b := range f.Blocks {
 		for _, in := range b.Code {
-			if in.Op.HasSideEffect() || in.Op == core.OpCatch || in.Op == core.OpParam {
-				markVal(in.ID)
-				for _, a := range in.Args {
-					markVal(a)
-				}
-				if in.Bind != core.NoValue {
-					markVal(in.Bind)
-				}
+			if isRoot(in) {
+				sc.mark(in.ID)
+				sc.markOperands(in)
 			}
 		}
 	}
-	var walkCST func(n *core.CSTNode)
-	walkCST = func(n *core.CSTNode) {
-		if n == nil {
-			return
-		}
-		markVal(n.Cond)
-		markVal(n.Val)
-		for _, k := range n.Kids {
-			walkCST(k)
-		}
-	}
-	walkCST(f.Body)
+	sc.markRefs(f.Body)
 
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := f.Value(v)
-		if in == nil {
-			continue
-		}
-		for _, a := range in.Args {
-			markVal(a)
-		}
-		if in.Bind != core.NoValue {
-			markVal(in.Bind)
+	for len(sc.work) > 0 {
+		v := sc.work[len(sc.work)-1]
+		sc.work = sc.work[:len(sc.work)-1]
+		if in := f.Value(v); in != nil {
+			sc.markOperands(in)
 		}
 	}
 
@@ -66,7 +35,7 @@ func dce(m *core.Module, f *core.Func) int {
 	for _, b := range f.Blocks {
 		keepPhis := b.Phis[:0]
 		for _, phi := range b.Phis {
-			if live[phi.ID] {
+			if sc.live[phi.ID] {
 				keepPhis = append(keepPhis, phi)
 			} else {
 				removed++
@@ -75,8 +44,7 @@ func dce(m *core.Module, f *core.Func) int {
 		b.Phis = keepPhis
 		keep := b.Code[:0]
 		for _, in := range b.Code {
-			if in.Op.HasSideEffect() || in.Op == core.OpCatch || in.Op == core.OpParam ||
-				!in.HasResult() || live[in.ID] {
+			if isRoot(in) || !in.HasResult() || sc.live[in.ID] {
 				keep = append(keep, in)
 			} else {
 				removed++
@@ -84,6 +52,36 @@ func dce(m *core.Module, f *core.Func) int {
 		}
 		b.Code = keep
 	}
-	_ = m
 	return removed
+}
+
+// isRoot reports whether an instruction is kept whatever uses it has.
+func isRoot(in *core.Instr) bool {
+	return in.Op.HasSideEffect() || in.Op == core.OpCatch || in.Op == core.OpParam
+}
+
+// mark records that v is reached: live, its operands still to be visited.
+func (sc *scratch) mark(v core.ValueID) {
+	if v != core.NoValue && !sc.live[v] {
+		sc.live[v] = true
+		sc.work = append(sc.work, v)
+	}
+}
+
+func (sc *scratch) markOperands(in *core.Instr) {
+	for _, a := range in.Args {
+		sc.mark(a)
+	}
+	sc.mark(in.Bind)
+}
+
+func (sc *scratch) markRefs(n *core.CSTNode) {
+	if n == nil {
+		return
+	}
+	sc.mark(n.Cond)
+	sc.mark(n.Val)
+	for _, k := range n.Kids {
+		sc.markRefs(k)
+	}
 }

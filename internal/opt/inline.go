@@ -31,21 +31,21 @@ const (
 	inlineMaxRounds = 3
 )
 
-func inlinePass() Pass {
+func inlinePass(sc *scratch) Pass {
 	var mod *core.Module
 	var rec map[*core.Func]bool
 	return Pass{Name: "inline", Run: func(m *core.Module, f *core.Func, o Options, st *Stats) {
 		if m != mod {
 			mod, rec = m, m.RecursiveFuncs()
 		}
-		st.Inlined += inline(m, f, rec)
+		st.Inlined += inline(sc, m, f, rec)
 	}}
 }
 
-func inline(m *core.Module, f *core.Func, rec map[*core.Func]bool) int {
+func inline(sc *scratch, m *core.Module, f *core.Func, rec map[*core.Func]bool) int {
 	total := 0
 	for round := 0; round < inlineMaxRounds; round++ {
-		n := inlineRound(m, f, rec)
+		n := inlineRound(sc, m, f, rec)
 		if n == 0 {
 			break
 		}
@@ -54,32 +54,45 @@ func inline(m *core.Module, f *core.Func, rec map[*core.Func]bool) int {
 	return total
 }
 
-func inlineRound(m *core.Module, f *core.Func, rec map[*core.Func]bool) int {
+func inlineRound(sc *scratch, m *core.Module, f *core.Func, rec map[*core.Func]bool) int {
 	n := 0
-	repl := make(map[core.ValueID]core.ValueID)
+	// (call result, inlined result) pairs: the replacement table is sized
+	// once the round has defined its clones' values.
+	sc.calls = sc.calls[:0]
 	for _, b := range f.Blocks {
+		// out is b's new code, started at the first expanded call.
 		var out []*core.Instr
-		changed := false
-		for _, in := range b.Code {
+		for i, in := range b.Code {
 			g, ret := inlinableCallee(m, f, in, rec)
 			if g == nil {
-				out = append(out, in)
+				if out != nil {
+					out = append(out, in)
+				}
 				continue
 			}
-			clones, res := cloneBody(f, b, g, in, ret)
-			out = append(out, clones...)
-			stitchExcEdges(f, in, clones)
-			if in.ID != core.NoValue {
-				repl[in.ID] = res
+			if out == nil {
+				out = append(make([]*core.Instr, 0, len(b.Code)+len(g.Entry.Code)), b.Code[:i]...)
 			}
-			changed = true
+			at := len(out)
+			var res core.ValueID
+			out, res = cloneBody(sc, out, f, b, g, in, ret)
+			stitchExcEdges(f, in, out[at:])
+			if in.ID != core.NoValue {
+				sc.calls = append(sc.calls, [2]core.ValueID{in.ID, res})
+			}
 			n++
 		}
-		if changed {
+		if out != nil {
 			b.Code = out
 		}
 	}
-	replaceUses(f, repl)
+	if len(sc.calls) > 0 {
+		sc.repl = sized(sc.repl, f.NumValues()+1)
+		for _, c := range sc.calls {
+			sc.repl[c[0]] = c[1]
+		}
+		replaceUses(f, sc.repl)
+	}
 	return n
 }
 
@@ -170,25 +183,23 @@ func straightLineBody(g *core.Func) (ret core.ValueID, ok bool) {
 	return core.NoValue, true
 }
 
-// cloneBody copies the callee's code into the caller block at the call's
-// position, renaming every defined value and substituting the call's
-// arguments for parameters. Returns the clones in callee order and the
-// caller-side value standing for the callee's return.
-func cloneBody(f *core.Func, b *core.Block, g *core.Func, call *core.Instr, ret core.ValueID) ([]*core.Instr, core.ValueID) {
-	vmap := make(map[core.ValueID]core.ValueID, len(g.Entry.Code))
-	mapv := func(v core.ValueID) core.ValueID {
-		if v == core.NoValue {
-			return core.NoValue
-		}
-		return vmap[v]
-	}
-	var clones []*core.Instr
+// cloneBody appends a copy of the callee's code to out (the caller
+// block's new code, up to the call's position), renaming every defined
+// value and substituting the call's arguments for parameters. Returns the
+// extended code and the caller-side value standing for the callee's
+// return.
+func cloneBody(sc *scratch, out []*core.Instr, f *core.Func, b *core.Block, g *core.Func, call *core.Instr, ret core.ValueID) ([]*core.Instr, core.ValueID) {
+	// vmap[v] is the caller's value for the callee's v; NoValue maps to
+	// itself.
+	sc.vmap = sized(sc.vmap, g.NumValues()+1)
+	vmap := sc.vmap
 	for _, gi := range g.Entry.Code {
 		if gi.Op == core.OpParam {
 			vmap[gi.ID] = call.Args[gi.Aux]
 			continue
 		}
-		c := &core.Instr{
+		c := sc.instrs.One()
+		*c = core.Instr{
 			Op:      gi.Op,
 			Type:    gi.Type,
 			ArgType: gi.ArgType,
@@ -200,18 +211,18 @@ func cloneBody(f *core.Func, b *core.Block, g *core.Func, call *core.Instr, ret 
 			Const:   gi.Const,
 			Blk:     b,
 		}
-		c.Args = make([]core.ValueID, len(gi.Args))
+		c.Args = sc.args.Take(len(gi.Args))
 		for i, a := range gi.Args {
-			c.Args[i] = mapv(a)
+			c.Args[i] = vmap[a]
 		}
-		c.Bind = mapv(gi.Bind)
+		c.Bind = vmap[gi.Bind]
 		if gi.HasResult() {
 			f.Define(c)
 			vmap[gi.ID] = c.ID
 		}
-		clones = append(clones, c)
+		out = append(out, c)
 	}
-	return clones, mapv(ret)
+	return out, vmap[ret]
 }
 
 // stitchExcEdges rethreads the call's exception edge (if any) to the

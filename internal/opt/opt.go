@@ -6,6 +6,15 @@
 // Null-check and bounds-check elimination fall out of CSE over the check
 // instructions — the eliminated checks travel tamper-proof because the
 // remaining ones are still structurally verified by the consumer.
+//
+// Every pass is a substitution or a dead-binding elimination under
+// dominator scoping, so the only state one needs is a table indexed by
+// the SSA name and a scope that is a contiguous stack. SSA names
+// (core.ValueID) and block numbers (core.Block.Index) are dense, so those
+// tables are slices sized once per function, never maps keyed by value or
+// block; they live in a scratch that the passes of one pipeline value
+// share and reuse from function to function (DESIGN.md §5, "who owns
+// producer memory").
 package opt
 
 import (
@@ -101,29 +110,70 @@ type Pass struct {
 	Run  func(m *core.Module, f *core.Func, o Options, st *Stats)
 }
 
+// scratch is the side-table memory of one pipeline value: every table a
+// pass indexes by ValueID or Block.Index, and every stack it scopes by
+// block. A pass sizes and clears what it uses at the start of each
+// function, so nothing read here was written for another function;
+// sharing it only spares the allocator. It is reachable from the Run
+// closures of one Pipeline/ModulePipeline result and from nothing else —
+// a pipeline value is therefore run by one goroutine at a time, as the
+// module tier's devirt and inline passes already required.
+type scratch struct {
+	// repl[v] is the value that replaces v, NoValue for none (cse,
+	// constprop, inline).
+	repl []core.ValueID
+
+	cse cseScratch
+
+	live []bool         // dce: values reached from a root
+	work []core.ValueID // dce: reached, operands not yet visited
+
+	// inline: the callee-to-caller value map of the call being expanded,
+	// the (call result, inlined result) pairs of the round, and the slabs
+	// the clones are carved from.
+	vmap   []core.ValueID
+	calls  [][2]core.ValueID
+	instrs core.Slab[core.Instr]
+	args   core.Slab[core.ValueID]
+}
+
+// sized returns buf with n zeroed elements, reallocating only to grow.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // The intraprocedural pass bodies, shared by every pipeline variant.
-func runConstProp(m *core.Module, f *core.Func, o Options, st *Stats) {
-	st.ConstFolded += constProp(m, f)
+func (sc *scratch) runConstProp(m *core.Module, f *core.Func, o Options, st *Stats) {
+	st.ConstFolded += constProp(sc, f)
 }
 
-func runCSE(m *core.Module, f *core.Func, o Options, st *Stats) {
-	st.CSERemoved += cse(m, f, o)
+func (sc *scratch) runCSE(m *core.Module, f *core.Func, o Options, st *Stats) {
+	st.CSERemoved += cse(sc, f, o)
 }
 
-func runDCE(m *core.Module, f *core.Func, o Options, st *Stats) {
-	st.DCERemoved += dce(m, f)
+func (sc *scratch) runDCE(m *core.Module, f *core.Func, o Options, st *Stats) {
+	st.DCERemoved += dce(sc, f)
 }
 
 // Pipeline returns the paper's measured pass sequence. Two
 // constprop+CSE rounds (CSE exposes new constants and copies), then one
-// liveness DCE that prunes the pessimistically placed phis.
-func Pipeline() []Pass {
+// liveness DCE that prunes the pessimistically placed phis. The passes of
+// one result share side tables: build a pipeline per RunPasses call and
+// run it from one goroutine.
+func Pipeline() []Pass { return pipeline(new(scratch)) }
+
+func pipeline(sc *scratch) []Pass {
 	return []Pass{
-		{Name: "constprop", Run: runConstProp},
-		{Name: "cse", Run: runCSE},
-		{Name: "constprop2", Run: runConstProp},
-		{Name: "cse2", Run: runCSE},
-		{Name: "dce", Run: runDCE},
+		{Name: "constprop", Run: sc.runConstProp},
+		{Name: "cse", Run: sc.runCSE},
+		{Name: "constprop2", Run: sc.runConstProp},
+		{Name: "cse2", Run: sc.runCSE},
+		{Name: "dce", Run: sc.runDCE},
 	}
 }
 
@@ -136,14 +186,14 @@ func Pipeline() []Pass {
 // leaves the module verifier-clean, so oracle.RunPassesVerified can
 // re-check each intermediate state.
 func ModulePipeline() []Pass {
-	ps := Pipeline()
-	return append(ps,
+	sc := new(scratch)
+	return append(pipeline(sc),
 		devirtPass(),
-		inlinePass(),
-		Pass{Name: "constprop3", Run: runConstProp},
-		Pass{Name: "cse3", Run: runCSE},
+		inlinePass(sc),
+		Pass{Name: "constprop3", Run: sc.runConstProp},
+		Pass{Name: "cse3", Run: sc.runCSE},
 		checkElimPass(),
-		Pass{Name: "dce2", Run: runDCE},
+		Pass{Name: "dce2", Run: sc.runDCE},
 	)
 }
 
@@ -178,65 +228,51 @@ func RunPasses(m *core.Module, o Options, passes []Pass, after func(pass string)
 }
 
 // replaceUses rewrites every operand (instruction arguments, safe-index
-// bindings, and CST value references) through the replacement map,
-// resolving chains.
-func replaceUses(f *core.Func, repl map[core.ValueID]core.ValueID) {
-	if len(repl) == 0 {
-		return
-	}
-	resolve := func(v core.ValueID) core.ValueID {
-		for {
-			n, ok := repl[v]
-			if !ok {
-				return v
-			}
-			v = n
-		}
-	}
+// bindings, and CST value references) through the replacement table
+// (indexed by ValueID, NoValue for "keep"), resolving chains.
+func replaceUses(f *core.Func, repl []core.ValueID) {
 	for _, b := range f.Blocks {
-		b.Instrs(func(in *core.Instr) {
-			for i, a := range in.Args {
-				in.Args[i] = resolve(a)
-			}
-			if in.Bind != core.NoValue {
-				in.Bind = resolve(in.Bind)
-			}
-		})
-	}
-	var walk func(n *core.CSTNode)
-	walk = func(n *core.CSTNode) {
-		if n == nil {
-			return
+		for _, in := range b.Phis {
+			replaceOperands(in, repl)
 		}
-		if n.Cond != core.NoValue {
-			n.Cond = resolve(n.Cond)
-		}
-		if n.Val != core.NoValue {
-			n.Val = resolve(n.Val)
-		}
-		for _, k := range n.Kids {
-			walk(k)
+		for _, in := range b.Code {
+			replaceOperands(in, repl)
 		}
 	}
-	walk(f.Body)
+	replaceRefs(f.Body, repl)
 }
 
-// removeInstr deletes an instruction from its block (either section).
-func removeInstr(in *core.Instr) {
-	b := in.Blk
-	if in.Op == core.OpPhi {
-		for i, p := range b.Phis {
-			if p == in {
-				b.Phis = append(b.Phis[:i], b.Phis[i+1:]...)
-				return
-			}
+// resolve follows v's replacement chain to the value that stands for it.
+func resolve(repl []core.ValueID, v core.ValueID) core.ValueID {
+	for {
+		n := repl[v]
+		if n == core.NoValue {
+			return v
 		}
+		v = n
+	}
+}
+
+func replaceOperands(in *core.Instr, repl []core.ValueID) {
+	for i, a := range in.Args {
+		in.Args[i] = resolve(repl, a)
+	}
+	if in.Bind != core.NoValue {
+		in.Bind = resolve(repl, in.Bind)
+	}
+}
+
+func replaceRefs(n *core.CSTNode, repl []core.ValueID) {
+	if n == nil {
 		return
 	}
-	for i, p := range b.Code {
-		if p == in {
-			b.Code = append(b.Code[:i], b.Code[i+1:]...)
-			return
-		}
+	if n.Cond != core.NoValue {
+		n.Cond = resolve(repl, n.Cond)
+	}
+	if n.Val != core.NoValue {
+		n.Val = resolve(repl, n.Val)
+	}
+	for _, k := range n.Kids {
+		replaceRefs(k, repl)
 	}
 }

@@ -245,3 +245,132 @@ class Main {
 		t.Fatalf("division semantics lost: %q %v", out, err)
 	}
 }
+
+// cseScopeSrc has one function per corner of CSE's scoping. The value
+// table is scoped by the dominator tree — an entry is visible in the
+// block that made it and in the blocks that block dominates, nowhere else
+// — and a load is keyed by its memory version, which a loop header's
+// memory phi renews.
+const cseScopeSrc = `
+class P { int x; int y; }
+class Main {
+    // a*b in the dominator serves both arms of the if.
+    static int dom(int a, int b, boolean c) {
+        int d = a * b;
+        int r = 0;
+        if (c) { r = a * b + 1; } else { r = a * b + 2; }
+        return r + d;
+    }
+    // a*b in the then-arm serves neither the else-arm nor the join.
+    static int arm(int a, int b, boolean c) {
+        int r = 0;
+        if (c) { r = a * b; } else { r = a * b + 1; }
+        return r + a * b;
+    }
+    // The body's p.x sits behind the header's memory phi (the body
+    // stores to p.x): the load before the loop does not serve it.
+    static int loop(P p, int n) {
+        int s = p.x;
+        for (int i = 0; i < n; i++) { s += p.x; p.x = s; }
+        return s;
+    }
+    // The body stores to p.y only: one Mem renews p.x all the same, a
+    // Mem per field does not.
+    static int other(P p, int n) {
+        int s = p.x;
+        for (int i = 0; i < n; i++) { s += p.x; p.y = s; }
+        return s;
+    }
+    static void main() {
+        System.out.println(dom(3, 4, true) + " " + dom(3, 4, false));
+        System.out.println(arm(3, 4, true) + " " + arm(3, 4, false));
+        P p = new P();
+        p.x = 1;
+        System.out.println(loop(p, 4));
+        p.x = 2;
+        System.out.println(other(p, 3) + " " + p.y);
+    }
+}`
+
+// TestCSEScopeFollowsDominators: what the scoped value table lets through
+// and what it must not, under both Mem variants. The surviving counts pin
+// the scoping; the verifier and the run pin that no use was rewritten to
+// a value that does not dominate it.
+func TestCSEScopeFollowsDominators(t *testing.T) {
+	countIn := func(m *core.Module, fn string, match func(*core.Instr) bool) int {
+		n := 0
+		for _, f := range m.Funcs {
+			if f.Name != fn {
+				continue
+			}
+			for _, b := range f.Blocks {
+				for _, in := range b.Code {
+					if match(in) {
+						n++
+					}
+				}
+			}
+		}
+		return n
+	}
+	mul := func(in *core.Instr) bool { return in.Op == core.OpPrim && in.Prim == core.PIMul }
+	for _, tc := range []struct {
+		name            string
+		o               opt.Options
+		otherLoadsAfter int
+	}{
+		{"single Mem", opt.Options{}, 2},
+		{"Mem per field", opt.Options{FieldSensitiveMem: true}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mod := compiled(t, cseScopeSrc)
+			loadX := func(in *core.Instr) bool {
+				return in.Op == core.OpGetField && mod.Fields[in.Field].Name == "x"
+			}
+			want, err := driver.RunModule(mod, 1_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want != "25 26\n24 25\n16\n8 8\n" {
+				t.Fatalf("unoptimized run printed %q", want)
+			}
+			for _, c := range []struct {
+				fn     string
+				match  func(*core.Instr) bool
+				before int
+			}{
+				{"Main.dom", mul, 3}, {"Main.arm", mul, 3}, {"Main.loop", loadX, 2}, {"Main.other", loadX, 2},
+			} {
+				if got := countIn(mod, c.fn, c.match); got != c.before {
+					t.Fatalf("%s: %d matching instructions before optimization, want %d", c.fn, got, c.before)
+				}
+			}
+			opt.OptimizeWithOptions(mod, tc.o)
+			if err := mod.Verify(core.VerifyOptions{}); err != nil {
+				t.Fatalf("verifier after optimization: %v", err)
+			}
+			for _, c := range []struct {
+				fn    string
+				match func(*core.Instr) bool
+				after int
+				why   string
+			}{
+				{"Main.dom", mul, 1, "the dominator's a*b serves both arms"},
+				{"Main.arm", mul, 3, "the then-arm's a*b serves neither the else-arm nor the join"},
+				{"Main.loop", loadX, 2, "the back edge's memory phi renews p.x"},
+				{"Main.other", loadX, tc.otherLoadsAfter, "a store to p.y renews p.x under one Mem only"},
+			} {
+				if got := countIn(mod, c.fn, c.match); got != c.after {
+					t.Errorf("%s: %d matching instructions after optimization, want %d (%s)", c.fn, got, c.after, c.why)
+				}
+			}
+			got, err := driver.RunModule(mod, 1_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("optimized run printed %q, unoptimized %q", got, want)
+			}
+		})
+	}
+}

@@ -11,8 +11,8 @@ import (
 )
 
 // unslab rebuilds f out of individually allocated blocks, instructions,
-// nodes and vectors — the memory shape of a producer-built function —
-// with the same value ids, edges and structure.
+// nodes and vectors — memory no two pieces of which can alias — with the
+// same value ids, edges and structure.
 func unslab(t *testing.T, f *core.Func) *core.Func {
 	g := core.NewFunc(f.Name)
 	g.Method, g.Result = f.Method, f.Result
@@ -82,9 +82,10 @@ func unslab(t *testing.T, f *core.Func) *core.Func {
 	return g
 }
 
-// appendEverywhere appends a sentinel to every vector a decoded function
-// is made of and throws the result away. That is harmless exactly when
-// no vector has spare capacity reaching into memory something else owns.
+// appendEverywhere appends a sentinel to every vector a slab-carved
+// function is made of and throws the result away. That is harmless exactly
+// when no vector has spare capacity reaching into memory something else
+// owns.
 func appendEverywhere(f *core.Func) {
 	_ = append(f.Blocks, &core.Block{})
 	for _, b := range f.Blocks {
@@ -107,13 +108,16 @@ func appendEverywhere(f *core.Func) {
 }
 
 // TestDecodedSlabsDoNotAlias: a decoded module's instructions, operand
-// vectors, code vectors and CST nodes are carved from shared chunks, and
-// optimizer passes append to Args, splice Code and delete instructions.
+// vectors, code vectors and CST nodes are carved from shared chunks — and
+// so are those of the module ssabuild built — and optimizer passes append
+// to Args, splice Code, filter Code and Phis in place (cse, constprop and
+// dce compact a block's vector over itself) and delete instructions.
 // Every carved vector is cut to its exact capacity, so growing one
-// reallocates it: appending to all of them leaves the module as it was,
-// and the full O2 pipeline over the decoded module, verified after every
-// pass, produces the same bytes as over a copy made of individually
-// allocated pieces.
+// reallocates it and compacting one stays inside it: appending to all of
+// them leaves the module as it was, and the full O2 pipeline over the
+// decoded module and over the built one, verified after every pass,
+// produces the same bytes as over a copy made of individually allocated
+// pieces.
 func TestDecodedSlabsDoNotAlias(t *testing.T) {
 	for _, u := range corpus.Units() {
 		built, err := driver.CompileTSASource(u.Files)
@@ -137,21 +141,27 @@ func TestDecodedSlabsDoNotAlias(t *testing.T) {
 		if !bytes.Equal(wire.EncodeModuleV2(copied, nil), data) {
 			t.Fatalf("%s: the unslabbed copy is not the module that was decoded", u.Name)
 		}
-		before := decoded.Dump()
-		for _, f := range decoded.Funcs {
-			appendEverywhere(f)
-		}
-		if decoded.Dump() != before {
-			t.Fatalf("%s: appending to a decoded module's vectors wrote into their neighbours", u.Name)
-		}
-		if _, err := OptimizeModulePerPass(decoded); err != nil {
-			t.Fatalf("%s: decoded module: %v", u.Name, err)
-		}
 		if _, err := OptimizeModulePerPass(copied); err != nil {
 			t.Fatalf("%s: copied module: %v", u.Name, err)
 		}
-		if !bytes.Equal(wire.EncodeModuleV2(decoded, nil), wire.EncodeModuleV2(copied, nil)) {
-			t.Errorf("%s: O2 over the decoded module and over its unslabbed copy disagree", u.Name)
+		want := wire.EncodeModuleV2(copied, nil)
+		for _, carved := range []struct {
+			how string
+			mod *core.Module
+		}{{"decoded", decoded}, {"built", built}} {
+			before := carved.mod.Dump()
+			for _, f := range carved.mod.Funcs {
+				appendEverywhere(f)
+			}
+			if carved.mod.Dump() != before {
+				t.Fatalf("%s: appending to the %s module's vectors wrote into their neighbours", u.Name, carved.how)
+			}
+			if _, err := OptimizeModulePerPass(carved.mod); err != nil {
+				t.Fatalf("%s: %s module: %v", u.Name, carved.how, err)
+			}
+			if !bytes.Equal(wire.EncodeModuleV2(carved.mod, nil), want) {
+				t.Errorf("%s: O2 over the %s module and over the unslabbed copy disagree", u.Name, carved.how)
+			}
 		}
 	}
 }

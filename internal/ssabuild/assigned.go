@@ -11,13 +11,15 @@ import (
 // refinement of the Brandis–Mössenböck scheme ("we improved the handling
 // ... to avoid inserting phi nodes"); the remaining superfluous phis are
 // still removed by DCE.
-func assignedLocals(out map[*sema.Local]bool, nodes ...ast.Node) {
+func (fb *fnBuilder) assignedLocals(nodes ...ast.Node) localSet {
+	out := localSet(fb.b.sets.Take(fb.nlocals))
 	for _, n := range nodes {
 		assignedWalk(out, n)
 	}
+	return out
 }
 
-func assignedWalk(out map[*sema.Local]bool, n ast.Node) {
+func assignedWalk(out localSet, n ast.Node) {
 	switch n := n.(type) {
 	case nil:
 		return
@@ -60,7 +62,7 @@ func assignedWalk(out map[*sema.Local]bool, n ast.Node) {
 	case *ast.Assign:
 		if id, ok := n.LHS.(*ast.Ident); ok {
 			if l, ok := id.Sym.(*sema.Local); ok {
-				out[l] = true
+				out.add(l)
 			}
 		}
 		assignedWalk(out, n.LHS)
@@ -68,7 +70,7 @@ func assignedWalk(out map[*sema.Local]bool, n ast.Node) {
 	case *ast.IncDec:
 		if id, ok := n.X.(*ast.Ident); ok {
 			if l, ok := id.Sym.(*sema.Local); ok {
-				out[l] = true
+				out.add(l)
 			}
 		}
 		assignedWalk(out, n.X)

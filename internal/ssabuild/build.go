@@ -27,6 +27,22 @@ type Builder struct {
 	// printIdx caches synthetic imported-method entries for the
 	// System.out builtins, keyed by BuiltinID.
 	printIdx map[sema.BuiltinID]int32
+
+	// The module's body memory (DESIGN.md §5, "who owns producer
+	// memory"): instructions, operand vectors, blocks with their code,
+	// phi and edge lists, tree nodes and fixed-arity child vectors are
+	// carved from these, a chunk per ~128 elements.
+	instrs   core.Slab[core.Instr]
+	args     core.Slab[core.ValueID]
+	instrVec core.Slab[*core.Instr] // Block.Phis, Block.Code
+	blocks   core.Slab[core.Block]
+	preds    core.Slab[core.Pred]
+	nodes    core.Slab[core.CSTNode]
+	nodeVec  core.Slab[*core.CSTNode]
+	// Builder-owned scratch, unreachable from the module: the version
+	// snapshots and assigned-local sets of every function built.
+	snaps core.Slab[core.ValueID]
+	sets  core.Slab[bool]
 }
 
 // Build translates a checked program into a SafeTSA module.
@@ -294,23 +310,23 @@ func (b *Builder) buildMethod(m *sema.MethodSym) error {
 
 // buildClinit builds the synthetic static initializer of a class.
 func (b *Builder) buildClinit(c *sema.Class, fields []*sema.FieldSym) (*core.Func, error) {
-	fb := newFnBuilderRaw(b, c.Name+".<clinit>", nil, b.prog.Void)
-	seq := []*core.CSTNode{{Kind: core.CBlock, Block: fb.f.Entry}}
+	fb := newFnBuilderRaw(b, c.Name+".<clinit>", nil, b.prog.Void, &sema.MethodInfo{})
+	seq := []*core.CSTNode{fb.leaf(fb.f.Entry)}
 	fb.resume(fb.f.Entry, &seq)
 	for _, f := range fields {
 		v := fb.exprConv(f.Init, f.Type)
 		if fb.cur == nil {
 			break
 		}
-		fb.emit(&core.Instr{
+		fb.emit(core.Instr{
 			Op: core.OpSetField, Type: fb.tt().Void,
-			Field: b.fieldRef(f), Args: []core.ValueID{v},
+			Field: b.fieldRef(f), Args: fb.vals(v),
 		})
 	}
 	if fb.cur != nil {
-		seq = append(seq, &core.CSTNode{Kind: core.CReturn, At: fb.cur})
+		seq = append(seq, fb.node(core.CSTNode{Kind: core.CReturn, At: fb.cur}))
 	}
-	fb.f.Body = &core.CSTNode{Kind: core.CSeq, Kids: seq}
+	fb.f.Body = fb.seqOf(seq)
 	fb.finish()
 	if err := core.CheckStructuralDominators(fb.f); err != nil {
 		return nil, err

@@ -16,7 +16,8 @@ func (fb *fnBuilder) constVal(k constKey, cv core.ConstVal, plane core.TypeID) c
 	if v, ok := fb.consts[k]; ok {
 		return v
 	}
-	in := &core.Instr{Op: core.OpConst, Type: plane, Const: cv, Blk: fb.f.Entry}
+	in := fb.b.instrs.One()
+	*in = core.Instr{Op: core.OpConst, Type: plane, Const: cv, Blk: fb.f.Entry}
 	fb.f.Define(in)
 	fb.constInstrs = append(fb.constInstrs, in)
 	fb.consts[k] = in.ID
@@ -100,10 +101,10 @@ func (fb *fnBuilder) adjustRef(v core.ValueID, want core.TypeID) core.ValueID {
 	if have == want {
 		return v
 	}
-	return fb.emit(&core.Instr{
+	return fb.emit(core.Instr{
 		Op: core.OpDowncast, Type: want,
 		ArgType: have, TypeArg: want,
-		Args: []core.ValueID{v},
+		Args: fb.vals(v),
 	})
 }
 
@@ -115,21 +116,26 @@ func (fb *fnBuilder) safeRef(v core.ValueID, wantSafe core.TypeID) core.ValueID 
 	if have.Kind == core.TSafeRef {
 		return fb.adjustRef(v, wantSafe)
 	}
-	checked := fb.emit(&core.Instr{
+	checked := fb.emit(core.Instr{
 		Op: core.OpNullCheck, Type: tt.SafeRefOf(have.ID),
 		ArgType: have.ID,
-		Args:    []core.ValueID{v},
+		Args:    fb.vals(v),
 	})
 	return fb.adjustRef(checked, wantSafe)
 }
 
 func (fb *fnBuilder) prim(op core.PrimOp, args ...core.ValueID) core.ValueID {
+	return fb.primOf(op, fb.vals(args...))
+}
+
+// primOf is prim over an operand vector the instruction may keep.
+func (fb *fnBuilder) primOf(op core.PrimOp, args []core.ValueID) core.ValueID {
 	sig := op.Sig()
 	o := core.OpPrim
 	if sig.Throws {
 		o = core.OpXPrim
 	}
-	return fb.emit(&core.Instr{
+	return fb.emit(core.Instr{
 		Op: o, Type: core.PlaneType(fb.tt(), sig.Result),
 		Prim: op, Args: args,
 	})
@@ -234,26 +240,31 @@ func (fb *fnBuilder) toStringVal(e ast.Expr) core.ValueID {
 // L-values
 
 // lvalue captures the evaluated address parts of an assignable
-// expression so compound assignments evaluate them once.
+// expression so compound assignments evaluate them once: a local; a
+// field with its object (none for statics, the receiver for implicit
+// this); or an array element with its array and index.
 type lvalue struct {
-	load  func() core.ValueID
-	store func(core.ValueID)
-	typ   *sema.Type
+	typ *sema.Type
+
+	local *sema.Local
+
+	field *sema.FieldSym
+	fidx  int32        // its field-table entry, interned when the l-value is made
+	obj   core.ValueID // explicit object, null-checked at each access
+	this  bool         // implicit this: the receiver, no check
+
+	arr, idx core.ValueID // an element's array and index, unchecked
+	arrID    core.TypeID
 }
 
 func (fb *fnBuilder) evalLValue(e ast.Expr) lvalue {
-	tt := fb.tt()
 	switch e := e.(type) {
 	case *ast.Ident:
 		switch sym := e.Sym.(type) {
 		case *sema.Local:
-			return lvalue{
-				load:  func() core.ValueID { return fb.vars[sym] },
-				store: func(v core.ValueID) { fb.vars[sym] = v },
-				typ:   sym.Type,
-			}
+			return lvalue{typ: sym.Type, local: sym}
 		case *sema.FieldSym:
-			return fb.fieldLValue(sym, nil)
+			return fb.fieldLValue(sym, core.NoValue)
 		}
 	case *ast.FieldAccess:
 		sym, _ := e.Sym.(*sema.FieldSym)
@@ -261,82 +272,100 @@ func (fb *fnBuilder) evalLValue(e ast.Expr) lvalue {
 			panic("ssabuild: assignment to non-field member access")
 		}
 		if sym.Static {
-			return fb.fieldLValue(sym, nil)
+			return fb.fieldLValue(sym, core.NoValue)
 		}
-		obj := fb.expr(e.X)
-		return fb.fieldLValue(sym, &obj)
+		return fb.fieldLValue(sym, fb.expr(e.X))
 	case *ast.IndexExpr:
 		// The array and index subexpressions are evaluated once, but
 		// the null and bounds checks happen at each access, matching
 		// Java's evaluation order (the checks of a[i] = f() come after
 		// f() runs); the producer-side CSE merges duplicate checks.
 		arrType := sema.TypeOf(e.X)
-		arrID := fb.b.typeOf(arrType)
-		arr := fb.expr(e.X)
-		idx := fb.exprConv(e.Index, fb.b.prog.Int)
-		elem := arrType.Elem
-		access := func() (core.ValueID, core.ValueID) {
-			safeArr := fb.safeRef(arr, tt.SafeRefOf(arrID))
-			si := fb.emit(&core.Instr{
-				Op: core.OpIndexCheck, Type: tt.SafeIndexOf(arrID),
-				TypeArg: arrID, Bind: safeArr,
-				Args: []core.ValueID{safeArr, idx},
-			})
-			return safeArr, si
-		}
-		return lvalue{
-			load: func() core.ValueID {
-				safeArr, si := access()
-				return fb.emit(&core.Instr{
-					Op: core.OpGetElt, Type: fb.b.typeOf(elem),
-					TypeArg: arrID,
-					Args:    []core.ValueID{safeArr, si},
-				})
-			},
-			store: func(v core.ValueID) {
-				safeArr, si := access()
-				fb.emit(&core.Instr{
-					Op: core.OpSetElt, Type: tt.Void,
-					TypeArg: arrID,
-					Args:    []core.ValueID{safeArr, si, v},
-				})
-			},
-			typ: elem,
-		}
+		lv := lvalue{typ: arrType.Elem, arrID: fb.b.typeOf(arrType)}
+		lv.arr = fb.expr(e.X)
+		lv.idx = fb.exprConv(e.Index, fb.b.prog.Int)
+		return lv
 	}
 	panic(fmt.Sprintf("ssabuild: not an l-value: %T", e))
 }
 
-// fieldLValue builds the accessors of a field; obj is nil for statics and
-// implicit-this accesses resolve the receiver lazily.
-func (fb *fnBuilder) fieldLValue(sym *sema.FieldSym, objp *core.ValueID) lvalue {
+// fieldLValue is the l-value of a field: of obj when there is one, else
+// of the receiver (implicit this) unless the field is static.
+func (fb *fnBuilder) fieldLValue(sym *sema.FieldSym, obj core.ValueID) lvalue {
+	return lvalue{typ: sym.Type, field: sym, fidx: fb.b.fieldRef(sym),
+		obj: obj, this: obj == core.NoValue && !sym.Static}
+}
+
+// access emits the checks of one element access and returns the checked
+// array and index.
+func (fb *fnBuilder) access(lv *lvalue) (safeArr, si core.ValueID) {
 	tt := fb.tt()
-	fidx := fb.b.fieldRef(sym)
-	object := func() []core.ValueID {
-		if sym.Static {
-			return nil
-		}
-		want := tt.SafeRefOf(fb.b.classID(sym.Owner))
-		if objp != nil {
-			// Null check at each access (see IndexExpr above).
-			return []core.ValueID{fb.safeRef(*objp, want)}
-		}
-		return []core.ValueID{fb.adjustRef(fb.recv, want)}
+	safeArr = fb.safeRef(lv.arr, tt.SafeRefOf(lv.arrID))
+	si = fb.emit(core.Instr{
+		Op: core.OpIndexCheck, Type: tt.SafeIndexOf(lv.arrID),
+		TypeArg: lv.arrID, Bind: safeArr,
+		Args: fb.vals(safeArr, lv.idx),
+	})
+	return safeArr, si
+}
+
+// object returns a field access's operand vector: room for extra more
+// operands after the object (none for statics). An explicit object is
+// null-checked at each access (see IndexExpr above).
+func (fb *fnBuilder) object(lv *lvalue, extra int) []core.ValueID {
+	if lv.field.Static {
+		return fb.b.args.Take(extra)
 	}
-	return lvalue{
-		load: func() core.ValueID {
-			return fb.emit(&core.Instr{
-				Op: core.OpGetField, Type: fb.b.typeOf(sym.Type),
-				Field: fidx, Args: object(),
-			})
-		},
-		store: func(v core.ValueID) {
-			fb.emit(&core.Instr{
-				Op: core.OpSetField, Type: tt.Void,
-				Field: fidx, Args: append(object(), v),
-			})
-		},
-		typ: sym.Type,
+	want := fb.tt().SafeRefOf(fb.b.classID(lv.field.Owner))
+	var obj core.ValueID
+	if lv.this {
+		obj = fb.adjustRef(fb.recv, want)
+	} else {
+		obj = fb.safeRef(lv.obj, want)
+	}
+	args := fb.b.args.Take(1 + extra)
+	args[0] = obj
+	return args
+}
+
+// load reads the l-value's current value.
+func (fb *fnBuilder) load(lv *lvalue) core.ValueID {
+	switch {
+	case lv.local != nil:
+		return fb.get(lv.local)
+	case lv.field != nil:
+		return fb.emit(core.Instr{
+			Op: core.OpGetField, Type: fb.b.typeOf(lv.field.Type),
+			Field: lv.fidx, Args: fb.object(lv, 0),
+		})
+	}
+	safeArr, si := fb.access(lv)
+	return fb.emit(core.Instr{
+		Op: core.OpGetElt, Type: fb.b.typeOf(lv.typ),
+		TypeArg: lv.arrID,
+		Args:    fb.vals(safeArr, si),
+	})
+}
+
+// store writes v to the l-value.
+func (fb *fnBuilder) store(lv *lvalue, v core.ValueID) {
+	switch {
+	case lv.local != nil:
+		fb.set(lv.local, v)
+	case lv.field != nil:
+		args := fb.object(lv, 1)
+		args[len(args)-1] = v
+		fb.emit(core.Instr{
+			Op: core.OpSetField, Type: fb.tt().Void,
+			Field: lv.fidx, Args: args,
+		})
+	default:
+		safeArr, si := fb.access(lv)
+		fb.emit(core.Instr{
+			Op: core.OpSetElt, Type: fb.tt().Void,
+			TypeArg: lv.arrID,
+			Args:    fb.vals(safeArr, si, v),
+		})
 	}
 }
 
@@ -364,9 +393,10 @@ func (fb *fnBuilder) expr(e ast.Expr) core.ValueID {
 	case *ast.Ident:
 		switch sym := e.Sym.(type) {
 		case *sema.Local:
-			return fb.vars[sym]
+			return fb.get(sym)
 		case *sema.FieldSym:
-			return fb.fieldLValue(sym, nil).load()
+			lv := fb.fieldLValue(sym, core.NoValue)
+			return fb.load(&lv)
 		}
 		panic("ssabuild: identifier " + e.Name + " is not a value")
 	case *ast.FieldAccess:
@@ -375,14 +405,16 @@ func (fb *fnBuilder) expr(e ast.Expr) core.ValueID {
 			arrID := fb.b.typeOf(arrType)
 			arr := fb.expr(e.X)
 			safe := fb.safeRef(arr, fb.tt().SafeRefOf(arrID))
-			return fb.emit(&core.Instr{
+			return fb.emit(core.Instr{
 				Op: core.OpArrayLen, Type: fb.tt().Int,
-				TypeArg: arrID, Args: []core.ValueID{safe},
+				TypeArg: arrID, Args: fb.vals(safe),
 			})
 		}
-		return fb.evalLValue(e).load()
+		lv := fb.evalLValue(e)
+		return fb.load(&lv)
 	case *ast.IndexExpr:
-		return fb.evalLValue(e).load()
+		lv := fb.evalLValue(e)
+		return fb.load(&lv)
 	case *ast.Assign:
 		return fb.buildAssign(e)
 	case *ast.IncDec:
@@ -404,10 +436,10 @@ func (fb *fnBuilder) expr(e ast.Expr) core.ValueID {
 	case *ast.InstanceOf:
 		v := fb.expr(e.X)
 		plain := fb.plainRef(v)
-		return fb.emit(&core.Instr{
+		return fb.emit(core.Instr{
 			Op: core.OpInstanceOf, Type: fb.tt().Boolean,
 			ArgType: fb.planeOf(plain), TypeArg: fb.b.typeOf(fb.b.prog.InstanceOfType[e]),
-			Args: []core.ValueID{plain},
+			Args: fb.vals(plain),
 		})
 	case *ast.Cond:
 		t := sema.TypeOf(e)
@@ -439,11 +471,11 @@ func (fb *fnBuilder) buildAssign(e *ast.Assign) core.ValueID {
 		if fb.cur == nil {
 			return v
 		}
-		lv.store(v)
+		fb.store(&lv, v)
 		return v
 	}
 	op := e.Op.CompoundOp()
-	old := lv.load()
+	old := fb.load(&lv)
 	var v core.ValueID
 	if lv.typ == fb.b.prog.String && op == token.ADD {
 		v = fb.prim(core.PSConcat, old, fb.toStringVal(e.RHS))
@@ -465,7 +497,7 @@ func (fb *fnBuilder) buildAssign(e *ast.Assign) core.ValueID {
 	if fb.cur == nil {
 		return v
 	}
-	lv.store(v)
+	fb.store(&lv, v)
 	return v
 }
 
@@ -486,7 +518,7 @@ func (fb *fnBuilder) compoundType(lt, rt *sema.Type, op token.Kind) *sema.Type {
 
 func (fb *fnBuilder) buildIncDec(e *ast.IncDec) core.ValueID {
 	lv := fb.evalLValue(e.X)
-	old := lv.load()
+	old := fb.load(&lv)
 	p := fb.b.prog
 	ct := lv.typ
 	if ct.Kind == sema.KindChar {
@@ -515,7 +547,7 @@ func (fb *fnBuilder) buildIncDec(e *ast.IncDec) core.ValueID {
 		panic("ssabuild: ++/-- on non-numeric")
 	}
 	nv := fb.prim(op, w, one)
-	lv.store(fb.convert(nv, ct, lv.typ))
+	fb.store(&lv, fb.convert(nv, ct, lv.typ))
 	return old // postfix value
 }
 
@@ -721,30 +753,29 @@ func (fb *fnBuilder) ifValue(cond ast.Expr, thenFn, elseFn func() core.ValueID, 
 	condV := fb.exprBool(cond)
 	c := fb.cur
 	parent := fb.seq
-	node := &core.CSTNode{Kind: core.CIf, At: c, Cond: condV}
+	node := fb.node(core.CSTNode{Kind: core.CIf, At: c, Cond: condV})
+	// As in buildIf: the then-arm builds on the incoming snapshot, the
+	// else-arm on the copy taken here.
 	entryVars := fb.snapshotVars()
 
-	thenEntry := fb.newBlock(c)
-	thenEntry.Preds = []core.Pred{{From: c}}
 	var thenSeq []*core.CSTNode
-	fb.enter(thenEntry, &thenSeq)
+	fb.enter(fb.branchBlock(c), &thenSeq)
 	tv := thenFn()
-	thenEnd, thenVars := fb.cur, fb.snapshotVars()
-	node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: thenSeq})
+	thenEnd, thenVars := fb.cur, fb.vars
 
-	fb.vars = entryVars.clone()
-	elseEntry := fb.newBlock(c)
-	elseEntry.Preds = []core.Pred{{From: c}}
+	fb.vars = entryVars
 	var elseSeq []*core.CSTNode
-	fb.enter(elseEntry, &elseSeq)
+	fb.enter(fb.branchBlock(c), &elseSeq)
 	ev := elseFn()
-	elseEnd, elseVars := fb.cur, fb.snapshotVars()
-	node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: elseSeq})
+	elseEnd, elseVars := fb.cur, fb.vars
+	node.Kids = fb.kids(fb.seqOf(thenSeq), fb.seqOf(elseSeq))
 
 	*parent = append(*parent, node)
 
-	var snaps []edgeSnap
-	var vals []core.ValueID
+	var edges [2]edgeSnap
+	snaps := edges[:0]
+	var arms [2]core.ValueID
+	vals := arms[:0]
 	if thenEnd != nil {
 		snaps = append(snaps, edgeSnap{thenEnd, thenVars})
 		vals = append(vals, tv)
@@ -763,26 +794,31 @@ func (fb *fnBuilder) ifValue(cond ast.Expr, thenFn, elseFn func() core.ValueID, 
 	if vals[0] == vals[1] {
 		return vals[0]
 	}
-	return fb.addPhi(fb.cur, plane, vals).ID
+	phi := fb.newPhi(fb.cur, plane, fb.vals(vals...))
+	fb.cur.Phis = append(fb.cur.Phis, phi)
+	return phi.ID
 }
 
 func (fb *fnBuilder) buildSuperCall(e *ast.SuperCall) core.ValueID {
 	m := e.Sym.(*sema.MethodSym)
 	recv := fb.adjustRef(fb.recv, fb.tt().SafeRefOf(fb.b.classID(m.Owner)))
-	args := fb.callArgs(e.Args, m.Params)
-	return fb.emitCall(core.OpXCall, m, append([]core.ValueID{recv}, args...))
+	args := fb.callArgs(1, e.Args, m.Params)
+	args[0] = recv
+	return fb.emitCall(core.OpXCall, m, args)
 }
 
-func (fb *fnBuilder) callArgs(args []ast.Expr, params []*sema.Type) []core.ValueID {
-	out := make([]core.ValueID, len(args))
+// callArgs evaluates a call's arguments into its operand vector, after
+// lead slots left for the caller to fill (the receiver's).
+func (fb *fnBuilder) callArgs(lead int, args []ast.Expr, params []*sema.Type) []core.ValueID {
+	out := fb.b.args.Take(lead + len(args))
 	for i, a := range args {
-		out[i] = fb.exprConv(a, params[i])
+		out[lead+i] = fb.exprConv(a, params[i])
 	}
 	return out
 }
 
 func (fb *fnBuilder) emitCall(op core.Op, m *sema.MethodSym, args []core.ValueID) core.ValueID {
-	return fb.emit(&core.Instr{
+	return fb.emit(core.Instr{
 		Op: op, Type: fb.b.typeOf(m.Return),
 		Method: fb.b.methodRef(m), Args: args,
 	})
@@ -812,28 +848,21 @@ var mathPrims = map[sema.BuiltinID]core.PrimOp{
 func (fb *fnBuilder) buildCall(e *ast.CallExpr) core.ValueID {
 	switch sym := e.Sym.(type) {
 	case *sema.Builtin:
+		args := fb.callArgs(0, e.Args, sym.Params)
 		if p, ok := mathPrims[sym.ID]; ok {
-			args := make([]core.ValueID, len(e.Args))
-			for i, a := range e.Args {
-				args[i] = fb.exprConv(a, sym.Params[i])
-			}
-			return fb.prim(p, args...)
+			return fb.primOf(p, args)
 		}
 		// System.out builtins: imported static methods with observable
 		// effects, invoked via xcall so they are never CSE'd away.
-		args := make([]core.ValueID, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = fb.exprConv(a, sym.Params[i])
-		}
-		return fb.emit(&core.Instr{
+		return fb.emit(core.Instr{
 			Op: core.OpXCall, Type: fb.tt().Void,
 			Method: fb.b.printRef(sym), Args: args,
 		})
 	case *sema.MethodSym:
-		args := fb.callArgs(e.Args, sym.Params)
 		if sym.Static {
-			return fb.emitCall(core.OpXCall, sym, args)
+			return fb.emitCall(core.OpXCall, sym, fb.callArgs(0, e.Args, sym.Params))
 		}
+		args := fb.callArgs(1, e.Args, sym.Params)
 		var recvV core.ValueID
 		if e.Recv != nil {
 			recvV = fb.expr(e.Recv)
@@ -847,7 +876,8 @@ func (fb *fnBuilder) buildCall(e *ast.CallExpr) core.ValueID {
 			// statically (see DESIGN.md).
 			op = core.OpXCall
 		}
-		return fb.emitCall(op, sym, append([]core.ValueID{recv}, args...))
+		args[0] = recv
+		return fb.emitCall(op, sym, args)
 	}
 	panic("ssabuild: unresolved call " + e.Name)
 }
@@ -855,14 +885,14 @@ func (fb *fnBuilder) buildCall(e *ast.CallExpr) core.ValueID {
 func (fb *fnBuilder) buildNewObject(e *ast.NewObject) core.ValueID {
 	cls := sema.TypeOf(e).Class
 	cid := fb.b.classID(cls)
-	obj := fb.emit(&core.Instr{
+	obj := fb.emit(core.Instr{
 		Op: core.OpNew, Type: fb.tt().SafeRefOf(cid), TypeArg: cid,
 	})
 	ctor, _ := e.Ctor.(*sema.MethodSym)
 	if ctor != nil {
-		args := fb.callArgs(e.Args, ctor.Params)
-		recv := fb.adjustRef(obj, fb.tt().SafeRefOf(fb.b.classID(ctor.Owner)))
-		fb.emitCall(core.OpXCall, ctor, append([]core.ValueID{recv}, args...))
+		args := fb.callArgs(1, e.Args, ctor.Params)
+		args[0] = fb.adjustRef(obj, fb.tt().SafeRefOf(fb.b.classID(ctor.Owner)))
+		fb.emitCall(core.OpXCall, ctor, args)
 	}
 	return obj
 }
@@ -879,9 +909,9 @@ func (fb *fnBuilder) newArrayDims(t *sema.Type, lens []ast.Expr) core.ValueID {
 	tt := fb.tt()
 	arrID := fb.b.typeOf(t)
 	n := fb.exprConv(lens[0], fb.b.prog.Int)
-	arr := fb.emit(&core.Instr{
+	arr := fb.emit(core.Instr{
 		Op: core.OpNewArray, Type: tt.SafeRefOf(arrID),
-		TypeArg: arrID, Args: []core.ValueID{n},
+		TypeArg: arrID, Args: fb.vals(n),
 	})
 	if len(lens) == 1 {
 		return arr
@@ -889,33 +919,34 @@ func (fb *fnBuilder) newArrayDims(t *sema.Type, lens []ast.Expr) core.ValueID {
 	// for (i = 0; i < n; i++) arr[i] = new Elem[...](rest)
 	elem := t.Elem
 	i := fb.addSynthLocal(fb.b.prog.Int)
-	fb.vars[i] = fb.constInt(0)
+	fb.set(i, fb.constInt(0))
 	arrLocal := fb.addSynthLocal(t)
-	fb.vars[arrLocal] = fb.adjustRef(arr, arrID)
+	fb.set(arrLocal, fb.adjustRef(arr, arrID))
 	nLocal := fb.addSynthLocal(fb.b.prog.Int)
-	fb.vars[nLocal] = n
+	fb.set(nLocal, n)
 
 	cond := synthExpr(&ast.Binary{Op: token.LSS,
 		X: synthIdent(i), Y: synthIdent(nLocal)}, fb.b.prog.Boolean)
 	seqHolder := fb.seq
-	assigned := map[*sema.Local]bool{i: true}
+	assigned := localSet(fb.b.sets.Take(fb.nlocals))
+	assigned.add(i)
 	fb.buildLoop(cond, func(bodySeq *[]*core.CSTNode) {
-		safe := fb.safeRef(fb.vars[arrLocal], tt.SafeRefOf(arrID))
-		si := fb.emit(&core.Instr{
+		safe := fb.safeRef(fb.get(arrLocal), tt.SafeRefOf(arrID))
+		si := fb.emit(core.Instr{
 			Op: core.OpIndexCheck, Type: tt.SafeIndexOf(arrID),
 			TypeArg: arrID, Bind: safe,
-			Args: []core.ValueID{safe, fb.vars[i]},
+			Args: fb.vals(safe, fb.get(i)),
 		})
 		inner := fb.newArrayDims(elem, lens[1:])
-		fb.emit(&core.Instr{
+		fb.emit(core.Instr{
 			Op: core.OpSetElt, Type: tt.Void,
 			TypeArg: arrID,
-			Args:    []core.ValueID{safe, si, fb.adjustRef(inner, fb.b.typeOf(elem))},
+			Args:    fb.vals(safe, si, fb.adjustRef(inner, fb.b.typeOf(elem))),
 		})
-		fb.vars[i] = fb.prim(core.PIAdd, fb.vars[i], fb.constInt(1))
+		fb.set(i, fb.prim(core.PIAdd, fb.get(i), fb.constInt(1)))
 	}, nil, assigned, seqHolder)
 
-	v := fb.vars[arrLocal]
+	v := fb.get(arrLocal)
 	fb.dropSynthLocals(3)
 	return v
 }
@@ -936,18 +967,22 @@ func (fb *fnBuilder) buildCast(e *ast.Cast) core.ValueID {
 	if p.Widens(from, to) {
 		return fb.adjustRef(v, fb.b.typeOf(to))
 	}
-	return fb.emit(&core.Instr{
+	return fb.emit(core.Instr{
 		Op: core.OpUpcast, Type: fb.b.typeOf(to),
 		ArgType: fb.planeOf(v), TypeArg: fb.b.typeOf(to),
-		Args: []core.ValueID{v},
+		Args: fb.vals(v),
 	})
 }
 
 // ---------------------------------------------------------------------
 // Synthetic locals for desugared constructs
 
+// addSynthLocal brings a compiler-made local into scope, numbered after
+// every local the function has had so far; snapshots taken from now on
+// have its slot.
 func (fb *fnBuilder) addSynthLocal(t *sema.Type) *sema.Local {
-	l := &sema.Local{Name: fmt.Sprintf("$t%d", len(fb.scope)), Type: t, Index: -1}
+	l := &sema.Local{Name: fmt.Sprintf("$t%d", len(fb.scope)), Type: t, Index: fb.nlocals}
+	fb.nlocals++
 	fb.scope = append(fb.scope, l)
 	return l
 }

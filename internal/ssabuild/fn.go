@@ -8,15 +8,30 @@ import (
 	"safetsa/internal/lang/sema"
 )
 
-// snapshot is one version map of the locals at a program point.
-type snapshot map[*sema.Local]core.ValueID
+// snapshot is one version map of the locals at a program point: the
+// current SSA value of each local, indexed by the local's per-method
+// number (sema.Local.Index; synthetic locals are numbered after the
+// declared ones), NoValue for a local that is not in scope. A snapshot
+// taken before a synthetic local was made is shorter than one taken
+// after, which reads the same as "not in scope".
+type snapshot []core.ValueID
 
-func (s snapshot) clone() snapshot {
-	out := make(snapshot, len(s))
-	for k, v := range s {
-		out[k] = v
+func (s snapshot) get(l *sema.Local) core.ValueID {
+	if l.Index < len(s) {
+		return s[l.Index]
 	}
-	return out
+	return core.NoValue
+}
+
+// localSet is a set of locals, indexed like a snapshot.
+type localSet []bool
+
+func (s localSet) has(l *sema.Local) bool { return l.Index < len(s) && s[l.Index] }
+
+func (s localSet) add(l *sema.Local) {
+	if l.Index < len(s) {
+		s[l.Index] = true
+	}
 }
 
 // edgeSnap pairs an incoming edge with the variable versions at its
@@ -67,18 +82,27 @@ type siteSnap struct {
 
 // fnBuilder builds one function body.
 type fnBuilder struct {
-	b    *Builder
-	m    *sema.MethodSym
-	info *sema.MethodInfo
-	f    *core.Func
+	b *Builder
+	m *sema.MethodSym
+	f *core.Func
 
-	cur *core.Block // nil when the current path has terminated
+	// cur is the block being filled, nil when the current path has
+	// terminated; it changes through setCur alone. code stages cur's
+	// instructions: a block is filled in one stretch, so its Code is cut
+	// to size once, when the builder moves on.
+	cur  *core.Block
+	code []*core.Instr
+	// phis stages the phis of the join being made.
+	phis []*core.Instr
 	// seq points at the CST sequence currently being extended — the one
 	// holding cur's leaf. Expression lowerings (short-circuit operators,
 	// multi-dimensional array allocation) append their control nodes
 	// here.
 	seq  *[]*core.CSTNode
 	vars snapshot
+	// nlocals is the length of a snapshot: the method's declared locals
+	// plus the synthetic ones made so far.
+	nlocals int
 	// scope lists the locals currently in scope, in declaration order;
 	// all deterministic iteration over variables uses it.
 	scope []*sema.Local
@@ -104,22 +128,25 @@ type constKey struct {
 	t    core.TypeID // plane, for null constants
 }
 
-func newFnBuilderRaw(b *Builder, name string, params []core.TypeID, result *sema.Type) *fnBuilder {
+func newFnBuilderRaw(b *Builder, name string, params []core.TypeID, result *sema.Type, info *sema.MethodInfo) *fnBuilder {
 	fb := &fnBuilder{
-		b:      b,
-		f:      core.NewFunc(name),
-		vars:   make(snapshot),
-		consts: make(map[constKey]core.ValueID),
+		b:       b,
+		f:       core.NewFunc(name),
+		nlocals: len(info.Locals),
+		consts:  make(map[constKey]core.ValueID),
 	}
+	fb.vars = fb.newSnapshot()
 	fb.f.Params = params
 	fb.f.Result = b.typeOf(result)
-	entry := fb.f.NewBlock()
+	entry := fb.newBlock(nil)
 	fb.f.Entry = entry
-	fb.cur = entry
+	fb.setCur(entry)
+	fb.paramInstrs = make([]*core.Instr, len(params))
 	for i := range params {
-		in := &core.Instr{Op: core.OpParam, Type: params[i], Aux: int32(i), Blk: entry}
+		in := b.instrs.One()
+		*in = core.Instr{Op: core.OpParam, Type: params[i], Aux: int32(i), Blk: entry}
 		fb.f.Define(in)
-		fb.paramInstrs = append(fb.paramInstrs, in)
+		fb.paramInstrs[i] = in
 	}
 	return fb
 }
@@ -129,23 +156,22 @@ func newFnBuilder(b *Builder, m *sema.MethodSym) *fnBuilder {
 	if info == nil {
 		info = &sema.MethodInfo{}
 	}
-	var params []core.TypeID
+	params := make([]core.TypeID, 0, 1+len(m.Params))
 	if !m.Static {
 		params = append(params, b.mod.Types.SafeRefOf(b.classID(m.Owner)))
 	}
 	for _, p := range m.Params {
 		params = append(params, b.typeOf(p))
 	}
-	fb := newFnBuilderRaw(b, m.QName(), params, m.Return)
+	fb := newFnBuilderRaw(b, m.QName(), params, m.Return, info)
 	fb.m = m
-	fb.info = info
 	off := 0
 	if !m.Static {
 		fb.recv = fb.paramInstrs[0].ID
 		off = 1
 	}
 	for i, l := range info.Params {
-		fb.vars[l] = fb.paramInstrs[off+i].ID
+		fb.vars[l.Index] = fb.paramInstrs[off+i].ID
 		fb.scope = append(fb.scope, l)
 	}
 	return fb
@@ -153,26 +179,82 @@ func newFnBuilder(b *Builder, m *sema.MethodSym) *fnBuilder {
 
 func (fb *fnBuilder) tt() *core.TypeTable { return fb.b.mod.Types }
 
-func (fb *fnBuilder) snapshotVars() snapshot { return fb.vars.clone() }
+// newSnapshot returns a snapshot with every local out of scope. Snapshots
+// are carved from a builder-owned slab: they die with the build.
+func (fb *fnBuilder) newSnapshot() snapshot { return fb.b.snaps.Take(fb.nlocals) }
+
+func (fb *fnBuilder) cloneSnapshot(s snapshot) snapshot {
+	out := fb.newSnapshot()
+	copy(out, s)
+	return out
+}
+
+func (fb *fnBuilder) snapshotVars() snapshot { return fb.cloneSnapshot(fb.vars) }
+
+// get and set read and write the current version of a local.
+func (fb *fnBuilder) get(l *sema.Local) core.ValueID { return fb.vars.get(l) }
+
+func (fb *fnBuilder) set(l *sema.Local, v core.ValueID) {
+	for l.Index >= len(fb.vars) { // a snapshot from before l was made
+		fb.vars = append(fb.vars, core.NoValue)
+	}
+	fb.vars[l.Index] = v
+}
+
+// vals returns an operand vector holding vs, carved from the module's
+// operand slab.
+func (fb *fnBuilder) vals(vs ...core.ValueID) []core.ValueID { return fb.b.args.Keep(vs) }
+
+// node returns a CST node holding n, carved from the module's node slab.
+func (fb *fnBuilder) node(n core.CSTNode) *core.CSTNode {
+	out := fb.b.nodes.One()
+	*out = n
+	return out
+}
+
+// seqOf wraps a finished child sequence in its CSeq node.
+func (fb *fnBuilder) seqOf(kids []*core.CSTNode) *core.CSTNode {
+	return fb.node(core.CSTNode{Kind: core.CSeq, Kids: kids})
+}
+
+// kids is the children vector of a node of fixed arity (if, while,
+// do-while, try).
+func (fb *fnBuilder) kids(ns ...*core.CSTNode) []*core.CSTNode { return fb.b.nodeVec.Keep(ns) }
 
 // emit appends an instruction to the current block, defining its result
 // value when it has one, and registers exception edges for throwing
-// instructions inside try regions.
-func (fb *fnBuilder) emit(in *core.Instr) core.ValueID {
+// instructions inside try regions. The instruction is carved from the
+// module's slab.
+func (fb *fnBuilder) emit(proto core.Instr) core.ValueID {
 	if fb.cur == nil {
 		panic("ssabuild: emit on terminated path in " + fb.f.Name)
 	}
+	in := fb.b.instrs.One()
+	*in = proto
 	in.Blk = fb.cur
 	if in.Type != fb.tt().Void {
 		fb.f.Define(in)
 	}
-	fb.cur.Code = append(fb.cur.Code, in)
+	fb.code = append(fb.code, in)
 	if in.Op.CanThrow() {
 		if t := fb.routingTry(); t != nil {
 			t.sites = append(t.sites, siteSnap{from: fb.cur, site: in, vars: fb.snapshotVars()})
 		}
 	}
 	return in.ID
+}
+
+// setCur makes b (nil: none, the path has terminated) the block being
+// filled, after giving the one filled so far its code. Only foldBlock
+// hands it a block that already has some.
+func (fb *fnBuilder) setCur(b *core.Block) {
+	if fb.cur != nil {
+		fb.cur.Code = fb.b.instrVec.Keep(fb.code)
+	}
+	fb.cur, fb.code = b, fb.code[:0]
+	if b != nil {
+		fb.code = append(fb.code, b.Code...)
+	}
 }
 
 // routingTry returns the innermost try context that still routes
@@ -186,33 +268,97 @@ func (fb *fnBuilder) routingTry() *tryCtx {
 	return nil
 }
 
-// newBlock creates a block with the given structural immediate dominator.
+// newBlock creates a block with the given structural immediate dominator
+// (nil for the entry), carved from the module's slab.
 func (fb *fnBuilder) newBlock(idom *core.Block) *core.Block {
-	b := fb.f.NewBlock()
+	b := fb.b.blocks.One()
+	b.Index = len(fb.f.Blocks)
 	b.IDom = idom
+	fb.f.Blocks = append(fb.f.Blocks, b)
 	return b
+}
+
+// branchBlock creates a block entered by the one edge from its structural
+// immediate dominator c.
+func (fb *fnBuilder) branchBlock(c *core.Block) *core.Block {
+	b := fb.newBlock(c)
+	b.Preds = fb.b.preds.Take(1)
+	b.Preds[0].From = c
+	return b
+}
+
+// headerBlock is branchBlock for a loop header: its edge list has room
+// for the back edge.
+func (fb *fnBuilder) headerBlock(c *core.Block) *core.Block {
+	b := fb.newBlock(c)
+	b.Preds = fb.b.preds.Take(2)[:1]
+	b.Preds[0].From = c
+	return b
+}
+
+// leaf is the CST leaf of block b.
+func (fb *fnBuilder) leaf(b *core.Block) *core.CSTNode {
+	return fb.node(core.CSTNode{Kind: core.CBlock, Block: b})
 }
 
 // enter makes b the current block and appends its CST leaf to seq.
 func (fb *fnBuilder) enter(b *core.Block, seq *[]*core.CSTNode) {
-	fb.cur = b
+	fb.setCur(b)
 	fb.seq = seq
-	*seq = append(*seq, &core.CSTNode{Kind: core.CBlock, Block: b})
+	*seq = append(*seq, fb.leaf(b))
 }
 
 // resume makes b current within seq without creating a leaf (the leaf was
 // already placed when the block was set up).
 func (fb *fnBuilder) resume(b *core.Block, seq *[]*core.CSTNode) {
-	fb.cur = b
+	fb.setCur(b)
 	fb.seq = seq
 }
 
-// addPhi appends a phi to b and returns its value.
-func (fb *fnBuilder) addPhi(b *core.Block, plane core.TypeID, args []core.ValueID) *core.Instr {
-	phi := &core.Instr{Op: core.OpPhi, Type: plane, Args: args, Blk: b}
+// newPhi defines a phi of block b; the caller places it in b.Phis.
+func (fb *fnBuilder) newPhi(b *core.Block, plane core.TypeID, args []core.ValueID) *core.Instr {
+	phi := fb.b.instrs.One()
+	*phi = core.Instr{Op: core.OpPhi, Type: plane, Args: args, Blk: b}
 	fb.f.Define(phi)
-	b.Phis = append(b.Phis, phi)
 	return phi
+}
+
+// addHeaderPhis places the pessimistic phis of a loop entered at h: one
+// per in-scope local the loop assigns (nil assigned = all in scope),
+// opened with the version flowing in and with room for the back edge's.
+func (fb *fnBuilder) addHeaderPhis(h *core.Block, assigned localSet) []phiSlot {
+	n := 0
+	for _, l := range fb.scope {
+		if assigned == nil || assigned.has(l) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	slots := make([]phiSlot, 0, n)
+	h.Phis = fb.b.instrVec.Take(n)[:0]
+	for _, l := range fb.scope {
+		if assigned != nil && !assigned.has(l) {
+			continue
+		}
+		args := fb.b.args.Take(2)[:1]
+		args[0] = fb.get(l)
+		phi := fb.newPhi(h, fb.localPlane(l), args)
+		h.Phis = append(h.Phis, phi)
+		fb.set(l, phi.ID)
+		slots = append(slots, phiSlot{l, phi})
+	}
+	return slots
+}
+
+// closeHeaderPhis appends the versions flowing along one more edge into a
+// loop header (the back edge, a continue).
+func (fb *fnBuilder) closeHeaderPhis(h *core.Block, slots []phiSlot) {
+	h.Preds = append(h.Preds, core.Pred{From: fb.cur})
+	for _, ps := range slots {
+		ps.phi.Args = append(ps.phi.Args, fb.get(ps.local))
+	}
 }
 
 // localPlane is the plane on which versions of a local live: the plain
@@ -238,41 +384,45 @@ func structDominates(a, b *core.Block) bool {
 // though it dominates the join in the refined flow graph. With no edges
 // the path is terminated.
 func (fb *fnBuilder) join(snaps []edgeSnap, idom *core.Block, seq *[]*core.CSTNode) {
-	switch len(snaps) {
-	case 0:
-		fb.cur = nil
-		fb.vars = make(snapshot)
+	if len(snaps) == 0 {
+		fb.setCur(nil)
+		fb.vars = fb.newSnapshot()
 		return
 	}
 	j := fb.newBlock(idom)
-	for _, s := range snaps {
-		j.Preds = append(j.Preds, core.Pred{From: s.from})
+	j.Preds = fb.b.preds.Take(len(snaps))
+	for k, s := range snaps {
+		j.Preds[k].From = s.from
 	}
-	merged := make(snapshot, len(fb.vars))
+	merged := fb.newSnapshot()
+	fb.phis = fb.phis[:0]
 	for _, l := range fb.scope {
-		first, ok := snaps[0].vars[l]
-		if !ok {
+		first := snaps[0].vars.get(l)
+		if first == core.NoValue {
 			continue
 		}
 		same := true
 		for _, s := range snaps[1:] {
-			if s.vars[l] != first {
+			if s.vars.get(l) != first {
 				same = false
 				break
 			}
 		}
 		if same {
 			if def := fb.f.DefBlock(first); def == nil || structDominates(def, j) {
-				merged[l] = first
+				merged[l.Index] = first
 				continue
 			}
 		}
-		args := make([]core.ValueID, len(snaps))
+		args := fb.b.args.Take(len(snaps))
 		for k, s := range snaps {
-			args[k] = s.vars[l]
+			args[k] = s.vars.get(l)
 		}
-		merged[l] = fb.addPhi(j, fb.localPlane(l), args).ID
+		phi := fb.newPhi(j, fb.localPlane(l), args)
+		fb.phis = append(fb.phis, phi)
+		merged[l.Index] = phi.ID
 	}
+	j.Phis = fb.b.instrVec.Keep(fb.phis)
 	fb.vars = merged
 	fb.enter(j, seq)
 }
@@ -281,8 +431,7 @@ func (fb *fnBuilder) join(snaps []edgeSnap, idom *core.Block, seq *[]*core.CSTNo
 // Top level
 
 func (fb *fnBuilder) build() error {
-	var seq []*core.CSTNode
-	seq = append(seq, &core.CSTNode{Kind: core.CBlock, Block: fb.f.Entry})
+	seq := []*core.CSTNode{fb.leaf(fb.f.Entry)}
 	fb.resume(fb.f.Entry, &seq)
 
 	var body []ast.Stmt
@@ -308,7 +457,7 @@ func (fb *fnBuilder) build() error {
 
 	// Implicit return at the end of the method.
 	if fb.cur != nil {
-		ret := &core.CSTNode{Kind: core.CReturn, At: fb.cur}
+		ret := fb.node(core.CSTNode{Kind: core.CReturn, At: fb.cur})
 		if fb.f.Result != fb.tt().Void {
 			// TJ does not enforce reachability analysis, so a method
 			// may fall off its end; return the zero value of the
@@ -317,10 +466,10 @@ func (fb *fnBuilder) build() error {
 			ret.At = fb.cur
 		}
 		seq = append(seq, ret)
-		fb.cur = nil
+		fb.setCur(nil)
 	}
 
-	fb.f.Body = &core.CSTNode{Kind: core.CSeq, Kids: seq}
+	fb.f.Body = fb.seqOf(seq)
 	fb.finish()
 	return core.CheckStructuralDominators(fb.f)
 }
@@ -330,21 +479,22 @@ func (fb *fnBuilder) build() error {
 func (fb *fnBuilder) emitCtorPreamble(explicit *ast.SuperCtorCall, seq *[]*core.CSTNode) {
 	owner := fb.m.Owner
 	var superCtor *sema.MethodSym
-	var args []core.ValueID
+	var args []core.ValueID // slot 0 is the receiver's
 	if explicit != nil {
 		superCtor, _ = explicit.Ctor.(*sema.MethodSym)
 		if superCtor != nil {
-			args = fb.callArgs(explicit.Args, superCtor.Params)
+			args = fb.callArgs(1, explicit.Args, superCtor.Params)
 		}
-	} else {
-		superCtor = fb.b.prog.ImplicitSuper[fb.m]
+	} else if superCtor = fb.b.prog.ImplicitSuper[fb.m]; superCtor != nil {
+		args = fb.b.args.Take(1)
 	}
 	if superCtor != nil {
 		recv := fb.adjustRef(fb.recv, fb.tt().SafeRefOf(fb.b.classID(superCtor.Owner)))
-		fb.emit(&core.Instr{
+		args[0] = recv
+		fb.emit(core.Instr{
 			Op: core.OpXCall, Type: fb.tt().Void,
 			Method: fb.b.methodRef(superCtor),
-			Args:   append([]core.ValueID{recv}, args...),
+			Args:   args,
 		})
 	}
 	for _, fld := range owner.Fields {
@@ -356,10 +506,10 @@ func (fb *fnBuilder) emitCtorPreamble(explicit *ast.SuperCtorCall, seq *[]*core.
 			return
 		}
 		recv := fb.adjustRef(fb.recv, fb.tt().SafeRefOf(fb.b.classID(fld.Owner)))
-		fb.emit(&core.Instr{
+		fb.emit(core.Instr{
 			Op: core.OpSetField, Type: fb.tt().Void,
 			Field: fb.b.fieldRef(fld),
-			Args:  []core.ValueID{recv, v},
+			Args:  fb.vals(recv, v),
 		})
 	}
 	_ = seq
@@ -368,14 +518,15 @@ func (fb *fnBuilder) emitCtorPreamble(explicit *ast.SuperCtorCall, seq *[]*core.
 // finish splices the pre-loaded parameter and constant registers into the
 // initial basic block (section 5) and computes the canonical ordering.
 func (fb *fnBuilder) finish() {
+	fb.setCur(nil)
 	entry := fb.f.Entry
-	pre := make([]*core.Instr, 0, len(fb.paramInstrs)+len(fb.constInstrs)+len(entry.Code))
-	pre = append(pre, fb.paramInstrs...)
-	pre = append(pre, fb.constInstrs...)
-	entry.Code = append(pre, entry.Code...)
+	pre := fb.b.instrVec.Take(len(fb.paramInstrs) + len(fb.constInstrs) + len(entry.Code))
+	n := copy(pre, fb.paramInstrs)
+	n += copy(pre[n:], fb.constInstrs)
+	copy(pre[n:], entry.Code)
+	entry.Code = pre
 	if fb.f.Body == nil {
-		fb.f.Body = &core.CSTNode{Kind: core.CSeq,
-			Kids: []*core.CSTNode{{Kind: core.CBlock, Block: entry}}}
+		fb.f.Body = fb.seqOf([]*core.CSTNode{fb.leaf(entry)})
 	}
 	fb.f.Finish()
 }
@@ -410,18 +561,16 @@ func (fb *fnBuilder) buildStmt(s ast.Stmt, seq *[]*core.CSTNode) {
 		if fb.cur == nil {
 			return
 		}
-		fb.vars[l] = v
+		fb.set(l, v)
 		fb.scope = append(fb.scope, l)
 	case *ast.ExprStmt:
 		fb.expr(s.X)
 	case *ast.IfStmt:
 		fb.buildIf(s, seq)
 	case *ast.WhileStmt:
-		assigned := make(map[*sema.Local]bool)
-		assignedLocals(assigned, s.Cond, s.Body)
 		fb.buildLoop(s.Cond, func(bodySeq *[]*core.CSTNode) {
 			fb.buildStmt(s.Body, bodySeq)
-		}, nil, assigned, seq)
+		}, nil, fb.assignedLocals(s.Cond, s.Body), seq)
 	case *ast.ForStmt:
 		fb.buildFor(s, seq)
 	case *ast.DoWhileStmt:
@@ -447,7 +596,7 @@ func (fb *fnBuilder) buildStmt(s ast.Stmt, seq *[]*core.CSTNode) {
 
 func (fb *fnBuilder) popScope(mark int) {
 	for _, l := range fb.scope[mark:] {
-		delete(fb.vars, l)
+		fb.set(l, core.NoValue)
 	}
 	fb.scope = fb.scope[:mark]
 }
@@ -458,37 +607,35 @@ func (fb *fnBuilder) buildIf(s *ast.IfStmt, seq *[]*core.CSTNode) {
 		return
 	}
 	c := fb.cur
-	node := &core.CSTNode{Kind: core.CIf, At: c, Cond: cond}
+	node := fb.node(core.CSTNode{Kind: core.CIf, At: c, Cond: cond})
+	// The arms build on fb.vars in place: the then-arm on the incoming
+	// snapshot itself, the else-arm on the copy taken here.
 	entryVars := fb.snapshotVars()
 
-	thenEntry := fb.newBlock(c)
-	thenEntry.Preds = []core.Pred{{From: c}}
 	var thenSeq []*core.CSTNode
-	fb.enter(thenEntry, &thenSeq)
+	fb.enter(fb.branchBlock(c), &thenSeq)
 	mark := len(fb.scope)
 	fb.buildStmt(s.Then, &thenSeq)
 	fb.popScope(mark)
-	thenEnd, thenVars := fb.cur, fb.snapshotVars()
-	node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: thenSeq})
 
-	var snaps []edgeSnap
-	if thenEnd != nil {
-		snaps = append(snaps, edgeSnap{thenEnd, thenVars})
+	var edges [2]edgeSnap
+	snaps := edges[:0]
+	if fb.cur != nil {
+		snaps = append(snaps, edgeSnap{fb.cur, fb.vars})
 	}
+	fb.vars = entryVars
 	if s.Else != nil {
-		fb.vars = entryVars.clone()
-		elseEntry := fb.newBlock(c)
-		elseEntry.Preds = []core.Pred{{From: c}}
 		var elseSeq []*core.CSTNode
-		fb.enter(elseEntry, &elseSeq)
+		fb.enter(fb.branchBlock(c), &elseSeq)
 		fb.buildStmt(s.Else, &elseSeq)
 		fb.popScope(mark)
 		if fb.cur != nil {
-			snaps = append(snaps, edgeSnap{fb.cur, fb.snapshotVars()})
+			snaps = append(snaps, edgeSnap{fb.cur, fb.vars})
 		}
-		node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: elseSeq})
+		node.Kids = fb.kids(fb.seqOf(thenSeq), fb.seqOf(elseSeq))
 	} else {
 		snaps = append(snaps, edgeSnap{c, entryVars})
+		node.Kids = fb.kids(fb.seqOf(thenSeq))
 	}
 	*seq = append(*seq, node)
 	fb.join(snaps, c, seq)
@@ -499,53 +646,46 @@ func (fb *fnBuilder) buildIf(s *ast.IfStmt, seq *[]*core.CSTNode) {
 // condition evaluation (possibly multi-block for short-circuit
 // operators), body, back edge, and the exit join.
 func (fb *fnBuilder) buildLoop(cond ast.Expr, bodyFn func(*[]*core.CSTNode), postAST []ast.Stmt,
-	assigned map[*sema.Local]bool, seq *[]*core.CSTNode) {
+	assigned localSet, seq *[]*core.CSTNode) {
 	c := fb.cur
-	h := fb.newBlock(c)
-	h.Preds = []core.Pred{{From: c}}
-	ctx := &loopCtx{header: h, contToHeader: true, postAST: postAST, triesBase: len(fb.tries)}
+	h := fb.headerBlock(c)
 	// Single-pass phi placement (Brandis–Mössenböck, with the paper's
 	// refinement): one phi per assigned in-scope local; the remaining
 	// superfluous ones are pruned by the producer-side DCE.
-	for _, l := range fb.scope {
-		if assigned != nil && !assigned[l] {
-			continue
-		}
-		phi := fb.addPhi(h, fb.localPlane(l), []core.ValueID{fb.vars[l]})
-		fb.vars[l] = phi.ID
-		ctx.headerPhis = append(ctx.headerPhis, phiSlot{l, phi})
-	}
+	ctx := &loopCtx{header: h, headerPhis: fb.addHeaderPhis(h, assigned),
+		contToHeader: true, postAST: postAST, triesBase: len(fb.tries)}
 	fb.loops = append(fb.loops, ctx)
 
-	condSeq := []*core.CSTNode{{Kind: core.CBlock, Block: h}}
+	condSeq := []*core.CSTNode{fb.leaf(h)}
 	fb.resume(h, &condSeq)
 	condV := fb.exprBool(cond)
 	condEnd := fb.cur
 	condVars := fb.snapshotVars()
 
-	node := &core.CSTNode{Kind: core.CWhile, Block: h, At: condEnd, Cond: condV}
-	node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: condSeq})
+	node := fb.node(core.CSTNode{Kind: core.CWhile, Block: h, At: condEnd, Cond: condV})
 
-	bodyEntry := fb.newBlock(condEnd)
-	bodyEntry.Preds = []core.Pred{{From: condEnd}}
 	var bodySeq []*core.CSTNode
-	fb.enter(bodyEntry, &bodySeq)
+	fb.enter(fb.branchBlock(condEnd), &bodySeq)
 	mark := len(fb.scope)
 	bodyFn(&bodySeq)
 	fb.popScope(mark)
 	if fb.cur != nil {
 		// Back edge closes the header phis.
-		h.Preds = append(h.Preds, core.Pred{From: fb.cur})
-		for _, ps := range ctx.headerPhis {
-			ps.phi.Args = append(ps.phi.Args, fb.vars[ps.local])
-		}
+		fb.closeHeaderPhis(h, ctx.headerPhis)
 	}
-	node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: bodySeq})
+	node.Kids = fb.kids(fb.seqOf(condSeq), fb.seqOf(bodySeq))
 	fb.loops = fb.loops[:len(fb.loops)-1]
 	*seq = append(*seq, node)
 
-	snaps := append([]edgeSnap{{condEnd, condVars}}, ctx.breakSnaps...)
-	fb.join(snaps, condEnd, seq)
+	fb.join(fb.exitSnaps(condEnd, condVars, ctx), condEnd, seq)
+}
+
+// exitSnaps lists the edges into a loop's exit join: the condition's
+// false edge, then the breaks in walk-encounter order.
+func (fb *fnBuilder) exitSnaps(condEnd *core.Block, condVars snapshot, ctx *loopCtx) []edgeSnap {
+	snaps := make([]edgeSnap, 0, 1+len(ctx.breakSnaps))
+	snaps = append(snaps, edgeSnap{condEnd, condVars})
+	return append(snaps, ctx.breakSnaps...)
 }
 
 func (fb *fnBuilder) buildFor(s *ast.ForStmt, seq *[]*core.CSTNode) {
@@ -567,8 +707,7 @@ func (fb *fnBuilder) buildFor(s *ast.ForStmt, seq *[]*core.CSTNode) {
 	if s.Post != nil {
 		post = []ast.Stmt{s.Post}
 	}
-	assigned := make(map[*sema.Local]bool)
-	assignedLocals(assigned, cond, s.Post, s.Body)
+	assigned := fb.assignedLocals(cond, s.Post, s.Body)
 	fb.buildLoop(cond, func(bodySeq *[]*core.CSTNode) {
 		fb.buildStmt(s.Body, bodySeq)
 		// The update part runs after the body on the normal path;
@@ -582,22 +721,12 @@ func (fb *fnBuilder) buildFor(s *ast.ForStmt, seq *[]*core.CSTNode) {
 
 func (fb *fnBuilder) buildDoWhile(s *ast.DoWhileStmt, seq *[]*core.CSTNode) {
 	c := fb.cur
-	bodyEntry := fb.newBlock(c)
-	bodyEntry.Preds = []core.Pred{{From: c}}
-	ctx := &loopCtx{header: bodyEntry, triesBase: len(fb.tries)}
-	assigned := make(map[*sema.Local]bool)
-	assignedLocals(assigned, s.Body, s.Cond)
-	for _, l := range fb.scope {
-		if !assigned[l] {
-			continue
-		}
-		phi := fb.addPhi(bodyEntry, fb.localPlane(l), []core.ValueID{fb.vars[l]})
-		fb.vars[l] = phi.ID
-		ctx.headerPhis = append(ctx.headerPhis, phiSlot{l, phi})
-	}
+	bodyEntry := fb.headerBlock(c)
+	ctx := &loopCtx{header: bodyEntry, triesBase: len(fb.tries),
+		headerPhis: fb.addHeaderPhis(bodyEntry, fb.assignedLocals(s.Body, s.Cond))}
 	fb.loops = append(fb.loops, ctx)
 
-	bodySeq := []*core.CSTNode{{Kind: core.CBlock, Block: bodyEntry}}
+	bodySeq := []*core.CSTNode{fb.leaf(bodyEntry)}
 	fb.resume(bodyEntry, &bodySeq)
 	mark := len(fb.scope)
 	fb.buildStmt(s.Body, &bodySeq)
@@ -614,7 +743,7 @@ func (fb *fnBuilder) buildDoWhile(s *ast.DoWhileStmt, seq *[]*core.CSTNode) {
 	if len(latchSnaps) == 0 {
 		// The body never reaches the condition: the loop runs at most
 		// once and degenerates to its body.
-		*seq = append(*seq, &core.CSTNode{Kind: core.CSeq, Kids: bodySeq})
+		*seq = append(*seq, fb.seqOf(bodySeq))
 		fb.join(ctx.breakSnaps, bodyEntry, seq)
 		return
 	}
@@ -626,20 +755,14 @@ func (fb *fnBuilder) buildDoWhile(s *ast.DoWhileStmt, seq *[]*core.CSTNode) {
 	condVars := fb.snapshotVars()
 
 	// Back edge.
-	bodyEntry.Preds = append(bodyEntry.Preds, core.Pred{From: condEnd})
-	for _, ps := range ctx.headerPhis {
-		ps.phi.Args = append(ps.phi.Args, fb.vars[ps.local])
-	}
+	fb.closeHeaderPhis(bodyEntry, ctx.headerPhis)
 
-	node := &core.CSTNode{Kind: core.CDoWhile, Block: bodyEntry, At: condEnd, Cond: condV}
-	node.Kids = []*core.CSTNode{
-		{Kind: core.CSeq, Kids: bodySeq},
-		{Kind: core.CSeq, Kids: latchSeq},
-	}
-	*seq = append(*seq, node)
+	*seq = append(*seq, fb.node(core.CSTNode{
+		Kind: core.CDoWhile, Block: bodyEntry, At: condEnd, Cond: condV,
+		Kids: fb.kids(fb.seqOf(bodySeq), fb.seqOf(latchSeq)),
+	}))
 
-	snaps := append([]edgeSnap{{condEnd, condVars}}, ctx.breakSnaps...)
-	fb.join(snaps, bodyEntry, seq)
+	fb.join(fb.exitSnaps(condEnd, condVars, ctx), bodyEntry, seq)
 }
 
 // inlineFinallies builds the finally blocks of the try contexts from
@@ -676,8 +799,8 @@ func (fb *fnBuilder) buildReturn(s *ast.ReturnStmt, seq *[]*core.CSTNode) {
 	if fb.cur == nil {
 		return
 	}
-	*seq = append(*seq, &core.CSTNode{Kind: core.CReturn, Val: v, At: fb.cur})
-	fb.cur = nil
+	*seq = append(*seq, fb.node(core.CSTNode{Kind: core.CReturn, Val: v, At: fb.cur}))
+	fb.setCur(nil)
 }
 
 func (fb *fnBuilder) buildBreak(seq *[]*core.CSTNode) {
@@ -687,8 +810,8 @@ func (fb *fnBuilder) buildBreak(seq *[]*core.CSTNode) {
 		return
 	}
 	ctx.breakSnaps = append(ctx.breakSnaps, edgeSnap{fb.cur, fb.snapshotVars()})
-	*seq = append(*seq, &core.CSTNode{Kind: core.CBreak})
-	fb.cur = nil
+	*seq = append(*seq, fb.node(core.CSTNode{Kind: core.CBreak}))
+	fb.setCur(nil)
 }
 
 func (fb *fnBuilder) buildContinue(seq *[]*core.CSTNode) {
@@ -705,15 +828,12 @@ func (fb *fnBuilder) buildContinue(seq *[]*core.CSTNode) {
 		}
 	}
 	if ctx.contToHeader {
-		ctx.header.Preds = append(ctx.header.Preds, core.Pred{From: fb.cur})
-		for _, ps := range ctx.headerPhis {
-			ps.phi.Args = append(ps.phi.Args, fb.vars[ps.local])
-		}
+		fb.closeHeaderPhis(ctx.header, ctx.headerPhis)
 	} else {
 		ctx.contSnaps = append(ctx.contSnaps, edgeSnap{fb.cur, fb.snapshotVars()})
 	}
-	*seq = append(*seq, &core.CSTNode{Kind: core.CContinue})
-	fb.cur = nil
+	*seq = append(*seq, fb.node(core.CSTNode{Kind: core.CContinue}))
+	fb.setCur(nil)
 }
 
 // throwValue routes a throw: to the innermost handler when inside a try
@@ -721,12 +841,12 @@ func (fb *fnBuilder) buildContinue(seq *[]*core.CSTNode) {
 // of the function.
 func (fb *fnBuilder) throwValue(v core.ValueID, seq *[]*core.CSTNode) {
 	tv := fb.adjustRef(v, fb.tt().Throwable)
-	node := &core.CSTNode{Kind: core.CThrow, Val: tv, At: fb.cur}
+	node := fb.node(core.CSTNode{Kind: core.CThrow, Val: tv, At: fb.cur})
 	if t := fb.routingTry(); t != nil {
 		t.sites = append(t.sites, siteSnap{from: fb.cur, throw: node, vars: fb.snapshotVars()})
 	}
 	*seq = append(*seq, node)
-	fb.cur = nil
+	fb.setCur(nil)
 }
 
 // buildTry lowers a try statement. The protected region — the CTry
@@ -745,8 +865,7 @@ func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 	ctx := &tryCtx{finallyAST: s.Finally, routing: true}
 	fb.tries = append(fb.tries, ctx)
 
-	bodyEntry := fb.newBlock(c)
-	bodyEntry.Preds = []core.Pred{{From: c}}
+	bodyEntry := fb.branchBlock(c)
 	var bodySeq []*core.CSTNode
 	fb.enter(bodyEntry, &bodySeq)
 	fb.buildStmts(s.Body.Stmts, &bodySeq)
@@ -785,26 +904,29 @@ func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 	// Handler block: exception phis over every potential point of
 	// exception, then the caught value and the catch-type dispatch.
 	h := fb.newBlock(c)
+	h.Preds = fb.b.preds.Take(len(ctx.sites))
 	for i, site := range ctx.sites {
-		h.Preds = append(h.Preds, core.Pred{From: site.from, Site: site.site})
+		h.Preds[i] = core.Pred{From: site.from, Site: site.site}
 		if site.site != nil {
 			fb.f.AddExcSite(site.site, h, i)
 		} else {
 			fb.f.AddThrowSite(site.throw, h, i)
 		}
 	}
-	hVars := make(snapshot)
-	for _, l := range scopeAtEntry {
-		args := make([]core.ValueID, len(ctx.sites))
+	hVars := fb.newSnapshot()
+	h.Phis = fb.b.instrVec.Take(len(scopeAtEntry))
+	for i, l := range scopeAtEntry {
+		args := fb.b.args.Take(len(ctx.sites))
 		for k, site := range ctx.sites {
-			args[k] = site.vars[l]
+			args[k] = site.vars.get(l)
 		}
-		hVars[l] = fb.addPhi(h, fb.localPlane(l), args).ID
+		h.Phis[i] = fb.newPhi(h, fb.localPlane(l), args)
+		hVars[l.Index] = h.Phis[i].ID
 	}
 	fb.vars = hVars
-	handlerSeq := []*core.CSTNode{{Kind: core.CBlock, Block: h}}
+	handlerSeq := []*core.CSTNode{fb.leaf(h)}
 	fb.resume(h, &handlerSeq)
-	caught := fb.emit(&core.Instr{Op: core.OpCatch, Type: fb.tt().Throwable})
+	caught := fb.emit(core.Instr{Op: core.OpCatch, Type: fb.tt().Throwable})
 
 	fb.buildCatchChain(s, 0, caught, &handlerSeq)
 	if fb.cur != nil {
@@ -812,12 +934,10 @@ func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 	}
 	fb.tries = fb.tries[:len(fb.tries)-1]
 
-	node := &core.CSTNode{Kind: core.CTry, Handler: h}
-	node.Kids = []*core.CSTNode{
-		{Kind: core.CSeq, Kids: bodySeq},
-		{Kind: core.CSeq, Kids: handlerSeq},
-	}
-	*seq = append(*seq, node)
+	*seq = append(*seq, fb.node(core.CSTNode{
+		Kind: core.CTry, Handler: h,
+		Kids: fb.kids(fb.seqOf(bodySeq), fb.seqOf(handlerSeq)),
+	}))
 	fb.join(snaps, c, seq)
 	normalFinally()
 }
@@ -833,6 +953,10 @@ func (fb *fnBuilder) foldBlock(dead, into *core.Block, nodes []*core.CSTNode) {
 			*b = into
 		}
 	}
+	// Every block gets its code before any is moved; the current one
+	// (into itself, when the body was straight-line) is resumed after.
+	cur := fb.cur
+	fb.setCur(nil)
 	for _, in := range dead.Code {
 		in.Blk = into
 	}
@@ -867,7 +991,8 @@ func (fb *fnBuilder) foldBlock(dead, into *core.Block, nodes []*core.CSTNode) {
 	for _, n := range nodes {
 		walk(n)
 	}
-	swap(&fb.cur)
+	swap(&cur)
+	fb.setCur(cur)
 }
 
 // buildCatchChain lowers the catch clauses into an instanceof dispatch
@@ -893,46 +1018,42 @@ func (fb *fnBuilder) buildCatchChain(s *ast.TryStmt, i int, caught core.ValueID,
 	ccLocal := fb.b.prog.CatchLocal[cc]
 	declType := fb.b.typeOf(ccLocal.Type)
 
-	condV := fb.emit(&core.Instr{
+	condV := fb.emit(core.Instr{
 		Op: core.OpInstanceOf, Type: tt.Boolean,
 		ArgType: tt.Throwable, TypeArg: declType,
-		Args: []core.ValueID{caught},
+		Args: fb.vals(caught),
 	})
 	c := fb.cur
-	node := &core.CSTNode{Kind: core.CIf, At: c, Cond: condV}
+	node := fb.node(core.CSTNode{Kind: core.CIf, At: c, Cond: condV})
 	entryVars := fb.snapshotVars()
 
-	armEntry := fb.newBlock(c)
-	armEntry.Preds = []core.Pred{{From: c}}
 	var armSeq []*core.CSTNode
-	fb.enter(armEntry, &armSeq)
-	bind := fb.emit(&core.Instr{
+	fb.enter(fb.branchBlock(c), &armSeq)
+	bind := fb.emit(core.Instr{
 		Op: core.OpUpcast, Type: declType,
 		ArgType: tt.Throwable, TypeArg: declType,
-		Args: []core.ValueID{caught},
+		Args: fb.vals(caught),
 	})
 	mark := len(fb.scope)
-	fb.vars[ccLocal] = bind
+	fb.set(ccLocal, bind)
 	fb.scope = append(fb.scope, ccLocal)
 	fb.buildStmts(cc.Body.Stmts, &armSeq)
 	fb.popScope(mark)
-	node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: armSeq})
 
-	var snaps []edgeSnap
+	var edges [2]edgeSnap
+	snaps := edges[:0]
 	if fb.cur != nil {
-		snaps = append(snaps, edgeSnap{fb.cur, fb.snapshotVars()})
+		snaps = append(snaps, edgeSnap{fb.cur, fb.vars})
 	}
 
-	fb.vars = entryVars.clone()
-	elseEntry := fb.newBlock(c)
-	elseEntry.Preds = []core.Pred{{From: c}}
+	fb.vars = entryVars
 	var elseSeq []*core.CSTNode
-	fb.enter(elseEntry, &elseSeq)
+	fb.enter(fb.branchBlock(c), &elseSeq)
 	fb.buildCatchChain(s, i+1, caught, &elseSeq)
 	if fb.cur != nil {
-		snaps = append(snaps, edgeSnap{fb.cur, fb.snapshotVars()})
+		snaps = append(snaps, edgeSnap{fb.cur, fb.vars})
 	}
-	node.Kids = append(node.Kids, &core.CSTNode{Kind: core.CSeq, Kids: elseSeq})
+	node.Kids = fb.kids(fb.seqOf(armSeq), fb.seqOf(elseSeq))
 
 	*seq = append(*seq, node)
 	fb.join(snaps, c, seq)

@@ -66,7 +66,7 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 		// Re-create the untransmitted parameter pre-loads from the
 		// signature.
 		for i, pt := range f.Params {
-			in := d.instrs.one()
+			in := d.instrs.One()
 			*in = core.Instr{Op: core.OpParam, Type: pt, Aux: int32(i), Blk: b}
 			f.Define(in)
 			code = append(code, in)
@@ -83,13 +83,13 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 		if pt.Kind == core.TVoid || pt.Kind == core.TMem || pt.Kind == core.TSafeIndex {
 			return malformedf("phi on plane %s", tt.Describe(t))
 		}
-		phi := d.instrs.one()
+		phi := d.instrs.One()
 		*phi = core.Instr{Op: core.OpPhi, Type: t, Blk: b}
 		f.Define(phi)
 		code = append(code, phi)
 		d.rf.add(b, phi, 0)
 	}
-	b.Phis = d.instrVec.keep(code[base:])
+	b.Phis = d.instrVec.Keep(code[base:])
 	code = code[:base]
 	nCode, err := d.count("instruction")
 	if err != nil {
@@ -111,7 +111,7 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 			}
 		}
 	}
-	b.Code = d.instrVec.keep(code)
+	b.Code = d.instrVec.Keep(code)
 	d.code = code
 	return nil
 }
@@ -189,7 +189,7 @@ func (d *decoder) decodeInstr(b *core.Block) (*core.Instr, error) {
 	// Payload symbols adapt in the opcode's own production context,
 	// mirroring encodeInstr.
 	r.setProd(opv)
-	in := d.instrs.one()
+	in := d.instrs.One()
 	in.Op, in.Blk = core.Op(opv), b
 	if err := d.decodeImmediates(in); err != nil {
 		return nil, err
@@ -199,7 +199,7 @@ func (d *decoder) decodeInstr(b *core.Block) (*core.Instr, error) {
 		return nil, malformedf("%s: %v", in.Op, err)
 	}
 	if n := sig.NumOperands(); n > 0 {
-		in.Args = d.args.take(n)
+		in.Args = d.args.Take(n)
 		for i := range in.Args {
 			if in.Args[i], err = d.decodeRef(b, sig.Operand(i, in.Args[0]), -1); err != nil {
 				return nil, err

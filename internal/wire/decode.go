@@ -211,14 +211,14 @@ type decoder struct {
 	// memory"): everything a function body is made of is carved from
 	// these, so a unit costs a chunk per ~128 nodes, not an allocation per
 	// node.
-	instrs   slab[core.Instr]
-	nodes    slab[core.CSTNode]
-	blocks   slab[core.Block]
-	args     slab[core.ValueID]  // Instr.Args
-	instrVec slab[*core.Instr]   // Block.Phis, Block.Code
-	nodeVec  slab[*core.CSTNode] // CSTNode.Kids
-	blockVec slab[*core.Block]   // Func.Blocks
-	preds    slab[core.Pred]     // Block.Preds, normal edges
+	instrs   core.Slab[core.Instr]
+	nodes    core.Slab[core.CSTNode]
+	blocks   core.Slab[core.Block]
+	args     core.Slab[core.ValueID]  // Instr.Args
+	instrVec core.Slab[*core.Instr]   // Block.Phis, Block.Code
+	nodeVec  core.Slab[*core.CSTNode] // CSTNode.Kids
+	blockVec core.Slab[*core.Block]   // Func.Blocks
+	preds    core.Slab[core.Pred]     // Block.Preds, normal edges
 
 	// Per-function state, reused from one function to the next; nothing
 	// here is reachable from the module.
@@ -233,44 +233,6 @@ type decoder struct {
 	// each registered site, which windows its edge's phi operands.
 	handlers []*core.Block
 	sitePos  map[*core.Instr]int
-}
-
-// slab hands out a unit's decoded memory from chunks. A chunk is never
-// sized by a count the stream merely declares: chunks double from 16
-// elements to maxChunk, so capacity follows what has actually been
-// decoded, and a single vector longer than a chunk is as long as
-// structure already decoded makes it. Every vector is cut to its exact
-// capacity, so appending to one later (an optimizer pass may) reallocates
-// it and cannot write into its neighbour.
-type slab[T any] struct {
-	free []T // the unused rest of the newest chunk
-	next int // size of that chunk
-}
-
-// maxChunk bounds what one surviving element can pin and what a unit
-// wastes in each slab's last chunk.
-const maxChunk = 1 << 7
-
-func (s *slab[T]) take(n int) []T {
-	if n > len(s.free) {
-		s.next = min(max(2*s.next, 16), maxChunk)
-		s.free = make([]T, max(n, s.next))
-	}
-	v := s.free[:n:n]
-	s.free = s.free[n:]
-	return v
-}
-
-func (s *slab[T]) one() *T { return &s.take(1)[0] }
-
-// keep returns an exactly-sized copy of v; nil for none.
-func (s *slab[T]) keep(v []T) []T {
-	if len(v) == 0 {
-		return nil
-	}
-	out := s.take(len(v))
-	copy(out, v)
-	return out
 }
 
 func (d *decoder) typeRef() (core.TypeID, error) {
@@ -563,7 +525,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.Blocks = d.blockVec.keep(d.blks)
+	f.Blocks = d.blockVec.Keep(d.blks)
 	// Structural replay: edges, dominators, reference blocks.
 	if err := linkShape(f, d); err != nil {
 		return nil, err
@@ -582,7 +544,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 	r.setProd(prodRefs)
 	for _, b := range f.Blocks {
 		for _, phi := range b.Phis {
-			phi.Args = d.args.take(len(b.Preds))
+			phi.Args = d.args.Take(len(b.Preds))
 			for k := range phi.Args {
 				v, err := d.decodeEdgeRef(b.Preds[k], phi.Plane())
 				if err != nil {
@@ -608,7 +570,7 @@ func (d *decoder) decodeCST(depth int) (*core.CSTNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.nodes.one()
+	n := d.nodes.One()
 	n.Kind = core.CSTKind(kind)
 	// A node's children are collected on d.kids above base, then kept at
 	// their exact number: nk below is only what the stream declares.
@@ -619,7 +581,7 @@ func (d *decoder) decodeCST(depth int) (*core.CSTNode, error) {
 			return nil, err
 		}
 	case core.CBlock:
-		n.Block = d.blocks.one()
+		n.Block = d.blocks.One()
 		n.Block.Index = len(d.blks)
 		d.blks = append(d.blks, n.Block)
 	case core.CBreak, core.CContinue, core.CThrow:
@@ -652,7 +614,7 @@ func (d *decoder) decodeCST(depth int) (*core.CSTNode, error) {
 		}
 		d.kids = append(d.kids, k)
 	}
-	n.Kids = d.nodeVec.keep(d.kids[base:])
+	n.Kids = d.nodeVec.Keep(d.kids[base:])
 	d.kids = d.kids[:base]
 	return n, nil
 }

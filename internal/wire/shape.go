@@ -36,7 +36,7 @@ type loopShape struct {
 
 type shaper struct {
 	f     *core.Func
-	preds *slab[core.Pred] // where the decoder keeps the edge lists
+	preds *core.Slab[core.Pred] // where the decoder keeps the edge lists
 	cur   *core.Block
 	// pending carries the edges and structural dominator for the next
 	// CBlock leaf.
@@ -47,7 +47,7 @@ type shaper struct {
 
 // edges keeps the edge list "first, then rest" in the unit's memory.
 func (s *shaper) edges(first *core.Block, rest ...core.Pred) []core.Pred {
-	out := s.preds.take(1 + len(rest))
+	out := s.preds.Take(1 + len(rest))
 	out[0] = core.Pred{From: first}
 	copy(out[1:], rest)
 	return out
@@ -56,7 +56,7 @@ func (s *shaper) edges(first *core.Block, rest ...core.Pred) []core.Pred {
 // headerEdges is edges(first) with room for the back edge a loop header
 // receives once its body has been walked.
 func (s *shaper) headerEdges(first *core.Block) []core.Pred {
-	out := s.preds.take(2)[:1]
+	out := s.preds.Take(2)[:1]
 	out[0] = core.Pred{From: first}
 	return out
 }
