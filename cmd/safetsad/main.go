@@ -1,8 +1,8 @@
 // Command safetsad is the mobile-code distribution daemon: it serves the
 // codeserver HTTP API, compiling TJ source sets into content-addressed
 // SafeTSA distribution units (compiled once per key, cached in memory and
-// optionally on disk) and executing them in isolated interpreter
-// sessions.
+// optionally on disk, one <hash>.tsa file per unit) and executing them in
+// isolated interpreter sessions.
 //
 //	safetsad [-addr :8743] [-cachedir DIR] [-workers N]
 //	         [-units N] [-modules N] [-maxsteps N] [-maxallocs N]
@@ -29,10 +29,13 @@
 // only evaluator that can run a partially delivered module). The two are
 // observably identical, so an "engine" field in a run body is ignored.
 //
-// Every run is budgeted: -maxsteps / -maxallocs cap the per-run step and
-// allocation budgets (request asks above a cap fold down to it),
-// -run-timeout bounds wall clock, and -tenant-inflight bounds each
-// tenant's concurrent runs — beyond it the server answers 429 with
+// Every run is budgeted unless the operator says otherwise: -maxsteps
+// (default 50 000 000) and -maxallocs (default 64<<20, the budget the
+// command-line tools run guests under) cap the per-run step and allocation
+// budgets — a request may ask for less, an ask above a cap folds down to
+// it — and -run-timeout (default 10s) bounds wall clock. An explicit 0
+// lifts that one bound. -tenant-inflight bounds each tenant's concurrent
+// runs (default unlimited) — beyond it the server answers 429 with
 // Retry-After: 1. Tenant identity comes from the request body or the
 // X-Safetsa-Tenant header (default "anon"). -pool-units sizes the
 // warm-session pool of post-static-init snapshots that serves repeat
@@ -41,9 +44,9 @@
 //
 // Cluster mode (-node plus -peers) turns the daemon into one member of a
 // consistent-hash sharded fleet: compiles route to each unit's ring
-// owner, store misses fill from that owner (re-verified locally before
-// caching — a peer is trusted for which program a hash names, never for
-// its safety), and GET /stats reports a gossiped fleet view. The /peer/*
+// owner, store misses fill from that owner (bytes only, admitted locally
+// before caching — a peer is trusted for which program a hash names, never
+// for its safety), and GET /stats reports a gossiped fleet view. The /peer/*
 // routes are the fleet-internal API; all of them answer requests, none
 // accepts a unit.
 //
@@ -81,9 +84,9 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent producer pipelines (0 = GOMAXPROCS)")
 	units := flag.Int("units", 1024, "max encoded units cached in memory")
 	modules := flag.Int("modules", 256, "max decoded modules cached")
-	maxSteps := flag.Int64("maxsteps", 0, "hard per-run step budget (0 = unlimited)")
-	maxAllocs := flag.Int64("maxallocs", 0, "hard per-run allocation budget (0 = unlimited)")
-	runTimeout := flag.Duration("run-timeout", 0, "wall-clock deadline per guest run (0 = none)")
+	maxSteps := flag.Int64("maxsteps", 50_000_000, "hard per-run step budget (0 = unlimited)")
+	maxAllocs := flag.Int64("maxallocs", 64<<20, "hard per-run allocation budget, in rt.Env.MaxAlloc units (0 = unlimited)")
+	runTimeout := flag.Duration("run-timeout", 10*time.Second, "wall-clock deadline per guest run (0 = none)")
 	tenantInFlight := flag.Int("tenant-inflight", 0, "max concurrent runs per tenant, 429 beyond (0 = unlimited)")
 	poolUnits := flag.Int("pool-units", 0, "warm-session pool capacity in snapshots (0 = default 256, negative = disabled)")
 	stageTimeout := flag.Duration("stagetimeout", 30*time.Second, "per-stage compile timeout (0 = none)")

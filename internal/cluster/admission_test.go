@@ -45,7 +45,6 @@ func newCorruptPeerFixture(t *testing.T) *corruptPeerFixture {
 			return
 		}
 		data := fx.serve()
-		w.Header().Set(optimizedHeader, "0")
 		_, _ = w.Write(data)
 	}))
 	t.Cleanup(evil.Close)

@@ -3,11 +3,15 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"safetsa/internal/codeserver"
@@ -152,6 +156,11 @@ type door struct {
 	send func(data []byte) error
 	// rejects is how far one refusal moves the reject counters.
 	rejects uint64
+	// decodes is how often the loader has to admit the honest unit itself
+	// when it first runs after coming in through this door: 0 where the
+	// run's own lookup led the admission and was handed the module, 1 where
+	// the unit was resident as bytes by then.
+	decodes uint64
 }
 
 func runOK(res codeserver.RunResult, err error) error {
@@ -186,14 +195,17 @@ func diskServer(t *testing.T) (*codeserver.Server, string) {
 	return srv, dir
 }
 
-// The four doors that remain. Each is a fill: the node asked for the key.
-var doors = []struct {
+type doorRow struct {
 	name string
 	open func(t *testing.T) door
-}{
+}
+
+// The four doors bytes come in through. Each is a fill: the node asked for
+// the key.
+var doors = []doorRow{
 	{"peer fill on run miss", func(t *testing.T) door {
 		fx := newCorruptPeerFixture(t)
-		return door{srv: fx.srv, dir: fx.cacheDir, good: fx.good, rejects: 1,
+		return door{srv: fx.srv, dir: fx.cacheDir, good: fx.good, rejects: 1, decodes: 0,
 			keyOf: func([]byte) codeserver.Key { return fx.key },
 			send: func(data []byte) error {
 				fx.serve = func() []byte { return data }
@@ -202,7 +214,7 @@ var doors = []struct {
 	}},
 	{"forwarded compile", func(t *testing.T) door {
 		fx := newCorruptPeerFixture(t)
-		return door{srv: fx.srv, dir: fx.cacheDir, good: fx.good, rejects: 1,
+		return door{srv: fx.srv, dir: fx.cacheDir, good: fx.good, rejects: 1, decodes: 1,
 			keyOf: func([]byte) codeserver.Key { return fx.key },
 			send: func(data []byte) error {
 				fx.serve = func() []byte { return data }
@@ -212,10 +224,11 @@ var doors = []struct {
 	}},
 	// The disk tier has no reject counter: a file it refuses is a miss,
 	// which must not be a disk hit and leaves the run with nothing to load.
+	// The server has never seen the unit: this is the node after a restart.
 	{"disk re-admission", func(t *testing.T) door {
 		u := scratchUnit(t)
 		srv, dir := diskServer(t)
-		return door{srv: srv, dir: dir, good: u.Wire, rejects: 0,
+		return door{srv: srv, dir: dir, good: u.Wire, rejects: 0, decodes: 0,
 			keyOf: func([]byte) codeserver.Key { return u.Key },
 			send: func(data []byte) error {
 				if err := os.WriteFile(filepath.Join(dir, u.Key.String()+".tsa"), data, 0o644); err != nil {
@@ -226,7 +239,7 @@ var doors = []struct {
 	}},
 	{"run-stream", func(t *testing.T) door {
 		srv, dir := diskServer(t)
-		return door{srv: srv, dir: dir, good: scratchUnit(t).Wire, rejects: 1,
+		return door{srv: srv, dir: dir, good: scratchUnit(t).Wire, rejects: 1, decodes: 1,
 			keyOf: codeserver.KeyForWire,
 			send: func(data []byte) error {
 				res, err := srv.RunUnitStream(context.Background(), bytes.NewReader(data), codeserver.RunOptions{MaxSteps: 1_000_000})
@@ -234,6 +247,21 @@ var doors = []struct {
 			}}
 	}},
 }
+
+// compileDoor is the fifth way in, and the one no bytes arrive through:
+// the node's own producer stands behind the unit, so there is nothing to
+// mangle. It keeps its one decode — a unit never runs without having been
+// through the decoder.
+var compileDoor = doorRow{"compile", func(t *testing.T) door {
+	srv, dir := diskServer(t)
+	k := codeserver.KeyFor(fleetProgram(1), codeserver.Options{})
+	return door{srv: srv, dir: dir, good: scratchUnit(t).Wire, decodes: 1,
+		keyOf: func([]byte) codeserver.Key { return k },
+		send: func([]byte) error {
+			_, _, err := srv.CompileUnit(context.Background(), fleetProgram(1), codeserver.Options{})
+			return err
+		}}
+}}
 
 // mangles are the ways a unit arrives damaged; each yields the damaged
 // copies of good to try, every one of which local admission refuses.
@@ -297,5 +325,133 @@ func TestNothingRejectedIsCachedThroughAnyDoor(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDoorsHandOverWhatTheyProved: a node decodes a unit once. Whatever
+// door the honest unit comes in through, its first run lowers it once, and
+// the loader admits the bytes itself only where no admission of this run's
+// own making handed it the module: the peer fill and the disk re-admission
+// a run leads do (the parent decoded twice there: once at the door, once in
+// the loader); the compile door keeps its decode by decision, the stream
+// door publishes bytes only, and a forwarded compile's module is dropped
+// with the compile answer. The disk tier is one file per unit.
+func TestDoorsHandOverWhatTheyProved(t *testing.T) {
+	for _, d := range append(slices.Clone(doors), compileDoor) {
+		t.Run(d.name, func(t *testing.T) {
+			dr := d.open(t)
+			if err := dr.send(dr.good); err != nil {
+				t.Fatalf("the honest unit was refused: %v", err)
+			}
+			k := dr.keyOf(dr.good)
+			// The first /run of the hash — or, through the two doors a run
+			// opens, a second one, which must find everything resident.
+			if err := runOK(dr.srv.RunUnit(context.Background(), k, 1_000_000)); err != nil {
+				t.Fatalf("run after the door: %v", err)
+			}
+			st := dr.srv.Stats()
+			if st.Loads != 1 || st.DecodeLatency.Count != dr.decodes || st.VerifyLatency.Count != 0 {
+				t.Errorf("loads %d, loader decodes %d, verifies %d; want 1, %d, 0",
+					st.Loads, st.DecodeLatency.Count, st.VerifyLatency.Count, dr.decodes)
+			}
+			if names, want := dirNames(t, dr.dir), []string{k.String() + ".tsa"}; !slices.Equal(names, want) {
+				t.Errorf("the cache directory holds %v, want %v and nothing else", names, want)
+			}
+		})
+	}
+}
+
+// TestPeerAnswersAreBytesOnly: what a peer says about a unit is its bytes.
+// Nothing rides beside them — an optimization-flag header did — so what
+// the asking node knows about the unit is what its own admission proved.
+func TestPeerAnswersAreBytesOnly(t *testing.T) {
+	f := newFleet(t, []string{"solo"})
+	url := f.urls["solo"]
+	cr := fleetCompileReq(t, url, codeserver.CompileRequest{Files: fleetProgram(1), Optimize: true})
+	want := fetchUnitBytes(t, url, cr.Hash)
+
+	body, _ := json.Marshal(codeserver.CompileRequest{Files: fleetProgram(1), Optimize: true})
+	get, err := http.Get(url + "/peer/unit/" + cr.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post, err := http.Post(url+"/peer/compile", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, resp := range map[string]*http.Response{"/peer/unit": get, "/peer/compile": post} {
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: status %d, err %v, %d bytes; want the unit's %d bytes", name, resp.StatusCode, err, len(got), len(want))
+		}
+		for h := range resp.Header {
+			if strings.HasPrefix(h, "X-Safetsa-") {
+				t.Errorf("%s answers with header %s: %q", name, h, resp.Header[h])
+			}
+		}
+	}
+}
+
+// TestCompileResponseOptimized: "optimized" in a compile answer is a fact
+// about what was asked for, computed from the resolved request options, so
+// every path that can answer says the same: the producer that just ran, a
+// memory hit, a node that forwarded the compile to the owner, and a disk
+// hit on a restarted node — the last two used to carry it in a peer header
+// and a .json sidecar.
+func TestCompileResponseOptimized(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		moduleOpt bool // the server's Config.ModuleOpt
+		optimize  bool // the request's
+		want      bool
+	}{
+		{"optimize false", false, false, false},
+		{"optimize true", false, true, true},
+		{"server ModuleOpt, optimize true", true, true, true},
+		{"server ModuleOpt, optimize false", true, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := codeserver.Config{ModuleOpt: tc.moduleOpt}
+			f := newFleetOf(t, []string{"a1", "b2"}, cfg)
+			req := codeserver.CompileRequest{Files: fleetProgram(3), Optimize: tc.optimize}
+			k := codeserver.KeyFor(req.Files, f.srvs["a1"].ResolveOptions(codeserver.Options{Optimize: tc.optimize}))
+			owner := f.owner(k)
+			other := "a1"
+			if owner == "a1" {
+				other = "b2"
+			}
+
+			// The restarted owner: a fresh server over the owner's directory.
+			restarted := func() string {
+				cfg.CacheDir = f.dirs[owner]
+				srv, err := codeserver.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(srv.Handler())
+				t.Cleanup(ts.Close)
+				return ts.URL
+			}
+			for _, path := range []struct {
+				name   string
+				url    func() string
+				cached bool
+			}{
+				{"fresh", func() string { return f.urls[owner] }, false},
+				{"memory hit", func() string { return f.urls[owner] }, true},
+				{"forwarded on a non-owner", func() string { return f.urls[other] }, false},
+				{"disk hit after restart", restarted, true},
+			} {
+				cr := fleetCompileReq(t, path.url(), req)
+				if cr.Hash != k.String() || cr.Cached != path.cached || cr.Optimized != tc.want {
+					t.Errorf("%s: hash %s cached %v optimized %v; want %s, %v, %v",
+						path.name, cr.Hash, cr.Cached, cr.Optimized, k, path.cached, tc.want)
+				}
+			}
+			if n := f.srvs[owner].Stats().Compiles + f.srvs[other].Stats().Compiles; n != 1 {
+				t.Errorf("the four answers cost %d compiles, want 1", n)
+			}
+		})
 	}
 }

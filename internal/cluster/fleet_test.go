@@ -12,9 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"safetsa/internal/bench"
 	"safetsa/internal/codeserver"
 	"safetsa/internal/wire"
 )
@@ -384,72 +382,5 @@ func TestFleetStatsGossip(t *testing.T) {
 	}
 	if fs.Local.Node != "b2" {
 		t.Errorf("local stats node %q", fs.Local.Node)
-	}
-}
-
-// TestFleetLoadReplay is acceptance for the load generator against the
-// cluster: a zipfian 80/20 run/compile replay sprayed over all three
-// nodes completes without errors and emits a valid safetsa-bench-v8
-// report with a real run-latency distribution.
-func TestFleetLoadReplay(t *testing.T) {
-	f := newFleet(t, []string{"a1", "b2", "c3"})
-	targets := make([]string, 0, 3)
-	for _, name := range f.names {
-		targets = append(targets, f.urls[name])
-	}
-
-	res, err := bench.RunLoad(context.Background(), bench.LoadConfig{
-		Targets:  targets,
-		Workers:  8,
-		Requests: 150,
-		Duration: time.Minute, // backstop; the quota ends the replay
-		Units:    8,
-		Seed:     11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("fleet replay recorded %d errors: %v", res.Errors, res.ErrorSamples)
-	}
-	if res.Runs == 0 || res.Compiles == 0 {
-		t.Fatalf("replay mix degenerate: %d runs, %d compiles", res.Runs, res.Compiles)
-	}
-	run := res.RunHist.Summary()
-	if run.P50Nanos <= 0 || run.P99Nanos <= 0 {
-		t.Fatalf("run stage latencies empty: %+v", run)
-	}
-
-	data, err := bench.FormatJSONLoad(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Schema string `json:"schema"`
-		Load   *struct {
-			Latencies map[string]struct {
-				P50Nanos int64 `json:"p50_nanos"`
-				P99Nanos int64 `json:"p99_nanos"`
-			} `json:"latencies"`
-		} `json:"load"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.Schema != "safetsa-bench-v8" {
-		t.Errorf("schema %q, want safetsa-bench-v8", rep.Schema)
-	}
-	if rep.Load == nil || rep.Load.Latencies["run"].P50Nanos <= 0 || rep.Load.Latencies["run"].P99Nanos <= 0 {
-		t.Errorf("archived run latencies not populated: %+v", rep.Load)
-	}
-
-	// The replay exercised the whole cluster: the fleet still compiled
-	// each warmed unit exactly once, wherever the traffic landed.
-	var compiles uint64
-	for _, name := range f.names {
-		compiles += f.srvs[name].Stats().Compiles
-	}
-	if compiles != 8 {
-		t.Errorf("fleet ran %d compiles for an 8-unit universe", compiles)
 	}
 }

@@ -151,7 +151,7 @@ func (n *Node) Compile(ctx context.Context, files map[string]string, opts codese
 	if owner == n.cfg.Self {
 		return n.srv.CompileUnit(ctx, files, opts)
 	}
-	return n.srv.PeerFillUnit(ctx, k, func(ctx context.Context) ([]byte, bool, error) {
+	return n.srv.PeerFillUnit(ctx, k, func(ctx context.Context) ([]byte, error) {
 		n.forwards.Add(1)
 		return n.forwardCompile(ctx, owner, files, opts)
 	})
@@ -161,10 +161,10 @@ func (n *Node) Compile(ctx context.Context, files map[string]string, opts codese
 // miss by asking the key's owner for the encoded unit. When this node
 // *is* the owner, there is no better-informed peer to ask, so the miss
 // stands.
-func (n *Node) FetchUnit(ctx context.Context, k codeserver.Key) ([]byte, bool, error) {
+func (n *Node) FetchUnit(ctx context.Context, k codeserver.Key) ([]byte, error) {
 	owner := n.ring.Owner(k.String())
 	if owner == n.cfg.Self {
-		return nil, false, codeserver.ErrUnitNotFound
+		return nil, codeserver.ErrUnitNotFound
 	}
 	return n.fetchUnitFrom(ctx, owner, k)
 }
@@ -179,5 +179,5 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 		codeserver.WriteError(w, err)
 		return
 	}
-	codeserver.WriteCompileResponse(w, u, cached)
+	codeserver.WriteCompileResponse(w, u, opts, cached)
 }

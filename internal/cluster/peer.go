@@ -12,11 +12,10 @@ import (
 	"safetsa/internal/driver"
 )
 
-// optimizedHeader carries the unit's optimization flag alongside its
-// bytes; the flag is cache-key metadata, not part of the wire image.
-const optimizedHeader = "X-Safetsa-Optimized"
-
 // ---- peer API: server side -------------------------------------------
+//
+// A peer answers with the unit's bytes and nothing beside them: what the
+// asking node knows about a unit is what its own admission proves.
 
 // handlePeerUnit serves the encoded bytes of a locally held unit to a
 // peer. Deliberately store-only: a peer asking a non-owner must get 404
@@ -32,7 +31,7 @@ func (n *Node) handlePeerUnit(w http.ResponseWriter, r *http.Request) {
 		codeserver.WriteError(w, codeserver.ErrUnitNotFound)
 		return
 	}
-	writeUnit(w, u)
+	codeserver.WriteUnit(w, u)
 }
 
 // handlePeerCompile compiles a source set on behalf of a non-owner node
@@ -49,69 +48,58 @@ func (n *Node) handlePeerCompile(w http.ResponseWriter, r *http.Request) {
 		codeserver.WriteError(w, err)
 		return
 	}
-	writeUnit(w, u)
-}
-
-// writeUnit is the peer API's unit response: the public download plus
-// the optimization flag.
-func writeUnit(w http.ResponseWriter, u *codeserver.Unit) {
-	if u.Optimized {
-		w.Header().Set(optimizedHeader, "1")
-	} else {
-		w.Header().Set(optimizedHeader, "0")
-	}
 	codeserver.WriteUnit(w, u)
 }
 
 // ---- peer API: client side -------------------------------------------
 
 // fetchUnitFrom pulls the encoded unit bytes for k from a named peer.
-func (n *Node) fetchUnitFrom(ctx context.Context, peer string, k codeserver.Key) ([]byte, bool, error) {
+func (n *Node) fetchUnitFrom(ctx context.Context, peer string, k codeserver.Key) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		n.peerURL(peer)+"/peer/unit/"+k.String(), nil)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	return n.unitFrom(peer, req)
 }
 
 // forwardCompile asks the owner to compile a source set and returns the
 // resulting encoded unit bytes.
-func (n *Node) forwardCompile(ctx context.Context, owner string, files map[string]string, opts codeserver.Options) ([]byte, bool, error) {
+func (n *Node) forwardCompile(ctx context.Context, owner string, files map[string]string, opts codeserver.Options) ([]byte, error) {
 	body, err := json.Marshal(codeserver.CompileRequest{
 		Files: files, Optimize: opts.Optimize, ModuleOpt: opts.ModuleOpt})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		n.peerURL(owner)+"/peer/compile", bytes.NewReader(body))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	return n.unitFrom(owner, req)
 }
 
 // unitFrom sends req to a peer and reads the unit it answers with. It
-// only moves bytes: the caller re-verifies them locally (codeserver's
-// peer fill) before anything is cached.
-func (n *Node) unitFrom(peer string, req *http.Request) ([]byte, bool, error) {
+// only moves bytes: the caller admits them locally (codeserver's peer
+// fill) before anything is cached.
+func (n *Node) unitFrom(peer string, req *http.Request) ([]byte, error) {
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return nil, false, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
+		return nil, fmt.Errorf("cluster: peer %s unreachable: %w", peer, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, false, peerError(peer, resp)
+		return nil, peerError(peer, resp)
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, codeserver.MaxUnitBytes+1))
 	if err == nil && len(data) > codeserver.MaxUnitBytes {
 		err = fmt.Errorf("unit exceeds %d bytes", codeserver.MaxUnitBytes)
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("cluster: reading unit from peer %s: %w", peer, err)
+		return nil, fmt.Errorf("cluster: reading unit from peer %s: %w", peer, err)
 	}
-	return data, resp.Header.Get(optimizedHeader) == "1", nil
+	return data, nil
 }
 
 func (n *Node) peerURL(peer string) string { return n.cfg.Peers[peer] }

@@ -8,11 +8,10 @@ import (
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/obs"
-	"safetsa/internal/wire"
 )
 
-// LoadedUnit is a decoded and verified module held by the loader cache,
-// together with its closure-threaded compiled form.
+// LoadedUnit is an admitted module held by the loader cache, together
+// with its closure-threaded compiled form.
 //
 // Shared-module invariant (see interp.LoadTrusted): Mod and Comp are
 // shared read-only between every concurrent execution session of this
@@ -20,17 +19,15 @@ import (
 // heap from a fresh rt.Env, so nothing here is ever mutated after load.
 // Lowering (interp.Prepare, whose output only interp.Compile consumes)
 // and backend compilation happen once per distinct unit, under the same
-// singleflight as decode+verify, no matter how many sessions run it.
+// singleflight as the admission, no matter how many sessions run it.
 type LoadedUnit struct {
-	Key    Key
-	Mod    *core.Module
-	Comp   *interp.Compiled
-	Instrs int
+	Mod  *core.Module
+	Comp *interp.Compiled
 }
 
-// LoaderCache is the consumer-side cache: it decodes and verifies a wire
-// image exactly once (lru.fill's singleflight, like the store) and then
-// hands the immutable module to any number of interpreter sessions.
+// LoaderCache is the consumer-side cache: it lowers an admitted module
+// exactly once (lru.fill's singleflight, like the store) and then hands
+// the immutable result to any number of interpreter sessions.
 type LoaderCache struct {
 	m     *Metrics
 	units lru[*LoadedUnit]
@@ -48,11 +45,10 @@ func NewLoaderCache(maxModules int, m *Metrics) *LoaderCache {
 // Len reports the number of resident decoded modules.
 func (c *LoaderCache) Len() int { return c.units.len() }
 
-// GetOrLoad returns the loaded unit for k, fetching the wire bytes and
-// running decode+verify only on a miss. The decode and verify latencies
-// feed the metrics; a unit already resident is served without touching
-// the wire decoder again.
-func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func() ([]byte, error)) (*LoadedUnit, error) {
+// GetOrLoad returns the loaded unit for k, asking fetch (Server.lookup)
+// for the unit only on a miss. A unit already resident is served without
+// touching the store or the wire decoder again.
+func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func(context.Context, Key) (*Unit, *core.Module, error)) (*LoadedUnit, error) {
 	u, how, err := c.units.fill(ctx, k, func(ctx context.Context) (*LoadedUnit, error) {
 		return c.load(ctx, k, fetch)
 	})
@@ -62,30 +58,40 @@ func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func() ([]byte
 	return u, err
 }
 
-// load runs the consumer pipeline on the fetched bytes, each stage under
-// one clock (obs.Timed). A failure at any stage is one load error and a
-// verify-kind rejection naming the stage.
-func (c *LoaderCache) load(ctx context.Context, k Key, fetch func() ([]byte, error)) (*LoadedUnit, error) {
-	data, err := fetch()
+// load runs the consumer pipeline on the fetched unit, each stage under
+// one clock (obs.Timed). When the fetch itself led the unit's admission
+// (a peer fill, a disk re-admission) it hands the admitted module over and
+// lowering starts from it; otherwise the unit was resident as bytes and
+// the loader admits them itself, which is what the decode stage times. A
+// failure at any stage is one load error and a verify-kind rejection
+// naming the stage.
+func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Context, Key) (*Unit, *core.Module, error)) (*LoadedUnit, error) {
+	u, mod, err := fetch(ctx, k)
 	if err != nil {
 		c.m.loadErrors.Add(1)
 		return nil, err
 	}
 	var (
-		mod  *core.Module
 		prep *interp.Prepared
 		comp *interp.Compiled
 	)
-	for _, st := range []struct {
+	stages := []struct {
 		name string
 		hist *obs.Histogram
 		run  func(context.Context) error
 	}{
-		{"decode", &c.m.decodeHist, func(context.Context) (err error) { mod, err = wire.DecodeModule(data); return }},
-		{"verify", &c.m.verifyHist, func(context.Context) error { return mod.Verify(core.VerifyOptions{}) }},
+		{"decode", &c.m.decodeHist, func(context.Context) error {
+			a, err := admit(u.Wire)
+			mod = a.mod
+			return err
+		}},
 		{"prepare", &c.m.prepareHist, func(context.Context) (err error) { prep, err = interp.Prepare(mod); return }},
 		{"compile_backend", &c.m.compileBackendHist, func(context.Context) (err error) { comp, err = interp.Compile(mod, prep); return }},
-	} {
+	}
+	if mod != nil {
+		stages = stages[1:] // a door handed the admitted module over
+	}
+	for _, st := range stages {
 		if err := obs.Timed(ctx, st.name, st.hist, st.run); err != nil {
 			c.m.loadErrors.Add(1)
 			return nil, &driver.Error{Kind: driver.KindVerify,
@@ -93,5 +99,5 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func() ([]byte, err
 		}
 	}
 	c.m.loads.Add(1)
-	return &LoadedUnit{Key: k, Mod: mod, Comp: comp, Instrs: mod.NumInstrs()}, nil
+	return &LoadedUnit{Mod: mod, Comp: comp}, nil
 }

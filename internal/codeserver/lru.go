@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// lru is the one per-unit cache under the store's shards, the loader
-// cache and the warm-session pool: a mutex, a recency list bounded at max
+// lru is the one per-unit cache under the store, the loader cache and
+// the warm-session pool: a mutex, a recency list bounded at max
 // entries, insert-if-absent, and one singleflight (fill). Errors are never
 // cached.
 type lru[V any] struct {

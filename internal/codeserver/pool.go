@@ -40,13 +40,15 @@ func NewPool(workers int, stageTimeout time.Duration, m *Metrics) *Pool {
 }
 
 // Compile runs the full producer pipeline for one source set, blocking
-// until a worker slot is free (or ctx is cancelled while waiting).
-func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Options) (*Unit, error) {
+// until a worker slot is free (or ctx is cancelled while waiting). What it
+// hands back is admitted on the producer's evidence: the module the driver
+// verified (after ssabuild and again after the optimizer) and its encoding.
+func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Options) (admitted, error) {
 	select {
 	case p.sem <- struct{}{}:
 		defer func() { <-p.sem }()
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return admitted{}, ctx.Err()
 	}
 	p.m.compilesInFlight.Add(1)
 	defer p.m.compilesInFlight.Add(-1)
@@ -58,7 +60,7 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return admitted{}, err
 	}
 	var mod *core.Module
 	err = p.stage(ctx, "ssabuild", func(ctx context.Context) (err error) {
@@ -66,17 +68,15 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return admitted{}, err
 	}
-	meta := unitMeta{Optimized: opts.Optimize || opts.ModuleOpt}
-	if meta.Optimized {
-		err = p.stage(ctx, "optimize", func(ctx context.Context) (err error) {
-			meta.OptStats, err = driver.OptimizeModuleOptions(ctx, mod,
-				opt.Options{ModuleLevel: opts.ModuleOpt})
+	if opts.Optimize || opts.ModuleOpt {
+		err = p.stage(ctx, "optimize", func(ctx context.Context) error {
+			_, err := driver.OptimizeModuleOptions(ctx, mod, opt.Options{ModuleLevel: opts.ModuleOpt})
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return admitted{}, err
 		}
 	}
 	var data []byte
@@ -89,11 +89,11 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return admitted{}, err
 	}
 	p.m.compiles.Add(1)
 	p.m.compileHist.Observe(time.Since(start))
-	return newUnit(mod, data, meta), nil
+	return admitted{mod: mod, wire: data}, nil
 }
 
 // stage runs one pipeline stage under the stage deadline. A stage that

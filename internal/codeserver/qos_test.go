@@ -370,8 +370,21 @@ class Loop { static void main() { while (true) { } } }`}, Options{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bob's run got status %d, want 200", resp.StatusCode)
 	}
-	if rr := decodeBody[RunResult](t, resp); !rr.OK {
+	rr := decodeBody[RunResult](t, resp)
+	if !rr.OK {
 		t.Errorf("bob's run failed: %s", rr.Error)
+	}
+	// The books balance while alice's slot is still held: what the 200s
+	// reported is all the server has booked. The rejected runs drained
+	// nothing, and the slot holder's drain is booked when it ends.
+	steps, allocs := rr.Steps, rr.Allocs
+	for i := 0; i < 3; i++ {
+		more := decodeBody[RunResult](t, postJSON(t, ts.URL+"/run/"+hello.Key.String(), RunRequest{Tenant: "bob"}))
+		steps, allocs = steps+more.Steps, allocs+more.Allocs
+	}
+	if st := s.Stats(); steps != st.GuestSteps || allocs != st.GuestAllocs || allocs == 0 || st.Runs != 5 {
+		t.Errorf("responses sum to (%d steps, %d allocs) over 4 runs; server booked (%d, %d) over %d runs incl. the slot holder",
+			steps, allocs, st.GuestSteps, st.GuestAllocs, st.Runs)
 	}
 
 	cancel()
@@ -388,8 +401,8 @@ class Loop { static void main() { while (true) { } } }`}, Options{})
 	if alice.Rejects != 2 || alice.Runs != 1 {
 		t.Errorf("alice row = %+v, want 2 rejects, 1 run", alice)
 	}
-	if bob := st.Tenants["bob"]; bob.Runs != 1 || bob.Rejects != 0 {
-		t.Errorf("bob row = %+v, want 1 run, 0 rejects", bob)
+	if bob := st.Tenants["bob"]; bob.Runs != 4 || bob.Rejects != 0 {
+		t.Errorf("bob row = %+v, want 4 runs, 0 rejects", bob)
 	}
 	if alice.InFlight != 0 || st.RunsInFlight != 0 {
 		t.Errorf("in-flight gauges not drained: tenant %d, global %d", alice.InFlight, st.RunsInFlight)

@@ -1,8 +1,8 @@
 // Package codeserver is the concurrent mobile-code distribution service:
 // a content-addressed store of compiled SafeTSA distribution units (with
 // singleflight fills and an optional on-disk tier), a bounded parallel
-// producer pool, a consumer-side loader cache that decodes and verifies
-// each unit once, and an HTTP API over all three. It turns the one-shot
+// producer pool, a consumer-side loader cache that lowers each admitted
+// unit once, and an HTTP API over all three. It turns the one-shot
 // safetsac/safetsarun pipeline into a service that amortizes producer
 // work across clients and serves verified, immutable modules to
 // concurrent interpreter sessions.
@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"time"
 
+	"safetsa/internal/core"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/obs"
@@ -84,11 +85,11 @@ type Config struct {
 
 // PeerFiller fetches the encoded bytes of a unit this node lacks from
 // the fleet peer that owns it. Implementations (internal/cluster) speak
-// the peer HTTP API; the server treats whatever comes back as untrusted
-// input and re-verifies it locally before caching. optimized is
-// peer-reported metadata (it only affects bookkeeping, never safety).
+// the peer HTTP API, which moves bytes and nothing else; the server treats
+// whatever comes back as untrusted input and admits it locally before
+// caching.
 type PeerFiller interface {
-	FetchUnit(ctx context.Context, k Key) (data []byte, optimized bool, err error)
+	FetchUnit(ctx context.Context, k Key) ([]byte, error)
 }
 
 // Server ties the store, pool, and loader cache together and exposes
@@ -254,12 +255,12 @@ func (s *Server) CompileUnit(ctx context.Context, files map[string]string, opts 
 	s.m.compileRequests.Add(1)
 	opts = s.ResolveOptions(opts)
 	k := KeyFor(files, opts)
-	return s.store.GetOrFill(ctx, k, func(ctx context.Context) (*Unit, error) {
-		u, err := s.pool.Compile(ctx, files, opts)
+	return s.store.GetOrFill(ctx, k, func(ctx context.Context) (admitted, error) {
+		a, err := s.pool.Compile(ctx, files, opts)
 		if err != nil {
 			s.m.compileErrors.Add(1)
 		}
-		return u, err
+		return a, err
 	})
 }
 
@@ -269,24 +270,24 @@ func (s *Server) CompileUnit(ctx context.Context, files map[string]string, opts 
 // the store's singleflight, so a node asks the owner for a missing unit
 // at most once at a time no matter how many requests race. The bool
 // reports a local cache hit.
-func (s *Server) PeerFillUnit(ctx context.Context, k Key, fetch func(context.Context) (data []byte, optimized bool, err error)) (*Unit, bool, error) {
+func (s *Server) PeerFillUnit(ctx context.Context, k Key, fetch func(context.Context) ([]byte, error)) (*Unit, bool, error) {
 	return s.store.GetOrFill(ctx, k, s.peerFill(k, fetch))
 }
 
-// peerFill is the store miss that asks a peer. fetch only moves bytes
-// (optimized is peer-reported bookkeeping); they are untrusted, and
-// re-establish type safety and referential security through the admission
-// a consumer applies to any received unit (admit) or reach no tier. Every
-// attempt is one peer_fill sample and exactly one of the three counters.
-func (s *Server) peerFill(k Key, fetch func(context.Context) ([]byte, bool, error)) func(context.Context) (*Unit, error) {
-	return func(ctx context.Context) (u *Unit, err error) {
+// peerFill is the store miss that asks a peer. fetch only moves bytes;
+// they are untrusted, and re-establish type safety and referential
+// security through the admission a consumer applies to any received unit
+// (admit) or reach no tier. Every attempt is one peer_fill sample and
+// exactly one of the three counters.
+func (s *Server) peerFill(k Key, fetch func(context.Context) ([]byte, error)) func(context.Context) (admitted, error) {
+	return func(ctx context.Context) (a admitted, err error) {
 		err = obs.Timed(ctx, "peer_fill", &s.m.peerFillHist, func(ctx context.Context) error {
-			data, optimized, err := fetch(ctx)
+			data, err := fetch(ctx)
 			if err != nil {
 				s.m.peerFillErrors.Add(1)
 				return err
 			}
-			if u, err = admit(data, unitMeta{Optimized: optimized}); err != nil {
+			if a, err = admit(data); err != nil {
 				s.m.peerFillRejects.Add(1)
 				return &driver.Error{Kind: driver.KindVerify,
 					Err: fmt.Errorf("codeserver: peer unit %s rejected by local admission: %w", k, err)}
@@ -294,21 +295,22 @@ func (s *Server) peerFill(k Key, fetch func(context.Context) ([]byte, bool, erro
 			s.m.peerFills.Add(1)
 			return nil
 		})
-		return u, err
+		return a, err
 	}
 }
 
 // lookup returns the unit for k without compiling: the store's tiers,
-// then — in cluster mode — the key's owner, whose bytes are re-admitted
+// then — in cluster mode — the key's owner, whose bytes are admitted
 // locally before anything sees them. Without a peer filler a miss is
-// ErrUnitNotFound. Lookups are not compile-path cache hits.
-func (s *Server) lookup(ctx context.Context, k Key) (*Unit, error) {
-	var miss func(context.Context) (*Unit, error)
+// ErrUnitNotFound. Lookups are not compile-path cache hits. The module is
+// Store.fill's: non-nil when this call led the unit's admission.
+func (s *Server) lookup(ctx context.Context, k Key) (*Unit, *core.Module, error) {
+	var miss func(context.Context) (admitted, error)
 	if pf := s.peerFiller; pf != nil {
-		miss = s.peerFill(k, func(ctx context.Context) ([]byte, bool, error) { return pf.FetchUnit(ctx, k) })
+		miss = s.peerFill(k, func(ctx context.Context) ([]byte, error) { return pf.FetchUnit(ctx, k) })
 	}
-	u, _, err := s.store.fill(ctx, k, miss)
-	return u, err
+	u, mod, _, err := s.store.fill(ctx, k, miss)
+	return u, mod, err
 }
 
 // Unit returns the encoded distribution unit for a key, if present in
@@ -400,13 +402,7 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 	var lu *LoadedUnit
 	if snap == nil {
 		lctx, lsp := obs.Start(sess.ctx, "load")
-		lu, err = s.loader.GetOrLoad(lctx, k, func() ([]byte, error) {
-			u, err := s.lookup(lctx, k)
-			if err != nil {
-				return nil, err
-			}
-			return u.Wire, nil
-		})
+		lu, err = s.loader.GetOrLoad(lctx, k, s.lookup)
 		lsp.End()
 		if err != nil {
 			return RunResult{}, err
@@ -504,8 +500,8 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	// coalesce. It outlives the guest's interrupt; should it adopt another
 	// caller's failed peer fill of the same key, the unit is simply not
 	// cached and no hash is reported.
-	u, _, err := s.store.fill(context.WithoutCancel(sess.ctx), KeyForWire(buf.Bytes()), func(context.Context) (*Unit, error) {
-		return newUnit(su.Mod, bytes.Clone(buf.Bytes()), unitMeta{}), nil
+	u, _, _, err := s.store.fill(context.WithoutCancel(sess.ctx), KeyForWire(buf.Bytes()), func(context.Context) (admitted, error) {
+		return admitted{mod: su.Mod, wire: bytes.Clone(buf.Bytes())}, nil // Wait returned nil
 	})
 	if err == nil {
 		res.Hash = u.Key.String()
@@ -612,13 +608,15 @@ func WriteError(w http.ResponseWriter, err error) {
 }
 
 // WriteCompileResponse answers a compile request, public or fleet-routed,
-// with the unit's summary.
-func WriteCompileResponse(w http.ResponseWriter, u *Unit, cached bool) {
+// with the unit's summary. opts are the request's resolved options (from
+// ReadCompileRequest): whether the unit is optimized is a fact about what
+// was asked for, the same on every path that can answer.
+func WriteCompileResponse(w http.ResponseWriter, u *Unit, opts Options, cached bool) {
 	WriteJSON(w, http.StatusOK, CompileResponse{
 		Hash:         u.Key.String(),
 		Size:         u.Size,
 		Instructions: u.Instrs,
-		Optimized:    u.Optimized,
+		Optimized:    opts.Optimize,
 		Cached:       cached,
 	})
 }
@@ -650,7 +648,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	WriteCompileResponse(w, u, cached)
+	WriteCompileResponse(w, u, opts, cached)
 }
 
 func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
@@ -658,7 +656,7 @@ func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	u, err := s.lookup(r.Context(), k)
+	u, _, err := s.lookup(r.Context(), k)
 	if err != nil {
 		WriteError(w, err)
 		return

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -250,40 +249,28 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 
 func TestStoreEviction(t *testing.T) {
 	m := &Metrics{}
-	// One slot per shard: the second unit landing on a shard evicts the
-	// first.
+	// -units 1 means one: the second unit evicts the first.
 	st, err := NewStore("", 1, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []Key
-	for i := 0; ; i++ {
-		k := KeyFor(map[string]string{"f": fmt.Sprint(i)}, Options{})
-		// Find two keys on the same shard.
-		for _, prev := range keys {
-			if prev[0]%numShards == k[0]%numShards {
-				fill := func(context.Context) (*Unit, error) {
-					return &Unit{Wire: []byte{1}, Size: 1, Instrs: 1}, nil
-				}
-				if _, _, err := st.GetOrFill(context.Background(), prev, fill); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := st.GetOrFill(context.Background(), k, fill); err != nil {
-					t.Fatal(err)
-				}
-				if _, ok := st.Get(context.Background(), prev); ok {
-					t.Error("evicted unit still resident")
-				}
-				if m.evictions.Load() != 1 {
-					t.Errorf("evictions = %d, want 1", m.evictions.Load())
-				}
-				return
-			}
+	first := KeyFor(map[string]string{"f": "1"}, Options{})
+	second := KeyFor(map[string]string{"f": "2"}, Options{})
+	for _, k := range []Key{first, second} {
+		if _, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (admitted, error) {
+			return forged(1), nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		keys = append(keys, k)
-		if i > 10000 {
-			t.Fatal("no shard collision found")
-		}
+	}
+	if _, ok := st.Get(context.Background(), first); ok {
+		t.Error("evicted unit still resident")
+	}
+	if _, ok := st.Get(context.Background(), second); !ok || st.Len() != 1 {
+		t.Errorf("the newer unit is not the one resident (%d resident)", st.Len())
+	}
+	if m.evictions.Load() != 1 {
+		t.Errorf("evictions = %d, want 1", m.evictions.Load())
 	}
 }
 

@@ -2,71 +2,69 @@ package codeserver
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"safetsa/internal/core"
 	"safetsa/internal/obs"
-	"safetsa/internal/opt"
 	"safetsa/internal/wire"
 )
 
 // Unit is one compiled distribution unit: the producer pipeline's output
 // for a content key. Units are immutable once published.
 type Unit struct {
-	Key    Key    `json:"-"`
-	Wire   []byte `json:"-"`
-	Size   int    `json:"size"`
-	Instrs int    `json:"instructions"`
-	unitMeta
+	Key    Key
+	Wire   []byte
+	Size   int
+	Instrs int
 }
 
-// unitMeta is what a /compile answer carries that the unit itself does
-// not encode: producer-side facts, kept in the disk tier's sidecar and
-// sent beside the bytes by a peer. They are bookkeeping, never safety.
-type unitMeta struct {
-	Optimized bool      `json:"optimized"`
-	OptStats  opt.Stats `json:"opt_stats"`
+// admitted is what a door hands the store: a verified module and the bytes
+// that encode it. It is minted in three places and nowhere else — admit
+// (the decoder admitted mod from wire), Pool.Compile (the producer's driver
+// verified mod and then encoded it) and a stream whose Wait returned nil
+// (every function of mod was admitted as wire arrived) — so holding one is
+// the proof that wire may be served and mod may be lowered and run.
+type admitted struct {
+	mod  *core.Module
+	wire []byte
 }
 
-// newUnit is the only way a Unit comes to exist outside tests. Its
-// evidence is mod, the verified module that data encodes: the one the
-// producer's driver verified before encoding it, or the one the decoder
-// admitted from it. Size and instruction count come from that pair and
-// from nowhere else; the store stamps the key the unit was filled under.
-func newUnit(mod *core.Module, data []byte, meta unitMeta) *Unit {
-	return &Unit{Wire: data, Size: len(data), Instrs: mod.NumInstrs(), unitMeta: meta}
+// newUnit is the only way a Unit comes to exist outside tests. Size and
+// instruction count come from the admitted pair and from nowhere else; the
+// store stamps the key the unit was filled under. The unit keeps the bytes
+// only: the module goes to whoever led the admission (see Store.fill).
+func newUnit(a admitted) *Unit {
+	return &Unit{Wire: a.wire, Size: len(a.wire), Instrs: a.mod.NumInstrs()}
 }
 
-// admit is how bytes this process did not just produce (a peer's answer,
-// a file in the cache directory) become a Unit: they pass the consumer's
-// admission, wire.DecodeVerified, or there is no unit.
-func admit(data []byte, meta unitMeta) (*Unit, error) {
+// admit is the consumer's admission, the package's only spelling of it:
+// bytes this process did not just produce (a peer's answer, a file in the
+// cache directory, a resident unit whose module no door handed over) pass
+// wire.DecodeVerified or nothing is admitted.
+func admit(data []byte) (admitted, error) {
 	mod, err := wire.DecodeVerified(data)
 	if err != nil {
-		return nil, err
+		return admitted{}, err
 	}
-	return newUnit(mod, data, meta), nil
+	return admitted{mod: mod, wire: data}, nil
 }
 
-const numShards = 16
-
-// Store is the content-addressed unit store: a sharded in-memory LRU in
-// front of an optional on-disk store. It has one way in, fill, under the
-// shard's singleflight (see lru.fill): an entry exists because a caller
-// on this node asked for its key, and concurrent requests for one key
-// probe the disk and run the producer pipeline or the peer fetch once.
+// Store is the content-addressed unit store: an in-memory LRU in front of
+// an optional on-disk store, one file per unit. It has one way in, fill,
+// under the LRU's singleflight (see lru.fill): an entry exists because a
+// caller on this node asked for its key, and concurrent requests for one
+// key probe the disk and run the producer pipeline or the peer fetch once.
 type Store struct {
-	dir    string // "" disables the disk tier
-	m      *Metrics
-	shards [numShards]lru[*Unit]
+	dir   string // "" disables the disk tier
+	m     *Metrics
+	units lru[*Unit]
 }
 
 // NewStore creates a store holding at most maxUnits encoded units in
-// memory (rounded up to a per-shard capacity, minimum one per shard).
-// dir, when non-empty, enables the on-disk tier; it is created if absent.
+// memory. dir, when non-empty, enables the on-disk tier; it is created if
+// absent.
 func NewStore(dir string, maxUnits int, m *Metrics) (*Store, error) {
 	if maxUnits <= 0 {
 		maxUnits = 1024
@@ -76,62 +74,58 @@ func NewStore(dir string, maxUnits int, m *Metrics) (*Store, error) {
 			return nil, fmt.Errorf("codeserver: cache dir: %w", err)
 		}
 	}
-	s := &Store{dir: dir, m: m}
-	for i := range s.shards {
-		s.shards[i] = newLRU[*Unit]((maxUnits+numShards-1)/numShards, &m.evictions, &m.coalesced)
-	}
-	return s, nil
+	return &Store{dir: dir, m: m, units: newLRU[*Unit](maxUnits, &m.evictions, &m.coalesced)}, nil
 }
-
-func (s *Store) shardOf(k Key) *lru[*Unit] { return &s.shards[k[0]%numShards] }
 
 // Len reports the number of units resident in memory.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].len()
-	}
-	return n
-}
+func (s *Store) Len() int { return s.units.len() }
 
 // fill returns the unit for k from memory, else — one caller at a time per
 // key — from the disk tier, else from miss; a nil miss is a lookup with
-// nowhere further to ask. Whatever miss returns is published under k in
+// nowhere further to ask. Whatever miss admits is published under k in
 // memory and then, being the value that won the memory tier, on disk.
+// The module result is the admission's other half, handed to the one
+// caller that led it (from disk or from miss) so that caller need not
+// decode the unit again; a resident hit and a joined waiter get nil.
 // Fill errors are not cached; lru.fill says which of them a coalesced
 // caller adopts and after which it starts over. Error accounting is the
 // miss callback's job: the store serves every fill flavor.
-func (s *Store) fill(ctx context.Context, k Key, miss func(context.Context) (*Unit, error)) (*Unit, fillHow, error) {
+func (s *Store) fill(ctx context.Context, k Key, miss func(context.Context) (admitted, error)) (*Unit, *core.Module, fillHow, error) {
+	var a admitted
 	fromDisk := false
-	u, how, err := s.shardOf(k).fill(ctx, k, func(ctx context.Context) (u *Unit, err error) {
+	u, how, err := s.units.fill(ctx, k, func(ctx context.Context) (_ *Unit, err error) {
 		_, dsp := obs.Start(ctx, "disk")
-		u, fromDisk = s.loadDisk(k)
+		a, fromDisk = s.loadDisk(k)
 		dsp.End()
 		if !fromDisk {
 			if miss == nil {
 				return nil, ErrUnitNotFound
 			}
 			fctx, fsp := obs.Start(ctx, "fill")
-			u, err = miss(fctx)
+			a, err = miss(fctx)
 			fsp.End()
 			if err != nil {
 				return nil, err
 			}
 		}
+		u := newUnit(a)
 		u.Key = k
 		return u, nil
 	})
-	if err == nil && how == led && !fromDisk {
+	if err != nil {
+		return nil, nil, how, err
+	}
+	if how == led && !fromDisk {
 		s.writeDisk(u) // after the memory tier, so a lookup never sees the disk copy first
 	}
-	return u, how, err
+	return u, a.mod, how, nil
 }
 
 // Get returns a unit from the memory or disk tier without compiling.
 // Lookups on this path (unit downloads, loader-cache fills) are not
 // counted as compile-path cache hits.
 func (s *Store) Get(ctx context.Context, k Key) (*Unit, bool) {
-	u, _, err := s.fill(ctx, k, nil)
+	u, _, _, err := s.fill(ctx, k, nil)
 	return u, err == nil
 }
 
@@ -139,9 +133,9 @@ func (s *Store) Get(ctx context.Context, k Key) (*Unit, bool) {
 // reports whether the unit was served without running fill in this call
 // (memory/disk hit); callers that coalesced onto another caller's
 // in-flight fill see cached=false.
-func (s *Store) GetOrFill(ctx context.Context, k Key, fill func(context.Context) (*Unit, error)) (u *Unit, cached bool, err error) {
+func (s *Store) GetOrFill(ctx context.Context, k Key, fill func(context.Context) (admitted, error)) (u *Unit, cached bool, err error) {
 	ran := false
-	u, how, err := s.fill(ctx, k, func(ctx context.Context) (*Unit, error) {
+	u, _, how, err := s.fill(ctx, k, func(ctx context.Context) (admitted, error) {
 		ran = true
 		return fill(ctx)
 	})
@@ -159,60 +153,46 @@ func (s *Store) GetOrFill(ctx context.Context, k Key, fill func(context.Context)
 }
 
 func (s *Store) wirePath(k Key) string { return filepath.Join(s.dir, k.String()+".tsa") }
-func (s *Store) metaPath(k Key) string { return filepath.Join(s.dir, k.String()+".json") }
 
 // loadDisk re-admits a unit from the disk tier. The directory is one more
 // untrusted source — writeDisk does not fsync, so a crash can leave a torn
-// .tsa next to an intact sidecar — and gets the same rule as a peer fill:
-// the bytes pass admit or they are a miss. A rejected unit's files are
-// removed so the key recompiles instead of failing every run.
-func (s *Store) loadDisk(k Key) (*Unit, bool) {
+// .tsa — and gets the same rule as a peer fill: the bytes pass admit or
+// they are a miss. A rejected file is removed so the key recompiles
+// instead of failing every run.
+func (s *Store) loadDisk(k Key) (admitted, bool) {
 	if s.dir == "" {
-		return nil, false
+		return admitted{}, false
 	}
 	data, err := os.ReadFile(s.wirePath(k))
 	if err != nil {
-		return nil, false
+		return admitted{}, false
 	}
-	var meta unitMeta
-	if mb, err := os.ReadFile(s.metaPath(k)); err == nil && json.Unmarshal(mb, &meta) != nil {
-		meta = unitMeta{}
-	}
-	u, err := admit(data, meta)
+	a, err := admit(data)
 	if err != nil {
 		_ = os.Remove(s.wirePath(k))
-		_ = os.Remove(s.metaPath(k))
-		return nil, false
+		return admitted{}, false
 	}
-	return u, true
+	return a, true
 }
 
+// writeDisk persists u, best effort: the disk tier is an optimization, so
+// I/O errors degrade to recompilation rather than failing the request.
+// There is deliberately no fsync: the cache is regenerable from source, so
+// a crash costs at most a recompile — loadDisk re-admits every unit it
+// reads and treats a rejected one as a miss.
 func (s *Store) writeDisk(u *Unit) {
-	if s.dir == "" {
-		return
-	}
-	// Best-effort persistence: the disk tier is an optimization, so I/O
-	// errors degrade to recompilation rather than failing the request.
-	// Both files are published by writing a fresh CreateTemp file and
-	// renaming it into place: a fixed ".tmp" name let concurrent writers
-	// for the same key truncate each other's half-written file and then
-	// rename the torn result over the cache entry, which loadDisk would
-	// serve as a (corrupt) unit. The wire file lands before the sidecar,
-	// so a reader between the two renames at worst answers without the
-	// optimizer's statistics. There is deliberately no fsync: the cache is
-	// regenerable from source, so a crash costs at most a recompile —
-	// loadDisk re-admits every unit it reads and treats a rejected one as
-	// a miss.
-	atomicWrite(s.wirePath(u.Key), u.Wire)
-	if mb, err := json.Marshal(u.unitMeta); err == nil {
-		atomicWrite(s.metaPath(u.Key), mb)
+	if s.dir != "" {
+		atomicWrite(s.wirePath(u.Key), u.Wire)
 	}
 }
 
 // atomicWrite publishes data at path via a unique temp file and rename,
 // so readers observe either the previous complete file or the new
-// complete file, never a prefix. Errors are swallowed (best-effort tier);
-// the temp file is removed on any failure so the cache dir stays clean.
+// complete file, never a prefix. The temp name is unique because a fixed
+// ".tmp" let concurrent writers for one key truncate each other's
+// half-written file and rename the torn result into place. Errors are
+// swallowed (best-effort tier); the temp file is removed on any failure
+// so the cache dir stays clean.
 func atomicWrite(path string, data []byte) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {

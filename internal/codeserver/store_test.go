@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"safetsa/internal/core"
 	"safetsa/internal/wire"
 )
 
@@ -22,9 +23,14 @@ import (
 // resident that admission would refuse (to prove the loader refuses it
 // too), or an entry to corrupt.
 func plantUnit(st *Store, u *Unit) {
-	st.shardOf(u.Key).add(u.Key, u)
+	st.units.add(u.Key, u)
 	st.writeDisk(u)
 }
+
+// forged mints an admitted value no admission stands behind — like
+// plantUnit, what no code outside the tests can do — for the tests of the
+// store's coalescing, whose fills never reach a decoder.
+func forged(wire ...byte) admitted { return admitted{mod: &core.Module{}, wire: wire} }
 
 // helloUnit compiles the hello program into a real unit (loadDisk
 // re-admits what it reads, so disk-tier tests need bytes that decode).
@@ -81,7 +87,7 @@ func TestWriteDiskTornWriteRace(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
 				got, ok := s.loadDisk(key)
-				if !ok || !bytes.Equal(got.Wire, wireBytes) {
+				if !ok || !bytes.Equal(got.wire, wireBytes) {
 					mu.Lock()
 					torn++
 					mu.Unlock()
@@ -110,12 +116,12 @@ func TestWriteDiskTornWriteRace(t *testing.T) {
 }
 
 // TestDiskTierReadmitsUnits is the regression test for the disk tier
-// serving bytes it never decoded: with an intact sidecar, loadDisk
-// returned whatever the .tsa held, so a torn unit (writeDisk does not
-// fsync) was a hit forever — answered as cached by /compile, served by
-// /unit, failing every /run — and the key never recompiled. The disk is
-// one more untrusted source: a unit that does not pass DecodeVerified is
-// a miss, its files go, and the next fill rewrites them.
+// serving bytes it never decoded: loadDisk returned whatever the .tsa
+// held, so a torn unit (writeDisk does not fsync) was a hit forever —
+// answered as cached by /compile, served by /unit, failing every /run —
+// and the key never recompiled. The disk is one more untrusted source: a
+// unit that does not pass DecodeVerified is a miss, its file goes, and the
+// next fill rewrites it.
 func TestDiskTierReadmitsUnits(t *testing.T) {
 	dir := t.TempDir()
 	m := &Metrics{}
@@ -129,9 +135,6 @@ func TestDiskTierReadmitsUnits(t *testing.T) {
 	if err := os.Truncate(wirePath, int64(len(u.Wire)/2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(st.metaPath(u.Key)); err != nil {
-		t.Fatalf("sidecar missing: %v", err)
-	}
 
 	// A restart: fresh memory tier over the same directory.
 	st, err = NewStore(dir, 8, m)
@@ -141,15 +144,13 @@ func TestDiskTierReadmitsUnits(t *testing.T) {
 	if got, ok := st.Get(context.Background(), u.Key); ok {
 		t.Fatalf("Get served a truncated unit from disk (%d of %d bytes)", len(got.Wire), len(u.Wire))
 	}
-	for _, p := range []string{wirePath, st.metaPath(u.Key)} {
-		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("rejected unit left %s behind (%v)", p, err)
-		}
+	if _, err := os.Stat(wirePath); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("rejected unit left %s behind (%v)", wirePath, err)
 	}
 	fills := 0
-	got, cached, err := st.GetOrFill(context.Background(), u.Key, func(context.Context) (*Unit, error) {
+	got, cached, err := st.GetOrFill(context.Background(), u.Key, func(context.Context) (admitted, error) {
 		fills++
-		return &Unit{Wire: u.Wire, Size: u.Size, Instrs: u.Instrs}, nil
+		return admit(u.Wire)
 	})
 	if err != nil || cached || fills != 1 || m.diskHits.Load() != 0 {
 		t.Fatalf("GetOrFill after a rejected disk unit: cached=%v fills=%d disk_hits=%d err=%v, want one fill",
@@ -178,8 +179,8 @@ func TestDiskTierReadmitsUnits(t *testing.T) {
 
 // mustNotFill is a fill callback for paths that must be served without
 // filling; running it is the failure.
-func mustNotFill(context.Context) (*Unit, error) {
-	return nil, errors.New("fill ran on a path that must not fill")
+func mustNotFill(context.Context) (admitted, error) {
+	return admitted{}, errors.New("fill ran on a path that must not fill")
 }
 
 // TestGetOrFillCoalescedCancel: a caller coalesced onto another caller's
@@ -199,10 +200,10 @@ func TestGetOrFillCoalescedCancel(t *testing.T) {
 	fillStarted := make(chan struct{})
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (*Unit, error) {
+		_, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (admitted, error) {
 			close(fillStarted)
 			<-block
-			return &Unit{Wire: []byte{1}, Size: 1, Instrs: 1}, nil
+			return forged(1), nil
 		})
 		ownerDone <- err
 	}()
@@ -259,10 +260,10 @@ func TestGetOrFillOwnerCancelDoesNotPoison(t *testing.T) {
 	fillStarted := make(chan struct{})
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := st.GetOrFill(ownerCtx, k, func(ctx context.Context) (*Unit, error) {
+		_, _, err := st.GetOrFill(ownerCtx, k, func(ctx context.Context) (admitted, error) {
 			close(fillStarted)
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return admitted{}, ctx.Err()
 		})
 		ownerDone <- err
 	}()
@@ -275,8 +276,8 @@ func TestGetOrFillOwnerCancelDoesNotPoison(t *testing.T) {
 	}
 	waiterDone := make(chan filled, 1)
 	go func() {
-		u, cached, err := st.GetOrFill(context.Background(), k, func(context.Context) (*Unit, error) {
-			return &Unit{Wire: []byte{2}, Size: 1, Instrs: 1}, nil
+		u, cached, err := st.GetOrFill(context.Background(), k, func(context.Context) (admitted, error) {
+			return forged(2), nil
 		})
 		waiterDone <- filled{u, cached, err}
 	}()
@@ -401,10 +402,10 @@ func TestGetOrFillCompileNotAnsweredByEmptyLookup(t *testing.T) {
 	lookupStarted := make(chan struct{})
 	lookupDone := make(chan error, 1)
 	go func() {
-		_, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (*Unit, error) {
+		_, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (admitted, error) {
 			close(lookupStarted)
 			<-block
-			return nil, ErrUnitNotFound
+			return admitted{}, ErrUnitNotFound
 		})
 		lookupDone <- err
 	}()
@@ -416,8 +417,8 @@ func TestGetOrFillCompileNotAnsweredByEmptyLookup(t *testing.T) {
 	}
 	compileDone := make(chan filled, 1)
 	go func() {
-		u, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (*Unit, error) {
-			return &Unit{Wire: []byte{3}, Size: 1, Instrs: 1}, nil
+		u, _, err := st.GetOrFill(context.Background(), k, func(context.Context) (admitted, error) {
+			return forged(3), nil
 		})
 		compileDone <- filled{u, err}
 	}()
@@ -445,7 +446,7 @@ func TestGetOrFillCompileNotAnsweredByEmptyLookup(t *testing.T) {
 // what it must still do: make the streamed unit visible in memory and
 // persist it, so a restarted node still holds it. Publishing the same
 // unit again is a resident hit and must leave the file on disk alone —
-// Put rewrote both files (two CreateTemp + rename, a new inode) on every
+// Put rewrote the file (CreateTemp + rename, a new inode) on every
 // repeated stream.
 func TestStorePutPublishesBothTiers(t *testing.T) {
 	dir := t.TempDir()
@@ -541,8 +542,8 @@ func TestStoreOneUnitPerKeyThroughEveryDoor(t *testing.T) {
 			case 1:
 				got[i], _, errs[i] = st.GetOrFill(ctx, k, mustNotFill)
 			case 2: // what RunUnitStream does with an admitted stream
-				got[i], _, errs[i] = st.fill(ctx, k, func(context.Context) (*Unit, error) {
-					return &Unit{Wire: bytes.Clone(u.Wire), Size: u.Size, Instrs: u.Instrs}, nil
+				got[i], _, _, errs[i] = st.fill(ctx, k, func(context.Context) (admitted, error) {
+					return admit(bytes.Clone(u.Wire))
 				})
 			}
 		}()
@@ -570,5 +571,49 @@ func TestStoreOneUnitPerKeyThroughEveryDoor(t *testing.T) {
 	}
 	if !os.SameFile(before, after) {
 		t.Error("serving a disk-resident unit rewrote its file")
+	}
+}
+
+// TestFillHandsTheModuleToItsLeader: the module an admission proved goes
+// to the one caller that led it — from the miss or from the disk — and to
+// nobody else: a resident hit and a joined waiter get nil and, if they
+// want to run the unit, admit its bytes themselves. The store keeps bytes.
+func TestFillHandsTheModuleToItsLeader(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir, 8, &Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := helloUnit(t)
+	k, ctx := good.Key, context.Background()
+
+	joinedDone := make(chan *core.Module, 1)
+	var want *core.Module
+	u, mod, how, err := st.fill(ctx, k, func(context.Context) (admitted, error) {
+		go func() {
+			_, mod, _, _ := st.fill(ctx, k, mustNotFill)
+			joinedDone <- mod
+		}()
+		eventually(t, "the second caller joined the flight", func() bool { return st.m.coalesced.Load() == 1 })
+		a, err := admit(good.Wire)
+		want = a.mod
+		return a, err
+	})
+	if err != nil || how != led || mod == nil || mod != want || !bytes.Equal(u.Wire, good.Wire) {
+		t.Fatalf("leader of a miss: how %v mod %p (admitted %p) err %v", how, mod, want, err)
+	}
+	if mod := <-joinedDone; mod != nil {
+		t.Error("a joined waiter was handed the leader's module")
+	}
+	if _, mod, how, err := st.fill(ctx, k, mustNotFill); err != nil || how != resident || mod != nil {
+		t.Errorf("resident hit: how %v mod %p err %v, want no module", how, mod, err)
+	}
+
+	// A restart: the leader of the disk re-admission gets that admission's module.
+	if st, err = NewStore(dir, 8, &Metrics{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, mod, how, err := st.fill(ctx, k, nil); err != nil || how != led || mod == nil || mod.NumInstrs() != good.Instrs {
+		t.Errorf("leader of a disk re-admission: how %v mod %p err %v", how, mod, err)
 	}
 }

@@ -235,8 +235,8 @@ func TestStressMixedTraffic(t *testing.T) {
 	if st.DecodeLatency.Count != st.Loads {
 		t.Errorf("decode histogram count %d != loads %d", st.DecodeLatency.Count, st.Loads)
 	}
-	if st.VerifyLatency.Count != st.Loads {
-		t.Errorf("verify histogram count %d != loads %d", st.VerifyLatency.Count, st.Loads)
+	if st.VerifyLatency.Count != 0 {
+		t.Errorf("verify histogram count %d, want 0 (declared, unfed: admission is the one decode)", st.VerifyLatency.Count)
 	}
 	if st.PrepareLatency.Count != st.Loads {
 		t.Errorf("prepare histogram count %d != loads %d", st.PrepareLatency.Count, st.Loads)

@@ -82,16 +82,6 @@ type Module struct {
 	StaticInit []int32
 }
 
-// ClassByType finds the ClassDef for a class type.
-func (m *Module) ClassByType(t TypeID) *ClassDef {
-	for _, c := range m.Classes {
-		if c.Type == t {
-			return c
-		}
-	}
-	return nil
-}
-
 // FuncOf returns the function body for a method-table index, or nil.
 func (m *Module) FuncOf(method int32) *Func {
 	if method < 0 || int(method) >= len(m.Methods) {
@@ -314,13 +304,6 @@ func (f *Func) NumInstrs() int {
 		}
 	}
 	return n
-}
-
-// CountOps tallies instructions by opcode.
-func (f *Func) CountOps(counts map[Op]int) {
-	for _, b := range f.Blocks {
-		b.Instrs(func(in *Instr) { counts[in.Op]++ })
-	}
 }
 
 // CSTBlocks returns the blocks of the function in Control Structure Tree

@@ -4,11 +4,11 @@
 // harness, the codeserver pool, and the tests all go through these
 // helpers.
 //
-// Every stage has a context-aware form (FrontendContext, …) used by the
-// concurrent codeserver; the plain forms are shorthands bound to
-// context.Background(). Errors are tagged with an ErrorKind so servers
-// can map user-program faults and pipeline faults to different failure
-// classes.
+// The producer stages the concurrent codeserver runs have a context-aware
+// form (FrontendContext, CompileTSAContext, OptimizeModuleOptions); the
+// plain forms are shorthands bound to context.Background(). Errors are
+// tagged with an ErrorKind so servers can map user-program faults and
+// pipeline faults to different failure classes.
 package driver
 
 import (
@@ -102,27 +102,17 @@ func CompileTSAContext(ctx context.Context, prog *sema.Program) (*core.Module, e
 
 // CompileTSASource is the one-call helper: source text → verified module.
 func CompileTSASource(files map[string]string) (*core.Module, error) {
-	return CompileTSASourceContext(context.Background(), files)
-}
-
-// CompileTSASourceContext is the context-aware form of CompileTSASource.
-func CompileTSASourceContext(ctx context.Context, files map[string]string) (*core.Module, error) {
-	prog, err := FrontendContext(ctx, files)
+	prog, err := Frontend(files)
 	if err != nil {
 		return nil, err
 	}
-	return CompileTSAContext(ctx, prog)
+	return CompileTSA(prog)
 }
 
 // OptimizeModule runs the producer-side optimizer and re-verifies the
 // module, returning the optimization statistics.
 func OptimizeModule(mod *core.Module) (opt.Stats, error) {
-	return OptimizeModuleContext(context.Background(), mod)
-}
-
-// OptimizeModuleContext is the context-aware form of OptimizeModule.
-func OptimizeModuleContext(ctx context.Context, mod *core.Module) (opt.Stats, error) {
-	return OptimizeModuleOptions(ctx, mod, opt.Options{})
+	return OptimizeModuleOptions(context.Background(), mod, opt.Options{})
 }
 
 // OptimizeModuleOptions runs the optimizer tier the options select
@@ -196,21 +186,34 @@ const (
 	EngineCompiled  = "compiled"
 )
 
-// RunModule loads and executes a module's main method, returning its
-// printed output. maxSteps bounds execution (0 = unlimited); allocation
-// is always bounded by maxAlloc.
+// RunModule loads and executes a module's main method on the reference
+// walker, returning its printed output. maxSteps bounds execution (0 =
+// unlimited); allocation is always bounded by maxAlloc.
 func RunModule(mod *core.Module, maxSteps int64) (string, error) {
-	return RunModuleContext(context.Background(), mod, maxSteps)
+	return RunModuleEngine(context.Background(), mod, maxSteps, EngineReference)
 }
 
-// RunModuleContext is the context-aware form of RunModule: cancelling ctx
-// interrupts the guest program at the next step-budget check. Load/link
-// failures are tagged KindVerify (the unit is at fault); execution
-// failures are tagged KindRuntime.
-func RunModuleContext(ctx context.Context, mod *core.Module, maxSteps int64) (string, error) {
-	var out bytes.Buffer
+// RunModuleEngine runs mod's main on the named engine: "compiled" (also
+// the default for ""), the one the daemon serves, or "reference", the CST
+// walker the compiled engine is tested against. Cancelling ctx interrupts
+// the guest at the next step-budget check. Load/link failures are tagged
+// KindVerify (the unit is at fault); execution failures KindRuntime.
+func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engine string) (string, error) {
+	var (
+		out bytes.Buffer
+		l   *interp.Loader
+		err error
+	)
 	env := newEnv(ctx, &out, maxSteps)
-	l, err := interp.Load(mod, env)
+	switch engine {
+	case "", EngineCompiled:
+		l, err = loadCompiled(ctx, mod, env)
+	case EngineReference:
+		l, err = interp.Load(mod, env)
+	default:
+		return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q or %q)",
+			engine, EngineCompiled, EngineReference))
+	}
 	if err != nil {
 		return out.String(), wrapKind(KindVerify, err)
 	}
@@ -220,48 +223,24 @@ func RunModuleContext(ctx context.Context, mod *core.Module, maxSteps int64) (st
 	return out.String(), nil
 }
 
-// RunModuleCompiledContext verifies a module, lowers it (interp.Prepare
-// under a "prepare" span, then the closure-fusing interp.Compile under a
-// "compile_backend" span) and executes it on the closure-threaded
-// engine; cancelling ctx interrupts the guest.
-func RunModuleCompiledContext(ctx context.Context, mod *core.Module, maxSteps int64) (string, error) {
+// loadCompiled verifies a module, lowers it (interp.Prepare under a
+// "prepare" span, then the closure-fusing interp.Compile under a
+// "compile_backend" span) and loads it on the closure-threaded engine.
+func loadCompiled(ctx context.Context, mod *core.Module, env *rt.Env) (*interp.Loader, error) {
 	if err := mod.Verify(core.VerifyOptions{}); err != nil {
-		return "", wrapKind(KindVerify, fmt.Errorf("interp: module rejected by verifier: %w", err))
+		return nil, fmt.Errorf("interp: module rejected by verifier: %w", err)
 	}
 	_, psp := obs.Start(ctx, "prepare")
 	prep, err := interp.Prepare(mod)
 	psp.End()
 	if err != nil {
-		return "", wrapKind(KindVerify, err)
+		return nil, err
 	}
 	_, csp := obs.Start(ctx, "compile_backend")
 	comp, err := interp.Compile(mod, prep)
 	csp.End()
 	if err != nil {
-		return "", wrapKind(KindVerify, err)
+		return nil, err
 	}
-	var out bytes.Buffer
-	env := newEnv(ctx, &out, maxSteps)
-	l, err := interp.LoadTrustedCompiled(mod, comp, env)
-	if err != nil {
-		return out.String(), wrapKind(KindVerify, err)
-	}
-	if err := l.RunMain(); err != nil {
-		return out.String(), wrapKind(KindRuntime, err)
-	}
-	return out.String(), nil
-}
-
-// RunModuleEngine dispatches to the named engine: "compiled" (also the
-// default for ""), the one the daemon serves, or "reference", the CST
-// walker the compiled engine is tested against.
-func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engine string) (string, error) {
-	switch engine {
-	case "", EngineCompiled:
-		return RunModuleCompiledContext(ctx, mod, maxSteps)
-	case EngineReference:
-		return RunModuleContext(ctx, mod, maxSteps)
-	}
-	return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q or %q)",
-		engine, EngineCompiled, EngineReference))
+	return interp.LoadTrustedCompiled(mod, comp, env)
 }

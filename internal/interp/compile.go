@@ -61,9 +61,6 @@ type CFunc struct {
 // execution sessions.
 type Compiled struct {
 	Funcs []*CFunc // parallel to Module.Funcs
-	// Insts is the total fused thunk count (for diagnostics and cache
-	// accounting).
-	Insts int
 	// mod is the module Compile minted this form from (see bound).
 	mod *core.Module
 }
@@ -119,7 +116,6 @@ func Compile(mod *core.Module, prep *Prepared) (*Compiled, error) {
 			code[pc] = th
 		}
 		c.Funcs[i] = &CFunc{Name: pf.Name, NumRegs: pf.NumRegs, Code: code}
-		c.Insts += len(code)
 	}
 	return c, nil
 }

@@ -48,8 +48,8 @@ class Main {
 	if len(modA.Funcs) != len(modB.Funcs) {
 		t.Fatalf("test modules must have equal function counts, got %d and %d", len(modA.Funcs), len(modB.Funcs))
 	}
-	handPrep := &interp.Prepared{Funcs: prepB.Funcs, Insts: prepB.Insts}
-	handComp := &interp.Compiled{Funcs: compB.Funcs, Insts: compB.Insts}
+	handPrep := &interp.Prepared{Funcs: prepB.Funcs}
+	handComp := &interp.Compiled{Funcs: compB.Funcs}
 	env := func() *rt.Env { return &rt.Env{Out: &bytes.Buffer{}, MaxSteps: 1_000_000} }
 
 	cases := []struct {

@@ -177,9 +177,6 @@ type PFunc struct {
 // shared by any number of concurrent execution sessions.
 type Prepared struct {
 	Funcs []*PFunc // parallel to Module.Funcs
-	// Insts is the total prepared instruction count (for diagnostics
-	// and cache accounting).
-	Insts int
 	// mod is the module Prepare minted this form from (see bound).
 	mod *core.Module
 }
@@ -218,7 +215,6 @@ func Prepare(mod *core.Module) (*Prepared, error) {
 			return nil, fmt.Errorf("interp: prepare %s: %w", f.Name, err)
 		}
 		p.Funcs[i] = pf
-		p.Insts += len(pf.Code)
 	}
 	return p, nil
 }

@@ -154,9 +154,8 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 
 // LatencySummary is the JSON-friendly digest of one histogram: sample
 // count, total time, estimated p50/p90/p99, and the number of samples
-// that overflowed the finite bucket range. It is what /stats and
-// safetsaload's report embed. A nonzero OverflowCount means some samples
-// exceeded the ~134s finite range; quantiles whose rank lands among them
+// that overflowed the finite bucket range. It is what /stats embeds. A
+// nonzero OverflowCount means some samples exceeded the ~134s finite range; quantiles whose rank lands among them
 // saturate to max int64 instead of reporting a fake finite latency.
 type LatencySummary struct {
 	Count         uint64 `json:"count"`
