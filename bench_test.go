@@ -4,14 +4,19 @@
 // residual loads); timings are the repository benchmark's job
 // (go run ./benchmark --trace 1), not theirs. BenchmarkColdLoad is the
 // exception: the one-line reproduction of the cold consumer's library
-// cost, unit by unit, for whoever next puts that path on a diet, and
-// BenchmarkColdProduce is the same for the producer.
+// cost, unit by unit, for whoever next puts that path on a diet,
+// BenchmarkColdProduce is the same for the producer, and BenchmarkHotRun
+// the same for the engine under run_hot_compute's six guests.
 //
 //	go test -bench=. -benchtime=1x
 package safetsa
 
 import (
 	"context"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"safetsa/internal/bench"
@@ -21,6 +26,7 @@ import (
 	"safetsa/internal/interp"
 	"safetsa/internal/lang/sema"
 	"safetsa/internal/opt"
+	"safetsa/internal/rt"
 	"safetsa/internal/ssabuild"
 	"safetsa/internal/wire"
 )
@@ -139,6 +145,73 @@ func BenchmarkColdProduce(b *testing.B) {
 
 // producedBytes keeps BenchmarkColdProduce's last encoding reachable.
 var producedBytes []byte
+
+// BenchmarkHotRun is the library half of the run_hot_compute gate: the
+// workload's six guests — Linpack and BitSieve from the corpus, the four
+// of benchmark/guests read from disk — at O2 on the compiled engine, the
+// lowering done once outside the timer as a resident unit's is. One
+// iteration is one session: static initializers, then main. Each guest
+// is its own sub-benchmark, so ns/op, allocs/op and steps/µs read per
+// guest:
+//
+//	go test -run='^$' -bench=HotRun -benchtime=20x .
+func BenchmarkHotRun(b *testing.B) {
+	type guest struct {
+		name  string
+		files map[string]string
+	}
+	var guests []guest
+	for _, u := range corpus.Units() {
+		if u.Name == "Linpack" || u.Name == "BitSieve" {
+			guests = append(guests, guest{u.Name, u.Files})
+		}
+	}
+	paths, err := filepath.Glob(filepath.Join("benchmark", "guests", "*.tj"))
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no guests under benchmark/guests (err %v)", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		file := filepath.Base(path)
+		guests = append(guests, guest{strings.TrimSuffix(file, ".tj"), map[string]string{file: string(src)}})
+	}
+	for _, g := range guests {
+		mod, err := driver.CompileTSASource(g.files)
+		if err == nil {
+			_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		prep, err := interp.Prepare(mod)
+		if err != nil {
+			b.Fatal(err)
+		}
+		comp, err := interp.Compile(mod, prep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				env := &rt.Env{Out: io.Discard}
+				l, err := interp.LoadTrustedCompiled(mod, comp, env)
+				if err == nil {
+					err = l.RunMain()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += env.Steps
+			}
+			b.ReportMetric(float64(steps)/float64(b.Elapsed().Microseconds()), "steps/µs")
+		})
+	}
+}
 
 // BenchmarkFigure6 times the producer-side optimizer over the corpus and
 // reports the aggregate check/phi eliminations of Figure 6.

@@ -222,24 +222,24 @@ func (vm *VM) exec(fr *frame) (bool, rt.Value) {
 			fr.push(rt.IntValue(cmp64(a, b)))
 
 		case DADD:
-			b, a := fr.popWide().D, fr.popWide().D
+			b, a := fr.popWide().D(), fr.popWide().D()
 			fr.pushWide(rt.DoubleValue(a + b))
 		case DSUB:
-			b, a := fr.popWide().D, fr.popWide().D
+			b, a := fr.popWide().D(), fr.popWide().D()
 			fr.pushWide(rt.DoubleValue(a - b))
 		case DMUL:
-			b, a := fr.popWide().D, fr.popWide().D
+			b, a := fr.popWide().D(), fr.popWide().D()
 			fr.pushWide(rt.DoubleValue(a * b))
 		case DDIV:
-			b, a := fr.popWide().D, fr.popWide().D
+			b, a := fr.popWide().D(), fr.popWide().D()
 			fr.pushWide(rt.DoubleValue(a / b))
 		case DREM:
-			b, a := fr.popWide().D, fr.popWide().D
+			b, a := fr.popWide().D(), fr.popWide().D()
 			fr.pushWide(rt.DoubleValue(rt.DRem(a, b)))
 		case DNEG:
-			fr.pushWide(rt.DoubleValue(-fr.popWide().D))
+			fr.pushWide(rt.DoubleValue(-fr.popWide().D()))
 		case DCMPL, DCMPG:
-			b, a := fr.popWide().D, fr.popWide().D
+			b, a := fr.popWide().D(), fr.popWide().D()
 			switch {
 			case a < b:
 				fr.push(rt.IntValue(-1))
@@ -266,9 +266,9 @@ func (vm *VM) exec(fr *frame) (bool, rt.Value) {
 		case L2D:
 			fr.pushWide(rt.DoubleValue(float64(fr.popWide().I)))
 		case D2I:
-			fr.push(rt.IntValue(rt.D2I(fr.popWide().D)))
+			fr.push(rt.IntValue(rt.D2I(fr.popWide().D())))
 		case D2L:
-			fr.pushWide(rt.LongValue(rt.D2L(fr.popWide().D)))
+			fr.pushWide(rt.LongValue(rt.D2L(fr.popWide().D())))
 
 		case GOTO:
 			next = in.A

@@ -101,9 +101,9 @@ func (vm *VM) nativeInit(class string, recv rt.Value, args []rt.Value) {
 func (vm *VM) nativeMath(name, desc string, args []rt.Value) rt.Value {
 	switch desc {
 	case "(D)D":
-		return rt.DoubleValue(rt.MathOp(name, args[0].D, 0))
+		return rt.DoubleValue(rt.MathOp(name, args[0].D(), 0))
 	case "(DD)D":
-		return rt.DoubleValue(rt.MathOp(name, args[0].D, args[2].D))
+		return rt.DoubleValue(rt.MathOp(name, args[0].D(), args[2].D()))
 	case "(I)I":
 		v := args[0].Int()
 		if name == "abs" && v < 0 {

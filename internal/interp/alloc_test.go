@@ -2,12 +2,14 @@ package interp_test
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/opt"
+	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
 
@@ -78,5 +80,69 @@ func TestLowerAllocCeiling(t *testing.T) {
 		if args, moves, err := interp.ArenaSlack(mod); err != nil || args != 0 || moves != 0 {
 			t.Errorf("%s: %d operand and %d move slots counted and never used (err %v)", u.Name, args, moves, err)
 		}
+	}
+}
+
+// throwCatchSrc throws ten frames down and catches at the top, n times.
+// Per iteration the guest itself allocates three host objects — the
+// exception, its field slice, its message string — and nothing else.
+const throwCatchSrc = `
+class ThrowCatch {
+    static int fail() { throw new Exception("x"); }
+    static int down(int n) {
+        if (n == 0) { return fail(); }
+        return down(n - 1) + 1;
+    }
+    static int spin(int n) {
+        int caught = 0;
+        for (int i = 0; i < n; i++) {
+            try {
+                caught += down(8);
+            } catch (Exception e) {
+                caught += 1;
+            }
+        }
+        return caught;
+    }
+    static void main() { }
+}
+`
+
+// TestThrowCatchHostAllocs pins that unwinding costs the host nothing:
+// on a warm session, each extra throw-and-catch iteration mallocs only
+// what the guest allocated. Frames, register files and argument buffers
+// crossed by the exception go back to the session's free lists like the
+// ones a return crosses; two run lengths are differenced so the fixed
+// cost of entering the session cancels.
+func TestThrowCatchHostAllocs(t *testing.T) {
+	mod, err := driver.CompileTSASource(map[string]string{"ThrowCatch.tj": throwCatchSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := interp.Prepare(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := interp.Compile(mod, prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := interp.LoadTrustedCompiled(mod, comp, &rt.Env{Out: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spin := func(n int32) float64 {
+		return testing.AllocsPerRun(5, func() {
+			got, err := l.CallStatic("ThrowCatch", "spin", rt.IntValue(n))
+			if err != nil || got.Int() != n {
+				t.Fatalf("spin(%d) = %d, %v", n, got.Int(), err)
+			}
+		})
+	}
+	const short, long = 100, 300
+	const guestAllocs = 3 // exception object, its field slice, its message
+	perThrow := (spin(long) - spin(short)) / (long - short)
+	if perThrow > guestAllocs {
+		t.Errorf("%.2f host allocations per throw-and-catch, the guest's own are %d", perThrow, guestAllocs)
 	}
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"hash/fnv"
-	"math"
 	"sort"
 
 	"safetsa/internal/rt"
@@ -52,11 +51,9 @@ func (w *heapWalker) u64(v uint64) {
 
 func (w *heapWalker) value(v rt.Value) {
 	if v.R == nil {
-		// A flat value: both scalar planes (one of which is the live
-		// one; the other is zero for well-typed programs).
+		// A flat value: the one scalar word, whatever plane it holds.
 		w.u64(1)
 		w.u64(uint64(v.I))
-		w.u64(math.Float64bits(v.D))
 		return
 	}
 	if id, ok := w.seen[v.R]; ok {

@@ -39,13 +39,19 @@ import (
 // caught-exception slot) reaches a thunk through the *cframe argument,
 // so one Compiled may back any number of concurrent sessions.
 
-// cthunk executes one fused instruction and returns the next pc, or
-// cDone to leave the function.
+// cthunk executes one fused instruction and returns the next pc, or a
+// negative sentinel to leave the function.
 type cthunk func(fr *cframe) int32
 
-// cDone is the pc sentinel a return thunk yields to stop the dispatch
-// loop.
-const cDone = int32(-1)
+// The two ways out of a function body, both with the outcome in fr.ret:
+// cDone is what a return thunk yields (fr.ret is the result), cThrow
+// what a raise with no local handler yields (fr.ret is the exception).
+// A guest exception is a transition of this machine — it unwinds by
+// returning cThrow frame by frame, never by a Go panic.
+const (
+	cDone  = int32(-1)
+	cThrow = int32(-2)
+)
 
 // CFunc is one compiled function body.
 type CFunc struct {
@@ -79,11 +85,13 @@ type cframe struct {
 
 // craise raises exception value v from a compiled site: into the
 // precomputed handler (applying the exception edge's phi moves and
-// returning the handler pc) or out of the function as rt.Thrown — the
-// closure-threaded mirror of praise.
+// returning the handler pc) or, with no handler, out of the function as
+// cThrow. It serves a site's own raise and an exception a callee
+// returned alike.
 func (fr *cframe) craise(rs *RaiseSite, v rt.Value) int32 {
 	if rs == nil {
-		panic(rt.Thrown{Val: v})
+		fr.ret = v
+		return cThrow
 	}
 	applyMoves(fr.regs, rs.Moves)
 	fr.caught = v
@@ -150,9 +158,10 @@ func (l *Loader) getFrame(numRegs int32) *cframe {
 	return &cframe{l: l, env: l.Env, regs: make([]rt.Value, numRegs)}
 }
 
-// putFrame retires a frame to the free list. Frames abandoned by a
-// panicking unwind (rt.Thrown, budget kills) are simply never returned —
-// the GC reclaims them — so a recycled frame can never be live in two
+// putFrame retires a frame to the free list. runCompiled retires its
+// frame on both exits, return and throw; only a kill (budget, interrupt)
+// panics past frames, and those are simply never returned — the GC
+// reclaims them — so a recycled frame can never be live in two
 // invocations at once.
 func (l *Loader) putFrame(fr *cframe) {
 	if len(l.cfree) < cframePoolCap {
@@ -174,10 +183,10 @@ func (l *Loader) getArgs(n int) []rt.Value {
 	return make([]rt.Value, n)
 }
 
-// putArgs retires an argument buffer once the callee has returned.
-// Natives only read argument values during the call (none retain the
-// slice), and guest frames release fr.args before being pooled, so the
-// buffer cannot be reachable from live execution state.
+// putArgs retires an argument buffer once the callee has returned or
+// thrown. Natives only read argument values during the call (none retain
+// the slice), and guest frames release fr.args before being pooled, so
+// the buffer cannot be reachable from live execution state.
 func (l *Loader) putArgs(buf []rt.Value) {
 	if len(l.afree) < cframePoolCap {
 		l.afree = append(l.afree, buf)
@@ -185,44 +194,28 @@ func (l *Loader) putArgs(buf []rt.Value) {
 }
 
 // runCompiled executes one compiled function body: call the thunk at
-// pc, go where it says, until a return thunk yields cDone.
-func (l *Loader) runCompiled(cf *CFunc, args []rt.Value) rt.Value {
+// pc, go where it says, until one yields cDone or cThrow. thrown reports
+// which; the value is the result or the exception accordingly.
+func (l *Loader) runCompiled(cf *CFunc, args []rt.Value) (v rt.Value, thrown bool) {
 	fr := l.getFrame(cf.NumRegs)
 	fr.args = args
 	code := cf.Code
-	for pc := int32(0); pc >= 0; {
+	pc := int32(0)
+	for pc >= 0 {
 		pc = code[pc](fr)
 	}
-	ret := fr.ret
+	v = fr.ret
 	l.putFrame(fr)
-	return ret
+	return v, pc == cThrow
 }
 
 // cinvoke runs a resolved callee: compiled function body or native
 // method.
-func (l *Loader) cinvoke(mr *core.MethodRef, fi int32, args []rt.Value) rt.Value {
+func (l *Loader) cinvoke(mr *core.MethodRef, fi int32, args []rt.Value) (v rt.Value, thrown bool) {
 	if fi >= 0 {
 		return l.runCompiled(l.comp.Funcs[fi], args)
 	}
 	return l.native(mr, args)
-}
-
-// ccallProtected is cinvoke under a handler: an uncaught callee
-// exception is intercepted instead of unwinding this frame.
-func (l *Loader) ccallProtected(mr *core.MethodRef, fi int32, args []rt.Value) (out rt.Value, thrown rt.Value, caught bool) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		t, ok := r.(rt.Thrown)
-		if !ok {
-			panic(r)
-		}
-		thrown, caught = t.Val, true
-	}()
-	out = l.cinvoke(mr, fi, args)
-	return out, thrown, false
 }
 
 // ---------------------------------------------------------------------
@@ -566,16 +559,10 @@ func callThunk(methods []core.MethodRef, in *PreparedInst, next int32) cthunk {
 			}
 			fi = mr.FuncIdx
 		}
-		if rs == nil {
-			out := fr.l.cinvoke(mr, fi, args)
-			fr.l.putArgs(args)
-			fr.regs[dst] = out
-			return next
-		}
-		out, thrown, caught := fr.l.ccallProtected(mr, fi, args)
+		out, thrown := fr.l.cinvoke(mr, fi, args)
 		fr.l.putArgs(args)
-		if caught {
-			return fr.craise(rs, thrown)
+		if thrown {
+			return fr.craise(rs, out)
 		}
 		fr.regs[dst] = out
 		return next
@@ -750,61 +737,61 @@ func compilePrim(p core.PrimOp, dst, a, b, next int32) cthunk {
 	case core.PDAdd:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.DoubleValue(fr.regs[a].D + fr.regs[b].D)
+			fr.regs[dst] = rt.DoubleValue(fr.regs[a].D() + fr.regs[b].D())
 			return next
 		}
 	case core.PDSub:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.DoubleValue(fr.regs[a].D - fr.regs[b].D)
+			fr.regs[dst] = rt.DoubleValue(fr.regs[a].D() - fr.regs[b].D())
 			return next
 		}
 	case core.PDMul:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.DoubleValue(fr.regs[a].D * fr.regs[b].D)
+			fr.regs[dst] = rt.DoubleValue(fr.regs[a].D() * fr.regs[b].D())
 			return next
 		}
 	case core.PDDiv:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.DoubleValue(fr.regs[a].D / fr.regs[b].D)
+			fr.regs[dst] = rt.DoubleValue(fr.regs[a].D() / fr.regs[b].D())
 			return next
 		}
 	case core.PDEq:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.BoolValue(fr.regs[a].D == fr.regs[b].D)
+			fr.regs[dst] = rt.BoolValue(fr.regs[a].D() == fr.regs[b].D())
 			return next
 		}
 	case core.PDNe:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.BoolValue(fr.regs[a].D != fr.regs[b].D)
+			fr.regs[dst] = rt.BoolValue(fr.regs[a].D() != fr.regs[b].D())
 			return next
 		}
 	case core.PDLt:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.BoolValue(fr.regs[a].D < fr.regs[b].D)
+			fr.regs[dst] = rt.BoolValue(fr.regs[a].D() < fr.regs[b].D())
 			return next
 		}
 	case core.PDLe:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.BoolValue(fr.regs[a].D <= fr.regs[b].D)
+			fr.regs[dst] = rt.BoolValue(fr.regs[a].D() <= fr.regs[b].D())
 			return next
 		}
 	case core.PDGt:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.BoolValue(fr.regs[a].D > fr.regs[b].D)
+			fr.regs[dst] = rt.BoolValue(fr.regs[a].D() > fr.regs[b].D())
 			return next
 		}
 	case core.PDGe:
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.BoolValue(fr.regs[a].D >= fr.regs[b].D)
+			fr.regs[dst] = rt.BoolValue(fr.regs[a].D() >= fr.regs[b].D())
 			return next
 		}
 

@@ -190,6 +190,82 @@ class ExcDie {
 }
 `
 
+// excNativeSrc raises from the two natives that can throw (charAt,
+// substring) with frames that have no handler between the native and
+// the catch, so the exception has to cross guest frames it did not
+// originate in: caught two frames up, passing a finally on the way,
+// rethrown through two frames, and a thrown null. An engine that
+// unwinds guest frames and natives by different mechanisms delivers
+// these to the wrong place.
+const excNativeSrc = `
+class ExcNative {
+    static int log;
+
+    static char deep(String s, int i) { return s.charAt(i); }
+    static char mid(String s, int i) { return deep(s, i); }
+
+    static String cut(String s, int a, int b) {
+        try {
+            return s.substring(a, b);
+        } finally {
+            log = log + 1;
+        }
+    }
+
+    static int rethrow(String s, int i) {
+        try {
+            return mid(s, i);
+        } catch (IndexOutOfBoundsException e) {
+            throw new Exception("again " + e.getMessage());
+        }
+    }
+    static int relay(String s, int i) { return rethrow(s, i) + 1; }
+
+    static void main() {
+        int acc = 0;
+        for (int i = 0; i < 12; i++) {
+            try {
+                acc += mid("abc", i % 5);
+            } catch (IndexOutOfBoundsException e) {
+                acc += e.getMessage().length();
+            }
+            try {
+                acc += cut("abcdef", i % 4, 9 - i).length();
+            } catch (IndexOutOfBoundsException e) {
+                acc += 100;
+            }
+            try {
+                acc += relay("xy", i % 3);
+            } catch (Exception e) {
+                acc += e.getMessage().length();
+            }
+            try {
+                Exception none = null;
+                if (i % 6 == 5) { throw none; }
+            } catch (NullPointerException e) {
+                acc += 1000;
+            }
+        }
+        System.out.println(acc);
+        System.out.println(log);
+    }
+}
+`
+
+// excNativeDieSrc dies of a native-raised exception no frame catches:
+// substring out of range, two guest frames below main.
+const excNativeDieSrc = `
+class ExcNativeDie {
+    static String cut(String s, int n) { return s.substring(1, n); }
+    static String twice(String s, int n) { return cut(s, n) + cut(s, n + 2); }
+
+    static void main() {
+        System.out.println(twice("abcdef", 3));
+        System.out.println(twice("abc", 2));
+    }
+}
+`
+
 // TestEngineParityExceptionHeavy is the satellite coverage for the
 // exception-heavy rows: both programs above run on all three engines
 // under a full budget, a step budget at half the real drain, and an
@@ -203,6 +279,8 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 	}{
 		{"ExcStorm", "ExcStorm.tj", excStormSrc, false},
 		{"ExcDie", "ExcDie.tj", excDieSrc, true},
+		{"ExcNative", "ExcNative.tj", excNativeSrc, false},
+		{"ExcNativeDie", "ExcNativeDie.tj", excNativeDieSrc, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

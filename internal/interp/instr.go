@@ -24,7 +24,7 @@ func (l *Loader) execInstr(fr *frame, in *core.Instr) {
 		case core.KInt, core.KLong, core.KChar, core.KBool:
 			setv(rt.Value{I: in.Const.I})
 		case core.KDouble:
-			setv(rt.Value{D: in.Const.D})
+			setv(rt.DoubleValue(in.Const.D))
 		case core.KString:
 			setv(rt.RefValue(&rt.Str{S: in.Const.S}))
 		case core.KNull:
@@ -155,7 +155,7 @@ func (l *Loader) execCall(fr *frame, in *core.Instr) rt.Value {
 			out = l.callFunc(l.Mod.Funcs[mr.FuncIdx], args)
 			return
 		}
-		out = l.native(mr, args)
+		out = l.nativeOrPanic(mr, args)
 	}
 	if h := fr.f.HandlerOf[in]; h != nil {
 		func() {
@@ -177,8 +177,19 @@ func (l *Loader) execCall(fr *frame, in *core.Instr) rt.Value {
 	return out
 }
 
-// native executes an imported (host-environment) method.
-func (l *Loader) native(mr *core.MethodRef, args []rt.Value) rt.Value {
+// nativeOrPanic is native for the oracle engines (reference walker,
+// prepared evaluator), which unwind a guest exception as rt.Thrown.
+func (l *Loader) nativeOrPanic(mr *core.MethodRef, args []rt.Value) rt.Value {
+	v, thrown := l.native(mr, args)
+	if thrown {
+		panic(rt.Thrown{Val: v})
+	}
+	return v
+}
+
+// native executes an imported (host-environment) method. thrown reports
+// that it raised a guest exception, which is then the value returned.
+func (l *Loader) native(mr *core.MethodRef, args []rt.Value) (v rt.Value, thrown bool) {
 	if mr.IsCtor {
 		// Imported throwable constructors: store the message.
 		if len(args) == 2 {
@@ -186,7 +197,7 @@ func (l *Loader) native(mr *core.MethodRef, args []rt.Value) rt.Value {
 				obj.Fields[0] = args[1]
 			}
 		}
-		return rt.Value{}
+		return rt.Value{}, false
 	}
 	env := l.Env
 	str := func(i int) string {
@@ -195,39 +206,39 @@ func (l *Loader) native(mr *core.MethodRef, args []rt.Value) rt.Value {
 	}
 	switch sema.BuiltinID(mr.Builtin) {
 	case sema.BStrLength:
-		return rt.IntValue(rt.StrLen(str(0)))
+		return rt.IntValue(rt.StrLen(str(0))), false
 	case sema.BStrCharAt:
 		c, ok := rt.CharAt(str(0), args[1].Int())
 		if !ok {
-			env.ThrowNew(l.exc.Bounds, fmt.Sprintf("string index %d", args[1].Int()))
+			return l.newExc(l.exc.Bounds, fmt.Sprintf("string index %d", args[1].Int())), true
 		}
-		return rt.CharValue(rune(c))
+		return rt.CharValue(rune(c)), false
 	case sema.BStrSubstring:
 		s, ok := rt.Substring(str(0), args[1].Int(), args[2].Int())
 		if !ok {
-			env.ThrowNew(l.exc.Bounds, "substring bounds")
+			return l.newExc(l.exc.Bounds, "substring bounds"), true
 		}
-		return rt.RefValue(&rt.Str{S: s})
+		return rt.RefValue(&rt.Str{S: s}), false
 	case sema.BStrEquals:
 		o, ok := rt.GetStr(args[1].R)
-		return rt.BoolValue(ok && o == str(0))
+		return rt.BoolValue(ok && o == str(0)), false
 	case sema.BStrCompareTo:
-		return rt.IntValue(rt.CompareStr(str(0), str(1)))
+		return rt.IntValue(rt.CompareStr(str(0), str(1))), false
 	case sema.BStrIndexOf:
-		return rt.IntValue(rt.IndexOfStr(str(0), str(1)))
+		return rt.IntValue(rt.IndexOfStr(str(0), str(1))), false
 	case sema.BStrHashCode:
-		return rt.IntValue(rt.StringHash(str(0)))
+		return rt.IntValue(rt.StringHash(str(0))), false
 	case sema.BObjHashCode:
-		return rt.IntValue(int32(rt.Identity(args[0].R)))
+		return rt.IntValue(int32(rt.Identity(args[0].R))), false
 	case sema.BObjEquals:
-		return rt.BoolValue(sameRef(args[0].R, args[1].R))
+		return rt.BoolValue(sameRef(args[0].R, args[1].R)), false
 	case sema.BObjToString:
-		return rt.RefValue(&rt.Str{S: rt.RefString(args[0].R)})
+		return rt.RefValue(&rt.Str{S: rt.RefString(args[0].R)}), false
 	case sema.BExcGetMessage:
 		if obj, ok := args[0].R.(*rt.Object); ok && len(obj.Fields) > 0 {
-			return obj.Fields[0]
+			return obj.Fields[0], false
 		}
-		return rt.Value{}
+		return rt.Value{}, false
 	case sema.BPrintlnString:
 		env.Println(rt.RefString(args[0].R))
 	case sema.BPrintlnInt:
@@ -258,7 +269,7 @@ func (l *Loader) native(mr *core.MethodRef, args []rt.Value) rt.Value {
 		panic(fmt.Sprintf("interp: unimplemented native method %s (builtin %d)",
 			mr.Name, mr.Builtin))
 	}
-	return rt.Value{}
+	return rt.Value{}, false
 }
 
 func sameRef(a, b rt.Ref) bool {

@@ -228,7 +228,14 @@ func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
 		}
 	}
 	if l.comp != nil {
-		return l.runCompiled(l.comp.Funcs[fi], args)
+		// The compiled engine unwinds by return; an exception that left
+		// its outermost frame joins the oracle engines' carrier here, so
+		// catchTopLevel words every engine's uncaught exception alike.
+		v, thrown := l.runCompiled(l.comp.Funcs[fi], args)
+		if thrown {
+			panic(rt.Thrown{Val: v})
+		}
+		return v
 	}
 	if l.prep != nil {
 		return l.runPrepared(l.prep.Funcs[fi], args)

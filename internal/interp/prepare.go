@@ -107,7 +107,8 @@ type Move struct{ Dst, Src int32 }
 // prepared instruction: on a raise, Moves (the handler block's phi
 // inputs for this edge) are applied in parallel and control transfers
 // to Target. A nil *RaiseSite means the exception leaves the function
-// as rt.Thrown.
+// (as rt.Thrown on the prepared evaluator, as cThrow on the compiled
+// engine).
 type RaiseSite struct {
 	Target int32
 	Moves  []Move
@@ -137,7 +138,8 @@ type RaiseSite struct {
 //	PNew         Dst ← new instance of Type
 //	PNewArray    Dst ← new array of Type, length reg A (Raise: NegSize)
 //	PCall        Dst ← call method A (func index B, or native when B<0)
-//	             with Args; Raise catches a callee rt.Thrown
+//	             with Args; Raise catches an exception the callee
+//	             let out
 //	PDispatch    like PCall but through the dispatch-table slot of
 //	             method A
 //	PCatch       Dst ← current caught exception
@@ -803,7 +805,7 @@ func (c *fcomp) instr(in *core.Instr) error {
 		case core.KInt, core.KLong, core.KChar, core.KBool:
 			c.emit(PreparedInst{Op: PConst, Dst: dst(in), Val: rt.Value{I: in.Const.I}})
 		case core.KDouble:
-			c.emit(PreparedInst{Op: PConst, Dst: dst(in), Val: rt.Value{D: in.Const.D}})
+			c.emit(PreparedInst{Op: PConst, Dst: dst(in), Val: rt.DoubleValue(in.Const.D)})
 		case core.KString:
 			c.emit(PreparedInst{Op: PConstStr, Dst: dst(in), Str: in.Const.S})
 		case core.KNull:

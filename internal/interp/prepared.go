@@ -55,7 +55,7 @@ func (l *Loader) pinvoke(mr *core.MethodRef, fi int32, args []rt.Value) rt.Value
 	if fi >= 0 {
 		return l.runPrepared(l.prep.Funcs[fi], args)
 	}
-	return l.native(mr, args)
+	return l.nativeOrPanic(mr, args)
 }
 
 // pcallProtected is pinvoke under a handler: an uncaught callee

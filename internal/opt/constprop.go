@@ -124,7 +124,11 @@ func foldPrim(f *core.Func, in *core.Instr) (core.ConstVal, bool) {
 		if d == nil || d.Op != core.OpConst {
 			return core.ConstVal{}, false
 		}
-		args[i] = rt.Value{I: d.Const.I, D: d.Const.D}
+		if d.Const.Kind == core.KDouble {
+			args[i] = rt.DoubleValue(d.Const.D)
+		} else {
+			args[i] = rt.Value{I: d.Const.I}
+		}
 	}
 	v := rt.EvalPure(in.Prim, args[0], args[1])
 	switch in.Prim.Sig().Result {
@@ -133,7 +137,7 @@ func foldPrim(f *core.Func, in *core.Instr) (core.ConstVal, bool) {
 	case core.PlLong:
 		return core.ConstVal{Kind: core.KLong, I: v.I}, true
 	case core.PlDouble:
-		return core.ConstVal{Kind: core.KDouble, D: v.D}, true
+		return core.ConstVal{Kind: core.KDouble, D: v.D()}, true
 	case core.PlBool:
 		return core.ConstVal{Kind: core.KBool, I: v.I}, true
 	case core.PlChar:

@@ -44,6 +44,7 @@ var (
 		names: []string{
 			"dispatch_chain", "exception_edges_in_calls", "phi_swap_branches",
 			"string_fallback_tail", "compiled_step_kill", "compiled_alloc_kill",
+			"native_throw_across_frames",
 		},
 		sources:   compiledSeedSources,
 		generated: []string{"c0", "c1"},
@@ -155,7 +156,9 @@ class Main {
 // call, parallel-move swaps on branch thunks, the evalPrim fallback
 // tail (string building), and programs that die on the step or
 // allocation budget mid-loop so the three engines' kill points must
-// coincide exactly.
+// coincide exactly, and exceptions raised by a native (charAt,
+// substring) that cross handler-less guest frames, a finally, a rethrow
+// and a thrown null before something — or nothing — catches them.
 var compiledSeedSources = map[string]string{
 	"dispatch_chain": `
 class A {
@@ -247,6 +250,56 @@ class Main {
             if (i > 1000000000) { i = 0; }
         }
         System.out.println(s);
+    }
+}`,
+	"native_throw_across_frames": `
+class Main {
+    static int log;
+    static char deep(String s, int i) { return s.charAt(i); }
+    static char mid(String s, int i) { return deep(s, i); }
+    static String cut(String s, int a, int b) {
+        try {
+            return s.substring(a, b);
+        } finally {
+            log = log + 1;
+        }
+    }
+    static int rethrow(String s, int i) {
+        try {
+            return mid(s, i);
+        } catch (IndexOutOfBoundsException e) {
+            throw new Exception("again " + e.getMessage());
+        }
+    }
+    static int relay(String s, int i) { return rethrow(s, i) + 1; }
+    static void main() {
+        int acc = 0;
+        for (int i = 0; i < 7; i++) {
+            try {
+                acc += mid("abc", i % 5);
+            } catch (IndexOutOfBoundsException e) {
+                acc += e.getMessage().length();
+            }
+            try {
+                acc += cut("abcdef", i % 4, 8 - i).length();
+            } catch (IndexOutOfBoundsException e) {
+                acc += 100;
+            }
+            try {
+                acc += relay("xy", i % 3);
+            } catch (Exception e) {
+                acc += e.getMessage().length();
+            }
+            try {
+                Exception none = null;
+                if (i % 3 == 2) { throw none; }
+            } catch (NullPointerException e) {
+                acc += 1000;
+            }
+        }
+        System.out.println(acc);
+        System.out.println(log);
+        System.out.println(mid("abc", 7));
     }
 }`,
 	"compiled_alloc_kill": `

@@ -39,7 +39,7 @@ func (c *Cloner) Value(v Value) Value {
 	if v.R == nil {
 		return v
 	}
-	return Value{I: v.I, D: v.D, R: c.ref(v.R)}
+	return Value{I: v.I, R: c.ref(v.R)}
 }
 
 func (c *Cloner) class(ci *ClassInfo) *ClassInfo {

@@ -132,55 +132,55 @@ func EvalPure(p core.PrimOp, a, b Value) Value {
 		return DoubleValue(float64(a.I))
 
 	case core.PDAdd:
-		return DoubleValue(a.D + b.D)
+		return DoubleValue(a.D() + b.D())
 	case core.PDSub:
-		return DoubleValue(a.D - b.D)
+		return DoubleValue(a.D() - b.D())
 	case core.PDMul:
-		return DoubleValue(a.D * b.D)
+		return DoubleValue(a.D() * b.D())
 	case core.PDDiv:
-		return DoubleValue(a.D / b.D)
+		return DoubleValue(a.D() / b.D())
 	case core.PDRem:
-		return DoubleValue(DRem(a.D, b.D))
+		return DoubleValue(DRem(a.D(), b.D()))
 	case core.PDNeg:
-		return DoubleValue(-a.D)
+		return DoubleValue(-a.D())
 	case core.PDEq:
-		return BoolValue(a.D == b.D)
+		return BoolValue(a.D() == b.D())
 	case core.PDNe:
-		return BoolValue(a.D != b.D)
+		return BoolValue(a.D() != b.D())
 	case core.PDLt:
-		return BoolValue(a.D < b.D)
+		return BoolValue(a.D() < b.D())
 	case core.PDLe:
-		return BoolValue(a.D <= b.D)
+		return BoolValue(a.D() <= b.D())
 	case core.PDGt:
-		return BoolValue(a.D > b.D)
+		return BoolValue(a.D() > b.D())
 	case core.PDGe:
-		return BoolValue(a.D >= b.D)
+		return BoolValue(a.D() >= b.D())
 	case core.PDAbs:
-		return DoubleValue(math.Abs(a.D))
+		return DoubleValue(math.Abs(a.D()))
 	case core.PDMin:
-		return DoubleValue(math.Min(a.D, b.D))
+		return DoubleValue(math.Min(a.D(), b.D()))
 	case core.PDMax:
-		return DoubleValue(math.Max(a.D, b.D))
+		return DoubleValue(math.Max(a.D(), b.D()))
 	case core.PDSqrt:
-		return DoubleValue(math.Sqrt(a.D))
+		return DoubleValue(math.Sqrt(a.D()))
 	case core.PDPow:
-		return DoubleValue(math.Pow(a.D, b.D))
+		return DoubleValue(math.Pow(a.D(), b.D()))
 	case core.PDFloor:
-		return DoubleValue(math.Floor(a.D))
+		return DoubleValue(math.Floor(a.D()))
 	case core.PDCeil:
-		return DoubleValue(math.Ceil(a.D))
+		return DoubleValue(math.Ceil(a.D()))
 	case core.PDLog:
-		return DoubleValue(math.Log(a.D))
+		return DoubleValue(math.Log(a.D()))
 	case core.PDExp:
-		return DoubleValue(math.Exp(a.D))
+		return DoubleValue(math.Exp(a.D()))
 	case core.PDSin:
-		return DoubleValue(math.Sin(a.D))
+		return DoubleValue(math.Sin(a.D()))
 	case core.PDCos:
-		return DoubleValue(math.Cos(a.D))
+		return DoubleValue(math.Cos(a.D()))
 	case core.PD2I:
-		return IntValue(D2I(a.D))
+		return IntValue(D2I(a.D()))
 	case core.PD2L:
-		return LongValue(D2L(a.D))
+		return LongValue(D2L(a.D()))
 
 	case core.PBNot:
 		return BoolValue(a.I == 0)

@@ -16,13 +16,18 @@ import (
 	"unicode/utf8"
 )
 
-// Value is a runtime value: exactly one of the payload fields is
-// meaningful, as dictated by the statically known type at each use site.
-// Integral types (int, long, char, boolean) live in I, double in D,
-// references in R (nil R = Java null).
+// Value is a runtime value: one scalar word and one reference, 24 bytes.
+// No field says which scalar the word holds and none needs to: SafeTSA's
+// type separation fixes the plane of every operand from its opcode and
+// static type, so the instruction reading a Value already knows whether
+// I is an integral (int, long, char, boolean), the IEEE-754 bits of a
+// double (read through D, written through DoubleValue), or unused
+// beside a reference in R (nil R = Java null). Every register, guest
+// field, array element and snapshot slot is one Value, so its size is on
+// the engine's hot path: TestValueSize pins it, and a change that adds a
+// field brings a run_hot_compute number with it.
 type Value struct {
 	I int64
-	D float64
 	R Ref
 }
 
@@ -54,7 +59,7 @@ func (*Str) refTag()    {}
 // convenience constructors.
 func IntValue(v int32) Value      { return Value{I: int64(v)} }
 func LongValue(v int64) Value     { return Value{I: v} }
-func DoubleValue(v float64) Value { return Value{D: v} }
+func DoubleValue(v float64) Value { return Value{I: int64(math.Float64bits(v))} }
 func BoolValue(b bool) Value {
 	if b {
 		return Value{I: 1}
@@ -69,6 +74,9 @@ func (v Value) Bool() bool { return v.I != 0 }
 
 // Int reads an int payload with Java's 32-bit wrapping.
 func (v Value) Int() int32 { return int32(v.I) }
+
+// D reads a double payload: the scalar word reinterpreted, bit for bit.
+func (v Value) D() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // ClassInfo is the consumer-independent runtime metadata of a class.
 type ClassInfo struct {
@@ -95,6 +103,11 @@ func (c *ClassInfo) IsSubclassOf(d *ClassInfo) bool {
 }
 
 // Thrown carries a TJ exception through the Go stack via panic/recover.
+// It is how an uncaught exception reaches a consumer's top-level
+// boundary, and how the oracle engines (package interp's reference walker
+// and prepared evaluator, package bytecode) unwind between frames; the
+// served compiled engine unwinds by return and panics a Thrown only once,
+// at Loader.call, for an exception nothing caught.
 type Thrown struct{ Val Value }
 
 // Env is the execution environment shared by the interpreters. An Env
@@ -350,7 +363,7 @@ func StringOf(v Value, kind byte) string {
 	case 'l':
 		return strconv.FormatInt(v.I, 10)
 	case 'd':
-		return FormatDouble(v.D)
+		return FormatDouble(v.D())
 	case 'z':
 		if v.I != 0 {
 			return "true"

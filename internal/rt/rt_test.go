@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestJavaDivisionEdges(t *testing.T) {
@@ -305,5 +306,15 @@ func TestDRem(t *testing.T) {
 	}
 	if !math.IsNaN(DRem(1, 0)) {
 		t.Error("x % 0.0 must be NaN")
+	}
+}
+
+// TestValueSize pins the engine's unit of storage: one scalar word plus
+// one two-word reference. Every register, field, array element and
+// snapshot slot is a Value, so a fourth word is a quarter more memory
+// traffic on run_hot_compute.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(rt.Value{}) = %d, want 24", got)
 	}
 }
