@@ -17,8 +17,10 @@
 //	GET  /unit/{hash}   download the encoded distribution unit
 //	POST /run/{hash}    {"max_steps": 1000000, "max_allocs": 1048576,
 //	                     "tenant": "acme"}
-//	POST /run-stream    raw wire unit in the body; decoded, verified, and
-//	                    executed function-by-function as bytes arrive
+//	POST /run-stream    raw wire unit in the body; the guest starts once the
+//	                    tables are in and each function is decoded and
+//	                    verified when first called, the session reading
+//	                    the body as far as it needs
 //	                    (?max_steps=N&max_allocs=N)
 //	GET  /stats         cache and latency metrics (JSON)
 //	GET  /metrics       Prometheus text format (per-stage latency histograms)

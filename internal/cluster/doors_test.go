@@ -292,6 +292,18 @@ var mangles = []struct {
 	{"appended garbage", func(t *testing.T, good []byte) [][]byte {
 		return [][]byte{append(bytes.Clone(good), "\x00garbage"...)}
 	}},
+	// Not a copy of good at all: an empty module head (wire v1) whose last
+	// table entry declares 1<<22 functions, and then nothing — the "functions"
+	// row of wire's TestDeclaredCountsAllocateNothing. The tables are
+	// admitted, so the stream door's session begins before the refusal.
+	{"declared function count", func(t *testing.T, _ []byte) [][]byte {
+		bad := []byte("STSA\x00\x00\x00\x82\x10\x84 @")
+		su, err := wire.DecodeVerifiedStream(bytes.NewReader(bad), wire.DecodeOptions{})
+		if err != nil || su.NumFuncs() != 1<<22 || su.Wait() == nil {
+			t.Fatalf("the literal is no longer a head declaring 1<<22 functions and no body (open: %v)", err)
+		}
+		return [][]byte{bad}
+	}},
 }
 
 // TestNothingRejectedIsCachedThroughAnyDoor is north-star 3 as one table:

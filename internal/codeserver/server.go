@@ -446,11 +446,13 @@ const MaxUnitBytes = 64 << 20
 // RunUnitStream executes a distribution unit delivered as raw wire
 // bytes, starting the guest before the final byte arrives: the symbol
 // tables are decoded and statically verified up front, each function is
-// admitted by the plane-counter verifier the moment it streams in, and
-// execution proceeds exactly as far as admitted code exists
-// (wire.DecodeVerifiedStream + interp.LoadTrustedStreaming). The
-// session runs on the reference walker, the only evaluator that can
-// execute a module whose function list is still filling in. Any failure
+// decoded and admitted by the plane-counter verifier when the guest
+// first calls it — on the session's own goroutine, which reads the body
+// exactly as far as it has called — and execution proceeds exactly as
+// far as admitted code exists (wire.DecodeVerifiedStream +
+// interp.LoadTrustedStreaming). The session runs on the reference
+// walker, the only evaluator that can execute a module whose function
+// list is still growing. Any failure
 // anywhere in the stream — truncation, a function the verifier rejects,
 // trailing garbage — rejects the whole unit: the response is a verify
 // error and nothing is cached in either the store or the loader tier.
@@ -478,8 +480,8 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 		if l, runErr = interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, sess.begin()); runErr == nil {
 			runErr = l.RunMain()
 		}
-		// The guest may finish before the tail of the stream arrives;
-		// admissibility of the whole unit is decided only by Wait.
+		// The guest has pulled only the functions it called; Wait reads and
+		// admits the rest, and alone decides admissibility of the whole unit.
 		return su.Wait()
 	})
 	if err != nil {

@@ -123,12 +123,13 @@ func TestHTTPRunStreamPartialDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := su.Wait(); err != nil {
-		t.Fatal(err)
-	}
 
 	cuts := map[int64]bool{0: true, 1: true, 5: true}
-	for _, b := range su.Boundaries() {
+	for j := 0; j < su.NumFuncs(); j++ {
+		if err := su.WaitFunc(j); err != nil {
+			t.Fatal(err)
+		}
+		b := su.Offset() // just past function j
 		for _, c := range []int64{b - 1, b, b + 1} {
 			if c >= 0 && c < int64(len(data)) {
 				cuts[c] = true

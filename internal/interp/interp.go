@@ -34,9 +34,10 @@ type Loader struct {
 	cfree []*cframe
 	afree [][]rt.Value
 	// gate, when non-nil, marks a streaming session: before any
-	// function index is executed, gate blocks until that function has
-	// been admitted by the streaming decoder (or returns the stream's
-	// error, aborting the run). See LoadTrustedStreaming.
+	// function index is executed — or looked up in Mod.Funcs, which
+	// holds only what has been admitted — gate has the streaming decoder
+	// admit that function (or returns the stream's error, aborting the
+	// run). See LoadTrustedStreaming.
 	gate func(fi int) error
 }
 
@@ -69,9 +70,10 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // LoadTrustedStreaming prepares a module whose function bodies are
 // still arriving (wire.DecodeVerifiedStream). The symbol tables must be
 // complete and statically verified — the streaming decoder guarantees
-// both — while Mod.Funcs fills in behind the session's back. gate(i)
-// must block until function i is admitted, returning nil, or return the
-// stream's terminal error; every function invocation passes through it,
+// both — while Mod.Funcs grows under the session's own calls: gate(i)
+// returns nil once function i is admitted and stands in Mod.Funcs,
+// decoding up to it on this goroutine if it must, or returns the
+// stream's terminal error. Every function invocation passes through it,
 // so execution proceeds exactly as far as verified code exists and a
 // mid-stream failure aborts the run with the stream's error. The
 // session runs on the reference CST engine: the prepared and compiled
@@ -283,8 +285,8 @@ func (l *Loader) RunMain() error {
 		return fmt.Errorf("interp: module has no main method")
 	}
 	if l.gate != nil {
-		// Streaming: the entry slot may not be published yet — wait for
-		// its admission before inspecting the body.
+		// Streaming: the entry body may not be in Mod.Funcs yet — have it
+		// admitted before inspecting it.
 		if fi := l.Mod.Methods[l.Mod.Entry].FuncIdx; fi >= 0 {
 			if err := l.gate(int(fi)); err != nil {
 				return err

@@ -21,14 +21,15 @@ import (
 func scheduleCuts(t *testing.T, data []byte, o wire.DecodeOptions) []int {
 	t.Helper()
 	su, err := wire.DecodeVerifiedStream(bytes.NewReader(data), o)
-	if err == nil {
-		err = su.Wait()
-	}
 	if err != nil {
 		t.Fatalf("clean stream rejected: %v", err)
 	}
 	cuts := []int{0, 1, 3}
-	for _, b := range su.Boundaries() {
+	for j := 0; j < su.NumFuncs(); j++ {
+		if err := su.WaitFunc(j); err != nil {
+			t.Fatalf("clean stream rejected: %v", err)
+		}
+		b := su.Offset() // just past function j
 		for _, c := range []int64{b, b + 1} {
 			if c > 3 && c < int64(len(data)) {
 				cuts = append(cuts, int(c))

@@ -37,15 +37,16 @@ func CheckCanonicalWireV2(mod *core.Module, dict *wire.Dictionary) error {
 	return nil
 }
 
-// CheckStreamingWire holds the two schedules of admission to each other
-// over arbitrary bytes. One-shot (wire.DecodeVerified) and streaming
-// (wire.DecodeVerifiedStream) run the same rule in the same order, so
-// they must agree on the verdict and, on rejection, on the reason — the
-// same error text for the first rejected function — and every rejection
-// is a wire.ErrMalformed or a wire.ErrUnsupportedVersion. A rejected
-// stream must have published exactly the functions before the rejected
-// one: WaitFunc answers nil for those, each of which the rule admits
-// when asked again, and the stream's error from there on. On acceptance
+// CheckStreamingWire holds the two ways of driving the one admission
+// cursor to each other over arbitrary bytes. One-shot
+// (wire.DecodeVerified) drains it in one call and streaming
+// (wire.DecodeVerifiedStream) as far as it is asked, so they must agree
+// on the verdict and, on rejection, on the reason — the same error text
+// for the first rejected function — and every rejection is a
+// wire.ErrMalformed or a wire.ErrUnsupportedVersion. A rejected stream
+// must hold exactly the functions before the rejected one: WaitFunc
+// answers nil for those, each of which the rule admits when asked again,
+// and the stream's error from there on. On acceptance
 // the streamed module must be structurally identical to the fully
 // decoded one, pass Module.Verify (the same rule, run all at once), and
 // execute under the budgets without crashing the host.
@@ -96,13 +97,14 @@ func checkRejectedPrefix(su *wire.StreamingUnit) error {
 	if err != nil {
 		return fmt.Errorf("oracle: stream started on tables the static check rejects: %w", err)
 	}
+	// Wait has failed, so the cursor is latched: Ready cannot move again.
 	ready, n := su.Ready(), su.NumFuncs()
 	for j := 0; j < ready; j++ {
 		if err := su.WaitFunc(j); err != nil {
 			return fmt.Errorf("oracle: admitted function %d is no longer available: %v", j, err)
 		}
 		if err := adm.Admit(j, su.Mod.Funcs[j], core.VerifyOptions{}); err != nil {
-			return fmt.Errorf("oracle: stream published a function the rule rejects: %w", err)
+			return fmt.Errorf("oracle: stream admitted a function the rule rejects: %w", err)
 		}
 	}
 	// The rejected function and the last one (a hostile header may

@@ -10,11 +10,11 @@ import (
 )
 
 // declaring returns, per wire version, a stream whose module head is
-// empty but for announcing one function, followed by whatever body
-// writes and then nothing: the body's last act is to declare a count it
+// empty but for announcing funcs functions, followed by whatever body
+// writes and then nothing: the stream's last act is to declare a count it
 // does not honour.
-func declaring(body func(w symWriter)) map[string][]byte {
-	head := &core.Module{Types: core.NewTypeTable(), Entry: -1, Funcs: make([]*core.Func, 1)}
+func declaring(funcs int, body func(w symWriter)) map[string][]byte {
+	head := &core.Module{Types: core.NewTypeTable(), Entry: -1, Funcs: make([]*core.Func, funcs)}
 
 	bw := &bitWriter{}
 	for _, b := range magic {
@@ -33,8 +33,8 @@ func declaring(body func(w symWriter)) map[string][]byte {
 }
 
 // TestDeclaredCountsAllocateNothing: a few bytes that announce 1<<22
-// instructions, phis, CST children or parameters and then stop must cost
-// the consumer next to nothing — no slab, arena or presize takes its
+// functions, instructions, phis, CST children or parameters and then stop
+// must cost the consumer next to nothing — no slab, arena or presize takes its
 // size from a count the stream only declares (4 M instructions would be
 // a 450 MiB chunk).
 func TestDeclaredCountsAllocateNothing(t *testing.T) {
@@ -53,6 +53,8 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 		w.setProd(prodCST)
 	}
 	cases := map[string]func(w symWriter){
+		// The table section's own last count: no body follows at all.
+		"functions":  func(symWriter) {},
 		"parameters": func(w symWriter) { sig(w, declared) },
 		"CST children": func(w symWriter) {
 			sig(w, 0)
@@ -101,7 +103,11 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 		},
 	}
 	for what, body := range cases {
-		for version, data := range declaring(body) {
+		funcs := 1
+		if what == "functions" {
+			funcs = declared
+		}
+		for version, data := range declaring(funcs, body) {
 			for entry, decode := range entries {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

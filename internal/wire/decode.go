@@ -65,29 +65,18 @@ func DecodeVerifiedOpts(data []byte, o DecodeOptions) (*core.Module, error) {
 	return decodeUnit(data, o, false, true)
 }
 
-func decodeUnit(data []byte, o DecodeOptions, v1Only, verify bool) (m *core.Module, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Structural panics during decoding indicate a malformed
-			// stream, never a crash we want to propagate.
-			m, err = nil, malformedf("invalid structure: %v", r)
-		}
-	}()
-	r, err := newStreamReader(bytes.NewReader(data), o, v1Only)
+// decodeUnit is the cursor drained to the end in one call: the same
+// open, the same pull, the same closing check a stream's consumer spreads
+// over a session.
+func decodeUnit(data []byte, o DecodeOptions, v1Only, verify bool) (*core.Module, error) {
+	su, err := openUnit(bytes.NewReader(data), o, v1Only, verify)
 	if err != nil {
 		return nil, err
 	}
-	d, err := decodeHead(r)
-	if err != nil {
+	if err := su.Wait(); err != nil {
 		return nil, err
 	}
-	err = d.admitFuncs(verify, func(_ int, f *core.Func) {
-		d.m.Funcs = append(d.m.Funcs, f)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d.m, nil
+	return su.Mod, nil
 }
 
 // newStreamReader parses the container header from an incremental byte
@@ -157,46 +146,16 @@ func newStreamReader(src io.ByteReader, o DecodeOptions, v1Only bool) (symReader
 // admission over them, before any function body is decoded: the residual
 // cross-table checks that context-restricted alphabets cannot express
 // structurally (the paper's "trivial counter comparisons").
-func decodeHead(r symReader) (*decoder, error) {
-	d := &decoder{r: r, m: &core.Module{Types: core.NewTypeTable()}, sitePos: make(map[*core.Instr]int)}
+func (d *decoder) decodeHead(r symReader) error {
+	d.r, d.m, d.sitePos = r, &core.Module{Types: core.NewTypeTable()}, make(map[*core.Instr]int)
 	var err error
 	if d.nFuncs, err = d.decodeTables(); err != nil {
-		return nil, err
+		return err
 	}
 	if d.adm, err = d.m.VerifyTables(d.nFuncs); err != nil {
-		return nil, malformedf("inconsistent tables: %v", err)
+		return malformedf("inconsistent tables: %v", err)
 	}
-	return d, nil
-}
-
-// admitFuncs is the one loop over function bodies, shared by every
-// decoder entry point: decode function j, admit it — the link rule only
-// for the non-verifying DecodeModule, link plus body verification for
-// DecodeVerified and the stream — and hand it to publish; then require
-// the stream to end. Nothing is published that admission rejected, and a
-// module whose functions were all published is one Module.Verify
-// accepts (given verify), because Verify is this loop without the
-// decoding.
-func (d *decoder) admitFuncs(verify bool, publish func(int, *core.Func)) error {
-	for j := 0; j < d.nFuncs; j++ {
-		f, err := d.decodeFunc()
-		if err != nil {
-			return fmt.Errorf("function %d: %w", j, err)
-		}
-		if verify {
-			err = d.adm.Admit(j, f, core.VerifyOptions{})
-		} else {
-			err = d.adm.Link(j, f)
-		}
-		if err != nil {
-			return malformedf("%v", err)
-		}
-		publish(j, f)
-	}
-	// A distribution unit has exactly one spelling: anything after the
-	// final production — trailing bytes, nonzero padding, or a payload
-	// length that disagrees with the coder — is rejected.
-	return d.r.end()
+	return nil
 }
 
 type decoder struct {

@@ -1,183 +1,187 @@
 package wire
 
 import (
+	"fmt"
 	"io"
-	"sync"
 
 	"safetsa/internal/core"
 )
 
-// StreamingUnit is a distribution unit being decoded and verified
-// incrementally behind an io.Reader: the second schedule of the one
-// admission rule. The symbol tables are complete and statically verified
-// (core.Module.VerifyTables) before the constructor returns; function
-// bodies then pass through the same decode-admit loop DecodeVerified
-// runs, on a goroutine, each published the moment core.Admission.Admit
-// accepts it. A consumer may begin executing any admitted function —
-// WaitFunc provides the gate — while later functions are still in
-// flight. Any failure, at any point, poisons the whole unit: WaitFunc
-// and Wait report the error, and nothing may be cached unless Wait
-// returns nil.
+// StreamingUnit is a distribution unit being decoded and admitted
+// incrementally behind an io.Reader: a cursor over the one decode-admit
+// step, advanced by whoever needs the next function. The symbol tables
+// are complete and statically verified (core.Module.VerifyTables) before
+// the constructor returns; after that nothing is read until the consumer
+// asks. WaitFunc(i) decodes and admits forward, on the caller's
+// goroutine, until function i has been appended to Mod.Funcs — so a
+// session may begin executing before the last byte has arrived, and reads
+// the next bytes itself when it calls a body that has not. Any failure,
+// at any point, latches and poisons the whole unit: WaitFunc and Wait
+// report it, and nothing may be cached unless Wait returns nil.
+//
+// A StreamingUnit is owned by one goroutine, like the interp.Loader that
+// pulls it; nothing in this package starts another.
 //
 // Soundness (DESIGN.md §11): the admitted prefix is exactly as
 // trustworthy as a fully decoded unit because (a) the tables are
 // immutable and statically verified up front, and (b) Admit for
 // function j depends only on those tables and on body j — so running it
-// when j arrives or after everything has arrived is the same
+// when j is first called or after everything has arrived is the same
 // computation, and Module.Verify is by definition that rule for every j.
 type StreamingUnit struct {
 	// Mod has complete, verified tables from construction time. Funcs
-	// is pre-sized; slot i is published only after function i is
-	// admitted (synchronized through WaitFunc).
+	// grows by append, one admitted function at a time: it never holds a
+	// slot admission has not passed, and len(Mod.Funcs) is Ready().
 	Mod *core.Module
 
-	nFuncs    int
-	entryNeed int // highest func index needed to begin main, -1 if none
+	d      decoder     // in place: a unit is opened with one allocation
+	src    *byteSource // nil under decodeUnit, which reads memory and asks no Offset
+	verify bool        // Admit each body; false is DecodeModule's link-only rule
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	ready      int
-	done       bool
-	err        error
-	boundaries []int64
+	ended bool // every function admitted and the stream closed cleanly
+	err   error
 }
 
 // DecodeVerifiedStream begins a streaming decode. It consumes the
-// header and symbol tables synchronously (failing fast on anything a
-// non-streaming decode would reject about them) and decodes the
-// function bodies on a background goroutine. The returned unit's Wait
-// must return nil before the unit is treated as fully admitted.
-func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (su *StreamingUnit, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			su, err = nil, malformedf("invalid structure: %v", p)
-		}
-	}()
+// header and symbol tables (failing fast on anything a non-streaming
+// decode would reject about them) and stops there: function bodies are
+// decoded as WaitFunc, WaitEntry and Wait ask for them. The returned
+// unit's Wait must return nil before the unit is treated as fully
+// admitted.
+func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (*StreamingUnit, error) {
 	src := &byteSource{r: r}
-	sr, err := newStreamReader(src, o, false)
+	su, err := openUnit(src, o, false, true)
 	if err != nil {
 		return nil, err
 	}
-	d, err := decodeHead(sr)
-	if err != nil {
-		return nil, err
-	}
-
-	su = &StreamingUnit{Mod: d.m, nFuncs: d.nFuncs, entryNeed: -1}
-	su.cond = sync.NewCond(&su.mu)
-	// VerifyTables has put every index below in range.
-	for _, si := range d.m.StaticInit {
-		su.entryNeed = max(su.entryNeed, int(si))
-	}
-	if d.m.Entry >= 0 {
-		su.entryNeed = max(su.entryNeed, int(d.m.Methods[d.m.Entry].FuncIdx))
-	}
-
-	d.m.Funcs = make([]*core.Func, d.nFuncs)
-	go su.run(d, src)
+	su.src = src
 	return su, nil
 }
 
-// run is the background schedule of admitFuncs: each admitted function
-// is published to waiters before the next is decoded.
-func (su *StreamingUnit) run(d *decoder, src *byteSource) {
-	err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = malformedf("invalid structure: %v", p)
-			}
-		}()
-		return d.admitFuncs(true, func(j int, f *core.Func) {
-			su.mu.Lock()
-			su.Mod.Funcs[j] = f
-			su.ready = j + 1
-			su.boundaries = append(su.boundaries, src.off)
-			su.cond.Broadcast()
-			su.mu.Unlock()
-		})
+// openUnit reads the container header and the symbol tables and returns
+// the cursor standing before function 0.
+func openUnit(src io.ByteReader, o DecodeOptions, v1Only, verify bool) (*StreamingUnit, error) {
+	su := &StreamingUnit{verify: verify}
+	su.advance(func() error {
+		r, err := newStreamReader(src, o, v1Only)
+		if err != nil {
+			return err
+		}
+		err = su.d.decodeHead(r)
+		su.Mod = su.d.m
+		return err
+	})
+	if su.err != nil {
+		return nil, su.err
+	}
+	return su, nil
+}
+
+// advance runs one piece of the decode under the cursor's two rules: a
+// failure latches, and a structural panic while decoding is a malformed
+// stream, never a crash to propagate. It holds the package's only
+// recover.
+func (su *StreamingUnit) advance(step func() error) {
+	if su.err != nil {
+		return
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			su.err = malformedf("invalid structure: %v", p)
+		}
 	}()
-	su.mu.Lock()
-	su.done = true
-	su.err = err
-	su.cond.Broadcast()
-	su.mu.Unlock()
+	su.err = step()
+}
+
+// pull is the one loop over function bodies, behind every decoder entry
+// point: decode function j, admit it — the link rule only for the
+// non-verifying DecodeModule, link plus body verification for
+// DecodeVerified and the stream — and append it to Mod.Funcs, until n
+// functions stand there. Nothing is appended that admission rejected, and
+// a module whose functions were all appended is one Module.Verify accepts
+// (given verify), because Verify is this loop without the decoding.
+func (su *StreamingUnit) pull(n int) error {
+	d := &su.d
+	for j := len(d.m.Funcs); j < n; j++ {
+		f, err := d.decodeFunc()
+		if err != nil {
+			return fmt.Errorf("function %d: %w", j, err)
+		}
+		if su.verify {
+			err = d.adm.Admit(j, f, core.VerifyOptions{})
+		} else {
+			err = d.adm.Link(j, f)
+		}
+		if err != nil {
+			return malformedf("%v", err)
+		}
+		d.m.Funcs = append(d.m.Funcs, f)
+	}
+	return nil
 }
 
 // NumFuncs reports the declared function count.
-func (su *StreamingUnit) NumFuncs() int { return su.nFuncs }
+func (su *StreamingUnit) NumFuncs() int { return su.d.nFuncs }
 
-// Ready reports how many functions (a prefix) are currently admitted.
-func (su *StreamingUnit) Ready() int {
-	su.mu.Lock()
-	defer su.mu.Unlock()
-	return su.ready
-}
+// Ready reports how many functions (a prefix) are admitted so far.
+func (su *StreamingUnit) Ready() int { return len(su.Mod.Funcs) }
 
-// WaitFunc blocks until function i has been admitted, returning nil,
-// or until the stream has failed, returning its error. This is the
-// execution gate: after a nil return, Mod.Funcs[i] is published and
-// fully verified.
+// Offset reports how many bytes of the stream the decoder has consumed.
+// After a nil WaitFunc(j) that had to pull, it is the offset just past
+// function j — the cut points of the partial-delivery tests.
+func (su *StreamingUnit) Offset() int64 { return su.src.off }
+
+// WaitFunc returns nil once function i is admitted, decoding and
+// admitting every function up to it that has not been yet, or the
+// stream's error if one of those fails. This is the execution gate:
+// after a nil return, Mod.Funcs[i] exists and is fully verified.
 func (su *StreamingUnit) WaitFunc(i int) error {
-	if i < 0 || i >= su.nFuncs {
+	if i < 0 || i >= su.d.nFuncs {
 		return malformedf("function index %d out of range", i)
 	}
-	su.mu.Lock()
-	defer su.mu.Unlock()
-	for su.ready <= i && !su.done {
-		su.cond.Wait()
-	}
-	if su.ready > i {
+	if i < len(su.Mod.Funcs) {
 		return nil
 	}
-	return su.streamErr()
+	su.advance(func() error { return su.pull(i + 1) })
+	return su.err
 }
 
-// WaitEntry blocks until every function needed to begin main — the
-// static initializers and the entry method's body — has been admitted.
+// WaitEntry admits every function needed to begin main — the static
+// initializers and the entry method's body.
 func (su *StreamingUnit) WaitEntry() error {
-	if su.entryNeed < 0 {
+	// VerifyTables has put every index below in range.
+	need := -1
+	for _, si := range su.Mod.StaticInit {
+		need = max(need, int(si))
+	}
+	if e := su.Mod.Entry; e >= 0 {
+		need = max(need, int(su.Mod.Methods[e].FuncIdx))
+	}
+	if need < 0 {
 		return nil
 	}
-	return su.WaitFunc(su.entryNeed)
+	return su.WaitFunc(need)
 }
 
-// Wait blocks until the entire unit is decoded, verified, and ended
-// cleanly. Only a nil return makes the unit cacheable; any mid-stream
-// failure surfaces here even if execution of the admitted prefix
-// already completed.
+// Wait admits whatever remains of the unit and requires the stream to
+// end cleanly. Only a nil return makes the unit cacheable; any
+// mid-stream failure surfaces here even if execution of the admitted
+// prefix already completed.
 func (su *StreamingUnit) Wait() error {
-	su.mu.Lock()
-	defer su.mu.Unlock()
-	for !su.done {
-		su.cond.Wait()
-	}
-	return su.err
-}
-
-// Err reports the stream's terminal error without blocking (nil while
-// in flight or on success).
-func (su *StreamingUnit) Err() error {
-	su.mu.Lock()
-	defer su.mu.Unlock()
-	if !su.done {
+	if su.ended {
 		return nil
 	}
+	su.advance(func() error {
+		if err := su.pull(su.d.nFuncs); err != nil {
+			return err
+		}
+		// A distribution unit has exactly one spelling: anything after
+		// the final production — trailing bytes, nonzero padding, or a
+		// payload length that disagrees with the coder — is rejected.
+		return su.d.r.end()
+	})
+	su.ended = su.err == nil
 	return su.err
-}
-
-func (su *StreamingUnit) streamErr() error {
-	if su.err != nil {
-		return su.err
-	}
-	return malformedf("stream ended before the requested function")
-}
-
-// Boundaries returns the byte offset just past each function, valid
-// after Wait returns nil — the cut points for partial-delivery tests.
-func (su *StreamingUnit) Boundaries() []int64 {
-	su.mu.Lock()
-	defer su.mu.Unlock()
-	return append([]int64(nil), su.boundaries...)
 }
 
 // byteSource adapts an io.Reader to io.ByteReader with a small buffer

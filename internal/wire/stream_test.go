@@ -3,7 +3,6 @@ package wire_test
 import (
 	"bytes"
 	"io"
-	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -28,9 +27,31 @@ func decodeStreamAll(data []byte) (*wire.StreamingUnit, error) {
 	return su, nil
 }
 
+// boundaries pulls a clean stream one function at a time and returns the
+// byte offset just past each: the cut points of the partial-delivery
+// tests.
+func boundaries(t *testing.T, data []byte) []int64 {
+	t.Helper()
+	su, err := wire.DecodeVerifiedStream(bytes.NewReader(data), wire.DecodeOptions{})
+	if err != nil {
+		t.Fatalf("clean stream rejected: %v", err)
+	}
+	bs := make([]int64, su.NumFuncs())
+	for j := range bs {
+		if err := su.WaitFunc(j); err != nil {
+			t.Fatalf("clean stream rejected: %v", err)
+		}
+		bs[j] = su.Offset()
+	}
+	if err := su.Wait(); err != nil {
+		t.Fatalf("clean stream rejected: %v", err)
+	}
+	return bs
+}
+
 // TestStreamingMatchesFull: a streaming decode of every test program at
 // both wire versions yields the same module as the one-shot decoder,
-// and records one boundary per function.
+// and stands at a strictly later offset after each function.
 func TestStreamingMatchesFull(t *testing.T) {
 	for name, src := range testPrograms {
 		t.Run(name, func(t *testing.T) {
@@ -53,7 +74,7 @@ func TestStreamingMatchesFull(t *testing.T) {
 				if su.Mod.Dump() != full.Dump() {
 					t.Fatalf("%s: streaming and full decode disagree structurally", tc.label)
 				}
-				bs := su.Boundaries()
+				bs := boundaries(t, tc.data)
 				if len(bs) != len(full.Funcs) {
 					t.Fatalf("%s: %d boundaries for %d functions", tc.label, len(bs), len(full.Funcs))
 				}
@@ -91,12 +112,8 @@ func TestStreamPartialDelivery(t *testing.T) {
 				{"v1", wire.EncodeModule(mod)},
 				{"v2", wire.EncodeModuleV2(mod, nil)},
 			} {
-				su, err := decodeStreamAll(tc.data)
-				if err != nil {
-					t.Fatalf("%s: clean stream rejected: %v", tc.label, err)
-				}
 				cuts := map[int64]bool{0: true, 1: true, 3: true}
-				for _, b := range su.Boundaries() {
+				for _, b := range boundaries(t, tc.data) {
 					// The boundary itself plus mid-symbol cuts around it:
 					// one byte short lands mid-production, one or two past
 					// land inside the next function's first varints.
@@ -135,6 +152,19 @@ func TestStreamTruncationSweep(t *testing.T) {
 	}
 }
 
+// entryNeed is the highest function index main cannot begin without:
+// the static initializers and the entry method's body.
+func entryNeed(mod *core.Module) int {
+	need := -1
+	for _, si := range mod.StaticInit {
+		need = max(need, int(si))
+	}
+	if e := mod.Entry; e >= 0 {
+		need = max(need, int(mod.Methods[e].FuncIdx))
+	}
+	return need
+}
+
 // TestStreamSlowReader proves the streaming claim end to end: with the
 // tail of the stream withheld, the entry function is admitted and
 // executes to completion — first-instruction execution strictly before
@@ -163,21 +193,11 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	need := -1
-	for _, si := range ref.Mod.StaticInit {
-		if int(si) > need {
-			need = int(si)
-		}
-	}
-	if e := ref.Mod.Entry; e >= 0 {
-		if fi := ref.Mod.Methods[e].FuncIdx; int(fi) > need {
-			need = int(fi)
-		}
-	}
+	need := entryNeed(ref.Mod)
 	if need < 0 || need >= ref.NumFuncs()-1 {
 		t.Fatalf("entry prefix (%d) is not a proper prefix of %d functions; the test proves nothing", need, ref.NumFuncs())
 	}
-	prefix := ref.Boundaries()[need]
+	prefix := boundaries(t, data)[need]
 
 	pr, pw := io.Pipe()
 	release := make(chan struct{})
@@ -231,11 +251,7 @@ class Main {
 func TestStreamMidStreamFailurePoisonsWait(t *testing.T) {
 	mod := compileAll(t, testPrograms["objects"], true)
 	data := wire.EncodeModule(mod)
-	ref, err := decodeStreamAll(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := ref.Boundaries()
+	bs := boundaries(t, data)
 	if len(bs) < 2 {
 		t.Skip("unit too small to corrupt mid-stream")
 	}
@@ -256,22 +272,24 @@ func TestStreamMidStreamFailurePoisonsWait(t *testing.T) {
 		}
 		return
 	}
-	// The terminal error is observable without blocking once Wait has
-	// settled. (WaitFunc may still answer nil for functions that were
-	// admitted before the stream went bad — admission is a prefix
-	// property; cacheability is Wait's alone.)
-	if su != nil && su.Err() == nil {
-		t.Fatal("Err() reports nil on a poisoned stream")
+	// The failure is latched: asking again gets the same answer.
+	// (WaitFunc may still answer nil for functions that were admitted
+	// before the stream went bad — admission is a prefix property;
+	// cacheability is Wait's alone.)
+	if su != nil && su.Wait() == nil {
+		t.Fatal("a second Wait reports nil on a poisoned stream")
 	}
 }
 
 // TestStreamConsumersReadBesideTheCarver is the streaming half of "slabs
-// do not alias", meant for -race: function j is published out of chunks
-// the decoder goes on carving function j+1 from. One consumer executes
-// the unit through the WaitFunc gate while the tail is in flight; another
-// reads every admitted function end to end the moment it is published.
-// Neither may observe a write, and the run must print what the fully
-// decoded unit prints.
+// do not alias": function j is handed to its consumer out of chunks the
+// decoder goes on carving function j+1 from. The stream's one owner pulls
+// a function at a time over a transport that delivers a byte at a time,
+// and after each pull reads every function admitted so far end to end —
+// so each is re-read after all its successors have been carved beside it.
+// None may have changed: complete, every operand defined, equal to the
+// whole-unit decode. Then a fresh stream is run through the WaitFunc gate
+// and must print what the fully decoded unit prints.
 func TestStreamConsumersReadBesideTheCarver(t *testing.T) {
 	for _, name := range []string{"Scanner", "BigInteger"} {
 		u, ok := corpus.ByName(name)
@@ -289,30 +307,37 @@ func TestStreamConsumersReadBesideTheCarver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < su.NumFuncs(); j++ {
-				if err := su.WaitFunc(j); err != nil {
-					t.Errorf("%s: function %d: %v", name, j, err)
-					return
-				}
-				f, ref := su.Mod.Funcs[j], whole.Funcs[j]
+		for j := 0; j < su.NumFuncs(); j++ {
+			if err := su.WaitFunc(j); err != nil {
+				t.Fatalf("%s: function %d: %v", name, j, err)
+			}
+			for k := 0; k <= j; k++ {
+				f, ref := su.Mod.Funcs[k], whole.Funcs[k]
 				if f.NumInstrs() != ref.NumInstrs() || f.NumValues() != ref.NumValues() {
-					t.Errorf("%s: function %d published incomplete", name, j)
+					t.Fatalf("%s: function %d incomplete once %d was carved", name, k, j)
 				}
 				for _, b := range f.Blocks {
 					b.Instrs(func(in *core.Instr) {
 						for _, a := range in.Args {
 							if f.Value(a) == nil {
-								t.Errorf("%s: function %d: operand v%d has no definition", name, j, a)
+								t.Fatalf("%s: function %d: operand v%d has no definition once %d was carved", name, k, a, j)
 							}
 						}
 					})
 				}
+				if su.Mod.DumpFunc(f) != whole.DumpFunc(ref) {
+					t.Fatalf("%s: function %d differs from the whole-unit decode once %d was carved", name, k, j)
+				}
 			}
-		}()
+		}
+		if err := su.Wait(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		su, err = wire.DecodeVerifiedStream(iotest.OneByteReader(bytes.NewReader(data)), wire.DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var out bytes.Buffer
 		l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, &rt.Env{Out: &out, MaxSteps: 50_000_000})
 		if err == nil {
@@ -321,12 +346,73 @@ func TestStreamConsumersReadBesideTheCarver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: streamed run: %v", name, err)
 		}
-		wg.Wait()
 		if err := su.Wait(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if out.String() != want {
 			t.Errorf("%s: streamed run printed %q, want %q", name, out.String(), want)
+		}
+	}
+}
+
+// countingReader counts the bytes it has handed out.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestStreamPullsNoFurtherThanAsked pins the pull contract over every
+// corpus unit: the cursor reads when its consumer asks and stops where
+// the answer ends. After WaitEntry exactly the entry prefix is admitted
+// and the transport — a byte per Read, so byteSource's buffer hides
+// nothing (over a faster one it may hold up to 4096 bytes more) — has
+// given up exactly the bytes through that prefix's last function; Wait
+// then takes the rest and leaves the module DecodeVerified builds.
+func TestStreamPullsNoFurtherThanAsked(t *testing.T) {
+	for _, u := range corpus.Units() {
+		data := wire.EncodeModuleV2(corpusO2(t, u), nil)
+		whole, err := wire.DecodeVerified(data)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		need := entryNeed(whole)
+		if need < 0 || need >= len(whole.Funcs)-1 {
+			t.Fatalf("%s: entry prefix (%d) is not a proper prefix of %d functions", u.Name, need, len(whole.Funcs))
+		}
+		end := boundaries(t, data)[need]
+
+		src := &countingReader{r: bytes.NewReader(data)}
+		su, err := wire.DecodeVerifiedStream(iotest.OneByteReader(src), wire.DecodeOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		if su.Ready() != 0 {
+			t.Errorf("%s: %d functions admitted before any was asked for", u.Name, su.Ready())
+		}
+		if err := su.WaitEntry(); err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		if su.Ready() != need+1 {
+			t.Errorf("%s: %d functions admitted after WaitEntry, want exactly %d", u.Name, su.Ready(), need+1)
+		}
+		if su.Offset() != end || src.n != end {
+			t.Errorf("%s: after WaitEntry the decoder stands at byte %d and the transport has given up %d, want %d of %d for both",
+				u.Name, su.Offset(), src.n, end, len(data))
+		}
+		if err := su.Wait(); err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		if su.Ready() != len(whole.Funcs) || src.n != int64(len(data)) {
+			t.Errorf("%s: after Wait %d/%d functions, %d/%d bytes", u.Name, su.Ready(), len(whole.Funcs), src.n, len(data))
+		}
+		if su.Mod.Dump() != whole.Dump() {
+			t.Errorf("%s: pulled module differs from the whole-unit decode", u.Name)
 		}
 	}
 }
