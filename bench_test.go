@@ -5,21 +5,27 @@
 // (go run ./benchmark --trace 1), not theirs. BenchmarkColdLoad is the
 // exception: the one-line reproduction of the cold consumer's library
 // cost, unit by unit, for whoever next puts that path on a diet,
-// BenchmarkColdProduce is the same for the producer, and BenchmarkHotRun
-// the same for the engine under run_hot_compute's six guests.
+// BenchmarkColdProduce is the same for the producer, BenchmarkHotRun the
+// same for the engine under run_hot_compute's six guests, and
+// BenchmarkCompileHit the same for a cached POST /compile.
 //
 //	go test -bench=. -benchtime=1x
 package safetsa
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"safetsa/internal/bench"
+	"safetsa/internal/codeserver"
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
@@ -209,6 +215,50 @@ func BenchmarkHotRun(b *testing.B) {
 				steps += env.Steps
 			}
 			b.ReportMetric(float64(steps)/float64(b.Elapsed().Microseconds()), "steps/µs")
+		})
+	}
+}
+
+// BenchmarkCompileHit is the library half of the serve_hot gate's compile
+// share: what answering "I already have this" costs. One server holds
+// every corpus program's unit resident (O2, wire v2 — what the repository
+// benchmark asks for); one iteration is one POST /compile of a program's
+// sources through the server's handler, the body as json.Marshal writes
+// it, answered cached. Each program is its own sub-benchmark, so ns/op,
+// MB/s of request body and allocs/op read per unit:
+//
+//	go test -run='^$' -bench=CompileHit -benchtime=1000x .
+func BenchmarkCompileHit(b *testing.B) {
+	srv, err := codeserver.New(codeserver.Config{WireVersion: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	for _, u := range corpus.Units() {
+		body, err := json.Marshal(codeserver.CompileRequest{Files: u.Files, ModuleOpt: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		post := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/compile", bytes.NewReader(body)))
+			return rec
+		}
+		if rec := post(); rec.Code != http.StatusOK {
+			b.Fatalf("%s: compile answered %d %s", u.Name, rec.Code, rec.Body)
+		}
+		b.Run(u.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			before := srv.Stats().CacheHits
+			for i := 0; i < b.N; i++ {
+				if rec := post(); rec.Code != http.StatusOK {
+					b.Fatalf("compile answered %d %s", rec.Code, rec.Body)
+				}
+			}
+			if hits := srv.Stats().CacheHits - before; hits != uint64(b.N) {
+				b.Fatalf("%d of %d requests were store hits", hits, b.N)
+			}
 		})
 	}
 }

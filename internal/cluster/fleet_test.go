@@ -384,3 +384,65 @@ func TestFleetStatsGossip(t *testing.T) {
 		t.Errorf("local stats node %q", fs.Local.Node)
 	}
 }
+
+// TestFleetCompileTraces: every compile route is the one handler, so a
+// request explains itself the same way wherever it lands — the node asked
+// shows read, key, the store's spans (a peer fill, when it forwarded) and
+// respond; the owner that compiled on its behalf shows the same frame
+// around the producer's stages; and a repeat is read, key, respond on the
+// node asked and no request to the owner at all.
+func TestFleetCompileTraces(t *testing.T) {
+	f := newFleet(t, []string{"n1", "n2", "n3"})
+	files := fleetProgram(7)
+	owner := f.owner(codeserver.KeyFor(files, codeserver.Options{}))
+	asked := f.names[0]
+	if asked == owner {
+		asked = f.names[1]
+	}
+	if cr := fleetCompile(t, f.urls[asked], files); cr.Cached {
+		t.Fatal("first compile reported cached")
+	}
+	if cr := fleetCompile(t, f.urls[asked], files); !cr.Cached {
+		t.Fatal("second compile not served from the asked node's store")
+	}
+
+	type span struct {
+		Name     string `json:"name"`
+		Children []span `json:"children"`
+	}
+	traces := func(node string) (shapes []string) {
+		resp, err := http.Get(f.urls[node] + "/debug/traces")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got struct {
+			Traces []struct {
+				Name  string `json:"name"`
+				Spans []span `json:"spans"`
+			} `json:"traces"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range got.Traces {
+			shape := tr.Name + ":"
+			for _, sp := range tr.Spans {
+				shape += " " + sp.Name
+				if sp.Name == "fill" && len(sp.Children) > 0 {
+					shape += "(" + sp.Children[0].Name + ")"
+				}
+			}
+			shapes = append(shapes, shape)
+		}
+		return shapes
+	}
+	want := []string{"compile: read key respond", "compile: read key disk fill(peer_fill) respond"}
+	if got := traces(asked); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("traces on the node asked = %q, want %q", got, want)
+	}
+	want = []string{"compile: read key disk fill(frontend) respond"}
+	if got := traces(owner); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("traces on the owner = %q, want %q", got, want)
+	}
+}

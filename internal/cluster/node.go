@@ -127,33 +127,40 @@ func (n *Node) Close() {
 // because this node asked for it (see codeserver.Store).
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /compile", n.handleCompile)
+	mux.HandleFunc("POST /compile", n.srv.CompileHandler(n.compile, codeserver.WriteCompileResponse))
 	mux.HandleFunc("GET /stats", n.handleStats)
 	mux.HandleFunc("GET /peer/unit/{hash}", n.handlePeerUnit)
-	mux.HandleFunc("POST /peer/compile", n.handlePeerCompile)
+	mux.HandleFunc("POST /peer/compile", n.srv.CompileHandler(n.srv.CompileSources, writePeerCompile))
 	mux.HandleFunc("GET /peer/stats", n.handlePeerStats)
 	mux.Handle("/", n.srv.Handler())
 	return mux
 }
 
-// Compile routes a compile request by content key: the ring owner runs
-// the producer pipeline (under its local singleflight, so a hot new
-// unit compiles exactly once fleet-wide); every other node serves its
-// local store or coalesces callers onto one forwarded compile whose
-// result bytes are re-admitted locally before caching.
+// Compile is the fleet's compile step for a source set given as a file
+// map; see compile.
 func (n *Node) Compile(ctx context.Context, files map[string]string, opts codeserver.Options) (*codeserver.Unit, bool, error) {
 	// Route on the key the owner will mint: every member resolves the
 	// options the same way (the fleet shares one server configuration),
 	// so a unit has one hash and one owner whichever node was asked.
 	opts = n.srv.ResolveOptions(opts)
-	k := codeserver.KeyFor(files, opts)
+	src := codeserver.SourcesOf(files)
+	return n.compile(ctx, src.Key(opts), src, opts)
+}
+
+// compile routes a compile request by content key (a
+// codeserver.CompileFunc): the ring owner runs the producer pipeline
+// (under its local singleflight, so a hot new unit compiles exactly once
+// fleet-wide); every other node serves its local store or coalesces
+// callers onto one forwarded compile whose result bytes are re-admitted
+// locally before caching.
+func (n *Node) compile(ctx context.Context, k codeserver.Key, src codeserver.SourceSet, opts codeserver.Options) (*codeserver.Unit, bool, error) {
 	owner := n.ring.Owner(k.String())
 	if owner == n.cfg.Self {
-		return n.srv.CompileUnit(ctx, files, opts)
+		return n.srv.CompileSources(ctx, k, src, opts)
 	}
 	return n.srv.PeerFillUnit(ctx, k, func(ctx context.Context) ([]byte, error) {
 		n.forwards.Add(1)
-		return n.forwardCompile(ctx, owner, files, opts)
+		return n.forwardCompile(ctx, owner, src, opts)
 	})
 }
 
@@ -167,17 +174,4 @@ func (n *Node) FetchUnit(ctx context.Context, k codeserver.Key) ([]byte, error) 
 		return nil, codeserver.ErrUnitNotFound
 	}
 	return n.fetchUnitFrom(ctx, owner, k)
-}
-
-func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
-	files, opts, ok := n.srv.ReadCompileRequest(w, r)
-	if !ok {
-		return
-	}
-	u, cached, err := n.Compile(r.Context(), files, opts)
-	if err != nil {
-		codeserver.WriteError(w, err)
-		return
-	}
-	codeserver.WriteCompileResponse(w, u, opts, cached)
 }

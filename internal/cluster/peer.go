@@ -34,20 +34,13 @@ func (n *Node) handlePeerUnit(w http.ResponseWriter, r *http.Request) {
 	codeserver.WriteUnit(w, u)
 }
 
-// handlePeerCompile compiles a source set on behalf of a non-owner node
-// and returns the encoded unit bytes. It reuses the public compile path
-// (singleflight, metrics, traces), so a storm of forwarded requests for
-// one new unit still compiles exactly once.
-func (n *Node) handlePeerCompile(w http.ResponseWriter, r *http.Request) {
-	files, opts, ok := n.srv.ReadCompileRequest(w, r)
-	if !ok {
-		return
-	}
-	u, _, err := n.srv.CompileUnit(r.Context(), files, opts)
-	if err != nil {
-		codeserver.WriteError(w, err)
-		return
-	}
+// writePeerCompile answers POST /peer/compile, the owner-side compile on
+// behalf of a non-owner node, with the unit's encoded bytes. The route is
+// the public compile path with this answer (codeserver.CompileHandler
+// over the server's own compile step: singleflight, metrics, traces), so a
+// storm of forwarded requests for one new unit still compiles exactly
+// once.
+func writePeerCompile(w http.ResponseWriter, u *codeserver.Unit, _ codeserver.Options, _ bool) {
 	codeserver.WriteUnit(w, u)
 }
 
@@ -64,10 +57,11 @@ func (n *Node) fetchUnitFrom(ctx context.Context, peer string, k codeserver.Key)
 }
 
 // forwardCompile asks the owner to compile a source set and returns the
-// resulting encoded unit bytes.
-func (n *Node) forwardCompile(ctx context.Context, owner string, files map[string]string, opts codeserver.Options) ([]byte, error) {
+// resulting encoded unit bytes. It runs inside a store miss, which is
+// where a request's sources become a file map.
+func (n *Node) forwardCompile(ctx context.Context, owner string, src codeserver.SourceSet, opts codeserver.Options) ([]byte, error) {
 	body, err := json.Marshal(codeserver.CompileRequest{
-		Files: files, Optimize: opts.Optimize, ModuleOpt: opts.ModuleOpt})
+		Files: src.Files(), Optimize: opts.Optimize, ModuleOpt: opts.ModuleOpt})
 	if err != nil {
 		return nil, err
 	}

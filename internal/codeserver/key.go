@@ -2,10 +2,8 @@ package codeserver
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 )
 
 // Options selects the producer pipeline variant a unit was built with.
@@ -34,40 +32,9 @@ const pipelineVersion = "safetsa-pipeline-v2"
 // collide).
 type Key [sha256.Size]byte
 
-// KeyFor computes the content address of a compile request.
-func KeyFor(files map[string]string, opts Options) Key {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	h := sha256.New()
-	var lenBuf [binary.MaxVarintLen64]byte
-	writeStr := func(s string) {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(s)))
-		h.Write(lenBuf[:n])
-		h.Write([]byte(s))
-	}
-	writeStr(pipelineVersion)
-	optByte := func(on bool) {
-		if on {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	optByte(opts.Optimize)
-	optByte(opts.ModuleOpt)
-	optByte(opts.WireV2)
-	for _, n := range names {
-		writeStr(n)
-		writeStr(files[n])
-	}
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
+// KeyFor computes the content address of a compile request given as a
+// file map; SourceSet.Key is the one hashing routine.
+func KeyFor(files map[string]string, opts Options) Key { return SourcesOf(files).Key(opts) }
 
 // KeyForWire computes the content address of a unit delivered as raw
 // wire bytes (the streaming run path, where no source set exists). The

@@ -199,9 +199,11 @@ func TestMetricsEndpointMatchesCounters(t *testing.T) {
 }
 
 // TestDebugTracesJSONShape pins the wire contract of /debug/traces: a
-// {"traces": [...]} array where a compile trace carries the nested
-// producer stages (store fill → frontend → parse/sema, ...) and a run
-// trace carries load (with decode below it) and exec.
+// {"traces": [...]} array where a compile trace begins in the handler —
+// read, key, then the store's spans, then respond — and carries the nested
+// producer stages (store fill → frontend → parse/sema, ...) when it was a
+// miss and no fill at all when it was a hit, and a run trace carries load
+// (with decode below it) and exec.
 func TestDebugTracesJSONShape(t *testing.T) {
 	s := newTestServer(t, Config{Traces: 8})
 	ts := httptest.NewServer(s.Handler())
@@ -225,6 +227,10 @@ func TestDebugTracesJSONShape(t *testing.T) {
 
 	resp = postJSON(t, ts.URL+"/compile", CompileRequest{Files: helloFiles(), Optimize: true})
 	cr := decodeBody[CompileResponse](t, resp)
+	resp = postJSON(t, ts.URL+"/compile", CompileRequest{Files: helloFiles(), Optimize: true})
+	if hit := decodeBody[CompileResponse](t, resp); !hit.Cached {
+		t.Fatal("second compile not served from cache")
+	}
 	resp = postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{})
 	decodeBody[RunResult](t, resp)
 
@@ -252,15 +258,25 @@ func TestDebugTracesJSONShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(got.Traces) != 2 {
-		t.Fatalf("got %d traces, want 2 (compile, run)", len(got.Traces))
+	if len(got.Traces) != 3 {
+		t.Fatalf("got %d traces, want 3 (compile, compile, run)", len(got.Traces))
 	}
-	// Most recent first: run, then compile.
-	if got.Traces[0].Name != "run" || got.Traces[1].Name != "compile" {
-		t.Fatalf("trace order [%s %s], want [run compile]", got.Traces[0].Name, got.Traces[1].Name)
+	// Most recent first: run, then the cached compile, then the miss.
+	if got.Traces[0].Name != "run" || got.Traces[1].Name != "compile" || got.Traces[2].Name != "compile" {
+		t.Fatalf("trace order [%s %s %s], want [run compile compile]", got.Traces[0].Name, got.Traces[1].Name, got.Traces[2].Name)
 	}
-	if got.Traces[0].ID <= got.Traces[1].ID {
-		t.Errorf("trace IDs not increasing: %d then %d", got.Traces[1].ID, got.Traces[0].ID)
+	if got.Traces[0].ID <= got.Traces[1].ID || got.Traces[1].ID <= got.Traces[2].ID {
+		t.Errorf("trace IDs not increasing: %d, %d, %d", got.Traces[2].ID, got.Traces[1].ID, got.Traces[0].ID)
+	}
+	// The handler's own spans frame whatever the compile step opened.
+	for i, want := range map[int]string{1: "read key respond", 2: "read key disk fill respond"} {
+		var top []string
+		for _, sp := range got.Traces[i].Spans {
+			top = append(top, sp.Name)
+		}
+		if have := strings.Join(top, " "); have != want {
+			t.Errorf("compile trace %d: top-level spans [%s], want [%s]", got.Traces[i].ID, have, want)
+		}
 	}
 
 	// flatten collects span names at any depth.
@@ -272,7 +288,7 @@ func TestDebugTracesJSONShape(t *testing.T) {
 		}
 	}
 
-	compile := got.Traces[1]
+	compile := got.Traces[2]
 	if compile.StartUnixNanos <= 0 || compile.DurationNanos < 0 {
 		t.Errorf("bad compile trace header: %+v", compile)
 	}

@@ -199,9 +199,9 @@ func (s *Server) Stats() Stats {
 // every optimizing request, ModuleOpt always implies Optimize, and the
 // configured wire version is the one units are encoded in. The result
 // is the one canonical form per effective pipeline, and the only form
-// KeyFor may be asked to hash — every layer that addresses a compile
-// (CompileUnit, the fleet's ring routing) resolves first, so one source
-// set has one hash on every node. Resolving is idempotent.
+// a key may be computed under — every layer that addresses a compile
+// (CompileHandler, CompileUnit, the fleet's Node.Compile) resolves first,
+// so one source set has one hash on every node. Resolving is idempotent.
 func (s *Server) ResolveOptions(opts Options) Options {
 	if s.cfg.ModuleOpt && opts.Optimize {
 		opts.ModuleOpt = true
@@ -215,48 +215,92 @@ func (s *Server) ResolveOptions(opts Options) Options {
 	return opts
 }
 
-// ReadCompileRequest reads the body of one compile request (the public
+// readCompileRequest reads the body of one compile request (the public
 // POST /compile and the fleet's peer hop share the shape): bounded by
-// Config.MaxSourceBytes, parsed as a CompileRequest, options resolved.
-// On failure it has written the error response and reports false.
-func (s *Server) ReadCompileRequest(w http.ResponseWriter, r *http.Request) (map[string]string, Options, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSourceBytes+1))
+// Config.MaxSourceBytes, scanned into its source set, options resolved,
+// content address computed. On failure it has written the error response
+// and reports false.
+func (s *Server) readCompileRequest(ctx context.Context, w http.ResponseWriter, r *http.Request) (k Key, src SourceSet, opts Options, ok bool) {
+	_, sp := obs.Start(ctx, "read")
+	body, err := readBody(r.Body, r.ContentLength, s.cfg.MaxSourceBytes)
+	sp.End()
 	if err != nil {
 		WriteError(w, err)
-		return nil, Options{}, false
+		return
 	}
 	if int64(len(body)) > s.cfg.MaxSourceBytes {
 		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 			Error: fmt.Sprintf("source set exceeds %d bytes", s.cfg.MaxSourceBytes),
 			Kind:  "parse",
 		})
-		return nil, Options{}, false
+		return
 	}
-	var req CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	_, sp = obs.Start(ctx, "key")
+	defer sp.End()
+	if src, opts, err = parseCompileRequest(body); err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: "bad request body: " + err.Error(), Kind: "parse"})
-		return nil, Options{}, false
+		return
 	}
-	return req.Files, s.ResolveOptions(Options{Optimize: req.Optimize, ModuleOpt: req.ModuleOpt}), true
+	opts = s.ResolveOptions(opts)
+	return src.Key(opts), src, opts, true
 }
 
-// CompileUnit compiles (or fetches) the unit for a source set. The bool
-// reports whether the unit was served from cache. Each call is recorded
-// as one trace in the server's ring buffer, with the producer stages as
-// nested spans when the pipeline actually runs.
+// CompileFunc is the compile step behind a compile route: the unit for a
+// source set, and whether it was served from cache. opts are resolved and
+// k is src.Key(opts) — CompileHandler computes it once for whoever needs
+// it, the store or the fleet's ring.
+type CompileFunc func(ctx context.Context, k Key, src SourceSet, opts Options) (*Unit, bool, error)
+
+// CompileHandler is the HTTP door of a compile route, the public one and
+// the fleet's alike: one compile trace around reading the request (read),
+// scanning and hashing it (key), the compile step (whatever spans it
+// opens) and the answer (respond). A request turned away before the
+// compile step leaves a trace that ends where it was refused.
+func (s *Server) CompileHandler(compile CompileFunc, respond func(w http.ResponseWriter, u *Unit, opts Options, cached bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, tr := s.tracer.StartTrace(r.Context(), "compile")
+		defer tr.Finish()
+		k, src, opts, ok := s.readCompileRequest(ctx, w, r)
+		if !ok {
+			return
+		}
+		u, cached, err := compile(ctx, k, src, opts)
+		if err != nil {
+			WriteError(w, err)
+			return
+		}
+		_, sp := obs.Start(ctx, "respond")
+		respond(w, u, opts, cached)
+		sp.End()
+	}
+}
+
+// CompileUnit compiles (or fetches) the unit for a source set given as a
+// file map. The bool reports whether the unit was served from cache.
 func (s *Server) CompileUnit(ctx context.Context, files map[string]string, opts Options) (*Unit, bool, error) {
-	if len(files) == 0 {
+	opts = s.ResolveOptions(opts)
+	src := SourcesOf(files)
+	return s.CompileSources(ctx, src.Key(opts), src, opts)
+}
+
+// CompileSources is the compile step of this server (a CompileFunc): the
+// unit under k from the store, or produced from src and published there.
+// Only the miss turns src into the file map the producer takes; a hit
+// never materialises the request. Each call is recorded in the server's
+// ring buffer — as spans of the caller's trace when ctx carries one, as a
+// compile trace of its own otherwise — with the producer stages nested
+// under fill when the pipeline actually runs.
+func (s *Server) CompileSources(ctx context.Context, k Key, src SourceSet, opts Options) (*Unit, bool, error) {
+	if len(src.files) == 0 {
 		return nil, false, &driver.Error{Kind: driver.KindParse,
 			Err: errors.New("codeserver: empty source set")}
 	}
-	ctx, tr := s.tracer.StartTrace(ctx, "compile")
+	ctx, tr := s.tracer.JoinTrace(ctx, "compile")
 	defer tr.Finish()
 	s.m.compileRequests.Add(1)
-	opts = s.ResolveOptions(opts)
-	k := KeyFor(files, opts)
 	return s.store.GetOrFill(ctx, k, func(ctx context.Context) (admitted, error) {
-		a, err := s.pool.Compile(ctx, files, opts)
+		a, err := s.pool.Compile(ctx, src.Files(), opts)
 		if err != nil {
 			s.m.compileErrors.Add(1)
 		}
@@ -563,7 +607,7 @@ type ErrorResponse struct {
 //	GET  /debug/traces  ring buffer of recent request traces (JSON)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /compile", s.handleCompile)
+	mux.HandleFunc("POST /compile", s.CompileHandler(s.CompileSources, WriteCompileResponse))
 	mux.HandleFunc("GET /unit/{hash}", s.handleUnit)
 	mux.HandleFunc("POST /run/{hash}", s.handleRun)
 	mux.HandleFunc("POST /run-stream", s.handleRunStream)
@@ -611,7 +655,7 @@ func WriteError(w http.ResponseWriter, err error) {
 
 // WriteCompileResponse answers a compile request, public or fleet-routed,
 // with the unit's summary. opts are the request's resolved options (from
-// ReadCompileRequest): whether the unit is optimized is a fact about what
+// CompileHandler): whether the unit is optimized is a fact about what
 // was asked for, the same on every path that can answer.
 func WriteCompileResponse(w http.ResponseWriter, u *Unit, opts Options, cached bool) {
 	WriteJSON(w, http.StatusOK, CompileResponse{
@@ -638,19 +682,6 @@ func PathKey(w http.ResponseWriter, r *http.Request) (Key, bool) {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Kind: "parse"})
 	}
 	return k, err == nil
-}
-
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	files, opts, ok := s.ReadCompileRequest(w, r)
-	if !ok {
-		return
-	}
-	u, cached, err := s.CompileUnit(r.Context(), files, opts)
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	WriteCompileResponse(w, u, opts, cached)
 }
 
 func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {

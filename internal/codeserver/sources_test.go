@@ -1,0 +1,549 @@
+package codeserver
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"maps"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"safetsa/internal/corpus"
+)
+
+// resolvedOptionRows is every option row ResolveOptions can return:
+// ModuleOpt implies Optimize, and the wire version is the server's.
+var resolvedOptionRows = []Options{
+	{},
+	{Optimize: true},
+	{Optimize: true, ModuleOpt: true},
+	{WireV2: true},
+	{Optimize: true, WireV2: true},
+	{Optimize: true, ModuleOpt: true, WireV2: true},
+}
+
+// TestKeyForGolden pins the content address itself: the hex of KeyFor for
+// one fixed two-file set under every resolved option row, computed by the
+// tree before SourceSet existed. A key that moves re-keys every disk
+// tier, fleet ring and /run/{hash} URL in the field.
+func TestKeyForGolden(t *testing.T) {
+	files := map[string]string{
+		"Main.tj": "class Main {\n\tstatic void main() { System.out.println(\"<a&b>\" + Util.twice(21)); }\n}\n",
+		"Util.tj": "class Util { static int twice(int x) { return x * 2; } } //   café\n",
+	}
+	want := []string{
+		"d795d1e0a7dc48bee9ac6fbf7f2be66563c1f36414885563e4d8da79d46868aa",
+		"b184970de900629dc9ee2596dd3ba13c5153db1f34cbc13833d501751df1228b",
+		"ac8677f10ae541e84fc7f0055243e804ea45b405a56fd7aa7c7ff25d173be17a",
+		"2bc8779bf0f052c400baf596756b18f59a85efbecf5680b81725c5cbcbba6302",
+		"e6c888d352d433bfa5b420cd24be7776c1e17c183da7ebf37e2520eedd9695b4",
+		"62170ee6fe6c9b7e772bd2f90495cba9c53b6c194295b9e5ad99a8124c3bccf0",
+	}
+	for i, o := range resolvedOptionRows {
+		if got := KeyFor(files, o).String(); got != want[i] {
+			t.Errorf("KeyFor(%+v) = %s, want %s", o, got, want[i])
+		}
+	}
+}
+
+// legacyKeyFor is KeyFor as the parent tree wrote it, before SourceSet:
+// sorted names, one hash.Write per length and per string.
+func legacyKeyFor(files map[string]string, opts Options) Key {
+	names := make([]string, 0, len(files))
+	for n := range files {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+
+	h := sha256.New()
+	var lenBuf [binary.MaxVarintLen64]byte
+	writeStr := func(s string) {
+		n := binary.PutUvarint(lenBuf[:], uint64(len(s)))
+		h.Write(lenBuf[:n])
+		h.Write([]byte(s))
+	}
+	writeStr(pipelineVersion)
+	for _, on := range []bool{opts.Optimize, opts.ModuleOpt, opts.WireV2} {
+		if on {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	for _, n := range names {
+		writeStr(n)
+		writeStr(files[n])
+	}
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
+// keyedUnits is every corpus unit plus the repository benchmark's four
+// guest programs, and one set with several files.
+func keyedUnits(t testing.TB) []corpus.Unit {
+	t.Helper()
+	units := corpus.Units()
+	for _, name := range []string{"Dispatch", "Except", "ListWalk", "Sort"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "benchmark", "guests", name+".tj"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, corpus.Unit{Name: "guest/" + name, Files: map[string]string{name + ".tj": string(src)}})
+	}
+	many := map[string]string{}
+	for _, u := range units[:5] {
+		maps.Copy(many, u.Files)
+	}
+	many[""] = ""
+	return append(units, corpus.Unit{Name: "several-files", Files: many})
+}
+
+// spell writes a compile request body by hand: the members and files in
+// an order rng picks, whitespace between tokens, and every newline of
+// every text spelled as newline says: the two-character escape or one of
+// the two spellings of its code point.
+func spell(files map[string]string, o Options, rng *rand.Rand, newline string) []byte {
+	str := func(s string) string {
+		lines := strings.Split(s, "\n")
+		for i, l := range lines {
+			q, _ := json.Marshal(l)
+			lines[i] = string(q[1 : len(q)-1])
+		}
+		return `"` + strings.Join(lines, newline) + `"`
+	}
+	names := make([]string, 0, len(files))
+	for n := range files {
+		names = append(names, n)
+	}
+	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	var fs []string
+	for _, n := range names {
+		fs = append(fs, str(n)+" :\t"+str(files[n]))
+	}
+	members := []string{
+		`"files": {` + strings.Join(fs, " ,\r\n") + ` }`,
+		`"optimize" : ` + strconv.FormatBool(o.Optimize),
+		`"module_opt":` + strconv.FormatBool(o.ModuleOpt),
+	}
+	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+	return []byte(" {\n" + strings.Join(members, ", ") + "}\n")
+}
+
+// TestSourceSetKeyIsKeyFor: the key a scanned request body hashes to is
+// the key KeyFor gives the same files as a map, and both are the key the
+// parent tree computed — over the corpus and the benchmark's guests, every
+// resolved option row, members and files in shuffled order, and the same
+// text spelled three ways.
+func TestSourceSetKeyIsKeyFor(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, u := range keyedUnits(t) {
+		for _, o := range resolvedOptionRows {
+			want := legacyKeyFor(u.Files, o)
+			if got := KeyFor(u.Files, o); got != want {
+				t.Fatalf("%s %+v: KeyFor = %s, the pre-SourceSet routine gives %s", u.Name, o, got, want)
+			}
+			marshaled, err := json.Marshal(CompileRequest{Files: u.Files, Optimize: o.Optimize, ModuleOpt: o.ModuleOpt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies := map[string][]byte{"json.Marshal": marshaled}
+			for _, newline := range []string{`\n`, `\u000a`, `\u000A`} {
+				bodies["spelled "+newline] = spell(u.Files, o, rng, newline)
+			}
+			for how, body := range bodies {
+				ss, opts, ok := scanCompileRequest(body)
+				if !ok {
+					t.Fatalf("%s (%s): the scanner declined a canonical body", u.Name, how)
+				}
+				opts.WireV2 = o.WireV2 // the server's, never the request's
+				if opts != o {
+					t.Fatalf("%s (%s): scanned options %+v, want %+v", u.Name, how, opts, o)
+				}
+				if got := ss.Key(o); got != want {
+					t.Errorf("%s %+v (%s): SourceSet.Key = %s, KeyFor = %s", u.Name, o, how, got, want)
+				}
+			}
+		}
+	}
+}
+
+// seedDir holds FuzzCompileRequest's checked-in seeds, which double as
+// the rows of TestCompileRequestSeedVerdicts.
+const seedDir = "testdata/fuzz/FuzzCompileRequest"
+
+// seedBody reads one corpus file in the go-fuzz v1 encoding.
+func seedBody(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(seedDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(raw), "\n")
+	lit = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(lit), "[]byte("), ")")
+	body, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(body)
+}
+
+// parentAnswer is what the handler did with a body before the scanner
+// existed, up to the compile step: json.Unmarshal into a CompileRequest
+// and the two refusals that can follow.
+func parentAnswer(body []byte) (req CompileRequest, refusal string) {
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, "bad request body: " + err.Error()
+	}
+	if len(req.Files) == 0 {
+		return req, "codeserver: empty source set"
+	}
+	return req, ""
+}
+
+// TestCompileRequestSeedVerdicts: every checked-in seed gets from POST
+// /compile the status and unit hash the parent tree's handler gave it
+// (recorded there, not here), a refusal carries the parent's text, and the
+// scanner takes exactly the seeds in the canonical shape.
+func TestCompileRequestSeedVerdicts(t *testing.T) {
+	verdicts := map[string]struct {
+		scans  bool
+		status int
+		hash   string
+	}{
+		"seed_json_marshal_html_escaped": {true, 200, "8af6df6dbb3314712f1cc52045d7264b3572de86f6094bfd2b36a7df6bd03c03"},
+		"seed_members_reordered_spaced":  {true, 200, "91b5ac6f9f46843361b968e56d6c94c30b08287ad105f95f71b8f9f9fcda0889"},
+		"seed_escapes_all_eight":         {true, 200, "9fd3eaeb1f9fbc4c7e616d4c8cdd08f4b211e312b4b700e5f49d50695630de0f"},
+		"seed_escaped_member_name":       {true, 200, "372ab54890957f037c2f7712cb4e015cfe8d6b8435ab187857f99fea698f62bf"},
+		"seed_empty_object":              {true, 400, ""},
+		"seed_surrogate_pair":            {false, 200, "7fc708e9f59d9245efe27f8ea31bcbc63e5d23b74334b2ba333b60eba59d546f"},
+		"seed_lone_surrogate":            {false, 200, "66ef746cc54a4d519774f923826f526ffee320d56a4092b36beb698e9ad0e965"},
+		"seed_invalid_utf8":              {false, 200, "6e8a6a3f3bd3cfa84e2ff8ec1e7faadf39d370c959d5edb3b5f04717d87a4784"},
+		"seed_duplicate_file_name":       {false, 200, "372ab54890957f037c2f7712cb4e015cfe8d6b8435ab187857f99fea698f62bf"},
+		"seed_duplicate_files_member":    {false, 200, "f003134ae4198db38bb3d57ae9d3159739003ffcb3ca524ffe688853fa7de864"},
+		"seed_duplicate_optimize":        {false, 200, "7cf1c15417d50a8b0e9b51aa150f83a506c48582835072616a7ee45753f992fd"},
+		"seed_uppercase_member":          {false, 200, "7cf1c15417d50a8b0e9b51aa150f83a506c48582835072616a7ee45753f992fd"},
+		"seed_unknown_member":            {false, 200, "372ab54890957f037c2f7712cb4e015cfe8d6b8435ab187857f99fea698f62bf"},
+		"seed_optimize_null":             {false, 200, "372ab54890957f037c2f7712cb4e015cfe8d6b8435ab187857f99fea698f62bf"},
+		"seed_files_null":                {false, 400, ""},
+		"seed_top_level_null":            {false, 400, ""},
+		"seed_raw_control_byte":          {false, 400, ""},
+		"seed_number_for_string":         {false, 400, ""},
+		"seed_trailing_garbage":          {false, 400, ""},
+		"seed_trailing_comma":            {false, 400, ""},
+		"seed_empty_body":                {false, 400, ""},
+		"seed_unterminated_string":       {false, 400, ""},
+		"seed_bad_escape":                {false, 400, ""},
+		"seed_deep_nesting_unknown":      {false, 400, ""},
+	}
+	ents, err := os.ReadDir(seedDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if _, ok := verdicts[e.Name()]; !ok && strings.HasPrefix(e.Name(), "seed_") {
+			t.Errorf("%s is checked in without a verdict", e.Name())
+		}
+	}
+	for name, want := range verdicts {
+		body := seedBody(t, name)
+		if _, _, ok := scanCompileRequest(body); ok != want.scans {
+			t.Errorf("%s: scanner accepts = %v, want %v", name, ok, want.scans)
+		}
+		rec := httptest.NewRecorder()
+		newTestServer(t, Config{}).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/compile", bytes.NewReader(body)))
+		if rec.Code != want.status {
+			t.Errorf("%s: status %d, want %d (%s)", name, rec.Code, want.status, rec.Body)
+			continue
+		}
+		if want.status == http.StatusOK {
+			var cr CompileResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil || cr.Hash != want.hash {
+				t.Errorf("%s: hash %s (err %v), want %s", name, cr.Hash, err, want.hash)
+			}
+			continue
+		}
+		var er ErrorResponse
+		_, refusal := parentAnswer(body)
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Kind != "parse" || er.Error != refusal {
+			t.Errorf("%s: answered %+v (err %v), want kind parse, error %q", name, er, err, refusal)
+		}
+	}
+}
+
+// FuzzCompileRequest holds the scanner to the reference parser. Whatever
+// the scanner accepts, json.Unmarshal accepts with the same files and
+// flags, and the scanned views hash to KeyFor of that map; and whether it
+// accepts or declines, the compile step behind the handler is handed
+// exactly what the parent's handler would have handed it, or the request
+// is refused in the parent's words.
+func FuzzCompileRequest(f *testing.F) {
+	s, err := New(Config{WireVersion: 2, Traces: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, refusal := parentAnswer(body)
+		bad := strings.HasPrefix(refusal, "bad request body: ")
+		want := s.ResolveOptions(Options{Optimize: req.Optimize, ModuleOpt: req.ModuleOpt})
+
+		if ss, opts, ok := scanCompileRequest(body); ok {
+			if bad {
+				t.Fatalf("the scanner accepted what json refuses: %s", refusal)
+			}
+			if got := ss.Files(); !maps.Equal(got, req.Files) {
+				t.Fatalf("scanned files %q, json's %q", got, req.Files)
+			}
+			if opts.Optimize != req.Optimize || opts.ModuleOpt != req.ModuleOpt {
+				t.Fatalf("scanned flags %+v, json's %+v", opts, req)
+			}
+			if got, ref := ss.Key(want), legacyKeyFor(req.Files, want); got != ref {
+				t.Fatalf("SourceSet.Key = %s, the pre-SourceSet routine gives %s", got, ref)
+			}
+		}
+
+		var handed *CompileRequest
+		var key Key
+		var resolved Options
+		h := s.CompileHandler(func(_ context.Context, k Key, src SourceSet, opts Options) (*Unit, bool, error) {
+			handed = &CompileRequest{Files: src.Files(), Optimize: opts.Optimize, ModuleOpt: opts.ModuleOpt}
+			key, resolved = k, opts
+			return &Unit{}, false, nil
+		}, func(http.ResponseWriter, *Unit, Options, bool) {})
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest("POST", "/compile", bytes.NewReader(body)))
+		if bad {
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != 400 || er.Kind != "parse" || er.Error != refusal {
+				t.Fatalf("answered %d %+v (err %v), want 400 parse %q", rec.Code, er, err, refusal)
+			}
+			if handed != nil {
+				t.Fatal("a refused request reached the compile step")
+			}
+			return
+		}
+		if handed == nil {
+			t.Fatalf("a request json accepts was answered %d %s", rec.Code, rec.Body)
+		}
+		if !maps.Equal(handed.Files, req.Files) || resolved != want {
+			t.Fatalf("the compile step was handed %q %+v, want %q %+v", handed.Files, resolved, req.Files, want)
+		}
+		if ref := legacyKeyFor(req.Files, want); key != ref {
+			t.Fatalf("the compile step was handed key %s, want %s", key, ref)
+		}
+	})
+}
+
+// closedEarly is the body of a request whose sender promised more than it
+// sent and hung up: what arrived, then the error net/http reports.
+type closedEarly struct{ sent io.Reader }
+
+func (c closedEarly) Read(p []byte) (int, error) {
+	n, err := c.sent.Read(p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
+func (closedEarly) Close() error { return nil }
+
+// allocatedBy reports the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	_, bytes := leastAllocated(1, fn)
+	return bytes
+}
+
+// leastAllocated runs fn n times and reports the fewest objects and the
+// fewest bytes one run allocated. The least, not the mean: a sync.Pool
+// the collector (or the race detector) emptied between two runs costs the
+// next one an allocation that is not fn's.
+func leastAllocated(n int, fn func()) (objects, bytes uint64) {
+	objects, bytes = ^uint64(0), ^uint64(0)
+	for i := 0; i < n; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// TestCompileDeclaredLengthAllocatesNothing: a request may declare 8 MiB
+// and deliver one byte. The body buffer grows with what arrives — the
+// declared length only picks a starting capacity, capped at bodyPresize —
+// and the scanner's unescape buffer is bounded by the bytes it scans, so
+// neither can be sized by a sender's say-so.
+func TestCompileDeclaredLengthAllocatesNothing(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	req := httptest.NewRequest("POST", "/compile", nil)
+	req.Body = closedEarly{strings.NewReader("{")}
+	req.ContentLength = 8 << 20
+	rec := httptest.NewRecorder()
+	got := allocatedBy(func() { h.ServeHTTP(rec, req) })
+	if rec.Code/100 == 2 {
+		t.Errorf("a one-byte body answered %d", rec.Code)
+	}
+	if got >= 128<<10 {
+		t.Errorf("a request declaring 8 MiB and delivering 1 byte allocated %d bytes", got)
+	}
+	if n := s.Stats().CompileRequests; n != 0 {
+		t.Errorf("compile_requests = %d for a request that never reached the compile step", n)
+	}
+
+	// Every file text needs unescaping; the buffer they share is one
+	// allocation no larger than the body.
+	body, err := json.Marshal(CompileRequest{Files: map[string]string{
+		"A.tj": strings.Repeat("class A { }\n", 4000), "B.tj": strings.Repeat("<&>\n", 4000)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = allocatedBy(func() {
+		if _, _, ok := scanCompileRequest(body); !ok {
+			t.Error("the scanner declined json.Marshal's own output")
+		}
+	})
+	if limit := uint64(len(body)) + 16<<10; got > limit { // a size class above, and the views
+		t.Errorf("scanning a %d-byte body allocated %d bytes, want at most %d", len(body), got, limit)
+	}
+}
+
+// TestCompileBodyLimits: the 413 and the 400s that turn a request away
+// before the compile step, and the starting capacity of the body buffer.
+func TestCompileBodyLimits(t *testing.T) {
+	s := newTestServer(t, Config{MaxSourceBytes: 64})
+	h := s.Handler()
+	post := func(body string) (int, ErrorResponse) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/compile", strings.NewReader(body)))
+		var er ErrorResponse
+		_ = json.Unmarshal(rec.Body.Bytes(), &er)
+		return rec.Code, er
+	}
+	fit := `{"files":{"A.tj":"class A { static void main() { } }"}}`
+	if code, er := post(fit + strings.Repeat(" ", 64-len(fit))); code != http.StatusOK {
+		t.Errorf("a body of exactly MaxSourceBytes answered %d %+v", code, er)
+	}
+	if code, er := post(fit + strings.Repeat(" ", 65-len(fit))); code != http.StatusRequestEntityTooLarge ||
+		er.Kind != "parse" || er.Error != "source set exceeds 64 bytes" {
+		t.Errorf("a body one byte over MaxSourceBytes answered %d %+v", code, er)
+	}
+	if code, er := post(`{"optimize":true}`); code != http.StatusBadRequest || er.Error != "codeserver: empty source set" {
+		t.Errorf("an empty source set answered %d %+v", code, er)
+	}
+	if code, er := post(`{"files":`); code != http.StatusBadRequest || !strings.HasPrefix(er.Error, "bad request body: ") {
+		t.Errorf("malformed JSON answered %d %+v", code, er)
+	}
+	if n := s.Stats().CompileRequests; n != 1 {
+		t.Errorf("compile_requests = %d, want 1: only the first request reached the compile step", n)
+	}
+
+	for _, tc := range []struct {
+		declared, limit int64
+		sent, wantCap   int
+	}{
+		{declared: -1, limit: 8 << 20, sent: 10, wantCap: 512},
+		{declared: 10_000, limit: 8 << 20, sent: 10_000, wantCap: 10_001},
+		{declared: 8 << 20, limit: 8 << 20, sent: 1, wantCap: bodyPresize + 1},
+		{declared: 8 << 20, limit: 100, sent: 200, wantCap: 101},
+		{declared: 10, limit: 8 << 20, sent: 100_000, wantCap: 0}, // grows with what arrives
+	} {
+		got, err := readBody(strings.NewReader(strings.Repeat("x", tc.sent)), tc.declared, tc.limit)
+		if want := min(tc.sent, int(tc.limit)+1); err != nil || len(got) != want {
+			t.Errorf("readBody(declared %d, limit %d) of %d bytes read %d (err %v), want %d",
+				tc.declared, tc.limit, tc.sent, len(got), err, want)
+		}
+		if tc.wantCap != 0 && cap(got) != tc.wantCap {
+			t.Errorf("readBody(declared %d, limit %d) of %d bytes: capacity %d, want %d",
+				tc.declared, tc.limit, tc.sent, cap(got), tc.wantCap)
+		}
+	}
+}
+
+// discardWriter is the least http.ResponseWriter: what it costs is not
+// the handler's.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// compileHitAllocCeiling is what one cached POST /compile may allocate,
+// in allocations, whatever the unit: measured 24 on this tree, plus 10 %.
+// (The parent, through the same harness and with three spans fewer: 30 to
+// 42 by unit, and 5 to 8 times the body in bytes.)
+const compileHitAllocCeiling = 27
+
+// TestCompileHitAllocCeiling: answering "I already have this" does not
+// materialise the request. A hit allocates a fixed number of objects —
+// the trace and its spans, the body, one unescape buffer, the views, the
+// hasher, the response — that does not depend on the unit's size; no map
+// and no per-file string, so a set of 32 files costs only the doublings
+// of the view slice more than a set of one; and the bytes it allocates are
+// the body's, twice (received, unescaped), not its files' again.
+func TestCompileHitAllocCeiling(t *testing.T) {
+	s := newTestServer(t, Config{WireVersion: 2})
+	h := s.CompileHandler(s.CompileSources, WriteCompileResponse)
+	hit := func(name string, files map[string]string) (allocs, bytesPerHit, bodyLen uint64) {
+		body, err := json.Marshal(CompileRequest{Files: files, ModuleOpt: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest("POST", "/compile", nil)
+		req.ContentLength = int64(len(body))
+		req.Body = io.NopCloser(rd)
+		w := &discardWriter{h: http.Header{}}
+		run := func() {
+			rd.Reset(body)
+			h(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("%s: status %d", name, w.status)
+			}
+		}
+		run() // the miss
+		before := s.Stats().CacheHits
+		allocs, bytesPerHit = leastAllocated(10, run)
+		if got := s.Stats().CacheHits - before; got != 10 {
+			t.Fatalf("%s: %d of 10 requests were store hits", name, got)
+		}
+		return allocs, bytesPerHit, uint64(len(body))
+	}
+	for _, u := range corpus.Units() {
+		allocs, got, body := hit(u.Name, u.Files)
+		t.Logf("%-24s %3d allocs/hit %7d B/hit  body %6d B", u.Name, allocs, got, body)
+		if allocs > compileHitAllocCeiling {
+			t.Errorf("%s: %d allocations per cached compile, ceiling %d", u.Name, allocs, compileHitAllocCeiling)
+		}
+		if limit := 5*body/2 + 4<<10; got > limit { // twice, each a size class above
+			t.Errorf("%s: a cached compile of a %d-byte body allocated %d bytes, want at most %d", u.Name, body, got, limit)
+		}
+	}
+	many := map[string]string{}
+	for i := 0; i < 32; i++ {
+		many[fmt.Sprintf("C%d.tj", i)] = fmt.Sprintf("class C%d {\n\tstatic void main() { }\n}\n", i)
+	}
+	allocs, _, _ := hit("32 files", many)
+	t.Logf("%-24s %3d allocs/hit", "32 files", allocs)
+	if allocs > compileHitAllocCeiling+5 {
+		t.Errorf("32 files: %d allocations per cached compile, want at most %d: something is allocated per file", allocs, compileHitAllocCeiling+5)
+	}
+}

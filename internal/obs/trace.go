@@ -72,6 +72,16 @@ func (t *Tracer) StartTrace(ctx context.Context, name string) (context.Context, 
 	return context.WithValue(ctx, traceKey, tr), tr
 }
 
+// JoinTrace is StartTrace for a step that may run inside a caller's
+// trace: when ctx already carries one, the step's spans belong there, so
+// it returns ctx unchanged and a nil trace (whose Finish is a no-op).
+func (t *Tracer) JoinTrace(ctx context.Context, name string) (context.Context, *Trace) {
+	if tr, _ := ctx.Value(traceKey).(*Trace); tr != nil {
+		return ctx, nil
+	}
+	return t.StartTrace(ctx, name)
+}
+
 // Finish closes the trace and publishes it as the most recent entry of
 // its tracer's ring buffer, evicting the oldest past capacity. Open
 // spans are clamped to the trace end. Nil-safe.

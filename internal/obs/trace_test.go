@@ -84,6 +84,28 @@ func TestRingRetention(t *testing.T) {
 	}
 }
 
+// TestJoinTrace: a step that may run inside a caller's trace records its
+// spans there and publishes nothing of its own; alone, it is StartTrace.
+func TestJoinTrace(t *testing.T) {
+	tr := NewTracer(4)
+	ctx, own := tr.JoinTrace(context.Background(), "step")
+	if own == nil {
+		t.Fatal("JoinTrace without a trace in the context started none")
+	}
+	inner, joined := tr.JoinTrace(ctx, "step")
+	if joined != nil || inner != ctx {
+		t.Error("JoinTrace inside a trace started a second one")
+	}
+	_, sp := Start(inner, "work")
+	sp.End()
+	joined.Finish() // must not panic, must not publish
+	own.Finish()
+	recent := tr.Recent()
+	if len(recent) != 1 || len(recent[0].Spans) != 1 || recent[0].Spans[0].Name != "work" {
+		t.Errorf("traces = %+v, want one trace holding the joined step's span", recent)
+	}
+}
+
 // TestDisabledTracingIsFree: nil tracers, traceless contexts, and nil
 // spans are all no-ops, so instrumented code paths need no branches.
 func TestDisabledTracingIsFree(t *testing.T) {
