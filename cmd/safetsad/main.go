@@ -36,7 +36,20 @@
 // command-line tools run guests under) cap the per-run step and allocation
 // budgets — a request may ask for less, an ask above a cap folds down to
 // it — and -run-timeout (default 10s) bounds wall clock. An explicit 0
-// lifts that one bound. -tenant-inflight bounds each tenant's concurrent
+// lifts that one bound. A run the host ends says why in its answer
+// ("kill") and in safetsa_guest_kills_total{reason,tenant}:
+//
+//	step_limit   -maxsteps exhausted
+//	alloc_limit  -maxallocs exhausted: one unit per field slot and array
+//	             element (24 host bytes), per string byte and per byte
+//	             printed — output has no budget of its own
+//	depth_limit  more than 2^20 stack slots live (registers + 16 + 5 x body
+//	             nesting per activation): a constant with no flag, what
+//	             keeps guest recursion off the end of the Go stack
+//	deadline     -run-timeout expired
+//	interrupt    the client went away or the daemon is draining
+//
+// -tenant-inflight bounds each tenant's concurrent
 // runs (default unlimited) — beyond it the server answers 429 with
 // Retry-After: 1. Tenant identity comes from the request body or the
 // X-Safetsa-Tenant header (default "anon"). -pool-units sizes the
@@ -86,9 +99,9 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent producer pipelines (0 = GOMAXPROCS)")
 	units := flag.Int("units", 1024, "max encoded units cached in memory")
 	modules := flag.Int("modules", 256, "max decoded modules cached")
-	maxSteps := flag.Int64("maxsteps", 50_000_000, "hard per-run step budget (0 = unlimited)")
-	maxAllocs := flag.Int64("maxallocs", 64<<20, "hard per-run allocation budget, in rt.Env.MaxAlloc units (0 = unlimited)")
-	runTimeout := flag.Duration("run-timeout", 10*time.Second, "wall-clock deadline per guest run (0 = none)")
+	maxSteps := flag.Int64("maxsteps", codeserver.DefaultMaxSteps, "hard per-run step budget (0 = unlimited)")
+	maxAllocs := flag.Int64("maxallocs", codeserver.DefaultMaxAllocs, "hard per-run allocation budget, in rt.Env.MaxAlloc units (0 = unlimited)")
+	runTimeout := flag.Duration("run-timeout", codeserver.DefaultRunTimeout, "wall-clock deadline per guest run (0 = none)")
 	tenantInFlight := flag.Int("tenant-inflight", 0, "max concurrent runs per tenant, 429 beyond (0 = unlimited)")
 	poolUnits := flag.Int("pool-units", 0, "warm-session pool capacity in snapshots (0 = default 256, negative = disabled)")
 	stageTimeout := flag.Duration("stagetimeout", 30*time.Second, "per-stage compile timeout (0 = none)")

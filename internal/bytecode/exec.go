@@ -34,27 +34,29 @@ func (f *frame) peek(n int) rt.Value { return f.stack[len(f.stack)-1-n] }
 // call runs a method to completion and returns its (single-slot) result;
 // wide results are returned as the value itself.
 func (vm *VM) call(c *rtClass, m *Method, args []rt.Value) rt.Value {
+	slots := rt.FrameSlots(m.MaxLocals+2, 0)
+	vm.Env.Enter(slots)
 	fr := &frame{c: c, m: m, locals: make([]rt.Value, m.MaxLocals+2)}
 	copy(fr.locals, args)
 	for {
 		done, res := vm.run(fr)
 		if done {
+			vm.Env.Leave(slots)
 			return res
 		}
 	}
 }
 
-// run executes until return or an exception; exceptions are dispatched
-// against the method's exception table, re-panicking when unhandled.
+// run executes until return or an exception; an exception the method's
+// table handles is recovered and dispatched, any other keeps unwinding.
 func (vm *VM) run(fr *frame) (done bool, result rt.Value) {
+	live := vm.Env.StackSlots()
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		t, ok := r.(rt.Thrown)
+		// Recover only an exception this method's table handles; one it
+		// does not, and a kill, pass through (see rt.Env.Throw).
+		t, ok := vm.Env.InFlight().(rt.Thrown)
 		if !ok {
-			panic(r)
+			return
 		}
 		for _, e := range fr.m.ExcTable {
 			if fr.pc < e.Start || fr.pc >= e.End {
@@ -68,13 +70,14 @@ func (vm *VM) run(fr *frame) (done bool, result rt.Value) {
 					continue
 				}
 			}
+			recover()
+			vm.Env.Unwind(live)
 			fr.stack = fr.stack[:0]
 			fr.push(t.Val)
 			fr.pc = e.Handler
 			done = false
 			return
 		}
-		panic(r)
 	}()
 	return vm.exec(fr)
 }
@@ -373,7 +376,7 @@ func (vm *VM) exec(fr *frame) (bool, rt.Value) {
 				vm.throwNew(vm.exc.NPE, "throw of null")
 			}
 			fr.pc = next - 1
-			panic(rt.Thrown{Val: v})
+			env.Throw(rt.Thrown{Val: v})
 
 		case IRETURN, ARETURN:
 			return true, fr.pop()

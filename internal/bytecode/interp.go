@@ -144,6 +144,9 @@ func NewVM(p *Program, env *rt.Env) (*VM, error) {
 
 func (vm *VM) catchTopLevel(err *error) {
 	r := recover()
+	if r != nil {
+		vm.Env.Unwind(0)
+	}
 	switch t := r.(type) {
 	case nil:
 	case error:

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"safetsa/internal/obs"
+	"safetsa/internal/rt"
 )
 
 // Metrics is the server-wide instrumentation, updated with atomics on
@@ -54,15 +55,11 @@ type Metrics struct {
 	streamRejects atomic.Uint64
 
 	// Run-session budget accounting: cumulative guest work (rt.Env step
-	// and allocation counters drained after every session) and kill
-	// counters by budget, so hostile-guest terminations are visible as
-	// metrics, not just per-request errors.
-	guestSteps      atomic.Int64
-	guestAllocs     atomic.Int64
-	stepLimitKills  atomic.Uint64
-	allocLimitKills atomic.Uint64
-	interruptKills  atomic.Uint64
-	deadlineKills   atomic.Uint64
+	// and allocation counters drained after every session). Kills are
+	// counted once, in the killed session's tenant row; the server-wide
+	// figures are sums over the rows.
+	guestSteps  atomic.Int64
+	guestAllocs atomic.Int64
 
 	// Warm-session pool accounting: sessions served from a snapshot
 	// clone (hits), snapshots built+verified+published (builds),
@@ -121,20 +118,9 @@ type tenantCounters struct {
 	inFlight atomic.Int64
 	steps    atomic.Int64
 	allocs   atomic.Int64
-	// kills indexed by killReasons order.
-	kills [len(killReasons)]atomic.Uint64
-}
-
-// killReasons is the stable label order of the kill-reason dimension.
-var killReasons = [...]string{"alloc_limit", "deadline", "interrupt", "step_limit"}
-
-func killIdx(reason string) int {
-	for i, r := range killReasons {
-		if r == reason {
-			return i
-		}
-	}
-	return -1
+	// kills is indexed by reason: rt's list of kills is the only one, so
+	// a reason added there is counted and rendered here.
+	kills [rt.NumKills]atomic.Uint64
 }
 
 // tenant returns (creating on first sight) the counters row for name.
@@ -219,13 +205,16 @@ type Stats struct {
 	RunsInFlight  int64  `json:"runs_in_flight"`
 	StreamRejects uint64 `json:"stream_rejects"`
 
-	// Guest budget accounting (see Metrics).
-	GuestSteps      int64  `json:"guest_steps"`
-	GuestAllocs     int64  `json:"guest_allocs"`
-	StepLimitKills  uint64 `json:"step_limit_kills"`
-	AllocLimitKills uint64 `json:"alloc_limit_kills"`
-	InterruptKills  uint64 `json:"interrupt_kills"`
-	DeadlineKills   uint64 `json:"deadline_kills"`
+	// Guest budget accounting (see Metrics). Kills holds every reason
+	// that has killed a session; the four *Kills keys are the legacy
+	// spelling of four of its entries.
+	GuestSteps      int64             `json:"guest_steps"`
+	GuestAllocs     int64             `json:"guest_allocs"`
+	Kills           map[string]uint64 `json:"kills,omitempty"`
+	StepLimitKills  uint64            `json:"step_limit_kills"`
+	AllocLimitKills uint64            `json:"alloc_limit_kills"`
+	InterruptKills  uint64            `json:"interrupt_kills"`
+	DeadlineKills   uint64            `json:"deadline_kills"`
 
 	// Warm-session pool (see Metrics). PoolSessions is the resident
 	// snapshot count, filled in by the server.
@@ -273,6 +262,13 @@ func (m *Metrics) snapshot() Stats {
 	run := m.runHist.Snapshot()
 	peerFill := m.peerFillHist.Snapshot()
 	wireStream := m.wireDecodeStreamHist.Snapshot()
+	tenants := m.tenantStats()
+	kills := map[string]uint64{}
+	for _, ts := range tenants {
+		for reason, n := range ts.Kills {
+			kills[reason] += n
+		}
+	}
 	return Stats{
 		Node:                    m.node,
 		CompileRequests:         m.compileRequests.Load(),
@@ -296,17 +292,18 @@ func (m *Metrics) snapshot() Stats {
 		StreamRejects:           m.streamRejects.Load(),
 		GuestSteps:              m.guestSteps.Load(),
 		GuestAllocs:             m.guestAllocs.Load(),
-		StepLimitKills:          m.stepLimitKills.Load(),
-		AllocLimitKills:         m.allocLimitKills.Load(),
-		InterruptKills:          m.interruptKills.Load(),
-		DeadlineKills:           m.deadlineKills.Load(),
+		Kills:                   kills,
+		StepLimitKills:          kills[rt.KillStepLimit.String()],
+		AllocLimitKills:         kills[rt.KillAllocLimit.String()],
+		InterruptKills:          kills[rt.KillInterrupt.String()],
+		DeadlineKills:           kills[rt.KillDeadline.String()],
 		PoolHits:                m.poolHits.Load(),
 		PoolBuilds:              m.poolBuilds.Load(),
 		PoolDeclines:            m.poolDeclines.Load(),
 		PoolVerifyFails:         m.poolVerifyFails.Load(),
 		PoolEvictions:           m.poolEvictions.Load(),
 		TenantRejects:           m.tenantRejects.Load(),
-		Tenants:                 m.tenantStats(),
+		Tenants:                 tenants,
 		CompileNanos:            compile.SumNanos,
 		DecodeNanos:             decode.SumNanos,
 		VerifyNanos:             verify.SumNanos,
@@ -341,40 +338,17 @@ func (m *Metrics) tenantStats() map[string]TenantStats {
 			Steps:    r.tc.steps.Load(),
 			Allocs:   r.tc.allocs.Load(),
 		}
-		for i, reason := range killReasons {
-			if n := r.tc.kills[i].Load(); n > 0 {
+		for k := range r.tc.kills {
+			if n := r.tc.kills[k].Load(); n > 0 {
 				if ts.Kills == nil {
 					ts.Kills = make(map[string]uint64)
 				}
-				ts.Kills[reason] = n
+				ts.Kills[rt.Kill(k).String()] = n
 			}
 		}
 		out[r.name] = ts
 	}
 	return out
-}
-
-// recordKill classifies an abnormal guest termination by the exhausted
-// budget (reason as reported by rt.KillReason plus the server-side
-// "deadline" refinement; "" records nothing), attributed to a tenant.
-func (m *Metrics) recordKill(reason string, tc *tenantCounters) {
-	switch reason {
-	case "step_limit":
-		m.stepLimitKills.Add(1)
-	case "alloc_limit":
-		m.allocLimitKills.Add(1)
-	case "interrupt":
-		m.interruptKills.Add(1)
-	case "deadline":
-		m.deadlineKills.Add(1)
-	default:
-		return
-	}
-	if tc != nil {
-		if i := killIdx(reason); i >= 0 {
-			tc.kills[i].Add(1)
-		}
-	}
 }
 
 // WritePrometheus renders the full metric surface in the Prometheus text
@@ -417,11 +391,11 @@ func (m *Metrics) WritePrometheus(w io.Writer, unitsCached, modulesLoaded, poolS
 	// matrix.
 	tenants := m.tenantRows()
 	var killRows []obs.LabeledCounter
-	for ri, reason := range killReasons {
+	for k := rt.Kill(0); k < rt.NumKills; k++ {
 		for _, tr := range tenants {
 			killRows = append(killRows, obs.LabeledCounter{
-				Labels: []string{"reason", reason, "tenant", tr.name},
-				Value:  tr.tc.kills[ri].Load(),
+				Labels: []string{"reason", k.String(), "tenant", tr.name},
+				Value:  tr.tc.kills[k].Load(),
 			})
 		}
 	}

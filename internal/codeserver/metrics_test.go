@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"safetsa/internal/rt"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -43,10 +45,6 @@ func TestPrometheusGolden(t *testing.T) {
 	m.runsInFlight.Store(1)
 	m.guestSteps.Store(123456)
 	m.guestAllocs.Store(7890)
-	m.stepLimitKills.Store(2)
-	m.allocLimitKills.Store(1)
-	m.interruptKills.Store(1)
-	m.deadlineKills.Store(1)
 	m.poolHits.Store(30)
 	m.poolBuilds.Store(6)
 	m.poolDeclines.Store(2)
@@ -60,14 +58,14 @@ func TestPrometheusGolden(t *testing.T) {
 	acme.inFlight.Store(1)
 	acme.steps.Store(100000)
 	acme.allocs.Store(6000)
-	acme.kills[killIdx("step_limit")].Store(2)
-	acme.kills[killIdx("alloc_limit")].Store(1)
+	acme.kills[rt.KillStepLimit].Store(2)
+	acme.kills[rt.KillAllocLimit].Store(1)
 	anon := m.tenant(DefaultTenant)
 	anon.runs.Store(18)
 	anon.steps.Store(23456)
 	anon.allocs.Store(1890)
-	anon.kills[killIdx("interrupt")].Store(1)
-	anon.kills[killIdx("deadline")].Store(1)
+	anon.kills[rt.KillInterrupt].Store(1)
+	anon.kills[rt.KillDeadline].Store(1)
 	// Deterministic histogram contents: one sample per stage in known
 	// buckets plus one overflow sample for compile.
 	m.compileHist.Observe(3 * time.Millisecond)

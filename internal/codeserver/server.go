@@ -26,6 +26,15 @@ import (
 	"safetsa/internal/wire"
 )
 
+// The budgets safetsad serves under when started with no flags. They are
+// the numbers DESIGN.md §9 sizes the host's worst case from, and the
+// ones oracle's TestHostCostBoundedByGuestBudget holds that sizing to.
+const (
+	DefaultMaxSteps   = 50_000_000
+	DefaultMaxAllocs  = 64 << 20
+	DefaultRunTimeout = 10 * time.Second
+)
+
 // Config tunes the server. The zero value is usable: in-memory only,
 // GOMAXPROCS compile workers, no step budget.
 type Config struct {
@@ -366,6 +375,10 @@ type RunResult struct {
 	OK     bool   `json:"ok"`
 	Output string `json:"output"`
 	Error  string `json:"error,omitempty"`
+	// Kill is set when the host ended the session rather than the guest:
+	// the rt.Kill label of the exhausted budget ("step_limit",
+	// "alloc_limit", "depth_limit"), "interrupt", or "deadline".
+	Kill   string `json:"kill,omitempty"`
 	Steps  int64  `json:"steps"`
 	Allocs int64  `json:"allocs"`
 }
@@ -436,7 +449,7 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 	defer sess.release()
 	var snap *interp.Snapshot
 	if s.sessions != nil {
-		if snap = s.sessions.Get(k); snap != nil && !snap.Admits(sess.maxSteps, sess.maxAllocs) {
+		if snap = s.sessions.Get(k); snap != nil && !snap.Admits(sess.budget) {
 			// The request's budgets would have killed static init; a
 			// clone cannot reproduce that mid-init death, so run fresh.
 			s.m.poolDeclines.Add(1)

@@ -21,16 +21,16 @@ import (
 //  1. Fair admission first: the tenant's in-flight slot is taken, or the
 //     run refused with a *TenantBusyError, before any load, decode or
 //     guest work.
-//  2. Budgets are clamped: the env's MaxSteps and MaxAlloc are
-//     clampBudget of the request over the server caps; a path cannot
-//     forget one.
+//  2. Budgets are clamped: the env is minted from one rt.Budget, each
+//     field clampBudget of the request over the server cap; a path
+//     cannot forget one.
 //  3. One interrupt: the guest dies with rt.ErrInterrupted when the
 //     request is abandoned, the server drains (Shutdown), or
 //     Config.RunTimeout expires, while its HTTP exchange stays up.
 //  4. The books balance: a begun session is counted once in runs, the
 //     run histogram, the guest drain totals and its tenant's row; an
 //     abnormal end is one run_error and at most one kill, with the
-//     reason decided here.
+//     reason decided here and reported in the result.
 type session struct {
 	s  *Server
 	tc *tenantCounters
@@ -39,7 +39,8 @@ type session struct {
 	ctx context.Context
 	tr  *obs.Trace
 
-	maxSteps, maxAllocs int64
+	// budget is the request's budget clamped to the server's caps.
+	budget rt.Budget
 
 	// Set by begin.
 	env      *rt.Env
@@ -74,8 +75,10 @@ func (s *Server) newSession(ctx context.Context, trace string, opts RunOptions) 
 	ctx, tr := s.tracer.StartTrace(ctx, trace)
 	return &session{
 		s: s, tc: tc, ctx: ctx, tr: tr,
-		maxSteps:  clampBudget(opts.MaxSteps, s.cfg.MaxSteps),
-		maxAllocs: clampBudget(opts.MaxAllocs, s.cfg.MaxAllocs),
+		budget: rt.Budget{
+			MaxSteps: clampBudget(opts.MaxSteps, s.cfg.MaxSteps),
+			MaxAlloc: clampBudget(opts.MaxAllocs, s.cfg.MaxAllocs),
+		},
 	}, nil
 }
 
@@ -97,7 +100,7 @@ func (ss *session) begin() *rt.Env {
 		ss.cancels = append(ss.cancels, cancel)
 	}
 	ss.runCtx = runCtx
-	ss.env = &rt.Env{Out: &ss.out, MaxSteps: ss.maxSteps, MaxAlloc: ss.maxAllocs, Interrupt: runCtx.Done()}
+	ss.env = rt.NewEnv(&ss.out, ss.budget, runCtx.Done())
 	return ss.env
 }
 
@@ -117,12 +120,14 @@ func (ss *session) finish(err error) RunResult {
 	res := RunResult{OK: err == nil, Output: ss.out.String(), Steps: env.Steps, Allocs: env.Allocs}
 	if err != nil {
 		s.m.runErrors.Add(1)
-		reason := rt.KillReason(err)
-		if reason == "interrupt" && context.Cause(ss.runCtx) == errRunTimeout {
-			reason = "deadline"
-		}
-		s.m.recordKill(reason, ss.tc)
 		res.Error = err.Error()
+		if k, killed := rt.KillOf(err); killed {
+			if k == rt.KillInterrupt && context.Cause(ss.runCtx) == errRunTimeout {
+				k = rt.KillDeadline
+			}
+			ss.tc.kills[k].Add(1)
+			res.Kill = k.String()
+		}
 	}
 	return res
 }

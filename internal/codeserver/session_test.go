@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"safetsa/internal/driver"
+	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
 
@@ -137,6 +139,9 @@ func TestSessionLifecycleBooksBalance(t *testing.T) {
 		{name: "alloc kill", paths: both,
 			cfg: Config{MaxSteps: 1 << 24}, files: allocBombFiles(), opts: RunOptions{MaxAllocs: 4096},
 			wantRuns: 1, wantKill: "alloc_limit"},
+		{name: "depth kill", paths: both,
+			cfg: Config{MaxSteps: 1 << 24}, files: recFiles(),
+			wantRuns: 1, wantKill: "depth_limit"},
 		{name: "deadline kill", paths: both,
 			cfg: Config{RunTimeout: 30 * time.Millisecond}, files: loopFiles(),
 			wantRuns: 1, wantKill: "deadline"},
@@ -165,8 +170,8 @@ func TestSessionLifecycleBooksBalance(t *testing.T) {
 					}
 				case err != nil:
 					t.Fatalf("run error = %v, want a RunResult", err)
-				case res.OK != tc.wantOK:
-					t.Fatalf("result %+v, want ok=%v", res, tc.wantOK)
+				case res.OK != tc.wantOK || res.Kill != tc.wantKill:
+					t.Fatalf("result %+v, want ok=%v kill=%q", res, tc.wantOK, tc.wantKill)
 				}
 
 				st := s.Stats()
@@ -191,22 +196,20 @@ func TestSessionLifecycleBooksBalance(t *testing.T) {
 
 				rec := httptest.NewRecorder()
 				s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-				for _, reason := range killReasons {
-					series := fmt.Sprintf(`safetsa_guest_kills_total{reason=%q,tenant=%q}`, reason, sessionTenant)
+				wantKills := map[string]uint64{}
+				for k := rt.Kill(0); k < rt.NumKills; k++ {
+					series := fmt.Sprintf(`safetsa_guest_kills_total{reason=%q,tenant=%q}`, k, sessionTenant)
 					want := 0.0
-					if reason == tc.wantKill {
+					if k.String() == tc.wantKill {
 						want = 1
+						wantKills[tc.wantKill] = 1
 					}
 					if got := promValue(t, rec.Body.String(), series); got != want {
 						t.Errorf("%s = %v, want %v", series, got, want)
 					}
 				}
-				var wantKills uint64
-				if tc.wantKill != "" {
-					wantKills = 1
-				}
-				if kills := st.StepLimitKills + st.AllocLimitKills + st.InterruptKills + st.DeadlineKills; kills != wantKills {
-					t.Errorf("%d kills counted globally, want %d (%q)", kills, wantKills, tc.wantKill)
+				if !maps.Equal(st.Kills, wantKills) {
+					t.Errorf("kills counted globally: %v, want %v", st.Kills, wantKills)
 				}
 
 				if tc.wantErr != nil && st.ModulesLoaded != 0 {

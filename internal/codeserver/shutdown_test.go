@@ -23,6 +23,16 @@ class Loop {
 }`}
 }
 
+// recFiles is the 164-byte unit that used to end the process: unbounded
+// recursion on the host's stack, which only the depth limit can stop.
+func recFiles() map[string]string {
+	return map[string]string{"Rec.tj": `
+class Rec {
+    static int f(int n) { return f(n+1)+1; }
+    static void main() { System.out.println("" + f(0)); }
+}`}
+}
+
 // TestShutdownDrainsInFlightRuns: Shutdown must interrupt in-flight
 // guest runs via the rt interrupt channel and wait for them to drain —
 // and no run may be abandoned mid-write: every session still produces a

@@ -149,25 +149,22 @@ func CompileBytecode(prog *sema.Program) (*bytecode.Program, error) {
 	return bytecode.Compile(prog)
 }
 
-// maxAlloc is the allocation budget of every guest this package runs, in
-// rt.Env's abstract units (field slots, array elements, string bytes).
+// budget is what every guest this package runs may take: the caller's
+// step bound and a fixed allocation budget, in rt.Env's abstract units.
 // The step budget alone does not bound memory: a loop that doubles a
-// string reaches gigabytes in a few dozen steps. It is a constant, not a
-// knob: the budget the repository benchmark runs its guests under, four
-// orders of magnitude above what any corpus program allocates.
-const maxAlloc = 64 << 20
-
-// newEnv is the one place the package builds a guest environment, so no
-// entry point can forget a budget.
-func newEnv(ctx context.Context, out *bytes.Buffer, maxSteps int64) *rt.Env {
-	return &rt.Env{Out: out, MaxSteps: maxSteps, MaxAlloc: maxAlloc, Interrupt: ctx.Done()}
+// string reaches gigabytes in a few dozen steps. The allocation budget is
+// a constant, not a knob: the one the repository benchmark runs its
+// guests under, four orders of magnitude above what any corpus program
+// allocates.
+func budget(maxSteps int64) rt.Budget {
+	return rt.Budget{MaxSteps: maxSteps, MaxAlloc: 64 << 20}
 }
 
 // RunBytecode links and executes a bytecode program's main, returning its
 // printed output.
 func RunBytecode(p *bytecode.Program, maxSteps int64) (string, error) {
 	var out bytes.Buffer
-	env := newEnv(context.Background(), &out, maxSteps)
+	env := rt.NewEnv(&out, budget(maxSteps), nil)
 	vm, err := bytecode.NewVM(p, env)
 	if err != nil {
 		return out.String(), err
@@ -188,7 +185,7 @@ const (
 
 // RunModule loads and executes a module's main method on the reference
 // walker, returning its printed output. maxSteps bounds execution (0 =
-// unlimited); allocation is always bounded by maxAlloc.
+// unlimited); allocation is always bounded (see budget).
 func RunModule(mod *core.Module, maxSteps int64) (string, error) {
 	return RunModuleEngine(context.Background(), mod, maxSteps, EngineReference)
 }
@@ -204,7 +201,7 @@ func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engi
 		l   *interp.Loader
 		err error
 	)
-	env := newEnv(ctx, &out, maxSteps)
+	env := rt.NewEnv(&out, budget(maxSteps), ctx.Done())
 	switch engine {
 	case "", EngineCompiled:
 		l, err = loadCompiled(ctx, mod, env)

@@ -29,9 +29,7 @@ func (l *Loader) HeapChecksum() uint64 {
 		ci := byID[id]
 		w.u64(uint64(uint32(id)))
 		w.u64(uint64(len(ci.Statics)))
-		for _, v := range ci.Statics {
-			w.value(v)
-		}
+		w.values(ci.Statics)
 	}
 	return h.Sum64()
 }
@@ -49,17 +47,39 @@ func (w *heapWalker) u64(v uint64) {
 	w.h.Write(b[:])
 }
 
-func (w *heapWalker) value(v rt.Value) {
+// values digests vs and everything reachable from them, depth first in
+// slot order. The walk keeps its own stack of slot vectors still to be
+// visited instead of recursing: how deep the heap goes is the guest's
+// choice, not a bound on the host's stack.
+func (w *heapWalker) values(vs []rt.Value) {
+	stack := [][]rt.Value{vs}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if len(*top) == 0 {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		v := (*top)[0]
+		*top = (*top)[1:]
+		if kids := w.value(v); len(kids) > 0 {
+			stack = append(stack, kids)
+		}
+	}
+}
+
+// value digests one value and returns the slots of a reference seen for
+// the first time, which the walk visits next.
+func (w *heapWalker) value(v rt.Value) []rt.Value {
 	if v.R == nil {
 		// A flat value: the one scalar word, whatever plane it holds.
 		w.u64(1)
 		w.u64(uint64(v.I))
-		return
+		return nil
 	}
 	if id, ok := w.seen[v.R]; ok {
 		w.u64(2)
 		w.u64(id)
-		return
+		return nil
 	}
 	id := uint64(len(w.seen) + 1)
 	w.seen[v.R] = id
@@ -72,17 +92,14 @@ func (w *heapWalker) value(v rt.Value) {
 		w.u64(4)
 		w.u64(uint64(uint32(r.TypeID)))
 		w.u64(uint64(len(r.Elems)))
-		for _, e := range r.Elems {
-			w.value(e)
-		}
+		return r.Elems
 	case *rt.Object:
 		w.u64(5)
 		w.u64(uint64(uint32(r.Class.TypeID)))
 		w.u64(uint64(len(r.Fields)))
-		for _, f := range r.Fields {
-			w.value(f)
-		}
+		return r.Fields
 	default:
 		w.u64(6)
 	}
+	return nil
 }

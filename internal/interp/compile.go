@@ -59,7 +59,9 @@ type CFunc struct {
 	// NumRegs matches the prepared form: slot v holds SSA value v,
 	// slot 0 is the void-result scratch register.
 	NumRegs int32
-	Code    []cthunk
+	// Frame is what one activation holds of rt.MaxStackSlots.
+	Frame int64
+	Code  []cthunk
 }
 
 // Compiled is the closure-threaded form of a module. It is immutable
@@ -123,7 +125,7 @@ func Compile(mod *core.Module, prep *Prepared) (*Compiled, error) {
 			}
 			code[pc] = th
 		}
-		c.Funcs[i] = &CFunc{Name: pf.Name, NumRegs: pf.NumRegs, Code: code}
+		c.Funcs[i] = &CFunc{Name: pf.Name, NumRegs: pf.NumRegs, Frame: pf.Frame, Code: code}
 	}
 	return c, nil
 }
@@ -142,7 +144,14 @@ const cframePoolCap = 64
 // — stale slot contents are unobservable. (They can pin dead references
 // until the slot's next write, but the pool is per-session and capped,
 // so the retention is bounded and dies with the session.)
-func (l *Loader) getFrame(numRegs int32) *cframe {
+//
+// Every activation passes through here and through putFrame, which is
+// what makes them the compiled engine's Enter and Leave: the depth charge
+// lands before the frame exists, and a frame the limit refused is never
+// taken off the list.
+func (l *Loader) getFrame(cf *CFunc) *cframe {
+	l.Env.Enter(cf.Frame)
+	numRegs := cf.NumRegs
 	if n := len(l.cfree); n > 0 {
 		fr := l.cfree[n-1]
 		l.cfree = l.cfree[:n-1]
@@ -163,7 +172,8 @@ func (l *Loader) getFrame(numRegs int32) *cframe {
 // panics past frames, and those are simply never returned — the GC
 // reclaims them — so a recycled frame can never be live in two
 // invocations at once.
-func (l *Loader) putFrame(fr *cframe) {
+func (l *Loader) putFrame(fr *cframe, cf *CFunc) {
+	l.Env.Leave(cf.Frame)
 	if len(l.cfree) < cframePoolCap {
 		fr.args = nil
 		l.cfree = append(l.cfree, fr)
@@ -197,7 +207,7 @@ func (l *Loader) putArgs(buf []rt.Value) {
 // pc, go where it says, until one yields cDone or cThrow. thrown reports
 // which; the value is the result or the exception accordingly.
 func (l *Loader) runCompiled(cf *CFunc, args []rt.Value) (v rt.Value, thrown bool) {
-	fr := l.getFrame(cf.NumRegs)
+	fr := l.getFrame(cf)
 	fr.args = args
 	code := cf.Code
 	pc := int32(0)
@@ -205,7 +215,7 @@ func (l *Loader) runCompiled(cf *CFunc, args []rt.Value) (v rt.Value, thrown boo
 		pc = code[pc](fr)
 	}
 	v = fr.ret
-	l.putFrame(fr)
+	l.putFrame(fr, cf)
 	return v, pc == cThrow
 }
 

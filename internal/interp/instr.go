@@ -152,22 +152,24 @@ func (l *Loader) execCall(fr *frame, in *core.Instr) rt.Value {
 					panic(streamAbort{err})
 				}
 			}
-			out = l.callFunc(l.Mod.Funcs[mr.FuncIdx], args)
+			out = l.callFunc(mr.FuncIdx, args)
 			return
 		}
 		out = l.nativeOrPanic(mr, args)
 	}
 	if h := fr.f.HandlerOf[in]; h != nil {
+		live := l.Env.StackSlots()
 		func() {
 			defer func() {
-				r := recover()
-				if r == nil {
+				// Recover only a callee's exception; a kill or a stream
+				// abort passes through (see rt.Env.Throw).
+				t, ok := l.Env.InFlight().(rt.Thrown)
+				if !ok {
 					return
 				}
-				if t, ok := r.(rt.Thrown); ok {
-					panic(tsaThrow{val: t.Val, edge: fr.f.ExcEdge[in], handler: h})
-				}
-				panic(r)
+				recover()
+				l.Env.Unwind(live)
+				l.Env.Throw(tsaThrow{val: t.Val, edge: fr.f.ExcEdge[in], handler: h})
 			}()
 			call()
 		}()
@@ -182,7 +184,7 @@ func (l *Loader) execCall(fr *frame, in *core.Instr) rt.Value {
 func (l *Loader) nativeOrPanic(mr *core.MethodRef, args []rt.Value) rt.Value {
 	v, thrown := l.native(mr, args)
 	if thrown {
-		panic(rt.Thrown{Val: v})
+		l.Env.Throw(rt.Thrown{Val: v})
 	}
 	return v
 }

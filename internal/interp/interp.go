@@ -33,6 +33,9 @@ type Loader struct {
 	// the lists need no locking.
 	cfree []*cframe
 	afree [][]rt.Value
+	// frames caches frameSlots per function index for the reference
+	// walker, which has no lowered form to keep it in (0: not yet asked).
+	frames []int64
 	// gate, when non-nil, marks a streaming session: before any
 	// function index is executed — or looked up in Mod.Funcs, which
 	// holds only what has been admitted — gate has the streaming decoder
@@ -235,19 +238,25 @@ func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
 		// catchTopLevel words every engine's uncaught exception alike.
 		v, thrown := l.runCompiled(l.comp.Funcs[fi], args)
 		if thrown {
-			panic(rt.Thrown{Val: v})
+			l.Env.Throw(rt.Thrown{Val: v})
 		}
 		return v
 	}
 	if l.prep != nil {
 		return l.runPrepared(l.prep.Funcs[fi], args)
 	}
-	return l.callFunc(l.Mod.Funcs[fi], args)
+	return l.callFunc(fi, args)
 }
 
-// catchTopLevel converts an uncaught TJ exception into a Go error.
+// catchTopLevel converts an uncaught TJ exception into a Go error. A
+// host entry point is never re-entered from guest code, so whatever
+// frames a panic left live are dead: the slot count restarts from zero
+// and the session can take another CallStatic.
 func (l *Loader) catchTopLevel(err *error) {
 	r := recover()
+	if r != nil {
+		l.Env.Unwind(0)
+	}
 	switch t := r.(type) {
 	case nil:
 	case streamAbort:
@@ -358,7 +367,16 @@ type frame struct {
 	caught    rt.Value
 }
 
-func (l *Loader) callFunc(f *core.Func, args []rt.Value) rt.Value {
+func (l *Loader) callFunc(fi int32, args []rt.Value) rt.Value {
+	f := l.Mod.Funcs[fi]
+	for int(fi) >= len(l.frames) { // Mod.Funcs grows under a streaming session
+		l.frames = append(l.frames, 0)
+	}
+	if l.frames[fi] == 0 {
+		l.frames[fi] = frameSlots(f)
+	}
+	slots := l.frames[fi]
+	l.Env.Enter(slots)
 	fr := &frame{
 		f:         f,
 		vals:      make([]rt.Value, f.NumValues()+1),
@@ -366,7 +384,27 @@ func (l *Loader) callFunc(f *core.Func, args []rt.Value) rt.Value {
 		enterEdge: -1,
 	}
 	l.execNode(fr, f.Body)
+	l.Env.Leave(slots)
 	return fr.ret
+}
+
+// frameSlots is what one activation of f holds of rt.MaxStackSlots: its
+// registers as every engine numbers them (NumValues()+1) and the height
+// of its body, which is how many execNode activations the reference
+// walker nests to reach the deepest call in it.
+func frameSlots(f *core.Func) int64 {
+	return rt.FrameSlots(f.NumValues()+1, cstHeight(f.Body))
+}
+
+func cstHeight(n *core.CSTNode) int {
+	if n == nil {
+		return 0
+	}
+	h := 0
+	for _, k := range n.Kids {
+		h = max(h, cstHeight(k))
+	}
+	return h + 1
 }
 
 func (fr *frame) val(id core.ValueID) rt.Value {
@@ -464,15 +502,16 @@ func (l *Loader) execNode(fr *frame, n *core.CSTNode) ctrl {
 // runProtected executes the try body, intercepting transfers to this
 // node's handler. ok reports whether the handler must run.
 func (l *Loader) runProtected(fr *frame, n *core.CSTNode) (caught rt.Value, edge int, c ctrl, ok bool) {
+	live := l.Env.StackSlots()
 	defer func() {
-		r := recover()
-		if r == nil {
+		// Recover only a transfer to this node's handler; one bound for an
+		// enclosing try, and a kill, pass through (see rt.Env.Throw).
+		t, isTsa := l.Env.InFlight().(tsaThrow)
+		if !isTsa || t.handler != n.Handler {
 			return
 		}
-		t, isTsa := r.(tsaThrow)
-		if !isTsa || t.handler != n.Handler {
-			panic(r)
-		}
+		recover()
+		l.Env.Unwind(live)
 		caught, edge, ok = t.val, t.edge, true
 	}()
 	c = l.execNode(fr, n.Kids[0])
@@ -483,9 +522,9 @@ func (l *Loader) runProtected(fr *frame, n *core.CSTNode) (caught rt.Value, edge
 // function.
 func (l *Loader) throwTo(handler *core.Block, edge int, v rt.Value) {
 	if handler != nil {
-		panic(tsaThrow{val: v, edge: edge, handler: handler})
+		l.Env.Throw(tsaThrow{val: v, edge: edge, handler: handler})
 	}
-	panic(rt.Thrown{Val: v})
+	l.Env.Throw(rt.Thrown{Val: v})
 }
 
 // raise raises from an instruction site.

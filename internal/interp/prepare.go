@@ -171,7 +171,9 @@ type PFunc struct {
 	// NumRegs is NumValues()+1: slot v holds SSA value v, slot 0 is
 	// the void-result scratch register.
 	NumRegs int32
-	Code    []PreparedInst
+	// Frame is what one activation holds of rt.MaxStackSlots.
+	Frame int64
+	Code  []PreparedInst
 }
 
 // Prepared is the register-machine form of a module. Like the module it
@@ -350,6 +352,7 @@ func (c *fcomp) prepareFunc(f *core.Func) (*PFunc, error) {
 	return &PFunc{
 		Name:    f.Name,
 		NumRegs: int32(f.NumValues() + 1),
+		Frame:   frameSlots(f),
 		Code:    append(make([]PreparedInst, 0, len(c.code)), c.code...),
 	}, nil
 }

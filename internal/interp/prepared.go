@@ -42,7 +42,7 @@ func applyMoves(regs []rt.Value, mv []Move) {
 // returning the handler pc) or out of the function as rt.Thrown.
 func (l *Loader) praise(regs []rt.Value, caught *rt.Value, rs *RaiseSite, v rt.Value) int32 {
 	if rs == nil {
-		panic(rt.Thrown{Val: v})
+		l.Env.Throw(rt.Thrown{Val: v}) // does not return
 	}
 	applyMoves(regs, rs.Moves)
 	*caught = v
@@ -61,15 +61,16 @@ func (l *Loader) pinvoke(mr *core.MethodRef, fi int32, args []rt.Value) rt.Value
 // pcallProtected is pinvoke under a handler: an uncaught callee
 // exception is intercepted instead of unwinding this frame.
 func (l *Loader) pcallProtected(mr *core.MethodRef, fi int32, args []rt.Value) (out rt.Value, thrown rt.Value, caught bool) {
+	live := l.Env.StackSlots()
 	defer func() {
-		r := recover()
-		if r == nil {
+		// Recover only a callee's exception; a kill passes through (see
+		// rt.Env.Throw).
+		t, ok := l.Env.InFlight().(rt.Thrown)
+		if !ok {
 			return
 		}
-		t, ok := r.(rt.Thrown)
-		if !ok {
-			panic(r)
-		}
+		recover()
+		l.Env.Unwind(live)
 		thrown, caught = t.Val, true
 	}()
 	out = l.pinvoke(mr, fi, args)
@@ -108,6 +109,7 @@ func (l *Loader) pcall(regs []rt.Value, caught *rt.Value, in *PreparedInst) (int
 // runPrepared executes one prepared function body.
 func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) rt.Value {
 	env := l.Env
+	env.Enter(pf.Frame)
 	regs := make([]rt.Value, pf.NumRegs)
 	var caught rt.Value
 	code := pf.Code
@@ -222,8 +224,10 @@ func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) rt.Value {
 		case PMoves:
 			applyMoves(regs, in.Moves)
 		case PReturn:
+			env.Leave(pf.Frame)
 			return rt.Value{}
 		case PReturnVal:
+			env.Leave(pf.Frame)
 			return regs[in.A]
 		case PThrow:
 			v := regs[in.A]

@@ -94,7 +94,8 @@ func copyStatics(src, dst map[core.TypeID]*rt.ClassInfo) {
 // response carries the same bytes a fresh session would print during
 // init.
 func (l *Loader) Snapshot(initOut []byte) (*Snapshot, error) {
-	detached, err := newLoader(&Loader{Mod: l.Mod, Env: &rt.Env{}}, false)
+	env := rt.Unbudgeted(nil, "holds the frozen class table; static init is deferred and never run")
+	detached, err := newLoader(&Loader{Mod: l.Mod, Env: env}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -122,15 +123,14 @@ func (s *Snapshot) InitAllocs() int64 { return s.initAllocs }
 // Checksum is the deterministic heap checksum at freeze time.
 func (s *Snapshot) Checksum() uint64 { return s.checksum }
 
-// Admits reports whether a session with the given budgets (0 =
-// unlimited) would have survived static initialization. A session it
-// rejects must run fresh: its fresh run dies mid-init, a state a cheap
-// clone cannot reproduce.
-func (s *Snapshot) Admits(maxSteps, maxAlloc int64) bool {
-	if maxSteps > 0 && maxSteps < s.initSteps {
+// Admits reports whether a session under budget b would have survived
+// static initialization. A session it rejects must run fresh: its fresh
+// run dies mid-init, a state a cheap clone cannot reproduce.
+func (s *Snapshot) Admits(b rt.Budget) bool {
+	if b.MaxSteps > 0 && b.MaxSteps < s.initSteps {
 		return false
 	}
-	if maxAlloc > 0 && maxAlloc < s.initAllocs {
+	if b.MaxAlloc > 0 && b.MaxAlloc < s.initAllocs {
 		return false
 	}
 	return true
@@ -166,7 +166,7 @@ func (s *Snapshot) NewSession(env *rt.Env) (*Loader, error) {
 // instead of letting a corrupt snapshot serve divergent sessions.
 func (s *Snapshot) Verify() error {
 	var out bytes.Buffer
-	l, err := s.NewSession(&rt.Env{Out: &out})
+	l, err := s.NewSession(rt.Unbudgeted(&out, "a probe clone, checksummed and dropped; RunMain is never called"))
 	if err != nil {
 		return fmt.Errorf("interp: snapshot verify: %w", err)
 	}

@@ -183,7 +183,7 @@ func TestSnapshotAdmits(t *testing.T) {
 		{"steps unlimited, allocs short", 0, allocs / 2, false},
 	}
 	for _, c := range cases {
-		if got := snap.Admits(c.ms, c.ma); got != c.admitted {
+		if got := snap.Admits(rt.Budget{MaxSteps: c.ms, MaxAlloc: c.ma}); got != c.admitted {
 			t.Errorf("%s: Admits(%d, %d) = %v, want %v", c.name, c.ms, c.ma, got, c.admitted)
 		}
 	}
@@ -280,7 +280,7 @@ class Main {
 }`
 	snap := compileSrc(t, src)
 	budget := snap.InitSteps() + 5000
-	if !snap.Admits(budget, 0) {
+	if !snap.Admits(rt.Budget{MaxSteps: budget}) {
 		t.Fatal("test budget does not admit the snapshot")
 	}
 

@@ -44,7 +44,7 @@ var (
 		names: []string{
 			"dispatch_chain", "exception_edges_in_calls", "phi_swap_branches",
 			"string_fallback_tail", "compiled_step_kill", "compiled_alloc_kill",
-			"native_throw_across_frames",
+			"native_throw_across_frames", "depth_kill_recursion", "depth_kill_under_try",
 		},
 		sources:   compiledSeedSources,
 		generated: []string{"c0", "c1"},
@@ -314,6 +314,35 @@ class Main {
         System.out.println(i);
     }
 }`,
+	// The depth seeds recurse in as few steps per frame as the language
+	// allows, so the depth limit is reached inside fuzzBudgets' steps.
+	"depth_kill_recursion": `
+class Main {
+    static void down() { down(); }
+    static void main() {
+        System.out.println("going down");
+        down();
+    }
+}`,
+	"depth_kill_under_try": `
+class Main {
+    static int unwound;
+    static void down() {
+        try {
+            down();
+        } finally {
+            unwound = unwound + 1;
+        }
+    }
+    static void main() {
+        try {
+            down();
+        } catch (Exception e) {
+            System.out.println("a kill is not an exception");
+        }
+        System.out.println(unwound);
+    }
+}`,
 }
 
 // fuzzBudgets is deliberately small: the budget-kill seeds must die on
@@ -375,6 +404,28 @@ func (s engineSeedSet) replay(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDepthKillSeedsDieOfDepth: the depth seeds of the engine and pooled
+// corpora pin what their names say — under the fuzz budgets all three
+// engines end them with depth_limit on one step count (the parity check
+// holds them to the reference's), not with the step kill a slower
+// recursion would meet first.
+func TestDepthKillSeedsDieOfDepth(t *testing.T) {
+	for name, src := range map[string]string{
+		"depth_kill_recursion": compiledSeedSources["depth_kill_recursion"],
+		"depth_kill_under_try": compiledSeedSources["depth_kill_under_try"],
+		"init_depth_kill":      pooledSeedSources["init_depth_kill"],
+		"main_depth_kill":      pooledSeedSources["main_depth_kill"],
+	} {
+		plain, optimized := wires(t, map[string]string{"Main.tj": src})
+		for _, data := range [][]byte{plain, optimized} {
+			kill, steps, err := oracle.ParityOutcome(data, fuzzBudgets)
+			if err != nil || kill != "depth_limit" {
+				t.Errorf("%s: killed by %q after %d steps (%v), want depth_limit on every engine", name, kill, steps, err)
+			}
+		}
 	}
 }
 

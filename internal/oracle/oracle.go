@@ -39,16 +39,13 @@ import (
 	"safetsa/internal/wire"
 )
 
-// Budgets bounds guest execution inside the oracles. The zero value
-// picks defaults suitable for fuzzing (small enough that a hostile
-// module cannot stall or bloat the harness, large enough that every
-// corpus program finishes).
-type Budgets struct {
-	MaxSteps int64
-	MaxAlloc int64
-}
+// Budgets bounds guest execution inside the oracles. A zero field picks
+// a default suitable for fuzzing (small enough that a hostile module
+// cannot stall or bloat the harness, large enough that every corpus
+// program finishes), never "unlimited".
+type Budgets = rt.Budget
 
-func (b Budgets) orDefaults() Budgets {
+func orDefaults(b Budgets) Budgets {
 	if b.MaxSteps == 0 {
 		b.MaxSteps = 1 << 20
 	}
@@ -56,10 +53,6 @@ func (b Budgets) orDefaults() Budgets {
 		b.MaxAlloc = 1 << 22
 	}
 	return b
-}
-
-func (b Budgets) newEnv(out *bytes.Buffer) *rt.Env {
-	return &rt.Env{Out: out, MaxSteps: b.MaxSteps, MaxAlloc: b.MaxAlloc}
 }
 
 // CheckWire is the referential-integrity property of the paper as an
@@ -102,9 +95,9 @@ func CheckWire(data []byte, b Budgets) error {
 // (output, error) pair reports the guest-visible outcome. Host panics
 // propagate — the caller (a fuzz harness) wants them fatal.
 func runBounded(mod *core.Module, b Budgets) (string, error) {
-	b = b.orDefaults()
+	b = orDefaults(b)
 	var out bytes.Buffer
-	env := b.newEnv(&out)
+	env := rt.NewEnv(&out, b, nil)
 	l, err := interp.LoadTrusted(mod, env)
 	if err != nil {
 		return out.String(), err
@@ -191,7 +184,7 @@ func RunPassesVerifiedOptions(mod *core.Module, o opt.Options, passes []opt.Pass
 // expected to be valid programs (generated corpus or checked-in seeds),
 // so nothing here is a "clean rejection".
 func Differential(files map[string]string, b Budgets) (string, error) {
-	b = b.orDefaults()
+	b = orDefaults(b)
 	prog, err := driver.Frontend(files)
 	if err != nil {
 		return "", fmt.Errorf("oracle: frontend: %w", err)
@@ -297,11 +290,11 @@ func engineParity(mod *core.Module, b Budgets) (*engineRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: prepared module fails to compile: %w", err)
 	}
-	b = b.orDefaults()
+	b = orDefaults(b)
 
 	run := func(engine string) *engineRun {
 		r := &engineRun{}
-		r.env = b.newEnv(&r.out)
+		r.env = rt.NewEnv(&r.out, b, nil)
 		switch engine {
 		case driver.EnginePrepared:
 			r.l, r.err = interp.LoadTrustedPrepared(mod, prep, r.env)

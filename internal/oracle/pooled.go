@@ -7,6 +7,7 @@ import (
 	"safetsa/internal/core"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
+	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
 
@@ -39,7 +40,7 @@ func PooledDifferential(data []byte, b Budgets) error {
 	if err != nil {
 		return fmt.Errorf("oracle: prepared module fails to compile: %w", err)
 	}
-	b = b.orDefaults()
+	b = orDefaults(b)
 
 	engines := []struct {
 		name string
@@ -64,7 +65,7 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	// Fresh baseline: the fused load-and-init path every earlier PR
 	// shipped (init + main in one session).
 	fresh := &engineRun{}
-	fresh.env = b.newEnv(&fresh.out)
+	fresh.env = rt.NewEnv(&fresh.out, b, nil)
 	fresh.l, fresh.err = interp.LoadTrustedDeferred(mod, prep, comp, fresh.env)
 	if fresh.err == nil {
 		fresh.err = fresh.l.RunStaticInit()
@@ -92,7 +93,7 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	// Reference observable: a second fresh session end-to-end (the first
 	// one was consumed as the snapshot builder).
 	ref := &engineRun{}
-	ref.env = b.newEnv(&ref.out)
+	ref.env = rt.NewEnv(&ref.out, b, nil)
 	ref.l, ref.err = interp.LoadTrustedDeferred(mod, prep, comp, ref.env)
 	if ref.err == nil {
 		ref.err = ref.l.RunStaticInit()
@@ -113,12 +114,12 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	if err := compareEngineRuns(engine+" (build session)", ref, build); err != nil {
 		return err
 	}
-	if !snap.Admits(b.MaxSteps, b.MaxAlloc) {
+	if !snap.Admits(b) {
 		return fmt.Errorf("oracle: %s snapshot does not admit the budgets that built it (init %d steps/%d allocs under %d/%d)",
 			engine, snap.InitSteps(), snap.InitAllocs(), b.MaxSteps, b.MaxAlloc)
 	}
 	clone := &engineRun{}
-	clone.env = b.newEnv(&clone.out)
+	clone.env = rt.NewEnv(&clone.out, b, nil)
 	clone.l, clone.err = snap.NewSession(clone.env)
 	if clone.err != nil {
 		return fmt.Errorf("oracle: %s clone session failed: %w", engine, clone.err)
@@ -132,7 +133,7 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	// Clone independence: a second clone from the same snapshot must see
 	// the frozen state, not the first clone's main-mutated heap.
 	var out2 bytes.Buffer
-	env2 := b.newEnv(&out2)
+	env2 := rt.NewEnv(&out2, b, nil)
 	l2, err := snap.NewSession(env2)
 	if err != nil {
 		return fmt.Errorf("oracle: %s second clone failed: %w", engine, err)

@@ -22,6 +22,33 @@ import (
 // exception (no snapshot may form), and mains that mutate the statics a
 // clone inherited.
 var pooledSeedSources = map[string]string{
+	// A session that dies of the depth limit, inside the initializers (no
+	// snapshot may form) or in main after init succeeded (a clone must die
+	// on the step a fresh session does).
+	"init_depth_kill": `
+class Deep {
+    static int x = Deep.start();
+    static int start() { Deep.down(); return 1; }
+    static void down() { Deep.down(); }
+    static void main() {
+        System.out.println(Deep.x);
+    }
+}`,
+	"main_depth_kill": `
+class Deep {
+    static int[] table = Deep.build();
+    static int[] build() {
+        int[] t = new int[64];
+        for (int i = 0; i < 64; i++) { t[i] = i * 3; }
+        System.out.println("init ran");
+        return t;
+    }
+    static void down() { Deep.down(); }
+    static void main() {
+        System.out.println(Deep.table[63]);
+        Deep.down();
+    }
+}`,
 	"init_table": `
 class Warm {
     static int[] table = Warm.build();

@@ -26,7 +26,15 @@ type Cloner struct {
 	// pointer (IsSubclassOf, checked casts), so a clone that kept source
 	// pointers would fail every instanceof in its new session.
 	classes map[*ClassInfo]*ClassInfo
+	// todo is the copies whose slots are still to be filled. The walk is
+	// a loop over it, not a recursion: the shape of the heap is the
+	// guest's to choose, and a list of four million nodes hung off a
+	// static used to overflow the host stack here.
+	todo []slotCopy
 }
+
+// slotCopy is one pending fill: dst[i] becomes the clone of src[i].
+type slotCopy struct{ src, dst []Value }
 
 // NewCloner creates a cloner with the given class remapping (may be
 // nil when source and destination share one class table).
@@ -39,7 +47,19 @@ func (c *Cloner) Value(v Value) Value {
 	if v.R == nil {
 		return v
 	}
-	return Value{I: v.I, R: c.ref(v.R)}
+	out := Value{I: v.I, R: c.ref(v.R)}
+	for len(c.todo) > 0 {
+		n := len(c.todo) - 1
+		p := c.todo[n]
+		c.todo = c.todo[:n]
+		for i, e := range p.src {
+			if e.R != nil {
+				e.R = c.ref(e.R)
+			}
+			p.dst[i] = e
+		}
+	}
+	return out
 }
 
 func (c *Cloner) class(ci *ClassInfo) *ClassInfo {
@@ -49,9 +69,10 @@ func (c *Cloner) class(ci *ClassInfo) *ClassInfo {
 	return ci
 }
 
-// ref copies one reference, recording the mapping before descending so
-// cyclic structures terminate and aliased references collapse onto one
-// clone.
+// ref returns the clone of one reference, making it on first sight with
+// its slots queued for filling; recording the mapping before the slots
+// are visited is what terminates cycles and collapses aliased references
+// onto one clone.
 func (c *Cloner) ref(r Ref) Ref {
 	if dup, ok := c.seen[r]; ok {
 		return dup
@@ -64,16 +85,12 @@ func (c *Cloner) ref(r Ref) Ref {
 	case *Array:
 		dup := &Array{Elems: make([]Value, len(r.Elems)), TypeID: r.TypeID}
 		c.seen[r] = dup
-		for i, e := range r.Elems {
-			dup.Elems[i] = c.Value(e)
-		}
+		c.todo = append(c.todo, slotCopy{r.Elems, dup.Elems})
 		return dup
 	case *Object:
 		dup := &Object{Class: c.class(r.Class), Fields: make([]Value, len(r.Fields)), id: r.id}
 		c.seen[r] = dup
-		for i, f := range r.Fields {
-			dup.Fields[i] = c.Value(f)
-		}
+		c.todo = append(c.todo, slotCopy{r.Fields, dup.Fields})
 		return dup
 	}
 	return r

@@ -7,7 +7,6 @@
 package rt
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -112,7 +111,9 @@ type Thrown struct{ Val Value }
 
 // Env is the execution environment shared by the interpreters. An Env
 // (and everything it allocates) belongs to exactly one execution session;
-// it must never be shared between concurrently running programs.
+// it must never be shared between concurrently running programs. Outside
+// this package and tests an Env comes from NewEnv (or Unbudgeted, for one
+// that runs no guest code), never from a literal — budget.go says why.
 type Env struct {
 	Out io.Writer
 	// Steps counts executed instructions; execution aborts with
@@ -120,11 +121,11 @@ type Env struct {
 	Steps    int64
 	MaxSteps int64
 	// Allocs counts abstract allocation units (object field slots, array
-	// elements, string bytes); execution aborts with ErrAllocLimit once
-	// MaxAlloc is exceeded (0 = unlimited). Sandboxed consumers — the
-	// fuzzing oracle in particular — set this so that a hostile module
-	// cannot exhaust host memory within its step budget (e.g. by
-	// repeatedly doubling a string or allocating huge arrays).
+	// elements, string bytes, output bytes); execution aborts with
+	// ErrAllocLimit once MaxAlloc is exceeded (0 = unlimited). Sandboxed
+	// consumers — the fuzzing oracle in particular — set this so that a
+	// hostile module cannot exhaust host memory within its step budget
+	// (e.g. by repeatedly doubling a string or allocating huge arrays).
 	Allocs   int64
 	MaxAlloc int64
 	// Interrupt, when non-nil, is polled every few thousand steps;
@@ -132,41 +133,12 @@ type Env struct {
 	// with ErrInterrupted. This is how servers cancel guest programs.
 	Interrupt <-chan struct{}
 
-	nextID int64
-}
-
-// ErrStepLimit is panicked (as a plain Go panic, not a Thrown) when the
-// step budget is exhausted.
-var ErrStepLimit = fmt.Errorf("rt: step limit exceeded")
-
-// ErrAllocLimit is panicked (as a plain Go panic, not a Thrown) when the
-// allocation budget is exhausted.
-var ErrAllocLimit = fmt.Errorf("rt: allocation limit exceeded")
-
-// ErrInterrupted is panicked (as a plain Go panic, not a Thrown) when the
-// Interrupt channel is closed mid-execution.
-var ErrInterrupted = fmt.Errorf("rt: execution interrupted")
-
-// IsExecError reports whether err is one of the abnormal-termination
-// sentinels an interpreter's top-level recover must convert to a plain
-// error instead of re-panicking.
-func IsExecError(err error) bool {
-	return err == ErrStepLimit || err == ErrAllocLimit || err == ErrInterrupted
-}
-
-// KillReason maps an abnormal-termination sentinel (possibly wrapped) to
-// a stable label for metrics: "step_limit", "alloc_limit", or
-// "interrupt". Errors that are not budget kills report "".
-func KillReason(err error) string {
-	switch {
-	case errors.Is(err, ErrStepLimit):
-		return "step_limit"
-	case errors.Is(err, ErrAllocLimit):
-		return "alloc_limit"
-	case errors.Is(err, ErrInterrupted):
-		return "interrupt"
-	}
-	return ""
+	// slots is the live register slots of every guest activation on the
+	// call stack (see Enter), inflight the guest exception unwinding the
+	// Go stack (see Throw).
+	slots    int64
+	inflight any
+	nextID   int64
 }
 
 // Charge consumes n units of allocation budget.
@@ -243,7 +215,7 @@ func (e *Env) ThrowNew(c *ClassInfo, msg string) {
 	if len(o.Fields) > 0 {
 		o.Fields[0] = RefValue(&Str{S: msg})
 	}
-	panic(Thrown{Val: RefValue(o)})
+	e.Throw(Thrown{Val: RefValue(o)})
 }
 
 // ---------------------------------------------------------------------
@@ -470,9 +442,20 @@ func (e *Env) Concat(a, b Ref) Ref {
 	return e.NewStr(RefString(a) + RefString(b))
 }
 
-// Println/Print write to the environment output.
-func (e *Env) Println(s string) { fmt.Fprintln(e.Out, s) }
-func (e *Env) Print(s string)   { fmt.Fprint(e.Out, s) }
+// Println/Print write to the environment output. Every byte is charged
+// to the allocation budget before it is written: the host holds a
+// session's output in memory until the guest ends, exactly as it holds a
+// guest string, so a session's output is bounded by MaxAlloc bytes and a
+// flood dies as ErrAllocLimit with what was printed so far intact.
+func (e *Env) Println(s string) {
+	e.Charge(int64(len(s)) + 1)
+	fmt.Fprintln(e.Out, s)
+}
+
+func (e *Env) Print(s string) {
+	e.Charge(int64(len(s)))
+	fmt.Fprint(e.Out, s)
+}
 
 // MathOp evaluates the named double intrinsic.
 func MathOp(name string, a, b float64) float64 {
