@@ -24,8 +24,7 @@ var depthGuests = []struct{ name, src string }{
 		class D { static void main() { A a = new B(); System.out.println("" + a.g(0)); } }`},
 	{"StaticInit", `class S { static int x = f(0); static int f(int n) { return f(n+1)+1; }
 		static void main() { System.out.println("" + x); } }`},
-	{"TryFinally", `class T { static int f(int n) { try { return f(n+1)+1; } finally { n = n + 1; } }
-		static void main() { System.out.println("" + f(0)); } }`},
+	{"TryFinally", tryFinallyRecSrc},
 	{"Catching", `class C { static int f(int n) { try { return f(n+1)+1; } catch (Exception e) { return 0; } }
 		static void main() { System.out.println("" + f(0)); } }`},
 	{"Wide", `class W { static int f(int n) { ` + wideLocals(300) + ` return f(n+1)+a299; }
@@ -33,6 +32,9 @@ var depthGuests = []struct{ name, src string }{
 	{"Nested", `class N { static int f(int n, boolean b) { ` + strings.Repeat("if (b) { ", 40) + `return f(n+1, b)+1;` + strings.Repeat(" }", 40) + ` return 0; }
 		static void main() { System.out.println("" + f(0, true)); } }`},
 }
+
+const tryFinallyRecSrc = `class T { static int f(int n) { try { return f(n+1)+1; } finally { n = n + 1; } }
+	static void main() { System.out.println("" + f(0)); } }`
 
 // wideLocals declares n int locals a0..a(n-1), each a register.
 func wideLocals(n int) string {
@@ -141,7 +143,7 @@ func TestThrowAcrossFramesDoesNotDrift(t *testing.T) {
 // these 8 000 frames under try took the reference walker 108 s to die of
 // a step limit, the prepared engine 26 s.
 func TestKillUnwindsInLinearTime(t *testing.T) {
-	mod, prep, comp := lowered(t, depthGuests[4].src) // TryFinally
+	mod, prep, comp := lowered(t, tryFinallyRecSrc)
 	for _, engine := range allEngines {
 		start := time.Now()
 		got := runSession(t, mod, prep, comp, engine, 64_000, 0)

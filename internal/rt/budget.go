@@ -39,7 +39,6 @@ func NewEnv(out io.Writer, b Budget, interrupt <-chan struct{}) *Env {
 // It exists so that every environment without a budget can be found by
 // name.
 func Unbudgeted(out io.Writer, reason string) *Env {
-	_ = reason
 	return &Env{Out: out}
 }
 
@@ -116,7 +115,7 @@ func KillReason(err error) string {
 // of re-panicking.
 func IsExecError(err error) bool {
 	for _, row := range kills {
-		if err == row.err && err != nil {
+		if err != nil && err == row.err {
 			return true
 		}
 	}
