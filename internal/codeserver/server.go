@@ -502,19 +502,18 @@ const MaxUnitBytes = 64 << 20
 
 // RunUnitStream executes a distribution unit delivered as raw wire
 // bytes, starting the guest before the final byte arrives: the symbol
-// tables are decoded and statically verified up front, each function is
-// decoded and admitted by the plane-counter verifier when the guest
-// first calls it — on the session's own goroutine, which reads the body
-// exactly as far as it has called — and execution proceeds exactly as
-// far as admitted code exists (wire.DecodeVerifiedStream +
-// interp.LoadTrustedStreaming). The session runs on the reference
-// walker, the only evaluator that can execute a module whose function
-// list is still growing. Any failure
+// tables are decoded and statically verified up front, and a function is
+// callable once admitted and lowered — both happen in one step, when the
+// guest first calls it, on the session's own goroutine, which reads the
+// body exactly as far as it has called (wire.DecodeVerifiedStream +
+// interp.LoadTrustedStreaming). The session runs the thunks RunUnitOpts
+// runs, lowered into a form of its own: this door takes nothing from the
+// loader cache or the pool and leaves nothing in them. Any failure
 // anywhere in the stream — truncation, a function the verifier rejects,
-// trailing garbage — rejects the whole unit: the response is a verify
-// error and nothing is cached in either the store or the loader tier.
-// Only after Wait returns nil are the exact bytes cached under their
-// wire address.
+// trailing garbage, an admitted function lowering refuses — rejects the
+// whole unit: the response is a verify error and nothing is cached in
+// either the store or the loader tier. Only after streamVerdict returns
+// nil are the exact bytes cached under their wire address.
 func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOptions) (RunStreamResult, error) {
 	sess, err := s.newSession(ctx, "run_stream", opts)
 	if err != nil {
@@ -538,8 +537,8 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 			runErr = l.RunMain()
 		}
 		// The guest has pulled only the functions it called; Wait reads and
-		// admits the rest, and alone decides admissibility of the whole unit.
-		return su.Wait()
+		// admits the rest.
+		return streamVerdict(runErr, su.Wait())
 	})
 	if err != nil {
 		if su != nil {
@@ -560,12 +559,29 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	// caller's failed peer fill of the same key, the unit is simply not
 	// cached and no hash is reported.
 	u, _, _, err := s.store.fill(context.WithoutCancel(sess.ctx), KeyForWire(buf.Bytes()), func(context.Context) (admitted, error) {
-		return admitted{mod: su.Mod, wire: bytes.Clone(buf.Bytes())}, nil // Wait returned nil
+		return admitted{mod: su.Mod, wire: bytes.Clone(buf.Bytes())}, nil // the verdict was nil
 	})
 	if err == nil {
 		res.Hash = u.Key.String()
 	}
 	return res, nil
+}
+
+// streamVerdict decides whether a streamed unit is admissible, given what
+// ended its session and what the cursor said of the whole body. The
+// cursor's error rejects it whatever the guest did. Past that the
+// session's error is the guest's own affair — with one exception: a
+// function the cursor admitted and the session's lowering refused, which
+// rejects the unit as /run rejects it at load (interp.Prepare is a
+// validation gate there too).
+func streamVerdict(runErr, waitErr error) error {
+	if waitErr != nil {
+		return waitErr
+	}
+	if errors.Is(runErr, errors.ErrUnsupported) {
+		return runErr
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------

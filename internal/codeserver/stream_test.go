@@ -2,6 +2,7 @@ package codeserver
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"safetsa/internal/driver"
+	"safetsa/internal/interp"
+	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
 
@@ -185,6 +188,59 @@ func TestHTTPRunStreamTrailingGarbage(t *testing.T) {
 	}
 	if st := s.Stats(); st.UnitsCached != 0 {
 		t.Fatalf("garbled stream cached: units=%d", st.UnitsCached)
+	}
+}
+
+// TestStreamVerdict pins what rejects a streamed unit. No bytes reach the
+// fourth case — a body the verifier admits and lowering refuses is a hole
+// in the verifier — so it is made here: a real cursor's module, damaged
+// after admission, run by the session the door runs.
+func TestStreamVerdict(t *testing.T) {
+	session := func(damage bool, maxSteps int64) error {
+		data, _ := streamUnit(t, true)
+		su, err := wire.DecodeVerifiedStream(bytes.NewReader(data), wire.DecodeOptions{})
+		if err == nil {
+			err = su.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if damage {
+			for _, f := range su.Mod.Funcs {
+				for _, b := range f.Blocks {
+					for _, in := range b.Code {
+						if len(in.Args) > 0 {
+							in.Args[0] = 9999 // a value the function never defines
+						}
+					}
+				}
+			}
+		}
+		l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, rt.NewEnv(io.Discard, rt.Budget{MaxSteps: maxSteps}, nil))
+		if err == nil {
+			err = l.RunMain()
+		}
+		return err
+	}
+	cut := errors.New("stream cut")
+	refused, killed := session(true, 0), session(false, 3)
+	if refused == nil || !errors.Is(killed, rt.ErrStepLimit) {
+		t.Fatalf("fixtures: damaged module ended %v, three-step budget ended %v", refused, killed)
+	}
+	for _, tc := range []struct {
+		name            string
+		runErr, waitErr error
+		want            error
+	}{
+		{"clean run, whole stream", nil, nil, nil},
+		{"the guest's own failure is not the unit's", killed, nil, nil},
+		{"the cursor's error rejects whatever the guest did", nil, cut, cut},
+		{"and wins over the session's", refused, cut, cut},
+		{"an admitted function lowering refuses", refused, nil, refused},
+	} {
+		if got := streamVerdict(tc.runErr, tc.waitErr); got != tc.want {
+			t.Errorf("%s: verdict %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -117,17 +117,39 @@ func Compile(mod *core.Module, prep *Prepared) (*Compiled, error) {
 	}
 	c := &Compiled{mod: mod, Funcs: make([]*CFunc, len(prep.Funcs))}
 	for i, pf := range prep.Funcs {
-		code := make([]cthunk, len(pf.Code))
-		for pc := range pf.Code {
-			th, err := thunk(mod.Methods, &pf.Code[pc], int32(pc+1))
-			if err != nil {
-				return nil, fmt.Errorf("interp: compile %s: pc %d: %w", pf.Name, pc, err)
-			}
-			code[pc] = th
+		cf, err := compileFunc(mod.Methods, pf)
+		if err != nil {
+			return nil, err
 		}
-		c.Funcs[i] = &CFunc{Name: pf.Name, NumRegs: pf.NumRegs, Frame: pf.Frame, Code: code}
+		c.Funcs[i] = cf
 	}
 	return c, nil
+}
+
+// compileFunc fuses one prepared function body, thunk by thunk.
+func compileFunc(methods []core.MethodRef, pf *PFunc) (*CFunc, error) {
+	code := make([]cthunk, len(pf.Code))
+	for pc := range pf.Code {
+		th, err := thunk(methods, &pf.Code[pc], int32(pc+1))
+		if err != nil {
+			return nil, fmt.Errorf("interp: compile %s: pc %d: %w", pf.Name, pc, err)
+		}
+		code[pc] = th
+	}
+	return &CFunc{Name: pf.Name, NumRegs: pf.NumRegs, Frame: pf.Frame, Code: code}, nil
+}
+
+// lowerFunc is the whole lowering of one admitted function, the unit both
+// schedules share: Prepare and Compile are loops over its two halves, run
+// module by module for a unit the loader cache holds, and a streaming
+// session runs both on a function the first time the guest calls it (see
+// Loader.cfunc).
+func (c *fcomp) lowerFunc(f *core.Func) (*CFunc, error) {
+	pf, err := c.prepareFunc(f)
+	if err != nil {
+		return nil, fmt.Errorf("interp: prepare %s: %w", f.Name, err)
+	}
+	return compileFunc(c.mod.Methods, pf)
 }
 
 // cframePoolCap bounds the per-session free lists: deep recursion grows
@@ -223,7 +245,7 @@ func (l *Loader) runCompiled(cf *CFunc, args []rt.Value) (v rt.Value, thrown boo
 // method.
 func (l *Loader) cinvoke(mr *core.MethodRef, fi int32, args []rt.Value) (v rt.Value, thrown bool) {
 	if fi >= 0 {
-		return l.runCompiled(l.comp.Funcs[fi], args)
+		return l.runCompiled(l.cfunc(fi), args)
 	}
 	return l.native(mr, args)
 }

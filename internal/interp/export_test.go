@@ -17,7 +17,7 @@ func EngineOf(l *Loader) string {
 // ArenaSlack lowers mod and reports how many operand and phi-move slots
 // prepareFunc counted for its functions and never carved.
 func ArenaSlack(mod *core.Module) (args, moves int, err error) {
-	c := newFcomp(mod)
+	c := newFcomp(mod, len(mod.Funcs))
 	for _, f := range mod.Funcs {
 		if _, err := c.prepareFunc(f); err != nil {
 			return 0, 0, err

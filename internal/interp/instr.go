@@ -145,13 +145,6 @@ func (l *Loader) execCall(fr *frame, in *core.Instr) rt.Value {
 	var out rt.Value
 	call := func() {
 		if mr.FuncIdx >= 0 {
-			// Streaming sessions gate every body behind its admission;
-			// a rejected stream unwinds past any handler in between.
-			if l.gate != nil {
-				if err := l.gate(int(mr.FuncIdx)); err != nil {
-					panic(streamAbort{err})
-				}
-			}
 			out = l.callFunc(mr.FuncIdx, args)
 			return
 		}
@@ -161,8 +154,8 @@ func (l *Loader) execCall(fr *frame, in *core.Instr) rt.Value {
 		live := l.Env.StackSlots()
 		func() {
 			defer func() {
-				// Recover only a callee's exception; a kill or a stream
-				// abort passes through (see rt.Env.Throw).
+				// Recover only a callee's exception; a kill passes through
+				// (see rt.Env.Throw).
 				t, ok := l.Env.InFlight().(rt.Thrown)
 				if !ok {
 					return

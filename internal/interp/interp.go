@@ -1,11 +1,20 @@
 // Package interp is the SafeTSA code consumer: it loads a SafeTSA module
 // (typically freshly decoded from the wire format), builds the runtime
-// class metadata, runs static initializers, and executes function bodies
-// by walking the Control Structure Tree and evaluating the type-separated
-// SSA instructions directly.
+// class metadata, runs static initializers, and executes function bodies.
+//
+// There is one production engine, the closure-threaded form (compile.go)
+// of the register-machine lowering (prepare.go); a server runs nothing
+// else, whether the unit arrived whole (LoadTrustedCompiled, -Deferred)
+// or is still arriving (LoadTrustedStreaming, which lowers a function
+// when the guest first calls it). The other two evaluators are oracles:
+// the reference walker in this file and instr.go, which executes the
+// Control Structure Tree and the type-separated SSA instructions as they
+// stand and is the meaning the lowered forms are tested against, and the
+// prepared register machine (prepared.go).
 package interp
 
 import (
+	"errors"
 	"fmt"
 
 	"safetsa/internal/core"
@@ -36,12 +45,11 @@ type Loader struct {
 	// frames caches frameSlots per function index for the reference
 	// walker, which has no lowered form to keep it in (0: not yet asked).
 	frames []int64
-	// gate, when non-nil, marks a streaming session: before any
-	// function index is executed — or looked up in Mod.Funcs, which
-	// holds only what has been admitted — gate has the streaming decoder
-	// admit that function (or returns the stream's error, aborting the
-	// run). See LoadTrustedStreaming.
-	gate func(fi int) error
+	// gate and lower, when non-nil, mark a streaming session: comp is
+	// private to it and starts empty, and admit fills a slot the first
+	// time the guest calls that function. See LoadTrustedStreaming.
+	gate  func(fi int) error
+	lower *fcomp
 }
 
 // Load verifies the module and prepares it for execution (class metadata
@@ -76,14 +84,30 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // both — while Mod.Funcs grows under the session's own calls: gate(i)
 // returns nil once function i is admitted and stands in Mod.Funcs,
 // decoding up to it on this goroutine if it must, or returns the
-// stream's terminal error. Every function invocation passes through it,
-// so execution proceeds exactly as far as verified code exists and a
-// mid-stream failure aborts the run with the stream's error. The
-// session runs on the reference CST engine: the prepared and compiled
-// engines need the complete function list at load time, which is the
-// opposite of the point.
+// stream's terminal error.
+//
+// The session runs on the compiled engine, over a lowered form of its
+// own whose slots start empty. A function is callable once admitted and
+// lowered, and both happen in one step, the first time the guest calls it
+// (Loader.admit): gate(i), then the same per-function lowering Prepare
+// and Compile are loops over. So execution proceeds exactly as far as
+// verified code exists, only what the guest calls is lowered, and a
+// mid-stream failure — the gate's error, or a function lowering refuses,
+// which satisfies errors.Is(err, errors.ErrUnsupported) — aborts the run
+// and is the error the session ends with. The form is never complete and
+// never shared: such a session cannot be snapshotted.
 func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env) (*Loader, error) {
-	return newLoader(&Loader{Mod: mod, Env: env, gate: gate}, true)
+	// One slot per function index the verified tables can reach; a body
+	// nothing names is never called.
+	n := 0
+	for i := range mod.Methods {
+		n = max(n, int(mod.Methods[i].FuncIdx)+1)
+	}
+	for _, fi := range mod.StaticInit {
+		n = max(n, int(fi)+1)
+	}
+	comp := &Compiled{mod: mod, Funcs: make([]*CFunc, n)}
+	return newLoader(&Loader{Mod: mod, Env: env, comp: comp, gate: gate, lower: newFcomp(mod, n)}, true)
 }
 
 // LoadTrustedPrepared is LoadTrusted for a session that executes the
@@ -128,7 +152,7 @@ func LoadTrustedDeferred(mod *core.Module, prep *Prepared, comp *Compiled, env *
 
 // newLoader is the one session constructor behind every Load* name. l
 // arrives holding what the entry point decided — module, environment,
-// engine binding (prep/comp/gate) — and newLoader completes it: link
+// engine binding (prep, comp, gate and lower) — and newLoader completes it: link
 // checks, runtime class metadata, then — when init is set — the static
 // initializers, the first guest code the session runs.
 func newLoader(l *Loader, init bool) (*Loader, error) {
@@ -195,6 +219,9 @@ func newLoader(l *Loader, init bool) (*Loader, error) {
 		l.classes[cd.Type] = ci
 	}
 
+	if l.comp == nil && l.prep == nil {
+		l.frames = make([]int64, len(mod.Funcs))
+	}
 	if init {
 		if err := l.RunStaticInit(); err != nil {
 			return nil, err
@@ -220,23 +247,13 @@ func (l *Loader) RunStaticInit() error {
 	return err
 }
 
-// streamAbort unwinds guest execution when the streaming decoder
-// rejects the unit mid-run; catchTopLevel converts it to the stream's
-// error.
-type streamAbort struct{ err error }
-
 // call invokes function index fi on the session's engine.
 func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
-	if l.gate != nil {
-		if err := l.gate(int(fi)); err != nil {
-			panic(streamAbort{err})
-		}
-	}
 	if l.comp != nil {
 		// The compiled engine unwinds by return; an exception that left
 		// its outermost frame joins the oracle engines' carrier here, so
 		// catchTopLevel words every engine's uncaught exception alike.
-		v, thrown := l.runCompiled(l.comp.Funcs[fi], args)
+		v, thrown := l.runCompiled(l.cfunc(fi), args)
 		if thrown {
 			l.Env.Throw(rt.Thrown{Val: v})
 		}
@@ -246,6 +263,41 @@ func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
 		return l.runPrepared(l.prep.Funcs[fi], args)
 	}
 	return l.callFunc(fi, args)
+}
+
+// cfunc is the compiled body of function fi, the one read of comp.Funcs.
+// A form Compile minted has no empty slot, so a session over a shared
+// form pays the test and nothing else.
+func (l *Loader) cfunc(fi int32) *CFunc {
+	if cf := l.comp.Funcs[fi]; cf != nil {
+		return cf
+	}
+	return l.admit(fi)
+}
+
+// streamAbort unwinds guest execution when a streaming session cannot
+// make a function callable; catchTopLevel converts it to the error.
+type streamAbort struct{ err error }
+
+// admit makes function fi of a streaming session callable: the gate has
+// the stream admit it, the session lowers it, and the slot is filled —
+// one step, on the session's goroutine, once per function the guest
+// calls. Failing either half ends the run: no engine recovers a
+// streamAbort, so it passes every guest handler on its way to
+// catchTopLevel.
+func (l *Loader) admit(fi int32) *CFunc {
+	err := l.gate(int(fi))
+	var cf *CFunc
+	if err == nil {
+		if cf, err = l.lower.lowerFunc(l.Mod.Funcs[fi]); err != nil {
+			err = fmt.Errorf("%w: admitted function %d does not lower: %w", errors.ErrUnsupported, fi, err)
+		}
+	}
+	if err != nil {
+		panic(streamAbort{err})
+	}
+	l.comp.Funcs[fi] = cf
+	return cf
 }
 
 // catchTopLevel converts an uncaught TJ exception into a Go error. A
@@ -293,24 +345,17 @@ func (l *Loader) RunMain() error {
 	if l.Mod.Entry < 0 {
 		return fmt.Errorf("interp: module has no main method")
 	}
-	if l.gate != nil {
-		// Streaming: the entry body may not be in Mod.Funcs yet — have it
-		// admitted before inspecting it.
-		if fi := l.Mod.Methods[l.Mod.Entry].FuncIdx; fi >= 0 {
-			if err := l.gate(int(fi)); err != nil {
-				return err
-			}
-		}
-	}
-	f := l.Mod.FuncOf(l.Mod.Entry)
-	if f == nil {
+	// The tables say all that is needed of the entry (static, by
+	// VerifyTables); its body may not have arrived yet.
+	mr := &l.Mod.Methods[l.Mod.Entry]
+	if mr.FuncIdx < 0 {
 		return fmt.Errorf("interp: entry method has no body")
 	}
-	args := make([]rt.Value, len(f.Params)) // String[] args arrives null
+	args := make([]rt.Value, len(mr.Params)) // String[] args arrives null
 	var err error
 	func() {
 		defer l.catchTopLevel(&err)
-		l.call(l.Mod.Methods[l.Mod.Entry].FuncIdx, args)
+		l.call(mr.FuncIdx, args)
 	}()
 	return err
 }
@@ -369,9 +414,6 @@ type frame struct {
 
 func (l *Loader) callFunc(fi int32, args []rt.Value) rt.Value {
 	f := l.Mod.Funcs[fi]
-	for int(fi) >= len(l.frames) { // Mod.Funcs grows under a streaming session
-		l.frames = append(l.frames, 0)
-	}
 	if l.frames[fi] == 0 {
 		l.frames[fi] = frameSlots(f)
 	}

@@ -121,7 +121,7 @@ class Main {
 	}{
 		{"Load", func(env *rt.Env) (*interp.Loader, error) { return interp.Load(mod, env) }, "reference", false, false},
 		{"LoadTrusted", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrusted(mod, env) }, "reference", false, false},
-		{"LoadTrustedStreaming", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedStreaming(mod, gate, env) }, "reference", true, false},
+		{"LoadTrustedStreaming", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedStreaming(mod, gate, env) }, "compiled", true, false},
 		{"LoadTrustedPrepared", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedPrepared(mod, prep, env) }, "prepared", false, false},
 		{"LoadTrustedCompiled", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedCompiled(mod, comp, env) }, "compiled", false, false},
 		{"LoadTrustedDeferred/reference", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedDeferred(mod, nil, nil, env) }, "reference", false, true},
@@ -168,5 +168,79 @@ class Main {
 	refuse := func(int) error { return cut }
 	if _, err := interp.LoadTrustedStreaming(mod, refuse, &rt.Env{Out: &bytes.Buffer{}}); err != cut {
 		t.Fatalf("refusing gate: got %v, want %v", err, cut)
+	}
+}
+
+// TestStreamingSessionLowersWhatItCalls pins the rule a streaming session
+// runs by: a function is callable once admitted and lowered, both happen
+// the first time the guest calls it, and never for a function it does not
+// call. A body the gate admitted but lowering refuses ends the run where
+// the call stood — past the guest's own handlers — with an error that
+// says so (errors.ErrUnsupported), which is how the stream door tells it
+// from a guest failure.
+func TestStreamingSessionLowersWhatItCalls(t *testing.T) {
+	const src = `
+class Main {
+    static int unused(int n) { return n * 2; }
+    static int twice(int n) { return n + n; }
+    static void main() {
+        System.out.println("before");
+        try { System.out.println(twice(21)); } catch (Exception e) { System.out.println("caught"); }
+        System.out.println(twice(4));
+    }
+}`
+	index := func(mod *core.Module, name string) int {
+		for i, f := range mod.Funcs {
+			if strings.HasSuffix(f.Name, name) {
+				return i
+			}
+		}
+		t.Fatalf("no function %s", name)
+		return -1
+	}
+	// corrupt makes name's body one only Prepare refuses.
+	corrupt := func(mod *core.Module, name string) {
+		for _, b := range mod.Funcs[index(mod, name)].Blocks {
+			for _, in := range b.Code {
+				if len(in.Args) > 0 {
+					in.Args[0] = 9999
+					return
+				}
+			}
+		}
+		t.Fatalf("nothing to corrupt in %s", name)
+	}
+	run := func(mod *core.Module) (out string, gated []int, err error) {
+		var buf bytes.Buffer
+		gate := func(fi int) error { gated = append(gated, fi); return nil }
+		l, err := interp.LoadTrustedStreaming(mod, gate, &rt.Env{Out: &buf, MaxSteps: 1_000_000})
+		if err == nil {
+			err = l.RunMain()
+			if _, serr := l.Snapshot(nil); serr == nil {
+				t.Error("a streaming session was snapshotted")
+			}
+		}
+		return buf.String(), gated, err
+	}
+
+	mod := compile(t, src)
+	corrupt(mod, "unused") // never called, so never lowered
+	out, gated, err := run(mod)
+	if err != nil || out != "before\n42\n8\n" {
+		t.Fatalf("got %q, %v", out, err)
+	}
+	want := []int{index(mod, "main"), index(mod, "twice")}
+	if len(gated) != len(want) || gated[0] != want[0] || gated[1] != want[1] {
+		t.Errorf("gate asked about %v, want %v: once per function called, in call order", gated, want)
+	}
+
+	mod = compile(t, src)
+	corrupt(mod, "twice")
+	out, _, err = run(mod)
+	if !errors.Is(err, errors.ErrUnsupported) || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("got %v, want a lowering refusal", err)
+	}
+	if out != "before\n" {
+		t.Errorf("output %q: the abort must pass the guest's handler", out)
 	}
 }

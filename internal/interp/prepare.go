@@ -212,7 +212,7 @@ func bound(mod *core.Module, form string, minted *core.Module) error {
 // hand-built or corrupted modules) yields an error.
 func Prepare(mod *core.Module) (*Prepared, error) {
 	p := &Prepared{mod: mod, Funcs: make([]*PFunc, len(mod.Funcs))}
-	c := newFcomp(mod)
+	c := newFcomp(mod, len(mod.Funcs))
 	for i, f := range mod.Funcs {
 		pf, err := c.prepareFunc(f)
 		if err != nil {
@@ -263,11 +263,14 @@ type loopCtx struct {
 // copied out when its length is known, and operand and move vectors are
 // carved from two per-function arenas counted up front.
 type fcomp struct {
-	mod  *core.Module
-	f    *core.Func
-	code []PreparedInst
-	fl   flow
-	loop []loopCtx
+	mod *core.Module
+	// nFuncs bounds the function indices a call may name: the length of
+	// the module's function list once all of it is there.
+	nFuncs int
+	f      *core.Func
+	code   []PreparedInst
+	fl     flow
+	loop   []loopCtx
 
 	args  []int32 // arena of PCall/PDispatch operand vectors
 	moves []Move  // arena of phi-move sets
@@ -279,11 +282,12 @@ type fcomp struct {
 	handlers map[*core.Block]int32
 }
 
-// newFcomp sizes the emission buffer for the module's largest function:
-// one prepared instruction per instruction, and per block at most its
-// entry moves plus what the construct it opens (branch, loop step, back
-// jump) and the terminator that ends it emit.
-func newFcomp(mod *core.Module) *fcomp {
+// newFcomp sizes the emission buffer for the largest function the module
+// holds so far (a later, larger one grows it): one prepared instruction
+// per instruction, and per block at most its entry moves plus what the
+// construct it opens (branch, loop step, back jump) and the terminator
+// that ends it emit.
+func newFcomp(mod *core.Module, nFuncs int) *fcomp {
 	room := 0
 	for _, f := range mod.Funcs {
 		n := 1
@@ -292,7 +296,7 @@ func newFcomp(mod *core.Module) *fcomp {
 		}
 		room = max(room, n)
 	}
-	return &fcomp{mod: mod, handlers: make(map[*core.Block]int32), code: make([]PreparedInst, 0, room)}
+	return &fcomp{mod: mod, nFuncs: nFuncs, handlers: make(map[*core.Block]int32), code: make([]PreparedInst, 0, room)}
 }
 
 // carve cuts the next n elements off an arena; a function that needs
@@ -975,7 +979,7 @@ func (c *fcomp) instr(in *core.Instr) error {
 		} else {
 			p.Op = PCall
 			p.B = mr.FuncIdx
-			if mr.FuncIdx >= 0 && int(mr.FuncIdx) >= len(c.mod.Funcs) {
+			if mr.FuncIdx >= 0 && int(mr.FuncIdx) >= c.nFuncs {
 				return fmt.Errorf("function index %d out of range", mr.FuncIdx)
 			}
 		}
