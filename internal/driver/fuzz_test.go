@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"safetsa/internal/corpus"
@@ -38,10 +40,110 @@ func TestRandomProgramDifferential(t *testing.T) {
 	}
 }
 
+// deepSources are the shapes whose tree is as deep as the source is long,
+// each at a size that crosses the parser's depth bound (1000 levels):
+// nesting the parser recurses into, and chains a loop in it builds for
+// the walks behind it to recurse over.
+func deepSources() (srcs []string) {
+	const n = 1100
+	for _, s := range []struct{ open, mid, close string }{
+		{"(", "1", ")"},
+		{"1+", "1", ""},
+		{"- ", "1", ""},
+		{"", "a", "[0]"},
+		{"", "a", ".f"},
+		{"a=", "1", ""},
+		{"c?1:", "0", ""},
+		{"f(", "1", ")"},
+	} {
+		srcs = append(srcs, "class G { static void main() { int x = "+
+			strings.Repeat(s.open, n)+s.mid+strings.Repeat(s.close, n)+"; } }")
+	}
+	for _, s := range []struct{ open, close string }{
+		{"{", "}"},
+		{"if(c)", ""},
+		{"while(c){", "}"},
+		{"try{", "}finally{}"},
+	} {
+		srcs = append(srcs, "class G { static void main() { "+
+			strings.Repeat(s.open, n)+";"+strings.Repeat(s.close, n)+" } }")
+	}
+	return append(srcs, "class G { int"+strings.Repeat("[]", n)+" x; }")
+}
+
+// TestDeepSourceIsAParseError: each of them is refused as a syntax error,
+// by the parser, whatever walk it would have overflowed.
+func TestDeepSourceIsAParseError(t *testing.T) {
+	for _, src := range deepSources() {
+		_, err := driver.Frontend(map[string]string{"G.tj": src})
+		if driver.KindOf(err) != driver.KindParse || !strings.Contains(err.Error(), "nesting deeper") {
+			t.Errorf("%.40q…: got %v, want the parser's depth error", src, err)
+		}
+	}
+}
+
+// TestProducerStackAtDepthBound is why the walks behind the parser carry
+// no depth counter of their own: trees as deep as the parser lets them be,
+// of every kind of level, go through the whole producer — sema, ssabuild,
+// the module-level optimizer, the wire encoder and the bytecode compiler
+// — on a goroutine stack capped at 8 MiB, under a hundredth of the
+// ceiling whose overflow ends the process (DESIGN.md §9). A walk that
+// outgrows the cap ends this test binary with "stack overflow".
+func TestProducerStackAtDepthBound(t *testing.T) {
+	const n = 980 // levels; the parser's bound is 1000 and a method body starts a few down
+	rep := strings.Repeat
+	for name, member := range map[string]string{
+		"parentheses": "static int f(int a) { return " + rep("(", n) + "1" + rep(")", n) + "; }",
+		"sum":         "static int f(int a) { return " + rep("a+", n) + "1; }",
+		"concat":      "static String f(String a) { return " + rep("a+", n) + "a; }",
+		"negations":   "static int f(int a) { return " + rep("- ", n) + "a; }",
+		"assigns":     "static int f(int a) { return " + rep("a=", n) + "1; }",
+		"ternaries":   "static int f(boolean c) { return " + rep("c?1:", n) + "0; }",
+		"and":         "static boolean f(boolean c) { return " + rep("c&&(", n/2) + "c" + rep(")", n/2) + "; }",
+		"arguments":   "static int f(int a) { return " + rep("f(", n) + "1" + rep(")", n) + "; }",
+		"fields":      "P p; static P f(P a) { return a" + rep(".p", n) + "; }",
+		"calls":       "P g() { return this; } static P f(P a) { return a" + rep(".g()", n) + "; }",
+		"blocks":      "static int f(int a) { " + rep("{", n) + "return 1;" + rep("}", n) + " }",
+		"ifs":         "static int f(boolean c) { " + rep("if(c)", n) + "return 1; return 0; }",
+		"whiles":      "static int f(boolean c) { " + rep("while(c){", n/2) + "return 1;" + rep("}", n/2) + " return 0; }",
+		"tries":       "static int f(int a) { " + rep("try{", n/2) + "return 1;" + rep("}finally{a=a+1;}", n/2) + " }",
+		"array type":  "static void f(int a) { int" + rep("[]", n) + " x = null; Object o = new int[1]" + rep("[]", n) + "; }",
+	} {
+		files := map[string]string{"P.tj": "class P { " + member + " static void main() { } }"}
+		done := make(chan error)
+		old := debug.SetMaxStack(8 << 20)
+		go func() { // a fresh stack, grown by nothing but the producer
+			done <- func() error {
+				prog, err := driver.Frontend(files)
+				if err != nil {
+					return err
+				}
+				if _, err := driver.CompileBytecode(prog); err != nil {
+					return err
+				}
+				mod, err := driver.CompileTSA(prog)
+				if err != nil {
+					return err
+				}
+				if _, err := driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true}); err != nil {
+					return err
+				}
+				wire.EncodeModuleV2(mod, nil)
+				return nil
+			}()
+		}()
+		err := <-done
+		debug.SetMaxStack(old)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // FuzzFrontend feeds arbitrary source bytes to the scanner, parser, and
 // semantic checker. Diagnostics are the specified behaviour; panics and
-// runaways are the bugs. Inputs are size-capped so recursive-descent
-// depth stays within the goroutine stack.
+// runaways are the bugs. Inputs are size-capped for the fuzzer's speed:
+// the parser bounds the depth of what it builds itself.
 func FuzzFrontend(f *testing.F) {
 	for _, src := range []string{
 		"",
@@ -53,6 +155,9 @@ func FuzzFrontend(f *testing.F) {
 		"class Main { static void main() { String s = \"\\u0041\"; } }",
 		"class \x80 {}",
 	} {
+		f.Add([]byte(src))
+	}
+	for _, src := range deepSources() {
 		f.Add([]byte(src))
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {

@@ -24,11 +24,29 @@ type bailout struct{}
 
 const maxErrors = 20
 
+// maxDepth bounds how deep the tree ParseFile returns can be. No node of
+// it hangs more than maxDepth levels (and a small constant) below its
+// class, where a chain a loop builds — 1+1+1, a[0][0][0], a.b.c, int[][][]
+// — counts a level per link, since that is the tree it makes. The walks
+// behind the parser (sema, ssabuild, bytecode) recurse over this tree, so
+// the one bound keeps their host stack as small as the parser's own: a
+// source that nests deeper is a syntax error instead of a stack overflow
+// (DESIGN.md §9).
+const maxDepth = 1000
+
 type parser struct {
 	file string // the name every token position is reported in
 	toks []token.Token
 	pos  int
 	errs []error
+
+	// depth is how many levels down the tree the node now being parsed
+	// hangs; high is the deepest that any node of the expression being
+	// parsed hangs so far (parseExpr and parseBinary open one). Every child
+	// is parsed between a nest and its unnest, and a node that becomes the
+	// left child of one built after it takes all it holds a level down
+	// with it (sink), so high never reads less than the tree is deep.
+	depth, high int
 }
 
 // ParseFile parses a whole TJ compilation unit. On syntax errors it
@@ -81,6 +99,33 @@ func (p *parser) next() token.Token {
 func (p *parser) errorf(pos token.Pos, format string, args ...interface{}) {
 	p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 	if len(p.errs) >= maxErrors {
+		panic(bailout{})
+	}
+}
+
+// nest steps a level down the tree, to where a child of the node being
+// built hangs; unnest steps back up.
+func (p *parser) nest() {
+	p.depth++
+	if p.depth > p.high {
+		p.high = p.depth
+		p.checkDepth(p.high)
+	}
+}
+
+func (p *parser) unnest() { p.depth-- }
+
+// sink is a link of a left-leaning chain: what the open expression holds
+// so far becomes the left child of a node built after it.
+func (p *parser) sink() {
+	p.high++
+	p.checkDepth(p.high)
+}
+
+// checkDepth ends the parse when a node would hang at level.
+func (p *parser) checkDepth(level int) {
+	if level > maxDepth {
+		p.errs = append(p.errs, &Error{Pos: p.here(), Msg: fmt.Sprintf("nesting deeper than %d levels", maxDepth)})
 		panic(bailout{})
 	}
 }
@@ -168,11 +213,13 @@ func (p *parser) parseMember(c *ast.ClassDecl) {
 
 	// Field declaration, possibly with several comma-separated
 	// declarators sharing the base type.
+	dims := arrayDims(typ)
 	for {
 		declType := typ
 		// Trailing [] on the declarator name (Java legacy syntax).
-		for p.accept(token.LBRACK) {
+		for n := dims + 1; p.accept(token.LBRACK); n++ {
 			p.expect(token.RBRACK)
+			p.checkDepth(p.depth + n)
 			declType = &ast.ArrayTypeExpr{Elem: declType, P: pos}
 		}
 		f := &ast.FieldDecl{Name: name.Lit, Type: declType, Static: static, Final: final, P: pos}
@@ -238,12 +285,21 @@ func (p *parser) parseType() ast.TypeExpr {
 		p.next()
 		return &ast.PrimTypeExpr{Kind: token.INT, P: pos}
 	}
-	for p.at(token.LBRACK) && p.peekKind(1) == token.RBRACK {
+	for n := 1; p.at(token.LBRACK) && p.peekKind(1) == token.RBRACK; n++ {
 		p.next()
 		p.next()
+		p.checkDepth(p.depth + n)
 		t = &ast.ArrayTypeExpr{Elem: t, P: pos}
 	}
 	return t
+}
+
+// arrayDims is how many levels of array t has.
+func arrayDims(t ast.TypeExpr) (n int) {
+	for a, ok := t.(*ast.ArrayTypeExpr); ok; a, ok = a.Elem.(*ast.ArrayTypeExpr) {
+		n++
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------
@@ -252,6 +308,8 @@ func (p *parser) parseType() ast.TypeExpr {
 func (p *parser) parseBlock() *ast.BlockStmt {
 	start := p.expect(token.LBRACE)
 	b := &ast.BlockStmt{P: p.posOf(start)}
+	p.nest()
+	defer p.unnest()
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		before := p.pos
 		b.Stmts = append(b.Stmts, p.parseStmt())
@@ -283,10 +341,13 @@ func (p *parser) startsLocalDecl() bool {
 }
 
 func (p *parser) parseStmt() ast.Stmt {
+	if p.at(token.LBRACE) {
+		return p.parseBlock()
+	}
+	p.nest()
+	defer p.unnest()
 	pos := p.here()
 	switch p.tok().Kind {
-	case token.LBRACE:
-		return p.parseBlock()
 	case token.SEMI:
 		p.next()
 		return &ast.EmptyStmt{P: pos}
@@ -357,12 +418,14 @@ func (p *parser) parseStmt() ast.Stmt {
 func (p *parser) parseLocalDecl() ast.Stmt {
 	pos := p.here()
 	typ := p.parseType()
+	dims := arrayDims(typ)
 	var decls []ast.Stmt
 	for {
 		name := p.expect(token.IDENT)
 		declType := typ
-		for p.accept(token.LBRACK) {
+		for n := dims + 1; p.accept(token.LBRACK); n++ {
 			p.expect(token.RBRACK)
+			p.checkDepth(p.depth + n)
 			declType = &ast.ArrayTypeExpr{Elem: declType, P: pos}
 		}
 		d := &ast.VarDeclStmt{Name: name.Lit, Type: declType, P: p.posOf(name)}
@@ -429,7 +492,17 @@ func (p *parser) parseTry() ast.Stmt {
 // ---------------------------------------------------------------------
 // Expressions
 
-func (p *parser) parseExpr() ast.Expr { return p.parseAssign() }
+// parseExpr parses an expression that is the child of the node being
+// built.
+func (p *parser) parseExpr() ast.Expr {
+	p.nest()
+	outer := p.high
+	p.high = p.depth
+	x := p.parseAssign()
+	p.high = max(p.high, outer)
+	p.unnest()
+	return x
+}
 
 func isLValue(x ast.Expr) bool {
 	switch x.(type) {
@@ -446,7 +519,8 @@ func (p *parser) parseAssign() ast.Expr {
 		if !isLValue(lhs) {
 			p.errorf(p.posOf(op), "left operand of %s is not assignable", op.Kind)
 		}
-		rhs := p.parseAssign() // right associative
+		p.sink()
+		rhs := p.parseExpr() // right associative
 		return &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs, P: p.posOf(op)}
 	}
 	return lhs
@@ -456,29 +530,40 @@ func (p *parser) parseTernary() ast.Expr {
 	c := p.parseBinary(1)
 	if p.at(token.QUESTION) {
 		pos := p.posOf(p.next())
-		then := p.parseAssign()
+		p.sink()
+		then := p.parseExpr()
 		p.expect(token.COLON)
+		p.nest()
 		els := p.parseTernary()
+		p.unnest()
 		return &ast.Cond{C: c, Then: then, Else: els, P: pos}
 	}
 	return c
 }
 
 func (p *parser) parseBinary(minPrec int) ast.Expr {
+	// An operand of its own: the links below sink what this call has
+	// parsed and nothing beside it.
+	outer := p.high
+	p.high = p.depth
 	x := p.parseUnary()
 	for {
 		op := p.tok()
 		prec := op.Kind.Precedence()
 		if prec < minPrec {
+			p.high = max(p.high, outer)
 			return x
 		}
 		p.next()
+		p.sink()
 		if op.Kind == token.INSTANCEOF {
 			typ := p.parseType()
 			x = &ast.InstanceOf{X: x, Type: typ, P: p.posOf(op)}
 			continue
 		}
+		p.nest()
 		y := p.parseBinary(prec + 1)
+		p.unnest()
 		x = &ast.Binary{Op: op.Kind, X: x, Y: y, P: p.posOf(op)}
 	}
 }
@@ -536,12 +621,11 @@ func (p *parser) parseUnary() ast.Expr {
 			t := p.next()
 			return p.parsePostfix(&ast.LongLit{Value: p.longLitValue(t, true), P: pos})
 		}
-		x := p.parseUnary()
-		return &ast.Unary{Op: op, X: x, P: pos}
+		return &ast.Unary{Op: op, X: p.parseOperand(), P: pos}
 	case token.INC, token.DEC:
 		// Prefix inc/dec: treat as the equivalent compound assignment.
 		op := p.next().Kind
-		x := p.parseUnary()
+		x := p.parseOperand()
 		if !isLValue(x) {
 			p.errorf(pos, "operand of %s is not assignable", op)
 		}
@@ -555,10 +639,17 @@ func (p *parser) parseUnary() ast.Expr {
 		p.next() // (
 		typ := p.parseType()
 		p.expect(token.RPAREN)
-		x := p.parseUnary()
-		return &ast.Cast{Type: typ, X: x, P: pos}
+		return &ast.Cast{Type: typ, X: p.parseOperand(), P: pos}
 	}
 	return p.parsePostfix(p.parsePrimary())
+}
+
+// parseOperand parses the operand of a prefix operator or a cast.
+func (p *parser) parseOperand() ast.Expr {
+	p.nest()
+	x := p.parseUnary()
+	p.unnest()
+	return x
 }
 
 func (p *parser) parsePostfix(x ast.Expr) ast.Expr {
@@ -567,6 +658,7 @@ func (p *parser) parsePostfix(x ast.Expr) ast.Expr {
 		switch p.tok().Kind {
 		case token.DOT:
 			p.next()
+			p.sink()
 			name := p.expect(token.IDENT)
 			if p.at(token.LPAREN) {
 				call := &ast.CallExpr{Recv: x, Name: name.Lit, P: pos}
@@ -577,11 +669,13 @@ func (p *parser) parsePostfix(x ast.Expr) ast.Expr {
 			}
 		case token.LBRACK:
 			p.next()
+			p.sink()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
 			x = &ast.IndexExpr{X: x, Index: idx, P: pos}
 		case token.INC, token.DEC:
 			op := p.next().Kind
+			p.sink()
 			if !isLValue(x) {
 				p.errorf(pos, "operand of %s is not assignable", op)
 			}
@@ -800,5 +894,6 @@ func (p *parser) parseNew() ast.Expr {
 		p.next()
 		n.ExtraDims++
 	}
+	p.checkDepth(p.depth + len(n.Lens) + n.ExtraDims) // the levels of the array's type
 	return n
 }

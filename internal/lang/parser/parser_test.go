@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -298,5 +299,114 @@ func TestIntLiteralRanges(t *testing.T) {
 		if _, errs := ParseFile("t.tj", src); len(errs) == 0 {
 			t.Errorf("%s: out-of-range literal accepted", bad)
 		}
+	}
+}
+
+// treeDepth is how many nodes stand on the longest path down from v: a
+// node is a pointer to one of package ast's structs, whatever field or
+// slice it hangs in.
+func treeDepth(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Interface:
+		if v.IsNil() {
+			return 0
+		}
+		return treeDepth(v.Elem())
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return 1 + treeDepth(v.Elem())
+	case reflect.Struct:
+		d := 0
+		for i := 0; i < v.NumField(); i++ {
+			d = max(d, treeDepth(v.Field(i)))
+		}
+		return d
+	case reflect.Slice:
+		d := 0
+		for i := 0; i < v.Len(); i++ {
+			d = max(d, treeDepth(v.Index(i)))
+		}
+		return d
+	}
+	return 0
+}
+
+// TestDepthBound holds maxDepth to what its comment says. Every shape is
+// a tree that grows a level per repetition, through nesting the parser
+// recurses into or through a chain one of its loops builds; at any size
+// the source is either refused with the depth error or parsed into a tree
+// no deeper than the bound and a constant — never a deeper tree, which is
+// what the walks behind the parser would recurse over. The bound counts
+// depth, not size: chains that stand beside each other do not add up, a
+// chain that is another's first operand does.
+func TestDepthBound(t *testing.T) {
+	rep := strings.Repeat
+	expr := func(e string) string {
+		return "class C { int f; C g() { return this; } void m(int[] a, boolean c, C o) { int x = " + e + "; } }"
+	}
+	stmt := func(s string) string { return "class C { void m(boolean c) { " + s + " } }" }
+	shapes := map[string]func(n int) string{
+		"parens":    func(n int) string { return expr(rep("(", n) + "1" + rep(")", n)) },
+		"sum":       func(n int) string { return expr(rep("1+", n) + "1") },
+		"right sum": func(n int) string { return expr(rep("1+(", n) + "1" + rep(")", n)) },
+		"negations": func(n int) string { return expr(rep("- ", n) + "1") },
+		"casts":     func(n int) string { return expr(rep("(int)", n) + "1") },
+		"subscript": func(n int) string { return expr("a" + rep("[0]", n)) },
+		"index":     func(n int) string { return expr(rep("a[", n) + "0" + rep("]", n)) },
+		"fields":    func(n int) string { return expr("o" + rep(".f", n)) },
+		"calls":     func(n int) string { return expr("o" + rep(".g()", n)) },
+		"arguments": func(n int) string { return expr(rep("m(", n) + "1" + rep(")", n)) },
+		"assigns":   func(n int) string { return expr(rep("x=", n) + "1") },
+		"ternaries": func(n int) string { return expr(rep("c?1:", n) + "0") },
+		"instances": func(n int) string { return expr("o" + rep(" instanceof C", n)) },
+		"new dims":  func(n int) string { return expr("new int[1]" + rep("[]", n)) },
+		"blocks":    func(n int) string { return stmt(rep("{", n) + rep("}", n)) },
+		"ifs":       func(n int) string { return stmt(rep("if(c)", n) + ";") },
+		"elses":     func(n int) string { return stmt(rep("if(c);else ", n) + ";") },
+		"whiles":    func(n int) string { return stmt(rep("while(c)", n) + ";") },
+		"dos":       func(n int) string { return stmt(rep("do ", n) + ";" + rep("while(c);", n)) },
+		"fors":      func(n int) string { return stmt(rep("for(;;)", n) + ";") },
+		"tries":     func(n int) string { return stmt(rep("try{", n) + rep("}finally{}", n)) },
+		"catches":   func(n int) string { return stmt(rep("try{}catch(Exception e){", n) + rep("}", n)) },
+		"type dims": func(n int) string { return stmt("int" + rep("[]", n) + " x;") },
+		"decl dims": func(n int) string { return stmt("int x" + rep("[]", n) + ";") },
+		"field dims": func(n int) string {
+			return "class C { int" + rep("[]", n) + " x" + rep("[]", n) + "; }"
+		},
+		"nested first operands": func(n int) string { return expr(rep("(", 20) + "1" + rep(rep("+1", n/20)+")", 20)) },
+	}
+	const slack = 8 // the levels from the file down to a method's statements, and a leaf's own
+	for name, shape := range shapes {
+		refused := false
+		for _, n := range []int{maxDepth / 4, maxDepth / 2, maxDepth - 2*slack, maxDepth, maxDepth + 1, 2 * maxDepth, 8 * maxDepth} {
+			f, errs := ParseFile("t.tj", shape(n))
+			switch {
+			case len(errs) == 0:
+				if d := treeDepth(reflect.ValueOf(f)); d > maxDepth+slack {
+					t.Errorf("%s × %d: parsed into a tree %d deep", name, n, d)
+				}
+				if refused {
+					t.Errorf("%s × %d: accepted, a smaller one was refused", name, n)
+				}
+			case len(errs) == 1 && strings.Contains(errs[0].Error(), "nesting deeper"):
+				refused = true
+				if n <= maxDepth/4 {
+					t.Errorf("%s × %d: refused: %v", name, n, errs[0])
+				}
+			default:
+				t.Errorf("%s × %d: %v", name, n, errs)
+			}
+		}
+		if !refused {
+			t.Errorf("%s: never refused", name)
+		}
+	}
+
+	// Depth, not size: many long chains side by side are no deeper than one.
+	wide := rep("x = "+rep("1+", maxDepth/2)+"1; ", 8) + "x = m(" + rep(rep("1+", maxDepth/2)+"1, ", 8) + "1);"
+	if _, errs := ParseFile("t.tj", "class C { int m() { int x; "+wide+" } }"); len(errs) > 0 {
+		t.Errorf("chains beside each other were added up: %v", errs[0])
 	}
 }

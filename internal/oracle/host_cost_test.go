@@ -101,6 +101,7 @@ type hostCost struct {
 	Status      int    `json:"status"`
 	OK          bool   `json:"ok"`
 	Kill        string `json:"kill"`
+	Kind        string `json:"kind"` // of a refused /compile
 	Error       string `json:"error"`
 	OutputBytes int    `json:"output_bytes"`
 	Allocs      int64  `json:"allocs"`
@@ -146,6 +147,9 @@ func sysBound(allocs int64) uint64 {
 // deadline with tens of megabytes printed.
 func TestHostCostBoundedByGuestBudget(t *testing.T) {
 	if spec := os.Getenv(hostCostChildEnv); spec != "" {
+		if shape, ok := strings.CutPrefix(spec, "source/"); ok {
+			serveHostileSource(shape)
+		}
 		serveHostileGuest(spec)
 		return
 	}
@@ -192,6 +196,105 @@ func TestHostCostBoundedByGuestBudget(t *testing.T) {
 			})
 		}
 	}
+}
+
+// hostileSources are the producer door's twins of the recursing guests:
+// sources under MaxSourceBytes whose tree is as deep as they are long.
+// Each names the walk it used to overflow the host's stack in: the
+// parser's own recursion, or — where a loop in the parser builds the
+// chain — the first recursive walk behind it.
+var hostileSources = []struct {
+	name             string
+	open, mid, close string // the body is n opens, mid, n closes
+}{
+	{"parentheses (parser.parsePrimary)", "(", "1", ")"},
+	{"a sum (sema.checkBinary)", "1+", "1", ""},
+	{"blocks (parser.parseBlock)", "{", "", "}"},
+	{"negations (parser.parseUnary)", "- ", "1", ""},
+	{"subscripts (sema.checkExpr)", "", "a", "[0]"},
+	{"ifs (parser.parseStmt)", "if(c)", "", ""},
+}
+
+// hostileSourceBytes is the size each source is repeated to: under the
+// 8 MiB a /compile body may be, three million levels of the shortest.
+const hostileSourceBytes = 6_000_000
+
+// TestHostileSourceIsAParseError: a served process with safetsad's
+// default flags answers each hostile source 400, kind parse, and lives.
+// At the parent of the PR that bounded the parser's depth every row ends
+// the child with "fatal error: stack overflow".
+func TestHostileSourceIsAParseError(t *testing.T) {
+	for i, h := range hostileSources {
+		t.Run(h.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestHostCostBoundedByGuestBudget$")
+			cmd.Env = append(os.Environ(), fmt.Sprintf("%s=source/%d", hostCostChildEnv, i))
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				msg := stderr.String()
+				if len(msg) > 600 {
+					msg = msg[:600] + "…"
+				}
+				t.Fatalf("the serving process died (%v):\n%s", err, msg)
+			}
+			var c hostCost
+			if err := json.Unmarshal(out, &c); err != nil {
+				t.Fatalf("child reported %q: %v", out, err)
+			}
+			t.Logf("%+v", c)
+			if c.Status != http.StatusBadRequest || c.Kind != "parse" || !strings.Contains(c.Error, "nesting deeper") {
+				t.Errorf("HTTP %d, kind %q: %s; want 400, kind parse", c.Status, c.Kind, c.Error)
+			}
+		})
+	}
+}
+
+// serveHostileSource is that test's child: one source through POST
+// /compile of a server with safetsad's default flags.
+func serveHostileSource(shape string) {
+	var i int
+	if _, err := fmt.Sscanf(shape, "%d", &i); err != nil {
+		panic(err)
+	}
+	h := hostileSources[i]
+	n := hostileSourceBytes / len(h.open+h.close)
+	stmt := "int x = " + strings.Repeat(h.open, n) + h.mid + strings.Repeat(h.close, n) + ";"
+	if h.mid == "" { // the shape is a statement, not an expression
+		stmt = strings.Repeat(h.open, n) + ";" + strings.Repeat(h.close, n)
+	}
+	src := "class G { static void main() { boolean c = true; int[] a = null; " + stmt + " } }"
+	srv, err := codeserver.New(codeserver.Config{
+		MaxSteps:   codeserver.DefaultMaxSteps,
+		MaxAllocs:  codeserver.DefaultMaxAllocs,
+		RunTimeout: codeserver.DefaultRunTimeout,
+	})
+	if err != nil {
+		panic(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	creq, _ := json.Marshal(codeserver.CompileRequest{Files: map[string]string{"G.tj": src}})
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(creq))
+	if err != nil {
+		panic(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		panic(err)
+	}
+	var er codeserver.ErrorResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		panic(fmt.Sprintf("compile: HTTP %d %s", resp.StatusCode, data))
+	}
+	c := hostCost{Status: resp.StatusCode, Error: er.Error, Kind: er.Kind, WallMillis: time.Since(start).Milliseconds()}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	c.SysBytes = ms.Sys
+	if err := json.NewEncoder(os.Stdout).Encode(c); err != nil {
+		panic(err)
+	}
+	os.Exit(0)
 }
 
 // serveHostileGuest is the child: a server with safetsad's default
