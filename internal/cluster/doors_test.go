@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"safetsa/internal/codeserver"
+	"safetsa/internal/driver"
 	"safetsa/internal/wire"
 )
 
@@ -243,6 +244,9 @@ var doors = []doorRow{
 			keyOf: codeserver.KeyForWire,
 			send: func(data []byte) error {
 				res, err := srv.RunUnitStream(context.Background(), bytes.NewReader(data), codeserver.RunOptions{MaxSteps: 1_000_000})
+				if err != nil && driver.KindOf(err) != driver.KindVerify {
+					t.Errorf("the stream door refused with a %s-kind error: %v", driver.KindOf(err), err)
+				}
 				return runOK(res.RunResult, err)
 			}}
 	}},
@@ -291,6 +295,47 @@ var mangles = []struct {
 	}},
 	{"appended garbage", func(t *testing.T, good []byte) [][]byte {
 		return [][]byte{append(bytes.Clone(good), "\x00garbage"...)}
+	}},
+	// Not a copy of good either: a unit whose main ends before its last
+	// function is asked for, damaged only there. The stream door's guest
+	// has run to its end, on functions lowered as it called them, by the
+	// time the cursor meets the damage.
+	{"damage behind a guest that ran", func(t *testing.T, _ []byte) (out [][]byte) {
+		scratch, err := codeserver.New(codeserver.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, _, err := scratch.CompileUnit(context.Background(), map[string]string{"P.tj": `
+class P {
+    static int used(int n) { return n + 1; }
+    static void main() { System.out.println(used(41)); }
+    static int unused(int n) { return n * n - 1; }
+}`}, codeserver.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		su, err := wire.DecodeVerifiedStream(bytes.NewReader(u.Wire), wire.DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := su.NumFuncs() - 1
+		if err := su.WaitFunc(last - 1); err != nil {
+			t.Fatal(err)
+		}
+		tail := int(su.Offset()) // where the last function starts
+		if err := su.WaitFunc(last); err != nil || !strings.HasSuffix(su.Mod.Funcs[last].Name, "unused") {
+			t.Fatalf("the last function on the wire is %s (%v), want the one main does not call", su.Mod.Funcs[last].Name, err)
+		}
+		out = append(out, u.Wire[:tail+1:tail+1], u.Wire[:len(u.Wire)-1:len(u.Wire)-1])
+		for i := tail; i < len(u.Wire); i++ {
+			bad := bytes.Clone(u.Wire)
+			bad[i] ^= 0x40
+			if _, err := wire.DecodeVerified(bad); err != nil {
+				return append(out, bad)
+			}
+		}
+		t.Fatal("no byte flip in the last function breaks verification")
+		return nil
 	}},
 	// Not a copy of good at all: an empty module head (wire v1) whose last
 	// table entry declares 1<<22 functions, and then nothing — the "functions"

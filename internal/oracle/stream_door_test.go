@@ -1,0 +1,119 @@
+package oracle_test
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"path/filepath"
+	"testing"
+
+	"safetsa/internal/codeserver"
+	"safetsa/internal/corpus"
+	"safetsa/internal/driver"
+	"safetsa/internal/oracle"
+	"safetsa/internal/wire"
+)
+
+// streamDoorAgrees holds the two run doors of one server to each other on
+// one unit: POST /run-stream of the bytes, then POST /run of the hash it
+// published, must give the same RunResult — output, error, kill, steps
+// and allocations. The body is delivered in two reads split just past
+// function j, for every j, so the session meets every prefix of the
+// function list: what it calls beyond the split is admitted and lowered
+// while the guest is already running on what came before.
+//
+// A unit admission refuses is held to the other half of the contract: a
+// verify-kind error and nothing published.
+func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
+	t.Helper()
+	srv, err := codeserver.New(codeserver.Config{MaxSteps: b.MaxSteps, MaxAllocs: b.MaxAlloc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, opts := context.Background(), codeserver.RunOptions{}
+	su, err := wire.DecodeVerifiedStream(bytes.NewReader(data), wire.DecodeOptions{})
+	if err == nil {
+		err = su.Wait()
+	}
+	if err != nil {
+		_, err := srv.RunUnitStream(ctx, bytes.NewReader(data), opts)
+		if driver.KindOf(err) != driver.KindVerify {
+			t.Fatalf("an inadmissible unit answered %v, want a verify error", err)
+		}
+		if st := srv.Stats(); st.UnitsCached != 0 || st.StreamRejects != 1 {
+			t.Fatalf("after one refusal: %d units cached, %d stream rejects", st.UnitsCached, st.StreamRejects)
+		}
+		return
+	}
+
+	// The split points: a fresh cursor asked for one function at a time
+	// says where each ends.
+	su, _ = wire.DecodeVerifiedStream(bytes.NewReader(data), wire.DecodeOptions{})
+	splits := []int64{int64(len(data))}
+	for j := 0; j < su.NumFuncs(); j++ {
+		if err := su.WaitFunc(j); err != nil {
+			t.Fatal(err)
+		}
+		splits = append(splits, su.Offset())
+	}
+
+	var want codeserver.RunResult
+	for i, at := range splits {
+		body := io.MultiReader(bytes.NewReader(data[:at]), bytes.NewReader(data[at:]))
+		got, err := srv.RunUnitStream(ctx, body, opts)
+		if err != nil {
+			t.Fatalf("split at %d: %v", at, err)
+		}
+		if i == 0 {
+			if got.Hash != codeserver.KeyForWire(data).String() {
+				t.Fatalf("published under %q, not the wire hash", got.Hash)
+			}
+			if want, err = srv.RunUnitOpts(ctx, codeserver.KeyForWire(data), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.RunResult != want {
+			t.Fatalf("split at %d of %d bytes:\n/run-stream %+v\n/run        %+v", at, len(data), got.RunResult, want)
+		}
+	}
+
+	// What the stream door ran, it ran without the loader cache or the
+	// pool; the one load is the /run above.
+	st := srv.Stats()
+	if st.Loads != 1 || st.LoaderHits != 0 || st.PoolHits != 0 || st.StreamRejects != 0 ||
+		st.PrepareLatency.Count != 1 || st.CompileBackendLatency.Count != 1 {
+		t.Errorf("%d streamed runs and one /run left loads=%d loader_hits=%d pool_hits=%d stream_rejects=%d prepare=%d compile_backend=%d",
+			len(splits), st.Loads, st.LoaderHits, st.PoolHits, st.StreamRejects, st.PrepareLatency.Count, st.CompileBackendLatency.Count)
+	}
+}
+
+// TestStreamDoorMatchesRunDoorSeeds: every checked-in seed of the two
+// engine-facing fuzz targets — the step, alloc and depth kills, the
+// exception edges, the static-init deaths among them — behaves the same
+// through both doors.
+func TestStreamDoorMatchesRunDoorSeeds(t *testing.T) {
+	for _, target := range []string{"FuzzCompiledDifferential", "FuzzPooledDifferential"} {
+		for name, data := range checkedInSeeds(t, filepath.Join("testdata", "fuzz", target)) {
+			t.Run(target+"/"+name, func(t *testing.T) { streamDoorAgrees(t, data, fuzzBudgets) })
+		}
+	}
+}
+
+// TestStreamDoorMatchesRunDoorCorpus: the same over the paper corpus,
+// optimized and not, as the served wire version encodes it.
+func TestStreamDoorMatchesRunDoorCorpus(t *testing.T) {
+	budgets := oracle.Budgets{MaxSteps: 1 << 22, MaxAlloc: 1 << 24}
+	for _, u := range corpus.Units() {
+		t.Run(u.Name, func(t *testing.T) {
+			mod, err := driver.CompileTSASource(u.Files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamDoorAgrees(t, wire.EncodeModuleV2(mod, nil), budgets)
+			if _, err := driver.OptimizeModule(mod); err != nil {
+				t.Fatal(err)
+			}
+			streamDoorAgrees(t, wire.EncodeModuleV2(mod, nil), budgets)
+		})
+	}
+}
