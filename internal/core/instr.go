@@ -193,23 +193,6 @@ func (c ConstVal) String() string {
 	return "<none>"
 }
 
-// Eq reports semantic equality of constants (used by CSE).
-func (c ConstVal) Eq(d ConstVal) bool {
-	if c.Kind != d.Kind {
-		return false
-	}
-	switch c.Kind {
-	case KDouble:
-		// Compare bit patterns implicitly via ==; NaN constants are
-		// never folded together, which is conservative and sound.
-		return c.D == d.D
-	case KString:
-		return c.S == d.S
-	default:
-		return c.I == d.I
-	}
-}
-
 // Instr is one SafeTSA instruction. Result: instructions whose opcode
 // produces a value fill the next free register of the plane identified by
 // (Type, Bind); ID is the function-wide SSA name of that result. Void

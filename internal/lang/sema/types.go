@@ -6,7 +6,6 @@ package sema
 
 import (
 	"fmt"
-	"sort"
 
 	"safetsa/internal/lang/ast"
 )
@@ -379,17 +378,6 @@ func (p *Program) UserClasses() []*Class {
 		}
 	}
 	return out
-}
-
-// SortedClassNames returns all class names sorted, for deterministic
-// iteration in encoders and reports.
-func (p *Program) SortedClassNames() []string {
-	names := make([]string, 0, len(p.Classes))
-	for n := range p.Classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Widens reports whether a value of type 'from' widens implicitly to

@@ -171,9 +171,6 @@ func Lookup(ident string) Kind {
 	return IDENT
 }
 
-// IsKeyword reports whether k is a reserved word of TJ.
-func (k Kind) IsKeyword() bool { return keywordBeg < k && k < keywordEnd }
-
 // IsAssignOp reports whether k is a (possibly compound) assignment
 // operator.
 func (k Kind) IsAssignOp() bool { return k >= ASSIGN && k <= SHRASSIGN }
@@ -251,9 +248,6 @@ func (p Pos) String() string {
 	}
 	return fmt.Sprintf("%s:%d:%d", f, p.Line, p.Col)
 }
-
-// IsValid reports whether the position carries real line information.
-func (p Pos) IsValid() bool { return p.Line > 0 }
 
 // Token is a single lexical token with its position and, for literal
 // kinds, its source text. Line and Col are 1-based, as in Pos; the file

@@ -99,16 +99,6 @@ type HistogramSnapshot struct {
 	SumNanos int64
 }
 
-// Merge adds another snapshot into this one; counts and sums add
-// exactly, so merging per-shard or per-worker histograms loses nothing.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.SumNanos += o.SumNanos
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) in nanoseconds by
 // linear interpolation inside the bucket holding the target rank. The
 // estimate is always within the true quantile's bucket, so it is off by

@@ -201,26 +201,6 @@ func TestConcurrentRecordingSumsExactly(t *testing.T) {
 		t.Errorf("snapshot count/sum = %d/%d, want %d/%d", s.Count, s.SumNanos, total, wantSum)
 	}
 
-	// Merging two snapshots is exact per-bucket addition.
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.ObserveNanos(int64(1000 * (i + 1)))
-		b.ObserveNanos(int64(3000 * (i + 1)))
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	merged := sa
-	merged.Merge(sb)
-	if merged.Count != sa.Count+sb.Count {
-		t.Errorf("merged count = %d, want %d", merged.Count, sa.Count+sb.Count)
-	}
-	if merged.SumNanos != sa.SumNanos+sb.SumNanos {
-		t.Errorf("merged sum = %d, want %d", merged.SumNanos, sa.SumNanos+sb.SumNanos)
-	}
-	for i := range merged.Buckets {
-		if merged.Buckets[i] != sa.Buckets[i]+sb.Buckets[i] {
-			t.Errorf("bucket %d: merged %d, want %d", i, merged.Buckets[i], sa.Buckets[i]+sb.Buckets[i])
-		}
-	}
 }
 
 func TestSummary(t *testing.T) {
