@@ -16,6 +16,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"safetsa/internal/core"
 	"safetsa/internal/lang/sema"
@@ -46,8 +47,8 @@ type Loader struct {
 	// walker, which has no lowered form to keep it in (0: not yet asked).
 	frames []int64
 	// gate and lower, when non-nil, mark a streaming session: comp is
-	// private to it and starts empty, and admit fills a slot the first
-	// time the guest calls that function. See LoadTrustedStreaming.
+	// private to it and starts empty, and admit adds a function the first
+	// time the guest calls it. See LoadTrustedStreaming.
 	gate  func(fi int) error
 	lower *fcomp
 }
@@ -87,7 +88,7 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // stream's terminal error.
 //
 // The session runs on the compiled engine, over a lowered form of its
-// own whose slots start empty. A function is callable once admitted and
+// own that starts empty and grows as Mod.Funcs does. A function is callable once admitted and
 // lowered, and both happen in one step, the first time the guest calls it
 // (Loader.admit): gate(i), then the same per-function lowering Prepare
 // and Compile are loops over. So execution proceeds exactly as far as
@@ -97,17 +98,10 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // and is the error the session ends with. The form is never complete and
 // never shared: such a session cannot be snapshotted.
 func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env) (*Loader, error) {
-	// One slot per function index the verified tables can reach; a body
-	// nothing names is never called.
-	n := 0
-	for i := range mod.Methods {
-		n = max(n, int(mod.Methods[i].FuncIdx)+1)
-	}
-	for _, fi := range mod.StaticInit {
-		n = max(n, int(fi)+1)
-	}
-	comp := &Compiled{mod: mod, Funcs: make([]*CFunc, n)}
-	return newLoader(&Loader{Mod: mod, Env: env, comp: comp, gate: gate, lower: newFcomp(mod, n)}, true)
+	// The gate, not the lowering, is what range-checks a function index
+	// here: how many functions there will be is only declared so far.
+	lower := newFcomp(mod, math.MaxInt32)
+	return newLoader(&Loader{Mod: mod, Env: env, comp: &Compiled{mod: mod}, gate: gate, lower: lower}, true)
 }
 
 // LoadTrustedPrepared is LoadTrusted for a session that executes the
@@ -266,11 +260,11 @@ func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
 }
 
 // cfunc is the compiled body of function fi, the one read of comp.Funcs.
-// A form Compile minted has no empty slot, so a session over a shared
-// form pays the test and nothing else.
+// A form Compile minted has a body in every slot, so a session over a
+// shared form pays the test and nothing else.
 func (l *Loader) cfunc(fi int32) *CFunc {
-	if cf := l.comp.Funcs[fi]; cf != nil {
-		return cf
+	if funcs := l.comp.Funcs; int(fi) < len(funcs) && funcs[fi] != nil {
+		return funcs[fi]
 	}
 	return l.admit(fi)
 }
@@ -295,6 +289,11 @@ func (l *Loader) admit(fi int32) *CFunc {
 	}
 	if err != nil {
 		panic(streamAbort{err})
+	}
+	// A slot per function that has arrived: like Mod.Funcs, the form is
+	// sized by what the stream delivered, never by what it declares.
+	if n := len(l.Mod.Funcs) - len(l.comp.Funcs); n > 0 {
+		l.comp.Funcs = append(l.comp.Funcs, make([]*CFunc, n)...)
 	}
 	l.comp.Funcs[fi] = cf
 	return cf

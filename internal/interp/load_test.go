@@ -3,6 +3,7 @@ package interp_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -225,9 +226,22 @@ class Main {
 
 	mod := compile(t, src)
 	corrupt(mod, "unused") // never called, so never lowered
+	// Nor is anything sized by an index the tables merely claim: the
+	// session's form grows with what the gate has admitted.
+	for i := range mod.Methods {
+		if mod.Methods[i].Name == "unused" {
+			mod.Methods[i].FuncIdx = 1<<22 - 1
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	out, gated, err := run(mod)
+	runtime.ReadMemStats(&after)
 	if err != nil || out != "before\n42\n8\n" {
 		t.Fatalf("got %q, %v", out, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("the session allocated %d bytes under a table that claims function index 1<<22-1", got)
 	}
 	want := []int{index(mod, "main"), index(mod, "twice")}
 	if len(gated) != len(want) || gated[0] != want[0] || gated[1] != want[1] {
