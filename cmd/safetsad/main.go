@@ -18,18 +18,18 @@
 //	POST /run/{hash}    {"max_steps": 1000000, "max_allocs": 1048576,
 //	                     "tenant": "acme"}
 //	POST /run-stream    raw wire unit in the body; the guest starts once the
-//	                    tables are in and each function is decoded and
-//	                    verified when first called, the session reading
-//	                    the body as far as it needs
+//	                    tables are in and each function is decoded,
+//	                    verified and lowered when first called, the
+//	                    session reading the body as far as it needs
 //	                    (?max_steps=N&max_allocs=N)
 //	GET  /stats         cache and latency metrics (JSON)
 //	GET  /metrics       Prometheus text format (per-stage latency histograms)
 //	GET  /debug/traces  recent request traces (JSON ring buffer)
 //
 // There is no engine to choose: /run executes the closure-compiled form
-// built once per unit at load time, /run-stream the reference walker (the
-// only evaluator that can run a partially delivered module). The two are
-// observably identical, so an "engine" field in a run body is ignored.
+// built once per unit at load time, /run-stream the same thunks, lowered
+// function by function as the guest first calls them. An "engine" field in
+// a run body is ignored.
 //
 // Every run is budgeted unless the operator says otherwise: -maxsteps
 // (default 50 000 000) and -maxallocs (default 64<<20, the budget the

@@ -135,7 +135,8 @@ func sysBound(allocs int64) uint64 {
 // the failure under test is that process dying, which no in-process
 // assertion survives — configured as safetsad is when started with no
 // flags, through POST /run and POST /run-stream (the compiled engine
-// with the pool's snapshot build behind it, and the reference walker).
+// with the pool's snapshot build behind it, and the same engine lowering
+// each function as it is first called).
 // The process must live to report, the answer must name the kill that
 // stopped the guest, and the host's cost must stay inside a stated
 // function of the budgets: memory under sysBound of what the allocation
