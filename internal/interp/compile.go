@@ -145,11 +145,11 @@ func compileFunc(methods []core.MethodRef, pf *PFunc) (*CFunc, error) {
 // session runs both on a function the first time the guest calls it (see
 // Loader.cfunc).
 func (c *fcomp) lowerFunc(f *core.Func) (*CFunc, error) {
-	pf, err := c.prepareFunc(f)
+	pf, err := c.flatten(f)
 	if err != nil {
 		return nil, fmt.Errorf("interp: prepare %s: %w", f.Name, err)
 	}
-	return compileFunc(c.mod.Methods, pf)
+	return compileFunc(c.mod.Methods, &pf)
 }
 
 // cframePoolCap bounds the per-session free lists: deep recursion grows

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"safetsa/internal/core"
 	"safetsa/internal/lang/sema"
@@ -46,11 +47,10 @@ type Loader struct {
 	// frames caches frameSlots per function index for the reference
 	// walker, which has no lowered form to keep it in (0: not yet asked).
 	frames []int64
-	// gate and lower, when non-nil, mark a streaming session: comp is
-	// private to it and starts empty, and admit adds a function the first
-	// time the guest calls it. See LoadTrustedStreaming.
-	gate  func(fi int) error
-	lower *fcomp
+	// gate, when non-nil, marks a streaming session: comp is private to
+	// it and starts empty, and admit adds a function the first time the
+	// guest calls it. See LoadTrustedStreaming.
+	gate func(fi int) error
 }
 
 // Load verifies the module and prepares it for execution (class metadata
@@ -88,20 +88,18 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // stream's terminal error.
 //
 // The session runs on the compiled engine, over a lowered form of its
-// own that starts empty and grows as Mod.Funcs does. A function is callable once admitted and
-// lowered, and both happen in one step, the first time the guest calls it
-// (Loader.admit): gate(i), then the same per-function lowering Prepare
-// and Compile are loops over. So execution proceeds exactly as far as
-// verified code exists, only what the guest calls is lowered, and a
-// mid-stream failure — the gate's error, or a function lowering refuses,
-// which satisfies errors.Is(err, errors.ErrUnsupported) — aborts the run
-// and is the error the session ends with. The form is never complete and
-// never shared: such a session cannot be snapshotted.
+// own that starts empty and grows as Mod.Funcs does. A function is
+// callable once admitted and lowered, and both happen in one step, the
+// first time the guest calls it (Loader.admit): gate(i), then the same
+// per-function lowering Prepare and Compile are loops over. So execution
+// proceeds exactly as far as verified code exists, only what the guest
+// calls is lowered, and a mid-stream failure — the gate's error, or a
+// function lowering refuses, which satisfies errors.Is(err,
+// errors.ErrUnsupported) — aborts the run and is the error the session
+// ends with. The form is never complete and never shared: such a session
+// cannot be snapshotted.
 func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env) (*Loader, error) {
-	// The gate, not the lowering, is what range-checks a function index
-	// here: how many functions there will be is only declared so far.
-	lower := newFcomp(mod, math.MaxInt32)
-	return newLoader(&Loader{Mod: mod, Env: env, comp: &Compiled{mod: mod}, gate: gate, lower: lower}, true)
+	return newLoader(&Loader{Mod: mod, Env: env, comp: &Compiled{mod: mod}, gate: gate}, true)
 }
 
 // LoadTrustedPrepared is LoadTrusted for a session that executes the
@@ -146,7 +144,7 @@ func LoadTrustedDeferred(mod *core.Module, prep *Prepared, comp *Compiled, env *
 
 // newLoader is the one session constructor behind every Load* name. l
 // arrives holding what the entry point decided — module, environment,
-// engine binding (prep, comp, gate and lower) — and newLoader completes it: link
+// engine binding (prep/comp/gate) — and newLoader completes it: link
 // checks, runtime class metadata, then — when init is set — the static
 // initializers, the first guest code the session runs.
 func newLoader(l *Loader, init bool) (*Loader, error) {
@@ -269,13 +267,19 @@ func (l *Loader) cfunc(fi int32) *CFunc {
 	return l.admit(fi)
 }
 
+// lowerers recycles what lowering one function needs and nothing keeps —
+// above all the emission buffer, as large as the largest function lowered
+// through it, which every streaming session would otherwise allocate
+// again.
+var lowerers = sync.Pool{New: func() any { return &fcomp{handlers: make(map[*core.Block]int32)} }}
+
 // streamAbort unwinds guest execution when a streaming session cannot
 // make a function callable; catchTopLevel converts it to the error.
 type streamAbort struct{ err error }
 
 // admit makes function fi of a streaming session callable: the gate has
-// the stream admit it, the session lowers it, and the slot is filled —
-// one step, on the session's goroutine, once per function the guest
+// the stream admit it, the session lowers it and keeps the result — one
+// step, on the session's goroutine, once per function the guest
 // calls. Failing either half ends the run: no engine recovers a
 // streamAbort, so it passes every guest handler on its way to
 // catchTopLevel.
@@ -283,7 +287,13 @@ func (l *Loader) admit(fi int32) *CFunc {
 	err := l.gate(int(fi))
 	var cf *CFunc
 	if err == nil {
-		if cf, err = l.lower.lowerFunc(l.Mod.Funcs[fi]); err != nil {
+		// The gate, not the lowering, is what range-checks a function index
+		// here: how many functions there will be is only declared so far.
+		c := lowerers.Get().(*fcomp)
+		c.mod, c.nFuncs = l.Mod, math.MaxInt32
+		cf, err = c.lowerFunc(l.Mod.Funcs[fi])
+		lowerers.Put(c)
+		if err != nil {
 			err = fmt.Errorf("%w: admitted function %d does not lower: %w", errors.ErrUnsupported, fi, err)
 		}
 	}

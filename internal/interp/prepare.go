@@ -265,7 +265,8 @@ type loopCtx struct {
 type fcomp struct {
 	mod *core.Module
 	// nFuncs bounds the function indices a call may name: the length of
-	// the module's function list once all of it is there.
+	// the module's function list, or no bound while that list is still
+	// arriving (see LoadTrustedStreaming).
 	nFuncs int
 	f      *core.Func
 	code   []PreparedInst
@@ -283,20 +284,24 @@ type fcomp struct {
 }
 
 // newFcomp sizes the emission buffer for the largest function the module
-// holds so far (a later, larger one grows it): one prepared instruction
-// per instruction, and per block at most its entry moves plus what the
-// construct it opens (branch, loop step, back jump) and the terminator
-// that ends it emit.
+// holds so far; flatten grows it for a larger one that arrives later.
 func newFcomp(mod *core.Module, nFuncs int) *fcomp {
 	room := 0
 	for _, f := range mod.Funcs {
-		n := 1
-		for _, b := range f.Blocks {
-			n += len(b.Code) + 5
-		}
-		room = max(room, n)
+		room = max(room, codeRoom(f))
 	}
 	return &fcomp{mod: mod, nFuncs: nFuncs, handlers: make(map[*core.Block]int32), code: make([]PreparedInst, 0, room)}
+}
+
+// codeRoom bounds what f emits: one prepared instruction per instruction,
+// and per block at most its entry moves plus what the construct it opens
+// (branch, loop step, back jump) and the terminator that ends it emit.
+func codeRoom(f *core.Func) int {
+	n := 1
+	for _, b := range f.Blocks {
+		n += len(b.Code) + 5
+	}
+	return n
 }
 
 // carve cuts the next n elements off an arena; a function that needs
@@ -316,8 +321,25 @@ type raiseFixup struct {
 	edge    int
 }
 
+// prepareFunc is the prepared form of f, in memory of its own.
 func (c *fcomp) prepareFunc(f *core.Func) (*PFunc, error) {
+	pf, err := c.flatten(f)
+	if err != nil {
+		return nil, err
+	}
+	pf.Code = append(make([]PreparedInst, 0, len(pf.Code)), pf.Code...)
+	return &pf, nil
+}
+
+// flatten lowers f into the emission buffer and returns its prepared form
+// with Code still standing there, good until the next function is
+// flattened — which is as long as compileFunc needs it, since a thunk
+// keeps the operands it uses, never the instruction.
+func (c *fcomp) flatten(f *core.Func) (PFunc, error) {
 	c.f, c.fl, c.code, c.raiseFix = f, flow{open: true}, c.code[:0], c.raiseFix[:0]
+	if room := codeRoom(f); room > cap(c.code) {
+		c.code = make([]PreparedInst, 0, room)
+	}
 	clear(c.handlers)
 	// Every edge into a block applies that block's phis once, and only
 	// calls keep their operand vector.
@@ -333,7 +355,7 @@ func (c *fcomp) prepareFunc(f *core.Func) (*PFunc, error) {
 	c.args, c.moves = make([]int32, nArgs), make([]Move, nMoves)
 
 	if err := c.node(f.Body); err != nil {
-		return nil, err
+		return PFunc{}, err
 	}
 	// Fall off the end of the body: a void return. Remaining pending
 	// jumps (e.g. a try body exiting past its handler at the end of the
@@ -344,21 +366,16 @@ func (c *fcomp) prepareFunc(f *core.Func) (*PFunc, error) {
 	for i, fix := range c.raiseFix {
 		target, ok := c.handlers[fix.handler]
 		if !ok {
-			return nil, fmt.Errorf("exception edge into uncompiled handler block %d", fix.handler.Index)
+			return PFunc{}, fmt.Errorf("exception edge into uncompiled handler block %d", fix.handler.Index)
 		}
 		mv, err := c.edgeMoves(fix.handler, fix.edge)
 		if err != nil {
-			return nil, err
+			return PFunc{}, err
 		}
 		sites[i] = RaiseSite{Target: target, Moves: mv}
 		c.code[fix.at].Raise = &sites[i]
 	}
-	return &PFunc{
-		Name:    f.Name,
-		NumRegs: int32(f.NumValues() + 1),
-		Frame:   frameSlots(f),
-		Code:    append(make([]PreparedInst, 0, len(c.code)), c.code...),
-	}, nil
+	return PFunc{Name: f.Name, NumRegs: int32(f.NumValues() + 1), Frame: frameSlots(f), Code: c.code}, nil
 }
 
 func (c *fcomp) emit(in PreparedInst) int {

@@ -94,7 +94,7 @@ func copyStatics(src, dst map[core.TypeID]*rt.ClassInfo) {
 // response carries the same bytes a fresh session would print during
 // init.
 func (l *Loader) Snapshot(initOut []byte) (*Snapshot, error) {
-	if l.lower != nil {
+	if l.gate != nil {
 		return nil, fmt.Errorf("interp: a streaming session's lowered form is partial and its own; it cannot be snapshotted")
 	}
 	env := rt.Unbudgeted(nil, "holds the frozen class table; static init is deferred and never run")
