@@ -157,23 +157,7 @@ func TestHostCostBoundedByGuestBudget(t *testing.T) {
 	for gi, g := range hostileGuests {
 		for _, door := range []string{"run", "run-stream"} {
 			t.Run(g.name+"/"+door, func(t *testing.T) {
-				cmd := exec.Command(os.Args[0], "-test.run=^TestHostCostBoundedByGuestBudget$")
-				cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d/%s", hostCostChildEnv, gi, door))
-				var stderr bytes.Buffer
-				cmd.Stderr = &stderr
-				out, err := cmd.Output()
-				if err != nil {
-					msg := stderr.String()
-					if len(msg) > 600 {
-						msg = msg[:600] + "…"
-					}
-					t.Fatalf("the serving process died (%v):\n%s", err, msg)
-				}
-				var c hostCost
-				if err := json.Unmarshal(out, &c); err != nil {
-					t.Fatalf("child reported %q: %v", out, err)
-				}
-				t.Logf("%+v", c)
+				c := hostCostOf(t, fmt.Sprintf("%d/%s", gi, door))
 				if c.Status != http.StatusOK {
 					t.Fatalf("HTTP %d: %s", c.Status, c.Error)
 				}
@@ -197,6 +181,29 @@ func TestHostCostBoundedByGuestBudget(t *testing.T) {
 			})
 		}
 	}
+}
+
+// hostCostOf serves spec from a child process and returns what it
+// reported; the child dying is the failure both tests are about.
+func hostCostOf(t *testing.T, spec string) (c hostCost) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHostCostBoundedByGuestBudget$")
+	cmd.Env = append(os.Environ(), hostCostChildEnv+"="+spec)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		msg := stderr.String()
+		if len(msg) > 600 {
+			msg = msg[:600] + "…"
+		}
+		t.Fatalf("the serving process died (%v):\n%s", err, msg)
+	}
+	if err := json.Unmarshal(out, &c); err != nil {
+		t.Fatalf("child reported %q: %v", out, err)
+	}
+	t.Logf("%+v", c)
+	return c
 }
 
 // hostileSources are the producer door's twins of the recursing guests:
@@ -227,23 +234,7 @@ const hostileSourceBytes = 6_000_000
 func TestHostileSourceIsAParseError(t *testing.T) {
 	for i, h := range hostileSources {
 		t.Run(h.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run=^TestHostCostBoundedByGuestBudget$")
-			cmd.Env = append(os.Environ(), fmt.Sprintf("%s=source/%d", hostCostChildEnv, i))
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			out, err := cmd.Output()
-			if err != nil {
-				msg := stderr.String()
-				if len(msg) > 600 {
-					msg = msg[:600] + "…"
-				}
-				t.Fatalf("the serving process died (%v):\n%s", err, msg)
-			}
-			var c hostCost
-			if err := json.Unmarshal(out, &c); err != nil {
-				t.Fatalf("child reported %q: %v", out, err)
-			}
-			t.Logf("%+v", c)
+			c := hostCostOf(t, fmt.Sprintf("source/%d", i))
 			if c.Status != http.StatusBadRequest || c.Kind != "parse" || !strings.Contains(c.Error, "nesting deeper") {
 				t.Errorf("HTTP %d, kind %q: %s; want 400, kind parse", c.Status, c.Kind, c.Error)
 			}
@@ -265,6 +256,21 @@ func serveHostileSource(shape string) {
 		stmt = strings.Repeat(h.open, n) + ";" + strings.Repeat(h.close, n)
 	}
 	src := "class G { static void main() { boolean c = true; int[] a = null; " + stmt + " } }"
+	_, post := servedAtDefaults()
+	creq, _ := json.Marshal(codeserver.CompileRequest{Files: map[string]string{"G.tj": src}})
+	start := time.Now()
+	status, data := post("/compile", "application/json", creq)
+	var er codeserver.ErrorResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		panic(fmt.Sprintf("compile: HTTP %d %s", status, data))
+	}
+	reportHostCost(hostCost{Status: status, Error: er.Error, Kind: er.Kind, WallMillis: time.Since(start).Milliseconds()})
+}
+
+// servedAtDefaults starts, on a loopback port, a server configured as
+// safetsad is when started with no flags, and returns its URL and how to
+// POST to it.
+func servedAtDefaults() (url string, post func(path, contentType string, body []byte) (int, []byte)) {
 	srv, err := codeserver.New(codeserver.Config{
 		MaxSteps:   codeserver.DefaultMaxSteps,
 		MaxAllocs:  codeserver.DefaultMaxAllocs,
@@ -274,24 +280,25 @@ func serveHostileSource(shape string) {
 		panic(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	creq, _ := json.Marshal(codeserver.CompileRequest{Files: map[string]string{"G.tj": src}})
-	start := time.Now()
-	resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(creq))
-	if err != nil {
-		panic(err)
+	return ts.URL, func(path, contentType string, body []byte) (int, []byte) {
+		resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			panic(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			panic(err)
+		}
+		return resp.StatusCode, data
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		panic(err)
-	}
-	var er codeserver.ErrorResponse
-	if err := json.Unmarshal(data, &er); err != nil {
-		panic(fmt.Sprintf("compile: HTTP %d %s", resp.StatusCode, data))
-	}
-	c := hostCost{Status: resp.StatusCode, Error: er.Error, Kind: er.Kind, WallMillis: time.Since(start).Milliseconds()}
+}
+
+// reportHostCost ends a child: c and the process's memory go to stdout.
+func reportHostCost(c hostCost) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	c.SysBytes = ms.Sys
+	c.SysBytes = ms.Sys // memory obtained from the OS; the runtime does not give it a way down
 	if err := json.NewEncoder(os.Stdout).Encode(c); err != nil {
 		panic(err)
 	}
@@ -308,27 +315,7 @@ func serveHostileGuest(spec string) {
 		panic(err)
 	}
 	g := hostileGuests[gi]
-	srv, err := codeserver.New(codeserver.Config{
-		MaxSteps:   codeserver.DefaultMaxSteps,
-		MaxAllocs:  codeserver.DefaultMaxAllocs,
-		RunTimeout: codeserver.DefaultRunTimeout,
-	})
-	if err != nil {
-		panic(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	post := func(path, contentType string, body []byte) (int, []byte) {
-		resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
-		if err != nil {
-			panic(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			panic(err)
-		}
-		return resp.StatusCode, data
-	}
+	url, post := servedAtDefaults()
 	creq, _ := json.Marshal(codeserver.CompileRequest{Files: map[string]string{"G.tj": g.src}})
 	status, data := post("/compile", "application/json", creq)
 	var cr codeserver.CompileResponse
@@ -341,7 +328,7 @@ func serveHostileGuest(spec string) {
 		rreq, _ := json.Marshal(codeserver.RunRequest{MaxAllocs: g.maxAllocs})
 		status, data = post("/run/"+cr.Hash, "application/json", rreq)
 	} else {
-		resp, err := http.Get(ts.URL + "/unit/" + cr.Hash)
+		resp, err := http.Get(url + "/unit/" + cr.Hash)
 		if err != nil {
 			panic(err)
 		}
@@ -366,11 +353,5 @@ func serveHostileGuest(spec string) {
 	if c.Error == "" {
 		c.Error = res.Error
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	c.SysBytes = ms.Sys // memory obtained from the OS; the runtime does not give it a way down
-	if err := json.NewEncoder(os.Stdout).Encode(c); err != nil {
-		panic(err)
-	}
-	os.Exit(0)
+	reportHostCost(c)
 }
