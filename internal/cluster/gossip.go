@@ -12,23 +12,12 @@ import (
 	"safetsa/internal/codeserver"
 )
 
-// NodeStats is the condensed per-node row exchanged over gossip and
-// aggregated into the fleet view: enough to see where units live, which
-// nodes compile, and how much peer traffic flows — without shipping
-// every histogram across the fleet on each round.
+// NodeStats is the per-node row exchanged over gossip and aggregated
+// into the fleet view: the node's own /stats snapshot (its keys
+// flattened into the row) plus what only the cluster layer knows.
 type NodeStats struct {
-	Node            string `json:"node"`
-	UnitsCached     int    `json:"units_cached"`
-	ModulesLoaded   int    `json:"modules_loaded"`
-	CompileRequests uint64 `json:"compile_requests"`
-	Compiles        uint64 `json:"compiles"`
-	CacheHits       uint64 `json:"cache_hits"`
-	Runs            uint64 `json:"runs"`
-	RunsInFlight    int64  `json:"runs_in_flight"`
-	PeerFills       uint64 `json:"peer_fills"`
-	PeerFillRejects uint64 `json:"peer_fill_rejects"`
-	Forwards        uint64 `json:"forwards"`
-	TenantRejects   uint64 `json:"tenant_rejects"`
+	codeserver.Stats
+	Forwards uint64 `json:"forwards"`
 	// AgeSeconds is how stale this row was at snapshot time: 0 for the
 	// reporting node itself, the time since the last successful gossip
 	// exchange for a peer row.
@@ -58,32 +47,18 @@ type RingInfo struct {
 	VNodes int      `json:"vnodes"`
 }
 
-// localRow condenses this node's own stats into a gossip row.
-func (n *Node) localRow() NodeStats {
-	st := n.srv.Stats()
-	return NodeStats{
-		Node:            n.cfg.Self,
-		UnitsCached:     st.UnitsCached,
-		ModulesLoaded:   st.ModulesLoaded,
-		CompileRequests: st.CompileRequests,
-		Compiles:        st.Compiles,
-		CacheHits:       st.CacheHits,
-		Runs:            st.Runs,
-		RunsInFlight:    st.RunsInFlight,
-		PeerFills:       st.PeerFills,
-		PeerFillRejects: st.PeerFillRejects,
-		Forwards:        n.forwards.Load(),
-		TenantRejects:   st.TenantRejects,
-		Reachable:       true,
-	}
+// localRow is this node's gossip row around its snapshot st.
+func (n *Node) localRow(st codeserver.Stats) NodeStats {
+	return NodeStats{Stats: st, Forwards: n.forwards.Load(), Reachable: true}
 }
 
-// FleetView assembles the current fleet rows: this node live, peers as
-// last gossiped (with staleness annotated).
-func (n *Node) FleetView() []NodeStats {
+// FleetView assembles the fleet rows around this node's snapshot local:
+// this node's row is that cut, peers' are as last gossiped (with
+// staleness annotated).
+func (n *Node) FleetView(local codeserver.Stats) []NodeStats {
 	now := time.Now()
 	rows := make([]NodeStats, 0, len(n.cfg.Peers))
-	rows = append(rows, n.localRow())
+	rows = append(rows, n.localRow(local))
 	n.gmu.Lock()
 	for name := range n.cfg.Peers {
 		if name == n.cfg.Self {
@@ -91,7 +66,7 @@ func (n *Node) FleetView() []NodeStats {
 		}
 		row, ok := n.fleet[name]
 		if !ok {
-			rows = append(rows, NodeStats{Node: name, Reachable: false})
+			rows = append(rows, NodeStats{Stats: codeserver.Stats{Node: name}})
 			continue
 		}
 		row.AgeSeconds = now.Sub(row.fetchedAt).Seconds()
@@ -169,20 +144,21 @@ func (n *Node) fetchPeerStats(ctx context.Context, peer string) (NodeStats, erro
 	return row, nil
 }
 
-// handlePeerStats serves this node's condensed row to gossiping peers.
+// handlePeerStats serves this node's row to gossiping peers.
 func (n *Node) handlePeerStats(w http.ResponseWriter, r *http.Request) {
-	codeserver.WriteJSON(w, http.StatusOK, n.localRow())
+	codeserver.WriteJSON(w, http.StatusOK, n.localRow(n.srv.Stats()))
 }
 
-// handleStats serves the fleet view: full local stats plus the last
-// gossiped row of every peer.
+// handleStats serves the fleet view: the local snapshot plus the last
+// gossiped row of every peer. One cut serves both local and this node's
+// own row, so the two never disagree within a response.
 func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	srvStats := n.srv.Stats()
+	local := n.srv.Stats()
 	codeserver.WriteJSON(w, http.StatusOK, FleetStats{
 		Node:         n.cfg.Self,
 		Ring:         RingInfo{Nodes: n.ring.Nodes(), VNodes: n.ring.VNodes()},
-		Local:        srvStats,
-		Fleet:        n.FleetView(),
+		Local:        local,
+		Fleet:        n.FleetView(local),
 		GossipErrors: n.gossipErrors.Load(),
 	})
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,7 +80,7 @@ func TestGossipMarksDeadPeerUnreachable(t *testing.T) {
 
 	// Healthy exchange: b2's row arrives reachable.
 	a.GossipOnce(context.Background())
-	view := a.FleetView()
+	view := a.FleetView(a.srv.Stats())
 	var b2 *NodeStats
 	for i := range view {
 		if view[i].Node == "b2" {
@@ -95,7 +97,7 @@ func TestGossipMarksDeadPeerUnreachable(t *testing.T) {
 	tsB.Close()
 	time.Sleep(5 * time.Millisecond)
 	a.GossipOnce(context.Background())
-	view = a.FleetView()
+	view = a.FleetView(a.srv.Stats())
 	b2 = nil
 	for i := range view {
 		if view[i].Node == "b2" {
@@ -119,7 +121,7 @@ func TestGossipMarksDeadPeerUnreachable(t *testing.T) {
 	prevAge := b2.AgeSeconds
 	time.Sleep(5 * time.Millisecond)
 	a.GossipOnce(context.Background())
-	for _, row := range a.FleetView() {
+	for _, row := range a.FleetView(a.srv.Stats()) {
 		if row.Node != "b2" {
 			continue
 		}
@@ -129,6 +131,68 @@ func TestGossipMarksDeadPeerUnreachable(t *testing.T) {
 		if row.AgeSeconds <= prevAge {
 			t.Errorf("age stopped growing: %.3fs then %.3fs", prevAge, row.AgeSeconds)
 		}
+	}
+}
+
+// TestFleetStatsIsOneCut: a node's /stats reads its server once, so under
+// concurrent traffic local and this node's own fleet row are the same
+// snapshot. At the parent the row was a second cut, taken after local.
+func TestFleetStatsIsOneCut(t *testing.T) {
+	a, aURL, _ := twoNodes(t, nil)
+	cr := fleetCompile(t, aURL, fleetProgram(1))
+
+	stop := make(chan struct{})
+	var traffic sync.WaitGroup
+	for range 4 {
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, status, err := fleetRun(aURL, cr.Hash); err != nil {
+					t.Errorf("run: status %d, %v", status, err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); traffic.Wait() }()
+
+	var first, last uint64
+	for i := 0; i < 30; i++ {
+		resp, err := http.Get(aURL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fs FleetStats
+		err = json.NewDecoder(resp.Body).Decode(&fs)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var self *NodeStats
+		for i := range fs.Fleet {
+			if fs.Fleet[i].Node == a.Self() {
+				self = &fs.Fleet[i]
+			}
+		}
+		if self == nil {
+			t.Fatalf("no row for %s in %+v", a.Self(), fs.Fleet)
+		}
+		if !reflect.DeepEqual(self.Stats, fs.Local) {
+			t.Fatalf("read %d: the self row is another cut than local:\nrow   %+v\nlocal %+v", i, self.Stats, fs.Local)
+		}
+		if i == 0 {
+			first = fs.Local.Runs
+		}
+		last = fs.Local.Runs
+	}
+	if last == first {
+		t.Errorf("runs stayed at %d over every read: no traffic ran alongside them", first)
 	}
 }
 
@@ -180,7 +244,7 @@ class Loop { static void main() { while (true) { } } }`}, codeserver.Options{})
 	if st.Tenants["bob"].Rejects != 1 {
 		t.Errorf("bob rejects = %d, want 1", st.Tenants["bob"].Rejects)
 	}
-	if row := a.localRow(); row.TenantRejects != 1 {
+	if row := a.localRow(a.srv.Stats()); row.TenantRejects != 1 {
 		t.Errorf("gossip row tenant_rejects = %d, want 1", row.TenantRejects)
 	}
 }

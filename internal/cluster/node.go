@@ -121,7 +121,7 @@ func (n *Node) Close() {
 //	GET  /stats             fleet view (local stats + gossiped peers)
 //	GET  /peer/unit/{hash}  encoded unit bytes for peers (no recursion)
 //	POST /peer/compile      owner-side compile on behalf of a peer
-//	GET  /peer/stats        condensed per-node stats row for gossip
+//	GET  /peer/stats        this node's stats row for gossip
 //
 // No peer route accepts a write: a unit enters this node's store only
 // because this node asked for it (see codeserver.Store).

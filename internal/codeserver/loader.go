@@ -7,7 +7,6 @@ import (
 	"safetsa/internal/core"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
-	"safetsa/internal/obs"
 )
 
 // LoadedUnit is an admitted module held by the loader cache, together
@@ -59,7 +58,7 @@ func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func(context.C
 }
 
 // load runs the consumer pipeline on the fetched unit, each stage under
-// one clock (obs.Timed). When the fetch itself led the unit's admission
+// one clock (Metrics.timed). When the fetch itself led the unit's admission
 // (a peer fill, a disk re-admission) it hands the admitted module over and
 // lowering starts from it; otherwise the unit was resident as bytes and
 // the loader admits them itself, which is what the decode stage times. A
@@ -76,26 +75,25 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Contex
 		comp *interp.Compiled
 	)
 	stages := []struct {
-		name string
-		hist *obs.Histogram
-		run  func(context.Context) error
+		stage stage
+		run   func(context.Context) error
 	}{
-		{"decode", &c.m.decodeHist, func(context.Context) error {
+		{stageDecode, func(context.Context) error {
 			a, err := admit(u.Wire)
 			mod = a.mod
 			return err
 		}},
-		{"prepare", &c.m.prepareHist, func(context.Context) (err error) { prep, err = interp.Prepare(mod); return }},
-		{"compile_backend", &c.m.compileBackendHist, func(context.Context) (err error) { comp, err = interp.Compile(mod, prep); return }},
+		{stagePrepare, func(context.Context) (err error) { prep, err = interp.Prepare(mod); return }},
+		{stageCompileBackend, func(context.Context) (err error) { comp, err = interp.Compile(mod, prep); return }},
 	}
 	if mod != nil {
 		stages = stages[1:] // a door handed the admitted module over
 	}
 	for _, st := range stages {
-		if err := obs.Timed(ctx, st.name, st.hist, st.run); err != nil {
+		if err := c.m.timed(ctx, st.stage, st.run); err != nil {
 			c.m.loadErrors.Add(1)
 			return nil, &driver.Error{Kind: driver.KindVerify,
-				Err: fmt.Errorf("codeserver: unit %s: %s: %w", k, st.name, err)}
+				Err: fmt.Errorf("codeserver: unit %s: %s: %w", k, stageNames[st.stage], err)}
 		}
 	}
 	c.m.loads.Add(1)

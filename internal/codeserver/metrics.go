@@ -1,6 +1,7 @@
 package codeserver
 
 import (
+	"context"
 	"io"
 	"sort"
 	"sync"
@@ -11,11 +12,10 @@ import (
 )
 
 // Metrics is the server-wide instrumentation, updated with atomics on
-// every request path so it is safe under full concurrency. Per-stage
-// latencies are obs.Histograms (lock-free fixed buckets); the legacy
-// cumulative *Nanos fields of Stats are derived from their sums, so the
-// old JSON keys survive with identical meaning. Stats() returns a
-// consistent-enough snapshot for monitoring and tests.
+// every request path so it is safe under full concurrency. It has one
+// reader, snapshot: GET /stats serves the Stats it cuts, GET /metrics
+// renders that same value (writePrometheus), and a fleet member's gossip
+// row embeds it.
 type Metrics struct {
 	// node is the fleet identity stamped onto every Prometheus series
 	// and the stats snapshot ("" for a single-node server: no label).
@@ -83,24 +83,33 @@ type Metrics struct {
 	tmu           sync.Mutex
 	tenants       map[string]*tenantCounters
 
-	// Per-stage latency histograms. compileHist covers the whole
-	// producer pipeline (one sample per actual compile); decodeHist,
-	// verifyHist, prepareHist, and compileBackendHist the consumer
-	// loader stages (one sample per load attempt — preparation and
-	// backend compilation are shared by every session of a unit, so
-	// their counts track loads, not runs); runHist one sample per
-	// execution session.
-	compileHist        obs.Histogram
-	decodeHist         obs.Histogram
-	verifyHist         obs.Histogram
-	prepareHist        obs.Histogram
-	compileBackendHist obs.Histogram
-	runHist            obs.Histogram
-	peerFillHist       obs.Histogram // one sample per peer fetch+admission attempt
-	// wireDecodeStreamHist covers the whole streaming decode of one
-	// /run-stream unit, first header byte to final admission (or
-	// rejection) — it overlaps guest execution by design.
-	wireDecodeStreamHist obs.Histogram
+	// stages holds one latency histogram per pipeline stage.
+	stages [numStages]obs.Histogram
+}
+
+// stage is one timed pipeline stage. stageNames is its one spelling: the
+// span name at its obs.Timed site, its Prometheus stage label and the
+// prefix of its *_nanos and *_latency keys in /stats.
+type stage int
+
+const (
+	stageCompile          stage = iota // the whole producer pipeline, one sample per actual compile
+	stageDecode                        // one sample per load that had to admit the unit itself
+	stageVerify                        // declared and unfed: admission is one step (DESIGN.md §7)
+	stagePrepare                       // one sample per load attempt, so counts track loads, not runs
+	stageCompileBackend                // likewise
+	stageRun                           // one sample per execution session
+	stagePeerFill                      // one sample per peer fetch+admission attempt
+	stageWireDecodeStream              // one /run-stream unit, first header byte to final verdict; overlaps the guest
+	numStages
+)
+
+var stageNames = [numStages]string{"compile", "decode", "verify", "prepare", "compile_backend", "run", "peer_fill", "wire_decode_stream"}
+
+// timed runs fn as stage s: one span and one histogram sample, fed by
+// the same clock (obs.Timed).
+func (m *Metrics) timed(ctx context.Context, s stage, fn func(context.Context) error) error {
+	return obs.Timed(ctx, stageNames[s], &m.stages[s], fn)
 }
 
 // DefaultTenant is the accounting identity of run requests that carry
@@ -144,23 +153,6 @@ func (m *Metrics) tenant(name string) *tenantCounters {
 	return tc
 }
 
-// tenantRows snapshots the per-tenant map in sorted name order.
-func (m *Metrics) tenantRows() []tenantRow {
-	m.tmu.Lock()
-	rows := make([]tenantRow, 0, len(m.tenants))
-	for name, tc := range m.tenants {
-		rows = append(rows, tenantRow{name: name, tc: tc})
-	}
-	m.tmu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	return rows
-}
-
-type tenantRow struct {
-	name string
-	tc   *tenantCounters
-}
-
 // TenantStats is one tenant's row in the /stats snapshot.
 type TenantStats struct {
 	Runs     uint64            `json:"runs"`
@@ -172,7 +164,8 @@ type TenantStats struct {
 }
 
 // Stats is the exported snapshot of Metrics, plus the cache sizes filled
-// in by the component that owns them. It is what GET /stats serves.
+// in by the component that owns them. It is what GET /stats serves and
+// what GET /metrics renders.
 type Stats struct {
 	// Node is the fleet identity of the server that produced this
 	// snapshot (absent for single-node servers).
@@ -231,7 +224,7 @@ type Stats struct {
 	Tenants       map[string]TenantStats `json:"tenants,omitempty"`
 
 	// Cumulative latencies (nanoseconds) over all requests. Legacy keys:
-	// derived from the histogram sums so they keep increasing exactly as
+	// the sums of the stage histograms, so they keep increasing exactly as
 	// before the histograms existed.
 	CompileNanos          int64 `json:"compile_nanos"`
 	DecodeNanos           int64 `json:"decode_nanos"`
@@ -251,191 +244,169 @@ type Stats struct {
 	RunLatency              obs.LatencySummary `json:"run_latency"`
 	PeerFillLatency         obs.LatencySummary `json:"peer_fill_latency"`
 	WireDecodeStreamLatency obs.LatencySummary `json:"wire_decode_stream_latency"`
+
+	// stages is the cut of the stage histograms the *Nanos and *Latency
+	// fields digest, buckets included, for /metrics; JSON never sees it.
+	stages [numStages]obs.HistogramSnapshot
 }
 
+// snapshot is the one reader of m: every counter, tenant row and stage
+// histogram, cut once.
 func (m *Metrics) snapshot() Stats {
-	compile := m.compileHist.Snapshot()
-	decode := m.decodeHist.Snapshot()
-	verify := m.verifyHist.Snapshot()
-	prepare := m.prepareHist.Snapshot()
-	compileBackend := m.compileBackendHist.Snapshot()
-	run := m.runHist.Snapshot()
-	peerFill := m.peerFillHist.Snapshot()
-	wireStream := m.wireDecodeStreamHist.Snapshot()
-	tenants := m.tenantStats()
-	kills := map[string]uint64{}
-	for _, ts := range tenants {
-		for reason, n := range ts.Kills {
-			kills[reason] += n
-		}
+	st := Stats{
+		Node:             m.node,
+		CompileRequests:  m.compileRequests.Load(),
+		CacheHits:        m.cacheHits.Load(),
+		DiskHits:         m.diskHits.Load(),
+		Compiles:         m.compiles.Load(),
+		Coalesced:        m.coalesced.Load(),
+		CompileErrors:    m.compileErrors.Load(),
+		CompilesInFlight: m.compilesInFlight.Load(),
+		Evictions:        m.evictions.Load(),
+		PeerFills:        m.peerFills.Load(),
+		PeerFillErrors:   m.peerFillErrors.Load(),
+		PeerFillRejects:  m.peerFillRejects.Load(),
+		Loads:            m.loads.Load(),
+		LoaderHits:       m.loaderHits.Load(),
+		LoadErrors:       m.loadErrors.Load(),
+		LoaderEvicted:    m.loaderEvict.Load(),
+		Runs:             m.runs.Load(),
+		RunErrors:        m.runErrors.Load(),
+		RunsInFlight:     m.runsInFlight.Load(),
+		StreamRejects:    m.streamRejects.Load(),
+		GuestSteps:       m.guestSteps.Load(),
+		GuestAllocs:      m.guestAllocs.Load(),
+		Kills:            map[string]uint64{},
+		PoolHits:         m.poolHits.Load(),
+		PoolBuilds:       m.poolBuilds.Load(),
+		PoolDeclines:     m.poolDeclines.Load(),
+		PoolVerifyFails:  m.poolVerifyFails.Load(),
+		PoolEvictions:    m.poolEvictions.Load(),
+		TenantRejects:    m.tenantRejects.Load(),
 	}
-	return Stats{
-		Node:                    m.node,
-		CompileRequests:         m.compileRequests.Load(),
-		CacheHits:               m.cacheHits.Load(),
-		DiskHits:                m.diskHits.Load(),
-		Compiles:                m.compiles.Load(),
-		Coalesced:               m.coalesced.Load(),
-		CompileErrors:           m.compileErrors.Load(),
-		CompilesInFlight:        m.compilesInFlight.Load(),
-		Evictions:               m.evictions.Load(),
-		PeerFills:               m.peerFills.Load(),
-		PeerFillErrors:          m.peerFillErrors.Load(),
-		PeerFillRejects:         m.peerFillRejects.Load(),
-		Loads:                   m.loads.Load(),
-		LoaderHits:              m.loaderHits.Load(),
-		LoadErrors:              m.loadErrors.Load(),
-		LoaderEvicted:           m.loaderEvict.Load(),
-		Runs:                    m.runs.Load(),
-		RunErrors:               m.runErrors.Load(),
-		RunsInFlight:            m.runsInFlight.Load(),
-		StreamRejects:           m.streamRejects.Load(),
-		GuestSteps:              m.guestSteps.Load(),
-		GuestAllocs:             m.guestAllocs.Load(),
-		Kills:                   kills,
-		StepLimitKills:          kills[rt.KillStepLimit.String()],
-		AllocLimitKills:         kills[rt.KillAllocLimit.String()],
-		InterruptKills:          kills[rt.KillInterrupt.String()],
-		DeadlineKills:           kills[rt.KillDeadline.String()],
-		PoolHits:                m.poolHits.Load(),
-		PoolBuilds:              m.poolBuilds.Load(),
-		PoolDeclines:            m.poolDeclines.Load(),
-		PoolVerifyFails:         m.poolVerifyFails.Load(),
-		PoolEvictions:           m.poolEvictions.Load(),
-		TenantRejects:           m.tenantRejects.Load(),
-		Tenants:                 tenants,
-		CompileNanos:            compile.SumNanos,
-		DecodeNanos:             decode.SumNanos,
-		VerifyNanos:             verify.SumNanos,
-		PrepareNanos:            prepare.SumNanos,
-		CompileBackendNanos:     compileBackend.SumNanos,
-		RunNanos:                run.SumNanos,
-		PeerFillNanos:           peerFill.SumNanos,
-		WireDecodeStreamNanos:   wireStream.SumNanos,
-		CompileLatency:          compile.Summary(),
-		DecodeLatency:           decode.Summary(),
-		VerifyLatency:           verify.Summary(),
-		PrepareLatency:          prepare.Summary(),
-		CompileBackendLatency:   compileBackend.Summary(),
-		RunLatency:              run.Summary(),
-		PeerFillLatency:         peerFill.Summary(),
-		WireDecodeStreamLatency: wireStream.Summary(),
-	}
-}
 
-// tenantStats snapshots the per-tenant rows for /stats.
-func (m *Metrics) tenantStats() map[string]TenantStats {
-	rows := m.tenantRows()
-	if len(rows) == 0 {
-		return nil
+	m.tmu.Lock()
+	if len(m.tenants) > 0 {
+		st.Tenants = make(map[string]TenantStats, len(m.tenants))
 	}
-	out := make(map[string]TenantStats, len(rows))
-	for _, r := range rows {
+	for name, tc := range m.tenants {
 		ts := TenantStats{
-			Runs:     r.tc.runs.Load(),
-			Rejects:  r.tc.rejects.Load(),
-			InFlight: r.tc.inFlight.Load(),
-			Steps:    r.tc.steps.Load(),
-			Allocs:   r.tc.allocs.Load(),
+			Runs:     tc.runs.Load(),
+			Rejects:  tc.rejects.Load(),
+			InFlight: tc.inFlight.Load(),
+			Steps:    tc.steps.Load(),
+			Allocs:   tc.allocs.Load(),
 		}
-		for k := range r.tc.kills {
-			if n := r.tc.kills[k].Load(); n > 0 {
+		for k := range tc.kills {
+			if n := tc.kills[k].Load(); n > 0 {
 				if ts.Kills == nil {
 					ts.Kills = make(map[string]uint64)
 				}
 				ts.Kills[rt.Kill(k).String()] = n
+				st.Kills[rt.Kill(k).String()] += n
 			}
 		}
-		out[r.name] = ts
+		st.Tenants[name] = ts
 	}
-	return out
+	m.tmu.Unlock()
+	st.StepLimitKills = st.Kills[rt.KillStepLimit.String()]
+	st.AllocLimitKills = st.Kills[rt.KillAllocLimit.String()]
+	st.InterruptKills = st.Kills[rt.KillInterrupt.String()]
+	st.DeadlineKills = st.Kills[rt.KillDeadline.String()]
+
+	for s := range st.stages {
+		st.stages[s] = m.stages[s].Snapshot()
+	}
+	digest := func(s stage) (int64, obs.LatencySummary) { return st.stages[s].SumNanos, st.stages[s].Summary() }
+	st.CompileNanos, st.CompileLatency = digest(stageCompile)
+	st.DecodeNanos, st.DecodeLatency = digest(stageDecode)
+	st.VerifyNanos, st.VerifyLatency = digest(stageVerify)
+	st.PrepareNanos, st.PrepareLatency = digest(stagePrepare)
+	st.CompileBackendNanos, st.CompileBackendLatency = digest(stageCompileBackend)
+	st.RunNanos, st.RunLatency = digest(stageRun)
+	st.PeerFillNanos, st.PeerFillLatency = digest(stagePeerFill)
+	st.WireDecodeStreamNanos, st.WireDecodeStreamLatency = digest(stageWireDecodeStream)
+	return st
 }
 
-// WritePrometheus renders the full metric surface in the Prometheus text
-// exposition format. unitsCached, modulesLoaded, and poolSessions are
-// the cache occupancies owned by the store, loader, and warm-session
-// pool. In cluster mode every series carries a node="<name>" label so
-// fleet scrapes stay per-node.
-func (m *Metrics) WritePrometheus(w io.Writer, unitsCached, modulesLoaded, poolSessions int) {
-	p := obs.NewPromWriter(w).ConstLabel("node", m.node)
-	p.Counter("safetsa_compile_requests_total", "Compile requests received.", m.compileRequests.Load())
-	p.Counter("safetsa_cache_hits_total", "Compile requests served from the in-memory unit store.", m.cacheHits.Load())
-	p.Counter("safetsa_disk_hits_total", "Compile requests served from the on-disk unit store.", m.diskHits.Load())
-	p.Counter("safetsa_compiles_total", "Producer pipelines actually run.", m.compiles.Load())
-	p.Counter("safetsa_coalesced_total", "Compile requests coalesced onto an in-flight compile.", m.coalesced.Load())
-	p.Counter("safetsa_compile_errors_total", "Failed producer pipelines.", m.compileErrors.Load())
-	p.Counter("safetsa_evictions_total", "Units evicted from the in-memory store.", m.evictions.Load())
-	p.Gauge("safetsa_compiles_in_flight", "Producer pipelines currently running.", m.compilesInFlight.Load())
-	p.Gauge("safetsa_units_cached", "Encoded units resident in the in-memory store.", int64(unitsCached))
+// writePrometheus renders st in the Prometheus text exposition format. In
+// cluster mode every series carries a node="<name>" label so fleet
+// scrapes stay per-node.
+func writePrometheus(w io.Writer, st Stats) {
+	p := obs.NewPromWriter(w).ConstLabel("node", st.Node)
+	counter := func(name, help string, v uint64) { p.Family("counter", name, help, obs.Sample{Value: int64(v)}) }
+	gauge := func(name, help string, v int64) { p.Family("gauge", name, help, obs.Sample{Value: v}) }
 
-	p.Counter("safetsa_peer_fills_total", "Units fetched from a fleet peer and admitted by local re-verification.", m.peerFills.Load())
-	p.Counter("safetsa_peer_fill_errors_total", "Peer unit fetches that failed before admission.", m.peerFillErrors.Load())
-	p.Counter("safetsa_peer_fill_rejects_total", "Peer-supplied units rejected by local decode+verify admission.", m.peerFillRejects.Load())
+	counter("safetsa_compile_requests_total", "Compile requests received.", st.CompileRequests)
+	counter("safetsa_cache_hits_total", "Compile requests served from the in-memory unit store.", st.CacheHits)
+	counter("safetsa_disk_hits_total", "Compile requests served from the on-disk unit store.", st.DiskHits)
+	counter("safetsa_compiles_total", "Producer pipelines actually run.", st.Compiles)
+	counter("safetsa_coalesced_total", "Compile requests coalesced onto an in-flight compile.", st.Coalesced)
+	counter("safetsa_compile_errors_total", "Failed producer pipelines.", st.CompileErrors)
+	counter("safetsa_evictions_total", "Units evicted from the in-memory store.", st.Evictions)
+	gauge("safetsa_compiles_in_flight", "Producer pipelines currently running.", st.CompilesInFlight)
+	gauge("safetsa_units_cached", "Encoded units resident in the in-memory store.", int64(st.UnitsCached))
 
-	p.Counter("safetsa_loads_total", "Units decoded and verified by the loader.", m.loads.Load())
-	p.Counter("safetsa_loader_hits_total", "Run requests served from the decoded-module cache.", m.loaderHits.Load())
-	p.Counter("safetsa_load_errors_total", "Units rejected by decode or the verifier.", m.loadErrors.Load())
-	p.Counter("safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", m.loaderEvict.Load())
-	p.Gauge("safetsa_modules_loaded", "Decoded modules resident in the loader cache.", int64(modulesLoaded))
+	counter("safetsa_peer_fills_total", "Units fetched from a fleet peer and admitted by local re-verification.", st.PeerFills)
+	counter("safetsa_peer_fill_errors_total", "Peer unit fetches that failed before admission.", st.PeerFillErrors)
+	counter("safetsa_peer_fill_rejects_total", "Peer-supplied units rejected by local decode+verify admission.", st.PeerFillRejects)
 
-	p.Counter("safetsa_runs_total", "Execution sessions started.", m.runs.Load())
-	p.Counter("safetsa_run_errors_total", "Execution sessions ending in a guest failure.", m.runErrors.Load())
-	p.Counter("safetsa_stream_rejects_total", "Streaming runs whose unit was rejected mid-stream; nothing cached.", m.streamRejects.Load())
-	p.Gauge("safetsa_runs_in_flight", "Execution sessions currently running.", m.runsInFlight.Load())
-	p.Counter("safetsa_guest_steps_total", "Interpreter steps executed by guest programs.", uint64(m.guestSteps.Load()))
-	p.Counter("safetsa_guest_allocs_total", "Allocation units charged by guest programs.", uint64(m.guestAllocs.Load()))
+	counter("safetsa_loads_total", "Units decoded and verified by the loader.", st.Loads)
+	counter("safetsa_loader_hits_total", "Run requests served from the decoded-module cache.", st.LoaderHits)
+	counter("safetsa_load_errors_total", "Units rejected by decode or the verifier.", st.LoadErrors)
+	counter("safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", st.LoaderEvicted)
+	gauge("safetsa_modules_loaded", "Decoded modules resident in the loader cache.", int64(st.ModulesLoaded))
 
-	// Kill counters carry both the budget dimension and the tenant the
-	// killed session was accounted to; rows render in (reason, tenant)
-	// order, every reason emitted per tenant so scrapes see a fixed
-	// matrix.
-	tenants := m.tenantRows()
-	var killRows []obs.LabeledCounter
+	counter("safetsa_runs_total", "Execution sessions started.", st.Runs)
+	counter("safetsa_run_errors_total", "Execution sessions ending in a guest failure.", st.RunErrors)
+	counter("safetsa_stream_rejects_total", "Streaming runs whose unit was rejected mid-stream; nothing cached.", st.StreamRejects)
+	gauge("safetsa_runs_in_flight", "Execution sessions currently running.", st.RunsInFlight)
+	counter("safetsa_guest_steps_total", "Interpreter steps executed by guest programs.", uint64(st.GuestSteps))
+	counter("safetsa_guest_allocs_total", "Allocation units charged by guest programs.", uint64(st.GuestAllocs))
+
+	// Per-tenant families render one sample per tenant in name order; the
+	// kill counters carry the budget dimension too, every reason per
+	// tenant in (reason, tenant) order, so scrapes see a fixed matrix.
+	tenants := make([]string, 0, len(st.Tenants))
+	for t := range st.Tenants {
+		tenants = append(tenants, t)
+	}
+	sort.Strings(tenants)
+	perTenant := func(typ, name, help string, v func(TenantStats) int64) {
+		rows := make([]obs.Sample, len(tenants))
+		for i, t := range tenants {
+			rows[i] = obs.Sample{Labels: []string{"tenant", t}, Value: v(st.Tenants[t])}
+		}
+		p.Family(typ, name, help, rows...)
+	}
+	var kills []obs.Sample
 	for k := rt.Kill(0); k < rt.NumKills; k++ {
-		for _, tr := range tenants {
-			killRows = append(killRows, obs.LabeledCounter{
-				Labels: []string{"reason", k.String(), "tenant", tr.name},
-				Value:  tr.tc.kills[k].Load(),
+		for _, t := range tenants {
+			kills = append(kills, obs.Sample{
+				Labels: []string{"reason", k.String(), "tenant", t},
+				Value:  int64(st.Tenants[t].Kills[k.String()]),
 			})
 		}
 	}
-	p.CounterRows("safetsa_guest_kills_total", "Guest sessions terminated by an exhausted budget, by reason and tenant.", killRows)
+	p.Family("counter", "safetsa_guest_kills_total", "Guest sessions terminated by an exhausted budget, by reason and tenant.", kills...)
 
-	p.Counter("safetsa_pool_hits_total", "Run sessions served from a warm-session snapshot clone.", m.poolHits.Load())
-	p.Counter("safetsa_pool_builds_total", "Warm-session snapshots built, verified, and published.", m.poolBuilds.Load())
-	p.Counter("safetsa_pool_declines_total", "Runs declined by the pool because their budgets were below the init drain.", m.poolDeclines.Load())
-	p.Counter("safetsa_pool_verify_fails_total", "Warm-session snapshots rejected by publish-time self-verification.", m.poolVerifyFails.Load())
-	p.Counter("safetsa_pool_evictions_total", "Warm-session snapshots evicted by the pool LRU.", m.poolEvictions.Load())
-	p.Gauge("safetsa_pool_sessions", "Warm-session snapshots resident in the pool.", int64(poolSessions))
+	counter("safetsa_pool_hits_total", "Run sessions served from a warm-session snapshot clone.", st.PoolHits)
+	counter("safetsa_pool_builds_total", "Warm-session snapshots built, verified, and published.", st.PoolBuilds)
+	counter("safetsa_pool_declines_total", "Runs declined by the pool because their budgets were below the init drain.", st.PoolDeclines)
+	counter("safetsa_pool_verify_fails_total", "Warm-session snapshots rejected by publish-time self-verification.", st.PoolVerifyFails)
+	counter("safetsa_pool_evictions_total", "Warm-session snapshots evicted by the pool LRU.", st.PoolEvictions)
+	gauge("safetsa_pool_sessions", "Warm-session snapshots resident in the pool.", int64(st.PoolSessions))
 
-	p.Counter("safetsa_tenant_rejects_total", "Runs rejected by the per-tenant fair-admission gate.", m.tenantRejects.Load())
-	tenantRuns := make(map[string]uint64, len(tenants))
-	tenantRejects := make(map[string]uint64, len(tenants))
-	tenantSteps := make(map[string]uint64, len(tenants))
-	tenantAllocs := make(map[string]uint64, len(tenants))
-	tenantInFlight := make(map[string]int64, len(tenants))
-	for _, tr := range tenants {
-		tenantRuns[tr.name] = tr.tc.runs.Load()
-		tenantRejects[tr.name] = tr.tc.rejects.Load()
-		tenantSteps[tr.name] = uint64(tr.tc.steps.Load())
-		tenantAllocs[tr.name] = uint64(tr.tc.allocs.Load())
-		tenantInFlight[tr.name] = tr.tc.inFlight.Load()
+	counter("safetsa_tenant_rejects_total", "Runs rejected by the per-tenant fair-admission gate.", st.TenantRejects)
+	perTenant("counter", "safetsa_tenant_runs_total", "Run sessions accounted per tenant.", func(t TenantStats) int64 { return int64(t.Runs) })
+	perTenant("counter", "safetsa_tenant_throttled_total", "Fair-admission rejections per tenant.", func(t TenantStats) int64 { return int64(t.Rejects) })
+	perTenant("counter", "safetsa_tenant_steps_total", "Interpreter steps drained per tenant.", func(t TenantStats) int64 { return t.Steps })
+	perTenant("counter", "safetsa_tenant_allocs_total", "Allocation units drained per tenant.", func(t TenantStats) int64 { return t.Allocs })
+	perTenant("gauge", "safetsa_tenant_runs_in_flight", "Run sessions currently in flight per tenant.", func(t TenantStats) int64 { return t.InFlight })
+
+	stages := make(map[string]obs.HistogramSnapshot, numStages)
+	for s, h := range st.stages {
+		stages[stageNames[s]] = h
 	}
-	p.CounterVec("safetsa_tenant_runs_total", "Run sessions accounted per tenant.", "tenant", tenantRuns)
-	p.CounterVec("safetsa_tenant_throttled_total", "Fair-admission rejections per tenant.", "tenant", tenantRejects)
-	p.CounterVec("safetsa_tenant_steps_total", "Interpreter steps drained per tenant.", "tenant", tenantSteps)
-	p.CounterVec("safetsa_tenant_allocs_total", "Allocation units drained per tenant.", "tenant", tenantAllocs)
-	p.GaugeVec("safetsa_tenant_runs_in_flight", "Run sessions currently in flight per tenant.", "tenant", tenantInFlight)
-
-	p.HistogramVec("safetsa_stage_duration_seconds", "Pipeline stage latency.", "stage",
-		map[string]obs.HistogramSnapshot{
-			"compile":            m.compileHist.Snapshot(),
-			"decode":             m.decodeHist.Snapshot(),
-			"verify":             m.verifyHist.Snapshot(),
-			"prepare":            m.prepareHist.Snapshot(),
-			"compile_backend":    m.compileBackendHist.Snapshot(),
-			"run":                m.runHist.Snapshot(),
-			"peer_fill":          m.peerFillHist.Snapshot(),
-			"wire_decode_stream": m.wireDecodeStreamHist.Snapshot(),
-		})
+	p.HistogramVec("safetsa_stage_duration_seconds", "Pipeline stage latency.", "stage", stages)
 }

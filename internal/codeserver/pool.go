@@ -92,7 +92,7 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 		return admitted{}, err
 	}
 	p.m.compiles.Add(1)
-	p.m.compileHist.Observe(time.Since(start))
+	p.m.stages[stageCompile].Observe(time.Since(start))
 	return admitted{mod: mod, wire: data}, nil
 }
 

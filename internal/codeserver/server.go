@@ -334,7 +334,7 @@ func (s *Server) PeerFillUnit(ctx context.Context, k Key, fetch func(context.Con
 // exactly one of the three counters.
 func (s *Server) peerFill(k Key, fetch func(context.Context) ([]byte, error)) func(context.Context) (admitted, error) {
 	return func(ctx context.Context) (a admitted, err error) {
-		err = obs.Timed(ctx, "peer_fill", &s.m.peerFillHist, func(ctx context.Context) error {
+		err = s.m.timed(ctx, stagePeerFill, func(ctx context.Context) error {
 			data, err := fetch(ctx)
 			if err != nil {
 				s.m.peerFillErrors.Add(1)
@@ -528,7 +528,7 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 
 	var su *wire.StreamingUnit
 	var runErr error
-	err = obs.Timed(sess.ctx, "wire_decode_stream", &s.m.wireDecodeStreamHist, func(context.Context) (err error) {
+	err = s.m.timed(sess.ctx, stageWireDecodeStream, func(context.Context) (err error) {
 		if su, err = wire.DecodeVerifiedStream(tee, wire.DecodeOptions{}); err != nil {
 			return err
 		}
@@ -789,11 +789,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	poolSessions := 0
-	if s.sessions != nil {
-		poolSessions = s.sessions.Len()
-	}
-	s.m.WritePrometheus(w, s.store.Len(), s.loader.Len(), poolSessions)
+	writePrometheus(w, s.Stats())
 }
 
 // tracesResponse is the wire shape of /debug/traces.

@@ -9,10 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"safetsa/internal/driver"
+	"safetsa/internal/opt"
+	"safetsa/internal/ssabuild"
 	"safetsa/internal/wire"
 )
 
@@ -193,6 +196,72 @@ class Bad { static void main() { int x = "not an int"; } }`}})
 		t.Errorf("bad hash: status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestCompileAdmitsExactlyWhatRunAdmits: the producer holds the CST bound
+// the decoder holds (core.MaxCSTDepth). Around it, /compile answers 200
+// exactly when /run-stream admits the unit the pipeline would have shipped
+// without the producer's check, and what it answers with runs on /run;
+// past it, /compile is a 400 of kind parse. At the parent, 300 nested
+// loops compiled to a unit no run door takes.
+func TestCompileAdmitsExactlyWhatRunAdmits(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	answers := map[int]int{}
+	for n := 252; n <= 258; n++ {
+		files := map[string]string{"W.tj": "class W { static void main() { int i = 0; " +
+			strings.Repeat("while (i < 1) { ", n) + "i = i + 1; " + strings.Repeat("}", n) +
+			" System.out.println(i); } }"}
+		for _, optimize := range []bool{false, true} {
+			resp, err := http.Post(ts.URL+"/run-stream", "application/octet-stream",
+				bytes.NewReader(uncheckedUnit(t, files, optimize)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed := resp.StatusCode
+			resp.Body.Close()
+			answers[streamed]++
+
+			resp = postJSON(t, ts.URL+"/compile", CompileRequest{Files: files, Optimize: optimize, ModuleOpt: optimize})
+			if resp.StatusCode != streamed {
+				t.Errorf("%d loops, optimize %v: /compile answered %d, /run-stream of the unchecked unit %d",
+					n, optimize, resp.StatusCode, streamed)
+			}
+			if resp.StatusCode != http.StatusOK {
+				if er := decodeBody[ErrorResponse](t, resp); er.Kind != "parse" || !strings.Contains(er.Error, "nesting deeper than") {
+					t.Errorf("%d loops, optimize %v: refused with %+v, want kind parse", n, optimize, er)
+				}
+				continue
+			}
+			cr := decodeBody[CompileResponse](t, resp)
+			if rr := decodeBody[RunResult](t, postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{})); !rr.OK || rr.Output != "1\n" {
+				t.Errorf("%d loops, optimize %v: /run of the compiled unit: %+v", n, optimize, rr)
+			}
+		}
+	}
+	if answers[http.StatusOK] == 0 || answers[http.StatusBadRequest] == 0 {
+		t.Errorf("the sweep does not straddle the bound: /run-stream answers %v", answers)
+	}
+}
+
+// uncheckedUnit is the unit the producer pipeline builds for files with
+// every stage but the driver's last check: the CST bound.
+func uncheckedUnit(t *testing.T, files map[string]string, optimize bool) []byte {
+	t.Helper()
+	prog, err := driver.Frontend(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := ssabuild.Build(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if optimize {
+		opt.OptimizeWithOptions(mod, opt.Options{ModuleLevel: true})
+	}
+	return wire.EncodeModule(mod)
 }
 
 func TestGuestFailureReportedInBody(t *testing.T) {

@@ -109,7 +109,7 @@ func (ss *session) begin() *rt.Env {
 // reported inside the result, not as an error.
 func (ss *session) finish(err error) RunResult {
 	s, env := ss.s, ss.env
-	s.m.runHist.Observe(time.Since(ss.start))
+	s.m.stages[stageRun].Observe(time.Since(ss.start))
 	ss.execSpan.End()
 	s.m.runsInFlight.Add(-1)
 	s.m.guestSteps.Add(env.Steps)

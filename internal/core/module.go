@@ -204,6 +204,35 @@ type CSTNode struct {
 	At *Block
 }
 
+// MaxCSTDepth bounds how deep a function's Control Structure Tree may
+// nest: no node hangs more than MaxCSTDepth levels below its function's
+// root. It is a limit of the distribution format, held at both ends: the
+// wire decoder refuses a deeper tree before building it, and the producer
+// refuses to emit one (CheckCSTDepth), so every unit the producer ships
+// is one its consumers admit.
+const MaxCSTDepth = 512
+
+// CheckCSTDepth reports the first function of m whose CST nests deeper
+// than MaxCSTDepth. It descends no further than the bound.
+func (m *Module) CheckCSTDepth() error {
+	for _, f := range m.Funcs {
+		if f.Body != nil && cstDeeper(f.Body, MaxCSTDepth) {
+			return fmt.Errorf("%s: control structure nesting deeper than %d levels", f.Name, MaxCSTDepth)
+		}
+	}
+	return nil
+}
+
+// cstDeeper reports whether some node hangs more than levels below n.
+func cstDeeper(n *CSTNode, levels int) bool {
+	for _, k := range n.Kids {
+		if levels == 0 || cstDeeper(k, levels-1) {
+			return true
+		}
+	}
+	return false
+}
+
 // Func is one SafeTSA function body.
 type Func struct {
 	Name   string

@@ -97,7 +97,19 @@ func CompileTSAContext(ctx context.Context, prog *sema.Program) (*core.Module, e
 	if err != nil {
 		return nil, wrapKind(KindInternal, fmt.Errorf("safetsa verifier: %w", err))
 	}
+	if err := shippable(mod); err != nil {
+		return nil, err
+	}
 	return mod, nil
+}
+
+// shippable refuses a module that verifies but that no consumer would
+// admit: one whose CST nests deeper than the wire format carries
+// (core.MaxCSTDepth). The program is at fault, so the error is a user
+// error, of the kind the parser's own nesting bound reports. Every
+// producer stage that can change the CST checks again.
+func shippable(mod *core.Module) error {
+	return wrapKind(KindParse, mod.CheckCSTDepth())
 }
 
 // CompileTSASource is the one-call helper: source text → verified module.
@@ -131,7 +143,7 @@ func OptimizeModuleOptions(ctx context.Context, mod *core.Module, o opt.Options)
 	if err != nil {
 		return st, wrapKind(KindInternal, fmt.Errorf("safetsa verifier after optimization: %w", err))
 	}
-	return st, nil
+	return st, shippable(mod)
 }
 
 // CompileTSASourceOpt compiles and optimizes in one call.

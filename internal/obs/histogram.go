@@ -65,18 +65,6 @@ func (h *Histogram) ObserveNanos(ns int64) {
 	h.sum.Add(ns)
 }
 
-// Count returns the total number of recorded observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the total of all recorded durations in nanoseconds.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Snapshot copies the current bucket counts. Under concurrent recording
 // the copy is not a single atomic cut, but every count it contains was
 // true at some point during the call; after recording quiesces it is
@@ -92,7 +80,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // HistogramSnapshot is an immutable copy of a Histogram's state, the
-// input to quantile estimation, merging, and rendering.
+// input to quantile estimation and rendering.
 type HistogramSnapshot struct {
 	Buckets  [NumBuckets + 1]uint64
 	Count    uint64
@@ -166,10 +154,4 @@ func (s HistogramSnapshot) Summary() LatencySummary {
 		P90Nanos:      s.Quantile(0.90),
 		P99Nanos:      s.Quantile(0.99),
 	}
-}
-
-// Summary digests the histogram's current state.
-func (h *Histogram) Summary() LatencySummary {
-	s := h.Snapshot()
-	return s.Summary()
 }

@@ -130,7 +130,7 @@ func TestQuantileOverflowSaturates(t *testing.T) {
 	}
 	h.ObserveNanos(BucketUpperBound(NumBuckets-1) + 1)
 	h.ObserveNanos(BucketUpperBound(NumBuckets-1) + 2)
-	sum := h.Summary()
+	sum := h.Snapshot().Summary()
 	if sum.OverflowCount != 2 {
 		t.Errorf("overflow_count = %d, want 2", sum.OverflowCount)
 	}
@@ -146,7 +146,7 @@ func TestQuantileOverflowSaturates(t *testing.T) {
 	var o Histogram
 	o.ObserveNanos(BucketUpperBound(NumBuckets-1) + 777)
 	o.ObserveNanos(int64(^uint64(0) >> 2))
-	osum := o.Summary()
+	osum := o.Snapshot().Summary()
 	if osum.OverflowCount != 2 {
 		t.Errorf("overflow_count = %d, want 2", osum.OverflowCount)
 	}
@@ -162,14 +162,13 @@ func TestQuantileOverflowSaturates(t *testing.T) {
 	// A histogram with no overflow keeps overflow_count at zero.
 	var f Histogram
 	f.ObserveNanos(1234)
-	if got := f.Summary().OverflowCount; got != 0 {
+	if got := f.Snapshot().Summary().OverflowCount; got != 0 {
 		t.Errorf("finite-only overflow_count = %d, want 0", got)
 	}
 }
 
-// TestConcurrentRecordingSumsExactly is the merge/concurrency contract:
-// counts and sums from concurrent recorders add exactly — no sampling,
-// no loss — and merging snapshots is exact addition too.
+// TestConcurrentRecordingSumsExactly is the concurrency contract: counts
+// and sums from concurrent recorders add exactly — no sampling, no loss.
 func TestConcurrentRecordingSumsExactly(t *testing.T) {
 	const (
 		goroutines = 16
@@ -189,18 +188,18 @@ func TestConcurrentRecordingSumsExactly(t *testing.T) {
 	wg.Wait()
 
 	const total = goroutines * perG
-	if got := h.Count(); got != total {
-		t.Errorf("count = %d, want %d", got, total)
-	}
 	wantSum := int64(total) * (total + 1) / 2 // 1+2+...+total
-	if got := h.Sum(); got != wantSum {
-		t.Errorf("sum = %d, want %d", got, wantSum)
-	}
 	s := h.Snapshot()
 	if s.Count != total || s.SumNanos != wantSum {
 		t.Errorf("snapshot count/sum = %d/%d, want %d/%d", s.Count, s.SumNanos, total, wantSum)
 	}
-
+	var buckets uint64
+	for _, c := range s.Buckets {
+		buckets += c
+	}
+	if buckets != s.Count {
+		t.Errorf("buckets hold %d samples, count says %d", buckets, s.Count)
+	}
 }
 
 func TestSummary(t *testing.T) {
@@ -208,7 +207,7 @@ func TestSummary(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(5 * time.Microsecond)
 	}
-	sum := h.Summary()
+	sum := h.Snapshot().Summary()
 	if sum.Count != 10 {
 		t.Errorf("count = %d, want 10", sum.Count)
 	}

@@ -62,63 +62,24 @@ func (p *PromWriter) header(name, help, typ string) {
 	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// Counter emits one cumulative counter.
-func (p *PromWriter) Counter(name, help string, v uint64) {
-	p.header(name, help, "counter")
-	fmt.Fprintf(p.w, "%s%s %d\n", name, p.labels(), v)
-}
-
-// CounterVec emits one counter family with a single label dimension,
-// label values in sorted order so the rendering is deterministic.
-func (p *PromWriter) CounterVec(name, help, label string, vals map[string]uint64) {
-	p.header(name, help, "counter")
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(p.w, "%s%s %d\n", name, p.labels(label, k), vals[k])
-	}
-}
-
-// LabeledCounter is one sample row of a multi-label counter family:
-// alternating label name/value pairs plus the counter value.
-type LabeledCounter struct {
+// Sample is one line of a counter or gauge family: alternating label
+// name/value pairs, rendered after the writer's const labels, and the
+// value.
+type Sample struct {
 	Labels []string
-	Value  uint64
+	Value  int64
 }
 
-// CounterRows emits one counter family whose samples carry arbitrary
-// label sets, rendered in the given row order — callers sort their rows
-// so the exposition stays deterministic. An empty row set still emits
-// the HELP/TYPE header (a legal sample-less family), so the metric name
-// remains discoverable before the first sample exists.
-func (p *PromWriter) CounterRows(name, help string, rows []LabeledCounter) {
-	p.header(name, help, "counter")
-	for _, r := range rows {
-		fmt.Fprintf(p.w, "%s%s %d\n", name, p.labels(r.Labels...), r.Value)
+// Family emits one counter or gauge family (typ "counter" or "gauge"):
+// the HELP/TYPE header, then the samples in the order given — callers
+// order them so the exposition stays deterministic. A family without
+// samples still emits its header (a legal sample-less family), so the
+// metric name is discoverable before the first sample exists.
+func (p *PromWriter) Family(typ, name, help string, samples ...Sample) {
+	p.header(name, help, typ)
+	for _, s := range samples {
+		fmt.Fprintf(p.w, "%s%s %d\n", name, p.labels(s.Labels...), s.Value)
 	}
-}
-
-// GaugeVec emits one gauge family with a single label dimension, label
-// values in sorted order so the rendering is deterministic.
-func (p *PromWriter) GaugeVec(name, help, label string, vals map[string]int64) {
-	p.header(name, help, "gauge")
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(p.w, "%s%s %d\n", name, p.labels(label, k), vals[k])
-	}
-}
-
-// Gauge emits one gauge.
-func (p *PromWriter) Gauge(name, help string, v int64) {
-	p.header(name, help, "gauge")
-	fmt.Fprintf(p.w, "%s%s %d\n", name, p.labels(), v)
 }
 
 // seconds renders a nanosecond quantity as Prometheus-conventional

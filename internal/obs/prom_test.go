@@ -6,8 +6,8 @@ import (
 )
 
 // TestPromWriterShapes pins the exposition-format line shapes: HELP/TYPE
-// headers, cumulative buckets ending in +Inf, seconds units, sorted
-// label order.
+// headers, samples in the order given, cumulative buckets ending in +Inf,
+// seconds units, sorted stage labels.
 func TestPromWriterShapes(t *testing.T) {
 	var h Histogram
 	h.ObserveNanos(1500) // bucket 1 (1µs, 2µs]
@@ -15,11 +15,12 @@ func TestPromWriterShapes(t *testing.T) {
 	h.ObserveNanos(900) // bucket 0
 	var sb strings.Builder
 	p := NewPromWriter(&sb)
-	p.Counter("x_total", "a counter.", 7)
-	p.Gauge("x_now", "a gauge.", -3)
-	p.CounterVec("x_kills_total", "kills.", "reason", map[string]uint64{
-		"step_limit": 2, "alloc_limit": 1,
-	})
+	p.Family("counter", "x_total", "a counter.", Sample{Value: 7})
+	p.Family("gauge", "x_now", "a gauge.", Sample{Value: -3})
+	p.Family("counter", "x_kills_total", "kills.",
+		Sample{Labels: []string{"reason", "step_limit", "tenant", "b"}, Value: 2},
+		Sample{Labels: []string{"reason", "alloc_limit", "tenant", "a"}, Value: 1})
+	p.Family("counter", "x_empty_total", "no samples yet.")
 	p.HistogramVec("x_seconds", "latency.", "stage", map[string]HistogramSnapshot{
 		"compile": h.Snapshot(),
 	})
@@ -28,8 +29,10 @@ func TestPromWriterShapes(t *testing.T) {
 	for _, want := range []string{
 		"# HELP x_total a counter.\n# TYPE x_total counter\nx_total 7\n",
 		"# TYPE x_now gauge\nx_now -3\n",
-		// Sorted label order: alloc_limit before step_limit.
-		"x_kills_total{reason=\"alloc_limit\"} 1\nx_kills_total{reason=\"step_limit\"} 2\n",
+		// The caller's order, not a sorted one.
+		"x_kills_total{reason=\"step_limit\",tenant=\"b\"} 2\nx_kills_total{reason=\"alloc_limit\",tenant=\"a\"} 1\n",
+		// A family without samples is still declared.
+		"# HELP x_empty_total no samples yet.\n# TYPE x_empty_total counter\n# HELP x_seconds",
 		"# TYPE x_seconds histogram\n",
 		"x_seconds_bucket{stage=\"compile\",le=\"1e-06\"} 1\n", // cumulative: bucket 0
 		"x_seconds_bucket{stage=\"compile\",le=\"2e-06\"} 3\n", // + bucket 1
@@ -60,9 +63,9 @@ func TestPromWriterConstLabels(t *testing.T) {
 	h.ObserveNanos(1500)
 	var sb strings.Builder
 	p := NewPromWriter(&sb).ConstLabel("node", "a1")
-	p.Counter("x_total", "a counter.", 7)
-	p.Gauge("x_now", "a gauge.", -3)
-	p.CounterVec("x_kills_total", "kills.", "reason", map[string]uint64{"step_limit": 2})
+	p.Family("counter", "x_total", "a counter.", Sample{Value: 7})
+	p.Family("gauge", "x_now", "a gauge.", Sample{Value: -3})
+	p.Family("counter", "x_kills_total", "kills.", Sample{Labels: []string{"reason", "step_limit"}, Value: 2})
 	p.HistogramVec("x_seconds", "latency.", "stage", map[string]HistogramSnapshot{
 		"run": h.Snapshot(),
 	})
@@ -71,7 +74,7 @@ func TestPromWriterConstLabels(t *testing.T) {
 	for _, want := range []string{
 		"x_total{node=\"a1\"} 7\n",
 		"x_now{node=\"a1\"} -3\n",
-		// Const label first, then the vec label.
+		// Const label first, then the sample's labels.
 		"x_kills_total{node=\"a1\",reason=\"step_limit\"} 2\n",
 		"x_seconds_bucket{node=\"a1\",stage=\"run\",le=\"+Inf\"} 1\n",
 		"x_seconds_sum{node=\"a1\",stage=\"run\"} 1.5e-06\n",
@@ -89,7 +92,7 @@ func TestPromWriterConstLabels(t *testing.T) {
 	// An empty value is skipped entirely: single-node exports keep the
 	// historical unlabeled line shape.
 	sb.Reset()
-	NewPromWriter(&sb).ConstLabel("node", "").Counter("x_total", "a counter.", 1)
+	NewPromWriter(&sb).ConstLabel("node", "").Family("counter", "x_total", "a counter.", Sample{Value: 1})
 	if !strings.Contains(sb.String(), "\nx_total 1\n") {
 		t.Errorf("empty const label changed the unlabeled shape:\n%s", sb.String())
 	}

@@ -174,16 +174,16 @@ func TestTimedFeedsSpanAndHistogramOneClock(t *testing.T) {
 	if len(sp.Children) != 1 || sp.Children[0].Name != "inner" {
 		t.Errorf("stage children = %+v, want [inner]", sp.Children)
 	}
-	if h.Count() != 1 || h.Sum() != sp.DurationNanos || sp.DurationNanos < int64(time.Millisecond) {
+	if s := h.Snapshot(); s.Count != 1 || s.SumNanos != sp.DurationNanos || sp.DurationNanos < int64(time.Millisecond) {
 		t.Errorf("histogram count %d sum %d ns, span %d ns: want one sample of the span's own duration",
-			h.Count(), h.Sum(), sp.DurationNanos)
+			s.Count, s.SumNanos, sp.DurationNanos)
 	}
 
 	if err := Timed(context.Background(), "stage", &h, func(context.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if h.Count() != 2 {
-		t.Errorf("untraced stage not sampled: count %d", h.Count())
+	if n := h.Snapshot().Count; n != 2 {
+		t.Errorf("untraced stage not sampled: count %d", n)
 	}
 }
 

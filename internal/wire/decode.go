@@ -519,10 +519,8 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 	return f, nil
 }
 
-const maxCSTDepth = 512
-
 func (d *decoder) decodeCST(depth int) (*core.CSTNode, error) {
-	if depth > maxCSTDepth {
+	if depth > core.MaxCSTDepth {
 		return nil, malformedf("control structure tree too deep")
 	}
 	kind, err := d.r.symbol(core.NumCSTKinds)
