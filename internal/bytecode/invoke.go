@@ -195,15 +195,15 @@ func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) rt.Value 
 		s := str(recv)
 		switch name {
 		case "length":
-			return rt.IntValue(rt.StrLen(s))
+			return rt.IntValue(rt.AsStr(recv.R).Len())
 		case "charAt":
-			c, ok := rt.CharAt(s, args[1].Int())
+			c, ok := rt.AsStr(recv.R).CharAt(args[1].Int())
 			if !ok {
 				vm.throwNew(vm.exc.Bounds, fmt.Sprintf("string index %d", args[1].Int()))
 			}
 			return rt.CharValue(rune(c))
 		case "substring":
-			sub, ok := rt.Substring(s, args[1].Int(), args[2].Int())
+			sub, ok := rt.AsStr(recv.R).Substring(args[1].Int(), args[2].Int())
 			if !ok {
 				vm.throwNew(vm.exc.Bounds, "substring bounds")
 			}

@@ -13,20 +13,22 @@ import (
 // with its closure-threaded compiled form.
 //
 // Shared-module invariant (see interp.LoadTrusted): Mod and Comp are
-// shared read-only between every concurrent execution session of this
-// unit. Each session builds its own class metadata, static storage, and
-// heap from a fresh rt.Env, so nothing here is ever mutated after load.
-// Lowering (interp.Prepare, whose output only interp.Compile consumes)
-// and backend compilation happen once per distinct unit, under the same
-// singleflight as the admission, no matter how many sessions run it.
+// shared between every concurrent execution session of this unit. Each
+// session builds its own class metadata, static storage, and heap from a
+// fresh rt.Env; Mod is never mutated after load, and Comp changes only by
+// a session publishing the body of a function it called first
+// (interp.Lazy). So a function is lowered once per distinct unit — by
+// whichever session calls it first — no matter how many sessions run it,
+// and a function no session calls is never lowered.
 type LoadedUnit struct {
 	Mod  *core.Module
 	Comp *interp.Compiled
 }
 
-// LoaderCache is the consumer-side cache: it lowers an admitted module
+// LoaderCache is the consumer-side cache: it admits a unit's module
 // exactly once (lru.fill's singleflight, like the store) and then hands
-// the immutable result to any number of interpreter sessions.
+// it, with its shared compiled form, to any number of interpreter
+// sessions.
 type LoaderCache struct {
 	m     *Metrics
 	units lru[*LoadedUnit]
@@ -57,45 +59,34 @@ func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func(context.C
 	return u, err
 }
 
-// load runs the consumer pipeline on the fetched unit, each stage under
-// one clock (Metrics.timed). When the fetch itself led the unit's admission
-// (a peer fill, a disk re-admission) it hands the admitted module over and
-// lowering starts from it; otherwise the unit was resident as bytes and
-// the loader admits them itself, which is what the decode stage times. A
-// failure at any stage is one load error and a verify-kind rejection
-// naming the stage.
+// load admits the fetched unit and gives it an empty compiled form. When
+// the fetch itself led the unit's admission (a peer fill, a disk
+// re-admission) it hands the admitted module over; otherwise the unit was
+// resident as bytes and the loader admits them itself, which is what the
+// decode stage times. A refused admission is one load error and a
+// verify-kind rejection. Nothing is lowered here: sessions lower what they
+// call (interp.Lazy), and account for it (session.finish).
 func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Context, Key) (*Unit, *core.Module, error)) (*LoadedUnit, error) {
 	u, mod, err := fetch(ctx, k)
 	if err != nil {
 		c.m.loadErrors.Add(1)
 		return nil, err
 	}
-	var (
-		prep *interp.Prepared
-		comp *interp.Compiled
-	)
-	stages := []struct {
-		stage stage
-		run   func(context.Context) error
-	}{
-		{stageDecode, func(context.Context) error {
+	if mod == nil {
+		err = c.m.timed(ctx, stageDecode, func(context.Context) error {
 			a, err := admit(u.Wire)
 			mod = a.mod
 			return err
-		}},
-		{stagePrepare, func(context.Context) (err error) { prep, err = interp.Prepare(mod); return }},
-		{stageCompileBackend, func(context.Context) (err error) { comp, err = interp.Compile(mod, prep); return }},
-	}
-	if mod != nil {
-		stages = stages[1:] // a door handed the admitted module over
-	}
-	for _, st := range stages {
-		if err := c.m.timed(ctx, st.stage, st.run); err != nil {
+		})
+		if err != nil {
 			c.m.loadErrors.Add(1)
 			return nil, &driver.Error{Kind: driver.KindVerify,
-				Err: fmt.Errorf("codeserver: unit %s: %s: %w", k, stageNames[st.stage], err)}
+				Err: fmt.Errorf("codeserver: unit %s: %s: %w", k, stageNames[stageDecode], err)}
 		}
 	}
 	c.m.loads.Add(1)
-	return &LoadedUnit{Mod: mod, Comp: comp}, nil
+	return &LoadedUnit{Mod: mod, Comp: interp.Lazy(mod)}, nil
 }
+
+// forget drops k's loaded unit, if resident.
+func (c *LoaderCache) forget(k Key) { c.units.remove(k) }

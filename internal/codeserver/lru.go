@@ -85,6 +85,17 @@ func (c *lru[V]) add(k Key, v V) bool {
 	return c.insert(k, v)
 }
 
+// remove drops k's entry, if any. A flight in progress for k is left to
+// finish: it publishes what it found.
+func (c *lru[V]) remove(k Key) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		c.order.Remove(el)
+		delete(c.entries, k)
+	}
+}
+
 // touch is get with c.mu held.
 func (c *lru[V]) touch(k Key) (v V, ok bool) {
 	el, ok := c.entries[k]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"safetsa/internal/interp"
 	"safetsa/internal/obs"
 	"safetsa/internal/rt"
 )
@@ -43,6 +44,9 @@ type Metrics struct {
 	loaderHits  atomic.Uint64
 	loadErrors  atomic.Uint64
 	loaderEvict atomic.Uint64
+	// loweredFuncs counts function bodies sessions lowered on first call,
+	// including a body that lost the race to publish (interp.Loader.lower).
+	loweredFuncs atomic.Uint64
 
 	runs         atomic.Uint64
 	runErrors    atomic.Uint64
@@ -96,8 +100,8 @@ const (
 	stageCompile          stage = iota // the whole producer pipeline, one sample per actual compile
 	stageDecode                        // one sample per load that had to admit the unit itself
 	stageVerify                        // declared and unfed: admission is one step (DESIGN.md §7)
-	stagePrepare                       // one sample per load attempt, so counts track loads, not runs
-	stageCompileBackend                // likewise
+	stagePrepare                       // one sample per session that lowered a function: its flatten time, inside run
+	stageCompileBackend                // likewise: its closure-fusion time
 	stageRun                           // one sample per execution session
 	stagePeerFill                      // one sample per peer fetch+admission attempt
 	stageWireDecodeStream              // one /run-stream unit, first header byte to final verdict; overlaps the guest
@@ -110,6 +114,18 @@ var stageNames = [numStages]string{"compile", "decode", "verify", "prepare", "co
 // the same clock (obs.Timed).
 func (m *Metrics) timed(ctx context.Context, s stage, fn func(context.Context) error) error {
 	return obs.Timed(ctx, stageNames[s], &m.stages[s], fn)
+}
+
+// lowered books what one session spent lowering the functions it called
+// first: the count, and one prepare and one compile_backend sample when
+// there was any.
+func (m *Metrics) lowered(lw interp.Lowering) {
+	if lw.Funcs == 0 {
+		return
+	}
+	m.loweredFuncs.Add(uint64(lw.Funcs))
+	m.stages[stagePrepare].Observe(lw.Flatten)
+	m.stages[stageCompileBackend].Observe(lw.Fuse)
 }
 
 // DefaultTenant is the accounting identity of run requests that carry
@@ -193,10 +209,13 @@ type Stats struct {
 	LoadErrors    uint64 `json:"load_errors"`
 	LoaderEvicted uint64 `json:"loader_evicted"`
 	ModulesLoaded int    `json:"modules_loaded"`
-	Runs          uint64 `json:"runs"`
-	RunErrors     uint64 `json:"run_errors"`
-	RunsInFlight  int64  `json:"runs_in_flight"`
-	StreamRejects uint64 `json:"stream_rejects"`
+	// LoweredFunctions counts the function bodies run sessions lowered on
+	// first call (see Metrics.loweredFuncs).
+	LoweredFunctions uint64 `json:"lowered_functions"`
+	Runs             uint64 `json:"runs"`
+	RunErrors        uint64 `json:"run_errors"`
+	RunsInFlight     int64  `json:"runs_in_flight"`
+	StreamRejects    uint64 `json:"stream_rejects"`
 
 	// Guest budget accounting (see Metrics). Kills holds every reason
 	// that has killed a session; the four *Kills keys are the legacy
@@ -270,6 +289,7 @@ func (m *Metrics) snapshot() Stats {
 		LoaderHits:       m.loaderHits.Load(),
 		LoadErrors:       m.loadErrors.Load(),
 		LoaderEvicted:    m.loaderEvict.Load(),
+		LoweredFunctions: m.loweredFuncs.Load(),
 		Runs:             m.runs.Load(),
 		RunErrors:        m.runErrors.Load(),
 		RunsInFlight:     m.runsInFlight.Load(),
@@ -356,6 +376,7 @@ func writePrometheus(w io.Writer, st Stats) {
 	counter("safetsa_load_errors_total", "Units rejected by decode or the verifier.", st.LoadErrors)
 	counter("safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", st.LoaderEvicted)
 	gauge("safetsa_modules_loaded", "Decoded modules resident in the loader cache.", int64(st.ModulesLoaded))
+	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered on first call, lost publication races included.", st.LoweredFunctions)
 
 	counter("safetsa_runs_total", "Execution sessions started.", st.Runs)
 	counter("safetsa_run_errors_total", "Execution sessions ending in a guest failure.", st.RunErrors)

@@ -40,6 +40,7 @@ func goldenMetrics() *Metrics {
 	m.loaderHits.Store(40)
 	m.loadErrors.Store(1)
 	m.loaderEvict.Store(2)
+	m.loweredFuncs.Store(37)
 	m.runs.Store(58)
 	m.runErrors.Store(4)
 	m.runsInFlight.Store(1)
@@ -347,7 +348,7 @@ func TestMetricsEndpointMatchesCounters(t *testing.T) {
 // read, key, then the store's spans, then respond — and carries the nested
 // producer stages (store fill → frontend → parse/sema, ...) when it was a
 // miss and no fill at all when it was a hit, and a run trace carries load
-// (with decode below it) and exec.
+// (with decode below it, and no lowering) and exec.
 func TestDebugTracesJSONShape(t *testing.T) {
 	s := newTestServer(t, Config{Traces: 8})
 	ts := httptest.NewServer(s.Handler())
@@ -474,13 +475,20 @@ func TestDebugTracesJSONShape(t *testing.T) {
 	run := got.Traces[0]
 	rspans := map[string][]span{}
 	flatten(run.Spans, rspans)
-	for _, want := range []string{"load", "decode", "prepare", "compile_backend", "exec"} {
+	for _, want := range []string{"load", "decode", "exec"} {
 		if len(rspans[want]) == 0 {
 			t.Errorf("run trace missing span %q (have %v)", want, keys(rspans))
 		}
 	}
 	if len(rspans["verify"]) != 0 {
 		t.Errorf("run trace has a verify span: admission is the one decode span")
+	}
+	// A load lowers nothing: the session lowers what it calls, inside exec,
+	// and books it in the prepare and compile_backend histograms alone.
+	for _, lowering := range []string{"prepare", "compile_backend"} {
+		if len(rspans[lowering]) != 0 {
+			t.Errorf("run trace has a %s span (have %v)", lowering, keys(rspans))
+		}
 	}
 	// decode nests under load.
 	for _, top := range run.Spans {

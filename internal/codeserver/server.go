@@ -431,16 +431,19 @@ func (s *Server) RunUnit(ctx context.Context, k Key, maxSteps int64) (RunResult,
 }
 
 // RunUnitOpts executes the unit's main in an isolated session on the
-// closure-compiled form: the decoded module and its compiled code come
-// from the loader cache (shared read-only), while the class metadata,
-// statics, and heap are per-session, so concurrent sessions cannot
-// observe each other. When the warm-session pool holds a snapshot for
-// the unit and the request's budgets admit it, the session is cloned
-// from the post-static-init snapshot instead of re-running the
-// initializers — byte-exact with a fresh session by the Snapshot
-// contract. Guest failures (uncaught exceptions, budget kills) are
-// reported inside RunResult, not as an error; a tenant over its
-// in-flight bound gets a *TenantBusyError before any work happens.
+// closure-compiled form: the decoded module and its compiled form come
+// from the loader cache, shared by every session of the unit (a session
+// lowers the functions it calls that no session has called before),
+// while the class metadata, statics, and heap are per-session, so
+// concurrent sessions cannot observe each other. When the warm-session
+// pool holds a snapshot for the unit and the request's budgets admit it,
+// the session is cloned from the post-static-init snapshot instead of
+// re-running the initializers — byte-exact with a fresh session by the
+// Snapshot contract. Guest failures (uncaught exceptions, budget kills)
+// are reported inside RunResult, not as an error; a tenant over its
+// in-flight bound gets a *TenantBusyError before any work happens. A
+// function the run called that lowering refuses rejects the unit (see
+// verdict): a verify error, and the unit is dropped from every tier.
 func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunResult, error) {
 	sess, err := s.newSession(ctx, "run", opts)
 	if err != nil {
@@ -479,7 +482,20 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 	if err == nil {
 		err = l.RunMain()
 	}
-	return sess.finish(err), nil
+	res := sess.finish(l, err)
+	if err := verdict(err, nil); err != nil {
+		// Refused after admission: no tier that may hold the unit — the
+		// store's memory and disk, the loader, the pool — serves it again.
+		s.store.forget(k)
+		s.loader.forget(k)
+		if s.sessions != nil {
+			s.sessions.forget(k)
+		}
+		s.m.loadErrors.Add(1)
+		return RunResult{}, &driver.Error{Kind: driver.KindVerify,
+			Err: fmt.Errorf("codeserver: unit %s rejected: %w", k, err)}
+	}
+	return res, nil
 }
 
 // RunStreamResult is the outcome of one streaming run session: the run
@@ -507,13 +523,14 @@ const MaxUnitBytes = 64 << 20
 // guest first calls it, on the session's own goroutine, which reads the
 // body exactly as far as it has called (wire.DecodeVerifiedStream +
 // interp.LoadTrustedStreaming). The session runs the thunks RunUnitOpts
-// runs, lowered into a form of its own: this door takes nothing from the
-// loader cache or the pool and leaves nothing in them. Any failure
-// anywhere in the stream — truncation, a function the verifier rejects,
-// trailing garbage, an admitted function lowering refuses — rejects the
-// whole unit: the response is a verify error and nothing is cached in
-// either the store or the loader tier. Only after streamVerdict returns
-// nil are the exact bytes cached under their wire address.
+// runs, lowered by the same first-call path into a form of its own: this
+// door takes nothing from the loader cache or the pool and leaves nothing
+// in them. Any failure anywhere in the stream — truncation, a function
+// the verifier rejects, trailing garbage, an admitted function lowering
+// refuses — rejects the whole unit: the response is a verify error and
+// nothing is cached in the store, the loader or the pool. Only after
+// verdict returns nil are the exact bytes cached under their wire
+// address.
 func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOptions) (RunStreamResult, error) {
 	sess, err := s.newSession(ctx, "run_stream", opts)
 	if err != nil {
@@ -527,31 +544,31 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	tee := io.TeeReader(io.LimitReader(body, MaxUnitBytes+1), &buf)
 
 	var su *wire.StreamingUnit
+	var l *interp.Loader
 	var runErr error
 	err = s.m.timed(sess.ctx, stageWireDecodeStream, func(context.Context) (err error) {
 		if su, err = wire.DecodeVerifiedStream(tee, wire.DecodeOptions{}); err != nil {
 			return err
 		}
-		var l *interp.Loader
 		if l, runErr = interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, sess.begin()); runErr == nil {
 			runErr = l.RunMain()
 		}
 		// The guest has pulled only the functions it called; Wait reads and
 		// admits the rest.
-		return streamVerdict(runErr, su.Wait())
+		return verdict(runErr, su.Wait())
 	})
 	if err != nil {
 		if su != nil {
 			// The session began (the header was admitted): the run happened,
 			// but what the guest did with a rejected unit is not reported:
 			// the stream's error is.
-			sess.finish(err)
+			sess.finish(l, err)
 		}
 		s.m.streamRejects.Add(1)
 		return RunStreamResult{}, &driver.Error{Kind: driver.KindVerify,
 			Err: fmt.Errorf("codeserver: streamed unit rejected: %w", err)}
 	}
-	res := RunStreamResult{RunResult: sess.finish(runErr)}
+	res := RunStreamResult{RunResult: sess.finish(l, runErr)}
 
 	// Publication is a fill like any other: a key already resident or on
 	// disk costs no copy and no write, and identical concurrent streams
@@ -567,14 +584,16 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	return res, nil
 }
 
-// streamVerdict decides whether a streamed unit is admissible, given what
-// ended its session and what the cursor said of the whole body. The
-// cursor's error rejects it whatever the guest did. Past that the
-// session's error is the guest's own affair — with one exception: a
-// function the cursor admitted and the session's lowering refused, which
-// rejects the unit as /run rejects it at load (interp.Prepare is a
-// validation gate there too).
-func streamVerdict(runErr, waitErr error) error {
+// verdict decides whether a run's unit stands, given what ended its
+// session and, for a streamed unit, what the cursor said of the whole
+// body (nil on /run, whose unit was admitted whole before its session
+// began). The cursor's error rejects the unit whatever the guest did.
+// Past that the session's error is the guest's own affair — with one
+// exception, the same on both doors: a function admission accepted and
+// the first-call lowering refused (errors.ErrUnsupported; lowering
+// validates what it lowers, and a body it refuses is a hole in the
+// verifier if it ever happens) rejects the unit.
+func verdict(runErr, waitErr error) error {
 	if waitErr != nil {
 		return waitErr
 	}

@@ -13,8 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
+	"safetsa/internal/interp"
 	"safetsa/internal/opt"
+	"safetsa/internal/rt"
 	"safetsa/internal/ssabuild"
 	"safetsa/internal/wire"
 )
@@ -354,5 +357,46 @@ func TestStageTimeout(t *testing.T) {
 	}
 	if driver.IsUserError(err) {
 		t.Errorf("stage timeout classified as user error: %v", err)
+	}
+}
+
+// TestColdRunLowersOnlyWhatItCalls: a cold /run lowers exactly the
+// functions its guest enters, once each — as many as the gate of a
+// streaming session over the same bytes is asked about, which is once per
+// function called — and a second run of the now resident unit lowers none.
+func TestColdRunLowersOnlyWhatItCalls(t *testing.T) {
+	ctx := context.Background()
+	for _, u := range corpus.Units() {
+		for _, opts := range []Options{{}, {Optimize: true, ModuleOpt: true}} {
+			s := newTestServer(t, Config{})
+			unit, _, err := s.CompileUnit(ctx, u.Files, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			su, err := wire.DecodeVerifiedStream(bytes.NewReader(unit.Wire), wire.DecodeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			entered := 0
+			gate := func(fi int) error { entered++; return su.WaitFunc(fi) }
+			l, err := interp.LoadTrustedStreaming(su.Mod, gate, rt.NewEnv(io.Discard, rt.Budget{}, nil))
+			if err == nil {
+				err = l.RunMain()
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", u.Name, err)
+			}
+
+			for run, want := range []int{entered, 0} {
+				before := s.Stats().LoweredFunctions
+				res, err := s.RunUnit(ctx, unit.Key, 0)
+				if err != nil || !res.OK {
+					t.Fatalf("%s run %d: %+v, %v", u.Name, run, res, err)
+				}
+				if got := s.Stats().LoweredFunctions - before; got != uint64(want) {
+					t.Errorf("%s %+v run %d lowered %d functions, want %d of %d", u.Name, opts, run, got, want, len(su.Mod.Funcs))
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"time"
 
+	"safetsa/internal/interp"
 	"safetsa/internal/obs"
 	"safetsa/internal/rt"
 )
@@ -104,12 +105,19 @@ func (ss *session) begin() *rt.Env {
 	return ss.env
 }
 
-// finish closes the books of a begun session. err is what ended the
-// guest (nil for a clean run); budget kills and uncaught exceptions are
-// reported inside the result, not as an error.
-func (ss *session) finish(err error) RunResult {
+// finish closes the books of a begun session. l is the session's loader,
+// nil if none was built, and err is what ended the guest (nil for a clean
+// run); budget kills and uncaught exceptions are reported inside the
+// result, not as an error. What the session spent lowering the functions
+// it called first is booked here too, on both run doors alike: it ran
+// inside the run stage, and is what the prepare and compile_backend
+// histograms measure.
+func (ss *session) finish(l *interp.Loader, err error) RunResult {
 	s, env := ss.s, ss.env
 	s.m.stages[stageRun].Observe(time.Since(ss.start))
+	if l != nil {
+		s.m.lowered(l.Lowered())
+	}
 	ss.execSpan.End()
 	s.m.runsInFlight.Add(-1)
 	s.m.guestSteps.Add(env.Steps)

@@ -56,5 +56,8 @@ func (p *sessionPool) Offer(k Key, l *interp.Loader, initOut []byte) {
 	}
 }
 
+// forget drops k's snapshot, if pooled.
+func (p *sessionPool) forget(k Key) { p.snaps.remove(k) }
+
 // Len reports the pooled snapshot count.
 func (p *sessionPool) Len() int { return p.snaps.len() }

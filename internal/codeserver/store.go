@@ -152,6 +152,16 @@ func (s *Store) GetOrFill(ctx context.Context, k Key, fill func(context.Context)
 	return u, true, nil
 }
 
+// forget drops k from both tiers: a unit /run rejected after admission
+// (see verdict) must not be served again from memory or re-admitted from
+// disk.
+func (s *Store) forget(k Key) {
+	s.units.remove(k)
+	if s.dir != "" {
+		_ = os.Remove(s.wirePath(k)) // best effort, like the rest of the disk tier
+	}
+}
+
 func (s *Store) wirePath(k Key) string { return filepath.Join(s.dir, k.String()+".tsa") }
 
 // loadDisk re-admits a unit from the disk tier. The directory is one more

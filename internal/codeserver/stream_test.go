@@ -2,10 +2,13 @@ package codeserver
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -238,9 +241,77 @@ func TestStreamVerdict(t *testing.T) {
 		{"and wins over the session's", refused, cut, cut},
 		{"an admitted function lowering refuses", refused, nil, refused},
 	} {
-		if got := streamVerdict(tc.runErr, tc.waitErr); got != tc.want {
+		if got := verdict(tc.runErr, tc.waitErr); got != tc.want {
 			t.Errorf("%s: verdict %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRunVerdict is TestStreamVerdict's twin on /run, with the same
+// damage: a resident unit whose module is damaged after admission, in main
+// and nowhere else. Static init runs and its snapshot is pooled; main's
+// first call is refused by the lowering, which rejects the unit — a verify
+// error that errors.Is ErrUnsupported — and afterwards the store (memory
+// and disk), the loader and the pool all miss it.
+func TestRunVerdict(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{CacheDir: dir})
+	ctx := context.Background()
+	unit, _, err := s.CompileUnit(ctx, map[string]string{"Main.tj": `
+class Main {
+    static int seed = boot();
+    static int boot() { return 7; }
+    static void main() { System.out.println(seed + 1); }
+}`}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := unit.Key
+	lu, err := s.loader.GetOrLoad(ctx, k, s.lookup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := false
+	for _, f := range lu.Mod.Funcs {
+		if !strings.HasSuffix(f.Name, "main") {
+			continue
+		}
+		for _, b := range f.Blocks {
+			for _, in := range b.Code {
+				if len(in.Args) > 0 {
+					in.Args[0] = 9999 // a value the function never defines
+					damaged = true
+				}
+			}
+		}
+	}
+	if !damaged {
+		t.Fatal("nothing to damage in main")
+	}
+
+	_, err = s.RunUnit(ctx, k, 0)
+	if driver.KindOf(err) != driver.KindVerify || !errors.Is(err, errors.ErrUnsupported) {
+		t.Fatalf("run of a unit whose main does not lower: %v, want a verify error that is ErrUnsupported", err)
+	}
+	if _, ok := s.Unit(ctx, k); ok {
+		t.Error("the store still serves the rejected unit")
+	}
+	if _, err := os.Stat(filepath.Join(dir, k.String()+".tsa")); !os.IsNotExist(err) {
+		t.Errorf("the rejected unit is still on disk: %v", err)
+	}
+	if _, ok := s.loader.units.get(k); ok {
+		t.Error("the loader still holds the rejected unit")
+	}
+	if s.sessions.Get(k) != nil {
+		t.Error("the pool still holds a snapshot of the rejected unit")
+	}
+	st := s.Stats()
+	if st.Runs != 1 || st.RunErrors != 1 || st.LoadErrors != 1 || st.UnitsCached != 0 || st.ModulesLoaded != 0 || st.PoolSessions != 0 {
+		t.Errorf("after the rejection: runs %d, run_errors %d, load_errors %d, units %d, modules %d, pooled %d",
+			st.Runs, st.RunErrors, st.LoadErrors, st.UnitsCached, st.ModulesLoaded, st.PoolSessions)
+	}
+	if _, err := s.RunUnit(ctx, k, 0); !errors.Is(err, ErrUnitNotFound) {
+		t.Errorf("a second run of the rejected unit: %v, want not found", err)
 	}
 }
 

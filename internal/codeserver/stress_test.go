@@ -238,8 +238,14 @@ func TestStressMixedTraffic(t *testing.T) {
 	if st.VerifyLatency.Count != 0 {
 		t.Errorf("verify histogram count %d, want 0 (declared, unfed: admission is the one decode)", st.VerifyLatency.Count)
 	}
-	if st.PrepareLatency.Count != st.Loads {
-		t.Errorf("prepare histogram count %d != loads %d", st.PrepareLatency.Count, st.Loads)
+	// Lowering is booked per run session that lowered anything, one
+	// sample of each half: at least the first run of every load (its form
+	// starts empty), at most every run, and never without a function.
+	if st.PrepareLatency.Count != st.CompileBackendLatency.Count ||
+		st.PrepareLatency.Count < st.Loads || st.PrepareLatency.Count > st.Runs ||
+		st.LoweredFunctions < st.PrepareLatency.Count {
+		t.Errorf("prepare count %d, compile_backend count %d, lowered functions %d, loads %d, runs %d",
+			st.PrepareLatency.Count, st.CompileBackendLatency.Count, st.LoweredFunctions, st.Loads, st.Runs)
 	}
 	if st.RunLatency.Count != st.Runs {
 		t.Errorf("run histogram count %d != runs %d", st.RunLatency.Count, st.Runs)
@@ -260,12 +266,13 @@ func TestStressMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestStressSharedUnit runs 32 concurrent sessions of one cached unit.
-// All of them share the single decoded and compiled module, must
-// produce identical output and steps, and — the key accounting
-// invariant — lowering and backend compilation happen once per distinct
-// unit load, never once per run: the prepare and compile_backend stage
-// counts equal Loads (1), not the number of run requests.
+// TestStressSharedUnit runs 32 concurrent sessions of one cached unit,
+// twice. All of them share the single decoded module and its one
+// compiled form, must produce identical output and steps, and — the key
+// accounting invariant — lowering is per function of the unit, never per
+// run: the sessions of the first wave that lowered anything are one
+// prepare and one compile_backend sample each, and the second wave, over
+// a form the first filled, lowers nothing.
 func TestStressSharedUnit(t *testing.T) {
 	s := newTestServer(t, Config{})
 	u, ok := corpus.ByName("BigDecimal")
@@ -278,43 +285,58 @@ func TestStressSharedUnit(t *testing.T) {
 	}
 
 	const sessions = 32
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([]RunResult, sessions)
-	errs := make([]error, sessions)
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			results[i], errs[i] = s.RunUnit(context.Background(), unit.Key, 0)
-		}(i)
+	var want RunResult
+	wave := func() Stats {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		results := make([]RunResult, sessions)
+		errs := make([]error, sessions)
+		for i := 0; i < sessions; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				results[i], errs[i] = s.RunUnit(context.Background(), unit.Key, 0)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		if want.Output == "" {
+			want = results[0]
+		}
+		for i := 0; i < sessions; i++ {
+			if errs[i] != nil {
+				t.Fatalf("session %d: %v", i, errs[i])
+			}
+			if !results[i].OK {
+				t.Fatalf("session %d failed: %s", i, results[i].Error)
+			}
+			if results[i].Output != want.Output || results[i].Steps != want.Steps {
+				t.Fatalf("session %d diverged: %d steps, output\n%q\nvs %d steps, output\n%q",
+					i, results[i].Steps, results[i].Output, want.Steps, want.Output)
+			}
+		}
+		return s.Stats()
 	}
-	close(start)
-	wg.Wait()
 
-	for i := 0; i < sessions; i++ {
-		if errs[i] != nil {
-			t.Fatalf("session %d: %v", i, errs[i])
-		}
-		if !results[i].OK {
-			t.Fatalf("session %d failed: %s", i, results[i].Error)
-		}
-		if results[i].Output != results[0].Output || results[i].Steps != results[0].Steps {
-			t.Fatalf("session %d diverged: %d steps, output\n%q\nvs %d steps, output\n%q",
-				i, results[i].Steps, results[i].Output, results[0].Steps, results[0].Output)
-		}
-	}
-
-	st := s.Stats()
+	st := wave()
 	if st.Loads != 1 {
 		t.Errorf("module loaded %d times, want 1", st.Loads)
 	}
 	if st.Runs != sessions {
 		t.Errorf("runs = %d, want %d", st.Runs, sessions)
 	}
-	if st.PrepareLatency.Count != 1 || st.CompileBackendLatency.Count != 1 {
-		t.Errorf("prepare count %d, compile_backend count %d, want 1 each (lowering is per load, not per run)",
-			st.PrepareLatency.Count, st.CompileBackendLatency.Count)
+	lowering := st.PrepareLatency.Count
+	if lowering == 0 || lowering > sessions || st.CompileBackendLatency.Count != lowering {
+		t.Errorf("prepare count %d, compile_backend count %d: want one each per session that lowered, 1..%d",
+			lowering, st.CompileBackendLatency.Count, sessions)
+	}
+	if st.LoweredFunctions < lowering {
+		t.Errorf("%d functions lowered by %d lowering sessions", st.LoweredFunctions, lowering)
+	}
+	again := wave()
+	if again.LoweredFunctions != st.LoweredFunctions || again.PrepareLatency.Count != lowering || again.Loads != 1 {
+		t.Errorf("a second wave over the resident unit lowered %d functions in %d sessions (loads %d)",
+			again.LoweredFunctions-st.LoweredFunctions, again.PrepareLatency.Count-lowering, again.Loads)
 	}
 }

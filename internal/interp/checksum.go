@@ -2,7 +2,6 @@ package interp
 
 import (
 	"hash/fnv"
-	"sort"
 
 	"safetsa/internal/rt"
 )
@@ -17,17 +16,12 @@ import (
 func (l *Loader) HeapChecksum() uint64 {
 	h := fnv.New64a()
 	w := &heapWalker{h: h, seen: make(map[rt.Ref]uint64)}
-
-	ids := make([]int32, 0, len(l.classes))
-	byID := make(map[int32]*rt.ClassInfo, len(l.classes))
+	// The class table is indexed by TypeID, so this is TypeID order.
 	for _, ci := range l.classes {
-		ids = append(ids, ci.TypeID)
-		byID[ci.TypeID] = ci
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ci := byID[id]
-		w.u64(uint64(uint32(id)))
+		if ci == nil {
+			continue
+		}
+		w.u64(uint64(uint32(ci.TypeID)))
 		w.u64(uint64(len(ci.Statics)))
 		w.values(ci.Statics)
 	}

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"safetsa/internal/core"
 	"safetsa/internal/rt"
@@ -23,7 +25,7 @@ import (
 // and type id of the lowered form; Compile accepts only a form Prepare
 // minted from this very module (see bound) and bakes those indices into
 // closures as they stand, trusting them exactly as runPrepared does when
-// it executes the same []PreparedInst. A minted form is read-only, like
+// it executes the same []PreparedInst. A prepared form is read-only, like
 // the verified module it came from.
 //
 // Budget parity is structural: every thunk lowered from an opcode below
@@ -33,11 +35,13 @@ import (
 // kills, and interrupts land on the identical instruction in all three
 // engines, which the three-way differential oracle checks bit-exactly.
 //
-// Shared-module invariant: a Compiled, like the Prepared it was built
-// from, is immutable and session-free — thunks never capture the
-// Loader or the Env. All mutable state (registers, arguments, the
-// caught-exception slot) reaches a thunk through the *cframe argument,
-// so one Compiled may back any number of concurrent sessions.
+// Shared-module invariant: a compiled body, like the prepared function
+// it was fused from, is immutable and session-free — thunks never
+// capture the Loader or the Env. All mutable state (registers,
+// arguments, the caught-exception slot) reaches a thunk through the
+// *cframe argument, so one Compiled may back any number of concurrent
+// sessions. What a Compiled holds changes only by a slot going from
+// empty to filled, once (see Loader.lower).
 
 // cthunk executes one fused instruction and returns the next pc, or a
 // negative sentinel to leave the function.
@@ -64,13 +68,26 @@ type CFunc struct {
 	Code  []cthunk
 }
 
-// Compiled is the closure-threaded form of a module. It is immutable
-// after Compile returns and may be shared by any number of concurrent
-// execution sessions.
+// Compiled is the closure-threaded form of a module: a slot per function,
+// holding its compiled body once some session has lowered it. Lazy mints
+// one with every slot empty and Compile one with every slot filled; the
+// sessions it backs, any number of them concurrently, fill an empty slot
+// the first time one of them calls the function, and a filled slot never
+// changes.
 type Compiled struct {
-	Funcs []*CFunc // parallel to Module.Funcs
-	// mod is the module Compile minted this form from (see bound).
+	funcs []atomic.Pointer[CFunc] // parallel to Module.Funcs
+	// mod is the module Compile or Lazy minted this form from (see bound).
 	mod *core.Module
+}
+
+// Lazy mints mod's compiled form with nothing lowered yet: a session
+// lowers a function the first time it is called (Loader.cfunc), so a run
+// pays for the functions it calls and a resident unit pays for each
+// function once. The slots are sized by the functions mod holds — for an
+// admitted module, the bodies that were decoded and verified, not a count
+// any input declared.
+func Lazy(mod *core.Module) *Compiled {
+	return &Compiled{mod: mod, funcs: make([]atomic.Pointer[CFunc], len(mod.Funcs))}
 }
 
 // cframe is the per-invocation state of one compiled function: the
@@ -108,20 +125,22 @@ func (c *Compiled) from() *core.Module {
 	return c.mod
 }
 
-// Compile fuses a prepared module into closure-threaded code. prep must
-// be the form Prepare minted from mod — any other is rejected. Compile
-// never executes guest code.
+// Compile fuses a prepared module into closure-threaded code, every slot
+// filled up front: the eager schedule, for the oracles and for callers
+// that time lowering apart from running. prep must be the form Prepare
+// minted from mod — any other is rejected. Compile never executes guest
+// code.
 func Compile(mod *core.Module, prep *Prepared) (*Compiled, error) {
 	if err := bound(mod, "prepared", prep.from()); err != nil {
 		return nil, err
 	}
-	c := &Compiled{mod: mod, Funcs: make([]*CFunc, len(prep.Funcs))}
+	c := Lazy(mod)
 	for i, pf := range prep.Funcs {
 		cf, err := compileFunc(mod.Methods, pf)
 		if err != nil {
 			return nil, err
 		}
-		c.Funcs[i] = cf
+		c.funcs[i].Store(cf)
 	}
 	return c, nil
 }
@@ -140,16 +159,25 @@ func compileFunc(methods []core.MethodRef, pf *PFunc) (*CFunc, error) {
 }
 
 // lowerFunc is the whole lowering of one admitted function, the unit both
-// schedules share: Prepare and Compile are loops over its two halves, run
-// module by module for a unit the loader cache holds, and a streaming
-// session runs both on a function the first time the guest calls it (see
-// Loader.cfunc).
-func (c *fcomp) lowerFunc(f *core.Func) (*CFunc, error) {
+// schedules share: Prepare and Compile are loops over its two halves, and
+// a session runs both on a function the first time it calls it (see
+// Loader.lower), adding what each half took to spent.
+func (c *fcomp) lowerFunc(f *core.Func, spent *Lowering) (*CFunc, error) {
+	start := time.Now()
 	pf, err := c.flatten(f)
 	if err != nil {
 		return nil, fmt.Errorf("interp: prepare %s: %w", f.Name, err)
 	}
-	return compileFunc(c.mod.Methods, &pf)
+	flat := time.Now()
+	cf, err := compileFunc(c.mod.Methods, &pf)
+	if err != nil {
+		return nil, err
+	}
+	fused := time.Now()
+	spent.Funcs++
+	spent.Flatten += flat.Sub(start)
+	spent.Fuse += fused.Sub(flat)
+	return cf, nil
 }
 
 // cframePoolCap bounds the per-session free lists: deep recursion grows
@@ -271,13 +299,13 @@ func thunk(methods []core.MethodRef, in *PreparedInst, next int32) (cthunk, erro
 		}, nil
 
 	case PConstStr:
-		str := in.Str
+		str := rt.ConstStr(in.Str)
 		// A fresh *rt.Str per execution, like the other two engines —
 		// reference identity (PREq) must not observe compiled-form
 		// sharing.
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.RefValue(&rt.Str{S: str})
+			fr.regs[dst] = rt.RefValue(str.Fresh())
 			return next
 		}, nil
 

@@ -22,6 +22,11 @@ type sessionResult struct {
 	heap   uint64
 }
 
+// engineLazy is the compiled engine over a form of its own that starts
+// empty and is filled as the session first calls each function: the form
+// a cold /run session starts from.
+const engineLazy = "lazy"
+
 // runSession executes mod once on the requested engine with the given
 // budgets. prep and comp are reused across sessions (they are
 // immutable), matching how the codeserver shares one prepared/compiled
@@ -37,6 +42,8 @@ func runSession(t *testing.T, mod *core.Module, prep *interp.Prepared, comp *int
 		l, err = interp.LoadTrustedPrepared(mod, prep, env)
 	case driver.EngineCompiled:
 		l, err = interp.LoadTrustedCompiled(mod, comp, env)
+	case engineLazy:
+		l, err = interp.LoadTrustedCompiled(mod, interp.Lazy(mod), env)
 	default:
 		l, err = interp.LoadTrusted(mod, env)
 	}
@@ -303,6 +310,8 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 				ref, runSession(t, mod, prep, comp, driver.EnginePrepared, full, full))
 			compareSessions(t, driver.EngineCompiled,
 				ref, runSession(t, mod, prep, comp, driver.EngineCompiled, full, full))
+			compareSessions(t, engineLazy,
+				ref, runSession(t, mod, prep, comp, engineLazy, full, full))
 			if c.wantErr && ref.err == nil {
 				t.Fatal("expected the guest to die of an uncaught exception")
 			}
@@ -321,6 +330,8 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 					refK, runSession(t, mod, prep, comp, driver.EnginePrepared, half, full))
 				compareSessions(t, driver.EngineCompiled,
 					refK, runSession(t, mod, prep, comp, driver.EngineCompiled, half, full))
+				compareSessions(t, engineLazy,
+					refK, runSession(t, mod, prep, comp, engineLazy, half, full))
 				if rt.KillReason(refK.err) != "step_limit" {
 					t.Errorf("expected a step-limit kill at %d steps, got %v", half, refK.err)
 				}
@@ -331,6 +342,8 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 					refK, runSession(t, mod, prep, comp, driver.EnginePrepared, full, half))
 				compareSessions(t, driver.EngineCompiled,
 					refK, runSession(t, mod, prep, comp, driver.EngineCompiled, full, half))
+				compareSessions(t, engineLazy,
+					refK, runSession(t, mod, prep, comp, engineLazy, full, half))
 				if rt.KillReason(refK.err) != "alloc_limit" {
 					t.Errorf("expected an alloc-limit kill at %d allocs, got %v", half, refK.err)
 				}
@@ -341,7 +354,9 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 
 // TestEnginePartityCorpus is the budget-parity property test over the
 // full corpus: for every unit, unoptimized and optimized, the prepared
-// and compiled engines must drain exactly the same step and alloc
+// and compiled engines — the latter over an eagerly compiled form and
+// over one its session fills on first call — must drain exactly the same
+// step and alloc
 // budget as the reference evaluator, print the same bytes, and leave an
 // identical reachable heap. Each unit is then re-run under a step
 // budget set to half its full drain and an alloc budget set to half its
@@ -382,6 +397,7 @@ func TestEngineParityCorpus(t *testing.T) {
 					cmp := runSession(t, mod, prep, comp, driver.EngineCompiled, full, full)
 					compareSessions(t, driver.EnginePrepared, ref, pre)
 					compareSessions(t, driver.EngineCompiled, ref, cmp)
+					compareSessions(t, engineLazy, ref, runSession(t, mod, prep, comp, engineLazy, full, full))
 					if ref.err != nil {
 						t.Fatalf("corpus unit failed under full budget: %v", ref.err)
 					}
@@ -393,6 +409,7 @@ func TestEngineParityCorpus(t *testing.T) {
 						cmpK := runSession(t, mod, prep, comp, driver.EngineCompiled, half, full)
 						compareSessions(t, driver.EnginePrepared, refK, preK)
 						compareSessions(t, driver.EngineCompiled, refK, cmpK)
+						compareSessions(t, engineLazy, refK, runSession(t, mod, prep, comp, engineLazy, half, full))
 						if rt.KillReason(refK.err) != "step_limit" {
 							t.Errorf("expected a step-limit kill at %d steps, got %v", half, refK.err)
 						}
@@ -405,6 +422,7 @@ func TestEngineParityCorpus(t *testing.T) {
 						cmpK := runSession(t, mod, prep, comp, driver.EngineCompiled, full, half)
 						compareSessions(t, driver.EnginePrepared, refK, preK)
 						compareSessions(t, driver.EngineCompiled, refK, cmpK)
+						compareSessions(t, engineLazy, refK, runSession(t, mod, prep, comp, engineLazy, full, half))
 						if rt.KillReason(refK.err) != "alloc_limit" {
 							t.Errorf("expected an alloc-limit kill at %d allocs, got %v", half, refK.err)
 						}

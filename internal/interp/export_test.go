@@ -14,6 +14,16 @@ func EngineOf(l *Loader) string {
 	return "reference"
 }
 
+// Slots reads every slot of a compiled form: a function's body, or nil
+// while no session has lowered it.
+func Slots(c *Compiled) []*CFunc {
+	out := make([]*CFunc, len(c.funcs))
+	for i := range c.funcs {
+		out[i] = c.funcs[i].Load()
+	}
+	return out
+}
+
 // ArenaSlack lowers mod and reports how many operand and phi-move slots
 // prepareFunc counted for its functions and never carved.
 func ArenaSlack(mod *core.Module) (args, moves int, err error) {

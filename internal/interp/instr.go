@@ -201,15 +201,15 @@ func (l *Loader) native(mr *core.MethodRef, args []rt.Value) (v rt.Value, thrown
 	}
 	switch sema.BuiltinID(mr.Builtin) {
 	case sema.BStrLength:
-		return rt.IntValue(rt.StrLen(str(0))), false
+		return rt.IntValue(rt.AsStr(args[0].R).Len()), false
 	case sema.BStrCharAt:
-		c, ok := rt.CharAt(str(0), args[1].Int())
+		c, ok := rt.AsStr(args[0].R).CharAt(args[1].Int())
 		if !ok {
 			return l.newExc(l.exc.Bounds, fmt.Sprintf("string index %d", args[1].Int())), true
 		}
 		return rt.CharValue(rune(c)), false
 	case sema.BStrSubstring:
-		s, ok := rt.Substring(str(0), args[1].Int(), args[2].Int())
+		s, ok := rt.AsStr(args[0].R).Substring(args[1].Int(), args[2].Int())
 		if !ok {
 			return l.newExc(l.exc.Bounds, "substring bounds"), true
 		}

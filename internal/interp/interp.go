@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"safetsa/internal/core"
 	"safetsa/internal/lang/sema"
@@ -29,7 +31,9 @@ type Loader struct {
 	Mod *core.Module
 	Env *rt.Env
 
-	classes map[core.TypeID]*rt.ClassInfo
+	// classes is the session's class table, indexed by TypeID (nil for a
+	// type that is not a class).
+	classes []*rt.ClassInfo
 	exc     rt.ExcClasses
 	// prep, when non-nil, switches the session to the prepared register
 	// machine: every function body (static initializers included) runs
@@ -38,6 +42,8 @@ type Loader struct {
 	// comp, when non-nil, switches the session to the closure-threaded
 	// compiled engine; it takes precedence over prep.
 	comp *Compiled
+	// lowered is what this session has spent filling comp's slots.
+	lowered Lowering
 	// cfree and afree are the compiled engine's per-session free lists
 	// for invocation frames and call-argument buffers (see getFrame in
 	// compile.go). A Loader is single-session, single-goroutine state, so
@@ -48,8 +54,8 @@ type Loader struct {
 	// walker, which has no lowered form to keep it in (0: not yet asked).
 	frames []int64
 	// gate, when non-nil, marks a streaming session: comp is private to
-	// it and starts empty, and admit adds a function the first time the
-	// guest calls it. See LoadTrustedStreaming.
+	// it and grows with what the stream has delivered, and gate(i) admits
+	// function i before its first call lowers it. See LoadTrustedStreaming.
 	gate func(fi int) error
 }
 
@@ -90,8 +96,8 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // The session runs on the compiled engine, over a lowered form of its
 // own that starts empty and grows as Mod.Funcs does. A function is
 // callable once admitted and lowered, and both happen in one step, the
-// first time the guest calls it (Loader.admit): gate(i), then the same
-// per-function lowering Prepare and Compile are loops over. So execution
+// first time the guest calls it (Loader.lower): gate(i), then the
+// first-call lowering every session of a Lazy form runs. So execution
 // proceeds exactly as far as verified code exists, only what the guest
 // calls is lowered, and a mid-stream failure — the gate's error, or a
 // function lowering refuses, which satisfies errors.Is(err,
@@ -99,7 +105,7 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // ends with. The form is never complete and never shared: such a session
 // cannot be snapshotted.
 func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env) (*Loader, error) {
-	return newLoader(&Loader{Mod: mod, Env: env, comp: &Compiled{mod: mod}, gate: gate}, true)
+	return newLoader(&Loader{Mod: mod, Env: env, comp: Lazy(mod), gate: gate}, true)
 }
 
 // LoadTrustedPrepared is LoadTrusted for a session that executes the
@@ -114,9 +120,9 @@ func LoadTrustedPrepared(mod *core.Module, prep *Prepared, env *rt.Env) (*Loader
 }
 
 // LoadTrustedCompiled is LoadTrusted for a session that executes the
-// closure-threaded form. comp must be the form Compile minted from this
-// exact module; like the module, it is read-only and may back any number
-// of concurrent sessions.
+// closure-threaded form. comp must be the form Compile or Lazy minted
+// from this exact module; like the module, it may back any number of
+// concurrent sessions.
 func LoadTrustedCompiled(mod *core.Module, comp *Compiled, env *rt.Env) (*Loader, error) {
 	if err := bound(mod, "compiled", comp.from()); err != nil {
 		return nil, err
@@ -146,7 +152,10 @@ func LoadTrustedDeferred(mod *core.Module, prep *Prepared, comp *Compiled, env *
 // arrives holding what the entry point decided — module, environment,
 // engine binding (prep/comp/gate) — and newLoader completes it: link
 // checks, runtime class metadata, then — when init is set — the static
-// initializers, the first guest code the session runs.
+// initializers, the first guest code the session runs. A session whose
+// static initializers fail is returned with their error: it has run guest
+// code, and its caller may still read what that left (its heap, what it
+// spent lowering).
 func newLoader(l *Loader, init bool) (*Loader, error) {
 	mod := l.Mod
 	// Every host-implemented method must map to a builtin this consumer
@@ -171,15 +180,21 @@ func newLoader(l *Loader, init bool) (*Loader, error) {
 				mr.Name)
 		}
 	}
-	l.classes = make(map[core.TypeID]*rt.ClassInfo)
 	tt := mod.Types
+	l.classes = make([]*rt.ClassInfo, len(tt.ByID))
+	class := func(id core.TypeID) *rt.ClassInfo {
+		if uint(id) < uint(len(l.classes)) {
+			return l.classes[id]
+		}
+		return nil
+	}
 
 	// Imported class hierarchy.
 	mk := func(id core.TypeID, slots int) *rt.ClassInfo {
 		t := tt.MustGet(id)
 		ci := &rt.ClassInfo{Name: t.Name, NumSlots: slots, TypeID: int32(id)}
 		if t.Super != core.NoType {
-			ci.Super = l.classes[t.Super]
+			ci.Super = class(t.Super)
 		}
 		l.classes[id] = ci
 		return ci
@@ -199,7 +214,7 @@ func newLoader(l *Loader, init bool) (*Loader, error) {
 		t := tt.MustGet(cd.Type)
 		ci := &rt.ClassInfo{
 			Name:     t.Name,
-			Super:    l.classes[cd.Super],
+			Super:    class(cd.Super),
 			NumSlots: int(cd.NumSlots),
 			VTable:   cd.VTable,
 			TypeID:   int32(cd.Type),
@@ -215,9 +230,7 @@ func newLoader(l *Loader, init bool) (*Loader, error) {
 		l.frames = make([]int64, len(mod.Funcs))
 	}
 	if init {
-		if err := l.RunStaticInit(); err != nil {
-			return nil, err
-		}
+		return l, l.RunStaticInit()
 	}
 	return l, nil
 }
@@ -257,57 +270,81 @@ func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
 	return l.callFunc(fi, args)
 }
 
-// cfunc is the compiled body of function fi, the one read of comp.Funcs.
-// A form Compile minted has a body in every slot, so a session over a
-// shared form pays the test and nothing else.
+// cfunc is the compiled body of function fi, the one read of comp's
+// slots. Once any session has called fi the slot holds its body, so a
+// session over a resident form pays the load and the test and nothing
+// else.
 func (l *Loader) cfunc(fi int32) *CFunc {
-	if funcs := l.comp.Funcs; int(fi) < len(funcs) && funcs[fi] != nil {
-		return funcs[fi]
+	if funcs := l.comp.funcs; int(fi) < len(funcs) {
+		if cf := funcs[fi].Load(); cf != nil {
+			return cf
+		}
 	}
-	return l.admit(fi)
+	return l.lower(fi)
 }
 
 // lowerers recycles what lowering one function needs and nothing keeps —
 // above all the emission buffer, as large as the largest function lowered
-// through it, which every streaming session would otherwise allocate
-// again.
+// through it, which every session would otherwise allocate again.
 var lowerers = sync.Pool{New: func() any { return &fcomp{handlers: make(map[*core.Block]int32)} }}
 
-// streamAbort unwinds guest execution when a streaming session cannot
-// make a function callable; catchTopLevel converts it to the error.
-type streamAbort struct{ err error }
+// lowerAbort unwinds guest execution when a session cannot make a
+// function callable; catchTopLevel converts it to the error.
+type lowerAbort struct{ err error }
 
-// admit makes function fi of a streaming session callable: the gate has
-// the stream admit it, the session lowers it and keeps the result — one
-// step, on the session's goroutine, once per function the guest
-// calls. Failing either half ends the run: no engine recovers a
-// streamAbort, so it passes every guest handler on its way to
-// catchTopLevel.
-func (l *Loader) admit(fi int32) *CFunc {
-	err := l.gate(int(fi))
-	var cf *CFunc
-	if err == nil {
+// lower makes function fi callable the first time this session calls it:
+// on a streaming session the gate has the stream admit it first; then
+// fcomp.lowerFunc lowers it, and the body is published into its slot with
+// a compare-and-swap. Sessions of one shared form that race on a first
+// call may each lower the function, and each returns the body that won:
+// lowering is deterministic and charges no guest budget, so a loser's
+// body is the winner's in every respect the guest can observe, and what
+// it wasted is host time, which Lowered still counts. Failing either step
+// ends the run: no engine recovers a lowerAbort, so it passes every guest
+// handler on its way to catchTopLevel.
+func (l *Loader) lower(fi int32) *CFunc {
+	nFuncs := len(l.Mod.Funcs)
+	var err error
+	if l.gate != nil {
 		// The gate, not the lowering, is what range-checks a function index
 		// here: how many functions there will be is only declared so far.
-		c := lowerers.Get().(*fcomp)
-		c.mod, c.nFuncs = l.Mod, math.MaxInt32
-		cf, err = c.lowerFunc(l.Mod.Funcs[fi])
-		lowerers.Put(c)
-		if err != nil {
-			err = fmt.Errorf("%w: admitted function %d does not lower: %w", errors.ErrUnsupported, fi, err)
+		nFuncs = math.MaxInt32
+		// A slot per function that has arrived: like Mod.Funcs, the form is
+		// sized by what the stream delivered, never by what it declares.
+		if err = l.gate(int(fi)); err == nil && len(l.Mod.Funcs) > len(l.comp.funcs) {
+			l.comp.funcs = append(l.comp.funcs, make([]atomic.Pointer[CFunc], len(l.Mod.Funcs)-len(l.comp.funcs))...)
 		}
 	}
+	var cf *CFunc
+	if err == nil {
+		c := lowerers.Get().(*fcomp)
+		c.mod, c.nFuncs = l.Mod, nFuncs
+		if cf, err = c.lowerFunc(l.Mod.Funcs[fi], &l.lowered); err != nil {
+			err = fmt.Errorf("%w: admitted function %d does not lower: %w", errors.ErrUnsupported, fi, err)
+		}
+		lowerers.Put(c)
+	}
 	if err != nil {
-		panic(streamAbort{err})
+		panic(lowerAbort{err})
 	}
-	// A slot per function that has arrived: like Mod.Funcs, the form is
-	// sized by what the stream delivered, never by what it declares.
-	if n := len(l.Mod.Funcs) - len(l.comp.Funcs); n > 0 {
-		l.comp.Funcs = append(l.comp.Funcs, make([]*CFunc, n)...)
+	if slot := &l.comp.funcs[fi]; !slot.CompareAndSwap(nil, cf) {
+		cf = slot.Load()
 	}
-	l.comp.Funcs[fi] = cf
 	return cf
 }
+
+// Lowering is what a session spent making functions callable: how many
+// it lowered, and the host time of each half of that lowering —
+// flattening into the prepared form, then fusing it into closures.
+type Lowering struct {
+	Funcs         int
+	Flatten, Fuse time.Duration
+}
+
+// Lowered reports what this session has spent lowering so far. A session
+// over a form every function of which some session already lowered
+// reports nothing.
+func (l *Loader) Lowered() Lowering { return l.lowered }
 
 // catchTopLevel converts an uncaught TJ exception into a Go error. A
 // host entry point is never re-entered from guest code, so whatever
@@ -320,7 +357,7 @@ func (l *Loader) catchTopLevel(err *error) {
 	}
 	switch t := r.(type) {
 	case nil:
-	case streamAbort:
+	case lowerAbort:
 		*err = t.err
 	case rt.Thrown:
 		*err = fmt.Errorf("uncaught exception: %s", l.describeExc(t.Val))

@@ -3,11 +3,15 @@ package interp_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"safetsa/internal/core"
+	"safetsa/internal/corpus"
+	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/rt"
 )
@@ -50,7 +54,9 @@ class Main {
 		t.Fatalf("test modules must have equal function counts, got %d and %d", len(modA.Funcs), len(modB.Funcs))
 	}
 	handPrep := &interp.Prepared{Funcs: prepB.Funcs}
-	handComp := &interp.Compiled{Funcs: compB.Funcs}
+	// A compiled form's slots are unexported: the one a caller can
+	// assemble by hand is the zero value, with no module to bind.
+	handComp := &interp.Compiled{}
 	env := func() *rt.Env { return &rt.Env{Out: &bytes.Buffer{}, MaxSteps: 1_000_000} }
 
 	cases := []struct {
@@ -68,6 +74,7 @@ class Main {
 		{"LoadTrustedCompiled/nil", func() error { _, err := interp.LoadTrustedCompiled(modB, nil, env()); return err }},
 		{"LoadTrustedCompiled/zero", func() error { _, err := interp.LoadTrustedCompiled(modB, &interp.Compiled{}, env()); return err }},
 		{"LoadTrustedCompiled/hand-built", func() error { _, err := interp.LoadTrustedCompiled(modB, handComp, env()); return err }},
+		{"LoadTrustedCompiled/foreign-lazy", func() error { _, err := interp.LoadTrustedCompiled(modB, interp.Lazy(modA), env()); return err }},
 		{"LoadTrustedDeferred/foreign-compiled", func() error { _, err := interp.LoadTrustedDeferred(modB, nil, compA, env()); return err }},
 		{"LoadTrustedDeferred/foreign-prepared", func() error { _, err := interp.LoadTrustedDeferred(modB, prepA, nil, env()); return err }},
 		{"LoadTrustedDeferred/zero", func() error { _, err := interp.LoadTrustedDeferred(modB, nil, &interp.Compiled{}, env()); return err }},
@@ -84,6 +91,9 @@ class Main {
 	// The forms minted from modB itself are accepted.
 	if _, err := interp.LoadTrustedDeferred(modB, prepB, compB, env()); err != nil {
 		t.Fatalf("own forms rejected: %v", err)
+	}
+	if _, err := interp.LoadTrustedCompiled(modB, interp.Lazy(modB), env()); err != nil {
+		t.Fatalf("own lazy form rejected: %v", err)
 	}
 }
 
@@ -256,5 +266,93 @@ class Main {
 	}
 	if out != "before\n" {
 		t.Errorf("output %q: the abort must pass the guest's handler", out)
+	}
+}
+
+// TestSharedFormFilledOnce: sixteen sessions of one resident unit make
+// their first calls at once, over one form that starts empty. Each
+// session's result is the eagerly compiled form's, byte for byte; each
+// slot is published once — a function two sessions raced to lower is
+// lowered twice and stored once — and never changes after; and a second
+// wave over the filled form lowers nothing. Run it under -race.
+func TestSharedFormFilledOnce(t *testing.T) {
+	// Its guest calls 11 of its 30 functions.
+	u, ok := corpus.ByName("BatchEnvironment")
+	if !ok {
+		t.Fatal("corpus unit missing")
+	}
+	mod, err := driver.CompileTSASource(u.Files)
+	if err == nil {
+		_, err = driver.OptimizeModule(mod)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := interp.Prepare(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := interp.Compile(mod, prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const full = 50_000_000
+	want := runSession(t, mod, prep, comp, driver.EngineCompiled, full, full)
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
+
+	shared := interp.Lazy(mod)
+	wave := func() (lowered int) {
+		const sessions = 16
+		results := make([]sessionResult, sessions)
+		counts := make([]int, sessions)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range sessions {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				var out bytes.Buffer
+				env := &rt.Env{Out: &out, MaxSteps: full, MaxAlloc: full}
+				l, err := interp.LoadTrustedCompiled(mod, shared, env)
+				if err == nil {
+					err = l.RunMain()
+				}
+				results[i] = sessionResult{out: out.String(), err: err, steps: env.Steps, allocs: env.Allocs, heap: l.HeapChecksum()}
+				counts[i] = l.Lowered().Funcs
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, got := range results {
+			compareSessions(t, fmt.Sprintf("shared form, session %d", i), want, got)
+			lowered += counts[i]
+		}
+		return lowered
+	}
+
+	first := wave()
+	slots := interp.Slots(shared)
+	filled := 0
+	for _, cf := range slots {
+		if cf != nil {
+			filled++
+		}
+	}
+	if filled == 0 || filled == len(slots) {
+		t.Fatalf("%d of %d slots filled: the guest should call some functions of the unit and not all", filled, len(slots))
+	}
+	if first < filled {
+		t.Errorf("%d slots filled by %d lowerings", filled, first)
+	}
+	if again := wave(); again != 0 {
+		t.Errorf("a second wave over the filled form lowered %d functions", again)
+	}
+	for i, cf := range interp.Slots(shared) {
+		if cf != slots[i] {
+			t.Errorf("slot %d changed after it was published", i)
+		}
 	}
 }

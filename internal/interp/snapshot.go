@@ -3,7 +3,6 @@ package interp
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"safetsa/internal/core"
 	"safetsa/internal/rt"
@@ -46,7 +45,7 @@ type Snapshot struct {
 	// shares nothing with the building session, so the builder can keep
 	// executing (and mutating its own statics) after the snapshot is
 	// taken.
-	classes map[core.TypeID]*rt.ClassInfo
+	classes []*rt.ClassInfo
 
 	initOut    []byte
 	initSteps  int64
@@ -55,34 +54,24 @@ type Snapshot struct {
 	checksum   uint64
 }
 
-// classMap pairs two sessions' class tables by TypeID for the cloner.
-func classMap(src, dst map[core.TypeID]*rt.ClassInfo) map[*rt.ClassInfo]*rt.ClassInfo {
-	m := make(map[*rt.ClassInfo]*rt.ClassInfo, len(src))
+// copyStatics clones every class's statics from src into dst, two class
+// tables of one module, with one shared cloner, preserving aliasing
+// across classes. Both are indexed by TypeID, which is the visit order
+// the checksum walk uses too.
+func copyStatics(src, dst []*rt.ClassInfo) {
+	pair := make(map[*rt.ClassInfo]*rt.ClassInfo, len(src))
 	for id, ci := range src {
-		m[ci] = dst[id]
+		if ci != nil {
+			pair[ci] = dst[id]
+		}
 	}
-	return m
-}
-
-// sortedTypeIDs is the deterministic class visit order shared by the
-// checksum walk and the snapshot clone walk.
-func sortedTypeIDs(classes map[core.TypeID]*rt.ClassInfo) []core.TypeID {
-	ids := make([]core.TypeID, 0, len(classes))
-	for id := range classes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// copyStatics clones every class's statics from src into dst (already
-// paired by TypeID) with one shared cloner, preserving aliasing across
-// classes.
-func copyStatics(src, dst map[core.TypeID]*rt.ClassInfo) {
-	c := rt.NewCloner(classMap(src, dst))
-	for _, id := range sortedTypeIDs(src) {
-		from, to := src[id].Statics, dst[id].Statics
-		for i, v := range from {
+	c := rt.NewCloner(pair)
+	for id, ci := range src {
+		if ci == nil {
+			continue
+		}
+		to := dst[id].Statics
+		for i, v := range ci.Statics {
 			to[i] = c.Value(v)
 		}
 	}

@@ -278,9 +278,15 @@ func PreparedDifferential(data []byte, b Budgets) error {
 	return err
 }
 
-// engineParity runs a verified module on all three engines, holds the
-// prepared and compiled sessions to the reference session bit-exactly,
-// and returns the reference session for further comparison.
+// engineLazy names the compiled engine over a form filled on first call
+// (interp.Lazy), the one the run doors serve, as a column beside the
+// eagerly compiled one.
+const engineLazy = "lazy"
+
+// engineParity runs a verified module on all three engines — the compiled
+// one over both schedules of its form — holds every session to the
+// reference session bit-exactly, and returns the reference session for
+// further comparison.
 func engineParity(mod *core.Module, b Budgets) (*engineRun, error) {
 	prep, err := interp.Prepare(mod)
 	if err != nil {
@@ -300,6 +306,8 @@ func engineParity(mod *core.Module, b Budgets) (*engineRun, error) {
 			r.l, r.err = interp.LoadTrustedPrepared(mod, prep, r.env)
 		case driver.EngineCompiled:
 			r.l, r.err = interp.LoadTrustedCompiled(mod, comp, r.env)
+		case engineLazy:
+			r.l, r.err = interp.LoadTrustedCompiled(mod, interp.Lazy(mod), r.env)
 		default:
 			r.l, r.err = interp.LoadTrusted(mod, r.env)
 		}
@@ -310,7 +318,7 @@ func engineParity(mod *core.Module, b Budgets) (*engineRun, error) {
 		return r
 	}
 	ref := run(driver.EngineReference)
-	for _, engine := range []string{driver.EnginePrepared, driver.EngineCompiled} {
+	for _, engine := range []string{driver.EnginePrepared, driver.EngineCompiled, engineLazy} {
 		if err := compareEngineRuns(engine, ref, run(engine)); err != nil {
 			return ref, err
 		}

@@ -24,6 +24,11 @@ import (
 // snapshot (mirroring the server, which only pools after a successful
 // RunStaticInit), so for them the oracle just checks that the split
 // LoadTrustedDeferred+RunStaticInit path agrees with the fused loader.
+//
+// The compiled engine runs twice, over an eagerly compiled form and over
+// one filled on first call (interp.Lazy), which its fresh, pooled and
+// reference sessions share as the server's do; every engine's reference
+// session is held to the reference walker's.
 func PooledDifferential(data []byte, b Budgets) error {
 	mod, err := wire.DecodeModule(data)
 	if err != nil {
@@ -50,18 +55,28 @@ func PooledDifferential(data []byte, b Budgets) error {
 		{driver.EngineReference, nil, nil},
 		{driver.EnginePrepared, prep, nil},
 		{driver.EngineCompiled, nil, comp},
+		{engineLazy, nil, interp.Lazy(mod)},
 	}
+	var walker *engineRun
 	for _, e := range engines {
-		if err := pooledEngineCheck(mod, e.name, e.prep, e.comp, b); err != nil {
+		ref, err := pooledEngineCheck(mod, e.name, e.prep, e.comp, b)
+		if err != nil {
+			return err
+		}
+		if walker == nil {
+			walker = ref
+		} else if err := compareEngineRuns(e.name, walker, ref); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// pooledEngineCheck runs the fresh/build/clone trio on one engine and
-// compares every observable.
-func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, comp *interp.Compiled, b Budgets) error {
+// pooledEngineCheck runs the fresh/build/clone trio on one engine,
+// compares every observable, and returns the engine's reference session.
+// The clone runs main before the session that built its snapshot does, so
+// over a lazily filled form it is the first to call what main calls.
+func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, comp *interp.Compiled, b Budgets) (*engineRun, error) {
 	// Fresh baseline: the fused load-and-init path every earlier PR
 	// shipped (init + main in one session).
 	fresh := &engineRun{}
@@ -71,22 +86,31 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 		fresh.err = fresh.l.RunStaticInit()
 	}
 	initFailed := fresh.err != nil
-	var build *engineRun
 	var snap *interp.Snapshot
+	clone := &engineRun{}
 	if !initFailed {
 		// Init succeeded: this is the session the server would Offer to
 		// the pool. Freeze it before main mutates anything.
 		var err error
 		snap, err = fresh.l.Snapshot(fresh.out.Bytes())
 		if err != nil {
-			return fmt.Errorf("oracle: %s snapshot after successful init failed: %w", engine, err)
+			return nil, fmt.Errorf("oracle: %s snapshot after successful init failed: %w", engine, err)
 		}
 		if err := snap.Verify(); err != nil {
-			return fmt.Errorf("oracle: %s snapshot self-verification failed: %w", engine, err)
+			return nil, fmt.Errorf("oracle: %s snapshot self-verification failed: %w", engine, err)
 		}
-		build = fresh
+		if !snap.Admits(b) {
+			return nil, fmt.Errorf("oracle: %s snapshot does not admit the budgets that built it (init %d steps/%d allocs under %d/%d)",
+				engine, snap.InitSteps(), snap.InitAllocs(), b.MaxSteps, b.MaxAlloc)
+		}
+		clone.env = rt.NewEnv(&clone.out, b, nil)
+		clone.l, clone.err = snap.NewSession(clone.env)
+		if clone.err != nil {
+			return nil, fmt.Errorf("oracle: %s clone session failed: %w", engine, clone.err)
+		}
 		if mod.Entry >= 0 {
-			build.err = build.l.RunMain()
+			clone.err = clone.l.RunMain()
+			fresh.err = fresh.l.RunMain()
 		}
 	}
 
@@ -105,30 +129,13 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	if initFailed {
 		// No snapshot forms; the builder session itself must match the
 		// reference (both died mid-init the same way).
-		if err := compareEngineRuns(engine+" (init-failed build)", ref, fresh); err != nil {
-			return err
-		}
-		return nil
+		return ref, compareEngineRuns(engine+" (init-failed build)", ref, fresh)
 	}
-
-	if err := compareEngineRuns(engine+" (build session)", ref, build); err != nil {
-		return err
-	}
-	if !snap.Admits(b) {
-		return fmt.Errorf("oracle: %s snapshot does not admit the budgets that built it (init %d steps/%d allocs under %d/%d)",
-			engine, snap.InitSteps(), snap.InitAllocs(), b.MaxSteps, b.MaxAlloc)
-	}
-	clone := &engineRun{}
-	clone.env = rt.NewEnv(&clone.out, b, nil)
-	clone.l, clone.err = snap.NewSession(clone.env)
-	if clone.err != nil {
-		return fmt.Errorf("oracle: %s clone session failed: %w", engine, clone.err)
-	}
-	if mod.Entry >= 0 {
-		clone.err = clone.l.RunMain()
+	if err := compareEngineRuns(engine+" (build session)", ref, fresh); err != nil {
+		return nil, err
 	}
 	if err := compareEngineRuns(engine+" (pooled clone)", ref, clone); err != nil {
-		return err
+		return nil, err
 	}
 	// Clone independence: a second clone from the same snapshot must see
 	// the frozen state, not the first clone's main-mutated heap.
@@ -136,11 +143,11 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	env2 := rt.NewEnv(&out2, b, nil)
 	l2, err := snap.NewSession(env2)
 	if err != nil {
-		return fmt.Errorf("oracle: %s second clone failed: %w", engine, err)
+		return nil, fmt.Errorf("oracle: %s second clone failed: %w", engine, err)
 	}
 	if got := l2.HeapChecksum(); got != snap.Checksum() {
-		return fmt.Errorf("oracle: %s second clone heap %#x != frozen %#x (clones are not isolated)",
+		return nil, fmt.Errorf("oracle: %s second clone heap %#x != frozen %#x (clones are not isolated)",
 			engine, got, snap.Checksum())
 	}
-	return nil
+	return ref, nil
 }

@@ -58,6 +58,7 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 	}
 
 	var want codeserver.RunResult
+	var streamed, ran uint64 // functions the first streamed run and the /run lowered
 	for i, at := range splits {
 		body := io.MultiReader(bytes.NewReader(data[:at]), bytes.NewReader(data[at:]))
 		got, err := srv.RunUnitStream(ctx, body, opts)
@@ -68,9 +69,11 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 			if got.Hash != codeserver.KeyForWire(data).String() {
 				t.Fatalf("published under %q, not the wire hash", got.Hash)
 			}
+			streamed = srv.Stats().LoweredFunctions
 			if want, err = srv.RunUnitOpts(ctx, codeserver.KeyForWire(data), opts); err != nil {
 				t.Fatal(err)
 			}
+			ran = srv.Stats().LoweredFunctions - streamed
 		}
 		if got.RunResult != want {
 			t.Fatalf("split at %d of %d bytes:\n/run-stream %+v\n/run        %+v", at, len(data), got.RunResult, want)
@@ -78,12 +81,24 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 	}
 
 	// What the stream door ran, it ran without the loader cache or the
-	// pool; the one load is the /run above.
+	// pool; the one load is the /run above. Both doors lower exactly the
+	// functions the guest called, the first time it called them, and book
+	// it alike: one prepare and one compile_backend sample per session that
+	// lowered anything.
 	st := srv.Stats()
+	sessions := uint64(len(splits) + 1)
+	lowering := sessions
+	if ran == 0 {
+		lowering = 0
+	}
 	if st.Loads != 1 || st.LoaderHits != 0 || st.PoolHits != 0 || st.StreamRejects != 0 ||
-		st.PrepareLatency.Count != 1 || st.CompileBackendLatency.Count != 1 {
+		st.PrepareLatency.Count != lowering || st.CompileBackendLatency.Count != lowering {
 		t.Errorf("%d streamed runs and one /run left loads=%d loader_hits=%d pool_hits=%d stream_rejects=%d prepare=%d compile_backend=%d",
 			len(splits), st.Loads, st.LoaderHits, st.PoolHits, st.StreamRejects, st.PrepareLatency.Count, st.CompileBackendLatency.Count)
+	}
+	if streamed != ran || st.LoweredFunctions != sessions*ran {
+		t.Errorf("the first streamed run lowered %d functions and the /run %d; %d sessions lowered %d",
+			streamed, ran, sessions, st.LoweredFunctions)
 	}
 }
 

@@ -79,7 +79,7 @@ func (c *Cloner) ref(r Ref) Ref {
 	}
 	switch r := r.(type) {
 	case *Str:
-		dup := &Str{S: r.S}
+		dup := r.Fresh()
 		c.seen[r] = dup
 		return dup
 	case *Array:

@@ -47,8 +47,16 @@ type Array struct {
 	TypeID int32
 }
 
-// Str is an immutable string instance.
-type Str struct{ S string }
+// Str is an immutable string instance. S is its text in WTF-8; u16 is the
+// text as the UTF-16 code units Java indexes it by, worked out the first
+// time a native asks (view) and kept for the instance's life. A Str
+// belongs to one session — every evaluation of a string constant makes a
+// fresh one, and a snapshot clone copies S, never the view — so filling
+// u16 needs no lock.
+type Str struct {
+	S   string
+	u16 *utf16View
+}
 
 func (*Object) refTag() {}
 func (*Array) refTag()  {}
@@ -371,33 +379,74 @@ func RefString(r Ref) string {
 // StringHash implements Java's String.hashCode.
 func StringHash(s string) int32 {
 	var h int32
-	for _, r := range utf16Units(s) {
-		h = 31*h + int32(r)
+	for r := (unitReader{s: s}); ; {
+		u, ok := r.next()
+		if !ok {
+			return h
+		}
+		h = 31*h + int32(u)
 	}
-	return h
 }
 
-// utf16Units converts the runtime string encoding (WTF-8: UTF-8 plus
-// three-byte sequences for unpaired surrogate code units) to the UTF-16
-// code-unit sequence of the equivalent Java string.
+// unitReader reads the runtime string encoding (WTF-8: UTF-8 plus
+// three-byte sequences for unpaired surrogate code units) as the UTF-16
+// code-unit sequence of the equivalent Java string, one unit at a time and
+// without copying it.
+type unitReader struct {
+	s string
+	i int
+	// low is the second half of a surrogate pair whose first half next
+	// returned, 0 when none is pending (no low surrogate is 0).
+	low uint16
+}
+
+// next returns the next code unit, or false at the end of the string.
+func (r *unitReader) next() (uint16, bool) {
+	if u := r.low; u != 0 {
+		r.low = 0
+		return u, true
+	}
+	if r.i >= len(r.s) {
+		return 0, false
+	}
+	if b := r.s[r.i]; b < utf8.RuneSelf {
+		r.i++
+		return uint16(b), true
+	}
+	if u, ok := decodeSurrogateWTF8(r.s[r.i:]); ok {
+		r.i += 3
+		return u, true
+	}
+	c, size := utf8.DecodeRuneInString(r.s[r.i:])
+	r.i += size
+	if c > 0xFFFF {
+		c -= 0x10000
+		r.low = uint16(0xDC00 + c&0x3FF)
+		return uint16(0xD800 + c>>10), true
+	}
+	return uint16(c), true
+}
+
+// rest counts the code units left to read.
+func (r *unitReader) rest() int32 {
+	n := int32(0)
+	for _, ok := r.next(); ok; _, ok = r.next() {
+		n++
+	}
+	return n
+}
+
+// utf16Units converts the runtime string encoding to the UTF-16 code-unit
+// sequence of the equivalent Java string.
 func utf16Units(s string) []uint16 {
 	out := make([]uint16, 0, len(s))
-	for i := 0; i < len(s); {
-		if u, ok := decodeSurrogateWTF8(s[i:]); ok {
-			out = append(out, u)
-			i += 3
-			continue
+	for r := (unitReader{s: s}); ; {
+		u, ok := r.next()
+		if !ok {
+			return out
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r > 0xFFFF {
-			r -= 0x10000
-			out = append(out, uint16(0xD800+(r>>10)), uint16(0xDC00+(r&0x3FF)))
-		} else {
-			out = append(out, uint16(r))
-		}
-		i += size
+		out = append(out, u)
 	}
-	return out
 }
 
 // decodeSurrogateWTF8 reads the WTF-8 encoding of one surrogate code
@@ -486,27 +535,127 @@ func MathOp(name string, a, b float64) float64 {
 	panic("rt: unknown math intrinsic " + name)
 }
 
-// Substring implements String.substring with Java bounds semantics;
-// returns ok=false when the bounds are invalid (caller throws).
-func Substring(s string, begin, end int32) (string, bool) {
-	u := utf16Units(s)
-	if begin < 0 || end > int32(len(u)) || begin > end {
-		return "", false
+// utf16View is a string's text as UTF-16 code units. ASCII text needs no
+// copy — unit i is byte i — and shares the one asciiView.
+type utf16View struct {
+	units []uint16 // nil for ASCII text
+	// offs[i] is the byte offset in S of unit i, -1 for the second half of
+	// a surrogate pair, and offs[len(units)] is len(S). It is nil when S
+	// is not the canonical spelling of units (invalid UTF-8, or a pair
+	// written as two WTF-8 halves), which is the only case where a
+	// substring is not a slice of S.
+	offs []int32
+}
+
+var asciiView = &utf16View{}
+
+// emptyStr stands in for a string argument that is not a string; its view
+// is set, so sessions sharing it only ever read it.
+var emptyStr = &Str{u16: asciiView}
+
+// AsStr is the string a native's argument holds, or the empty string for
+// null or a reference that is not a string.
+func AsStr(r Ref) *Str {
+	if s, ok := r.(*Str); ok {
+		return s
 	}
-	return stringFromUnits(u[begin:end]), true
+	return emptyStr
+}
+
+// ConstStr is the template of a string constant: Fresh makes each
+// evaluation's instance from it. It knows whether s is ASCII, so a guest
+// that indexes a constant pays for no scan per evaluation.
+func ConstStr(s string) *Str {
+	c := &Str{S: s}
+	if isASCII(s) {
+		c.u16 = asciiView
+	}
+	return c
+}
+
+// Fresh is a new instance of s's text: a distinct reference, as every
+// evaluation of a constant and every clone must be, that keeps what s
+// knows about its text only when that is the shared ASCII mark.
+func (s *Str) Fresh() *Str {
+	if s.u16 == asciiView {
+		return &Str{S: s.S, u16: asciiView}
+	}
+	return &Str{S: s.S}
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// view is s's UTF-16 view, worked out on first use: a scan for ASCII
+// text, and for any other the one copy this instance ever makes.
+func (s *Str) view() *utf16View {
+	if s.u16 != nil {
+		return s.u16
+	}
+	if isASCII(s.S) {
+		s.u16 = asciiView
+		return s.u16
+	}
+	v := &utf16View{units: utf16Units(s.S)}
+	if stringFromUnits(v.units) == s.S {
+		v.offs = make([]int32, 0, len(v.units)+1)
+		for r := (unitReader{s: s.S}); ; {
+			at := int32(r.i)
+			if r.low != 0 {
+				at = -1
+			}
+			v.offs = append(v.offs, at)
+			if _, ok := r.next(); !ok {
+				break
+			}
+		}
+	}
+	s.u16 = v
+	return v
+}
+
+// Len is Java's String.length: the number of UTF-16 code units.
+func (s *Str) Len() int32 {
+	if v := s.view(); v.units != nil {
+		return int32(len(v.units))
+	}
+	return int32(len(s.S))
 }
 
 // CharAt returns the UTF-16 unit at index i.
-func CharAt(s string, i int32) (uint16, bool) {
-	u := utf16Units(s)
-	if i < 0 || i >= int32(len(u)) {
+func (s *Str) CharAt(i int32) (uint16, bool) {
+	if i < 0 || i >= s.Len() {
 		return 0, false
 	}
-	return u[i], true
+	if v := s.u16; v.units != nil {
+		return v.units[i], true
+	}
+	return uint16(s.S[i]), true
 }
 
-// StrLen is the UTF-16 length of the string.
-func StrLen(s string) int32 { return int32(len(utf16Units(s))) }
+// Substring implements String.substring with Java bounds semantics;
+// returns ok=false when the bounds are invalid (caller throws). It is a
+// slice of S unless a bound splits a surrogate pair or S is not canonical
+// WTF-8.
+func (s *Str) Substring(begin, end int32) (string, bool) {
+	if begin < 0 || end > s.Len() || begin > end {
+		return "", false
+	}
+	v := s.u16
+	if v.units == nil {
+		return s.S[begin:end], true
+	}
+	if v.offs != nil && v.offs[begin] >= 0 && v.offs[end] >= 0 {
+		return s.S[v.offs[begin]:v.offs[end]], true
+	}
+	return stringFromUnits(v.units[begin:end]), true
+}
 
 // IndexOfStr is Java's String.indexOf(String).
 func IndexOfStr(s, sub string) int32 {
@@ -514,22 +663,26 @@ func IndexOfStr(s, sub string) int32 {
 	if i < 0 {
 		return -1
 	}
-	return int32(len(utf16Units(s[:i])))
+	return (&unitReader{s: s[:i]}).rest()
 }
 
 // CompareStr is Java's String.compareTo.
 func CompareStr(a, b string) int32 {
-	ua, ub := utf16Units(a), utf16Units(b)
-	n := len(ua)
-	if len(ub) < n {
-		n = len(ub)
-	}
-	for i := 0; i < n; i++ {
-		if ua[i] != ub[i] {
-			return int32(ua[i]) - int32(ub[i])
+	ra, rb := unitReader{s: a}, unitReader{s: b}
+	for {
+		ua, oka := ra.next()
+		ub, okb := rb.next()
+		switch {
+		case !oka && !okb:
+			return 0
+		case !oka: // a is a proper prefix of b: the difference in length
+			return -1 - rb.rest()
+		case !okb:
+			return 1 + ra.rest()
+		case ua != ub:
+			return int32(ua) - int32(ub)
 		}
 	}
-	return int32(len(ua) - len(ub))
 }
 
 func stringFromUnits(u []uint16) string {

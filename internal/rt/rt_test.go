@@ -136,10 +136,10 @@ func TestUnpairedSurrogateFidelity(t *testing.T) {
 		if strings.Contains(s, "�") {
 			t.Fatalf("StringOf(%#x) degraded to U+FFFD", u)
 		}
-		if got := StrLen(s); got != 1 {
-			t.Fatalf("StrLen(StringOf(%#x)) = %d, want 1", u, got)
+		if got := (&Str{S: s}).Len(); got != 1 {
+			t.Fatalf("Len(StringOf(%#x)) = %d, want 1", u, got)
 		}
-		c, ok := CharAt(s, 0)
+		c, ok := (&Str{S: s}).CharAt(0)
 		if !ok || uint16(c) != u {
 			t.Errorf("CharAt(StringOf(%#x), 0) = %#x, %v; unit not preserved", u, c, ok)
 		}
@@ -149,15 +149,63 @@ func TestUnpairedSurrogateFidelity(t *testing.T) {
 	// neighbors addressable at the right UTF-16 indices.
 	env := &Env{}
 	mixed, _ := GetStr(env.Concat(&Str{S: "a"}, env.NewStr(StringOf(CharValue(0xD834), 'c'))))
-	mixed = mixed + "z"
-	if got := StrLen(mixed); got != 3 {
-		t.Fatalf("StrLen(mixed) = %d, want 3", got)
+	ms := &Str{S: mixed + "z"}
+	if got := ms.Len(); got != 3 {
+		t.Fatalf("Len(mixed) = %d, want 3", got)
 	}
-	if c, ok := CharAt(mixed, 1); !ok || uint16(c) != 0xD834 {
+	if c, ok := ms.CharAt(1); !ok || uint16(c) != 0xD834 {
 		t.Errorf("CharAt(mixed, 1) = %#x, %v", c, ok)
 	}
-	if c, ok := CharAt(mixed, 2); !ok || rune(c) != 'z' {
+	if c, ok := ms.CharAt(2); !ok || rune(c) != 'z' {
 		t.Errorf("CharAt(mixed, 2) = %#x, %v", c, ok)
+	}
+	// Substrings that cut a pair apart or sit on a lone half keep the
+	// unit; one on character boundaries is the text between them.
+	for _, c := range []struct {
+		s          string
+		begin, end int32
+		want       string
+	}{
+		{"a𝄞b", 1, 2, StringOf(CharValue(0xD834), 'c')},
+		{"a𝄞b", 2, 4, StringOf(CharValue(0xDD1E), 'c') + "b"},
+		{"a𝄞b", 1, 3, "𝄞"},
+		{ms.S, 1, 2, StringOf(CharValue(0xD834), 'c')},
+		// Two WTF-8 halves of one pair are the same two units as the pair.
+		{StringOf(CharValue(0xD834), 'c') + StringOf(CharValue(0xDD1E), 'c'), 0, 2, "𝄞"},
+	} {
+		if got, ok := (&Str{S: c.s}).Substring(c.begin, c.end); !ok || got != c.want {
+			t.Errorf("Substring(%q, %d, %d) = %q, %v; want %q", c.s, c.begin, c.end, got, ok, c.want)
+		}
+	}
+}
+
+// TestStringNativesAllocateNothing: the string natives read a string in
+// place. Length, charAt and substring go through one UTF-16 view per
+// instance — none at all for ASCII, where they are O(1) — and compareTo,
+// indexOf and hashCode stream the code units, so a guest walking a string
+// costs the host no copy of it per step.
+func TestStringNativesAllocateNothing(t *testing.T) {
+	ascii := strings.Repeat("abcdefgh", 1<<17) // 1 MiB
+	wide := "a☃b𝄞c" + StringOf(CharValue(0xD834), 'c') + "z"
+	for name, text := range map[string]string{"ascii": ascii, "surrogates": wide} {
+		s := &Str{S: text}
+		n := s.Len()
+		got := testing.AllocsPerRun(20, func() {
+			for i := int32(0); i < n && i < 64; i++ {
+				s.CharAt(n - 1 - i)
+			}
+			s.Substring(1, 3)
+			s.Substring(n-2, n)
+			CompareStr(text, text[:len(text)-1])
+			IndexOfStr(text, "z")
+			StringHash(text)
+		})
+		if got != 0 {
+			t.Errorf("%s: %.0f allocations per pass over the natives", name, got)
+		}
+	}
+	if (&Str{S: ascii}).view() != asciiView {
+		t.Error("an ASCII string made a UTF-16 copy of itself")
 	}
 }
 
@@ -180,26 +228,27 @@ func TestStringHashMatchesJava(t *testing.T) {
 
 func TestUTF16StringOps(t *testing.T) {
 	s := "a☃b𝄞c" // includes a surrogate pair (𝄞 = U+1D11E)
-	if got := StrLen(s); got != 6 {
-		t.Fatalf("StrLen = %d, want 6 (UTF-16 units)", got)
+	str := &Str{S: s}
+	if got := str.Len(); got != 6 {
+		t.Fatalf("Len = %d, want 6 (UTF-16 units)", got)
 	}
-	if c, ok := CharAt(s, 1); !ok || rune(c) != '☃' {
+	if c, ok := str.CharAt(1); !ok || rune(c) != '☃' {
 		t.Errorf("CharAt(1) = %c, %v", rune(c), ok)
 	}
-	if c, ok := CharAt(s, 3); !ok || c < 0xD800 {
+	if c, ok := str.CharAt(3); !ok || c < 0xD800 {
 		t.Errorf("CharAt(3) should be a surrogate half, got %x %v", c, ok)
 	}
-	if _, ok := CharAt(s, 6); ok {
+	if _, ok := str.CharAt(6); ok {
 		t.Error("CharAt out of range succeeded")
 	}
-	sub, ok := Substring(s, 1, 3)
+	sub, ok := str.Substring(1, 3)
 	if !ok || sub != "☃b" {
 		t.Errorf("Substring(1,3) = %q, %v", sub, ok)
 	}
-	if _, ok := Substring(s, 3, 2); ok {
+	if _, ok := str.Substring(3, 2); ok {
 		t.Error("reversed substring bounds accepted")
 	}
-	full, ok := Substring(s, 0, 6)
+	full, ok := str.Substring(0, 6)
 	if !ok || full != s {
 		t.Errorf("full substring = %q", full)
 	}
@@ -211,6 +260,10 @@ func TestUTF16StringOps(t *testing.T) {
 	}
 	if CompareStr("abc", "abd") >= 0 || CompareStr("abc", "abc") != 0 || CompareStr("abcd", "abc") <= 0 {
 		t.Error("CompareStr ordering wrong")
+	}
+	// A proper prefix differs by its length in UTF-16 units.
+	if got := CompareStr("a", "a𝄞b"); got != -3 {
+		t.Errorf("CompareStr(a, a𝄞b) = %d, want -3", got)
 	}
 }
 
