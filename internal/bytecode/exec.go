@@ -34,7 +34,7 @@ func (f *frame) peek(n int) rt.Value { return f.stack[len(f.stack)-1-n] }
 // call runs a method to completion and returns its (single-slot) result;
 // wide results are returned as the value itself.
 func (vm *VM) call(c *rtClass, m *Method, args []rt.Value) rt.Value {
-	slots := rt.FrameSlots(m.MaxLocals+2, 0)
+	slots := rt.FrameSlots(m.MaxLocals + 2)
 	vm.Env.Enter(slots)
 	fr := &frame{c: c, m: m, locals: make([]rt.Value, m.MaxLocals+2)}
 	copy(fr.locals, args)

@@ -375,7 +375,7 @@ func (c *fcomp) flatten(f *core.Func) (PFunc, error) {
 		sites[i] = RaiseSite{Target: target, Moves: mv}
 		c.code[fix.at].Raise = &sites[i]
 	}
-	return PFunc{Name: f.Name, NumRegs: int32(f.NumValues() + 1), Frame: frameSlots(f), Code: c.code}, nil
+	return PFunc{Name: f.Name, NumRegs: int32(f.NumValues() + 1), Frame: rt.FrameSlots(f.NumValues() + 1), Code: c.code}, nil
 }
 
 func (c *fcomp) emit(in PreparedInst) int {

@@ -41,9 +41,10 @@ func stackAtKill(t *testing.T, l *Loader) (used uintptr) {
 // ceiling (1 GB, whose overflow no recover can catch). The shapes are
 // the ones that cost a host frame the most per slot charged: the
 // narrowest frame, a call under a handler, and calls buried in a nest
-// that costs the guest no register but costs the reference walker a
-// host frame per level — flat, under try, and to the decoder's limit on
-// nesting.
+// that costs the guest no register — flat, under try, and to the
+// decoder's limit on nesting. The charge has no term in the nesting, so
+// no engine may spend host stack on it: an activation nested to the
+// wire's limit costs the host what the narrowest one does, within 1.5x.
 func TestHostStackPerSlot(t *testing.T) {
 	nest := func(open, close string, n int, body string) string {
 		return strings.Repeat(open, n) + body + strings.Repeat(close, n)
@@ -60,6 +61,7 @@ func TestHostStackPerSlot(t *testing.T) {
 			static void main() { f(true); } }`},
 	}
 	const ceiling = 1_000_000_000 / 8
+	perActivation := map[string]map[string]int64{} // guest → engine → host bytes
 	for _, g := range guests {
 		f, errs := parser.ParseFile("P.tj", g.src)
 		if len(errs) > 0 {
@@ -84,6 +86,15 @@ func TestHostStackPerSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// What one activation of the recursing f holds; the kill leaves
+		// almost nothing but those live.
+		var frame int64
+		for _, mr := range mod.Methods {
+			if mr.Name == "f" {
+				frame = rt.FrameSlots(mod.Funcs[mr.FuncIdx].NumValues() + 1)
+			}
+		}
+		perActivation[g.name] = map[string]int64{}
 		for _, engine := range []struct {
 			name string
 			load func(*rt.Env) (*Loader, error)
@@ -100,11 +111,18 @@ func TestHostStackPerSlot(t *testing.T) {
 			done := make(chan uintptr)
 			go func() { done <- stackAtKill(t, l) }() // a fresh stack: nothing of the test's on it
 			used := <-done
-			t.Logf("%-24s %-9s %6.1f MiB of host stack under %d live slots: %3d B/slot",
-				g.name, engine.name, float64(used)/(1<<20), env.StackSlots(), int64(used)/env.StackSlots())
+			activation := int64(used) * frame / env.StackSlots()
+			perActivation[g.name][engine.name] = activation
+			t.Logf("%-24s %-9s %6.1f MiB of host stack under %d live slots: %3d B/slot, %4d B/activation",
+				g.name, engine.name, float64(used)/(1<<20), env.StackSlots(), int64(used)/env.StackSlots(), activation)
 			if used > ceiling {
 				t.Errorf("%s on the %s engine: %d bytes of host stack at the depth kill, over %d", g.name, engine.name, used, ceiling)
 			}
+		}
+	}
+	for engine, narrow := range perActivation["narrow"] {
+		if nested := perActivation["nest to the wire's limit"][engine]; 2*nested > 3*narrow {
+			t.Errorf("the %s engine: an activation nested 250 deep costs %d B of host stack, a flat one %d", engine, nested, narrow)
 		}
 	}
 }

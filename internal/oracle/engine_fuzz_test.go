@@ -315,7 +315,9 @@ class Main {
     }
 }`,
 	// The depth seeds recurse in as few steps per frame as the language
-	// allows, so the depth limit is reached inside fuzzBudgets' steps.
+	// allows, so the depth limit is reached inside fuzzBudgets' steps. The
+	// one under try spends more steps a frame, so it widens its frame for
+	// free: the finally's registers are charged, and a kill never runs them.
 	"depth_kill_recursion": `
 class Main {
     static void down() { down(); }
@@ -331,7 +333,8 @@ class Main {
         try {
             down();
         } finally {
-            unwound = unwound + 1;
+            int u = unwound;
+            unwound = u + u + u + u + u + u + u + u + u + u + u + u + u;
         }
     }
     static void main() {

@@ -94,12 +94,9 @@ func mustKill(t *testing.T, f func()) (err error) {
 // counts for what it holds.
 func TestDepthLimit(t *testing.T) {
 	e := &Env{} // a literal naming no limit, as benchmark/layers.go builds
-	narrow, wide := FrameSlots(1, 0), FrameSlots(5000, 0)
+	narrow, wide := FrameSlots(1), FrameSlots(5000)
 	if narrow <= 1 || wide-narrow != 4999 {
-		t.Fatalf("FrameSlots(1, 0) = %d, FrameSlots(5000, 0) = %d", narrow, wide)
-	}
-	if nested := FrameSlots(1, 8); nested <= narrow {
-		t.Errorf("a nested body costs %d slots, a flat one %d", nested, narrow)
+		t.Fatalf("FrameSlots(1) = %d, FrameSlots(5000) = %d", narrow, wide)
 	}
 	for i := 0; i < 1000; i++ {
 		e.Enter(wide)
