@@ -203,10 +203,14 @@ func RunModule(mod *core.Module, maxSteps int64) (string, error) {
 }
 
 // RunModuleEngine runs mod's main on the named engine: "compiled" (also
-// the default for ""), the one the daemon serves, or "reference", the CST
-// walker the compiled engine is tested against. Cancelling ctx interrupts
-// the guest at the next step-budget check. Load/link failures are tagged
-// KindVerify (the unit is at fault); execution failures KindRuntime.
+// the default for ""), the one the daemon serves, lowered as the daemon
+// lowers it — each function when the guest first calls it — or
+// "reference", the CST walker the compiled engine is tested against.
+// Cancelling ctx interrupts the guest at the next step-budget check.
+// Load/link failures, and a body the verifier admitted and lowering
+// refuses (errors.ErrUnsupported, as the daemon's verdict reads it), are
+// tagged KindVerify (the unit is at fault); execution failures
+// KindRuntime.
 func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engine string) (string, error) {
 	var (
 		out bytes.Buffer
@@ -216,7 +220,11 @@ func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engi
 	env := rt.NewEnv(&out, budget(maxSteps), ctx.Done())
 	switch engine {
 	case "", EngineCompiled:
-		l, err = loadCompiled(ctx, mod, env)
+		if err = mod.Verify(core.VerifyOptions{}); err != nil {
+			err = fmt.Errorf("interp: module rejected by verifier: %w", err)
+		} else {
+			l, err = interp.LoadTrustedCompiled(mod, interp.Lazy(mod), env)
+		}
 	case EngineReference:
 		l, err = interp.Load(mod, env)
 	default:
@@ -227,29 +235,10 @@ func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engi
 		return out.String(), wrapKind(KindVerify, err)
 	}
 	if err := l.RunMain(); err != nil {
+		if errors.Is(err, errors.ErrUnsupported) {
+			return out.String(), wrapKind(KindVerify, err)
+		}
 		return out.String(), wrapKind(KindRuntime, err)
 	}
 	return out.String(), nil
-}
-
-// loadCompiled verifies a module, lowers it (interp.Prepare under a
-// "prepare" span, then the closure-fusing interp.Compile under a
-// "compile_backend" span) and loads it on the closure-threaded engine.
-func loadCompiled(ctx context.Context, mod *core.Module, env *rt.Env) (*interp.Loader, error) {
-	if err := mod.Verify(core.VerifyOptions{}); err != nil {
-		return nil, fmt.Errorf("interp: module rejected by verifier: %w", err)
-	}
-	_, psp := obs.Start(ctx, "prepare")
-	prep, err := interp.Prepare(mod)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	_, csp := obs.Start(ctx, "compile_backend")
-	comp, err := interp.Compile(mod, prep)
-	csp.End()
-	if err != nil {
-		return nil, err
-	}
-	return interp.LoadTrustedCompiled(mod, comp, env)
 }

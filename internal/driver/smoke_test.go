@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"safetsa/internal/bytecode"
+	"safetsa/internal/core"
 	"safetsa/internal/rt"
 )
 
@@ -311,5 +312,31 @@ class Main {
 		if out, err := run(); !errors.Is(err, rt.ErrAllocLimit) {
 			t.Errorf("%s: allocation bomb ended with %v (output %q), want rt.ErrAllocLimit", name, err, out)
 		}
+	}
+}
+
+// TestLoweringRefusalIsTheUnitsFault: the compiled engine lowers a function
+// when the guest first calls it, as the daemon does, so a body the verifier
+// admits and lowering refuses surfaces mid-run. It is the unit's fault, a
+// KindVerify error that is errors.ErrUnsupported, as the daemon's verdict
+// reads it — not the guest's. (The verifier does not look at a break's
+// loop, which the decoder's shape walk checks, so a break at the top of
+// main is such a body.)
+func TestLoweringRefusalIsTheUnitsFault(t *testing.T) {
+	mod, err := CompileTSASource(map[string]string{"Main.tj": `
+class Main {
+    static void main() { System.out.println(1); }
+}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range mod.Funcs {
+		if strings.HasSuffix(f.Name, ".main") {
+			f.Body.Kids = append([]*core.CSTNode{{Kind: core.CBreak}}, f.Body.Kids...)
+		}
+	}
+	_, err = RunModuleEngine(context.Background(), mod, 1_000, EngineCompiled)
+	if KindOf(err) != KindVerify || !errors.Is(err, errors.ErrUnsupported) {
+		t.Fatalf("run of a main that does not lower: %v (kind %v), want a verify error that is ErrUnsupported", err, KindOf(err))
 	}
 }
