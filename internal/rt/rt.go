@@ -111,10 +111,10 @@ func (c *ClassInfo) IsSubclassOf(d *ClassInfo) bool {
 
 // Thrown carries a TJ exception through the Go stack via panic/recover.
 // It is how an uncaught exception reaches a consumer's top-level
-// boundary, and how the oracle engines (package interp's reference walker
-// and prepared evaluator, package bytecode) unwind between frames; the
-// served compiled engine unwinds by return and panics a Thrown only once,
-// at Loader.call, for an exception nothing caught.
+// boundary, and how package interp's prepared evaluator and package
+// bytecode unwind between frames; the served compiled engine and the
+// reference walker unwind by return and panic a Thrown only once, at
+// Loader.call, for an exception nothing caught.
 type Thrown struct{ Val Value }
 
 // Env is the execution environment shared by the interpreters. An Env
