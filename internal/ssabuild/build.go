@@ -63,19 +63,50 @@ func Build(prog *sema.Program) (*core.Module, error) {
 	return b.mod, nil
 }
 
-// orderFuncsForStreaming permutes the function list so that everything
-// a consumer needs to begin execution — the static initializers, then
-// the entry method's body — leads the unit. A streaming decoder
-// (wire.DecodeVerifiedStream) can then start main after admitting a
-// short prefix, while the remaining bodies are still in flight. Method
-// body links and the static-initializer table are rewritten to match;
-// the permutation is semantics-free and survives verification
-// unchanged.
+// orderFuncsForStreaming permutes the function list so that a consumer
+// that decodes bodies as its guest first calls them decodes as little as
+// it can. Everything needed to begin execution — the static
+// initializers, then the entry method's body — leads the unit, so a
+// streaming decoder (wire.DecodeVerifiedStream) can start main after
+// admitting a short prefix. Then come the other bodies reachable from
+// those roots through the call graph (Module.CallGraph: direct calls,
+// and every implementation a dispatch can select), in index order, and
+// last the bodies no guest can call. A consumer that pulls bodies on
+// first call — a streamed unit, or a resident one its loader holds as a
+// cursor — stops at the highest body its guest calls, so the tail is
+// never decoded. Method body links and the static-initializer table are
+// rewritten to match; the permutation is semantics-free and survives
+// verification unchanged.
 func orderFuncsForStreaming(m *core.Module) {
 	n := len(m.Funcs)
 	if n == 0 {
 		return
 	}
+	cg := m.CallGraph()
+	reach := make(map[*core.Func]bool, n)
+	var stack []*core.Func
+	mark := func(f *core.Func) {
+		if f != nil && !reach[f] {
+			reach[f] = true
+			stack = append(stack, f)
+		}
+	}
+	for _, si := range m.StaticInit {
+		if si >= 0 {
+			mark(m.Funcs[si])
+		}
+	}
+	if m.Entry >= 0 {
+		mark(m.FuncOf(m.Entry))
+	}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, g := range cg[f] {
+			mark(g)
+		}
+	}
+
 	perm := make([]int32, n) // old index -> new index
 	taken := make([]bool, n)
 	order := make([]*core.Func, 0, n)
@@ -92,6 +123,11 @@ func orderFuncsForStreaming(m *core.Module) {
 	}
 	if m.Entry >= 0 {
 		take(m.Methods[m.Entry].FuncIdx)
+	}
+	for i, f := range m.Funcs {
+		if reach[f] {
+			take(int32(i))
+		}
 	}
 	for i := 0; i < n; i++ {
 		take(int32(i))

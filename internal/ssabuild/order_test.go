@@ -1,0 +1,75 @@
+package ssabuild_test
+
+import (
+	"context"
+	"testing"
+
+	"safetsa/internal/core"
+	"safetsa/internal/corpus"
+	"safetsa/internal/driver"
+	"safetsa/internal/opt"
+)
+
+// reachable marks the bodies a guest can call: the static initializers,
+// the entry's body and, through the call graph, everything they can call.
+func reachable(m *core.Module) map[*core.Func]bool {
+	cg := m.CallGraph()
+	reach := map[*core.Func]bool{}
+	var visit func(f *core.Func)
+	visit = func(f *core.Func) {
+		if f == nil || reach[f] {
+			return
+		}
+		reach[f] = true
+		for _, g := range cg[f] {
+			visit(g)
+		}
+	}
+	for _, si := range m.StaticInit {
+		if si >= 0 {
+			visit(m.Funcs[si])
+		}
+	}
+	if m.Entry >= 0 {
+		visit(m.FuncOf(m.Entry))
+	}
+	return reach
+}
+
+// TestReachableBodiesLead: in every corpus unit the bodies a guest can
+// call precede every body it cannot, so a consumer that decodes on first
+// call never decodes a body no call reaches on its way to the last one it
+// needs. The producer orders by the unit it built; the optimizer only ever
+// removes call edges (a devirtualized dispatch calls one of the bodies it
+// could select, an inlined callee's calls were reachable through it), so
+// at O1 and O2 the bodies still reachable lie inside the prefix that was
+// reachable when the unit was built.
+func TestReachableBodiesLead(t *testing.T) {
+	for _, u := range corpus.Units() {
+		for _, tier := range []struct {
+			name string
+			o    *opt.Options
+		}{{"O0", nil}, {"O1", &opt.Options{}}, {"O2", &opt.Options{ModuleLevel: true}}} {
+			mod, err := driver.CompileTSASource(u.Files)
+			if err != nil {
+				t.Fatalf("%s: %v", u.Name, err)
+			}
+			prefix := len(reachable(mod))
+			if tier.o != nil {
+				if _, err := driver.OptimizeModuleOptions(context.Background(), mod, *tier.o); err != nil {
+					t.Fatalf("%s %s: %v", u.Name, tier.name, err)
+				}
+			}
+			reach := reachable(mod)
+			for i, f := range mod.Funcs {
+				if reach[f] && i >= prefix {
+					t.Errorf("%s %s: body %d (%s) is reachable but follows the %d bodies reachable when the unit was built",
+						u.Name, tier.name, i, f.Name, prefix)
+				}
+				if tier.o == nil && !reach[f] && i < prefix {
+					t.Errorf("%s %s: body %d (%s) is unreachable but leads a reachable one", u.Name, tier.name, i, f.Name)
+				}
+			}
+		}
+	}
+}
