@@ -157,10 +157,11 @@ type door struct {
 	send func(data []byte) error
 	// rejects is how far one refusal moves the reject counters.
 	rejects uint64
-	// decodes is how often the loader has to admit the honest unit itself
-	// when it first runs after coming in through this door: 0 where the
-	// run's own lookup led the admission and was handed the module, 1 where
-	// the unit was resident as bytes by then.
+	// decodes is how many decode samples the honest unit's first run books
+	// after coming in through this door: 0 where the run's own lookup led
+	// the admission and was handed the module, 2 where the unit was
+	// resident as bytes by then — the loader opens a cursor over them, and
+	// the run pulls main, the one body it calls.
 	decodes uint64
 }
 
@@ -215,7 +216,7 @@ var doors = []doorRow{
 	}},
 	{"forwarded compile", func(t *testing.T) door {
 		fx := newCorruptPeerFixture(t)
-		return door{srv: fx.srv, dir: fx.cacheDir, good: fx.good, rejects: 1, decodes: 1,
+		return door{srv: fx.srv, dir: fx.cacheDir, good: fx.good, rejects: 1, decodes: 2,
 			keyOf: func([]byte) codeserver.Key { return fx.key },
 			send: func(data []byte) error {
 				fx.serve = func() []byte { return data }
@@ -240,7 +241,7 @@ var doors = []doorRow{
 	}},
 	{"run-stream", func(t *testing.T) door {
 		srv, dir := diskServer(t)
-		return door{srv: srv, dir: dir, good: scratchUnit(t).Wire, rejects: 1, decodes: 1,
+		return door{srv: srv, dir: dir, good: scratchUnit(t).Wire, rejects: 1, decodes: 2,
 			keyOf: codeserver.KeyForWire,
 			send: func(data []byte) error {
 				res, err := srv.RunUnitStream(context.Background(), bytes.NewReader(data), codeserver.RunOptions{MaxSteps: 1_000_000})
@@ -259,7 +260,7 @@ var doors = []doorRow{
 var compileDoor = doorRow{"compile", func(t *testing.T) door {
 	srv, dir := diskServer(t)
 	k := codeserver.KeyFor(fleetProgram(1), codeserver.Options{})
-	return door{srv: srv, dir: dir, good: scratchUnit(t).Wire, decodes: 1,
+	return door{srv: srv, dir: dir, good: scratchUnit(t).Wire, decodes: 2,
 		keyOf: func([]byte) codeserver.Key { return k },
 		send: func([]byte) error {
 			_, _, err := srv.CompileUnit(context.Background(), fleetProgram(1), codeserver.Options{})
@@ -387,9 +388,10 @@ func TestNothingRejectedIsCachedThroughAnyDoor(t *testing.T) {
 
 // TestDoorsHandOverWhatTheyProved: a node decodes a unit once. Whatever
 // door the honest unit comes in through, its first run lowers it once, and
-// the loader admits the bytes itself only where no admission of this run's
-// own making handed it the module: the peer fill and the disk re-admission
-// a run leads do (the parent decoded twice there: once at the door, once in
+// the loader decodes the bytes itself — their tables at load, each body
+// its guest calls on first call — only where no admission of this run's own
+// making handed it the module: the peer fill and the disk re-admission a
+// run leads do (the parent decoded twice there: once at the door, once in
 // the loader); the compile door keeps its decode by decision, the stream
 // door publishes bytes only, and a forwarded compile's module is dropped
 // with the compile answer. The disk tier is one file per unit.

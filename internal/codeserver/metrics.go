@@ -47,6 +47,10 @@ type Metrics struct {
 	// loweredFuncs counts function bodies sessions lowered on first call,
 	// including a body that lost the race to publish (interp.Loader.lower).
 	loweredFuncs atomic.Uint64
+	// pulledFuncs counts function bodies decoded and admitted from a
+	// resident unit's cursor on first call (LoaderCache.pull); each is
+	// pulled once per load.
+	pulledFuncs atomic.Uint64
 
 	runs         atomic.Uint64
 	runErrors    atomic.Uint64
@@ -98,7 +102,7 @@ type stage int
 
 const (
 	stageCompile          stage = iota // the whole producer pipeline, one sample per actual compile
-	stageDecode                        // one sample per load that had to admit the unit itself
+	stageDecode                        // one sample per load that opened the unit's bytes itself, and one per pull of bodies through it, inside run
 	stageVerify                        // declared and unfed: admission is one step (DESIGN.md §7)
 	stagePrepare                       // one sample per session that lowered a function: its flatten time, inside run
 	stageCompileBackend                // likewise: its closure-fusion time
@@ -212,10 +216,13 @@ type Stats struct {
 	// LoweredFunctions counts the function bodies run sessions lowered on
 	// first call (see Metrics.loweredFuncs).
 	LoweredFunctions uint64 `json:"lowered_functions"`
-	Runs             uint64 `json:"runs"`
-	RunErrors        uint64 `json:"run_errors"`
-	RunsInFlight     int64  `json:"runs_in_flight"`
-	StreamRejects    uint64 `json:"stream_rejects"`
+	// PulledFunctions counts the function bodies run sessions decoded from
+	// a resident unit's cursor on first call (see Metrics.pulledFuncs).
+	PulledFunctions uint64 `json:"pulled_functions"`
+	Runs            uint64 `json:"runs"`
+	RunErrors       uint64 `json:"run_errors"`
+	RunsInFlight    int64  `json:"runs_in_flight"`
+	StreamRejects   uint64 `json:"stream_rejects"`
 
 	// Guest budget accounting (see Metrics). Kills holds every reason
 	// that has killed a session; the four *Kills keys are the legacy
@@ -290,6 +297,7 @@ func (m *Metrics) snapshot() Stats {
 		LoadErrors:       m.loadErrors.Load(),
 		LoaderEvicted:    m.loaderEvict.Load(),
 		LoweredFunctions: m.loweredFuncs.Load(),
+		PulledFunctions:  m.pulledFuncs.Load(),
 		Runs:             m.runs.Load(),
 		RunErrors:        m.runErrors.Load(),
 		RunsInFlight:     m.runsInFlight.Load(),
@@ -377,6 +385,7 @@ func writePrometheus(w io.Writer, st Stats) {
 	counter("safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", st.LoaderEvicted)
 	gauge("safetsa_modules_loaded", "Decoded modules resident in the loader cache.", int64(st.ModulesLoaded))
 	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered on first call, lost publication races included.", st.LoweredFunctions)
+	counter("safetsa_pulled_functions_total", "Function bodies run sessions decoded and admitted from a resident unit's bytes on first call.", st.PulledFunctions)
 
 	counter("safetsa_runs_total", "Execution sessions started.", st.Runs)
 	counter("safetsa_run_errors_total", "Execution sessions ending in a guest failure.", st.RunErrors)

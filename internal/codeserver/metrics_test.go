@@ -41,6 +41,7 @@ func goldenMetrics() *Metrics {
 	m.loadErrors.Store(1)
 	m.loaderEvict.Store(2)
 	m.loweredFuncs.Store(37)
+	m.pulledFuncs.Store(29)
 	m.runs.Store(58)
 	m.runErrors.Store(4)
 	m.runsInFlight.Store(1)
@@ -314,12 +315,15 @@ func TestMetricsEndpointMatchesCounters(t *testing.T) {
 	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="compile"}`); got != float64(st.Compiles) {
 		t.Errorf("compile histogram count %v != compiles %d", got, st.Compiles)
 	}
-	// decode counts the loads that had to admit the unit themselves. The one
-	// load here is such a load: the unit came in through the compile door,
-	// which keeps its decode (cluster's door table has the loads that admit
-	// nothing). The verify row is declared and unfed: admission is one step.
-	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="decode"}`); got != float64(st.Loads) || st.Loads != 1 {
-		t.Errorf("decode histogram count %v != loads %d (want 1)", got, st.Loads)
+	// decode counts the loads that opened the unit's bytes themselves, and
+	// the pulls of bodies through them. The one load here is such a load:
+	// the unit came in through the compile door, which keeps its decode
+	// (cluster's door table has the loads that admit nothing), and the first
+	// run pulls main, the one body the three runs call. The verify row is
+	// declared and unfed: admission is one step.
+	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="decode"}`); got != float64(st.Loads+st.PulledFunctions) ||
+		st.Loads != 1 || st.PulledFunctions != 1 {
+		t.Errorf("decode histogram count %v != loads %d + pulled functions %d (want 1 + 1)", got, st.Loads, st.PulledFunctions)
 	}
 	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="verify"}`); got != 0 {
 		t.Errorf("verify histogram count %v, want 0: nothing in the server verifies apart from decoding", got)

@@ -431,9 +431,9 @@ func (s *Server) RunUnit(ctx context.Context, k Key, maxSteps int64) (RunResult,
 }
 
 // RunUnitOpts executes the unit's main in an isolated session on the
-// closure-compiled form: the decoded module and its compiled form come
-// from the loader cache, shared by every session of the unit (a session
-// lowers the functions it calls that no session has called before),
+// closure-compiled form: the module and its compiled form come from the
+// loader cache, shared by every session of the unit (a session decodes
+// and lowers the functions it calls that no session has called before),
 // while the class metadata, statics, and heap are per-session, so
 // concurrent sessions cannot observe each other. When the warm-session
 // pool holds a snapshot for the unit and the request's budgets admit it,
@@ -442,8 +442,9 @@ func (s *Server) RunUnit(ctx context.Context, k Key, maxSteps int64) (RunResult,
 // Snapshot contract. Guest failures (uncaught exceptions, budget kills)
 // are reported inside RunResult, not as an error; a tenant over its
 // in-flight bound gets a *TenantBusyError before any work happens. A
-// function the run called that lowering refuses rejects the unit (see
-// verdict): a verify error, and the unit is dropped from every tier.
+// function the run called that no longer decodes or that lowering refuses
+// rejects the unit (see verdict): a verify error, and the unit is dropped
+// from every tier.
 func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunResult, error) {
 	sess, err := s.newSession(ctx, "run", opts)
 	if err != nil {
@@ -592,7 +593,10 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 // exception, the same on both doors: a function admission accepted and
 // the first-call lowering refused (errors.ErrUnsupported; lowering
 // validates what it lowers, and a body it refuses is a hole in the
-// verifier if it ever happens) rejects the unit.
+// verifier if it ever happens) rejects the unit. On /run a body of the
+// resident bytes that no longer decodes is marked the same way
+// (LoaderCache.pull): the store admitted those bytes whole, so they were
+// damaged in memory, and the unit goes too.
 func verdict(runErr, waitErr error) error {
 	if waitErr != nil {
 		return waitErr

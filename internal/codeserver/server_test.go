@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -360,11 +361,11 @@ func TestStageTimeout(t *testing.T) {
 	}
 }
 
-// TestColdRunLowersOnlyWhatItCalls: a cold /run lowers exactly the
-// functions its guest enters, once each — as many as the gate of a
-// streaming session over the same bytes is asked about, which is once per
-// function called — and a second run of the now resident unit lowers none.
-func TestColdRunLowersOnlyWhatItCalls(t *testing.T) {
+// firstCallRuns runs every corpus unit at O0 and O2 through a streaming
+// session of its bytes, whose gate counts the functions the guest enters,
+// and then through a cold and a warm /run on a fresh server, handing check
+// the stream's cursor, that count, and the /stats each run moved.
+func firstCallRuns(t *testing.T, check func(name string, su *wire.StreamingUnit, entered, run int, before, after Stats)) {
 	ctx := context.Background()
 	for _, u := range corpus.Units() {
 		for _, opts := range []Options{{}, {Optimize: true, ModuleOpt: true}} {
@@ -386,17 +387,43 @@ func TestColdRunLowersOnlyWhatItCalls(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", u.Name, err)
 			}
-
-			for run, want := range []int{entered, 0} {
-				before := s.Stats().LoweredFunctions
+			for run := range 2 {
+				before := s.Stats()
 				res, err := s.RunUnit(ctx, unit.Key, 0)
 				if err != nil || !res.OK {
 					t.Fatalf("%s run %d: %+v, %v", u.Name, run, res, err)
 				}
-				if got := s.Stats().LoweredFunctions - before; got != uint64(want) {
-					t.Errorf("%s %+v run %d lowered %d functions, want %d of %d", u.Name, opts, run, got, want, len(su.Mod.Funcs))
-				}
+				check(fmt.Sprintf("%s %+v", u.Name, opts), su, entered, run, before, s.Stats())
 			}
 		}
 	}
+}
+
+// TestColdRunLowersOnlyWhatItCalls: a cold /run lowers exactly the
+// functions its guest enters, once each — as many as the gate of a
+// streaming session over the same bytes is asked about, which is once per
+// function called — and a second run of the now resident unit lowers none.
+func TestColdRunLowersOnlyWhatItCalls(t *testing.T) {
+	firstCallRuns(t, func(name string, su *wire.StreamingUnit, entered, run int, before, after Stats) {
+		want := []int{entered, 0}[run]
+		if got := after.LoweredFunctions - before.LoweredFunctions; got != uint64(want) {
+			t.Errorf("%s run %d lowered %d functions, want %d of %d", name, run, got, want, su.NumFuncs())
+		}
+	})
+}
+
+// TestColdRunDecodesOnlyWhatItCalls is its decode twin: a cold /run
+// decodes exactly the bodies a streaming session over the same bytes
+// admits — every body up to the highest one its guest calls, and no
+// further — and a second run of the now resident unit decodes none.
+func TestColdRunDecodesOnlyWhatItCalls(t *testing.T) {
+	firstCallRuns(t, func(name string, su *wire.StreamingUnit, _, run int, before, after Stats) {
+		want := []int{su.Ready(), 0}[run]
+		if got := after.PulledFunctions - before.PulledFunctions; got != uint64(want) {
+			t.Errorf("%s run %d pulled %d bodies, want %d of %d", name, run, got, want, su.NumFuncs())
+		}
+		if got := after.Loads - before.Loads; got != uint64(1-run) {
+			t.Errorf("%s run %d: %d loads", name, run, got)
+		}
+	})
 }

@@ -120,16 +120,19 @@ func TestSessionLifecycleBooksBalance(t *testing.T) {
 	both := []string{"run", "run-stream"}
 	isVerify := func(err error) bool { return err != nil && driver.KindOf(err) == driver.KindVerify }
 	cutTail := func(b []byte) []byte { return b[:len(b)-1] }
+	cutTables := func(b []byte) []byte { return b[:5] }
 	cases := []sessionCase{
 		{name: "429 reject", paths: both,
 			cfg: Config{TenantMaxInFlight: 1}, files: helloFiles(), holdSlot: true,
 			wantErr: func(err error) bool { var b *TenantBusyError; return errors.As(err, &b) }},
 		{name: "unknown hash", paths: []string{"run"}, files: helloFiles(), unknown: true,
 			wantErr: func(err error) bool { return errors.Is(err, ErrUnitNotFound) }},
+		// The loader reads a resident unit's tables at load and its bodies
+		// as they are called (TestRunVerdict has a body damaged in memory).
 		{name: "verifier reject at load", paths: []string{"run"}, files: helloFiles(),
-			mangle: cutTail, wantErr: isVerify},
+			mangle: cutTables, wantErr: isVerify},
 		{name: "stream reject in the table header", paths: []string{"run-stream"}, files: helloFiles(),
-			mangle:  func(b []byte) []byte { return b[:5] },
+			mangle:  cutTables,
 			wantErr: isVerify, rejectedStream: true},
 		{name: "stream reject mid-body", paths: []string{"run-stream"}, files: helloFiles(),
 			mangle: cutTail, wantErr: isVerify, wantRuns: 1, rejectedStream: true},

@@ -41,8 +41,9 @@ func newUnit(a admitted) *Unit {
 
 // admit is the consumer's admission, the package's only spelling of it:
 // bytes this process did not just produce (a peer's answer, a file in the
-// cache directory, a resident unit whose module no door handed over) pass
-// wire.DecodeVerified or nothing is admitted.
+// cache directory) pass wire.DecodeVerified or nothing is admitted. Bytes
+// it admitted are decoded again only body by body, as guests call them,
+// by the same rule (LoaderCache.load).
 func admit(data []byte) (admitted, error) {
 	mod, err := wire.DecodeVerified(data)
 	if err != nil {

@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"safetsa/internal/core"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/rt"
@@ -247,71 +249,118 @@ func TestStreamVerdict(t *testing.T) {
 	}
 }
 
-// TestRunVerdict is TestStreamVerdict's twin on /run, with the same
-// damage: a resident unit whose module is damaged after admission, in main
-// and nowhere else. Static init runs and its snapshot is pooled; main's
-// first call is refused by the lowering, which rejects the unit — a verify
-// error that errors.Is ErrUnsupported — and afterwards the store (memory
-// and disk), the loader and the pool all miss it.
+// TestRunVerdict is TestStreamVerdict's twin on /run: a resident unit
+// damaged after admission, in main or in what main calls and nowhere static
+// init reaches. Static init runs and its snapshot is pooled; main's first
+// call meets the damage, which rejects the unit — a verify error that
+// errors.Is ErrUnsupported — and afterwards the store (memory and disk),
+// the loader and the pool all miss it, so a rerun finds nothing. Two
+// damages, one per shape a loaded unit has: a module a door handed over
+// (here, the disk re-admission after a restart) is damaged in main, whose
+// lowering refuses it; or the store's resident bytes are damaged past the
+// entry, in the body main calls, which the cursor the loader opened over
+// them no longer decodes.
 func TestRunVerdict(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestServer(t, Config{CacheDir: dir})
-	ctx := context.Background()
-	unit, _, err := s.CompileUnit(ctx, map[string]string{"Main.tj": `
+	files := map[string]string{"Main.tj": `
 class Main {
     static int seed = boot();
     static int boot() { return 7; }
-    static void main() { System.out.println(seed + 1); }
-}`}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := unit.Key
-	lu, err := s.loader.GetOrLoad(ctx, k, s.lookup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	damaged := false
-	for _, f := range lu.Mod.Funcs {
-		if !strings.HasSuffix(f.Name, "main") {
-			continue
-		}
-		for _, b := range f.Blocks {
-			for _, in := range b.Code {
-				if len(in.Args) > 0 {
-					in.Args[0] = 9999 // a value the function never defines
-					damaged = true
+    static int next(int n) { return n + 1; }
+    static void main() { System.out.println(next(seed)); }
+}`}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		// damage returns the server to run the damaged unit on.
+		damage func(t *testing.T, s *Server, dir string, unit *Unit) *Server
+	}{
+		{"handed-over module damaged in main", func(t *testing.T, _ *Server, dir string, unit *Unit) *Server {
+			s := newTestServer(t, Config{CacheDir: dir}) // a restart: the unit is on disk only
+			lu, err := s.loader.GetOrLoad(ctx, unit.Key, s.lookup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := false
+			for _, f := range lu.Mod.Funcs {
+				if !strings.HasSuffix(f.Name, "main") {
+					continue
+				}
+				for _, b := range f.Blocks {
+					for _, in := range b.Code {
+						if len(in.Args) > 0 {
+							in.Args[0] = 9999 // a value the function never defines
+							damaged = true
+						}
+					}
 				}
 			}
-		}
-	}
-	if !damaged {
-		t.Fatal("nothing to damage in main")
-	}
+			if !damaged {
+				t.Fatal("nothing to damage in main")
+			}
+			return s
+		}},
+		{"resident bytes damaged past the entry", func(t *testing.T, s *Server, _ string, unit *Unit) *Server {
+			mod, err := wire.DecodeVerified(unit.Wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := slices.IndexFunc(mod.Funcs, func(f *core.Func) bool { return strings.HasSuffix(f.Name, "next") })
+			if entry := int(mod.Methods[mod.Entry].FuncIdx); next <= entry {
+				t.Fatalf("next is body %d, not past the entry %d", next, entry)
+			}
+			su, err := wire.DecodeVerifiedStream(bytes.NewReader(unit.Wire), wire.DecodeOptions{})
+			if err == nil {
+				err = su.WaitFunc(next - 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := bytes.Clone(unit.Wire)
+			for i := su.Offset(); i < int64(len(bad)); i++ {
+				bad[i] ^= 0xff
+			}
+			if su, err := wire.OpenVerified(bad); err != nil || su.WaitFunc(next-1) != nil || su.WaitFunc(next) == nil {
+				t.Fatal("the damage does not start at next's body")
+			}
+			copy(unit.Wire, bad) // the store's own bytes
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestServer(t, Config{CacheDir: dir})
+			unit, _, err := s.CompileUnit(ctx, files, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := unit.Key
+			s = tc.damage(t, s, dir, unit)
 
-	_, err = s.RunUnit(ctx, k, 0)
-	if driver.KindOf(err) != driver.KindVerify || !errors.Is(err, errors.ErrUnsupported) {
-		t.Fatalf("run of a unit whose main does not lower: %v, want a verify error that is ErrUnsupported", err)
-	}
-	if _, ok := s.Unit(ctx, k); ok {
-		t.Error("the store still serves the rejected unit")
-	}
-	if _, err := os.Stat(filepath.Join(dir, k.String()+".tsa")); !os.IsNotExist(err) {
-		t.Errorf("the rejected unit is still on disk: %v", err)
-	}
-	if _, ok := s.loader.units.get(k); ok {
-		t.Error("the loader still holds the rejected unit")
-	}
-	if s.sessions.Get(k) != nil {
-		t.Error("the pool still holds a snapshot of the rejected unit")
-	}
-	st := s.Stats()
-	if st.Runs != 1 || st.RunErrors != 1 || st.LoadErrors != 1 || st.UnitsCached != 0 || st.ModulesLoaded != 0 || st.PoolSessions != 0 {
-		t.Errorf("after the rejection: runs %d, run_errors %d, load_errors %d, units %d, modules %d, pooled %d",
-			st.Runs, st.RunErrors, st.LoadErrors, st.UnitsCached, st.ModulesLoaded, st.PoolSessions)
-	}
-	if _, err := s.RunUnit(ctx, k, 0); !errors.Is(err, ErrUnitNotFound) {
-		t.Errorf("a second run of the rejected unit: %v, want not found", err)
+			_, err = s.RunUnit(ctx, k, 0)
+			if driver.KindOf(err) != driver.KindVerify || !errors.Is(err, errors.ErrUnsupported) {
+				t.Fatalf("run of a unit damaged behind main: %v, want a verify error that is ErrUnsupported", err)
+			}
+			if _, ok := s.Unit(ctx, k); ok {
+				t.Error("the store still serves the rejected unit")
+			}
+			if _, err := os.Stat(filepath.Join(dir, k.String()+".tsa")); !os.IsNotExist(err) {
+				t.Errorf("the rejected unit is still on disk: %v", err)
+			}
+			if _, ok := s.loader.units.get(k); ok {
+				t.Error("the loader still holds the rejected unit")
+			}
+			if s.sessions.Get(k) != nil {
+				t.Error("the pool still holds a snapshot of the rejected unit")
+			}
+			st := s.Stats()
+			if st.Runs != 1 || st.RunErrors != 1 || st.LoadErrors != 1 || st.UnitsCached != 0 || st.ModulesLoaded != 0 || st.PoolSessions != 0 || st.PoolBuilds != 1 {
+				t.Errorf("after the rejection: runs %d, run_errors %d, load_errors %d, units %d, modules %d, pooled %d (built %d)",
+					st.Runs, st.RunErrors, st.LoadErrors, st.UnitsCached, st.ModulesLoaded, st.PoolSessions, st.PoolBuilds)
+			}
+			if _, err := s.RunUnit(ctx, k, 0); !errors.Is(err, ErrUnitNotFound) {
+				t.Errorf("a second run of the rejected unit: %v, want not found", err)
+			}
+		})
 	}
 }
 

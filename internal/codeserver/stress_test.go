@@ -232,8 +232,11 @@ func TestStressMixedTraffic(t *testing.T) {
 	if st.CompileLatency.Count != st.Compiles {
 		t.Errorf("compile histogram count %d != compiles %d", st.CompileLatency.Count, st.Compiles)
 	}
-	if st.DecodeLatency.Count != st.Loads {
-		t.Errorf("decode histogram count %d != loads %d", st.DecodeLatency.Count, st.Loads)
+	// Every load opened resident bytes — one decode sample — and every
+	// pull through them is one more that admitted at least one body.
+	if st.DecodeLatency.Count < st.Loads || st.DecodeLatency.Count > st.Loads+st.PulledFunctions {
+		t.Errorf("decode histogram count %d outside loads %d .. loads + pulled functions %d",
+			st.DecodeLatency.Count, st.Loads, st.Loads+st.PulledFunctions)
 	}
 	if st.VerifyLatency.Count != 0 {
 		t.Errorf("verify histogram count %d, want 0 (declared, unfed: admission is the one decode)", st.VerifyLatency.Count)

@@ -81,11 +81,10 @@ func copyStatics(src, dst []*rt.ClassInfo) {
 // after RunStaticInit succeeded, before RunMain). initOut is the output
 // the session has printed so far; NewSession replays it so a clone's
 // response carries the same bytes a fresh session would print during
-// init.
+// init. The snapshot shares the session's compiled form, cursor included:
+// a clone lowers — and pulls — what it calls first as any session of the
+// form does.
 func (l *Loader) Snapshot(initOut []byte) (*Snapshot, error) {
-	if l.gate != nil {
-		return nil, fmt.Errorf("interp: a streaming session's lowered form is partial and its own; it cannot be snapshotted")
-	}
 	env := rt.Unbudgeted(nil, "holds the frozen class table; static init is deferred and never run")
 	detached, err := newLoader(&Loader{Mod: l.Mod, Env: env}, false)
 	if err != nil {

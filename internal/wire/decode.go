@@ -194,6 +194,19 @@ type decoder struct {
 	sitePos  map[*core.Instr]int
 }
 
+// retire drops what only decoding another body would use, once the last
+// one is admitted: the per-function scratch above, the admission, and a
+// v2 reader's adaptive model. A cursor over a resident unit lives as long
+// as the unit does and would pin them; what the closing check (end) reads
+// stays.
+func (d *decoder) retire() {
+	d.adm, d.f, d.rf, d.sitePos = nil, nil, regFile{}, nil
+	d.kids, d.blks, d.code, d.loops, d.handlers = nil, nil, nil, nil, nil
+	if ac, ok := d.r.(*acReader); ok {
+		ac.mdl = nil
+	}
+}
+
 func (d *decoder) typeRef() (core.TypeID, error) {
 	n := len(d.m.Types.ByID) - 1
 	v, err := d.r.symbol(n)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -19,8 +20,11 @@ import (
 // at any point, latches and poisons the whole unit: WaitFunc and Wait
 // report it, and nothing may be cached unless Wait returns nil.
 //
-// A StreamingUnit is owned by one goroutine, like the interp.Loader that
-// pulls it; nothing in this package starts another.
+// A StreamingUnit is not safe for concurrent use, and nothing in this
+// package starts a goroutine or takes a lock: whoever pulls serialises
+// the pulls. The stream door's cursor is pulled by its one session; a
+// resident unit's cursor (OpenVerified) by every session of the unit,
+// under the lock of the compiled form it backs (interp.Pulled).
 //
 // Soundness (DESIGN.md §11): the admitted prefix is exactly as
 // trustworthy as a fully decoded unit because (a) the tables are
@@ -35,7 +39,7 @@ type StreamingUnit struct {
 	Mod *core.Module
 
 	d      decoder     // in place: a unit is opened with one allocation
-	src    *byteSource // nil under decodeUnit, which reads memory and asks no Offset
+	src    *byteSource // nil over memory (decodeUnit, OpenVerified), which asks no Offset
 	verify bool        // Admit each body; false is DecodeModule's link-only rule
 
 	ended bool // every function admitted and the stream closed cleanly
@@ -56,6 +60,17 @@ func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (*StreamingUnit, error) 
 	}
 	su.src = src
 	return su, nil
+}
+
+// OpenVerified opens a cursor over a unit held in memory: it reads and
+// verifies the header and the symbol tables, and nothing more. It is for
+// bytes an earlier admission accepted whole — a unit resident in a store
+// — whose bodies a consumer decodes again only as its guests call them.
+// Each pull runs the rule that admission ran over the bytes it read, so
+// a body pulled is the one it admitted, and a pull that fails means the
+// bytes changed in memory. A cursor over memory has no Offset.
+func OpenVerified(data []byte) (*StreamingUnit, error) {
+	return openUnit(bytes.NewReader(data), DecodeOptions{}, false, true)
 }
 
 // openUnit reads the container header and the symbol tables and returns
@@ -116,6 +131,9 @@ func (su *StreamingUnit) pull(n int) error {
 			return malformedf("%v", err)
 		}
 		d.m.Funcs = append(d.m.Funcs, f)
+	}
+	if len(d.m.Funcs) == d.nFuncs {
+		d.retire()
 	}
 	return nil
 }

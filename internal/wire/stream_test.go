@@ -416,3 +416,40 @@ func TestStreamPullsNoFurtherThanAsked(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorRetiresAtTheLastBody: a cursor over a resident unit lives as
+// long as the unit, so once it has admitted the last body it drops its
+// decoder scratch and the v2 model, and not before; the closing check a
+// stream still owes (Wait) works after that, and a cursor over memory
+// (OpenVerified) admits the same module DecodeVerified does.
+func TestCursorRetiresAtTheLastBody(t *testing.T) {
+	for _, u := range corpus.Units() {
+		mod := corpusO2(t, u)
+		for version, data := range map[string][]byte{"v1": wire.EncodeModule(mod), "v2": wire.EncodeModuleV2(mod, nil)} {
+			whole, err := wire.DecodeVerified(data)
+			if err != nil {
+				t.Fatalf("%s %s: %v", u.Name, version, err)
+			}
+			su, err := wire.OpenVerified(data)
+			if err != nil {
+				t.Fatalf("%s %s: %v", u.Name, version, err)
+			}
+			last := su.NumFuncs() - 1
+			if err := su.WaitFunc(last - 1); err != nil || wire.Retired(su) {
+				t.Fatalf("%s %s: before the last body: %v, retired %v", u.Name, version, err, wire.Retired(su))
+			}
+			if err := su.WaitFunc(last); err != nil || !wire.Retired(su) {
+				t.Fatalf("%s %s: after the last body: %v, retired %v", u.Name, version, err, wire.Retired(su))
+			}
+			if err := su.Wait(); err != nil {
+				t.Errorf("%s %s: Wait after retiring: %v", u.Name, version, err)
+			}
+			if su.Mod.Dump() != whole.Dump() {
+				t.Errorf("%s %s: the cursor's module differs from the whole-unit decode", u.Name, version)
+			}
+			if _, err := decodeStreamAll(append(bytes.Clone(data), 0)); err == nil {
+				t.Errorf("%s %s: trailing data accepted after the last body retired the decoder", u.Name, version)
+			}
+		}
+	}
+}
