@@ -61,6 +61,9 @@ type Metrics struct {
 	// refused, truncation, trailing garbage). Rejected bytes never reach
 	// either cache tier.
 	streamRejects atomic.Uint64
+	// residentStreams counts streaming runs whose tail was not decoded
+	// because the store's memory tier held the same bytes (Server.tail).
+	residentStreams atomic.Uint64
 
 	// Run-session budget accounting: cumulative guest work (rt.Env step
 	// and allocation counters drained after every session). Kills are
@@ -223,6 +226,9 @@ type Stats struct {
 	RunErrors       uint64 `json:"run_errors"`
 	RunsInFlight    int64  `json:"runs_in_flight"`
 	StreamRejects   uint64 `json:"stream_rejects"`
+	// ResidentStreams counts streaming runs whose tail the store vouched
+	// for (see Metrics.residentStreams).
+	ResidentStreams uint64 `json:"resident_streams"`
 
 	// Guest budget accounting (see Metrics). Kills holds every reason
 	// that has killed a session; the four *Kills keys are the legacy
@@ -302,6 +308,7 @@ func (m *Metrics) snapshot() Stats {
 		RunErrors:        m.runErrors.Load(),
 		RunsInFlight:     m.runsInFlight.Load(),
 		StreamRejects:    m.streamRejects.Load(),
+		ResidentStreams:  m.residentStreams.Load(),
 		GuestSteps:       m.guestSteps.Load(),
 		GuestAllocs:      m.guestAllocs.Load(),
 		Kills:            map[string]uint64{},
@@ -390,6 +397,7 @@ func writePrometheus(w io.Writer, st Stats) {
 	counter("safetsa_runs_total", "Execution sessions started.", st.Runs)
 	counter("safetsa_run_errors_total", "Execution sessions ending in a guest failure.", st.RunErrors)
 	counter("safetsa_stream_rejects_total", "Streaming runs whose unit was rejected mid-stream; nothing cached.", st.StreamRejects)
+	counter("safetsa_resident_streams_total", "Streaming runs whose tail was not decoded: the store already held the same bytes, admitted whole.", st.ResidentStreams)
 	gauge("safetsa_runs_in_flight", "Execution sessions currently running.", st.RunsInFlight)
 	counter("safetsa_guest_steps_total", "Interpreter steps executed by guest programs.", uint64(st.GuestSteps))
 	counter("safetsa_guest_allocs_total", "Allocation units charged by guest programs.", uint64(st.GuestAllocs))

@@ -2,6 +2,7 @@ package codeserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -45,6 +46,7 @@ func goldenMetrics() *Metrics {
 	m.runs.Store(58)
 	m.runErrors.Store(4)
 	m.runsInFlight.Store(1)
+	m.residentStreams.Store(11)
 	m.guestSteps.Store(123456)
 	m.guestAllocs.Store(7890)
 	m.poolHits.Store(30)
@@ -351,8 +353,9 @@ func TestMetricsEndpointMatchesCounters(t *testing.T) {
 // {"traces": [...]} array where a compile trace begins in the handler —
 // read, key, then the store's spans, then respond — and carries the nested
 // producer stages (store fill → frontend → parse/sema, ...) when it was a
-// miss and no fill at all when it was a hit, and a run trace carries load
-// (with decode below it, and no lowering) and exec.
+// miss and no fill at all when it was a hit, a run trace carries load
+// (with decode below it, and no lowering) and exec, and a run_stream trace
+// names the path that decided its tail.
 func TestDebugTracesJSONShape(t *testing.T) {
 	s := newTestServer(t, Config{Traces: 8})
 	ts := httptest.NewServer(s.Handler())
@@ -505,6 +508,48 @@ func TestDebugTracesJSONShape(t *testing.T) {
 		}
 		if !n["decode"] {
 			t.Errorf("load children = %+v, want decode", top.Children)
+		}
+	}
+
+	// A run_stream trace says which path decided the tail: the first stream
+	// of a unit waits for the cursor to admit it and publishes it (disk,
+	// fill); a re-stream of the same bytes is vouched for by the store and
+	// publishes nothing.
+	data, _ := streamUnit(t, true)
+	for range 2 {
+		resp, err := http.Post(ts.URL+"/run-stream", "application/octet-stream", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody[RunStreamResult](t, resp)
+	}
+	resp, err = http.Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Traces = nil
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var shape func(sps []span) string
+	shape = func(sps []span) string {
+		var parts []string
+		for _, sp := range sps {
+			if p := sp.Name; len(sp.Children) == 0 {
+				parts = append(parts, p)
+			} else {
+				parts = append(parts, p+"("+shape(sp.Children)+")")
+			}
+		}
+		return strings.Join(parts, " ")
+	}
+	for i, want := range []string{
+		"wire_decode_stream(tail(resident)) exec",
+		"wire_decode_stream(tail(wait)) exec disk fill",
+	} {
+		if tr := got.Traces[i]; tr.Name != "run_stream" || shape(tr.Spans) != want {
+			t.Errorf("stream trace %d: %s [%s], want run_stream [%s]", i, tr.Name, shape(tr.Spans), want)
 		}
 	}
 }

@@ -531,7 +531,9 @@ const MaxUnitBytes = 64 << 20
 // refuses — rejects the whole unit: the response is a verify error and
 // nothing is cached in the store, the loader or the pool. Only after
 // verdict returns nil are the exact bytes cached under their wire
-// address.
+// address. A body byte-identical to a unit resident in the store's memory
+// tier is the one exception to decoding the tail (see tail): those bytes
+// were admitted whole once, so the store's record is the tail's verdict.
 func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOptions) (RunStreamResult, error) {
 	sess, err := s.newSession(ctx, "run_stream", opts)
 	if err != nil {
@@ -539,24 +541,30 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	}
 	defer sess.release()
 
-	// The body is teed into a buffer as it is consumed, so the bytes the
-	// decoder admitted — and only those — can be cached afterwards.
+	// The body is teed into a buffer as the cursor consumes it, so the bytes
+	// the decoder admitted — and only those — can be cached afterwards. The
+	// cursor reads through src, which tail re-points once the guest returns.
 	var buf bytes.Buffer
-	tee := io.TeeReader(io.LimitReader(body, MaxUnitBytes+1), &buf)
+	lim := io.LimitReader(body, MaxUnitBytes+1)
+	src := &streamSource{r: io.TeeReader(lim, &buf)}
 
 	var su *wire.StreamingUnit
 	var l *interp.Loader
 	var runErr error
-	err = s.m.timed(sess.ctx, stageWireDecodeStream, func(context.Context) (err error) {
-		if su, err = wire.DecodeVerifiedStream(tee, wire.DecodeOptions{}); err != nil {
+	var k Key
+	var resident *Unit
+	err = s.m.timed(sess.ctx, stageWireDecodeStream, func(ctx context.Context) (err error) {
+		if su, err = wire.DecodeVerifiedStream(src, wire.DecodeOptions{}); err != nil {
 			return err
 		}
 		if l, runErr = interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, sess.begin()); runErr == nil {
 			runErr = l.RunMain()
 		}
-		// The guest has pulled only the functions it called; Wait reads and
-		// admits the rest.
-		return verdict(runErr, su.Wait())
+		// The guest has pulled only the functions it called; the tail is
+		// the rest.
+		var tailErr error
+		k, resident, tailErr = s.tail(ctx, su, src, lim, &buf)
+		return verdict(runErr, tailErr)
 	})
 	if err != nil {
 		if su != nil {
@@ -570,13 +578,17 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 			Err: fmt.Errorf("codeserver: streamed unit rejected: %w", err)}
 	}
 	res := RunStreamResult{RunResult: sess.finish(l, runErr)}
+	if resident != nil {
+		res.Hash = resident.Key.String()
+		return res, nil
+	}
 
 	// Publication is a fill like any other: a key already resident or on
 	// disk costs no copy and no write, and identical concurrent streams
 	// coalesce. It outlives the guest's interrupt; should it adopt another
 	// caller's failed peer fill of the same key, the unit is simply not
 	// cached and no hash is reported.
-	u, _, _, err := s.store.fill(context.WithoutCancel(sess.ctx), KeyForWire(buf.Bytes()), func(context.Context) (admitted, error) {
+	u, _, _, err := s.store.fill(context.WithoutCancel(sess.ctx), k, func(context.Context) (admitted, error) {
 		return admitted{mod: su.Mod, wire: bytes.Clone(buf.Bytes())}, nil // the verdict was nil
 	})
 	if err == nil {
@@ -584,6 +596,74 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	}
 	return res, nil
 }
+
+// tail decides the part of a streamed unit its guest did not pull. The
+// door reads the rest of the body into buf without decoding it, through
+// the bound the cursor reads through (lim), and keys the whole. When the
+// body was read to its end without an error and the store's memory tier
+// holds those very bytes, they were admitted whole when they entered it,
+// so the tail's verdict is nil and the resident unit is returned: no
+// decode, no fill. The bytes decide, not the key — a peer fill stores
+// whatever the owner sent under the key it was asked for — and the disk
+// tier is never asked, because what it holds is re-admitted on every read.
+// The door reads at most one byte past the longest unit the tier has held
+// (Store.widest): a body longer than that is no resident unit, so it never
+// holds more of a body ahead of the cursor than it could match. Anything
+// else resumes the cursor over what the door read, followed by the rest of
+// the body or the read's error, so the cursor meets exactly the stream it
+// would have read itself, and su.Wait decides. The key is computed once,
+// by whichever path has the whole body.
+func (s *Server) tail(ctx context.Context, su *wire.StreamingUnit, src *streamSource, lim io.Reader, buf *bytes.Buffer) (k Key, _ *Unit, err error) {
+	ctx, sp := obs.Start(ctx, "tail")
+	defer sp.End()
+	at, widest := buf.Len(), s.store.widest.Load() // buf[:at] went through the cursor's source
+	_, rerr := buf.ReadFrom(io.LimitReader(lim, widest+1-int64(at)))
+	whole := rerr == nil && src.err == nil && int64(buf.Len()) <= widest
+	if whole {
+		k = KeyForWire(buf.Bytes())
+		if u, ok := s.store.resident(k); ok && bytes.Equal(u.Wire, buf.Bytes()) {
+			_, rsp := obs.Start(ctx, "resident")
+			rsp.End()
+			s.m.residentStreams.Add(1)
+			return k, u, nil
+		}
+	}
+	// buf is only ever appended to, so the slice handed to the cursor keeps
+	// its bytes while the tee adds the rest of the body behind them.
+	rest := io.TeeReader(lim, buf)
+	if rerr != nil {
+		rest = errReader{rerr}
+	}
+	src.r = io.MultiReader(bytes.NewReader(buf.Bytes()[at:]), rest)
+	_, wsp := obs.Start(ctx, "wait")
+	err = su.Wait()
+	wsp.End()
+	if !whole && err == nil {
+		k = KeyForWire(buf.Bytes())
+	}
+	return k, nil, err
+}
+
+// streamSource is what a stream door's cursor reads: the client's body
+// until the guest returns, then what tail read of it ahead of the cursor.
+// err is the first error the body gave the cursor other than its end.
+type streamSource struct {
+	r   io.Reader
+	err error
+}
+
+func (s *streamSource) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF && s.err == nil {
+		s.err = err
+	}
+	return n, err
+}
+
+// errReader ends a resumed stream the way the body's read ended.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // verdict decides whether a run's unit stands, given what ended its
 // session and, for a streamed unit, what the cursor said of the whole

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"safetsa/internal/core"
 	"safetsa/internal/obs"
@@ -61,6 +62,9 @@ type Store struct {
 	dir   string // "" disables the disk tier
 	m     *Metrics
 	units lru[*Unit]
+	// widest is the length of the longest unit fill has made: no unit in
+	// the memory tier is longer.
+	widest atomic.Int64
 }
 
 // NewStore creates a store holding at most maxUnits encoded units in
@@ -111,6 +115,11 @@ func (s *Store) fill(ctx context.Context, k Key, miss func(context.Context) (adm
 		}
 		u := newUnit(a)
 		u.Key = k
+		for w := s.widest.Load(); int64(u.Size) > w; w = s.widest.Load() {
+			if s.widest.CompareAndSwap(w, int64(u.Size)) {
+				break
+			}
+		}
 		return u, nil
 	})
 	if err != nil {
@@ -129,6 +138,13 @@ func (s *Store) Get(ctx context.Context, k Key) (*Unit, bool) {
 	u, _, _, err := s.fill(ctx, k, nil)
 	return u, err == nil
 }
+
+// resident returns the unit the memory tier holds under k, without asking
+// the disk tier or a miss. Every unit there entered through fill; one
+// under a wire key had its bytes admitted whole by the decoder (a stream's
+// Wait, or admit) — though not necessarily the bytes k names: a peer fill
+// stores the owner's answer under the key it asked for.
+func (s *Store) resident(k Key) (*Unit, bool) { return s.units.get(k) }
 
 // GetOrFill is fill with the compile path's accounting. The second result
 // reports whether the unit was served without running fill in this call

@@ -20,7 +20,11 @@ import (
 // and allocations. The body is delivered in two reads split just past
 // function j, for every j, so the session meets every prefix of the
 // function list: what it calls beyond the split is admitted and lowered
-// while the guest is already running on what came before.
+// while the guest is already running on what came before. At every split
+// the unit is streamed twice: first to a node that has never seen it,
+// whose cursor admits the tail, then again to the server that published
+// it, whose store vouches for the tail; both answers and hashes are the
+// /run's.
 //
 // A unit admission refuses is held to the other half of the contract: a
 // verify-kind error and nothing published.
@@ -57,20 +61,32 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 		splits = append(splits, su.Offset())
 	}
 
+	k := codeserver.KeyForWire(data)
 	var want codeserver.RunResult
 	var streamed, ran uint64 // functions the first streamed run and the /run lowered
 	for i, at := range splits {
-		body := io.MultiReader(bytes.NewReader(data[:at]), bytes.NewReader(data[at:]))
-		got, err := srv.RunUnitStream(ctx, body, opts)
+		body := func() io.Reader { return io.MultiReader(bytes.NewReader(data[:at]), bytes.NewReader(data[at:])) }
+		if i > 0 {
+			fresh, err := codeserver.New(codeserver.Config{MaxSteps: b.MaxSteps, MaxAllocs: b.MaxAlloc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fresh.RunUnitStream(ctx, body(), opts)
+			if err != nil || got.RunResult != want || got.Hash != k.String() || fresh.Stats().ResidentStreams != 0 {
+				t.Fatalf("first stream, split at %d of %d bytes: %v, hash %s\n/run-stream %+v\n/run        %+v",
+					at, len(data), err, got.Hash, got.RunResult, want)
+			}
+		}
+		got, err := srv.RunUnitStream(ctx, body(), opts)
 		if err != nil {
 			t.Fatalf("split at %d: %v", at, err)
 		}
+		if got.Hash != k.String() {
+			t.Fatalf("split at %d: answered under %q, not the wire hash", at, got.Hash)
+		}
 		if i == 0 {
-			if got.Hash != codeserver.KeyForWire(data).String() {
-				t.Fatalf("published under %q, not the wire hash", got.Hash)
-			}
 			streamed = srv.Stats().LoweredFunctions
-			if want, err = srv.RunUnitOpts(ctx, codeserver.KeyForWire(data), opts); err != nil {
+			if want, err = srv.RunUnitOpts(ctx, k, opts); err != nil {
 				t.Fatal(err)
 			}
 			ran = srv.Stats().LoweredFunctions - streamed
@@ -84,17 +100,18 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 	// pool; the one load is the /run above. Both doors lower exactly the
 	// functions the guest called, the first time it called them, and book
 	// it alike: one prepare and one compile_backend sample per session that
-	// lowered anything.
+	// lowered anything. Every stream after the first was vouched for by the
+	// store.
 	st := srv.Stats()
 	sessions := uint64(len(splits) + 1)
 	lowering := sessions
 	if ran == 0 {
 		lowering = 0
 	}
-	if st.Loads != 1 || st.LoaderHits != 0 || st.PoolHits != 0 || st.StreamRejects != 0 ||
+	if st.Loads != 1 || st.LoaderHits != 0 || st.PoolHits != 0 || st.StreamRejects != 0 || st.ResidentStreams != uint64(len(splits)-1) ||
 		st.PrepareLatency.Count != lowering || st.CompileBackendLatency.Count != lowering {
-		t.Errorf("%d streamed runs and one /run left loads=%d loader_hits=%d pool_hits=%d stream_rejects=%d prepare=%d compile_backend=%d",
-			len(splits), st.Loads, st.LoaderHits, st.PoolHits, st.StreamRejects, st.PrepareLatency.Count, st.CompileBackendLatency.Count)
+		t.Errorf("%d streamed runs and one /run left loads=%d loader_hits=%d pool_hits=%d stream_rejects=%d resident_streams=%d prepare=%d compile_backend=%d",
+			len(splits), st.Loads, st.LoaderHits, st.PoolHits, st.StreamRejects, st.ResidentStreams, st.PrepareLatency.Count, st.CompileBackendLatency.Count)
 	}
 	if streamed != ran || st.LoweredFunctions != sessions*ran {
 		t.Errorf("the first streamed run lowered %d functions and the /run %d; %d sessions lowered %d",
