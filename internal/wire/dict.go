@@ -160,7 +160,7 @@ func ParseDictionary(data []byte) (*Dictionary, error) {
 		return nil, err
 	}
 	if np != 0 {
-		if np != uint64(modelProbCount()) {
+		if np != uint64(modelProbCount) {
 			return nil, malformedf("dictionary probability snapshot has wrong length")
 		}
 		d.Probs = make([]uint16, np)

@@ -39,7 +39,7 @@ type prodCtx struct {
 // Dictionary primes the initial probabilities and contributes a shared
 // string table; everything else starts at probInit.
 type model struct {
-	prods   []prodCtx // one per production, numProd entries
+	prods   [numProd]prodCtx // one per production
 	lit     [256]uint16
 	useDict uint16
 	dictSym [24]uint16
@@ -48,9 +48,20 @@ type model struct {
 	dictIndex   map[string]int // writer-side lookup, nil on the reader
 }
 
-func newModel(dict *Dictionary) *model {
-	m := &model{prods: make([]prodCtx, numProd)}
+// modelTemplate is the model with every probability at probInit, built
+// once: a new model is a copy of it, not a visit to each probability.
+var modelTemplate = func() (m model) {
 	m.eachProb(func(p *uint16) { *p = probInit })
+	return m
+}()
+
+// modelProbCount is the exact length of a probability snapshot; a
+// dictionary with any other count is rejected at parse time.
+var modelProbCount = len(modelTemplate.snapshot())
+
+func newModel(dict *Dictionary) *model {
+	m := new(model)
+	*m = modelTemplate
 	if dict != nil {
 		if len(dict.Probs) > 0 {
 			i := 0
@@ -98,15 +109,6 @@ func (m *model) snapshot() []uint16 {
 	var out []uint16
 	m.eachProb(func(p *uint16) { out = append(out, *p) })
 	return out
-}
-
-// modelProbCount is the exact length of a probability snapshot; a
-// dictionary with any other count is rejected at parse time.
-func modelProbCount() int {
-	m := &model{prods: make([]prodCtx, numProd)}
-	n := 0
-	m.eachProb(func(*uint16) { n++ })
-	return n
 }
 
 // acEncodeSymbol writes one truncated-binary symbol with each code bit
