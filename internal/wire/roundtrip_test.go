@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"safetsa/internal/core"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
+	"safetsa/internal/opt"
 	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
@@ -225,6 +227,56 @@ func TestDecodeAppendedGarbage(t *testing.T) {
 		}
 	}
 
+}
+
+// TestTryFinallyRoundTrip pins a bug that no longer reproduces: the
+// decoder once refused its own encoder's output for a try/finally whose
+// finally assigns a local the try also assigns and then does something
+// that can throw (an array access) — "empty alphabet (no value of the
+// required kind is in scope)" at O0 in both wire versions, and a variant
+// in v2 only. The program admits and runs the same at every tier, both
+// versions.
+func TestTryFinallyRoundTrip(t *testing.T) {
+	const src = `
+class X {
+    static int[] table = new int[8];
+    static int risky(int i) { if (i == 0) { throw new Exception("x"); } return i; }
+    static int guarded(int i) {
+        int r = 0;
+        try {
+            try { r = risky(i); } finally { r = r + 1; table[7] = table[7] + 1; }
+        } catch (ArithmeticException e) { r = -1; }
+        return r;
+    }
+    static void main() { System.out.println(guarded(1)); }
+}`
+	for _, tier := range []struct {
+		name string
+		opt  *opt.Options
+	}{{"O0", nil}, {"O1", &opt.Options{}}, {"O2", &opt.Options{ModuleLevel: true}}} {
+		mod, err := driver.CompileTSASource(map[string]string{"X.tj": src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tier.opt != nil {
+			if _, err := driver.OptimizeModuleOptions(context.Background(), mod, *tier.opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := runMod(t, mod)
+		if want != "2\n" {
+			t.Fatalf("%s: the producer's module prints %q, want 2", tier.name, want)
+		}
+		for version, data := range map[string][]byte{"v1": wire.EncodeModule(mod), "v2": wire.EncodeModuleV2(mod, nil)} {
+			dec, err := wire.DecodeVerified(data)
+			if err != nil {
+				t.Fatalf("%s %s: the decoder refuses its encoder's bytes: %v", tier.name, version, err)
+			}
+			if got := runMod(t, dec); got != want {
+				t.Errorf("%s %s: the decoded module prints %q, want %q", tier.name, version, got, want)
+			}
+		}
+	}
 }
 
 // TestEncoderPanicsOnRuleErrors: the encoder is a client of the same
