@@ -178,13 +178,18 @@ func Compile(mod *core.Module, prep *Prepared) (*Compiled, error) {
 	return c, nil
 }
 
-// compileFunc fuses one prepared function body, thunk by thunk.
+// compileFunc fuses one prepared function body, thunk by thunk: a
+// superinstruction where code[pc] starts a pair (fuse.go), else the
+// instruction's own thunk, falling through to the threaded pc+1.
 func compileFunc(methods []core.MethodRef, pf *PFunc) (*CFunc, error) {
 	code := make([]cthunk, len(pf.Code))
 	for pc := range pf.Code {
-		th, err := thunk(methods, &pf.Code[pc], int32(pc+1))
-		if err != nil {
-			return nil, fmt.Errorf("interp: compile %s: pc %d: %w", pf.Name, pc, err)
+		th := fuse(pf.Code, pc)
+		if th == nil {
+			var err error
+			if th, err = thunk(methods, &pf.Code[pc], threaded(pf.Code, int32(pc+1))); err != nil {
+				return nil, fmt.Errorf("interp: compile %s: pc %d: %w", pf.Name, pc, err)
+			}
 		}
 		code[pc] = th
 	}
@@ -315,7 +320,8 @@ func (l *Loader) cinvoke(mr *core.MethodRef, fi int32, args []rt.Value) (v rt.Va
 // The fusing compiler.
 
 // thunk fuses one prepared instruction into its closure. next is the
-// fallthrough pc (the slot after this instruction).
+// fallthrough pc: the slot after this instruction, or where the
+// move-free jumps from there lead (see threaded).
 func thunk(methods []core.MethodRef, in *PreparedInst, next int32) (cthunk, error) {
 	// The operands exactly as Prepare bounded them; each closure captures
 	// (by value) only the ones its opcode uses.
@@ -421,8 +427,7 @@ func thunk(methods []core.MethodRef, in *PreparedInst, next int32) (cthunk, erro
 			arr := fr.regs[a].R.(*rt.Array)
 			idx := fr.regs[b].Int()
 			if idx < 0 || int(idx) >= len(arr.Elems) {
-				return fr.craise(rs, fr.l.newExc(fr.l.exc.Bounds,
-					fmt.Sprintf("index %d out of bounds for length %d", idx, len(arr.Elems))))
+				return fr.craise(rs, fr.l.boundsExc(idx, len(arr.Elems)))
 			}
 			fr.regs[dst] = rt.IntValue(idx)
 			return next
@@ -433,8 +438,7 @@ func thunk(methods []core.MethodRef, in *PreparedInst, next int32) (cthunk, erro
 			fr.env.Step()
 			v := fr.regs[a]
 			if v.R != nil && !fr.l.isInstance(v.R, typ) {
-				return fr.craise(rs, fr.l.newExc(fr.l.exc.Cast,
-					"cannot cast to "+fr.l.Mod.Types.Describe(typ)))
+				return fr.craise(rs, fr.l.castExc(typ))
 			}
 			fr.regs[dst] = v
 			return next
@@ -517,7 +521,7 @@ func thunk(methods []core.MethodRef, in *PreparedInst, next int32) (cthunk, erro
 			fr.env.Step()
 			n := fr.regs[a].Int()
 			if n < 0 {
-				return fr.craise(rs, fr.l.newExc(fr.l.exc.NegSize, fmt.Sprintf("%d", n)))
+				return fr.craise(rs, fr.l.negSizeExc(n))
 			}
 			fr.regs[dst] = rt.RefValue(fr.env.NewArray(n, int32(typ)))
 			return next

@@ -650,10 +650,10 @@ func (l *Loader) newExc(c *rt.ClassInfo, msg string) rt.Value {
 	return rt.RefValue(o)
 }
 
-// The exceptions of the checks that format their message, as the two
-// interpreters raise them (the compiled engine's closures spell the same
-// text). Out of line, they keep the formatting off the interpreters' host
-// frames, which every activation pays for.
+// The exceptions of the checks that format their message, worded here
+// once for every engine. Out of line, they keep the formatting off the
+// interpreters' host frames, which every activation pays for, and out of
+// the compiled engine's thunks.
 
 func (l *Loader) boundsExc(idx int32, n int) rt.Value {
 	return l.newExc(l.exc.Bounds, fmt.Sprintf("index %d out of bounds for length %d", idx, n))

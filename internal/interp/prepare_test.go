@@ -334,6 +334,21 @@ class Main {
 			wantSub: "out of range",
 		},
 		{
+			// Register 0 is where a sequenced move list saves a cycle's
+			// value, so no phi may read or write it.
+			name: "phi_input_is_scratch_register",
+			corrupt: func(mod *core.Module) {
+				f := pickFunc(mod)
+				for _, b := range f.Blocks {
+					if len(b.Phis) > 0 {
+						b.Phis[0].Args[len(b.Phis[0].Args)-1] = core.NoValue
+						return
+					}
+				}
+			},
+			wantSub: "register 0",
+		},
+		{
 			name: "phi_arity_mismatch",
 			corrupt: func(mod *core.Module) {
 				f := pickFunc(mod)

@@ -15,25 +15,11 @@ import (
 // exactly one step, mirroring the reference evaluator's one step per
 // straight-line instruction plus one per loop iteration.
 
-// applyMoves performs one parallel move set (the phi writes of a block
-// entry): all sources are read before any destination is written.
+// applyMoves performs the phi writes of one edge. Prepare sequenced them
+// (see sequence), so one at a time, in order, is their parallel meaning.
 func applyMoves(regs []rt.Value, mv []Move) {
-	switch len(mv) {
-	case 0:
-	case 1:
-		regs[mv[0].Dst] = regs[mv[0].Src]
-	default:
-		var buf [8]rt.Value
-		tmp := buf[:0]
-		if len(mv) > len(buf) {
-			tmp = make([]rt.Value, 0, len(mv))
-		}
-		for _, m := range mv {
-			tmp = append(tmp, regs[m.Src])
-		}
-		for i, m := range mv {
-			regs[m.Dst] = tmp[i]
-		}
+	for _, m := range mv {
+		regs[m.Dst] = regs[m.Src]
 	}
 }
 

@@ -35,6 +35,8 @@ var (
 		names: []string{
 			"deep_dominator_chain", "phi_heavy_loops", "budget_kill_steps",
 			"budget_kill_allocs", "exceptions_across_frames",
+			"fused_back_edge_swap", "fused_back_edge_three_cycle",
+			"fused_params_and_constants", "threaded_joins",
 		},
 		sources:   preparedSeedSources,
 		generated: []string{"p0", "p1"},
@@ -45,6 +47,8 @@ var (
 			"dispatch_chain", "exception_edges_in_calls", "phi_swap_branches",
 			"string_fallback_tail", "compiled_step_kill", "compiled_alloc_kill",
 			"native_throw_across_frames", "depth_kill_recursion", "depth_kill_under_try",
+			"fused_field_reads", "fused_array_reads", "fused_loop_tests",
+			"fused_step_kill_between_halves",
 		},
 		sources:   compiledSeedSources,
 		generated: []string{"c0", "c1"},
@@ -55,7 +59,11 @@ var (
 // compiler's hard cases: operands resolved across deep dominator
 // chains, phi-heavy loop nests (including a parallel-move swap), and
 // programs that die on the step or allocation budget mid-loop so the
-// two engines' kill points must coincide exactly.
+// two engines' kill points must coincide exactly. The fused_* and
+// threaded_* seeds aim at what the lowering does to edges: back edges
+// whose sequenced moves carry a swap or a 3-cycle through register 0,
+// the param and constant runs that open a body, and if/else joins whose
+// jumps the compiled engine threads past when they carry no moves.
 var preparedSeedSources = map[string]string{
 	"deep_dominator_chain": `
 class Main {
@@ -147,11 +155,101 @@ class Main {
             System.out.println("div " + e.getMessage());
         }
     }
+}`, "fused_back_edge_swap": `
+class Main {
+    static void main() {
+        int a = 3;
+        int b = 11;
+        int s = 0;
+        for (int i = 0; i < 9; i++) {
+            s = s + a * 2 - b;
+            int t = a;
+            a = b;
+            b = t;
+        }
+        System.out.println(a);
+        System.out.println(b);
+        System.out.println(s);
+    }
+}`,
+	"fused_back_edge_three_cycle": `
+class Main {
+    static void main() {
+        int a = 1;
+        int b = 20;
+        int c = 300;
+        int s = 0;
+        int i = 0;
+        do {
+            s = s * 3 + a - c;
+            int t = a;
+            a = b;
+            b = c;
+            c = t;
+            i = i + 1;
+        } while (i < 11);
+        System.out.println(a + " " + b + " " + c + " " + s);
+    }
+}`,
+	"fused_params_and_constants": `
+class Main {
+    static int mix(int x, int y, long z) {
+        int k = 7;
+        int m = 3;
+        long w = 5L;
+        return x * k + y * m + (int) (z * w);
+    }
+    static double scale(double d, int n) {
+        double h = 0.5;
+        return d * h + n;
+    }
+    static void main() {
+        int acc = 0;
+        for (int i = 0; i < 6; i++) {
+            acc = acc + mix(i, acc % 13, 2L);
+        }
+        System.out.println(acc);
+        System.out.println(scale(3.0, acc));
+    }
+}`,
+	"threaded_joins": `
+class Main {
+    static int classify(int n) {
+        int r = 0;
+        if (n % 2 == 0) {
+            if (n % 3 == 0) {
+                r = 6;
+            } else {
+                r = 2;
+            }
+        } else {
+            if (n % 5 == 0) {
+                r = 5;
+            }
+        }
+        int q = 1;
+        if (n > 10) {
+            System.out.print("");
+        } else {
+            q = 2;
+        }
+        return r * 10 + q;
+    }
+    static void main() {
+        int s = 0;
+        for (int i = 0; i < 20; i++) {
+            s = s + classify(i);
+        }
+        System.out.println(s);
+    }
 }`,
 }
 
 // compiledSeedSources are hand-written programs aimed at the closure
-// compiler's hard cases: exception edges whose phi moves are baked into
+// compiler's hard cases — the fused_* seeds at its superinstructions:
+// checked field and array reads with a raise in the check, every
+// compare as a loop test, and a step kill between the two halves of a
+// fused pair; and before them exception edges whose phi moves are baked into
 // call and throw thunks, virtual dispatch re-resolved inside a fused
 // call, parallel-move swaps on branch thunks, the evalPrim fallback
 // tail (string building), and programs that die on the step or
@@ -300,6 +398,105 @@ class Main {
         System.out.println(acc);
         System.out.println(log);
         System.out.println(mid("abc", 7));
+    }
+}`,
+	"fused_field_reads": `
+class Node {
+    int v;
+    Node next;
+}
+class Main {
+    static int sum(Node n) {
+        int s = 0;
+        while (n != null) {
+            s = s + n.v;
+            n = n.next;
+        }
+        return s;
+    }
+    static int probe(Node n) {
+        try {
+            return n.v + n.next.v;
+        } catch (NullPointerException e) {
+            return -1;
+        }
+    }
+    static void main() {
+        Node h = null;
+        for (int i = 0; i < 5; i++) {
+            Node c = new Node();
+            c.v = i * i;
+            c.next = h;
+            h = c;
+        }
+        System.out.println(sum(h));
+        System.out.println(probe(h) + probe(h.next.next.next.next) + probe(null));
+    }
+}`,
+	"fused_array_reads": `
+class Main {
+    static int at(int[] a, int i) {
+        try {
+            return a[0] + a[i];
+        } catch (NullPointerException e) {
+            return -1;
+        } catch (IndexOutOfBoundsException e) {
+            return -2;
+        }
+    }
+    static void main() {
+        int[] a = new int[6];
+        for (int i = 0; i < a.length; i++) {
+            a[i] = i * 7;
+        }
+        int s = 0;
+        for (int i = -2; i < 9; i++) {
+            s = s * 2 + at(a, i) + at(null, i);
+        }
+        System.out.println(s);
+    }
+}`,
+	"fused_loop_tests": `
+class Node {
+    Node next;
+}
+class Main {
+    static void main() {
+        int s = 0;
+        int i = 0;
+        while (i < 4) { s = s + i; i = i + 1; }
+        while (i <= 7) { s = s * 2 - i; i = i + 1; }
+        while (i > 2) { s = s + 3; i = i - 2; }
+        while (i >= -3) { s = s - i; i = i - 1; }
+        while (i == -4) { i = 9; }
+        while (i != 0) { s = s + i; i = i - 3; }
+        Node h = new Node();
+        h.next = new Node();
+        Node m = h;
+        while (m == h) { s = s + 5; m = m.next; }
+        while (m != null) { s = s + 7; m = m.next; }
+        System.out.println(s);
+    }
+}`,
+	// The loop before the endless one sets the phase: fuzzBudgets'
+	// step kill lands between the halves of a fused check pair, the
+	// nullcheck and indexcheck on the plain image and the indexcheck and
+	// getelt on the optimized one.
+	"fused_step_kill_between_halves": `
+class Main {
+    static void main() {
+        int[] a = new int[8];
+        int s = 0;
+        s = s + 1;
+        s = s + 1;
+        s = s + 1;
+        for (int j = 0; j < 6; j++) { s = s + j; }
+        int i = 0;
+        while (i >= 0) {
+            s = s + a[i & 7];
+            i = i + 1;
+        }
+        System.out.println(s);
     }
 }`,
 	"compiled_alloc_kill": `

@@ -139,8 +139,13 @@ type Env struct {
 	// Interrupt, when non-nil, is polled every few thousand steps;
 	// once it is closed (e.g. a context.Done channel) execution aborts
 	// with ErrInterrupted. This is how servers cancel guest programs.
+	// MaxSteps and Interrupt are read when a session starts stepping and
+	// at every poll, not on every step (see Step).
 	Interrupt <-chan struct{}
 
+	// stepLimit is the last step count Step may reach without looking at
+	// anything but the count (see stepSlow); 0 until the first step.
+	stepLimit int64
 	// slots is the live register slots of every guest activation on the
 	// call stack (see Enter), inflight the guest exception unwinding the
 	// Go stack (see Throw).
@@ -157,19 +162,49 @@ func (e *Env) Charge(n int64) {
 	}
 }
 
-// Step consumes one step of budget.
+// pollMask marks the steps at which Interrupt is polled: every step whose
+// count has these bits clear.
+const pollMask = 0x0FFF
+
+// Step consumes one step of budget. Every engine charges every step
+// here, so it is one compare: the kill test and the interrupt poll live
+// in stepSlow, which runs only once the count passes stepLimit.
 func (e *Env) Step() {
 	e.Steps++
+	if e.Steps > e.stepLimit {
+		e.stepSlow()
+	}
+}
+
+// stepSlow is the whole step rule — the step kill, then the interrupt
+// poll — for a count past stepLimit, and then moves stepLimit to the
+// step before the next one at which either could fire: the budget's
+// last step, or the step before the next poll. It derives both from
+// Steps alone, so the two ways a count gets past stepLimit other than
+// by stepping land here too: a stepLimit of 0 (a fresh Env, a literal
+// included) and a count charged directly (a snapshot clone's pre-charge
+// of its initializers' drain).
+//
+//go:noinline
+func (e *Env) stepSlow() {
 	if e.MaxSteps > 0 && e.Steps > e.MaxSteps {
 		panic(ErrStepLimit)
 	}
-	if e.Interrupt != nil && e.Steps&0x0FFF == 0 {
-		select {
-		case <-e.Interrupt:
-			panic(ErrInterrupted)
-		default:
+	limit := int64(math.MaxInt64)
+	if e.Interrupt != nil {
+		if e.Steps&pollMask == 0 {
+			select {
+			case <-e.Interrupt:
+				panic(ErrInterrupted)
+			default:
+			}
 		}
+		limit = e.Steps | pollMask
 	}
+	if e.MaxSteps > 0 {
+		limit = min(limit, e.MaxSteps)
+	}
+	e.stepLimit = limit
 }
 
 // NewObject allocates an instance with zeroed fields.
