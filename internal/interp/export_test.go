@@ -2,6 +2,36 @@ package interp
 
 import "safetsa/internal/core"
 
+// FusedPairs counts, over a prepared module, the superinstructions the
+// compiled engine builds, by pair: a pc counts only when fuse returned a
+// thunk for it, and its name comes from pairAt, the decision fuse uses.
+func FusedPairs(prep *Prepared) map[string]int {
+	names := [...]string{
+		backEdgePair:   "jump→loopstep",
+		nullFieldPair:  "nullcheck→getfield",
+		nullIndexPair:  "nullcheck→indexcheck",
+		indexEltPair:   "indexcheck→getelt",
+		constConstPair: "const→const",
+		paramParamPair: "param→param",
+		paramConstPair: "param→const",
+	}
+	n := map[string]int{}
+	for _, pf := range prep.Funcs {
+		for pc := range pf.Code {
+			if fuse(pf.Code, pc) == nil {
+				continue
+			}
+			p := pairAt(pf.Code, pc)
+			name := names[p]
+			if p == compareBranchPair {
+				name = pf.Code[pc].Prim.String() + "→branchfalse"
+			}
+			n[name]++
+		}
+	}
+	return n
+}
+
 // EngineOf names the engine a session's function bodies run on, in the
 // precedence Loader.call applies.
 func EngineOf(l *Loader) string {
