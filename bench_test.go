@@ -6,8 +6,9 @@
 // exception: the one-line reproduction of the cold consumer's library
 // cost, unit by unit, for whoever next puts that path on a diet,
 // BenchmarkColdProduce is the same for the producer, BenchmarkHotRun the
-// same for the engine under run_hot_compute's six guests, and
-// BenchmarkCompileHit the same for a cached POST /compile.
+// same for the engine under run_hot_compute's six guests,
+// BenchmarkCompileHit the same for a cached POST /compile, and
+// BenchmarkRestream the same for a resident unit streamed again.
 //
 //	go test -bench=. -benchtime=1x
 package safetsa
@@ -258,6 +259,49 @@ func BenchmarkCompileHit(b *testing.B) {
 			}
 			if hits := srv.Stats().CacheHits - before; hits != uint64(b.N) {
 				b.Fatalf("%d of %d requests were store hits", hits, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkRestream is the library half of the consume_stream gate: what
+// POST /run-stream costs for a unit the store already holds. One server
+// holds every corpus unit resident (O2, wire v2 — what the repository
+// benchmark streams); one iteration is one Server.RunUnitStream of a unit's
+// bytes, whose guest runs on the bodies it pulls and whose tail the store
+// vouches for. Each unit is its own sub-benchmark, so ns/op, B/op and
+// allocs/op read per unit:
+//
+//	go test -run='^$' -bench=Restream -benchtime=200x .
+func BenchmarkRestream(b *testing.B) {
+	srv, err := codeserver.New(codeserver.Config{MaxSteps: 1 << 22, MaxAllocs: 1 << 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, u := range corpus.Units() {
+		mod, err := driver.CompileTSASource(u.Files)
+		if err == nil {
+			_, err = driver.OptimizeModuleOptions(ctx, mod, opt.Options{ModuleLevel: true})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := wire.EncodeModuleV2(mod, nil)
+		if _, err := srv.RunUnitStream(ctx, bytes.NewReader(data), codeserver.RunOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(u.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			before := srv.Stats().ResidentStreams
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.RunUnitStream(ctx, bytes.NewReader(data), codeserver.RunOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if got := srv.Stats().ResidentStreams - before; got != uint64(b.N) {
+				b.Fatalf("%d of %d streams were vouched for by the store", got, b.N)
 			}
 		})
 	}

@@ -18,18 +18,18 @@
 //	POST /run/{hash}    {"max_steps": 1000000, "max_allocs": 1048576,
 //	                     "tenant": "acme"}
 //	POST /run-stream    raw wire unit in the body; the guest starts once the
-//	                    tables are in and each function is decoded,
-//	                    verified and lowered when first called, the
-//	                    session reading the body as far as it needs
+//	                    tables are in, the session reading the body as
+//	                    far as the functions it calls, each decoded,
+//	                    verified and lowered as it arrives
 //	                    (?max_steps=N&max_allocs=N)
 //	GET  /stats         cache and latency metrics (JSON)
 //	GET  /metrics       Prometheus text format (per-stage latency histograms)
 //	GET  /debug/traces  recent request traces (JSON ring buffer)
 //
 // There is no engine to choose: /run executes the closure-compiled form
-// built once per unit at load time, /run-stream the same thunks, lowered
-// function by function as the guest first calls them. An "engine" field in
-// a run body is ignored.
+// of the unit, each function lowered when a guest first calls it, and
+// /run-stream the same thunks, each function lowered as the stream brings
+// it. An "engine" field in a run body is ignored.
 //
 // Every run is budgeted unless the operator says otherwise: -maxsteps
 // (default 50 000 000) and -maxallocs (default 64<<20, the budget the

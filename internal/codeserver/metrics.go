@@ -44,8 +44,10 @@ type Metrics struct {
 	loaderHits  atomic.Uint64
 	loadErrors  atomic.Uint64
 	loaderEvict atomic.Uint64
-	// loweredFuncs counts function bodies sessions lowered on first call,
-	// including a body that lost the race to publish (interp.Loader.lower).
+	// loweredFuncs counts function bodies run sessions lowered: on /run on
+	// first call, including a body that lost the race to publish
+	// (interp.Loader.lower); on /run-stream as its cursor admitted them
+	// before the guest returned (interp.LoadTrustedConsuming).
 	loweredFuncs atomic.Uint64
 	// pulledFuncs counts function bodies decoded and admitted from a
 	// resident unit's cursor on first call (LoaderCache.pull); each is
@@ -216,8 +218,8 @@ type Stats struct {
 	LoadErrors    uint64 `json:"load_errors"`
 	LoaderEvicted uint64 `json:"loader_evicted"`
 	ModulesLoaded int    `json:"modules_loaded"`
-	// LoweredFunctions counts the function bodies run sessions lowered on
-	// first call (see Metrics.loweredFuncs).
+	// LoweredFunctions counts the function bodies run sessions lowered (see
+	// Metrics.loweredFuncs).
 	LoweredFunctions uint64 `json:"lowered_functions"`
 	// PulledFunctions counts the function bodies run sessions decoded from
 	// a resident unit's cursor on first call (see Metrics.pulledFuncs).
@@ -391,7 +393,7 @@ func writePrometheus(w io.Writer, st Stats) {
 	counter("safetsa_load_errors_total", "Units rejected by decode or the verifier.", st.LoadErrors)
 	counter("safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", st.LoaderEvicted)
 	gauge("safetsa_modules_loaded", "Decoded modules resident in the loader cache.", int64(st.ModulesLoaded))
-	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered on first call, lost publication races included.", st.LoweredFunctions)
+	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered: on first call on /run, lost publication races included; as admitted before the guest returned on /run-stream.", st.LoweredFunctions)
 	counter("safetsa_pulled_functions_total", "Function bodies run sessions decoded and admitted from a resident unit's bytes on first call.", st.PulledFunctions)
 
 	counter("safetsa_runs_total", "Execution sessions started.", st.Runs)

@@ -93,7 +93,7 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 	}
 	p.m.compiles.Add(1)
 	p.m.stages[stageCompile].Observe(time.Since(start))
-	return admitted{mod: mod, wire: data}, nil
+	return admittedModule(mod, data), nil
 }
 
 // stage runs one pipeline stage under the stage deadline. A stage that

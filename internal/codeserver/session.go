@@ -108,10 +108,11 @@ func (ss *session) begin() *rt.Env {
 // finish closes the books of a begun session. l is the session's loader,
 // nil if none was built, and err is what ended the guest (nil for a clean
 // run); budget kills and uncaught exceptions are reported inside the
-// result, not as an error. What the session spent lowering the functions
-// it called first is booked here too, on both run doors alike: it ran
-// inside the run stage, and is what the prepare and compile_backend
-// histograms measure.
+// result, not as an error. What the session spent lowering is booked here
+// too, on both run doors alike — the functions it called first on /run,
+// the bodies its cursor admitted before the guest returned on
+// /run-stream: it ran inside the run stage, and is what the prepare and
+// compile_backend histograms measure.
 func (ss *session) finish(l *interp.Loader, err error) RunResult {
 	s, env := ss.s, ss.env
 	s.m.stages[stageRun].Observe(time.Since(ss.start))

@@ -21,23 +21,33 @@ type Unit struct {
 	Instrs int
 }
 
-// admitted is what a door hands the store: a verified module and the bytes
-// that encode it. It is minted in three places and nowhere else — admit
-// (the decoder admitted mod from wire), Pool.Compile (the producer's driver
-// verified mod and then encoded it) and a stream whose Wait returned nil
-// (every function of mod was admitted as wire arrived) — so holding one is
-// the proof that wire may be served and mod may be lowered and run.
+// admitted is what a door hands the store: the bytes of a unit admission
+// accepted, their instruction count and — when the admission kept one —
+// the verified module they encode. It is minted in three places and
+// nowhere else — admit (the decoder admitted mod from wire), Pool.Compile
+// (the producer's driver verified mod and then encoded it) and a stream
+// whose Wait returned nil (every function was admitted as wire arrived,
+// and consumed: a stream's has no module) — so holding one is the proof
+// that wire may be served and, when there is one, mod may be lowered and
+// run.
 type admitted struct {
-	mod  *core.Module
-	wire []byte
+	mod    *core.Module
+	wire   []byte
+	instrs int
+}
+
+// admittedModule is the admitted pair of a door that kept the module.
+func admittedModule(mod *core.Module, wire []byte) admitted {
+	return admitted{mod: mod, wire: wire, instrs: mod.NumInstrs()}
 }
 
 // newUnit is the only way a Unit comes to exist outside tests. Size and
-// instruction count come from the admitted pair and from nowhere else; the
-// store stamps the key the unit was filled under. The unit keeps the bytes
-// only: the module goes to whoever led the admission (see Store.fill).
+// instruction count come from the admitted value and from nowhere else;
+// the store stamps the key the unit was filled under. The unit keeps the
+// bytes only: the module goes to whoever led the admission (see
+// Store.fill).
 func newUnit(a admitted) *Unit {
-	return &Unit{Wire: a.wire, Size: len(a.wire), Instrs: a.mod.NumInstrs()}
+	return &Unit{Wire: a.wire, Size: len(a.wire), Instrs: a.instrs}
 }
 
 // admit is the consumer's admission, the package's only spelling of it:
@@ -50,7 +60,7 @@ func admit(data []byte) (admitted, error) {
 	if err != nil {
 		return admitted{}, err
 	}
-	return admitted{mod: mod, wire: data}, nil
+	return admittedModule(mod, data), nil
 }
 
 // Store is the content-addressed unit store: an in-memory LRU in front of

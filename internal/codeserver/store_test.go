@@ -463,9 +463,15 @@ func TestStorePutPublishesBothTiers(t *testing.T) {
 		}
 	}
 	stream()
+	// The stream door keeps no body, so the unit's instruction count is the
+	// one its cursor counted as it admitted them: the whole unit's.
+	whole, err := wire.DecodeVerified(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	u, ok := s.Unit(context.Background(), k)
-	if !ok || !bytes.Equal(u.Wire, data) || u.Size != len(data) || u.Instrs <= 0 {
-		t.Fatalf("streamed unit not resident as delivered: ok=%v unit=%+v", ok, u)
+	if !ok || !bytes.Equal(u.Wire, data) || u.Size != len(data) || u.Instrs != whole.NumInstrs() {
+		t.Fatalf("streamed unit not resident as delivered: ok=%v unit=%+v, want %d instructions", ok, u, whole.NumInstrs())
 	}
 	first, err := os.Stat(wirePath)
 	if err != nil {

@@ -390,3 +390,73 @@ func TestWireVersionCacheKey(t *testing.T) {
 		t.Fatalf("v2 unit does not decode: %v", err)
 	}
 }
+
+// damaging is a consuming cursor that damages the body of the function
+// named name on its way to the session — after admission, so no bytes make
+// it: a body the verifier admits and lowering refuses.
+type damaging struct {
+	*wire.StreamingUnit
+	name string
+}
+
+func (d damaging) Consume(lower func(int, *core.Func) error) {
+	d.StreamingUnit.Consume(func(j int, f *core.Func) error {
+		if strings.HasSuffix(f.Name, d.name) {
+			for _, b := range f.Blocks {
+				for _, in := range b.Code {
+					if len(in.Args) > 0 {
+						in.Args[0] = 9999 // a value the function never defines
+					}
+				}
+			}
+		}
+		return lower(j, f)
+	})
+}
+
+// TestStreamRefusedBodyRejectsUncalled: the stream door's session lowers
+// every body its cursor admits while the guest runs, called or not, so a
+// body lowering refuses rejects the stream even when the guest never calls
+// it — here one main calls only on a path it does not take, which comes on
+// the wire before the function it does call, run the way the door runs it. The refusal latches the cursor: main's callee
+// is never handed over, the run ends in the refusal before the guest
+// prints, and the cursor's own verdict is the refusal.
+func TestStreamRefusedBodyRejectsUncalled(t *testing.T) {
+	mod, err := driver.CompileTSASource(map[string]string{"P.tj": `
+class P {
+    static int never(int n) { return n * n - 1; }
+    static int used(int n) { return n + 1; }
+    static void main() {
+        int n = 3;
+        if (n > 5) { System.out.println(never(n)); }
+        System.out.println(used(41));
+    }
+}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := func(name string) int {
+		return slices.IndexFunc(mod.Funcs, func(f *core.Func) bool { return strings.HasSuffix(f.Name, name) })
+	}
+	if u, m := index("never"), index("used"); u < 0 || u > m {
+		t.Fatalf("never is body %d and used body %d: want never first on the wire", u, m)
+	}
+	var a wire.Arena
+	su, err := wire.DecodeConsumingStream(bytes.NewReader(wire.EncodeModuleV2(mod, nil)), wire.DecodeOptions{}, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	l, runErr := interp.LoadTrustedConsuming(su.Mod, damaging{su, "never"}, rt.NewEnv(&out, rt.Budget{}, nil))
+	if runErr == nil {
+		runErr = l.RunMain()
+	}
+	su.Consume(nil)
+	waitErr := su.Wait()
+	if err := verdict(runErr, waitErr); err == nil || !errors.Is(err, errors.ErrUnsupported) || !errors.Is(waitErr, errors.ErrUnsupported) {
+		t.Fatalf("a stream whose uncalled body lowering refuses: run %v, cursor %v; want both the refusal", runErr, waitErr)
+	}
+	if out.Len() != 0 || su.Ready() != index("never") || l.Lowered().Funcs != index("never") {
+		t.Errorf("output %q, %d bodies admitted and %d lowered; want none printed and every body before the refused one", out.String(), su.Ready(), l.Lowered().Funcs)
+	}
+}

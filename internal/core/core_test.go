@@ -315,3 +315,39 @@ func TestRemoveExcSite(t *testing.T) {
 		t.Error("removed site still registered")
 	}
 }
+
+// TestSlabRewindReusesChunks: a recycling slab hands out the same chunks
+// again after Rewind, zeroed where they were used, and makes a new chunk
+// only for a vector no kept chunk can hold; Discard overwrites what was
+// handed out with junk and keeps nothing.
+func TestSlabRewindReusesChunks(t *testing.T) {
+	var s Slab[int]
+	s.Recycle()
+	first := s.Take(10)
+	for i := range first {
+		first[i] = i + 1
+	}
+	big := s.Take(200) // longer than any chunk: a chunk of its own
+	big[0] = 7
+	held := s.Held()
+	s.Rewind()
+	again := s.Take(10)
+	if &again[0] != &first[0] {
+		t.Fatal("a rewound slab did not hand out its first chunk again")
+	}
+	for i, v := range again {
+		if v != 0 {
+			t.Fatalf("element %d of a rewound chunk is %d, want 0", i, v)
+		}
+	}
+	if b := s.Take(200); &b[0] != &big[0] || b[0] != 0 || s.Held() != held {
+		t.Fatalf("the long vector's chunk was not reused zeroed (held %d, was %d)", s.Held(), held)
+	}
+	s.Discard(-1)
+	if first[0] != -1 || big[0] != -1 || s.Held() != 0 {
+		t.Fatalf("after Discard: %d, %d, holding %d; want junk and nothing held", first[0], big[0], s.Held())
+	}
+	if v := s.Take(1); &v[0] == &first[0] || v[0] != 0 {
+		t.Fatal("a discarded chunk was handed out again")
+	}
+}

@@ -273,6 +273,15 @@ func NewFunc(name string) *Func {
 	return &Func{Name: name, Method: -1, values: make([]*Instr, 1, 16)}
 }
 
+// Reset empties f for a new body named name, as NewFunc makes one, but
+// keeps the memory of its value table and its parameter list: for a
+// decoder that decodes body after body into one shell (wire.Arena).
+// Nothing of the body f held before may be used after.
+func (f *Func) Reset(name string) {
+	clear(f.values)
+	*f = Func{Name: name, Method: -1, values: f.values[:1], Params: f.Params[:0]}
+}
+
 // AddExcSite records that potentially-throwing instruction in raises into
 // handler block h along h.Preds[edge].
 func (f *Func) AddExcSite(in *Instr, h *Block, edge int) {

@@ -10,9 +10,19 @@ package core
 // built makes it. Every vector is cut to its exact capacity, so appending
 // to one later (an optimizer pass may) reallocates it and cannot write
 // into its neighbour. The zero Slab is ready to use.
+//
+// A slab that is rewound (Recycle, then Rewind after each body) hands the
+// same chunks out again: one body's memory becomes the next body's, and a
+// stream of bodies costs the chunks of its largest, not of its sum.
 type Slab[T any] struct {
 	free []T // the unused rest of the newest chunk
 	next int // size of that chunk
+
+	// A recycling slab keeps every chunk it made, in the order made; at is
+	// the one free is cut from.
+	recycle bool
+	chunks  [][]T
+	at      int
 }
 
 // maxChunk bounds what one surviving element can pin and what a unit
@@ -22,12 +32,29 @@ const maxChunk = 1 << 7
 // Take returns a zeroed vector of n elements, capacity n.
 func (s *Slab[T]) Take(n int) []T {
 	if n > len(s.free) {
-		s.next = min(max(2*s.next, 16), maxChunk)
-		s.free = make([]T, max(n, s.next))
+		s.refill(n)
 	}
 	v := s.free[:n:n]
 	s.free = s.free[n:]
 	return v
+}
+
+// refill makes free at least n long: the next kept chunk that is long
+// enough, when the slab recycles and has one, else a new chunk.
+func (s *Slab[T]) refill(n int) {
+	for s.recycle && s.at+1 < len(s.chunks) {
+		s.at++
+		if c := s.chunks[s.at]; len(c) >= n {
+			s.free = c
+			return
+		}
+	}
+	s.next = min(max(2*s.next, 16), maxChunk)
+	s.free = make([]T, max(n, s.next))
+	if s.recycle {
+		s.chunks = append(s.chunks, s.free)
+		s.at = len(s.chunks) - 1
+	}
 }
 
 // One returns a pointer to one zeroed element.
@@ -41,4 +68,48 @@ func (s *Slab[T]) Keep(v []T) []T {
 	out := s.Take(len(v))
 	copy(out, v)
 	return out
+}
+
+// Recycle makes s keep the chunks it makes from now on, so that Rewind
+// can hand them out again. It is for a slab that starts empty.
+func (s *Slab[T]) Recycle() { s.recycle = true }
+
+// Rewind takes back everything a recycling slab handed out since it was
+// made or last rewound: the kept chunks are zeroed where they were used
+// and Take hands them out again, from the first. The caller vouches that
+// nothing taken before is used after.
+func (s *Slab[T]) Rewind() {
+	if len(s.chunks) == 0 {
+		return
+	}
+	for _, c := range s.chunks[:s.at] {
+		clear(c)
+	}
+	c := s.chunks[s.at]
+	clear(c[:len(c)-len(s.free)])
+	s.at, s.free = 0, s.chunks[0]
+}
+
+// Discard is Rewind's checking twin: it overwrites everything the slab
+// handed out with junk and forgets the chunks instead of reusing them, so
+// whatever still points into them reads junk, never a later body.
+func (s *Slab[T]) Discard(junk T) {
+	for i, c := range s.chunks[:min(s.at+1, len(s.chunks))] {
+		if i == s.at {
+			c = c[:len(c)-len(s.free)]
+		}
+		for j := range c {
+			c[j] = junk
+		}
+	}
+	*s = Slab[T]{next: s.next, recycle: s.recycle}
+}
+
+// Held is how many elements the slab's kept chunks hold.
+func (s *Slab[T]) Held() int {
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n
 }

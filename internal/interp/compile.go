@@ -85,7 +85,8 @@ type Compiled struct {
 	// not hold yet: it admits function fi and returns it, or says why it
 	// cannot. Pulls are serialised by mu, and a body reaches the lowering
 	// from pull's result, so no session reads mod.Funcs while a pull
-	// appends to it.
+	// appends to it. A consuming session's pull returns no body: the
+	// cursor's consumer lowered it into its slot (LoadTrustedConsuming).
 	pull func(fi int) (*core.Func, error)
 	mu   sync.Mutex
 }
@@ -113,7 +114,8 @@ func Pulled(mod *core.Module, n int, pull func(fi int) (*core.Func, error)) *Com
 	return &Compiled{mod: mod, nFuncs: n, funcs: make([]atomic.Pointer[CFunc], n), pull: pull}
 }
 
-// body returns function fi's admitted body for its first lowering.
+// body returns function fi's admitted body for its first lowering, or
+// nil when the pull lowered it already.
 func (c *Compiled) body(fi int32) (*core.Func, error) {
 	if c.pull == nil {
 		return c.mod.Funcs[fi], nil

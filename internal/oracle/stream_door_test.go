@@ -24,12 +24,17 @@ import (
 // the unit is streamed twice: first to a node that has never seen it,
 // whose cursor admits the tail, then again to the server that published
 // it, whose store vouches for the tail; both answers and hashes are the
-// /run's.
+// /run's. The stream door's cursor decodes each body into memory it takes
+// back once the body is lowered; here that memory is poisoned instead of
+// reused (wire.PoisonRecycled), so a lowered form that kept a pointer into
+// a body would read junk and answer differently.
 //
 // A unit admission refuses is held to the other half of the contract: a
 // verify-kind error and nothing published.
 func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 	t.Helper()
+	wire.PoisonRecycled(true)
+	t.Cleanup(func() { wire.PoisonRecycled(false) })
 	srv, err := codeserver.New(codeserver.Config{MaxSteps: b.MaxSteps, MaxAllocs: b.MaxAlloc})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +68,9 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 
 	k := codeserver.KeyForWire(data)
 	var want codeserver.RunResult
-	var streamed, ran uint64 // functions the first streamed run and the /run lowered
+	// The functions the first streamed run lowered, and those the /run
+	// pulled and lowered.
+	var streamed, pulled, ran uint64
 	for i, at := range splits {
 		body := func() io.Reader { return io.MultiReader(bytes.NewReader(data[:at]), bytes.NewReader(data[at:])) }
 		if i > 0 {
@@ -76,6 +83,9 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 				t.Fatalf("first stream, split at %d of %d bytes: %v, hash %s\n/run-stream %+v\n/run        %+v",
 					at, len(data), err, got.Hash, got.RunResult, want)
 			}
+			if got := fresh.Stats().LoweredFunctions; got != streamed {
+				t.Fatalf("first stream, split at %d of %d bytes: lowered %d functions, the unsplit stream %d", at, len(data), got, streamed)
+			}
 		}
 		got, err := srv.RunUnitStream(ctx, body(), opts)
 		if err != nil {
@@ -85,11 +95,13 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 			t.Fatalf("split at %d: answered under %q, not the wire hash", at, got.Hash)
 		}
 		if i == 0 {
-			streamed = srv.Stats().LoweredFunctions
+			before := srv.Stats()
+			streamed = before.LoweredFunctions
 			if want, err = srv.RunUnitOpts(ctx, k, opts); err != nil {
 				t.Fatal(err)
 			}
-			ran = srv.Stats().LoweredFunctions - streamed
+			after := srv.Stats()
+			pulled, ran = after.PulledFunctions-before.PulledFunctions, after.LoweredFunctions-streamed
 		}
 		if got.RunResult != want {
 			t.Fatalf("split at %d of %d bytes:\n/run-stream %+v\n/run        %+v", at, len(data), got.RunResult, want)
@@ -97,25 +109,31 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 	}
 
 	// What the stream door ran, it ran without the loader cache or the
-	// pool; the one load is the /run above. Both doors lower exactly the
-	// functions the guest called, the first time it called them, and book
-	// it alike: one prepare and one compile_backend sample per session that
-	// lowered anything. Every stream after the first was vouched for by the
-	// store.
+	// pool; the one load is the /run above. Both doors' cursors admit the
+	// bodies up to the last function the guest calls, no further: the /run
+	// lowers those its guest calls, the first time it calls them, and a
+	// streamed run every body its cursor admitted before its guest returned,
+	// as it was admitted — however the body was split, and whether the store
+	// vouched for the tail or not. Both book it alike: one prepare and one
+	// compile_backend sample per session that lowered anything. Every stream
+	// after the first was vouched for by the store.
 	st := srv.Stats()
-	sessions := uint64(len(splits) + 1)
-	lowering := sessions
-	if ran == 0 {
-		lowering = 0
+	streams := uint64(len(splits))
+	lowering := uint64(0)
+	if streamed > 0 {
+		lowering += streams
 	}
-	if st.Loads != 1 || st.LoaderHits != 0 || st.PoolHits != 0 || st.StreamRejects != 0 || st.ResidentStreams != uint64(len(splits)-1) ||
+	if ran > 0 {
+		lowering++
+	}
+	if st.Loads != 1 || st.LoaderHits != 0 || st.PoolHits != 0 || st.StreamRejects != 0 || st.ResidentStreams != streams-1 ||
 		st.PrepareLatency.Count != lowering || st.CompileBackendLatency.Count != lowering {
 		t.Errorf("%d streamed runs and one /run left loads=%d loader_hits=%d pool_hits=%d stream_rejects=%d resident_streams=%d prepare=%d compile_backend=%d",
 			len(splits), st.Loads, st.LoaderHits, st.PoolHits, st.StreamRejects, st.ResidentStreams, st.PrepareLatency.Count, st.CompileBackendLatency.Count)
 	}
-	if streamed != ran || st.LoweredFunctions != sessions*ran {
-		t.Errorf("the first streamed run lowered %d functions and the /run %d; %d sessions lowered %d",
-			streamed, ran, sessions, st.LoweredFunctions)
+	if streamed != pulled || ran > pulled || st.LoweredFunctions != streams*streamed+ran {
+		t.Errorf("the first streamed run lowered %d functions, the /run pulled %d and lowered %d; %d streamed runs and the /run lowered %d",
+			streamed, pulled, ran, streams, st.LoweredFunctions)
 	}
 }
 

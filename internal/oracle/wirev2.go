@@ -46,7 +46,9 @@ func CheckCanonicalWireV2(mod *core.Module, dict *wire.Dictionary) error {
 // wire.ErrMalformed or a wire.ErrUnsupportedVersion. A rejected stream
 // must hold exactly the functions before the rejected one: WaitFunc
 // answers nil for those, each of which the rule admits when asked again,
-// and the stream's error from there on. On acceptance
+// and the stream's error from there on. A consuming cursor over the same
+// bytes must say what the retaining one says and count what it kept
+// (checkConsuming). On acceptance
 // the streamed module must be structurally identical to the fully
 // decoded one, pass Module.Verify (the same rule, run all at once), and
 // execute under the budgets without crashing the host.
@@ -65,6 +67,9 @@ func CheckStreamingWireOpts(data []byte, o wire.DecodeOptions, b Budgets) error 
 	if (fullErr == nil) != (streamErr == nil) {
 		return fmt.Errorf("oracle: streaming and full decode disagree on admissibility:\nfull:   %v\nstream: %v",
 			fullErr, streamErr)
+	}
+	if err := checkConsuming(data, o, su, streamErr); err != nil {
+		return err
 	}
 	if fullErr != nil {
 		if fullErr.Error() != streamErr.Error() {
@@ -86,6 +91,37 @@ func CheckStreamingWireOpts(data []byte, o wire.DecodeOptions, b Budgets) error 
 		return fmt.Errorf("oracle: streamed module rejected by verifier: %w", err)
 	}
 	_, _ = runBounded(su.Mod, b)
+	return nil
+}
+
+// checkConsuming holds a consuming cursor over data to the retaining one,
+// su (nil when it refused the head), whose verdict was streamErr: the same
+// rule with no body kept must give the same verdict for the same reason,
+// admit as many bodies, and count as many instructions as the bodies the
+// retaining cursor kept hold — the unit's, when it was admitted.
+func checkConsuming(data []byte, o wire.DecodeOptions, su *wire.StreamingUnit, streamErr error) error {
+	var a wire.Arena
+	cu, err := wire.DecodeConsumingStream(bytes.NewReader(data), o, &a)
+	if err == nil {
+		err = cu.Wait()
+	}
+	if (err == nil) != (streamErr == nil) || err != nil && err.Error() != streamErr.Error() {
+		return fmt.Errorf("oracle: consuming and retaining cursors disagree:\nconsuming: %v\nretaining: %v", err, streamErr)
+	}
+	if (cu == nil) != (su == nil) {
+		return fmt.Errorf("oracle: one cursor refused the head and the other did not")
+	}
+	if su == nil {
+		return nil
+	}
+	kept := 0
+	for _, f := range su.Mod.Funcs {
+		kept += f.NumInstrs()
+	}
+	if cu.Ready() != su.Ready() || su.Ready() != len(su.Mod.Funcs) || cu.NumInstrs() != su.NumInstrs() || su.NumInstrs() != kept || len(cu.Mod.Funcs) != 0 {
+		return fmt.Errorf("oracle: the consuming cursor admitted %d bodies of %d instructions (kept %d), the retaining one %d of %d (kept %d bodies of %d)",
+			cu.Ready(), cu.NumInstrs(), len(cu.Mod.Funcs), su.Ready(), su.NumInstrs(), len(su.Mod.Funcs), kept)
+	}
 	return nil
 }
 

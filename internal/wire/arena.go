@@ -1,0 +1,137 @@
+package wire
+
+import (
+	"math"
+
+	"safetsa/internal/core"
+)
+
+// Arena is the memory a cursor decodes function bodies into (DESIGN.md §5,
+// "who owns decoded memory"): everything a body is made of is carved from
+// its slabs, so a unit costs a chunk per ~128 nodes, not an allocation per
+// node. A retaining cursor has an arena of its own, whose memory becomes
+// the unit's. A consuming cursor (DecodeConsumingStream) is handed one,
+// and takes each body's memory back once the body's consumer returns: the
+// next body is decoded into the same chunks, the same Func shell and the
+// same register file, and so is the next stream's when the caller keeps
+// the arena for it. The zero Arena is ready to use; an arena serves one
+// cursor at a time.
+type Arena struct {
+	instrs   core.Slab[core.Instr]
+	nodes    core.Slab[core.CSTNode]
+	blocks   core.Slab[core.Block]
+	args     core.Slab[core.ValueID]  // Instr.Args
+	instrVec core.Slab[*core.Instr]   // Block.Phis, Block.Code
+	nodeVec  core.Slab[*core.CSTNode] // CSTNode.Kids
+	blockVec core.Slab[*core.Block]   // Func.Blocks
+	preds    core.Slab[core.Pred]     // Block.Preds, normal edges
+
+	// Per-function state, reused from one function to the next; nothing
+	// here is reachable from the module.
+	f     *core.Func
+	rf    regFile
+	kids  []*core.CSTNode // children collected so far, innermost node last
+	blks  []*core.Block   // the function's blocks, in creation order
+	code  []*core.Instr   // the block section being collected
+	loops []loopShape     // linkShape's stack of open loops
+	// handlers is the try context of the phase-2 walk (sites register in
+	// program order, as on the producer side); sitePos the position of
+	// each registered site, which windows its edge's phi operands.
+	handlers []*core.Block
+	sitePos  map[*core.Instr]int
+
+	// What only a consuming cursor reuses: the Func shell it decodes every
+	// body into, a v2 stream's adaptive model and the read buffer.
+	shell *core.Func
+	mdl   *model
+	src   *byteSource
+}
+
+// maxKeptArena bounds, in elements, what an arena may hold and still be
+// worth keeping for another stream (Reusable): one hostile body must not
+// tax every later stream that reuses its memory. It is far above what the
+// largest body a real program compiles to asks.
+const maxKeptArena = 1 << 18
+
+// Reusable reports whether a is worth keeping for another stream: false
+// once a body made it hold more than maxKeptArena elements.
+func (a *Arena) Reusable() bool {
+	n := a.instrs.Held() + a.nodes.Held() + a.blocks.Held() + a.args.Held() +
+		a.instrVec.Held() + a.nodeVec.Held() + a.blockVec.Held() + a.preds.Held() +
+		cap(a.kids) + cap(a.blks) + cap(a.code) + cap(a.loops) + cap(a.handlers)
+	if a.shell != nil {
+		n += a.shell.NumValues()
+	}
+	for _, p := range a.rf.planes[:cap(a.rf.planes)] {
+		n += cap(p)
+	}
+	return n <= maxKeptArena && len(a.rf.index) <= maxKeptPlanes && len(a.sitePos) <= maxKeptPlanes
+}
+
+// recycle makes the slabs keep their chunks, for rewind.
+func (a *Arena) recycle() {
+	a.instrs.Recycle()
+	a.nodes.Recycle()
+	a.blocks.Recycle()
+	a.args.Recycle()
+	a.instrVec.Recycle()
+	a.nodeVec.Recycle()
+	a.blockVec.Recycle()
+	a.preds.Recycle()
+}
+
+// rewind takes back the memory of the body a consuming cursor just handed
+// its consumer. No lowered form holds a pointer into a body (DESIGN.md
+// §11), so once the consumer has returned nothing reads it again; under
+// PoisonRecycled that is checked instead of trusted.
+func (a *Arena) rewind() {
+	if poisonRecycled {
+		a.poison()
+		return
+	}
+	a.instrs.Rewind()
+	a.nodes.Rewind()
+	a.blocks.Rewind()
+	a.args.Rewind()
+	a.instrVec.Rewind()
+	a.nodeVec.Rewind()
+	a.blockVec.Rewind()
+	a.preds.Rewind()
+}
+
+// poisonRecycled switches rewind to poison (see PoisonRecycled).
+var poisonRecycled bool
+
+// PoisonRecycled switches every arena's rewind to its checking form while
+// on is set: a body's memory is overwritten with junk once its consumer
+// returns and is never handed out again, so a consumer that kept any
+// pointer into a body reads junk — an instruction with no opcode, a block
+// numbered -1, a value far out of range — and its results diverge from a
+// run without it. It is a test hook (the stream door's parity sweeps run
+// with it on); it may only be switched while no cursor is decoding.
+func PoisonRecycled(on bool) { poisonRecycled = on }
+
+// poison is rewind's checking form.
+func (a *Arena) poison() {
+	const junkID = core.ValueID(math.MaxInt32)
+	a.instrs.Discard(core.Instr{ID: junkID, Op: core.Op(core.NumOps), Bind: junkID, Aux: -1, Field: -1, Method: -1})
+	a.nodes.Discard(core.CSTNode{Kind: core.CSTKind(core.NumCSTKinds), Cond: junkID, Val: junkID})
+	a.blocks.Discard(core.Block{Index: -1, Depth: -1})
+	a.args.Discard(junkID)
+	a.instrVec.Discard(nil)
+	a.nodeVec.Discard(nil)
+	a.blockVec.Discard(nil)
+	a.preds.Discard(core.Pred{})
+	if a.shell != nil {
+		*a.shell = core.Func{Name: "recycled body", Method: -1}
+		a.shell = nil
+	}
+}
+
+// dropScratch lets go of the per-function state once a retaining cursor
+// has admitted its last body: the cursor of a resident unit lives as long
+// as the unit does and would pin it.
+func (a *Arena) dropScratch() {
+	a.f, a.rf, a.sitePos = nil, regFile{}, nil
+	a.kids, a.blks, a.code, a.loops, a.handlers = nil, nil, nil, nil, nil
+}

@@ -69,7 +69,7 @@ func DecodeVerifiedOpts(data []byte, o DecodeOptions) (*core.Module, error) {
 // open, the same pull, the same closing check a stream's consumer spreads
 // over a session.
 func decodeUnit(data []byte, o DecodeOptions, v1Only, verify bool) (*core.Module, error) {
-	su, err := openUnit(bytes.NewReader(data), o, v1Only, verify)
+	su, err := openUnit(bytes.NewReader(data), o, nil, v1Only, verify)
 	if err != nil {
 		return nil, err
 	}
@@ -80,9 +80,10 @@ func decodeUnit(data []byte, o DecodeOptions, v1Only, verify bool) (*core.Module
 }
 
 // newStreamReader parses the container header from an incremental byte
-// source and returns the matching symbol reader. v1Only models a
+// source and returns the matching symbol reader; a v2 reader's model is
+// made in mdl's memory when mdl is not nil. v1Only models a
 // fixed-code-only consumer.
-func newStreamReader(src io.ByteReader, o DecodeOptions, v1Only bool) (symReader, error) {
+func newStreamReader(src io.ByteReader, o DecodeOptions, mdl *model, v1Only bool) (symReader, error) {
 	var hdr [4]byte
 	for i := range hdr {
 		b, err := src.ReadByte()
@@ -136,7 +137,7 @@ func newStreamReader(src io.ByteReader, o DecodeOptions, v1Only bool) (symReader
 		if plen > 1<<31 {
 			return nil, malformedf("payload length too large")
 		}
-		return newACReader(src, dict, int64(plen))
+		return newACReader(src, dict, int64(plen), mdl)
 	default:
 		return nil, fmt.Errorf("%w: version byte %q", ErrUnsupportedVersion, hdr[3])
 	}
@@ -147,7 +148,7 @@ func newStreamReader(src io.ByteReader, o DecodeOptions, v1Only bool) (symReader
 // cross-table checks that context-restricted alphabets cannot express
 // structurally (the paper's "trivial counter comparisons").
 func (d *decoder) decodeHead(r symReader) error {
-	d.r, d.m, d.sitePos = r, &core.Module{Types: core.NewTypeTable()}, make(map[*core.Instr]int)
+	d.r, d.m = r, &core.Module{Types: core.NewTypeTable()}
 	var err error
 	if d.nFuncs, err = d.decodeTables(); err != nil {
 		return err
@@ -166,45 +167,44 @@ type decoder struct {
 	nFuncs int
 	adm    *core.Admission
 
-	// The unit's decoded memory (DESIGN.md §5, "who owns decoded
-	// memory"): everything a function body is made of is carved from
-	// these, so a unit costs a chunk per ~128 nodes, not an allocation per
-	// node.
-	instrs   core.Slab[core.Instr]
-	nodes    core.Slab[core.CSTNode]
-	blocks   core.Slab[core.Block]
-	args     core.Slab[core.ValueID]  // Instr.Args
-	instrVec core.Slab[*core.Instr]   // Block.Phis, Block.Code
-	nodeVec  core.Slab[*core.CSTNode] // CSTNode.Kids
-	blockVec core.Slab[*core.Block]   // Func.Blocks
-	preds    core.Slab[core.Pred]     // Block.Preds, normal edges
-
-	// Per-function state, reused from one function to the next; nothing
-	// here is reachable from the module.
-	f     *core.Func
-	rf    regFile
-	kids  []*core.CSTNode // children collected so far, innermost node last
-	blks  []*core.Block   // the function's blocks, in creation order
-	code  []*core.Instr   // the block section being collected
-	loops []loopShape     // linkShape's stack of open loops
-	// handlers is the try context of the phase-2 walk (sites register in
-	// program order, as on the producer side); sitePos the position of
-	// each registered site, which windows its edge's phi operands.
-	handlers []*core.Block
-	sitePos  map[*core.Instr]int
+	// The memory bodies are decoded into, and whether each body's is taken
+	// back once its consumer returns (a consuming cursor's) or kept as the
+	// unit's.
+	*Arena
+	recycle bool
 }
 
 // retire drops what only decoding another body would use, once the last
-// one is admitted: the per-function scratch above, the admission, and a
-// v2 reader's adaptive model. A cursor over a resident unit lives as long
-// as the unit does and would pin them; what the closing check (end) reads
-// stays.
+// one is admitted: the admission, a v2 reader's adaptive model and — for
+// a retaining cursor, whose arena is the unit's — the per-function
+// scratch. A cursor over a resident unit lives as long as the unit does
+// and would pin them; what the closing check (end) reads stays. A
+// consuming cursor lets go of its arena, which its caller keeps.
 func (d *decoder) retire() {
-	d.adm, d.f, d.rf, d.sitePos = nil, nil, regFile{}, nil
-	d.kids, d.blks, d.code, d.loops, d.handlers = nil, nil, nil, nil, nil
+	d.adm = nil
 	if ac, ok := d.r.(*acReader); ok {
 		ac.mdl = nil
 	}
+	if d.recycle {
+		d.Arena = nil
+	} else {
+		d.dropScratch()
+	}
+}
+
+// newFunc is the Func a body named name is decoded into: a new one, or,
+// for a consuming cursor, the arena's one shell emptied — unless the last
+// body made its value table too large to keep (maxKeptArena).
+func (d *decoder) newFunc(name string) *core.Func {
+	switch {
+	case !d.recycle:
+		return core.NewFunc(name)
+	case d.shell == nil || d.shell.NumValues() > maxKeptArena:
+		d.shell = core.NewFunc(name)
+	default:
+		d.shell.Reset(name)
+	}
+	return d.shell
 }
 
 func (d *decoder) typeRef() (core.TypeID, error) {
@@ -455,7 +455,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := core.NewFunc(name)
+	f := d.newFunc(name)
 	d.f = f
 	mi, err := r.svarint()
 	if err != nil {
@@ -467,7 +467,9 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 			return nil, malformedf("function names method %d outside the table", f.Method)
 		}
 		mr := d.m.Methods[f.Method]
-		f.Params = make([]core.TypeID, 0, len(mr.Params)+1)
+		if f.Params == nil {
+			f.Params = make([]core.TypeID, 0, len(mr.Params)+1)
+		}
 		if !mr.Static {
 			f.Params = append(f.Params, tt.SafeRefOf(mr.Owner))
 		}
@@ -492,7 +494,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 
 	// Phase 1: CST productions; blocks materialize in order.
 	r.setProd(prodCST)
-	d.blks = d.blks[:0]
+	d.blks, d.kids = d.blks[:0], d.kids[:0]
 	f.Body, err = d.decodeCST(0)
 	if err != nil {
 		return nil, err
@@ -507,7 +509,11 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 	// Phase 2: block contents in the canonical CST order.
 	d.rf.reset()
 	d.handlers = d.handlers[:0]
-	clear(d.sitePos)
+	if d.sitePos == nil || len(d.sitePos) > maxKeptPlanes {
+		d.sitePos = make(map[*core.Instr]int)
+	} else {
+		clear(d.sitePos)
+	}
 	if err := d.decodeBlocks(f.Body); err != nil {
 		return nil, err
 	}

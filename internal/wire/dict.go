@@ -74,7 +74,7 @@ func TrainDictionary(mods []*core.Module) *Dictionary {
 		names = names[:maxDictStrings]
 	}
 
-	mdl := newModel(nil)
+	mdl := newModel(nil, nil)
 	for _, m := range mods {
 		aw := &acWriter{mdl: mdl, rc: newRCEncoder()}
 		(&encoder{m: m, w: aw}).encodeAll()

@@ -59,8 +59,11 @@ var modelTemplate = func() (m model) {
 // dictionary with any other count is rejected at parse time.
 var modelProbCount = len(modelTemplate.snapshot())
 
-func newModel(dict *Dictionary) *model {
-	m := new(model)
+// newModel makes a model primed by dict, in m's memory when m is not nil.
+func newModel(dict *Dictionary, m *model) *model {
+	if m == nil {
+		m = new(model)
+	}
 	*m = modelTemplate
 	if dict != nil {
 		if len(dict.Probs) > 0 {
@@ -185,7 +188,7 @@ type acWriter struct {
 }
 
 func newACWriter(dict *Dictionary) *acWriter {
-	return &acWriter{mdl: newModel(dict), rc: newRCEncoder()}
+	return &acWriter{mdl: newModel(dict, nil), rc: newRCEncoder()}
 }
 
 func (w *acWriter) finish() []byte { return w.rc.finish() }
@@ -307,13 +310,15 @@ func (l *limitedByteSource) ReadByte() (byte, error) {
 	return b, err
 }
 
-func newACReader(src io.ByteReader, dict *Dictionary, payloadLen int64) (*acReader, error) {
+// newACReader begins a v2 payload; its model is made in mdl's memory when
+// mdl is not nil.
+func newACReader(src io.ByteReader, dict *Dictionary, payloadLen int64, mdl *model) (*acReader, error) {
 	lim := &limitedByteSource{src: src, n: payloadLen}
 	rc, err := newRCDecoder(lim)
 	if err != nil {
 		return nil, err
 	}
-	return &acReader{mdl: newModel(dict), rc: rc, lim: lim, outer: src}, nil
+	return &acReader{mdl: newModel(dict, mdl), rc: rc, lim: lim, outer: src}, nil
 }
 
 func (r *acReader) pc() *prodCtx { return &r.mdl.prods[r.prod] }

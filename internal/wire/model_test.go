@@ -13,15 +13,15 @@ func TestModelTemplate(t *testing.T) {
 	var want model
 	n := 0
 	want.eachProb(func(p *uint16) { *p = probInit; n++ })
-	m := newModel(nil)
+	m := newModel(nil, nil)
 	if !reflect.DeepEqual(*m, want) {
-		t.Fatal("newModel(nil) is not the eachProb-initialised model")
+		t.Fatal("newModel(nil, nil) is not the eachProb-initialised model")
 	}
 	if n != modelProbCount || n != 3417 {
 		t.Errorf("eachProb visits %d probabilities, modelProbCount is %d; want both 3417", n, modelProbCount)
 	}
 	m.prods[prodOp].sym[0], m.lit[1], m.dictSym[0] = 1, 2, 3
-	if !reflect.DeepEqual(modelTemplate, want) || !reflect.DeepEqual(*newModel(nil), want) {
+	if !reflect.DeepEqual(modelTemplate, want) || !reflect.DeepEqual(*newModel(nil, nil), want) {
 		t.Error("adapting one model changed the template")
 	}
 }

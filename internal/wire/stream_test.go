@@ -2,7 +2,9 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/iotest"
 
@@ -452,4 +454,155 @@ func TestCursorRetiresAtTheLastBody(t *testing.T) {
 			}
 		}
 	}
+}
+
+// consumed is what a consumer saw of one body, read while it was handed
+// over: after the consumer returns, the body's memory is the next one's.
+type consumed struct {
+	j             int
+	name, dump    string
+	instrs, admit int // admit: the cursor's Ready while it held the body
+}
+
+// consumeAll drains a consuming cursor over data, recording every body its
+// consumer is handed, and returns the cursor (nil when the head was
+// refused) and what Wait said.
+func consumeAll(data []byte, a *wire.Arena) (*wire.StreamingUnit, []consumed, error) {
+	su, err := wire.DecodeConsumingStream(bytes.NewReader(data), wire.DecodeOptions{}, a)
+	if err != nil {
+		return nil, nil, err
+	}
+	var seen []consumed
+	su.Consume(func(j int, f *core.Func) error {
+		seen = append(seen, consumed{j, f.Name, su.Mod.DumpFunc(f), f.NumInstrs(), su.Ready()})
+		return nil
+	})
+	return su, seen, su.Wait()
+}
+
+// TestConsumerSeesEachAdmittedBody: a consuming cursor hands its consumer
+// every body once, in order, each the body a retaining cursor keeps at
+// that index, and only after admitting it — while the body is handed
+// over, the cursor does not count it yet. One arena serves every unit in
+// turn. A body admission rejects latches the cursor and never reaches the
+// consumer; neither does any body after it, and the cursor reports the
+// rejection wherever it is asked.
+func TestConsumerSeesEachAdmittedBody(t *testing.T) {
+	var a wire.Arena
+	for _, u := range corpus.Units() {
+		mod := corpusO2(t, u)
+		for version, data := range map[string][]byte{"v1": wire.EncodeModule(mod), "v2": wire.EncodeModuleV2(mod, nil)} {
+			whole, err := wire.DecodeVerified(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			su, seen, err := consumeAll(data, &a)
+			if err != nil || len(seen) != len(whole.Funcs) || su.Ready() != len(whole.Funcs) ||
+				su.NumInstrs() != whole.NumInstrs() || len(su.Mod.Funcs) != 0 {
+				t.Fatalf("%s %s: %v; consumed %d bodies, ready %d, %d instructions, %d kept; want %d bodies, %d instructions, none kept",
+					u.Name, version, err, len(seen), su.Ready(), su.NumInstrs(), len(su.Mod.Funcs), len(whole.Funcs), whole.NumInstrs())
+			}
+			for j, c := range seen {
+				f := whole.Funcs[j]
+				if c.j != j || c.admit != j || c.name != f.Name || c.instrs != f.NumInstrs() || c.dump != whole.DumpFunc(f) {
+					t.Fatalf("%s %s: body %d handed over as %d (%s, ready %d), want %s", u.Name, version, j, c.j, c.name, c.admit, f.Name)
+				}
+			}
+
+			// Damage from the start of a middle body on: the bodies before
+			// it are consumed, it and the rest are not.
+			k := len(whole.Funcs) / 2
+			bs := boundaries(t, data)
+			bad := bytes.Clone(data)
+			if k > 0 {
+				for i := bs[k-1]; i < int64(len(bad)); i++ {
+					bad[i] ^= 0xff
+				}
+			}
+			su, seen, err = consumeAll(bad, &a)
+			if err == nil || su == nil {
+				t.Fatalf("%s %s: a unit damaged from body %d on was admitted (%v)", u.Name, version, k, err)
+			}
+			if su.Ready() > k || len(seen) != su.Ready() {
+				t.Fatalf("%s %s: damaged from body %d on, the consumer saw %d bodies and the cursor admitted %d", u.Name, version, k, len(seen), su.Ready())
+			}
+			if got := su.WaitFunc(su.Ready()); got == nil || got.Error() != err.Error() || su.Wait() == nil {
+				t.Fatalf("%s %s: after the rejection, WaitFunc said %v and Wait %v, want %v", u.Name, version, got, su.Wait(), err)
+			}
+			if len(seen) != su.Ready() {
+				t.Fatalf("%s %s: a latched cursor handed over more bodies", u.Name, version)
+			}
+		}
+	}
+}
+
+// TestConsumerRefusalLatches: a consumer's error ends the stream as a
+// rejected body does — the body it refused is not counted, nothing after it
+// is decoded, and WaitFunc and Wait report the refusal — while what was
+// admitted before it stays admitted. A nil consumer only counts.
+func TestConsumerRefusalLatches(t *testing.T) {
+	mod := compileAll(t, testPrograms["objects"], true)
+	data := wire.EncodeModuleV2(mod, nil)
+	if len(mod.Funcs) < 3 {
+		t.Fatalf("the program has %d functions, want at least 3", len(mod.Funcs))
+	}
+	refused := errors.New("consumer refused")
+	var a wire.Arena
+	su, err := wire.DecodeConsumingStream(bytes.NewReader(data), wire.DecodeOptions{}, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	su.Consume(func(j int, f *core.Func) error {
+		calls++
+		if j == 1 {
+			return refused
+		}
+		return nil
+	})
+	if err := su.WaitFunc(len(mod.Funcs) - 1); !errors.Is(err, refused) {
+		t.Fatalf("WaitFunc past a refused body: %v, want the refusal", err)
+	}
+	if calls != 2 || su.Ready() != 1 || su.WaitFunc(0) != nil || !errors.Is(su.WaitFunc(1), refused) || !errors.Is(su.Wait(), refused) {
+		t.Fatalf("after a refusal at body 1: %d consumer calls, ready %d, Wait %v", calls, su.Ready(), su.Wait())
+	}
+
+	su, err = wire.DecodeConsumingStream(bytes.NewReader(data), wire.DecodeOptions{}, &a)
+	if err == nil {
+		err = su.Wait()
+	}
+	if err != nil || su.Ready() != len(mod.Funcs) || su.NumInstrs() != mod.NumInstrs() {
+		t.Fatalf("a cursor with no consumer: %v, ready %d, %d instructions; want %d, %d", err, su.Ready(), su.NumInstrs(), len(mod.Funcs), mod.NumInstrs())
+	}
+}
+
+// TestClaimedIndexGrowsNothing: a head that declares 1<<22 functions and
+// names the last of them as main's body, and then ends. The tables are
+// admitted, so a consuming session begins and its main waits for that
+// body; the stream ends first. Nothing on the way is sized by the claim:
+// the session's form has a slot per body the cursor handed over — none.
+func TestClaimedIndexGrowsNothing(t *testing.T) {
+	mod := compileAll(t, `class M { static void main() { } }`, true)
+	mod.Methods[mod.Entry].FuncIdx = 1<<22 - 1
+	mod.StaticInit = nil
+	head := wire.EncodeHead(mod, 1<<22)
+	var a wire.Arena
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	su, err := wire.DecodeConsumingStream(bytes.NewReader(head), wire.DecodeOptions{}, &a)
+	if err != nil {
+		t.Fatalf("the %d-byte head was refused: %v", len(head), err)
+	}
+	l, err := interp.LoadTrustedConsuming(su.Mod, su, rt.NewEnv(io.Discard, rt.Budget{}, nil))
+	if err == nil {
+		err = l.RunMain()
+	}
+	runtime.ReadMemStats(&after)
+	if err == nil || su.Wait() == nil || su.Ready() != 0 {
+		t.Fatalf("a head with no bodies ran: %v, wait %v, ready %d", err, su.Wait(), su.Ready())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("a %d-byte head claiming function index 1<<22-1 cost %d bytes", len(head), got)
+	}
+	t.Logf("%d-byte head", len(head))
 }
