@@ -157,9 +157,10 @@ var producedBytes []byte
 // workload's six guests — Linpack and BitSieve from the corpus, the four
 // of benchmark/guests read from disk — at O2 on the compiled engine, the
 // lowering done once outside the timer as a resident unit's is. One
-// iteration is one session: static initializers, then main. Each guest
-// is its own sub-benchmark, so ns/op, allocs/op and steps/µs read per
-// guest:
+// iteration is one session: static initializers, then main, then the
+// release the server's session.finish makes, so the next iteration's heap
+// and frames are this one's recycled. Each guest is its own
+// sub-benchmark, so ns/op, B/op, allocs/op and steps/µs read per guest:
 //
 //	go test -run='^$' -bench=HotRun -benchtime=20x .
 func BenchmarkHotRun(b *testing.B) {
@@ -186,21 +187,7 @@ func BenchmarkHotRun(b *testing.B) {
 		guests = append(guests, guest{strings.TrimSuffix(file, ".tj"), map[string]string{file: string(src)}})
 	}
 	for _, g := range guests {
-		mod, err := driver.CompileTSASource(g.files)
-		if err == nil {
-			_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		prep, err := interp.Prepare(mod)
-		if err != nil {
-			b.Fatal(err)
-		}
-		comp, err := interp.Compile(mod, prep)
-		if err != nil {
-			b.Fatal(err)
-		}
+		mod, comp := hotForm(b, g.files)
 		b.Run(g.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var steps int64
@@ -214,10 +201,34 @@ func BenchmarkHotRun(b *testing.B) {
 					b.Fatal(err)
 				}
 				steps += env.Steps
+				l.Release()
 			}
 			b.ReportMetric(float64(steps)/float64(b.Elapsed().Microseconds()), "steps/µs")
 		})
 	}
+}
+
+// hotForm compiles a guest as run_hot_compute serves it — O2 with the
+// module tier — and lowers every function, as a resident unit's form is
+// once its guest has run.
+func hotForm(tb testing.TB, files map[string]string) (*core.Module, *interp.Compiled) {
+	tb.Helper()
+	mod, err := driver.CompileTSASource(files)
+	if err == nil {
+		_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prep, err := interp.Prepare(mod)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	comp, err := interp.Compile(mod, prep)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mod, comp
 }
 
 // BenchmarkCompileHit is the library half of the serve_hot gate's compile

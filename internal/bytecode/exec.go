@@ -102,7 +102,7 @@ func (vm *VM) exec(fr *frame) (bool, rt.Value) {
 		case DCONST:
 			fr.pushWide(rt.DoubleValue(cp[in.A].D))
 		case SCONST:
-			fr.push(rt.RefValue(&rt.Str{S: cp[cp[in.A].A].S}))
+			fr.push(rt.RefValue(env.Str(cp[cp[in.A].A].S)))
 		case ACONSTNULL:
 			fr.push(rt.Value{})
 

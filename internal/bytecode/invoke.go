@@ -88,7 +88,7 @@ func (vm *VM) nativeInit(class string, recv rt.Value, args []rt.Value) {
 	case "Object":
 	case "StringBuilder":
 		if obj != nil {
-			obj.Fields[0] = rt.RefValue(&rt.Str{S: ""})
+			obj.Fields[0] = rt.RefValue(vm.Env.Str(""))
 		}
 	default:
 		// Throwable hierarchy: optional message argument.
@@ -189,7 +189,7 @@ func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) rt.Value 
 			obj.Fields[0] = rt.RefValue(env.NewStr(cur + add))
 			return recv
 		case "toString":
-			return rt.RefValue(&rt.Str{S: cur})
+			return rt.RefValue(env.Str(cur))
 		}
 	case "String":
 		s := str(recv)
@@ -207,7 +207,7 @@ func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) rt.Value 
 			if !ok {
 				vm.throwNew(vm.exc.Bounds, "substring bounds")
 			}
-			return rt.RefValue(&rt.Str{S: sub})
+			return rt.RefValue(env.Str(sub))
 		case "equals":
 			o, ok := rt.GetStr(args[1].R)
 			return rt.BoolValue(ok && o == s)
@@ -226,7 +226,7 @@ func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) rt.Value 
 	case "equals":
 		return rt.BoolValue(refEq(recv.R, args[1].R))
 	case "toString":
-		return rt.RefValue(&rt.Str{S: rt.RefString(recv.R)})
+		return rt.RefValue(env.Str(rt.RefString(recv.R)))
 	case "getMessage":
 		if obj, ok := recv.R.(*rt.Object); ok && len(obj.Fields) > 0 {
 			return obj.Fields[0]

@@ -113,6 +113,11 @@ func (ss *session) begin() *rt.Env {
 // the bodies its cursor admitted before the guest returned on
 // /run-stream: it ran inside the run stage, and is what the prepare and
 // compile_backend histograms measure.
+//
+// finish is also where the session ends: once the result holds the run as
+// plain data — output, error text, counts — nothing of the guest's heap is
+// reachable from outside the loader (a pool snapshot is a detached copy),
+// so the loader is released and its memory goes to the next session.
 func (ss *session) finish(l *interp.Loader, err error) RunResult {
 	s, env := ss.s, ss.env
 	s.m.stages[stageRun].Observe(time.Since(ss.start))
@@ -137,6 +142,9 @@ func (ss *session) finish(l *interp.Loader, err error) RunResult {
 			ss.tc.kills[k].Add(1)
 			res.Kill = k.String()
 		}
+	}
+	if l != nil {
+		l.Release()
 	}
 	return res
 }

@@ -12,7 +12,8 @@ import (
 // that executed the same program to the same final state produce the
 // same checksum regardless of engine, allocation order, or Go pointer
 // values: references are named by their first-visit order in the
-// deterministic walk, not by identity hashes.
+// deterministic walk, not by identity hashes. A released session's statics
+// are cleared (Release), so its checksum digests zeroes.
 func (l *Loader) HeapChecksum() uint64 {
 	h := fnv.New64a()
 	w := &heapWalker{h: h, seen: make(map[rt.Ref]uint64)}

@@ -225,15 +225,45 @@ func (c *fcomp) lowerFunc(f *core.Func, spent *Lowering) (*CFunc, error) {
 // unbounded number of retired frames.
 const cframePoolCap = 64
 
+// frameStock is the frame and argument-buffer free lists a released
+// session leaves (Loader.Release) for the next compiled session to adopt
+// whole, so a served session's first calls take frames another session
+// retired instead of allocating them.
+type frameStock struct {
+	cfree []*cframe
+	afree [][]rt.Value
+}
+
+var frameStocks = sync.Pool{New: func() any { return new(frameStock) }}
+
+// adoptStock takes a released session's free lists, once per session, at
+// its first activation: every argument buffer is retired by a call made
+// inside some activation, so both of the session's own lists are still
+// empty here.
+func (l *Loader) adoptStock() {
+	st := frameStocks.Get().(*frameStock)
+	l.stock = st
+	l.cfree, l.afree = st.cfree, st.afree
+	for _, fr := range l.cfree {
+		fr.l, fr.env = l, l.Env
+	}
+}
+
 // getFrame pops a retired invocation frame off the session free list (or
-// allocates one on a miss) and resets the caught/ret slots. Recycled
-// register files are deliberately NOT zeroed: the wire format encodes
-// every operand as an (l, r) walk up the dominator tree and the verifier
-// checks that structural tree against the true dominators, so every
-// register the prepared form reads was written earlier on that same path
-// — stale slot contents are unobservable. (They can pin dead references
-// until the slot's next write, but the pool is per-session and capped,
-// so the retention is bounded and dies with the session.)
+// allocates one on a miss) and resets the caught/ret slots. Within a
+// session, recycled register files are deliberately NOT zeroed: the wire
+// format encodes every operand as an (l, r) walk up the dominator tree
+// and the verifier checks that structural tree against the true
+// dominators, so every register the prepared form reads was written
+// earlier on that same path — stale slot contents are unobservable. They
+// can pin dead references until the slot's next write; the list is
+// capped, so that retention is bounded. Across sessions the argument
+// does not reach: a frame outlives its session in the stock the next one
+// adopts, and the session heap's chunks are recycled, so a stale slot
+// would name another session's object. Release therefore clears every
+// register file and argument buffer before the stock leaves the session
+// — a frame crosses sessions empty — and keeps at most maxStockSlots of
+// them, so what one session widened does not pass to every later one.
 //
 // Every activation passes through here and through putFrame, which is
 // what makes them the compiled engine's Enter and Leave: the depth charge
@@ -241,6 +271,9 @@ const cframePoolCap = 64
 // taken off the list.
 func (l *Loader) getFrame(cf *CFunc) *cframe {
 	l.Env.Enter(cf.Frame)
+	if len(l.cfree) == 0 && l.stock == nil {
+		l.adoptStock()
+	}
 	numRegs := cf.NumRegs
 	if n := len(l.cfree); n > 0 {
 		fr := l.cfree[n-1]
@@ -291,6 +324,53 @@ func (l *Loader) putArgs(buf []rt.Value) {
 	if len(l.afree) < cframePoolCap {
 		l.afree = append(l.afree, buf)
 	}
+}
+
+// maxStockSlots bounds the register and argument slots a released
+// session's stock carries to the next session. A register file only grows
+// while it is recycled, so a guest that calls a wide function at each of
+// cframePoolCap nesting levels retires that many frames of the wide
+// function's width; a frame or buffer that would take the stock past this
+// bound is left to the collector instead, and a stock is at most
+// maxStockSlots × 24 B of slots whatever the session did.
+const maxStockSlots = 1 << 14
+
+// releaseFrames hands the session's free lists, every register file and
+// argument buffer cleared, to the next compiled session (see getFrame),
+// keeping at most maxStockSlots slots of them.
+func (l *Loader) releaseFrames() {
+	st := l.stock
+	if st == nil {
+		return
+	}
+	slots := 0
+	fits := func(n int) bool {
+		if slots+n > maxStockSlots {
+			return false
+		}
+		slots += n
+		return true
+	}
+	cfree := l.cfree[:0]
+	for _, fr := range l.cfree {
+		if fits(cap(fr.regs)) {
+			clear(fr.regs[:cap(fr.regs)])
+			*fr = cframe{regs: fr.regs[:0]}
+			cfree = append(cfree, fr)
+		}
+	}
+	clear(l.cfree[len(cfree):])
+	afree := l.afree[:0]
+	for _, buf := range l.afree {
+		if fits(cap(buf)) {
+			clear(buf[:cap(buf)])
+			afree = append(afree, buf)
+		}
+	}
+	clear(l.afree[len(afree):])
+	st.cfree, st.afree = cfree, afree
+	l.stock, l.cfree, l.afree = nil, nil, nil
+	frameStocks.Put(st)
 }
 
 // runCompiled executes one compiled function body: call the thunk at
@@ -346,7 +426,7 @@ func thunk(methods []core.MethodRef, in *PreparedInst, next int32) (cthunk, erro
 		// sharing.
 		return func(fr *cframe) int32 {
 			fr.env.Step()
-			fr.regs[dst] = rt.RefValue(str.Fresh())
+			fr.regs[dst] = rt.RefValue(fr.env.Fresh(str))
 			return next
 		}, nil
 

@@ -26,7 +26,7 @@ func (l *Loader) execInstr(fr *frame, in *core.Instr) {
 		case core.KDouble:
 			setv(rt.DoubleValue(in.Const.D))
 		case core.KString:
-			setv(rt.RefValue(&rt.Str{S: in.Const.S}))
+			setv(rt.RefValue(l.Env.Str(in.Const.S)))
 		case core.KNull:
 			setv(rt.Value{})
 		}
@@ -191,7 +191,7 @@ func (l *Loader) native(mr *core.MethodRef, args []rt.Value) (v rt.Value, thrown
 		if !ok {
 			return l.newExc(l.exc.Bounds, "substring bounds"), true
 		}
-		return rt.RefValue(&rt.Str{S: s}), false
+		return rt.RefValue(env.Str(s)), false
 	case sema.BStrEquals:
 		o, ok := rt.GetStr(args[1].R)
 		return rt.BoolValue(ok && o == str(0)), false
@@ -206,7 +206,7 @@ func (l *Loader) native(mr *core.MethodRef, args []rt.Value) (v rt.Value, thrown
 	case sema.BObjEquals:
 		return rt.BoolValue(sameRef(args[0].R, args[1].R)), false
 	case sema.BObjToString:
-		return rt.RefValue(&rt.Str{S: rt.RefString(args[0].R)}), false
+		return rt.RefValue(env.Str(rt.RefString(args[0].R))), false
 	case sema.BExcGetMessage:
 		if obj, ok := args[0].R.(*rt.Object); ok && len(obj.Fields) > 0 {
 			return obj.Fields[0], false

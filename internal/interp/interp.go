@@ -50,10 +50,14 @@ type Loader struct {
 	lowered Lowering
 	// cfree and afree are the compiled engine's per-session free lists
 	// for invocation frames and call-argument buffers (see getFrame in
-	// compile.go). A Loader is single-session, single-goroutine state, so
-	// the lists need no locking.
+	// compile.go), and stock the released session's lists they started
+	// from, which Release passes on. A Loader is single-session,
+	// single-goroutine state, so the lists need no locking.
 	cfree []*cframe
 	afree [][]rt.Value
+	stock *frameStock
+	// released is set by Release, after which the session refuses to run.
+	released bool
 	// walks holds the reference walker's side table per function index,
 	// built on the function's first call in the session (nil: not yet).
 	walks []*walk
@@ -289,6 +293,9 @@ func newLoader(l *Loader, init bool) (*Loader, error) {
 // sessions built with LoadTrustedDeferred (the warm-pool build path)
 // call it exactly once themselves, before either RunMain or Snapshot.
 func (l *Loader) RunStaticInit() error {
+	if l.released {
+		return errReleased
+	}
 	var err error
 	func() {
 		defer l.catchTopLevel(&err)
@@ -405,6 +412,34 @@ type Lowering struct {
 // reports nothing.
 func (l *Loader) Lowered() Lowering { return l.lowered }
 
+// errReleased is what a released session answers every request to run.
+var errReleased = errors.New("interp: session released")
+
+// Release ends the session: the chunks its heap was carved from
+// (rt.Env.Release) and the compiled engine's frames and argument buffers
+// go to process-wide pools, cleared, for the next session to take, and
+// the session refuses to run or snapshot again. Its static fields are
+// cleared, so nothing left of the session — HeapChecksum included —
+// reaches a recycled chunk. Nothing the session allocated may be
+// reachable afterwards from anything that outlives it, so the caller is
+// the one that turned the run into plain data — codeserver's
+// session.finish, after the RunResult is built. A session nobody releases
+// (an oracle's, a CLI's) is simply dropped, and its memory is ordinary
+// garbage.
+func (l *Loader) Release() {
+	if l.released {
+		return
+	}
+	l.released = true
+	for _, ci := range l.classes {
+		if ci != nil {
+			clear(ci.Statics)
+		}
+	}
+	l.releaseFrames()
+	l.Env.Release()
+}
+
 // catchTopLevel converts an uncaught TJ exception into a Go error. A
 // host entry point is never re-entered from guest code, so whatever
 // frames a panic left live are dead: the slot count restarts from zero
@@ -447,6 +482,9 @@ func (l *Loader) describeExc(v rt.Value) string {
 
 // RunMain executes the module entry point.
 func (l *Loader) RunMain() error {
+	if l.released {
+		return errReleased
+	}
 	if l.Mod.Entry < 0 {
 		return fmt.Errorf("interp: module has no main method")
 	}
@@ -468,6 +506,9 @@ func (l *Loader) RunMain() error {
 // CallStatic invokes a static method by class and name (for tests and
 // examples).
 func (l *Loader) CallStatic(class, name string, args ...rt.Value) (rt.Value, error) {
+	if l.released {
+		return rt.Value{}, errReleased
+	}
 	for _, mr := range l.Mod.Methods {
 		owner := l.Mod.Types.MustGet(mr.Owner)
 		if mr.Static && owner.Name == class && mr.Name == name && mr.FuncIdx >= 0 {
@@ -703,7 +744,7 @@ func (fr *frame) raiseAt(in *core.Instr, v rt.Value) {
 
 func (l *Loader) newExc(c *rt.ClassInfo, msg string) rt.Value {
 	o := l.Env.NewObject(c)
-	o.Fields[0] = rt.RefValue(&rt.Str{S: msg})
+	o.Fields[0] = rt.RefValue(l.Env.Str(msg))
 	return rt.RefValue(o)
 }
 

@@ -122,7 +122,7 @@ func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) rt.Value {
 			// A fresh *rt.Str per execution, like the reference
 			// evaluator's OpConst — reference identity (PREq) must not
 			// observe prepared-form sharing.
-			regs[in.Dst] = rt.RefValue(&rt.Str{S: in.Str})
+			regs[in.Dst] = rt.RefValue(env.Str(in.Str))
 		case PParam:
 			regs[in.Dst] = args[in.A]
 		case PCopy:

@@ -25,17 +25,17 @@ func (l *Loader) evalPrim(p core.PrimOp, a, b rt.Value) rt.Value {
 	case core.PSConcat:
 		return rt.RefValue(l.Env.Concat(a.R, b.R))
 	case core.PSOfInt:
-		return rt.RefValue(&rt.Str{S: rt.StringOf(a, 'i')})
+		return rt.RefValue(l.Env.Str(rt.StringOf(a, 'i')))
 	case core.PSOfLong:
-		return rt.RefValue(&rt.Str{S: rt.StringOf(a, 'l')})
+		return rt.RefValue(l.Env.Str(rt.StringOf(a, 'l')))
 	case core.PSOfDouble:
-		return rt.RefValue(&rt.Str{S: rt.StringOf(a, 'd')})
+		return rt.RefValue(l.Env.Str(rt.StringOf(a, 'd')))
 	case core.PSOfBool:
-		return rt.RefValue(&rt.Str{S: rt.StringOf(a, 'z')})
+		return rt.RefValue(l.Env.Str(rt.StringOf(a, 'z')))
 	case core.PSOfChar:
-		return rt.RefValue(&rt.Str{S: rt.StringOf(a, 'c')})
+		return rt.RefValue(l.Env.Str(rt.StringOf(a, 'c')))
 	case core.PSOfRef:
-		return rt.RefValue(&rt.Str{S: rt.RefString(a.R)})
+		return rt.RefValue(l.Env.Str(rt.RefString(a.R)))
 	}
 	return rt.EvalPure(p, a, b)
 }

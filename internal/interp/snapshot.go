@@ -44,7 +44,8 @@ type Snapshot struct {
 	// classes is a detached class table holding the frozen statics: it
 	// shares nothing with the building session, so the builder can keep
 	// executing (and mutating its own statics) after the snapshot is
-	// taken.
+	// taken, and be released. The frozen heap lives in the detached
+	// loader's own environment, which nothing releases.
 	classes []*rt.ClassInfo
 
 	initOut    []byte
@@ -55,17 +56,17 @@ type Snapshot struct {
 }
 
 // copyStatics clones every class's statics from src into dst, two class
-// tables of one module, with one shared cloner, preserving aliasing
-// across classes. Both are indexed by TypeID, which is the visit order
-// the checksum walk uses too.
-func copyStatics(src, dst []*rt.ClassInfo) {
+// tables of one module, with one shared cloner allocating in env's heap,
+// preserving aliasing across classes. Both are indexed by TypeID, which
+// is the visit order the checksum walk uses too.
+func copyStatics(src, dst []*rt.ClassInfo, env *rt.Env) {
 	pair := make(map[*rt.ClassInfo]*rt.ClassInfo, len(src))
 	for id, ci := range src {
 		if ci != nil {
 			pair[ci] = dst[id]
 		}
 	}
-	c := rt.NewCloner(pair)
+	c := rt.NewCloner(env, pair)
 	for id, ci := range src {
 		if ci == nil {
 			continue
@@ -85,12 +86,15 @@ func copyStatics(src, dst []*rt.ClassInfo) {
 // a clone lowers — and pulls — what it calls first as any session of the
 // form does.
 func (l *Loader) Snapshot(initOut []byte) (*Snapshot, error) {
+	if l.released {
+		return nil, errReleased
+	}
 	env := rt.Unbudgeted(nil, "holds the frozen class table; static init is deferred and never run")
 	detached, err := newLoader(&Loader{Mod: l.Mod, Env: env}, false)
 	if err != nil {
 		return nil, err
 	}
-	copyStatics(l.classes, detached.classes)
+	copyStatics(l.classes, detached.classes, env)
 	s := &Snapshot{
 		mod:        l.Mod,
 		prep:       l.prep,
@@ -138,7 +142,7 @@ func (s *Snapshot) NewSession(env *rt.Env) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	copyStatics(s.classes, l.classes)
+	copyStatics(s.classes, l.classes, env)
 	if len(s.initOut) > 0 && env.Out != nil {
 		if _, err := env.Out.Write(s.initOut); err != nil {
 			return nil, fmt.Errorf("interp: snapshot output replay: %w", err)

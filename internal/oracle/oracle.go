@@ -257,6 +257,16 @@ type engineRun struct {
 	err error
 }
 
+// release ends a session the oracle has compared, as the server ends one
+// it has answered, so the sessions it runs next are carved from this
+// one's recycled memory — which rt.PoisonRecycled, on for this package's
+// tests, fills with junk first.
+func (r *engineRun) release() {
+	if r.l != nil {
+		r.l.Release()
+	}
+}
+
 // PreparedDifferential is the execution-engine equivalence oracle: any
 // byte string that decodes and verifies (i.e. passes wire admission)
 // must behave identically on the reference CST evaluator, the prepared
@@ -285,8 +295,8 @@ const engineLazy = "lazy"
 
 // engineParity runs a verified module on all three engines — the compiled
 // one over both schedules of its form — holds every session to the
-// reference session bit-exactly, and returns the reference session for
-// further comparison.
+// reference session bit-exactly, releasing each once compared, and
+// returns the reference session, unreleased, for further comparison.
 func engineParity(mod *core.Module, b Budgets) (*engineRun, error) {
 	prep, err := interp.Prepare(mod)
 	if err != nil {
@@ -319,7 +329,10 @@ func engineParity(mod *core.Module, b Budgets) (*engineRun, error) {
 	}
 	ref := run(driver.EngineReference)
 	for _, engine := range []string{driver.EnginePrepared, driver.EngineCompiled, engineLazy} {
-		if err := compareEngineRuns(engine, ref, run(engine)); err != nil {
+		got := run(engine)
+		err := compareEngineRuns(engine, ref, got)
+		got.release()
+		if err != nil {
 			return ref, err
 		}
 	}

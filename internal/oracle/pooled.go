@@ -129,12 +129,20 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	if initFailed {
 		// No snapshot forms; the builder session itself must match the
 		// reference (both died mid-init the same way).
-		return ref, compareEngineRuns(engine+" (init-failed build)", ref, fresh)
+		err := compareEngineRuns(engine+" (init-failed build)", ref, fresh)
+		fresh.release()
+		return ref, err
 	}
-	if err := compareEngineRuns(engine+" (build session)", ref, fresh); err != nil {
-		return nil, err
+	err := compareEngineRuns(engine+" (build session)", ref, fresh)
+	if err == nil {
+		err = compareEngineRuns(engine+" (pooled clone)", ref, clone)
 	}
-	if err := compareEngineRuns(engine+" (pooled clone)", ref, clone); err != nil {
+	// Released, as the server releases them: the builder and the first
+	// clone may share nothing with the snapshot, so the second clone below
+	// sees the frozen state whatever became of their memory.
+	fresh.release()
+	clone.release()
+	if err != nil {
 		return nil, err
 	}
 	// Clone independence: a second clone from the same snapshot must see
@@ -145,6 +153,7 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %s second clone failed: %w", engine, err)
 	}
+	defer l2.Release()
 	if got := l2.HeapChecksum(); got != snap.Checksum() {
 		return nil, fmt.Errorf("oracle: %s second clone heap %#x != frozen %#x (clones are not isolated)",
 			engine, got, snap.Checksum())

@@ -19,9 +19,30 @@ import (
 // aliasing, not duplicate the object), init-time output (replayed onto
 // clones), object identity fixed during init (clones must preserve ids
 // and the id cursor), initializers that die on a budget or an uncaught
-// exception (no snapshot may form), and mains that mutate the statics a
-// clone inherited.
+// exception (no snapshot may form), mains that mutate the statics a clone
+// inherited, and strings frozen into the snapshot, which a clone must copy
+// as it copies objects (the builder's are released with it).
 var pooledSeedSources = map[string]string{
+	"init_string_heap": `
+class Node {
+    String name;
+    Node next;
+    Node(String n, Node x) { name = n; next = x; }
+}
+class Strs {
+    static String greeting = "hello, " + "world";
+    static Node chain = Strs.build();
+    static Node build() {
+        Node n = null;
+        for (int i = 0; i < 12; i++) { n = new Node("n" + i, n); }
+        return n;
+    }
+    static void main() {
+        System.out.println(Strs.greeting + " " + Strs.chain.name + Strs.chain.next.name);
+        Strs.greeting = "changed";
+        Strs.chain.name = "mutated";
+    }
+}`,
 	// A session that dies of the depth limit, inside the initializers (no
 	// snapshot may form) or in main after init succeeded (a clone must die
 	// on the step a fresh session does).

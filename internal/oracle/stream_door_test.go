@@ -27,7 +27,9 @@ import (
 // /run's. The stream door's cursor decodes each body into memory it takes
 // back once the body is lowered; here that memory is poisoned instead of
 // reused (wire.PoisonRecycled), so a lowered form that kept a pointer into
-// a body would read junk and answer differently.
+// a body would read junk and answer differently; and every session either
+// door runs is released into poisoned chunks (rt.PoisonRecycled, on for
+// the package), which the next split's session is carved from.
 //
 // A unit admission refuses is held to the other half of the contract: a
 // verify-kind error and nothing published.

@@ -8,7 +8,10 @@ package rt
 // renumbered objects would print different "Class@id" strings than the
 // session it was copied from).
 //
-// A Cloner never executes guest code and never charges an Env: the
+// A Cloner allocates its copies in the destination session's heap, so
+// they are that session's to release (a snapshot's frozen copy lives in
+// an environment nobody releases). It never executes guest code and
+// never charges an Env: the
 // session the values were copied FROM already paid the allocation
 // budget for them, and the warm-pool machinery replays that charge onto
 // the destination Env separately (see interp.Snapshot). Keeping the
@@ -19,6 +22,8 @@ package rt
 // one logical copy operation: values cloned through the same Cloner
 // share one identity map, so aliasing between them is preserved exactly.
 type Cloner struct {
+	// dst is the session the copies are allocated in.
+	dst  *Env
 	seen map[Ref]Ref
 	// classes remaps ClassInfo pointers from the source session's class
 	// table to the destination session's (nil entries / nil map fall
@@ -36,10 +41,11 @@ type Cloner struct {
 // slotCopy is one pending fill: dst[i] becomes the clone of src[i].
 type slotCopy struct{ src, dst []Value }
 
-// NewCloner creates a cloner with the given class remapping (may be
-// nil when source and destination share one class table).
-func NewCloner(classes map[*ClassInfo]*ClassInfo) *Cloner {
-	return &Cloner{seen: make(map[Ref]Ref), classes: classes}
+// NewCloner creates a cloner that allocates its copies in dst's heap, with
+// the given class remapping (may be nil when source and destination share
+// one class table).
+func NewCloner(dst *Env, classes map[*ClassInfo]*ClassInfo) *Cloner {
+	return &Cloner{dst: dst, seen: make(map[Ref]Ref), classes: classes}
 }
 
 // Value deep-copies one value.
@@ -79,16 +85,16 @@ func (c *Cloner) ref(r Ref) Ref {
 	}
 	switch r := r.(type) {
 	case *Str:
-		dup := r.Fresh()
+		dup := c.dst.Fresh(r)
 		c.seen[r] = dup
 		return dup
 	case *Array:
-		dup := &Array{Elems: make([]Value, len(r.Elems)), TypeID: r.TypeID}
+		dup := c.dst.array(len(r.Elems), r.TypeID)
 		c.seen[r] = dup
 		c.todo = append(c.todo, slotCopy{r.Elems, dup.Elems})
 		return dup
 	case *Object:
-		dup := &Object{Class: c.class(r.Class), Fields: make([]Value, len(r.Fields)), id: r.id}
+		dup := c.dst.object(c.class(r.Class), len(r.Fields), r.id)
 		c.seen[r] = dup
 		c.todo = append(c.todo, slotCopy{r.Fields, dup.Fields})
 		return dup

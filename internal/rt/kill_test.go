@@ -194,7 +194,7 @@ func TestClonerIsNotRecursive(t *testing.T) {
 	go func() { // a fresh goroutine: its stack starts small
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		dup := NewCloner(nil).Value(head)
+		dup := NewCloner(&Env{}, nil).Value(head)
 		runtime.ReadMemStats(&after)
 		grew = after.StackInuse - min(after.StackInuse, before.StackInuse)
 		done <- dup

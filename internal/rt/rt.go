@@ -118,8 +118,9 @@ func (c *ClassInfo) IsSubclassOf(d *ClassInfo) bool {
 type Thrown struct{ Val Value }
 
 // Env is the execution environment shared by the interpreters. An Env
-// (and everything it allocates) belongs to exactly one execution session;
-// it must never be shared between concurrently running programs. Outside
+// (and everything it allocates, from its own heap) belongs to exactly one
+// execution session; it must never be shared between concurrently running
+// programs. Outside
 // this package and tests an Env comes from NewEnv (or Unbudgeted, for one
 // that runs no guest code), never from a literal — budget.go says why.
 type Env struct {
@@ -152,6 +153,8 @@ type Env struct {
 	slots    int64
 	inflight any
 	nextID   int64
+	// heap is where the session's guest objects live (heap.go).
+	heap heap
 }
 
 // Charge consumes n units of allocation budget.
@@ -211,21 +214,21 @@ func (e *Env) stepSlow() {
 func (e *Env) NewObject(c *ClassInfo) *Object {
 	e.Charge(int64(c.NumSlots) + 1)
 	e.nextID++
-	return &Object{Class: c, Fields: make([]Value, c.NumSlots), id: e.nextID}
+	return e.object(c, c.NumSlots, e.nextID)
 }
 
 // NewArray allocates an array of n zero values; n must already have been
 // checked non-negative.
 func (e *Env) NewArray(n int32, typeID int32) *Array {
 	e.Charge(int64(n) + 1)
-	return &Array{Elems: make([]Value, n), TypeID: typeID}
+	return e.array(int(n), typeID)
 }
 
 // NewStr allocates a string instance, charging its length against the
 // allocation budget.
 func (e *Env) NewStr(s string) *Str {
 	e.Charge(int64(len(s)) + 1)
-	return &Str{S: s}
+	return e.Str(s)
 }
 
 // Identity returns the identity hash of a reference.
@@ -256,7 +259,7 @@ type ExcClasses struct {
 func (e *Env) ThrowNew(c *ClassInfo, msg string) {
 	o := e.NewObject(c)
 	if len(o.Fields) > 0 {
-		o.Fields[0] = RefValue(&Str{S: msg})
+		o.Fields[0] = RefValue(e.Str(msg))
 	}
 	e.Throw(Thrown{Val: RefValue(o)})
 }
@@ -597,7 +600,7 @@ func AsStr(r Ref) *Str {
 	return emptyStr
 }
 
-// ConstStr is the template of a string constant: Fresh makes each
+// ConstStr is the template of a string constant: Env.Fresh makes each
 // evaluation's instance from it. It knows whether s is ASCII, so a guest
 // that indexes a constant pays for no scan per evaluation.
 func ConstStr(s string) *Str {
@@ -606,16 +609,6 @@ func ConstStr(s string) *Str {
 		c.u16 = asciiView
 	}
 	return c
-}
-
-// Fresh is a new instance of s's text: a distinct reference, as every
-// evaluation of a constant and every clone must be, that keeps what s
-// knows about its text only when that is the shared ASCII mark.
-func (s *Str) Fresh() *Str {
-	if s.u16 == asciiView {
-		return &Str{S: s.S, u16: asciiView}
-	}
-	return &Str{S: s.S}
 }
 
 func isASCII(s string) bool {
