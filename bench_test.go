@@ -153,6 +153,48 @@ func BenchmarkColdProduce(b *testing.B) {
 // producedBytes keeps BenchmarkColdProduce's last encoding reachable.
 var producedBytes []byte
 
+// BenchmarkWarmProduce is BenchmarkColdProduce as a compile worker of
+// safetsad's pool runs it: every stage in one driver.Arena, the encoding
+// copied out and the arena released before the next compile, so B/op and
+// allocs/op read what a compile costs when the one before left its memory:
+//
+//	go test -run='^$' -bench=WarmProduce -benchtime=100x .
+func BenchmarkWarmProduce(b *testing.B) {
+	for _, u := range corpus.Units() {
+		b.Run(u.Name, func(b *testing.B) {
+			a := driver.NewArena()
+			warmCompile(b, a, u.Files)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				producedBytes = warmCompile(b, a, u.Files)
+			}
+		})
+	}
+}
+
+// warmCompile compiles files at O2 in a, as the producer pool does — the
+// v2 encoding copied out at its length — and releases a.
+func warmCompile(tb testing.TB, a *driver.Arena, files map[string]string) []byte {
+	ctx := context.Background()
+	prog, err := a.Frontend(ctx, files)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mod, err := a.CompileTSA(ctx, prog)
+	if err == nil {
+		_, err = a.Optimize(ctx, mod, opt.Options{ModuleLevel: true})
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data := a.EncodeV2(mod)
+	out := make([]byte, len(data))
+	copy(out, data)
+	a.Rewind()
+	return out
+}
+
 // BenchmarkHotRun is the library half of the run_hot_compute gate: the
 // workload's six guests — Linpack and BitSieve from the corpus, the four
 // of benchmark/guests read from disk — at O2 on the compiled engine, the

@@ -19,8 +19,14 @@ import (
 // many requests concurrently, with per-stage timeouts and context
 // cancellation. The store's singleflight sits in front of it, so the
 // pool only ever sees distinct keys.
+//
+// Each worker compiles in a driver.Arena, which it takes from the pool's
+// stock and gives back once the compile is encoded and copied out, so one
+// compile's memory is the next one's. The stock holds at most one arena
+// per worker, and no arena over driver.MaxArenaBytes.
 type Pool struct {
 	sem          chan struct{}
+	arenas       chan *driver.Arena
 	stageTimeout time.Duration
 	m            *Metrics
 }
@@ -34,6 +40,7 @@ func NewPool(workers int, stageTimeout time.Duration, m *Metrics) *Pool {
 	}
 	return &Pool{
 		sem:          make(chan struct{}, workers),
+		arenas:       make(chan *driver.Arena, workers),
 		stageTimeout: stageTimeout,
 		m:            m,
 	}
@@ -41,8 +48,10 @@ func NewPool(workers int, stageTimeout time.Duration, m *Metrics) *Pool {
 
 // Compile runs the full producer pipeline for one source set, blocking
 // until a worker slot is free (or ctx is cancelled while waiting). What it
-// hands back is admitted on the producer's evidence: the module the driver
-// verified (after ssabuild and again after the optimizer) and its encoding.
+// hands back is admitted on the producer's evidence — the driver verified
+// the module after ssabuild and again after the optimizer — and is its
+// encoding alone, copied out of the arena at its exact length: nothing
+// else of the compile outlives the call.
 func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Options) (admitted, error) {
 	select {
 	case p.sem <- struct{}{}:
@@ -54,9 +63,35 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 	defer p.m.compilesInFlight.Add(-1)
 	start := time.Now()
 
+	var a *driver.Arena
+	select {
+	case a = <-p.arenas:
+	default:
+		a = driver.NewArena()
+	}
+	out, err := p.compile(ctx, a, files, opts)
+	if err != nil {
+		// After an error the arena goes to the collector, not to the
+		// next compile: a stage abandoned at its deadline may still be
+		// running in it.
+		return admitted{}, err
+	}
+	if a.Rewind() {
+		select {
+		case p.arenas <- a:
+		default:
+		}
+	}
+	p.m.compiles.Add(1)
+	p.m.stages[stageCompile].Observe(time.Since(start))
+	return out, nil
+}
+
+// compile runs the stages in a; the bytes it returns are a copy.
+func (p *Pool) compile(ctx context.Context, a *driver.Arena, files map[string]string, opts Options) (admitted, error) {
 	var prog *sema.Program
 	err := p.stage(ctx, "frontend", func(ctx context.Context) (err error) {
-		prog, err = driver.FrontendContext(ctx, files)
+		prog, err = a.Frontend(ctx, files)
 		return err
 	})
 	if err != nil {
@@ -64,7 +99,7 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 	}
 	var mod *core.Module
 	err = p.stage(ctx, "ssabuild", func(ctx context.Context) (err error) {
-		mod, err = driver.CompileTSAContext(ctx, prog)
+		mod, err = a.CompileTSA(ctx, prog)
 		return err
 	})
 	if err != nil {
@@ -72,28 +107,26 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 	}
 	if opts.Optimize || opts.ModuleOpt {
 		err = p.stage(ctx, "optimize", func(ctx context.Context) error {
-			_, err := driver.OptimizeModuleOptions(ctx, mod, opt.Options{ModuleLevel: opts.ModuleOpt})
+			_, err := a.Optimize(ctx, mod, opt.Options{ModuleLevel: opts.ModuleOpt})
 			return err
 		})
 		if err != nil {
 			return admitted{}, err
 		}
 	}
-	var data []byte
+	var out admitted
 	err = p.stage(ctx, "encode", func(context.Context) error {
 		if opts.WireV2 {
-			data = wire.EncodeModuleV2(mod, nil)
+			data := a.EncodeV2(mod)
+			out.wire = make([]byte, len(data))
+			copy(out.wire, data)
 		} else {
-			data = wire.EncodeModule(mod)
+			out.wire = wire.EncodeModule(mod)
 		}
+		out.instrs = mod.NumInstrs()
 		return nil
 	})
-	if err != nil {
-		return admitted{}, err
-	}
-	p.m.compiles.Add(1)
-	p.m.stages[stageCompile].Observe(time.Since(start))
-	return admittedModule(mod, data), nil
+	return out, err
 }
 
 // stage runs one pipeline stage under the stage deadline. A stage that

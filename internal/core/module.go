@@ -344,14 +344,12 @@ func (f *Func) NumInstrs() int {
 	return n
 }
 
-// CSTBlocks returns the blocks of the function in Control Structure Tree
-// walk order — the canonical transmission order of section 7 ("a fixed
-// order, derived from the CST, corresponding to a pre-order traversal of
-// the dominator tree"). Every block appears exactly once: as a CBlock
-// leaf or as a CTry handler entry.
-func (f *Func) CSTBlocks() []*Block {
-	return cstBlocks(f.Body, make([]*Block, 0, len(f.Blocks)))
-}
+// AppendCSTBlocks appends the blocks of the function to out in Control
+// Structure Tree walk order — the canonical transmission order of section
+// 7 ("a fixed order, derived from the CST, corresponding to a pre-order
+// traversal of the dominator tree"). Every block appears exactly once: as
+// a CBlock leaf or as a CTry handler entry.
+func (f *Func) AppendCSTBlocks(out []*Block) []*Block { return cstBlocks(f.Body, out) }
 
 // cstBlocks appends the CBlock leaves under n in walk order; a CTry's
 // handler entry block is the first leaf of its kids[1].

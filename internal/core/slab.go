@@ -1,5 +1,10 @@
 package core
 
+import (
+	"math"
+	"unsafe"
+)
+
 // Slab hands out a unit's memory from chunks: the instructions, operand
 // vectors, blocks and tree nodes of a module that is built in one go (by
 // the wire decoder, by ssabuild, by the inliner) cost a chunk per ~128
@@ -60,6 +65,13 @@ func (s *Slab[T]) refill(n int) {
 // One returns a pointer to one zeroed element.
 func (s *Slab[T]) One() *T { return &s.Take(1)[0] }
 
+// New returns a pointer to a copy of v.
+func (s *Slab[T]) New(v T) *T {
+	p := s.One()
+	*p = v
+	return p
+}
+
 // Keep returns an exactly-sized copy of v; nil for none.
 func (s *Slab[T]) Keep(v []T) []T {
 	if len(v) == 0 {
@@ -105,6 +117,19 @@ func (s *Slab[T]) Discard(junk T) {
 	*s = Slab[T]{next: s.next, recycle: s.recycle}
 }
 
+// Bytes is the size of the slab's kept chunks.
+func (s *Slab[T]) Bytes() int {
+	var zero T
+	return s.Held() * int(unsafe.Sizeof(zero))
+}
+
+// DiscardZero is Discard for memory whose zero value is junk enough: its
+// readers fail on the nil pointers and empty names they find there.
+func (s *Slab[T]) DiscardZero() {
+	var zero T
+	s.Discard(zero)
+}
+
 // Held is how many elements the slab's kept chunks hold.
 func (s *Slab[T]) Held() int {
 	n := 0
@@ -113,3 +138,15 @@ func (s *Slab[T]) Held() int {
 	}
 	return n
 }
+
+// What a poisoned slab holds (Discard): an instruction with no opcode, a
+// tree node of no kind, a block numbered -1 and a value far out of range.
+// A reader that kept a pointer into released memory reads these, and goes
+// wrong where a reader of zeroed memory might not.
+const JunkValue = ValueID(math.MaxInt32)
+
+var (
+	JunkInstr = Instr{ID: JunkValue, Op: Op(NumOps), Bind: JunkValue, Aux: -1, Field: -1, Method: -1}
+	JunkNode  = CSTNode{Kind: CSTKind(NumCSTKinds), Cond: JunkValue, Val: JunkValue}
+	JunkBlock = Block{Index: -1, Depth: -1}
+)

@@ -298,12 +298,25 @@ type Positions struct {
 // (or that HandlerOf/ExcEdge do not name) keeps position 0: nothing of its
 // source block is in scope on it.
 func (f *Func) Positions() Positions {
+	var p Positions
+	f.PositionsInto(&p)
+	return p
+}
+
+// PositionsInto builds the table in p's memory, when it is long enough.
+func (f *Func) PositionsInto(p *Positions) {
 	nv, nb, ne := len(f.values), len(f.Blocks), 0
 	for _, b := range f.Blocks {
 		ne += len(b.Preds)
 	}
-	tab := make([]int32, nv+nb+ne)
-	p := Positions{val: tab[:nv], first: tab[nv : nv+nb], limit: tab[nv+nb:]}
+	tab := p.val[:0:cap(p.val)] // val leads the one table
+	if cap(tab) < nv+nb+ne {
+		tab = make([]int32, nv+nb+ne)
+	} else {
+		tab = tab[:nv+nb+ne]
+		clear(tab)
+	}
+	*p = Positions{val: tab[:nv], first: tab[nv : nv+nb], limit: tab[nv+nb:]}
 	for i := range p.val {
 		p.val[i] = -1
 	}
@@ -337,8 +350,10 @@ func (f *Func) Positions() Positions {
 			place(b, in, int32(i+1))
 		}
 	}
-	return p
 }
+
+// Cap is how many entries p's memory holds (PositionsInto reuses it).
+func (p Positions) Cap() int { return cap(p.val) }
 
 // Of returns the position of the instruction defining v, and whether that
 // instruction is in the instruction stream at all.

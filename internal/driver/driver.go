@@ -38,12 +38,16 @@ func Frontend(files map[string]string) (*sema.Program, error) {
 // FrontendContext parses and checks a set of named TJ sources, honoring
 // cancellation between files.
 func FrontendContext(ctx context.Context, files map[string]string) (*sema.Program, error) {
+	return frontend(ctx, files, new(parser.Arena), new(sema.Arena))
+}
+
+func frontend(ctx context.Context, files map[string]string, pa *parser.Arena, sa *sema.Arena) (*sema.Program, error) {
 	names := make([]string, 0, len(files))
 	for n := range files {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var asts []*ast.File
+	asts := make([]*ast.File, 0, len(names))
 	var errs []error
 	_, psp := obs.Start(ctx, "parse")
 	for _, n := range names {
@@ -51,7 +55,7 @@ func FrontendContext(ctx context.Context, files map[string]string) (*sema.Progra
 			psp.End()
 			return nil, err
 		}
-		f, ferrs := parser.ParseFile(n, files[n])
+		f, ferrs := pa.ParseFile(n, files[n])
 		errs = append(errs, ferrs...)
 		asts = append(asts, f)
 	}
@@ -63,7 +67,7 @@ func FrontendContext(ctx context.Context, files map[string]string) (*sema.Progra
 		return nil, err
 	}
 	_, ssp := obs.Start(ctx, "sema")
-	prog, serrs := sema.Check(asts...)
+	prog, serrs := sa.Check(asts...)
 	ssp.End()
 	if len(serrs) > 0 {
 		return nil, wrapKind(KindSema, fmt.Errorf("sema: %w", errors.Join(serrs...)))
@@ -79,11 +83,15 @@ func CompileTSA(prog *sema.Program) (*core.Module, error) {
 // CompileTSAContext builds and verifies the SafeTSA module for a checked
 // program. A verifier rejection here is a producer bug, not a user error.
 func CompileTSAContext(ctx context.Context, prog *sema.Program) (*core.Module, error) {
+	return compileTSA(ctx, prog, new(ssabuild.Arena))
+}
+
+func compileTSA(ctx context.Context, prog *sema.Program, ba *ssabuild.Arena) (*core.Module, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	_, bsp := obs.Start(ctx, "build")
-	mod, err := ssabuild.Build(prog)
+	mod, err := ba.Build(prog)
 	bsp.End()
 	if err != nil {
 		return nil, wrapKind(KindInternal, err)
@@ -131,11 +139,15 @@ func OptimizeModule(mod *core.Module) (opt.Stats, error) {
 // (intraprocedural by default, interprocedural with ModuleLevel) and
 // re-verifies the module.
 func OptimizeModuleOptions(ctx context.Context, mod *core.Module, o opt.Options) (opt.Stats, error) {
+	return optimize(ctx, mod, o, opt.PipelineFor(o))
+}
+
+func optimize(ctx context.Context, mod *core.Module, o opt.Options, passes []opt.Pass) (opt.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return opt.Stats{}, err
 	}
 	_, osp := obs.Start(ctx, "passes")
-	st := opt.OptimizeWithOptions(mod, o)
+	st, _ := opt.RunPasses(mod, o, passes, nil) // with no after hook it cannot fail
 	osp.End()
 	_, vsp := obs.Start(ctx, "verify")
 	err := mod.Verify(core.VerifyOptions{})

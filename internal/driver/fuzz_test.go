@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"safetsa/internal/corpus"
@@ -175,7 +176,43 @@ func FuzzFrontend(f *testing.F) {
 		if err := oracle.CheckFrontend(src); err != nil {
 			t.Fatal(err)
 		}
+		files := map[string]string{"Fuzz.tj": string(src)}
+		want := producedBy(nil, files)
+		fuzzArena.Lock()
+		defer fuzzArena.Unlock()
+		if got := producedBy(fuzzArena.a, files); got != want {
+			t.Fatalf("through an arena every earlier input was compiled in:\n%s\nfresh:\n%s", got, want)
+		}
 	})
+}
+
+// fuzzArena is the arena FuzzFrontend compiles every input in a second
+// time, released after each: whatever a hostile input left in it — a
+// parse cut short by a bailout, a check stopped by errors — must not
+// change what the next input compiles to.
+var fuzzArena = struct {
+	sync.Mutex
+	a *driver.Arena
+}{a: driver.NewArena()}
+
+// producedBy is what the front end and ssabuild make of files, in a (nil:
+// the package-level stages): the error text, or the v2 encoding.
+func producedBy(a *driver.Arena, files map[string]string) string {
+	ctx := context.Background()
+	frontend, build := driver.FrontendContext, driver.CompileTSAContext
+	if a != nil {
+		defer a.Rewind()
+		frontend, build = a.Frontend, a.CompileTSA
+	}
+	prog, err := frontend(ctx, files)
+	if err != nil {
+		return "frontend: " + err.Error()
+	}
+	mod, err := build(ctx, prog)
+	if err != nil {
+		return "build: " + err.Error()
+	}
+	return fmt.Sprintf("%x", wire.EncodeModuleV2(mod, nil))
 }
 
 // finallyPrograms pin the lowering of finally, foremost where a try

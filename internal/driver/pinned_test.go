@@ -32,6 +32,19 @@ func pinnedUnits(t *testing.T) []corpus.Unit {
 	return units
 }
 
+// pinnedTiers are the optimizer tiers the producer is pinned at; nil
+// options is O0, no optimizer.
+var pinnedTiers = []struct {
+	name string
+	opts *opt.Options
+}{
+	{"O0", nil},
+	{"O1", &opt.Options{}},
+	{"O2", &opt.Options{ModuleLevel: true}},
+	{"O1fs", &opt.Options{FieldSensitiveMem: true}},
+	{"O2fs", &opt.Options{ModuleLevel: true, FieldSensitiveMem: true}},
+}
+
 // TestProducerOutputPinned pins what the producer emits, byte for byte:
 // for every unit at O0, O1 and O2 (module tier), and at both optimized
 // tiers under the field-sensitive Mem, the sha256 of both wire encodings
@@ -41,19 +54,9 @@ func pinnedUnits(t *testing.T) []corpus.Unit {
 // TestProducerOutputPinned -update`) only by a change that means to alter
 // the producer's output.
 func TestProducerOutputPinned(t *testing.T) {
-	tiers := []struct {
-		name string
-		opts *opt.Options
-	}{
-		{"O0", nil},
-		{"O1", &opt.Options{}},
-		{"O2", &opt.Options{ModuleLevel: true}},
-		{"O1fs", &opt.Options{FieldSensitiveMem: true}},
-		{"O2fs", &opt.Options{ModuleLevel: true, FieldSensitiveMem: true}},
-	}
 	var sb strings.Builder
 	for _, u := range pinnedUnits(t) {
-		for _, tier := range tiers {
+		for _, tier := range pinnedTiers {
 			mod, err := CompileTSASource(u.Files)
 			if err != nil {
 				t.Fatalf("%s: %v", u.Name, err)

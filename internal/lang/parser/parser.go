@@ -35,6 +35,7 @@ const maxErrors = 20
 const maxDepth = 1000
 
 type parser struct {
+	a    *Arena
 	file string // the name every token position is reported in
 	toks []token.Token
 	pos  int
@@ -51,9 +52,12 @@ type parser struct {
 
 // ParseFile parses a whole TJ compilation unit. On syntax errors it
 // returns the partial AST together with the error list.
-func ParseFile(file, src string) (*ast.File, []error) {
-	toks, errs := scanner.ScanAll(file, src)
-	p := &parser{file: file, toks: toks, errs: errs}
+func ParseFile(file, src string) (*ast.File, []error) { return new(Arena).ParseFile(file, src) }
+
+// ParseFile is the package-level ParseFile, carving the tree from a.
+func (a *Arena) ParseFile(file, src string) (*ast.File, []error) {
+	toks, errs := scanner.Scan(a.toks, file, src)
+	p := &parser{a: a, file: file, toks: toks, errs: errs}
 	f := &ast.File{Name: file}
 	func() {
 		defer func() {
@@ -64,9 +68,18 @@ func ParseFile(file, src string) (*ast.File, []error) {
 			}
 		}()
 		for p.tok().Kind != token.EOF {
-			f.Classes = append(f.Classes, p.parseClass())
+			c := p.parseClass()
+			a.classStack = append(a.classStack, c)
 		}
 	}()
+	// A bailout leaves the nodes it cut short on the stacks, unreachable
+	// from f: every node joins its parent once it is done.
+	f.Classes = cut(&a.classVec, &a.classStack, 0)
+	a.dropStacks()
+	if a.all != nil { // a kept arena: its tokens must not pin src
+		clear(toks)
+		a.toks = toks[:0]
+	}
 	return f, p.errs
 }
 
@@ -171,14 +184,17 @@ func (p *parser) parseClass() *ast.ClassDecl {
 	p.skipModifiers()
 	start := p.expect(token.CLASS)
 	name := p.expect(token.IDENT)
-	c := &ast.ClassDecl{Name: name.Lit, P: p.posOf(start)}
+	c := p.a.classes.New(ast.ClassDecl{Name: name.Lit, P: p.posOf(start)})
 	if p.accept(token.EXTENDS) {
 		c.Super = p.expect(token.IDENT).Lit
 	}
 	p.expect(token.LBRACE)
+	fields, methods := len(p.a.fieldStack), len(p.a.methodStack)
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		p.parseMember(c)
 	}
+	c.Fields = cut(&p.a.fieldVec, &p.a.fieldStack, fields)
+	c.Methods = cut(&p.a.methodVec, &p.a.methodStack, methods)
 	p.expect(token.RBRACE)
 	return c
 }
@@ -192,22 +208,22 @@ func (p *parser) parseMember(c *ast.ClassDecl) {
 	// Constructor: IDENT matching the class name followed by '('.
 	if p.at(token.IDENT) && p.tok().Lit == c.Name && p.peekKind(1) == token.LPAREN {
 		name := p.next()
-		m := &ast.MethodDecl{Name: name.Lit, IsCtor: true, P: pos}
+		m := p.a.methods.New(ast.MethodDecl{Name: name.Lit, IsCtor: true, P: pos})
 		m.Params = p.parseParams()
 		p.skipThrows()
 		m.Body = p.parseBlock()
-		c.Methods = append(c.Methods, m)
+		p.a.methodStack = append(p.a.methodStack, m)
 		return
 	}
 
 	typ := p.parseType()
 	name := p.expect(token.IDENT)
 	if p.at(token.LPAREN) {
-		m := &ast.MethodDecl{Name: name.Lit, Return: typ, Static: static, P: pos}
+		m := p.a.methods.New(ast.MethodDecl{Name: name.Lit, Return: typ, Static: static, P: pos})
 		m.Params = p.parseParams()
 		p.skipThrows()
 		m.Body = p.parseBlock()
-		c.Methods = append(c.Methods, m)
+		p.a.methodStack = append(p.a.methodStack, m)
 		return
 	}
 
@@ -220,13 +236,13 @@ func (p *parser) parseMember(c *ast.ClassDecl) {
 		for n := dims + 1; p.accept(token.LBRACK); n++ {
 			p.expect(token.RBRACK)
 			p.checkDepth(p.depth + n)
-			declType = &ast.ArrayTypeExpr{Elem: declType, P: pos}
+			declType = p.a.arrTypes.New(ast.ArrayTypeExpr{Elem: declType, P: pos})
 		}
-		f := &ast.FieldDecl{Name: name.Lit, Type: declType, Static: static, Final: final, P: pos}
+		f := p.a.fields.New(ast.FieldDecl{Name: name.Lit, Type: declType, Static: static, Final: final, P: pos})
 		if p.accept(token.ASSIGN) {
 			f.Init = p.parseExpr()
 		}
-		c.Fields = append(c.Fields, f)
+		p.a.fieldStack = append(p.a.fieldStack, f)
 		if !p.accept(token.COMMA) {
 			break
 		}
@@ -246,9 +262,9 @@ func (p *parser) skipThrows() {
 
 func (p *parser) parseParams() []*ast.Param {
 	p.expect(token.LPAREN)
-	var params []*ast.Param
+	mark := len(p.a.paramStack)
 	for !p.at(token.RPAREN) && !p.at(token.EOF) {
-		if len(params) > 0 {
+		if len(p.a.paramStack) > mark {
 			p.expect(token.COMMA)
 		}
 		pos := p.here()
@@ -256,12 +272,13 @@ func (p *parser) parseParams() []*ast.Param {
 		name := p.expect(token.IDENT)
 		for p.accept(token.LBRACK) {
 			p.expect(token.RBRACK)
-			typ = &ast.ArrayTypeExpr{Elem: typ, P: pos}
+			typ = p.a.arrTypes.New(ast.ArrayTypeExpr{Elem: typ, P: pos})
 		}
-		params = append(params, &ast.Param{Name: name.Lit, Type: typ, P: pos})
+		prm := p.a.params.New(ast.Param{Name: name.Lit, Type: typ, P: pos})
+		p.a.paramStack = append(p.a.paramStack, prm)
 	}
 	p.expect(token.RPAREN)
-	return params
+	return cut(&p.a.paramVec, &p.a.paramStack, mark)
 }
 
 func isPrimTypeToken(k token.Kind) bool {
@@ -277,19 +294,19 @@ func (p *parser) parseType() ast.TypeExpr {
 	var t ast.TypeExpr
 	switch {
 	case isPrimTypeToken(p.tok().Kind):
-		t = &ast.PrimTypeExpr{Kind: p.next().Kind, P: pos}
+		t = p.a.prims.New(ast.PrimTypeExpr{Kind: p.next().Kind, P: pos})
 	case p.at(token.IDENT):
-		t = &ast.NamedTypeExpr{Name: p.next().Lit, P: pos}
+		t = p.a.nameds.New(ast.NamedTypeExpr{Name: p.next().Lit, P: pos})
 	default:
 		p.errorf(pos, "expected type, found %s", p.tok())
 		p.next()
-		return &ast.PrimTypeExpr{Kind: token.INT, P: pos}
+		return p.a.prims.New(ast.PrimTypeExpr{Kind: token.INT, P: pos})
 	}
 	for n := 1; p.at(token.LBRACK) && p.peekKind(1) == token.RBRACK; n++ {
 		p.next()
 		p.next()
 		p.checkDepth(p.depth + n)
-		t = &ast.ArrayTypeExpr{Elem: t, P: pos}
+		t = p.a.arrTypes.New(ast.ArrayTypeExpr{Elem: t, P: pos})
 	}
 	return t
 }
@@ -307,12 +324,14 @@ func arrayDims(t ast.TypeExpr) (n int) {
 
 func (p *parser) parseBlock() *ast.BlockStmt {
 	start := p.expect(token.LBRACE)
-	b := &ast.BlockStmt{P: p.posOf(start)}
+	b := p.a.blocks.New(ast.BlockStmt{P: p.posOf(start)})
 	p.nest()
 	defer p.unnest()
+	mark := len(p.a.stmtStack)
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		before := p.pos
-		b.Stmts = append(b.Stmts, p.parseStmt())
+		s := p.parseStmt()
+		p.a.stmtStack = append(p.a.stmtStack, s)
 		if p.pos == before {
 			// No progress: discard a token to avoid an infinite loop
 			// after a syntax error.
@@ -320,6 +339,7 @@ func (p *parser) parseBlock() *ast.BlockStmt {
 			p.next()
 		}
 	}
+	b.Stmts = cut(&p.a.stmtVec, &p.a.stmtStack, mark)
 	p.expect(token.RBRACE)
 	return b
 }
@@ -350,13 +370,13 @@ func (p *parser) parseStmt() ast.Stmt {
 	switch p.tok().Kind {
 	case token.SEMI:
 		p.next()
-		return &ast.EmptyStmt{P: pos}
+		return p.a.empties.New(ast.EmptyStmt{P: pos})
 	case token.IF:
 		p.next()
 		p.expect(token.LPAREN)
 		cond := p.parseExpr()
 		p.expect(token.RPAREN)
-		s := &ast.IfStmt{Cond: cond, P: pos}
+		s := p.a.ifs.New(ast.IfStmt{Cond: cond, P: pos})
 		s.Then = p.parseStmt()
 		if p.accept(token.ELSE) {
 			s.Else = p.parseStmt()
@@ -367,7 +387,7 @@ func (p *parser) parseStmt() ast.Stmt {
 		p.expect(token.LPAREN)
 		cond := p.parseExpr()
 		p.expect(token.RPAREN)
-		return &ast.WhileStmt{Cond: cond, Body: p.parseStmt(), P: pos}
+		return p.a.whiles.New(ast.WhileStmt{Cond: cond, Body: p.parseStmt(), P: pos})
 	case token.DO:
 		p.next()
 		body := p.parseStmt()
@@ -376,12 +396,12 @@ func (p *parser) parseStmt() ast.Stmt {
 		cond := p.parseExpr()
 		p.expect(token.RPAREN)
 		p.expect(token.SEMI)
-		return &ast.DoWhileStmt{Body: body, Cond: cond, P: pos}
+		return p.a.doWhiles.New(ast.DoWhileStmt{Body: body, Cond: cond, P: pos})
 	case token.FOR:
 		return p.parseFor()
 	case token.RETURN:
 		p.next()
-		s := &ast.ReturnStmt{P: pos}
+		s := p.a.returns.New(ast.ReturnStmt{P: pos})
 		if !p.at(token.SEMI) {
 			s.X = p.parseExpr()
 		}
@@ -390,16 +410,16 @@ func (p *parser) parseStmt() ast.Stmt {
 	case token.BREAK:
 		p.next()
 		p.expect(token.SEMI)
-		return &ast.BreakStmt{P: pos}
+		return p.a.breaks.New(ast.BreakStmt{P: pos})
 	case token.CONTINUE:
 		p.next()
 		p.expect(token.SEMI)
-		return &ast.ContinueStmt{P: pos}
+		return p.a.continues.New(ast.ContinueStmt{P: pos})
 	case token.THROW:
 		p.next()
 		x := p.parseExpr()
 		p.expect(token.SEMI)
-		return &ast.ThrowStmt{X: x, P: pos}
+		return p.a.throws.New(ast.ThrowStmt{X: x, P: pos})
 	case token.TRY:
 		return p.parseTry()
 	}
@@ -410,7 +430,7 @@ func (p *parser) parseStmt() ast.Stmt {
 	}
 	x := p.parseExpr()
 	p.expect(token.SEMI)
-	return &ast.ExprStmt{X: x, P: pos}
+	return p.a.exprStmts.New(ast.ExprStmt{X: x, P: pos})
 }
 
 // parseLocalDecl parses "Type name [= init] (, name [= init])*" without
@@ -419,40 +439,43 @@ func (p *parser) parseLocalDecl() ast.Stmt {
 	pos := p.here()
 	typ := p.parseType()
 	dims := arrayDims(typ)
-	var decls []ast.Stmt
+	mark := len(p.a.stmtStack)
 	for {
 		name := p.expect(token.IDENT)
 		declType := typ
 		for n := dims + 1; p.accept(token.LBRACK); n++ {
 			p.expect(token.RBRACK)
 			p.checkDepth(p.depth + n)
-			declType = &ast.ArrayTypeExpr{Elem: declType, P: pos}
+			declType = p.a.arrTypes.New(ast.ArrayTypeExpr{Elem: declType, P: pos})
 		}
-		d := &ast.VarDeclStmt{Name: name.Lit, Type: declType, P: p.posOf(name)}
+		d := p.a.varDecls.New(ast.VarDeclStmt{Name: name.Lit, Type: declType, P: p.posOf(name)})
 		if p.accept(token.ASSIGN) {
 			d.Init = p.parseExpr()
 		}
-		decls = append(decls, d)
+		p.a.stmtStack = append(p.a.stmtStack, d)
 		if !p.accept(token.COMMA) {
 			break
 		}
 	}
-	if len(decls) == 1 {
-		return decls[0]
+	if len(p.a.stmtStack) == mark+1 {
+		d := p.a.stmtStack[mark]
+		p.a.stmtStack[mark] = nil
+		p.a.stmtStack = p.a.stmtStack[:mark]
+		return d
 	}
-	return &ast.BlockStmt{Stmts: decls, P: pos}
+	return p.a.blocks.New(ast.BlockStmt{Stmts: cut(&p.a.stmtVec, &p.a.stmtStack, mark), P: pos})
 }
 
 func (p *parser) parseFor() ast.Stmt {
 	pos := p.here()
 	p.expect(token.FOR)
 	p.expect(token.LPAREN)
-	s := &ast.ForStmt{P: pos}
+	s := p.a.fors.New(ast.ForStmt{P: pos})
 	if !p.at(token.SEMI) {
 		if p.startsLocalDecl() {
 			s.Init = p.parseLocalDecl()
 		} else {
-			s.Init = &ast.ExprStmt{X: p.parseExpr(), P: p.here()}
+			s.Init = p.a.exprStmts.New(ast.ExprStmt{X: p.parseExpr(), P: p.here()})
 		}
 	}
 	p.expect(token.SEMI)
@@ -461,7 +484,7 @@ func (p *parser) parseFor() ast.Stmt {
 	}
 	p.expect(token.SEMI)
 	if !p.at(token.RPAREN) {
-		s.Post = &ast.ExprStmt{X: p.parseExpr(), P: p.here()}
+		s.Post = p.a.exprStmts.New(ast.ExprStmt{X: p.parseExpr(), P: p.here()})
 	}
 	p.expect(token.RPAREN)
 	s.Body = p.parseStmt()
@@ -470,16 +493,19 @@ func (p *parser) parseFor() ast.Stmt {
 
 func (p *parser) parseTry() ast.Stmt {
 	pos := p.posOf(p.expect(token.TRY))
-	s := &ast.TryStmt{P: pos}
+	s := p.a.tries.New(ast.TryStmt{P: pos})
 	s.Body = p.parseBlock()
+	mark := len(p.a.catchStack)
 	for p.at(token.CATCH) {
 		cp := p.posOf(p.next())
 		p.expect(token.LPAREN)
 		typ := p.parseType()
 		name := p.expect(token.IDENT)
 		p.expect(token.RPAREN)
-		s.Catches = append(s.Catches, &ast.CatchClause{Type: typ, Name: name.Lit, Body: p.parseBlock(), P: cp})
+		cc := p.a.catches.New(ast.CatchClause{Type: typ, Name: name.Lit, Body: p.parseBlock(), P: cp})
+		p.a.catchStack = append(p.a.catchStack, cc)
 	}
+	s.Catches = cut(&p.a.catchVec, &p.a.catchStack, mark)
 	if p.accept(token.FINALLY) {
 		s.Finally = p.parseBlock()
 	}
@@ -521,7 +547,7 @@ func (p *parser) parseAssign() ast.Expr {
 		}
 		p.sink()
 		rhs := p.parseExpr() // right associative
-		return &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs, P: p.posOf(op)}
+		return p.a.assigns.New(ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs, P: p.posOf(op)})
 	}
 	return lhs
 }
@@ -536,7 +562,7 @@ func (p *parser) parseTernary() ast.Expr {
 		p.nest()
 		els := p.parseTernary()
 		p.unnest()
-		return &ast.Cond{C: c, Then: then, Else: els, P: pos}
+		return p.a.conds.New(ast.Cond{C: c, Then: then, Else: els, P: pos})
 	}
 	return c
 }
@@ -558,13 +584,13 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 		p.sink()
 		if op.Kind == token.INSTANCEOF {
 			typ := p.parseType()
-			x = &ast.InstanceOf{X: x, Type: typ, P: p.posOf(op)}
+			x = p.a.instanceOfs.New(ast.InstanceOf{X: x, Type: typ, P: p.posOf(op)})
 			continue
 		}
 		p.nest()
 		y := p.parseBinary(prec + 1)
 		p.unnest()
-		x = &ast.Binary{Op: op.Kind, X: x, Y: y, P: p.posOf(op)}
+		x = p.a.binaries.New(ast.Binary{Op: op.Kind, X: x, Y: y, P: p.posOf(op)})
 	}
 }
 
@@ -615,13 +641,13 @@ func (p *parser) parseUnary() ast.Expr {
 		// minus must be folded into the literal before range checking.
 		if op == token.SUB && p.at(token.INTLIT) {
 			t := p.next()
-			return p.parsePostfix(&ast.IntLit{Value: p.intLitValue(t, true), P: pos})
+			return p.parsePostfix(p.a.intLits.New(ast.IntLit{Value: p.intLitValue(t, true), P: pos}))
 		}
 		if op == token.SUB && p.at(token.LONGLIT) {
 			t := p.next()
-			return p.parsePostfix(&ast.LongLit{Value: p.longLitValue(t, true), P: pos})
+			return p.parsePostfix(p.a.longLits.New(ast.LongLit{Value: p.longLitValue(t, true), P: pos}))
 		}
-		return &ast.Unary{Op: op, X: p.parseOperand(), P: pos}
+		return p.a.unaries.New(ast.Unary{Op: op, X: p.parseOperand(), P: pos})
 	case token.INC, token.DEC:
 		// Prefix inc/dec: treat as the equivalent compound assignment.
 		op := p.next().Kind
@@ -633,13 +659,13 @@ func (p *parser) parseUnary() ast.Expr {
 		if op == token.DEC {
 			binOp = token.SUBASSIGN
 		}
-		return &ast.Assign{Op: binOp, LHS: x, RHS: &ast.IntLit{Value: 1, P: pos}, P: pos}
+		return p.a.assigns.New(ast.Assign{Op: binOp, LHS: x, RHS: p.a.intLits.New(ast.IntLit{Value: 1, P: pos}), P: pos})
 	}
 	if p.startsCast() {
 		p.next() // (
 		typ := p.parseType()
 		p.expect(token.RPAREN)
-		return &ast.Cast{Type: typ, X: p.parseOperand(), P: pos}
+		return p.a.casts.New(ast.Cast{Type: typ, X: p.parseOperand(), P: pos})
 	}
 	return p.parsePostfix(p.parsePrimary())
 }
@@ -661,25 +687,25 @@ func (p *parser) parsePostfix(x ast.Expr) ast.Expr {
 			p.sink()
 			name := p.expect(token.IDENT)
 			if p.at(token.LPAREN) {
-				call := &ast.CallExpr{Recv: x, Name: name.Lit, P: pos}
+				call := p.a.calls.New(ast.CallExpr{Recv: x, Name: name.Lit, P: pos})
 				call.Args = p.parseArgs()
 				x = call
 			} else {
-				x = &ast.FieldAccess{X: x, Name: name.Lit, P: pos}
+				x = p.a.fieldAccs.New(ast.FieldAccess{X: x, Name: name.Lit, P: pos})
 			}
 		case token.LBRACK:
 			p.next()
 			p.sink()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
-			x = &ast.IndexExpr{X: x, Index: idx, P: pos}
+			x = p.a.indexes.New(ast.IndexExpr{X: x, Index: idx, P: pos})
 		case token.INC, token.DEC:
 			op := p.next().Kind
 			p.sink()
 			if !isLValue(x) {
 				p.errorf(pos, "operand of %s is not assignable", op)
 			}
-			x = &ast.IncDec{Op: op, X: x, P: pos}
+			x = p.a.incDecs.New(ast.IncDec{Op: op, X: x, P: pos})
 		default:
 			return x
 		}
@@ -688,15 +714,16 @@ func (p *parser) parsePostfix(x ast.Expr) ast.Expr {
 
 func (p *parser) parseArgs() []ast.Expr {
 	p.expect(token.LPAREN)
-	var args []ast.Expr
+	mark := len(p.a.exprStack)
 	for !p.at(token.RPAREN) && !p.at(token.EOF) {
-		if len(args) > 0 {
+		if len(p.a.exprStack) > mark {
 			p.expect(token.COMMA)
 		}
-		args = append(args, p.parseExpr())
+		x := p.parseExpr()
+		p.a.exprStack = append(p.a.exprStack, x)
 	}
 	p.expect(token.RPAREN)
-	return args
+	return cut(&p.a.exprVec, &p.a.exprStack, mark)
 }
 
 func (p *parser) parsePrimary() ast.Expr {
@@ -704,17 +731,17 @@ func (p *parser) parsePrimary() ast.Expr {
 	switch p.tok().Kind {
 	case token.INTLIT:
 		t := p.next()
-		return &ast.IntLit{Value: p.intLitValue(t, false), P: pos}
+		return p.a.intLits.New(ast.IntLit{Value: p.intLitValue(t, false), P: pos})
 	case token.LONGLIT:
 		t := p.next()
-		return &ast.LongLit{Value: p.longLitValue(t, false), P: pos}
+		return p.a.longLits.New(ast.LongLit{Value: p.longLitValue(t, false), P: pos})
 	case token.DOUBLELIT:
 		t := p.next()
 		v, err := strconv.ParseFloat(t.Lit, 64)
 		if err != nil {
 			p.errorf(pos, "invalid double literal %q: %v", t.Lit, err)
 		}
-		return &ast.DoubleLit{Value: v, P: pos}
+		return p.a.doubleLits.New(ast.DoubleLit{Value: v, P: pos})
 	case token.CHARLIT:
 		t := p.next()
 		r := ' '
@@ -722,32 +749,32 @@ func (p *parser) parsePrimary() ast.Expr {
 			r = c
 			break
 		}
-		return &ast.CharLit{Value: r, P: pos}
+		return p.a.charLits.New(ast.CharLit{Value: r, P: pos})
 	case token.STRINGLIT:
 		t := p.next()
-		return &ast.StringLit{Value: t.Lit, P: pos}
+		return p.a.stringLits.New(ast.StringLit{Value: t.Lit, P: pos})
 	case token.TRUE:
 		p.next()
-		return &ast.BoolLit{Value: true, P: pos}
+		return p.a.boolLits.New(ast.BoolLit{Value: true, P: pos})
 	case token.FALSE:
 		p.next()
-		return &ast.BoolLit{Value: false, P: pos}
+		return p.a.boolLits.New(ast.BoolLit{Value: false, P: pos})
 	case token.NULL:
 		p.next()
-		return &ast.NullLit{P: pos}
+		return p.a.nullLits.New(ast.NullLit{P: pos})
 	case token.THIS:
 		p.next()
-		return &ast.ThisExpr{P: pos}
+		return p.a.thises.New(ast.ThisExpr{P: pos})
 	case token.SUPER:
 		p.next()
 		if p.at(token.LPAREN) {
-			c := &ast.SuperCtorCall{P: pos}
+			c := p.a.superCtors.New(ast.SuperCtorCall{P: pos})
 			c.Args = p.parseArgs()
 			return c
 		}
 		p.expect(token.DOT)
 		name := p.expect(token.IDENT)
-		c := &ast.SuperCall{Name: name.Lit, P: pos}
+		c := p.a.superCalls.New(ast.SuperCall{Name: name.Lit, P: pos})
 		c.Args = p.parseArgs()
 		return c
 	case token.NEW:
@@ -760,15 +787,15 @@ func (p *parser) parsePrimary() ast.Expr {
 	case token.IDENT:
 		t := p.next()
 		if p.at(token.LPAREN) {
-			call := &ast.CallExpr{Name: t.Lit, P: pos}
+			call := p.a.calls.New(ast.CallExpr{Name: t.Lit, P: pos})
 			call.Args = p.parseArgs()
 			return call
 		}
-		return &ast.Ident{Name: t.Lit, P: pos}
+		return p.a.idents.New(ast.Ident{Name: t.Lit, P: pos})
 	}
 	p.errorf(pos, "expected expression, found %s", p.tok())
 	p.next()
-	return &ast.IntLit{Value: 0, P: pos}
+	return p.a.intLits.New(ast.IntLit{Value: 0, P: pos})
 }
 
 // parseIntDigits parses the digit string of an integer literal into its
@@ -863,29 +890,32 @@ func (p *parser) parseNew() ast.Expr {
 	var base ast.TypeExpr
 	switch {
 	case isPrimTypeToken(p.tok().Kind) && !p.at(token.VOID):
-		base = &ast.PrimTypeExpr{Kind: p.next().Kind, P: pos}
+		base = p.a.prims.New(ast.PrimTypeExpr{Kind: p.next().Kind, P: pos})
 	case p.at(token.IDENT):
-		base = &ast.NamedTypeExpr{Name: p.next().Lit, P: pos}
+		base = p.a.nameds.New(ast.NamedTypeExpr{Name: p.next().Lit, P: pos})
 	default:
 		p.errorf(pos, "expected type after new, found %s", p.tok())
-		return &ast.NullLit{P: pos}
+		return p.a.nullLits.New(ast.NullLit{P: pos})
 	}
 	if p.at(token.LPAREN) {
 		named, ok := base.(*ast.NamedTypeExpr)
 		if !ok {
 			p.errorf(pos, "cannot construct a primitive type")
-			named = &ast.NamedTypeExpr{Name: "Object", P: pos}
+			named = p.a.nameds.New(ast.NamedTypeExpr{Name: "Object", P: pos})
 		}
-		n := &ast.NewObject{TypeName: named.Name, P: pos}
+		n := p.a.newObjects.New(ast.NewObject{TypeName: named.Name, P: pos})
 		n.Args = p.parseArgs()
 		return n
 	}
-	n := &ast.NewArray{Base: base, P: pos}
+	n := p.a.newArrays.New(ast.NewArray{Base: base, P: pos})
+	mark := len(p.a.exprStack)
 	for p.at(token.LBRACK) && p.peekKind(1) != token.RBRACK {
 		p.next()
-		n.Lens = append(n.Lens, p.parseExpr())
+		x := p.parseExpr()
+		p.a.exprStack = append(p.a.exprStack, x)
 		p.expect(token.RBRACK)
 	}
+	n.Lens = cut(&p.a.exprVec, &p.a.exprStack, mark)
 	if len(n.Lens) == 0 {
 		p.errorf(pos, "array creation needs at least one sized dimension")
 	}

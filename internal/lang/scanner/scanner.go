@@ -418,9 +418,17 @@ func (s *Scanner) scanOperator(pos token.Pos) token.Token {
 // EOF consumes at least one byte, so when the estimate fills up, the
 // bytes still unread bound what is left to come. Its capacity is a
 // function of len(src) alone and never exceeds len(src)+1.
-func ScanAll(file, src string) ([]token.Token, []error) {
+func ScanAll(file, src string) ([]token.Token, []error) { return Scan(nil, file, src) }
+
+// Scan is ScanAll into the memory of toks, whose tokens it overwrites:
+// toks is used when it has room for ScanAll's estimate, and ScanAll's
+// rule allocates otherwise.
+func Scan(toks []token.Token, file, src string) ([]token.Token, []error) {
 	s := New(file, src)
-	toks := make([]token.Token, 0, len(src)/3+1)
+	if cap(toks) < len(src)/3+1 {
+		toks = make([]token.Token, 0, len(src)/3+1)
+	}
+	toks = toks[:0]
 	for {
 		if len(toks) == cap(toks) {
 			grown := make([]token.Token, len(toks), len(toks)+len(src)-s.off+1)

@@ -11,8 +11,14 @@ import (
 // Check runs semantic analysis over the given files and returns the
 // Program. The AST is decorated in place: every expression carries its
 // type, and name uses carry their resolved symbols.
-func Check(files ...*ast.File) (*Program, []error) {
-	c := &checker{prog: newUniverse()}
+func Check(files ...*ast.File) (*Program, []error) { return new(Arena).Check(files...) }
+
+// Check is the package-level Check, carving the program's locals from a.
+func (a *Arena) Check(files ...*ast.File) (*Program, []error) {
+	if a.names == nil {
+		a.names = make(map[string]int32)
+	}
+	c := &checker{prog: newUniverse(), a: a}
 	c.collectClasses(files)
 	if len(c.errs) == 0 {
 		c.linkHierarchy()
@@ -24,17 +30,18 @@ func Check(files ...*ast.File) (*Program, []error) {
 	if len(c.errs) == 0 {
 		c.checkBodies()
 	}
+	c.leaveScopes()
 	return c.prog, c.errs
 }
 
 type checker struct {
 	prog *Program
 	errs []error
+	a    *Arena
 
 	cls    *Class
 	method *MethodSym
 	info   *MethodInfo
-	scopes []map[string]*Local
 	loops  int
 }
 
@@ -270,8 +277,8 @@ func (c *checker) checkBodies() {
 		for _, f := range cls.Fields {
 			if f.Init != nil {
 				c.method = nil
-				c.info = &MethodInfo{}
-				c.scopes = []map[string]*Local{{}}
+				c.info = c.a.infos.New(MethodInfo{})
+				c.leaveScopes()
 				t := c.checkExpr(f.Init)
 				if !c.prog.Widens(t, f.Type) {
 					c.errorf(f.Init.Pos(), "cannot initialize %s field %s with %s", f.Type, f.QName(), t)
@@ -289,9 +296,9 @@ func (c *checker) checkBodies() {
 
 func (c *checker) checkMethodBody(m *MethodSym) {
 	c.method = m
-	c.info = &MethodInfo{}
+	c.info = c.a.infos.New(MethodInfo{})
 	c.prog.MethodInfo[m] = c.info
-	c.scopes = []map[string]*Local{{}}
+	c.leaveScopes()
 	c.loops = 0
 
 	if m.Synthetic {
@@ -301,8 +308,19 @@ func (c *checker) checkMethodBody(m *MethodSym) {
 	for i, prm := range m.Decl.Params {
 		l := c.declareLocal(prm.Name, m.Params[i], prm.P)
 		l.Param = true
-		c.info.Params = append(c.info.Params, l)
 	}
+	c.checkBody(m)
+	a := c.a
+	c.info.Locals = a.localVec.Keep(a.made)
+	if np := len(m.Decl.Params); np > 0 {
+		c.info.Params = c.info.Locals[:np:np]
+	}
+	clear(a.made)
+	a.made = a.made[:0]
+}
+
+// checkBody checks the statements of m's body.
+func (c *checker) checkBody(m *MethodSym) {
 	body := m.Decl.Body.Stmts
 	if m.IsCtor {
 		explicit := false
@@ -353,29 +371,71 @@ func (c *checker) checkSuperCtorCall(sc *ast.SuperCtorCall) {
 	sc.SetTypeInfo(c.prog.Void)
 }
 
+// declareLocal makes a local in the innermost scope. A name any open
+// scope already holds is an error, once per scope holding it; the local is
+// made all the same, and replaces the name's entry when the innermost
+// scope is the one holding it.
 func (c *checker) declareLocal(name string, t *Type, pos token.Pos) *Local {
-	for _, scope := range c.scopes {
-		if _, ok := scope[name]; ok {
+	a := c.a
+	depth := int32(len(a.marks))
+	l := a.locals.New(Local{Name: name, Type: t, Index: len(a.made)})
+	a.made = append(a.made, l)
+	top, ok := a.names[name]
+	if ok {
+		for i := top; i >= 0; i = a.scope[i].prev {
 			c.errorf(pos, "local %s redeclared", name)
 		}
+		if a.scope[top].depth == depth {
+			a.scope[top].l = l
+			return l
+		}
+	} else {
+		top = -1
 	}
-	l := &Local{Name: name, Type: t, Index: len(c.info.Locals)}
-	c.info.Locals = append(c.info.Locals, l)
-	c.scopes[len(c.scopes)-1][name] = l
+	a.names[name] = int32(len(a.scope))
+	a.scope = append(a.scope, scoped{l: l, prev: top, depth: depth})
+	a.peak = max(a.peak, len(a.names))
 	return l
 }
 
 func (c *checker) lookupLocal(name string) *Local {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if l, ok := c.scopes[i][name]; ok {
-			return l
-		}
+	if i, ok := c.a.names[name]; ok {
+		return c.a.scope[i].l
 	}
 	return nil
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]*Local{}) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+// pushScope opens a block scope; popScope closes the innermost one, giving
+// each name it held back to the entry of an outer scope, if any.
+func (c *checker) pushScope() { c.a.marks = append(c.a.marks, len(c.a.scope)) }
+
+func (c *checker) popScope() {
+	a := c.a
+	mark := a.marks[len(a.marks)-1]
+	a.marks = a.marks[:len(a.marks)-1]
+	a.unscope(mark)
+}
+
+// leaveScopes closes every scope, the method's own included: what comes
+// next starts with nothing in scope.
+func (c *checker) leaveScopes() {
+	c.a.marks = c.a.marks[:0]
+	c.a.unscope(0)
+}
+
+// unscope removes the scope entries from mark up, newest first.
+func (a *Arena) unscope(mark int) {
+	for i := len(a.scope) - 1; i >= mark; i-- {
+		e := a.scope[i]
+		if e.prev >= 0 {
+			a.names[e.l.Name] = e.prev
+		} else {
+			delete(a.names, e.l.Name)
+		}
+		a.scope[i] = scoped{}
+	}
+	a.scope = a.scope[:mark]
+}
 
 func (c *checker) checkStmt(s ast.Stmt) {
 	switch s := s.(type) {
@@ -669,11 +729,11 @@ func (c *checker) checkIdent(e *ast.Ident) *Type {
 		}
 	}
 	if cls, ok := c.prog.Classes[e.Name]; ok {
-		e.Sym = &ClassRef{Class: cls}
+		e.Sym = c.a.refs.New(ClassRef{Class: cls})
 		return set(e, c.prog.ClassType(cls))
 	}
 	c.errorf(e.P, "undefined name %s", e.Name)
-	e.Sym = &Local{Name: e.Name, Type: c.prog.Int}
+	e.Sym = c.a.locals.New(Local{Name: e.Name, Type: c.prog.Int})
 	return set(e, c.prog.Int)
 }
 

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"slices"
+	"unsafe"
 
 	"safetsa/internal/core"
 )
@@ -66,13 +67,9 @@ func killsPartition(in *core.Instr, p partition) bool {
 // cseScratch is what one cse run keeps beside the function, all of it
 // indexed by ValueID or Block.Index or scoped as a stack (see scratch).
 type cseScratch struct {
-	// table is the scoped value table. A key is entered only when its
-	// lookup has just missed, so a key never holds more than one value
-	// and leaving a scope is a delete; the map is empty between runs.
-	table map[cseKey]core.ValueID
-	// pushed is the function-wide stack of keys entered and not yet left;
-	// a block cuts it at its entry and unwinds to the cut on exit.
-	pushed []cseKey
+	// table is the scoped value table; a block marks it at its entry and
+	// undoes to the mark on exit.
+	table cseTable
 	// kills are the memory-killing instructions seen so far in the block
 	// being walked, with their tokens; kept stages that block's surviving
 	// code until the block is done.
@@ -90,6 +87,14 @@ type cseScratch struct {
 	memOut   []memVersion
 	lastKill []memVersion
 	siteKill []memVersion
+}
+
+// held is the bytes the scratch keeps at capacity.
+func (cs *cseScratch) held() int {
+	return int(unsafe.Sizeof(cseSlot{}))*cap(cs.table.slots) + 4*cap(cs.table.log) +
+		int(unsafe.Sizeof(seenKill{}))*cap(cs.kills) + 8*cap(cs.kept) +
+		4*(cap(cs.killsBefore)+cap(cs.mem)+cap(cs.memOut)+cap(cs.lastKill)+cap(cs.siteKill)) +
+		int(unsafe.Sizeof(memPart{}))*cap(cs.parts)
 }
 
 type seenKill struct {
@@ -278,10 +283,8 @@ func cse(sc *scratch, f *core.Func, o Options) int {
 	c := cseRun{sc: sc, f: f, fieldSensitive: o.FieldSensitiveMem}
 	sc.repl = sized(sc.repl, f.NumValues()+1)
 	cs := &sc.cse
-	if cs.table == nil {
-		cs.table = make(map[cseKey]core.ValueID)
-	}
-	cs.pushed, cs.parts, cs.mem = cs.pushed[:0], cs.parts[:0], cs.mem[:0]
+	cs.table.reset(f.NumValues())
+	cs.parts, cs.mem = cs.parts[:0], cs.mem[:0]
 	cs.killsBefore = sized(cs.killsBefore, len(f.Blocks))
 	for i, b := range f.Blocks {
 		cs.killsBefore[i] = c.numKills
@@ -354,7 +357,7 @@ func (c *cseRun) versionAt(b *core.Block, p partition) memVersion {
 
 func (c *cseRun) walk(b *core.Block) {
 	f, cs, repl := c.f, &c.sc.cse, c.sc.repl
-	mark := len(cs.pushed)
+	mark := cs.table.mark()
 	cs.kills = cs.kills[:0]
 	tok := cs.killsBefore[b.Index]
 	// b.Code stays whole until the block is done — memInOf may still read
@@ -382,7 +385,7 @@ func (c *cseRun) walk(b *core.Block) {
 			mem = c.versionAt(b, c.partOf(in))
 		}
 		if key, ok := cseable(in, mem); ok {
-			if prev, hit := cs.table[key]; hit {
+			if prev, hit := cs.table.get(key); hit {
 				if in.HasResult() {
 					repl[in.ID] = prev
 					c.replaced = true
@@ -394,8 +397,7 @@ func (c *cseRun) walk(b *core.Block) {
 				continue // drop the redundant instruction
 			}
 			if in.HasResult() {
-				cs.table[key] = in.ID
-				cs.pushed = append(cs.pushed, key)
+				cs.table.put(key, in.ID)
 			}
 		}
 		if killsMemory(in.Op) {
@@ -409,8 +411,5 @@ func (c *cseRun) walk(b *core.Block) {
 	for _, ch := range b.Children {
 		c.walk(ch)
 	}
-	for _, k := range cs.pushed[mark:] {
-		delete(cs.table, k)
-	}
-	cs.pushed = cs.pushed[:mark]
+	cs.table.undo(mark)
 }

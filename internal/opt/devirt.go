@@ -30,14 +30,14 @@ import (
 // therefore owned by the site's owner (same plane, rewrite directly) or
 // by a proper subclass (skip).
 func devirtPass() Pass {
-	var mod *core.Module
 	var inst map[core.TypeID]bool
-	return Pass{Name: "devirt", Run: func(m *core.Module, f *core.Func, o Options, st *Stats) {
-		if m != mod {
-			mod, inst = m, m.InstantiatedClasses()
-		}
-		st.Devirtualized += devirt(m, f, inst)
-	}}
+	return Pass{
+		Name:  "devirt",
+		Start: func(m *core.Module) { inst = m.InstantiatedClasses() },
+		Run: func(m *core.Module, f *core.Func, o Options, st *Stats) {
+			st.Devirtualized += devirt(m, f, inst)
+		},
+	}
 }
 
 func devirt(m *core.Module, f *core.Func, inst map[core.TypeID]bool) int {

@@ -32,14 +32,14 @@ const (
 )
 
 func inlinePass(sc *scratch) Pass {
-	var mod *core.Module
 	var rec map[*core.Func]bool
-	return Pass{Name: "inline", Run: func(m *core.Module, f *core.Func, o Options, st *Stats) {
-		if m != mod {
-			mod, rec = m, m.RecursiveFuncs()
-		}
-		st.Inlined += inline(sc, m, f, rec)
-	}}
+	return Pass{
+		Name:  "inline",
+		Start: func(m *core.Module) { rec = m.RecursiveFuncs() },
+		Run: func(m *core.Module, f *core.Func, o Options, st *Stats) {
+			st.Inlined += inline(sc, m, f, rec)
+		},
+	}
 }
 
 func inline(sc *scratch, m *core.Module, f *core.Func, rec map[*core.Func]bool) int {

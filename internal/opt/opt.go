@@ -108,6 +108,12 @@ func OptimizeWithOptions(m *core.Module, o Options) Stats {
 type Pass struct {
 	Name string
 	Run  func(m *core.Module, f *core.Func, o Options, st *Stats)
+	// Start, when set, is called at the start of every RunPasses call,
+	// before Run sees the module's first function. A pass that reads
+	// whole-module facts (devirt's instantiated classes, inline's
+	// recursion set) computes them here, for the module at hand, so a
+	// pipeline value carries nothing from one run into the next.
+	Start func(m *core.Module)
 }
 
 // scratch is the side-table memory of one pipeline value: every table a
@@ -185,8 +191,9 @@ func pipeline(sc *scratch) []Pass {
 // about), and a final DCE sweep. Every pass is per-function and
 // leaves the module verifier-clean, so oracle.RunPassesVerified can
 // re-check each intermediate state.
-func ModulePipeline() []Pass {
-	sc := new(scratch)
+func ModulePipeline() []Pass { return modulePipeline(new(scratch)) }
+
+func modulePipeline(sc *scratch) []Pass {
 	return append(pipeline(sc),
 		devirtPass(),
 		inlinePass(sc),
@@ -205,6 +212,54 @@ func PipelineFor(o Options) []Pass {
 	return Pipeline()
 }
 
+// Arena is a pipeline value kept from one module to the next: the passes
+// of both tiers over one scratch, so the side tables of every function
+// optimized are the memory of the largest one so far. The inliner carves
+// the instructions it clones into a module from the scratch's slabs,
+// which an arena recycles: Rewind takes them back, and no module the
+// arena optimized may be used after it. An arena runs one module at a
+// time. The zero Arena is ready to use.
+type Arena struct {
+	sc     scratch
+	o1, o2 []Pass
+}
+
+// PipelineFor is the package-level PipelineFor over the arena's scratch.
+func (a *Arena) PipelineFor(o Options) []Pass {
+	if a.o1 == nil {
+		a.sc.instrs.Recycle()
+		a.sc.args.Recycle()
+		a.o1, a.o2 = pipeline(&a.sc), modulePipeline(&a.sc)
+	}
+	if o.ModuleLevel {
+		return a.o2
+	}
+	return a.o1
+}
+
+// Rewind takes back every instruction the inliner cloned since the last
+// Rewind.
+func (a *Arena) Rewind() {
+	a.sc.instrs.Rewind()
+	a.sc.args.Rewind()
+}
+
+// Poison is Rewind's checking form: the clones are overwritten with junk
+// and never handed out again (core.Slab.Discard).
+func (a *Arena) Poison() {
+	a.sc.instrs.Discard(core.JunkInstr)
+	a.sc.args.Discard(core.JunkValue)
+}
+
+// Held is the bytes the arena keeps: its slabs' chunks and its side
+// tables at their capacity.
+func (a *Arena) Held() int {
+	sc := &a.sc
+	return sc.instrs.Bytes() + sc.args.Bytes() +
+		4*(cap(sc.repl)+cap(sc.work)+cap(sc.vmap)+2*cap(sc.calls)) +
+		cap(sc.live) + sc.cse.held()
+}
+
 // RunPasses applies each pass to every function of the module, calling
 // after(pass.Name) once a pass has finished with the whole module. A
 // non-nil error from after aborts the pipeline — the module is left in
@@ -214,6 +269,9 @@ func RunPasses(m *core.Module, o Options, passes []Pass, after func(pass string)
 	var st Stats
 	st.InstrsBefore, st.PhisBefore, st.NullChecksBefore, st.ArrayChecksBefore = Count(m)
 	for _, p := range passes {
+		if p.Start != nil {
+			p.Start(m)
+		}
 		for _, f := range m.Funcs {
 			p.Run(m, f, o, &st)
 		}

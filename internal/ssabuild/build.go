@@ -28,10 +28,14 @@ type Builder struct {
 	// System.out builtins, keyed by BuiltinID.
 	printIdx map[sema.BuiltinID]int32
 
-	// The module's body memory (DESIGN.md §5, "who owns producer
-	// memory"): instructions, operand vectors, blocks with their code,
-	// phi and edge lists, tree nodes and fixed-arity child vectors are
-	// carved from these, a chunk per ~128 elements.
+	*slabs
+}
+
+// slabs is the memory a build carves from (DESIGN.md §5, "who owns
+// producer memory"): the module's instructions, operand vectors, blocks
+// with their code, phi and edge lists, tree nodes and fixed-arity child
+// vectors, a chunk per ~128 elements, and the builder's own scratch.
+type slabs struct {
 	instrs   core.Slab[core.Instr]
 	args     core.Slab[core.ValueID]
 	instrVec core.Slab[*core.Instr] // Block.Phis, Block.Code
@@ -45,14 +49,40 @@ type Builder struct {
 	sets  core.Slab[bool]
 }
 
+// Arena is build memory kept from one build to the next. The modules an
+// arena built are carved from its chunks, and Rewind takes every one of
+// them back: after it, the next build is carved from the same chunks, and
+// no module built before it may be used. An arena serves one build at a
+// time.
+type Arena struct{ slabs }
+
+// NewArena returns an empty arena that keeps its chunks for Rewind.
+func NewArena() *Arena {
+	a := new(Arena)
+	a.instrs.Recycle()
+	a.args.Recycle()
+	a.instrVec.Recycle()
+	a.blocks.Recycle()
+	a.preds.Recycle()
+	a.nodes.Recycle()
+	a.nodeVec.Recycle()
+	a.snaps.Recycle()
+	a.sets.Recycle()
+	return a
+}
+
 // Build translates a checked program into a SafeTSA module.
-func Build(prog *sema.Program) (*core.Module, error) {
+func Build(prog *sema.Program) (*core.Module, error) { return new(Arena).Build(prog) }
+
+// Build is the package-level Build, carving the module from a's chunks.
+func (a *Arena) Build(prog *sema.Program) (*core.Module, error) {
 	b := &Builder{
 		prog:      prog,
 		classType: make(map[*sema.Class]core.TypeID),
 		fieldIdx:  make(map[*sema.FieldSym]int32),
 		methodIdx: make(map[*sema.MethodSym]int32),
 		printIdx:  make(map[sema.BuiltinID]int32),
+		slabs:     &a.slabs,
 	}
 	b.mod = &core.Module{Types: core.NewTypeTable(), Entry: -1}
 	b.buildTables()
@@ -61,6 +91,40 @@ func Build(prog *sema.Program) (*core.Module, error) {
 	}
 	orderFuncsForStreaming(b.mod)
 	return b.mod, nil
+}
+
+// Rewind takes back everything the builds since the last Rewind carved.
+func (a *Arena) Rewind() {
+	a.instrs.Rewind()
+	a.args.Rewind()
+	a.instrVec.Rewind()
+	a.blocks.Rewind()
+	a.preds.Rewind()
+	a.nodes.Rewind()
+	a.nodeVec.Rewind()
+	a.snaps.Rewind()
+	a.sets.Rewind()
+}
+
+// Poison is Rewind's checking form: what the builds carved is overwritten
+// with junk and never handed out again (core.Slab.Discard), so a reader
+// that kept a pointer into a module built before reads junk.
+func (a *Arena) Poison() {
+	a.instrs.Discard(core.JunkInstr)
+	a.args.Discard(core.JunkValue)
+	a.instrVec.Discard(nil)
+	a.blocks.Discard(core.JunkBlock)
+	a.preds.Discard(core.Pred{})
+	a.nodes.Discard(core.JunkNode)
+	a.nodeVec.Discard(nil)
+	a.snaps.Discard(core.JunkValue)
+	a.sets.Discard(true)
+}
+
+// Held is the bytes of the chunks the arena keeps.
+func (a *Arena) Held() int {
+	return a.instrs.Bytes() + a.args.Bytes() + a.instrVec.Bytes() + a.blocks.Bytes() +
+		a.preds.Bytes() + a.nodes.Bytes() + a.nodeVec.Bytes() + a.snaps.Bytes() + a.sets.Bytes()
 }
 
 // orderFuncsForStreaming permutes the function list so that a consumer

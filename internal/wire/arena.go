@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"math"
-
-	"safetsa/internal/core"
-)
+import "safetsa/internal/core"
 
 // Arena is the memory a cursor decodes function bodies into (DESIGN.md §5,
 // "who owns decoded memory"): everything a body is made of is carved from
@@ -113,11 +109,10 @@ func PoisonRecycled(on bool) { poisonRecycled = on }
 
 // poison is rewind's checking form.
 func (a *Arena) poison() {
-	const junkID = core.ValueID(math.MaxInt32)
-	a.instrs.Discard(core.Instr{ID: junkID, Op: core.Op(core.NumOps), Bind: junkID, Aux: -1, Field: -1, Method: -1})
-	a.nodes.Discard(core.CSTNode{Kind: core.CSTKind(core.NumCSTKinds), Cond: junkID, Val: junkID})
-	a.blocks.Discard(core.Block{Index: -1, Depth: -1})
-	a.args.Discard(junkID)
+	a.instrs.Discard(core.JunkInstr)
+	a.nodes.Discard(core.JunkNode)
+	a.blocks.Discard(core.JunkBlock)
+	a.args.Discard(core.JunkValue)
 	a.instrVec.Discard(nil)
 	a.nodeVec.Discard(nil)
 	a.blockVec.Discard(nil)

@@ -23,7 +23,7 @@ func declaring(funcs int, body func(w symWriter)) map[string][]byte {
 	(&encoder{m: head, w: bw}).encodeTables()
 	body(bw)
 
-	aw := newACWriter(nil)
+	aw := &acWriter{mdl: newModel(nil, nil), rc: newRCEncoder()}
 	(&encoder{m: head, w: aw}).encodeTables()
 	body(aw)
 	payload := aw.finish()

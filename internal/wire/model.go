@@ -187,10 +187,6 @@ type acWriter struct {
 	flagIdx int
 }
 
-func newACWriter(dict *Dictionary) *acWriter {
-	return &acWriter{mdl: newModel(dict, nil), rc: newRCEncoder()}
-}
-
 func (w *acWriter) finish() []byte { return w.rc.finish() }
 
 func (w *acWriter) pc() *prodCtx { return &w.mdl.prods[w.prod] }
