@@ -7,8 +7,9 @@
 // cost, unit by unit, for whoever next puts that path on a diet,
 // BenchmarkColdProduce is the same for the producer, BenchmarkHotRun the
 // same for the engine under run_hot_compute's six guests,
-// BenchmarkCompileHit the same for a cached POST /compile, and
-// BenchmarkRestream the same for a resident unit streamed again.
+// BenchmarkCompileHit the same for a cached POST /compile,
+// BenchmarkRestream the same for a resident unit streamed again, and
+// BenchmarkColdRun the same for a resident unit run cold.
 //
 //	go test -bench=. -benchtime=1x
 package safetsa
@@ -355,6 +356,62 @@ func BenchmarkRestream(b *testing.B) {
 			}
 			if got := srv.Stats().ResidentStreams - before; got != uint64(b.N) {
 				b.Fatalf("%d of %d streams were vouched for by the store", got, b.N)
+			}
+		})
+	}
+}
+
+// coldRunner returns a server that holds u resident as bytes (O2, wire v2)
+// under two keys — its source key and its wire key, the same bytes — with
+// a loader cache and a pool of one unit each, and a function that runs
+// the unit once through Server.RunUnitOpts under the key the last call did
+// not use. The other key's load has evicted the unit from the loader and
+// the pool since, so every call is a cold run: the cursor is opened
+// again, the bodies main calls are pulled and lowered again, static init
+// runs and the pool snapshots it, as in the benchmark's consume_cold.
+func coldRunner(tb testing.TB, u corpus.Unit) func() {
+	tb.Helper()
+	srv, err := codeserver.New(codeserver.Config{MaxSteps: 1 << 22, MaxAllocs: 1 << 24, MaxModules: 1, PoolUnits: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx := context.Background()
+	unit, _, err := srv.CompileUnit(ctx, u.Files, codeserver.Options{Optimize: true, WireV2: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := srv.RunUnitStream(ctx, bytes.NewReader(unit.Wire), codeserver.RunOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	keys := [2]codeserver.Key{unit.Key, codeserver.KeyForWire(unit.Wire)}
+	i := 0
+	return func() {
+		i++
+		res, err := srv.RunUnitOpts(ctx, keys[i%2], codeserver.RunOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !res.OK {
+			tb.Fatalf("%s: %s", u.Name, res.Error)
+		}
+	}
+}
+
+// BenchmarkColdRun is the library half of the consume_cold gate: what
+// POST /run costs for a unit that is resident as bytes but neither loaded
+// nor pooled (coldRunner). Each unit is its own sub-benchmark, so ns/op,
+// B/op and allocs/op read per unit:
+//
+//	go test -run='^$' -bench=ColdRun -benchtime=200x .
+func BenchmarkColdRun(b *testing.B) {
+	for _, u := range corpus.Units() {
+		run := coldRunner(b, u)
+		run()
+		run()
+		b.Run(u.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
 			}
 		})
 	}

@@ -147,3 +147,49 @@ func TestWarmArenaCompileByteCeiling(t *testing.T) {
 		}
 	}
 }
+
+// coldRunCeilings is what one cold run of a corpus unit through
+// Server.RunUnitOpts may allocate (coldRunner): measured on this tree,
+// plus 10 %. The parent tree, whose loader decoded every cold load's
+// bodies into fresh memory that the collector took back, allocated about
+// four times as much (BenchmarkColdRun B/op, recorded in CHANGES.md).
+var coldRunCeilings = map[string]uint64{
+	"BatchEnvironment":        67320 * 11 / 10,
+	"BatchParser":             39096 * 11 / 10,
+	"CompilerMember":          20664 * 11 / 10,
+	"ErrorMessage":            22728 * 11 / 10,
+	"Main":                    64576 * 11 / 10,
+	"SourceClass":             76160 * 11 / 10,
+	"SourceMember":            57776 * 11 / 10,
+	"AmbiguousClass":          19096 * 11 / 10,
+	"AmbiguousMember":         22168 * 11 / 10,
+	"ArrayType":               22728 * 11 / 10,
+	"BinaryAttribute":         31504 * 11 / 10,
+	"BinaryClass":             58976 * 11 / 10,
+	"BinaryCode":              30112 * 11 / 10,
+	"Parser":                  61168 * 11 / 10,
+	"Scanner":                 41600 * 11 / 10,
+	"BigDecimal":              33432 * 11 / 10,
+	"BigInteger":              61440 * 11 / 10,
+	"BitSieve":                26128 * 11 / 10,
+	"MutableBigInteger":       51184 * 11 / 10,
+	"SignedMutableBigInteger": 40864 * 11 / 10,
+	"Linpack":                 48488 * 11 / 10,
+}
+
+// TestColdRunByteCeiling: a cold run decodes the bodies its guest calls
+// into an arena a unit let go of before it, so what it allocates is its
+// unit's tables, the lowered code, the session and the pool's snapshot —
+// not its bodies (steadyBytes says how it is read).
+func TestColdRunByteCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties the arena stock at random")
+	}
+	for _, u := range corpus.Units() {
+		least := steadyBytes(coldRunner(t, u))
+		t.Logf("%q: %d * 11 / 10, // B per cold run", u.Name, least)
+		if ceiling, ok := coldRunCeilings[u.Name]; !ok || least > ceiling {
+			t.Errorf("%s: a cold run allocated %d bytes, ceiling %d", u.Name, least, ceiling)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"safetsa/internal/core"
@@ -28,9 +30,79 @@ import (
 // function lowered once per distinct unit — by whichever session calls it
 // first — no matter how many sessions run it, and a function no session
 // calls is neither.
+//
+// A unit opened over resident bytes decodes its bodies into an arena lent
+// from a process-wide stock (unitArenas), and counts who holds it: the
+// loader cache's entry, every session running on it, fresh or cloned, and
+// the warm-session pool's entry for its snapshot, whose clones can still
+// pull bodies. Each holder acquires the unit and lets go of it once; when
+// the last one lets go the arena is reclaimed into the stock, for the next
+// unit's bodies (DESIGN.md §5). A count that reached zero never revives:
+// acquire on a dead unit fails, and its callers treat that as a miss. A
+// module handed over whole counts its holders the same way, without an
+// arena.
 type LoadedUnit struct {
 	Mod  *core.Module
 	Comp *interp.Compiled
+
+	refs  atomic.Int64
+	arena *wire.Arena // the bodies' memory; nil for a module handed over whole
+}
+
+// acquire takes one more hold on lu for a new holder, and reports false
+// when lu is dead: its last holder let go, and its memory may be another
+// unit's by now.
+func (lu *LoadedUnit) acquire() bool {
+	for {
+		n := lu.refs.Load()
+		if n <= 0 {
+			return false
+		}
+		if lu.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// letGo ends one holder's hold on lu. The last one reclaims its arena into
+// the stock: nothing can read its bodies or pull through its cursor any
+// more, since every reader is a holder.
+func (lu *LoadedUnit) letGo() {
+	switch n := lu.refs.Add(-1); {
+	case n < 0:
+		panic("codeserver: a loaded unit was let go of more often than held")
+	case n == 0 && lu.arena != nil:
+		a := lu.arena
+		lu.arena = nil
+		unitArenas.give(a)
+	}
+}
+
+// arenaStock is the process-wide stock of the arenas loaded units decode
+// their bodies into. returns counts the arenas given back, kept or not.
+type arenaStock struct {
+	pool    sync.Pool
+	returns atomic.Uint64
+}
+
+var unitArenas arenaStock
+
+// take returns an arena for a unit's cursor: a reclaimed one, or a new one.
+func (s *arenaStock) take() *wire.Arena {
+	if a, ok := s.pool.Get().(*wire.Arena); ok {
+		return a
+	}
+	return new(wire.Arena)
+}
+
+// give reclaims a and keeps it for the next unit, unless a large or hostile
+// unit made it too large to keep (wire.Arena.Reusable), in which case it
+// is left to the collector.
+func (s *arenaStock) give(a *wire.Arena) {
+	s.returns.Add(1)
+	if a.Reclaim() {
+		s.pool.Put(a)
+	}
 }
 
 // LoaderCache is the consumer-side cache: it loads a unit exactly once
@@ -47,7 +119,9 @@ func NewLoaderCache(maxModules int, m *Metrics) *LoaderCache {
 	if maxModules <= 0 {
 		maxModules = 256
 	}
-	return &LoaderCache{m: m, units: newLRU[*LoadedUnit](maxModules, &m.loaderEvict, nil)}
+	c := &LoaderCache{m: m, units: newLRU[*LoadedUnit](maxModules, &m.loaderEvict, nil)}
+	c.units.drop = (*LoadedUnit).letGo
+	return c
 }
 
 // Len reports the number of resident loaded units.
@@ -55,15 +129,28 @@ func (c *LoaderCache) Len() int { return c.units.len() }
 
 // GetOrLoad returns the loaded unit for k, asking fetch (Server.lookup)
 // for the unit only on a miss. A unit already resident is served without
-// touching the store or the wire decoder again.
+// touching the store or the wire decoder again. The caller holds the unit
+// it is given, and lets go of it once it is done with it (letGo). A unit
+// that died between the lookup and the caller's acquire was evicted and
+// let go of by all its holders meanwhile; that is a miss, and the lookup
+// starts over.
 func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func(context.Context, Key) (*Unit, *core.Module, error)) (*LoadedUnit, error) {
-	u, how, err := c.units.fill(ctx, k, func(ctx context.Context) (*LoadedUnit, error) {
-		return c.load(ctx, k, fetch)
-	})
-	if how == resident {
-		c.m.loaderHits.Add(1)
+	for {
+		lu, how, err := c.units.fill(ctx, k, func(ctx context.Context) (*LoadedUnit, error) {
+			return c.load(ctx, k, fetch)
+		})
+		switch {
+		case err != nil:
+			return nil, err
+		case how == led: // load gave the leader its hold
+			return lu, nil
+		case lu.acquire():
+			if how == resident {
+				c.m.loaderHits.Add(1)
+			}
+			return lu, nil
+		}
 	}
-	return u, err
 }
 
 // load gives the fetched unit a compiled form with nothing lowered. When
@@ -72,10 +159,11 @@ func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func(context.C
 // Otherwise the unit was resident as bytes, which the store admitted whole
 // when they entered it; the loader opens a cursor over them that reads
 // the tables and nothing more — the decode stage's one sample at load —
-// and sessions pull the bodies they call (pull). A refused open is one
-// load error and a verify-kind rejection. Nothing is lowered here:
-// sessions lower what they call (interp.Lazy), and account for it
-// (session.finish).
+// and sessions pull the bodies they call (pull) into an arena from the
+// stock. A refused open is one load error and a verify-kind rejection.
+// Nothing is lowered here: sessions lower what they call (interp.Lazy),
+// and account for it (session.finish). The unit is born with two holds:
+// the cache entry fill makes of it, and the caller that led the load.
 func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Context, Key) (*Unit, *core.Module, error)) (*LoadedUnit, error) {
 	u, mod, err := fetch(ctx, k)
 	if err != nil {
@@ -83,14 +171,19 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Contex
 		return nil, err
 	}
 	lu := &LoadedUnit{Mod: mod}
+	lu.refs.Store(2)
 	if mod != nil {
 		lu.Comp = interp.Lazy(mod)
 	} else if err = c.m.timed(ctx, stageDecode, func(context.Context) error {
-		su, err := wire.OpenVerified(u.Wire)
-		if err == nil {
-			lu.Mod, lu.Comp = su.Mod, interp.Pulled(su.Mod, su.NumFuncs(), c.pull(k, su))
+		a := unitArenas.take()
+		su, err := wire.OpenVerified(u.Wire, a)
+		if err != nil {
+			unitArenas.give(a)
+			return err
 		}
-		return err
+		lu.arena = a
+		lu.Mod, lu.Comp = su.Mod, interp.Pulled(su.Mod, su.NumFuncs(), c.pull(k, lu, su))
+		return nil
 	}); err != nil {
 		c.m.loadErrors.Add(1)
 		return nil, &driver.Error{Kind: driver.KindVerify,
@@ -108,9 +201,15 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Contex
 // (pulled_functions). The bytes were admitted whole when they entered the
 // store, so a pull that fails means they changed in memory or the host is
 // broken: it is marked as a lowering refusal is (errors.ErrUnsupported),
-// and verdict rejects the unit.
-func (c *LoaderCache) pull(k Key, su *wire.StreamingUnit) func(fi int) (*core.Func, error) {
+// and verdict rejects the unit. Only a holder of lu pulls, so lu is alive;
+// a pull on a dead unit would decode into another unit's memory, and ends
+// the session instead — a fault of the host, not of the unit, which
+// stands.
+func (c *LoaderCache) pull(k Key, lu *LoadedUnit, su *wire.StreamingUnit) func(fi int) (*core.Func, error) {
 	return func(fi int) (*core.Func, error) {
+		if lu.refs.Load() <= 0 {
+			return nil, fmt.Errorf("codeserver: unit %s: function %d pulled after the unit's last holder let go", k, fi)
+		}
 		ready, start := su.Ready(), time.Now()
 		err := su.WaitFunc(fi)
 		if fi >= ready {

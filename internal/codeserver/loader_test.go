@@ -1,0 +1,248 @@
+package codeserver
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"safetsa/internal/corpus"
+	"safetsa/internal/rt"
+	"safetsa/internal/wire"
+)
+
+// poisonRecycledUnits turns both recycling checks on for the test: a
+// reclaimed unit arena (wire) and a released session heap (rt) are
+// overwritten with junk and never handed out again, so whatever still
+// reads one diverges.
+func poisonRecycledUnits(t *testing.T) {
+	wire.PoisonRecycled(true)
+	rt.PoisonRecycled(true)
+	t.Cleanup(func() {
+		wire.PoisonRecycled(false)
+		rt.PoisonRecycled(false)
+	})
+}
+
+// TestLoadedUnitCount: a unit's holds are counted exactly. Its arena goes
+// back to the stock at the last letGo and at no other, once; a unit whose
+// count reached zero cannot be acquired again; and letting go of a dead
+// unit is a bug that panics rather than reclaiming the arena twice.
+func TestLoadedUnitCount(t *testing.T) {
+	lu := &LoadedUnit{arena: new(wire.Arena)}
+	lu.refs.Store(2) // as load makes it: the cache entry and the leader
+	before := unitArenas.returns.Load()
+	if !lu.acquire() {
+		t.Fatal("acquire of a live unit failed")
+	}
+	lu.letGo()
+	lu.letGo()
+	if got := unitArenas.returns.Load() - before; got != 0 || lu.arena == nil {
+		t.Fatalf("one hold left: %d arenas returned, arena kept %v", got, lu.arena != nil)
+	}
+	lu.letGo()
+	if got := unitArenas.returns.Load() - before; got != 1 || lu.arena != nil {
+		t.Fatalf("after the last letGo: %d arenas returned, arena kept %v; want 1, false", got, lu.arena != nil)
+	}
+	if lu.acquire() {
+		t.Fatal("a dead unit was acquired")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("letting go of a dead unit did not panic")
+			}
+		}()
+		lu.letGo()
+	}()
+	if got := unitArenas.returns.Load() - before; got != 1 {
+		t.Errorf("%d arenas returned in all, want 1", got)
+	}
+}
+
+// TestEvictedUnitReturnsItsArena: a unit the loader cache and the pool of
+// one have both pushed out, and no session holds, is dead, and its arena
+// went back to the stock exactly once.
+func TestEvictedUnitReturnsItsArena(t *testing.T) {
+	ctx := context.Background()
+	s := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, MaxModules: 1, PoolUnits: 1})
+	var keys []Key
+	for _, u := range corpus.Units()[:2] {
+		unit, _, err := s.CompileUnit(ctx, u.Files, Options{Optimize: true, WireV2: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, unit.Key)
+	}
+	if res, err := s.RunUnitOpts(ctx, keys[0], RunOptions{}); err != nil || !res.OK {
+		t.Fatalf("first unit: %+v, %v", res, err)
+	}
+	first, ok := s.loader.units.get(keys[0])
+	if !ok || first.refs.Load() != 2 || first.arena == nil {
+		t.Fatalf("the first unit after its run: resident %v, held %d times, arena %v; want the cache and the pool",
+			ok, first.refs.Load(), first.arena != nil)
+	}
+	before := unitArenas.returns.Load()
+	if res, err := s.RunUnitOpts(ctx, keys[1], RunOptions{}); err != nil || !res.OK {
+		t.Fatalf("second unit: %+v, %v", res, err)
+	}
+	if got := unitArenas.returns.Load() - before; got != 1 || first.refs.Load() != 0 || first.arena != nil || first.acquire() {
+		t.Errorf("the first unit once pushed out of both: %d arenas returned, held %d times, arena kept %v",
+			got, first.refs.Load(), first.arena != nil)
+	}
+}
+
+// outliveFiles is a guest that spins long enough for the test to drop its
+// unit from every cache, then calls a function whose body comes after
+// main's, so the cursor pulls it only then.
+func outliveFiles() map[string]string {
+	return map[string]string{"Outlive.tj": `
+class Outlive {
+    static int spin(int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++) {
+            s = s + i % 7;
+        }
+        return s;
+    }
+    static void main() {
+        int a = Outlive.spin(4000000);
+        System.out.println(a);
+        System.out.println(Outlive.late(a));
+    }
+    static String late(int x) {
+        String s = "";
+        for (int i = 0; i < 5; i++) {
+            s = s + (x + i) + ",";
+        }
+        return s;
+    }
+}`}
+}
+
+// TestSessionOutlivesItsUnit: a session holds its unit. While its guest
+// spins, other units are loaded into a loader cache and a pool of one,
+// which push its unit out of both, and its unit is forgotten by both; the
+// guest then calls a function no session has pulled yet, through the
+// cursor of a unit no cache holds. With recycled memory poisoned, its
+// answer — output, steps, allocations — must be an unpooled server's.
+func TestSessionOutlivesItsUnit(t *testing.T) {
+	poisonRecycledUnits(t)
+	ctx := context.Background()
+	budget := Config{MaxSteps: 1 << 28, MaxAllocs: corpusBudget.MaxAllocs}
+	opts := Options{Optimize: true, WireV2: true}
+	ref := newTestServer(t, Config{MaxSteps: budget.MaxSteps, MaxAllocs: budget.MaxAllocs, PoolUnits: -1})
+	u, _, err := ref.CompileUnit(ctx, outliveFiles(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunUnitOpts(ctx, u.Key, RunOptions{})
+	if err != nil || !want.OK {
+		t.Fatalf("unpooled: %+v, %v", want, err)
+	}
+
+	s := newTestServer(t, Config{MaxSteps: budget.MaxSteps, MaxAllocs: budget.MaxAllocs, MaxModules: 1, PoolUnits: 1})
+	if _, _, err := s.CompileUnit(ctx, outliveFiles(), opts); err != nil {
+		t.Fatal(err)
+	}
+	var others []Key
+	for _, cu := range corpus.Units()[:3] {
+		unit, _, err := s.CompileUnit(ctx, cu.Files, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, unit.Key)
+	}
+	type answer struct {
+		res RunResult
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := s.RunUnitOpts(ctx, u.Key, RunOptions{})
+		done <- answer{res, err}
+	}()
+	eventually(t, "the guest is spinning", func() bool {
+		return s.m.runsInFlight.Load() == 1 && s.m.pulledFuncs.Load() > 0
+	})
+	for _, k := range others {
+		if res, err := s.RunUnitOpts(ctx, k, RunOptions{}); err != nil || !res.OK {
+			t.Fatalf("another unit: %+v, %v", res, err)
+		}
+	}
+	s.loader.forget(u.Key)
+	s.sessions.forget(u.Key)
+	pulled := s.m.pulledFuncs.Load()
+	if s.m.runsInFlight.Load() != 1 {
+		t.Fatal("the guest ended before its unit was dropped; spin longer")
+	}
+	got := <-done
+	if got.err != nil || got.res != want {
+		t.Errorf("the session that outlived its unit answered %+v, %v\nunpooled %+v", got.res, got.err, want)
+	}
+	if s.m.pulledFuncs.Load() == pulled {
+		t.Error("the guest pulled nothing after its unit was dropped")
+	}
+}
+
+// TestColdUnitsRecycleConcurrently: sixteen clients run the small corpus
+// and a unit whose statics hold a heap at once, each in its own order,
+// through a loader cache of one or two units and a pool of one, so units
+// are loaded, pushed out and let go of while sessions and pool clones
+// still run on them, and each new unit decodes into an arena another
+// released — poisoned first, with every released session heap. Every
+// answer is the one a server without a pool gave. Run it under -race.
+func TestColdUnitsRecycleConcurrently(t *testing.T) {
+	poisonRecycledUnits(t)
+	units := map[string]map[string]string{"StaticHeap": staticHeapFiles()}
+	for _, u := range corpus.Units() {
+		if u.Name != "Linpack" && u.Name != "BitSieve" { // the two hot guests: steps, not loads
+			units[u.Name] = u.Files
+		}
+	}
+	opts := Options{Optimize: true, WireV2: true}
+	ctx := context.Background()
+	ref := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, PoolUnits: -1})
+	var names []string
+	keys, want := map[string]Key{}, map[string]RunResult{}
+	for name, files := range units {
+		u, _, err := ref.CompileUnit(ctx, files, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[name], err = ref.RunUnitOpts(ctx, u.Key, RunOptions{}); err != nil || !want[name].OK {
+			t.Fatalf("%s without a pool: %+v, %v", name, want[name], err)
+		}
+		names, keys[name] = append(names, name), u.Key
+	}
+	for _, modules := range []int{1, 2} {
+		t.Run(fmt.Sprintf("loader cache of %d", modules), func(t *testing.T) {
+			s := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, MaxModules: modules, PoolUnits: 1})
+			for _, name := range names {
+				if _, _, err := s.CompileUnit(ctx, units[name], opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const clients = 16
+			var wg sync.WaitGroup
+			for c := range clients {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range names {
+						name := names[(c*7+i)%len(names)]
+						if res, err := s.RunUnitOpts(ctx, keys[name], RunOptions{}); err != nil || res != want[name] {
+							t.Errorf("client %d, %s: %+v, %v\nunpooled %+v", c, name, res, err, want[name])
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if st := s.Stats(); st.Runs != uint64(clients*len(names)) || st.Loads <= uint64(len(names)) || st.PoolVerifyFails != 0 {
+				t.Errorf("runs %d of %d, loads %d of %d units, pool_verify_fails %d",
+					st.Runs, clients*len(names), st.Loads, len(names), st.PoolVerifyFails)
+			}
+		})
+	}
+}

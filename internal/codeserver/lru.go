@@ -23,6 +23,11 @@ type lru[V any] struct {
 	// joins counts callers waiting on or served by another caller's
 	// flight; a waiter that starts over takes its count back.
 	joins *atomic.Uint64
+	// drop, when set, is called once for every value that leaves the
+	// cache, by eviction or remove, after c.mu is let go: the cache's
+	// hold on a value ends there (LoadedUnit). A flight's value that
+	// never went in never left.
+	drop func(V)
 }
 
 type lruEntry[V any] struct {
@@ -81,18 +86,30 @@ func (c *lru[V]) get(k Key) (V, bool) {
 // evicts from the cold end past capacity, and reports whether v went in.
 func (c *lru[V]) add(k Key, v V) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.insert(k, v)
+	added, out, evicted := c.insert(k, v)
+	c.mu.Unlock()
+	c.dropped(out, evicted)
+	return added
 }
 
 // remove drops k's entry, if any. A flight in progress for k is left to
 // finish: it publishes what it found.
 func (c *lru[V]) remove(k Key) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.order.Remove(el)
+	el, ok := c.entries[k]
+	var out V
+	if ok {
+		out = c.order.Remove(el).(lruEntry[V]).v
 		delete(c.entries, k)
+	}
+	c.mu.Unlock()
+	c.dropped(out, ok)
+}
+
+// dropped reports v to the drop hook when it left the cache.
+func (c *lru[V]) dropped(v V, left bool) {
+	if left && c.drop != nil {
+		c.drop(v)
 	}
 }
 
@@ -106,18 +123,21 @@ func (c *lru[V]) touch(k Key) (v V, ok bool) {
 	return v, ok
 }
 
-// insert is add with c.mu held.
-func (c *lru[V]) insert(k Key, v V) bool {
+// insert is add with c.mu held. It returns the value it pushed out at
+// capacity, if it did, for the caller to report once c.mu is let go: the
+// cache held at most max entries before, so one insert evicts one at most.
+func (c *lru[V]) insert(k Key, v V) (added bool, out V, evicted bool) {
 	if _, ok := c.touch(k); ok {
-		return false
+		return false, out, false
 	}
 	c.entries[k] = c.order.PushFront(lruEntry[V]{k, v})
-	for c.order.Len() > c.max {
+	if c.order.Len() > c.max {
 		old := c.order.Remove(c.order.Back()).(lruEntry[V])
 		delete(c.entries, old.k)
 		c.evictions.Add(1)
+		out, evicted = old.v, true
 	}
-	return true
+	return true, out, evicted
 }
 
 // fill returns the value for k, running fn on a miss with concurrent
@@ -166,12 +186,15 @@ func (c *lru[V]) fill(ctx context.Context, k Key, fn func(context.Context) (V, e
 
 	fl.v, fl.err = fn(ctx)
 	fl.abandoned = fl.err != nil && ctx.Err() != nil
+	var out V
+	evicted := false
 	c.mu.Lock()
 	delete(c.flights, k)
 	if fl.err == nil {
-		c.insert(k, fl.v)
+		_, out, evicted = c.insert(k, fl.v)
 	}
 	c.mu.Unlock()
 	close(fl.done)
+	c.dropped(out, evicted)
 	return fl.v, led, fl.err
 }

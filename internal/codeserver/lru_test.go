@@ -204,3 +204,56 @@ func TestLRU(t *testing.T) {
 		})
 	}
 }
+
+// TestLRUDropHook: the drop hook hears of every value that leaves the
+// cache — pushed out at capacity by add or by fill, or removed — exactly
+// once, and of nothing else: not of a resident value, not of a remove of
+// a key the cache does not hold, not of a flight's value that was never
+// inserted (the flight failed), and not of an add that lost to the
+// resident value.
+func TestLRUDropHook(t *testing.T) {
+	var evicted atomic.Uint64
+	c := newLRU[int](2, &evicted, nil)
+	dropped := map[int]int{}
+	c.drop = func(v int) { dropped[v]++ }
+	want := map[int]int{}
+	check := func(when string) {
+		t.Helper()
+		if fmt.Sprint(dropped) != fmt.Sprint(want) {
+			t.Fatalf("%s: dropped %v, want %v", when, dropped, want)
+		}
+	}
+	ctx := context.Background()
+
+	c.add(lruKey(0), 0)
+	c.add(lruKey(1), 1)
+	check("below capacity")
+	if c.add(lruKey(0), 10) {
+		t.Fatal("an add over a resident key went in")
+	}
+	check("an add that lost to the resident value") // and made 0 the most recent
+	c.add(lruKey(2), 2)                             // pushes out 1
+	want[1] = 1
+	check("an add at capacity")
+	if _, _, err := c.fill(ctx, lruKey(3), func(context.Context) (int, error) { return 0, errors.New("no") }); err == nil {
+		t.Fatal("a failed flight succeeded")
+	}
+	check("a flight that failed")
+	if _, how, err := c.fill(ctx, lruKey(3), func(context.Context) (int, error) { return 3, nil }); how != led || err != nil {
+		t.Fatalf("fill on a miss: how %v err %v", how, err)
+	}
+	want[0] = 1 // the least recent, pushed out by the flight's value
+	check("a fill at capacity")
+	if _, how, _ := c.fill(ctx, lruKey(3), func(context.Context) (int, error) { return 33, nil }); how != resident {
+		t.Fatalf("fill of a resident key: how %v", how)
+	}
+	c.remove(lruKey(9))
+	check("a resident fill and a remove of an absent key")
+	c.remove(lruKey(2))
+	c.remove(lruKey(2))
+	want[2] = 1
+	check("a remove, twice")
+	if v, ok := c.get(lruKey(3)); !ok || v != 3 || evicted.Load() != 2 {
+		t.Errorf("resident %d (%v), %d evictions; want 3 resident after 2", v, ok, evicted.Load())
+	}
+}

@@ -198,8 +198,9 @@ class Warm {
 // TestWarmPoolServesClones: the first run of a unit builds and publishes
 // a verified snapshot; later runs are clones that must be observationally
 // identical (output, steps, allocs) to the fresh first run — and to a
-// pool-disabled server's runs.
+// pool-disabled server's runs. Recycled memory is poisoned.
 func TestWarmPoolServesClones(t *testing.T) {
+	poisonRecycledUnits(t)
 	pooled := newTestServer(t, Config{})
 	cold := newTestServer(t, Config{PoolUnits: -1})
 	ctx := context.Background()

@@ -452,16 +452,23 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 		return RunResult{}, err
 	}
 	defer sess.release()
+	// The session holds its unit, taken with a snapshot from the pool or
+	// from the loader cache, until finish has released its loader: clones
+	// and fresh sessions alike pull bodies into the unit's memory.
 	var snap *interp.Snapshot
+	var lu *LoadedUnit
 	if s.sessions != nil {
-		if snap = s.sessions.Get(k); snap != nil && !snap.Admits(sess.budget) {
+		switch snap, lu = s.sessions.Get(k); {
+		case snap == nil:
+		case !snap.Admits(sess.budget):
 			// The request's budgets would have killed static init; a
 			// clone cannot reproduce that mid-init death, so run fresh.
 			s.m.poolDeclines.Add(1)
 			snap = nil
+		case !lu.acquire():
+			snap = nil // evicted and let go of meanwhile: a miss
 		}
 	}
-	var lu *LoadedUnit
 	if snap == nil {
 		lctx, lsp := obs.Start(sess.ctx, "load")
 		lu, err = s.loader.GetOrLoad(lctx, k, s.lookup)
@@ -478,13 +485,14 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 		}
 	} else if l, err = interp.LoadTrustedDeferred(lu.Mod, nil, lu.Comp, env); err == nil {
 		if err = l.RunStaticInit(); err == nil && s.sessions != nil {
-			s.sessions.Offer(k, l, sess.out.Bytes())
+			s.sessions.Offer(k, lu, l, sess.out.Bytes())
 		}
 	}
 	if err == nil {
 		err = l.RunMain()
 	}
 	res := sess.finish(l, err)
+	lu.letGo()
 	if err := verdict(err, nil); err != nil {
 		// Refused after admission: no tier that may hold the unit — the
 		// store's memory and disk, the loader, the pool — serves it again.

@@ -403,7 +403,10 @@ func firstCallRuns(t *testing.T, check func(name string, su *wire.StreamingUnit,
 // functions its guest enters, once each — as many as the gate of a
 // streaming session over the same bytes is asked about, which is once per
 // function called — and a second run of the now resident unit lowers none.
+// Reclaimed unit arenas are poisoned (wire.PoisonRecycled).
 func TestColdRunLowersOnlyWhatItCalls(t *testing.T) {
+	wire.PoisonRecycled(true)
+	t.Cleanup(func() { wire.PoisonRecycled(false) })
 	firstCallRuns(t, func(name string, su *wire.StreamingUnit, entered, run int, before, after Stats) {
 		want := []int{entered, 0}[run]
 		if got := after.LoweredFunctions - before.LoweredFunctions; got != uint64(want) {
@@ -416,7 +419,10 @@ func TestColdRunLowersOnlyWhatItCalls(t *testing.T) {
 // decodes exactly the bodies a streaming session over the same bytes
 // admits — every body up to the highest one its guest calls, and no
 // further — and a second run of the now resident unit decodes none.
+// Reclaimed unit arenas are poisoned (wire.PoisonRecycled).
 func TestColdRunDecodesOnlyWhatItCalls(t *testing.T) {
+	wire.PoisonRecycled(true)
+	t.Cleanup(func() { wire.PoisonRecycled(false) })
 	firstCallRuns(t, func(name string, su *wire.StreamingUnit, _, run int, before, after Stats) {
 		want := []int{su.Ready(), 0}[run]
 		if got := after.PulledFunctions - before.PulledFunctions; got != uint64(want) {

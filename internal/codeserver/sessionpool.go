@@ -15,28 +15,43 @@ import "safetsa/internal/interp"
 // observes the exact fresh-session failure. Requests whose budgets are
 // too tight to have survived init are declined by the server (see
 // Snapshot.Admits) and also run fresh.
+//
+// An entry pins the loaded unit its snapshot was taken of: a clone runs
+// the unit's shared compiled form, and pulls through the unit's cursor
+// the bodies no session has called yet, into the unit's arena. So the
+// entry is one of the unit's holders, and lets go of it when it leaves
+// the pool (DESIGN.md §9).
 type sessionPool struct {
 	m     *Metrics
-	snaps lru[*interp.Snapshot]
+	snaps lru[pooled]
+}
+
+// pooled is a pool entry: a snapshot and the unit it pins.
+type pooled struct {
+	snap *interp.Snapshot
+	lu   *LoadedUnit
 }
 
 func newSessionPool(max int, m *Metrics) *sessionPool {
-	return &sessionPool{m: m, snaps: newLRU[*interp.Snapshot](max, &m.poolEvictions, nil)}
+	p := &sessionPool{m: m, snaps: newLRU[pooled](max, &m.poolEvictions, nil)}
+	p.snaps.drop = func(e pooled) { e.lu.letGo() }
+	return p
 }
 
-// Get returns the warm snapshot for k, bumping its recency, or nil when
-// the pool holds none.
-func (p *sessionPool) Get(k Key) *interp.Snapshot {
-	snap, _ := p.snaps.get(k)
-	return snap
+// Get returns the warm snapshot for k and the unit it pins, bumping its
+// recency, or a nil snapshot when the pool holds none. The caller holds
+// neither; a session cloned from the snapshot acquires the unit first.
+func (p *sessionPool) Get(k Key) (*interp.Snapshot, *LoadedUnit) {
+	e, _ := p.snaps.get(k)
+	return e.snap, e.lu
 }
 
-// Offer snapshots a session that just finished static init and, when no
-// snapshot for k exists yet, verifies and publishes it.
-// initOut is the output the session printed during init. Racing offers
-// are benign: both build identical snapshots (the clone machinery is
-// deterministic) and the first insert wins.
-func (p *sessionPool) Offer(k Key, l *interp.Loader, initOut []byte) {
+// Offer snapshots a session of lu, which the caller holds, that just
+// finished static init and, when no snapshot for k exists yet, verifies
+// and publishes it. initOut is the output the session printed during
+// init. Racing offers are benign: both build identical snapshots (the
+// clone machinery is deterministic) and the first insert wins.
+func (p *sessionPool) Offer(k Key, lu *LoadedUnit, l *interp.Loader, initOut []byte) {
 	if _, ok := p.snaps.get(k); ok {
 		return // the snapshot+verify work would be discarded
 	}
@@ -51,8 +66,11 @@ func (p *sessionPool) Offer(k Key, l *interp.Loader, initOut []byte) {
 		p.m.poolVerifyFails.Add(1)
 		return
 	}
-	if p.snaps.add(k, snap) {
+	lu.acquire() // cannot fail: the caller's hold keeps lu alive
+	if p.snaps.add(k, pooled{snap, lu}) {
 		p.m.poolBuilds.Add(1)
+	} else {
+		lu.letGo()
 	}
 }
 

@@ -319,7 +319,7 @@ class Main {
 			for i := su.Offset(); i < int64(len(bad)); i++ {
 				bad[i] ^= 0xff
 			}
-			if su, err := wire.OpenVerified(bad); err != nil || su.WaitFunc(next-1) != nil || su.WaitFunc(next) == nil {
+			if su, err := wire.OpenVerified(bad, nil); err != nil || su.WaitFunc(next-1) != nil || su.WaitFunc(next) == nil {
 				t.Fatal("the damage does not start at next's body")
 			}
 			copy(unit.Wire, bad) // the store's own bytes
@@ -349,7 +349,7 @@ class Main {
 			if _, ok := s.loader.units.get(k); ok {
 				t.Error("the loader still holds the rejected unit")
 			}
-			if s.sessions.Get(k) != nil {
+			if snap, _ := s.sessions.Get(k); snap != nil {
 				t.Error("the pool still holds a snapshot of the rejected unit")
 			}
 			st := s.Stats()

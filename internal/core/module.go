@@ -282,6 +282,24 @@ func (f *Func) Reset(name string) {
 	*f = Func{Name: name, Method: -1, values: f.values[:1], Params: f.Params[:0]}
 }
 
+// Begin makes f, a Func carved from a slab, an empty function named name,
+// as NewFunc makes one, whose value table is built in the memory of vals
+// until KeepValues moves it out: for a decoder that keeps every body it
+// decodes in its own memory (wire.Arena). vals must be empty scratch that
+// nothing else reads.
+func (f *Func) Begin(name string, vals []*Instr) {
+	*f = Func{Name: name, Method: -1, values: append(vals[:0], nil)}
+}
+
+// KeepValues moves f's value table into s at its exact length, and returns
+// the memory it was built in, cleared, for the next body's Begin.
+func (f *Func) KeepValues(s *Slab[*Instr]) []*Instr {
+	built := f.values
+	f.values = s.Keep(built)
+	clear(built)
+	return built[:0]
+}
+
 // AddExcSite records that potentially-throwing instruction in raises into
 // handler block h along h.Preds[edge].
 func (f *Func) AddExcSite(in *Instr, h *Block, edge int) {
@@ -371,7 +389,12 @@ func cstBlocks(n *CSTNode, out []*Block) []*Block {
 // as in the paper's UAST), orders blocks canonically, and assigns the
 // pre/post numbering used by Dominates. It must be called after
 // construction and after any pass that changes block structure.
-func (f *Func) Finish() {
+func (f *Func) Finish() { f.FinishIn(nil) }
+
+// FinishIn is Finish with the dominator tree's child lists carved from s,
+// for a decoder that keeps every body in its own memory (wire.Arena); a
+// nil s allocates them.
+func (f *Func) FinishIn(s *Slab[*Block]) {
 	// The order is written over f.Blocks itself: it is read off the CST,
 	// and holds the same blocks when the check below passes.
 	order := cstBlocks(f.Body, f.Blocks[:0])
@@ -395,7 +418,12 @@ func (f *Func) Finish() {
 		}
 		b.IDom.preIn++
 	}
-	kids := make([]*Block, len(order))
+	var kids []*Block
+	if s != nil {
+		kids = s.Take(len(order))
+	} else {
+		kids = make([]*Block, len(order))
+	}
 	for i, b := range order {
 		b.Index = i
 		if n := b.preIn; n > 0 {

@@ -10,6 +10,10 @@ type VerifyOptions struct {
 	// AllowMem permits the optimizer-internal memory-state values
 	// (OpMem0 and mem-typed phis); the wire format never carries them.
 	AllowMem bool
+	// Scratch, when not nil, is the memory the position table of each
+	// function is built in (Func.PositionsInto), reused from one
+	// verification to the next; nil builds each table anew.
+	Scratch *Positions
 }
 
 // Verify checks the module's structural invariants. Admission says each
@@ -294,16 +298,10 @@ type Positions struct {
 	limit []int32 // by edge: the position of its throwing site, -1 for a normal edge
 }
 
-// Positions builds the table. An exception edge whose site no block holds
-// (or that HandlerOf/ExcEdge do not name) keeps position 0: nothing of its
-// source block is in scope on it.
-func (f *Func) Positions() Positions {
-	var p Positions
-	f.PositionsInto(&p)
-	return p
-}
-
 // PositionsInto builds the table in p's memory, when it is long enough.
+// An exception edge whose site no block holds (or that HandlerOf/ExcEdge
+// do not name) keeps position 0: nothing of its source block is in scope
+// on it.
 func (f *Func) PositionsInto(p *Positions) {
 	nv, nb, ne := len(f.values), len(f.Blocks), 0
 	for _, b := range f.Blocks {
@@ -372,7 +370,11 @@ func (p Positions) limitAt(bi, k int) int { return int(p.limit[int(p.first[bi])+
 
 func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 	tt := m.Types
-	pos := f.Positions()
+	pos := opts.Scratch
+	if pos == nil {
+		pos = new(Positions)
+	}
+	f.PositionsInto(pos)
 
 	// available reports whether value v may be used by instruction user
 	// (at position userPos in block userBlk). A definition that has been

@@ -382,7 +382,7 @@ func TestSharedCursorPulledOnce(t *testing.T) {
 		t.Fatal(want.err)
 	}
 
-	su, err := wire.OpenVerified(wire.EncodeModuleV2(mod, nil))
+	su, err := wire.OpenVerified(wire.EncodeModuleV2(mod, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,13 +158,16 @@ func (s *Snapshot) NewSession(env *rt.Env) (*Loader, error) {
 // throwaway clone must reproduce the recorded heap checksum and init
 // output byte-exactly. It catches any nondeterminism or aliasing loss
 // in the clone machinery at pool-insert time, once per snapshot,
-// instead of letting a corrupt snapshot serve divergent sessions.
+// instead of letting a corrupt snapshot serve divergent sessions. The
+// probe is released once it is compared: nothing of it outlives Verify,
+// so its heap and frames go to the next session.
 func (s *Snapshot) Verify() error {
 	var out bytes.Buffer
-	l, err := s.NewSession(rt.Unbudgeted(&out, "a probe clone, checksummed and dropped; RunMain is never called"))
+	l, err := s.NewSession(rt.Unbudgeted(&out, "a probe clone, checksummed and released; RunMain is never called"))
 	if err != nil {
 		return fmt.Errorf("interp: snapshot verify: %w", err)
 	}
+	defer l.Release()
 	if got := l.HeapChecksum(); got != s.checksum {
 		return fmt.Errorf("interp: snapshot clone checksum %#x != frozen %#x", got, s.checksum)
 	}

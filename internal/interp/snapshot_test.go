@@ -315,3 +315,75 @@ class Main {
 		t.Error("kill-point heaps diverge between clone and fresh session")
 	}
 }
+
+// TestVerifiedSnapshotClonesMatchFresh: Verify releases its probe clone
+// once it has compared it, so the probe's chunks and frames go to the
+// sessions after it — here poisoned first (rt.PoisonRecycled), so a
+// snapshot or a clone that kept anything of the probe reads junk. Each
+// snapshot is verified twice, the second probe carved from what the first
+// left, and every clone, released in turn, must answer what a fresh
+// session does: output, steps and allocations.
+func TestVerifiedSnapshotClonesMatchFresh(t *testing.T) {
+	rt.PoisonRecycled(true)
+	t.Cleanup(func() { rt.PoisonRecycled(false) })
+	chain := `
+class Node {
+    String name;
+    Node next;
+    Node(String n, Node x) { name = n; next = x; }
+}
+class Main {
+    static Node chain = Main.build();
+    static Node build() {
+        Node n = null;
+        for (int i = 0; i < 40; i++) {
+            n = new Node("n" + i, n);
+        }
+        return n;
+    }
+    static void main() {
+        int sum = 0;
+        for (Node c = Main.chain; c != null; c = c.next) {
+            sum = sum + c.name.length();
+        }
+        System.out.println(Main.chain.name + " " + sum);
+        Main.chain = new Node("mutated", null);
+    }
+}`
+	for name, src := range map[string]string{"Warm": snapshotSrc, "Chain": chain} {
+		mod, err := driver.CompileTSASource(map[string]string{"Main.tj": src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fout bytes.Buffer
+		fenv := &rt.Env{Out: &fout}
+		fl, err := interp.LoadTrusted(mod, fenv)
+		if err == nil {
+			err = fl.RunMain()
+		}
+		if err != nil {
+			t.Fatalf("%s fresh: %v", name, err)
+		}
+
+		snap := compileSrc(t, src)
+		if err := snap.Verify(); err != nil {
+			t.Fatalf("%s: second verify: %v", name, err)
+		}
+		for i := range 3 {
+			var out bytes.Buffer
+			env := &rt.Env{Out: &out}
+			l, err := snap.NewSession(env)
+			if err == nil {
+				err = l.RunMain()
+			}
+			if err != nil {
+				t.Fatalf("%s clone %d: %v", name, i, err)
+			}
+			if out.String() != fout.String() || env.Steps != fenv.Steps || env.Allocs != fenv.Allocs {
+				t.Errorf("%s clone %d: %q in (%d, %d), fresh %q in (%d, %d)",
+					name, i, out.String(), env.Steps, env.Allocs, fout.String(), fenv.Steps, fenv.Allocs)
+			}
+			l.Release()
+		}
+	}
+}

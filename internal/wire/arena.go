@@ -5,22 +5,26 @@ import "safetsa/internal/core"
 // Arena is the memory a cursor decodes function bodies into (DESIGN.md §5,
 // "who owns decoded memory"): everything a body is made of is carved from
 // its slabs, so a unit costs a chunk per ~128 nodes, not an allocation per
-// node. A retaining cursor has an arena of its own, whose memory becomes
-// the unit's. A consuming cursor (DecodeConsumingStream) is handed one,
-// and takes each body's memory back once the body's consumer returns: the
-// next body is decoded into the same chunks, the same Func shell and the
-// same register file, and so is the next stream's when the caller keeps
-// the arena for it. The zero Arena is ready to use; an arena serves one
-// cursor at a time.
+// node. A retaining cursor's memory becomes the unit's: an arena of its
+// own, or one it is lent (OpenVerified), which the lender takes back whole
+// once nothing reads the unit (Reclaim) and lends to the next unit. A
+// consuming cursor (DecodeConsumingStream) is handed one, and takes each
+// body's memory back once the body's consumer returns: the next body is
+// decoded into the same chunks, the same Func shell and the same register
+// file, and so is the next stream's when the caller keeps the arena for
+// it. The zero Arena is ready to use; an arena serves one cursor at a
+// time.
 type Arena struct {
 	instrs   core.Slab[core.Instr]
 	nodes    core.Slab[core.CSTNode]
 	blocks   core.Slab[core.Block]
 	args     core.Slab[core.ValueID]  // Instr.Args
-	instrVec core.Slab[*core.Instr]   // Block.Phis, Block.Code
+	instrVec core.Slab[*core.Instr]   // Block.Phis, Block.Code, a kept Func's value table
 	nodeVec  core.Slab[*core.CSTNode] // CSTNode.Kids
 	blockVec core.Slab[*core.Block]   // Func.Blocks
 	preds    core.Slab[core.Pred]     // Block.Preds, normal edges
+	funcs    core.Slab[core.Func]     // a retaining cursor's bodies
+	types    core.Slab[core.TypeID]   // a kept Func's Params
 
 	// Per-function state, reused from one function to the next; nothing
 	// here is reachable from the module.
@@ -35,12 +39,42 @@ type Arena struct {
 	// each registered site, which windows its edge's phi operands.
 	handlers []*core.Block
 	sitePos  map[*core.Instr]int
+	// vals and params are where a kept Func's value table and parameter
+	// list are built before they are kept at their exact length; pos is
+	// the verifier's position table.
+	vals   []*core.Instr
+	params []core.TypeID
+	pos    core.Positions
+	// sites are the exception-site maps (Func.ExcEdge, Func.HandlerOf) of
+	// the bodies decoded into the arena, made once and cleared by rewind;
+	// the first nsites are in use.
+	sites  []siteMaps
+	nsites int
 
 	// What only a consuming cursor reuses: the Func shell it decodes every
 	// body into, a v2 stream's adaptive model and the read buffer.
 	shell *core.Func
 	mdl   *model
 	src   *byteSource
+}
+
+type siteMaps struct {
+	edge    map[*core.Instr]int
+	handler map[*core.Instr]*core.Block
+}
+
+// siteMaps returns an empty pair of exception-site maps for the body being
+// decoded.
+func (a *Arena) siteMaps() (map[*core.Instr]int, map[*core.Instr]*core.Block) {
+	if a.nsites == len(a.sites) {
+		a.sites = append(a.sites, siteMaps{})
+	}
+	s := &a.sites[a.nsites]
+	a.nsites++
+	if s.edge == nil {
+		s.edge, s.handler = make(map[*core.Instr]int), make(map[*core.Instr]*core.Block)
+	}
+	return s.edge, s.handler
 }
 
 // maxKeptArena bounds, in elements, what an arena may hold and still be
@@ -54,7 +88,9 @@ const maxKeptArena = 1 << 18
 func (a *Arena) Reusable() bool {
 	n := a.instrs.Held() + a.nodes.Held() + a.blocks.Held() + a.args.Held() +
 		a.instrVec.Held() + a.nodeVec.Held() + a.blockVec.Held() + a.preds.Held() +
-		cap(a.kids) + cap(a.blks) + cap(a.code) + cap(a.loops) + cap(a.handlers)
+		a.funcs.Held() + a.types.Held() +
+		cap(a.kids) + cap(a.blks) + cap(a.code) + cap(a.loops) + cap(a.handlers) +
+		cap(a.vals) + cap(a.params) + a.pos.Cap() + len(a.sites)
 	if a.shell != nil {
 		n += a.shell.NumValues()
 	}
@@ -74,6 +110,8 @@ func (a *Arena) recycle() {
 	a.nodeVec.Recycle()
 	a.blockVec.Recycle()
 	a.preds.Recycle()
+	a.funcs.Recycle()
+	a.types.Recycle()
 }
 
 // rewind takes back the memory of the body a consuming cursor just handed
@@ -93,6 +131,29 @@ func (a *Arena) rewind() {
 	a.nodeVec.Rewind()
 	a.blockVec.Rewind()
 	a.preds.Rewind()
+	a.funcs.Rewind()
+	a.types.Rewind()
+	for i := range a.sites[:a.nsites] {
+		s := &a.sites[i]
+		if len(s.edge) > maxKeptPlanes {
+			*s = siteMaps{} // made again when asked: clearing costs capacity
+		} else {
+			clear(s.edge)
+			clear(s.handler)
+		}
+	}
+	a.nsites = 0
+}
+
+// Reclaim takes back everything a retaining cursor opened over a
+// (OpenVerified) decoded into it, so the next cursor decodes into the same
+// chunks — or, under PoisonRecycled, overwrites it with junk and never
+// hands it out again — and reports whether a is worth keeping (Reusable).
+// The caller vouches that nothing reads the unit's bodies any more, nor
+// pulls through its cursor: the next cursor's bodies take their place.
+func (a *Arena) Reclaim() bool {
+	a.rewind()
+	return a.Reusable()
 }
 
 // poisonRecycled switches rewind to poison (see PoisonRecycled).
@@ -117,16 +178,21 @@ func (a *Arena) poison() {
 	a.nodeVec.Discard(nil)
 	a.blockVec.Discard(nil)
 	a.preds.Discard(core.Pred{})
+	a.funcs.Discard(core.Func{Name: "recycled body", Method: -1})
+	a.types.Discard(core.NoType)
+	a.sites, a.nsites = nil, 0
 	if a.shell != nil {
 		*a.shell = core.Func{Name: "recycled body", Method: -1}
 		a.shell = nil
 	}
 }
 
-// dropScratch lets go of the per-function state once a retaining cursor
-// has admitted its last body: the cursor of a resident unit lives as long
-// as the unit does and would pin it.
+// dropScratch lets go of the per-function state once a cursor with an
+// arena of its own has admitted its last body: the cursor of a resident
+// unit lives as long as the unit does and would pin it. A lent arena keeps
+// it for the next cursor it is lent to.
 func (a *Arena) dropScratch() {
 	a.f, a.rf, a.sitePos = nil, regFile{}, nil
 	a.kids, a.blks, a.code, a.loops, a.handlers = nil, nil, nil, nil, nil
+	a.vals, a.params, a.pos = nil, nil, core.Positions{}
 }

@@ -105,6 +105,9 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 		d.rf.add(b, in, p)
 		if in.Op.CanThrow() {
 			if h := d.innermostHandler(); h != nil {
+				if f.ExcEdge == nil {
+					f.ExcEdge, f.HandlerOf = d.siteMaps()
+				}
 				f.AddExcSite(in, h, len(h.Preds))
 				h.Preds = append(h.Preds, core.Pred{From: b, Site: in})
 				d.sitePos[in] = p

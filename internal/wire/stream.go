@@ -46,7 +46,6 @@ type StreamingUnit struct {
 	Mod *core.Module
 
 	d      decoder     // in place: a unit is opened with one allocation
-	own    Arena       // a retaining cursor's memory, which becomes the unit's
 	src    *byteSource // nil over memory (decodeUnit, OpenVerified), which asks no Offset
 	verify bool        // Admit each body; false is DecodeModule's link-only rule
 
@@ -68,7 +67,7 @@ type StreamingUnit struct {
 // admitted.
 func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (*StreamingUnit, error) {
 	src := &byteSource{r: r}
-	su, err := openUnit(src, o, nil, false, true)
+	su, err := openUnit(src, o, nil, false, false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -86,13 +85,13 @@ func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (*StreamingUnit, error) 
 // by anything else until the cursor is done with it.
 func DecodeConsumingStream(r io.Reader, o DecodeOptions, a *Arena) (*StreamingUnit, error) {
 	if a.src == nil {
-		a.src, a.mdl = new(byteSource), new(model)
+		a.src = new(byteSource)
 	}
 	src := a.src
 	src.r, src.i, src.n, src.off = r, 0, 0, 0
 	a.recycle()
 	a.rewind() // whatever a cursor that failed mid-body left
-	su, err := openUnit(src, o, a, false, true)
+	su, err := openUnit(src, o, a, true, false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -107,20 +106,31 @@ func DecodeConsumingStream(r io.Reader, o DecodeOptions, a *Arena) (*StreamingUn
 // Each pull runs the rule that admission ran over the bytes it read, so
 // a body pulled is the one it admitted, and a pull that fails means the
 // bytes changed in memory. A cursor over memory has no Offset.
-func OpenVerified(data []byte) (*StreamingUnit, error) {
-	return openUnit(bytes.NewReader(data), DecodeOptions{}, nil, false, true)
+//
+// The bodies, a v2 stream's adaptive model and the per-function scratch
+// are carved from a, which the cursor is lent for as long as the unit
+// lives (nil: an arena of the cursor's own): a must be new or reclaimed
+// (Arena.Reclaim), and is the unit's until the caller reclaims it, once
+// nothing reads the unit's bodies or pulls through the cursor any more.
+func OpenVerified(data []byte, a *Arena) (*StreamingUnit, error) {
+	return openUnit(bytes.NewReader(data), DecodeOptions{}, a, false, false, true)
 }
 
 // openUnit reads the container header and the symbol tables and returns
-// the cursor standing before function 0: a consuming cursor over a, or a
-// retaining one when a is nil.
-func openUnit(src io.ByteReader, o DecodeOptions, a *Arena, v1Only, verify bool) (*StreamingUnit, error) {
+// the cursor standing before function 0: a retaining cursor in its own
+// arena when a is nil, else a consuming or (lent a) retaining one over a.
+func openUnit(src io.ByteReader, o DecodeOptions, a *Arena, consume, v1Only, verify bool) (*StreamingUnit, error) {
 	su := &StreamingUnit{verify: verify}
 	var mdl *model
 	if a == nil {
-		a = &su.own
+		a = new(Arena) // the unit's, for as long as it lives
 	} else {
-		su.d.recycle, mdl = true, a.mdl
+		if a.mdl == nil {
+			a.mdl = new(model)
+		}
+		a.recycle()
+		mdl = a.mdl
+		su.d.recycle, su.d.lent = consume, !consume
 	}
 	su.d.Arena = a
 	su.advance(func() error {
@@ -190,7 +200,7 @@ func (su *StreamingUnit) admit(j int) (*core.Func, error) {
 		return nil, fmt.Errorf("function %d: %w", j, err)
 	}
 	if su.verify {
-		err = d.adm.Admit(j, f, core.VerifyOptions{})
+		err = d.adm.Admit(j, f, core.VerifyOptions{Scratch: &d.pos})
 	} else {
 		err = d.adm.Link(j, f)
 	}

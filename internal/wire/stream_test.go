@@ -432,7 +432,7 @@ func TestCursorRetiresAtTheLastBody(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", u.Name, version, err)
 			}
-			su, err := wire.OpenVerified(data)
+			su, err := wire.OpenVerified(data, nil)
 			if err != nil {
 				t.Fatalf("%s %s: %v", u.Name, version, err)
 			}
@@ -605,4 +605,49 @@ func TestClaimedIndexGrowsNothing(t *testing.T) {
 		t.Errorf("a %d-byte head claiming function index 1<<22-1 cost %d bytes", len(head), got)
 	}
 	t.Logf("%d-byte head", len(head))
+}
+
+// TestLentArenaDecodesWhatDecodeModuleDoes: a cursor over memory decodes
+// into the arena it is lent, which the unit before it used and gave back
+// (Arena.Reclaim) — rewound, or poisoned and forgotten. Pulled body by body,
+// every corpus unit in both wire versions must be the module DecodeModule
+// gives: its canonical re-encoding is byte-identical, so nothing the
+// earlier unit left in the chunks, the scratch, the model or the site maps
+// reaches the later one.
+func TestLentArenaDecodesWhatDecodeModuleDoes(t *testing.T) {
+	t.Cleanup(func() { wire.PoisonRecycled(false) })
+	for _, poison := range []bool{false, true} {
+		wire.PoisonRecycled(poison)
+		a := new(wire.Arena)
+		for _, u := range corpus.Units() {
+			mod := corpusO2(t, u)
+			for _, version := range []string{"v1", "v2"} {
+				encode := wire.EncodeModule
+				if version == "v2" {
+					encode = func(m *core.Module) []byte { return wire.EncodeModuleV2(m, nil) }
+				}
+				data := encode(mod)
+				whole, err := wire.DecodeModule(data)
+				if err != nil {
+					t.Fatalf("%s %s: %v", u.Name, version, err)
+				}
+				su, err := wire.OpenVerified(data, a)
+				if err != nil {
+					t.Fatalf("%s %s poison %v: %v", u.Name, version, poison, err)
+				}
+				for j := range su.NumFuncs() {
+					if err := su.WaitFunc(j); err != nil {
+						t.Fatalf("%s %s poison %v: function %d: %v", u.Name, version, poison, j, err)
+					}
+				}
+				if !bytes.Equal(encode(su.Mod), encode(whole)) {
+					t.Errorf("%s %s poison %v: the module decoded into a reclaimed arena re-encodes differently",
+						u.Name, version, poison)
+				}
+				if !a.Reclaim() {
+					t.Fatalf("%s %s: a corpus unit made its arena too large to keep", u.Name, version)
+				}
+			}
+		}
+	}
 }
