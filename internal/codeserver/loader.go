@@ -78,8 +78,11 @@ func (lu *LoadedUnit) letGo() {
 	}
 }
 
-// arenaStock is the process-wide stock of the arenas loaded units decode
-// their bodies into. returns counts the arenas given back, kept or not.
+// arenaStock is the process-wide stock of the arenas units decode their
+// bodies into, lent to two borrowers: a loaded unit's cursor over resident
+// bytes, for as long as the unit lives, and a stream door's cursor, for
+// its session (RunUnitStream). give is the one way back. returns counts
+// the arenas given back, kept or not.
 type arenaStock struct {
 	pool    sync.Pool
 	returns atomic.Uint64
@@ -87,7 +90,7 @@ type arenaStock struct {
 
 var unitArenas arenaStock
 
-// take returns an arena for a unit's cursor: a reclaimed one, or a new one.
+// take returns an arena for a cursor: a reclaimed one, or a new one.
 func (s *arenaStock) take() *wire.Arena {
 	if a, ok := s.pool.Get().(*wire.Arena); ok {
 		return a

@@ -1,6 +1,7 @@
 package codeserver
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -244,5 +245,74 @@ func TestColdUnitsRecycleConcurrently(t *testing.T) {
 					st.Runs, clients*len(names), st.Loads, len(names), st.PoolVerifyFails)
 			}
 		})
+	}
+}
+
+// TestDoorsShareArenasConcurrently: sixteen clients run the small corpus
+// and a unit whose statics hold a heap at once, each in its own order and
+// alternating the doors — /run-stream of the unit's bytes, a cold /run of
+// its key through a loader cache of one unit and a pool of one — so the
+// arenas of the one stock pass between stream sessions and loaded units
+// while both still run, poisoned at every return, with every released
+// session heap. Every answer is the one a server without a pool gave on
+// /run. Run it under -race.
+func TestDoorsShareArenasConcurrently(t *testing.T) {
+	poisonRecycledUnits(t)
+	units := map[string]map[string]string{"StaticHeap": staticHeapFiles()}
+	for _, u := range corpus.Units() {
+		if u.Name != "Linpack" && u.Name != "BitSieve" { // the two hot guests: steps, not loads
+			units[u.Name] = u.Files
+		}
+	}
+	opts := Options{Optimize: true, WireV2: true}
+	ctx := context.Background()
+	ref := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, PoolUnits: -1})
+	s := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, MaxModules: 1, PoolUnits: 1})
+	var names []string
+	keys, wires, want := map[string]Key{}, map[string][]byte{}, map[string]RunResult{}
+	for name, files := range units {
+		u, _, err := ref.CompileUnit(ctx, files, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[name], err = ref.RunUnitOpts(ctx, u.Key, RunOptions{}); err != nil || !want[name].OK {
+			t.Fatalf("%s without a pool: %+v, %v", name, want[name], err)
+		}
+		if _, _, err := s.CompileUnit(ctx, files, opts); err != nil {
+			t.Fatal(err)
+		}
+		names, keys[name], wires[name] = append(names, name), u.Key, u.Wire
+	}
+	const clients = 16
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range names {
+				name := names[(c*7+i)%len(names)]
+				var res RunResult
+				var err error
+				door := "/run"
+				if (c+i)%2 == 0 {
+					door = "/run-stream"
+					var sr RunStreamResult
+					sr, err = s.RunUnitStream(ctx, bytes.NewReader(wires[name]), RunOptions{})
+					if res = sr.RunResult; err == nil && sr.Hash != KeyForWire(wires[name]).String() {
+						err = fmt.Errorf("answered under %q", sr.Hash)
+					}
+				} else {
+					res, err = s.RunUnitOpts(ctx, keys[name], RunOptions{})
+				}
+				if err != nil || res != want[name] {
+					t.Errorf("client %d, %s %s: %+v, %v\nunpooled /run %+v", c, door, name, res, err, want[name])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Runs != uint64(clients*len(names)) || st.StreamRejects != 0 || st.PoolVerifyFails != 0 {
+		t.Errorf("runs %d of %d, stream_rejects %d, pool_verify_fails %d", st.Runs, clients*len(names), st.StreamRejects, st.PoolVerifyFails)
 	}
 }

@@ -44,10 +44,9 @@ type Metrics struct {
 	loaderHits  atomic.Uint64
 	loadErrors  atomic.Uint64
 	loaderEvict atomic.Uint64
-	// loweredFuncs counts function bodies run sessions lowered: on /run on
-	// first call, including a body that lost the race to publish
-	// (interp.Loader.lower); on /run-stream as its cursor admitted them
-	// before the guest returned (interp.LoadTrustedConsuming).
+	// loweredFuncs counts function bodies run sessions lowered, on both run
+	// doors alike: on a function's first call, including a body that lost
+	// the race to publish (interp.Loader.lower).
 	loweredFuncs atomic.Uint64
 	// pulledFuncs counts function bodies decoded and admitted from a
 	// resident unit's cursor on first call (LoaderCache.pull); each is
@@ -393,7 +392,7 @@ func writePrometheus(w io.Writer, st Stats) {
 	counter("safetsa_load_errors_total", "Units rejected by decode or the verifier.", st.LoadErrors)
 	counter("safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", st.LoaderEvicted)
 	gauge("safetsa_modules_loaded", "Decoded modules resident in the loader cache.", int64(st.ModulesLoaded))
-	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered: on first call on /run, lost publication races included; as admitted before the guest returned on /run-stream.", st.LoweredFunctions)
+	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered on first call, on both run doors, lost publication races included.", st.LoweredFunctions)
 	counter("safetsa_pulled_functions_total", "Function bodies run sessions decoded and admitted from a resident unit's bytes on first call.", st.PulledFunctions)
 
 	counter("safetsa_runs_total", "Execution sessions started.", st.Runs)

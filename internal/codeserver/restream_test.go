@@ -42,8 +42,8 @@ const restreamByteCeiling = 73 << 10
 
 // TestRestreamByteCeiling: a resident unit streamed again costs the host
 // what its session keeps — tables, lowered code, the guest's heap and
-// output — and not the memory its bodies were decoded into, which the
-// door's pooled arena takes back body by body and stream by stream.
+// output — and not the memory its bodies were decoded into, an arena lent
+// from the stock and given back after each stream.
 // TotalAlloc is read around ten rounds of the whole corpus, the least of
 // three such readings.
 func TestRestreamByteCeiling(t *testing.T) {
@@ -80,8 +80,8 @@ func TestRestreamByteCeiling(t *testing.T) {
 }
 
 // TestRestreamPooledArenas: sixteen clients stream the corpus at once, each
-// in its own order, so the door's pooled arenas pass from unit to unit and
-// from client to client, and the first stream of each unit — whose cursor
+// in its own order, so the arenas the door borrows pass from unit to unit
+// and from client to client, and the first stream of each unit — whose cursor
 // decodes the tail — races the re-streams the store vouches for. Every
 // answer is the one /run gives for the unit. Run it under -race.
 func TestRestreamPooledArenas(t *testing.T) {

@@ -531,22 +531,21 @@ const MaxUnitBytes = 64 << 20
 // tables are decoded and statically verified up front, and a function is
 // callable once admitted and lowered. The guest pulls: calling a function
 // that has not arrived reads the body, on the session's own goroutine,
-// exactly as far as that function (wire.DecodeConsumingStream +
-// interp.LoadTrustedConsuming). The cursor keeps no body — it hands each
-// one to the session as it admits it, which lowers it then, and decodes
-// the next into the same memory — so the session lowers what its cursor
-// admitted before its guest returned, and the bodies admitted after (the
-// tail) are only counted. The session runs the thunks RunUnitOpts runs,
-// lowered by the same lowering into a form of its own: this door takes
-// nothing from the loader cache or the pool and leaves nothing in them.
-// Any failure anywhere in the stream — truncation, a function the verifier
-// rejects, trailing garbage, an admitted function lowering refuses —
-// rejects the whole unit: the response is a verify error and nothing is
-// cached in the store, the loader or the pool. Only after verdict returns
-// nil are the exact bytes cached under their wire address. A body
-// byte-identical to a unit resident in the store's memory tier is the one
-// exception to decoding the tail (see tail): those bytes were admitted
-// whole once, so the store's record is the tail's verdict.
+// exactly as far as that function, and lowers it then
+// (wire.DecodeVerifiedStreamIn + interp.LoadTrustedStreaming) — the rule
+// RunUnitOpts's sessions follow, with the same thunks, into a form of the
+// session's own: this door takes nothing from the loader cache or the pool
+// and leaves nothing in them. The cursor decodes into an arena lent from
+// the stock a resident unit's cursor is lent from (unitArenas), which the
+// door gives back once the session has finished. Any failure anywhere in
+// the stream — truncation, a function the verifier rejects, trailing
+// garbage, a function the guest called that lowering refuses — rejects the
+// whole unit: the response is a verify error and nothing is cached in the
+// store, the loader or the pool. Only after verdict returns nil are the
+// exact bytes cached under their wire address. A body byte-identical to a
+// unit resident in the store's memory tier is the one exception to
+// decoding the tail (see tail): those bytes were admitted whole once, so
+// the store's record is the tail's verdict.
 func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOptions) (RunStreamResult, error) {
 	sess, err := s.newSession(ctx, "run_stream", opts)
 	if err != nil {
@@ -555,6 +554,10 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	defer sess.release()
 	mem := streamMems.Get().(*streamMem)
 	defer mem.release()
+	// Given back on the way out, when every path below has finished the
+	// session it began: nothing reads the unit's bodies after that.
+	a := unitArenas.take()
+	defer unitArenas.give(a)
 
 	// The body is teed into a buffer as the cursor consumes it, so the bytes
 	// the decoder admitted — and only those — can be cached afterwards. The
@@ -569,14 +572,12 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	var k Key
 	var resident *Unit
 	err = s.m.timed(sess.ctx, stageWireDecodeStream, func(ctx context.Context) (err error) {
-		if su, err = wire.DecodeConsumingStream(src, wire.DecodeOptions{}, &mem.arena); err != nil {
+		if su, err = wire.DecodeVerifiedStreamIn(src, wire.DecodeOptions{}, a); err != nil {
 			return err
 		}
-		if l, runErr = interp.LoadTrustedConsuming(su.Mod, su, sess.begin()); runErr == nil {
+		if l, runErr = interp.LoadTrustedStreaming(su.Mod, streamGate(su), sess.begin()); runErr == nil {
 			runErr = l.RunMain()
 		}
-		// The guest has returned: the tail is the rest, counted, not lowered.
-		su.Consume(nil)
 		var tailErr error
 		k, resident, tailErr = s.tail(ctx, su, src, lim, buf)
 		return verdict(runErr, tailErr)
@@ -604,8 +605,8 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	// caller's failed peer fill of the same key, the unit is simply not
 	// cached and no hash is reported.
 	u, _, _, err := s.store.fill(context.WithoutCancel(sess.ctx), k, func(context.Context) (admitted, error) {
-		// The verdict was nil: every body was admitted, and none was kept.
-		return admitted{wire: bytes.Clone(buf.Bytes()), instrs: su.NumInstrs()}, nil
+		// The verdict was nil: every body was admitted.
+		return admitted{wire: bytes.Clone(buf.Bytes()), instrs: su.Mod.NumInstrs()}, nil
 	})
 	if err == nil {
 		res.Hash = u.Key.String()
@@ -613,25 +614,27 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	return res, nil
 }
 
-// streamMem is what one streaming run decodes with and keeps nothing of
-// once it has answered: the cursor's arena — body memory, v2 model, read
-// buffer — and the buffer the body is teed into. Requests share them
-// through streamMems, since internal/wire takes no locks.
+// streamGate is the gate a streamed session's first calls pass through:
+// the cursor's own (a variable, so that a test can damage a body after its
+// admission, which no bytes can).
+var streamGate = func(su *wire.StreamingUnit) func(int) error { return su.WaitFunc }
+
+// streamMem is what one streaming run reads with and keeps nothing of once
+// it has answered: the buffer the body is teed into. Requests share them
+// through streamMems.
 type streamMem struct {
-	arena wire.Arena
-	body  bytes.Buffer
+	body bytes.Buffer
 }
 
 var streamMems = sync.Pool{New: func() any { return new(streamMem) }}
 
-// maxKeptBody bounds the tee buffer a pooled streamMem keeps, as
-// wire.Arena.Reusable bounds its arena: one huge body must not pin its
-// memory in the pool.
+// maxKeptBody bounds the tee buffer a pooled streamMem keeps: one huge
+// body must not pin its memory in the pool.
 const maxKeptBody = 1 << 20
 
 // release returns m to the pool, unless a body made it too large to keep.
 func (m *streamMem) release() {
-	if m.arena.Reusable() && m.body.Cap() <= maxKeptBody {
+	if m.body.Cap() <= maxKeptBody {
 		m.body.Reset()
 		streamMems.Put(m)
 	}

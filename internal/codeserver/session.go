@@ -109,10 +109,9 @@ func (ss *session) begin() *rt.Env {
 // nil if none was built, and err is what ended the guest (nil for a clean
 // run); budget kills and uncaught exceptions are reported inside the
 // result, not as an error. What the session spent lowering is booked here
-// too, on both run doors alike — the functions it called first on /run,
-// the bodies its cursor admitted before the guest returned on
-// /run-stream: it ran inside the run stage, and is what the prepare and
-// compile_backend histograms measure.
+// too, on both run doors alike — the functions its guest called first: it
+// ran inside the run stage, and is what the prepare and compile_backend
+// histograms measure.
 //
 // finish is also where the session ends: once the result holds the run as
 // plain data — output, error text, counts — nothing of the guest's heap is

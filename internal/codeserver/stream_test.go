@@ -212,13 +212,7 @@ func TestStreamVerdict(t *testing.T) {
 		}
 		if damage {
 			for _, f := range su.Mod.Funcs {
-				for _, b := range f.Blocks {
-					for _, in := range b.Code {
-						if len(in.Args) > 0 {
-							in.Args[0] = 9999 // a value the function never defines
-						}
-					}
-				}
+				damageBody(f)
 			}
 		}
 		l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, rt.NewEnv(io.Discard, rt.Budget{MaxSteps: maxSteps}, nil))
@@ -391,38 +385,33 @@ func TestWireVersionCacheKey(t *testing.T) {
 	}
 }
 
-// damaging is a consuming cursor that damages the body of the function
-// named name on its way to the session — after admission, so no bytes make
-// it: a body the verifier admits and lowering refuses.
-type damaging struct {
-	*wire.StreamingUnit
-	name string
-}
-
-func (d damaging) Consume(lower func(int, *core.Func) error) {
-	d.StreamingUnit.Consume(func(j int, f *core.Func) error {
-		if strings.HasSuffix(f.Name, d.name) {
-			for _, b := range f.Blocks {
-				for _, in := range b.Code {
-					if len(in.Args) > 0 {
-						in.Args[0] = 9999 // a value the function never defines
-					}
-				}
+// damageBody makes f a body the verifier admitted and lowering refuses:
+// every instruction's first operand names a value the function never
+// defines. No bytes make one — it would be a hole in the verifier — so it
+// is made in memory, after admission.
+func damageBody(f *core.Func) {
+	for _, b := range f.Blocks {
+		for _, in := range b.Code {
+			if len(in.Args) > 0 {
+				in.Args[0] = 9999
 			}
 		}
-		return lower(j, f)
-	})
+	}
 }
 
-// TestStreamRefusedBodyRejectsUncalled: the stream door's session lowers
-// every body its cursor admits while the guest runs, called or not, so a
-// body lowering refuses rejects the stream even when the guest never calls
-// it — here one main calls only on a path it does not take, which comes on
-// the wire before the function it does call, run the way the door runs it. The refusal latches the cursor: main's callee
-// is never handed over, the run ends in the refusal before the guest
-// prints, and the cursor's own verdict is the refusal.
-func TestStreamRefusedBodyRejectsUncalled(t *testing.T) {
-	mod, err := driver.CompileTSASource(map[string]string{"P.tj": `
+// TestStreamRefusedBodyRejectsOnlyWhenCalled: both run doors lower a
+// function on its guest's first call and nothing else, so a body lowering
+// refuses rejects the unit exactly when the guest calls it, on /run-stream
+// as on /run (TestRunVerdict). The stream door's gate damages the body of
+// one function as its cursor admits it; never comes on the wire before
+// used, so the cursor admits it on the way to used whether or not main
+// calls it. On /run the same body is damaged in the module a restarted
+// server's loader was handed. A called body refused rejects the unit on
+// both doors as a verify error that errors.Is ErrUnsupported, and the
+// store, the loader and the pool miss it afterwards; an uncalled one
+// leaves both answers the undamaged unit's.
+func TestStreamRefusedBodyRejectsOnlyWhenCalled(t *testing.T) {
+	files := map[string]string{"P.tj": `
 class P {
     static int never(int n) { return n * n - 1; }
     static int used(int n) { return n + 1; }
@@ -431,7 +420,14 @@ class P {
         if (n > 5) { System.out.println(never(n)); }
         System.out.println(used(41));
     }
-}`})
+}`}
+	ctx := context.Background()
+	dir := t.TempDir()
+	unit, _, err := newTestServer(t, Config{CacheDir: dir}).CompileUnit(ctx, files, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := wire.DecodeVerified(unit.Wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,22 +437,73 @@ class P {
 	if u, m := index("never"), index("used"); u < 0 || u > m {
 		t.Fatalf("never is body %d and used body %d: want never first on the wire", u, m)
 	}
-	var a wire.Arena
-	su, err := wire.DecodeConsumingStream(bytes.NewReader(wire.EncodeModuleV2(mod, nil)), wire.DecodeOptions{}, &a)
-	if err != nil {
-		t.Fatal(err)
+	want, err := newTestServer(t, Config{}).RunUnitStream(ctx, bytes.NewReader(unit.Wire), RunOptions{})
+	if err != nil || want.Output != "42\n" {
+		t.Fatalf("the undamaged unit: %v, output %q", err, want.Output)
 	}
-	var out bytes.Buffer
-	l, runErr := interp.LoadTrustedConsuming(su.Mod, damaging{su, "never"}, rt.NewEnv(&out, rt.Budget{}, nil))
-	if runErr == nil {
-		runErr = l.RunMain()
-	}
-	su.Consume(nil)
-	waitErr := su.Wait()
-	if err := verdict(runErr, waitErr); err == nil || !errors.Is(err, errors.ErrUnsupported) || !errors.Is(waitErr, errors.ErrUnsupported) {
-		t.Fatalf("a stream whose uncalled body lowering refuses: run %v, cursor %v; want both the refusal", runErr, waitErr)
-	}
-	if out.Len() != 0 || su.Ready() != index("never") || l.Lowered().Funcs != index("never") {
-		t.Errorf("output %q, %d bodies admitted and %d lowered; want none printed and every body before the refused one", out.String(), su.Ready(), l.Lowered().Funcs)
+	t.Cleanup(func() { streamGate = func(su *wire.StreamingUnit) func(int) error { return su.WaitFunc } })
+
+	for _, name := range []string{"never", "used"} {
+		t.Run(name, func(t *testing.T) {
+			damaged := 0
+			streamGate = func(su *wire.StreamingUnit) func(int) error {
+				return func(fi int) error {
+					from := su.Ready()
+					if err := su.WaitFunc(fi); err != nil {
+						return err
+					}
+					for _, f := range su.Mod.Funcs[from:su.Ready()] {
+						if strings.HasSuffix(f.Name, name) {
+							damageBody(f)
+							damaged++
+						}
+					}
+					return nil
+				}
+			}
+			s := newTestServer(t, Config{})
+			streamed, streamErr := s.RunUnitStream(ctx, bytes.NewReader(unit.Wire), RunOptions{})
+			if damaged != 1 {
+				t.Fatalf("the stream door's cursor admitted %s %d times before its guest returned, want once", name, damaged)
+			}
+
+			r := newTestServer(t, Config{CacheDir: dir}) // a restart: the unit is on disk only
+			lu, err := r.loader.GetOrLoad(ctx, unit.Key, r.lookup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damageBody(lu.Mod.Funcs[index(name)])
+			ran, runErr := r.RunUnit(ctx, unit.Key, 0)
+
+			if name == "never" {
+				if streamErr != nil || runErr != nil || streamed.RunResult != want.RunResult || ran != want.RunResult {
+					t.Fatalf("an uncalled body refused:\n/run-stream %+v %v\n/run        %+v %v\nundamaged   %+v",
+						streamed.RunResult, streamErr, ran, runErr, want.RunResult)
+				}
+				return
+			}
+			for door, err := range map[string]error{"/run-stream": streamErr, "/run": runErr} {
+				if driver.KindOf(err) != driver.KindVerify || !errors.Is(err, errors.ErrUnsupported) {
+					t.Errorf("%s, a called body refused: %v, want a verify error that is ErrUnsupported", door, err)
+				}
+			}
+			for srv, k := range map[*Server]Key{s: KeyForWire(unit.Wire), r: unit.Key} {
+				if _, ok := srv.Unit(ctx, k); ok {
+					t.Error("the store serves the rejected unit")
+				}
+				if _, ok := srv.loader.units.get(k); ok {
+					t.Error("the loader holds the rejected unit")
+				}
+				if snap, _ := srv.sessions.Get(k); snap != nil {
+					t.Error("the pool holds a snapshot of the rejected unit")
+				}
+				if st := srv.Stats(); st.UnitsCached != 0 || st.ModulesLoaded != 0 || st.PoolSessions != 0 {
+					t.Errorf("after the rejection: units %d, modules %d, pooled %d", st.UnitsCached, st.ModulesLoaded, st.PoolSessions)
+				}
+			}
+			if st := s.Stats(); st.StreamRejects != 1 {
+				t.Errorf("stream rejects %d, want 1", st.StreamRejects)
+			}
+		})
 	}
 }

@@ -273,15 +273,6 @@ func NewFunc(name string) *Func {
 	return &Func{Name: name, Method: -1, values: make([]*Instr, 1, 16)}
 }
 
-// Reset empties f for a new body named name, as NewFunc makes one, but
-// keeps the memory of its value table and its parameter list: for a
-// decoder that decodes body after body into one shell (wire.Arena).
-// Nothing of the body f held before may be used after.
-func (f *Func) Reset(name string) {
-	clear(f.values)
-	*f = Func{Name: name, Method: -1, values: f.values[:1], Params: f.Params[:0]}
-}
-
 // Begin makes f, a Func carved from a slab, an empty function named name,
 // as NewFunc makes one, whose value table is built in the memory of vals
 // until KeepValues moves it out: for a decoder that keeps every body it

@@ -85,8 +85,7 @@ type Compiled struct {
 	// not hold yet: it admits function fi and returns it, or says why it
 	// cannot. Pulls are serialised by mu, and a body reaches the lowering
 	// from pull's result, so no session reads mod.Funcs while a pull
-	// appends to it. A consuming session's pull returns no body: the
-	// cursor's consumer lowered it into its slot (LoadTrustedConsuming).
+	// appends to it.
 	pull func(fi int) (*core.Func, error)
 	mu   sync.Mutex
 }
@@ -114,8 +113,7 @@ func Pulled(mod *core.Module, n int, pull func(fi int) (*core.Func, error)) *Com
 	return &Compiled{mod: mod, nFuncs: n, funcs: make([]atomic.Pointer[CFunc], n), pull: pull}
 }
 
-// body returns function fi's admitted body for its first lowering, or
-// nil when the pull lowered it already.
+// body returns function fi's admitted body for its first lowering.
 func (c *Compiled) body(fi int32) (*core.Func, error) {
 	if c.pull == nil {
 		return c.mod.Funcs[fi], nil

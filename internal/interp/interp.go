@@ -4,11 +4,9 @@
 //
 // There is one production engine, the closure-threaded form (compile.go)
 // of the register-machine lowering (prepare.go); a server runs nothing
-// else, whether the unit arrived whole (LoadTrustedCompiled, -Deferred,
-// which lower a function when a guest first calls it) or is still
-// arriving (LoadTrustedConsuming, which lowers each body as its cursor
-// admits it; LoadTrustedStreaming, the same over a cursor that keeps its
-// bodies, on first call). The other two evaluators are oracles:
+// else, whether the unit arrived whole (LoadTrustedCompiled, -Deferred)
+// or is still arriving (LoadTrustedStreaming); either way a function is
+// lowered when a guest first calls it. The other two evaluators are oracles:
 // the reference walker in this file and instr.go, a small-step machine
 // that executes the Control Structure Tree and the type-separated SSA
 // instructions as they stand and is the meaning the lowered forms are
@@ -90,7 +88,7 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 }
 
 // LoadTrustedStreaming prepares a module whose function bodies are
-// still arriving through a retaining cursor (wire.DecodeVerifiedStream).
+// still arriving through a cursor (wire.DecodeVerifiedStream).
 // The symbol tables must be complete and statically verified — the
 // streaming decoder guarantees both — while Mod.Funcs grows under the
 // session's own calls: gate(i) returns nil once function i is admitted and
@@ -122,44 +120,6 @@ func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env
 		return mod.Funcs[fi], nil
 	}
 	return newLoader(&Loader{Mod: mod, Env: env, comp: comp}, true)
-}
-
-// A StreamCursor is what a consuming session's bodies arrive through
-// (wire.DecodeConsumingStream): WaitFunc(i) admits every function up to i,
-// handing each body it admits, in order, to the consumer Consume names —
-// and reuses the body's memory for the next once the consumer returns.
-type StreamCursor interface {
-	WaitFunc(fi int) error
-	Consume(func(fi int, f *core.Func) error)
-}
-
-// LoadTrustedConsuming is LoadTrustedStreaming over a cursor that keeps no
-// body. A body is gone once its consumer returns, so nothing of it is left
-// to lower at its first call: the session names itself cur's consumer and
-// lowers each body as the cursor admits it — those its guest calls and
-// those the cursor admits on the way to one — into the next slot of a form
-// of its own. The guest still pulls: calling a function not admitted yet
-// waits for it (cur.WaitFunc), on this goroutine. A body lowering refuses
-// fails its consumer, which latches the cursor, so the stream is rejected
-// whether or not the guest ever calls it; its error, and a failure of the
-// cursor, abort the run as they do on LoadTrustedStreaming. Once the guest
-// has returned, its caller takes the consumer back (cur.Consume(nil)): the
-// bodies admitted after that are counted by the cursor, not lowered. Like
-// any form that grows, this one is the session's alone.
-func LoadTrustedConsuming(mod *core.Module, cur StreamCursor, env *rt.Env) (*Loader, error) {
-	comp := &Compiled{mod: mod, nFuncs: math.MaxInt32}
-	l := &Loader{Mod: mod, Env: env, comp: comp}
-	cur.Consume(func(fi int, f *core.Func) error {
-		cf, err := l.lowerBody(int32(fi), f)
-		if err != nil {
-			return err
-		}
-		comp.funcs = append(comp.funcs, make([]atomic.Pointer[CFunc], 1)...)
-		comp.funcs[fi].Store(cf)
-		return nil
-	})
-	comp.pull = func(fi int) (*core.Func, error) { return nil, cur.WaitFunc(fi) }
-	return newLoader(l, true)
 }
 
 // LoadTrustedPrepared is LoadTrusted for a session that executes the
@@ -354,10 +314,8 @@ type lowerAbort struct{ err error }
 // lower makes function fi callable the first time this session calls it:
 // the form hands over the body — pulling it through its cursor first when
 // it has one (Pulled, LoadTrustedStreaming) — then lowerBody lowers it,
-// and the body is published into its slot with a compare-and-swap. The
-// pull of a consuming session's form (LoadTrustedConsuming) hands over no
-// body: its cursor's consumer lowered each one into its slot as it was
-// admitted. Sessions of one shared form that race on a first call may each
+// and the body is published into its slot with a compare-and-swap.
+// Sessions of one shared form that race on a first call may each
 // lower the function, and each returns the body that won: lowering is
 // deterministic and charges no guest budget, so a loser's body is the
 // winner's in every respect the guest can observe, and what it wasted is
@@ -367,13 +325,7 @@ type lowerAbort struct{ err error }
 func (l *Loader) lower(fi int32) *CFunc {
 	f, err := l.comp.body(fi)
 	var cf *CFunc
-	switch {
-	case err != nil:
-	case f == nil: // lowered as admitted
-		if cf = l.comp.funcs[fi].Load(); cf == nil {
-			err = fmt.Errorf("%w: function %d was admitted after its session stopped lowering", errors.ErrUnsupported, fi)
-		}
-	default:
+	if err == nil {
 		cf, err = l.lowerBody(fi, f)
 	}
 	if err != nil {
@@ -391,7 +343,7 @@ func (l *Loader) lowerBody(fi int32, f *core.Func) (*CFunc, error) {
 	c := lowerers.Get().(*fcomp)
 	c.mod, c.nFuncs = l.Mod, l.comp.nFuncs
 	cf, err := c.lowerFunc(f, &l.lowered)
-	c.f = nil // the body is the cursor's, which may reuse its memory
+	c.f = nil // the body is the unit's, whose memory is reclaimed with it
 	lowerers.Put(c)
 	if err != nil {
 		return nil, fmt.Errorf("%w: admitted function %d does not lower: %w", errors.ErrUnsupported, fi, err)

@@ -10,7 +10,9 @@ import (
 	"safetsa/internal/codeserver"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
+	"safetsa/internal/interp"
 	"safetsa/internal/oracle"
+	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
 
@@ -24,19 +26,18 @@ import (
 // the unit is streamed twice: first to a node that has never seen it,
 // whose cursor admits the tail, then again to the server that published
 // it, whose store vouches for the tail; both answers and hashes are the
-// /run's. The stream door's cursor decodes each body into memory it takes
-// back once the body is lowered; here that memory is poisoned instead of
-// reused (wire.PoisonRecycled), so a lowered form that kept a pointer into
-// a body would read junk and answer differently; and every session either
-// door runs is released into poisoned chunks (rt.PoisonRecycled, on for
-// the package), which the next split's session is carved from.
+// /run's. Both doors' cursors decode into arenas lent from one stock and
+// given back once no session reads the unit; here that memory is poisoned
+// instead of reused (wire.PoisonRecycled), so a lowered form that kept a
+// pointer into a body would read junk and answer differently; and every
+// session either door runs is released into poisoned chunks
+// (rt.PoisonRecycled), which the next split's session is carved from.
 //
 // A unit admission refuses is held to the other half of the contract: a
 // verify-kind error and nothing published.
 func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 	t.Helper()
-	wire.PoisonRecycled(true)
-	t.Cleanup(func() { wire.PoisonRecycled(false) })
+	wire.PoisonRecycled(true) // on for the package already (TestMain)
 	srv, err := codeserver.New(codeserver.Config{MaxSteps: b.MaxSteps, MaxAllocs: b.MaxAlloc})
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +71,11 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 
 	k := codeserver.KeyForWire(data)
 	var want codeserver.RunResult
-	// The functions the first streamed run lowered, and those the /run
-	// pulled and lowered.
+	// The functions the first streamed run lowered, those the /run pulled
+	// and lowered, and how many bodies a stream session's cursor had
+	// admitted when its guest returned.
 	var streamed, pulled, ran uint64
+	var ready int
 	for i, at := range splits {
 		body := func() io.Reader { return io.MultiReader(bytes.NewReader(data[:at]), bytes.NewReader(data[at:])) }
 		if i > 0 {
@@ -104,6 +107,7 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 			}
 			after := srv.Stats()
 			pulled, ran = after.PulledFunctions-before.PulledFunctions, after.LoweredFunctions-streamed
+			ready = streamedReady(data, b)
 		}
 		if got.RunResult != want {
 			t.Fatalf("split at %d of %d bytes:\n/run-stream %+v\n/run        %+v", at, len(data), got.RunResult, want)
@@ -112,11 +116,10 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 
 	// What the stream door ran, it ran without the loader cache or the
 	// pool; the one load is the /run above. Both doors' cursors admit the
-	// bodies up to the last function the guest calls, no further: the /run
-	// lowers those its guest calls, the first time it calls them, and a
-	// streamed run every body its cursor admitted before its guest returned,
-	// as it was admitted — however the body was split, and whether the store
-	// vouched for the tail or not. Both book it alike: one prepare and one
+	// bodies up to the last function the guest calls, no further, and both
+	// doors lower the functions their guest calls, the first time it calls
+	// them — however the body was split, and whether the store vouched for
+	// the tail or not. Both book it alike: one prepare and one
 	// compile_backend sample per session that lowered anything. Every stream
 	// after the first was vouched for by the store.
 	st := srv.Stats()
@@ -133,10 +136,26 @@ func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 		t.Errorf("%d streamed runs and one /run left loads=%d loader_hits=%d pool_hits=%d stream_rejects=%d resident_streams=%d prepare=%d compile_backend=%d",
 			len(splits), st.Loads, st.LoaderHits, st.PoolHits, st.StreamRejects, st.ResidentStreams, st.PrepareLatency.Count, st.CompileBackendLatency.Count)
 	}
-	if streamed != pulled || ran > pulled || st.LoweredFunctions != streams*streamed+ran {
-		t.Errorf("the first streamed run lowered %d functions, the /run pulled %d and lowered %d; %d streamed runs and the /run lowered %d",
-			streamed, pulled, ran, streams, st.LoweredFunctions)
+	if streamed != ran || uint64(ready) != pulled || st.LoweredFunctions != streams*streamed+ran {
+		t.Errorf("the first streamed run lowered %d functions and its cursor admitted %d, the /run lowered %d and pulled %d; %d streamed runs and the /run lowered %d",
+			streamed, ready, ran, pulled, streams, st.LoweredFunctions)
 	}
+}
+
+// streamedReady runs data in the session the stream door runs it in —
+// a cursor lent an arena, under the server's budgets, lowering on first
+// call — and reports how many bodies the cursor had admitted when the
+// guest returned, which the door does not say.
+func streamedReady(data []byte, b oracle.Budgets) int {
+	su, err := wire.DecodeVerifiedStreamIn(bytes.NewReader(data), wire.DecodeOptions{}, new(wire.Arena))
+	if err != nil {
+		return -1
+	}
+	l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, rt.NewEnv(io.Discard, rt.Budget{MaxSteps: b.MaxSteps, MaxAlloc: b.MaxAlloc}, nil))
+	if err == nil {
+		_ = l.RunMain()
+	}
+	return su.Ready()
 }
 
 // TestStreamDoorMatchesRunDoorSeeds: every checked-in seed of the two

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
 	"safetsa/internal/core"
+	"safetsa/internal/driver"
 	"safetsa/internal/wire"
 )
 
@@ -46,9 +48,9 @@ func CheckCanonicalWireV2(mod *core.Module, dict *wire.Dictionary) error {
 // wire.ErrMalformed or a wire.ErrUnsupportedVersion. A rejected stream
 // must hold exactly the functions before the rejected one: WaitFunc
 // answers nil for those, each of which the rule admits when asked again,
-// and the stream's error from there on. A consuming cursor over the same
-// bytes must say what the retaining one says and count what it kept
-// (checkConsuming). On acceptance
+// and the stream's error from there on. A cursor over the same bytes lent
+// an arena another unit used and gave back must say what the one with an
+// arena of its own says (checkLentArena). On acceptance
 // the streamed module must be structurally identical to the fully
 // decoded one, pass Module.Verify (the same rule, run all at once), and
 // execute under the budgets without crashing the host.
@@ -68,7 +70,7 @@ func CheckStreamingWireOpts(data []byte, o wire.DecodeOptions, b Budgets) error 
 		return fmt.Errorf("oracle: streaming and full decode disagree on admissibility:\nfull:   %v\nstream: %v",
 			fullErr, streamErr)
 	}
-	if err := checkConsuming(data, o, su, streamErr); err != nil {
+	if err := checkLentArena(data, o, su, streamErr); err != nil {
 		return err
 	}
 	if fullErr != nil {
@@ -94,36 +96,76 @@ func CheckStreamingWireOpts(data []byte, o wire.DecodeOptions, b Budgets) error 
 	return nil
 }
 
-// checkConsuming holds a consuming cursor over data to the retaining one,
-// su (nil when it refused the head), whose verdict was streamErr: the same
-// rule with no body kept must give the same verdict for the same reason,
-// admit as many bodies, and count as many instructions as the bodies the
-// retaining cursor kept hold — the unit's, when it was admitted.
-func checkConsuming(data []byte, o wire.DecodeOptions, su *wire.StreamingUnit, streamErr error) error {
-	var a wire.Arena
-	cu, err := wire.DecodeConsumingStream(bytes.NewReader(data), o, &a)
+// checkLentArena holds a cursor over data lent an arena to the one with
+// an arena of its own, su (nil when it refused the head), whose verdict
+// was streamErr. The arena is one a neighbouring unit was decoded into and
+// gave back (wire.Arena.Reclaim), so nothing that unit left in the chunks,
+// the scratch, the site maps, the model or the read buffer may reach this
+// one: the same bytes must give the same verdict for the same reason and
+// admit as many bodies of as many instructions, and on acceptance the
+// module must re-encode to the very bytes su's does. Under
+// wire.PoisonRecycled the neighbour's memory is junk by then, and must
+// still never be read.
+func checkLentArena(data []byte, o wire.DecodeOptions, su *wire.StreamingUnit, streamErr error) error {
+	a := new(wire.Arena)
+	nu, err := wire.DecodeVerifiedStreamIn(bytes.NewReader(neighbour()), wire.DecodeOptions{}, a)
 	if err == nil {
-		err = cu.Wait()
+		err = nu.Wait()
+	}
+	if err != nil {
+		return fmt.Errorf("oracle: the neighbouring unit is refused: %w", err)
+	}
+	a.Reclaim()
+	lu, err := wire.DecodeVerifiedStreamIn(bytes.NewReader(data), o, a)
+	if err == nil {
+		err = lu.Wait()
 	}
 	if (err == nil) != (streamErr == nil) || err != nil && err.Error() != streamErr.Error() {
-		return fmt.Errorf("oracle: consuming and retaining cursors disagree:\nconsuming: %v\nretaining: %v", err, streamErr)
+		return fmt.Errorf("oracle: a lent arena and an arena of the cursor's own disagree:\nlent: %v\nown:  %v", err, streamErr)
 	}
-	if (cu == nil) != (su == nil) {
+	if (lu == nil) != (su == nil) {
 		return fmt.Errorf("oracle: one cursor refused the head and the other did not")
 	}
 	if su == nil {
 		return nil
 	}
-	kept := 0
-	for _, f := range su.Mod.Funcs {
-		kept += f.NumInstrs()
+	if lu.Ready() != su.Ready() || lu.Mod.NumInstrs() != su.Mod.NumInstrs() {
+		return fmt.Errorf("oracle: in a lent arena the cursor admitted %d bodies of %d instructions, in its own %d of %d",
+			lu.Ready(), lu.Mod.NumInstrs(), su.Ready(), su.Mod.NumInstrs())
 	}
-	if cu.Ready() != su.Ready() || su.Ready() != len(su.Mod.Funcs) || cu.NumInstrs() != su.NumInstrs() || su.NumInstrs() != kept || len(cu.Mod.Funcs) != 0 {
-		return fmt.Errorf("oracle: the consuming cursor admitted %d bodies of %d instructions (kept %d), the retaining one %d of %d (kept %d bodies of %d)",
-			cu.Ready(), cu.NumInstrs(), len(cu.Mod.Funcs), su.Ready(), su.NumInstrs(), len(su.Mod.Funcs), kept)
+	if err == nil && !bytes.Equal(wire.EncodeModuleV2(lu.Mod, o.Dict), wire.EncodeModuleV2(su.Mod, o.Dict)) {
+		return fmt.Errorf("oracle: the module decoded in a lent arena re-encodes differently")
 	}
 	return nil
 }
+
+// neighbour is the unit checkLentArena's arena holds before it is lent:
+// classes, a virtual call, loops, arrays, strings and a try region, so
+// that every slab, the site maps and the model hold something.
+var neighbour = sync.OnceValue(func() []byte {
+	mod, err := driver.CompileTSASource(map[string]string{"Main.tj": `
+class A { int x; A(int v) { x = v; } int get() { return x; } }
+class B extends A { B(int v) { super(v * 2); } int get() { return x + 1; } }
+class Main {
+    static int f(int[] v, int d) {
+        int s = 0;
+        for (int i = 0; i < v.length; i++) {
+            try { s += v[i] / d; } catch (ArithmeticException e) { s -= 1; }
+        }
+        return s;
+    }
+    static void main() {
+        A a = new B(10);
+        int[] v = new int[4];
+        for (int i = 0; i < v.length; i++) v[i] = i * a.get();
+        System.out.println("s=" + f(v, 0) + f(v, 2));
+    }
+}`})
+	if err != nil {
+		panic(err)
+	}
+	return wire.EncodeModuleV2(mod, nil)
+})
 
 // checkRejectedPrefix inspects a stream that failed after its tables were
 // admitted: the gate opened for a prefix of the functions and for

@@ -5,15 +5,12 @@ import "safetsa/internal/core"
 // Arena is the memory a cursor decodes function bodies into (DESIGN.md §5,
 // "who owns decoded memory"): everything a body is made of is carved from
 // its slabs, so a unit costs a chunk per ~128 nodes, not an allocation per
-// node. A retaining cursor's memory becomes the unit's: an arena of its
-// own, or one it is lent (OpenVerified), which the lender takes back whole
-// once nothing reads the unit (Reclaim) and lends to the next unit. A
-// consuming cursor (DecodeConsumingStream) is handed one, and takes each
-// body's memory back once the body's consumer returns: the next body is
-// decoded into the same chunks, the same Func shell and the same register
-// file, and so is the next stream's when the caller keeps the arena for
-// it. The zero Arena is ready to use; an arena serves one cursor at a
-// time.
+// node. A cursor's memory becomes the unit's: an arena of its own, or one
+// it is lent (OpenVerified, DecodeVerifiedStreamIn), which the lender takes
+// back whole once nothing reads the unit (Reclaim) and lends to the next
+// unit, whose bodies are decoded into the same chunks, the same scratch and
+// the same register file. The zero Arena is ready to use; an arena serves
+// one cursor at a time.
 type Arena struct {
 	instrs   core.Slab[core.Instr]
 	nodes    core.Slab[core.CSTNode]
@@ -46,16 +43,14 @@ type Arena struct {
 	params []core.TypeID
 	pos    core.Positions
 	// sites are the exception-site maps (Func.ExcEdge, Func.HandlerOf) of
-	// the bodies decoded into the arena, made once and cleared by rewind;
+	// the bodies decoded into the arena, made once and cleared by Reclaim;
 	// the first nsites are in use.
 	sites  []siteMaps
 	nsites int
 
-	// What only a consuming cursor reuses: the Func shell it decodes every
-	// body into, a v2 stream's adaptive model and the read buffer.
-	shell *core.Func
-	mdl   *model
-	src   *byteSource
+	// A v2 unit's adaptive model, and a stream's read buffer.
+	mdl *model
+	src *byteSource
 }
 
 type siteMaps struct {
@@ -78,29 +73,26 @@ func (a *Arena) siteMaps() (map[*core.Instr]int, map[*core.Instr]*core.Block) {
 }
 
 // maxKeptArena bounds, in elements, what an arena may hold and still be
-// worth keeping for another stream (Reusable): one hostile body must not
-// tax every later stream that reuses its memory. It is far above what the
-// largest body a real program compiles to asks.
+// worth keeping for another unit (Reusable): one hostile unit must not tax
+// every later unit that reuses its memory. It is far above what the
+// largest unit a real program compiles to asks.
 const maxKeptArena = 1 << 18
 
-// Reusable reports whether a is worth keeping for another stream: false
-// once a body made it hold more than maxKeptArena elements.
+// Reusable reports whether a is worth keeping for another unit: false once
+// a unit made it hold more than maxKeptArena elements.
 func (a *Arena) Reusable() bool {
 	n := a.instrs.Held() + a.nodes.Held() + a.blocks.Held() + a.args.Held() +
 		a.instrVec.Held() + a.nodeVec.Held() + a.blockVec.Held() + a.preds.Held() +
 		a.funcs.Held() + a.types.Held() +
 		cap(a.kids) + cap(a.blks) + cap(a.code) + cap(a.loops) + cap(a.handlers) +
 		cap(a.vals) + cap(a.params) + a.pos.Cap() + len(a.sites)
-	if a.shell != nil {
-		n += a.shell.NumValues()
-	}
 	for _, p := range a.rf.planes[:cap(a.rf.planes)] {
 		n += cap(p)
 	}
 	return n <= maxKeptArena && len(a.rf.index) <= maxKeptPlanes && len(a.sitePos) <= maxKeptPlanes
 }
 
-// recycle makes the slabs keep their chunks, for rewind.
+// recycle makes the slabs keep their chunks, for Reclaim.
 func (a *Arena) recycle() {
 	a.instrs.Recycle()
 	a.nodes.Recycle()
@@ -114,14 +106,22 @@ func (a *Arena) recycle() {
 	a.types.Recycle()
 }
 
-// rewind takes back the memory of the body a consuming cursor just handed
-// its consumer. No lowered form holds a pointer into a body (DESIGN.md
-// §11), so once the consumer has returned nothing reads it again; under
-// PoisonRecycled that is checked instead of trusted.
-func (a *Arena) rewind() {
+// Reclaim takes back everything a cursor lent a (OpenVerified,
+// DecodeVerifiedStreamIn) decoded into it, so the next cursor decodes into
+// the same chunks — or, under PoisonRecycled, overwrites it with junk and
+// never hands it out again — and reports whether a is worth keeping
+// (Reusable). The caller vouches that nothing reads the unit's bodies any
+// more, nor pulls through its cursor: no lowered form holds a pointer into
+// a body (DESIGN.md §11), so once the last session on the unit has ended
+// nothing does, and under PoisonRecycled that is checked instead of
+// trusted.
+func (a *Arena) Reclaim() bool {
+	if a.src != nil {
+		a.src.r = nil // the stream read last, which the arena must not pin
+	}
 	if poisonRecycled {
 		a.poison()
-		return
+		return a.Reusable()
 	}
 	a.instrs.Rewind()
 	a.nodes.Rewind()
@@ -143,32 +143,22 @@ func (a *Arena) rewind() {
 		}
 	}
 	a.nsites = 0
-}
-
-// Reclaim takes back everything a retaining cursor opened over a
-// (OpenVerified) decoded into it, so the next cursor decodes into the same
-// chunks — or, under PoisonRecycled, overwrites it with junk and never
-// hands it out again — and reports whether a is worth keeping (Reusable).
-// The caller vouches that nothing reads the unit's bodies any more, nor
-// pulls through its cursor: the next cursor's bodies take their place.
-func (a *Arena) Reclaim() bool {
-	a.rewind()
 	return a.Reusable()
 }
 
-// poisonRecycled switches rewind to poison (see PoisonRecycled).
+// poisonRecycled switches Reclaim to poison (see PoisonRecycled).
 var poisonRecycled bool
 
-// PoisonRecycled switches every arena's rewind to its checking form while
-// on is set: a body's memory is overwritten with junk once its consumer
-// returns and is never handed out again, so a consumer that kept any
-// pointer into a body reads junk — an instruction with no opcode, a block
-// numbered -1, a value far out of range — and its results diverge from a
-// run without it. It is a test hook (the stream door's parity sweeps run
-// with it on); it may only be switched while no cursor is decoding.
+// PoisonRecycled switches every arena's Reclaim to its checking form while
+// on is set: a unit's memory is overwritten with junk once it is reclaimed
+// and is never handed out again, so a consumer that kept any pointer into
+// a body reads junk — an instruction with no opcode, a block numbered -1,
+// a value far out of range — and its results diverge from a run without
+// it. It is a test hook (the run doors' parity sweeps run with it on); it
+// may only be switched while no cursor is decoding.
 func PoisonRecycled(on bool) { poisonRecycled = on }
 
-// poison is rewind's checking form.
+// poison is Reclaim's checking form.
 func (a *Arena) poison() {
 	a.instrs.Discard(core.JunkInstr)
 	a.nodes.Discard(core.JunkNode)
@@ -181,10 +171,6 @@ func (a *Arena) poison() {
 	a.funcs.Discard(core.Func{Name: "recycled body", Method: -1})
 	a.types.Discard(core.NoType)
 	a.sites, a.nsites = nil, 0
-	if a.shell != nil {
-		*a.shell = core.Func{Name: "recycled body", Method: -1}
-		a.shell = nil
-	}
 }
 
 // dropScratch lets go of the per-function state once a cursor with an

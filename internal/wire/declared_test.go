@@ -125,21 +125,19 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestArenaReusableBound: an arena a body made hold more than maxKeptArena
-// elements is not worth keeping for another stream, and rewinding it does
-// not make it so: its chunks are kept for the rest of the stream, and its
-// caller drops it instead of pooling it.
+// TestArenaReusableBound: an arena a unit made hold more than maxKeptArena
+// elements is not worth keeping for another unit, and reclaiming it does
+// not make it so: its chunks are kept, and its lender drops it instead of
+// pooling it.
 func TestArenaReusableBound(t *testing.T) {
 	var a Arena
 	a.recycle()
 	a.instrs.Take(1000)
-	a.rewind()
-	if !a.Reusable() {
+	if !a.Reclaim() {
 		t.Fatal("an arena that held 1000 instructions is not reusable")
 	}
 	a.args.Take(maxKeptArena + 1)
-	a.rewind()
-	if a.Reusable() {
+	if a.Reclaim() {
 		t.Fatalf("an arena holding %d operands is reusable", maxKeptArena+1)
 	}
 }

@@ -69,7 +69,7 @@ func DecodeVerifiedOpts(data []byte, o DecodeOptions) (*core.Module, error) {
 // open, the same pull, the same closing check a stream's consumer spreads
 // over a session.
 func decodeUnit(data []byte, o DecodeOptions, v1Only, verify bool) (*core.Module, error) {
-	su, err := openUnit(bytes.NewReader(data), o, nil, false, v1Only, verify)
+	su, err := openUnit(bytes.NewReader(data), o, nil, v1Only, verify)
 	if err != nil {
 		return nil, err
 	}
@@ -167,60 +167,43 @@ type decoder struct {
 	nFuncs int
 	adm    *core.Admission
 
-	// The memory bodies are decoded into, and whether each body's is taken
-	// back once its consumer returns (a consuming cursor's) or kept as the
-	// unit's — in the cursor's own arena or, lent, in its caller's.
+	// The memory bodies are decoded into, which is the unit's: the
+	// cursor's own arena, or one its caller lent it.
 	*Arena
-	recycle, lent bool
+	lent bool
 }
 
 // retire drops what only decoding another body would use, once the last
 // one is admitted: the admission, a v2 reader's adaptive model and — for
-// a retaining cursor in an arena of its own, which is the unit's — the
-// per-function scratch. A cursor over a resident unit lives as long as the
-// unit does and would pin them; what the closing check (end) reads stays.
-// A consuming cursor lets go of its arena, which its caller keeps; a lent
-// one keeps its scratch, which goes with the arena to the next cursor.
+// a cursor in an arena of its own, which is the unit's — the per-function
+// scratch. A cursor over a resident unit lives as long as the unit does
+// and would pin them; what the closing check (end) reads stays. A lent
+// arena keeps its scratch, which goes with it to the next cursor.
 func (d *decoder) retire() {
 	d.adm = nil
 	if ac, ok := d.r.(*acReader); ok {
 		ac.mdl = nil
 	}
-	switch {
-	case d.recycle:
-		d.Arena = nil
-	case !d.lent:
+	if !d.lent {
 		d.dropScratch()
 	}
 }
 
-// newFunc is the Func a body named name is decoded into: for a retaining
-// cursor one carved from the arena, its value table and parameter list
-// built in the arena's scratch until keep; for a consuming cursor the
-// arena's one shell emptied — unless the last body made its value table
-// too large to keep (maxKeptArena).
+// newFunc is the Func a body named name is decoded into: one carved from
+// the arena, its value table and parameter list built in the arena's
+// scratch until keep.
 func (d *decoder) newFunc(name string) *core.Func {
-	switch {
-	case !d.recycle:
-		f := d.funcs.One()
-		f.Begin(name, d.vals)
-		f.Params = d.params[:0]
-		return f
-	case d.shell == nil || d.shell.NumValues() > maxKeptArena:
-		d.shell = core.NewFunc(name)
-	default:
-		d.shell.Reset(name)
-	}
-	return d.shell
+	f := d.funcs.One()
+	f.Begin(name, d.vals)
+	f.Params = d.params[:0]
+	return f
 }
 
-// keep moves a retaining cursor's body out of the arena's scratch into
-// its slabs, at their exact lengths, once the body is decoded.
+// keep moves a body out of the arena's scratch into its slabs, at their
+// exact lengths, once the body is decoded.
 func (d *decoder) keep(f *core.Func) {
-	if !d.recycle {
-		d.vals = f.KeepValues(&d.instrVec)
-		d.params, f.Params = f.Params[:0], d.types.Keep(f.Params)
-	}
+	d.vals = f.KeepValues(&d.instrVec)
+	d.params, f.Params = f.Params[:0], d.types.Keep(f.Params)
 }
 
 func (d *decoder) typeRef() (core.TypeID, error) {

@@ -20,12 +20,9 @@ import (
 // latches and poisons the whole unit: WaitFunc and Wait report it, and
 // nothing may be cached unless Wait returns nil.
 //
-// A cursor either retains or consumes what it admits. A retaining cursor
-// (DecodeVerifiedStream, OpenVerified) appends each body to Mod.Funcs,
-// whose memory is the unit's. A consuming one (DecodeConsumingStream)
-// hands each body to its consumer (Consume) and then reuses the body's
-// memory for the next: Mod.Funcs stays empty, and the cursor counts what
-// it admitted instead (Ready, NumInstrs).
+// A cursor keeps what it admits: each body is appended to Mod.Funcs, in
+// memory that is the unit's — an arena of the cursor's own, or one it is
+// lent (OpenVerified, DecodeVerifiedStreamIn).
 //
 // A StreamingUnit is not safe for concurrent use, and nothing in this
 // package starts a goroutine or takes a lock: whoever pulls serialises
@@ -40,20 +37,14 @@ import (
 // when j is first called or after everything has arrived is the same
 // computation, and Module.Verify is by definition that rule for every j.
 type StreamingUnit struct {
-	// Mod has complete, verified tables from construction time. A
-	// retaining cursor's Funcs grows by append, one admitted function at a
-	// time: it never holds a slot admission has not passed.
+	// Mod has complete, verified tables from construction time. Its Funcs
+	// grows by append, one admitted function at a time: it never holds a
+	// slot admission has not passed.
 	Mod *core.Module
 
 	d      decoder     // in place: a unit is opened with one allocation
 	src    *byteSource // nil over memory (decodeUnit, OpenVerified), which asks no Offset
 	verify bool        // Admit each body; false is DecodeModule's link-only rule
-
-	// consume receives each body once it is admitted (Consume).
-	consume func(j int, f *core.Func) error
-	// ready counts the bodies admitted (and consumed), instrs their
-	// instructions.
-	ready, instrs int
 
 	ended bool // every function admitted and the stream closed cleanly
 	err   error
@@ -64,34 +55,29 @@ type StreamingUnit struct {
 // decode would reject about them) and stops there: function bodies are
 // decoded as WaitFunc, WaitEntry and Wait ask for them. The returned
 // unit's Wait must return nil before the unit is treated as fully
-// admitted.
+// admitted. The unit's memory is an arena of its own.
 func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (*StreamingUnit, error) {
-	src := &byteSource{r: r}
-	su, err := openUnit(src, o, nil, false, false, true)
-	if err != nil {
-		return nil, err
-	}
-	su.src = src
-	return su, nil
+	return DecodeVerifiedStreamIn(r, o, nil)
 }
 
-// DecodeConsumingStream is DecodeVerifiedStream for a consumer that keeps
-// no body: the cursor decodes every body into a, hands it to the consumer
-// once it is admitted (see Consume), and reuses its memory for the next
-// body as soon as the consumer returns. So a stream costs the memory of
-// its largest body, not of its sum, and a caller that keeps a for another
-// stream (see Arena.Reusable) pays not even that again. Mod.Funcs stays
-// empty; Ready and NumInstrs count what was admitted. a must not be used
-// by anything else until the cursor is done with it.
-func DecodeConsumingStream(r io.Reader, o DecodeOptions, a *Arena) (*StreamingUnit, error) {
-	if a.src == nil {
-		a.src = new(byteSource)
+// DecodeVerifiedStreamIn is DecodeVerifiedStream into memory the caller
+// lends: the bodies, a v2 stream's adaptive model, the per-function scratch
+// and the read buffer are carved from a (nil: an arena of the cursor's
+// own), as OpenVerified carves them. a must be new or reclaimed, and is the
+// unit's until the caller reclaims it (Arena.Reclaim), once nothing reads
+// the unit's bodies or pulls through the cursor any more.
+func DecodeVerifiedStreamIn(r io.Reader, o DecodeOptions, a *Arena) (*StreamingUnit, error) {
+	var src *byteSource
+	if a == nil {
+		src = new(byteSource)
+	} else {
+		if a.src == nil {
+			a.src = new(byteSource)
+		}
+		src = a.src
 	}
-	src := a.src
 	src.r, src.i, src.n, src.off = r, 0, 0, 0
-	a.recycle()
-	a.rewind() // whatever a cursor that failed mid-body left
-	su, err := openUnit(src, o, a, true, false, true)
+	su, err := openUnit(src, o, a, false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -113,13 +99,13 @@ func DecodeConsumingStream(r io.Reader, o DecodeOptions, a *Arena) (*StreamingUn
 // (Arena.Reclaim), and is the unit's until the caller reclaims it, once
 // nothing reads the unit's bodies or pulls through the cursor any more.
 func OpenVerified(data []byte, a *Arena) (*StreamingUnit, error) {
-	return openUnit(bytes.NewReader(data), DecodeOptions{}, a, false, false, true)
+	return openUnit(bytes.NewReader(data), DecodeOptions{}, a, false, true)
 }
 
 // openUnit reads the container header and the symbol tables and returns
-// the cursor standing before function 0: a retaining cursor in its own
-// arena when a is nil, else a consuming or (lent a) retaining one over a.
-func openUnit(src io.ByteReader, o DecodeOptions, a *Arena, consume, v1Only, verify bool) (*StreamingUnit, error) {
+// the cursor standing before function 0, decoding into a — or, when a is
+// nil, into an arena of its own.
+func openUnit(src io.ByteReader, o DecodeOptions, a *Arena, v1Only, verify bool) (*StreamingUnit, error) {
 	su := &StreamingUnit{verify: verify}
 	var mdl *model
 	if a == nil {
@@ -130,7 +116,7 @@ func openUnit(src io.ByteReader, o DecodeOptions, a *Arena, consume, v1Only, ver
 		}
 		a.recycle()
 		mdl = a.mdl
-		su.d.recycle, su.d.lent = consume, !consume
+		su.d.lent = true
 	}
 	su.d.Arena = a
 	su.advance(func() error {
@@ -167,73 +153,39 @@ func (su *StreamingUnit) advance(step func() error) {
 // pull is the one loop over function bodies, behind every decoder entry
 // point: decode function j, admit it — the link rule only for the
 // non-verifying DecodeModule, link plus body verification for
-// DecodeVerified and the streams — hand it to the consumer, if there is
-// one, and keep it in Mod.Funcs or take its memory back, until n functions
-// are admitted. Nothing reaches the consumer or Mod.Funcs that admission
+// DecodeVerified and the streams — and append it to Mod.Funcs, until n
+// functions are admitted. Nothing reaches Mod.Funcs that admission
 // rejected, and a module whose functions were all appended is one
 // Module.Verify accepts (given verify), because Verify is this loop
 // without the decoding.
 func (su *StreamingUnit) pull(n int) error {
 	d := &su.d
-	for j := su.ready; j < n; j++ {
-		f, err := su.admit(j)
-		if d.recycle {
-			d.rewind() // the body's memory, on every way out
-		} else if err == nil {
-			d.m.Funcs = append(d.m.Funcs, f)
+	for j := len(d.m.Funcs); j < n; j++ {
+		f, err := d.decodeFunc()
+		if err != nil {
+			return fmt.Errorf("function %d: %w", j, err)
+		}
+		if su.verify {
+			err = d.adm.Admit(j, f, core.VerifyOptions{Scratch: &d.pos})
+		} else {
+			err = d.adm.Link(j, f)
 		}
 		if err != nil {
-			return err
+			return malformedf("%v", err)
 		}
+		d.m.Funcs = append(d.m.Funcs, f)
 	}
-	if su.ready == d.nFuncs {
+	if len(d.m.Funcs) == d.nFuncs {
 		d.retire()
 	}
 	return nil
 }
 
-// admit decodes function j, admits it and hands it to the consumer.
-func (su *StreamingUnit) admit(j int) (*core.Func, error) {
-	d := &su.d
-	f, err := d.decodeFunc()
-	if err != nil {
-		return nil, fmt.Errorf("function %d: %w", j, err)
-	}
-	if su.verify {
-		err = d.adm.Admit(j, f, core.VerifyOptions{Scratch: &d.pos})
-	} else {
-		err = d.adm.Link(j, f)
-	}
-	if err != nil {
-		return nil, malformedf("%v", err)
-	}
-	if su.consume != nil {
-		if err := su.consume(j, f); err != nil {
-			return nil, fmt.Errorf("function %d: %w", j, err)
-		}
-	}
-	su.ready++
-	su.instrs += f.NumInstrs()
-	return f, nil
-}
-
-// Consume names who receives each body the cursor admits from here on:
-// consume(j, f) runs once function j is admitted, before any later body is
-// decoded, and on a consuming cursor before f's memory is reused — so it
-// must keep nothing of f. An error it returns ends the stream as a body
-// admission rejected does. A nil consume only counts.
-func (su *StreamingUnit) Consume(consume func(j int, f *core.Func) error) { su.consume = consume }
-
 // NumFuncs reports the declared function count.
 func (su *StreamingUnit) NumFuncs() int { return su.d.nFuncs }
 
 // Ready reports how many functions (a prefix) are admitted so far.
-func (su *StreamingUnit) Ready() int { return su.ready }
-
-// NumInstrs counts the instructions of the functions admitted so far, as
-// core.Module.NumInstrs counts a module's: once every function is, it is
-// the unit's.
-func (su *StreamingUnit) NumInstrs() int { return su.instrs }
+func (su *StreamingUnit) Ready() int { return len(su.Mod.Funcs) }
 
 // Offset reports how many bytes of the stream the decoder has consumed.
 // After a nil WaitFunc(j) that had to pull, it is the offset just past
@@ -243,14 +195,13 @@ func (su *StreamingUnit) Offset() int64 { return su.src.off }
 // WaitFunc returns nil once function i is admitted, decoding and
 // admitting every function up to it that has not been yet, or the
 // stream's error if one of those fails. This is the execution gate:
-// after a nil return, function i is fully verified — standing in
-// Mod.Funcs[i] on a retaining cursor, handed to the consumer on a
-// consuming one.
+// after a nil return, function i is fully verified and stands in
+// Mod.Funcs[i].
 func (su *StreamingUnit) WaitFunc(i int) error {
 	if i < 0 || i >= su.d.nFuncs {
 		return malformedf("function index %d out of range", i)
 	}
-	if i < su.ready {
+	if i < len(su.Mod.Funcs) {
 		return nil
 	}
 	su.advance(func() error { return su.pull(i + 1) })

@@ -2,7 +2,6 @@ package wire_test
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"runtime"
 	"testing"
@@ -456,39 +455,14 @@ func TestCursorRetiresAtTheLastBody(t *testing.T) {
 	}
 }
 
-// consumed is what a consumer saw of one body, read while it was handed
-// over: after the consumer returns, the body's memory is the next one's.
-type consumed struct {
-	j             int
-	name, dump    string
-	instrs, admit int // admit: the cursor's Ready while it held the body
-}
-
-// consumeAll drains a consuming cursor over data, recording every body its
-// consumer is handed, and returns the cursor (nil when the head was
-// refused) and what Wait said.
-func consumeAll(data []byte, a *wire.Arena) (*wire.StreamingUnit, []consumed, error) {
-	su, err := wire.DecodeConsumingStream(bytes.NewReader(data), wire.DecodeOptions{}, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	var seen []consumed
-	su.Consume(func(j int, f *core.Func) error {
-		seen = append(seen, consumed{j, f.Name, su.Mod.DumpFunc(f), f.NumInstrs(), su.Ready()})
-		return nil
-	})
-	return su, seen, su.Wait()
-}
-
-// TestConsumerSeesEachAdmittedBody: a consuming cursor hands its consumer
-// every body once, in order, each the body a retaining cursor keeps at
-// that index, and only after admitting it — while the body is handed
-// over, the cursor does not count it yet. One arena serves every unit in
-// turn. A body admission rejects latches the cursor and never reaches the
-// consumer; neither does any body after it, and the cursor reports the
-// rejection wherever it is asked.
-func TestConsumerSeesEachAdmittedBody(t *testing.T) {
-	var a wire.Arena
+// TestLentStreamAdmitsEachBody: a stream cursor lent an arena — one
+// arena, reclaimed between units, serving every corpus unit in turn —
+// admits every body in order, each the body a whole-unit decode gives, and
+// counts them. Damaged from the start of a middle body k on, it admits
+// exactly the k bodies before it and latches: it reports the rejection
+// wherever it is asked and admits nothing more.
+func TestLentStreamAdmitsEachBody(t *testing.T) {
+	a := new(wire.Arena)
 	for _, u := range corpus.Units() {
 		mod := corpusO2(t, u)
 		for version, data := range map[string][]byte{"v1": wire.EncodeModule(mod), "v2": wire.EncodeModuleV2(mod, nil)} {
@@ -496,104 +470,65 @@ func TestConsumerSeesEachAdmittedBody(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			su, seen, err := consumeAll(data, &a)
-			if err != nil || len(seen) != len(whole.Funcs) || su.Ready() != len(whole.Funcs) ||
-				su.NumInstrs() != whole.NumInstrs() || len(su.Mod.Funcs) != 0 {
-				t.Fatalf("%s %s: %v; consumed %d bodies, ready %d, %d instructions, %d kept; want %d bodies, %d instructions, none kept",
-					u.Name, version, err, len(seen), su.Ready(), su.NumInstrs(), len(su.Mod.Funcs), len(whole.Funcs), whole.NumInstrs())
+			su, err := wire.DecodeVerifiedStreamIn(bytes.NewReader(data), wire.DecodeOptions{}, a)
+			if err != nil {
+				t.Fatalf("%s %s: %v", u.Name, version, err)
 			}
-			for j, c := range seen {
-				f := whole.Funcs[j]
-				if c.j != j || c.admit != j || c.name != f.Name || c.instrs != f.NumInstrs() || c.dump != whole.DumpFunc(f) {
-					t.Fatalf("%s %s: body %d handed over as %d (%s, ready %d), want %s", u.Name, version, j, c.j, c.name, c.admit, f.Name)
+			for j, f := range whole.Funcs {
+				if err := su.WaitFunc(j); err != nil || su.Ready() != j+1 || su.Mod.DumpFunc(su.Mod.Funcs[j]) != whole.DumpFunc(f) {
+					t.Fatalf("%s %s: body %d: %v, ready %d, or not the whole decode's %s", u.Name, version, j, err, su.Ready(), f.Name)
 				}
 			}
+			if err := su.Wait(); err != nil || su.Ready() != len(whole.Funcs) || su.Mod.NumInstrs() != whole.NumInstrs() {
+				t.Fatalf("%s %s: %v; ready %d, %d instructions; want %d bodies, %d instructions",
+					u.Name, version, err, su.Ready(), su.Mod.NumInstrs(), len(whole.Funcs), whole.NumInstrs())
+			}
+			a.Reclaim()
 
 			// Damage from the start of a middle body on: the bodies before
-			// it are consumed, it and the rest are not.
+			// it are admitted, it and the rest are not.
 			k := len(whole.Funcs) / 2
 			bs := boundaries(t, data)
 			bad := bytes.Clone(data)
-			if k > 0 {
-				for i := bs[k-1]; i < int64(len(bad)); i++ {
-					bad[i] ^= 0xff
-				}
+			for i := bs[k-1]; i < int64(len(bad)); i++ {
+				bad[i] ^= 0xff
 			}
-			su, seen, err = consumeAll(bad, &a)
+			su, err = wire.DecodeVerifiedStreamIn(bytes.NewReader(bad), wire.DecodeOptions{}, a)
+			if err == nil {
+				err = su.Wait()
+			}
 			if err == nil || su == nil {
 				t.Fatalf("%s %s: a unit damaged from body %d on was admitted (%v)", u.Name, version, k, err)
 			}
-			if su.Ready() > k || len(seen) != su.Ready() {
-				t.Fatalf("%s %s: damaged from body %d on, the consumer saw %d bodies and the cursor admitted %d", u.Name, version, k, len(seen), su.Ready())
+			if su.Ready() != k {
+				t.Fatalf("%s %s: damaged from body %d on, the cursor admitted %d", u.Name, version, k, su.Ready())
 			}
-			if got := su.WaitFunc(su.Ready()); got == nil || got.Error() != err.Error() || su.Wait() == nil {
-				t.Fatalf("%s %s: after the rejection, WaitFunc said %v and Wait %v, want %v", u.Name, version, got, su.Wait(), err)
+			if got := su.WaitFunc(k); got == nil || got.Error() != err.Error() || su.Wait() == nil || su.Ready() != k {
+				t.Fatalf("%s %s: after the rejection, WaitFunc said %v and Wait %v, ready %d; want %v", u.Name, version, got, su.Wait(), su.Ready(), err)
 			}
-			if len(seen) != su.Ready() {
-				t.Fatalf("%s %s: a latched cursor handed over more bodies", u.Name, version)
-			}
+			a.Reclaim()
 		}
-	}
-}
-
-// TestConsumerRefusalLatches: a consumer's error ends the stream as a
-// rejected body does — the body it refused is not counted, nothing after it
-// is decoded, and WaitFunc and Wait report the refusal — while what was
-// admitted before it stays admitted. A nil consumer only counts.
-func TestConsumerRefusalLatches(t *testing.T) {
-	mod := compileAll(t, testPrograms["objects"], true)
-	data := wire.EncodeModuleV2(mod, nil)
-	if len(mod.Funcs) < 3 {
-		t.Fatalf("the program has %d functions, want at least 3", len(mod.Funcs))
-	}
-	refused := errors.New("consumer refused")
-	var a wire.Arena
-	su, err := wire.DecodeConsumingStream(bytes.NewReader(data), wire.DecodeOptions{}, &a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	su.Consume(func(j int, f *core.Func) error {
-		calls++
-		if j == 1 {
-			return refused
-		}
-		return nil
-	})
-	if err := su.WaitFunc(len(mod.Funcs) - 1); !errors.Is(err, refused) {
-		t.Fatalf("WaitFunc past a refused body: %v, want the refusal", err)
-	}
-	if calls != 2 || su.Ready() != 1 || su.WaitFunc(0) != nil || !errors.Is(su.WaitFunc(1), refused) || !errors.Is(su.Wait(), refused) {
-		t.Fatalf("after a refusal at body 1: %d consumer calls, ready %d, Wait %v", calls, su.Ready(), su.Wait())
-	}
-
-	su, err = wire.DecodeConsumingStream(bytes.NewReader(data), wire.DecodeOptions{}, &a)
-	if err == nil {
-		err = su.Wait()
-	}
-	if err != nil || su.Ready() != len(mod.Funcs) || su.NumInstrs() != mod.NumInstrs() {
-		t.Fatalf("a cursor with no consumer: %v, ready %d, %d instructions; want %d, %d", err, su.Ready(), su.NumInstrs(), len(mod.Funcs), mod.NumInstrs())
 	}
 }
 
 // TestClaimedIndexGrowsNothing: a head that declares 1<<22 functions and
 // names the last of them as main's body, and then ends. The tables are
-// admitted, so a consuming session begins and its main waits for that
-// body; the stream ends first. Nothing on the way is sized by the claim:
-// the session's form has a slot per body the cursor handed over — none.
+// admitted, so a session over a stream cursor lent an arena begins and its
+// main waits for that body; the stream ends first. Nothing on the way is
+// sized by the claim: the session's form has a slot per body the gate
+// admitted — none.
 func TestClaimedIndexGrowsNothing(t *testing.T) {
 	mod := compileAll(t, `class M { static void main() { } }`, true)
 	mod.Methods[mod.Entry].FuncIdx = 1<<22 - 1
 	mod.StaticInit = nil
 	head := wire.EncodeHead(mod, 1<<22)
-	var a wire.Arena
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	su, err := wire.DecodeConsumingStream(bytes.NewReader(head), wire.DecodeOptions{}, &a)
+	su, err := wire.DecodeVerifiedStreamIn(bytes.NewReader(head), wire.DecodeOptions{}, new(wire.Arena))
 	if err != nil {
 		t.Fatalf("the %d-byte head was refused: %v", len(head), err)
 	}
-	l, err := interp.LoadTrustedConsuming(su.Mod, su, rt.NewEnv(io.Discard, rt.Budget{}, nil))
+	l, err := interp.LoadTrustedStreaming(su.Mod, su.WaitFunc, rt.NewEnv(io.Discard, rt.Budget{}, nil))
 	if err == nil {
 		err = l.RunMain()
 	}
