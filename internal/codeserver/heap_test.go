@@ -79,12 +79,12 @@ class StaticHeap {
 // one server's pool, each in its own
 // order, so every session is cloned from a snapshot, runs on chunks and
 // frames some other session — of another unit, on another client —
-// released, poisoned first (rt.PoisonRecycled, and wire.PoisonRecycled for
+// released, poisoned first (core.PoisonRecycled, for heaps and for
 // the arenas of units let go of), and is released in turn. Every answer is
 // the one a server without a pool gave, one session at a time. Run it
 // under -race.
 func TestPooledRunsRecycleConcurrently(t *testing.T) {
-	poisonRecycledUnits(t)
+	poisonRecycled(t)
 	units := hotAndSmallUnits(t)
 	units["StaticHeap"] = staticHeapFiles()
 	opts := Options{Optimize: true, ModuleOpt: true, WireV2: true}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,7 +35,7 @@ import (
 // loader cache's entry, every session running on it, fresh or cloned, and
 // the warm-session pool's entry for its snapshot, whose clones can still
 // pull bodies. Each holder acquires the unit and lets go of it once; when
-// the last one lets go the arena is reclaimed into the stock, for the next
+// the last one lets go the arena is given back to the stock, for the next
 // unit's bodies (DESIGN.md §5). A count that reached zero never revives:
 // acquire on a dead unit fails, and its callers treat that as a miss. A
 // module handed over whole counts its holders the same way, without an
@@ -64,7 +63,7 @@ func (lu *LoadedUnit) acquire() bool {
 	}
 }
 
-// letGo ends one holder's hold on lu. The last one reclaims its arena into
+// letGo ends one holder's hold on lu. The last one gives its arena back to
 // the stock: nothing can read its bodies or pull through its cursor any
 // more, since every reader is a holder.
 func (lu *LoadedUnit) letGo() {
@@ -74,39 +73,15 @@ func (lu *LoadedUnit) letGo() {
 	case n == 0 && lu.arena != nil:
 		a := lu.arena
 		lu.arena = nil
-		unitArenas.give(a)
+		unitArenas.Give(a)
 	}
 }
 
-// arenaStock is the process-wide stock of the arenas units decode their
-// bodies into, lent to two borrowers: a loaded unit's cursor over resident
-// bytes, for as long as the unit lives, and a stream door's cursor, for
-// its session (RunUnitStream). give is the one way back. returns counts
-// the arenas given back, kept or not.
-type arenaStock struct {
-	pool    sync.Pool
-	returns atomic.Uint64
-}
-
-var unitArenas arenaStock
-
-// take returns an arena for a cursor: a reclaimed one, or a new one.
-func (s *arenaStock) take() *wire.Arena {
-	if a, ok := s.pool.Get().(*wire.Arena); ok {
-		return a
-	}
-	return new(wire.Arena)
-}
-
-// give reclaims a and keeps it for the next unit, unless a large or hostile
-// unit made it too large to keep (wire.Arena.Reusable), in which case it
-// is left to the collector.
-func (s *arenaStock) give(a *wire.Arena) {
-	s.returns.Add(1)
-	if a.Reclaim() {
-		s.pool.Put(a)
-	}
-}
+// unitArenas is the stock of the arenas units decode their bodies into,
+// lent to two borrowers: a loaded unit's cursor over resident bytes, for
+// as long as the unit lives, and a stream door's cursor, for its session
+// (RunUnitStream). Give is the one way back.
+var unitArenas = core.NewStock("codeserver.unit_arenas", core.MaxUnitArenaBytes, func() *wire.Arena { return new(wire.Arena) })
 
 // LoaderCache is the consumer-side cache: it loads a unit exactly once
 // (lru.fill's singleflight, like the store) and then hands it, with its
@@ -178,10 +153,10 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Contex
 	if mod != nil {
 		lu.Comp = interp.Lazy(mod)
 	} else if err = c.m.timed(ctx, stageDecode, func(context.Context) error {
-		a := unitArenas.take()
+		a := unitArenas.Take()
 		su, err := wire.OpenVerified(u.Wire, a)
 		if err != nil {
-			unitArenas.give(a)
+			unitArenas.Give(a)
 			return err
 		}
 		lu.arena = a

@@ -7,42 +7,47 @@ import (
 	"sync"
 	"testing"
 
+	"safetsa/internal/core"
 	"safetsa/internal/corpus"
-	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
 
-// poisonRecycledUnits turns both recycling checks on for the test: a
-// reclaimed unit arena (wire) and a released session heap (rt) are
-// overwritten with junk and never handed out again, so whatever still
-// reads one diverges.
-func poisonRecycledUnits(t *testing.T) {
-	wire.PoisonRecycled(true)
-	rt.PoisonRecycled(true)
-	t.Cleanup(func() {
-		wire.PoisonRecycled(false)
-		rt.PoisonRecycled(false)
-	})
+// poisonRecycled turns the recycling check on for the test: whatever goes
+// back to a stock — a unit arena, a released session heap, a compile
+// arena — is overwritten with junk first, and a slab's chunks are never
+// handed out again, so whatever still reads one diverges.
+func poisonRecycled(t *testing.T) {
+	core.PoisonRecycled(true)
+	t.Cleanup(func() { core.PoisonRecycled(false) })
+}
+
+// gives is what the Gives of the stock named name have done so far.
+func gives(name string) core.StockCount { return core.StockCounts()[name] }
+
+// unitArenaGives counts the unit arenas given back so far, kept or not.
+func unitArenaGives() uint64 {
+	c := gives("codeserver.unit_arenas")
+	return c.Kept + c.Dropped
 }
 
 // TestLoadedUnitCount: a unit's holds are counted exactly. Its arena goes
 // back to the stock at the last letGo and at no other, once; a unit whose
 // count reached zero cannot be acquired again; and letting go of a dead
-// unit is a bug that panics rather than reclaiming the arena twice.
+// unit is a bug that panics rather than giving the arena back twice.
 func TestLoadedUnitCount(t *testing.T) {
 	lu := &LoadedUnit{arena: new(wire.Arena)}
 	lu.refs.Store(2) // as load makes it: the cache entry and the leader
-	before := unitArenas.returns.Load()
+	before := unitArenaGives()
 	if !lu.acquire() {
 		t.Fatal("acquire of a live unit failed")
 	}
 	lu.letGo()
 	lu.letGo()
-	if got := unitArenas.returns.Load() - before; got != 0 || lu.arena == nil {
+	if got := unitArenaGives() - before; got != 0 || lu.arena == nil {
 		t.Fatalf("one hold left: %d arenas returned, arena kept %v", got, lu.arena != nil)
 	}
 	lu.letGo()
-	if got := unitArenas.returns.Load() - before; got != 1 || lu.arena != nil {
+	if got := unitArenaGives() - before; got != 1 || lu.arena != nil {
 		t.Fatalf("after the last letGo: %d arenas returned, arena kept %v; want 1, false", got, lu.arena != nil)
 	}
 	if lu.acquire() {
@@ -56,7 +61,7 @@ func TestLoadedUnitCount(t *testing.T) {
 		}()
 		lu.letGo()
 	}()
-	if got := unitArenas.returns.Load() - before; got != 1 {
+	if got := unitArenaGives() - before; got != 1 {
 		t.Errorf("%d arenas returned in all, want 1", got)
 	}
 }
@@ -83,11 +88,11 @@ func TestEvictedUnitReturnsItsArena(t *testing.T) {
 		t.Fatalf("the first unit after its run: resident %v, held %d times, arena %v; want the cache and the pool",
 			ok, first.refs.Load(), first.arena != nil)
 	}
-	before := unitArenas.returns.Load()
+	before := unitArenaGives()
 	if res, err := s.RunUnitOpts(ctx, keys[1], RunOptions{}); err != nil || !res.OK {
 		t.Fatalf("second unit: %+v, %v", res, err)
 	}
-	if got := unitArenas.returns.Load() - before; got != 1 || first.refs.Load() != 0 || first.arena != nil || first.acquire() {
+	if got := unitArenaGives() - before; got != 1 || first.refs.Load() != 0 || first.arena != nil || first.acquire() {
 		t.Errorf("the first unit once pushed out of both: %d arenas returned, held %d times, arena kept %v",
 			got, first.refs.Load(), first.arena != nil)
 	}
@@ -128,7 +133,7 @@ class Outlive {
 // cursor of a unit no cache holds. With recycled memory poisoned, its
 // answer — output, steps, allocations — must be an unpooled server's.
 func TestSessionOutlivesItsUnit(t *testing.T) {
-	poisonRecycledUnits(t)
+	poisonRecycled(t)
 	ctx := context.Background()
 	budget := Config{MaxSteps: 1 << 28, MaxAllocs: corpusBudget.MaxAllocs}
 	opts := Options{Optimize: true, WireV2: true}
@@ -194,7 +199,7 @@ func TestSessionOutlivesItsUnit(t *testing.T) {
 // released — poisoned first, with every released session heap. Every
 // answer is the one a server without a pool gave. Run it under -race.
 func TestColdUnitsRecycleConcurrently(t *testing.T) {
-	poisonRecycledUnits(t)
+	poisonRecycled(t)
 	units := map[string]map[string]string{"StaticHeap": staticHeapFiles()}
 	for _, u := range corpus.Units() {
 		if u.Name != "Linpack" && u.Name != "BitSieve" { // the two hot guests: steps, not loads
@@ -257,7 +262,7 @@ func TestColdUnitsRecycleConcurrently(t *testing.T) {
 // session heap. Every answer is the one a server without a pool gave on
 // /run. Run it under -race.
 func TestDoorsShareArenasConcurrently(t *testing.T) {
-	poisonRecycledUnits(t)
+	poisonRecycled(t)
 	units := map[string]map[string]string{"StaticHeap": staticHeapFiles()}
 	for _, u := range corpus.Units() {
 		if u.Name != "Linpack" && u.Name != "BitSieve" { // the two hot guests: steps, not loads

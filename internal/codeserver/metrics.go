@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"safetsa/internal/core"
 	"safetsa/internal/interp"
 	"safetsa/internal/obs"
 	"safetsa/internal/rt"
@@ -251,6 +252,12 @@ type Stats struct {
 	PoolEvictions   uint64 `json:"pool_evictions"`
 	PoolSessions    int    `json:"pool_sessions"`
 
+	// StockGives is what the Gives of each recycling stock did, by stock
+	// name (core.Stock): items kept for the next borrower, and items
+	// dropped to the collector for holding more than the stock's cap. The
+	// stocks are the process's, so it is filled in by the server.
+	StockGives map[string]core.StockCount `json:"stock_gives"`
+
 	// Multi-tenant accounting: total fair-admission rejections plus the
 	// per-tenant breakdown.
 	TenantRejects uint64                 `json:"tenant_rejects"`
@@ -406,11 +413,7 @@ func writePrometheus(w io.Writer, st Stats) {
 	// Per-tenant families render one sample per tenant in name order; the
 	// kill counters carry the budget dimension too, every reason per
 	// tenant in (reason, tenant) order, so scrapes see a fixed matrix.
-	tenants := make([]string, 0, len(st.Tenants))
-	for t := range st.Tenants {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
+	tenants := sortedKeys(st.Tenants)
 	perTenant := func(typ, name, help string, v func(TenantStats) int64) {
 		rows := make([]obs.Sample, len(tenants))
 		for i, t := range tenants {
@@ -436,6 +439,15 @@ func writePrometheus(w io.Writer, st Stats) {
 	counter("safetsa_pool_evictions_total", "Warm-session snapshots evicted by the pool LRU.", st.PoolEvictions)
 	gauge("safetsa_pool_sessions", "Warm-session snapshots resident in the pool.", int64(st.PoolSessions))
 
+	var gives []obs.Sample
+	for _, name := range sortedKeys(st.StockGives) {
+		c := st.StockGives[name]
+		gives = append(gives,
+			obs.Sample{Labels: []string{"stock", name, "outcome", "kept"}, Value: int64(c.Kept)},
+			obs.Sample{Labels: []string{"stock", name, "outcome", "dropped"}, Value: int64(c.Dropped)})
+	}
+	p.Family("counter", "safetsa_stock_gives_total", "Recycled items given back to a process-wide stock, kept for reuse or dropped over the stock's byte cap.", gives...)
+
 	counter("safetsa_tenant_rejects_total", "Runs rejected by the per-tenant fair-admission gate.", st.TenantRejects)
 	perTenant("counter", "safetsa_tenant_runs_total", "Run sessions accounted per tenant.", func(t TenantStats) int64 { return int64(t.Runs) })
 	perTenant("counter", "safetsa_tenant_throttled_total", "Fair-admission rejections per tenant.", func(t TenantStats) int64 { return int64(t.Rejects) })
@@ -448,4 +460,14 @@ func writePrometheus(w io.Writer, st Stats) {
 		stages[stageNames[s]] = h
 	}
 	p.HistogramVec("safetsa_stage_duration_seconds", "Pipeline stage latency.", "stage", stages)
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

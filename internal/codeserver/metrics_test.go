@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"safetsa/internal/core"
 	"safetsa/internal/obs"
 	"safetsa/internal/rt"
 )
@@ -89,6 +90,10 @@ func goldenMetrics() *Metrics {
 func goldenStats() Stats {
 	st := goldenMetrics().snapshot()
 	st.UnitsCached, st.ModulesLoaded, st.PoolSessions = 7, 4, 3
+	st.StockGives = map[string]core.StockCount{
+		"codeserver.unit_arenas": {Kept: 25, Dropped: 1},
+		"rt.values":              {Kept: 240},
+	}
 	return st
 }
 
@@ -197,6 +202,14 @@ func TestMetricsRenderEveryStatsField(t *testing.T) {
 					ts.Kills[k.String()] = n
 				}
 				st.Tenants[tenant] = ts
+			}
+		case key == "stock_gives":
+			st.StockGives = map[string]core.StockCount{}
+			for _, stock := range []string{"s1", "s2"} {
+				var c core.StockCount
+				distinct(key, reflect.ValueOf(&c.Kept).Elem(), `stock="`+stock+`",outcome="kept"`)
+				distinct(key, reflect.ValueOf(&c.Dropped).Elem(), `stock="`+stock+`",outcome="dropped"`)
+				st.StockGives[stock] = c
 			}
 		default:
 			distinct(key, fv, "")

@@ -20,13 +20,11 @@ import (
 // cancellation. The store's singleflight sits in front of it, so the
 // pool only ever sees distinct keys.
 //
-// Each worker compiles in a driver.Arena, which it takes from the pool's
-// stock and gives back once the compile is encoded and copied out, so one
-// compile's memory is the next one's. The stock holds at most one arena
-// per worker, and no arena over driver.MaxArenaBytes.
+// Each worker compiles in a driver.Arena, which it takes from the
+// process's stock (compileArenas) and gives back once the compile is
+// encoded and copied out, so one compile's memory is the next one's.
 type Pool struct {
 	sem          chan struct{}
-	arenas       chan *driver.Arena
 	stageTimeout time.Duration
 	m            *Metrics
 }
@@ -40,7 +38,6 @@ func NewPool(workers int, stageTimeout time.Duration, m *Metrics) *Pool {
 	}
 	return &Pool{
 		sem:          make(chan struct{}, workers),
-		arenas:       make(chan *driver.Arena, workers),
 		stageTimeout: stageTimeout,
 		m:            m,
 	}
@@ -63,12 +60,7 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 	defer p.m.compilesInFlight.Add(-1)
 	start := time.Now()
 
-	var a *driver.Arena
-	select {
-	case a = <-p.arenas:
-	default:
-		a = driver.NewArena()
-	}
+	a := compileArenas.Take()
 	out, err := p.compile(ctx, a, files, opts)
 	if err != nil {
 		// After an error the arena goes to the collector, not to the
@@ -76,16 +68,16 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 		// running in it.
 		return admitted{}, err
 	}
-	if a.Rewind() {
-		select {
-		case p.arenas <- a:
-		default:
-		}
-	}
+	compileArenas.Give(a)
 	p.m.compiles.Add(1)
 	p.m.stages[stageCompile].Observe(time.Since(start))
 	return out, nil
 }
+
+// compileArenas is the stock of the arenas compiles run in. It keeps no
+// arena over driver.MaxArenaBytes, and never more idle than the compiles
+// that ran at once, which the pools' workers bound (DESIGN.md §9).
+var compileArenas = core.NewStock("codeserver.compile_arenas", driver.MaxArenaBytes, driver.NewArena)
 
 // compile runs the stages in a; the bytes it returns are a copy.
 func (p *Pool) compile(ctx context.Context, a *driver.Arena, files map[string]string, opts Options) (admitted, error) {

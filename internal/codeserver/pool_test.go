@@ -42,12 +42,13 @@ func TestAbandonedStageArenaIsDropped(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Optimize: true, ModuleOpt: true, WireV2: true}
 	p := NewPool(1, time.Nanosecond, &Metrics{})
+	before := gives("codeserver.compile_arenas")
 	for range 4 {
 		if _, err := p.Compile(ctx, helloFiles(), opts); err == nil || driver.IsUserError(err) {
 			t.Fatalf("want a stage timeout, got %v", err)
 		}
-		if n := len(p.arenas); n != 0 {
-			t.Fatalf("%d arenas stocked after an abandoned stage", n)
+		if n := gives("codeserver.compile_arenas"); n != before {
+			t.Fatalf("an abandoned stage gave its arena back: %+v, was %+v", n, before)
 		}
 	}
 	p.stageTimeout = 0
@@ -60,8 +61,9 @@ func TestAbandonedStageArenaIsDropped(t *testing.T) {
 		if !slices.Equal(a.wire, want) {
 			t.Fatal("a compile after abandoned stages differs from a fresh compile")
 		}
-		if n := len(p.arenas); n != 1 {
-			t.Fatalf("%d arenas stocked after a compile that succeeded, want 1", n)
+		before.Kept++
+		if n := gives("codeserver.compile_arenas"); n != before {
+			t.Fatalf("a compile that succeeded gave back %+v, want %+v: its arena, kept", n, before)
 		}
 	}
 }
@@ -70,12 +72,12 @@ func TestAbandonedStageArenaIsDropped(t *testing.T) {
 // misses — every corpus unit and benchmark guest, at three tiers, marked
 // per client so that no two requests share a key — to a server of two
 // compile workers, whose arenas pass from compile to compile and client
-// to client, poisoned at each release (driver.PoisonRecycled). Every unit
+// to client, poisoned at each release (core.PoisonRecycled). Every unit
 // must be byte for byte what a compile that keeps no arena makes of the
-// same sources, and no compile may keep arena memory past its answer.
+// same sources, no compile may keep arena memory past its answer, and
+// every compile gives its arena back, kept.
 func TestPooledCompilesRecycleConcurrently(t *testing.T) {
-	driver.PoisonRecycled(true)
-	t.Cleanup(func() { driver.PoisonRecycled(false) })
+	poisonRecycled(t)
 	units := hotAndSmallUnits(t)
 	names := make([]string, 0, len(units))
 	for name := range units {
@@ -85,6 +87,7 @@ func TestPooledCompilesRecycleConcurrently(t *testing.T) {
 	tiers := []Options{{WireV2: true}, {Optimize: true, WireV2: true}, {Optimize: true, ModuleOpt: true, WireV2: true}}
 
 	s := newTestServer(t, Config{Workers: 2})
+	before := gives("codeserver.compile_arenas")
 	const clients, perClient = 16, 6
 	var wg sync.WaitGroup
 	for c := range clients {
@@ -114,7 +117,7 @@ func TestPooledCompilesRecycleConcurrently(t *testing.T) {
 	if st := s.Stats(); st.Compiles != clients*perClient {
 		t.Errorf("compiles %d, want %d", st.Compiles, clients*perClient)
 	}
-	if n := len(s.pool.arenas); n < 1 || n > 2 {
-		t.Errorf("%d arenas stocked by a two-worker pool", n)
+	if n := gives("codeserver.compile_arenas"); n.Kept-before.Kept != clients*perClient || n.Dropped != before.Dropped {
+		t.Errorf("arenas given back %+v, was %+v; want every compile's, kept", n, before)
 	}
 }

@@ -200,7 +200,7 @@ class Warm {
 // identical (output, steps, allocs) to the fresh first run — and to a
 // pool-disabled server's runs. Recycled memory is poisoned.
 func TestWarmPoolServesClones(t *testing.T) {
-	poisonRecycledUnits(t)
+	poisonRecycled(t)
 	pooled := newTestServer(t, Config{})
 	cold := newTestServer(t, Config{PoolUnits: -1})
 	ctx := context.Background()

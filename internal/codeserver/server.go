@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"safetsa/internal/core"
@@ -198,6 +197,7 @@ func (s *Server) Stats() Stats {
 	st := s.m.snapshot()
 	st.UnitsCached = s.store.Len()
 	st.ModulesLoaded = s.loader.Len()
+	st.StockGives = core.StockCounts()
 	if s.sessions != nil {
 		st.PoolSessions = s.sessions.Len()
 	}
@@ -552,12 +552,12 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 		return RunStreamResult{}, err
 	}
 	defer sess.release()
-	mem := streamMems.Get().(*streamMem)
-	defer mem.release()
+	mem := streamBodies.Take()
+	defer streamBodies.Give(mem)
 	// Given back on the way out, when every path below has finished the
 	// session it began: nothing reads the unit's bodies after that.
-	a := unitArenas.take()
-	defer unitArenas.give(a)
+	a := unitArenas.Take()
+	defer unitArenas.Give(a)
 
 	// The body is teed into a buffer as the cursor consumes it, so the bytes
 	// the decoder admitted — and only those — can be cached afterwards. The
@@ -621,23 +621,25 @@ var streamGate = func(su *wire.StreamingUnit) func(int) error { return su.WaitFu
 
 // streamMem is what one streaming run reads with and keeps nothing of once
 // it has answered: the buffer the body is teed into. Requests share them
-// through streamMems.
+// through streamBodies, which keeps none whose buffer a body grew past
+// maxKeptBody: one huge body must not pin its memory in the stock.
 type streamMem struct {
 	body bytes.Buffer
 }
 
-var streamMems = sync.Pool{New: func() any { return new(streamMem) }}
+var streamBodies = core.NewStock("codeserver.stream_bodies", maxKeptBody, func() *streamMem { return new(streamMem) })
 
-// maxKeptBody bounds the tee buffer a pooled streamMem keeps: one huge
-// body must not pin its memory in the pool.
 const maxKeptBody = 1 << 20
 
-// release returns m to the pool, unless a body made it too large to keep.
-func (m *streamMem) release() {
-	if m.body.Cap() <= maxKeptBody {
-		m.body.Reset()
-		streamMems.Put(m)
+// Rewind empties the buffer — junk first while core.Poisoning, so that
+// whatever kept a view of the body without copying it reads junk — and
+// reports its capacity.
+func (m *streamMem) Rewind() int {
+	if core.Poisoning() {
+		core.Poison(m.body.Bytes())
 	}
+	m.body.Reset()
+	return m.body.Cap()
 }
 
 // tail decides the part of a streamed unit its guest did not pull. The

@@ -403,10 +403,9 @@ func firstCallRuns(t *testing.T, check func(name string, su *wire.StreamingUnit,
 // functions its guest enters, once each — as many as the gate of a
 // streaming session over the same bytes is asked about, which is once per
 // function called — and a second run of the now resident unit lowers none.
-// Reclaimed unit arenas are poisoned (wire.PoisonRecycled).
+// Unit arenas given back are poisoned (core.PoisonRecycled).
 func TestColdRunLowersOnlyWhatItCalls(t *testing.T) {
-	wire.PoisonRecycled(true)
-	t.Cleanup(func() { wire.PoisonRecycled(false) })
+	poisonRecycled(t)
 	firstCallRuns(t, func(name string, su *wire.StreamingUnit, entered, run int, before, after Stats) {
 		want := []int{entered, 0}[run]
 		if got := after.LoweredFunctions - before.LoweredFunctions; got != uint64(want) {
@@ -419,10 +418,9 @@ func TestColdRunLowersOnlyWhatItCalls(t *testing.T) {
 // decodes exactly the bodies a streaming session over the same bytes
 // admits — every body up to the highest one its guest calls, and no
 // further — and a second run of the now resident unit decodes none.
-// Reclaimed unit arenas are poisoned (wire.PoisonRecycled).
+// Unit arenas given back are poisoned (core.PoisonRecycled).
 func TestColdRunDecodesOnlyWhatItCalls(t *testing.T) {
-	wire.PoisonRecycled(true)
-	t.Cleanup(func() { wire.PoisonRecycled(false) })
+	poisonRecycled(t)
 	firstCallRuns(t, func(name string, su *wire.StreamingUnit, _, run int, before, after Stats) {
 		want := []int{su.Ready(), 0}[run]
 		if got := after.PulledFunctions - before.PulledFunctions; got != uint64(want) {

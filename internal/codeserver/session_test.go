@@ -116,12 +116,11 @@ func (tc *sessionCase) drive(t *testing.T, s *Server, path string) (RunResult, e
 // count equals the tenant rows' sum, the ending is counted as exactly
 // the kill it was (once, under the session's tenant, in /metrics), and a
 // refused unit left nothing in the cache tiers. Every ending releases its
-// session, whose chunks are poisoned here (rt.PoisonRecycled), so an
+// session, whose chunks are poisoned here (core.PoisonRecycled), so an
 // ending that kept a reference into the guest's heap past the release —
 // a kill unwinding frames, a stream refused mid-body — reads junk.
 func TestSessionLifecycleBooksBalance(t *testing.T) {
-	rt.PoisonRecycled(true)
-	t.Cleanup(func() { rt.PoisonRecycled(false) })
+	poisonRecycled(t)
 	both := []string{"run", "run-stream"}
 	isVerify := func(err error) bool { return err != nil && driver.KindOf(err) == driver.KindVerify }
 	cutTail := func(b []byte) []byte { return b[:len(b)-1] }

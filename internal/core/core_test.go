@@ -318,19 +318,18 @@ func TestRemoveExcSite(t *testing.T) {
 
 // TestSlabRewindReusesChunks: a recycling slab hands out the same chunks
 // again after Rewind, zeroed where they were used, and makes a new chunk
-// only for a vector no kept chunk can hold; Discard overwrites what was
-// handed out with junk and keeps nothing.
+// only for a vector no kept chunk can hold; while Poisoning, Rewind
+// overwrites what was handed out with junk and keeps nothing.
 func TestSlabRewindReusesChunks(t *testing.T) {
-	var s Slab[int]
+	var s Slab[ValueID]
 	s.Recycle()
 	first := s.Take(10)
 	for i := range first {
-		first[i] = i + 1
+		first[i] = ValueID(i + 1)
 	}
 	big := s.Take(200) // longer than any chunk: a chunk of its own
 	big[0] = 7
-	held := s.Held()
-	s.Rewind()
+	held := s.Rewind()
 	again := s.Take(10)
 	if &again[0] != &first[0] {
 		t.Fatal("a rewound slab did not hand out its first chunk again")
@@ -340,14 +339,44 @@ func TestSlabRewindReusesChunks(t *testing.T) {
 			t.Fatalf("element %d of a rewound chunk is %d, want 0", i, v)
 		}
 	}
-	if b := s.Take(200); &b[0] != &big[0] || b[0] != 0 || s.Held() != held {
-		t.Fatalf("the long vector's chunk was not reused zeroed (held %d, was %d)", s.Held(), held)
+	b := s.Take(200)
+	if &b[0] != &big[0] || b[0] != 0 {
+		t.Fatal("the long vector's chunk was not reused zeroed")
 	}
-	s.Discard(-1)
-	if first[0] != -1 || big[0] != -1 || s.Held() != 0 {
-		t.Fatalf("after Discard: %d, %d, holding %d; want junk and nothing held", first[0], big[0], s.Held())
+	PoisonRecycled(true)
+	defer PoisonRecycled(false)
+	if n := s.Rewind(); n != 0 || held != (16+200)*4 || first[0] != junkValue || big[0] != junkValue {
+		t.Fatalf("poisoned: %d, %d, holding %d B (held %d); want junk and nothing held", first[0], big[0], n, held)
 	}
 	if v := s.Take(1); &v[0] == &first[0] || v[0] != 0 {
-		t.Fatal("a discarded chunk was handed out again")
+		t.Fatal("a poisoned chunk was handed out again")
+	}
+}
+
+// held is a Rewinder that holds n bytes and counts its rewinds.
+type held struct{ n, rewinds int }
+
+func (h *held) Rewind() int { h.rewinds++; return h.n }
+
+// TestStockKeepsWithinCap: Give rewinds every item it is given, keeps one
+// that then holds at most the cap and drops a larger one, and counts both
+// under the stock's name — shared by every stock of that name — and, while
+// Poisoning, the poisoned gives too.
+func TestStockKeepsWithinCap(t *testing.T) {
+	s := NewStock("core.test", 100, func() *held { return new(held) })
+	twin := NewStock("core.test", 100, func() *held { return new(held) })
+	small, big := &held{n: 100}, &held{n: 101}
+	s.Give(small)
+	PoisonRecycled(true)
+	twin.Give(big)
+	PoisonRecycled(false)
+	if small.rewinds != 1 || big.rewinds != 1 {
+		t.Fatalf("rewinds %d, %d; want one each", small.rewinds, big.rewinds)
+	}
+	if c := StockCounts()["core.test"]; c != (StockCount{Kept: 1, Dropped: 1, Poisoned: 1}) {
+		t.Fatalf("counts %+v", c)
+	}
+	if x := twin.Take(); x == big {
+		t.Fatal("an item over the cap was kept")
 	}
 }

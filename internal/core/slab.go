@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"unsafe"
-)
+import "unsafe"
 
 // Slab hands out a unit's memory from chunks: the instructions, operand
 // vectors, blocks and tree nodes of a module that is built in one go (by
@@ -87,66 +84,35 @@ func (s *Slab[T]) Keep(v []T) []T {
 func (s *Slab[T]) Recycle() { s.recycle = true }
 
 // Rewind takes back everything a recycling slab handed out since it was
-// made or last rewound: the kept chunks are zeroed where they were used
-// and Take hands them out again, from the first. The caller vouches that
-// nothing taken before is used after.
-func (s *Slab[T]) Rewind() {
+// made or last rewound, and reports the bytes of the chunks it keeps: the
+// chunks are zeroed where they were used and Take hands them out again,
+// from the first. While Poisoning, it overwrites what it handed out with
+// its element type's junk instead and forgets the chunks, so whatever
+// still points into them reads junk, never a later body. The caller
+// vouches that nothing taken before is used after.
+func (s *Slab[T]) Rewind() int {
 	if len(s.chunks) == 0 {
-		return
-	}
-	for _, c := range s.chunks[:s.at] {
-		clear(c)
+		return 0
 	}
 	c := s.chunks[s.at]
-	clear(c[:len(c)-len(s.free)])
-	s.at, s.free = 0, s.chunks[0]
-}
-
-// Discard is Rewind's checking twin: it overwrites everything the slab
-// handed out with junk and forgets the chunks instead of reusing them, so
-// whatever still points into them reads junk, never a later body.
-func (s *Slab[T]) Discard(junk T) {
-	for i, c := range s.chunks[:min(s.at+1, len(s.chunks))] {
-		if i == s.at {
-			c = c[:len(c)-len(s.free)]
+	s.chunks[s.at] = c[:len(c)-len(s.free)]
+	used := s.chunks[:s.at+1]
+	if Poisoning() {
+		for _, c := range used {
+			Poison(c)
 		}
-		for j := range c {
-			c[j] = junk
-		}
+		*s = Slab[T]{next: s.next, recycle: s.recycle}
+		return 0
 	}
-	*s = Slab[T]{next: s.next, recycle: s.recycle}
-}
-
-// Bytes is the size of the slab's kept chunks.
-func (s *Slab[T]) Bytes() int {
-	var zero T
-	return s.Held() * int(unsafe.Sizeof(zero))
-}
-
-// DiscardZero is Discard for memory whose zero value is junk enough: its
-// readers fail on the nil pointers and empty names they find there.
-func (s *Slab[T]) DiscardZero() {
-	var zero T
-	s.Discard(zero)
-}
-
-// Held is how many elements the slab's kept chunks hold.
-func (s *Slab[T]) Held() int {
+	for _, c := range used {
+		clear(c)
+	}
+	s.chunks[s.at] = c
+	s.at, s.free = 0, s.chunks[0]
 	n := 0
 	for _, c := range s.chunks {
 		n += len(c)
 	}
-	return n
+	var zero T
+	return n * int(unsafe.Sizeof(zero))
 }
-
-// What a poisoned slab holds (Discard): an instruction with no opcode, a
-// tree node of no kind, a block numbered -1 and a value far out of range.
-// A reader that kept a pointer into released memory reads these, and goes
-// wrong where a reader of zeroed memory might not.
-const JunkValue = ValueID(math.MaxInt32)
-
-var (
-	JunkInstr = Instr{ID: JunkValue, Op: Op(NumOps), Bind: JunkValue, Aux: -1, Field: -1, Method: -1}
-	JunkNode  = CSTNode{Kind: CSTKind(NumCSTKinds), Cond: JunkValue, Val: JunkValue}
-	JunkBlock = Block{Index: -1, Depth: -1}
-)

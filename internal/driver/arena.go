@@ -2,7 +2,6 @@ package driver
 
 import (
 	"context"
-	"sync/atomic"
 
 	"safetsa/internal/core"
 	"safetsa/internal/lang/parser"
@@ -59,42 +58,13 @@ func (a *Arena) EncodeV2(mod *core.Module) []byte { return a.enc.EncodeV2(mod, n
 // another compile (Rewind): the largest corpus unit leaves its arena
 // holding 1.6 MB, while a source at the request limit (8 MiB) can leave
 // one of about a hundred, its token vector alone ten bytes per source
-// byte. DESIGN.md §5 argues the figure.
+// byte. DESIGN.md §9 argues the figure.
 const MaxArenaBytes = 8 << 20
 
 // Rewind takes back everything the compiles since the last Rewind made
-// in a — or, under PoisonRecycled, overwrites it with junk and never hands
-// it out again — and reports whether a is worth keeping: false when it
-// holds more than MaxArenaBytes, which a caller drops for the collector.
-func (a *Arena) Rewind() bool {
-	if poisonRecycled.Load() {
-		a.parse.Poison()
-		a.check.Poison()
-		a.build.Poison()
-		a.opt.Poison()
-		a.enc.Poison()
-	} else {
-		a.parse.Rewind()
-		a.check.Rewind()
-		a.build.Rewind()
-		a.opt.Rewind()
-	}
-	return a.Held() <= MaxArenaBytes
+// in a — overwritten with junk and never handed out again while
+// core.Poisoning — and reports the bytes a keeps: more than MaxArenaBytes,
+// and a stock drops it for the collector.
+func (a *Arena) Rewind() int {
+	return a.parse.Rewind() + a.check.Rewind() + a.build.Rewind() + a.opt.Rewind() + a.enc.Rewind()
 }
-
-// Held is the bytes a keeps.
-func (a *Arena) Held() int {
-	return a.parse.Held() + a.check.Held() + a.build.Held() + a.opt.Held() + a.enc.Held()
-}
-
-// poisonRecycled switches Rewind to poison (see PoisonRecycled).
-var poisonRecycled atomic.Bool
-
-// PoisonRecycled switches every arena's Rewind to its checking form while
-// on is set: what the released compiles made is overwritten with junk —
-// zeroed tree nodes and locals, instructions with no opcode, blocks
-// numbered -1, encoder bytes of 0xA5 — and is never handed out again, so a
-// compile that read anything an earlier one left, or a caller that kept an
-// arena's bytes without copying them, diverges from a compile in a fresh
-// arena. It is a test hook, like rt.PoisonRecycled.
-func PoisonRecycled(on bool) { poisonRecycled.Store(on) }

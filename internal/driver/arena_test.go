@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"safetsa/internal/core"
 	"safetsa/internal/opt"
 	"safetsa/internal/wire"
 )
@@ -60,7 +61,7 @@ func compileFresh(t *testing.T, files map[string]string, o *opt.Options) ([]byte
 func TestArenaCompilesMatchFresh(t *testing.T) {
 	units := pinnedUnits(t)
 	for _, poison := range []bool{false, true} {
-		PoisonRecycled(poison)
+		core.PoisonRecycled(poison)
 		a, most := NewArena(), 0
 		for round := range 2 {
 			for _, u := range units {
@@ -70,16 +71,17 @@ func TestArenaCompilesMatchFresh(t *testing.T) {
 					if !bytes.Equal(got, want) || st != wantSt {
 						t.Errorf("poison %v, round %d: %s %s through a kept arena differs from a fresh compile", poison, round, u.Name, tier.name)
 					}
-					if !a.Rewind() {
-						t.Errorf("%s %s: the arena holds %d B, over MaxArenaBytes", u.Name, tier.name, a.Held())
+					held := a.Rewind()
+					if held > MaxArenaBytes {
+						t.Errorf("%s %s: the arena holds %d B, over MaxArenaBytes", u.Name, tier.name, held)
 					}
-					most = max(most, a.Held())
+					most = max(most, held)
 				}
 			}
 		}
 		t.Logf("poison %v: the arena held at most %d B", poison, most)
 	}
-	PoisonRecycled(false)
+	core.PoisonRecycled(false)
 }
 
 // TestArenaOverCapIsDropped: an arena that a large source grew past
@@ -95,7 +97,7 @@ func TestArenaOverCapIsDropped(t *testing.T) {
 	sb.WriteString("System.out.println(x); } }\n")
 	a := NewArena()
 	compileIn(t, a, map[string]string{"Big.tj": sb.String()}, nil)
-	if a.Rewind() {
-		t.Fatalf("an arena holding %d B was kept, cap %d", a.Held(), MaxArenaBytes)
+	if held := a.Rewind(); held <= MaxArenaBytes {
+		t.Fatalf("an arena holding %d B is within the cap %d", held, MaxArenaBytes)
 	}
 }

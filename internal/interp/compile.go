@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"safetsa/internal/core"
 	"safetsa/internal/rt"
@@ -232,14 +233,14 @@ type frameStock struct {
 	afree [][]rt.Value
 }
 
-var frameStocks = sync.Pool{New: func() any { return new(frameStock) }}
+var frameStocks = core.NewStock("interp.frames", maxStockBytes, func() *frameStock { return new(frameStock) })
 
 // adoptStock takes a released session's free lists, once per session, at
 // its first activation: every argument buffer is retired by a call made
 // inside some activation, so both of the session's own lists are still
 // empty here.
 func (l *Loader) adoptStock() {
-	st := frameStocks.Get().(*frameStock)
+	st := frameStocks.Take()
 	l.stock = st
 	l.cfree, l.afree = st.cfree, st.afree
 	for _, fr := range l.cfree {
@@ -260,7 +261,7 @@ func (l *Loader) adoptStock() {
 // adopts, and the session heap's chunks are recycled, so a stale slot
 // would name another session's object. Release therefore clears every
 // register file and argument buffer before the stock leaves the session
-// — a frame crosses sessions empty — and keeps at most maxStockSlots of
+// — a frame crosses sessions empty — and keeps at most maxStockBytes of
 // them, so what one session widened does not pass to every later one.
 //
 // Every activation passes through here and through putFrame, which is
@@ -324,51 +325,62 @@ func (l *Loader) putArgs(buf []rt.Value) {
 	}
 }
 
-// maxStockSlots bounds the register and argument slots a released
-// session's stock carries to the next session. A register file only grows
-// while it is recycled, so a guest that calls a wide function at each of
-// cframePoolCap nesting levels retires that many frames of the wide
-// function's width; a frame or buffer that would take the stock past this
-// bound is left to the collector instead, and a stock is at most
-// maxStockSlots × 24 B of slots whatever the session did.
-const maxStockSlots = 1 << 14
+// maxStockBytes bounds the register and argument slots a released
+// session's stock carries to the next session, at 24 B a slot. A register
+// file only grows while it is recycled, so a guest that calls a wide
+// function at each of cframePoolCap nesting levels retires that many
+// frames of the wide function's width; a frame or buffer that would take
+// the stock past this bound is left to the collector instead, whatever
+// the session did. DESIGN.md §9 argues the figure.
+const maxStockBytes = 384 << 10
 
-// releaseFrames hands the session's free lists, every register file and
-// argument buffer cleared, to the next compiled session (see getFrame),
-// keeping at most maxStockSlots slots of them.
-func (l *Loader) releaseFrames() {
-	st := l.stock
-	if st == nil {
-		return
-	}
-	slots := 0
+// Rewind clears every register file and argument buffer of the stock and
+// keeps them while their slots fit in maxStockBytes, and reports the
+// bytes of slots kept. A frame crosses sessions empty, so its poisoned
+// form is its cleared one.
+func (st *frameStock) Rewind() int {
+	held := 0
 	fits := func(n int) bool {
-		if slots+n > maxStockSlots {
+		if held+n*slotBytes > maxStockBytes {
 			return false
 		}
-		slots += n
+		held += n * slotBytes
 		return true
 	}
-	cfree := l.cfree[:0]
-	for _, fr := range l.cfree {
+	cfree := st.cfree[:0]
+	for _, fr := range st.cfree {
 		if fits(cap(fr.regs)) {
 			clear(fr.regs[:cap(fr.regs)])
 			*fr = cframe{regs: fr.regs[:0]}
 			cfree = append(cfree, fr)
 		}
 	}
-	clear(l.cfree[len(cfree):])
-	afree := l.afree[:0]
-	for _, buf := range l.afree {
+	clear(st.cfree[len(cfree):])
+	afree := st.afree[:0]
+	for _, buf := range st.afree {
 		if fits(cap(buf)) {
 			clear(buf[:cap(buf)])
 			afree = append(afree, buf)
 		}
 	}
-	clear(l.afree[len(afree):])
+	clear(st.afree[len(afree):])
 	st.cfree, st.afree = cfree, afree
+	return held
+}
+
+// slotBytes is the size of one register or argument slot.
+const slotBytes = int(unsafe.Sizeof(rt.Value{}))
+
+// releaseFrames gives the session's free lists back to the stock the next
+// compiled session adopts (see getFrame).
+func (l *Loader) releaseFrames() {
+	st := l.stock
+	if st == nil {
+		return
+	}
+	st.cfree, st.afree = l.cfree, l.afree
 	l.stock, l.cfree, l.afree = nil, nil, nil
-	frameStocks.Put(st)
+	frameStocks.Give(st)
 }
 
 // runCompiled executes one compiled function body: call the thunk at

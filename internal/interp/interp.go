@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -304,8 +303,12 @@ func (l *Loader) cfunc(fi int32) *CFunc {
 
 // lowerers recycles what lowering one function needs and nothing keeps —
 // above all the emission buffer, as large as the largest function lowered
-// through it, which every session would otherwise allocate again.
-var lowerers = sync.Pool{New: func() any { return &fcomp{handlers: make(map[*core.Block]int32)} }}
+// through it, which every session would otherwise allocate again. A
+// lowerer holds the lowering of one body of a unit, so it is kept under
+// the unit arenas' cap.
+var lowerers = core.NewStock("interp.lowerers", core.MaxUnitArenaBytes, func() *fcomp {
+	return &fcomp{handlers: make(map[*core.Block]int32)}
+})
 
 // lowerAbort unwinds guest execution when a session cannot make a
 // function callable; catchTopLevel converts it to the error.
@@ -340,11 +343,10 @@ func (l *Loader) lower(fi int32) *CFunc {
 // lowerBody lowers admitted body f of function fi, booking what it spent
 // to the session. A refusal satisfies errors.Is(err, errors.ErrUnsupported).
 func (l *Loader) lowerBody(fi int32, f *core.Func) (*CFunc, error) {
-	c := lowerers.Get().(*fcomp)
+	c := lowerers.Take()
 	c.mod, c.nFuncs = l.Mod, l.comp.nFuncs
 	cf, err := c.lowerFunc(f, &l.lowered)
-	c.f = nil // the body is the unit's, whose memory is reclaimed with it
-	lowerers.Put(c)
+	lowerers.Give(c)
 	if err != nil {
 		return nil, fmt.Errorf("%w: admitted function %d does not lower: %w", errors.ErrUnsupported, fi, err)
 	}

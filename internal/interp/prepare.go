@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"unsafe"
 
 	"safetsa/internal/core"
 	"safetsa/internal/rt"
@@ -301,6 +302,21 @@ func newFcomp(mod *core.Module, nFuncs int) fcomp {
 	c := fcomp{mod: mod, nFuncs: nFuncs, handlers: make(map[*core.Block]int32)}
 	c.grow(moduleRoom(mod))
 	return c
+}
+
+// Rewind forgets the module and the body last lowered — the body is its
+// unit's, whose memory is recycled with it — with every block, value,
+// string and raise site the reused buffers still name, and reports the
+// bytes the buffers keep.
+func (c *fcomp) Rewind() int {
+	clear(c.code)
+	clear(c.raiseFix)
+	clear(c.loop[:cap(c.loop)])
+	clear(c.handlers)
+	c.mod, c.f, c.fl = nil, nil, flow{}
+	c.code, c.raiseFix, c.loop = c.code[:0], c.raiseFix[:0], c.loop[:0]
+	return int(unsafe.Sizeof(PreparedInst{}))*cap(c.code) + 8*len(c.moveBuf) + 4*len(c.ints) +
+		int(unsafe.Sizeof(raiseFixup{}))*cap(c.raiseFix) + int(unsafe.Sizeof(loopCtx{}))*cap(c.loop)
 }
 
 // room is what lowering a function needs of fcomp's reused buffers.

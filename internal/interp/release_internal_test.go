@@ -88,7 +88,7 @@ func TestReleaseHandsOnClearedFrames(t *testing.T) {
 // TestReleasedStockIsBounded: a guest that calls a wide function at every
 // level of a deep recursion retires a frame of the wide function's width
 // per level, though each level is charged only its small frame; what its
-// release hands the next session is still at most maxStockSlots slots.
+// release hands the next session is still at most maxStockBytes of slots.
 func TestReleasedStockIsBounded(t *testing.T) {
 	var wide strings.Builder
 	wide.WriteString("static int wide(int n) { int a0 = n;")
@@ -104,8 +104,8 @@ func TestReleasedStockIsBounded(t *testing.T) {
 	for _, fr := range l.cfree {
 		held += cap(fr.regs)
 	}
-	if st == nil || len(l.cfree) != cframePoolCap || held < 4*maxStockSlots {
-		t.Fatalf("the run retired %d frames of %d register slots (stock %v); want %d frames, far over %d slots", len(l.cfree), held, st != nil, cframePoolCap, maxStockSlots)
+	if st == nil || len(l.cfree) != cframePoolCap || held*slotBytes < 4*maxStockBytes {
+		t.Fatalf("the run retired %d frames of %d register slots (stock %v); want %d frames, far over %d B of slots", len(l.cfree), held, st != nil, cframePoolCap, maxStockBytes)
 	}
 
 	l.Release()
@@ -117,8 +117,8 @@ func TestReleasedStockIsBounded(t *testing.T) {
 		kept += cap(buf)
 	}
 	t.Logf("%d frames of %d slots retired; the stock keeps %d frames, %d buffers, %d slots", cframePoolCap, held, len(st.cfree), len(st.afree), kept)
-	if kept > maxStockSlots || len(st.cfree) == 0 {
-		t.Errorf("the released stock keeps %d slots in %d frames, want at most %d and some frame", kept, len(st.cfree), maxStockSlots)
+	if kept*slotBytes > maxStockBytes || len(st.cfree) == 0 {
+		t.Errorf("the released stock keeps %d slots in %d frames, want at most %d B of them and some frame", kept, len(st.cfree), maxStockBytes)
 	}
 }
 
@@ -148,4 +148,63 @@ func compiledSession(t *testing.T, src string) *Loader {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// TestStockedLowererForgetsItsUnit: a lowerer given back to its stock
+// names nothing of the unit it lowered — no module, no body, no block
+// among its handler keys, pending jumps or raise fixups, and no constant,
+// string or raise site anywhere in its emission buffer — so a stocked
+// lowerer pins no unit, and nothing of a unit whose arena was rewound or
+// poisoned reaches the next lowering through it. The wide function is
+// lowered first, so the narrow one leaves a stale tail behind it if
+// anything does.
+func TestStockedLowererForgetsItsUnit(t *testing.T) {
+	l := compiledSession(t, `class T {
+		static int wide(int n) {
+			int s = 0;
+			for (int i = 0; i < n; i = i + 1) {
+				try { s = s + "abc".length() + 10 / (n - i); } catch (ArithmeticException e) { s = s - 1; }
+				while (s > 100) { s = s - 7; if (s == 50) { break; } }
+			}
+			String t = "tail";
+			try { s = s + t.charAt(n); } catch (IndexOutOfBoundsException e) { s = s + 3; }
+			return s;
+		}
+		static int narrow(int n) { return n + 1; }
+		static void main() { System.out.println(T.wide(5) + T.narrow(2)); } }`)
+	for _, name := range []string{"wide", "narrow"} {
+		var f *core.Func
+		for _, g := range l.Mod.Funcs {
+			if strings.HasSuffix(g.Name, name) {
+				f = g
+			}
+		}
+		c := lowerers.Take()
+		c.mod, c.nFuncs = l.Mod, len(l.Mod.Funcs)
+		if _, err := c.lowerFunc(f, &Lowering{}); err != nil {
+			t.Fatal(err)
+		}
+		if name == "wide" && (len(c.handlers) == 0 || len(c.raiseFix) == 0) {
+			t.Fatalf("%s lowered with %d handlers and %d raise sites; the test needs some", name, len(c.handlers), len(c.raiseFix))
+		}
+		lowerers.Give(c)
+		if c.mod != nil || c.f != nil || c.fl.src != nil || len(c.handlers) != 0 {
+			t.Errorf("after %s, the stocked lowerer names module %v, body %v, block %v, %d handler blocks", name, c.mod != nil, c.f != nil, c.fl.src != nil, len(c.handlers))
+		}
+		for i, in := range c.code[:cap(c.code)] {
+			if in.Val != (rt.Value{}) || in.Str != "" || in.Raise != nil {
+				t.Fatalf("after %s, emission slot %d still holds %+v", name, i, in)
+			}
+		}
+		for _, fix := range c.raiseFix[:cap(c.raiseFix)] {
+			if fix.handler != nil {
+				t.Fatalf("after %s, a raise fixup still names block %d", name, fix.handler.Index)
+			}
+		}
+		for _, lc := range c.loop[:cap(c.loop)] {
+			if lc.breaks != nil || lc.continues != nil {
+				t.Fatalf("after %s, a loop context still lists its jumps", name)
+			}
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"safetsa/internal/core"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/rt"
@@ -318,14 +319,14 @@ class Main {
 
 // TestVerifiedSnapshotClonesMatchFresh: Verify releases its probe clone
 // once it has compared it, so the probe's chunks and frames go to the
-// sessions after it — here poisoned first (rt.PoisonRecycled), so a
+// sessions after it — here poisoned first (core.PoisonRecycled), so a
 // snapshot or a clone that kept anything of the probe reads junk. Each
 // snapshot is verified twice, the second probe carved from what the first
 // left, and every clone, released in turn, must answer what a fresh
 // session does: output, steps and allocations.
 func TestVerifiedSnapshotClonesMatchFresh(t *testing.T) {
-	rt.PoisonRecycled(true)
-	t.Cleanup(func() { rt.PoisonRecycled(false) })
+	core.PoisonRecycled(true)
+	t.Cleanup(func() { core.PoisonRecycled(false) })
 	chain := `
 class Node {
     String name;

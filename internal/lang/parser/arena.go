@@ -87,17 +87,14 @@ type Arena struct {
 	exprStack   []ast.Expr
 	catchStack  []*ast.CatchClause
 
-	// all lists every slab above, for Rewind, Poison and Held; nil in a
-	// zero Arena.
+	// all lists every slab above, for Rewind; nil in a zero Arena.
 	all []slab
 }
 
 // slab is what the arena does to each of its slabs, whatever they hold.
 type slab interface {
 	Recycle()
-	Rewind()
-	DiscardZero()
-	Bytes() int
+	Rewind() int
 }
 
 // NewArena returns an empty arena that keeps its chunks for Rewind.
@@ -120,30 +117,16 @@ func NewArena() *Arena {
 	return a
 }
 
-// Rewind takes back every tree parsed since the last Rewind.
-func (a *Arena) Rewind() {
-	for _, s := range a.all {
-		s.Rewind()
-	}
-}
-
-// Poison is Rewind's checking form: the nodes are zeroed and never handed
-// out again (core.Slab.Discard), so a reader that kept a pointer into a
-// tree parsed before finds nil children and empty names.
-func (a *Arena) Poison() {
-	for _, s := range a.all {
-		s.DiscardZero()
-	}
-}
-
-// Held is the bytes the arena keeps: its chunks, its token vector and its
-// stacks.
-func (a *Arena) Held() int {
+// Rewind takes back every tree parsed since the last Rewind (poisoned
+// while core.Poisoning, so that a reader that kept a pointer into a tree
+// parsed before finds nil children and empty names) and reports the bytes
+// the arena keeps: its chunks, its token vector and its stacks.
+func (a *Arena) Rewind() int {
 	n := cap(a.toks)*int(unsafe.Sizeof(token.Token{})) +
 		8*(cap(a.classStack)+cap(a.fieldStack)+cap(a.methodStack)+cap(a.paramStack)+cap(a.catchStack)) +
 		16*(cap(a.stmtStack)+cap(a.exprStack))
 	for _, s := range a.all {
-		n += s.Bytes()
+		n += s.Rewind()
 	}
 	return n
 }

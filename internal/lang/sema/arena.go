@@ -49,23 +49,14 @@ func NewArena() *Arena {
 	return a
 }
 
-// Rewind takes back the programs checked since the last Rewind.
-func (a *Arena) Rewind() {
-	a.locals.Rewind()
-	a.infos.Rewind()
-	a.refs.Rewind()
-	a.localVec.Rewind()
+// Rewind takes back the programs checked since the last Rewind (poisoned
+// while core.Poisoning, so that a reader that kept a local of a program
+// checked before finds it nameless and untyped) and reports the bytes the
+// arena keeps.
+func (a *Arena) Rewind() int {
+	n := a.locals.Rewind() + a.infos.Rewind() + a.refs.Rewind() + a.localVec.Rewind()
 	a.dropScratch()
-}
-
-// Poison is Rewind's checking form (core.Slab.Discard): a reader that kept
-// a local of a program checked before finds it nameless and untyped.
-func (a *Arena) Poison() {
-	a.locals.DiscardZero()
-	a.infos.DiscardZero()
-	a.refs.DiscardZero()
-	a.localVec.DiscardZero()
-	a.dropScratch()
+	return n + 8*(cap(a.made)+cap(a.marks)) + 16*cap(a.scope) + 32*a.peak
 }
 
 // maxKeptNames bounds the names map an arena keeps for the next program:
@@ -79,10 +70,4 @@ func (a *Arena) dropScratch() {
 	}
 	clear(a.made[:cap(a.made)])
 	clear(a.scope[:cap(a.scope)])
-}
-
-// Held is the bytes the arena keeps.
-func (a *Arena) Held() int {
-	return a.locals.Bytes() + a.infos.Bytes() + a.refs.Bytes() + a.localVec.Bytes() +
-		8*(cap(a.made)+cap(a.marks)) + 16*cap(a.scope) + 32*a.peak
 }

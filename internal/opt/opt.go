@@ -238,24 +238,11 @@ func (a *Arena) PipelineFor(o Options) []Pass {
 }
 
 // Rewind takes back every instruction the inliner cloned since the last
-// Rewind.
-func (a *Arena) Rewind() {
-	a.sc.instrs.Rewind()
-	a.sc.args.Rewind()
-}
-
-// Poison is Rewind's checking form: the clones are overwritten with junk
-// and never handed out again (core.Slab.Discard).
-func (a *Arena) Poison() {
-	a.sc.instrs.Discard(core.JunkInstr)
-	a.sc.args.Discard(core.JunkValue)
-}
-
-// Held is the bytes the arena keeps: its slabs' chunks and its side
-// tables at their capacity.
-func (a *Arena) Held() int {
+// Rewind (poisoned while core.Poisoning) and reports the bytes the arena
+// keeps: its slabs' chunks and its side tables at their capacity.
+func (a *Arena) Rewind() int {
 	sc := &a.sc
-	return sc.instrs.Bytes() + sc.args.Bytes() +
+	return sc.instrs.Rewind() + sc.args.Rewind() +
 		4*(cap(sc.repl)+cap(sc.work)+cap(sc.vmap)+2*cap(sc.calls)) +
 		cap(sc.live) + sc.cse.held()
 }

@@ -259,7 +259,7 @@ type engineRun struct {
 
 // release ends a session the oracle has compared, as the server ends one
 // it has answered, so the sessions it runs next are carved from this
-// one's recycled memory — which rt.PoisonRecycled, on for this package's
+// one's recycled memory — which core.PoisonRecycled, on for this package's
 // tests, fills with junk first.
 func (r *engineRun) release() {
 	if r.l != nil {

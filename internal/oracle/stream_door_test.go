@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"safetsa/internal/codeserver"
+	"safetsa/internal/core"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
@@ -28,16 +29,16 @@ import (
 // it, whose store vouches for the tail; both answers and hashes are the
 // /run's. Both doors' cursors decode into arenas lent from one stock and
 // given back once no session reads the unit; here that memory is poisoned
-// instead of reused (wire.PoisonRecycled), so a lowered form that kept a
+// instead of reused (core.PoisonRecycled), so a lowered form that kept a
 // pointer into a body would read junk and answer differently; and every
 // session either door runs is released into poisoned chunks
-// (rt.PoisonRecycled), which the next split's session is carved from.
+// (core.PoisonRecycled too), which the next split's session is carved from.
 //
 // A unit admission refuses is held to the other half of the contract: a
 // verify-kind error and nothing published.
 func streamDoorAgrees(t *testing.T, data []byte, b oracle.Budgets) {
 	t.Helper()
-	wire.PoisonRecycled(true) // on for the package already (TestMain)
+	core.PoisonRecycled(true) // on for the package already (TestMain)
 	srv, err := codeserver.New(codeserver.Config{MaxSteps: b.MaxSteps, MaxAllocs: b.MaxAlloc})
 	if err != nil {
 		t.Fatal(err)

@@ -99,12 +99,12 @@ func CheckStreamingWireOpts(data []byte, o wire.DecodeOptions, b Budgets) error 
 // checkLentArena holds a cursor over data lent an arena to the one with
 // an arena of its own, su (nil when it refused the head), whose verdict
 // was streamErr. The arena is one a neighbouring unit was decoded into and
-// gave back (wire.Arena.Reclaim), so nothing that unit left in the chunks,
+// gave back (wire.Arena.Rewind), so nothing that unit left in the chunks,
 // the scratch, the site maps, the model or the read buffer may reach this
 // one: the same bytes must give the same verdict for the same reason and
 // admit as many bodies of as many instructions, and on acceptance the
 // module must re-encode to the very bytes su's does. Under
-// wire.PoisonRecycled the neighbour's memory is junk by then, and must
+// core.PoisonRecycled the neighbour's memory is junk by then, and must
 // still never be read.
 func checkLentArena(data []byte, o wire.DecodeOptions, su *wire.StreamingUnit, streamErr error) error {
 	a := new(wire.Arena)
@@ -115,7 +115,7 @@ func checkLentArena(data []byte, o wire.DecodeOptions, su *wire.StreamingUnit, s
 	if err != nil {
 		return fmt.Errorf("oracle: the neighbouring unit is refused: %w", err)
 	}
-	a.Reclaim()
+	a.Rewind()
 	lu, err := wire.DecodeVerifiedStreamIn(bytes.NewReader(data), o, a)
 	if err == nil {
 		err = lu.Wait()

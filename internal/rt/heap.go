@@ -1,31 +1,31 @@
 package rt
 
 import (
-	"sync"
-	"sync/atomic"
 	"unsafe"
+
+	"safetsa/internal/core"
 )
 
 // This file is the session heap: where every guest-visible Object, Array
 // and Str header, every object's field vector and every small array's
 // elements come from. A session carves them out of chunks — one host
 // allocation per chunk, not two per `new` — and a session that is
-// released (Env.Release) hands its chunks, cleared, to a process-wide
-// pool the next session takes its own from. DESIGN.md §9 argues the
-// memory bound and why recycling keeps sessions apart.
+// released (Env.Release) gives its chunks, cleared, to the process-wide
+// stocks (core.Stock) the next session takes its own from. DESIGN.md §9
+// argues the memory bound and why recycling keeps sessions apart.
 //
 // The bounds are constants. A slab's chunks grow geometrically from a
 // small first one, so a session that allocates one object takes one small
 // chunk per kind; a slot vector longer than smallSlots — an array's
 // elements, an object's fields — is its own allocation;
 // and a session keeps at most KeepBytes of chunks for recycling — what it
-// allocates past that is never pooled, so the collector reclaims it as
+// allocates past that is never stocked, so the collector reclaims it as
 // before, and a guest that churns through its whole allocation budget
 // pins no more than KeepBytes once it is released.
 
 const (
 	// KeepBytes bounds the chunk bytes one session hands back for reuse
-	// (DESIGN.md §9 derives what the pools may hold from it).
+	// (DESIGN.md §9 derives what the stocks may hold from it).
 	KeepBytes = 4 << 20
 	// smallSlots is the longest slot vector — an object's fields, an
 	// array's elements — carved from the value slab; a longer one is its
@@ -36,39 +36,61 @@ const (
 )
 
 // chunk is one slab allocation: buf is handed out element by element and
-// recycled whole.
+// recycled whole, through its kind's stock of its size class.
 type chunk[T any] struct {
 	buf   []T
 	class int
-	// dirty marks a chunk poisoned at release (PoisonRecycled); it is
-	// zeroed when handed out again.
+	k     *kind[T]
+	// dirty marks a chunk poisoned when it was given back; it is zeroed
+	// when handed out again.
 	dirty bool
 	// next links the chunks one session took of one kind, newest first.
 	next *chunk[T]
 }
 
+// Rewind clears the chunk — or, while core.Poisoning, fills it with its
+// kind's poison — and reports its bytes.
+func (ch *chunk[T]) Rewind() int {
+	if core.Poisoning() {
+		for i := range ch.buf {
+			ch.buf[i] = ch.k.poison
+		}
+		ch.dirty = true
+	} else {
+		clear(ch.buf)
+	}
+	return len(ch.buf) * ch.k.elem
+}
+
 // kind is the shape of one slab: chunks of class c hold first<<c
-// elements, for c below classes, each class pooled apart; poison is what
-// fills a released chunk under PoisonRecycled.
+// elements, for c below classes, each class stocked apart under the
+// kind's one stock name; poison is what fills a chunk given back while
+// core.Poisoning.
 type kind[T any] struct {
 	first, classes int
 	elem           int // bytes per element
-	pools          [maxClasses]sync.Pool
+	stocks         [maxClasses]*core.Stock[*chunk[T]]
 	poison         T
 }
 
+func newKind[T any](name string, first, classes int, poison T) *kind[T] {
+	k := &kind[T]{first: first, classes: classes, elem: int(unsafe.Sizeof(poison)), poison: poison}
+	for c := range classes {
+		k.stocks[c] = core.NewStock(name, KeepBytes, func() *chunk[T] {
+			return &chunk[T]{buf: make([]T, first<<c), class: c, k: k}
+		})
+	}
+	return k
+}
+
 var (
-	objects = kind[Object]{first: 8, classes: 6, elem: int(unsafe.Sizeof(Object{})),
-		poison: Object{Class: poisonClass, Fields: poisonSlots, id: -1}}
-	arrays = kind[Array]{first: 8, classes: 6, elem: int(unsafe.Sizeof(Array{})),
-		poison: Array{Elems: poisonSlots, TypeID: -1}}
-	strs = kind[Str]{first: 8, classes: 6, elem: int(unsafe.Sizeof(Str{})),
-		poison: *poisonStr}
-	values = kind[Value]{first: 32, classes: 7, elem: int(unsafe.Sizeof(Value{})),
-		poison: poisonValue}
+	objects = newKind("rt.objects", 8, 6, Object{Class: poisonClass, Fields: poisonSlots, id: -1})
+	arrays  = newKind("rt.arrays", 8, 6, Array{Elems: poisonSlots, TypeID: -1})
+	strs    = newKind("rt.strs", 8, 6, *poisonStr)
+	values  = newKind("rt.values", 32, 7, poisonValue)
 )
 
-// What a released chunk holds under PoisonRecycled: a reference kept past
+// What a released chunk holds while core.Poisoning: a reference kept past
 // its session's release reads a class no module declares, a string no
 // guest wrote and a scalar no guest computed.
 var (
@@ -117,7 +139,7 @@ func (s *slab[T]) many(n int, k *kind[T], h *heap) []T {
 }
 
 // grow starts a chunk of at least n elements — the next size class, or a
-// larger one n needs — from the pool while the session keeps less than
+// larger one n needs — from its stock while the session keeps less than
 // KeepBytes, and from a plain allocation after that. What was left of the
 // previous chunk stays unused.
 func (s *slab[T]) grow(n int, k *kind[T], h *heap) {
@@ -133,10 +155,8 @@ func (s *slab[T]) grow(n int, k *kind[T], h *heap) {
 		return
 	}
 	h.kept += bytes
-	ch, _ := k.pools[c].Get().(*chunk[T])
-	if ch == nil {
-		ch = &chunk[T]{buf: make([]T, size), class: c}
-	} else if ch.dirty {
+	ch := k.stocks[c].Take()
+	if ch.dirty {
 		clear(ch.buf)
 		ch.dirty = false
 	}
@@ -144,50 +164,29 @@ func (s *slab[T]) grow(n int, k *kind[T], h *heap) {
 	s.free = ch.buf
 }
 
-// release clears every chunk the slab kept — or poisons it — and pools it.
-func (s *slab[T]) release(k *kind[T], poison bool) {
+// release gives every chunk the slab kept back to its stock.
+func (s *slab[T]) release(k *kind[T]) {
 	for ch := s.used; ch != nil; {
 		next := ch.next
 		ch.next = nil
-		if poison {
-			for i := range ch.buf {
-				ch.buf[i] = k.poison
-			}
-			ch.dirty = true
-		} else {
-			clear(ch.buf)
-		}
-		k.pools[ch.class].Put(ch)
+		k.stocks[ch.class].Give(ch)
 		ch = next
 	}
 	*s = slab[T]{}
 }
 
-// poisonRecycled switches release to poison (see PoisonRecycled).
-var poisonRecycled atomic.Bool
-
-// PoisonRecycled switches every session's release to its checking form
-// while on is set: a released chunk is filled with a poison class, poison
-// fields and a poison string instead of zeroes, and is zeroed only when a
-// later session takes it. A reference some host code kept past its
-// session's release then reads junk — or, once the chunk is handed out
-// again, another session's objects — and the sweeps that run with it on
-// (PooledDifferential, engineParity, the stream door's and the session
-// lifecycle's) diverge. It is a test hook, like wire.PoisonRecycled.
-func PoisonRecycled(on bool) { poisonRecycled.Store(on) }
-
-// Release ends the session's heap: every chunk it kept is cleared (or
-// poisoned) and pooled for the next session. Nothing the session
-// allocated may be reachable afterwards from anything that outlives it —
-// interp.Loader.Release is the one caller, once its run is answered. The
-// environment may allocate again afterwards, from fresh chunks.
+// Release ends the session's heap: every chunk it kept is given back to
+// its stock, cleared (or poisoned), for the next session. Nothing the
+// session allocated may be reachable afterwards from anything that
+// outlives it — interp.Loader.Release is the one caller, once its run is
+// answered. The environment may allocate again afterwards, from fresh
+// chunks.
 func (e *Env) Release() {
-	poison := poisonRecycled.Load()
 	h := &e.heap
-	h.objs.release(&objects, poison)
-	h.arrs.release(&arrays, poison)
-	h.strs.release(&strs, poison)
-	h.vals.release(&values, poison)
+	h.objs.release(objects)
+	h.arrs.release(arrays)
+	h.strs.release(strs)
+	h.vals.release(values)
 	h.kept = 0
 	e.inflight = nil
 }
@@ -196,7 +195,7 @@ func (e *Env) Release() {
 // id, charging nothing.
 func (e *Env) object(c *ClassInfo, n int, id int64) *Object {
 	h := &e.heap
-	o := h.objs.one(&objects, h)
+	o := h.objs.one(objects, h)
 	o.Class, o.id = c, id
 	o.Fields = h.slots(n)
 	return o
@@ -208,13 +207,13 @@ func (h *heap) slots(n int) []Value {
 	if n > smallSlots {
 		return make([]Value, n)
 	}
-	return h.vals.many(n, &values, h)
+	return h.vals.many(n, values, h)
 }
 
 // array is a heap array of n zero values, charging nothing.
 func (e *Env) array(n int, typeID int32) *Array {
 	h := &e.heap
-	a := h.arrs.one(&arrays, h)
+	a := h.arrs.one(arrays, h)
 	a.TypeID = typeID
 	a.Elems = h.slots(n)
 	return a
@@ -226,7 +225,7 @@ func (e *Env) array(n int, typeID int32) *Array {
 // already paid for. NewStr is the charged form.
 func (e *Env) Str(s string) *Str {
 	h := &e.heap
-	p := h.strs.one(&strs, h)
+	p := h.strs.one(strs, h)
 	p.S = s
 	return p
 }

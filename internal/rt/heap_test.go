@@ -1,6 +1,10 @@
 package rt
 
-import "testing"
+import (
+	"testing"
+
+	"safetsa/internal/core"
+)
 
 // chunkSizes lists the sizes of the chunks a slab kept, oldest first.
 func chunkSizes[T any](s *slab[T]) []int {
@@ -87,7 +91,7 @@ func fillHeap(e *Env, n int) []*Object {
 // cleared at release, or, when the chunk was poisoned, when handed out.
 func TestHeapRecyclesZeroed(t *testing.T) {
 	for _, poison := range []bool{false, true} {
-		PoisonRecycled(poison)
+		core.PoisonRecycled(poison)
 		reused := false
 		for try := 0; try < 10 && !reused; try++ {
 			a := &Env{}
@@ -129,15 +133,15 @@ func TestHeapRecyclesZeroed(t *testing.T) {
 			t.Errorf("poison %v: ten released sessions never handed their first chunk to the next", poison)
 		}
 	}
-	PoisonRecycled(false)
+	core.PoisonRecycled(false)
 }
 
-// TestHeapPoisonsReleased: under PoisonRecycled a reference kept past its
-// session's release reads the poison class, fields and string, not the
-// object it named.
+// TestHeapPoisonsReleased: under core.PoisonRecycled a reference kept past
+// its session's release reads the poison class, fields and string, not
+// the object it named.
 func TestHeapPoisonsReleased(t *testing.T) {
-	PoisonRecycled(true)
-	defer PoisonRecycled(false)
+	core.PoisonRecycled(true)
+	defer core.PoisonRecycled(false)
 	e := &Env{}
 	objs := fillHeap(e, 40)
 	e.Release()
@@ -152,7 +156,7 @@ func TestHeapPoisonsReleased(t *testing.T) {
 
 // TestHeapKeepsAtMostCap: a session keeps at most KeepBytes of chunks for
 // recycling, however much it allocates; what it allocates past that is
-// never pooled, and releasing it clears every chunk it kept.
+// never stocked, and releasing it clears every chunk it kept.
 func TestHeapKeepsAtMostCap(t *testing.T) {
 	e := &Env{}
 	c := &ClassInfo{Name: "C", NumSlots: 6}
@@ -163,10 +167,10 @@ func TestHeapKeepsAtMostCap(t *testing.T) {
 		e.Str("s")
 	}
 	held := 0
-	held += keptBytes(&e.heap.objs, &objects)
-	held += keptBytes(&e.heap.arrs, &arrays)
-	held += keptBytes(&e.heap.strs, &strs)
-	held += keptBytes(&e.heap.vals, &values)
+	held += keptBytes(&e.heap.objs, objects)
+	held += keptBytes(&e.heap.arrs, arrays)
+	held += keptBytes(&e.heap.strs, strs)
+	held += keptBytes(&e.heap.vals, values)
 	if held != e.heap.kept || held > KeepBytes || held < KeepBytes/2 {
 		t.Fatalf("kept %d bytes of chunks (booked %d), cap %d", held, e.heap.kept, KeepBytes)
 	}
@@ -178,7 +182,7 @@ func TestHeapKeepsAtMostCap(t *testing.T) {
 	for i, buf := range listed {
 		for _, v := range buf {
 			if v != (Value{}) {
-				t.Fatalf("value chunk %d of %d was pooled holding %+v", i, len(listed), v)
+				t.Fatalf("value chunk %d of %d was stocked holding %+v", i, len(listed), v)
 			}
 		}
 	}
@@ -199,8 +203,8 @@ func keptBytes[T any](s *slab[T], k *kind[T]) int {
 // destination session's heap, so releasing the source leaves the copy
 // intact.
 func TestClonerAllocatesInDestination(t *testing.T) {
-	PoisonRecycled(true)
-	defer PoisonRecycled(false)
+	core.PoisonRecycled(true)
+	defer core.PoisonRecycled(false)
 	src, dst := &Env{}, &Env{}
 	objs := fillHeap(src, 3)
 	dup := NewCloner(dst, nil).Value(RefValue(objs[2]))

@@ -93,38 +93,13 @@ func (a *Arena) Build(prog *sema.Program) (*core.Module, error) {
 	return b.mod, nil
 }
 
-// Rewind takes back everything the builds since the last Rewind carved.
-func (a *Arena) Rewind() {
-	a.instrs.Rewind()
-	a.args.Rewind()
-	a.instrVec.Rewind()
-	a.blocks.Rewind()
-	a.preds.Rewind()
-	a.nodes.Rewind()
-	a.nodeVec.Rewind()
-	a.snaps.Rewind()
-	a.sets.Rewind()
-}
-
-// Poison is Rewind's checking form: what the builds carved is overwritten
-// with junk and never handed out again (core.Slab.Discard), so a reader
-// that kept a pointer into a module built before reads junk.
-func (a *Arena) Poison() {
-	a.instrs.Discard(core.JunkInstr)
-	a.args.Discard(core.JunkValue)
-	a.instrVec.Discard(nil)
-	a.blocks.Discard(core.JunkBlock)
-	a.preds.Discard(core.Pred{})
-	a.nodes.Discard(core.JunkNode)
-	a.nodeVec.Discard(nil)
-	a.snaps.Discard(core.JunkValue)
-	a.sets.Discard(true)
-}
-
-// Held is the bytes of the chunks the arena keeps.
-func (a *Arena) Held() int {
-	return a.instrs.Bytes() + a.args.Bytes() + a.instrVec.Bytes() + a.blocks.Bytes() +
-		a.preds.Bytes() + a.nodes.Bytes() + a.nodeVec.Bytes() + a.snaps.Bytes() + a.sets.Bytes()
+// Rewind takes back everything the builds since the last Rewind carved
+// (poisoned while core.Poisoning, so that a reader that kept a pointer
+// into a module built before reads junk) and reports the bytes of the
+// chunks the arena keeps.
+func (a *Arena) Rewind() int {
+	return a.instrs.Rewind() + a.args.Rewind() + a.instrVec.Rewind() + a.blocks.Rewind() +
+		a.preds.Rewind() + a.nodes.Rewind() + a.nodeVec.Rewind() + a.snaps.Rewind() + a.sets.Rewind()
 }
 
 // orderFuncsForStreaming permutes the function list so that a consumer

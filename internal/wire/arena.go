@@ -1,13 +1,17 @@
 package wire
 
-import "safetsa/internal/core"
+import (
+	"unsafe"
+
+	"safetsa/internal/core"
+)
 
 // Arena is the memory a cursor decodes function bodies into (DESIGN.md §5,
 // "who owns decoded memory"): everything a body is made of is carved from
 // its slabs, so a unit costs a chunk per ~128 nodes, not an allocation per
 // node. A cursor's memory becomes the unit's: an arena of its own, or one
 // it is lent (OpenVerified, DecodeVerifiedStreamIn), which the lender takes
-// back whole once nothing reads the unit (Reclaim) and lends to the next
+// back whole once nothing reads the unit (Rewind) and lends to the next
 // unit, whose bodies are decoded into the same chunks, the same scratch and
 // the same register file. The zero Arena is ready to use; an arena serves
 // one cursor at a time.
@@ -43,7 +47,7 @@ type Arena struct {
 	params []core.TypeID
 	pos    core.Positions
 	// sites are the exception-site maps (Func.ExcEdge, Func.HandlerOf) of
-	// the bodies decoded into the arena, made once and cleared by Reclaim;
+	// the bodies decoded into the arena, made once and cleared by Rewind;
 	// the first nsites are in use.
 	sites  []siteMaps
 	nsites int
@@ -72,27 +76,56 @@ func (a *Arena) siteMaps() (map[*core.Instr]int, map[*core.Instr]*core.Block) {
 	return s.edge, s.handler
 }
 
-// maxKeptArena bounds, in elements, what an arena may hold and still be
-// worth keeping for another unit (Reusable): one hostile unit must not tax
-// every later unit that reuses its memory. It is far above what the
-// largest unit a real program compiles to asks.
-const maxKeptArena = 1 << 18
-
-// Reusable reports whether a is worth keeping for another unit: false once
-// a unit made it hold more than maxKeptArena elements.
-func (a *Arena) Reusable() bool {
-	n := a.instrs.Held() + a.nodes.Held() + a.blocks.Held() + a.args.Held() +
-		a.instrVec.Held() + a.nodeVec.Held() + a.blockVec.Held() + a.preds.Held() +
-		a.funcs.Held() + a.types.Held() +
-		cap(a.kids) + cap(a.blks) + cap(a.code) + cap(a.loops) + cap(a.handlers) +
-		cap(a.vals) + cap(a.params) + a.pos.Cap() + len(a.sites)
-	for _, p := range a.rf.planes[:cap(a.rf.planes)] {
-		n += cap(p)
+// Rewind takes back everything a cursor lent a (OpenVerified,
+// DecodeVerifiedStreamIn) decoded into it, so the next cursor decodes into
+// the same chunks, the same scratch and the same register file, and
+// reports the bytes a keeps. While core.Poisoning its slabs overwrite what
+// they handed out with junk and forget it instead; the scratch is reused
+// either way. A map that grew past maxKeptPlanes entries is let go of, to
+// be made again when asked: clearing one costs its capacity. The caller
+// vouches that nothing reads the unit's bodies any more, nor pulls through
+// its cursor: no lowered form holds a pointer into a body (DESIGN.md §11),
+// so once the last session on the unit has ended nothing does, and under
+// core.PoisonRecycled that is checked instead of trusted.
+func (a *Arena) Rewind() int {
+	n := a.instrs.Rewind() + a.nodes.Rewind() + a.blocks.Rewind() + a.args.Rewind() +
+		a.instrVec.Rewind() + a.nodeVec.Rewind() + a.blockVec.Rewind() + a.preds.Rewind() +
+		a.funcs.Rewind() + a.types.Rewind()
+	for i := range a.sites[:a.nsites] {
+		s := &a.sites[i]
+		if len(s.edge) > maxKeptPlanes {
+			*s = siteMaps{}
+		} else {
+			n += 32 * len(s.edge) // what the two maps keep of their size
+			clear(s.edge)
+			clear(s.handler)
+		}
 	}
-	return n <= maxKeptArena && len(a.rf.index) <= maxKeptPlanes && len(a.sitePos) <= maxKeptPlanes
+	a.nsites = 0
+	if len(a.rf.index) > maxKeptPlanes {
+		a.rf.index = nil
+	}
+	if len(a.sitePos) > maxKeptPlanes {
+		a.sitePos = nil
+	}
+	if a.src != nil {
+		a.src.r = nil // the stream read last, which the arena must not pin
+		n += int(unsafe.Sizeof(*a.src))
+	}
+	if a.mdl != nil {
+		n += int(unsafe.Sizeof(*a.mdl))
+	}
+	n += 8*(cap(a.kids)+cap(a.blks)+cap(a.code)+cap(a.handlers)+cap(a.vals)) +
+		int(unsafe.Sizeof(loopShape{}))*cap(a.loops) + 4*(cap(a.params)+a.pos.Cap()) +
+		int(unsafe.Sizeof(siteMaps{}))*cap(a.sites) +
+		int(unsafe.Sizeof(core.PlaneKey{})+4)*len(a.rf.index) + 16*len(a.sitePos)
+	for _, p := range a.rf.planes[:cap(a.rf.planes)] {
+		n += int(unsafe.Sizeof(regEntry{})) * cap(p)
+	}
+	return n
 }
 
-// recycle makes the slabs keep their chunks, for Reclaim.
+// recycle makes the slabs keep their chunks, for Rewind.
 func (a *Arena) recycle() {
 	a.instrs.Recycle()
 	a.nodes.Recycle()
@@ -104,73 +137,6 @@ func (a *Arena) recycle() {
 	a.preds.Recycle()
 	a.funcs.Recycle()
 	a.types.Recycle()
-}
-
-// Reclaim takes back everything a cursor lent a (OpenVerified,
-// DecodeVerifiedStreamIn) decoded into it, so the next cursor decodes into
-// the same chunks — or, under PoisonRecycled, overwrites it with junk and
-// never hands it out again — and reports whether a is worth keeping
-// (Reusable). The caller vouches that nothing reads the unit's bodies any
-// more, nor pulls through its cursor: no lowered form holds a pointer into
-// a body (DESIGN.md §11), so once the last session on the unit has ended
-// nothing does, and under PoisonRecycled that is checked instead of
-// trusted.
-func (a *Arena) Reclaim() bool {
-	if a.src != nil {
-		a.src.r = nil // the stream read last, which the arena must not pin
-	}
-	if poisonRecycled {
-		a.poison()
-		return a.Reusable()
-	}
-	a.instrs.Rewind()
-	a.nodes.Rewind()
-	a.blocks.Rewind()
-	a.args.Rewind()
-	a.instrVec.Rewind()
-	a.nodeVec.Rewind()
-	a.blockVec.Rewind()
-	a.preds.Rewind()
-	a.funcs.Rewind()
-	a.types.Rewind()
-	for i := range a.sites[:a.nsites] {
-		s := &a.sites[i]
-		if len(s.edge) > maxKeptPlanes {
-			*s = siteMaps{} // made again when asked: clearing costs capacity
-		} else {
-			clear(s.edge)
-			clear(s.handler)
-		}
-	}
-	a.nsites = 0
-	return a.Reusable()
-}
-
-// poisonRecycled switches Reclaim to poison (see PoisonRecycled).
-var poisonRecycled bool
-
-// PoisonRecycled switches every arena's Reclaim to its checking form while
-// on is set: a unit's memory is overwritten with junk once it is reclaimed
-// and is never handed out again, so a consumer that kept any pointer into
-// a body reads junk — an instruction with no opcode, a block numbered -1,
-// a value far out of range — and its results diverge from a run without
-// it. It is a test hook (the run doors' parity sweeps run with it on); it
-// may only be switched while no cursor is decoding.
-func PoisonRecycled(on bool) { poisonRecycled = on }
-
-// poison is Reclaim's checking form.
-func (a *Arena) poison() {
-	a.instrs.Discard(core.JunkInstr)
-	a.nodes.Discard(core.JunkNode)
-	a.blocks.Discard(core.JunkBlock)
-	a.args.Discard(core.JunkValue)
-	a.instrVec.Discard(nil)
-	a.nodeVec.Discard(nil)
-	a.blockVec.Discard(nil)
-	a.preds.Discard(core.Pred{})
-	a.funcs.Discard(core.Func{Name: "recycled body", Method: -1})
-	a.types.Discard(core.NoType)
-	a.sites, a.nsites = nil, 0
 }
 
 // dropScratch lets go of the per-function state once a cursor with an

@@ -125,19 +125,19 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestArenaReusableBound: an arena a unit made hold more than maxKeptArena
-// elements is not worth keeping for another unit, and reclaiming it does
-// not make it so: its chunks are kept, and its lender drops it instead of
-// pooling it.
+// TestArenaReusableBound: an arena a unit made hold more than
+// core.MaxUnitArenaBytes is not worth keeping for another unit, and
+// rewinding it does not make it so: its chunks are kept, and its stock
+// drops it instead of keeping it.
 func TestArenaReusableBound(t *testing.T) {
 	var a Arena
 	a.recycle()
 	a.instrs.Take(1000)
-	if !a.Reclaim() {
-		t.Fatal("an arena that held 1000 instructions is not reusable")
+	if n := a.Rewind(); n > core.MaxUnitArenaBytes {
+		t.Fatalf("an arena that held 1000 instructions holds %d B, over the cap", n)
 	}
-	a.args.Take(maxKeptArena + 1)
-	if a.Reclaim() {
-		t.Fatalf("an arena holding %d operands is reusable", maxKeptArena+1)
+	a.args.Take(core.MaxUnitArenaBytes/4 + 1)
+	if n := a.Rewind(); n <= core.MaxUnitArenaBytes {
+		t.Fatalf("an arena holding %d operands holds %d B, within the cap", core.MaxUnitArenaBytes/4+1, n)
 	}
 }

@@ -63,8 +63,8 @@ func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (*StreamingUnit, error) 
 // DecodeVerifiedStreamIn is DecodeVerifiedStream into memory the caller
 // lends: the bodies, a v2 stream's adaptive model, the per-function scratch
 // and the read buffer are carved from a (nil: an arena of the cursor's
-// own), as OpenVerified carves them. a must be new or reclaimed, and is the
-// unit's until the caller reclaims it (Arena.Reclaim), once nothing reads
+// own), as OpenVerified carves them. a must be new or rewound, and is the
+// unit's until the caller rewinds it (Arena.Rewind), once nothing reads
 // the unit's bodies or pulls through the cursor any more.
 func DecodeVerifiedStreamIn(r io.Reader, o DecodeOptions, a *Arena) (*StreamingUnit, error) {
 	var src *byteSource
@@ -95,8 +95,8 @@ func DecodeVerifiedStreamIn(r io.Reader, o DecodeOptions, a *Arena) (*StreamingU
 //
 // The bodies, a v2 stream's adaptive model and the per-function scratch
 // are carved from a, which the cursor is lent for as long as the unit
-// lives (nil: an arena of the cursor's own): a must be new or reclaimed
-// (Arena.Reclaim), and is the unit's until the caller reclaims it, once
+// lives (nil: an arena of the cursor's own): a must be new or rewound
+// (Arena.Rewind), and is the unit's until the caller rewinds it, once
 // nothing reads the unit's bodies or pulls through the cursor any more.
 func OpenVerified(data []byte, a *Arena) (*StreamingUnit, error) {
 	return openUnit(bytes.NewReader(data), DecodeOptions{}, a, false, true)

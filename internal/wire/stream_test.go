@@ -456,7 +456,7 @@ func TestCursorRetiresAtTheLastBody(t *testing.T) {
 }
 
 // TestLentStreamAdmitsEachBody: a stream cursor lent an arena — one
-// arena, reclaimed between units, serving every corpus unit in turn —
+// arena, rewound between units, serving every corpus unit in turn —
 // admits every body in order, each the body a whole-unit decode gives, and
 // counts them. Damaged from the start of a middle body k on, it admits
 // exactly the k bodies before it and latches: it reports the rejection
@@ -483,7 +483,7 @@ func TestLentStreamAdmitsEachBody(t *testing.T) {
 				t.Fatalf("%s %s: %v; ready %d, %d instructions; want %d bodies, %d instructions",
 					u.Name, version, err, su.Ready(), su.Mod.NumInstrs(), len(whole.Funcs), whole.NumInstrs())
 			}
-			a.Reclaim()
+			a.Rewind()
 
 			// Damage from the start of a middle body on: the bodies before
 			// it are admitted, it and the rest are not.
@@ -506,7 +506,7 @@ func TestLentStreamAdmitsEachBody(t *testing.T) {
 			if got := su.WaitFunc(k); got == nil || got.Error() != err.Error() || su.Wait() == nil || su.Ready() != k {
 				t.Fatalf("%s %s: after the rejection, WaitFunc said %v and Wait %v, ready %d; want %v", u.Name, version, got, su.Wait(), su.Ready(), err)
 			}
-			a.Reclaim()
+			a.Rewind()
 		}
 	}
 }
@@ -544,16 +544,17 @@ func TestClaimedIndexGrowsNothing(t *testing.T) {
 
 // TestLentArenaDecodesWhatDecodeModuleDoes: a cursor over memory decodes
 // into the arena it is lent, which the unit before it used and gave back
-// (Arena.Reclaim) — rewound, or poisoned and forgotten. Pulled body by body,
+// (Arena.Rewind) — rewound, or poisoned and forgotten. Pulled body by body,
 // every corpus unit in both wire versions must be the module DecodeModule
 // gives: its canonical re-encoding is byte-identical, so nothing the
 // earlier unit left in the chunks, the scratch, the model or the site maps
-// reaches the later one.
+// reaches the later one. No corpus unit may leave its arena holding more
+// than core.MaxUnitArenaBytes (-v logs the most one left).
 func TestLentArenaDecodesWhatDecodeModuleDoes(t *testing.T) {
-	t.Cleanup(func() { wire.PoisonRecycled(false) })
+	t.Cleanup(func() { core.PoisonRecycled(false) })
 	for _, poison := range []bool{false, true} {
-		wire.PoisonRecycled(poison)
-		a := new(wire.Arena)
+		core.PoisonRecycled(poison)
+		a, most := new(wire.Arena), 0
 		for _, u := range corpus.Units() {
 			mod := corpusO2(t, u)
 			for _, version := range []string{"v1", "v2"} {
@@ -576,13 +577,16 @@ func TestLentArenaDecodesWhatDecodeModuleDoes(t *testing.T) {
 					}
 				}
 				if !bytes.Equal(encode(su.Mod), encode(whole)) {
-					t.Errorf("%s %s poison %v: the module decoded into a reclaimed arena re-encodes differently",
+					t.Errorf("%s %s poison %v: the module decoded into a rewound arena re-encodes differently",
 						u.Name, version, poison)
 				}
-				if !a.Reclaim() {
-					t.Fatalf("%s %s: a corpus unit made its arena too large to keep", u.Name, version)
+				held := a.Rewind()
+				if held > core.MaxUnitArenaBytes {
+					t.Fatalf("%s %s: a corpus unit left its arena holding %d B, over the cap", u.Name, version, held)
 				}
+				most = max(most, held)
 			}
 		}
+		t.Logf("poison %v: a corpus unit left its arena holding at most %d B", poison, most)
 	}
 }
