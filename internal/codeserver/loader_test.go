@@ -16,7 +16,7 @@ import (
 // back to a stock — a unit arena, a released session heap, a compile
 // arena — is overwritten with junk first, and a slab's chunks are never
 // handed out again, so whatever still reads one diverges.
-func poisonRecycled(t *testing.T) {
+func poisonRecycled(t testing.TB) {
 	core.PoisonRecycled(true)
 	t.Cleanup(func() { core.PoisonRecycled(false) })
 }

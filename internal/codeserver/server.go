@@ -226,19 +226,20 @@ func (s *Server) ResolveOptions(opts Options) Options {
 }
 
 // readCompileRequest reads the body of one compile request (the public
-// POST /compile and the fleet's peer hop share the shape): bounded by
-// Config.MaxSourceBytes, scanned into its source set, options resolved,
-// content address computed. On failure it has written the error response
-// and reports false.
-func (s *Server) readCompileRequest(ctx context.Context, w http.ResponseWriter, r *http.Request) (k Key, src SourceSet, opts Options, ok bool) {
+// POST /compile and the fleet's peer hop share the shape) into m: bounded
+// by Config.MaxSourceBytes, scanned into its source set, options resolved,
+// content address computed. The source set is a view of m. On failure it
+// has written the error response and reports false.
+func (s *Server) readCompileRequest(ctx context.Context, w http.ResponseWriter, r *http.Request, m *requestMem) (k Key, src SourceSet, opts Options, ok bool) {
 	_, sp := obs.Start(ctx, "read")
-	body, err := readBody(r.Body, r.ContentLength, s.cfg.MaxSourceBytes)
+	var err error
+	m.body, err = readBody(m.body, r.Body, r.ContentLength, s.cfg.MaxSourceBytes)
 	sp.End()
 	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxSourceBytes {
+	if int64(len(m.body)) > s.cfg.MaxSourceBytes {
 		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 			Error: fmt.Sprintf("source set exceeds %d bytes", s.cfg.MaxSourceBytes),
 			Kind:  "parse",
@@ -247,7 +248,7 @@ func (s *Server) readCompileRequest(ctx context.Context, w http.ResponseWriter, 
 	}
 	_, sp = obs.Start(ctx, "key")
 	defer sp.End()
-	if src, opts, err = parseCompileRequest(body); err != nil {
+	if src, opts, err = parseCompileRequest(m); err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: "bad request body: " + err.Error(), Kind: "parse"})
 		return
@@ -259,19 +260,25 @@ func (s *Server) readCompileRequest(ctx context.Context, w http.ResponseWriter, 
 // CompileFunc is the compile step behind a compile route: the unit for a
 // source set, and whether it was served from cache. opts are resolved and
 // k is src.Key(opts) — CompileHandler computes it once for whoever needs
-// it, the store or the fleet's ring.
+// it, the store or the fleet's ring. src is valid only until the function
+// returns: its views are into request memory the handler then gives back,
+// so a step that keeps the sources copies them first (SourceSet.Files).
 type CompileFunc func(ctx context.Context, k Key, src SourceSet, opts Options) (*Unit, bool, error)
 
 // CompileHandler is the HTTP door of a compile route, the public one and
 // the fleet's alike: one compile trace around reading the request (read),
 // scanning and hashing it (key), the compile step (whatever spans it
 // opens) and the answer (respond). A request turned away before the
-// compile step leaves a trace that ends where it was refused.
+// compile step leaves a trace that ends where it was refused. The body is
+// read into memory borrowed from requestBodies and given back once the
+// answer is written.
 func (s *Server) CompileHandler(compile CompileFunc, respond func(w http.ResponseWriter, u *Unit, opts Options, cached bool)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, tr := s.tracer.StartTrace(r.Context(), "compile")
 		defer tr.Finish()
-		k, src, opts, ok := s.readCompileRequest(ctx, w, r)
+		m := requestBodies.Take()
+		defer requestBodies.Give(m)
+		k, src, opts, ok := s.readCompileRequest(ctx, w, r, m)
 		if !ok {
 			return
 		}
@@ -547,24 +554,28 @@ const MaxUnitBytes = 64 << 20
 // decoding the tail (see tail): those bytes were admitted whole once, so
 // the store's record is the tail's verdict.
 func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOptions) (RunStreamResult, error) {
+	m := requestBodies.Take()
+	defer requestBodies.Give(m)
+	return s.runStream(ctx, body, opts, m)
+}
+
+// runStream is RunUnitStream with the body teed into m.body.
+func (s *Server) runStream(ctx context.Context, body io.Reader, opts RunOptions, m *requestMem) (RunStreamResult, error) {
 	sess, err := s.newSession(ctx, "run_stream", opts)
 	if err != nil {
 		return RunStreamResult{}, err
 	}
 	defer sess.release()
-	mem := streamBodies.Take()
-	defer streamBodies.Give(mem)
 	// Given back on the way out, when every path below has finished the
 	// session it began: nothing reads the unit's bodies after that.
 	a := unitArenas.Take()
 	defer unitArenas.Give(a)
 
-	// The body is teed into a buffer as the cursor consumes it, so the bytes
-	// the decoder admitted — and only those — can be cached afterwards. The
+	// The body is teed into m as the cursor consumes it, so the bytes the
+	// decoder admitted — and only those — can be cached afterwards. The
 	// cursor reads through src, which tail re-points once the guest returns.
-	buf := &mem.body
 	lim := io.LimitReader(body, MaxUnitBytes+1)
-	src := &streamSource{r: io.TeeReader(lim, buf)}
+	src := &streamSource{r: io.TeeReader(lim, m)}
 
 	var su *wire.StreamingUnit
 	var l *interp.Loader
@@ -579,7 +590,7 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 			runErr = l.RunMain()
 		}
 		var tailErr error
-		k, resident, tailErr = s.tail(ctx, su, src, lim, buf)
+		k, resident, tailErr = s.tail(ctx, su, src, lim, m)
 		return verdict(runErr, tailErr)
 	})
 	if err != nil {
@@ -606,7 +617,7 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 	// cached and no hash is reported.
 	u, _, _, err := s.store.fill(context.WithoutCancel(sess.ctx), k, func(context.Context) (admitted, error) {
 		// The verdict was nil: every body was admitted.
-		return admitted{wire: bytes.Clone(buf.Bytes()), instrs: su.Mod.NumInstrs()}, nil
+		return admitted{wire: bytes.Clone(m.body), instrs: su.Mod.NumInstrs()}, nil
 	})
 	if err == nil {
 		res.Hash = u.Key.String()
@@ -619,31 +630,8 @@ func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOpti
 // admission, which no bytes can).
 var streamGate = func(su *wire.StreamingUnit) func(int) error { return su.WaitFunc }
 
-// streamMem is what one streaming run reads with and keeps nothing of once
-// it has answered: the buffer the body is teed into. Requests share them
-// through streamBodies, which keeps none whose buffer a body grew past
-// maxKeptBody: one huge body must not pin its memory in the stock.
-type streamMem struct {
-	body bytes.Buffer
-}
-
-var streamBodies = core.NewStock("codeserver.stream_bodies", maxKeptBody, func() *streamMem { return new(streamMem) })
-
-const maxKeptBody = 1 << 20
-
-// Rewind empties the buffer — junk first while core.Poisoning, so that
-// whatever kept a view of the body without copying it reads junk — and
-// reports its capacity.
-func (m *streamMem) Rewind() int {
-	if core.Poisoning() {
-		core.Poison(m.body.Bytes())
-	}
-	m.body.Reset()
-	return m.body.Cap()
-}
-
 // tail decides the part of a streamed unit its guest did not pull. The
-// door reads the rest of the body into buf without decoding it, through
+// door reads the rest of the body into m without decoding it, through
 // the bound the cursor reads through (lim), and keys the whole. When the
 // body was read to its end without an error and the store's memory tier
 // holds those very bytes, they were admitted whole when they entered it,
@@ -658,33 +646,34 @@ func (m *streamMem) Rewind() int {
 // the body or the read's error, so the cursor meets exactly the stream it
 // would have read itself, and su.Wait decides. The key is computed once,
 // by whichever path has the whole body.
-func (s *Server) tail(ctx context.Context, su *wire.StreamingUnit, src *streamSource, lim io.Reader, buf *bytes.Buffer) (k Key, _ *Unit, err error) {
+func (s *Server) tail(ctx context.Context, su *wire.StreamingUnit, src *streamSource, lim io.Reader, m *requestMem) (k Key, _ *Unit, err error) {
 	ctx, sp := obs.Start(ctx, "tail")
 	defer sp.End()
-	at, widest := buf.Len(), s.store.widest.Load() // buf[:at] went through the cursor's source
-	_, rerr := buf.ReadFrom(io.LimitReader(lim, widest+1-int64(at)))
-	whole := rerr == nil && src.err == nil && int64(buf.Len()) <= widest
+	at, widest := len(m.body), s.store.widest.Load() // m.body[:at] went through the cursor's source
+	var rerr error
+	m.body, rerr = readBody(m.body, lim, 0, widest)
+	whole := rerr == nil && src.err == nil && int64(len(m.body)) <= widest
 	if whole {
-		k = KeyForWire(buf.Bytes())
-		if u, ok := s.store.resident(k); ok && bytes.Equal(u.Wire, buf.Bytes()) {
+		k = KeyForWire(m.body)
+		if u, ok := s.store.resident(k); ok && bytes.Equal(u.Wire, m.body) {
 			_, rsp := obs.Start(ctx, "resident")
 			rsp.End()
 			s.m.residentStreams.Add(1)
 			return k, u, nil
 		}
 	}
-	// buf is only ever appended to, so the slice handed to the cursor keeps
-	// its bytes while the tee adds the rest of the body behind them.
-	rest := io.TeeReader(lim, buf)
+	// m.body is only ever appended to, so the slice handed to the cursor
+	// keeps its bytes while the tee adds the rest of the body behind them.
+	rest := io.TeeReader(lim, m)
 	if rerr != nil {
 		rest = errReader{rerr}
 	}
-	src.r = io.MultiReader(bytes.NewReader(buf.Bytes()[at:]), rest)
+	src.r = io.MultiReader(bytes.NewReader(m.body[at:]), rest)
 	_, wsp := obs.Start(ctx, "wait")
 	err = su.Wait()
 	wsp.End()
 	if !whole && err == nil {
-		k = KeyForWire(buf.Bytes())
+		k = KeyForWire(m.body)
 	}
 	return k, nil, err
 }
@@ -835,19 +824,22 @@ func WriteError(w http.ResponseWriter, err error) {
 // CompileHandler): whether the unit is optimized is a fact about what
 // was asked for, the same on every path that can answer.
 func WriteCompileResponse(w http.ResponseWriter, u *Unit, opts Options, cached bool) {
-	WriteJSON(w, http.StatusOK, CompileResponse{
+	m := requestBodies.Take()
+	m.answer = appendCompileResponse(m.answer, &CompileResponse{
 		Hash:         u.Key.String(),
 		Size:         u.Size,
 		Instructions: u.Instrs,
 		Optimized:    opts.Optimize,
 		Cached:       cached,
 	})
+	writeAnswer(w, m.answer)
+	requestBodies.Give(m)
 }
 
 // WriteUnit writes a unit's encoded bytes as the response body.
 func WriteUnit(w http.ResponseWriter, u *Unit) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(u.Wire)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(u.Wire)))
 	_, _ = w.Write(u.Wire)
 }
 
@@ -879,9 +871,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	m := requestBodies.Take()
+	defer requestBodies.Give(m)
 	var req RunRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && err != io.EOF {
+		var err error
+		if req, err = parseRunRequest(m, r.Body, r.ContentLength); err != nil {
 			WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 				Error: "bad request body: " + err.Error(), Kind: "parse"})
 			return
@@ -899,7 +894,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, res)
+	m.answer = appendRunResult(m.answer, &res)
+	writeAnswer(w, m.answer)
 }
 
 // handleRunStream is POST /run-stream: the body is the raw distribution
@@ -923,12 +919,15 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 			*p.dst = n
 		}
 	}
-	res, err := s.RunUnitStream(r.Context(), r.Body, opts)
+	m := requestBodies.Take()
+	defer requestBodies.Give(m)
+	res, err := s.runStream(r.Context(), r.Body, opts, m)
 	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, res)
+	m.answer = appendRunStreamResult(m.answer, &res)
+	writeAnswer(w, m.answer)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -48,8 +48,11 @@ type session struct {
 	out      bytes.Buffer
 	start    time.Time
 	execSpan *obs.Span
-	runCtx   context.Context
-	cancels  []context.CancelFunc
+	// runCtx is the guest's interrupt: cancelled by stop, by the drain
+	// (stopDrain undoes that wiring), or at the run deadline.
+	runCtx    context.Context
+	stop      context.CancelFunc
+	stopDrain func() bool
 }
 
 // errRunTimeout is the cancellation cause that tells the wall-clock
@@ -93,15 +96,13 @@ func (ss *session) begin() *rt.Env {
 	s.m.runsInFlight.Add(1)
 	_, ss.execSpan = obs.Start(ss.ctx, "exec")
 	ss.start = time.Now()
-	runCtx, cancel := context.WithCancel(ss.ctx)
-	stopDrain := context.AfterFunc(s.baseCtx, cancel)
-	ss.cancels = append(ss.cancels, cancel, func() { stopDrain() })
 	if s.cfg.RunTimeout > 0 {
-		runCtx, cancel = context.WithTimeoutCause(runCtx, s.cfg.RunTimeout, errRunTimeout)
-		ss.cancels = append(ss.cancels, cancel)
+		ss.runCtx, ss.stop = context.WithTimeoutCause(ss.ctx, s.cfg.RunTimeout, errRunTimeout)
+	} else {
+		ss.runCtx, ss.stop = context.WithCancel(ss.ctx)
 	}
-	ss.runCtx = runCtx
-	ss.env = rt.NewEnv(&ss.out, ss.budget, runCtx.Done())
+	ss.stopDrain = context.AfterFunc(s.baseCtx, ss.stop)
+	ss.env = rt.NewEnv(&ss.out, ss.budget, ss.runCtx.Done())
 	return ss.env
 }
 
@@ -152,8 +153,9 @@ func (ss *session) finish(l *interp.Loader, err error) RunResult {
 // tenant its slot back; it runs on every path out of a run, begun or
 // not.
 func (ss *session) release() {
-	for _, cancel := range ss.cancels {
-		cancel()
+	if ss.stop != nil {
+		ss.stopDrain()
+		ss.stop()
 	}
 	ss.tr.Finish()
 	ss.tc.inFlight.Add(-1)

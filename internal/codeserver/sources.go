@@ -9,6 +9,9 @@ import (
 	"math/bits"
 	"slices"
 	"unicode/utf8"
+	"unsafe"
+
+	"safetsa/internal/core"
 )
 
 // SourceSet is a compile request's sources: (name, text) pairs sorted by
@@ -90,16 +93,17 @@ func (ss SourceSet) sort() bool {
 	return true
 }
 
-// parseCompileRequest turns a /compile body into its source set and the
-// options it asks for. encoding/json is the reference parser and the only
-// source of an error; scanCompileRequest is a fast spelling of its common
-// case, and whatever that declines goes to the reference unchanged.
-func parseCompileRequest(body []byte) (SourceSet, Options, error) {
-	if ss, opts, ok := scanCompileRequest(body); ok {
+// parseCompileRequest turns the /compile body in m into its source set and
+// the options it asks for. encoding/json is the reference parser and the
+// only source of an error; scanCompileRequest is a fast spelling of its
+// common case, and whatever that declines goes to the reference unchanged.
+// The set is valid while m is: its views point into m.
+func parseCompileRequest(m *requestMem) (SourceSet, Options, error) {
+	if ss, opts, ok := scanCompileRequest(m.body, m); ok {
 		return ss, opts, nil
 	}
 	var req CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(m.body, &req); err != nil {
 		return SourceSet{}, Options{}, err
 	}
 	return SourcesOf(req.Files), Options{Optimize: req.Optimize, ModuleOpt: req.ModuleOpt}, nil
@@ -121,18 +125,14 @@ func parseCompileRequest(body []byte) (SourceSet, Options, error) {
 //
 // It reads the body once, front to back, with no recursion, and sizes
 // nothing from what the body declares: strings without an escape are
-// views into body, the others are unescaped into one buffer that the
-// bytes they were scanned from always outnumber.
-func scanCompileRequest(body []byte) (SourceSet, Options, bool) {
-	sc := reqScanner{body: body}
-	var ss SourceSet
+// views into body, the others are unescaped into m.text, which the bytes
+// they were scanned from always outnumber, and the views are kept in
+// m.files.
+func scanCompileRequest(body []byte, m *requestMem) (SourceSet, Options, bool) {
+	sc := reqScanner{body: body, buf: m.text[:0]}
+	ss := SourceSet{files: m.files[:0]}
 	var opts Options
 	var seen [3]bool // files, optimize, module_opt: each at most once
-	once := func(i int) bool {
-		dup := seen[i]
-		seen[i] = true
-		return !dup
-	}
 	file := func() bool {
 		name, ok := sc.str()
 		if !ok || !sc.open(':') {
@@ -151,27 +151,81 @@ func scanCompileRequest(body []byte) (SourceSet, Options, bool) {
 		}
 		switch string(member) {
 		case "files":
-			return once(0) && sc.object(file)
+			return once(&seen[0]) && sc.object(file)
 		case "optimize":
-			return once(1) && sc.flag(&opts.Optimize)
+			return once(&seen[1]) && sc.flag(&opts.Optimize)
 		case "module_opt":
-			return once(2) && sc.flag(&opts.ModuleOpt)
+			return once(&seen[2]) && sc.flag(&opts.ModuleOpt)
 		}
 		return false
 	})
-	sc.space()
-	return ss, opts, shaped && sc.pos == len(body) && ss.sort()
+	m.text, m.files = sc.buf, ss.files
+	return ss, opts, sc.end(shaped) && ss.sort()
 }
 
-// reqScanner is scanCompileRequest's cursor over the body.
+// scanRunRequest recognises a /run body in the canonical shape,
+//
+//	{"max_steps":int,"max_allocs":int,"tenant":string}
+//
+// with every member optional, in any order and at most once, JSON
+// whitespace between tokens, integers that fit an int64 written without
+// fraction or exponent, the tenant a string as scanCompileRequest reads
+// one, and nothing after the closing brace. On those bodies the reference,
+// a json.Decoder, yields the same request (FuzzRunRequest holds the two
+// together). It declines every shape the Decoder reads differently from a
+// plain reading — bytes after the first value, which it ignores; a member
+// named in other case, which it matches; an unknown member, which it
+// skips; null — and whatever the Decoder refuses, so that the reference
+// decides all of them. The tenant is unescaped into m.text when it has to
+// be.
+func scanRunRequest(body []byte, m *requestMem) (RunRequest, bool) {
+	sc := reqScanner{body: body, buf: m.text[:0]}
+	var req RunRequest
+	var seen [3]bool // max_steps, max_allocs, tenant
+	shaped := sc.object(func() bool {
+		member, ok := sc.str()
+		if !ok || !sc.open(':') {
+			return false
+		}
+		switch string(member) {
+		case "max_steps":
+			return once(&seen[0]) && sc.integer(&req.MaxSteps)
+		case "max_allocs":
+			return once(&seen[1]) && sc.integer(&req.MaxAllocs)
+		case "tenant":
+			tenant, ok := sc.str()
+			req.Tenant = string(tenant)
+			return once(&seen[2]) && ok
+		}
+		return false
+	})
+	m.text = sc.buf
+	return req, sc.end(shaped)
+}
+
+// once marks a member seen and reports whether it was not before.
+func once(seen *bool) bool {
+	dup := *seen
+	*seen = true
+	return !dup
+}
+
+// reqScanner is the request scanners' cursor over a body.
 type reqScanner struct {
 	body []byte
 	pos  int
-	// buf holds the text of every string that needed unescaping. It is
-	// allocated at the first such string with room for the rest of the
-	// body, which no unescaping can outgrow: every escape is longer than
-	// what it stands for.
+	// buf holds the text of every string that needed unescaping. At the
+	// first such string it is given room for the rest of the body, which
+	// no unescaping can outgrow: every escape is longer than what it
+	// stands for.
 	buf []byte
+}
+
+// end reports whether a body whose value scanned as shaped holds nothing
+// after it but whitespace.
+func (sc *reqScanner) end(shaped bool) bool {
+	sc.space()
+	return shaped && sc.pos == len(sc.body)
 }
 
 func (sc *reqScanner) space() {
@@ -230,6 +284,46 @@ func (sc *reqScanner) flag(dst *bool) bool {
 	return true
 }
 
+// integer skips whitespace and scans an integer that fits an int64 into dst:
+// an optional minus, then 0 or a digit run without a leading zero. A
+// fraction, an exponent or more than 19 digits is declined, and the
+// reference decides.
+func (sc *reqScanner) integer(dst *int64) bool {
+	sc.space()
+	b := sc.body[sc.pos:]
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	n := 0
+	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
+		n++
+	}
+	if n == 0 || n > 19 || (b[0] == '0' && n > 1) {
+		return false
+	}
+	if n < len(b) && (b[n] == '.' || b[n] == 'e' || b[n] == 'E') {
+		return false
+	}
+	var u uint64 // 19 digits fit
+	for _, c := range b[:n] {
+		u = u*10 + uint64(c-'0')
+	}
+	switch {
+	case neg && u <= 1<<63:
+		*dst = int64(-u)
+	case !neg && u < 1<<63:
+		*dst = int64(u)
+	default:
+		return false
+	}
+	if neg {
+		n++
+	}
+	sc.pos += n
+	return true
+}
+
 // str skips whitespace and scans one string, returning its text.
 func (sc *reqScanner) str() ([]byte, bool) {
 	if !sc.open('"') {
@@ -252,9 +346,7 @@ func (sc *reqScanner) str() ([]byte, bool) {
 			sc.buf = append(sc.buf, b[start:i]...)
 			return sc.buf[out:len(sc.buf):len(sc.buf)], true
 		case c == '\\':
-			if sc.buf == nil {
-				sc.buf = make([]byte, 0, len(b)-start)
-			}
+			sc.buf = room(sc.buf, len(b)-start) // only the first escape finds too little
 			if out < 0 {
 				out = len(sc.buf)
 			}
@@ -355,12 +447,14 @@ func (sc *reqScanner) unescape(b []byte) int {
 // bodyPresize caps the capacity a request body's buffer starts with.
 const bodyPresize = 64 << 10
 
-// readBody reads r to its end or to limit+1 bytes, whichever comes first.
-// The buffer grows with the bytes received: declared, the length the
-// request's header announces, only picks the starting capacity, and never
-// one above bodyPresize — a header may declare 8 MiB and deliver one byte.
-func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
-	buf := make([]byte, 0, min(max(declared, 511), limit, bodyPresize)+1)
+// readBody appends what r sends to buf until r ends or buf holds limit+1
+// bytes, whichever comes first, and returns buf with what it read even
+// when the read failed. The buffer grows with the bytes received:
+// declared, the length the request's header announces, only picks the room
+// made before the first read, and never more than bodyPresize — a header
+// may declare 8 MiB and deliver one byte.
+func readBody(buf []byte, r io.Reader, declared, limit int64) ([]byte, error) {
+	buf = room(buf, int(min(max(declared, 511), limit, bodyPresize)+1))
 	for int64(len(buf)) <= limit {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -371,8 +465,86 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 	}
 	return buf, nil
+}
+
+// room returns buf with room for n more bytes, in a buffer made to measure
+// when it has less.
+func room(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) < n {
+		buf = append(make([]byte, 0, len(buf)+n), buf...)
+	}
+	return buf
+}
+
+// requestMem is what one request to a hot door reads its body into and
+// writes its 200 answer from, and keeps nothing of once it has answered.
+// Requests share them through requestBodies, which keeps none that a
+// request grew past maxKeptRequest: one huge body must not pin its memory
+// in the stock.
+type requestMem struct {
+	// body is the request body: the JSON of /compile and /run as read, a
+	// /run-stream unit as its cursor consumed it (Write is the tee).
+	body []byte
+	// text holds the request's strings that needed unescaping, and files
+	// a compile body's views into body and text.
+	text  []byte
+	files []sourceFile
+	// answer is the 200 answer, encoded (answer.go).
+	answer []byte
+}
+
+var requestBodies = core.NewStock("codeserver.request_bodies", maxKeptRequest, func() *requestMem { return new(requestMem) })
+
+const maxKeptRequest = 1 << 20
+
+// Write appends p to the body.
+func (m *requestMem) Write(p []byte) (int, error) {
+	m.body = append(m.body, p...)
+	return len(p), nil
+}
+
+// Rewind empties the buffers — junk first while core.Poisoning, so that
+// whatever kept a view of the request without copying it reads junk — and
+// reports what they hold.
+func (m *requestMem) Rewind() int {
+	if core.Poisoning() {
+		core.Poison(m.body)
+		core.Poison(m.text)
+		core.Poison(m.files)
+		core.Poison(m.answer)
+	}
+	m.body, m.text, m.files, m.answer = m.body[:0], m.text[:0], m.files[:0], m.answer[:0]
+	return cap(m.body) + cap(m.text) + cap(m.files)*int(unsafe.Sizeof(sourceFile{})) + cap(m.answer)
+}
+
+// maxRunBody bounds what /run reads of its body, the JSON of a RunRequest.
+const maxRunBody = 1 << 16
+
+// parseRunRequest reads a /run body of at most maxRunBody bytes into m and
+// decodes it. A json.Decoder over those bytes is the reference parser and
+// the only source of an error; scanRunRequest is a fast spelling of its
+// common case, and whatever that declines goes to the reference. The
+// Decoder reads the stream the body gave — the bytes, then the read's
+// error if it failed — and an empty one is the zero request.
+func parseRunRequest(m *requestMem, body io.Reader, declared int64) (RunRequest, error) {
+	var rerr error
+	m.body, rerr = readBody(m.body, body, declared, maxRunBody-1)
+	if rerr == nil {
+		if req, ok := scanRunRequest(m.body, m); ok {
+			return req, nil
+		}
+	}
+	var src io.Reader = bytes.NewReader(m.body)
+	if rerr != nil {
+		src = io.MultiReader(src, errReader{rerr})
+	}
+	var req RunRequest
+	if err := json.NewDecoder(src).Decode(&req); err != nil && err != io.EOF {
+		return RunRequest{}, err
+	}
+	return req, nil
 }
