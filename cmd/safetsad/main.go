@@ -26,10 +26,10 @@
 //	GET  /metrics       Prometheus text format (per-stage latency histograms)
 //	GET  /debug/traces  recent request traces (JSON ring buffer)
 //
-// There is no engine to choose: /run executes the closure-compiled form
-// of the unit, each function lowered when a guest first calls it, and
-// /run-stream the same thunks, each function lowered as the stream brings
-// it. An "engine" field in a run body is ignored.
+// There is no engine to choose: /run executes the compiled form of the
+// unit, each function lowered when a guest first calls it, and
+// /run-stream the same lowered code, each function lowered as the stream
+// brings it. An "engine" field in a run body is ignored.
 //
 // Every run is budgeted unless the operator says otherwise: -maxsteps
 // (default 50 000 000) and -maxallocs (default 64<<20, the budget the

@@ -5,8 +5,7 @@
 //
 //	safetsarun [-maxsteps N] [-engine compiled|reference] unit.tsa
 //
-// The default engine is the closure-threaded compiled form, the one
-// safetsad serves; -engine=reference selects the direct CST evaluator,
+// The default engine is the compiled form, the one safetsad serves; -engine=reference selects the direct CST evaluator,
 // the executable semantics the compiled engine is tested against.
 package main
 
@@ -23,7 +22,7 @@ import (
 func main() {
 	maxSteps := flag.Int64("maxsteps", 0, "abort after this many executed instructions (0 = unlimited)")
 	engine := flag.String("engine", driver.EngineCompiled,
-		"execution engine: compiled (closure-threaded, what safetsad serves) or reference (CST evaluator)")
+		"execution engine: compiled (what safetsad serves) or reference (CST evaluator)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: safetsarun [-maxsteps N] [-engine compiled|reference] unit.tsa")

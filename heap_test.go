@@ -150,37 +150,41 @@ func TestWarmArenaCompileByteCeiling(t *testing.T) {
 
 // coldRunCeilings is what one cold run of a corpus unit through
 // Server.RunUnitOpts may allocate (coldRunner): measured on this tree,
-// plus 10 %. The parent tree, whose loader decoded every cold load's
-// bodies into fresh memory that the collector took back, allocated about
-// four times as much (BenchmarkColdRun B/op, recorded in CHANGES.md).
+// plus 10 %. A cold run decodes its bodies and lowers its code into a
+// unit's memory another unit gave back, so what is left is its tables,
+// its form, its session and the pool's snapshot. The tree before lowered
+// code was carved from that memory, when every lowered instruction was a
+// closure on the heap, allocated two to three times as much
+// (BenchmarkColdRun B/op, recorded in CHANGES.md).
 var coldRunCeilings = map[string]uint64{
-	"BatchEnvironment":        67320 * 11 / 10,
-	"BatchParser":             39096 * 11 / 10,
-	"CompilerMember":          20664 * 11 / 10,
-	"ErrorMessage":            22728 * 11 / 10,
-	"Main":                    64576 * 11 / 10,
-	"SourceClass":             76160 * 11 / 10,
-	"SourceMember":            57776 * 11 / 10,
-	"AmbiguousClass":          19096 * 11 / 10,
-	"AmbiguousMember":         22168 * 11 / 10,
-	"ArrayType":               22728 * 11 / 10,
-	"BinaryAttribute":         31504 * 11 / 10,
-	"BinaryClass":             58976 * 11 / 10,
-	"BinaryCode":              30112 * 11 / 10,
-	"Parser":                  61168 * 11 / 10,
-	"Scanner":                 41600 * 11 / 10,
-	"BigDecimal":              33432 * 11 / 10,
-	"BigInteger":              61440 * 11 / 10,
-	"BitSieve":                26128 * 11 / 10,
-	"MutableBigInteger":       51184 * 11 / 10,
-	"SignedMutableBigInteger": 40864 * 11 / 10,
-	"Linpack":                 48488 * 11 / 10,
+	"BatchEnvironment":        25376 * 11 / 10,
+	"BatchParser":             23952 * 11 / 10,
+	"CompilerMember":          16584 * 11 / 10,
+	"ErrorMessage":            18008 * 11 / 10,
+	"Main":                    24720 * 11 / 10,
+	"SourceClass":             25208 * 11 / 10,
+	"SourceMember":            24536 * 11 / 10,
+	"AmbiguousClass":          16424 * 11 / 10,
+	"AmbiguousMember":         18016 * 11 / 10,
+	"ArrayType":               18048 * 11 / 10,
+	"BinaryAttribute":         19912 * 11 / 10,
+	"BinaryClass":             27872 * 11 / 10,
+	"BinaryCode":              20568 * 11 / 10,
+	"Parser":                  29568 * 11 / 10,
+	"Scanner":                 22440 * 11 / 10,
+	"BigDecimal":              19744 * 11 / 10,
+	"BigInteger":              25056 * 11 / 10,
+	"BitSieve":                18336 * 11 / 10,
+	"MutableBigInteger":       23376 * 11 / 10,
+	"SignedMutableBigInteger": 23888 * 11 / 10,
+	"Linpack":                 19624 * 11 / 10,
 }
 
 // TestColdRunByteCeiling: a cold run decodes the bodies its guest calls
-// into an arena a unit let go of before it, so what it allocates is its
-// unit's tables, the lowered code, the session and the pool's snapshot —
-// not its bodies (steadyBytes says how it is read).
+// into an arena a unit let go of before it, and lowers them into that
+// unit's code memory, so what it allocates is its unit's tables and form,
+// the session and the pool's snapshot — not its bodies, not its code
+// (steadyBytes says how it is read).
 func TestColdRunByteCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector empties the arena stock at random")

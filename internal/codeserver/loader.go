@@ -14,10 +14,10 @@ import (
 )
 
 // LoadedUnit is an admitted module held by the loader cache, together
-// with its closure-threaded compiled form: the tables of the module, and a
-// form whose bodies are either all present (a module a door handed over,
+// with its compiled form: the tables of the module, and a form whose
+// bodies are either all present (a module a door handed over,
 // interp.Lazy) or still behind a cursor over the unit's resident bytes
-// (interp.Pulled).
+// (interp.PulledIn).
 //
 // Shared-module invariant (see interp.LoadTrusted): Mod and Comp are
 // shared between every concurrent execution session of this unit and
@@ -30,22 +30,23 @@ import (
 // first — no matter how many sessions run it, and a function no session
 // calls is neither.
 //
-// A unit opened over resident bytes decodes its bodies into an arena lent
-// from a process-wide stock (unitArenas), and counts who holds it: the
-// loader cache's entry, every session running on it, fresh or cloned, and
-// the warm-session pool's entry for its snapshot, whose clones can still
-// pull bodies. Each holder acquires the unit and lets go of it once; when
-// the last one lets go the arena is given back to the stock, for the next
-// unit's bodies (DESIGN.md §5). A count that reached zero never revives:
-// acquire on a dead unit fails, and its callers treat that as a miss. A
-// module handed over whole counts its holders the same way, without an
-// arena.
+// A unit opened over resident bytes decodes its bodies into memory lent
+// from a process-wide stock (unitArenas), and carves the code its sessions
+// lower from the same item; it counts who holds it: the loader cache's
+// entry, every session running on it, fresh or cloned, and the
+// warm-session pool's entry for its snapshot, whose clones can still pull
+// and lower bodies. Each holder acquires the unit and lets go of it once;
+// when the last one lets go the memory is given back to the stock, for
+// the next unit's bodies and code (DESIGN.md §5, §11). A count that
+// reached zero never revives: acquire on a dead unit fails, and its
+// callers treat that as a miss. A module handed over whole counts its
+// holders the same way, without lent memory: its form's code is its own.
 type LoadedUnit struct {
 	Mod  *core.Module
 	Comp *interp.Compiled
 
 	refs  atomic.Int64
-	arena *wire.Arena // the bodies' memory; nil for a module handed over whole
+	arena *unitMem // the bodies' and the code's memory; nil for a module handed over whole
 }
 
 // acquire takes one more hold on lu for a new holder, and reports false
@@ -63,9 +64,9 @@ func (lu *LoadedUnit) acquire() bool {
 	}
 }
 
-// letGo ends one holder's hold on lu. The last one gives its arena back to
-// the stock: nothing can read its bodies or pull through its cursor any
-// more, since every reader is a holder.
+// letGo ends one holder's hold on lu. The last one gives its memory back
+// to the stock: nothing can read its bodies, pull through its cursor or
+// run its code any more, since every reader is a holder.
 func (lu *LoadedUnit) letGo() {
 	switch n := lu.refs.Add(-1); {
 	case n < 0:
@@ -77,11 +78,20 @@ func (lu *LoadedUnit) letGo() {
 	}
 }
 
-// unitArenas is the stock of the arenas units decode their bodies into,
-// lent to two borrowers: a loaded unit's cursor over resident bytes, for
-// as long as the unit lives, and a stream door's cursor, for its session
+// unitMem is the memory one unit's run borrows: First is the arena its
+// cursor decodes bodies into, Second the arena the code its sessions lower
+// is carved from. The two travel together because they live exactly as
+// long as each other — as long as anything may pull from the unit or run
+// its code — so one Rewind takes both back under one cap.
+type unitMem = core.Tandem[*wire.Arena, *interp.CodeArena]
+
+func newUnitMem() *unitMem { return &unitMem{First: new(wire.Arena), Second: new(interp.CodeArena)} }
+
+// unitArenas is the stock of unit memory, lent to two borrowers: a loaded
+// unit's cursor over resident bytes and its compiled form, for as long as
+// the unit lives, and a stream door's cursor and session, for the session
 // (RunUnitStream). Give is the one way back.
-var unitArenas = core.NewStock("codeserver.unit_arenas", core.MaxUnitArenaBytes, func() *wire.Arena { return new(wire.Arena) })
+var unitArenas = core.NewStock("codeserver.unit_arenas", core.MaxUnitArenaBytes, newUnitMem)
 
 // LoaderCache is the consumer-side cache: it loads a unit exactly once
 // (lru.fill's singleflight, like the store) and then hands it, with its
@@ -137,10 +147,10 @@ func (c *LoaderCache) GetOrLoad(ctx context.Context, k Key, fetch func(context.C
 // Otherwise the unit was resident as bytes, which the store admitted whole
 // when they entered it; the loader opens a cursor over them that reads
 // the tables and nothing more — the decode stage's one sample at load —
-// and sessions pull the bodies they call (pull) into an arena from the
-// stock. A refused open is one load error and a verify-kind rejection.
-// Nothing is lowered here: sessions lower what they call (interp.Lazy),
-// and account for it (session.finish). The unit is born with two holds:
+// and sessions pull the bodies they call (pull) into memory from the
+// stock, and lower them into the same item. A refused open is one load
+// error and a verify-kind rejection. Nothing is lowered here: sessions
+// lower what they call, and account for it (session.finish). The unit is born with two holds:
 // the cache entry fill makes of it, and the caller that led the load.
 func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Context, Key) (*Unit, *core.Module, error)) (*LoadedUnit, error) {
 	u, mod, err := fetch(ctx, k)
@@ -154,13 +164,13 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Contex
 		lu.Comp = interp.Lazy(mod)
 	} else if err = c.m.timed(ctx, stageDecode, func(context.Context) error {
 		a := unitArenas.Take()
-		su, err := wire.OpenVerified(u.Wire, a)
+		su, err := wire.OpenVerified(u.Wire, a.First)
 		if err != nil {
 			unitArenas.Give(a)
 			return err
 		}
 		lu.arena = a
-		lu.Mod, lu.Comp = su.Mod, interp.Pulled(su.Mod, su.NumFuncs(), c.pull(k, lu, su))
+		lu.Mod, lu.Comp = su.Mod, interp.PulledIn(su.Mod, su.NumFuncs(), c.pull(k, lu, su), a.Second)
 		return nil
 	}); err != nil {
 		c.m.loadErrors.Add(1)

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
+	"safetsa/internal/interp"
+	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
 
@@ -35,7 +38,7 @@ func unitArenaGives() uint64 {
 // count reached zero cannot be acquired again; and letting go of a dead
 // unit is a bug that panics rather than giving the arena back twice.
 func TestLoadedUnitCount(t *testing.T) {
-	lu := &LoadedUnit{arena: new(wire.Arena)}
+	lu := &LoadedUnit{arena: newUnitMem()}
 	lu.refs.Store(2) // as load makes it: the cache entry and the leader
 	before := unitArenaGives()
 	if !lu.acquire() {
@@ -188,6 +191,67 @@ func TestSessionOutlivesItsUnit(t *testing.T) {
 	}
 	if s.m.pulledFuncs.Load() == pulled {
 		t.Error("the guest pulled nothing after its unit was dropped")
+	}
+}
+
+// TestFirstCallsLowerOnce: sixteen sessions make their first calls on one
+// resident unit at once, so they race to lower the same functions into
+// the unit's code memory. The form's lock serialises every lowering, so
+// lowered_functions counts the distinct functions the guest calls,
+// exactly — as many as a streaming session's gate is asked about, once
+// per function called — and every answer is one unpooled run's. Run it
+// under -race.
+func TestFirstCallsLowerOnce(t *testing.T) {
+	poisonRecycled(t)
+	u, ok := corpus.ByName("BatchEnvironment") // its guest calls 11 of its 30 functions
+	if !ok {
+		t.Fatal("corpus unit missing")
+	}
+	ctx := context.Background()
+	cfg := Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, PoolUnits: -1}
+	ref := newTestServer(t, cfg)
+	unit, _, err := ref.CompileUnit(ctx, u.Files, Options{Optimize: true, WireV2: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunUnitOpts(ctx, unit.Key, RunOptions{})
+	if err != nil || !want.OK {
+		t.Fatalf("reference run: %+v, %v", want, err)
+	}
+	su, err := wire.DecodeVerifiedStream(bytes.NewReader(unit.Wire), wire.DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := 0
+	l, err := interp.LoadTrustedStreaming(su.Mod, func(fi int) error { called++; return su.WaitFunc(fi) }, rt.NewEnv(io.Discard, rt.Budget{}, nil))
+	if err == nil {
+		err = l.RunMain()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, cfg)
+	if _, _, err := s.CompileUnit(ctx, u.Files, Options{Optimize: true, WireV2: true}); err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if res, err := s.RunUnitOpts(ctx, unit.Key, RunOptions{}); err != nil || res != want {
+				t.Errorf("session %d: %+v, %v\nunpooled %+v", i, res, err, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := s.Stats(); st.LoweredFunctions != uint64(called) || st.Loads != 1 || st.Runs != sessions {
+		t.Errorf("%d sessions on %d loads lowered %d functions; the guest calls %d", st.Runs, st.Loads, st.LoweredFunctions, called)
 	}
 }
 

@@ -46,8 +46,8 @@ type Metrics struct {
 	loadErrors  atomic.Uint64
 	loaderEvict atomic.Uint64
 	// loweredFuncs counts function bodies run sessions lowered, on both run
-	// doors alike: on a function's first call, including a body that lost
-	// the race to publish (interp.Loader.lower).
+	// doors alike: on a function's first call, once per function of a
+	// form, however many sessions raced to call it (interp.Loader.lower).
 	loweredFuncs atomic.Uint64
 	// pulledFuncs counts function bodies decoded and admitted from a
 	// resident unit's cursor on first call (LoaderCache.pull); each is
@@ -399,7 +399,7 @@ func writePrometheus(w io.Writer, st Stats) {
 	counter("safetsa_load_errors_total", "Units rejected by decode or the verifier.", st.LoadErrors)
 	counter("safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", st.LoaderEvicted)
 	gauge("safetsa_modules_loaded", "Decoded modules resident in the loader cache.", int64(st.ModulesLoaded))
-	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered on first call, on both run doors, lost publication races included.", st.LoweredFunctions)
+	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered on first call, on both run doors.", st.LoweredFunctions)
 	counter("safetsa_pulled_functions_total", "Function bodies run sessions decoded and admitted from a resident unit's bytes on first call.", st.PulledFunctions)
 
 	counter("safetsa_runs_total", "Execution sessions started.", st.Runs)

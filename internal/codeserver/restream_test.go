@@ -34,15 +34,16 @@ func corpusWires(t *testing.T) map[string][]byte {
 var corpusBudget = Config{MaxSteps: 1 << 22, MaxAllocs: 1 << 24}
 
 // restreamByteCeiling is what one re-stream of a resident corpus unit may
-// allocate, averaged over the corpus: measured 66 kB on this tree, plus
-// 10 %. The parent, whose stream door kept every body it admitted in a
-// module of its own and decoded into fresh memory each time, measured
-// 207 kB through the same harness.
-const restreamByteCeiling = 73 << 10
+// allocate, averaged over the corpus: measured 15.4–15.8 kB on this tree,
+// plus 10 %. A tree whose lowered instructions were closures on the heap
+// measured 37–38 kB through the same harness, and one whose stream
+// door kept every body it admitted in a module of its own, decoded into
+// fresh memory each time, 207 kB.
+const restreamByteCeiling = 17 << 10
 
 // TestRestreamByteCeiling: a resident unit streamed again costs the host
-// what its session keeps — tables, lowered code, the guest's heap and
-// output — and not the memory its bodies were decoded into, an arena lent
+// what its session keeps — tables, the guest's heap and output — and not
+// the memory its bodies were decoded into and its code lowered into, lent
 // from the stock and given back after each stream.
 // TotalAlloc is read around ten rounds of the whole corpus, the least of
 // three such readings.

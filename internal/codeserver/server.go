@@ -439,7 +439,7 @@ func (s *Server) RunUnit(ctx context.Context, k Key, maxSteps int64) (RunResult,
 }
 
 // RunUnitOpts executes the unit's main in an isolated session on the
-// closure-compiled form: the module and its compiled form come from the
+// compiled form: the module and its compiled form come from the
 // loader cache, shared by every session of the unit (a session decodes
 // and lowers the functions it calls that no session has called before),
 // while the class metadata, statics, and heap are per-session, so
@@ -539,16 +539,16 @@ const MaxUnitBytes = 64 << 20
 // callable once admitted and lowered. The guest pulls: calling a function
 // that has not arrived reads the body, on the session's own goroutine,
 // exactly as far as that function, and lowers it then
-// (wire.DecodeVerifiedStreamIn + interp.LoadTrustedStreaming) — the rule
-// RunUnitOpts's sessions follow, with the same thunks, into a form of the
-// session's own: this door takes nothing from the loader cache or the pool
-// and leaves nothing in them. The cursor decodes into an arena lent from
-// the stock a resident unit's cursor is lent from (unitArenas), which the
-// door gives back once the session has finished. Any failure anywhere in
-// the stream — truncation, a function the verifier rejects, trailing
-// garbage, a function the guest called that lowering refuses — rejects the
-// whole unit: the response is a verify error and nothing is cached in the
-// store, the loader or the pool. Only after verdict returns nil are the
+// (wire.DecodeVerifiedStreamIn + interp.LoadTrustedStreamingIn) — the
+// rule RunUnitOpts's sessions follow, with the same handlers, into a form
+// of the session's own: this door takes nothing from the loader cache or
+// the pool and leaves nothing in them. The cursor decodes, and the session
+// lowers, into memory lent from the stock a resident unit's is lent from
+// (unitArenas), which the door gives back once the session has finished.
+// Any failure anywhere in the stream — truncation, a function the
+// verifier rejects, trailing garbage, a function the guest called that
+// lowering refuses — rejects the whole unit: the response is a verify
+// error and nothing is cached in the store, the loader or the pool. Only after verdict returns nil are the
 // exact bytes cached under their wire address. A body byte-identical to a
 // unit resident in the store's memory tier is the one exception to
 // decoding the tail (see tail): those bytes were admitted whole once, so
@@ -583,10 +583,10 @@ func (s *Server) runStream(ctx context.Context, body io.Reader, opts RunOptions,
 	var k Key
 	var resident *Unit
 	err = s.m.timed(sess.ctx, stageWireDecodeStream, func(ctx context.Context) (err error) {
-		if su, err = wire.DecodeVerifiedStreamIn(src, wire.DecodeOptions{}, a); err != nil {
+		if su, err = wire.DecodeVerifiedStreamIn(src, wire.DecodeOptions{}, a.First); err != nil {
 			return err
 		}
-		if l, runErr = interp.LoadTrustedStreaming(su.Mod, streamGate(su), sess.begin()); runErr == nil {
+		if l, runErr = interp.LoadTrustedStreamingIn(su.Mod, streamGate(su), sess.begin(), a.Second); runErr == nil {
 			runErr = l.RunMain()
 		}
 		var tailErr error

@@ -17,6 +17,17 @@ import (
 // holds. The caller vouches that nothing taken before is used after.
 type Rewinder interface{ Rewind() (heldBytes int) }
 
+// Tandem is two kinds of memory one borrower takes and gives back
+// together: its Rewind rewinds both and reports what both keep, so one
+// stock holds them under one cap.
+type Tandem[A, B Rewinder] struct {
+	First  A
+	Second B
+}
+
+// Rewind rewinds both halves.
+func (t *Tandem[A, B]) Rewind() int { return t.First.Rewind() + t.Second.Rewind() }
+
 // Stock is a process-wide stock of one kind of recyclable memory. Take
 // lends a kept item or a fresh one; Give rewinds it and keeps it only
 // while it then holds at most the stock's byte cap, leaving a larger one
@@ -110,14 +121,22 @@ func Poison[T any](v []T) {
 
 const junkValue = ValueID(math.MaxInt32)
 
+// Junker is memory of a package core does not know whose junk is not its
+// zero value: Junk overwrites the receiver with it.
+type Junker interface{ Junk() }
+
 // junk is what poisoned memory of type T holds: an instruction with no
 // opcode, a tree node of no kind, a block numbered -1, a value far out of
-// range, a body no module declares, true, 0xA5. A reader that kept a
-// pointer into recycled memory goes wrong on these where it might not on
-// zeroes. Any other type's junk is its zero value, whose readers fail on
-// the nil pointers and empty names they find.
+// range, a body no module declares, true, 0xA5, and a Junker's own junk —
+// for lowered code, a record whose handler panics "recycled code
+// executed". A reader that kept a pointer into recycled memory goes wrong
+// on these where it might not on zeroes. Any other type's junk is its
+// zero value, whose readers fail on the nil pointers and empty names they
+// find.
 func junk[T any]() (j T) {
 	switch p := any(&j).(type) {
+	case Junker:
+		p.Junk()
 	case *Instr:
 		*p = Instr{ID: junkValue, Op: Op(NumOps), Bind: junkValue, Aux: -1, Field: -1, Method: -1}
 	case *CSTNode:

@@ -18,67 +18,75 @@ import (
 
 // lowerAllocCeiling is the committed allocation budget of one
 // interp.Prepare call per corpus unit (O2, decoded from wire v2): what
-// the tree that set it measured plus 10 %; the comments are this tree's
-// counts, two higher for a unit with phis, whose lowering sequences them
-// through two scratch buffers. The count is exact for a given tree.
+// the tree that set it measured plus 10 %, or the ceiling it replaced
+// where that was lower. A prepared function keeps its
+// code, operand vectors, move sets and raise sites in memory of its own;
+// the lowerer's buffers, pending-jump lists included, are reused from one
+// function to the next. The count is exact for a given tree.
 var lowerAllocCeiling = map[string]float64{
-	"BatchEnvironment":        467, // measured 426
-	"BatchParser":             97,  // measured 90
-	"CompilerMember":          27,  // measured 24
-	"ErrorMessage":            25,  // measured 24
-	"Main":                    328, // measured 300
-	"SourceClass":             445, // measured 406
-	"SourceMember":            328, // measured 300
+	"BatchEnvironment":        149, // measured 135
+	"BatchParser":             61,  // measured 55
+	"CompilerMember":          22,  // measured 20
+	"ErrorMessage":            25,  // measured 22
+	"Main":                    118, // measured 107
+	"SourceClass":             134, // measured 121
+	"SourceMember":            108, // measured 98
 	"AmbiguousClass":          18,  // measured 16
-	"AmbiguousMember":         30,  // measured 29
-	"ArrayType":               27,  // measured 26
-	"BinaryAttribute":         64,  // measured 60
-	"BinaryClass":             190, // measured 174
-	"BinaryCode":              84,  // measured 78
-	"Parser":                  178, // measured 163
-	"Scanner":                 108, // measured 100
-	"BigDecimal":              74,  // measured 69
-	"BigInteger":              151, // measured 139
-	"BitSieve":                43,  // measured 41
-	"MutableBigInteger":       130, // measured 120
-	"SignedMutableBigInteger": 157, // measured 144
-	"Linpack":                 134, // measured 123
+	"AmbiguousMember":         27,  // measured 24
+	"ArrayType":               27,  // measured 25
+	"BinaryAttribute":         44,  // measured 40
+	"BinaryClass":             82,  // measured 74
+	"BinaryCode":              46,  // measured 41
+	"Parser":                  97,  // measured 88
+	"Scanner":                 47,  // measured 42
+	"BigDecimal":              52,  // measured 47
+	"BigInteger":              65,  // measured 59
+	"BitSieve":                36,  // measured 32
+	"MutableBigInteger":       63,  // measured 57
+	"SignedMutableBigInteger": 76,  // measured 69
+	"Linpack":                 58,  // measured 52
 }
 
 // compileAllocCeiling is the same for one interp.Compile call over the
-// unit's prepared form: the fusing half of lowering, whose count is a
-// closure per prepared instruction plus each function's thunk slice, so a
-// superinstruction must be built instead of a thunk, never beside one.
+// unit's prepared form: the encoding half of lowering, into code memory
+// of the form's own. Its count is the form and its arena's chunks — a
+// chunk per ~128 records and per function longer than that, per kind of
+// side array — so it follows the functions, not the instructions: a
+// pair is a handler chosen for a record, never a record beside one.
 var compileAllocCeiling = map[string]float64{
-	"BatchEnvironment":        3044, // measured 2767
-	"BatchParser":             554,  // measured 503
-	"CompilerMember":          87,   // measured 79
-	"ErrorMessage":            103,  // measured 93
-	"Main":                    2040, // measured 1854
-	"SourceClass":             2831, // measured 2573
-	"SourceMember":            2063, // measured 1875
-	"AmbiguousClass":          44,   // measured 40
-	"AmbiguousMember":         129,  // measured 117
-	"ArrayType":               104,  // measured 94
-	"BinaryAttribute":         327,  // measured 297
-	"BinaryClass":             1209, // measured 1099
-	"BinaryCode":              431,  // measured 391
-	"Parser":                  844,  // measured 767
-	"Scanner":                 501,  // measured 455
-	"BigDecimal":              332,  // measured 301
-	"BigInteger":              836,  // measured 760
-	"BitSieve":                224,  // measured 203
-	"MutableBigInteger":       800,  // measured 727
-	"SignedMutableBigInteger": 832,  // measured 756
-	"Linpack":                 750,  // measured 681
+	"BatchEnvironment":        49, // measured 44
+	"BatchParser":             21, // measured 19
+	"CompilerMember":          10, // measured 9
+	"ErrorMessage":            11, // measured 10
+	"Main":                    38, // measured 34
+	"SourceClass":             51, // measured 46
+	"SourceMember":            39, // measured 35
+	"AmbiguousClass":          8,  // measured 7
+	"AmbiguousMember":         13, // measured 11
+	"ArrayType":               10, // measured 9
+	"BinaryAttribute":         18, // measured 16
+	"BinaryClass":             30, // measured 27
+	"BinaryCode":              19, // measured 17
+	"Parser":                  19, // measured 17
+	"Scanner":                 18, // measured 16
+	"BigDecimal":              16, // measured 14
+	"BigInteger":              22, // measured 20
+	"BitSieve":                13, // measured 11
+	"MutableBigInteger":       20, // measured 18
+	"SignedMutableBigInteger": 22, // measured 20
+	"Linpack":                 24, // measured 21
 }
 
 // TestLowerAllocCeiling is the lowering half of ROADMAP item 1's exact
 // gate: allocations per prepared and per compiled unit against the
-// committed ceilings, and — what the ceilings cannot see — that what a
-// lowered function keeps was sized exactly: no slack behind its code,
-// none left in its arenas.
+// committed ceilings; lowering every function of a unit into code memory
+// a unit before it gave back, as a served session does, allocates
+// nothing at all; and — what the ceilings cannot see — what a lowered
+// function keeps was sized exactly: no slack behind its prepared code,
+// its records or its side arrays, none left in its arenas.
 func TestLowerAllocCeiling(t *testing.T) {
+	var mem interp.CodeArena
+	most := 0
 	for _, u := range corpus.Units() {
 		mod, err := driver.CompileTSASource(u.Files)
 		if err == nil {
@@ -106,14 +114,17 @@ func TestLowerAllocCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var comp *interp.Compiled
 		got = testing.AllocsPerRun(5, func() {
-			if _, err := interp.Compile(mod, prep); err != nil {
+			if comp, err = interp.Compile(mod, prep); err != nil {
 				t.Fatal(err)
 			}
 		})
+		// Compile encodes through a stocked lowerer, which the race
+		// detector's sync.Pool may drop.
 		if ceiling, ok := compileAllocCeiling[u.Name]; !ok {
 			t.Errorf("%s: %.0f allocations per Compile and no committed ceiling", u.Name, got)
-		} else if got > ceiling {
+		} else if got > ceiling && !raceEnabled {
 			t.Errorf("%s: %.0f allocations per Compile, ceiling %.0f", u.Name, got, ceiling)
 		}
 		for _, pf := range prep.Funcs {
@@ -124,7 +135,27 @@ func TestLowerAllocCeiling(t *testing.T) {
 		if args, moves, err := interp.ArenaSlack(mod); err != nil || args != 0 || moves != 0 {
 			t.Errorf("%s: %d operand and %d move slots counted and never used (err %v)", u.Name, args, moves, err)
 		}
+		if records, side := interp.CodeSlack(comp); records != 0 || side != 0 {
+			t.Errorf("%s: %d records and %d side array entries kept and never used", u.Name, records, side)
+		}
+
+		if err := interp.LowerInto(mod, &mem); err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, mem.Rewind())
+		if raceEnabled {
+			continue
+		}
+		if got := testing.AllocsPerRun(5, func() {
+			if err := interp.LowerInto(mod, &mem); err != nil {
+				t.Fatal(err)
+			}
+			mem.Rewind()
+		}); got != 0 {
+			t.Errorf("%s: %.0f allocations lowering every function into recycled code memory", u.Name, got)
+		}
 	}
+	t.Logf("a corpus unit left its code memory holding at most %d B", most)
 }
 
 // throwCatchSrc throws ten frames down and catches at the top, n times.

@@ -4,7 +4,7 @@ import "safetsa/internal/core"
 
 // FusedPairs counts, over a prepared module, the superinstructions the
 // compiled engine builds, by pair: a pc counts only when fuse returned a
-// thunk for it, and its name comes from pairAt, the decision fuse uses.
+// handler for it, and its name comes from pairAt, the decision fuse uses.
 func FusedPairs(prep *Prepared) map[string]int {
 	names := [...]string{
 		backEdgePair:   "jump→loopstep",
@@ -18,7 +18,7 @@ func FusedPairs(prep *Prepared) map[string]int {
 	n := map[string]int{}
 	for _, pf := range prep.Funcs {
 		for pc := range pf.Code {
-			if fuse(pf.Code, pc) == nil {
+			if h, _ := fuse(pf.Code, pc); h == nil {
 				continue
 			}
 			p := pairAt(pf.Code, pc)
@@ -66,4 +66,33 @@ func ArenaSlack(mod *core.Module) (args, moves int, err error) {
 		moves += len(c.moves)
 	}
 	return args, moves, nil
+}
+
+// LowerInto lowers every function of mod into mem, lent as a door lends
+// it, each through a stocked lowerer as a session's first call does.
+func LowerInto(mod *core.Module, mem *CodeArena) error {
+	mem.lend()
+	for _, f := range mod.Funcs {
+		c := lowerers.Take()
+		c.mod, c.nFuncs = mod, len(mod.Funcs)
+		_, err := c.lowerFunc(f, &Lowering{}, mem)
+		lowerers.Give(c)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CodeSlack reports, over the filled slots of c, the records and side
+// array entries kept in room their function never uses.
+func CodeSlack(c *Compiled) (records, side int) {
+	for _, cf := range Slots(c) {
+		if cf != nil {
+			records += cap(cf.Code) - len(cf.Code)
+			side += cap(cf.moves) - len(cf.moves) + cap(cf.args) - len(cf.args) +
+				cap(cf.sites) - len(cf.sites) + cap(cf.strs) - len(cf.strs)
+		}
+	}
+	return records, side
 }

@@ -5,9 +5,9 @@ import (
 	"safetsa/internal/rt"
 )
 
-// This file is the compiled engine's superinstructions: one thunk that
+// This file is the compiled engine's superinstructions: one handler that
 // runs two adjacent prepared instructions, for the pairs the format makes
-// adjacent, and the threading that lets a thunk's fallthrough skip the
+// adjacent, and the threading that lets a record's fallthrough skip the
 // jumps that only move the pc.
 //
 // The pairs are fixed by the format, not by a workload. A getfield or a
@@ -15,15 +15,18 @@ import (
 // indexcheck right before it produced (PAPER.md §1 item 3), every loop
 // test is a compare the branchfalse after it tests, every back edge is a
 // jump to its loop's loopstep (closeLoop), and a body starts with its
-// params and a block with its constants. A fused thunk is the sequential
-// composition of its halves, charge for charge: each half calls Step
-// before its own side effects and raises through craise exactly as it
-// would alone, so a kill, an interrupt or a raise between the halves is
-// the unfused machine's. compileFunc builds it instead of the first
-// half's own thunk, so lowering allocates no closure more; the second
-// half keeps its own thunk for control that enters it directly (a jump
-// target, a handler entry), so no jump-target analysis is needed and no
-// unfused path is kept beside the fused one.
+// params and a block with its constants. A pair is a handler kind, not a
+// record of its own: compileFunc encodes both halves as their own records
+// and then gives the first the pair's handler and the pair's fallthrough,
+// and that handler reads the second half's operands from the record after
+// it (cinst.second). So lowering carves no record more, and the second
+// half keeps its own handler for control that enters it directly (a jump
+// target, a handler entry): no jump-target analysis is needed and no
+// unfused path is kept beside the fused one. A pair's handler is the
+// sequential composition of its halves, charge for charge: each half
+// calls Step before its own side effects and raises through craise
+// exactly as it would alone, so a kill, an interrupt or a raise between
+// the halves is the unfused machine's.
 
 // maxThread bounds the move-free jumps a threaded fallthrough follows.
 const maxThread = 4
@@ -59,8 +62,8 @@ const (
 )
 
 // pairAt is the pair code[pc] starts: the one place the shapes are
-// decided. Of the compares, compareBranch builds a thunk only for the int
-// and reference ones; for any other primitive fuse returns nil.
+// decided. Of the compares, compareBranch has a handler only for the int
+// and reference ones; for any other primitive fuse returns none.
 func pairAt(code []PreparedInst, pc int) pair {
 	in := &code[pc]
 	if in.Op == PJump {
@@ -92,247 +95,203 @@ func pairAt(code []PreparedInst, pc int) pair {
 	return noPair
 }
 
-// fuse is the superinstruction for code[pc] and what follows it, or nil
-// when code[pc] starts no pair.
+// fuse is the handler of the pair code[pc] starts and the pair's
+// fallthrough, or a nil handler when code[pc] starts none.
 //
 // The param pairs run once per call, not per iteration, and still pay:
 // over run_hot_compute's six guests param→const runs 97 554 times and
 // param→param 65 529 — together more than const→const's 128 717, and
-// 2.1 % of the 7.72 M thunk calls the unfused engine makes there.
-func fuse(code []PreparedInst, pc int) cthunk {
+// 2.1 % of the 7.72 M dispatches the unfused engine makes there; with
+// every pair and threading, the engine makes 5.76 M there.
+func fuse(code []PreparedInst, pc int) (handler, int32) {
 	p := pairAt(code, pc)
 	in := &code[pc]
 	switch p {
 	case noPair:
-		return nil
+		return nil, 0
 	case backEdgePair:
-		return backEdge(in.Moves, threaded(code, in.Target+1))
+		next := threaded(code, in.Target+1)
+		switch len(in.Moves) {
+		case 0:
+			return hBackEdge, next
+		case 1:
+			return hBackEdgeMove, next
+		}
+		return hBackEdgeMoves, next
 	}
-	nx := &code[pc+1]
 	next := threaded(code, int32(pc+2))
 	switch p {
 	case nullFieldPair:
-		return nullGetField(in, nx, next)
+		return hNullGetField, next
 	case nullIndexPair:
-		return nullIndexCheck(in, nx, next)
+		return hNullIndexCheck, next
 	case indexEltPair:
-		return indexGetElt(in, nx, next)
+		return hIndexGetElt, next
 	case compareBranchPair:
-		return compareBranch(in, nx.Target, next)
+		if h := compareBranchHandlers[in.Prim]; h != nil {
+			return h, next
+		}
 	case constConstPair:
-		d1, v1, d2, v2 := in.Dst, in.Val, nx.Dst, nx.Val
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			fr.regs[d1] = v1
-			fr.env.Step()
-			fr.regs[d2] = v2
-			return next
-		}
+		return hConstConst, next
 	case paramParamPair:
-		d1, a1, d2, a2 := in.Dst, in.A, nx.Dst, nx.A
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			fr.regs[d1] = fr.args[a1]
-			fr.env.Step()
-			fr.regs[d2] = fr.args[a2]
-			return next
-		}
+		return hParamParam, next
 	case paramConstPair:
-		d1, a1, d2, v2 := in.Dst, in.A, nx.Dst, nx.Val
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			fr.regs[d1] = fr.args[a1]
-			fr.env.Step()
-			fr.regs[d2] = v2
-			return next
-		}
+		return hParamConst, next
 	}
-	return nil
+	return nil, 0
 }
 
-// The pair builders below are kept out of line, as callThunk is: a
-// closure built by a copy inlined into fuse is compiled as part of fuse,
-// where Step is a real call on every execution instead of one compare.
+// A back edge is the jump's moves (encoded as the jump's own record
+// encodes them), then the step the loopstep charges, then the loop's
+// first instruction.
 
-// backEdge is a jump to a loopstep: the edge's moves, then the step the
-// loopstep charges, then the loop's first instruction.
-//
-//go:noinline
-func backEdge(mv []Move, next int32) cthunk {
-	switch len(mv) {
-	case 0:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			return next
-		}
-	case 1:
-		d, s := mv[0].Dst, mv[0].Src
-		return func(fr *cframe) int32 {
-			fr.regs[d] = fr.regs[s]
-			fr.env.Step()
-			return next
-		}
-	}
-	return func(fr *cframe) int32 {
-		applyMoves(fr.regs, mv)
-		fr.env.Step()
-		return next
-	}
+func hBackEdge(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return in.next
 }
 
-// nullGetField is a nullcheck and the getfield of the safe-ref it made.
-//
-//go:noinline
-func nullGetField(nc, gf *PreparedInst, next int32) cthunk {
-	a, ref, rs := nc.A, nc.Dst, nc.Raise
-	dst, slot := gf.Dst, gf.B
-	return func(fr *cframe) int32 {
-		fr.env.Step()
-		v := fr.regs[a]
-		if v.R == nil {
-			return fr.craise(rs, fr.l.newExc(fr.l.exc.NPE, "null dereference"))
-		}
-		fr.regs[ref] = v
-		fr.env.Step()
-		fr.regs[dst] = v.R.(*rt.Object).Fields[slot]
-		return next
-	}
+func hBackEdgeMove(fr *cframe, in *cinst) int32 {
+	fr.regs[in.dst] = fr.regs[in.a]
+	fr.env.Step()
+	return in.next
 }
 
-// nullIndexCheck is a nullcheck and the indexcheck against the safe-ref
+func hBackEdgeMoves(fr *cframe, in *cinst) int32 {
+	applyMoves(fr.regs, fr.fn.moves[in.x:in.x+in.c])
+	fr.env.Step()
+	return in.next
+}
+
+// hNullGetField is a nullcheck and the getfield of the safe-ref it made.
+func hNullGetField(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	v := fr.regs[in.a]
+	if v.R == nil {
+		return fr.craise(in.x, fr.l.newExc(fr.l.exc.NPE, "null dereference"))
+	}
+	fr.regs[in.dst] = v
+	gf := in.second()
+	fr.env.Step()
+	fr.regs[gf.dst] = v.R.(*rt.Object).Fields[gf.b]
+	return in.next
+}
+
+// hNullIndexCheck is a nullcheck and the indexcheck against the safe-ref
 // it made.
-//
-//go:noinline
-func nullIndexCheck(nc, ic *PreparedInst, next int32) cthunk {
-	a, ref, rs := nc.A, nc.Dst, nc.Raise
-	dst, b, irs := ic.Dst, ic.B, ic.Raise
-	return func(fr *cframe) int32 {
-		fr.env.Step()
-		v := fr.regs[a]
-		if v.R == nil {
-			return fr.craise(rs, fr.l.newExc(fr.l.exc.NPE, "null dereference"))
-		}
-		fr.regs[ref] = v
-		fr.env.Step()
-		arr := v.R.(*rt.Array)
-		idx := fr.regs[b].Int()
-		if idx < 0 || int(idx) >= len(arr.Elems) {
-			return fr.craise(irs, fr.l.boundsExc(idx, len(arr.Elems)))
-		}
-		fr.regs[dst] = rt.IntValue(idx)
-		return next
+func hNullIndexCheck(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	v := fr.regs[in.a]
+	if v.R == nil {
+		return fr.craise(in.x, fr.l.newExc(fr.l.exc.NPE, "null dereference"))
 	}
+	fr.regs[in.dst] = v
+	ic := in.second()
+	fr.env.Step()
+	arr := v.R.(*rt.Array)
+	idx := fr.regs[ic.b].Int()
+	if idx < 0 || int(idx) >= len(arr.Elems) {
+		return fr.craise(ic.x, fr.l.boundsExc(idx, len(arr.Elems)))
+	}
+	fr.regs[ic.dst] = rt.IntValue(idx)
+	return in.next
 }
 
-// indexGetElt is an indexcheck and the getelt of the same array at the
+// hIndexGetElt is an indexcheck and the getelt of the same array at the
 // safe-index it made.
-//
-//go:noinline
-func indexGetElt(ic, ge *PreparedInst, next int32) cthunk {
-	a, b, idxReg, rs := ic.A, ic.B, ic.Dst, ic.Raise
-	dst := ge.Dst
-	return func(fr *cframe) int32 {
-		fr.env.Step()
-		arr := fr.regs[a].R.(*rt.Array)
-		idx := fr.regs[b].Int()
-		if idx < 0 || int(idx) >= len(arr.Elems) {
-			return fr.craise(rs, fr.l.boundsExc(idx, len(arr.Elems)))
-		}
-		fr.regs[idxReg] = rt.IntValue(idx)
-		fr.env.Step()
-		fr.regs[dst] = arr.Elems[idx]
-		return next
+func hIndexGetElt(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	arr := fr.regs[in.a].R.(*rt.Array)
+	idx := fr.regs[in.b].Int()
+	if idx < 0 || int(idx) >= len(arr.Elems) {
+		return fr.craise(in.x, fr.l.boundsExc(idx, len(arr.Elems)))
 	}
+	fr.regs[in.dst] = rt.IntValue(idx)
+	fr.env.Step()
+	fr.regs[in.second().dst] = arr.Elems[idx]
+	return in.next
 }
 
-// compareBranch is an int or reference compare and the move-free
-// branchfalse that tests it, or nil for any other primitive. The bool
-// register is still written: the compare's value may have other uses.
-//
-//go:noinline
-func compareBranch(in *PreparedInst, target, next int32) cthunk {
-	dst, a, b := in.Dst, in.A, in.B
-	switch in.Prim {
-	case core.PILt:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			c := fr.regs[a].Int() < fr.regs[b].Int()
-			fr.regs[dst] = rt.BoolValue(c)
-			if !c {
-				return target
-			}
-			return next
-		}
-	case core.PILe:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			c := fr.regs[a].Int() <= fr.regs[b].Int()
-			fr.regs[dst] = rt.BoolValue(c)
-			if !c {
-				return target
-			}
-			return next
-		}
-	case core.PIGt:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			c := fr.regs[a].Int() > fr.regs[b].Int()
-			fr.regs[dst] = rt.BoolValue(c)
-			if !c {
-				return target
-			}
-			return next
-		}
-	case core.PIGe:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			c := fr.regs[a].Int() >= fr.regs[b].Int()
-			fr.regs[dst] = rt.BoolValue(c)
-			if !c {
-				return target
-			}
-			return next
-		}
-	case core.PIEq:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			c := fr.regs[a].Int() == fr.regs[b].Int()
-			fr.regs[dst] = rt.BoolValue(c)
-			if !c {
-				return target
-			}
-			return next
-		}
-	case core.PINe:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			c := fr.regs[a].Int() != fr.regs[b].Int()
-			fr.regs[dst] = rt.BoolValue(c)
-			if !c {
-				return target
-			}
-			return next
-		}
-	case core.PREq:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			c := sameRef(fr.regs[a].R, fr.regs[b].R)
-			fr.regs[dst] = rt.BoolValue(c)
-			if !c {
-				return target
-			}
-			return next
-		}
-	case core.PRNe:
-		return func(fr *cframe) int32 {
-			fr.env.Step()
-			c := !sameRef(fr.regs[a].R, fr.regs[b].R)
-			fr.regs[dst] = rt.BoolValue(c)
-			if !c {
-				return target
-			}
-			return next
-		}
+func hConstConst(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	fr.regs[in.dst] = constOf(in)
+	nx := in.second()
+	fr.env.Step()
+	fr.regs[nx.dst] = constOf(nx)
+	return in.next
+}
+
+func hParamParam(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	fr.regs[in.dst] = fr.args[in.a]
+	nx := in.second()
+	fr.env.Step()
+	fr.regs[nx.dst] = fr.args[nx.a]
+	return in.next
+}
+
+func hParamConst(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	fr.regs[in.dst] = fr.args[in.a]
+	nx := in.second()
+	fr.env.Step()
+	fr.regs[nx.dst] = constOf(nx)
+	return in.next
+}
+
+// compareBranchHandlers has the pair handler of each int and reference
+// compare and the move-free branchfalse that tests it: the branch's
+// target is its own record's b. The bool register is still written: the
+// compare's value may have other uses.
+var compareBranchHandlers = [256]handler{
+	core.PILt: hILtBranch, core.PILe: hILeBranch, core.PIGt: hIGtBranch, core.PIGe: hIGeBranch,
+	core.PIEq: hIEqBranch, core.PINe: hINeBranch, core.PREq: hREqBranch, core.PRNe: hRNeBranch,
+}
+
+// branchOn writes compare result c and takes the branch that tests it.
+func branchOn(fr *cframe, in *cinst, c bool) int32 {
+	fr.regs[in.dst] = rt.BoolValue(c)
+	if !c {
+		return in.second().b
 	}
-	return nil
+	return in.next
+}
+
+func hILtBranch(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return branchOn(fr, in, fr.regs[in.a].Int() < fr.regs[in.b].Int())
+}
+
+func hILeBranch(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return branchOn(fr, in, fr.regs[in.a].Int() <= fr.regs[in.b].Int())
+}
+
+func hIGtBranch(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return branchOn(fr, in, fr.regs[in.a].Int() > fr.regs[in.b].Int())
+}
+
+func hIGeBranch(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return branchOn(fr, in, fr.regs[in.a].Int() >= fr.regs[in.b].Int())
+}
+
+func hIEqBranch(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return branchOn(fr, in, fr.regs[in.a].Int() == fr.regs[in.b].Int())
+}
+
+func hINeBranch(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return branchOn(fr, in, fr.regs[in.a].Int() != fr.regs[in.b].Int())
+}
+
+func hREqBranch(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return branchOn(fr, in, sameRef(fr.regs[in.a].R, fr.regs[in.b].R))
+}
+
+func hRNeBranch(fr *cframe, in *cinst) int32 {
+	fr.env.Step()
+	return branchOn(fr, in, !sameRef(fr.regs[in.a].R, fr.regs[in.b].R))
 }

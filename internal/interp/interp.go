@@ -2,7 +2,7 @@
 // (typically freshly decoded from the wire format), builds the runtime
 // class metadata, runs static initializers, and executes function bodies.
 //
-// There is one production engine, the closure-threaded form (compile.go)
+// There is one production engine, the compiled form (compile.go): records
 // of the register-machine lowering (prepare.go); a server runs nothing
 // else, whether the unit arrived whole (LoadTrustedCompiled, -Deferred)
 // or is still arriving (LoadTrustedStreaming); either way a function is
@@ -40,8 +40,8 @@ type Loader struct {
 	// machine: every function body (static initializers included) runs
 	// through runPrepared instead of the reference CST walker.
 	prep *Prepared
-	// comp, when non-nil, switches the session to the closure-threaded
-	// compiled engine; it takes precedence over prep.
+	// comp, when non-nil, switches the session to the compiled engine; it
+	// takes precedence over prep.
 	comp *Compiled
 	// lowered is what this session has spent filling comp's slots.
 	lowered Lowering
@@ -108,7 +108,16 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // is this session's alone: nothing else may run on it, so the session is
 // not one to snapshot.
 func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env) (*Loader, error) {
-	comp := &Compiled{mod: mod, nFuncs: math.MaxInt32}
+	return LoadTrustedStreamingIn(mod, gate, env, nil)
+}
+
+// LoadTrustedStreamingIn is LoadTrustedStreaming with the session's code
+// carved from mem, which the caller lends for the session and takes back
+// whole once it has ended (CodeArena.Rewind); a nil mem is
+// LoadTrustedStreaming.
+func LoadTrustedStreamingIn(mod *core.Module, gate func(fi int) error, env *rt.Env, mem *CodeArena) (*Loader, error) {
+	comp := newCompiled(mod, 0, nil, mem)
+	comp.nFuncs = math.MaxInt32
 	comp.pull = func(fi int) (*core.Func, error) {
 		if err := gate(fi); err != nil {
 			return nil, err
@@ -133,7 +142,7 @@ func LoadTrustedPrepared(mod *core.Module, prep *Prepared, env *rt.Env) (*Loader
 }
 
 // LoadTrustedCompiled is LoadTrusted for a session that executes the
-// closure-threaded form. comp must be the form Compile or Lazy minted
+// compiled form. comp must be the form Compile or Lazy minted
 // from this exact module; like the module, it may back any number of
 // concurrent sessions.
 func LoadTrustedCompiled(mod *core.Module, comp *Compiled, env *rt.Env) (*Loader, error) {
@@ -314,19 +323,26 @@ var lowerers = core.NewStock("interp.lowerers", core.MaxUnitArenaBytes, func() *
 // function callable; catchTopLevel converts it to the error.
 type lowerAbort struct{ err error }
 
-// lower makes function fi callable the first time this session calls it:
-// the form hands over the body — pulling it through its cursor first when
-// it has one (Pulled, LoadTrustedStreaming) — then lowerBody lowers it,
-// and the body is published into its slot with a compare-and-swap.
-// Sessions of one shared form that race on a first call may each
-// lower the function, and each returns the body that won: lowering is
-// deterministic and charges no guest budget, so a loser's body is the
-// winner's in every respect the guest can observe, and what it wasted is
-// host time, which Lowered still counts. Failing either step ends the
-// run: no engine recovers a lowerAbort, so it passes every guest handler
-// on its way to catchTopLevel.
+// lower makes function fi callable the first time this session calls it,
+// under the form's lock: unless another session filled the slot while
+// this one waited, the form hands over the body — pulling it through its
+// cursor first when it has one (Pulled, LoadTrustedStreaming) — then
+// lowerBody lowers it into the form's code memory, and the body is
+// published into its slot. So each function of a form is lowered once,
+// however many sessions race to call it first, and the memory the form's
+// code is carved from has one writer at a time. Failing either step ends
+// the run: no engine recovers a lowerAbort, so it passes every guest
+// handler on its way to catchTopLevel.
 func (l *Loader) lower(fi int32) *CFunc {
-	f, err := l.comp.body(fi)
+	c := l.comp
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if int(fi) < len(c.funcs) {
+		if cf := c.funcs[fi].Load(); cf != nil {
+			return cf
+		}
+	}
+	f, err := c.body(fi)
 	var cf *CFunc
 	if err == nil {
 		cf, err = l.lowerBody(fi, f)
@@ -334,18 +350,17 @@ func (l *Loader) lower(fi int32) *CFunc {
 	if err != nil {
 		panic(lowerAbort{err})
 	}
-	if slot := &l.comp.funcs[fi]; !slot.CompareAndSwap(nil, cf) {
-		cf = slot.Load()
-	}
+	c.funcs[fi].Store(cf)
 	return cf
 }
 
-// lowerBody lowers admitted body f of function fi, booking what it spent
-// to the session. A refusal satisfies errors.Is(err, errors.ErrUnsupported).
+// lowerBody lowers admitted body f of function fi into the form's code
+// memory, booking what it spent to the session. A refusal satisfies
+// errors.Is(err, errors.ErrUnsupported). The caller holds the form's lock.
 func (l *Loader) lowerBody(fi int32, f *core.Func) (*CFunc, error) {
 	c := lowerers.Take()
 	c.mod, c.nFuncs = l.Mod, l.comp.nFuncs
-	cf, err := c.lowerFunc(f, &l.lowered)
+	cf, err := c.lowerFunc(f, &l.lowered, l.comp.mem)
 	lowerers.Give(c)
 	if err != nil {
 		return nil, fmt.Errorf("%w: admitted function %d does not lower: %w", errors.ErrUnsupported, fi, err)
@@ -355,7 +370,7 @@ func (l *Loader) lowerBody(fi int32, f *core.Func) (*CFunc, error) {
 
 // Lowering is what a session spent making functions callable: how many
 // it lowered, and the host time of each half of that lowering —
-// flattening into the prepared form, then fusing it into closures.
+// flattening into the prepared form, then encoding it as records.
 type Lowering struct {
 	Funcs         int
 	Flatten, Fuse time.Duration
@@ -705,7 +720,7 @@ func (l *Loader) newExc(c *rt.ClassInfo, msg string) rt.Value {
 // The exceptions of the checks that format their message, worded here
 // once for every engine. Out of line, they keep the formatting off the
 // interpreters' host frames, which every activation pays for, and out of
-// the compiled engine's thunks.
+// the compiled engine's handlers.
 
 func (l *Loader) boundsExc(idx int32, n int) rt.Value {
 	return l.newExc(l.exc.Bounds, fmt.Sprintf("index %d out of bounds for length %d", idx, n))

@@ -99,8 +99,8 @@ class Main {
 }
 
 // TestCompileRejectsUnknownOpcode: Compile trusts the operands of a
-// minted form but still answers an opcode it has no closure for with an
-// error, not a panic or a nil thunk.
+// minted form but still answers an opcode it has no handler for with an
+// error, not a panic or a record with no handler.
 func TestCompileRejectsUnknownOpcode(t *testing.T) {
 	mod, prep, _ := lowered(t, `class Main { static void main() { System.out.println(1); } }`)
 	prep.Funcs[0].Code[0].Op = interp.POp(250)
@@ -270,9 +270,9 @@ class Main {
 // TestSharedFormFilledOnce: sixteen sessions of one resident unit make
 // their first calls at once, over one form that starts empty. Each
 // session's result is the eagerly compiled form's, byte for byte; each
-// slot is published once — a function two sessions raced to lower is
-// lowered twice and stored once — and never changes after; and a second
-// wave over the filled form lowers nothing. Run it under -race.
+// slot is filled once — a function two sessions raced to call first is
+// lowered once, under the form's lock — and never changes after; and a
+// second wave over the filled form lowers nothing. Run it under -race.
 func TestSharedFormFilledOnce(t *testing.T) {
 	// Its guest calls 11 of its 30 functions.
 	u, ok := corpus.ByName("BatchEnvironment")
@@ -342,7 +342,7 @@ func TestSharedFormFilledOnce(t *testing.T) {
 	if filled == 0 || filled == len(slots) {
 		t.Fatalf("%d of %d slots filled: the guest should call some functions of the unit and not all", filled, len(slots))
 	}
-	if first < filled {
+	if first != filled {
 		t.Errorf("%d slots filled by %d lowerings", filled, first)
 	}
 	if again := wave(); again != 0 {
@@ -457,4 +457,33 @@ func TestSharedCursorPulledOnce(t *testing.T) {
 	if pulled != first {
 		t.Errorf("a second wave over the pulled form pulled %d more bodies", pulled-first)
 	}
+}
+
+// TestRecycledCodeFailsLoudly: code memory given back under
+// core.PoisonRecycled turns into records whose handler panics "recycled
+// code executed", so a session that still runs a form after the form's
+// memory went back fails at its next call into that code, instead of
+// running it as if it were still the form's — or running whatever the
+// next unit's lowering put there.
+func TestRecycledCodeFailsLoudly(t *testing.T) {
+	core.PoisonRecycled(true)
+	defer core.PoisonRecycled(false)
+	mod := compile(t, `class R { static int f(int n) { return n * 2 + 1; } static void main() { } }`)
+	var mem interp.CodeArena
+	form := interp.PulledIn(mod, len(mod.Funcs), func(fi int) (*core.Func, error) { return mod.Funcs[fi], nil }, &mem)
+	l, err := interp.LoadTrustedCompiled(mod, form, &rt.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := l.CallStatic("R", "f", rt.IntValue(20)); err != nil || got.Int() != 41 {
+		t.Fatalf("f(20) = %d, %v", got.Int(), err)
+	}
+	mem.Rewind()
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "recycled code executed") {
+			t.Errorf("running code after its memory went back panicked with %q", r)
+		}
+	}()
+	got, err := l.CallStatic("R", "f", rt.IntValue(20))
+	t.Errorf("code whose memory went back ran: f(20) = %d, %v", got.Int(), err)
 }

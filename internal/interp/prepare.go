@@ -293,6 +293,19 @@ type fcomp struct {
 	// outer handlers after inner ones).
 	raiseFix []raiseFixup
 	handlers map[*core.Block]int32
+
+	// A body flattened only to be encoded (lowerFunc) carves its operand
+	// vectors, move sets and raise sites from these, which the next
+	// function reuses; side collects its records' side arrays before
+	// compileFunc keeps them.
+	argBuf  []int32
+	moveArr []Move
+	siteBuf []RaiseSite
+	side    side
+
+	// jbuf is the room pending-jump lists grow into (jappend), up to jtop.
+	jbuf []pendingJump
+	jtop int
 }
 
 // newFcomp sizes the reused buffers for the largest function the module
@@ -313,10 +326,15 @@ func (c *fcomp) Rewind() int {
 	clear(c.raiseFix)
 	clear(c.loop[:cap(c.loop)])
 	clear(c.handlers)
-	c.mod, c.f, c.fl = nil, nil, flow{}
-	c.code, c.raiseFix, c.loop = c.code[:0], c.raiseFix[:0], c.loop[:0]
+	clear(c.side.strs)
+	clear(c.jbuf[:c.jtop])
+	c.mod, c.f, c.fl, c.jtop = nil, nil, flow{}, 0
+	c.code, c.raiseFix, c.loop, c.side.strs = c.code[:0], c.raiseFix[:0], c.loop[:0], c.side.strs[:0]
 	return int(unsafe.Sizeof(PreparedInst{}))*cap(c.code) + 8*len(c.moveBuf) + 4*len(c.ints) +
-		int(unsafe.Sizeof(raiseFixup{}))*cap(c.raiseFix) + int(unsafe.Sizeof(loopCtx{}))*cap(c.loop)
+		int(unsafe.Sizeof(raiseFixup{}))*cap(c.raiseFix) + int(unsafe.Sizeof(loopCtx{}))*cap(c.loop) +
+		4*(cap(c.argBuf)+cap(c.side.args)) + 8*(cap(c.moveArr)+cap(c.side.moves)) +
+		int(unsafe.Sizeof(RaiseSite{}))*cap(c.siteBuf) + int(unsafe.Sizeof(csite{}))*cap(c.side.sites) +
+		int(unsafe.Sizeof(rt.Str{}))*cap(c.side.strs) + int(unsafe.Sizeof(pendingJump{}))*len(c.jbuf)
 }
 
 // room is what lowering a function needs of fcomp's reused buffers.
@@ -367,6 +385,15 @@ func (c *fcomp) grow(r room) {
 	}
 }
 
+// scratch is n elements of *buf, which grows to hold them: memory the
+// next function reuses.
+func scratch[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
 // carve cuts the next n elements off an arena; a function that needs
 // more than was counted for it — no verified one does — gets them fresh.
 func carve[T any](arena *[]T, n int) []T {
@@ -386,7 +413,7 @@ type raiseFixup struct {
 
 // prepareFunc is the prepared form of f, in memory of its own.
 func (c *fcomp) prepareFunc(f *core.Func) (*PFunc, error) {
-	pf, err := c.flatten(f)
+	pf, err := c.flatten(f, true)
 	if err != nil {
 		return nil, err
 	}
@@ -396,12 +423,16 @@ func (c *fcomp) prepareFunc(f *core.Func) (*PFunc, error) {
 
 // flatten lowers f into the emission buffer and returns its prepared form
 // with Code still standing there, good until the next function is
-// flattened — which is as long as compileFunc needs it, since a thunk
-// keeps the operands it uses, never the instruction.
-func (c *fcomp) flatten(f *core.Func) (PFunc, error) {
+// flattened — which is as long as compileFunc needs it, since a record
+// keeps copies of the operands it uses, never the instruction. Unless
+// keep is set, the operand vectors, move sets and raise sites the form
+// names stand in the lowerer's scratch too.
+func (c *fcomp) flatten(f *core.Func, keep bool) (PFunc, error) {
 	r := roomOf(f)
 	c.grow(r)
 	c.f, c.fl, c.code, c.raiseFix = f, flow{open: true}, c.code[:0], c.raiseFix[:0]
+	clear(c.jbuf[:c.jtop])
+	c.jtop = 0
 	c.par, c.seq = c.moveBuf[:0:r.par], c.moveBuf[r.par:r.par]
 	clear(c.handlers)
 	// Every edge into a block applies that block's phis once, as the
@@ -420,7 +451,11 @@ func (c *fcomp) flatten(f *core.Func) (PFunc, error) {
 			}
 		}
 	}
-	c.args, c.moves = make([]int32, nArgs), make([]Move, len(c.seq))
+	if keep {
+		c.args, c.moves = make([]int32, nArgs), make([]Move, len(c.seq))
+	} else {
+		c.args, c.moves = scratch(&c.argBuf, nArgs), scratch(&c.moveArr, len(c.seq))
+	}
 
 	if err := c.node(f.Body); err != nil {
 		return PFunc{}, err
@@ -430,7 +465,12 @@ func (c *fcomp) flatten(f *core.Func) (PFunc, error) {
 	// function) land here too.
 	c.patchTo(int32(len(c.code)), nil)
 	c.emit(PreparedInst{Op: PReturn})
-	sites := make([]RaiseSite, len(c.raiseFix))
+	var sites []RaiseSite
+	if keep {
+		sites = make([]RaiseSite, len(c.raiseFix))
+	} else {
+		sites = scratch(&c.siteBuf, len(c.raiseFix))
+	}
 	for i, fix := range c.raiseFix {
 		target, ok := c.handlers[fix.handler]
 		if !ok {
@@ -444,6 +484,24 @@ func (c *fcomp) flatten(f *core.Func) (PFunc, error) {
 		c.code[fix.at].Raise = &sites[i]
 	}
 	return PFunc{Name: f.Name, NumRegs: int32(f.NumValues() + 1), Frame: rt.FrameSlots(f.NumValues() + 1), Code: c.code}, nil
+}
+
+// jappend is append for pending-jump lists: a list that must grow moves
+// to room twice its size carved from jbuf, so the lists of a body cost
+// the lowerer nothing once jbuf is as large as they need. Room a body
+// outgrew stays with the lists that still name it until the next body
+// starts over in the larger room.
+func (c *fcomp) jappend(list []pendingJump, more ...pendingJump) []pendingJump {
+	if need := len(list) + len(more); need > cap(list) {
+		n := max(2*cap(list), need, 4)
+		if c.jtop+n > len(c.jbuf) {
+			c.jbuf, c.jtop = make([]pendingJump, max(2*len(c.jbuf), n, 64)), 0
+		}
+		grown := c.jbuf[c.jtop : c.jtop : c.jtop+n]
+		c.jtop += n
+		list = append(grown, list...)
+	}
+	return append(list, more...)
 }
 
 func (c *fcomp) emit(in PreparedInst) int {
@@ -704,7 +762,7 @@ func (c *fcomp) closeLoop(h *core.Block, loopPC int32, jumps []pendingJump) erro
 		}
 		c.emit(PreparedInst{Op: PJump, Target: loopPC, Moves: mv})
 	}
-	for _, j := range append(c.fl.jumps, jumps...) {
+	for _, j := range c.jappend(c.fl.jumps, jumps...) {
 		e, err := c.normalEdge(h, j.src)
 		if err != nil {
 			return err
@@ -730,7 +788,7 @@ func (c *fcomp) divert() []pendingJump {
 	jumps := c.fl.jumps
 	if c.fl.open {
 		at := c.emit(PreparedInst{Op: PJump})
-		jumps = append(jumps, pendingJump{at: int32(at), src: c.fl.src})
+		jumps = c.jappend(jumps, pendingJump{at: int32(at), src: c.fl.src})
 	}
 	c.fl = flow{}
 	return jumps
@@ -775,14 +833,14 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		}
 		if len(n.Kids) > 1 && n.Kids[1] != nil {
 			thenExit := c.divert()
-			c.fl = flow{jumps: []pendingJump{{at: int32(br), src: src}}}
+			c.fl = flow{jumps: c.jappend(nil, pendingJump{at: int32(br), src: src})}
 			if err := c.node(n.Kids[1]); err != nil {
 				return err
 			}
-			c.fl.jumps = append(c.fl.jumps, thenExit...)
+			c.fl.jumps = c.jappend(c.fl.jumps, thenExit...)
 			return nil
 		}
-		c.fl.jumps = append(c.fl.jumps, pendingJump{at: int32(br), src: src})
+		c.fl.jumps = c.jappend(c.fl.jumps, pendingJump{at: int32(br), src: src})
 		return nil
 
 	case core.CWhile:
@@ -812,7 +870,7 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		if err := c.closeLoop(n.Block, loopPC, lc.continues); err != nil {
 			return err
 		}
-		c.fl = flow{jumps: append(lc.breaks, pendingJump{at: int32(exit), src: condSrc})}
+		c.fl = flow{jumps: c.jappend(lc.breaks, pendingJump{at: int32(exit), src: condSrc})}
 		return nil
 
 	case core.CDoWhile:
@@ -828,7 +886,7 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		lc := c.popLoop()
 		// A continue in the body falls through to the latch sequence,
 		// which resolves each path's phi moves at its first block.
-		c.fl.jumps = append(c.fl.jumps, lc.continues...)
+		c.fl.jumps = c.jappend(c.fl.jumps, lc.continues...)
 		if err := c.node(n.Kids[1]); err != nil {
 			return err
 		}
@@ -844,7 +902,7 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		if err := c.closeLoop(n.Block, loopPC, nil); err != nil {
 			return err
 		}
-		c.fl = flow{jumps: append(lc.breaks, pendingJump{at: int32(exit), src: condSrc})}
+		c.fl = flow{jumps: c.jappend(lc.breaks, pendingJump{at: int32(exit), src: condSrc})}
 		return nil
 
 	case core.CReturn:
@@ -866,7 +924,7 @@ func (c *fcomp) node(n *core.CSTNode) error {
 			return fmt.Errorf("break outside a loop")
 		}
 		lc := &c.loop[len(c.loop)-1]
-		lc.breaks = append(lc.breaks, c.divert()...)
+		lc.breaks = c.jappend(lc.breaks, c.divert()...)
 		return nil
 
 	case core.CContinue:
@@ -874,7 +932,7 @@ func (c *fcomp) node(n *core.CSTNode) error {
 			return fmt.Errorf("continue outside a loop")
 		}
 		lc := &c.loop[len(c.loop)-1]
-		lc.continues = append(lc.continues, c.divert()...)
+		lc.continues = c.jappend(lc.continues, c.divert()...)
 		return nil
 
 	case core.CThrow:
@@ -905,7 +963,7 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		if err := c.node(n.Kids[1]); err != nil {
 			return err
 		}
-		c.fl.jumps = append(c.fl.jumps, after...)
+		c.fl.jumps = c.jappend(c.fl.jumps, after...)
 		return nil
 	}
 	return fmt.Errorf("unhandled CST node %v", n.Kind)

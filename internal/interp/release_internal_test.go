@@ -181,7 +181,7 @@ func TestStockedLowererForgetsItsUnit(t *testing.T) {
 		}
 		c := lowerers.Take()
 		c.mod, c.nFuncs = l.Mod, len(l.Mod.Funcs)
-		if _, err := c.lowerFunc(f, &Lowering{}); err != nil {
+		if _, err := c.lowerFunc(f, &Lowering{}, new(CodeArena)); err != nil {
 			t.Fatal(err)
 		}
 		if name == "wide" && (len(c.handlers) == 0 || len(c.raiseFix) == 0) {

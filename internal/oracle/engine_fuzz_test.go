@@ -14,7 +14,7 @@ import (
 
 // The engine fuzz targets share one body: every byte string that passes
 // wire admission must behave identically on the reference evaluator, the
-// prepared register machine, and the closure-threaded compiled engine
+// prepared register machine, and the compiled engine
 // (output, error, kill reason, budget drain, heap checksum —
 // oracle.PreparedDifferential, three-way). FuzzPreparedDifferential and
 // FuzzCompiledDifferential differ only in the seed programs they start
@@ -250,8 +250,8 @@ class Main {
 // checked field and array reads with a raise in the check, every
 // compare as a loop test, and a step kill between the two halves of a
 // fused pair; and before them exception edges whose phi moves are baked into
-// call and throw thunks, virtual dispatch re-resolved inside a fused
-// call, parallel-move swaps on branch thunks, the evalPrim fallback
+// call and throw records, virtual dispatch re-resolved inside a fused
+// call, parallel-move swaps on branch records, the evalPrim fallback
 // tail (string building), and programs that die on the step or
 // allocation budget mid-loop so the three engines' kill points must
 // coincide exactly, and exceptions raised by a native (charAt,

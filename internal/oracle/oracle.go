@@ -19,7 +19,7 @@
 //     trip must print identical output for the same program.
 //   - Execution-engine equivalence: every admissible module behaves
 //     identically on the reference CST evaluator, the prepared register
-//     machine, and the closure-threaded compiled engine — output,
+//     machine, and the compiled engine — output,
 //     errors, budget drain, kill reason, and final heap.
 //
 // Every function returns nil for "behaved as specified" (including clean
@@ -270,7 +270,7 @@ func (r *engineRun) release() {
 // PreparedDifferential is the execution-engine equivalence oracle: any
 // byte string that decodes and verifies (i.e. passes wire admission)
 // must behave identically on the reference CST evaluator, the prepared
-// register machine, and the closure-threaded compiled engine —
+// register machine, and the compiled engine —
 // byte-identical output, identical error text and KillReason, identical
 // cumulative step/alloc budget drain, and an identical final
 // reachable-heap checksum. A verified module that fails to Prepare or
