@@ -52,10 +52,12 @@
 // -tenant-inflight bounds each tenant's concurrent
 // runs (default unlimited) — beyond it the server answers 429 with
 // Retry-After: 1. Tenant identity comes from the request body or the
-// X-Safetsa-Tenant header (default "anon"). -pool-units sizes the
+// X-Safetsa-Tenant header (default "anon"). -pool-units bounds the
 // warm-session pool of post-static-init snapshots that serves repeat
-// runs of a unit without replaying its initializers (negative =
-// disabled).
+// runs of a unit without replaying its initializers: at most that many
+// loaded units hold a snapshot at once (negative = disabled). A snapshot
+// lives in its loaded unit and goes with it, so -modules bounds the
+// units kept alive.
 //
 // Cluster mode (-node plus -peers) turns the daemon into one member of a
 // consistent-hash sharded fleet: compiles route to each unit's ring
@@ -103,7 +105,7 @@ func main() {
 	maxAllocs := flag.Int64("maxallocs", codeserver.DefaultMaxAllocs, "hard per-run allocation budget, in rt.Env.MaxAlloc units (0 = unlimited)")
 	runTimeout := flag.Duration("run-timeout", codeserver.DefaultRunTimeout, "wall-clock deadline per guest run (0 = none)")
 	tenantInFlight := flag.Int("tenant-inflight", 0, "max concurrent runs per tenant, 429 beyond (0 = unlimited)")
-	poolUnits := flag.Int("pool-units", 0, "warm-session pool capacity in snapshots (0 = default 256, negative = disabled)")
+	poolUnits := flag.Int("pool-units", 0, "loaded units that may hold a warm-session snapshot at once (0 = default 256, negative = disabled); -modules bounds the units kept alive")
 	stageTimeout := flag.Duration("stagetimeout", 30*time.Second, "per-stage compile timeout (0 = none)")
 	traces := flag.Int("traces", 64, "request traces retained for /debug/traces")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")

@@ -189,6 +189,6 @@ func TestChurnRetainsAtMostTheCap(t *testing.T) {
 }
 
 // churnSlack is what the churn run may leave live besides its pooled
-// chunks: the unit's loader-cache entry, its warm-pool snapshot and the
-// server's books.
+// chunks: the unit's loader-cache entry, the warm snapshot it holds and
+// the server's books.
 const churnSlack = 1 << 20

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
@@ -31,6 +32,15 @@ func gives(name string) core.StockCount { return core.StockCounts()[name] }
 func unitArenaGives() uint64 {
 	c := gives("codeserver.unit_arenas")
 	return c.Kept + c.Dropped
+}
+
+// warmSnapshot is the snapshot of k's unit in s's loader cache, nil when
+// the cache holds no unit for k or the unit holds no snapshot.
+func warmSnapshot(s *Server, k Key) *interp.Snapshot {
+	if lu, ok := s.loader.units.get(k); ok {
+		return lu.snapshot()
+	}
+	return nil
 }
 
 // TestLoadedUnitCount: a unit's holds are counted exactly. Its arena goes
@@ -69,35 +79,44 @@ func TestLoadedUnitCount(t *testing.T) {
 	}
 }
 
-// TestEvictedUnitReturnsItsArena: a unit the loader cache and the pool of
-// one have both pushed out, and no session holds, is dead, and its arena
-// went back to the stock exactly once.
+// TestEvictedUnitReturnsItsArena: a unit the loader cache of one has pushed
+// out, and no session holds, is dead, and its arena went back to the stock
+// exactly once — however many units the pool lets hold a snapshot, since
+// a snapshot lives in its unit and goes with it.
 func TestEvictedUnitReturnsItsArena(t *testing.T) {
-	ctx := context.Background()
-	s := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, MaxModules: 1, PoolUnits: 1})
-	var keys []Key
-	for _, u := range corpus.Units()[:2] {
-		unit, _, err := s.CompileUnit(ctx, u.Files, Options{Optimize: true, WireV2: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, unit.Key)
-	}
-	if res, err := s.RunUnitOpts(ctx, keys[0], RunOptions{}); err != nil || !res.OK {
-		t.Fatalf("first unit: %+v, %v", res, err)
-	}
-	first, ok := s.loader.units.get(keys[0])
-	if !ok || first.refs.Load() != 2 || first.arena == nil {
-		t.Fatalf("the first unit after its run: resident %v, held %d times, arena %v; want the cache and the pool",
-			ok, first.refs.Load(), first.arena != nil)
-	}
-	before := unitArenaGives()
-	if res, err := s.RunUnitOpts(ctx, keys[1], RunOptions{}); err != nil || !res.OK {
-		t.Fatalf("second unit: %+v, %v", res, err)
-	}
-	if got := unitArenaGives() - before; got != 1 || first.refs.Load() != 0 || first.arena != nil || first.acquire() {
-		t.Errorf("the first unit once pushed out of both: %d arenas returned, held %d times, arena kept %v",
-			got, first.refs.Load(), first.arena != nil)
+	for _, pool := range []int{1, 2} {
+		t.Run(fmt.Sprintf("pool of %d", pool), func(t *testing.T) {
+			ctx := context.Background()
+			s := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, MaxModules: 1, PoolUnits: pool})
+			var keys []Key
+			for _, u := range corpus.Units()[:2] {
+				unit, _, err := s.CompileUnit(ctx, u.Files, Options{Optimize: true, WireV2: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, unit.Key)
+			}
+			if res, err := s.RunUnitOpts(ctx, keys[0], RunOptions{}); err != nil || !res.OK {
+				t.Fatalf("first unit: %+v, %v", res, err)
+			}
+			first, ok := s.loader.units.get(keys[0])
+			if !ok || first.refs.Load() != 1 || first.arena == nil || first.snapshot() == nil {
+				t.Fatalf("the first unit after its run: resident %v, held %d times, arena %v, snapshot %v; want the cache's hold and a snapshot",
+					ok, first.refs.Load(), first.arena != nil, first.snapshot() != nil)
+			}
+			before := unitArenaGives()
+			if res, err := s.RunUnitOpts(ctx, keys[1], RunOptions{}); err != nil || !res.OK {
+				t.Fatalf("second unit: %+v, %v", res, err)
+			}
+			if got := unitArenaGives() - before; got != 1 || first.refs.Load() != 0 || first.arena != nil || first.acquire() || first.snapshot() != nil {
+				t.Errorf("the first unit once pushed out: %d arenas returned, held %d times, arena kept %v, snapshot kept %v",
+					got, first.refs.Load(), first.arena != nil, first.snapshot() != nil)
+			}
+			if st := s.Stats(); st.PoolSessions != 1 || st.PoolEvictions != 1 || st.PoolBuilds != 2 {
+				t.Errorf("pool_sessions %d, pool_evictions %d, pool_builds %d; want the second unit's snapshot alone, the first's dropped with it",
+					st.PoolSessions, st.PoolEvictions, st.PoolBuilds)
+			}
+		})
 	}
 }
 
@@ -131,8 +150,8 @@ class Outlive {
 
 // TestSessionOutlivesItsUnit: a session holds its unit. While its guest
 // spins, other units are loaded into a loader cache and a pool of one,
-// which push its unit out of both, and its unit is forgotten by both; the
-// guest then calls a function no session has pulled yet, through the
+// which push its unit out, snapshot and all, and its unit is forgotten;
+// the guest then calls a function no session has pulled yet, through the
 // cursor of a unit no cache holds. With recycled memory poisoned, its
 // answer — output, steps, allocations — must be an unpooled server's.
 func TestSessionOutlivesItsUnit(t *testing.T) {
@@ -171,8 +190,11 @@ func TestSessionOutlivesItsUnit(t *testing.T) {
 		res, err := s.RunUnitOpts(ctx, u.Key, RunOptions{})
 		done <- answer{res, err}
 	}()
-	eventually(t, "the guest is spinning", func() bool {
-		return s.m.runsInFlight.Load() == 1 && s.m.pulledFuncs.Load() > 0
+	var lu *LoadedUnit
+	eventually(t, "the guest is spinning on a unit holding the snapshot its static init published", func() bool {
+		var ok bool
+		lu, ok = s.loader.units.get(u.Key)
+		return s.m.runsInFlight.Load() == 1 && s.m.pulledFuncs.Load() > 0 && ok && lu.snapshot() != nil
 	})
 	for _, k := range others {
 		if res, err := s.RunUnitOpts(ctx, k, RunOptions{}); err != nil || !res.OK {
@@ -180,7 +202,9 @@ func TestSessionOutlivesItsUnit(t *testing.T) {
 		}
 	}
 	s.loader.forget(u.Key)
-	s.sessions.forget(u.Key)
+	if lu.snapshot() != nil {
+		t.Error("the unit pushed out of the loader cache kept its snapshot")
+	}
 	pulled := s.m.pulledFuncs.Load()
 	if s.m.runsInFlight.Load() != 1 {
 		t.Fatal("the guest ended before its unit was dropped; spin longer")
@@ -257,11 +281,14 @@ func TestFirstCallsLowerOnce(t *testing.T) {
 
 // TestColdUnitsRecycleConcurrently: sixteen clients run the small corpus
 // and a unit whose statics hold a heap at once, each in its own order,
-// through a loader cache of one or two units and a pool of one, so units
-// are loaded, pushed out and let go of while sessions and pool clones
+// through a loader cache of one to three units and a pool of one or two,
+// so units are loaded, pushed out and let go of while sessions and clones
 // still run on them, and each new unit decodes into an arena another
 // released — poisoned first, with every released session heap. Every
-// answer is the one a server without a pool gave. Run it under -race.
+// answer is the one a server without a pool gave; at no point do more
+// units hold a snapshot than the pool allows; and once every key is
+// forgotten, no unit holds one and every unit's arena went back. Run it
+// under -race.
 func TestColdUnitsRecycleConcurrently(t *testing.T) {
 	poisonRecycled(t)
 	units := map[string]map[string]string{"StaticHeap": staticHeapFiles()}
@@ -285,14 +312,35 @@ func TestColdUnitsRecycleConcurrently(t *testing.T) {
 		}
 		names, keys[name] = append(names, name), u.Key
 	}
-	for _, modules := range []int{1, 2} {
-		t.Run(fmt.Sprintf("loader cache of %d", modules), func(t *testing.T) {
-			s := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, MaxModules: modules, PoolUnits: 1})
+	for _, row := range []struct {
+		name          string
+		modules, pool int
+	}{
+		{"loader cache of 1", 1, 1},
+		{"loader cache of 2", 2, 1},
+		{"loader cache of 3, pool of 2", 3, 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := newTestServer(t, Config{MaxSteps: corpusBudget.MaxSteps, MaxAllocs: corpusBudget.MaxAllocs, MaxModules: row.modules, PoolUnits: row.pool})
 			for _, name := range names {
 				if _, _, err := s.CompileUnit(ctx, units[name], opts); err != nil {
 					t.Fatal(err)
 				}
 			}
+			gave := unitArenaGives()
+			stop, watched := make(chan struct{}), make(chan int)
+			go func() { // the most units seen holding a snapshot at once
+				most := 0
+				for {
+					most = max(most, s.loader.Warm())
+					select {
+					case <-stop:
+						watched <- most
+						return
+					case <-time.After(50 * time.Microsecond):
+					}
+				}
+			}()
 			const clients = 16
 			var wg sync.WaitGroup
 			for c := range clients {
@@ -309,9 +357,22 @@ func TestColdUnitsRecycleConcurrently(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if st := s.Stats(); st.Runs != uint64(clients*len(names)) || st.Loads <= uint64(len(names)) || st.PoolVerifyFails != 0 {
+			close(stop)
+			if most := <-watched; most > row.pool {
+				t.Errorf("%d units held a snapshot at once, the pool allows %d", most, row.pool)
+			}
+			st := s.Stats()
+			if st.Runs != uint64(clients*len(names)) || st.Loads <= uint64(len(names)) || st.PoolVerifyFails != 0 {
 				t.Errorf("runs %d of %d, loads %d of %d units, pool_verify_fails %d",
 					st.Runs, clients*len(names), st.Loads, len(names), st.PoolVerifyFails)
+			}
+			for _, k := range keys {
+				s.loader.forget(k)
+			}
+			st = s.Stats()
+			if got := unitArenaGives() - gave; st.PoolSessions != 0 || st.ModulesLoaded != 0 || got != st.Loads {
+				t.Errorf("every key forgotten: pool_sessions %d, modules %d, %d arenas given back for %d loads",
+					st.PoolSessions, st.ModulesLoaded, got, st.Loads)
 			}
 		})
 	}

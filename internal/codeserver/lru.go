@@ -8,10 +8,9 @@ import (
 	"sync/atomic"
 )
 
-// lru is the one per-unit cache under the store, the loader cache and
-// the warm-session pool: a mutex, a recency list bounded at max
-// entries, insert-if-absent, and one singleflight (fill). Errors are never
-// cached.
+// lru is the one per-unit cache under the store and the loader cache: a
+// mutex, a recency list bounded at max entries, insert-if-absent, and one
+// singleflight (fill), the one way in. Errors are never cached.
 type lru[V any] struct {
 	mu      sync.Mutex
 	max     int
@@ -82,16 +81,6 @@ func (c *lru[V]) get(k Key) (V, bool) {
 	return c.touch(k)
 }
 
-// add caches v for k unless k is already cached (the resident value wins),
-// evicts from the cold end past capacity, and reports whether v went in.
-func (c *lru[V]) add(k Key, v V) bool {
-	c.mu.Lock()
-	added, out, evicted := c.insert(k, v)
-	c.mu.Unlock()
-	c.dropped(out, evicted)
-	return added
-}
-
 // remove drops k's entry, if any. A flight in progress for k is left to
 // finish: it publishes what it found.
 func (c *lru[V]) remove(k Key) {
@@ -123,7 +112,9 @@ func (c *lru[V]) touch(k Key) (v V, ok bool) {
 	return v, ok
 }
 
-// insert is add with c.mu held. It returns the value it pushed out at
+// insert caches v for k, with c.mu held, unless k is already cached (the
+// resident value wins), evicts from the cold end past capacity, and
+// reports whether v went in. It returns the value it pushed out at
 // capacity, if it did, for the caller to report once c.mu is let go: the
 // cache held at most max entries before, so one insert evicts one at most.
 func (c *lru[V]) insert(k Key, v V) (added bool, out V, evicted bool) {

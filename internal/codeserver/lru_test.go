@@ -12,6 +12,14 @@ import (
 
 func lruKey(i int) Key { return KeyFor(map[string]string{"f": fmt.Sprint(i)}, Options{}) }
 
+// add caches v for k through fill, the cache's one way in, unless k is
+// already cached (the resident value wins) or another caller's flight for
+// k supplies the value, and reports whether v went in.
+func (c *lru[V]) add(k Key, v V) bool {
+	_, how, _ := c.fill(context.Background(), k, func(context.Context) (V, error) { return v, nil })
+	return how == led
+}
+
 // eventually polls cond; the caches publish "a caller joined" only
 // through a counter, so that is the event the tests wait on.
 func eventually(t *testing.T, what string, cond func() bool) {
@@ -24,9 +32,9 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestLRU pins the one cache type under the store, the loader cache and
-// the session pool: bounded recency, insert-if-absent, and every outcome
-// of the singleflight in fill.
+// TestLRU pins the one cache type under the store and the loader cache:
+// bounded recency, insert-if-absent, and every outcome of the singleflight
+// in fill.
 func TestLRU(t *testing.T) {
 	t.Run("recency order and eviction count", func(t *testing.T) {
 		var evicted atomic.Uint64

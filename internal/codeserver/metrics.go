@@ -79,7 +79,8 @@ type Metrics struct {
 	// requests whose budgets were too tight to admit a clone (declines,
 	// served fresh), snapshots that failed their publish-time
 	// self-verification (verifyFails — a clone-machinery alarm, always 0
-	// in a healthy server), and LRU evictions.
+	// in a healthy server), and snapshots dropped with their unit when
+	// the loader cache let go of it (evictions).
 	poolHits        atomic.Uint64
 	poolBuilds      atomic.Uint64
 	poolDeclines    atomic.Uint64
@@ -243,8 +244,8 @@ type Stats struct {
 	InterruptKills  uint64            `json:"interrupt_kills"`
 	DeadlineKills   uint64            `json:"deadline_kills"`
 
-	// Warm-session pool (see Metrics). PoolSessions is the resident
-	// snapshot count, filled in by the server.
+	// Warm-session pool (see Metrics). PoolSessions is the number of
+	// loaded units holding a snapshot, filled in by the server.
 	PoolHits        uint64 `json:"pool_hits"`
 	PoolBuilds      uint64 `json:"pool_builds"`
 	PoolDeclines    uint64 `json:"pool_declines"`
@@ -436,7 +437,7 @@ func writePrometheus(w io.Writer, st Stats) {
 	counter("safetsa_pool_builds_total", "Warm-session snapshots built, verified, and published.", st.PoolBuilds)
 	counter("safetsa_pool_declines_total", "Runs declined by the pool because their budgets were below the init drain.", st.PoolDeclines)
 	counter("safetsa_pool_verify_fails_total", "Warm-session snapshots rejected by publish-time self-verification.", st.PoolVerifyFails)
-	counter("safetsa_pool_evictions_total", "Warm-session snapshots evicted by the pool LRU.", st.PoolEvictions)
+	counter("safetsa_pool_evictions_total", "Warm-session snapshots dropped with their unit when the loader cache let go of it.", st.PoolEvictions)
 	gauge("safetsa_pool_sessions", "Warm-session snapshots resident in the pool.", int64(st.PoolSessions))
 
 	var gives []obs.Sample

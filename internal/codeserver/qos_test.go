@@ -239,8 +239,12 @@ func TestWarmPoolServesClones(t *testing.T) {
 	if st.PoolBuilds != 1 {
 		t.Errorf("pool_builds = %d, want 1", st.PoolBuilds)
 	}
-	if st.PoolHits != runs-1 {
-		t.Errorf("pool_hits = %d, want %d", st.PoolHits, runs-1)
+	if st.PoolHits != runs-1 || st.LoaderHits != 0 {
+		t.Errorf("pool_hits = %d, loader_hits = %d, want %d and 0: a clone is a pool hit alone", st.PoolHits, st.LoaderHits, runs-1)
+	}
+	// A clone loads nothing, so its trace has no load span.
+	if tr := pooled.tracer.Recent()[0]; len(tr.Spans) != 1 || tr.Spans[0].Name != "exec" {
+		t.Errorf("a pooled run's trace: %s %+v, want exec alone", tr.Name, tr.Spans)
 	}
 	if st.PoolVerifyFails != 0 {
 		t.Errorf("pool_verify_fails = %d, want 0", st.PoolVerifyFails)

@@ -65,10 +65,12 @@ type Config struct {
 	// run beyond the bound is rejected with a TenantBusyError (HTTP 429
 	// + Retry-After) before any work happens (0: unlimited).
 	TenantMaxInFlight int
-	// PoolUnits bounds the warm-session pool: per-unit snapshots of
-	// post-static-init state cloned into later sessions so
-	// static init runs once per unit, not once per request (0: default
-	// 256; negative: pool disabled, every session runs init fresh).
+	// PoolUnits bounds the warm-session pool: how many loaded units hold
+	// a snapshot of post-static-init state at once, cloned into later
+	// sessions so static init runs once per unit, not once per request
+	// (0: default 256; negative: pool disabled, every session runs init
+	// fresh). A snapshot lives in its loaded unit, so MaxModules bounds
+	// the units kept alive either way.
 	PoolUnits int
 	// MaxSourceBytes bounds the /compile request body (<=0: 8 MiB).
 	MaxSourceBytes int64
@@ -112,10 +114,6 @@ type Server struct {
 	pool   *Pool
 	loader *LoaderCache
 
-	// sessions is the warm-session pool (nil when Config.PoolUnits < 0):
-	// post-static-init snapshots cloned into later run sessions.
-	sessions *sessionPool
-
 	// peerFiller, when set (SetPeerFiller, before serving), turns a
 	// store miss on the run/unit paths into a peer fill instead of a
 	// hard ErrUnitNotFound.
@@ -145,22 +143,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
-	var sessions *sessionPool
-	if cfg.PoolUnits >= 0 {
-		units := cfg.PoolUnits
-		if units == 0 {
-			units = 256
-		}
-		sessions = newSessionPool(units, m)
-	}
 	return &Server{
 		cfg:        cfg,
 		m:          m,
 		tracer:     obs.NewTracer(cfg.Traces),
 		store:      store,
 		pool:       NewPool(cfg.Workers, cfg.StageTimeout, m),
-		loader:     NewLoaderCache(cfg.MaxModules, m),
-		sessions:   sessions,
+		loader:     NewLoaderCache(cfg.MaxModules, cfg.PoolUnits, m),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 	}, nil
@@ -198,9 +187,7 @@ func (s *Server) Stats() Stats {
 	st.UnitsCached = s.store.Len()
 	st.ModulesLoaded = s.loader.Len()
 	st.StockGives = core.StockCounts()
-	if s.sessions != nil {
-		st.PoolSessions = s.sessions.Len()
-	}
+	st.PoolSessions = s.loader.Warm()
 	return st
 }
 
@@ -443,11 +430,12 @@ func (s *Server) RunUnit(ctx context.Context, k Key, maxSteps int64) (RunResult,
 // loader cache, shared by every session of the unit (a session decodes
 // and lowers the functions it calls that no session has called before),
 // while the class metadata, statics, and heap are per-session, so
-// concurrent sessions cannot observe each other. When the warm-session
-// pool holds a snapshot for the unit and the request's budgets admit it,
-// the session is cloned from the post-static-init snapshot instead of
-// re-running the initializers — byte-exact with a fresh session by the
-// Snapshot contract. Guest failures (uncaught exceptions, budget kills)
+// concurrent sessions cannot observe each other. When the loaded unit
+// holds a warm snapshot and the request's budgets admit it, the session is
+// cloned from the post-static-init snapshot instead of re-running the
+// initializers — byte-exact with a fresh session by the Snapshot contract;
+// otherwise it runs fresh, and offers the unit a snapshot after static
+// init. Guest failures (uncaught exceptions, budget kills)
 // are reported inside RunResult, not as an error; a tenant over its
 // in-flight bound gets a *TenantBusyError before any work happens. A
 // function the run called that no longer decodes or that lowering refuses
@@ -459,30 +447,18 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 		return RunResult{}, err
 	}
 	defer sess.release()
-	// The session holds its unit, taken with a snapshot from the pool or
-	// from the loader cache, until finish has released its loader: clones
-	// and fresh sessions alike pull bodies into the unit's memory.
-	var snap *interp.Snapshot
-	var lu *LoadedUnit
-	if s.sessions != nil {
-		switch snap, lu = s.sessions.Get(k); {
-		case snap == nil:
-		case !snap.Admits(sess.budget):
-			// The request's budgets would have killed static init; a
-			// clone cannot reproduce that mid-init death, so run fresh.
-			s.m.poolDeclines.Add(1)
-			snap = nil
-		case !lu.acquire():
-			snap = nil // evicted and let go of meanwhile: a miss
-		}
+	// The session holds its unit until finish has released its loader:
+	// clones and fresh sessions alike pull bodies into the unit's memory.
+	lu, hit, err := s.loader.GetOrLoad(sess.ctx, k, s.lookup)
+	if err != nil {
+		return RunResult{}, err
 	}
-	if snap == nil {
-		lctx, lsp := obs.Start(sess.ctx, "load")
-		lu, err = s.loader.GetOrLoad(lctx, k, s.lookup)
-		lsp.End()
-		if err != nil {
-			return RunResult{}, err
-		}
+	snap := lu.snapshot()
+	if snap != nil && !snap.Admits(sess.budget) {
+		// The request's budgets would have killed static init; a clone
+		// cannot reproduce that mid-init death, so run fresh.
+		s.m.poolDeclines.Add(1)
+		snap = nil
 	}
 	env := sess.begin()
 	var l *interp.Loader
@@ -490,9 +466,14 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 		if l, err = snap.NewSession(env); err == nil {
 			s.m.poolHits.Add(1)
 		}
-	} else if l, err = interp.LoadTrustedDeferred(lu.Mod, nil, lu.Comp, env); err == nil {
-		if err = l.RunStaticInit(); err == nil && s.sessions != nil {
-			s.sessions.Offer(k, lu, l, sess.out.Bytes())
+	} else {
+		if hit {
+			s.m.loaderHits.Add(1)
+		}
+		if l, err = interp.LoadTrustedDeferred(lu.Mod, nil, lu.Comp, env); err == nil {
+			if err = l.RunStaticInit(); err == nil {
+				s.loader.offer(lu, l, sess.out.Bytes())
+			}
 		}
 	}
 	if err == nil {
@@ -502,12 +483,10 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 	lu.letGo()
 	if err := verdict(err, nil); err != nil {
 		// Refused after admission: no tier that may hold the unit — the
-		// store's memory and disk, the loader, the pool — serves it again.
+		// store's memory and disk, the loader and the snapshot in the
+		// loaded unit — serves it again.
 		s.store.forget(k)
 		s.loader.forget(k)
-		if s.sessions != nil {
-			s.sessions.forget(k)
-		}
 		s.m.loadErrors.Add(1)
 		return RunResult{}, &driver.Error{Kind: driver.KindVerify,
 			Err: fmt.Errorf("codeserver: unit %s rejected: %w", k, err)}

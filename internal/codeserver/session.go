@@ -116,7 +116,7 @@ func (ss *session) begin() *rt.Env {
 //
 // finish is also where the session ends: once the result holds the run as
 // plain data — output, error text, counts — nothing of the guest's heap is
-// reachable from outside the loader (a pool snapshot is a detached copy),
+// reachable from outside the loader (a warm snapshot is a detached copy),
 // so the loader is released and its memory goes to the next session.
 func (ss *session) finish(l *interp.Loader, err error) RunResult {
 	s, env := ss.s, ss.env

@@ -270,7 +270,7 @@ class Main {
 	}{
 		{"handed-over module damaged in main", func(t *testing.T, _ *Server, dir string, unit *Unit) *Server {
 			s := newTestServer(t, Config{CacheDir: dir}) // a restart: the unit is on disk only
-			lu, err := s.loader.GetOrLoad(ctx, unit.Key, s.lookup)
+			lu, _, err := s.loader.GetOrLoad(ctx, unit.Key, s.lookup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +343,7 @@ class Main {
 			if _, ok := s.loader.units.get(k); ok {
 				t.Error("the loader still holds the rejected unit")
 			}
-			if snap, _ := s.sessions.Get(k); snap != nil {
+			if warmSnapshot(s, k) != nil {
 				t.Error("the pool still holds a snapshot of the rejected unit")
 			}
 			st := s.Stats()
@@ -468,7 +468,7 @@ class P {
 			}
 
 			r := newTestServer(t, Config{CacheDir: dir}) // a restart: the unit is on disk only
-			lu, err := r.loader.GetOrLoad(ctx, unit.Key, r.lookup)
+			lu, _, err := r.loader.GetOrLoad(ctx, unit.Key, r.lookup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -494,7 +494,7 @@ class P {
 				if _, ok := srv.loader.units.get(k); ok {
 					t.Error("the loader holds the rejected unit")
 				}
-				if snap, _ := srv.sessions.Get(k); snap != nil {
+				if warmSnapshot(srv, k) != nil {
 					t.Error("the pool holds a snapshot of the rejected unit")
 				}
 				if st := srv.Stats(); st.UnitsCached != 0 || st.ModulesLoaded != 0 || st.PoolSessions != 0 {
