@@ -120,6 +120,41 @@ func BenchmarkColdLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkDecode is the wire layer alone under a cold consumer: open a
+// resident unit's cursor (wire.OpenVerified) and pull every body through
+// it (Wait), so each body is decoded and admitted, into one arena rewound
+// after each op as a lent arena is. Each corpus unit (O2, wire v2) is its
+// own sub-benchmark, so MB/s and allocs/op read per unit:
+//
+//	go test -run='^$' -bench=Decode -benchtime=100x .
+func BenchmarkDecode(b *testing.B) {
+	for _, u := range corpus.Units() {
+		mod, err := driver.CompileTSASource(u.Files)
+		if err == nil {
+			_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := wire.EncodeModuleV2(mod, nil)
+		b.Run(u.Name, func(b *testing.B) {
+			var a wire.Arena
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				su, err := wire.OpenVerified(data, &a)
+				if err == nil {
+					err = su.Wait()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				a.Rewind()
+			}
+		})
+	}
+}
+
 // BenchmarkColdProduce is what a store miss costs the producer: front
 // end, ssabuild, the O2 module pipeline and the v2 encoder — what
 // safetsad's compile path runs, less its two verifier calls. Each corpus

@@ -145,7 +145,8 @@ type PrimSig struct {
 	Throws bool // must be used with OpXPrim
 }
 
-var primSigs = map[PrimOp]PrimSig{
+// primSigs is indexed by PrimOp; an entry with no Name is no primitive.
+var primSigs = [numPrimOps]PrimSig{
 	PIAdd: {"int.add", []PlaneClass{PlInt, PlInt}, PlInt, false},
 	PISub: {"int.sub", []PlaneClass{PlInt, PlInt}, PlInt, false},
 	PIMul: {"int.mul", []PlaneClass{PlInt, PlInt}, PlInt, false},
@@ -242,23 +243,19 @@ var primSigs = map[PrimOp]PrimSig{
 
 // Sig returns the signature of p.
 func (p PrimOp) Sig() PrimSig {
-	s, ok := primSigs[p]
-	if !ok {
+	if !p.Valid() {
 		panic(fmt.Sprintf("core: unknown primitive operation %d", uint8(p)))
 	}
-	return s
+	return primSigs[p]
 }
 
 // Valid reports whether p is a defined primitive operation.
-func (p PrimOp) Valid() bool {
-	_, ok := primSigs[p]
-	return ok
-}
+func (p PrimOp) Valid() bool { return p < numPrimOps && primSigs[p].Name != "" }
 
 // String returns the type-qualified name of the primitive.
 func (p PrimOp) String() string {
-	if s, ok := primSigs[p]; ok {
-		return s.Name
+	if p.Valid() {
+		return primSigs[p].Name
 	}
 	return fmt.Sprintf("prim(%d)", uint8(p))
 }

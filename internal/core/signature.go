@@ -63,9 +63,12 @@ func (s *Signature) Operand(i int, arg0 ValueID) PlaneKey {
 // immediate out of range, a type argument of the wrong kind, a cast
 // that would add safety, a primitive under the wrong opcode, or an
 // opcode (phi, mem0) that has no place in a transmitted code section.
-func (m *Module) Signature(f *Func, in *Instr) (Signature, error) {
+//
+// s is named so that it is built in the caller's result slot, not copied
+// there at a return: the decoder and the verifier ask on every
+// instruction.
+func (m *Module) Signature(f *Func, in *Instr) (s Signature, err error) {
 	tt := m.Types
-	var s Signature
 	switch in.Op {
 	case OpParam:
 		if in.Aux < 0 || int(in.Aux) >= len(f.Params) {
@@ -95,10 +98,10 @@ func (m *Module) Signature(f *Func, in *Instr) (Signature, error) {
 			return s, fmt.Errorf("constant without kind")
 		}
 	case OpPrim, OpXPrim:
-		sig, ok := primSigs[in.Prim]
-		if !ok {
+		if !in.Prim.Valid() {
 			return s, fmt.Errorf("unknown primitive %d", in.Prim)
 		}
+		sig := &primSigs[in.Prim]
 		if sig.Throws != (in.Op == OpXPrim) {
 			return s, fmt.Errorf("%s used with %s", sig.Name, in.Op)
 		}

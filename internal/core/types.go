@@ -96,7 +96,7 @@ type TypeTable struct {
 	NPE, Arith, Bounds, Cast, NegSize           TypeID
 
 	arrays   map[TypeID]TypeID // elem -> array
-	safeRefs map[TypeID]TypeID // base -> safe-ref
+	safeRefs []TypeID          // base -> safe-ref, NoType for none
 	safeIdxs map[TypeID]TypeID // array -> safe-index
 	classes  map[string]TypeID
 	// ImplicitLen is the number of table entries (including index 0)
@@ -108,7 +108,6 @@ type TypeTable struct {
 func NewTypeTable() *TypeTable {
 	tt := &TypeTable{
 		arrays:   make(map[TypeID]TypeID),
-		safeRefs: make(map[TypeID]TypeID),
 		safeIdxs: make(map[TypeID]TypeID),
 		classes:  make(map[string]TypeID),
 	}
@@ -148,8 +147,7 @@ func NewTypeTable() *TypeTable {
 	for id := TypeID(1); id < TypeID(len(tt.ByID)); id++ {
 		t := tt.ByID[id]
 		if t.Kind == TClass {
-			sid := add(&Type{Kind: TSafeRef, Base: id})
-			tt.safeRefs[id] = sid
+			tt.shadow(id, add(&Type{Kind: TSafeRef, Base: id}))
 		}
 	}
 	tt.ImplicitLen = len(tt.ByID)
@@ -184,7 +182,7 @@ func (tt *TypeTable) AddClass(name string, super TypeID) TypeID {
 	tt.classes[name] = t.ID
 	// Every reference type gets its safe-ref shadow immediately, so
 	// shadow IDs are a deterministic function of creation order.
-	tt.safeRefs[t.ID] = tt.addDerived(&Type{Kind: TSafeRef, Base: t.ID})
+	tt.shadow(t.ID, tt.addDerived(&Type{Kind: TSafeRef, Base: t.ID}))
 	return t.ID
 }
 
@@ -205,18 +203,25 @@ func (tt *TypeTable) ArrayOf(elem TypeID) TypeID {
 	}
 	id := tt.addDerived(&Type{Kind: TArray, Elem: elem, Super: tt.Object})
 	tt.arrays[elem] = id
-	tt.safeRefs[id] = tt.addDerived(&Type{Kind: TSafeRef, Base: id})
+	tt.shadow(id, tt.addDerived(&Type{Kind: TSafeRef, Base: id}))
 	tt.safeIdxs[id] = tt.addDerived(&Type{Kind: TSafeIndex, Base: id})
 	return id
 }
 
+// shadow records sid as the safe-ref shadow of base.
+func (tt *TypeTable) shadow(base, sid TypeID) {
+	if n := int(base) + 1; n > len(tt.safeRefs) {
+		tt.safeRefs = append(tt.safeRefs, make([]TypeID, n-len(tt.safeRefs))...)
+	}
+	tt.safeRefs[base] = sid
+}
+
 // SafeRefOf returns the safe-ref shadow of a reference type.
 func (tt *TypeTable) SafeRefOf(ref TypeID) TypeID {
-	id, ok := tt.safeRefs[ref]
-	if !ok {
-		panic(fmt.Sprintf("core: no safe-ref shadow for type %d (%s)", ref, tt.MustGet(ref)))
+	if uint(ref) < uint(len(tt.safeRefs)) && tt.safeRefs[ref] != NoType {
+		return tt.safeRefs[ref]
 	}
-	return id
+	panic(fmt.Sprintf("core: no safe-ref shadow for type %d (%s)", ref, tt.MustGet(ref)))
 }
 
 // SafeIndexOf returns the safe-index shadow of an array type.

@@ -54,7 +54,7 @@ type Arena struct {
 
 	// A v2 unit's adaptive model, and a stream's read buffer.
 	mdl *model
-	src *byteSource
+	buf *[4096]byte
 }
 
 type siteMaps struct {
@@ -102,26 +102,21 @@ func (a *Arena) Rewind() int {
 		}
 	}
 	a.nsites = 0
-	if len(a.rf.index) > maxKeptPlanes {
-		a.rf.index = nil
+	if len(a.rf.bound) > maxKeptPlanes {
+		a.rf.bound = nil
 	}
 	if len(a.sitePos) > maxKeptPlanes {
 		a.sitePos = nil
 	}
-	if a.src != nil {
-		a.src.r = nil // the stream read last, which the arena must not pin
-		n += int(unsafe.Sizeof(*a.src))
+	if a.buf != nil {
+		n += len(a.buf)
 	}
 	if a.mdl != nil {
 		n += int(unsafe.Sizeof(*a.mdl))
 	}
 	n += 8*(cap(a.kids)+cap(a.blks)+cap(a.code)+cap(a.handlers)+cap(a.vals)) +
 		int(unsafe.Sizeof(loopShape{}))*cap(a.loops) + 4*(cap(a.params)+a.pos.Cap()) +
-		int(unsafe.Sizeof(siteMaps{}))*cap(a.sites) +
-		int(unsafe.Sizeof(core.PlaneKey{})+4)*len(a.rf.index) + 16*len(a.sitePos)
-	for _, p := range a.rf.planes[:cap(a.rf.planes)] {
-		n += int(unsafe.Sizeof(regEntry{})) * cap(p)
-	}
+		int(unsafe.Sizeof(siteMaps{}))*cap(a.sites) + 16*len(a.sitePos) + a.rf.bytes()
 	return n
 }
 

@@ -162,8 +162,9 @@ func (w *bitWriter) setProd(int) {}
 // behind an io.Reader.
 type bitReader struct {
 	src io.ByteReader
-	cur byte // unconsumed bits, left-aligned
-	n   uint // number of unconsumed bits in cur
+	cur byte   // unconsumed bits, left-aligned
+	n   uint   // number of unconsumed bits in cur
+	buf []byte // str's scratch
 }
 
 func newBitReader(src io.ByteReader) *bitReader { return &bitReader{src: src} }
@@ -263,14 +264,17 @@ func (r *bitReader) str() (string, error) {
 	if n > maxStringLen {
 		return "", malformedf("string too long")
 	}
-	b := make([]byte, n)
-	for i := range b {
+	// The scratch grows only as bytes are read: a declared length sizes
+	// nothing.
+	b := r.buf[:0]
+	for ; n > 0; n-- {
 		v, err := r.readBits(8)
 		if err != nil {
 			return "", err
 		}
-		b[i] = byte(v)
+		b = append(b, byte(v))
 	}
+	r.buf = b
 	return string(b), nil
 }
 

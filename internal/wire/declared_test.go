@@ -33,7 +33,8 @@ func declaring(funcs int, body func(w symWriter)) map[string][]byte {
 }
 
 // TestDeclaredCountsAllocateNothing: a few bytes that announce 1<<22
-// functions, instructions, phis, CST children or parameters and then stop
+// functions, instructions, phis, CST children or parameters, or a 1 MiB
+// string, and then stop
 // must cost the consumer next to nothing — no slab, arena or presize takes its
 // size from a count the stream only declares (4 M instructions would be
 // a 450 MiB chunk).
@@ -81,6 +82,13 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 			}
 			w.setProd(prodBlock)
 			w.uvarint(declared)
+		},
+		// The function's name declares the longest string a stream may
+		// and then stops: the reader's scratch grows only with bytes it
+		// has decoded.
+		"string bytes": func(w symWriter) {
+			w.setProd(prodSig)
+			w.uvarint(maxStringLen)
 		},
 		"instructions": func(w symWriter) {
 			sig(w, 0)

@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 
 	"safetsa/internal/core"
 )
@@ -69,7 +67,7 @@ func DecodeVerifiedOpts(data []byte, o DecodeOptions) (*core.Module, error) {
 // open, the same pull, the same closing check a stream's consumer spreads
 // over a session.
 func decodeUnit(data []byte, o DecodeOptions, v1Only, verify bool) (*core.Module, error) {
-	su, err := openUnit(bytes.NewReader(data), o, nil, v1Only, verify)
+	su, err := openUnit(byteSource{data: data}, o, nil, v1Only, verify)
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +77,11 @@ func decodeUnit(data []byte, o DecodeOptions, v1Only, verify bool) (*core.Module
 	return su.Mod, nil
 }
 
-// newStreamReader parses the container header from an incremental byte
-// source and returns the matching symbol reader; a v2 reader's model is
+// newStreamReader parses the container header from the unit's byte source
+// and returns the matching symbol reader; a v2 reader's model is
 // made in mdl's memory when mdl is not nil. v1Only models a
 // fixed-code-only consumer.
-func newStreamReader(src io.ByteReader, o DecodeOptions, mdl *model, v1Only bool) (symReader, error) {
+func newStreamReader(src *byteSource, o DecodeOptions, mdl *model, v1Only bool) (symReader, error) {
 	var hdr [4]byte
 	for i := range hdr {
 		b, err := src.ReadByte()
@@ -182,7 +180,7 @@ type decoder struct {
 func (d *decoder) retire() {
 	d.adm = nil
 	if ac, ok := d.r.(*acReader); ok {
-		ac.mdl = nil
+		ac.mdl, ac.buf = nil, nil
 	}
 	if !d.lent {
 		d.dropScratch()
@@ -506,7 +504,7 @@ func (d *decoder) decodeFunc() (*core.Func, error) {
 	f.FinishIn(&d.blockVec)
 
 	// Phase 2: block contents in the canonical CST order.
-	d.rf.reset()
+	d.rf.reset(len(d.m.Types.ByID))
 	d.handlers = d.handlers[:0]
 	if d.sitePos == nil || len(d.sitePos) > maxKeptPlanes {
 		d.sitePos = make(map[*core.Instr]int)

@@ -7,7 +7,7 @@ import "safetsa/internal/core"
 func Retired(su *StreamingUnit) bool {
 	d := &su.d
 	ac, _ := d.r.(*acReader)
-	return d.adm == nil && d.sitePos == nil && d.rf.index == nil && d.kids == nil &&
+	return d.adm == nil && d.sitePos == nil && d.rf.planes == nil && d.kids == nil &&
 		(ac == nil || ac.mdl == nil)
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 
@@ -141,44 +140,6 @@ func acEncodeSymbol(rc *rcEncoder, ctx []uint16, v, n int) {
 	}
 }
 
-// acDecodeSymbol mirrors acEncodeSymbol: it reads the k-1 common bits,
-// and the conditional extra bit exactly when the prefix selects a long
-// codeword — the same context sequence the encoder used on both paths.
-func acDecodeSymbol(rc *rcDecoder, ctx []uint16, n int) (int, error) {
-	if n <= 0 {
-		return 0, malformedf("empty alphabet (no value of the required kind is in scope)")
-	}
-	if n == 1 {
-		return 0, nil
-	}
-	k := uint(bits.Len(uint(n - 1)))
-	u := (1 << k) - n
-	var v uint64
-	for pos := 0; pos < int(k-1); pos++ {
-		cp := pos
-		if cp >= len(ctx) {
-			cp = len(ctx) - 1
-		}
-		b, err := rc.decodeBit(&ctx[cp])
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
-	}
-	if int(v) < u {
-		return int(v), nil
-	}
-	cp := int(k - 1)
-	if cp >= len(ctx) {
-		cp = len(ctx) - 1
-	}
-	b, err := rc.decodeBit(&ctx[cp])
-	if err != nil {
-		return 0, err
-	}
-	return int(v)<<1 + b - u, nil
-}
-
 // acWriter implements symWriter over the adaptive model — wire v2.
 type acWriter struct {
 	mdl     *model
@@ -277,44 +238,27 @@ func (w *acWriter) str(s string) {
 
 // acReader implements symReader over the adaptive model — the decode
 // side of wire v2. It is constructed after the container header (model
-// byte, optional dictionary id, payload length) has been parsed.
+// byte, optional dictionary id, payload length) has been parsed. Each
+// method decodes its symbol's bits and then reads the coder's latch once:
+// a payload cut short is reported as truncated, whatever the zeros fed in
+// its place decoded to.
 type acReader struct {
 	mdl     *model
-	rc      *rcDecoder
-	lim     *limitedByteSource
-	outer   io.ByteReader
+	rc      rcDecoder
 	prod    int
 	flagIdx int
+	buf     []byte // str's scratch
 }
 
-// limitedByteSource bounds the range coder to the declared payload
-// length: a read past the limit reports EOF, which the coder surfaces
-// as a truncation error.
-type limitedByteSource struct {
-	src io.ByteReader
-	n   int64
-}
-
-func (l *limitedByteSource) ReadByte() (byte, error) {
-	if l.n <= 0 {
-		return 0, io.EOF
-	}
-	b, err := l.src.ReadByte()
-	if err == nil {
-		l.n--
-	}
-	return b, err
-}
-
-// newACReader begins a v2 payload; its model is made in mdl's memory when
-// mdl is not nil.
-func newACReader(src io.ByteReader, dict *Dictionary, payloadLen int64, mdl *model) (*acReader, error) {
-	lim := &limitedByteSource{src: src, n: payloadLen}
-	rc, err := newRCDecoder(lim)
-	if err != nil {
+// newACReader begins a v2 payload of n bytes at src's position; its model
+// is made in mdl's memory when mdl is not nil.
+func newACReader(src *byteSource, dict *Dictionary, n int64, mdl *model) (*acReader, error) {
+	r := &acReader{}
+	if err := r.rc.begin(src, n); err != nil {
 		return nil, err
 	}
-	return &acReader{mdl: newModel(dict, mdl), rc: rc, lim: lim, outer: src}, nil
+	r.mdl = newModel(dict, mdl)
+	return r, nil
 }
 
 func (r *acReader) pc() *prodCtx { return &r.mdl.prods[r.prod] }
@@ -329,40 +273,29 @@ func (r *acReader) setProd(p int) {
 
 func (r *acReader) bit() (bool, error) {
 	pc := r.pc()
-	i := r.flagIdx
-	if i >= len(pc.flag) {
-		i = len(pc.flag) - 1
-	}
+	i := min(r.flagIdx, len(pc.flag)-1)
 	r.flagIdx++
-	b, err := r.rc.decodeBit(&pc.flag[i])
-	return b == 1, err
+	b := r.rc.decodeBit(&pc.flag[i])
+	return b == 1, r.rc.err
 }
 
 func (r *acReader) symbol(n int) (int, error) {
-	return acDecodeSymbol(r.rc, r.pc().sym[:], n)
+	v, err := r.rc.symbol(&r.pc().sym, n)
+	if r.rc.err != nil {
+		return 0, r.rc.err
+	}
+	return v, err
 }
 
 func (r *acReader) uvarint() (uint64, error) {
-	pc := r.pc()
+	pc, rc := r.pc(), &r.rc
 	var v uint64
-	var shift uint
-	g := 0
-	for {
-		gi := g
-		if gi >= len(pc.cont) {
-			gi = len(pc.cont) - 1
-		}
-		c, err := r.rc.decodeBit(&pc.cont[gi])
-		if err != nil {
-			return 0, err
-		}
-		var grp uint64
-		for j := 0; j < 4; j++ {
-			b, err := r.rc.decodeBit(&pc.pay[gi][j])
-			if err != nil {
-				return 0, err
-			}
-			grp = grp<<1 | uint64(b)
+	for g, shift := 0, uint(0); ; g, shift = g+1, shift+4 {
+		gi := min(g, len(pc.cont)-1)
+		c := rc.decodeBit(&pc.cont[gi])
+		grp := uint64(rc.bits(pc.pay[gi][:]))
+		if rc.err != nil {
+			return 0, rc.err
 		}
 		if shift > 60 {
 			return 0, malformedf("varint overflow")
@@ -371,8 +304,6 @@ func (r *acReader) uvarint() (uint64, error) {
 		if c == 0 {
 			return v, nil
 		}
-		shift += 4
-		g++
 	}
 }
 
@@ -385,39 +316,33 @@ func (r *acReader) svarint() (int64, error) {
 }
 
 func (r *acReader) float64bits() (float64, error) {
-	v, err := r.rc.decodeDirect(64)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(v), nil
+	v := r.rc.decodeDirect(64)
+	return math.Float64frombits(v), r.rc.err
 }
 
 func (r *acReader) litByte() (byte, error) {
+	lit := &r.mdl.lit
 	ctx := 1
 	for i := 0; i < 8; i++ {
-		b, err := r.rc.decodeBit(&r.mdl.lit[ctx])
-		if err != nil {
-			return 0, err
-		}
-		ctx = ctx<<1 | b
+		ctx = ctx<<1 | r.rc.decodeBit(&lit[ctx&0xFF])
 	}
-	return byte(ctx - 256), nil
+	return byte(ctx), r.rc.err
 }
 
+// str decodes a string into the reader's scratch, which grows only as
+// its bytes are decoded — a declared length sizes nothing — and makes
+// the one string from it.
 func (r *acReader) str() (string, error) {
-	m := r.mdl
-	if len(m.dictStrings) > 0 {
-		b, err := r.rc.decodeBit(&m.useDict)
+	m, rc := r.mdl, &r.rc
+	if len(m.dictStrings) > 0 && rc.decodeBit(&m.useDict) == 1 {
+		idx, err := rc.symbol(&m.dictSym, len(m.dictStrings))
+		if rc.err != nil {
+			return "", rc.err
+		}
 		if err != nil {
 			return "", err
 		}
-		if b == 1 {
-			idx, err := acDecodeSymbol(r.rc, m.dictSym[:], len(m.dictStrings))
-			if err != nil {
-				return "", err
-			}
-			return m.dictStrings[idx], nil
-		}
+		return m.dictStrings[idx], nil
 	}
 	n, err := r.uvarint()
 	if err != nil {
@@ -426,12 +351,15 @@ func (r *acReader) str() (string, error) {
 	if n > maxStringLen {
 		return "", malformedf("string too long")
 	}
-	buf := make([]byte, n)
-	for i := range buf {
-		if buf[i], err = r.litByte(); err != nil {
+	buf := r.buf[:0]
+	for ; n > 0; n-- {
+		b, err := r.litByte()
+		if err != nil {
 			return "", err
 		}
+		buf = append(buf, b)
 	}
+	r.buf = buf
 	return string(buf), nil
 }
 
@@ -439,10 +367,10 @@ func (r *acReader) str() (string, error) {
 // consumed the declared payload exactly (byte-count symmetry with the
 // encoder, see rangecoder.go), and the enclosing source must be at EOF.
 func (r *acReader) end() error {
-	if r.lim.n != 0 {
+	if !r.rc.consumed() {
 		return malformedf("payload length does not match the final production")
 	}
-	if _, err := r.outer.ReadByte(); err == nil {
+	if _, err := r.rc.src.ReadByte(); err == nil {
 		return malformedf("trailing data after the final production")
 	}
 	return nil

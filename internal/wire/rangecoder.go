@@ -1,6 +1,6 @@
 package wire
 
-import "io"
+import "math/bits"
 
 // Binary range coder for wire format v2. The construction is the
 // classic carry-cached range coder (as used by LZMA): 32-bit range,
@@ -102,63 +102,111 @@ func (e *rcEncoder) finish() []byte {
 	return e.out
 }
 
+// rcDecoder reads a payload of a declared length from a byteSource: the
+// payload's bytes in hand are src.data[src.i:end], a window on the unit
+// over memory, on the read buffer over a stream. A byte is taken by
+// indexing the window; only when it runs out does the decoder ask the
+// source for more, and a read past the declared end — or past the end of
+// the input — latches err and feeds zeros. The decoding methods return
+// their bits alone; the symbol reader checks err once per symbol
+// (acReader), and its verdict wins over any value decoded from those zeros.
 type rcDecoder struct {
-	src io.ByteReader
-	rng uint32
-	cod uint32
+	src      *byteSource
+	end      int   // where the payload's bytes in hand end in src.data
+	stop     int64 // the stream offset just past the declared payload
+	rng, cod uint32
+	err      error
 }
 
-func newRCDecoder(src io.ByteReader) (*rcDecoder, error) {
-	d := &rcDecoder{src: src, rng: 0xFFFFFFFF}
-	b, err := d.readByte()
-	if err != nil {
-		return nil, err
-	}
-	if b != 0 {
-		return nil, malformedf("corrupt range-coder prologue")
+// errTruncated is the latched verdict on a payload that ends before its
+// coder does.
+var errTruncated = malformedf("stream truncated")
+
+// begin starts decoding the n-byte payload at src's position: it checks
+// the prologue and preloads the code.
+func (d *rcDecoder) begin(src *byteSource, n int64) error {
+	*d = rcDecoder{src: src, stop: src.offset() + n, rng: 0xFFFFFFFF}
+	d.end = d.window()
+	if b := d.next(); d.err != nil {
+		return d.err
+	} else if b != 0 {
+		return malformedf("corrupt range-coder prologue")
 	}
 	for i := 0; i < 4; i++ {
-		b, err := d.readByte()
-		if err != nil {
-			return nil, err
-		}
-		d.cod = d.cod<<8 | uint32(b)
+		d.cod = d.cod<<8 | uint32(d.next())
 	}
-	return d, nil
+	return d.err
 }
 
-func (d *rcDecoder) readByte() (byte, error) {
-	b, err := d.src.ReadByte()
-	if err != nil {
-		return 0, malformedf("stream truncated")
-	}
-	return b, nil
+// window is where the payload's bytes in hand end.
+func (d *rcDecoder) window() int {
+	return int(min(int64(len(d.src.data)), d.stop-d.src.off))
 }
 
-func (d *rcDecoder) decodeBit(p *uint16) (int, error) {
-	bound := (d.rng >> probBits) * uint32(*p)
-	var bit int
-	if d.cod < bound {
-		d.rng = bound
-		*p += (probOne - *p) >> probMoveBits
-	} else {
-		d.cod -= bound
-		d.rng -= bound
-		*p -= *p >> probMoveBits
-		bit = 1
+// next takes the payload's next byte.
+func (d *rcDecoder) next() byte {
+	if s := d.src; s.i < d.end {
+		b := s.data[s.i]
+		s.i++
+		return b
 	}
-	for d.rng < rcTop {
-		b, err := d.readByte()
-		if err != nil {
-			return 0, err
-		}
-		d.cod = d.cod<<8 | uint32(b)
-		d.rng <<= 8
-	}
-	return bit, nil
+	return d.refill()
 }
 
-func (d *rcDecoder) decodeDirect(n uint) (uint64, error) {
+// refill is next past the window: the source reads on when every byte in
+// hand is consumed and the payload is not, and anything else is a read
+// past the payload's end, which latches. Once latched, nothing is read.
+func (d *rcDecoder) refill() byte {
+	s := d.src
+	if d.err == nil && s.i == len(s.data) && s.offset() < d.stop && s.fill() {
+		d.end = d.window()
+		return d.next()
+	}
+	if d.err == nil {
+		d.err = errTruncated
+	}
+	return 0
+}
+
+// shift renormalizes: it shifts the payload's next bytes into the code
+// until the range is wide again.
+func (d *rcDecoder) shift(rng, cod uint32) (uint32, uint32) {
+	for rng < rcTop {
+		cod = cod<<8 | uint32(d.next())
+		rng <<= 8
+	}
+	return rng, cod
+}
+
+// consumed reports whether the coder has read its payload exactly.
+func (d *rcDecoder) consumed() bool { return d.src.offset() == d.stop }
+
+// decodeBit decodes one bit against *p.
+func (d *rcDecoder) decodeBit(p *uint16) int {
+	rng, cod, b := decide(d.rng, d.cod, p)
+	if rng < rcTop {
+		rng, cod = d.shift(rng, cod)
+	}
+	d.rng, d.cod = rng, cod
+	return b
+}
+
+// decide is one decision's arithmetic, encodeBit's inverse: it splits
+// the range at *p's bound, returns the range and code of the side the
+// code falls in and that side's bit, and moves *p toward it. The side is
+// selected by a mask rather than by a branch on the data. The caller
+// renormalizes.
+func decide(rng, cod uint32, p *uint16) (uint32, uint32, int) {
+	pv := uint32(*p)
+	bound := (rng >> probBits) * pv
+	// one is all ones when the bit is 1 (cod >= bound), zero when it is 0.
+	one := uint32((uint64(cod)-uint64(bound))>>63) - 1
+	*p = uint16(pv + ((probOne-pv)>>probMoveBits)&^one - (pv>>probMoveBits)&one)
+	return bound&^one | (rng-bound)&one, cod - bound&one, int(one & 1)
+}
+
+// decodeDirect decodes n bits coded by encodeDirect.
+func (d *rcDecoder) decodeDirect(n uint) uint64 {
 	var v uint64
 	for i := uint(0); i < n; i++ {
 		d.rng >>= 1
@@ -168,14 +216,48 @@ func (d *rcDecoder) decodeDirect(n uint) (uint64, error) {
 			bit = 1
 		}
 		v = v<<1 | bit
-		for d.rng < rcTop {
-			b, err := d.readByte()
-			if err != nil {
-				return 0, err
-			}
-			d.cod = d.cod<<8 | uint32(b)
-			d.rng <<= 8
-		}
+		d.rng, d.cod = d.shift(d.rng, d.cod)
 	}
-	return v, nil
+	return v
+}
+
+// symbol decodes one truncated-binary symbol of an alphabet of n coded by
+// acEncodeSymbol: the k-1 common bits, and the extra bit exactly when the
+// prefix selects a long codeword, each in its position's context (the
+// last one for every position past it).
+func (d *rcDecoder) symbol(ctx *[24]uint16, n int) (int, error) {
+	if n <= 1 {
+		if n <= 0 {
+			return 0, malformedf("empty alphabet (no value of the required kind is in scope)")
+		}
+		return 0, nil
+	}
+	k := bits.Len(uint(n - 1))
+	u := 1<<k - n
+	own := ctx[:min(k-1, len(ctx))]
+	v := d.bits(own)
+	for pos := len(own); pos < k-1; pos++ {
+		v = v<<1 | d.decodeBit(&ctx[len(ctx)-1])
+	}
+	if v < u {
+		return v, nil
+	}
+	v = v<<1 | d.decodeBit(&ctx[min(k-1, len(ctx)-1)])
+	return v - u, nil
+}
+
+// bits decodes len(ctx) bits, most significant first, bit i against
+// ctx[i], with the range and code kept in locals across them.
+func (d *rcDecoder) bits(ctx []uint16) int {
+	rng, cod, v := d.rng, d.cod, 0
+	for i := range ctx {
+		var b int
+		rng, cod, b = decide(rng, cod, &ctx[i])
+		if rng < rcTop {
+			rng, cod = d.shift(rng, cod)
+		}
+		v = v<<1 | b
+	}
+	d.rng, d.cod = rng, cod
+	return v
 }

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"unsafe"
+
 	"safetsa/internal/core"
 )
 
@@ -22,29 +24,66 @@ type regEntry struct {
 // Storage is flat: per plane, one function-wide vector in fill order.
 // Blocks are filled one at a time, in dominator pre-order — ascending
 // Block.Index — so a block's registers on a plane are one contiguous
-// window of that vector, and the vector ascends in (blk, pos); every
-// lookup is a binary search. One regFile serves all the functions of a
-// unit: reset truncates and never frees.
+// window of that vector, and the vector ascends in (blk, pos): a window
+// in the last block to fill the plane starts where that block began,
+// and any other is found by binary search. A plane is found by index: a
+// dense table over TypeID for the planes of a type, and a map only for
+// the safe-index planes, which are bound to an array value. One regFile
+// serves all the functions of a unit — and, in a recycled arena or
+// encoder, of every unit after it: reset truncates and never frees.
 type regFile struct {
-	// index finds a plane's vector in O(1). It has to be a map: every
-	// indexcheck mints its own safe-index plane, so a hostile body has as
-	// many planes as it has instructions.
-	index  map[core.PlaneKey]int32
-	planes [][]regEntry
+	// byType holds, for each type whose plane the function has filled,
+	// the plane's number + 1 (0: none yet). It is sized to the module's
+	// type table, whose every entry the decoder has already decoded.
+	byType []int32
+	// bound finds a safe-index plane. It has to be a map: every
+	// indexcheck mints its own, so a hostile body has as many as it has
+	// instructions. It is made when the first one is filled.
+	bound  map[core.PlaneKey]int32
+	planes []plane
+}
+
+// plane is one register plane's vector, with the key that finds it and
+// where the last block to fill it begins in it.
+type plane struct {
+	key  core.PlaneKey
+	regs []regEntry
+	last int
 }
 
 // maxKeptPlanes bounds what reset clears in place: clearing a map costs
 // its capacity, and one hostile function must not tax every later one.
 const maxKeptPlanes = 1 << 10
 
-// reset empties the file for the next function.
-func (rf *regFile) reset() {
-	if rf.index == nil || len(rf.index) > maxKeptPlanes {
-		rf.index = make(map[core.PlaneKey]int32)
-	} else {
-		clear(rf.index)
+// reset empties the file for the next function of a module whose type
+// table has types entries.
+func (rf *regFile) reset(types int) {
+	for _, p := range rf.planes {
+		if p.key.Bind == core.NoValue {
+			rf.byType[p.key.Type] = 0
+		}
 	}
 	rf.planes = rf.planes[:0]
+	if len(rf.byType) < types {
+		rf.byType = make([]int32, types)
+	}
+	if len(rf.bound) > maxKeptPlanes {
+		rf.bound = nil
+	} else {
+		clear(rf.bound)
+	}
+}
+
+// find returns the number of the plane k, or -1 while it holds no
+// register.
+func (rf *regFile) find(k core.PlaneKey) int {
+	if k.Bind == core.NoValue {
+		return int(rf.byType[k.Type]) - 1
+	}
+	if i, ok := rf.bound[k]; ok {
+		return int(i)
+	}
+	return -1
 }
 
 // add fills the next register of the instruction's plane.
@@ -53,22 +92,35 @@ func (rf *regFile) add(b *core.Block, in *core.Instr, pos int) {
 		return
 	}
 	k := in.Plane()
-	i, ok := rf.index[k]
-	if !ok {
-		i = int32(len(rf.planes))
-		rf.index[k] = i
-		if int(i) < cap(rf.planes) {
-			rf.planes = rf.planes[:i+1]
-			rf.planes[i] = rf.planes[i][:0]
+	i := rf.find(k)
+	if i < 0 {
+		i = len(rf.planes)
+		if k.Bind == core.NoValue {
+			rf.byType[k.Type] = int32(i + 1)
 		} else {
-			rf.planes = append(rf.planes, nil)
+			if rf.bound == nil {
+				rf.bound = make(map[core.PlaneKey]int32)
+			}
+			rf.bound[k] = int32(i)
 		}
+		if i < cap(rf.planes) {
+			rf.planes = rf.planes[:i+1]
+			rf.planes[i].regs = rf.planes[i].regs[:0]
+		} else {
+			rf.planes = append(rf.planes, plane{})
+		}
+		rf.planes[i].key = k
 	}
+	p := &rf.planes[i]
 	e := regEntry{id: in.ID, blk: int32(b.Index), pos: int32(pos)}
-	if rs := rf.planes[i]; len(rs) > 0 && e.before(rs[len(rs)-1].blk, rs[len(rs)-1].pos) {
+	n := len(p.regs)
+	if n > 0 && e.before(p.regs[n-1].blk, p.regs[n-1].pos) {
 		panic("wire: register file filled out of order")
 	}
-	rf.planes[i] = append(rf.planes[i], e)
+	if n == 0 || p.regs[n-1].blk != e.blk {
+		p.last = n
+	}
+	p.regs = append(p.regs, e)
 }
 
 // before orders registers by (block, position).
@@ -93,15 +145,18 @@ func lowerBound(rs []regEntry, blk, pos int32) int {
 // window returns the registers of the plane in b before the given
 // position (use limit < 0 for "all"): the alphabet of an r.
 func (rf *regFile) window(b *core.Block, plane core.PlaneKey, limit int) []regEntry {
-	i, ok := rf.index[plane]
-	if !ok {
+	i := rf.find(plane)
+	if i < 0 {
 		return nil
 	}
-	// A plane in the index holds at least one register. The two usual
-	// cases need no search: b is the first block that filled the plane,
-	// or the last one so far.
-	rs, blk := rf.planes[i], int32(b.Index)
-	if rs[0].blk != blk {
+	// A plane that is found holds at least one register. The two usual
+	// cases need no search: b is the last block that filled the plane so
+	// far, or the first.
+	p := &rf.planes[i]
+	rs, blk := p.regs, int32(b.Index)
+	if rs[len(rs)-1].blk == blk {
+		rs = rs[p.last:]
+	} else if rs[0].blk != blk {
 		rs = rs[lowerBound(rs, blk, 0):]
 	}
 	if limit >= 0 {
@@ -125,4 +180,14 @@ func indexOf(w []regEntry, id core.ValueID, pos int) int {
 		}
 	}
 	return -1
+}
+
+// bytes is what the file keeps between functions and units.
+func (rf *regFile) bytes() int {
+	n := 4*cap(rf.byType) + int(unsafe.Sizeof(core.PlaneKey{})+4)*len(rf.bound) +
+		int(unsafe.Sizeof(plane{}))*cap(rf.planes)
+	for _, p := range rf.planes[:cap(rf.planes)] {
+		n += int(unsafe.Sizeof(regEntry{})) * cap(p.regs)
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -187,16 +188,68 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestDecodeTruncations: every byte-level prefix of a valid unit must be
-// rejected cleanly (no panic, no acceptance of a partial module).
+// TestDecodeTruncations: every byte-level prefix of a valid unit, of
+// either wire version, is rejected cleanly by every entry point that
+// decodes from memory — ErrMalformed, no panic, no partial module — and so
+// is a v2 unit whose container declares its payload one byte short, or
+// one byte long with a byte appended to make up the length.
 func TestDecodeTruncations(t *testing.T) {
 	mod := compileAll(t, testPrograms["objects"], true)
-	data := wire.EncodeModule(mod)
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := wire.DecodeModule(data[:cut]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded successfully", cut, len(data))
+	v1, v2 := wire.EncodeModule(mod), wire.EncodeModuleV2(mod, nil)
+	entries := []struct {
+		name   string
+		decode func([]byte) error
+	}{
+		{"DecodeModule", func(b []byte) error { _, err := wire.DecodeModule(b); return err }},
+		{"DecodeVerified", func(b []byte) error { _, err := wire.DecodeVerified(b); return err }},
+		{"OpenVerified", func(b []byte) error {
+			su, err := wire.OpenVerified(b, nil)
+			if err == nil {
+				err = su.Wait()
+			}
+			return err
+		}},
+	}
+	for _, e := range entries {
+		for _, u := range []struct {
+			version string
+			data    []byte
+		}{{"v1", v1}, {"v2", v2}} {
+			for cut := 0; cut < len(u.data); cut++ {
+				if err := e.decode(u.data[:cut]); !errors.Is(err, wire.ErrMalformed) {
+					t.Fatalf("%s/%s: prefix of %d/%d bytes: got %v, want ErrMalformed", e.name, u.version, cut, len(u.data), err)
+				}
+			}
+		}
+		for _, tc := range []struct {
+			name string
+			data []byte
+		}{
+			{"payload declared one byte short", reframe(t, v2, -1, nil)},
+			{"payload declared one byte long, a byte appended", reframe(t, v2, 1, []byte{0})},
+		} {
+			if err := e.decode(tc.data); !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("%s/v2: %s: got %v, want ErrMalformed", e.name, tc.name, err)
+			}
 		}
 	}
+}
+
+// reframe returns a copy of the dictionary-free v2 unit data whose
+// container declares the payload delta bytes longer than it is, with tail
+// appended to the payload.
+func reframe(t *testing.T, data []byte, delta int, tail []byte) []byte {
+	t.Helper()
+	const head = 5 // "STS2" and the model byte
+	if len(data) < head || string(data[:4]) != "STS2" || data[4] != 1 {
+		t.Fatalf("not a dictionary-free v2 unit: % x", data[:min(len(data), head)])
+	}
+	plen, n := binary.Uvarint(data[head:])
+	if n <= 0 {
+		t.Fatal("bad payload length")
+	}
+	out := binary.AppendUvarint(append([]byte{}, data[:head]...), uint64(int(plen)+delta))
+	return append(append(out, data[head+n:]...), tail...)
 }
 
 // TestDecodeAppendedGarbage: a stream with trailing data after the

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -42,9 +41,9 @@ type StreamingUnit struct {
 	// slot admission has not passed.
 	Mod *core.Module
 
-	d      decoder     // in place: a unit is opened with one allocation
-	src    *byteSource // nil over memory (decodeUnit, OpenVerified), which asks no Offset
-	verify bool        // Admit each body; false is DecodeModule's link-only rule
+	d      decoder    // in place: a unit is opened with one allocation
+	src    byteSource // the unit in memory, or the stream and its buffer
+	verify bool       // Admit each body; false is DecodeModule's link-only rule
 
 	ended bool // every function admitted and the stream closed cleanly
 	err   error
@@ -67,22 +66,16 @@ func DecodeVerifiedStream(r io.Reader, o DecodeOptions) (*StreamingUnit, error) 
 // unit's until the caller rewinds it (Arena.Rewind), once nothing reads
 // the unit's bodies or pulls through the cursor any more.
 func DecodeVerifiedStreamIn(r io.Reader, o DecodeOptions, a *Arena) (*StreamingUnit, error) {
-	var src *byteSource
+	var buf *[4096]byte
 	if a == nil {
-		src = new(byteSource)
+		buf = new([4096]byte)
 	} else {
-		if a.src == nil {
-			a.src = new(byteSource)
+		if a.buf == nil {
+			a.buf = new([4096]byte)
 		}
-		src = a.src
+		buf = a.buf
 	}
-	src.r, src.i, src.n, src.off = r, 0, 0, 0
-	su, err := openUnit(src, o, a, false, true)
-	if err != nil {
-		return nil, err
-	}
-	su.src = src
-	return su, nil
+	return openUnit(byteSource{r: r, buf: buf}, o, a, false, true)
 }
 
 // OpenVerified opens a cursor over a unit held in memory: it reads and
@@ -91,7 +84,7 @@ func DecodeVerifiedStreamIn(r io.Reader, o DecodeOptions, a *Arena) (*StreamingU
 // — whose bodies a consumer decodes again only as its guests call them.
 // Each pull runs the rule that admission ran over the bytes it read, so
 // a body pulled is the one it admitted, and a pull that fails means the
-// bytes changed in memory. A cursor over memory has no Offset.
+// bytes changed in memory.
 //
 // The bodies, a v2 stream's adaptive model and the per-function scratch
 // are carved from a, which the cursor is lent for as long as the unit
@@ -99,14 +92,14 @@ func DecodeVerifiedStreamIn(r io.Reader, o DecodeOptions, a *Arena) (*StreamingU
 // (Arena.Rewind), and is the unit's until the caller rewinds it, once
 // nothing reads the unit's bodies or pulls through the cursor any more.
 func OpenVerified(data []byte, a *Arena) (*StreamingUnit, error) {
-	return openUnit(bytes.NewReader(data), DecodeOptions{}, a, false, true)
+	return openUnit(byteSource{data: data}, DecodeOptions{}, a, false, true)
 }
 
 // openUnit reads the container header and the symbol tables and returns
 // the cursor standing before function 0, decoding into a — or, when a is
 // nil, into an arena of its own.
-func openUnit(src io.ByteReader, o DecodeOptions, a *Arena, v1Only, verify bool) (*StreamingUnit, error) {
-	su := &StreamingUnit{verify: verify}
+func openUnit(src byteSource, o DecodeOptions, a *Arena, v1Only, verify bool) (*StreamingUnit, error) {
+	su := &StreamingUnit{src: src, verify: verify}
 	var mdl *model
 	if a == nil {
 		a = new(Arena) // the unit's, for as long as it lives
@@ -120,7 +113,7 @@ func openUnit(src io.ByteReader, o DecodeOptions, a *Arena, v1Only, verify bool)
 	}
 	su.d.Arena = a
 	su.advance(func() error {
-		r, err := newStreamReader(src, o, mdl, v1Only)
+		r, err := newStreamReader(&su.src, o, mdl, v1Only)
 		if err != nil {
 			return err
 		}
@@ -190,7 +183,7 @@ func (su *StreamingUnit) Ready() int { return len(su.Mod.Funcs) }
 // Offset reports how many bytes of the stream the decoder has consumed.
 // After a nil WaitFunc(j) that had to pull, it is the offset just past
 // function j — the cut points of the partial-delivery tests.
-func (su *StreamingUnit) Offset() int64 { return su.src.off }
+func (su *StreamingUnit) Offset() int64 { return su.src.offset() }
 
 // WaitFunc returns nil once function i is admitted, decoding and
 // admitting every function up to it that has not been yet, or the
@@ -246,33 +239,50 @@ func (su *StreamingUnit) Wait() error {
 	return su.err
 }
 
-// byteSource adapts an io.Reader to io.ByteReader with a small buffer
-// and a consumed-byte count. It never reads ahead of demand more than
-// the buffer size, and — critically for streaming — a short Read is
-// accepted as-is, so bytes are handed to the decoder as soon as the
-// transport delivers them.
+// byteSource is a decoder's input: a unit held in memory, or a stream
+// read through a buffer. The bytes in hand are data, of which data[i:]
+// are not consumed yet, and off is the offset of data[0], so the decoder
+// stands at off+i. Over a stream, data is what one Read put in buf, read
+// only once every byte in hand is consumed: a short Read is accepted
+// as is, so bytes are handed to the decoder as soon as the transport
+// delivers them, and nothing is read ahead of demand but the rest of that
+// one Read.
 type byteSource struct {
-	r    io.Reader
-	buf  [4096]byte
-	i, n int
+	data []byte
+	i    int
 	off  int64
+	r    io.Reader   // nil over memory, where data is all there is
+	buf  *[4096]byte // the read buffer, over a stream
 }
 
+// ReadByte takes the next byte.
 func (s *byteSource) ReadByte() (byte, error) {
-	if s.i >= s.n {
-		for {
-			n, err := s.r.Read(s.buf[:])
-			if n > 0 {
-				s.i, s.n = 0, n
-				break
-			}
-			if err != nil {
-				return 0, err
-			}
-		}
+	if s.i == len(s.data) && !s.fill() {
+		return 0, io.EOF
 	}
-	b := s.buf[s.i]
+	b := s.data[s.i]
 	s.i++
-	s.off++
 	return b, nil
 }
+
+// fill reads the stream on into the buffer once every byte in hand is
+// consumed; false at the end of the input.
+func (s *byteSource) fill() bool {
+	if s.r == nil {
+		return false
+	}
+	for {
+		n, err := s.r.Read(s.buf[:])
+		if n > 0 {
+			s.off += int64(len(s.data))
+			s.data, s.i = s.buf[:n], 0
+			return true
+		}
+		if err != nil {
+			return false
+		}
+	}
+}
+
+// offset is how many bytes of the input the decoder has consumed.
+func (s *byteSource) offset() int64 { return s.off + int64(s.i) }
