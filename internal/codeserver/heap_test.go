@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -160,8 +161,34 @@ class Churn {
 // and one collection after the run moves what the release pooled to the
 // pools' victim lists without dropping it, so the live heap the run added
 // is what the release pooled, plus the caches the server filled for the
-// unit.
+// unit. The live heap is the process's, so the measurement runs in a
+// process of its own: in this one, what other tests left running or
+// pooled moves it.
 func TestChurnRetainsAtMostTheCap(t *testing.T) {
+	if os.Getenv(churnChildEnv) != "" {
+		measureChurn(t)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestChurnRetainsAtMostTheCap$", "-test.v")
+	cmd.Env = append(os.Environ(), churnChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("the measuring process failed (%v):\n%s", err, out)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, "live heap") {
+			t.Log(strings.TrimSpace(line))
+		}
+	}
+}
+
+// churnChildEnv, when set, makes TestChurnRetainsAtMostTheCap the process
+// that measures.
+const churnChildEnv = "SAFETSA_CHURN_CHILD"
+
+// measureChurn is TestChurnRetainsAtMostTheCap's measurement, in a process
+// that has run nothing else.
+func measureChurn(t *testing.T) {
 	const maxAllocs = 1 << 20
 	s := newTestServer(t, Config{MaxSteps: 1 << 26, MaxAllocs: maxAllocs})
 	u, _, err := s.CompileUnit(context.Background(), churnFiles(340), Options{Optimize: true})

@@ -502,3 +502,87 @@ func TestMultiTenantPooledStress(t *testing.T) {
 		t.Errorf("ungated stress saw %d rejects", st.TenantRejects)
 	}
 }
+
+// TestBadTenantIsRefusedBeforeItsRow: a tenant id outside
+// [A-Za-z0-9._:-]{1,64} gets a 400, kind parse, on both run doors, from the
+// body or the header, before admission — even for a hash the store does
+// not hold — and leaves no row behind in /stats or /metrics. A 900 KiB
+// header id used to leave a 921 600-byte row and a 9.2 MB /metrics page.
+func TestBadTenantIsRefusedBeforeItsRow(t *testing.T) {
+	s := newTestServer(t, Config{})
+	hello, _, err := s.CompileUnit(context.Background(), helloFiles(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	serve := func(path, tenant, body string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest("POST", path, strings.NewReader(body))
+		if tenant != "" {
+			r.Header.Set(TenantHeader, tenant)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		return w
+	}
+	run, missing := "/run/"+hello.Key.String(), "/run/"+strings.Repeat("0", 64)
+	for _, id := range []string{strings.Repeat("x", 900<<10), strings.Repeat("y", 65), "x\ty", "a b", "é", `t"`, "a/b"} {
+		for _, w := range []*httptest.ResponseRecorder{
+			serve(run, id, ""),
+			serve(missing, id, ""),
+			serve(run, "", fmt.Sprintf(`{"tenant":%q}`, id)),
+			serve("/run-stream", id, string(hello.Wire)),
+		} {
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"kind": "parse"`) {
+				t.Fatalf("tenant %.20q: %d %.200s; want 400, kind parse", id, w.Code, w.Body)
+			}
+		}
+	}
+	if st := s.Stats(); len(st.Tenants) != 0 || st.Runs != 0 {
+		t.Fatalf("refused ids left %d tenant rows and %d runs", len(st.Tenants), st.Runs)
+	}
+
+	// The widest id, and each byte the rule admits, runs and gets its row.
+	widest := strings.Repeat("w", 64)
+	for _, id := range []string{widest, "tenant-0", "A.z_9:-"} {
+		if w := serve(run, id, ""); w.Code != http.StatusOK {
+			t.Fatalf("tenant %q: %d %s", id, w.Code, w.Body)
+		}
+	}
+	if st := s.Stats(); len(st.Tenants) != 3 || st.Tenants[widest].Runs != 1 {
+		t.Fatalf("tenant rows %v, want one run each for 3 ids", st.Tenants)
+	}
+	r := httptest.NewRequest("GET", "/metrics", nil)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	if page := w.Body.Len(); page > 64<<10 || !strings.Contains(w.Body.String(), `tenant="`+widest+`"`) {
+		t.Errorf("the /metrics page is %d bytes; want the widest tenant's row in under 64 KiB", page)
+	}
+}
+
+// TestTenantRowsFoldIntoOverflow: past maxTenants distinct ids, every new
+// id is booked in the one "overflow" row, so a flood of ids grows the
+// books by one row.
+func TestTenantRowsFoldIntoOverflow(t *testing.T) {
+	s := newTestServer(t, Config{})
+	hello, _, err := s.CompileUnit(context.Background(), helloFiles(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ids = 300
+	for i := range ids {
+		res, err := s.RunUnitOpts(context.Background(), hello.Key, RunOptions{Tenant: fmt.Sprintf("t%d", i)})
+		if err != nil || !res.OK {
+			t.Fatalf("tenant t%d: %+v, %v", i, res, err)
+		}
+	}
+	st := s.Stats()
+	if len(st.Tenants) != maxTenants+1 {
+		t.Fatalf("%d ids made %d rows, want %d and overflow", ids, len(st.Tenants), maxTenants)
+	}
+	if got := st.Tenants["overflow"].Runs; got != ids-maxTenants {
+		t.Errorf("the overflow row booked %d runs, want %d", got, ids-maxTenants)
+	}
+	if _, ok := st.Tenants[fmt.Sprintf("t%d", maxTenants)]; ok {
+		t.Errorf("tenant t%d has a row of its own past the bound", maxTenants)
+	}
+}

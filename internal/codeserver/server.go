@@ -394,6 +394,30 @@ func (e *TenantBusyError) Error() string {
 	return fmt.Sprintf("codeserver: tenant %q at its in-flight run limit (%d)", e.Tenant, e.Limit)
 }
 
+// ErrBadTenant is returned for a run whose tenant id is not 1 to
+// maxTenantLen bytes of [A-Za-z0-9._:-]. The id names a metrics row that
+// every /metrics page and gossip round carries, so it is refused before
+// the row exists; the HTTP layer maps it to 400.
+var ErrBadTenant = fmt.Errorf("codeserver: a tenant id is 1 to %d of [A-Za-z0-9._:-]", maxTenantLen)
+
+// maxTenantLen bounds a tenant id's bytes.
+const maxTenantLen = 64
+
+// validTenant reports whether id is a tenant id (see ErrBadTenant).
+func validTenant(id string) bool {
+	if len(id) == 0 || len(id) > maxTenantLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // clampBudget folds a per-request budget over the server cap: requests
 // may ask for less than the cap but never more, and a request that asks
 // for nothing (<= 0) gets the cap itself (or unlimited when the server
@@ -416,7 +440,8 @@ type RunOptions struct {
 	// the server caps (<= 0 requests the cap itself).
 	MaxSteps  int64
 	MaxAllocs int64
-	// Tenant is the accounting identity ("" folds to DefaultTenant).
+	// Tenant is the accounting identity ("" folds to DefaultTenant; any
+	// other id must be 1 to 64 of [A-Za-z0-9._:-], see ErrBadTenant).
 	Tenant string
 }
 
@@ -785,6 +810,9 @@ func WriteError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusTooManyRequests
 		kindStr = "throttled"
+	case errors.Is(err, ErrBadTenant):
+		status = http.StatusBadRequest
+		kindStr = "parse"
 	case errors.Is(err, ErrUnitNotFound):
 		status = http.StatusNotFound
 		kindStr = "not_found"

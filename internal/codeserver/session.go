@@ -20,8 +20,8 @@ import (
 // first one written:
 //
 //  1. Fair admission first: the tenant's in-flight slot is taken, or the
-//     run refused with a *TenantBusyError, before any load, decode or
-//     guest work.
+//     run refused with a *TenantBusyError (ErrBadTenant for an id that is
+//     not one), before any load, decode or guest work.
 //  2. Budgets are clamped: the env is minted from one rt.Budget, each
 //     field clampBudget of the request over the server cap; a path
 //     cannot forget one.
@@ -59,14 +59,17 @@ type session struct {
 // enforcer's interrupt apart from a client abort or a drain.
 var errRunTimeout = errors.New("codeserver: run deadline exceeded")
 
-// newSession admits one run for opts.Tenant: it bounds the tenant's
-// concurrent sessions before any work happens, so one tenant's burst
-// cannot monopolize the run capacity of the node, then opens the
+// newSession admits one run for opts.Tenant: it refuses an id that is
+// not a tenant id (ErrBadTenant) before the tenant has a row, bounds the
+// tenant's concurrent sessions before any work happens, so one tenant's
+// burst cannot monopolize the run capacity of the node, then opens the
 // request trace and clamps the budgets.
 func (s *Server) newSession(ctx context.Context, trace string, opts RunOptions) (*session, error) {
 	tenant := opts.Tenant
 	if tenant == "" {
 		tenant = DefaultTenant
+	} else if !validTenant(tenant) {
+		return nil, ErrBadTenant
 	}
 	tc := s.m.tenant(tenant)
 	lim := s.cfg.TenantMaxInFlight

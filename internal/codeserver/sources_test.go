@@ -798,7 +798,7 @@ func TestRequestBodiesShareMemoryConcurrently(t *testing.T) {
 		}
 		for _, d := range []door{
 			{"/run/" + k.String(), `{"max_steps":1000000,"max_allocs":1048576,"tenant":"t` + strconv.Itoa(i) + `"}`},
-			{"/run/" + k.String(), `{"tenant":"té\"` + strconv.Itoa(i) + `","MAX_STEPS":1000000,"other":null}`},
+			{"/run/" + k.String(), `{"tenant":"t\u002e\u002d` + strconv.Itoa(i) + `","MAX_STEPS":1000000,"other":null}`},
 			{"/run-stream", string(wire)},
 		} {
 			code, answer := call(href, "POST", d.path, []byte(d.body))

@@ -236,8 +236,8 @@ func (f *CFunc) Junk() { *f = CFunc{Name: "recycled code", Code: recycledCode[:]
 func hRecycled(*cframe, *cinst) int32 { panic("interp: recycled code executed") }
 
 // cframe is the per-invocation state of one compiled function: the
-// session it runs in, the body it runs, and the register file. Handlers
-// receive everything session-scoped through here, never through records.
+// session, the body, and its windows of the stack (the registers from at).
+// Handlers receive everything session-scoped through here, never records.
 type cframe struct {
 	l      *Loader
 	env    *rt.Env
@@ -246,6 +246,7 @@ type cframe struct {
 	args   []rt.Value
 	caught rt.Value
 	ret    rt.Value
+	at     int
 }
 
 // craise raises exception value v from a compiled site: through raise
@@ -489,177 +490,115 @@ func (s *side) transfer(r *cinst, mv []Move) handler {
 	return hMoves
 }
 
-// cframePoolCap bounds the per-session free lists: deep recursion grows
-// the pool only this far, so a pathological guest cannot pin an
-// unbounded number of retired frames.
-const cframePoolCap = 64
-
-// frameStock is the frame and argument-buffer free lists a released
-// session leaves (Loader.Release) for the next compiled session to adopt
-// whole, so a served session's first calls take frames another session
-// retired instead of allocating them.
-type frameStock struct {
-	cfree []*cframe
-	afree [][]rt.Value
+// stack is a compiled session's activations (DESIGN.md §5b): a frame
+// record per call depth, made on the first call that deep and reused
+// after, and one slot array. A call pushes its arguments (callArgs), then
+// its callee's register file (getFrame), each a window of exactly its
+// length; putFrame and called pop them. Only a kill or a lowering refusal
+// panics past frames, and catchTopLevel then empties the stack, so
+// frames[:depth] are the live activations and slots[:top] their windows.
+// A popped window is not cleared within a session (every register and
+// argument is written before it is read); Rewind clears it for the next.
+type stack struct {
+	frames []*cframe
+	depth  int
+	slots  []rt.Value
+	top    int
+	used   int // the highest top a pop has lowered; at Rewind, every slot past it is zero
 }
 
-var frameStocks = core.NewStock("interp.frames", maxStockBytes, func() *frameStock { return new(frameStock) })
+var stacks = core.NewStock("interp.frames", maxStockBytes, func() *stack { return new(stack) })
 
-// adoptStock takes a released session's free lists, once per session, at
-// its first activation: every argument buffer is retired by a call made
-// inside some activation, so both of the session's own lists are still
-// empty here.
-func (l *Loader) adoptStock() {
-	st := frameStocks.Take()
-	l.stock = st
-	l.cfree, l.afree = st.cfree, st.afree
-	for _, fr := range l.cfree {
-		fr.l, fr.env = l, l.Env
+// push cuts a window of n slots off the top of the stack.
+func (s *stack) push(n int) []rt.Value {
+	s.top += n
+	if s.top > len(s.slots) {
+		s.grow()
 	}
+	return s.slots[s.top-n : s.top]
 }
 
-// getFrame pops a retired invocation frame off the session free list (or
-// allocates one on a miss) and resets the caught/ret slots. Within a
-// session, recycled register files are deliberately NOT zeroed: the wire
-// format encodes every operand as an (l, r) walk up the dominator tree
-// and the verifier checks that structural tree against the true
-// dominators, so every register the prepared form reads was written
-// earlier on that same path — stale slot contents are unobservable. They
-// can pin dead references until the slot's next write; the list is
-// capped, so that retention is bounded. Across sessions the argument
-// does not reach: a frame outlives its session in the stock the next one
-// adopts, and the session heap's chunks are recycled, so a stale slot
-// would name another session's object. Release therefore clears every
-// register file and argument buffer before the stock leaves the session
-// — a frame crosses sessions empty — and keeps at most maxStockBytes of
-// them, so what one session widened does not pass to every later one.
+// pop lowers the top of the stack to to, recording first how high it
+// was, so used is the highest top any pop ended.
+func (s *stack) pop(to int) {
+	s.used = max(s.used, s.top)
+	s.top = to
+}
+
+// grow moves the stack to an array at least twice as long, and every live
+// frame's windows with it, so the outgrown array is garbage. It is out of
+// line so that push inlines.
 //
-// Every activation passes through here and through putFrame, which is
-// what makes them the compiled engine's Enter and Leave: the depth charge
-// lands before the frame exists, and a frame the limit refused is never
-// taken off the list.
-func (l *Loader) getFrame(cf *CFunc) *cframe {
+//go:noinline
+func (s *stack) grow() {
+	slots := make([]rt.Value, max(2*len(s.slots), s.top, 256))
+	copy(slots, s.slots)
+	for _, fr := range s.frames[:s.depth] {
+		fr.args = slots[fr.at-len(fr.args) : fr.at]
+		fr.regs = slots[fr.at : fr.at+len(fr.regs)]
+	}
+	s.slots = slots
+}
+
+// A released stack carries at most maxStockBytes of slots, slotBytes
+// each, and maxStockFrames frame records to the next session (DESIGN.md §9).
+const (
+	maxStockBytes  = 384 << 10
+	maxStockFrames = 64
+	slotBytes      = int(unsafe.Sizeof(rt.Value{}))
+)
+
+// Rewind clears the frame records and the slots the session used, trims
+// the stack to maxStockBytes of slots and maxStockFrames records, and
+// reports the bytes of slots kept. Its poisoned form is its cleared one.
+func (s *stack) Rewind() int {
+	if len(s.slots)*slotBytes > maxStockBytes {
+		s.slots = nil
+	} else {
+		clear(s.slots[:s.used])
+	}
+	if len(s.frames) > maxStockFrames {
+		s.frames = append([]*cframe(nil), s.frames[:maxStockFrames]...)
+	}
+	for _, fr := range s.frames {
+		*fr = cframe{}
+	}
+	s.depth, s.top, s.used = 0, 0, 0
+	return len(s.slots) * slotBytes
+}
+
+// getFrame pushes the activation of cf over the nargs argument slots on
+// top of the stack. It and putFrame are the compiled engine's Enter and
+// Leave: the depth charge lands before the frame exists.
+func (l *Loader) getFrame(cf *CFunc, nargs int) *cframe {
 	l.Env.Enter(cf.Frame)
-	if len(l.cfree) == 0 && l.stock == nil {
-		l.adoptStock()
+	s := l.stack
+	at := s.top
+	regs := s.push(int(cf.NumRegs))
+	if s.depth == len(s.frames) {
+		s.frames = append(s.frames, new(cframe))
 	}
-	numRegs := cf.NumRegs
-	if n := len(l.cfree); n > 0 {
-		fr := l.cfree[n-1]
-		l.cfree = l.cfree[:n-1]
-		if int32(cap(fr.regs)) >= numRegs {
-			fr.regs = fr.regs[:numRegs]
-		} else {
-			fr.regs = make([]rt.Value, numRegs)
-		}
-		fr.fn = cf
-		fr.caught = rt.Value{}
-		fr.ret = rt.Value{}
-		return fr
-	}
-	return &cframe{l: l, env: l.Env, fn: cf, regs: make([]rt.Value, numRegs)}
+	fr := s.frames[s.depth]
+	s.depth++
+	fr.l, fr.env, fr.fn, fr.at = l, l.Env, cf, at
+	fr.regs, fr.args = regs, s.slots[at-nargs:at]
+	return fr
 }
 
-// putFrame retires a frame to the free list. runCompiled retires its
-// frame on both exits, return and throw; only a kill (budget, interrupt)
-// panics past frames, and those are simply never returned — the GC
-// reclaims them — so a recycled frame can never be live in two
-// invocations at once.
-func (l *Loader) putFrame(fr *cframe, cf *CFunc) {
-	l.Env.Leave(cf.Frame)
-	if len(l.cfree) < cframePoolCap {
-		fr.args = nil
-		l.cfree = append(l.cfree, fr)
-	}
+// putFrame pops fr's register file; its arguments are its caller's to pop.
+func (l *Loader) putFrame(fr *cframe) {
+	l.Env.Leave(fr.fn.Frame)
+	s := l.stack
+	s.depth--
+	s.pop(fr.at)
 }
 
-// getArgs pops a call-argument buffer; the caller overwrites every slot
-// before the buffer is read, so no clearing is needed.
-func (l *Loader) getArgs(n int) []rt.Value {
-	if k := len(l.afree); k > 0 {
-		buf := l.afree[k-1]
-		l.afree = l.afree[:k-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]rt.Value, n)
-}
-
-// putArgs retires an argument buffer once the callee has returned or
-// thrown. Natives only read argument values during the call (none retain
-// the slice), and guest frames release fr.args before being pooled, so
-// the buffer cannot be reachable from live execution state.
-func (l *Loader) putArgs(buf []rt.Value) {
-	if len(l.afree) < cframePoolCap {
-		l.afree = append(l.afree, buf)
-	}
-}
-
-// maxStockBytes bounds the register and argument slots a released
-// session's stock carries to the next session, at 24 B a slot. A register
-// file only grows while it is recycled, so a guest that calls a wide
-// function at each of cframePoolCap nesting levels retires that many
-// frames of the wide function's width; a frame or buffer that would take
-// the stock past this bound is left to the collector instead, whatever
-// the session did. DESIGN.md §9 argues the figure.
-const maxStockBytes = 384 << 10
-
-// Rewind clears every register file and argument buffer of the stock and
-// keeps them while their slots fit in maxStockBytes, and reports the
-// bytes of slots kept. A frame crosses sessions empty, so its poisoned
-// form is its cleared one.
-func (st *frameStock) Rewind() int {
-	held := 0
-	fits := func(n int) bool {
-		if held+n*slotBytes > maxStockBytes {
-			return false
-		}
-		held += n * slotBytes
-		return true
-	}
-	cfree := st.cfree[:0]
-	for _, fr := range st.cfree {
-		if fits(cap(fr.regs)) {
-			clear(fr.regs[:cap(fr.regs)])
-			*fr = cframe{regs: fr.regs[:0]}
-			cfree = append(cfree, fr)
-		}
-	}
-	clear(st.cfree[len(cfree):])
-	afree := st.afree[:0]
-	for _, buf := range st.afree {
-		if fits(cap(buf)) {
-			clear(buf[:cap(buf)])
-			afree = append(afree, buf)
-		}
-	}
-	clear(st.afree[len(afree):])
-	st.cfree, st.afree = cfree, afree
-	return held
-}
-
-// slotBytes is the size of one register or argument slot.
-const slotBytes = int(unsafe.Sizeof(rt.Value{}))
-
-// releaseFrames gives the session's free lists back to the stock the next
-// compiled session adopts (see getFrame).
-func (l *Loader) releaseFrames() {
-	st := l.stock
-	if st == nil {
-		return
-	}
-	st.cfree, st.afree = l.cfree, l.afree
-	l.stock, l.cfree, l.afree = nil, nil, nil
-	frameStocks.Give(st)
-}
-
-// runCompiled executes one compiled function body: run the record at pc,
-// go where it says, until one yields cDone or cThrow. thrown reports
-// which; the value is the result or the exception accordingly.
-func (l *Loader) runCompiled(cf *CFunc, args []rt.Value) (v rt.Value, thrown bool) {
-	fr := l.getFrame(cf)
-	fr.args = args
+// runCompiled executes one compiled function body over the nargs slots on
+// top of the stack: run the record at pc, go where it says, until one
+// yields cDone or cThrow. thrown reports which; v is the result or the
+// exception accordingly.
+func (l *Loader) runCompiled(cf *CFunc, nargs int) (v rt.Value, thrown bool) {
+	fr := l.getFrame(cf, nargs)
 	code := cf.Code
 	pc := int32(0)
 	for pc >= 0 {
@@ -667,15 +606,15 @@ func (l *Loader) runCompiled(cf *CFunc, args []rt.Value) (v rt.Value, thrown boo
 		pc = in.run(fr, in)
 	}
 	v = fr.ret
-	l.putFrame(fr, cf)
+	l.putFrame(fr)
 	return v, pc == cThrow
 }
 
-// cinvoke runs a resolved callee: compiled function body or native
-// method.
+// cinvoke runs a resolved callee on args, the window on top of the
+// stack: compiled function body or native method.
 func (l *Loader) cinvoke(mr *core.MethodRef, fi int32, args []rt.Value) (v rt.Value, thrown bool) {
 	if fi >= 0 {
-		return l.runCompiled(l.cfunc(fi), args)
+		return l.runCompiled(l.cfunc(fi), len(args))
 	}
 	return l.native(mr, args)
 }
@@ -815,21 +754,23 @@ func hNewArray(fr *cframe, in *cinst) int32 {
 	return in.next
 }
 
-// callArgs is a call's argument buffer, filled from its operand registers.
+// callArgs pushes a call's argument vector, filled from its operand
+// registers.
 func (fr *cframe) callArgs(in *cinst) []rt.Value {
 	vec := fr.fn.args[in.c:]
 	regs := vec[1 : 1+vec[0]]
-	args := fr.l.getArgs(len(regs))
+	args := fr.l.stack.push(len(regs))
 	for i, r := range regs {
 		args[i] = fr.regs[r]
 	}
 	return args
 }
 
-// called finishes a call: the argument buffer goes back, and the callee's
-// result is written or its exception raised here.
-func (fr *cframe) called(in *cinst, args []rt.Value, out rt.Value, thrown bool) int32 {
-	fr.l.putArgs(args)
+// called finishes a call: its argument vector is popped, so fr's register
+// file is the top of the stack again, and the callee's result is written
+// or its exception raised here.
+func (fr *cframe) called(in *cinst, out rt.Value, thrown bool) int32 {
+	fr.l.stack.pop(fr.at + len(fr.regs))
 	if thrown {
 		return fr.craise(in.x, out)
 	}
@@ -842,7 +783,7 @@ func hCall(fr *cframe, in *cinst) int32 {
 	fr.env.Step()
 	args := fr.callArgs(in)
 	out, thrown := fr.l.cinvoke(&fr.l.Mod.Methods[in.a], in.b, args)
-	return fr.called(in, args, out, thrown)
+	return fr.called(in, out, thrown)
 }
 
 // hDispatch calls method a through the receiver's dispatch table, as
@@ -857,7 +798,7 @@ func hDispatch(fr *cframe, in *cinst) int32 {
 		mr = &methods[recv.Class.VTable[mr.VSlot]]
 	}
 	out, thrown := fr.l.cinvoke(mr, mr.FuncIdx, args)
-	return fr.called(in, args, out, thrown)
+	return fr.called(in, out, thrown)
 }
 
 func hCatch(fr *cframe, in *cinst) int32 {

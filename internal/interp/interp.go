@@ -45,14 +45,9 @@ type Loader struct {
 	comp *Compiled
 	// lowered is what this session has spent filling comp's slots.
 	lowered Lowering
-	// cfree and afree are the compiled engine's per-session free lists
-	// for invocation frames and call-argument buffers (see getFrame in
-	// compile.go), and stock the released session's lists they started
-	// from, which Release passes on. A Loader is single-session,
-	// single-goroutine state, so the lists need no locking.
-	cfree []*cframe
-	afree [][]rt.Value
-	stock *frameStock
+	// stack is the compiled engine's activations, from the session's
+	// first call to Release; a Loader is one goroutine's, so it is unlocked.
+	stack *stack
 	// released is set by Release, after which the session refuses to run.
 	released bool
 	// walks holds the reference walker's side table per function index,
@@ -282,7 +277,13 @@ func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
 	var thrown bool
 	switch {
 	case l.comp != nil:
-		v, thrown = l.runCompiled(l.cfunc(fi), args)
+		if l.stack == nil {
+			l.stack = stacks.Take()
+		}
+		// Host arguments go on the stack too, so a grow moves every window.
+		copy(l.stack.push(len(args)), args)
+		v, thrown = l.runCompiled(l.cfunc(fi), len(args))
+		l.stack.pop(l.stack.top - len(args))
 	case l.prep != nil:
 		return l.runPrepared(l.prep.Funcs[fi], args)
 	default:
@@ -385,8 +386,8 @@ func (l *Loader) Lowered() Lowering { return l.lowered }
 var errReleased = errors.New("interp: session released")
 
 // Release ends the session: the chunks its heap was carved from
-// (rt.Env.Release) and the compiled engine's frames and argument buffers
-// go to process-wide pools, cleared, for the next session to take, and
+// (rt.Env.Release) and the compiled engine's stack go to process-wide
+// stocks, cleared, for the next session to take, and
 // the session refuses to run or snapshot again. Its static fields are
 // cleared, so nothing left of the session — HeapChecksum included —
 // reaches a recycled chunk. Nothing the session allocated may be
@@ -405,18 +406,26 @@ func (l *Loader) Release() {
 			clear(ci.Statics)
 		}
 	}
-	l.releaseFrames()
+	if l.stack != nil {
+		stacks.Give(l.stack)
+		l.stack = nil
+	}
 	l.Env.Release()
 }
 
 // catchTopLevel converts an uncaught TJ exception into a Go error. A
 // host entry point is never re-entered from guest code, so whatever
-// frames a panic left live are dead: the slot count restarts from zero
-// and the session can take another CallStatic.
+// frames a panic left live are dead: the slot count restarts from zero,
+// the compiled engine's stack is emptied, and the session can take
+// another CallStatic.
 func (l *Loader) catchTopLevel(err *error) {
 	r := recover()
 	if r != nil {
 		l.Env.Unwind(0)
+		if s := l.stack; s != nil {
+			s.depth = 0
+			s.pop(0)
+		}
 	}
 	switch t := r.(type) {
 	case nil:

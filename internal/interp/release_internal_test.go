@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,27 +16,29 @@ import (
 )
 
 // TestReleaseHandsOnClearedFrames: what a released compiled session leaves
-// the next one — its frames and argument buffers — holds nothing of it:
-// every register file and buffer is cleared to its capacity and no frame
-// names the session or its environment, though the guest left references
-// in them. The released session's statics are cleared, and it refuses to
-// run or to be snapshotted.
+// the next one — its stack of frame records and slots — holds nothing of
+// it: every slot the session used is cleared and no frame record names
+// the session, its environment or a window, though the guest left
+// references in them. The released session's statics are cleared, and it
+// refuses to run or to be snapshotted.
 func TestReleaseHandsOnClearedFrames(t *testing.T) {
 	l := compiledSession(t, `class R {
 		static String last;
 		static String f(int n) { String s = "x" + n; if (n == 0) { return s; } return f(n - 1) + s; }
 		static void main() { R.last = f(5); System.out.println(R.last); } }`)
-	frames, bufs, st := append([]*cframe(nil), l.cfree...), append([][]rt.Value(nil), l.afree...), l.stock
+	st := l.stack
+	if st == nil || st.depth != 0 || st.top != 0 {
+		t.Fatalf("the run left stack %+v, want an empty one", st)
+	}
+	frames := slices.Clone(st.frames)
 	stale := 0
-	for _, fr := range frames {
-		for _, v := range fr.regs[:cap(fr.regs)] {
-			if v.R != nil {
-				stale++
-			}
+	for _, v := range st.slots[:st.used] {
+		if v.R != nil {
+			stale++
 		}
 	}
-	if len(frames) < 6 || len(bufs) == 0 || st == nil || stale == 0 {
-		t.Fatalf("the run retired %d frames, %d argument buffers (stock %v) holding %d references", len(frames), len(bufs), st != nil, stale)
+	if len(frames) < 7 || stale == 0 {
+		t.Fatalf("the run made %d frame records and left %d references in %d used slots", len(frames), stale, st.used)
 	}
 
 	l.Release()
@@ -49,25 +52,21 @@ func TestReleaseHandsOnClearedFrames(t *testing.T) {
 			}
 		}
 	}
-	if len(st.cfree) != len(frames) || len(st.afree) != len(bufs) || l.stock != nil || l.cfree != nil {
-		t.Fatalf("the stock holds %d frames and %d buffers of the session's %d and %d", len(st.cfree), len(st.afree), len(frames), len(bufs))
+	if l.stack != nil || !slices.Equal(st.frames, frames) || len(st.slots) == 0 {
+		t.Fatalf("the stock holds %d frame records and %d slots of the session's %d records", len(st.frames), len(st.slots), len(frames))
 	}
-	for i, fr := range st.cfree {
-		if fr != frames[i] || fr.l != nil || fr.env != nil || fr.args != nil || fr.ret != (rt.Value{}) || fr.caught != (rt.Value{}) {
-			t.Fatalf("frame %d leaves the session as %+v", i, fr)
-		}
-		for _, v := range fr.regs[:cap(fr.regs)] {
-			if v != (rt.Value{}) {
-				t.Fatalf("frame %d leaves the session holding %+v", i, v)
-			}
+	for i, fr := range st.frames {
+		if fr.l != nil || fr.env != nil || fr.fn != nil || fr.regs != nil || fr.args != nil || fr.ret != (rt.Value{}) || fr.caught != (rt.Value{}) || fr.at != 0 {
+			t.Fatalf("frame record %d leaves the session as %+v", i, fr)
 		}
 	}
-	for i, buf := range st.afree {
-		for _, v := range buf[:cap(buf)] {
-			if v != (rt.Value{}) {
-				t.Fatalf("argument buffer %d leaves the session holding %+v", i, v)
-			}
+	for i, v := range st.slots {
+		if v != (rt.Value{}) {
+			t.Fatalf("slot %d leaves the session holding %+v", i, v)
 		}
+	}
+	if st.used != 0 {
+		t.Fatalf("the released stack says %d slots are in use", st.used)
 	}
 
 	if err := l.RunMain(); !errors.Is(err, errReleased) {
@@ -85,10 +84,10 @@ func TestReleaseHandsOnClearedFrames(t *testing.T) {
 	l.Release() // a second release is a no-op
 }
 
-// TestReleasedStockIsBounded: a guest that calls a wide function at every
-// level of a deep recursion retires a frame of the wide function's width
-// per level, though each level is charged only its small frame; what its
-// release hands the next session is still at most maxStockBytes of slots.
+// TestReleasedStockIsBounded: a guest that recurses deep and calls a wide
+// function at the bottom grows its stack far past what a released one
+// may carry, in slots and in frame records; its release hands the next
+// session at most maxStockBytes of slots and maxStockFrames records.
 func TestReleasedStockIsBounded(t *testing.T) {
 	var wide strings.Builder
 	wide.WriteString("static int wide(int n) { int a0 = n;")
@@ -98,32 +97,51 @@ func TestReleasedStockIsBounded(t *testing.T) {
 	wide.WriteString(" return a599; }")
 	l := compiledSession(t, `class W {
 		`+wide.String()+`
-		static int f(int n) { if (n == 0) { return 0; } int r = W.wide(n); return W.f(n - 1) + r; }
-		static void main() { System.out.println(W.f(70)); } }`)
-	st, held := l.stock, 0
-	for _, fr := range l.cfree {
-		held += cap(fr.regs)
-	}
-	if st == nil || len(l.cfree) != cframePoolCap || held*slotBytes < 4*maxStockBytes {
-		t.Fatalf("the run retired %d frames of %d register slots (stock %v); want %d frames, far over %d B of slots", len(l.cfree), held, st != nil, cframePoolCap, maxStockBytes)
+		static int f(int n) { if (n == 0) { return W.wide(n); } return W.f(n - 1) + 1; }
+		static void main() { System.out.println(W.f(5000)); } }`)
+	st := l.stack
+	grown, records := len(st.slots), len(st.frames)
+	if grown*slotBytes <= 2*maxStockBytes || records <= 2*maxStockFrames {
+		t.Fatalf("the run grew its stack to %d slots and %d frame records; want far over %d B and %d", grown, records, maxStockBytes, maxStockFrames)
 	}
 
 	l.Release()
-	kept := 0
-	for _, fr := range st.cfree {
-		kept += cap(fr.regs)
+	t.Logf("a stack of %d slots and %d frame records is stocked as %d slots and %d records", grown, records, len(st.slots), len(st.frames))
+	if len(st.slots)*slotBytes > maxStockBytes || len(st.frames) != maxStockFrames {
+		t.Errorf("the released stack keeps %d slots and %d frame records, want at most %d B of slots and %d records", len(st.slots), len(st.frames), maxStockBytes, maxStockFrames)
 	}
-	for _, buf := range st.afree {
-		kept += cap(buf)
-	}
-	t.Logf("%d frames of %d slots retired; the stock keeps %d frames, %d buffers, %d slots", cframePoolCap, held, len(st.cfree), len(st.afree), kept)
-	if kept*slotBytes > maxStockBytes || len(st.cfree) == 0 {
-		t.Errorf("the released stock keeps %d slots in %d frames, want at most %d B of them and some frame", kept, len(st.cfree), maxStockBytes)
+	// The next session runs on what was kept.
+	next := compiledLoader(t, `class N { static int f(int n) { if (n == 0) { return 0; } return N.f(n - 1) + n; } }`)
+	next.stack = st
+	if v, err := next.CallStatic("N", "f", rt.IntValue(100)); err != nil || v.Int() != 5050 {
+		t.Errorf("a session on the stocked stack answered %d, %v; want 5050", v.Int(), err)
 	}
 }
 
 // compiledSession loads src on the compiled engine and runs main.
 func compiledSession(t *testing.T, src string) *Loader {
+	t.Helper()
+	l := compiledLoader(t, src)
+	if err := l.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// compiledLoader loads src on the compiled engine, lowering each function
+// on its first call.
+func compiledLoader(t *testing.T, src string) *Loader {
+	t.Helper()
+	mod := verifiedModule(t, src)
+	l, err := LoadTrustedCompiled(mod, Lazy(mod), rt.NewEnv(io.Discard, rt.Budget{}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// verifiedModule is src built and verified.
+func verifiedModule(t *testing.T, src string) *core.Module {
 	t.Helper()
 	f, errs := parser.ParseFile("S.tj", src)
 	if len(errs) > 0 {
@@ -140,14 +158,7 @@ func compiledSession(t *testing.T, src string) *Loader {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := LoadTrustedCompiled(mod, Lazy(mod), rt.NewEnv(io.Discard, rt.Budget{}, nil))
-	if err == nil {
-		err = l.RunMain()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
+	return mod
 }
 
 // TestStockedLowererForgetsItsUnit: a lowerer given back to its stock

@@ -48,7 +48,10 @@ func (p *PromWriter) labels(extra ...string) string {
 			if n > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, "%s=%q", pairs[i], pairs[i+1])
+			b.WriteString(pairs[i])
+			b.WriteString(`="`)
+			labelValue.WriteString(&b, pairs[i+1])
+			b.WriteByte('"')
 			n++
 		}
 	}
@@ -57,6 +60,10 @@ func (p *PromWriter) labels(extra ...string) string {
 	b.WriteByte('}')
 	return b.String()
 }
+
+// labelValue escapes a label value as the exposition format defines: a
+// backslash, a double quote and a line feed, and nothing else.
+var labelValue = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func (p *PromWriter) header(name, help, typ string) {
 	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)

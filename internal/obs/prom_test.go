@@ -97,3 +97,16 @@ func TestPromWriterConstLabels(t *testing.T) {
 		t.Errorf("empty const label changed the unlabeled shape:\n%s", sb.String())
 	}
 }
+
+// TestPromWriterEscapesLabelValues: a label value is escaped as the
+// exposition format defines — backslash, double quote and line feed, and
+// nothing else. A Go-quoted value wrote a tab as \t, which the format
+// does not define.
+func TestPromWriterEscapesLabelValues(t *testing.T) {
+	var sb strings.Builder
+	NewPromWriter(&sb).ConstLabel("node", "a\\b").Family("counter", "x_total", "a counter.",
+		Sample{Labels: []string{"tenant", "q\"t\ty\nz é"}, Value: 1})
+	if want := "x_total{node=\"a\\\\b\",tenant=\"q\\\"t\ty\\nz é\"} 1\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("output missing %q\n--- got ---\n%s", want, sb.String())
+	}
+}
