@@ -155,6 +155,34 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode is BenchmarkDecode's twin on the producer side: one
+// wire.Encoder writes each corpus unit (O2, wire v2) and is rewound after
+// each op, as a pool worker's compile arena rewinds its encoder, so MB/s
+// and allocs/op read per unit:
+//
+//	go test -run='^$' -bench=Encode -benchtime=100x .
+func BenchmarkEncode(b *testing.B) {
+	for _, u := range corpus.Units() {
+		mod, err := driver.CompileTSASource(u.Files)
+		if err == nil {
+			_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		var e wire.Encoder
+		b.Run(u.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(e.EncodeV2(mod, nil))))
+			e.Rewind()
+			for i := 0; i < b.N; i++ {
+				e.EncodeV2(mod, nil)
+				e.Rewind()
+			}
+		})
+	}
+}
+
 // BenchmarkColdProduce is what a store miss costs the producer: front
 // end, ssabuild, the O2 module pipeline and the v2 encoder — what
 // safetsad's compile path runs, less its two verifier calls. Each corpus

@@ -79,10 +79,16 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 // that ran at once, which the pools' workers bound (DESIGN.md §9).
 var compileArenas = core.NewStock("codeserver.compile_arenas", driver.MaxArenaBytes, driver.NewArena)
 
-// compile runs the stages in a; the bytes it returns are a copy.
+// compile runs the stages in a; the bytes it returns are a copy. The
+// stages run one after another on one goroutine of the compile's own, so
+// the stack the front end grows serves every later stage; compile waits
+// on each under its own deadline.
 func (p *Pool) compile(ctx context.Context, a *driver.Arena, files map[string]string, opts Options) (admitted, error) {
+	w := stageWorker{run: make(chan func() error), done: make(chan error, 1)}
+	go w.serve()
+	defer close(w.run)
 	var prog *sema.Program
-	err := p.stage(ctx, "frontend", func(ctx context.Context) (err error) {
+	err := p.stage(ctx, w, "frontend", func(ctx context.Context) (err error) {
 		prog, err = a.Frontend(ctx, files)
 		return err
 	})
@@ -90,7 +96,7 @@ func (p *Pool) compile(ctx context.Context, a *driver.Arena, files map[string]st
 		return admitted{}, err
 	}
 	var mod *core.Module
-	err = p.stage(ctx, "ssabuild", func(ctx context.Context) (err error) {
+	err = p.stage(ctx, w, "ssabuild", func(ctx context.Context) (err error) {
 		mod, err = a.CompileTSA(ctx, prog)
 		return err
 	})
@@ -98,7 +104,7 @@ func (p *Pool) compile(ctx context.Context, a *driver.Arena, files map[string]st
 		return admitted{}, err
 	}
 	if opts.Optimize || opts.ModuleOpt {
-		err = p.stage(ctx, "optimize", func(ctx context.Context) error {
+		err = p.stage(ctx, w, "optimize", func(ctx context.Context) error {
 			_, err := a.Optimize(ctx, mod, opt.Options{ModuleLevel: opts.ModuleOpt})
 			return err
 		})
@@ -107,7 +113,7 @@ func (p *Pool) compile(ctx context.Context, a *driver.Arena, files map[string]st
 		}
 	}
 	var out admitted
-	err = p.stage(ctx, "encode", func(context.Context) error {
+	err = p.stage(ctx, w, "encode", func(context.Context) error {
 		if opts.WireV2 {
 			data := a.EncodeV2(mod)
 			out.wire = make([]byte, len(data))
@@ -121,13 +127,30 @@ func (p *Pool) compile(ctx context.Context, a *driver.Arena, files map[string]st
 	return out, err
 }
 
-// stage runs one pipeline stage under the stage deadline. A stage that
-// overruns its deadline is abandoned (its goroutine finishes in the
-// background and the result is dropped) and reported as an internal
-// pipeline failure; the worker slot stays held until the whole Compile
-// returns, so abandoned stages cannot multiply past the pool bound per
-// key thanks to the store's singleflight.
-func (p *Pool) stage(ctx context.Context, name string, fn func(context.Context) error) error {
+// stageWorker is the goroutine one compile's stages run on: it runs each
+// stage it is handed and answers on done, whose one slot holds the answer
+// of a stage the compile abandoned, so the worker never blocks on it. It
+// ends once run is closed, which the compile does on return: a stage
+// abandoned at its deadline finishes in the background, and its worker
+// stops at the next stage boundary.
+type stageWorker struct {
+	run  chan func() error
+	done chan error
+}
+
+func (w stageWorker) serve() {
+	for fn := range w.run {
+		w.done <- fn()
+	}
+}
+
+// stage runs one pipeline stage on w under the stage deadline. A stage
+// that overruns its deadline is abandoned (it finishes in the background
+// and the result is dropped) and reported as an internal pipeline failure,
+// and no later stage of the compile runs; the worker slot stays held until
+// the whole Compile returns, so abandoned stages cannot multiply past the
+// pool bound per key thanks to the store's singleflight.
+func (p *Pool) stage(ctx context.Context, w stageWorker, name string, fn func(context.Context) error) error {
 	sctx := ctx
 	if p.stageTimeout > 0 {
 		var cancel context.CancelFunc
@@ -136,10 +159,11 @@ func (p *Pool) stage(ctx context.Context, name string, fn func(context.Context) 
 	}
 	sctx, span := obs.Start(sctx, name)
 	defer span.End()
-	done := make(chan error, 1)
-	go func() { done <- fn(sctx) }()
+	// The worker is idle: the compile hands it a stage only after the
+	// last one answered.
+	w.run <- func() error { return fn(sctx) }
 	select {
-	case err := <-done:
+	case err := <-w.done:
 		if err != nil {
 			return fmt.Errorf("stage %s: %w", name, err)
 		}

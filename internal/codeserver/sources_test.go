@@ -45,12 +45,12 @@ func TestKeyForGolden(t *testing.T) {
 		"Util.tj": "class Util { static int twice(int x) { return x * 2; } } //   café\n",
 	}
 	want := []string{
-		"d795d1e0a7dc48bee9ac6fbf7f2be66563c1f36414885563e4d8da79d46868aa",
-		"b184970de900629dc9ee2596dd3ba13c5153db1f34cbc13833d501751df1228b",
-		"ac8677f10ae541e84fc7f0055243e804ea45b405a56fd7aa7c7ff25d173be17a",
-		"2bc8779bf0f052c400baf596756b18f59a85efbecf5680b81725c5cbcbba6302",
-		"e6c888d352d433bfa5b420cd24be7776c1e17c183da7ebf37e2520eedd9695b4",
-		"62170ee6fe6c9b7e772bd2f90495cba9c53b6c194295b9e5ad99a8124c3bccf0",
+		"38aa5dd83264faedfa0fbfb96991404fff50e2d09a3a6b9c32debc88eafcdfc3",
+		"c8d403ac9bdece31ca4802a6c50ad833593e5411a1d60f7a4aec0377ca0afcf8",
+		"e5e2dbab725aaef0db4d301a452ecf1c7c27d9ecb30e091310b7fd8261cc3813",
+		"bb1ab89d37475407db2ea4d3beb8e641b48574a839b400d18b85cd0b3c10309c",
+		"1db9e622de820fca03d115a4f2224bf9583f605fd2ddf606312bb44d0b03d933",
+		"078b5986d5eee4738cdc00802064556b008b12a580752228c883b62f5769ad11",
 	}
 	for i, o := range resolvedOptionRows {
 		if got := KeyFor(files, o).String(); got != want[i] {
@@ -224,20 +224,20 @@ func TestCompileRequestSeedVerdicts(t *testing.T) {
 		status int
 		hash   string
 	}{
-		"seed_json_marshal_html_escaped": {true, 200, "8af6df6dbb3314712f1cc52045d7264b3572de86f6094bfd2b36a7df6bd03c03"},
-		"seed_members_reordered_spaced":  {true, 200, "91b5ac6f9f46843361b968e56d6c94c30b08287ad105f95f71b8f9f9fcda0889"},
-		"seed_escapes_all_eight":         {true, 200, "9fd3eaeb1f9fbc4c7e616d4c8cdd08f4b211e312b4b700e5f49d50695630de0f"},
-		"seed_escaped_member_name":       {true, 200, "372ab54890957f037c2f7712cb4e015cfe8d6b8435ab187857f99fea698f62bf"},
+		"seed_json_marshal_html_escaped": {true, 200, "5741f269bfcd301f609d1f1b447a06eb8739673632f097b5de3f14cebe03b858"},
+		"seed_members_reordered_spaced":  {true, 200, "c8d833efdae5f5126949e9ac1c5f2e4a28599463ea328c4cb7fe2472c2985357"},
+		"seed_escapes_all_eight":         {true, 200, "db6ba2cdc19a338e6270f220340d8ecffeab0f0bcc2e55e64ab50887b926147a"},
+		"seed_escaped_member_name":       {true, 200, "fcce0ea1f445b2052aa836912bebc6e85ed4c5603e8c940c16f510ae606a1930"},
 		"seed_empty_object":              {true, 400, ""},
-		"seed_surrogate_pair":            {false, 200, "7fc708e9f59d9245efe27f8ea31bcbc63e5d23b74334b2ba333b60eba59d546f"},
-		"seed_lone_surrogate":            {false, 200, "66ef746cc54a4d519774f923826f526ffee320d56a4092b36beb698e9ad0e965"},
-		"seed_invalid_utf8":              {false, 200, "6e8a6a3f3bd3cfa84e2ff8ec1e7faadf39d370c959d5edb3b5f04717d87a4784"},
-		"seed_duplicate_file_name":       {false, 200, "372ab54890957f037c2f7712cb4e015cfe8d6b8435ab187857f99fea698f62bf"},
-		"seed_duplicate_files_member":    {false, 200, "f003134ae4198db38bb3d57ae9d3159739003ffcb3ca524ffe688853fa7de864"},
-		"seed_duplicate_optimize":        {false, 200, "7cf1c15417d50a8b0e9b51aa150f83a506c48582835072616a7ee45753f992fd"},
-		"seed_uppercase_member":          {false, 200, "7cf1c15417d50a8b0e9b51aa150f83a506c48582835072616a7ee45753f992fd"},
-		"seed_unknown_member":            {false, 200, "372ab54890957f037c2f7712cb4e015cfe8d6b8435ab187857f99fea698f62bf"},
-		"seed_optimize_null":             {false, 200, "372ab54890957f037c2f7712cb4e015cfe8d6b8435ab187857f99fea698f62bf"},
+		"seed_surrogate_pair":            {false, 200, "cb84ca852578902951566cbd3502e9d2848983331931b1f56f46cccb6246da06"},
+		"seed_lone_surrogate":            {false, 200, "86a8f20c160fc5ef5c77d630bdb6b3c157c9797c2cd5618744612778a63552ff"},
+		"seed_invalid_utf8":              {false, 200, "9fed49e18a2a48c6a8aa9e2bab796b5b4e1153df24763937993c98716950d015"},
+		"seed_duplicate_file_name":       {false, 200, "fcce0ea1f445b2052aa836912bebc6e85ed4c5603e8c940c16f510ae606a1930"},
+		"seed_duplicate_files_member":    {false, 200, "ee93ac46d2fcd44afce58b20f80240cde49fe76dd29d4a4e909b32cd0363bf00"},
+		"seed_duplicate_optimize":        {false, 200, "4e6c9aad24c846f7db98dd4fc1a3dbd7919dbe967895f751796f2c77d9fa55b0"},
+		"seed_uppercase_member":          {false, 200, "4e6c9aad24c846f7db98dd4fc1a3dbd7919dbe967895f751796f2c77d9fa55b0"},
+		"seed_unknown_member":            {false, 200, "fcce0ea1f445b2052aa836912bebc6e85ed4c5603e8c940c16f510ae606a1930"},
+		"seed_optimize_null":             {false, 200, "fcce0ea1f445b2052aa836912bebc6e85ed4c5603e8c940c16f510ae606a1930"},
 		"seed_files_null":                {false, 400, ""},
 		"seed_top_level_null":            {false, 400, ""},
 		"seed_raw_control_byte":          {false, 400, ""},

@@ -41,6 +41,7 @@ func newSigFixture() *sigFixture {
 			NumSlots: 1, NumStatics: 1, VTable: []int32{1}},
 		{Type: fx.b, Super: fx.a, NumSlots: 1, VTable: []int32{1}},
 	}
+	fx.m.StaticInit = []int32{-1, -1}
 	return fx
 }
 
@@ -550,9 +551,10 @@ func TestRefPlaneRule(t *testing.T) {
 }
 
 // linkFixture is a module whose tables make every kind of claim about
-// function indices: methods 0 and 1 name bodies 0 and 1, class A's
-// static initializer is function 2, and function 3 is an orphan that
-// names method 0 without being its body.
+// function indices: methods 0 and 1 of class A name bodies 0 and 1
+// (A.m0, A.m1), class A's static initializer is function 2 (A.<clinit>),
+// and function 3 is an orphan that names method 0 without being its
+// body.
 func linkFixture() *Module {
 	fx := newSigFixture()
 	m, tt := fx.m, fx.m.Types
@@ -566,7 +568,7 @@ func linkFixture() *Module {
 	m.Classes[0].Methods = []int32{0, 1}
 	m.StaticInit = []int32{2, -1}
 	for j, method := range []int32{0, 1, -1, 0} {
-		f := NewFunc(fmt.Sprintf("f%d", j))
+		f := NewFunc([]string{"A.m0", "A.m1", "A.<clinit>", "f3"}[j])
 		f.Method, f.Result = method, tt.Void
 		blk := f.NewBlock()
 		f.Entry = blk
@@ -589,17 +591,33 @@ func TestLinkRule(t *testing.T) {
 		want string
 	}{
 		{"body claimed by m0 names m1", func(m *Module) { m.Funcs[0].Method = 1 },
-			"function 0 (f0): body of method 0 (m0) names method 1"},
+			"function 0 (A.m0): body of method 0 (m0) names method 1"},
 		{"body claimed by m1 names no method", func(m *Module) { m.Funcs[1].Method = -1 },
-			"function 1 (f1): body of method 1 (m1) names method -1"},
+			"function 1 (A.m1): body of method 1 (m1) names method -1"},
+		{"body with a parameter its method lacks", func(m *Module) { m.Funcs[1].Params = []TypeID{m.Types.Int} },
+			"function 1 (A.m1): body of method 1 (m1) has another signature"},
+		{"body with a result its method lacks", func(m *Module) { m.Funcs[0].Result = m.Types.Int },
+			"function 0 (A.m0): body of method 0 (m0) has another signature"},
+		{"body named for another method", func(m *Module) { m.Funcs[0].Name = "A.m1" },
+			"function 0 (A.m1): body of method 0 (m0) has another name"},
 		{"static initializer with parameters", func(m *Module) { m.Funcs[2].Params = []TypeID{m.Types.Int} },
-			"function 2 (f2): static initializer has a signature"},
+			"function 2 (A.<clinit>): static initializer has a signature"},
 		{"static initializer naming a method", func(m *Module) { m.Funcs[2].Method = 0 },
-			"function 2 (f2): static initializer has a signature"},
+			"function 2 (A.<clinit>): static initializer has a signature"},
+		{"static initializer with a result", func(m *Module) { m.Funcs[2].Result = m.Types.Int },
+			"function 2 (A.<clinit>): static initializer has a signature"},
+		{"static initializer named for another class", func(m *Module) { m.Funcs[2].Name = "B.<clinit>" },
+			"function 2 (B.<clinit>): static initializer of A has another name"},
 		{"two methods claim one body", func(m *Module) { m.Methods[1].FuncIdx = 0 },
 			"method 1 (m1): body index 0 already claimed for another role"},
 		{"method body is also a static initializer", func(m *Module) { m.StaticInit[1] = 1 },
 			"static initializer 1: function index 1 already claimed for another role"},
+		{"one static initializer for two classes", func(m *Module) { m.StaticInit[1] = 2 },
+			"static initializer 1: function index 2 already claimed for another role"},
+		{"a class without a static-initializer entry", func(m *Module) { m.StaticInit = m.StaticInit[:1] },
+			"1 static-initializer entries for 2 class definitions"},
+		{"a static-initializer entry without a class", func(m *Module) { m.StaticInit = append(m.StaticInit, -1) },
+			"3 static-initializer entries for 2 class definitions"},
 		{"body index past the functions", func(m *Module) { m.Methods[1].FuncIdx = 4 },
 			"method 1 (m1): body index 4 out of range"},
 		{"static initializer past the functions", func(m *Module) { m.StaticInit[1] = 4 },

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // VerifyOptions tunes verification.
@@ -49,40 +50,115 @@ func (m *Module) Verify(opts VerifyOptions) error {
 // to admit its function bodies one index at a time.
 type Admission struct {
 	m *Module
-	// want holds what the tables claim about function indices: the
-	// Method a body must carry — the index of the method that names it
-	// as its body, or -1 for a static initializer.
-	want map[int32]int32
+	// claims holds what the tables say of each function index they name:
+	// the method whose body it is, or -1-k for class definition k's static
+	// initializer.
+	claims map[int32]int32
 }
 
-// Link checks function j against the claims the tables make about index
-// j: a body some method names as its own must name that method back (so
-// no body can be dispatched under another method's signature), and a
-// static initializer has no method and no parameters. A function no
-// table entry points at may name any method; nothing can reach it. This
-// is all the non-verifying decoder runs per function.
+// Claim reports what the tables say function j is: the body of method
+// (>= 0), or the static initializer of class definition class (method <
+// 0). ok is false for an index no table entry names.
+func (a *Admission) Claim(j int) (method int32, class int, ok bool) {
+	c, ok := a.claims[int32(j)]
+	if !ok || c >= 0 {
+		return c, -1, ok
+	}
+	return -1, int(-1 - c), true
+}
+
+// Link checks function j against the claim the tables make about index
+// j: the body of a method carries that method, its signature (the
+// receiver's safe-ref unless static, the method's parameters, its
+// result) and its name, Owner.Name; class k's static initializer carries
+// no method, no parameters, a void result and the name
+// Class.<clinit>. So no body can be dispatched under another method's
+// signature, and a body decoded from its claim alone (the wire does not
+// spell any of this) is the body the producer built. A function no table
+// entry points at may name any method; nothing can reach it, and the wire
+// cannot carry it.
 func (a *Admission) Link(j int, f *Func) error {
-	want, claimed := a.want[int32(j)]
-	switch {
-	case !claimed:
+	method, class, claimed := a.Claim(j)
+	if !claimed {
 		return nil
-	case want < 0 && (f.Method >= 0 || len(f.Params) != 0):
-		return fmt.Errorf("function %d (%s): static initializer has a signature", j, f.Name)
-	case want >= 0 && f.Method != want:
+	}
+	owner, member := a.m.ClaimedName(method, class)
+	if method < 0 {
+		if f.Method >= 0 || !a.m.HasClaimedSignature(f, nil) {
+			return fmt.Errorf("function %d (%s): static initializer has a signature", j, f.Name)
+		}
+		if !qualified(f.Name, owner, member) {
+			return fmt.Errorf("function %d (%s): static initializer of %s has another name", j, f.Name, owner)
+		}
+		return nil
+	}
+	mr := &a.m.Methods[method]
+	switch {
+	case f.Method != method:
 		return fmt.Errorf("function %d (%s): body of method %d (%s) names method %d",
-			j, f.Name, want, a.m.Methods[want].Name, f.Method)
+			j, f.Name, method, mr.Name, f.Method)
+	case !a.m.HasClaimedSignature(f, mr):
+		return fmt.Errorf("function %d (%s): body of method %d (%s) has another signature", j, f.Name, method, mr.Name)
+	case !qualified(f.Name, owner, member):
+		return fmt.Errorf("function %d (%s): body of method %d (%s) has another name", j, f.Name, method, mr.Name)
 	}
 	return nil
 }
 
-// Admit is the per-function admission rule: Link, then the body checks.
-// It depends only on the verified tables and on f, which is why a
-// function admitted while the rest of its unit is still in flight is
-// exactly as trustworthy as one admitted by Verify.
+// ClaimedName is the name a claimed body carries, owner + "." + member:
+// Owner.Name for the body of method (>= 0), Class.<clinit> for the static
+// initializer of class definition class.
+func (m *Module) ClaimedName(method int32, class int) (owner, member string) {
+	if method < 0 {
+		return m.Types.Describe(m.Classes[class].Type), "<clinit>"
+	}
+	mr := &m.Methods[method]
+	return m.Types.Describe(mr.Owner), mr.Name
+}
+
+// HasClaimedSignature reports whether f's parameters and result are the
+// ones its claim implies: for the body of method mr, the receiver's
+// safe-ref (unless mr is static), mr's parameters and mr's result; for a
+// static initializer (mr nil), none and void.
+func (m *Module) HasClaimedSignature(f *Func, mr *MethodRef) bool {
+	if mr == nil {
+		return len(f.Params) == 0 && f.Result == m.Types.Void
+	}
+	ps := f.Params
+	if !mr.Static {
+		if len(ps) == 0 {
+			return false
+		}
+		if r := m.Types.Get(ps[0]); r == nil || r.Kind != TSafeRef || r.Base != mr.Owner {
+			return false
+		}
+		ps = ps[1:]
+	}
+	return f.Result == mr.Result && slices.Equal(ps, mr.Params)
+}
+
+// qualified reports whether name is owner + "." + member.
+func qualified(name, owner, member string) bool {
+	return len(name) == len(owner)+1+len(member) && name[:len(owner)] == owner &&
+		name[len(owner)] == '.' && name[len(owner)+1:] == member
+}
+
+// Admit is the per-function admission rule: Link, then Body. It depends
+// only on the verified tables and on f, which is why a function admitted
+// while the rest of its unit is still in flight is exactly as trustworthy
+// as one admitted by Verify.
 func (a *Admission) Admit(j int, f *Func, opts VerifyOptions) error {
 	if err := a.Link(j, f); err != nil {
 		return err
 	}
+	return a.Body(j, f, opts)
+}
+
+// Body is Admit without Link: the body checks alone, for a function whose
+// link holds by construction — a decoded body takes its method, signature
+// and name from its claim (wire's decoder), so Link has nothing left to
+// reject there.
+func (a *Admission) Body(j int, f *Func, opts VerifyOptions) error {
 	if err := a.m.verifyFunc(f, opts); err != nil {
 		return fmt.Errorf("function %d (%s): %w", j, f.Name, err)
 	}
@@ -92,9 +168,10 @@ func (a *Admission) Admit(j int, f *Func, opts VerifyOptions) error {
 // VerifyTables checks the linking consistency of the symbol tables
 // before any function body is looked at: field slots within their
 // class's storage, dispatch tables that agree with the superclass
-// layout, every method with a body or a host implementation, and body
-// and static-initializer indices inside the nFuncs bodies the unit
-// declares, no index claimed for two roles. These are the "safe
+// layout, every method with a body or a host implementation, one
+// static-initializer entry per class definition, and body and
+// static-initializer indices inside the nFuncs bodies the unit declares,
+// no index claimed twice. These are the "safe
 // linking" conditions of section 4 — the paper's residual "trivial
 // counter comparisons" — and the precondition of every per-function
 // rule.
@@ -103,17 +180,18 @@ func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 	bad := func(format string, args ...interface{}) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-	want := make(map[int32]int32, len(m.Methods))
-	// claim records that function fi must carry the given Method; it
-	// answers why it cannot, or "".
-	claim := func(fi, method int32) string {
+	claims := make(map[int32]int32, len(m.Methods))
+	// claim records that function fi is what c says (Admission.claims); it
+	// answers why it cannot be, or "". An index has one claimant: two
+	// methods, or two classes' static initializers, cannot share a body.
+	claim := func(fi, c int32) string {
 		if int(fi) >= nFuncs {
 			return "out of range"
 		}
-		if prev, dup := want[fi]; dup && prev != method {
+		if _, dup := claims[fi]; dup {
 			return "already claimed for another role"
 		}
-		want[fi] = method
+		claims[fi] = c
 		return ""
 	}
 
@@ -262,18 +340,21 @@ func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 			bad("entry method is not static")
 		}
 	}
+	if len(m.StaticInit) != len(m.Classes) {
+		bad("%d static-initializer entries for %d class definitions", len(m.StaticInit), len(m.Classes))
+	}
 	for i, si := range m.StaticInit {
 		if si < 0 {
 			continue
 		}
-		if why := claim(si, -1); why != "" {
+		if why := claim(si, int32(-1-i)); why != "" {
 			bad("static initializer %d: function index %d %s", i, si, why)
 		}
 	}
 	if errs != nil {
 		return nil, errors.Join(errs...)
 	}
-	return &Admission{m: m, want: want}, nil
+	return &Admission{m: m, claims: claims}, nil
 }
 
 func sameMethodShape(a, b *MethodRef) bool {

@@ -67,8 +67,9 @@ func orDefaults(b Budgets) Budgets {
 // arity, operand planes, result plane, every opcode side condition, the
 // CST reference planes, the link rule — holds by construction: the
 // decoder reads each instruction through the same core.Module.Signature
-// and links each function through the same core.Admission the verifier
-// checks with, so the Verify call below cannot fail there. The
+// the verifier checks with, and takes each function's method and
+// signature from the claim of the same core.Admission, so the Verify
+// call below cannot fail there. The
 // structural half — every operand's definition dominates its use, phi
 // arity matches the incoming edges, phi operands are available on their
 // edge, CST references are available at their block — is enforced in

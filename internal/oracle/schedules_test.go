@@ -157,70 +157,3 @@ func TestSchedulesCannotDisagreeSeeds(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamGateStaysShutOnLinkFailure drives the one rejection the
-// encoder will spell — a body whose method back-link is wrong — through
-// every schedule: the non-verifying decoder, the one-shot verifying
-// decoder and the stream all refuse it with the same rule text, as a
-// wire.ErrMalformed, and the stream's gate opens for the functions
-// before the bad one and never for it.
-func TestStreamGateStaysShutOnLinkFailure(t *testing.T) {
-	mod, err := driver.CompileTSASource(map[string]string{"Main.tj": `
-class Main {
-    static int twice(int x) { return x + x; }
-    static int square(int x) { return x * x; }
-    static void main() { System.out.println(twice(3) + square(4)); }
-}`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mislink the last of the two same-shaped bodies: it still decodes
-	// under the other's signature, so only the link rule can object.
-	method := func(name string) int32 {
-		for i := range mod.Methods {
-			if mod.Methods[i].Name == name && mod.Methods[i].FuncIdx >= 0 {
-				return int32(i)
-			}
-		}
-		t.Fatalf("no method %s with a body", name)
-		return -1
-	}
-	claimed, other := method("twice"), method("square")
-	if mod.Methods[claimed].FuncIdx < mod.Methods[other].FuncIdx {
-		claimed, other = other, claimed
-	}
-	bad := int(mod.Methods[claimed].FuncIdx)
-	if bad < 1 {
-		t.Fatal("the mislinked body must not be the first function")
-	}
-	mod.Funcs[bad].Method = other
-	want := "body of method " + strconv.Itoa(int(claimed))
-
-	for label, data := range map[string][]byte{"v1": wire.EncodeModule(mod), "v2": wire.EncodeModuleV2(mod, nil)} {
-		if err := oracle.CheckStreamingWire(data, fuzzBudgets); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		_, linkErr := wire.DecodeModule(data)
-		_, fullErr := wire.DecodeVerified(data)
-		su, err := wire.DecodeVerifiedStream(bytes.NewReader(data), wire.DecodeOptions{})
-		if err != nil {
-			t.Fatalf("%s: tables rejected: %v", label, err)
-		}
-		streamErr := su.Wait()
-		for schedule, err := range map[string]error{"DecodeModule": linkErr, "DecodeVerified": fullErr, "stream": streamErr} {
-			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), wire.ErrMalformed.Error()) {
-				t.Errorf("%s %s: got %v, want a malformed-stream error naming the link rule (%q)", label, schedule, err, want)
-			}
-		}
-		if linkErr != nil && fullErr != nil && streamErr != nil &&
-			(linkErr.Error() != fullErr.Error() || fullErr.Error() != streamErr.Error()) {
-			t.Errorf("%s: schedules word the rejection differently:\n%v\n%v\n%v", label, linkErr, fullErr, streamErr)
-		}
-		if err := su.WaitFunc(bad - 1); err != nil {
-			t.Errorf("%s: function %d, before the bad one, was not admitted: %v", label, bad-1, err)
-		}
-		if err := su.WaitFunc(bad); err == nil {
-			t.Errorf("%s: WaitFunc(%d) opened the gate for the mislinked body", label, bad)
-		}
-	}
-}

@@ -9,22 +9,17 @@ import (
 	"safetsa/internal/core"
 )
 
-// declaring returns, per wire version, a stream whose module head is
-// empty but for announcing funcs functions, followed by whatever body
-// writes and then nothing: the stream's last act is to declare a count it
-// does not honour.
-func declaring(funcs int, body func(w symWriter)) map[string][]byte {
-	head := &core.Module{Types: core.NewTypeTable(), Entry: -1, Funcs: make([]*core.Func, funcs)}
-
+// declaring returns, per wire version, a stream whose symbols are what
+// body writes and then nothing: the stream's last act is to declare a
+// count it does not honour.
+func declaring(body func(w symWriter)) map[string][]byte {
 	bw := &bitWriter{}
 	for _, b := range magic {
 		bw.writeBits(uint64(b), 8)
 	}
-	(&encoder{m: head, w: bw}).encodeTables()
 	body(bw)
 
 	aw := &acWriter{mdl: newModel(nil, nil), rc: newRCEncoder()}
-	(&encoder{m: head, w: aw}).encodeTables()
 	body(aw)
 	payload := aw.finish()
 	v2 := appendLEB([]byte{'S', 'T', 'S', versionV2, modelAdaptive}, uint64(len(payload)))
@@ -41,33 +36,43 @@ func declaring(funcs int, body func(w symWriter)) map[string][]byte {
 func TestDeclaredCountsAllocateNothing(t *testing.T) {
 	const declared = 1 << 22
 	tt := core.NewTypeTable()
-	// sig opens a synthetic function of the given declared arity; void
-	// closes the signature of one that really has no parameters.
-	sig := func(w symWriter, params uint64) {
-		w.setProd(prodSig)
-		w.str("f")
-		w.svarint(-1)
-		w.uvarint(params)
+	// head writes the tables of a unit of funcs functions whose first is
+	// the body of a static void method of Object, and opens that body.
+	head := func(funcs int) func(w symWriter) {
+		m := &core.Module{Types: tt, Entry: -1, Funcs: make([]*core.Func, funcs),
+			Methods: []core.MethodRef{{Owner: tt.Object, Name: "f", Result: tt.Void, Static: true, VSlot: -1}}}
+		return func(w symWriter) {
+			(&encoder{m: m, w: w}).encodeTables()
+			w.setProd(prodCST)
+		}
 	}
-	void := func(w symWriter) {
-		w.symbol(int(tt.Void)-1, len(tt.ByID)-1)
-		w.setProd(prodCST)
+	body := head(1)
+	// method opens the method table's one entry, owned by Object.
+	method := func(w symWriter) {
+		w.setProd(prodTables)
+		w.uvarint(0) // types
+		w.uvarint(0) // fields
+		w.uvarint(1) // methods
+		w.symbol(int(tt.Object)-1, len(tt.ByID)-1)
 	}
 	cases := map[string]func(w symWriter){
 		// The table section's own last count: no body follows at all.
-		"functions":  func(symWriter) {},
-		"parameters": func(w symWriter) { sig(w, declared) },
+		"functions": head(declared),
+		// A method's parameter list, in the method table.
+		"parameters": func(w symWriter) {
+			method(w)
+			w.str("f")
+			w.uvarint(declared)
+		},
 		"CST children": func(w symWriter) {
-			sig(w, 0)
-			void(w)
+			body(w)
 			w.symbol(int(core.CSeq), core.NumCSTKinds)
 			w.uvarint(declared)
 		},
 		"phis": func(w symWriter) {
 			// The entry block has no predecessors and may not declare
 			// phis; the block after an if may.
-			sig(w, 0)
-			void(w)
+			body(w)
 			w.symbol(int(core.CSeq), core.NumCSTKinds)
 			w.uvarint(3)
 			w.symbol(int(core.CBlock), core.NumCSTKinds)
@@ -83,16 +88,15 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 			w.setProd(prodBlock)
 			w.uvarint(declared)
 		},
-		// The function's name declares the longest string a stream may
-		// and then stops: the reader's scratch grows only with bytes it
-		// has decoded.
+		// A method's name declares the longest string a stream may and
+		// then stops: the reader's scratch grows only with bytes it has
+		// decoded.
 		"string bytes": func(w symWriter) {
-			w.setProd(prodSig)
+			method(w)
 			w.uvarint(maxStringLen)
 		},
 		"instructions": func(w symWriter) {
-			sig(w, 0)
-			void(w)
+			body(w)
 			w.symbol(int(core.CBlock), core.NumCSTKinds)
 			w.setProd(prodBlock)
 			w.uvarint(0)
@@ -111,11 +115,7 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 		},
 	}
 	for what, body := range cases {
-		funcs := 1
-		if what == "functions" {
-			funcs = declared
-		}
-		for version, data := range declaring(funcs, body) {
+		for version, data := range declaring(body) {
 			for entry, decode := range entries {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

@@ -30,7 +30,9 @@ type DecodeOptions struct {
 // scope on the required plane, and the required plane is the one
 // core.Module.Signature implies for the opcode. The residual checks are
 // the trivial counter comparisons of the paper: core.Module.VerifyTables
-// over the symbol tables before any body, core.Admission.Link per body.
+// over the symbol tables before any body. A body's name, method and
+// signature are its claim's (decoder.decodeFunc), so no per-body link
+// rule is left to run.
 func DecodeModule(data []byte) (*core.Module, error) {
 	return DecodeModuleOpts(data, DecodeOptions{})
 }
@@ -428,11 +430,7 @@ func (d *decoder) decodeTables() (int, error) {
 		return 0, err
 	}
 	d.m.Entry = int32(entry)
-	nsi, err := d.count("static initializer")
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < nsi; i++ {
+	for range d.m.Classes {
 		v, err := r.svarint()
 		if err != nil {
 			return 0, err
@@ -442,52 +440,31 @@ func (d *decoder) decodeTables() (int, error) {
 	return d.count("function")
 }
 
-// decodeFunc reads one function in three phases and reconstructs its
-// structure.
-func (d *decoder) decodeFunc() (*core.Func, error) {
+// decodeFunc reads function j in three phases and reconstructs its
+// structure. Its name, method and signature are not on the wire: they
+// are the claim the verified tables make about index j (core.Admission.
+// Claim), so a body's link holds by construction, and an index no table
+// entry claims is malformed.
+func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 	r := d.r
 	tt := d.m.Types
-	r.setProd(prodSig)
-	name, err := r.str()
-	if err != nil {
-		return nil, err
+	method, class, ok := d.adm.Claim(j)
+	if !ok {
+		return nil, malformedf("no method or static initializer claims the body")
 	}
-	f := d.newFunc(name)
-	d.f = f
-	mi, err := r.svarint()
-	if err != nil {
-		return nil, err
-	}
-	f.Method = int32(mi)
-	if f.Method >= 0 {
-		if int(f.Method) >= len(d.m.Methods) {
-			return nil, malformedf("function names method %d outside the table", f.Method)
-		}
-		mr := d.m.Methods[f.Method]
-		if f.Params == nil {
-			f.Params = make([]core.TypeID, 0, len(mr.Params)+1)
-		}
+	owner, member := d.m.ClaimedName(method, class)
+	f := d.newFunc(owner + "." + member)
+	f.Result = tt.Void
+	if method >= 0 {
+		mr := &d.m.Methods[method]
 		if !mr.Static {
 			f.Params = append(f.Params, tt.SafeRefOf(mr.Owner))
 		}
 		f.Params = append(f.Params, mr.Params...)
-		f.Result = mr.Result
-	} else {
-		np, err := d.count("parameter")
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < np; i++ {
-			p, err := d.typeRef()
-			if err != nil {
-				return nil, err
-			}
-			f.Params = append(f.Params, p)
-		}
-		if f.Result, err = d.typeRef(); err != nil {
-			return nil, err
-		}
+		f.Method, f.Result = method, mr.Result
 	}
+	d.f = f
+	var err error
 
 	// Phase 1: CST productions; blocks materialize in order.
 	r.setProd(prodCST)

@@ -23,3 +23,16 @@ func EncodeHead(m *core.Module, n int) []byte {
 	(&encoder{m: &head, w: w}).encodeTables()
 	return w.bytes()
 }
+
+// EncodeUnchecked is m in wire v1 and in v2 without a dictionary, keyed
+// "v1" and "v2", each body written without asking whether the tables
+// claim it: a unit the encoder refuses to spell.
+func EncodeUnchecked(m *core.Module) map[string][]byte {
+	return declaring(func(w symWriter) {
+		e := &encoder{m: m, w: w}
+		e.encodeTables()
+		for _, f := range m.Funcs {
+			e.encodeFunc(f)
+		}
+	})
+}

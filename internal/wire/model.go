@@ -16,7 +16,6 @@ import (
 const (
 	prodOp     = int(core.NumOps) + iota // opcode selector position
 	prodTables                           // type/field/method/class tables
-	prodSig                              // function name + signature
 	prodCST                              // control structure tree productions
 	prodBlock                            // per-block phi and instruction counts
 	prodRefs                             // phase-3 phi operands and CST refs

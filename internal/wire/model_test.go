@@ -17,8 +17,8 @@ func TestModelTemplate(t *testing.T) {
 	if !reflect.DeepEqual(*m, want) {
 		t.Fatal("newModel(nil, nil) is not the eachProb-initialised model")
 	}
-	if n != modelProbCount || n != 3417 {
-		t.Errorf("eachProb visits %d probabilities, modelProbCount is %d; want both 3417", n, modelProbCount)
+	if n != modelProbCount || n != 3305 {
+		t.Errorf("eachProb visits %d probabilities, modelProbCount is %d; want both 3305", n, modelProbCount)
 	}
 	m.prods[prodOp].sym[0], m.lit[1], m.dictSym[0] = 1, 2, 3
 	if !reflect.DeepEqual(modelTemplate, want) || !reflect.DeepEqual(*newModel(nil, nil), want) {

@@ -31,10 +31,12 @@ import (
 //
 // Soundness (DESIGN.md §11): the admitted prefix is exactly as
 // trustworthy as a fully decoded unit because (a) the tables are
-// immutable and statically verified up front, and (b) Admit for
-// function j depends only on those tables and on body j — so running it
-// when j is first called or after everything has arrived is the same
-// computation, and Module.Verify is by definition that rule for every j.
+// immutable and statically verified up front, and (b) admitting
+// function j (Admission.Body: its link holds by construction, its name,
+// method and signature being its claim's) depends only on those tables
+// and on body j — so running it when j is first called or after
+// everything has arrived is the same computation, and Module.Verify is
+// by definition that rule for every j.
 type StreamingUnit struct {
 	// Mod has complete, verified tables from construction time. Its Funcs
 	// grows by append, one admitted function at a time: it never holds a
@@ -43,7 +45,7 @@ type StreamingUnit struct {
 
 	d      decoder    // in place: a unit is opened with one allocation
 	src    byteSource // the unit in memory, or the stream and its buffer
-	verify bool       // Admit each body; false is DecodeModule's link-only rule
+	verify bool       // run the body checks; false is DecodeModule's decoding alone
 
 	ended bool // every function admitted and the stream closed cleanly
 	err   error
@@ -144,27 +146,24 @@ func (su *StreamingUnit) advance(step func() error) {
 }
 
 // pull is the one loop over function bodies, behind every decoder entry
-// point: decode function j, admit it — the link rule only for the
-// non-verifying DecodeModule, link plus body verification for
-// DecodeVerified and the streams — and append it to Mod.Funcs, until n
-// functions are admitted. Nothing reaches Mod.Funcs that admission
-// rejected, and a module whose functions were all appended is one
-// Module.Verify accepts (given verify), because Verify is this loop
-// without the decoding.
+// point: decode function j from its claim, admit it — the body checks
+// for DecodeVerified and the streams, nothing more for the non-verifying
+// DecodeModule — and append it to Mod.Funcs, until n functions are
+// admitted. Nothing reaches Mod.Funcs that admission rejected, and a
+// module whose functions were all appended is one Module.Verify accepts
+// (given verify), because Verify is this loop without the decoding: its
+// link rule holds by construction for a body decoded from its claim.
 func (su *StreamingUnit) pull(n int) error {
 	d := &su.d
 	for j := len(d.m.Funcs); j < n; j++ {
-		f, err := d.decodeFunc()
+		f, err := d.decodeFunc(j)
 		if err != nil {
 			return fmt.Errorf("function %d: %w", j, err)
 		}
 		if su.verify {
-			err = d.adm.Admit(j, f, core.VerifyOptions{Scratch: &d.pos})
-		} else {
-			err = d.adm.Link(j, f)
-		}
-		if err != nil {
-			return malformedf("%v", err)
+			if err := d.adm.Body(j, f, core.VerifyOptions{Scratch: &d.pos}); err != nil {
+				return malformedf("%v", err)
+			}
 		}
 		d.m.Funcs = append(d.m.Funcs, f)
 	}

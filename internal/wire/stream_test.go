@@ -2,8 +2,11 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -11,6 +14,7 @@ import (
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
+	"safetsa/internal/oracle"
 	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
@@ -520,7 +524,9 @@ func TestLentStreamAdmitsEachBody(t *testing.T) {
 func TestClaimedIndexGrowsNothing(t *testing.T) {
 	mod := compileAll(t, `class M { static void main() { } }`, true)
 	mod.Methods[mod.Entry].FuncIdx = 1<<22 - 1
-	mod.StaticInit = nil
+	for i := range mod.StaticInit {
+		mod.StaticInit[i] = -1
+	}
 	head := wire.EncodeHead(mod, 1<<22)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -588,5 +594,80 @@ func TestLentArenaDecodesWhatDecodeModuleDoes(t *testing.T) {
 			}
 		}
 		t.Logf("poison %v: a corpus unit left its arena holding at most %d B", poison, most)
+	}
+}
+
+// TestUnclaimedFunctionIsMalformed: a body's name, method and signature
+// are its claim's, so a body the tables claim for no role has nothing to
+// be decoded as. The encoder refuses to spell one; written anyway, after
+// tables that are otherwise whole, every decoder entry and both wire
+// versions refuse it as malformed, with one text, at that body: the
+// stream's gate opens for every body before it and never for it, and the
+// schedules agree (oracle.CheckStreamingWire).
+func TestUnclaimedFunctionIsMalformed(t *testing.T) {
+	mod := compileAll(t, `
+class Main {
+    static int twice(int x) { return x + x; }
+    static void main() { System.out.println(twice(3)); }
+}`, false)
+	bad := len(mod.Funcs)
+	mod.Funcs = append(mod.Funcs, mod.Funcs[mod.Methods[mod.Entry].FuncIdx])
+	for _, encode := range []func(*core.Module) []byte{
+		wire.EncodeModule,
+		func(m *core.Module) []byte { return wire.EncodeModuleV2(m, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("the encoder spelled a body its tables do not claim")
+				}
+			}()
+			encode(mod)
+		}()
+	}
+	want := fmt.Sprintf("function %d: %v: no method or static initializer claims the body", bad, wire.ErrMalformed)
+	entries := map[string]func([]byte) error{
+		"DecodeModule":   func(b []byte) error { _, err := wire.DecodeModule(b); return err },
+		"DecodeVerified": func(b []byte) error { _, err := wire.DecodeVerified(b); return err },
+		"OpenVerified": func(b []byte) error {
+			su, err := wire.OpenVerified(b, nil)
+			if err == nil {
+				err = su.Wait()
+			}
+			return err
+		},
+		"stream": func(b []byte) error {
+			su, err := wire.DecodeVerifiedStream(bytes.NewReader(b), wire.DecodeOptions{})
+			if err == nil {
+				err = su.Wait()
+			}
+			return err
+		},
+	}
+	for version, data := range wire.EncodeUnchecked(mod) {
+		if err := oracle.CheckStreamingWire(data, oracle.Budgets{MaxSteps: 1 << 16, MaxAlloc: 1 << 18}); err != nil {
+			t.Fatalf("%s: %v", version, err)
+		}
+		var text string
+		for entry, decode := range entries {
+			err := decode(data)
+			if !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: got %v, want ErrMalformed naming the unclaimed body (%q)", version, entry, err, want)
+			} else if text == "" {
+				text = err.Error()
+			} else if err.Error() != text {
+				t.Errorf("%s %s: worded %q, another entry %q", version, entry, err, text)
+			}
+		}
+		su, err := wire.DecodeVerifiedStream(bytes.NewReader(data), wire.DecodeOptions{})
+		if err != nil {
+			t.Fatalf("%s: tables refused: %v", version, err)
+		}
+		if err := su.WaitFunc(bad - 1); err != nil {
+			t.Errorf("%s: function %d, before the unclaimed one, was not admitted: %v", version, bad-1, err)
+		}
+		if err := su.WaitFunc(bad); err == nil || su.Ready() != bad {
+			t.Errorf("%s: WaitFunc(%d) = %v with %d ready: the gate opened for the unclaimed body", version, bad, err, su.Ready())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"safetsa/internal/core"
@@ -200,5 +201,37 @@ func TestCrossVersionMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNamesAreNotOnTheWire: a body's name is its claim's, so the bytes do
+// not depend on it. Every corpus unit, each of its functions renamed to
+// junk, encodes to the same bytes at v1 and at v2, and those bytes decode
+// to the names the producer gave.
+func TestNamesAreNotOnTheWire(t *testing.T) {
+	for _, u := range corpus.Units() {
+		mod, err := driver.CompileTSASource(u.Files)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		v1, v2 := wire.EncodeModule(mod), wire.EncodeModuleV2(mod, nil)
+		names := make([]string, len(mod.Funcs))
+		for j, f := range mod.Funcs {
+			names[j], f.Name = f.Name, fmt.Sprintf("junk%d", j)
+		}
+		if !bytes.Equal(wire.EncodeModule(mod), v1) || !bytes.Equal(wire.EncodeModuleV2(mod, nil), v2) {
+			t.Errorf("%s: renaming the functions changed the unit's bytes", u.Name)
+		}
+		for version, data := range map[string][]byte{"v1": v1, "v2": v2} {
+			dec, err := wire.DecodeModule(data)
+			if err != nil {
+				t.Fatalf("%s %s: %v", u.Name, version, err)
+			}
+			for j, f := range dec.Funcs {
+				if f.Name != names[j] {
+					t.Errorf("%s %s: function %d decoded as %q, the producer named it %q", u.Name, version, j, f.Name, names[j])
+				}
+			}
+		}
 	}
 }
