@@ -45,12 +45,12 @@ func TestKeyForGolden(t *testing.T) {
 		"Util.tj": "class Util { static int twice(int x) { return x * 2; } } //   café\n",
 	}
 	want := []string{
-		"38aa5dd83264faedfa0fbfb96991404fff50e2d09a3a6b9c32debc88eafcdfc3",
-		"c8d403ac9bdece31ca4802a6c50ad833593e5411a1d60f7a4aec0377ca0afcf8",
-		"e5e2dbab725aaef0db4d301a452ecf1c7c27d9ecb30e091310b7fd8261cc3813",
-		"bb1ab89d37475407db2ea4d3beb8e641b48574a839b400d18b85cd0b3c10309c",
-		"1db9e622de820fca03d115a4f2224bf9583f605fd2ddf606312bb44d0b03d933",
-		"078b5986d5eee4738cdc00802064556b008b12a580752228c883b62f5769ad11",
+		"2a7ab3eaefbf587bdc9276788d44ca313e35218d3f55dc798a5286f3574cfbbb",
+		"c1530b6d85895905ab11777594fbb683f40713fe65df8c7ff4292f6b4d39e334",
+		"912d4b5f1dcf911f41d7124caa49d949f759c34a422c53999ed63db1130b966d",
+		"afb01e581e6763b2267c6fd2965067a26842eb91c3183e1b21b03aef2f644c69",
+		"658f4c46b8f99864240a69c0886d7c0263e36292e8b5770ee6c685845ca92297",
+		"dc20cbfb2020a0c748fa354f4828625c9c87af97492a23e1112aab9d7b86fb69",
 	}
 	for i, o := range resolvedOptionRows {
 		if got := KeyFor(files, o).String(); got != want[i] {
@@ -224,20 +224,20 @@ func TestCompileRequestSeedVerdicts(t *testing.T) {
 		status int
 		hash   string
 	}{
-		"seed_json_marshal_html_escaped": {true, 200, "5741f269bfcd301f609d1f1b447a06eb8739673632f097b5de3f14cebe03b858"},
-		"seed_members_reordered_spaced":  {true, 200, "c8d833efdae5f5126949e9ac1c5f2e4a28599463ea328c4cb7fe2472c2985357"},
-		"seed_escapes_all_eight":         {true, 200, "db6ba2cdc19a338e6270f220340d8ecffeab0f0bcc2e55e64ab50887b926147a"},
-		"seed_escaped_member_name":       {true, 200, "fcce0ea1f445b2052aa836912bebc6e85ed4c5603e8c940c16f510ae606a1930"},
+		"seed_json_marshal_html_escaped": {true, 200, "6d64ef5bfb7053cb216d38c4eb1118bd4fd499c0de008607c2ca96c923a1dd1f"},
+		"seed_members_reordered_spaced":  {true, 200, "f79e17a4e877618044085db48886642e8bf0757b1232a4b2caf0062f55a1b056"},
+		"seed_escapes_all_eight":         {true, 200, "04114597beb650fa74ccc39ae53ec8704091bb61e052b6323370c5dcc35fef11"},
+		"seed_escaped_member_name":       {true, 200, "cc217684d362463ac327d58c78c7680357ac3bda9a03d330c47329892fc4e177"},
 		"seed_empty_object":              {true, 400, ""},
-		"seed_surrogate_pair":            {false, 200, "cb84ca852578902951566cbd3502e9d2848983331931b1f56f46cccb6246da06"},
-		"seed_lone_surrogate":            {false, 200, "86a8f20c160fc5ef5c77d630bdb6b3c157c9797c2cd5618744612778a63552ff"},
-		"seed_invalid_utf8":              {false, 200, "9fed49e18a2a48c6a8aa9e2bab796b5b4e1153df24763937993c98716950d015"},
-		"seed_duplicate_file_name":       {false, 200, "fcce0ea1f445b2052aa836912bebc6e85ed4c5603e8c940c16f510ae606a1930"},
-		"seed_duplicate_files_member":    {false, 200, "ee93ac46d2fcd44afce58b20f80240cde49fe76dd29d4a4e909b32cd0363bf00"},
-		"seed_duplicate_optimize":        {false, 200, "4e6c9aad24c846f7db98dd4fc1a3dbd7919dbe967895f751796f2c77d9fa55b0"},
-		"seed_uppercase_member":          {false, 200, "4e6c9aad24c846f7db98dd4fc1a3dbd7919dbe967895f751796f2c77d9fa55b0"},
-		"seed_unknown_member":            {false, 200, "fcce0ea1f445b2052aa836912bebc6e85ed4c5603e8c940c16f510ae606a1930"},
-		"seed_optimize_null":             {false, 200, "fcce0ea1f445b2052aa836912bebc6e85ed4c5603e8c940c16f510ae606a1930"},
+		"seed_surrogate_pair":            {false, 200, "14ccabbb21758a6406c1c291b10a0f909f5654e11249f293e527812c46289fa6"},
+		"seed_lone_surrogate":            {false, 200, "f2f97db279ea781738e5bd4f3d0e12bfd2e80643125fa537e2cb25e775e30d5c"},
+		"seed_invalid_utf8":              {false, 200, "b5432a706d23e5ea72495848c7f0f069190c7067453df066d4774468e16ca849"},
+		"seed_duplicate_file_name":       {false, 200, "cc217684d362463ac327d58c78c7680357ac3bda9a03d330c47329892fc4e177"},
+		"seed_duplicate_files_member":    {false, 200, "a93aa523c57937eaf3ce714cbd1712a76f504bd9d74da41db603fdc3deec5cbb"},
+		"seed_duplicate_optimize":        {false, 200, "c62f43c9d472031d06e701d9ae466f068c4a02c943f6c4851f3dcd4de149241d"},
+		"seed_uppercase_member":          {false, 200, "c62f43c9d472031d06e701d9ae466f068c4a02c943f6c4851f3dcd4de149241d"},
+		"seed_unknown_member":            {false, 200, "cc217684d362463ac327d58c78c7680357ac3bda9a03d330c47329892fc4e177"},
+		"seed_optimize_null":             {false, 200, "cc217684d362463ac327d58c78c7680357ac3bda9a03d330c47329892fc4e177"},
 		"seed_files_null":                {false, 400, ""},
 		"seed_top_level_null":            {false, 400, ""},
 		"seed_raw_control_byte":          {false, 400, ""},

@@ -1,9 +1,6 @@
 package oracle_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -142,35 +139,27 @@ func TestAdaptiveWireSeeds(t *testing.T) {
 // under testdata/fuzz/FuzzAdaptiveWire. Set SAFETSA_WRITE_SEEDS=1 to
 // rewrite the files after changing the seed programs or the wire
 // format.
-func TestWriteAdaptiveSeedCorpus(t *testing.T) {
-	if os.Getenv("SAFETSA_WRITE_SEEDS") == "" {
-		t.Skip("set SAFETSA_WRITE_SEEDS=1 to regenerate the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzAdaptiveWire")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	write := func(name string, data []byte) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+func TestWriteAdaptiveSeedCorpus(t *testing.T) { writeSeeds(t, adaptiveSeedFiles) }
+
+// adaptiveSeedFiles is FuzzAdaptiveWire's generated seed corpus: each seed
+// program in v1 and in v2, and one dictionary-bearing stream, which
+// decodes only with the trained dictionary, so under the dictionary-less
+// fuzz oracle it pins the clean version-error path.
+func adaptiveSeedFiles(tb testing.TB) seedFiles {
 	names := make([]string, 0, len(adaptiveSeedSources))
 	for name := range adaptiveSeedSources {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	mods := adaptiveSeedModules(t)
+	mods := adaptiveSeedModules(tb)
 	dict := wire.TrainDictionary(mods)
+	files := seedFiles{}
 	for i, name := range names {
-		write("seed_"+name+"_v1", wire.EncodeModule(mods[i]))
-		write("seed_"+name+"_v2", wire.EncodeModuleV2(mods[i], nil))
+		files.add("FuzzAdaptiveWire", "seed_"+name+"_v1", wire.EncodeModule(mods[i]))
+		files.add("FuzzAdaptiveWire", "seed_"+name+"_v2", wire.EncodeModuleV2(mods[i], nil))
 	}
-	// One dictionary-bearing stream: decodes only with the trained
-	// dictionary, so under the dictionary-less fuzz oracle it pins the
-	// clean version-error path.
 	if dict != nil {
-		write("seed_"+names[0]+"_v2_dict", wire.EncodeModuleV2(mods[0], dict))
+		files.add("FuzzAdaptiveWire", "seed_"+names[0]+"_v2_dict", wire.EncodeModuleV2(mods[0], dict))
 	}
+	return files
 }

@@ -1,9 +1,6 @@
 package oracle_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"safetsa/internal/corpus"
@@ -639,23 +636,19 @@ func TestCompiledDifferentialSeeds(t *testing.T) { compiledSeeds.replay(t) }
 // testdata/fuzz/<target> (replayed by every plain `go test` run). Set
 // SAFETSA_WRITE_SEEDS=1 to rewrite the files after changing the seed
 // programs or the wire format.
-func TestWriteEngineSeedCorpus(t *testing.T) {
-	if os.Getenv("SAFETSA_WRITE_SEEDS") == "" {
-		t.Skip("set SAFETSA_WRITE_SEEDS=1 to regenerate the seed corpus")
-	}
+func TestWriteEngineSeedCorpus(t *testing.T) { writeSeeds(t, engineSeedFiles) }
+
+// engineSeedFiles is the generated seed corpora of FuzzPreparedDifferential
+// and FuzzCompiledDifferential: each hand-written seed program in v1,
+// before and after the module pipeline.
+func engineSeedFiles(tb testing.TB) seedFiles {
+	files := seedFiles{}
 	for _, s := range []engineSeedSet{preparedSeeds, compiledSeeds} {
-		dir := filepath.Join("testdata", "fuzz", s.target)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		for _, name := range s.names {
-			plain, optimized := wires(t, map[string]string{"Main.tj": s.sources[name]})
-			for file, data := range map[string][]byte{"seed_" + name: plain, "seed_" + name + "_opt": optimized} {
-				body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-				if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+			plain, optimized := wires(tb, map[string]string{"Main.tj": s.sources[name]})
+			files.add(s.target, "seed_"+name, plain)
+			files.add(s.target, "seed_"+name+"_opt", optimized)
 		}
 	}
+	return files
 }

@@ -1,9 +1,6 @@
 package oracle_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -169,36 +166,12 @@ func FuzzModulePasses(f *testing.F) {
 // TestWriteModuleSeedCorpus regenerates the checked-in seed corpus under
 // testdata/fuzz/FuzzModulePasses. Set SAFETSA_WRITE_SEEDS=1 to rewrite
 // the files after changing the seed programs or the wire format.
-func TestWriteModuleSeedCorpus(t *testing.T) {
-	if os.Getenv("SAFETSA_WRITE_SEEDS") == "" {
-		t.Skip("set SAFETSA_WRITE_SEEDS=1 to regenerate the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzModulePasses")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, 0, len(moduleSeedSources))
-	for name := range moduleSeedSources {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	write := func(name string, data []byte) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range names {
-		mod, err := driver.CompileTSASource(map[string]string{"Main.tj": moduleSeedSources[name]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		write("seed_"+name, wire.EncodeModule(mod))
-		if _, err := driver.OptimizeModule(mod); err != nil {
-			t.Fatal(err)
-		}
-		write("seed_"+name+"_opt", wire.EncodeModule(mod))
-	}
+func TestWriteModuleSeedCorpus(t *testing.T) { writeSeeds(t, moduleSeedFiles) }
+
+// moduleSeedFiles is FuzzModulePasses' generated seed corpus: each seed
+// program in v1, before and after the module pipeline.
+func moduleSeedFiles(tb testing.TB) seedFiles {
+	return plainAndOptimizedSeeds(tb, "FuzzModulePasses", moduleSeedSources)
 }
 
 // TestModuleDifferentialSeeds replays the seed set directly, so the

@@ -1,9 +1,6 @@
 package oracle_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -222,36 +219,12 @@ func FuzzPooledDifferential(f *testing.F) {
 // TestWritePooledSeedCorpus regenerates the checked-in seed corpus under
 // testdata/fuzz/FuzzPooledDifferential. Set SAFETSA_WRITE_SEEDS=1 to
 // rewrite the files after changing the seed programs or the wire format.
-func TestWritePooledSeedCorpus(t *testing.T) {
-	if os.Getenv("SAFETSA_WRITE_SEEDS") == "" {
-		t.Skip("set SAFETSA_WRITE_SEEDS=1 to regenerate the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzPooledDifferential")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, 0, len(pooledSeedSources))
-	for name := range pooledSeedSources {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	write := func(name string, data []byte) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range names {
-		mod, err := driver.CompileTSASource(map[string]string{"Main.tj": pooledSeedSources[name]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		write("seed_"+name, wire.EncodeModule(mod))
-		if _, err := driver.OptimizeModule(mod); err != nil {
-			t.Fatal(err)
-		}
-		write("seed_"+name+"_opt", wire.EncodeModule(mod))
-	}
+func TestWritePooledSeedCorpus(t *testing.T) { writeSeeds(t, pooledSeedFiles) }
+
+// pooledSeedFiles is FuzzPooledDifferential's generated seed corpus: each
+// seed program in v1, before and after the module pipeline.
+func pooledSeedFiles(tb testing.TB) seedFiles {
+	return plainAndOptimizedSeeds(tb, "FuzzPooledDifferential", pooledSeedSources)
 }
 
 // TestPooledDifferentialSeeds replays the seed set directly, so the

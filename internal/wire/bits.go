@@ -35,6 +35,11 @@ func malformedf(format string, args ...interface{}) error {
 type symWriter interface {
 	bit(b bool)
 	symbol(v, n int)
+	// level and register write the l and r of an operand reference
+	// (section 4): symbols like any other to the v1 fixed code, decided
+	// in contexts of their own by the adaptive model.
+	level(v, n int)
+	register(v, n int)
 	uvarint(v uint64)
 	svarint(v int64)
 	float64bits(f float64)
@@ -51,6 +56,8 @@ type symWriter interface {
 type symReader interface {
 	bit() (bool, error)
 	symbol(n int) (int, error)
+	level(n int) (int, error)
+	register(n int) (int, error)
 	uvarint() (uint64, error)
 	svarint() (int64, error)
 	float64bits() (float64, error)
@@ -113,6 +120,9 @@ func (w *bitWriter) symbol(v, n int) {
 		w.writeBits(uint64(v+u), k)
 	}
 }
+
+func (w *bitWriter) level(v, n int)    { w.symbol(v, n) }
+func (w *bitWriter) register(v, n int) { w.symbol(v, n) }
 
 // uvarint emits an unbounded non-negative integer as 4-bit groups, each
 // preceded by a continuation bit.
@@ -209,6 +219,9 @@ func (r *bitReader) symbol(n int) (int, error) {
 	}
 	return int(v)<<1 + int(b) - u, nil
 }
+
+func (r *bitReader) level(n int) (int, error)    { return r.symbol(n) }
+func (r *bitReader) register(n int) (int, error) { return r.symbol(n) }
 
 func (r *bitReader) uvarint() (uint64, error) {
 	var v uint64

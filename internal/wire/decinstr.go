@@ -125,7 +125,7 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 // any successfully decoded reference names a value that structurally
 // dominates the use — referential integrity without verification.
 func (d *decoder) decodeRef(b *core.Block, plane core.PlaneKey, limit int) (core.ValueID, error) {
-	l, err := d.r.symbol(b.Depth + 1)
+	l, err := d.r.level(b.Depth + 1)
 	if err != nil {
 		return core.NoValue, err
 	}
@@ -137,7 +137,7 @@ func (d *decoder) decodeRef(b *core.Block, plane core.PlaneKey, limit int) (core
 		limit = -1
 	}
 	w := d.rf.window(def, plane, limit)
-	r, err := d.r.symbol(len(w))
+	r, err := d.r.register(len(w))
 	if err != nil {
 		return core.NoValue, err
 	}

@@ -41,6 +41,8 @@ type strCollector struct{ counts map[string]int }
 
 func (c *strCollector) bit(bool)            {}
 func (c *strCollector) symbol(int, int)     {}
+func (c *strCollector) level(int, int)      {}
+func (c *strCollector) register(int, int)   {}
 func (c *strCollector) uvarint(uint64)      {}
 func (c *strCollector) svarint(int64)       {}
 func (c *strCollector) float64bits(float64) {}

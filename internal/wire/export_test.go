@@ -1,6 +1,11 @@
 package wire
 
-import "safetsa/internal/core"
+import (
+	"math"
+	"math/bits"
+
+	"safetsa/internal/core"
+)
 
 // Retired reports whether su's decoder has dropped what only decoding
 // another body would use (decoder.retire).
@@ -35,4 +40,102 @@ func EncodeUnchecked(m *core.Module) map[string][]byte {
 			e.encodeFunc(f)
 		}
 	})
+}
+
+// BudgetRows are the parts of the grammar a Budget reports, in order.
+var BudgetRows = []string{"opcode", "immediates", "l", "r", "CST", "block counts", "strings", "tables"}
+
+// Budget is where the bits of a v2 encoding go.
+type Budget struct {
+	Decisions int                // the range coder's adaptive decisions
+	Bits      map[string]float64 // what each BudgetRows part cost
+}
+
+// BudgetOf encodes m in v2 without a dictionary through a recorder that
+// stands between the encoder and its acWriter. A part's cost is what its
+// calls moved the coder's information content, 8 bits per byte emitted or
+// pending less log2 of the range, so the rows add up to the payload less
+// its flush; its decisions are the code's bits, counted from the calls'
+// arguments.
+func BudgetOf(m *core.Module) Budget {
+	rec := &budget{aw: acWriter{mdl: newModel(nil, nil), rc: newRCEncoder()}, b: Budget{Bits: map[string]float64{}}}
+	(&encoder{m: m, w: rec}).encodeAll()
+	return rec.b
+}
+
+type budget struct {
+	aw   acWriter
+	prod int
+	b    Budget
+}
+
+// info is the coder's information content so far, in bits.
+func (r *budget) info() float64 {
+	rc := r.aw.rc
+	return float64(8*(len(rc.out)+rc.cacheSize)) - math.Log2(float64(rc.rng))
+}
+
+// charge runs code, one call on the acWriter, and books its cost and
+// decisions to row, or to the production's row when row is empty.
+func (r *budget) charge(row string, decisions int, code func()) {
+	if row == "" {
+		switch r.prod {
+		case prodOp:
+			row = "opcode"
+		case prodTables:
+			row = "tables"
+		case prodCST:
+			row = "CST"
+		case prodBlock:
+			row = "block counts"
+		default:
+			row = "immediates"
+		}
+	}
+	before := r.info()
+	code()
+	r.b.Bits[row] += r.info() - before
+	r.b.Decisions += decisions
+}
+
+// symbolDecisions is the length of v's truncated-binary code.
+func symbolDecisions(v, n int) int {
+	if n == 1 {
+		return 0
+	}
+	k := bits.Len(uint(n - 1))
+	if v < 1<<k-n {
+		return k - 1
+	}
+	return k
+}
+
+func uvarintDecisions(v uint64) int {
+	d := 5
+	for ; v >= 16; v >>= 4 {
+		d += 5
+	}
+	return d
+}
+
+func (r *budget) setProd(p int) { r.prod = p; r.aw.setProd(p) }
+func (r *budget) bit(b bool)    { r.charge("", 1, func() { r.aw.bit(b) }) }
+func (r *budget) symbol(v, n int) {
+	r.charge("", symbolDecisions(v, n), func() { r.aw.symbol(v, n) })
+}
+func (r *budget) level(v, n int) {
+	r.charge("l", symbolDecisions(v, n), func() { r.aw.level(v, n) })
+}
+func (r *budget) register(v, n int) {
+	r.charge("r", symbolDecisions(v, n), func() { r.aw.register(v, n) })
+}
+func (r *budget) uvarint(v uint64) {
+	r.charge("", uvarintDecisions(v), func() { r.aw.uvarint(v) })
+}
+func (r *budget) svarint(v int64) {
+	r.charge("", uvarintDecisions(uint64(v)<<1^uint64(v>>63)), func() { r.aw.svarint(v) })
+}
+func (r *budget) float64bits(f float64) { r.charge("", 0, func() { r.aw.float64bits(f) }) }
+func (r *budget) str(s string) {
+	r.charge("strings", uvarintDecisions(uint64(len(s)))+8*len(s), func() { r.aw.str(s) })
 }

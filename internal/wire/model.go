@@ -12,7 +12,7 @@ import (
 // own production; the section-level productions below cover the symbol
 // positions that are not governed by a specific opcode. The encoder and
 // decoder switch contexts with setProd at identical grammar points, so
-// the per-production frequency models adapt in lockstep.
+// the per-production models adapt in lockstep.
 const (
 	prodOp     = int(core.NumOps) + iota // opcode selector position
 	prodTables                           // type/field/method/class tables
@@ -22,25 +22,79 @@ const (
 	numProd
 )
 
-// prodCtx holds the adaptive bit probabilities for one production:
-// truncated-binary symbol bits by position, standalone flag bits by
-// order of appearance, and uvarint continuation/payload bits by group.
+// prodCtx holds the adaptive bit probabilities for one production: the
+// tree contexts of its symbols, standalone flag bits by order of
+// appearance, and uvarint continuation/payload bits by group.
 type prodCtx struct {
-	sym  [24]uint16
+	sym  symCtx
 	flag [8]uint16
 	cont [16]uint16
 	pay  [16][4]uint16
+}
+
+// Tree contexts. A symbol of an alphabet of n is sent as its
+// truncated-binary code of k = bits.Len(n-1) bits, and each code bit is
+// decided against a probability picked by the alphabet's width class —
+// k, with every width from symWidthCap up sharing one class — and by the
+// node of the code prefix read so far (1, then node<<1|bit) for the
+// first symTreeDepth bits; a bit below that depth has one probability per
+// position. So bit 2 of a 3-symbol alphabet adapts apart from bit 2 of a
+// 200-symbol one, and a bit apart from its sibling under the other
+// prefix, while a symbol still costs the decisions its code has bits.
+const (
+	symTreeDepth = 6
+	symWidthCap  = 6
+	symMaxBits   = 24 // positions past it share the last deep probability
+
+	// symTreeLen packs the classes' trees: class k holds the 2^k-1 nodes
+	// of a k-bit prefix tree up to k = symTreeDepth, 2^symTreeDepth-1
+	// past it.
+	symTreeLen = 1<<(symTreeDepth+1) - 2 - symTreeDepth + (symWidthCap-symTreeDepth)*(1<<symTreeDepth-1)
+)
+
+// symTreeOff is where width class k's nodes start in symCtx.tree; class k
+// ends where class k+1 starts.
+var symTreeOff = func() (off [symWidthCap + 1]int) {
+	for k := 1; k <= symWidthCap; k++ {
+		off[k] = off[k-1] + 1<<min(k, symTreeDepth) - 1
+	}
+	return off
+}()
+
+// symCtx is one set of tree contexts: a probability per prefix node of
+// each width class, and one per code-bit position below the trees.
+type symCtx struct {
+	tree [symTreeLen]uint16
+	deep [symMaxBits - symTreeDepth]uint16
+}
+
+// class is the node probabilities of a k-bit code, node i at [i-1].
+func (s *symCtx) class(k int) []uint16 {
+	k = min(k, symWidthCap)
+	return s.tree[symTreeOff[k-1]:symTreeOff[k]]
+}
+
+// deepProb is the probability of code-bit position pos >= symTreeDepth.
+func (s *symCtx) deepProb(pos int) *uint16 {
+	return &s.deep[min(pos-symTreeDepth, len(s.deep)-1)]
 }
 
 // model is the complete adaptive state shared (by symmetric
 // construction, not by reference) between encoder and decoder. A
 // Dictionary primes the initial probabilities and contributes a shared
 // string table; everything else starts at probInit.
+//
+// An operand reference's (l, r) is decided apart from the immediates of
+// the production it sits in, and in contexts every production shares:
+// lvl for l, and reg[0] for an r among the registers before the use
+// (l = 0), reg[1] for one among a whole dominator's block (l > 0).
 type model struct {
 	prods   [numProd]prodCtx // one per production
+	lvl     symCtx
+	reg     [2]symCtx
 	lit     [256]uint16
 	useDict uint16
-	dictSym [24]uint16
+	dictSym symCtx
 
 	dictStrings []string
 	dictIndex   map[string]int // writer-side lookup, nil on the reader
@@ -82,9 +136,7 @@ func newModel(dict *Dictionary, m *model) *model {
 func (m *model) eachProb(f func(*uint16)) {
 	for i := range m.prods {
 		pc := &m.prods[i]
-		for j := range pc.sym {
-			f(&pc.sym[j])
-		}
+		pc.sym.eachProb(f)
 		for j := range pc.flag {
 			f(&pc.flag[j])
 		}
@@ -97,12 +149,22 @@ func (m *model) eachProb(f func(*uint16)) {
 			}
 		}
 	}
+	m.lvl.eachProb(f)
+	m.reg[0].eachProb(f)
+	m.reg[1].eachProb(f)
 	for j := range m.lit {
 		f(&m.lit[j])
 	}
 	f(&m.useDict)
-	for j := range m.dictSym {
-		f(&m.dictSym[j])
+	m.dictSym.eachProb(f)
+}
+
+func (s *symCtx) eachProb(f func(*uint16)) {
+	for j := range s.tree {
+		f(&s.tree[j])
+	}
+	for j := range s.deep {
+		f(&s.deep[j])
 	}
 }
 
@@ -112,30 +174,31 @@ func (m *model) snapshot() []uint16 {
 	return out
 }
 
-// acEncodeSymbol writes one truncated-binary symbol with each code bit
-// adapted in the per-position context slice.
-func acEncodeSymbol(rc *rcEncoder, ctx []uint16, v, n int) {
+// acEncodeSymbol writes one truncated-binary symbol, each code bit
+// decided in its tree context (rcDecoder.symbol is the inverse).
+func acEncodeSymbol(rc *rcEncoder, s *symCtx, v, n int) {
 	if n <= 0 || v < 0 || v >= n {
 		panic(fmt.Sprintf("wire: symbol %d outside alphabet of size %d", v, n))
 	}
 	if n == 1 {
 		return
 	}
-	k := uint(bits.Len(uint(n - 1)))
-	u := (1 << k) - n
-	var val uint64
-	var nb uint
-	if v < u {
-		val, nb = uint64(v), k-1
-	} else {
-		val, nb = uint64(v+u), k
+	k := bits.Len(uint(n - 1))
+	u := 1<<k - n
+	val, nb := v, k-1
+	if v >= u {
+		val, nb = v+u, k
 	}
-	for i := int(nb) - 1; i >= 0; i-- {
-		pos := int(nb) - 1 - i
-		if pos >= len(ctx) {
-			pos = len(ctx) - 1
+	t := s.class(k)
+	node := 1
+	for pos := 0; pos < nb; pos++ {
+		bit := val >> (nb - 1 - pos) & 1
+		if pos < symTreeDepth {
+			rc.encodeBit(&t[node-1], bit)
+			node = node<<1 | bit
+		} else {
+			rc.encodeBit(s.deepProb(pos), bit)
 		}
-		rc.encodeBit(&ctx[pos], int(val>>uint(i)&1))
 	}
 }
 
@@ -145,6 +208,7 @@ type acWriter struct {
 	rc      *rcEncoder
 	prod    int
 	flagIdx int
+	far     int // the last reference's l was > 0: its r's context
 }
 
 func (w *acWriter) finish() []byte { return w.rc.finish() }
@@ -174,7 +238,16 @@ func (w *acWriter) bit(b bool) {
 }
 
 func (w *acWriter) symbol(v, n int) {
-	acEncodeSymbol(w.rc, w.pc().sym[:], v, n)
+	acEncodeSymbol(w.rc, &w.pc().sym, v, n)
+}
+
+func (w *acWriter) level(v, n int) {
+	acEncodeSymbol(w.rc, &w.mdl.lvl, v, n)
+	w.far = min(v, 1)
+}
+
+func (w *acWriter) register(v, n int) {
+	acEncodeSymbol(w.rc, &w.mdl.reg[w.far], v, n)
 }
 
 func (w *acWriter) uvarint(v uint64) {
@@ -224,7 +297,7 @@ func (w *acWriter) str(s string) {
 	if len(m.dictStrings) > 0 {
 		if idx, ok := m.dictIndex[s]; ok {
 			w.rc.encodeBit(&m.useDict, 1)
-			acEncodeSymbol(w.rc, m.dictSym[:], idx, len(m.dictStrings))
+			acEncodeSymbol(w.rc, &m.dictSym, idx, len(m.dictStrings))
 			return
 		}
 		w.rc.encodeBit(&m.useDict, 0)
@@ -246,6 +319,7 @@ type acReader struct {
 	rc      rcDecoder
 	prod    int
 	flagIdx int
+	far     int    // the last reference's l was > 0: its r's context
 	buf     []byte // str's scratch
 }
 
@@ -279,11 +353,17 @@ func (r *acReader) bit() (bool, error) {
 }
 
 func (r *acReader) symbol(n int) (int, error) {
-	v, err := r.rc.symbol(&r.pc().sym, n)
-	if r.rc.err != nil {
-		return 0, r.rc.err
-	}
+	return r.rc.symbol(&r.pc().sym, n)
+}
+
+func (r *acReader) level(n int) (int, error) {
+	v, err := r.rc.symbol(&r.mdl.lvl, n)
+	r.far = min(v, 1)
 	return v, err
+}
+
+func (r *acReader) register(n int) (int, error) {
+	return r.rc.symbol(&r.mdl.reg[r.far], n)
 }
 
 func (r *acReader) uvarint() (uint64, error) {
@@ -335,9 +415,6 @@ func (r *acReader) str() (string, error) {
 	m, rc := r.mdl, &r.rc
 	if len(m.dictStrings) > 0 && rc.decodeBit(&m.useDict) == 1 {
 		idx, err := rc.symbol(&m.dictSym, len(m.dictStrings))
-		if rc.err != nil {
-			return "", rc.err
-		}
 		if err != nil {
 			return "", err
 		}

@@ -108,8 +108,9 @@ func (e *rcEncoder) finish() []byte {
 // indexing the window; only when it runs out does the decoder ask the
 // source for more, and a read past the declared end — or past the end of
 // the input — latches err and feeds zeros. The decoding methods return
-// their bits alone; the symbol reader checks err once per symbol
-// (acReader), and its verdict wins over any value decoded from those zeros.
+// their bits alone, except symbol, which returns the latch as its error;
+// acReader's other methods read err once per symbol. The latch's verdict
+// wins over any value decoded from those zeros.
 type rcDecoder struct {
 	src      *byteSource
 	end      int   // where the payload's bytes in hand end in src.data
@@ -223,9 +224,11 @@ func (d *rcDecoder) decodeDirect(n uint) uint64 {
 
 // symbol decodes one truncated-binary symbol of an alphabet of n coded by
 // acEncodeSymbol: the k-1 common bits, and the extra bit exactly when the
-// prefix selects a long codeword, each in its position's context (the
-// last one for every position past it).
-func (d *rcDecoder) symbol(ctx *[24]uint16, n int) (int, error) {
+// prefix selects a long codeword, each against its tree context — its
+// prefix's node in the width class's tree, its position's probability
+// below the tree. Its error is the latch, read once after the bits, or an
+// empty alphabet.
+func (d *rcDecoder) symbol(s *symCtx, n int) (int, error) {
 	if n <= 1 {
 		if n <= 0 {
 			return 0, malformedf("empty alphabet (no value of the required kind is in scope)")
@@ -234,16 +237,30 @@ func (d *rcDecoder) symbol(ctx *[24]uint16, n int) (int, error) {
 	}
 	k := bits.Len(uint(n - 1))
 	u := 1<<k - n
-	own := ctx[:min(k-1, len(ctx))]
-	v := d.bits(own)
-	for pos := len(own); pos < k-1; pos++ {
-		v = v<<1 | d.decodeBit(&ctx[len(ctx)-1])
+	t := s.class(k)
+	// node is 1 followed by the code bits read so far; the range and code
+	// stay in locals across them.
+	rng, cod, node := d.rng, d.cod, 1
+	for pos := 0; pos < k; pos++ {
+		if pos == k-1 && node-1<<pos < u {
+			d.rng, d.cod = rng, cod
+			return node - 1<<pos, d.err // a short codeword
+		}
+		var p *uint16
+		if pos < symTreeDepth {
+			p = &t[node-1]
+		} else {
+			p = s.deepProb(pos)
+		}
+		var b int
+		rng, cod, b = decide(rng, cod, p)
+		if rng < rcTop {
+			rng, cod = d.shift(rng, cod)
+		}
+		node = node<<1 | b
 	}
-	if v < u {
-		return v, nil
-	}
-	v = v<<1 | d.decodeBit(&ctx[min(k-1, len(ctx)-1)])
-	return v - u, nil
+	d.rng, d.cod = rng, cod
+	return node - 1<<k - u, d.err
 }
 
 // bits decodes len(ctx) bits, most significant first, bit i against

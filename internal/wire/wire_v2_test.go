@@ -235,3 +235,46 @@ func TestNamesAreNotOnTheWire(t *testing.T) {
 		}
 	}
 }
+
+// TestOldModelRevisionsAreUnsupported: a v2 unit whose model byte names a
+// revision other than this decoder's — revision 2 coded every symbol
+// against per-position probabilities, revision 1 spelled each body's
+// signature — is ErrUnsupportedVersion on every door that reads v2, with
+// or without a dictionary flag, and DecodeModuleV1 refuses v2 as such.
+func TestOldModelRevisionsAreUnsupported(t *testing.T) {
+	mod := compileAll(t, testPrograms["objects"], true)
+	cur := wire.EncodeModuleV2(mod, nil)
+	doors := []struct {
+		name   string
+		decode func([]byte) error
+	}{
+		{"DecodeModule", func(b []byte) error { _, err := wire.DecodeModule(b); return err }},
+		{"DecodeModuleOpts", func(b []byte) error {
+			_, err := wire.DecodeModuleOpts(b, wire.DecodeOptions{Dict: &wire.Dictionary{}})
+			return err
+		}},
+		{"DecodeModuleV1", func(b []byte) error { _, err := wire.DecodeModuleV1(b); return err }},
+		{"DecodeVerified", func(b []byte) error { _, err := wire.DecodeVerified(b); return err }},
+		{"OpenVerified", func(b []byte) error { _, err := wire.OpenVerified(b, nil); return err }},
+		{"OpenVerified lent", func(b []byte) error { _, err := wire.OpenVerified(b, new(wire.Arena)); return err }},
+		{"DecodeVerifiedStream", func(b []byte) error {
+			_, err := wire.DecodeVerifiedStream(bytes.NewReader(b), wire.DecodeOptions{})
+			return err
+		}},
+		{"DecodeVerifiedStreamIn", func(b []byte) error {
+			_, err := wire.DecodeVerifiedStreamIn(bytes.NewReader(b), wire.DecodeOptions{}, new(wire.Arena))
+			return err
+		}},
+	}
+	for _, rev := range []byte{0, 1, 2, 4, 5, 6, 7} {
+		for _, dictFlag := range []byte{0, 8} {
+			old := bytes.Clone(cur)
+			old[4] = rev | dictFlag
+			for _, d := range doors {
+				if err := d.decode(old); !errors.Is(err, wire.ErrUnsupportedVersion) {
+					t.Errorf("%s: model byte %d: got %v, want ErrUnsupportedVersion", d.name, old[4], err)
+				}
+			}
+		}
+	}
+}
