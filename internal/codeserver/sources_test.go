@@ -45,12 +45,12 @@ func TestKeyForGolden(t *testing.T) {
 		"Util.tj": "class Util { static int twice(int x) { return x * 2; } } //   café\n",
 	}
 	want := []string{
-		"2a7ab3eaefbf587bdc9276788d44ca313e35218d3f55dc798a5286f3574cfbbb",
-		"c1530b6d85895905ab11777594fbb683f40713fe65df8c7ff4292f6b4d39e334",
-		"912d4b5f1dcf911f41d7124caa49d949f759c34a422c53999ed63db1130b966d",
-		"afb01e581e6763b2267c6fd2965067a26842eb91c3183e1b21b03aef2f644c69",
-		"658f4c46b8f99864240a69c0886d7c0263e36292e8b5770ee6c685845ca92297",
-		"dc20cbfb2020a0c748fa354f4828625c9c87af97492a23e1112aab9d7b86fb69",
+		"2d06d075cc4b1d786e997ae6725a5f268bcd8a6014cfbd083d2f3d8e49892d37",
+		"5de72cd47fe316900183f0ce68a231f61553062fe4087117ea6842a070bd3131",
+		"c1b62825a32a74a0802af4c4aebbb57aaa70e505c3febedd7ec27407ea229625",
+		"147bd221da494737888aabce5153503c8b39be90311b90a851ea7138245c78f1",
+		"c7684f055bc00eef6747691783bd3ef0431a96e3041c9fcececb8bcf67383f76",
+		"ceb4ea236dc74848b06ffc4526444e529b6ddb9e7392fd00c3959623aede63f3",
 	}
 	for i, o := range resolvedOptionRows {
 		if got := KeyFor(files, o).String(); got != want[i] {
@@ -224,20 +224,20 @@ func TestCompileRequestSeedVerdicts(t *testing.T) {
 		status int
 		hash   string
 	}{
-		"seed_json_marshal_html_escaped": {true, 200, "6d64ef5bfb7053cb216d38c4eb1118bd4fd499c0de008607c2ca96c923a1dd1f"},
-		"seed_members_reordered_spaced":  {true, 200, "f79e17a4e877618044085db48886642e8bf0757b1232a4b2caf0062f55a1b056"},
-		"seed_escapes_all_eight":         {true, 200, "04114597beb650fa74ccc39ae53ec8704091bb61e052b6323370c5dcc35fef11"},
-		"seed_escaped_member_name":       {true, 200, "cc217684d362463ac327d58c78c7680357ac3bda9a03d330c47329892fc4e177"},
+		"seed_json_marshal_html_escaped": {true, 200, "9ab2e9a3c8bd6994b68bca427c72b1c2f2e2f200ba7cb754a600f8ee1b662149"},
+		"seed_members_reordered_spaced":  {true, 200, "7948359d135886d4f66dfcc49797375c37940ace1c60f8e152e6ffc6c3b97868"},
+		"seed_escapes_all_eight":         {true, 200, "de8017ad97c29146d50baefa218c03f3e77ee2385dbb49dfdc3ea22d45995f44"},
+		"seed_escaped_member_name":       {true, 200, "0d588b9e36888b48e9f1d35b310beef855ff332bd4709f8b834bcea043eb7815"},
 		"seed_empty_object":              {true, 400, ""},
-		"seed_surrogate_pair":            {false, 200, "14ccabbb21758a6406c1c291b10a0f909f5654e11249f293e527812c46289fa6"},
-		"seed_lone_surrogate":            {false, 200, "f2f97db279ea781738e5bd4f3d0e12bfd2e80643125fa537e2cb25e775e30d5c"},
-		"seed_invalid_utf8":              {false, 200, "b5432a706d23e5ea72495848c7f0f069190c7067453df066d4774468e16ca849"},
-		"seed_duplicate_file_name":       {false, 200, "cc217684d362463ac327d58c78c7680357ac3bda9a03d330c47329892fc4e177"},
-		"seed_duplicate_files_member":    {false, 200, "a93aa523c57937eaf3ce714cbd1712a76f504bd9d74da41db603fdc3deec5cbb"},
-		"seed_duplicate_optimize":        {false, 200, "c62f43c9d472031d06e701d9ae466f068c4a02c943f6c4851f3dcd4de149241d"},
-		"seed_uppercase_member":          {false, 200, "c62f43c9d472031d06e701d9ae466f068c4a02c943f6c4851f3dcd4de149241d"},
-		"seed_unknown_member":            {false, 200, "cc217684d362463ac327d58c78c7680357ac3bda9a03d330c47329892fc4e177"},
-		"seed_optimize_null":             {false, 200, "cc217684d362463ac327d58c78c7680357ac3bda9a03d330c47329892fc4e177"},
+		"seed_surrogate_pair":            {false, 200, "1cc9ae13e6065e8fdf6ad7a86fb6be9df180afa2baa1fd580affc232623bc430"},
+		"seed_lone_surrogate":            {false, 200, "aebc5555130ee90da712d30831d4c0e79f6b401180feed75fdebf423934305cc"},
+		"seed_invalid_utf8":              {false, 200, "1ca2dba1416426d81f00805087ac2ecb60518342ffea668ddf1214eb4beb2278"},
+		"seed_duplicate_file_name":       {false, 200, "0d588b9e36888b48e9f1d35b310beef855ff332bd4709f8b834bcea043eb7815"},
+		"seed_duplicate_files_member":    {false, 200, "7aaaff289b027b7e93d72866d9ab5abad17913724997462b37eb4f7db4c25f85"},
+		"seed_duplicate_optimize":        {false, 200, "5cc4cf607cee4b94e7f0919eb2313423a2f71333b84c9b556402e24ad50424a8"},
+		"seed_uppercase_member":          {false, 200, "5cc4cf607cee4b94e7f0919eb2313423a2f71333b84c9b556402e24ad50424a8"},
+		"seed_unknown_member":            {false, 200, "0d588b9e36888b48e9f1d35b310beef855ff332bd4709f8b834bcea043eb7815"},
+		"seed_optimize_null":             {false, 200, "0d588b9e36888b48e9f1d35b310beef855ff332bd4709f8b834bcea043eb7815"},
 		"seed_files_null":                {false, 400, ""},
 		"seed_top_level_null":            {false, 400, ""},
 		"seed_raw_control_byte":          {false, 400, ""},

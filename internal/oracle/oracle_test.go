@@ -111,6 +111,29 @@ func TestCanonicalWireOnCorpus(t *testing.T) {
 	}
 }
 
+// TestCanonicalWireV2OnCorpus: every corpus unit re-encodes to its own
+// v2 bytes and decodes to its own structure, without a dictionary and
+// with one trained over the corpus — the string table, the opcode
+// contexts and the decision counts adapt in lockstep on both sides.
+func TestCanonicalWireV2OnCorpus(t *testing.T) {
+	var mods []*core.Module
+	for _, u := range corpus.Units() {
+		mod, err := driver.CompileTSASource(u.Files)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		mods = append(mods, mod)
+	}
+	dict := wire.TrainDictionary(mods)
+	for i, u := range corpus.Units() {
+		for _, d := range []*wire.Dictionary{nil, dict} {
+			if err := CheckCanonicalWireV2(mods[i], d); err != nil {
+				t.Errorf("%s (dictionary %v): %v", u.Name, d != nil, err)
+			}
+		}
+	}
+}
+
 // TestCheckWireTamper drives the CheckWire oracle over systematically
 // tampered encodings of a real unit: every outcome must be a clean
 // rejection or a verifier-clean, budget-bounded execution — CheckWire

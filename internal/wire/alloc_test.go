@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
@@ -104,10 +105,19 @@ func TestManyPlanesDecodeIsLinear(t *testing.T) {
 		}
 		return mod
 	}
-	// The fastest of three, with the collector run before each and held
-	// off during it: the claim is about the codec's work, not about what
-	// else the machine was doing — and a collection the larger unit's heap
-	// sets going read 15x to 22x on a loaded two-CPU box.
+	// A scanned plane list makes the ratio ~100 every time.
+	codecIsLinear(t, "planes", unit(2_000), unit(20_000))
+}
+
+// codecIsLinear fails unless encoding and decoding large, a unit with ten
+// times what small has, takes at most 15 times as long. Each time is the
+// fastest of three, with the collector run before each and held off
+// during it: the claim is about the codec's work, not about what else the
+// machine was doing — and a collection the larger unit's heap sets going
+// read 15x to 22x on a loaded two-CPU box. Noise on a linear codec only
+// ever inflates a single attempt, so it tries eight times.
+func codecIsLinear(t *testing.T, what string, small, large *core.Module) {
+	t.Helper()
 	cost := func(mod *core.Module) (enc, dec time.Duration) {
 		enc, dec = time.Hour, time.Hour
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -123,18 +133,98 @@ func TestManyPlanesDecodeIsLinear(t *testing.T) {
 		}
 		return enc, dec
 	}
-	small, large := unit(2_000), unit(20_000)
-	// A scanned plane list makes the ratio ~100 every time; noise on a
-	// linear one only ever inflates a single attempt.
 	var encRatio, decRatio float64
 	for attempt := 0; attempt < 8; attempt++ {
 		enc1, dec1 := cost(small)
 		enc10, dec10 := cost(large)
 		encRatio, decRatio = float64(enc10)/float64(enc1), float64(dec10)/float64(dec1)
-		t.Logf("2 000 planes: encode %v decode %v; 20 000 planes: encode %v decode %v", enc1, dec1, enc10, dec10)
+		t.Logf("%s: encode %v decode %v; 10x: encode %v decode %v", what, enc1, dec1, enc10, dec10)
 		if encRatio <= 15 && decRatio <= 15 {
 			return
 		}
 	}
-	t.Errorf("10x the planes took %.1fx the time to encode and %.1fx to decode; linear is at most 15x", encRatio, decRatio)
+	t.Errorf("10x the %s took %.1fx the time to encode and %.1fx to decode; linear is at most 15x", what, encRatio, decRatio)
+}
+
+// stringUnit is a unit whose main prints n string constants, the i-th
+// spelled s(i).
+func stringUnit(t testing.TB, n int, s func(i int) string) *core.Module {
+	t.Helper()
+	var src strings.Builder
+	src.WriteString("class Main {\n static void main() {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "  System.out.println(\"a%d\");\n", i)
+	}
+	src.WriteString(" }\n}\n")
+	mod, err := driver.CompileTSASource(map[string]string{"Main.tj": src.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	eachString(mod, func(in *core.Instr) { in.Const.S = s(i); i++ })
+	if i != n {
+		t.Fatalf("%d string constants, want %d", i, n)
+	}
+	return mod
+}
+
+// eachString calls fn on each string constant of mod.
+func eachString(mod *core.Module, fn func(in *core.Instr)) {
+	for _, f := range mod.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Code {
+				if in.Op == core.OpConst && in.Const.Kind == core.KString {
+					fn(in)
+				}
+			}
+		}
+	}
+}
+
+// TestStringSaidTwiceIsOneCopy: a unit whose 1 000 string constants are
+// one 64 KiB string sends it once, as a literal, and then as references
+// into the unit's string table; the decoder hands every constant the
+// string the literal made. So the unit decodes with about 3 x 64 KiB more
+// allocation than the same unit saying one byte 1 000 times — the
+// literal's scratch, doubling up to its length, and its one string —
+// where a copy per constant would be 1 000 times the string.
+func TestStringSaidTwiceIsOneCopy(t *testing.T) {
+	const n, size = 1000, 64 << 10
+	big := strings.Repeat("safetsa!", size/8)
+	decode := func(s string) uint64 {
+		data := wire.EncodeModuleV2(stringUnit(t, n, func(int) string { return s }), nil)
+		if len(s) == size && len(data) > 2*size {
+			t.Errorf("%d bytes for a unit saying %d bytes %d times: sent more than once", len(data), size, n)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dec, err := wire.DecodeModule(data)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *byte
+		eachString(dec, func(in *core.Instr) {
+			if first == nil {
+				first = unsafe.StringData(in.Const.S)
+			}
+			if in.Const.S != s || unsafe.StringData(in.Const.S) != first {
+				t.Fatalf("a constant decoded as %d bytes of its own, not the first one's %d", len(in.Const.S), len(s))
+			}
+		})
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := decode("x"), decode(big)
+	t.Logf("decode allocates %d B saying 1 byte %d times, %d B saying %d bytes", small, n, large, size)
+	if large > small+3*size+size/4 {
+		t.Errorf("decoding %d constants of one %d-byte string allocated %d B more than of one byte: more than one copy", n, size, large-small)
+	}
+}
+
+// TestManyStringsEncodeIsLinear: the encoder finds a string the unit has
+// sent through a map, never a scan, so ten times the distinct string
+// constants is about ten times the work on both sides of the wire.
+func TestManyStringsEncodeIsLinear(t *testing.T) {
+	name := func(i int) string { return fmt.Sprintf("constant number %d", i) }
+	codecIsLinear(t, "strings", stringUnit(t, 2_000, name), stringUnit(t, 20_000, name))
 }

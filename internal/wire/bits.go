@@ -19,6 +19,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
+
+	"safetsa/internal/core"
 )
 
 // ErrMalformed is wrapped by all decode failures.
@@ -35,9 +37,11 @@ func malformedf(format string, args ...interface{}) error {
 type symWriter interface {
 	bit(b bool)
 	symbol(v, n int)
-	// level and register write the l and r of an operand reference
-	// (section 4): symbols like any other to the v1 fixed code, decided
-	// in contexts of their own by the adaptive model.
+	// opcode writes an instruction's opcode, and level and register the l
+	// and r of an operand reference (section 4): symbols like any other
+	// to the v1 fixed code, decided in contexts of their own by the
+	// adaptive model.
+	opcode(v int)
 	level(v, n int)
 	register(v, n int)
 	uvarint(v uint64)
@@ -56,6 +60,7 @@ type symWriter interface {
 type symReader interface {
 	bit() (bool, error)
 	symbol(n int) (int, error)
+	opcode() (int, error)
 	level(n int) (int, error)
 	register(n int) (int, error)
 	uvarint() (uint64, error)
@@ -121,6 +126,7 @@ func (w *bitWriter) symbol(v, n int) {
 	}
 }
 
+func (w *bitWriter) opcode(v int)      { w.symbol(v, core.NumOps) }
 func (w *bitWriter) level(v, n int)    { w.symbol(v, n) }
 func (w *bitWriter) register(v, n int) { w.symbol(v, n) }
 
@@ -220,6 +226,7 @@ func (r *bitReader) symbol(n int) (int, error) {
 	return int(v)<<1 + int(b) - u, nil
 }
 
+func (r *bitReader) opcode() (int, error)        { return r.symbol(core.NumOps) }
 func (r *bitReader) level(n int) (int, error)    { return r.symbol(n) }
 func (r *bitReader) register(n int) (int, error) { return r.symbol(n) }
 

@@ -14,8 +14,8 @@ import (
 // TestCorpusSizes holds the encoders to.
 const (
 	corpusV1Bytes   = 40299  // exactly: the v1 code does not adapt
-	corpusV2Bytes   = 29329  // at most: the adaptive model may only gain
-	corpusDecisions = 317412 // exactly: the grammar's symbols and their codes
+	corpusV2Bytes   = 25466  // at most: the adaptive model may only gain
+	corpusDecisions = 310344 // exactly: the grammar's symbols and their codes
 )
 
 // TestCorpusSizes is compression's direction check. producer.golden pins

@@ -184,8 +184,7 @@ func (d *decoder) decodeCSTRefs(n *core.CSTNode) error {
 // its side conditions is malformed.
 func (d *decoder) decodeInstr(b *core.Block) (*core.Instr, error) {
 	r := d.r
-	r.setProd(prodOp)
-	opv, err := r.symbol(core.NumOps)
+	opv, err := r.opcode()
 	if err != nil {
 		return nil, err
 	}

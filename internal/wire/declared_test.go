@@ -28,8 +28,8 @@ func declaring(body func(w symWriter)) map[string][]byte {
 }
 
 // TestDeclaredCountsAllocateNothing: a few bytes that announce 1<<22
-// functions, instructions, phis, CST children or parameters, or a 1 MiB
-// string, and then stop
+// functions, instructions, phis, CST children, parameters or fields (two
+// of one name), or a 1 MiB string, and then stop
 // must cost the consumer next to nothing — no slab, arena or presize takes its
 // size from a count the stream only declares (4 M instructions would be
 // a 450 MiB chunk).
@@ -94,6 +94,22 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 		"string bytes": func(w symWriter) {
 			method(w)
 			w.uvarint(maxStringLen)
+		},
+		// The field table declares its count, and the second field's name
+		// repeats the first's: a reference into the unit's string table
+		// on v2, whose alphabet is what the stream has sent, not what it
+		// declares.
+		"string reference": func(w symWriter) {
+			w.setProd(prodTables)
+			w.uvarint(0) // types
+			w.uvarint(declared)
+			for i := 0; i < 2; i++ {
+				w.symbol(int(tt.Object)-1, len(tt.ByID)-1)
+				w.str("f")
+				w.symbol(int(tt.Int)-1, len(tt.ByID)-1)
+				w.bit(true)
+				w.uvarint(uint64(i))
+			}
 		},
 		"instructions": func(w symWriter) {
 			body(w)

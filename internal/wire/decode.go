@@ -174,15 +174,15 @@ type decoder struct {
 }
 
 // retire drops what only decoding another body would use, once the last
-// one is admitted: the admission, a v2 reader's adaptive model and — for
-// a cursor in an arena of its own, which is the unit's — the per-function
-// scratch. A cursor over a resident unit lives as long as the unit does
+// one is admitted: the admission, a v2 reader's adaptive model and string
+// table and — for a cursor in an arena of its own, which is the unit's —
+// the per-function scratch. A cursor over a resident unit lives as long as the unit does
 // and would pin them; what the closing check (end) reads stays. A lent
 // arena keeps its scratch, which goes with it to the next cursor.
 func (d *decoder) retire() {
 	d.adm = nil
 	if ac, ok := d.r.(*acReader); ok {
-		ac.mdl, ac.buf = nil, nil
+		ac.mdl, ac.buf, ac.seen = nil, nil, nil
 	}
 	if !d.lent {
 		d.dropScratch()

@@ -22,14 +22,18 @@ type Dictionary struct {
 	// consumer can detect a mismatched dictionary before decoding.
 	ID      [8]byte
 	Strings []string
-	// Probs is a full probability snapshot in eachProb order (see
-	// model.go), or empty for default initialization.
+	// Probs is a full snapshot of the model's probability words in
+	// eachProb order (see model.go) — each a probability and the count of
+	// decisions that trained it, so a primed probability adapts at the
+	// rate its count has reached — or empty for default initialization.
 	Probs []uint16
 }
 
+// dictVersion 2 carries trained counts in its words; version 1's were
+// bare probabilities, and are refused.
 const (
 	maxDictStrings = 4096
-	dictVersion    = 1
+	dictVersion    = 2
 )
 
 var dictMagic = [4]byte{'S', 'T', 'S', 'D'}
@@ -41,6 +45,7 @@ type strCollector struct{ counts map[string]int }
 
 func (c *strCollector) bit(bool)            {}
 func (c *strCollector) symbol(int, int)     {}
+func (c *strCollector) opcode(int)          {}
 func (c *strCollector) level(int, int)      {}
 func (c *strCollector) register(int, int)   {}
 func (c *strCollector) uvarint(uint64)      {}
@@ -172,8 +177,11 @@ func ParseDictionary(data []byte) (*Dictionary, error) {
 			}
 			p := binary.LittleEndian.Uint16(r.buf[r.off:])
 			r.off += 2
-			if p < 1 || p >= probOne {
+			if p&probMask == 0 {
 				return nil, malformedf("dictionary probability out of range")
+			}
+			if p>>probBits > countMax {
+				return nil, malformedf("dictionary decision count out of range")
 			}
 			d.Probs[i] = p
 		}

@@ -13,7 +13,7 @@ func Retired(su *StreamingUnit) bool {
 	d := &su.d
 	ac, _ := d.r.(*acReader)
 	return d.adm == nil && d.sitePos == nil && d.rf.planes == nil && d.kids == nil &&
-		(ac == nil || ac.mdl == nil)
+		(ac == nil || ac.mdl == nil && ac.seen == nil)
 }
 
 // EncodeHead is a v1 unit's head — magic, m's tables, and a function
@@ -80,8 +80,6 @@ func (r *budget) info() float64 {
 func (r *budget) charge(row string, decisions int, code func()) {
 	if row == "" {
 		switch r.prod {
-		case prodOp:
-			row = "opcode"
 		case prodTables:
 			row = "tables"
 		case prodCST:
@@ -123,6 +121,9 @@ func (r *budget) bit(b bool)    { r.charge("", 1, func() { r.aw.bit(b) }) }
 func (r *budget) symbol(v, n int) {
 	r.charge("", symbolDecisions(v, n), func() { r.aw.symbol(v, n) })
 }
+func (r *budget) opcode(v int) {
+	r.charge("opcode", symbolDecisions(v, core.NumOps), func() { r.aw.opcode(v) })
+}
 func (r *budget) level(v, n int) {
 	r.charge("l", symbolDecisions(v, n), func() { r.aw.level(v, n) })
 }
@@ -136,6 +137,16 @@ func (r *budget) svarint(v int64) {
 	r.charge("", uvarintDecisions(uint64(v)<<1^uint64(v>>63)), func() { r.aw.svarint(v) })
 }
 func (r *budget) float64bits(f float64) { r.charge("", 0, func() { r.aw.float64bits(f) }) }
+
+// str's decisions are the string table's flag once the unit has sent a
+// string, and then the index of a string sent before or the literal.
 func (r *budget) str(s string) {
-	r.charge("strings", uvarintDecisions(uint64(len(s)))+8*len(s), func() { r.aw.str(s) })
+	d := uvarintDecisions(uint64(len(s))) + 8*len(s)
+	if n := len(r.aw.seen); n > 0 {
+		d = 1 + d
+		if idx, ok := r.aw.seen[s]; ok {
+			d = 1 + symbolDecisions(idx, n)
+		}
+	}
+	r.charge("strings", d, func() { r.aw.str(s) })
 }

@@ -12,15 +12,30 @@ import (
 // own production; the section-level productions below cover the symbol
 // positions that are not governed by a specific opcode. The encoder and
 // decoder switch contexts with setProd at identical grammar points, so
-// the per-production models adapt in lockstep.
+// the per-production models adapt in lockstep. The opcode itself is
+// decided in no production: its context is the opcode before it (model.ops).
 const (
-	prodOp     = int(core.NumOps) + iota // opcode selector position
-	prodTables                           // type/field/method/class tables
+	prodTables = int(core.NumOps) + iota // type/field/method/class tables
 	prodCST                              // control structure tree productions
 	prodBlock                            // per-block phi and instruction counts
 	prodRefs                             // phase-3 phi operands and CST refs
 	numProd
 )
+
+// An opcode is a symbol of the NumOps alphabet, its opBits code bits all
+// decided in one prefix tree (opTree) — the tree of the opcode before it
+// in its block, or, at a block's start, OpInvalid's, which no admitted
+// instruction has.
+const opBits = 5
+
+// opBits is bits.Len(NumOps-1): each array length below is negative
+// otherwise.
+var (
+	_ [core.NumOps - 1<<(opBits-1) - 1]struct{}
+	_ [1<<opBits - core.NumOps]struct{}
+)
+
+type opTree [1<<opBits - 1]uint16
 
 // prodCtx holds the adaptive bit probabilities for one production: the
 // tree contexts of its symbols, standalone flag bits by order of
@@ -65,18 +80,16 @@ var symTreeOff = func() (off [symWidthCap + 1]int) {
 // each width class, and one per code-bit position below the trees.
 type symCtx struct {
 	tree [symTreeLen]uint16
-	deep [symMaxBits - symTreeDepth]uint16
+	deep symDeep
 }
+
+// symDeep is a code's probabilities by position below the tree.
+type symDeep [symMaxBits - symTreeDepth]uint16
 
 // class is the node probabilities of a k-bit code, node i at [i-1].
 func (s *symCtx) class(k int) []uint16 {
 	k = min(k, symWidthCap)
 	return s.tree[symTreeOff[k-1]:symTreeOff[k]]
-}
-
-// deepProb is the probability of code-bit position pos >= symTreeDepth.
-func (s *symCtx) deepProb(pos int) *uint16 {
-	return &s.deep[min(pos-symTreeDepth, len(s.deep)-1)]
 }
 
 // model is the complete adaptive state shared (by symmetric
@@ -87,14 +100,20 @@ func (s *symCtx) deepProb(pos int) *uint16 {
 // An operand reference's (l, r) is decided apart from the immediates of
 // the production it sits in, and in contexts every production shares:
 // lvl for l, and reg[0] for an r among the registers before the use
-// (l = 0), reg[1] for one among a whole dominator's block (l > 0).
+// (l = 0), reg[1] for one among a whole dominator's block (l > 0). A
+// string is a reference into the dictionary's table (useDict, dictSym),
+// into the unit's own table of the strings it has sent (useSeen,
+// seenSym), or a literal (its length, then lit per byte).
 type model struct {
 	prods   [numProd]prodCtx // one per production
+	ops     [core.NumOps]opTree
 	lvl     symCtx
 	reg     [2]symCtx
 	lit     [256]uint16
 	useDict uint16
 	dictSym symCtx
+	useSeen uint16
+	seenSym symCtx
 
 	dictStrings []string
 	dictIndex   map[string]int // writer-side lookup, nil on the reader
@@ -149,6 +168,11 @@ func (m *model) eachProb(f func(*uint16)) {
 			}
 		}
 	}
+	for i := range m.ops {
+		for j := range m.ops[i] {
+			f(&m.ops[i][j])
+		}
+	}
 	m.lvl.eachProb(f)
 	m.reg[0].eachProb(f)
 	m.reg[1].eachProb(f)
@@ -157,6 +181,8 @@ func (m *model) eachProb(f func(*uint16)) {
 	}
 	f(&m.useDict)
 	m.dictSym.eachProb(f)
+	f(&m.useSeen)
+	m.seenSym.eachProb(f)
 }
 
 func (s *symCtx) eachProb(f func(*uint16)) {
@@ -184,12 +210,19 @@ func acEncodeSymbol(rc *rcEncoder, s *symCtx, v, n int) {
 		return
 	}
 	k := bits.Len(uint(n - 1))
+	acEncodeCode(rc, s.class(k), &s.deep, k, v, n)
+}
+
+// acEncodeCode writes v's k-bit truncated-binary code for an alphabet of
+// n, its first symTreeDepth bits decided at their prefix's node of tree t,
+// the rest at their position's probability in deep (rcDecoder.code is the
+// inverse).
+func acEncodeCode(rc *rcEncoder, t []uint16, deep *symDeep, k, v, n int) {
 	u := 1<<k - n
 	val, nb := v, k-1
 	if v >= u {
 		val, nb = v+u, k
 	}
-	t := s.class(k)
 	node := 1
 	for pos := 0; pos < nb; pos++ {
 		bit := val >> (nb - 1 - pos) & 1
@@ -197,7 +230,7 @@ func acEncodeSymbol(rc *rcEncoder, s *symCtx, v, n int) {
 			rc.encodeBit(&t[node-1], bit)
 			node = node<<1 | bit
 		} else {
-			rc.encodeBit(s.deepProb(pos), bit)
+			rc.encodeBit(&deep[min(pos-symTreeDepth, len(deep)-1)], bit)
 		}
 	}
 }
@@ -209,18 +242,25 @@ type acWriter struct {
 	prod    int
 	flagIdx int
 	far     int // the last reference's l was > 0: its r's context
+	op      int // the opcode before the next one in its block
+
+	// seen indexes the strings this unit has sent as literals, in the
+	// order sent. It is the Encoder's, which clears it after each unit.
+	seen map[string]int
 }
 
 func (w *acWriter) finish() []byte { return w.rc.finish() }
 
 func (w *acWriter) pc() *prodCtx { return &w.mdl.prods[w.prod] }
 
+// setProd switches production; prodBlock opens a block, where an opcode's
+// context starts again from OpInvalid.
 func (w *acWriter) setProd(p int) {
-	if p < 0 || p >= numProd {
-		p = prodOp
-	}
 	w.prod = p
 	w.flagIdx = 0
+	if p == prodBlock {
+		w.op = int(core.OpInvalid)
+	}
 }
 
 func (w *acWriter) bit(b bool) {
@@ -239,6 +279,14 @@ func (w *acWriter) bit(b bool) {
 
 func (w *acWriter) symbol(v, n int) {
 	acEncodeSymbol(w.rc, &w.pc().sym, v, n)
+}
+
+func (w *acWriter) opcode(v int) {
+	if v < 0 || v >= core.NumOps {
+		panic(fmt.Sprintf("wire: opcode %d outside alphabet of size %d", v, core.NumOps))
+	}
+	acEncodeCode(w.rc, w.mdl.ops[w.op][:], nil, opBits, v, core.NumOps)
+	w.op = v
 }
 
 func (w *acWriter) level(v, n int) {
@@ -292,6 +340,10 @@ func (w *acWriter) litByte(b byte) {
 	}
 }
 
+// str writes a string as a reference into the dictionary's table when it
+// is there; else, once the unit has sent a string, as a flag and, when it
+// has sent this one, its index among those sent; else as a literal, which
+// the table then holds.
 func (w *acWriter) str(s string) {
 	m := w.mdl
 	if len(m.dictStrings) > 0 {
@@ -302,10 +354,21 @@ func (w *acWriter) str(s string) {
 		}
 		w.rc.encodeBit(&m.useDict, 0)
 	}
+	if n := len(w.seen); n > 0 {
+		if idx, ok := w.seen[s]; ok {
+			w.rc.encodeBit(&m.useSeen, 1)
+			acEncodeSymbol(w.rc, &m.seenSym, idx, n)
+			return
+		}
+		w.rc.encodeBit(&m.useSeen, 0)
+	} else if w.seen == nil {
+		w.seen = make(map[string]int)
+	}
 	w.uvarint(uint64(len(s)))
 	for i := 0; i < len(s); i++ {
 		w.litByte(s[i])
 	}
+	w.seen[s] = len(w.seen)
 }
 
 // acReader implements symReader over the adaptive model — the decode
@@ -319,8 +382,10 @@ type acReader struct {
 	rc      rcDecoder
 	prod    int
 	flagIdx int
-	far     int    // the last reference's l was > 0: its r's context
-	buf     []byte // str's scratch
+	far     int      // the last reference's l was > 0: its r's context
+	op      int      // the opcode before the next one in its block
+	buf     []byte   // str's scratch
+	seen    []string // the strings this unit has sent as literals
 }
 
 // newACReader begins a v2 payload of n bytes at src's position; its model
@@ -337,11 +402,11 @@ func newACReader(src *byteSource, dict *Dictionary, n int64, mdl *model) (*acRea
 func (r *acReader) pc() *prodCtx { return &r.mdl.prods[r.prod] }
 
 func (r *acReader) setProd(p int) {
-	if p < 0 || p >= numProd {
-		p = prodOp
-	}
 	r.prod = p
 	r.flagIdx = 0
+	if p == prodBlock {
+		r.op = int(core.OpInvalid)
+	}
 }
 
 func (r *acReader) bit() (bool, error) {
@@ -354,6 +419,12 @@ func (r *acReader) bit() (bool, error) {
 
 func (r *acReader) symbol(n int) (int, error) {
 	return r.rc.symbol(&r.pc().sym, n)
+}
+
+func (r *acReader) opcode() (int, error) {
+	v, err := r.rc.code(r.mdl.ops[r.op][:], nil, opBits, core.NumOps)
+	r.op = v
+	return v, err
 }
 
 func (r *acReader) level(n int) (int, error) {
@@ -408,9 +479,11 @@ func (r *acReader) litByte() (byte, error) {
 	return byte(ctx), r.rc.err
 }
 
-// str decodes a string into the reader's scratch, which grows only as
-// its bytes are decoded — a declared length sizes nothing — and makes
-// the one string from it.
+// str decodes a string acWriter.str wrote. A reference is the string
+// already made — the dictionary's, or the one this unit's earlier literal
+// made — so a string said twice costs no allocation. A literal is decoded
+// into the reader's scratch, which grows only as its bytes are decoded —
+// a declared length sizes nothing — and makes the one string from it.
 func (r *acReader) str() (string, error) {
 	m, rc := r.mdl, &r.rc
 	if len(m.dictStrings) > 0 && rc.decodeBit(&m.useDict) == 1 {
@@ -419,6 +492,13 @@ func (r *acReader) str() (string, error) {
 			return "", err
 		}
 		return m.dictStrings[idx], nil
+	}
+	if n := len(r.seen); n > 0 && rc.decodeBit(&m.useSeen) == 1 {
+		idx, err := rc.symbol(&m.seenSym, n)
+		if err != nil {
+			return "", err
+		}
+		return r.seen[idx], nil
 	}
 	n, err := r.uvarint()
 	if err != nil {
@@ -433,10 +513,17 @@ func (r *acReader) str() (string, error) {
 		if err != nil {
 			return "", err
 		}
+		if len(buf) == cap(buf) {
+			// Doubling: a long literal's scratch costs twice its length,
+			// where append's growth of large slices costs five times.
+			buf = append(make([]byte, 0, max(2*len(buf), 64)), buf...)
+		}
 		buf = append(buf, b)
 	}
 	r.buf = buf
-	return string(buf), nil
+	s := string(buf)
+	r.seen = append(r.seen, s)
+	return s, nil
 }
 
 // end enforces the v2 canonical tail: the range coder must have

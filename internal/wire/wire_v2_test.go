@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -135,6 +136,46 @@ func TestDictionaryNegotiation(t *testing.T) {
 	}
 }
 
+// TestHostileDictionaryWords: a dictionary is untrusted input, and each
+// word of its snapshot is a probability and a count. A probability of 0,
+// one whose 11 bits overflowed into the count (2048 is probability 0 at
+// count 1), and a count of 30 or 31 — past the saturation point no model
+// reaches — are each refused by ParseDictionary; a version-1 dictionary,
+// whose words had no count, is refused whole. A trained dictionary's
+// words carry their counts: a context the bundle decided often starts its
+// unit at the slow rate.
+func TestHostileDictionaryWords(t *testing.T) {
+	dict := wire.TrainDictionary(testProgramModules(t))
+	ser := dict.Bytes()
+	saturated := 0
+	for _, w := range dict.Probs {
+		if w>>11 == 29 {
+			saturated++
+		}
+	}
+	if saturated == 0 {
+		t.Error("no word of the trained snapshot counts 29 decisions: the counts were not carried")
+	}
+	last := len(ser) - 2 // the snapshot is the body's tail
+	for _, w := range []uint16{0, 2048, 30<<11 | 1024, 31<<11 | 1024, 0xFFFF} {
+		bad := bytes.Clone(ser)
+		binary.LittleEndian.PutUint16(bad[last:], w)
+		if _, err := wire.ParseDictionary(bad); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("word %#04x: got %v, want ErrMalformed", w, err)
+		}
+	}
+	ok := bytes.Clone(ser)
+	binary.LittleEndian.PutUint16(ok[last:], 29<<11|2047)
+	if _, err := wire.ParseDictionary(ok); err != nil {
+		t.Errorf("word %#04x: %v", 29<<11|2047, err)
+	}
+	v1 := bytes.Clone(ser)
+	v1[4] = 1
+	if _, err := wire.ParseDictionary(v1); !errors.Is(err, wire.ErrMalformed) {
+		t.Errorf("a version-1 dictionary: got %v, want ErrMalformed", err)
+	}
+}
+
 // TestCrossVersionMatrix runs every corpus unit through every wire
 // spelling — v1, v2, v2+dictionary — and demands structural identity of
 // the decoded modules, plus clean version negotiation: a v1-only
@@ -237,9 +278,9 @@ func TestNamesAreNotOnTheWire(t *testing.T) {
 }
 
 // TestOldModelRevisionsAreUnsupported: a v2 unit whose model byte names a
-// revision other than this decoder's — revision 2 coded every symbol
-// against per-position probabilities, revision 1 spelled each body's
-// signature — is ErrUnsupportedVersion on every door that reads v2, with
+// revision other than this decoder's — revision 3 moved every probability
+// at one rate, revision 2 coded every symbol against per-position
+// probabilities, revision 1 spelled each body's signature — is ErrUnsupportedVersion on every door that reads v2, with
 // or without a dictionary flag, and DecodeModuleV1 refuses v2 as such.
 func TestOldModelRevisionsAreUnsupported(t *testing.T) {
 	mod := compileAll(t, testPrograms["objects"], true)
@@ -266,7 +307,7 @@ func TestOldModelRevisionsAreUnsupported(t *testing.T) {
 			return err
 		}},
 	}
-	for _, rev := range []byte{0, 1, 2, 4, 5, 6, 7} {
+	for _, rev := range []byte{0, 1, 2, 3, 5, 6, 7} {
 		for _, dictFlag := range []byte{0, 8} {
 			old := bytes.Clone(cur)
 			old[4] = rev | dictFlag
