@@ -8,7 +8,8 @@
 // propagation, CSE with the Mem variable, DCE / check elimination)
 // before encoding. -O2 adds the interprocedural tier on top: CHA/RTA
 // devirtualization of monomorphic xdispatch sites, inlining of small
-// non-recursive callees, and flow-based null/bounds-check elimination.
+// non-recursive callees, and a constant-propagation/CSE/DCE round over
+// the merged bodies.
 //
 // -wire selects the wire format: 1 is the fixed-code v1 stream, 2 the
 // adaptive range-coded v2 stream. -dict supplies a shared dictionary
@@ -74,9 +75,7 @@ func main() {
 				st.NullChecksBefore, st.NullChecksAfter,
 				st.ArrayChecksBefore, st.ArrayChecksAfter)
 			if *moduleOpt {
-				fmt.Fprintf(os.Stderr,
-					"devirtualized %d, inlined %d, exception edges pruned %d\n",
-					st.Devirtualized, st.Inlined, st.ExcEdgesPruned)
+				fmt.Fprintf(os.Stderr, "devirtualized %d, inlined %d\n", st.Devirtualized, st.Inlined)
 			}
 		}
 	}

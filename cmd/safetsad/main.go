@@ -110,7 +110,7 @@ func main() {
 	traces := flag.Int("traces", 64, "request traces retained for /debug/traces")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	moduleOpt := flag.Bool("module-opt", false,
-		"upgrade optimizing compiles to the interprocedural tier (devirtualization, inlining, check elimination)")
+		"upgrade optimizing compiles to the interprocedural tier (devirtualization, inlining)")
 	wireVersion := flag.Int("wire-version", 0,
 		"wire format for newly encoded units: 1 fixed-code, 2 adaptive (0 = v1); part of the cache key")
 	drain := flag.Duration("drain", 10*time.Second, "max time to drain in-flight runs on shutdown")

@@ -12,8 +12,8 @@ import (
 type Options struct {
 	Optimize bool `json:"optimize"`
 	// ModuleOpt selects the interprocedural optimizer tier (CHA/RTA
-	// devirtualization, inlining, flow-based check elimination) on top
-	// of the intraprocedural pipeline. Implies Optimize.
+	// devirtualization, inlining) on top of the intraprocedural
+	// pipeline. Implies Optimize.
 	ModuleOpt bool `json:"module_opt"`
 	// WireV2 encodes the unit in wire format v2 (adaptive range-coded
 	// streams). The wire version is part of the unit's identity: the

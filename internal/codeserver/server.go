@@ -78,8 +78,8 @@ type Config struct {
 	// /debug/traces (<=0: 64).
 	Traces int
 	// ModuleOpt upgrades every optimizing compile to the interprocedural
-	// tier (CHA/RTA devirtualization, inlining, flow-based check
-	// elimination): requests asking for Optimize get ModuleOpt too. The
+	// tier (CHA/RTA devirtualization, inlining): requests asking for
+	// Optimize get ModuleOpt too. The
 	// tier participates in the content hash, so units built either way
 	// remain distinct.
 	ModuleOpt bool

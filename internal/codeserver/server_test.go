@@ -250,8 +250,41 @@ func TestCompileAdmitsExactlyWhatRunAdmits(t *testing.T) {
 	}
 }
 
+// TestModuleOptHandlerPhiRuns: at O2, a try whose handler phi is fed by a
+// division by a constant compiles to a unit that runs, on both wire
+// versions. The division cannot throw, but its exception edge stays: the
+// decoder reads a handler-phi operand for it, and a unit written without
+// one is stored by /compile and refused by /run.
+func TestModuleOptHandlerPhiRuns(t *testing.T) {
+	files := map[string]string{"P.tj": `
+class P {
+    static int f(int a, int[] arr, int i) {
+        int x = 1;
+        try { x = a / 2; x = x + arr[i]; } catch (Throwable e) { return x + 100; }
+        return x;
+    }
+    static void main() {
+        int[] arr = new int[3];
+        System.out.println(f(7, arr, 1));
+        System.out.println(f(7, arr, 5));
+    }
+}`}
+	ctx := context.Background()
+	for _, version := range []int{1, 2} {
+		s := newTestServer(t, Config{WireVersion: version})
+		u, _, err := s.CompileUnit(ctx, files, Options{ModuleOpt: true})
+		if err != nil {
+			t.Fatalf("v%d: %v", version, err)
+		}
+		res, err := s.RunUnit(ctx, u.Key, 0)
+		if err != nil || !res.OK || res.Output != "3\n103\n" {
+			t.Errorf("v%d: %+v, %v", version, res, err)
+		}
+	}
+}
+
 // uncheckedUnit is the unit the producer pipeline builds for files with
-// every stage but the driver's last check: the CST bound.
+// every stage but the driver's last checks, the CST bound among them.
 func uncheckedUnit(t *testing.T, files map[string]string, optimize bool) []byte {
 	t.Helper()
 	prog, err := driver.Frontend(files)

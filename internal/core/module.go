@@ -233,6 +233,59 @@ func cstDeeper(n *CSTNode, levels int) bool {
 	return false
 }
 
+// CheckExcSites reports the first function of m whose exception edges
+// are not the ones its CST implies. The wire spells no edge: a decoder
+// gives every potentially-throwing instruction and throw node inside a
+// try the next edge of its innermost handler, in transmission order, and
+// the handler no other edge. The producer holds itself to that rule.
+func (m *Module) CheckExcSites() error {
+	for _, f := range m.Funcs {
+		if f.Body == nil {
+			continue
+		}
+		if err := f.checkExcSites(f.Body, nil, new(int)); err != nil {
+			return fmt.Errorf("%s: %w", f.Name, err)
+		}
+	}
+	return nil
+}
+
+// checkExcSites walks n as the decoder's decodeBlocks does, with h the
+// innermost handler (nil outside every try) and *next its next edge.
+func (f *Func) checkExcSites(n *CSTNode, h *Block, next *int) error {
+	wrong := func(got *Block, edge int) bool {
+		*next++
+		return got != h || h != nil && edge != *next-1
+	}
+	switch n.Kind {
+	case CBlock:
+		for _, in := range n.Block.Code {
+			if in.Op.CanThrow() && wrong(f.HandlerOf[in], f.ExcEdge[in]) {
+				return fmt.Errorf("v%d (%s) in b%d is not edge %d of its innermost handler", in.ID, in.Op, n.Block.Index, *next-1)
+			}
+		}
+	case CThrow:
+		if wrong(f.ThrowHandler[n], f.ThrowEdge[n]) {
+			return fmt.Errorf("the throw from b%d is not edge %d of its innermost handler", n.At.Index, *next-1)
+		}
+	case CTry:
+		k := 0
+		if err := f.checkExcSites(n.Kids[0], n.Handler, &k); err != nil {
+			return err
+		}
+		if k != len(n.Handler.Preds) {
+			return fmt.Errorf("handler b%d has %d edges for %d sites", n.Handler.Index, len(n.Handler.Preds), k)
+		}
+		return f.checkExcSites(n.Kids[1], h, next)
+	}
+	for _, k := range n.Kids {
+		if err := f.checkExcSites(k, h, next); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Func is one SafeTSA function body.
 type Func struct {
 	Name   string
@@ -460,14 +513,20 @@ func (f *Func) RemoveExcSite(in *Instr) {
 	}
 	delete(f.ExcEdge, in)
 	delete(f.HandlerOf, in)
+	f.ShiftExcEdges(h, k, -1)
+}
+
+// ShiftExcEdges adds by to the index of every edge of handler h past
+// edge k, for a caller that removed or inserted edges after it.
+func (f *Func) ShiftExcEdges(h *Block, k, by int) {
 	for site, e := range f.ExcEdge {
 		if f.HandlerOf[site] == h && e > k {
-			f.ExcEdge[site] = e - 1
+			f.ExcEdge[site] = e + by
 		}
 	}
 	for node, e := range f.ThrowEdge {
 		if f.ThrowHandler[node] == h && e > k {
-			f.ThrowEdge[node] = e - 1
+			f.ThrowEdge[node] = e + by
 		}
 	}
 }

@@ -113,11 +113,15 @@ func compileTSA(ctx context.Context, prog *sema.Program, ba *ssabuild.Arena) (*c
 
 // shippable refuses a module that verifies but that no consumer would
 // admit: one whose CST nests deeper than the wire format carries
-// (core.MaxCSTDepth). The program is at fault, so the error is a user
-// error, of the kind the parser's own nesting bound reports. Every
-// producer stage that can change the CST checks again.
+// (core.MaxCSTDepth), the program's fault, reported as the parser's own
+// nesting bound is; or one whose exception edges are not the ones its CST
+// implies, the producer's. Every producer stage that can change the
+// module checks again.
 func shippable(mod *core.Module) error {
-	return wrapKind(KindParse, mod.CheckCSTDepth())
+	if err := mod.CheckCSTDepth(); err != nil {
+		return wrapKind(KindParse, err)
+	}
+	return wrapKind(KindInternal, mod.CheckExcSites())
 }
 
 // CompileTSASource is the one-call helper: source text → verified module.

@@ -263,16 +263,7 @@ func stitchExcEdges(f *core.Func, call *core.Instr, clones []*core.Instr) {
 	}
 	delete(f.ExcEdge, call)
 	delete(f.HandlerOf, call)
-	for site, e := range f.ExcEdge {
-		if f.HandlerOf[site] == h && e > k {
-			f.ExcEdge[site] = e + n - 1
-		}
-	}
-	for node, e := range f.ThrowEdge {
-		if f.ThrowHandler[node] == h && e > k {
-			f.ThrowEdge[node] = e + n - 1
-		}
-	}
+	f.ShiftExcEdges(h, k, n-1)
 	for i, t := range throwers {
 		f.AddExcSite(t, h, k+i)
 	}

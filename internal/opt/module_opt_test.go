@@ -358,15 +358,15 @@ class Main {
 	})
 }
 
-// TestCheckElimination pins exception-edge pruning by range reasoning.
-func TestCheckElimination(t *testing.T) {
-	t.Run("const-bounds-prunes-exception-edge", func(t *testing.T) {
-		// new int[5] indexed at constants in range: the accesses
-		// provably cannot throw, so handler edges are pruned while the
-		// check instructions stay as the safe-plane witnesses. Two
-		// sites feed the handler because the pruner refuses to remove
-		// a handler's last incoming edge while it still carries phis.
-		src := `
+// TestModuleOptDecodesToItself: an O2 module whose try regions hold
+// provably safe sites, and one whose handler phi is fed by them, decodes
+// on both wire versions to the producer's own structure — the exception
+// edges the producer keeps are exactly the ones the CST implies.
+func TestModuleOptDecodesToItself(t *testing.T) {
+	for name, src := range map[string]string{
+		// new int[5] indexed at constants in range: accesses that
+		// cannot throw, inside a try.
+		"const-bounds": `
 class Main {
     static void main() {
         int[] a = new int[5];
@@ -375,14 +375,8 @@ class Main {
         try { r = a[2] + a[3]; } catch (IndexOutOfBoundsException e) { r = -1; }
         System.out.println(r);
     }
-}`
-		_, st := runBoth(t, src)
-		if st.ExcEdgesPruned == 0 {
-			t.Error("provably in-bounds access kept its exception edge")
-		}
-	})
-	t.Run("const-divisor-prunes-exception-edge", func(t *testing.T) {
-		src := `
+}`,
+		"const-divisor": `
 class Main {
     static void main() {
         int x = 84;
@@ -390,17 +384,41 @@ class Main {
         try { r = x / 2; } catch (ArithmeticException e) { r = -1; }
         System.out.println(r);
     }
-}`
-		_, st := runBoth(t, src)
-		if st.ExcEdgesPruned == 0 {
-			t.Error("division by a non-zero constant kept its exception edge")
-		}
-	})
+}`,
+		// A division by a constant feeds the handler phi of x.
+		"handler-phi": handlerPhiSource,
+	} {
+		t.Run(name, func(t *testing.T) {
+			mod, _ := runBoth(t, src)
+			if err := oracle.CheckCanonicalWire(mod); err != nil {
+				t.Error(err)
+			}
+			if err := oracle.CheckCanonicalWireV2(mod, nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }
+
+// handlerPhiSource is a try whose first site, a division by a non-zero
+// constant, gives the handler phi of x its first operand.
+const handlerPhiSource = `
+class P {
+    static int f(int a, int[] arr, int i) {
+        int x = 1;
+        try { x = a / 2; x = x + arr[i]; } catch (Throwable e) { return x + 100; }
+        return x;
+    }
+    static void main() {
+        int[] arr = new int[3];
+        System.out.println(f(7, arr, 1));
+        System.out.println(f(7, arr, 5));
+    }
+}`
 
 // TestModulePipelineCombinesTiers checks the pipeline end to end on a
 // dispatch-heavy hierarchy: devirtualization feeds the inliner, and the
-// merged bodies expose check-elimination opportunities, all while the
+// merged bodies expose redundant checks to CSE, all while the
 // consumer verifier stays green after every pass.
 func TestModulePipelineCombinesTiers(t *testing.T) {
 	src := `

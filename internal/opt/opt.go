@@ -45,7 +45,7 @@ type Stats struct {
 	Devirtualized  int // xdispatch sites rewritten to direct xcalls
 	Inlined        int // call sites expanded into the caller
 	ChecksElided   int // always 0 (no pass sets it); kept for benchmark/layers.go's row
-	ExcEdgesPruned int // exception edges of provably-safe sites removed
+	ExcEdgesPruned int // always 0 (no pass sets it); kept for benchmark/layers.go's row
 }
 
 // Count tallies the statistics categories over a module.
@@ -80,10 +80,9 @@ type Options struct {
 
 	// ModuleLevel enables the interprocedural tier on top of the
 	// intraprocedural pipeline: CHA/RTA devirtualization of monomorphic
-	// xdispatch sites, inlining of small non-recursive callees, and
-	// exception-edge pruning of provably safe sites, followed by a
-	// cleanup round. Off by default: the paper's measured configuration is
-	// intraprocedural.
+	// xdispatch sites and inlining of small non-recursive callees,
+	// followed by a cleanup round. Off by default: the paper's measured
+	// configuration is intraprocedural.
 	ModuleLevel bool
 }
 
@@ -186,11 +185,10 @@ func pipeline(sc *scratch) []Pass {
 // ModulePipeline returns the interprocedural tier: the intraprocedural
 // pipeline first (smaller callees inline better), then devirtualization
 // (turning dispatch sites into inlinable direct calls), inlining, a
-// cleanup constprop+CSE round over the merged bodies, exception-edge
-// pruning (after constprop, which exposes the constants it reasons
-// about), and a final DCE sweep. Every pass is per-function and
-// leaves the module verifier-clean, so oracle.RunPassesVerified can
-// re-check each intermediate state.
+// cleanup constprop+CSE round over the merged bodies, and a final DCE
+// sweep. Every pass is per-function and leaves the module
+// verifier-clean, so oracle.RunPassesVerified can re-check each
+// intermediate state.
 func ModulePipeline() []Pass { return modulePipeline(new(scratch)) }
 
 func modulePipeline(sc *scratch) []Pass {
@@ -199,7 +197,6 @@ func modulePipeline(sc *scratch) []Pass {
 		inlinePass(sc),
 		Pass{Name: "constprop3", Run: sc.runConstProp},
 		Pass{Name: "cse3", Run: sc.runCSE},
-		checkElimPass(),
 		Pass{Name: "dce2", Run: sc.runDCE},
 	)
 }

@@ -15,8 +15,9 @@ import (
 // analysis can prove a dispatch monomorphic (and where it must not),
 // dispatch-heavy loops through a common root, recursive callees the
 // inliner must refuse, small throwing callees whose exception edges get
-// stitched into the caller's handlers, and a diamond that re-checks one
-// access on both arms and again after the join.
+// stitched into the caller's handlers, a diamond that re-checks one
+// access on both arms and again after the join, and a handler phi fed by
+// a site that cannot throw, whose edge the wire carries all the same.
 var moduleSeedSources = map[string]string{
 	"branching_hierarchy": `
 class Shape { int area() { return 0; } int tag() { return 1; } }
@@ -63,6 +64,19 @@ class Main {
         int i = 0;
         while (i < 6) { s = s + b.f(); i = i + 1; }
         System.out.println(s);
+    }
+}`,
+	"handler_phi": `
+class P {
+    static int f(int a, int[] arr, int i) {
+        int x = 1;
+        try { x = a / 2; x = x + arr[i]; } catch (Throwable e) { return x + 100; }
+        return x;
+    }
+    static void main() {
+        int[] arr = new int[3];
+        System.out.println(f(7, arr, 1));
+        System.out.println(f(7, arr, 5));
     }
 }`,
 	"recursive_callee": `

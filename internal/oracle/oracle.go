@@ -112,21 +112,32 @@ func runBounded(mod *core.Module, b Budgets) (string, error) {
 
 // CheckCanonicalWire asserts the canonical-form invariant on a verified
 // module: encoding it, decoding the bytes, and encoding again must
-// reproduce the first byte string exactly. This is what makes the
-// content-addressed store sound — one module, one hash.
+// reproduce the first byte string exactly, and the decoded module must be
+// structurally identical to the input. This is what makes the
+// content-addressed store sound — one module, one hash — and what makes
+// the bytes mean the module the producer optimized.
 func CheckCanonicalWire(mod *core.Module) error {
-	first := wire.EncodeModule(mod)
-	dec, err := wire.DecodeModule(first)
+	return checkCanonical(mod, nil, "", wire.EncodeModule)
+}
+
+// checkCanonical is the round trip of both wire versions: encode's bytes
+// decoded with dict, version prefixing the messages.
+func checkCanonical(mod *core.Module, dict *wire.Dictionary, version string, encode func(*core.Module) []byte) error {
+	first := encode(mod)
+	dec, err := wire.DecodeModuleOpts(first, wire.DecodeOptions{Dict: dict})
 	if err != nil {
-		return fmt.Errorf("oracle: encoded module does not decode: %w", err)
+		return fmt.Errorf("oracle: %sencoded module does not decode: %w", version, err)
 	}
 	if err := dec.Verify(core.VerifyOptions{}); err != nil {
-		return fmt.Errorf("oracle: re-decoded module rejected by verifier: %w", err)
+		return fmt.Errorf("oracle: %sre-decoded module rejected by verifier: %w", version, err)
 	}
-	second := wire.EncodeModule(dec)
+	second := encode(dec)
 	if !bytes.Equal(first, second) {
-		return fmt.Errorf("oracle: wire form is not canonical: re-encoding %d bytes yielded %d different bytes",
-			len(first), len(second))
+		return fmt.Errorf("oracle: %swire form is not canonical: re-encoding %d bytes yielded %d different bytes",
+			version, len(first), len(second))
+	}
+	if mod.Dump() != dec.Dump() {
+		return fmt.Errorf("oracle: %sround trip is not structure-preserving", version)
 	}
 	return nil
 }
@@ -152,15 +163,16 @@ func OptimizePerPass(mod *core.Module) (opt.Stats, error) {
 }
 
 // OptimizeModulePerPass runs the full interprocedural pipeline
-// (devirtualization, inlining, check elimination on top of the
-// intraprocedural passes) under the same per-pass verification.
+// (devirtualization and inlining on top of the intraprocedural passes)
+// under the same per-pass verification.
 func OptimizeModulePerPass(mod *core.Module) (opt.Stats, error) {
 	return RunPassesVerifiedOptions(mod, opt.Options{ModuleLevel: true}, opt.ModulePipeline())
 }
 
 // RunPassesVerified applies an arbitrary pass sequence with the consumer
-// verifier as the after-each-pass oracle; the returned error names the
-// first pass whose output the verifier rejects.
+// verifier and the producer's exception-edge rule (core.CheckExcSites) as
+// the after-each-pass oracle; the returned error names the first pass
+// whose output either rejects.
 func RunPassesVerified(mod *core.Module, passes []opt.Pass) (opt.Stats, error) {
 	return RunPassesVerifiedOptions(mod, opt.Options{}, passes)
 }
@@ -171,6 +183,9 @@ func RunPassesVerifiedOptions(mod *core.Module, o opt.Options, passes []opt.Pass
 	return opt.RunPasses(mod, o, passes, func(pass string) error {
 		if err := mod.Verify(core.VerifyOptions{}); err != nil {
 			return fmt.Errorf("oracle: verifier rejects module after pass %q: %w", pass, err)
+		}
+		if err := mod.CheckExcSites(); err != nil {
+			return fmt.Errorf("oracle: module after pass %q is not the one its wire form says: %w", pass, err)
 		}
 		return nil
 	})

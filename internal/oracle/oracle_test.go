@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -92,6 +93,141 @@ func TestPerPassOracleCatchesMisoptimization(t *testing.T) {
 	}
 }
 
+// excProbe has a handler phi fed by several can-throw sites and a throw
+// node, all inside one try.
+const excProbe = `
+class Main {
+    static int f(int a, int[] arr, int i) {
+        int x = 1;
+        try {
+            x = a / 2;
+            x = x + arr[i];
+            if (x > 50) { throw new Exception("big"); }
+        } catch (Exception e) { return x + 100; }
+        return x;
+    }
+    static void main() {
+        int[] arr = new int[3];
+        System.out.println(f(7, arr, 1));
+        System.out.println(f(7, arr, 5));
+        System.out.println(f(200, arr, 0));
+    }
+}`
+
+func compileExcProbe(t *testing.T) *core.Module {
+	t.Helper()
+	mod, err := driver.CompileTSASource(map[string]string{"Main.tj": excProbe})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return mod
+}
+
+// pruneSite emulates the optimizer bug the verifier cannot see: it drops
+// the exception edge of the first try-covered site whose handler keeps
+// another, and keeps the site. The module still verifies, but no wire
+// form carries it: a decoder gives the site its edge back.
+func pruneSite(f *core.Func) bool {
+	for _, b := range f.Blocks {
+		for _, in := range b.Code {
+			if h := f.HandlerOf[in]; h != nil && len(h.Preds) > 1 {
+				f.RemoveExcSite(in)
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestPrunedExceptionEdgeIsRefused: a pass that prunes a kept site's
+// exception edge is blamed by name by the per-pass oracle, and the driver
+// refuses to ship its output, as a fault of the producer's own.
+func TestPrunedExceptionEdgeIsRefused(t *testing.T) {
+	pruned := 0
+	evil := opt.Pass{Name: "evil-prune", Run: func(m *core.Module, f *core.Func, o opt.Options, st *opt.Stats) {
+		if pruneSite(f) {
+			pruned++
+		}
+	}}
+	mod := compileExcProbe(t)
+	passes := opt.ModulePipeline()
+	passes = append(passes[:1], append([]opt.Pass{evil}, passes[1:]...)...)
+	_, err := RunPassesVerifiedOptions(mod, opt.Options{ModuleLevel: true}, passes)
+	if pruned == 0 {
+		t.Fatal("probe program left no site for the evil pass to prune")
+	}
+	if err == nil || !strings.Contains(err.Error(), `after pass "evil-prune"`) {
+		t.Fatalf("oracle did not blame the pruning pass: %v", err)
+	}
+
+	mod = compileExcProbe(t)
+	if _, err := opt.RunPasses(mod, opt.Options{}, []opt.Pass{evil}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := mod.Verify(core.VerifyOptions{}); err != nil {
+		t.Fatalf("the pruned module must verify, so that only the wire rule sees the fault: %v", err)
+	}
+	_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+	if err == nil {
+		t.Fatal("driver shipped a module whose exception edges its CST does not imply")
+	}
+	if driver.IsUserError(err) {
+		t.Errorf("the producer's own fault is reported as the program's: %v", err)
+	}
+}
+
+// TestCheckExcSites: the producer's exception-edge rule accepts what the
+// front end builds and refuses a can-throw instruction or a throw node
+// inside a try that is not registered as the next edge of its innermost
+// handler, and a handler with an edge no site accounts for.
+func TestCheckExcSites(t *testing.T) {
+	if err := compileExcProbe(t).CheckExcSites(); err != nil {
+		t.Fatalf("front-end module refused: %v", err)
+	}
+	for name, tamper := range map[string]func(f *core.Func) bool{
+		"pruned instruction": pruneSite,
+		"swapped instructions": func(f *core.Func) bool {
+			for a, h := range f.HandlerOf {
+				for b, g := range f.HandlerOf {
+					if a != b && h == g {
+						f.ExcEdge[a], f.ExcEdge[b] = f.ExcEdge[b], f.ExcEdge[a]
+						return true
+					}
+				}
+			}
+			return false
+		},
+		"stale edge": func(f *core.Func) bool {
+			for _, h := range f.HandlerOf {
+				h.Preds = append(h.Preds, h.Preds[0])
+				return true
+			}
+			return false
+		},
+		"throw": func(f *core.Func) bool {
+			for n := range f.ThrowHandler {
+				delete(f.ThrowHandler, n)
+				return true
+			}
+			return false
+		},
+	} {
+		mod, tampered := compileExcProbe(t), false
+		for _, f := range mod.Funcs {
+			if tamper(f) {
+				tampered = true
+				break
+			}
+		}
+		if !tampered {
+			t.Fatalf("%s: probe program has no site to tamper with", name)
+		}
+		if err := mod.CheckExcSites(); err == nil {
+			t.Errorf("%s: the tampered module is accepted", name)
+		}
+	}
+}
+
 func TestCanonicalWireOnCorpus(t *testing.T) {
 	for _, seed := range []string{"0", "1", "2", "canon"} {
 		files := corpus.GenerateFuzz(seed, 5, 4)
@@ -112,23 +248,36 @@ func TestCanonicalWireOnCorpus(t *testing.T) {
 }
 
 // TestCanonicalWireV2OnCorpus: every corpus unit re-encodes to its own
-// v2 bytes and decodes to its own structure, without a dictionary and
-// with one trained over the corpus — the string table, the opcode
-// contexts and the decision counts adapt in lockstep on both sides.
+// v1 and v2 bytes and decodes to its own structure, on v2 without a
+// dictionary and with one trained over the corpus — the string table,
+// the opcode contexts and the decision counts adapt in lockstep on both
+// sides. The O2 row holds the modules the producer ships at its
+// interprocedural tier to the same.
 func TestCanonicalWireV2OnCorpus(t *testing.T) {
-	var mods []*core.Module
-	for _, u := range corpus.Units() {
-		mod, err := driver.CompileTSASource(u.Files)
-		if err != nil {
-			t.Fatalf("%s: %v", u.Name, err)
+	for _, tier := range []struct {
+		name string
+		o2   bool
+	}{{"O0", false}, {"O2", true}} {
+		var mods []*core.Module
+		for _, u := range corpus.Units() {
+			mod, err := driver.CompileTSASource(u.Files)
+			if err == nil && tier.o2 {
+				_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+			}
+			if err != nil {
+				t.Fatalf("%s %s: %v", u.Name, tier.name, err)
+			}
+			mods = append(mods, mod)
 		}
-		mods = append(mods, mod)
-	}
-	dict := wire.TrainDictionary(mods)
-	for i, u := range corpus.Units() {
-		for _, d := range []*wire.Dictionary{nil, dict} {
-			if err := CheckCanonicalWireV2(mods[i], d); err != nil {
-				t.Errorf("%s (dictionary %v): %v", u.Name, d != nil, err)
+		dict := wire.TrainDictionary(mods)
+		for i, u := range corpus.Units() {
+			for _, d := range []*wire.Dictionary{nil, dict} {
+				if err := CheckCanonicalWireV2(mods[i], d); err != nil {
+					t.Errorf("%s %s (dictionary %v): %v", u.Name, tier.name, d != nil, err)
+				}
+			}
+			if err := CheckCanonicalWire(mods[i]); err != nil {
+				t.Errorf("%s %s v1: %v", u.Name, tier.name, err)
 			}
 		}
 	}

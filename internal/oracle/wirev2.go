@@ -20,23 +20,7 @@ import (
 // module and the negotiated model alone. The decoded module must also
 // be structurally identical to the input.
 func CheckCanonicalWireV2(mod *core.Module, dict *wire.Dictionary) error {
-	first := wire.EncodeModuleV2(mod, dict)
-	dec, err := wire.DecodeModuleOpts(first, wire.DecodeOptions{Dict: dict})
-	if err != nil {
-		return fmt.Errorf("oracle: v2-encoded module does not decode: %w", err)
-	}
-	if err := dec.Verify(core.VerifyOptions{}); err != nil {
-		return fmt.Errorf("oracle: v2 re-decoded module rejected by verifier: %w", err)
-	}
-	second := wire.EncodeModuleV2(dec, dict)
-	if !bytes.Equal(first, second) {
-		return fmt.Errorf("oracle: v2 wire form is not canonical: re-encoding %d bytes yielded %d different bytes",
-			len(first), len(second))
-	}
-	if mod.Dump() != dec.Dump() {
-		return fmt.Errorf("oracle: v2 round trip is not structure-preserving")
-	}
-	return nil
+	return checkCanonical(mod, dict, "v2 ", func(m *core.Module) []byte { return wire.EncodeModuleV2(m, dict) })
 }
 
 // CheckStreamingWire holds the two ways of driving the one admission
