@@ -157,27 +157,27 @@ func TestWarmArenaCompileByteCeiling(t *testing.T) {
 // closure on the heap, allocated two to three times as much
 // (BenchmarkColdRun B/op, recorded in CHANGES.md).
 var coldRunCeilings = map[string]uint64{
-	"BatchEnvironment":        25376 * 11 / 10,
-	"BatchParser":             23952 * 11 / 10,
-	"CompilerMember":          16584 * 11 / 10,
-	"ErrorMessage":            18008 * 11 / 10,
-	"Main":                    24720 * 11 / 10,
-	"SourceClass":             25208 * 11 / 10,
-	"SourceMember":            24536 * 11 / 10,
-	"AmbiguousClass":          16424 * 11 / 10,
-	"AmbiguousMember":         18016 * 11 / 10,
-	"ArrayType":               18048 * 11 / 10,
-	"BinaryAttribute":         19912 * 11 / 10,
-	"BinaryClass":             27872 * 11 / 10,
-	"BinaryCode":              20568 * 11 / 10,
-	"Parser":                  29568 * 11 / 10,
-	"Scanner":                 22440 * 11 / 10,
-	"BigDecimal":              19744 * 11 / 10,
-	"BigInteger":              25056 * 11 / 10,
-	"BitSieve":                18336 * 11 / 10,
-	"MutableBigInteger":       23376 * 11 / 10,
-	"SignedMutableBigInteger": 23888 * 11 / 10,
-	"Linpack":                 19624 * 11 / 10,
+	"BatchEnvironment":        16800 * 11 / 10,
+	"BatchParser":             14968 * 11 / 10,
+	"CompilerMember":          11680 * 11 / 10,
+	"ErrorMessage":            13312 * 11 / 10,
+	"Main":                    16656 * 11 / 10,
+	"SourceClass":             16832 * 11 / 10,
+	"SourceMember":            16336 * 11 / 10,
+	"AmbiguousClass":          11592 * 11 / 10,
+	"AmbiguousMember":         13232 * 11 / 10,
+	"ArrayType":               13288 * 11 / 10,
+	"BinaryAttribute":         14152 * 11 / 10,
+	"BinaryClass":             19912 * 11 / 10,
+	"BinaryCode":              14480 * 11 / 10,
+	"Parser":                  18904 * 11 / 10,
+	"Scanner":                 15544 * 11 / 10,
+	"BigDecimal":              12512 * 11 / 10,
+	"BigInteger":              17704 * 11 / 10,
+	"BitSieve":                13488 * 11 / 10,
+	"MutableBigInteger":       14960 * 11 / 10,
+	"SignedMutableBigInteger": 15000 * 11 / 10,
+	"Linpack":                 14912 * 11 / 10,
 }
 
 // TestColdRunByteCeiling: a cold run decodes the bodies its guest calls

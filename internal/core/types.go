@@ -95,22 +95,24 @@ type TypeTable struct {
 	Object, String, Throwable, Exception        TypeID
 	NPE, Arith, Bounds, Cast, NegSize           TypeID
 
-	arrays   map[TypeID]TypeID // elem -> array
+	arrays   map[TypeID]TypeID // elem -> array; nil until the first
 	safeRefs []TypeID          // base -> safe-ref, NoType for none
-	safeIdxs map[TypeID]TypeID // array -> safe-index
-	classes  map[string]TypeID
+	safeIdxs map[TypeID]TypeID // array -> safe-index; nil until the first
+	classes  map[string]TypeID // user classes by name; nil until the first
 	// ImplicitLen is the number of table entries (including index 0)
 	// that belong to the implicit prefix.
 	ImplicitLen int
 }
 
-// NewTypeTable creates a table populated with the implicit prefix.
-func NewTypeTable() *TypeTable {
-	tt := &TypeTable{
-		arrays:   make(map[TypeID]TypeID),
-		safeIdxs: make(map[TypeID]TypeID),
-		classes:  make(map[string]TypeID),
-	}
+// implicit is the implicit prefix, built once per process: every table
+// starts as a copy of its fixed fields, of its entry and shadow vectors —
+// whose Types, imported and never written, all tables share — and reads
+// its classes by name through implicitClasses.
+var implicit, implicitClasses = newImplicit()
+
+func newImplicit() (*TypeTable, map[string]TypeID) {
+	tt := &TypeTable{}
+	classes := make(map[string]TypeID)
 	tt.ByID = append(tt.ByID, nil) // slot 0 invalid
 
 	add := func(t *Type) TypeID {
@@ -129,7 +131,7 @@ func NewTypeTable() *TypeTable {
 
 	cls := func(name string, super TypeID) TypeID {
 		id := add(&Type{Kind: TClass, Name: name, Super: super})
-		tt.classes[name] = id
+		classes[name] = id
 		return id
 	}
 	tt.Object = cls("Object", NoType)
@@ -151,6 +153,15 @@ func NewTypeTable() *TypeTable {
 		}
 	}
 	tt.ImplicitLen = len(tt.ByID)
+	return tt, classes
+}
+
+// NewTypeTable creates a table populated with the implicit prefix.
+func NewTypeTable() *TypeTable {
+	tt := new(TypeTable)
+	*tt = *implicit
+	tt.ByID = append(make([]*Type, 0, 2*len(implicit.ByID)), implicit.ByID...)
+	tt.safeRefs = append(make([]TypeID, 0, 2*len(implicit.safeRefs)), implicit.safeRefs...)
 	return tt
 }
 
@@ -174,11 +185,14 @@ func (tt *TypeTable) MustGet(id TypeID) *Type {
 
 // AddClass appends a user class entry; super must already exist.
 func (tt *TypeTable) AddClass(name string, super TypeID) TypeID {
-	if id, ok := tt.classes[name]; ok {
+	if id := tt.Class(name); id != NoType {
 		return id
 	}
 	t := &Type{Kind: TClass, Name: name, Super: super, ID: TypeID(len(tt.ByID))}
 	tt.ByID = append(tt.ByID, t)
+	if tt.classes == nil {
+		tt.classes = make(map[string]TypeID)
+	}
 	tt.classes[name] = t.ID
 	// Every reference type gets its safe-ref shadow immediately, so
 	// shadow IDs are a deterministic function of creation order.
@@ -193,7 +207,12 @@ func (tt *TypeTable) addDerived(t *Type) TypeID {
 }
 
 // Class returns the ID of a class by name (0 if absent).
-func (tt *TypeTable) Class(name string) TypeID { return tt.classes[name] }
+func (tt *TypeTable) Class(name string) TypeID {
+	if id, ok := implicitClasses[name]; ok {
+		return id
+	}
+	return tt.classes[name]
+}
 
 // ArrayOf returns (creating on first use) the array type with the given
 // element type, plus its safe-ref and safe-index shadows.
@@ -202,6 +221,9 @@ func (tt *TypeTable) ArrayOf(elem TypeID) TypeID {
 		return id
 	}
 	id := tt.addDerived(&Type{Kind: TArray, Elem: elem, Super: tt.Object})
+	if tt.arrays == nil {
+		tt.arrays, tt.safeIdxs = make(map[TypeID]TypeID), make(map[TypeID]TypeID)
+	}
 	tt.arrays[elem] = id
 	tt.shadow(id, tt.addDerived(&Type{Kind: TSafeRef, Base: id}))
 	tt.safeIdxs[id] = tt.addDerived(&Type{Kind: TSafeIndex, Base: id})

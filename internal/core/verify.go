@@ -11,19 +11,17 @@ type VerifyOptions struct {
 	// AllowMem permits the optimizer-internal memory-state values
 	// (OpMem0 and mem-typed phis); the wire format never carries them.
 	AllowMem bool
-	// Scratch, when not nil, is the memory the position table of each
-	// function is built in (Func.PositionsInto), reused from one
-	// verification to the next; nil builds each table anew.
-	Scratch *Positions
 }
 
-// Verify checks the module's structural invariants. Admission says each
-// rule once and runs it in one of two schedules: all at once here, or
-// function by function as a unit arrives (wire.DecodeVerifiedStream).
-// Both are "VerifyTables, then Admission.Admit for every function index"
-// — there is no second spelling for the two to disagree about.
+// Verify checks the module's structural invariants: VerifyTables, then
+// Admission.Admit for every function index. Admission says each rule
+// once (Rules) and drives it in one of two ways: here by a walker that
+// works out every fact a rule reads from the finished module, or by the
+// wire decoder, which calls each rule as it decodes the item
+// (wire.DecodeVerified, the streams) — there is no second spelling for
+// the two to disagree about.
 //
-// Per function, Admit checks type separation (each operand lives on
+// Per function, the rules check type separation (each operand lives on
 // exactly the plane Module.Signature implies for its opcode),
 // referential integrity (every operand's definition structurally
 // dominates its use), phi/edge consistency and safe-index binding. For
@@ -38,8 +36,9 @@ func (m *Module) Verify(opts VerifyOptions) error {
 		return err
 	}
 	var errs []error
+	var pos Positions // one table, rebuilt for each function
 	for j, f := range m.Funcs {
-		if err := adm.Admit(j, f, opts); err != nil {
+		if err := adm.admit(j, f, opts, &pos); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -143,23 +142,21 @@ func qualified(name, owner, member string) bool {
 		name[len(owner)] == '.' && name[len(owner)+1:] == member
 }
 
-// Admit is the per-function admission rule: Link, then Body. It depends
-// only on the verified tables and on f, which is why a function admitted
-// while the rest of its unit is still in flight is exactly as trustworthy
-// as one admitted by Verify.
+// Admit is the per-function admission rule: Link, then the body's Rules
+// driven by the self-checking walker. It depends only on the verified
+// tables and on f, which is why a function admitted while the rest of its
+// unit is still in flight is exactly as trustworthy as one admitted by
+// Verify.
 func (a *Admission) Admit(j int, f *Func, opts VerifyOptions) error {
+	return a.admit(j, f, opts, new(Positions))
+}
+
+// admit is Admit with the walker's position table built in pos.
+func (a *Admission) admit(j int, f *Func, opts VerifyOptions, pos *Positions) error {
 	if err := a.Link(j, f); err != nil {
 		return err
 	}
-	return a.Body(j, f, opts)
-}
-
-// Body is Admit without Link: the body checks alone, for a function whose
-// link holds by construction — a decoded body takes its method, signature
-// and name from its claim (wire's decoder), so Link has nothing left to
-// reject there.
-func (a *Admission) Body(j int, f *Func, opts VerifyOptions) error {
-	if err := a.m.verifyFunc(f, opts); err != nil {
+	if err := a.m.verifyFunc(f, opts, pos); err != nil {
 		return fmt.Errorf("function %d (%s): %w", j, f.Name, err)
 	}
 	return nil
@@ -371,8 +368,11 @@ func sameMethodShape(a, b *MethodRef) bool {
 
 // Positions is the one table of intra-block positions: phis all share
 // position 0 (they execute in parallel on block entry), code starts at 1.
-// It is dense in both ways it is asked — by value, and by incoming edge —
-// and valid for a function as Finish left it.
+// It is dense in both ways it is asked — by value, and by incoming edge.
+// PositionsInto fills all of it from a finished body, for Module.Verify's
+// walker; a driver that walks a body in transmission order (the wire
+// codec, as it fills its register file) places each value as it meets it
+// (Reset, Place), and knows each edge's limit itself.
 type Positions struct {
 	val   []int32 // by ValueID; -1 when no block holds the defining instruction
 	first []int32 // by Block.Index: where the block's incoming edges start in limit
@@ -382,7 +382,7 @@ type Positions struct {
 // PositionsInto builds the table in p's memory, when it is long enough.
 // An exception edge whose site no block holds (or that HandlerOf/ExcEdge
 // do not name) keeps position 0: nothing of its source block is in scope
-// on it.
+// on it, and Rules.ExcEdge refuses it.
 func (f *Func) PositionsInto(p *Positions) {
 	nv, nb, ne := len(f.values), len(f.Blocks), 0
 	for _, b := range f.Blocks {
@@ -431,145 +431,294 @@ func (f *Func) PositionsInto(p *Positions) {
 	}
 }
 
-// Cap is how many entries p's memory holds (PositionsInto reuses it).
-func (p Positions) Cap() int { return cap(p.val) }
+// Reset empties p for a body whose values are placed one by one, with
+// room for n of them (0: as many as are placed).
+func (p *Positions) Reset(n int) {
+	val := p.val[:0]
+	if cap(val) < n {
+		val = make([]int32, 0, n)
+	}
+	*p = Positions{val: val}
+}
+
+// Place records that value v is defined at position at of its block.
+func (p *Positions) Place(v ValueID, at int) {
+	for int(v) >= len(p.val) {
+		p.val = append(p.val, -1)
+	}
+	p.val[v] = int32(at)
+}
+
+// Cap is how many entries p's memory holds (PositionsInto and Place reuse
+// it).
+func (p *Positions) Cap() int { return cap(p.val) }
 
 // Of returns the position of the instruction defining v, and whether that
 // instruction is in the instruction stream at all.
-func (p Positions) Of(v ValueID) (int, bool) {
+func (p *Positions) Of(v ValueID) (int, bool) {
+	if uint(v) >= uint(len(p.val)) {
+		return 0, false
+	}
 	at := p.val[v]
 	return int(at), at >= 0
 }
 
-// Limit returns how far into its source block edge k of b can see: the
-// position of the edge's throwing site, or -1 (the whole block) for a
-// normal edge.
-func (p Positions) Limit(b *Block, k int) int { return p.limitAt(b.Index, k) }
+// limitAt is how far into its source block edge k of the block at index
+// bi of Func.Blocks can see: the position of the edge's throwing site, or
+// -1 (the whole block) for a normal edge.
+func (p *Positions) limitAt(bi, k int) int { return int(p.limit[int(p.first[bi])+k]) }
 
-// limitAt is Limit for the block at index bi of Func.Blocks.
-func (p Positions) limitAt(bi, k int) int { return int(p.limit[int(p.first[bi])+k]) }
+// Rules is admission's rule set for one function body, a rule per item a
+// body is made of: the phi section of a block (Phis), a phi (Phi) and each
+// of its operands (PhiOperand), an exception edge (ExcEdge), a code
+// instruction (Code) and a Control Structure Tree reference (Ref). Each
+// checks type separation (a value lives on exactly the plane its use
+// implies) and referential integrity (a definition structurally
+// dominates its use) for its item, from the body and from the facts a
+// driver derived about the item: where each value is defined (Positions),
+// the item's own position, an edge's limit and an instruction's Signature.
+//
+// Two drivers feed the one rule set. Module.Verify's walker (verifyFunc)
+// works every fact out from a finished body, for modules built by hand
+// (ssabuild, opt). The wire decoder calls each rule as it appends the
+// item, with the facts it derived to decode it — the position it places
+// the item at, the edge limit that windowed the operand, the Signature it
+// read the operands through — so a decoded body is admitted in the walk
+// that reads it, and nothing is derived twice. The rules see the same
+// facts either way: a rule reads only what is final once its item is
+// appended (dominators and reference blocks from the tree's shape, edges
+// once the block section is read, definitions before their uses).
+type Rules struct {
+	m        *Module
+	f        *Func
+	pos      *Positions
+	allowMem bool
+}
 
-func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
-	tt := m.Types
-	pos := opts.Scratch
-	if pos == nil {
-		pos = new(Positions)
+// Rules is the rule set for the body f of a function the tables claim,
+// whose values its driver places in pos as it defines them.
+func (a *Admission) Rules(f *Func, pos *Positions) Rules {
+	return Rules{m: a.m, f: f, pos: pos}
+}
+
+// instrErr says which instruction of which block broke a rule.
+func instrErr(b *Block, in *Instr, err error) error {
+	return fmt.Errorf("block %d %s: %w", b.Index, in.Op, err)
+}
+
+// Phis is the rule for the phi section of block b, which holds n phis: a
+// phi has an operand per incoming edge, so a block without predecessors
+// has none.
+func (r *Rules) Phis(b *Block, n int) error {
+	if n > 0 && len(b.Preds) == 0 {
+		return fmt.Errorf("block %d has phis but no predecessors", b.Index)
 	}
-	f.PositionsInto(pos)
+	return nil
+}
 
-	// available reports whether value v may be used by instruction user
-	// (at position userPos in block userBlk). A definition that has been
-	// unlinked from the instruction stream (a stale values-table entry —
-	// the signature of a broken optimization pass) is as unavailable as
-	// one that never existed.
-	available := func(v ValueID, userBlk *Block, userPos int) error {
-		def := f.Value(v)
-		if def == nil {
-			return fmt.Errorf("use of undefined value v%d", v)
-		}
-		defPos, present := pos.Of(v)
-		if !present {
-			return fmt.Errorf("v%d was removed from the instruction stream but is still used", v)
-		}
-		if def.Blk == userBlk {
-			if defPos >= userPos {
-				return fmt.Errorf("v%d used before its definition in block %d", v, userBlk.Index)
-			}
-			return nil
-		}
-		if !def.Blk.Dominates(userBlk) {
-			return fmt.Errorf("v%d (block %d) does not dominate use in block %d",
-				v, def.Blk.Index, userBlk.Index)
-		}
-		return nil
+// Phi is the rule for phi in of block b apart from its operands: it is a
+// phi, with an operand per incoming edge, not a memory-state phi outside
+// optimization, and a safe-index phi's binding array value dominates the
+// block (Appendix A). operands reports whether its operands are then
+// checked against their edges (PhiOperand): not when the arity is wrong,
+// nor for a memory-state phi.
+func (r *Rules) Phi(b *Block, in *Instr) (operands bool, err error) {
+	if in.Op != OpPhi {
+		return false, fmt.Errorf("block %d: non-phi in phi section", b.Index)
 	}
-
-	// availableOnEdge checks a phi operand: it must be defined at the
-	// edge's source point (end of block for normal edges, before the
-	// throwing site — limit — for exception edges).
-	availableOnEdge := func(v ValueID, e Pred, limit int) error {
-		def := f.Value(v)
-		if def == nil {
-			return fmt.Errorf("phi uses undefined value v%d", v)
-		}
-		defPos, present := pos.Of(v)
-		if !present {
-			return fmt.Errorf("phi operand v%d was removed from the instruction stream but is still used", v)
-		}
-		if def.Blk == e.From {
-			if limit >= 0 && defPos >= limit {
-				return fmt.Errorf("phi operand v%d defined after exception site in block %d",
-					v, e.From.Index)
-			}
-			return nil
-		}
-		if !def.Blk.Dominates(e.From) {
-			return fmt.Errorf("phi operand v%d (block %d) does not dominate edge source %d",
-				v, def.Blk.Index, e.From.Index)
-		}
-		return nil
+	if len(in.Args) != len(b.Preds) {
+		return false, instrErr(b, in, fmt.Errorf("arity %d != %d predecessors", len(in.Args), len(b.Preds)))
 	}
+	if in.Type == r.m.Types.Mem {
+		if !r.allowMem {
+			return false, instrErr(b, in, fmt.Errorf("memory-state phi outside optimization"))
+		}
+		return false, nil
+	}
+	if in.Bind != NoValue {
+		if _, err := r.available(in.Bind, b, 0); err != nil {
+			return true, instrErr(b, in, fmt.Errorf("safe-index binding: %w", err))
+		}
+	}
+	return true, nil
+}
 
-	var errs []error
-	report := func(b *Block, in *Instr, err error) {
+// PhiOperand is the rule for operand k of phi in of block b: defined on
+// the phi's plane, and at the source point of edge b.Preds[k] — the end
+// of its source block, or before limit, the position of an exception
+// edge's throwing site (limit < 0: the whole block).
+func (r *Rules) PhiOperand(b *Block, in *Instr, k, limit int) error {
+	a, e := in.Args[k], b.Preds[k]
+	def := r.f.Value(a)
+	if def == nil {
+		return instrErr(b, in, fmt.Errorf("phi uses undefined value v%d", a))
+	}
+	defAt, present := r.pos.Of(a)
+	switch {
+	case !present:
+		return instrErr(b, in, fmt.Errorf("phi operand v%d was removed from the instruction stream but is still used", a))
+	case def.Blk == e.From:
+		if limit >= 0 && defAt >= limit {
+			return instrErr(b, in, fmt.Errorf("phi operand v%d defined after exception site in block %d",
+				a, e.From.Index))
+		}
+	case !def.Blk.Dominates(e.From):
+		return instrErr(b, in, fmt.Errorf("phi operand v%d (block %d) does not dominate edge source %d",
+			a, def.Blk.Index, e.From.Index))
+	}
+	if want := in.Plane(); def.Plane() != want {
+		return instrErr(b, in, fmt.Errorf("operand %d: %w", k, r.wrongPlane(def, want)))
+	}
+	return nil
+}
+
+// ExcEdge is the rule for exception edge e: its site is a
+// potentially-throwing instruction of its source block, standing at
+// position at there, which is how far into the block the edge's phi
+// operands see (PhiOperand's limit).
+func (r *Rules) ExcEdge(e Pred, at int) error {
+	if in := e.Site; in.Blk != e.From || !in.Op.CanThrow() || at < 1 {
+		return fmt.Errorf("exception edge from block %d: %s is not a throwing site registered there", e.From.Index, in.Op)
+	}
+	return nil
+}
+
+// Code is the rule for code instruction in, at position at of block b:
+// every operand is defined before it, and on the plane sig — the
+// Signature its opcode and immediates imply — names for it; its arity and
+// result plane are sig's, and an indexcheck's result is bound to the
+// array value it checked. A nil sig (the opcode and immediates imply
+// none, which the driver reports) checks the operands' definitions alone.
+func (r *Rules) Code(b *Block, at int, in *Instr, sig *Signature) error {
+	if sig != nil && len(in.Args) != sig.NumOperands() {
+		return instrErr(b, in, fmt.Errorf("want %d operands, have %d", sig.NumOperands(), len(in.Args)))
+	}
+	for i, a := range in.Args {
+		if a == NoValue {
+			return instrErr(b, in, fmt.Errorf("missing operand"))
+		}
+		def, err := r.available(a, b, at)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("block %d %s: %w", b.Index, in.Op, err))
+			return instrErr(b, in, err)
+		}
+		if sig == nil {
+			continue
+		}
+		if want := sig.Operand(i, in.Args[0]); def.Plane() != want {
+			return instrErr(b, in, fmt.Errorf("operand %d: %w", i, r.wrongPlane(def, want)))
 		}
 	}
+	if sig == nil {
+		return nil
+	}
+	if in.Type != sig.Result {
+		tt := r.m.Types
+		return instrErr(b, in, fmt.Errorf("result plane %s, want %s", tt.Describe(in.Type), tt.Describe(sig.Result)))
+	}
+	if sig.BindResult && in.Bind != in.Args[0] {
+		return instrErr(b, in, fmt.Errorf("safe-index result must bind to the checked array value"))
+	}
+	return nil
+}
 
+// Ref is the rule for CST node n's reference of value v, on plane want
+// (Module.RefPlane): defined by the end of n's reference block, on that
+// plane.
+func (r *Rules) Ref(n *CSTNode, v ValueID, want PlaneKey) error {
+	if n.At == nil {
+		return fmt.Errorf("%s node without reference block", n.Kind)
+	}
+	def, err := r.available(v, n.At, len(n.At.Code)+1)
+	if err == nil && def.Plane() != want {
+		err = r.wrongPlane(def, want)
+	}
+	if err != nil {
+		return fmt.Errorf("%s reference: %w", n.Kind, err)
+	}
+	return nil
+}
+
+// available returns the definition of value v if v may be used at
+// position at of block b. A definition that has been unlinked from the
+// instruction stream (a stale values-table entry — the signature of a
+// broken optimization pass) is as unavailable as one that never existed.
+func (r *Rules) available(v ValueID, b *Block, at int) (*Instr, error) {
+	def := r.f.Value(v)
+	if def == nil {
+		return nil, fmt.Errorf("use of undefined value v%d", v)
+	}
+	defAt, present := r.pos.Of(v)
+	switch {
+	case !present:
+		return nil, fmt.Errorf("v%d was removed from the instruction stream but is still used", v)
+	case def.Blk == b:
+		if defAt >= at {
+			return nil, fmt.Errorf("v%d used before its definition in block %d", v, b.Index)
+		}
+	case !def.Blk.Dominates(b):
+		return nil, fmt.Errorf("v%d (block %d) does not dominate use in block %d", v, def.Blk.Index, b.Index)
+	}
+	return def, nil
+}
+
+// wrongPlane is the type-separation error of a reference to def, which
+// the rule wanted on plane want.
+func (r *Rules) wrongPlane(def *Instr, want PlaneKey) error {
+	return fmt.Errorf("v%d on plane %s, want %s",
+		def.ID, describePlane(r.m.Types, def.Plane()), describePlane(r.m.Types, want))
+}
+
+func describePlane(tt *TypeTable, k PlaneKey) string {
+	s := tt.Describe(k.Type)
+	if k.Bind != NoValue {
+		s += fmt.Sprintf("@v%d", k.Bind)
+	}
+	return s
+}
+
+// verifyFunc is the rule set's self-checking driver: it builds f's
+// position table in pos and feeds every item of f to its rule, working
+// out each fact — positions, edge limits, signatures, reference planes —
+// from the finished body, and reports every rule broken.
+func (m *Module) verifyFunc(f *Func, opts VerifyOptions, pos *Positions) error {
+	f.PositionsInto(pos)
+	r := Rules{m: m, f: f, pos: pos, allowMem: opts.AllowMem}
+	var errs []error
+	report := func(err error) {
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
 	for bi, b := range f.Blocks {
-		if len(b.Phis) > 0 && len(b.Preds) < 1 {
-			errs = append(errs, fmt.Errorf("block %d has phis but no predecessors", b.Index))
+		report(r.Phis(b, len(b.Phis)))
+		for k, e := range b.Preds {
+			if e.Site != nil {
+				report(r.ExcEdge(e, pos.limitAt(bi, k)))
+			}
 		}
 		for _, in := range b.Phis {
-			if in.Op != OpPhi {
-				errs = append(errs, fmt.Errorf("block %d: non-phi in phi section", b.Index))
-				continue
-			}
-			if len(in.Args) != len(b.Preds) {
-				report(b, in, fmt.Errorf("arity %d != %d predecessors", len(in.Args), len(b.Preds)))
-				continue
-			}
-			if in.Type == tt.Mem {
-				if !opts.AllowMem {
-					report(b, in, fmt.Errorf("memory-state phi outside optimization"))
-				}
-				continue
-			}
-			want := in.Plane()
-			for k, a := range in.Args {
-				if err := availableOnEdge(a, b.Preds[k], pos.limitAt(bi, k)); err != nil {
-					report(b, in, err)
-					continue
-				}
-				if err := m.wantPlane(f, a, want); err != nil {
-					report(b, in, fmt.Errorf("operand %d: %w", k, err))
-				}
-			}
-			// Safe-index phis stay on one plane only if the binding
-			// array value dominates the block (Appendix A).
-			if in.Bind != NoValue {
-				if err := available(in.Bind, b, 0); err != nil {
-					report(b, in, fmt.Errorf("safe-index binding: %w", err))
+			operands, err := r.Phi(b, in)
+			report(err)
+			for k := range in.Args {
+				if operands {
+					report(r.PhiOperand(b, in, k, pos.limitAt(bi, k)))
 				}
 			}
 		}
 		for i, in := range b.Code {
-			userPos := i + 1
-			for _, a := range in.Args {
-				if a == NoValue {
-					report(b, in, fmt.Errorf("missing operand"))
-					continue
-				}
-				if err := available(a, b, userPos); err != nil {
-					report(b, in, err)
-				}
+			sig, err := m.Signature(f, in)
+			if in.Op == OpMem0 && opts.AllowMem {
+				sig, err = Signature{Result: m.Types.Mem}, nil
 			}
-			report(b, in, m.verifyInstrTyping(f, in, opts))
+			if err != nil {
+				report(r.Code(b, i+1, in, nil))
+				report(instrErr(b, in, err))
+				continue
+			}
+			report(r.Code(b, i+1, in, &sig))
 		}
 	}
 
-	// CST-referenced values must be available at their reference block.
 	var walkCST func(n *CSTNode)
 	walkCST = func(n *CSTNode) {
 		if n == nil {
@@ -581,75 +730,14 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions) error {
 		slot, want, err := m.RefPlane(f, n)
 		switch {
 		case err != nil:
-			errs = append(errs, err)
-		case slot == nil || *slot == NoValue:
-		case n.At == nil:
-			errs = append(errs, fmt.Errorf("%s node without reference block", n.Kind))
-		default:
-			err := available(*slot, n.At, len(n.At.Code)+1)
-			if err == nil {
-				err = m.wantPlane(f, *slot, want)
-			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("%s reference: %w", n.Kind, err))
-			}
+			report(err)
+		case slot != nil && *slot != NoValue:
+			report(r.Ref(n, *slot, want))
 		}
 		for _, k := range n.Kids {
 			walkCST(k)
 		}
 	}
 	walkCST(f.Body)
-
 	return errors.Join(errs...)
-}
-
-func describePlane(tt *TypeTable, k PlaneKey) string {
-	s := tt.Describe(k.Type)
-	if k.Bind != NoValue {
-		s += fmt.Sprintf("@v%d", k.Bind)
-	}
-	return s
-}
-
-// wantPlane is type separation for one reference: v must be defined on
-// the plane the rule implies for it.
-func (m *Module) wantPlane(f *Func, v ValueID, want PlaneKey) error {
-	def := f.Value(v)
-	if def == nil {
-		return fmt.Errorf("undefined value v%d", v)
-	}
-	if got := def.Plane(); got != want {
-		return fmt.Errorf("v%d on plane %s, want %s",
-			v, describePlane(m.Types, got), describePlane(m.Types, want))
-	}
-	return nil
-}
-
-// verifyInstrTyping checks type separation for one code-section
-// instruction against the signature its opcode implies: arity, each
-// operand's plane, the result plane, and indexcheck's binding.
-func (m *Module) verifyInstrTyping(f *Func, in *Instr, opts VerifyOptions) error {
-	tt := m.Types
-	sig, err := m.Signature(f, in)
-	if in.Op == OpMem0 && opts.AllowMem {
-		sig, err = Signature{Result: tt.Mem}, nil
-	}
-	if err != nil {
-		return err
-	}
-	if n := sig.NumOperands(); len(in.Args) != n {
-		return fmt.Errorf("want %d operands, have %d", n, len(in.Args))
-	}
-	for i, a := range in.Args {
-		if err := m.wantPlane(f, a, sig.Operand(i, in.Args[0])); err != nil {
-			return fmt.Errorf("operand %d: %w", i, err)
-		}
-	}
-	if in.Type != sig.Result {
-		return fmt.Errorf("result plane %s, want %s", tt.Describe(in.Type), tt.Describe(sig.Result))
-	}
-	if sig.BindResult && in.Bind != in.Args[0] {
-		return fmt.Errorf("safe-index result must bind to the checked array value")
-	}
-	return nil
 }

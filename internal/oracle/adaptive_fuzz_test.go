@@ -86,8 +86,9 @@ func adaptiveSeeds(f *testing.F) [][]byte {
 
 // FuzzAdaptiveWire fuzzes the adaptive-wire oracle: every byte string
 // that passes admission must be byte-identical under re-encode at both
-// model versions, and the streaming decoder must agree with the full
-// decoder on verdict and structure under arbitrary mutation. Run by CI
+// model versions, the streaming decoder must agree with the full
+// decoder on verdict and structure under arbitrary mutation, and the
+// verifying decoder with the self-checking verifier (CheckAdmission). Run by CI
 // as a 30s fuzz-smoke job and, through the checked-in testdata/fuzz
 // corpus, on every plain `go test`.
 func FuzzAdaptiveWire(f *testing.F) {
@@ -99,6 +100,9 @@ func FuzzAdaptiveWire(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		if err := oracle.CheckAdaptiveWire(data, fuzzBudgets); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.CheckAdmission(data); err != nil {
 			t.Fatal(err)
 		}
 	})

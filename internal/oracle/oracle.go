@@ -73,8 +73,10 @@ func orDefaults(b Budgets) Budgets {
 // structural half — every operand's definition dominates its use, phi
 // arity matches the incoming edges, phi operands are available on their
 // edge, CST references are available at their block — is enforced in
-// the decoder by its (l, r) alphabets and in Verify by separate code;
-// for that half this is still an independent check.
+// the decoder by its (l, r) alphabets, and DecodeModule calls no rule;
+// for that half Verify's walker is still an independent check.
+// CheckAdmission holds the verifying decoder, which calls the rules as it
+// reads, to the same verdict.
 func CheckWire(data []byte, b Budgets) error {
 	mod, err := wire.DecodeModule(data)
 	if err != nil {
@@ -89,6 +91,34 @@ func CheckWire(data []byte, b Budgets) error {
 		return err
 	}
 	_, _ = runBounded(mod, b)
+	return nil
+}
+
+// CheckAdmission holds admission's two drivers to one verdict on any
+// byte string: the decoder that calls each core.Rules rule as it reads
+// the item (wire.DecodeVerified) admits data exactly when the decoder
+// alone decodes it (wire.DecodeModule) and the self-checking walker
+// (core.Module.Verify) accepts what it decoded — and then the two read
+// the same module. A rule the decoding walk skipped, or fed a fact that
+// is not the one the walker works out, shows here as a unit one driver
+// admits and the other refuses.
+func CheckAdmission(data []byte) error {
+	admitted, verr := wire.DecodeVerified(data)
+	mod, derr := wire.DecodeModule(data)
+	var werr error
+	if derr == nil {
+		werr = mod.Verify(core.VerifyOptions{})
+	}
+	switch {
+	case verr == nil && derr != nil:
+		return fmt.Errorf("oracle: DecodeVerified admitted a unit DecodeModule refuses: %w", derr)
+	case verr == nil && werr != nil:
+		return fmt.Errorf("oracle: DecodeVerified admitted a unit the verifier rejects: %w", werr)
+	case verr != nil && derr == nil && werr == nil:
+		return fmt.Errorf("oracle: DecodeVerified refused a unit the verifier accepts: %w", verr)
+	case verr == nil && admitted.Dump() != mod.Dump():
+		return fmt.Errorf("oracle: DecodeVerified and DecodeModule read different modules")
+	}
 	return nil
 }
 

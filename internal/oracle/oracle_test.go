@@ -228,6 +228,59 @@ func TestCheckExcSites(t *testing.T) {
 	}
 }
 
+// TestVerifyRefusesAStrayExceptionEdge: admission's exception-edge rule
+// (core.Rules.ExcEdge) holds producer output to what the wire can say —
+// an exception edge leaves a potentially-throwing instruction of its
+// source block that is registered as that edge. Neither module below has
+// a wire spelling; before the rule, Verify accepted both.
+func TestVerifyRefusesAStrayExceptionEdge(t *testing.T) {
+	if err := compileExcProbe(t).Verify(core.VerifyOptions{}); err != nil {
+		t.Fatalf("front-end module refused: %v", err)
+	}
+	for name, tamper := range map[string]func(f *core.Func) bool{
+		// The edge stays, its site forgets it.
+		"unregistered site": func(f *core.Func) bool {
+			for in := range f.HandlerOf {
+				delete(f.HandlerOf, in)
+				delete(f.ExcEdge, in)
+				return true
+			}
+			return false
+		},
+		// The edge and its registration move to an instruction of the
+		// same block that cannot throw.
+		"site that cannot throw": func(f *core.Func) bool {
+			for in, h := range f.HandlerOf {
+				k := f.ExcEdge[in]
+				for _, c := range in.Blk.Code {
+					if !c.Op.CanThrow() {
+						delete(f.HandlerOf, in)
+						delete(f.ExcEdge, in)
+						f.AddExcSite(c, h, k)
+						h.Preds[k].Site = c
+						return true
+					}
+				}
+			}
+			return false
+		},
+	} {
+		mod, tampered := compileExcProbe(t), false
+		for _, f := range mod.Funcs {
+			if tamper(f) {
+				tampered = true
+				break
+			}
+		}
+		if !tampered {
+			t.Fatalf("%s: probe program has no site to tamper with", name)
+		}
+		if err := mod.Verify(core.VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "exception edge") {
+			t.Errorf("%s: Verify answered %v, want the exception-edge rule's refusal", name, err)
+		}
+	}
+}
+
 func TestCanonicalWireOnCorpus(t *testing.T) {
 	for _, seed := range []string{"0", "1", "2", "canon"} {
 		files := corpus.GenerateFuzz(seed, 5, 4)

@@ -157,3 +157,37 @@ func TestSchedulesCannotDisagreeSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionDriversAgreeOnSeeds holds admission's two drivers to one
+// verdict (oracle.CheckAdmission) over every checked-in seed of every
+// fuzz target that reads wire bytes, clean, truncated at every prefix
+// that is cheap to try, and under a byte-flip sweep: the decoder that
+// calls each rule as it reads admits a unit exactly when the decoder
+// alone reads it and the self-checking walker accepts what it read.
+func TestAdmissionDriversAgreeOnSeeds(t *testing.T) {
+	for _, dir := range []string{
+		filepath.Join("..", "wire", "testdata", "fuzz", "FuzzWireDecode"),
+		filepath.Join("testdata", "fuzz", "FuzzAdaptiveWire"),
+		filepath.Join("testdata", "fuzz", "FuzzCompiledDifferential"),
+		filepath.Join("testdata", "fuzz", "FuzzPreparedDifferential"),
+		filepath.Join("testdata", "fuzz", "FuzzPooledDifferential"),
+		filepath.Join("testdata", "fuzz", "FuzzModulePasses"),
+	} {
+		for name, data := range checkedInSeeds(t, dir) {
+			check := func(what string, data []byte) {
+				if err := oracle.CheckAdmission(data); err != nil {
+					t.Fatalf("%s/%s, %s: %v", filepath.Base(dir), name, what, err)
+				}
+			}
+			check("clean", data)
+			for cut := 0; cut < len(data); cut += len(data)/64 + 1 {
+				check("cut at "+strconv.Itoa(cut), data[:cut])
+			}
+			for at := 0; at < len(data); at += 7 {
+				mut := bytes.Clone(data)
+				mut[at] ^= 0x40
+				check("flip at "+strconv.Itoa(at), mut)
+			}
+		}
+	}
+}

@@ -25,7 +25,14 @@ type Arena struct {
 	blockVec core.Slab[*core.Block]   // Func.Blocks
 	preds    core.Slab[core.Pred]     // Block.Preds, normal edges
 	funcs    core.Slab[core.Func]     // a retaining cursor's bodies
-	types    core.Slab[core.TypeID]   // a kept Func's Params
+	types    core.Slab[core.TypeID]   // a kept Func's Params, a MethodRef's Params
+
+	// The head's tables, kept at their exact lengths as the bodies are.
+	fields   core.Slab[core.FieldRef]
+	methods  core.Slab[core.MethodRef]
+	classes  core.Slab[core.ClassDef]
+	classVec core.Slab[*core.ClassDef]
+	indices  core.Slab[int32] // a ClassDef's Fields, Methods and VTable; Module.StaticInit
 
 	// Per-function state, reused from one function to the next; nothing
 	// here is reachable from the module.
@@ -41,11 +48,15 @@ type Arena struct {
 	handlers []*core.Block
 	sitePos  map[*core.Instr]int
 	// vals and params are where a kept Func's value table and parameter
-	// list are built before they are kept at their exact length; pos is
-	// the verifier's position table.
+	// list are built before they are kept at their exact length.
 	vals   []*core.Instr
 	params []core.TypeID
-	pos    core.Positions
+	// Where the head's tables are built before they are kept: params
+	// serves a method's parameters.
+	fieldBuf  []core.FieldRef
+	methodBuf []core.MethodRef
+	classBuf  []*core.ClassDef
+	indexBuf  []int32
 	// sites are the exception-site maps (Func.ExcEdge, Func.HandlerOf) of
 	// the bodies decoded into the arena, made once and cleared by Rewind;
 	// the first nsites are in use.
@@ -90,7 +101,8 @@ func (a *Arena) siteMaps() (map[*core.Instr]int, map[*core.Instr]*core.Block) {
 func (a *Arena) Rewind() int {
 	n := a.instrs.Rewind() + a.nodes.Rewind() + a.blocks.Rewind() + a.args.Rewind() +
 		a.instrVec.Rewind() + a.nodeVec.Rewind() + a.blockVec.Rewind() + a.preds.Rewind() +
-		a.funcs.Rewind() + a.types.Rewind()
+		a.funcs.Rewind() + a.types.Rewind() + a.fields.Rewind() + a.methods.Rewind() +
+		a.classes.Rewind() + a.classVec.Rewind() + a.indices.Rewind()
 	for i := range a.sites[:a.nsites] {
 		s := &a.sites[i]
 		if len(s.edge) > maxKeptPlanes {
@@ -115,8 +127,10 @@ func (a *Arena) Rewind() int {
 		n += int(unsafe.Sizeof(*a.mdl))
 	}
 	n += 8*(cap(a.kids)+cap(a.blks)+cap(a.code)+cap(a.handlers)+cap(a.vals)) +
-		int(unsafe.Sizeof(loopShape{}))*cap(a.loops) + 4*(cap(a.params)+a.pos.Cap()) +
-		int(unsafe.Sizeof(siteMaps{}))*cap(a.sites) + 16*len(a.sitePos) + a.rf.bytes()
+		int(unsafe.Sizeof(loopShape{}))*cap(a.loops) + 4*cap(a.params) +
+		int(unsafe.Sizeof(siteMaps{}))*cap(a.sites) + 16*len(a.sitePos) + a.rf.bytes() +
+		int(unsafe.Sizeof(core.FieldRef{}))*cap(a.fieldBuf) +
+		int(unsafe.Sizeof(core.MethodRef{}))*cap(a.methodBuf) + 8*cap(a.classBuf) + 4*cap(a.indexBuf)
 	return n
 }
 
@@ -132,6 +146,11 @@ func (a *Arena) recycle() {
 	a.preds.Recycle()
 	a.funcs.Recycle()
 	a.types.Recycle()
+	a.fields.Recycle()
+	a.methods.Recycle()
+	a.classes.Recycle()
+	a.classVec.Recycle()
+	a.indices.Recycle()
 }
 
 // dropScratch lets go of the per-function state once a cursor with an
@@ -141,5 +160,6 @@ func (a *Arena) recycle() {
 func (a *Arena) dropScratch() {
 	a.f, a.rf, a.sitePos = nil, regFile{}, nil
 	a.kids, a.blks, a.code, a.loops, a.handlers = nil, nil, nil, nil, nil
-	a.vals, a.params, a.pos = nil, nil, core.Positions{}
+	a.vals, a.params = nil, nil
+	a.fieldBuf, a.methodBuf, a.classBuf, a.indexBuf = nil, nil, nil, nil
 }

@@ -52,12 +52,11 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 	if err != nil {
 		return err
 	}
-	if nPhis > 0 && len(b.Preds) == 0 {
-		// A phi operand is a per-incoming-edge reference; a block with no
-		// predecessors offers no edge alphabet to draw from, so the
-		// spelling is inadmissible (the verifier would reject it too, but
-		// wire admission must not produce unverifiable modules at all).
-		return malformedf("phis in a block with no predecessors")
+	// A block with no predecessors offers no edge alphabet to draw phi
+	// operands from: checked before the phis are read, and by DecodeModule
+	// too, which must not produce unverifiable modules at all.
+	if err := d.rules.Phis(b, nPhis); err != nil {
+		return malformedf("%v", err)
 	}
 	// Both sections are collected on d.code and kept at the length they
 	// turned out to have; nPhis and nCode are only what the stream claims.
@@ -97,7 +96,7 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 	}
 	for i := 0; i < nCode; i++ {
 		p := base + i + 1
-		in, err := d.decodeInstr(b)
+		in, err := d.decodeInstr(b, p)
 		if err != nil {
 			return err
 		}
@@ -108,9 +107,15 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 				if f.ExcEdge == nil {
 					f.ExcEdge, f.HandlerOf = d.siteMaps()
 				}
+				e := core.Pred{From: b, Site: in}
 				f.AddExcSite(in, h, len(h.Preds))
-				h.Preds = append(h.Preds, core.Pred{From: b, Site: in})
+				h.Preds = append(h.Preds, e)
 				d.sitePos[in] = p
+				if d.verify {
+					if err := d.rules.ExcEdge(e, p); err != nil {
+						return malformedf("%v", err)
+					}
+				}
 			}
 		}
 	}
@@ -144,14 +149,15 @@ func (d *decoder) decodeRef(b *core.Block, plane core.PlaneKey, limit int) (core
 	return w[r].id, nil
 }
 
-// decodeEdgeRef reads a phi operand relative to an edge source, windowed
-// to the registers before the throwing site on exception edges.
-func (d *decoder) decodeEdgeRef(edge core.Pred, plane core.PlaneKey) (core.ValueID, error) {
-	limit := -1
-	if edge.Site != nil {
-		limit = d.sitePos[edge.Site]
+// edgeLimit is how far into its source block an edge's phi operands see,
+// by sitePos, the position of each exception site: the whole block (-1)
+// on a normal edge, the registers before the throwing site on an
+// exception edge.
+func edgeLimit(edge core.Pred, sitePos map[*core.Instr]int) int {
+	if edge.Site == nil {
+		return -1
 	}
-	return d.decodeRef(edge.From, plane, limit)
+	return sitePos[edge.Site]
 }
 
 func (d *decoder) decodeCSTRefs(n *core.CSTNode) error {
@@ -167,6 +173,11 @@ func (d *decoder) decodeCSTRefs(n *core.CSTNode) error {
 		if *slot, err = d.decodeRef(n.At, plane, -1); err != nil {
 			return err
 		}
+		if d.verify {
+			if err := d.rules.Ref(n, *slot, plane); err != nil {
+				return malformedf("%v", err)
+			}
+		}
 	}
 	for _, k := range n.Kids {
 		if err := d.decodeCSTRefs(k); err != nil {
@@ -181,8 +192,11 @@ func (d *decoder) decodeCSTRefs(n *core.CSTNode) error {
 // core.Signature, whose result plane the instruction takes. Operands and
 // result are never free to disagree with the rule the verifier checks —
 // they are read through it — and a stream whose immediates break one of
-// its side conditions is malformed.
-func (d *decoder) decodeInstr(b *core.Block) (*core.Instr, error) {
+// its side conditions is malformed. A verifying decoder then admits the
+// instruction, at position p of block b, through that same Signature
+// (core.Rules.Code): this is the one place a decoded instruction's
+// Signature is computed.
+func (d *decoder) decodeInstr(b *core.Block, p int) (*core.Instr, error) {
 	r := d.r
 	opv, err := r.opcode()
 	if err != nil {
@@ -214,6 +228,11 @@ func (d *decoder) decodeInstr(b *core.Block) (*core.Instr, error) {
 	}
 	if in.Type != d.m.Types.Void {
 		d.f.Define(in)
+	}
+	if d.verify {
+		if err := d.rules.Code(b, p, in, &sig); err != nil {
+			return nil, malformedf("%v", err)
+		}
 	}
 	return in, nil
 }

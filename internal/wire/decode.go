@@ -150,7 +150,12 @@ func newStreamReader(src *byteSource, o DecodeOptions, mdl *model, v1Only bool) 
 func (d *decoder) decodeHead(r symReader) error {
 	d.r, d.m = r, &core.Module{Types: core.NewTypeTable()}
 	var err error
-	if d.nFuncs, err = d.decodeTables(); err != nil {
+	d.nFuncs, err = d.decodeTables()
+	if !d.lent {
+		// Only a lent arena keeps its scratch for the next unit.
+		d.fieldBuf, d.methodBuf, d.classBuf, d.indexBuf = nil, nil, nil, nil
+	}
+	if err != nil {
 		return err
 	}
 	if d.adm, err = d.m.VerifyTables(d.nFuncs); err != nil {
@@ -166,6 +171,11 @@ type decoder struct {
 	// the verified tables grant those functions.
 	nFuncs int
 	adm    *core.Admission
+	// verify admits each item of a body as it is decoded, through the
+	// rule set of the body being decoded (core.Rules); false is
+	// DecodeModule's decoding alone.
+	verify bool
+	rules  core.Rules
 
 	// The memory bodies are decoded into, which is the unit's: the
 	// cursor's own arena, or one its caller lent it.
@@ -284,10 +294,13 @@ func (d *decoder) decodeTables() (int, error) {
 		tt.AddClass(name, super)
 	}
 
+	// Each table is collected in the arena's scratch and kept at the
+	// length it turned out to have: a declared count sizes nothing.
 	nFields, err := d.count("field")
 	if err != nil {
 		return 0, err
 	}
+	fields := d.fieldBuf[:0]
 	for i := 0; i < nFields; i++ {
 		var fr core.FieldRef
 		if fr.Owner, err = d.refTypeRef(); err != nil {
@@ -312,13 +325,17 @@ func (d *decoder) decodeTables() (int, error) {
 			return 0, err
 		}
 		fr.Slot = int32(slot)
-		d.m.Fields = append(d.m.Fields, fr)
+		fields = append(fields, fr)
 	}
+	d.m.Fields = d.fields.Keep(fields)
+	clear(fields)
+	d.fieldBuf = fields[:0]
 
 	nMethods, err := d.count("method")
 	if err != nil {
 		return 0, err
 	}
+	methods := d.methodBuf[:0]
 	for i := 0; i < nMethods; i++ {
 		var mr core.MethodRef
 		if mr.Owner, err = d.refTypeRef(); err != nil {
@@ -331,13 +348,15 @@ func (d *decoder) decodeTables() (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		ps := d.params[:0]
 		for j := 0; j < np; j++ {
 			p, err := d.typeRef()
 			if err != nil {
 				return 0, err
 			}
-			mr.Params = append(mr.Params, p)
+			ps = append(ps, p)
 		}
+		mr.Params, d.params = d.types.Keep(ps), ps[:0]
 		if mr.Result, err = d.typeRef(); err != nil {
 			return 0, err
 		}
@@ -362,15 +381,33 @@ func (d *decoder) decodeTables() (int, error) {
 			return 0, err
 		}
 		mr.FuncIdx = int32(fi)
-		d.m.Methods = append(d.m.Methods, mr)
+		methods = append(methods, mr)
 	}
+	d.m.Methods = d.methods.Keep(methods)
+	clear(methods)
+	d.methodBuf = methods[:0]
 
 	nClasses, err := d.count("class")
 	if err != nil {
 		return 0, err
 	}
+	classes := d.classBuf[:0]
+	// indices reads a vector of n symbols of an alphabet of size k into
+	// the arena.
+	indices := func(n, k int) ([]int32, error) {
+		v := d.indexBuf[:0]
+		for j := 0; j < n; j++ {
+			s, err := r.symbol(k)
+			if err != nil {
+				return nil, err
+			}
+			v = append(v, int32(s))
+		}
+		d.indexBuf = v[:0]
+		return d.indices.Keep(v), nil
+	}
 	for i := 0; i < nClasses; i++ {
-		cd := &core.ClassDef{}
+		cd := d.classes.One()
 		if cd.Type, err = d.refTypeRef(); err != nil {
 			return 0, err
 		}
@@ -383,23 +420,15 @@ func (d *decoder) decodeTables() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		for j := 0; j < nf; j++ {
-			v, err := r.symbol(len(d.m.Fields))
-			if err != nil {
-				return 0, err
-			}
-			cd.Fields = append(cd.Fields, int32(v))
+		if cd.Fields, err = indices(nf, len(d.m.Fields)); err != nil {
+			return 0, err
 		}
 		nm, err := d.count("class method")
 		if err != nil {
 			return 0, err
 		}
-		for j := 0; j < nm; j++ {
-			v, err := r.symbol(len(d.m.Methods))
-			if err != nil {
-				return 0, err
-			}
-			cd.Methods = append(cd.Methods, int32(v))
+		if cd.Methods, err = indices(nm, len(d.m.Methods)); err != nil {
+			return 0, err
 		}
 		ns, err := d.count("slot")
 		if err != nil {
@@ -415,28 +444,29 @@ func (d *decoder) decodeTables() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		for j := 0; j < nv; j++ {
-			v, err := r.symbol(len(d.m.Methods))
-			if err != nil {
-				return 0, err
-			}
-			cd.VTable = append(cd.VTable, int32(v))
+		if cd.VTable, err = indices(nv, len(d.m.Methods)); err != nil {
+			return 0, err
 		}
-		d.m.Classes = append(d.m.Classes, cd)
+		classes = append(classes, cd)
 	}
+	d.m.Classes = d.classVec.Keep(classes)
+	clear(classes)
+	d.classBuf = classes[:0]
 
 	entry, err := r.svarint()
 	if err != nil {
 		return 0, err
 	}
 	d.m.Entry = int32(entry)
+	inits := d.indexBuf[:0]
 	for range d.m.Classes {
 		v, err := r.svarint()
 		if err != nil {
 			return 0, err
 		}
-		d.m.StaticInit = append(d.m.StaticInit, int32(v))
+		inits = append(inits, int32(v))
 	}
+	d.m.StaticInit, d.indexBuf = d.indices.Keep(inits), inits[:0]
 	return d.count("function")
 }
 
@@ -463,7 +493,7 @@ func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 		f.Params = append(f.Params, mr.Params...)
 		f.Method, f.Result = method, mr.Result
 	}
-	d.f = f
+	d.f, d.rules = f, d.adm.Rules(f, &d.rf.pos)
 	var err error
 
 	// Phase 1: CST productions; blocks materialize in order.
@@ -481,7 +511,7 @@ func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 	f.FinishIn(&d.blockVec)
 
 	// Phase 2: block contents in the canonical CST order.
-	d.rf.reset(len(d.m.Types.ByID))
+	d.rf.reset(len(d.m.Types.ByID), 0)
 	d.handlers = d.handlers[:0]
 	if d.sitePos == nil || len(d.sitePos) > maxKeptPlanes {
 		d.sitePos = make(map[*core.Instr]int)
@@ -492,17 +522,30 @@ func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 		return nil, err
 	}
 
-	// Phase 3: phi operands, then CST value references.
+	// Phase 3: phi operands, then CST value references, each admitted
+	// as it is read when verifying.
 	r.setProd(prodRefs)
 	for _, b := range f.Blocks {
 		for _, phi := range b.Phis {
 			phi.Args = d.args.Take(len(b.Preds))
+			if d.verify {
+				if _, err := d.rules.Phi(b, phi); err != nil {
+					return nil, malformedf("%v", err)
+				}
+			}
 			for k := range phi.Args {
-				v, err := d.decodeEdgeRef(b.Preds[k], phi.Plane())
+				e := b.Preds[k]
+				limit := edgeLimit(e, d.sitePos)
+				v, err := d.decodeRef(e.From, phi.Plane(), limit)
 				if err != nil {
 					return nil, err
 				}
 				phi.Args[k] = v
+				if d.verify {
+					if err := d.rules.PhiOperand(b, phi, k, limit); err != nil {
+						return nil, malformedf("%v", err)
+					}
+				}
 			}
 		}
 	}

@@ -20,7 +20,8 @@ import (
 // either fail cleanly or produce a module the verifier accepts, in
 // canonical wire form, that runs to a guest-visible outcome under step
 // and allocation budgets. oracle.CheckWire encodes exactly that
-// contract; any non-nil result is a decoder admission bug.
+// contract, and oracle.CheckAdmission that the verifying decoder reaches
+// the verifier's verdict; any non-nil result is a decoder admission bug.
 //
 // Seeds: a handful of degenerate prefixes plus real encodings of corpus
 // programs, so mutation starts from streams that reach deep decoder
@@ -39,6 +40,9 @@ func FuzzWireDecode(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		if err := oracle.CheckWire(data, budgets); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.CheckAdmission(data); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -41,6 +41,10 @@ type regFile struct {
 	// instructions. It is made when the first one is filled.
 	bound  map[core.PlaneKey]int32
 	planes []plane
+	// pos is where each register's value is defined in its block, by
+	// ValueID: the position table both ends place values in as they
+	// fill the file, which the decoder's admission rules read.
+	pos core.Positions
 }
 
 // plane is one register plane's vector, with the key that finds it and
@@ -56,14 +60,16 @@ type plane struct {
 const maxKeptPlanes = 1 << 10
 
 // reset empties the file for the next function of a module whose type
-// table has types entries.
-func (rf *regFile) reset(types int) {
+// table has types entries, with room to place values of them (0: as
+// many as are filled).
+func (rf *regFile) reset(types, values int) {
 	for _, p := range rf.planes {
 		if p.key.Bind == core.NoValue {
 			rf.byType[p.key.Type] = 0
 		}
 	}
 	rf.planes = rf.planes[:0]
+	rf.pos.Reset(values)
 	if len(rf.byType) < types {
 		rf.byType = make([]int32, types)
 	}
@@ -91,6 +97,7 @@ func (rf *regFile) add(b *core.Block, in *core.Instr, pos int) {
 	if !in.HasResult() {
 		return
 	}
+	rf.pos.Place(in.ID, pos)
 	k := in.Plane()
 	i := rf.find(k)
 	if i < 0 {
@@ -184,7 +191,7 @@ func indexOf(w []regEntry, id core.ValueID, pos int) int {
 
 // bytes is what the file keeps between functions and units.
 func (rf *regFile) bytes() int {
-	n := 4*cap(rf.byType) + int(unsafe.Sizeof(core.PlaneKey{})+4)*len(rf.bound) +
+	n := 4*(cap(rf.byType)+rf.pos.Cap()) + int(unsafe.Sizeof(core.PlaneKey{})+4)*len(rf.bound) +
 		int(unsafe.Sizeof(plane{}))*cap(rf.planes)
 	for _, p := range rf.planes[:cap(rf.planes)] {
 		n += int(unsafe.Sizeof(regEntry{})) * cap(p.regs)

@@ -13,6 +13,7 @@ import (
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/opt"
+	"safetsa/internal/oracle"
 	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
@@ -231,6 +232,27 @@ func TestDecodeTruncations(t *testing.T) {
 			if err := e.decode(tc.data); !errors.Is(err, wire.ErrMalformed) {
 				t.Fatalf("%s/v2: %s: got %v, want ErrMalformed", e.name, tc.name, err)
 			}
+		}
+	}
+}
+
+// TestAdmissionAgreesOnTruncations runs admission's verdict oracle
+// (oracle.CheckAdmission) over every prefix TestDecodeTruncations cuts,
+// and the two misframed payloads: on each, the decoder that admits as it
+// reads and the self-checking verifier reach the same verdict.
+func TestAdmissionAgreesOnTruncations(t *testing.T) {
+	mod := compileAll(t, testPrograms["objects"], true)
+	v1, v2 := wire.EncodeModule(mod), wire.EncodeModuleV2(mod, nil)
+	for _, data := range [][]byte{v1, v2} {
+		for cut := 0; cut <= len(data); cut++ {
+			if err := oracle.CheckAdmission(data[:cut]); err != nil {
+				t.Fatalf("prefix of %d/%d bytes: %v", cut, len(data), err)
+			}
+		}
+	}
+	for _, data := range [][]byte{reframe(t, v2, -1, nil), reframe(t, v2, 1, []byte{0})} {
+		if err := oracle.CheckAdmission(data); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

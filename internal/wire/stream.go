@@ -32,20 +32,19 @@ import (
 // Soundness (DESIGN.md §11): the admitted prefix is exactly as
 // trustworthy as a fully decoded unit because (a) the tables are
 // immutable and statically verified up front, and (b) admitting
-// function j (Admission.Body: its link holds by construction, its name,
-// method and signature being its claim's) depends only on those tables
-// and on body j — so running it when j is first called or after
-// everything has arrived is the same computation, and Module.Verify is
-// by definition that rule for every j.
+// function j (core.Rules, called on each item as it is decoded: its link
+// holds by construction, its name, method and signature being its
+// claim's) depends only on those tables and on body j — so running it
+// when j is first called or after everything has arrived is the same
+// computation, and Module.Verify drives the same rules for every j.
 type StreamingUnit struct {
 	// Mod has complete, verified tables from construction time. Its Funcs
 	// grows by append, one admitted function at a time: it never holds a
 	// slot admission has not passed.
 	Mod *core.Module
 
-	d      decoder    // in place: a unit is opened with one allocation
-	src    byteSource // the unit in memory, or the stream and its buffer
-	verify bool       // run the body checks; false is DecodeModule's decoding alone
+	d   decoder    // in place: a unit is opened with one allocation
+	src byteSource // the unit in memory, or the stream and its buffer
 
 	ended bool // every function admitted and the stream closed cleanly
 	err   error
@@ -101,7 +100,8 @@ func OpenVerified(data []byte, a *Arena) (*StreamingUnit, error) {
 // the cursor standing before function 0, decoding into a — or, when a is
 // nil, into an arena of its own.
 func openUnit(src byteSource, o DecodeOptions, a *Arena, v1Only, verify bool) (*StreamingUnit, error) {
-	su := &StreamingUnit{src: src, verify: verify}
+	su := &StreamingUnit{src: src}
+	su.d.verify = verify
 	var mdl *model
 	if a == nil {
 		a = new(Arena) // the unit's, for as long as it lives
@@ -146,24 +146,20 @@ func (su *StreamingUnit) advance(step func() error) {
 }
 
 // pull is the one loop over function bodies, behind every decoder entry
-// point: decode function j from its claim, admit it — the body checks
-// for DecodeVerified and the streams, nothing more for the non-verifying
-// DecodeModule — and append it to Mod.Funcs, until n functions are
-// admitted. Nothing reaches Mod.Funcs that admission rejected, and a
-// module whose functions were all appended is one Module.Verify accepts
-// (given verify), because Verify is this loop without the decoding: its
-// link rule holds by construction for a body decoded from its claim.
+// point: decode function j from its claim — admitting each item of the
+// body through its rule as it is read, for DecodeVerified and the streams,
+// nothing more for the non-verifying DecodeModule — and append it to
+// Mod.Funcs, until n functions are admitted. Nothing reaches Mod.Funcs
+// that admission rejected, and a module whose functions were all appended
+// is one Module.Verify accepts (given verify), because Verify drives the
+// same rules over the finished bodies: its link rule holds by
+// construction for a body decoded from its claim.
 func (su *StreamingUnit) pull(n int) error {
 	d := &su.d
 	for j := len(d.m.Funcs); j < n; j++ {
 		f, err := d.decodeFunc(j)
 		if err != nil {
 			return fmt.Errorf("function %d: %w", j, err)
-		}
-		if su.verify {
-			if err := d.adm.Body(j, f, core.VerifyOptions{Scratch: &d.pos}); err != nil {
-				return malformedf("%v", err)
-			}
 		}
 		d.m.Funcs = append(d.m.Funcs, f)
 	}
