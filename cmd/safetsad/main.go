@@ -8,7 +8,7 @@
 //	         [-units N] [-modules N] [-maxsteps N] [-maxallocs N]
 //	         [-run-timeout D] [-tenant-inflight N] [-pool-units N]
 //	         [-stagetimeout D] [-traces N] [-debug-addr ADDR]
-//	         [-module-opt] [-wire-version 1|2] [-drain D]
+//	         [-module-opt] [-wire-version 2|1] [-drain D]
 //	         [-node NAME -peers NAME=URL,... [-vnodes N] [-gossip D]]
 //
 // API:
@@ -48,6 +48,10 @@
 //	             keeps guest recursion off the end of the Go stack
 //	deadline     -run-timeout expired
 //	interrupt    the client went away or the daemon is draining
+//
+// Units are encoded in the adaptive v2 wire format; -wire-version 1 asks
+// for the fixed-code v1 format instead. The version is part of a unit's
+// content key, so a fleet's members must agree on it.
 //
 // -tenant-inflight bounds each tenant's concurrent
 // runs (default unlimited) — beyond it the server answers 429 with
@@ -111,8 +115,8 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	moduleOpt := flag.Bool("module-opt", false,
 		"upgrade optimizing compiles to the interprocedural tier (devirtualization, inlining)")
-	wireVersion := flag.Int("wire-version", 0,
-		"wire format for newly encoded units: 1 fixed-code, 2 adaptive (0 = v1); part of the cache key")
+	wireVersion := flag.Int("wire-version", 2,
+		"wire format for newly encoded units: 2 adaptive, 1 fixed-code (0 = 1); part of the cache key")
 	drain := flag.Duration("drain", 10*time.Second, "max time to drain in-flight runs on shutdown")
 
 	node := flag.String("node", "", "fleet member name (enables cluster mode with -peers)")

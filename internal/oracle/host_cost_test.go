@@ -272,9 +272,10 @@ func serveHostileSource(shape string) {
 // POST to it.
 func servedAtDefaults() (url string, post func(path, contentType string, body []byte) (int, []byte)) {
 	srv, err := codeserver.New(codeserver.Config{
-		MaxSteps:   codeserver.DefaultMaxSteps,
-		MaxAllocs:  codeserver.DefaultMaxAllocs,
-		RunTimeout: codeserver.DefaultRunTimeout,
+		MaxSteps:    codeserver.DefaultMaxSteps,
+		MaxAllocs:   codeserver.DefaultMaxAllocs,
+		RunTimeout:  codeserver.DefaultRunTimeout,
+		WireVersion: 2,
 	})
 	if err != nil {
 		panic(err)
