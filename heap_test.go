@@ -157,27 +157,27 @@ func TestWarmArenaCompileByteCeiling(t *testing.T) {
 // closure on the heap, allocated two to three times as much
 // (BenchmarkColdRun B/op, recorded in CHANGES.md).
 var coldRunCeilings = map[string]uint64{
-	"BatchEnvironment":        16800 * 11 / 10,
-	"BatchParser":             14968 * 11 / 10,
-	"CompilerMember":          11680 * 11 / 10,
-	"ErrorMessage":            13312 * 11 / 10,
-	"Main":                    16656 * 11 / 10,
-	"SourceClass":             16832 * 11 / 10,
-	"SourceMember":            16336 * 11 / 10,
-	"AmbiguousClass":          11592 * 11 / 10,
-	"AmbiguousMember":         13232 * 11 / 10,
-	"ArrayType":               13288 * 11 / 10,
-	"BinaryAttribute":         14152 * 11 / 10,
-	"BinaryClass":             19912 * 11 / 10,
-	"BinaryCode":              14480 * 11 / 10,
-	"Parser":                  18904 * 11 / 10,
-	"Scanner":                 15544 * 11 / 10,
-	"BigDecimal":              12512 * 11 / 10,
-	"BigInteger":              17704 * 11 / 10,
-	"BitSieve":                13488 * 11 / 10,
-	"MutableBigInteger":       14960 * 11 / 10,
-	"SignedMutableBigInteger": 15000 * 11 / 10,
-	"Linpack":                 14912 * 11 / 10,
+	"BatchEnvironment":        16432 * 11 / 10,
+	"BatchParser":             14776 * 11 / 10,
+	"CompilerMember":          11552 * 11 / 10,
+	"ErrorMessage":            13200 * 11 / 10,
+	"Main":                    16504 * 11 / 10,
+	"SourceClass":             16592 * 11 / 10,
+	"SourceMember":            16096 * 11 / 10,
+	"AmbiguousClass":          11488 * 11 / 10,
+	"AmbiguousMember":         13128 * 11 / 10,
+	"ArrayType":               13192 * 11 / 10,
+	"BinaryAttribute":         13976 * 11 / 10,
+	"BinaryClass":             19704 * 11 / 10,
+	"BinaryCode":              14352 * 11 / 10,
+	"Parser":                  18504 * 11 / 10,
+	"Scanner":                 15408 * 11 / 10,
+	"BigDecimal":              12280 * 11 / 10,
+	"BigInteger":              17384 * 11 / 10,
+	"BitSieve":                13304 * 11 / 10,
+	"MutableBigInteger":       14528 * 11 / 10,
+	"SignedMutableBigInteger": 14536 * 11 / 10,
+	"Linpack":                 14720 * 11 / 10,
 }
 
 // TestColdRunByteCeiling: a cold run decodes the bodies its guest calls

@@ -353,8 +353,8 @@ var mangles = []struct {
 			t.Fatal(err)
 		}
 		tail := int(su.Offset()) // where the last function starts
-		if err := su.WaitFunc(last); err != nil || !strings.HasSuffix(su.Mod.Funcs[last].Name, "unused") {
-			t.Fatalf("the last function on the wire is %s (%v), want the one main does not call", su.Mod.Funcs[last].Name, err)
+		if err := su.WaitFunc(last); err != nil || !strings.HasSuffix(su.Mod.FuncName(su.Mod.Funcs[last]), "unused") {
+			t.Fatalf("the last function on the wire is %s (%v), want the one main does not call", su.Mod.FuncName(su.Mod.Funcs[last]), err)
 		}
 		out = append(out, u.Wire[:tail+1:tail+1], u.Wire[:len(u.Wire)-1:len(u.Wire)-1])
 		for i := tail; i < len(u.Wire); i++ {

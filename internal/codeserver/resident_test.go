@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -41,7 +40,7 @@ func tailUnit(t *testing.T) (good []byte, last int, bad []byte) {
 		t.Fatal(err)
 	}
 	last = int(su.Offset())
-	if err := su.WaitFunc(su.NumFuncs() - 1); err != nil || !strings.HasSuffix(su.Mod.Funcs[su.NumFuncs()-1].Name, "unused") {
+	if err := su.WaitFunc(su.NumFuncs() - 1); err != nil || !named(su.Mod, su.Mod.Funcs[su.NumFuncs()-1], "unused") {
 		t.Fatalf("the last body on the wire is not the one main never calls (%v)", err)
 	}
 	for i := last; i < len(good); i++ {

@@ -276,7 +276,7 @@ class Main {
 			}
 			damaged := false
 			for _, f := range lu.Mod.Funcs {
-				if !strings.HasSuffix(f.Name, "main") {
+				if !named(lu.Mod, f, "main") {
 					continue
 				}
 				for _, b := range f.Blocks {
@@ -298,7 +298,7 @@ class Main {
 			if err != nil {
 				t.Fatal(err)
 			}
-			next := slices.IndexFunc(mod.Funcs, func(f *core.Func) bool { return strings.HasSuffix(f.Name, "next") })
+			next := slices.IndexFunc(mod.Funcs, func(f *core.Func) bool { return named(mod, f, "next") })
 			if entry := int(mod.Methods[mod.Entry].FuncIdx); next <= entry {
 				t.Fatalf("next is body %d, not past the entry %d", next, entry)
 			}
@@ -432,7 +432,7 @@ class P {
 		t.Fatal(err)
 	}
 	index := func(name string) int {
-		return slices.IndexFunc(mod.Funcs, func(f *core.Func) bool { return strings.HasSuffix(f.Name, name) })
+		return slices.IndexFunc(mod.Funcs, func(f *core.Func) bool { return named(mod, f, name) })
 	}
 	if u, m := index("never"), index("used"); u < 0 || u > m {
 		t.Fatalf("never is body %d and used body %d: want never first on the wire", u, m)
@@ -453,7 +453,7 @@ class P {
 						return err
 					}
 					for _, f := range su.Mod.Funcs[from:su.Ready()] {
-						if strings.HasSuffix(f.Name, name) {
+						if named(su.Mod, f, name) {
 							damageBody(f)
 							damaged++
 						}
@@ -506,4 +506,10 @@ class P {
 			}
 		})
 	}
+}
+
+// named reports whether f, a body of mod, has a name (Module.FuncName,
+// derived from its claim) ending in suffix.
+func named(mod *core.Module, f *core.Func, suffix string) bool {
+	return strings.HasSuffix(mod.FuncName(f), suffix)
 }

@@ -13,13 +13,13 @@ import (
 // predecessor edges, exception edges included). Since dominance is
 // transitive, this implies every structural ancestor truly dominates, and
 // therefore every (l, r) wire reference is referentially secure.
-func CheckStructuralDominators(f *Func) error {
+func (m *Module) CheckStructuralDominators(f *Func) error {
 	// The flow graph over Block.Index, its edge lists cut from one vector.
 	n := len(f.Blocks)
 	start := make([]int, n+1)
 	for i, b := range f.Blocks {
 		if b.Index != i {
-			return fmt.Errorf("%s: block %d carries index %d: Finish has not run", f.Name, i, b.Index)
+			return fmt.Errorf("%s: block %d carries index %d: Finish has not run", m.FuncName(f), i, b.Index)
 		}
 		start[i+1] = start[i] + len(b.Preds)
 	}
@@ -36,14 +36,14 @@ func CheckStructuralDominators(f *Func) error {
 			continue
 		}
 		if idom[i] < 0 {
-			return fmt.Errorf("%s: block %d unreachable", f.Name, i)
+			return fmt.Errorf("%s: block %d unreachable", m.FuncName(f), i)
 		}
 		// d truly dominates i when it is on i's true dominator chain.
 		d := b.IDom.Index
 		for x := idom[i]; x != d; x = idom[x] {
 			if x == entry {
 				return fmt.Errorf("%s: structural idom %d of block %d is not a true dominator",
-					f.Name, d, i)
+					m.FuncName(f), d, i)
 			}
 		}
 	}
@@ -104,13 +104,13 @@ type LRRef struct {
 func (f *Func) EncodeRef(from *Block, id ValueID, planeIdx map[ValueID]int) LRRef {
 	def := f.DefBlock(id)
 	if def == nil {
-		panic(fmt.Sprintf("core: reference to undefined value v%d in %s", id, f.Name))
+		panic(fmt.Sprintf("core: reference to undefined value v%d in the body of claim %d", id, f.Claim))
 	}
 	l := 0
 	for b := from; b != def; b = b.IDom {
 		if b == nil {
-			panic(fmt.Sprintf("core: value v%d (block %d) does not dominate block %d in %s",
-				id, def.Index, from.Index, f.Name))
+			panic(fmt.Sprintf("core: value v%d (block %d) does not dominate block %d in the body of claim %d",
+				id, def.Index, from.Index, f.Claim))
 		}
 		l++
 	}

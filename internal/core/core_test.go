@@ -130,8 +130,7 @@ func TestConstValString(t *testing.T) {
 //	entry: c0 = const 1; c1 = const 2; s = add c0 c1; cond = lt ...
 //	if cond { b1: add s s } ; b2(join)
 func buildTinyFunc(tt *TypeTable) *Func {
-	f := NewFunc("tiny")
-	f.Result = tt.Void
+	f := NewFunc(-1) // a claim no table of a module without classes makes
 	entry := f.NewBlock()
 	f.Entry = entry
 
@@ -281,7 +280,7 @@ func TestDominatesAndPlaneIndex(t *testing.T) {
 
 func TestRemoveExcSite(t *testing.T) {
 	tt := NewTypeTable()
-	f := NewFunc("exc")
+	f := NewFunc(-1)
 	entry := f.NewBlock()
 	f.Entry = entry
 	handler := f.NewBlock()

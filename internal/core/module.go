@@ -94,6 +94,83 @@ func (m *Module) FuncOf(method int32) *Func {
 	return m.Funcs[fi]
 }
 
+// FuncName is the name of f's claim: Owner.Name for the body of a method,
+// Class.<clinit> for a class's static initializer. A claim outside the
+// tables (a hand-built module's) reads ?claimN, so a diagnostic never
+// panics.
+func (m *Module) FuncName(f *Func) string { return m.claimedName(f.Claim) }
+
+// claimedName is FuncName for claim c.
+func (m *Module) claimedName(c int32) string {
+	switch {
+	case c >= 0 && int(c) < len(m.Methods):
+		mr := &m.Methods[c]
+		return m.Types.Describe(mr.Owner) + "." + mr.Name
+	case c < 0 && int(-1-c) < len(m.Classes):
+		return m.Types.Describe(m.Classes[-1-c].Type) + ".<clinit>"
+	}
+	return fmt.Sprintf("?claim%d", c)
+}
+
+// ClaimedIndex is the function index the tables give claim c: its
+// method's body index, or its class's static-initializer entry; -1 for
+// a claim outside the tables.
+func (m *Module) ClaimedIndex(c int32) int32 {
+	switch {
+	case c >= 0 && int(c) < len(m.Methods):
+		return m.Methods[c].FuncIdx
+	case c < 0 && int(-1-c) < len(m.StaticInit):
+		return m.StaticInit[-1-c]
+	}
+	return -1
+}
+
+// claimedMethod is the method f is the body of, or nil: for a static
+// initializer, or a claim outside the method table.
+func (m *Module) claimedMethod(f *Func) *MethodRef {
+	if f.Claim < 0 || int(f.Claim) >= len(m.Methods) {
+		return nil
+	}
+	return &m.Methods[f.Claim]
+}
+
+// NumParams is how many parameters f's claim gives it: the receiver
+// unless its method is static, then the method's parameters; none for a
+// static initializer.
+func (m *Module) NumParams(f *Func) int {
+	mr := m.claimedMethod(f)
+	switch {
+	case mr == nil:
+		return 0
+	case mr.Static:
+		return len(mr.Params)
+	}
+	return 1 + len(mr.Params)
+}
+
+// Param is the type of f's parameter i < NumParams(f): the receiver's
+// safe-ref unless f's method is static, then the method's parameters.
+// VerifyTables holds every owner to a reference type, which has one.
+func (m *Module) Param(f *Func, i int) TypeID {
+	mr := m.claimedMethod(f)
+	if !mr.Static {
+		if i == 0 {
+			return m.Types.SafeRefOf(mr.Owner)
+		}
+		i--
+	}
+	return mr.Params[i]
+}
+
+// Result is the type f returns: its method's result, void for a static
+// initializer.
+func (m *Module) Result(f *Func) TypeID {
+	if mr := m.claimedMethod(f); mr != nil {
+		return mr.Result
+	}
+	return m.Types.Void
+}
+
 // NumInstrs counts the instructions of every function in the module
 // (phi instructions included) — the "Number of Instructions" column of
 // Figure 5.
@@ -217,7 +294,7 @@ const MaxCSTDepth = 512
 func (m *Module) CheckCSTDepth() error {
 	for _, f := range m.Funcs {
 		if f.Body != nil && cstDeeper(f.Body, MaxCSTDepth) {
-			return fmt.Errorf("%s: control structure nesting deeper than %d levels", f.Name, MaxCSTDepth)
+			return fmt.Errorf("%s: control structure nesting deeper than %d levels", m.FuncName(f), MaxCSTDepth)
 		}
 	}
 	return nil
@@ -244,7 +321,7 @@ func (m *Module) CheckExcSites() error {
 			continue
 		}
 		if err := f.checkExcSites(f.Body, nil, new(int)); err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
+			return fmt.Errorf("%s: %w", m.FuncName(f), err)
 		}
 	}
 	return nil
@@ -288,12 +365,12 @@ func (f *Func) checkExcSites(n *CSTNode, h *Block, next *int) error {
 
 // Func is one SafeTSA function body.
 type Func struct {
-	Name   string
-	Method int32 // method-table index, -1 for synthetic initializers
-	// Params lists the parameter types in order; for instance methods
-	// parameter 0 is the receiver on the safe-ref plane of the owner.
-	Params []TypeID
-	Result TypeID
+	// Claim is what the body is, in Admission's encoding: the body of
+	// method Claim (>= 0), or the static initializer of class definition
+	// -1-Claim. Its name, parameters and result are the claim's, derived
+	// from the tables on demand (Module.FuncName, NumParams, Param,
+	// Result): a body holds no copy of them to disagree with its tables.
+	Claim int32
 
 	Body  *CSTNode
 	Entry *Block
@@ -318,21 +395,21 @@ type Func struct {
 	ThrowHandler map[*CSTNode]*Block
 }
 
-// NewFunc creates an empty function, with room for a small body's values.
-// The exception-edge maps are made by AddExcSite and AddThrowSite when a
-// first try region needs them; most functions have none, and a nil map
-// reads as empty.
-func NewFunc(name string) *Func {
-	return &Func{Name: name, Method: -1, values: make([]*Instr, 1, 16)}
+// NewFunc creates an empty function with the given claim, with room for a
+// small body's values. The exception-edge maps are made by AddExcSite and
+// AddThrowSite when a first try region needs them; most functions have
+// none, and a nil map reads as empty.
+func NewFunc(claim int32) *Func {
+	return &Func{Claim: claim, values: make([]*Instr, 1, 16)}
 }
 
-// Begin makes f, a Func carved from a slab, an empty function named name,
-// as NewFunc makes one, whose value table is built in the memory of vals
-// until KeepValues moves it out: for a decoder that keeps every body it
-// decodes in its own memory (wire.Arena). vals must be empty scratch that
-// nothing else reads.
-func (f *Func) Begin(name string, vals []*Instr) {
-	*f = Func{Name: name, Method: -1, values: append(vals[:0], nil)}
+// Begin makes f, a Func carved from a slab, an empty function with the
+// given claim, as NewFunc makes one, whose value table is built in the
+// memory of vals until KeepValues moves it out: for a decoder that keeps
+// every body it decodes in its own memory (wire.Arena). vals must be
+// empty scratch that nothing else reads.
+func (f *Func) Begin(claim int32, vals []*Instr) {
+	*f = Func{Claim: claim, values: append(vals[:0], nil)}
 }
 
 // KeepValues moves f's value table into s at its exact length, and returns
@@ -443,8 +520,8 @@ func (f *Func) FinishIn(s *Slab[*Block]) {
 	// and holds the same blocks when the check below passes.
 	order := cstBlocks(f.Body, f.Blocks[:0])
 	if len(order) != len(f.Blocks) {
-		panic(fmt.Sprintf("core: %s: CST covers %d blocks, function has %d",
-			f.Name, len(order), len(f.Blocks)))
+		panic(fmt.Sprintf("core: body of claim %d: CST covers %d blocks, function has %d",
+			f.Claim, len(order), len(f.Blocks)))
 	}
 	// Children are carved from one vector, each list cut to its exact
 	// capacity (counted in preIn, which the numbering below overwrites),
@@ -458,7 +535,7 @@ func (f *Func) FinishIn(s *Slab[*Block]) {
 			continue
 		}
 		if b.IDom == nil {
-			panic(fmt.Sprintf("core: %s: block without immediate dominator", f.Name))
+			panic(fmt.Sprintf("core: body of claim %d: block without immediate dominator", f.Claim))
 		}
 		b.IDom.preIn++
 	}

@@ -21,14 +21,14 @@ func (m *Module) Dump() string {
 func (m *Module) DumpFunc(f *Func) string {
 	tt := m.Types
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s(", f.Name)
-	for i, p := range f.Params {
+	fmt.Fprintf(&sb, "func %s(", m.FuncName(f))
+	for i := range m.NumParams(f) {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(tt.Describe(p))
+		sb.WriteString(tt.Describe(m.Param(f, i)))
 	}
-	fmt.Fprintf(&sb, ") %s {\n", tt.Describe(f.Result))
+	fmt.Fprintf(&sb, ") %s {\n", tt.Describe(m.Result(f)))
 
 	planeIdx := f.PlaneIndex()
 	ref := func(from *Block, v ValueID) string {

@@ -71,10 +71,10 @@ func (m *Module) Signature(f *Func, in *Instr) (s Signature, err error) {
 	tt := m.Types
 	switch in.Op {
 	case OpParam:
-		if in.Aux < 0 || int(in.Aux) >= len(f.Params) {
+		if in.Aux < 0 || int(in.Aux) >= m.NumParams(f) {
 			return s, fmt.Errorf("parameter index %d out of range", in.Aux)
 		}
-		s.Result = f.Params[in.Aux]
+		s.Result = m.Param(f, int(in.Aux))
 	case OpConst:
 		switch in.Const.Kind {
 		case KInt:
@@ -232,10 +232,11 @@ func (m *Module) RefPlane(f *Func, n *CSTNode) (*ValueID, PlaneKey, error) {
 		if n.Val == NoValue {
 			return nil, PlaneKey{}, nil
 		}
-		if f.Result == NoType || f.Result == tt.Void {
+		res := m.Result(f)
+		if res == NoType || res == tt.Void {
 			return nil, PlaneKey{}, fmt.Errorf("value returned from a void function")
 		}
-		return &n.Val, PlaneKey{Type: f.Result}, nil
+		return &n.Val, PlaneKey{Type: res}, nil
 	case CThrow:
 		return &n.Val, PlaneKey{Type: tt.Throwable}, nil
 	}

@@ -9,7 +9,8 @@ import (
 // sigFixture is a module with just enough tables to spell every
 // externalizable opcode: classes A and B extends A, int[], an instance
 // and a static field, and a static, a virtual and a void instance method
-// (host-implemented, so the tables need no bodies).
+// (host-implemented, so the tables need no bodies). build adds a fifth
+// method, whose body is the function under test.
 type sigFixture struct {
 	m                            *Module
 	a, b, ints                   TypeID
@@ -64,18 +65,20 @@ type sigBreak struct {
 	want string
 }
 
-// build assembles a one-block function around the case's instruction.
-// Two decoy parameters (long, double) follow the case's own, so every
-// operand has a value on a wrong plane to be swapped for. It returns the
-// function, the instruction under test and the parameter values.
+// build assembles a one-block function around the case's instruction:
+// the body of a static void method A.<case> whose parameters are the
+// case's, then two decoys (long, double), so every operand has a value on
+// a wrong plane to be swapped for. It returns the function, the
+// instruction under test and the parameter values.
 func (fx *sigFixture) build(c sigCase) (*Func, *Instr, []ValueID) {
 	tt := fx.m.Types
-	f := NewFunc(c.name)
-	f.Result = tt.Void
+	var params []TypeID
 	if c.params != nil {
-		f.Params = c.params(fx)
+		params = c.params(fx)
 	}
-	f.Params = append(f.Params, tt.Long, tt.Double)
+	fx.m.Methods = append(fx.m.Methods, MethodRef{Owner: fx.a, Name: c.name, Params: append(params, tt.Long, tt.Double),
+		Result: tt.Void, Static: true, VSlot: -1, FuncIdx: 0})
+	f := NewFunc(int32(len(fx.m.Methods) - 1))
 	blk := f.NewBlock()
 	f.Entry = blk
 	def := func(in *Instr) ValueID {
@@ -87,8 +90,8 @@ func (fx *sigFixture) build(c sigCase) (*Func, *Instr, []ValueID) {
 		return in.ID
 	}
 	var p []ValueID
-	for i, t := range f.Params {
-		p = append(p, def(&Instr{Op: OpParam, Type: t, Aux: int32(i)}))
+	for i := range fx.m.NumParams(f) {
+		p = append(p, def(&Instr{Op: OpParam, Type: fx.m.Param(f, i), Aux: int32(i)}))
 	}
 	in := c.instr(fx, p, def)
 	def(in)
@@ -312,7 +315,7 @@ func sigCases() []sigCase {
 			},
 			broken: []sigBreak{
 				{"negative method", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = -1 }, "method index -1 out of range"},
-				{"method past the table", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = 4 }, "method index 4 out of range"},
+				{"method past the table", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = 5 }, "method index 5 out of range"},
 			},
 		},
 		{
@@ -338,7 +341,7 @@ func sigCases() []sigCase {
 			broken: []sigBreak{
 				{"static method", func(fx *sigFixture, in *Instr, _ []ValueID) { in.Method = fx.mStatic }, "xdispatch of non-virtual method A.sm(int)"},
 				{"non-virtual instance method", func(fx *sigFixture, in *Instr, _ []ValueID) { in.Method = fx.mInstVoid }, "xdispatch of non-virtual method A.nm()"},
-				{"method past the table", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = 4 }, "method index 4 out of range"},
+				{"method past the table", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = 5 }, "method index 5 out of range"},
 			},
 		},
 		{
@@ -504,7 +507,7 @@ func TestRefPlaneRule(t *testing.T) {
 				return &Instr{Op: OpConst, Type: tt.Int, Const: ConstVal{Kind: KInt}}
 			}}
 		f, _, p := fx.build(c)
-		f.Result = result(tt)
+		fx.m.Methods[f.Claim].Result = result(tt)
 		node := &CSTNode{Kind: kind, At: f.Entry}
 		if kind == CIf || kind == CWhile || kind == CDoWhile {
 			node.Kids = []*CSTNode{{Kind: CSeq}}
@@ -553,7 +556,7 @@ func TestRefPlaneRule(t *testing.T) {
 // linkFixture is a module whose tables make every kind of claim about
 // function indices: methods 0 and 1 of class A name bodies 0 and 1
 // (A.m0, A.m1), class A's static initializer is function 2 (A.<clinit>),
-// and function 3 is an orphan that names method 0 without being its
+// and function 3 is an orphan that claims method 0 without being its
 // body.
 func linkFixture() *Module {
 	fx := newSigFixture()
@@ -567,9 +570,8 @@ func linkFixture() *Module {
 	}
 	m.Classes[0].Methods = []int32{0, 1}
 	m.StaticInit = []int32{2, -1}
-	for j, method := range []int32{0, 1, -1, 0} {
-		f := NewFunc([]string{"A.m0", "A.m1", "A.<clinit>", "f3"}[j])
-		f.Method, f.Result = method, tt.Void
+	for _, claim := range []int32{0, 1, -1, 0} {
+		f := NewFunc(claim)
 		blk := f.NewBlock()
 		f.Entry = blk
 		f.Body = &CSTNode{Kind: CSeq, Kids: []*CSTNode{{Kind: CBlock, Block: blk}, {Kind: CReturn, At: blk}}}
@@ -580,7 +582,10 @@ func linkFixture() *Module {
 }
 
 // TestLinkRule: the per-function link rule and the static range checks
-// behind it, one violation at a time.
+// behind it, one violation at a time. A body holds only its claim, so a
+// claim that disagrees with the tables' is the one link violation a body
+// can carry; a name or signature that disagrees with its claim cannot be
+// built.
 func TestLinkRule(t *testing.T) {
 	if err := linkFixture().Verify(VerifyOptions{}); err != nil {
 		t.Fatalf("well-linked module (orphan body included) rejected: %v", err)
@@ -590,24 +595,12 @@ func TestLinkRule(t *testing.T) {
 		hack func(m *Module)
 		want string
 	}{
-		{"body claimed by m0 names m1", func(m *Module) { m.Funcs[0].Method = 1 },
+		{"body claimed by m0 names m1", func(m *Module) { m.Funcs[0].Claim = 1 },
 			"function 0 (A.m0): body of method 0 (m0) names method 1"},
-		{"body claimed by m1 names no method", func(m *Module) { m.Funcs[1].Method = -1 },
+		{"body claimed by m1 names no method", func(m *Module) { m.Funcs[1].Claim = -1 },
 			"function 1 (A.m1): body of method 1 (m1) names method -1"},
-		{"body with a parameter its method lacks", func(m *Module) { m.Funcs[1].Params = []TypeID{m.Types.Int} },
-			"function 1 (A.m1): body of method 1 (m1) has another signature"},
-		{"body with a result its method lacks", func(m *Module) { m.Funcs[0].Result = m.Types.Int },
-			"function 0 (A.m0): body of method 0 (m0) has another signature"},
-		{"body named for another method", func(m *Module) { m.Funcs[0].Name = "A.m1" },
-			"function 0 (A.m1): body of method 0 (m0) has another name"},
-		{"static initializer with parameters", func(m *Module) { m.Funcs[2].Params = []TypeID{m.Types.Int} },
-			"function 2 (A.<clinit>): static initializer has a signature"},
-		{"static initializer naming a method", func(m *Module) { m.Funcs[2].Method = 0 },
-			"function 2 (A.<clinit>): static initializer has a signature"},
-		{"static initializer with a result", func(m *Module) { m.Funcs[2].Result = m.Types.Int },
-			"function 2 (A.<clinit>): static initializer has a signature"},
-		{"static initializer named for another class", func(m *Module) { m.Funcs[2].Name = "B.<clinit>" },
-			"function 2 (B.<clinit>): static initializer of A has another name"},
+		{"static initializer naming a method", func(m *Module) { m.Funcs[2].Claim = 0 },
+			"function 2 (A.<clinit>): static initializer claims A.m0"},
 		{"two methods claim one body", func(m *Module) { m.Methods[1].FuncIdx = 0 },
 			"method 1 (m1): body index 0 already claimed for another role"},
 		{"method body is also a static initializer", func(m *Module) { m.StaticInit[1] = 1 },

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // VerifyOptions tunes verification.
@@ -55,91 +54,30 @@ type Admission struct {
 	claims map[int32]int32
 }
 
-// Claim reports what the tables say function j is: the body of method
-// (>= 0), or the static initializer of class definition class (method <
-// 0). ok is false for an index no table entry names.
-func (a *Admission) Claim(j int) (method int32, class int, ok bool) {
-	c, ok := a.claims[int32(j)]
-	if !ok || c >= 0 {
-		return c, -1, ok
-	}
-	return -1, int(-1 - c), true
+// Claim reports what the tables say function j is, in the claims'
+// encoding (Func.Claim); ok is false for an index no table entry names.
+func (a *Admission) Claim(j int) (claim int32, ok bool) {
+	claim, ok = a.claims[int32(j)]
+	return claim, ok
 }
 
 // Link checks function j against the claim the tables make about index
-// j: the body of a method carries that method, its signature (the
-// receiver's safe-ref unless static, the method's parameters, its
-// result) and its name, Owner.Name; class k's static initializer carries
-// no method, no parameters, a void result and the name
-// Class.<clinit>. So no body can be dispatched under another method's
-// signature, and a body decoded from its claim alone (the wire does not
-// spell any of this) is the body the producer built. A function no table
-// entry points at may name any method; nothing can reach it, and the wire
-// cannot carry it.
+// j: a body holds only its claim (Func.Claim), from which its name and
+// signature are derived, so the one thing it can get wrong is to claim
+// another method or class than the one whose entry names index j. So no
+// body can be dispatched under another method's signature. A function no
+// table entry points at may claim anything; nothing can reach it, and the
+// wire cannot carry it.
 func (a *Admission) Link(j int, f *Func) error {
-	method, class, claimed := a.Claim(j)
-	if !claimed {
+	c, claimed := a.Claim(j)
+	if !claimed || f.Claim == c {
 		return nil
 	}
-	owner, member := a.m.ClaimedName(method, class)
-	if method < 0 {
-		if f.Method >= 0 || !a.m.HasClaimedSignature(f, nil) {
-			return fmt.Errorf("function %d (%s): static initializer has a signature", j, f.Name)
-		}
-		if !qualified(f.Name, owner, member) {
-			return fmt.Errorf("function %d (%s): static initializer of %s has another name", j, f.Name, owner)
-		}
-		return nil
+	if c < 0 {
+		return fmt.Errorf("function %d (%s): static initializer claims %s", j, a.m.claimedName(c), a.m.claimedName(f.Claim))
 	}
-	mr := &a.m.Methods[method]
-	switch {
-	case f.Method != method:
-		return fmt.Errorf("function %d (%s): body of method %d (%s) names method %d",
-			j, f.Name, method, mr.Name, f.Method)
-	case !a.m.HasClaimedSignature(f, mr):
-		return fmt.Errorf("function %d (%s): body of method %d (%s) has another signature", j, f.Name, method, mr.Name)
-	case !qualified(f.Name, owner, member):
-		return fmt.Errorf("function %d (%s): body of method %d (%s) has another name", j, f.Name, method, mr.Name)
-	}
-	return nil
-}
-
-// ClaimedName is the name a claimed body carries, owner + "." + member:
-// Owner.Name for the body of method (>= 0), Class.<clinit> for the static
-// initializer of class definition class.
-func (m *Module) ClaimedName(method int32, class int) (owner, member string) {
-	if method < 0 {
-		return m.Types.Describe(m.Classes[class].Type), "<clinit>"
-	}
-	mr := &m.Methods[method]
-	return m.Types.Describe(mr.Owner), mr.Name
-}
-
-// HasClaimedSignature reports whether f's parameters and result are the
-// ones its claim implies: for the body of method mr, the receiver's
-// safe-ref (unless mr is static), mr's parameters and mr's result; for a
-// static initializer (mr nil), none and void.
-func (m *Module) HasClaimedSignature(f *Func, mr *MethodRef) bool {
-	if mr == nil {
-		return len(f.Params) == 0 && f.Result == m.Types.Void
-	}
-	ps := f.Params
-	if !mr.Static {
-		if len(ps) == 0 {
-			return false
-		}
-		if r := m.Types.Get(ps[0]); r == nil || r.Kind != TSafeRef || r.Base != mr.Owner {
-			return false
-		}
-		ps = ps[1:]
-	}
-	return f.Result == mr.Result && slices.Equal(ps, mr.Params)
-}
-
-// qualified reports whether name is owner + "." + member.
-func qualified(name, owner, member string) bool {
-	return len(name) == len(owner)+1+len(member) && name[:len(owner)] == owner &&
-		name[len(owner)] == '.' && name[len(owner)+1:] == member
+	return fmt.Errorf("function %d (%s): body of method %d (%s) names method %d",
+		j, a.m.claimedName(c), c, a.m.Methods[c].Name, f.Claim)
 }
 
 // Admit is the per-function admission rule: Link, then the body's Rules
@@ -157,7 +95,7 @@ func (a *Admission) admit(j int, f *Func, opts VerifyOptions, pos *Positions) er
 		return err
 	}
 	if err := a.m.verifyFunc(f, opts, pos); err != nil {
-		return fmt.Errorf("function %d (%s): %w", j, f.Name, err)
+		return fmt.Errorf("function %d (%s): %w", j, a.m.FuncName(f), err)
 	}
 	return nil
 }
@@ -192,7 +130,20 @@ func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 		return ""
 	}
 
-	defByType := make(map[TypeID]*ClassDef)
+	// defByType is indexed by TypeID over the type table, which a decoder
+	// has already read: its length is bounded by the bytes read. A table
+	// of up to 64 types keeps it on the stack.
+	var small [64]*ClassDef
+	defByType := small[:]
+	if len(m.Types.ByID) > len(small) {
+		defByType = make([]*ClassDef, len(m.Types.ByID))
+	}
+	defOf := func(t TypeID) *ClassDef {
+		if uint(t) < uint(len(defByType)) {
+			return defByType[t]
+		}
+		return nil
+	}
 	for i, cd := range m.Classes {
 		t := m.Types.Get(cd.Type)
 		if t == nil || t.Kind != TClass {
@@ -215,7 +166,7 @@ func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 
 	// NumSlots of an arbitrary (possibly imported) class type.
 	slotsOf := func(t TypeID) (int32, bool) {
-		if cd := defByType[t]; cd != nil {
+		if cd := defOf(t); cd != nil {
 			return cd.NumSlots, true
 		}
 		tt := m.Types.Get(t)
@@ -228,7 +179,7 @@ func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 		return 0, true
 	}
 	vtableOf := func(t TypeID) []int32 {
-		if cd := defByType[t]; cd != nil {
+		if cd := defOf(t); cd != nil {
 			return cd.VTable
 		}
 		return nil
@@ -236,7 +187,7 @@ func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 
 	for _, cd := range m.Classes {
 		t := m.Types.Get(cd.Type)
-		if t == nil || defByType[cd.Type] != cd {
+		if t == nil || defOf(cd.Type) != cd {
 			continue
 		}
 		superSlots, ok := slotsOf(cd.Super)
@@ -279,7 +230,7 @@ func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 			bad("field %d (%s): bad type reference", i, fr.Name)
 			continue
 		}
-		cd := defByType[fr.Owner]
+		cd := defOf(fr.Owner)
 		if cd == nil {
 			bad("field %d (%s): owner is not a class of this unit", i, fr.Name)
 			continue
@@ -297,7 +248,7 @@ func (m *Module) VerifyTables(nFuncs int) (*Admission, error) {
 	}
 
 	for i, mr := range m.Methods {
-		if m.Types.Get(mr.Owner) == nil {
+		if !m.Types.IsRefType(mr.Owner) {
 			bad("method %d (%s): bad owner", i, mr.Name)
 			continue
 		}

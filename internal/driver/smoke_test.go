@@ -331,7 +331,7 @@ class Main {
 		t.Fatal(err)
 	}
 	for _, f := range mod.Funcs {
-		if strings.HasSuffix(f.Name, ".main") {
+		if strings.HasSuffix(mod.FuncName(f), ".main") {
 			f.Body.Kids = append([]*core.CSTNode{{Kind: core.CBreak}}, f.Body.Kids...)
 		}
 	}

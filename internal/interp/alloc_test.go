@@ -127,9 +127,9 @@ func TestLowerAllocCeiling(t *testing.T) {
 		} else if got > ceiling && !raceEnabled {
 			t.Errorf("%s: %.0f allocations per Compile, ceiling %.0f", u.Name, got, ceiling)
 		}
-		for _, pf := range prep.Funcs {
+		for i, pf := range prep.Funcs {
 			if cap(pf.Code) != len(pf.Code) {
-				t.Errorf("%s: %s keeps %d instructions in room for %d", u.Name, pf.Name, len(pf.Code), cap(pf.Code))
+				t.Errorf("%s: %s keeps %d instructions in room for %d", u.Name, mod.FuncName(mod.Funcs[i]), len(pf.Code), cap(pf.Code))
 			}
 		}
 		if args, moves, err := interp.ArenaSlack(mod); err != nil || args != 0 || moves != 0 {

@@ -88,7 +88,6 @@ type csite struct{ target, mv, n int32 }
 
 // CFunc is one compiled function body.
 type CFunc struct {
-	Name string
 	// NumRegs matches the prepared form: slot v holds SSA value v,
 	// slot 0 is the void-result scratch register.
 	NumRegs int32
@@ -228,7 +227,7 @@ var recycledCode = [1]cinst{{run: hRecycled}}
 func (in *cinst) Junk() { *in = recycledCode[0] }
 
 // Junk makes f the junk header of poisoned code memory (core.Poison).
-func (f *CFunc) Junk() { *f = CFunc{Name: "recycled code", Code: recycledCode[:]} }
+func (f *CFunc) Junk() { *f = CFunc{Code: recycledCode[:]} }
 
 // hRecycled is the handler of a record in code memory that was given
 // back under core.PoisonRecycled: something ran code after its unit let
@@ -286,7 +285,7 @@ func Compile(mod *core.Module, prep *Prepared) (*Compiled, error) {
 	for i, pf := range prep.Funcs {
 		cf, err := lw.compileFunc(pf, c.mem)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("interp: compile %s: %w", mod.FuncName(mod.Funcs[i]), err)
 		}
 		c.funcs[i].Store(cf)
 	}
@@ -304,7 +303,7 @@ func (c *fcomp) compileFunc(pf *PFunc, mem *CodeArena) (*CFunc, error) {
 	for pc := range pf.Code {
 		r, err := c.side.encode(&pf.Code[pc], threaded(pf.Code, int32(pc+1)))
 		if err != nil {
-			return nil, fmt.Errorf("interp: compile %s: pc %d: %w", pf.Name, pc, err)
+			return nil, fmt.Errorf("pc %d: %w", pc, err)
 		}
 		if h, next := fuse(pf.Code, pc); h != nil {
 			r.run, r.next = h, next
@@ -312,7 +311,7 @@ func (c *fcomp) compileFunc(pf *PFunc, mem *CodeArena) (*CFunc, error) {
 		code[pc] = r
 	}
 	cf := mem.funcs.One()
-	*cf = CFunc{Name: pf.Name, NumRegs: pf.NumRegs, Frame: pf.Frame, Code: code,
+	*cf = CFunc{NumRegs: pf.NumRegs, Frame: pf.Frame, Code: code,
 		moves: mem.moves.Keep(c.side.moves), args: mem.args.Keep(c.side.args),
 		sites: mem.sites.Keep(c.side.sites), strs: mem.strs.Keep(c.side.strs)}
 	return cf, nil
@@ -326,12 +325,12 @@ func (c *fcomp) lowerFunc(f *core.Func, spent *Lowering, mem *CodeArena) (*CFunc
 	start := time.Now()
 	pf, err := c.flatten(f, false)
 	if err != nil {
-		return nil, fmt.Errorf("interp: prepare %s: %w", f.Name, err)
+		return nil, fmt.Errorf("interp: prepare %s: %w", c.mod.FuncName(f), err)
 	}
 	flat := time.Now()
 	cf, err := c.compileFunc(&pf, mem)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("interp: compile %s: %w", c.mod.FuncName(f), err)
 	}
 	fused := time.Now()
 	spent.Funcs++

@@ -758,7 +758,7 @@ func (l *Loader) execBlock(fr *frame, b *core.Block) {
 			}
 			if edge < 0 {
 				panic(fmt.Sprintf("interp: %s: no edge from block %d into block %d",
-					fr.f.Name, fr.prev.Index, b.Index))
+					l.Mod.FuncName(fr.f), fr.prev.Index, b.Index))
 			}
 		}
 		// Parallel phi semantics: read all operands, then write.

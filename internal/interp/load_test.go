@@ -203,7 +203,7 @@ class Main {
 }`
 	index := func(mod *core.Module, name string) int {
 		for i, f := range mod.Funcs {
-			if strings.HasSuffix(f.Name, name) {
+			if strings.HasSuffix(mod.FuncName(f), name) {
 				return i
 			}
 		}

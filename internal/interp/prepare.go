@@ -168,7 +168,6 @@ type PreparedInst struct {
 
 // PFunc is one prepared function body.
 type PFunc struct {
-	Name string
 	// NumRegs is NumValues()+1: slot v holds SSA value v, slot 0 is
 	// the void-result scratch register.
 	NumRegs int32
@@ -217,7 +216,7 @@ func Prepare(mod *core.Module) (*Prepared, error) {
 	for i, f := range mod.Funcs {
 		pf, err := c.prepareFunc(f)
 		if err != nil {
-			return nil, fmt.Errorf("interp: prepare %s: %w", f.Name, err)
+			return nil, fmt.Errorf("interp: prepare %s: %w", mod.FuncName(f), err)
 		}
 		p.Funcs[i] = pf
 	}
@@ -483,7 +482,7 @@ func (c *fcomp) flatten(f *core.Func, keep bool) (PFunc, error) {
 		sites[i] = RaiseSite{Target: target, Moves: mv}
 		c.code[fix.at].Raise = &sites[i]
 	}
-	return PFunc{Name: f.Name, NumRegs: int32(f.NumValues() + 1), Frame: rt.FrameSlots(f.NumValues() + 1), Code: c.code}, nil
+	return PFunc{NumRegs: int32(f.NumValues() + 1), Frame: rt.FrameSlots(f.NumValues() + 1), Code: c.code}, nil
 }
 
 // jappend is append for pending-jump lists: a list that must grow moves

@@ -155,13 +155,13 @@ class Main {
 				t.Fatalf("prepare: %v", err)
 			}
 			for i, pf := range prep.Funcs {
-				f := mod.Funcs[i]
+				f, name := mod.Funcs[i], mod.FuncName(mod.Funcs[i])
 				if want := int32(f.NumValues() + 1); pf.NumRegs != want {
-					t.Errorf("%s: NumRegs = %d, want NumValues()+1 = %d", f.Name, pf.NumRegs, want)
+					t.Errorf("%s: NumRegs = %d, want NumValues()+1 = %d", name, pf.NumRegs, want)
 				}
-				checkRegisterBounds(t, pf)
-				checkParamSlots(t, f, pf)
-				checkPhiMoves(t, f, pf)
+				checkRegisterBounds(t, name, pf)
+				checkParamSlots(t, name, f, pf)
+				checkPhiMoves(t, name, f, pf)
 			}
 		})
 	}
@@ -169,29 +169,29 @@ class Main {
 
 // checkRegisterBounds asserts every register index embedded in the
 // prepared code is inside the function's register file.
-func checkRegisterBounds(t *testing.T, pf *interp.PFunc) {
+func checkRegisterBounds(t *testing.T, name string, pf *interp.PFunc) {
 	t.Helper()
 	ok := func(r int32) bool { return r >= 0 && r < pf.NumRegs }
 	for pc := range pf.Code {
 		in := &pf.Code[pc]
 		if !ok(in.Dst) {
-			t.Errorf("%s pc %d: Dst %d out of range", pf.Name, pc, in.Dst)
+			t.Errorf("%s pc %d: Dst %d out of range", name, pc, in.Dst)
 		}
 		for _, m := range in.Moves {
 			if !ok(m.Dst) || !ok(m.Src) {
-				t.Errorf("%s pc %d: move %v out of range", pf.Name, pc, m)
+				t.Errorf("%s pc %d: move %v out of range", name, pc, m)
 			}
 		}
 		if in.Raise != nil {
 			for _, m := range in.Raise.Moves {
 				if !ok(m.Dst) || !ok(m.Src) {
-					t.Errorf("%s pc %d: raise move %v out of range", pf.Name, pc, m)
+					t.Errorf("%s pc %d: raise move %v out of range", name, pc, m)
 				}
 			}
 		}
 		for _, a := range in.Args {
 			if !ok(a) {
-				t.Errorf("%s pc %d: call arg register %d out of range", pf.Name, pc, a)
+				t.Errorf("%s pc %d: call arg register %d out of range", name, pc, a)
 			}
 		}
 	}
@@ -200,7 +200,7 @@ func checkRegisterBounds(t *testing.T, pf *interp.PFunc) {
 // checkParamSlots asserts the slot invariant directly on the parameter
 // instructions: the prepared PParam for OpParam v with index k must
 // write register int32(v) from args[k].
-func checkParamSlots(t *testing.T, f *core.Func, pf *interp.PFunc) {
+func checkParamSlots(t *testing.T, name string, f *core.Func, pf *interp.PFunc) {
 	t.Helper()
 	want := map[int32]int32{} // param index -> SSA value id
 	for _, b := range f.Blocks {
@@ -217,24 +217,24 @@ func checkParamSlots(t *testing.T, f *core.Func, pf *interp.PFunc) {
 		}
 		id, ok := want[in.A]
 		if !ok {
-			t.Errorf("%s pc %d: PParam reads args[%d] with no matching OpParam", pf.Name, pc, in.A)
+			t.Errorf("%s pc %d: PParam reads args[%d] with no matching OpParam", name, pc, in.A)
 			continue
 		}
 		if in.Dst != id {
 			t.Errorf("%s pc %d: PParam for arg %d writes register %d, want SSA id %d",
-				pf.Name, pc, in.A, in.Dst, id)
+				name, pc, in.A, in.Dst, id)
 		}
 		delete(want, in.A)
 	}
 	for k, id := range want {
-		t.Errorf("%s: no PParam emitted for OpParam v%d (arg %d)", pf.Name, id, k)
+		t.Errorf("%s: no PParam emitted for OpParam v%d (arg %d)", name, id, k)
 	}
 }
 
 // checkPhiMoves asserts every phi of the function is the destination of
 // at least one prepared move, and only of moves (phi registers are
 // never written by straight-line instructions).
-func checkPhiMoves(t *testing.T, f *core.Func, pf *interp.PFunc) {
+func checkPhiMoves(t *testing.T, name string, f *core.Func, pf *interp.PFunc) {
 	t.Helper()
 	phis := map[int32]bool{}
 	for _, b := range f.Blocks {
@@ -249,7 +249,7 @@ func checkPhiMoves(t *testing.T, f *core.Func, pf *interp.PFunc) {
 		in := &pf.Code[pc]
 		if _, isPhi := phis[in.Dst]; isPhi && in.Op != interp.PMoves && in.Op != interp.PJump &&
 			in.Op != interp.PBranchFalse && in.Dst != 0 {
-			t.Errorf("%s pc %d: %v writes phi register %d directly", pf.Name, pc, in.Op, in.Dst)
+			t.Errorf("%s pc %d: %v writes phi register %d directly", name, pc, in.Op, in.Dst)
 		}
 		for _, m := range in.Moves {
 			if _, isPhi := phis[m.Dst]; isPhi {
@@ -266,7 +266,7 @@ func checkPhiMoves(t *testing.T, f *core.Func, pf *interp.PFunc) {
 	}
 	for id, moved := range phis {
 		if !moved {
-			t.Errorf("%s: phi register %d is never the destination of a move", pf.Name, id)
+			t.Errorf("%s: phi register %d is never the destination of a move", name, id)
 		}
 	}
 }

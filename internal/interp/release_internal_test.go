@@ -186,7 +186,7 @@ func TestStockedLowererForgetsItsUnit(t *testing.T) {
 	for _, name := range []string{"wide", "narrow"} {
 		var f *core.Func
 		for _, g := range l.Mod.Funcs {
-			if strings.HasSuffix(g.Name, name) {
+			if strings.HasSuffix(l.Mod.FuncName(g), name) {
 				f = g
 			}
 		}

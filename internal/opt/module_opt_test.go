@@ -229,7 +229,7 @@ class Main {
 	rec := mod.RecursiveFuncs()
 	var recNames []string
 	for f := range rec {
-		recNames = append(recNames, mod.Methods[f.Method].Name)
+		recNames = append(recNames, mod.Methods[f.Claim].Name)
 	}
 	if len(rec) != 1 || recNames[0] != "loop" {
 		t.Errorf("RecursiveFuncs = %v, want exactly [loop]", recNames)

@@ -300,7 +300,7 @@ func TestCSEScopeFollowsDominators(t *testing.T) {
 	countIn := func(m *core.Module, fn string, match func(*core.Instr) bool) int {
 		n := 0
 		for _, f := range m.Funcs {
-			if f.Name != fn {
+			if m.FuncName(f) != fn {
 				continue
 			}
 			for _, b := range f.Blocks {

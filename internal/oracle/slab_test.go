@@ -10,13 +10,11 @@ import (
 	"safetsa/internal/wire"
 )
 
-// unslab rebuilds f out of individually allocated blocks, instructions,
+// unslab rebuilds f, a body of mod, out of individually allocated blocks, instructions,
 // nodes and vectors — memory no two pieces of which can alias — with the
 // same value ids, edges and structure.
-func unslab(t *testing.T, f *core.Func) *core.Func {
-	g := core.NewFunc(f.Name)
-	g.Method, g.Result = f.Method, f.Result
-	g.Params = append([]core.TypeID(nil), f.Params...)
+func unslab(t *testing.T, mod *core.Module, f *core.Func) *core.Func {
+	g := core.NewFunc(f.Claim)
 
 	blocks := map[*core.Block]*core.Block{}
 	for _, b := range f.Blocks {
@@ -36,7 +34,7 @@ func unslab(t *testing.T, f *core.Func) *core.Func {
 	// Define hands ids out in order, so values are cloned in id order.
 	for id := core.ValueID(1); int(id) <= f.NumValues(); id++ {
 		if got := g.Define(clone(f.Value(id))); got != id {
-			t.Fatalf("%s: v%d cloned as v%d", f.Name, id, got)
+			t.Fatalf("%s: v%d cloned as v%d", mod.FuncName(f), id, got)
 		}
 	}
 	for _, b := range f.Blocks {
@@ -136,7 +134,7 @@ func TestDecodedSlabsDoNotAlias(t *testing.T) {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
 		for i, f := range copied.Funcs {
-			copied.Funcs[i] = unslab(t, f)
+			copied.Funcs[i] = unslab(t, copied, f)
 		}
 		if !bytes.Equal(wire.EncodeModuleV2(copied, nil), data) {
 			t.Fatalf("%s: the unslabbed copy is not the module that was decoded", u.Name)

@@ -328,7 +328,7 @@ func (b *Builder) buildTables() {
 // buildBodies translates every user method body, the synthetic static
 // initializers, and locates the entry point.
 func (b *Builder) buildBodies() error {
-	for _, c := range b.prog.UserClasses() {
+	for k, c := range b.prog.UserClasses() {
 		// Static initializer.
 		var staticInits []*sema.FieldSym
 		for _, f := range c.Fields {
@@ -338,7 +338,7 @@ func (b *Builder) buildBodies() error {
 		}
 		si := int32(-1)
 		if len(staticInits) > 0 {
-			f, err := b.buildClinit(c, staticInits)
+			f, err := b.buildClinit(k, staticInits)
 			if err != nil {
 				return err
 			}
@@ -372,20 +372,19 @@ func (b *Builder) buildBodies() error {
 }
 
 func (b *Builder) buildMethod(m *sema.MethodSym) error {
-	midx := b.methodRef(m)
 	fb := newFnBuilder(b, m)
 	if err := fb.build(); err != nil {
 		return fmt.Errorf("%s: %w", m.Sig(), err)
 	}
-	fb.f.Method = midx
-	b.mod.Methods[midx].FuncIdx = int32(len(b.mod.Funcs))
+	b.mod.Methods[fb.f.Claim].FuncIdx = int32(len(b.mod.Funcs))
 	b.mod.Funcs = append(b.mod.Funcs, fb.f)
 	return nil
 }
 
-// buildClinit builds the synthetic static initializer of a class.
-func (b *Builder) buildClinit(c *sema.Class, fields []*sema.FieldSym) (*core.Func, error) {
-	fb := newFnBuilderRaw(b, c.Name+".<clinit>", nil, b.prog.Void, &sema.MethodInfo{})
+// buildClinit builds the synthetic static initializer of class
+// definition k.
+func (b *Builder) buildClinit(k int, fields []*sema.FieldSym) (*core.Func, error) {
+	fb := newFnBuilderRaw(b, int32(-1-k), &sema.MethodInfo{})
 	seq := []*core.CSTNode{fb.leaf(fb.f.Entry)}
 	fb.resume(fb.f.Entry, &seq)
 	for _, f := range fields {
@@ -403,7 +402,7 @@ func (b *Builder) buildClinit(c *sema.Class, fields []*sema.FieldSym) (*core.Fun
 	}
 	fb.f.Body = fb.seqOf(seq)
 	fb.finish()
-	if err := core.CheckStructuralDominators(fb.f); err != nil {
+	if err := b.mod.CheckStructuralDominators(fb.f); err != nil {
 		return nil, err
 	}
 	return fb.f, nil

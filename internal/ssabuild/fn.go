@@ -128,23 +128,23 @@ type constKey struct {
 	t    core.TypeID // plane, for null constants
 }
 
-func newFnBuilderRaw(b *Builder, name string, params []core.TypeID, result *sema.Type, info *sema.MethodInfo) *fnBuilder {
+// newFnBuilderRaw starts the body with the given claim, its entry block
+// pre-loading the parameters the claim's signature gives it.
+func newFnBuilderRaw(b *Builder, claim int32, info *sema.MethodInfo) *fnBuilder {
 	fb := &fnBuilder{
 		b:       b,
-		f:       core.NewFunc(name),
+		f:       core.NewFunc(claim),
 		nlocals: len(info.Locals),
 		consts:  make(map[constKey]core.ValueID),
 	}
 	fb.vars = fb.newSnapshot()
-	fb.f.Params = params
-	fb.f.Result = b.typeOf(result)
 	entry := fb.newBlock(nil)
 	fb.f.Entry = entry
 	fb.setCur(entry)
-	fb.paramInstrs = make([]*core.Instr, len(params))
-	for i := range params {
+	fb.paramInstrs = make([]*core.Instr, b.mod.NumParams(fb.f))
+	for i := range fb.paramInstrs {
 		in := b.instrs.One()
-		*in = core.Instr{Op: core.OpParam, Type: params[i], Aux: int32(i), Blk: entry}
+		*in = core.Instr{Op: core.OpParam, Type: b.mod.Param(fb.f, i), Aux: int32(i), Blk: entry}
 		fb.f.Define(in)
 		fb.paramInstrs[i] = in
 	}
@@ -156,14 +156,7 @@ func newFnBuilder(b *Builder, m *sema.MethodSym) *fnBuilder {
 	if info == nil {
 		info = &sema.MethodInfo{}
 	}
-	params := make([]core.TypeID, 0, 1+len(m.Params))
-	if !m.Static {
-		params = append(params, b.mod.Types.SafeRefOf(b.classID(m.Owner)))
-	}
-	for _, p := range m.Params {
-		params = append(params, b.typeOf(p))
-	}
-	fb := newFnBuilderRaw(b, m.QName(), params, m.Return, info)
+	fb := newFnBuilderRaw(b, b.methodRef(m), info)
 	fb.m = m
 	off := 0
 	if !m.Static {
@@ -227,7 +220,7 @@ func (fb *fnBuilder) kids(ns ...*core.CSTNode) []*core.CSTNode { return fb.b.nod
 // module's slab.
 func (fb *fnBuilder) emit(proto core.Instr) core.ValueID {
 	if fb.cur == nil {
-		panic("ssabuild: emit on terminated path in " + fb.f.Name)
+		panic("ssabuild: emit on terminated path in " + fb.b.mod.FuncName(fb.f))
 	}
 	in := fb.b.instrs.One()
 	*in = proto
@@ -458,11 +451,11 @@ func (fb *fnBuilder) build() error {
 	// Implicit return at the end of the method.
 	if fb.cur != nil {
 		ret := fb.node(core.CSTNode{Kind: core.CReturn, At: fb.cur})
-		if fb.f.Result != fb.tt().Void {
+		if res := fb.b.mod.Result(fb.f); res != fb.tt().Void {
 			// TJ does not enforce reachability analysis, so a method
 			// may fall off its end; return the zero value of the
 			// result type, as documented in DESIGN.md.
-			ret.Val = fb.zeroValue(fb.f.Result)
+			ret.Val = fb.zeroValue(res)
 			ret.At = fb.cur
 		}
 		seq = append(seq, ret)
@@ -471,7 +464,7 @@ func (fb *fnBuilder) build() error {
 
 	fb.f.Body = fb.seqOf(seq)
 	fb.finish()
-	return core.CheckStructuralDominators(fb.f)
+	return fb.b.mod.CheckStructuralDominators(fb.f)
 }
 
 // emitCtorPreamble emits the super-constructor call and the instance

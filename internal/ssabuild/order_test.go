@@ -64,10 +64,10 @@ func TestReachableBodiesLead(t *testing.T) {
 			for i, f := range mod.Funcs {
 				if reach[f] && i >= prefix {
 					t.Errorf("%s %s: body %d (%s) is reachable but follows the %d bodies reachable when the unit was built",
-						u.Name, tier.name, i, f.Name, prefix)
+						u.Name, tier.name, i, mod.FuncName(f), prefix)
 				}
 				if tier.o == nil && !reach[f] && i < prefix {
-					t.Errorf("%s %s: body %d (%s) is unreachable but leads a reachable one", u.Name, tier.name, i, f.Name)
+					t.Errorf("%s %s: body %d (%s) is unreachable but leads a reachable one", u.Name, tier.name, i, mod.FuncName(f))
 				}
 			}
 		}

@@ -31,12 +31,7 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f *core.Func
-	for _, cand := range mod.Funcs {
-		if strings.Contains(cand.Name, "figure1") {
-			f = cand
-		}
-	}
+	f := funcNamed(mod, "figure1")
 	if f == nil {
 		t.Fatal("figure1 not built")
 	}
@@ -110,12 +105,7 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f *core.Func
-	for _, cand := range mod.Funcs {
-		if strings.Contains(cand.Name, "sum") {
-			f = cand
-		}
-	}
+	f := funcNamed(mod, "sum")
 	header := f.Body.Kids[1]
 	if header.Kind != core.CWhile {
 		t.Fatalf("second CST node is %v, want while", header.Kind)
@@ -165,7 +155,7 @@ func TestStructuralDominatorsSoundOnCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
 		for _, f := range mod.Funcs {
-			if err := core.CheckStructuralDominators(f); err != nil {
+			if err := mod.CheckStructuralDominators(f); err != nil {
 				t.Errorf("%s: %v", u.Name, err)
 			}
 		}
@@ -173,7 +163,7 @@ func TestStructuralDominatorsSoundOnCorpus(t *testing.T) {
 			t.Fatalf("%s: optimize: %v", u.Name, err)
 		}
 		for _, f := range mod.Funcs {
-			if err := core.CheckStructuralDominators(f); err != nil {
+			if err := mod.CheckStructuralDominators(f); err != nil {
 				t.Errorf("%s (optimized): %v", u.Name, err)
 			}
 		}
@@ -198,9 +188,21 @@ class Main {
 		for bi, b := range f.Blocks {
 			for _, in := range b.Code {
 				if in.Op == core.OpConst && bi != 0 {
-					t.Errorf("%s: constant %s outside the initial block", f.Name, in.Const)
+					t.Errorf("%s: constant %s outside the initial block", mod.FuncName(f), in.Const)
 				}
 			}
 		}
 	}
+}
+
+// funcNamed is the last body of mod whose name (Module.FuncName, derived
+// from its claim) contains member, or nil.
+func funcNamed(mod *core.Module, member string) *core.Func {
+	var f *core.Func
+	for _, cand := range mod.Funcs {
+		if strings.Contains(mod.FuncName(cand), member) {
+			f = cand
+		}
+	}
+	return f
 }

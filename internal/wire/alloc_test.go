@@ -40,27 +40,27 @@ func corpusO2(t testing.TB, u corpus.Unit) *core.Module {
 // TestDecodeAllocCeiling` logs each unit's count, to re-measure by, once
 // plain and once with -race.
 var decodeAllocCeiling = map[string][2]float64{ // plain, race
-	"BatchEnvironment":        {480, 483}, // measured 436, 439
-	"BatchParser":             {252, 255}, // measured 229, 232
-	"CompilerMember":          {141, 142}, // measured 128, 129
-	"ErrorMessage":            {157, 160}, // measured 143, 145
-	"Main":                    {418, 421}, // measured 380, 383
-	"SourceClass":             {477, 481}, // measured 434, 437
-	"SourceMember":            {408, 411}, // measured 371, 374
-	"AmbiguousClass":          {114, 116}, // measured 104, 105
-	"AmbiguousMember":         {158, 161}, // measured 144, 146
-	"ArrayType":               {156, 158}, // measured 142, 144
-	"BinaryAttribute":         {220, 222}, // measured 200, 202
-	"BinaryClass":             {319, 322}, // measured 290, 293
-	"BinaryCode":              {250, 253}, // measured 227, 230
-	"Parser":                  {330, 338}, // measured 300, 307
-	"Scanner":                 {255, 258}, // measured 232, 235
-	"BigDecimal":              {191, 193}, // measured 174, 175
-	"BigInteger":              {264, 266}, // measured 240, 242
-	"BitSieve":                {193, 195}, // measured 175, 177
-	"MutableBigInteger":       {280, 284}, // measured 255, 258
-	"SignedMutableBigInteger": {289, 293}, // measured 263, 266
-	"Linpack":                 {292, 296}, // measured 265, 269
+	"BatchEnvironment":        {445, 448}, // measured 404, 407
+	"BatchParser":             {238, 241}, // measured 216, 219
+	"CompilerMember":          {132, 134}, // measured 120, 121
+	"ErrorMessage":            {151, 153}, // measured 137, 139
+	"Main":                    {390, 393}, // measured 354, 357
+	"SourceClass":             {447, 450}, // measured 406, 409
+	"SourceMember":            {382, 385}, // measured 347, 350
+	"AmbiguousClass":          {108, 109}, // measured 98, 99
+	"AmbiguousMember":         {150, 152}, // measured 136, 138
+	"ArrayType":               {148, 150}, // measured 134, 136
+	"BinaryAttribute":         {209, 212}, // measured 190, 192
+	"BinaryClass":             {300, 303}, // measured 272, 275
+	"BinaryCode":              {239, 242}, // measured 217, 220
+	"Parser":                  {301, 308}, // measured 273, 280
+	"Scanner":                 {244, 247}, // measured 221, 224
+	"BigDecimal":              {178, 179}, // measured 161, 162
+	"BigInteger":              {248, 250}, // measured 225, 227
+	"BitSieve":                {182, 184}, // measured 165, 167
+	"MutableBigInteger":       {261, 264}, // measured 237, 240
+	"SignedMutableBigInteger": {266, 269}, // measured 241, 244
+	"Linpack":                 {278, 282}, // measured 252, 256
 }
 
 // TestDecodeAllocCeiling is an exact gate as a plain test: allocations per

@@ -25,7 +25,7 @@ type Arena struct {
 	blockVec core.Slab[*core.Block]   // Func.Blocks
 	preds    core.Slab[core.Pred]     // Block.Preds, normal edges
 	funcs    core.Slab[core.Func]     // a retaining cursor's bodies
-	types    core.Slab[core.TypeID]   // a kept Func's Params, a MethodRef's Params
+	types    core.Slab[core.TypeID]   // a MethodRef's Params
 
 	// The head's tables, kept at their exact lengths as the bodies are.
 	fields   core.Slab[core.FieldRef]
@@ -47,12 +47,11 @@ type Arena struct {
 	// each registered site, which windows its edge's phi operands.
 	handlers []*core.Block
 	sitePos  map[*core.Instr]int
-	// vals and params are where a kept Func's value table and parameter
-	// list are built before they are kept at their exact length.
-	vals   []*core.Instr
-	params []core.TypeID
-	// Where the head's tables are built before they are kept: params
-	// serves a method's parameters.
+	// vals is where a kept Func's value table is built before it is kept
+	// at its exact length.
+	vals []*core.Instr
+	// Where the head's tables are built before they are kept.
+	paramBuf  []core.TypeID
 	fieldBuf  []core.FieldRef
 	methodBuf []core.MethodRef
 	classBuf  []*core.ClassDef
@@ -127,7 +126,7 @@ func (a *Arena) Rewind() int {
 		n += int(unsafe.Sizeof(*a.mdl))
 	}
 	n += 8*(cap(a.kids)+cap(a.blks)+cap(a.code)+cap(a.handlers)+cap(a.vals)) +
-		int(unsafe.Sizeof(loopShape{}))*cap(a.loops) + 4*cap(a.params) +
+		int(unsafe.Sizeof(loopShape{}))*cap(a.loops) + 4*cap(a.paramBuf) +
 		int(unsafe.Sizeof(siteMaps{}))*cap(a.sites) + 16*len(a.sitePos) + a.rf.bytes() +
 		int(unsafe.Sizeof(core.FieldRef{}))*cap(a.fieldBuf) +
 		int(unsafe.Sizeof(core.MethodRef{}))*cap(a.methodBuf) + 8*cap(a.classBuf) + 4*cap(a.indexBuf)
@@ -160,6 +159,6 @@ func (a *Arena) recycle() {
 func (a *Arena) dropScratch() {
 	a.f, a.rf, a.sitePos = nil, regFile{}, nil
 	a.kids, a.blks, a.code, a.loops, a.handlers = nil, nil, nil, nil, nil
-	a.vals, a.params = nil, nil
-	a.fieldBuf, a.methodBuf, a.classBuf, a.indexBuf = nil, nil, nil, nil
+	a.vals = nil
+	a.paramBuf, a.fieldBuf, a.methodBuf, a.classBuf, a.indexBuf = nil, nil, nil, nil, nil
 }

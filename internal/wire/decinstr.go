@@ -63,10 +63,10 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 	code := d.code[:0]
 	if b == f.Entry {
 		// Re-create the untransmitted parameter pre-loads from the
-		// signature.
-		for i, pt := range f.Params {
+		// claim's signature.
+		for i := range d.m.NumParams(f) {
 			in := d.instrs.One()
-			*in = core.Instr{Op: core.OpParam, Type: pt, Aux: int32(i), Blk: b}
+			*in = core.Instr{Op: core.OpParam, Type: d.m.Param(f, i), Aux: int32(i), Blk: b}
 			f.Define(in)
 			code = append(code, in)
 			d.rf.add(b, in, i+1)

@@ -199,23 +199,6 @@ func (d *decoder) retire() {
 	}
 }
 
-// newFunc is the Func a body named name is decoded into: one carved from
-// the arena, its value table and parameter list built in the arena's
-// scratch until keep.
-func (d *decoder) newFunc(name string) *core.Func {
-	f := d.funcs.One()
-	f.Begin(name, d.vals)
-	f.Params = d.params[:0]
-	return f
-}
-
-// keep moves a body out of the arena's scratch into its slabs, at their
-// exact lengths, once the body is decoded.
-func (d *decoder) keep(f *core.Func) {
-	d.vals = f.KeepValues(&d.instrVec)
-	d.params, f.Params = f.Params[:0], d.types.Keep(f.Params)
-}
-
 func (d *decoder) typeRef() (core.TypeID, error) {
 	n := len(d.m.Types.ByID) - 1
 	v, err := d.r.symbol(n)
@@ -348,7 +331,7 @@ func (d *decoder) decodeTables() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		ps := d.params[:0]
+		ps := d.paramBuf[:0]
 		for j := 0; j < np; j++ {
 			p, err := d.typeRef()
 			if err != nil {
@@ -356,7 +339,7 @@ func (d *decoder) decodeTables() (int, error) {
 			}
 			ps = append(ps, p)
 		}
-		mr.Params, d.params = d.types.Keep(ps), ps[:0]
+		mr.Params, d.paramBuf = d.types.Keep(ps), ps[:0]
 		if mr.Result, err = d.typeRef(); err != nil {
 			return 0, err
 		}
@@ -471,28 +454,21 @@ func (d *decoder) decodeTables() (int, error) {
 }
 
 // decodeFunc reads function j in three phases and reconstructs its
-// structure. Its name, method and signature are not on the wire: they
-// are the claim the verified tables make about index j (core.Admission.
-// Claim), so a body's link holds by construction, and an index no table
+// structure. A body's claim is not on the wire: it is the claim the
+// verified tables make about index j (core.Admission.Claim), which is all
+// a core.Func holds of its identity (its name and signature are derived
+// from it), so a body's link holds by construction, and an index no table
 // entry claims is malformed.
 func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 	r := d.r
-	tt := d.m.Types
-	method, class, ok := d.adm.Claim(j)
+	claim, ok := d.adm.Claim(j)
 	if !ok {
 		return nil, malformedf("no method or static initializer claims the body")
 	}
-	owner, member := d.m.ClaimedName(method, class)
-	f := d.newFunc(owner + "." + member)
-	f.Result = tt.Void
-	if method >= 0 {
-		mr := &d.m.Methods[method]
-		if !mr.Static {
-			f.Params = append(f.Params, tt.SafeRefOf(mr.Owner))
-		}
-		f.Params = append(f.Params, mr.Params...)
-		f.Method, f.Result = method, mr.Result
-	}
+	// The body is carved from the arena, its value table built in the
+	// arena's scratch until it is kept at its exact length.
+	f := d.funcs.One()
+	f.Begin(claim, d.vals)
 	d.f, d.rules = f, d.adm.Rules(f, &d.rf.pos)
 	var err error
 
@@ -552,7 +528,7 @@ func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 	if err := d.decodeCSTRefs(f.Body); err != nil {
 		return nil, err
 	}
-	d.keep(f)
+	d.vals = f.KeepValues(&d.instrVec)
 	return f, nil
 }
 

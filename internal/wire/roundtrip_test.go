@@ -397,6 +397,56 @@ func TestEncoderPanicsOnRuleErrors(t *testing.T) {
 	}
 }
 
+// TestEncoderRefusesAMisclaimedBody: a body holds only its claim, which
+// the wire does not spell: the consumer takes it from the tables' claim on
+// the body's index. So a body whose claim names another index is a
+// producer bug the encoder refuses at both versions, whichever way the
+// claim is wrong.
+func TestEncoderRefusesAMisclaimedBody(t *testing.T) {
+	const src = `
+class Main {
+    static int k = 7;
+    static int twice(int x) { return x + x; }
+    static void main() { System.out.println(twice(k)); }
+}`
+	body := func(mod *core.Module, member string) *core.Func {
+		for _, f := range mod.Funcs {
+			if strings.HasSuffix(mod.FuncName(f), member) {
+				return f
+			}
+		}
+		t.Fatalf("no body %s", member)
+		return nil
+	}
+	for _, tc := range []struct {
+		name  string
+		body  string
+		claim func(mod *core.Module) int32
+	}{
+		{"method body claiming another method", ".twice", func(mod *core.Module) int32 { return mod.Entry }},
+		{"method body claiming a static initializer", ".twice", func(*core.Module) int32 { return -1 }},
+		{"static initializer claiming a method", ".<clinit>", func(mod *core.Module) int32 { return body(mod, ".twice").Claim }},
+	} {
+		for version, encode := range map[string]func(*core.Module) []byte{
+			"v1": wire.EncodeModule,
+			"v2": func(m *core.Module) []byte { return wire.EncodeModuleV2(m, nil) },
+		} {
+			t.Run(tc.name+"/"+version, func(t *testing.T) {
+				mod := compileAll(t, src, false)
+				f := body(mod, tc.body)
+				f.Claim = tc.claim(mod)
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "is not the body its tables claim") {
+						t.Fatalf("encoder said %q; want a refusal of the misclaimed body", msg)
+					}
+				}()
+				encode(mod)
+			})
+		}
+	}
+}
+
 // TestTamperResistance is the paper's section 2 security argument made
 // executable: flipping any single bit of a distribution unit must yield
 // either a clean decode error or a module that still passes the verifier

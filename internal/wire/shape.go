@@ -22,7 +22,7 @@ func linkShape(f *core.Func, d *decoder) error {
 		return err
 	}
 	if f.Entry == nil {
-		return malformedf("function %s has no entry block", f.Name)
+		return malformedf("function %s has no entry block", d.m.FuncName(f))
 	}
 	return nil
 }

@@ -33,8 +33,8 @@ import (
 // trustworthy as a fully decoded unit because (a) the tables are
 // immutable and statically verified up front, and (b) admitting
 // function j (core.Rules, called on each item as it is decoded: its link
-// holds by construction, its name, method and signature being its
-// claim's) depends only on those tables and on body j — so running it
+// holds by construction, the body holding only the tables' claim on j)
+// depends only on those tables and on body j — so running it
 // when j is first called or after everything has arrived is the same
 // computation, and Module.Verify drives the same rules for every j.
 type StreamingUnit struct {

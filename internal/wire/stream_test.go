@@ -480,7 +480,7 @@ func TestLentStreamAdmitsEachBody(t *testing.T) {
 			}
 			for j, f := range whole.Funcs {
 				if err := su.WaitFunc(j); err != nil || su.Ready() != j+1 || su.Mod.DumpFunc(su.Mod.Funcs[j]) != whole.DumpFunc(f) {
-					t.Fatalf("%s %s: body %d: %v, ready %d, or not the whole decode's %s", u.Name, version, j, err, su.Ready(), f.Name)
+					t.Fatalf("%s %s: body %d: %v, ready %d, or not the whole decode's %s", u.Name, version, j, err, su.Ready(), whole.FuncName(f))
 				}
 			}
 			if err := su.Wait(); err != nil || su.Ready() != len(whole.Funcs) || su.Mod.NumInstrs() != whole.NumInstrs() {
@@ -597,9 +597,8 @@ func TestLentArenaDecodesWhatDecodeModuleDoes(t *testing.T) {
 	}
 }
 
-// TestUnclaimedFunctionIsMalformed: a body's name, method and signature
-// are its claim's, so a body the tables claim for no role has nothing to
-// be decoded as. The encoder refuses to spell one; written anyway, after
+// TestUnclaimedFunctionIsMalformed: a body holds only its claim, so a
+// body the tables claim for no role has nothing to be decoded as. The encoder refuses to spell one; written anyway, after
 // tables that are otherwise whole, every decoder entry and both wire
 // versions refuse it as malformed, with one text, at that body: the
 // stream's gate opens for every body before it and never for it, and the
