@@ -7,6 +7,8 @@
 // cost, unit by unit, for whoever next puts that path on a diet,
 // BenchmarkColdProduce is the same for the producer, BenchmarkHotRun the
 // same for the engine under run_hot_compute's six guests,
+// BenchmarkReference the same for the bytecode VM that checks every
+// workload's outputs,
 // BenchmarkCompileHit the same for a cached POST /compile,
 // BenchmarkRestream the same for a resident unit streamed again, and
 // BenchmarkColdRun the same for a resident unit run cold.
@@ -27,6 +29,7 @@ import (
 	"testing"
 
 	"safetsa/internal/bench"
+	"safetsa/internal/bytecode"
 	"safetsa/internal/codeserver"
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
@@ -270,29 +273,7 @@ func warmCompile(tb testing.TB, a *driver.Arena, files map[string]string) []byte
 //
 //	go test -run='^$' -bench=HotRun -benchtime=20x .
 func BenchmarkHotRun(b *testing.B) {
-	type guest struct {
-		name  string
-		files map[string]string
-	}
-	var guests []guest
-	for _, u := range corpus.Units() {
-		if u.Name == "Linpack" || u.Name == "BitSieve" {
-			guests = append(guests, guest{u.Name, u.Files})
-		}
-	}
-	paths, err := filepath.Glob(filepath.Join("benchmark", "guests", "*.tj"))
-	if err != nil || len(paths) == 0 {
-		b.Fatalf("no guests under benchmark/guests (err %v)", err)
-	}
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		file := filepath.Base(path)
-		guests = append(guests, guest{strings.TrimSuffix(file, ".tj"), map[string]string{file: string(src)}})
-	}
-	for _, g := range guests {
+	for _, g := range computeGuests(b) {
 		mod, comp := hotForm(b, g.files)
 		b.Run(g.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -310,6 +291,77 @@ func BenchmarkHotRun(b *testing.B) {
 				l.Release()
 			}
 			b.ReportMetric(float64(steps)/float64(b.Elapsed().Microseconds()), "steps/µs")
+		})
+	}
+}
+
+// computeGuest is one of run_hot_compute's six guests.
+type computeGuest struct {
+	name  string
+	files map[string]string
+}
+
+// computeGuests is run_hot_compute's six guests: Linpack and BitSieve
+// from the corpus, the four of benchmark/guests read from disk.
+func computeGuests(tb testing.TB) []computeGuest {
+	tb.Helper()
+	var guests []computeGuest
+	for _, u := range corpus.Units() {
+		if u.Name == "Linpack" || u.Name == "BitSieve" {
+			guests = append(guests, computeGuest{u.Name, u.Files})
+		}
+	}
+	paths, err := filepath.Glob(filepath.Join("benchmark", "guests", "*.tj"))
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("no guests under benchmark/guests (err %v)", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		file := filepath.Base(path)
+		guests = append(guests, computeGuest{strings.TrimSuffix(file, ".tj"), map[string]string{file: string(src)}})
+	}
+	return guests
+}
+
+// BenchmarkReference is the library half of every workload's set-up
+// cost: the bytecode VM, the baseline whose outputs every workload is
+// checked against, running the six compute guests through
+// driver.RunBytecode as the benchmark's reference runs do — link, static
+// initializers, main. The guest's step count is taken once outside the
+// timer (it is deterministic), so steps/µs reads the VM's speed and
+// allocs/op its host allocations per run, per guest:
+//
+//	GOMAXPROCS=1 go test -run='^$' -bench=Reference -benchtime=5x .
+func BenchmarkReference(b *testing.B) {
+	for _, g := range computeGuests(b) {
+		prog, err := driver.Frontend(g.files)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bc, err := driver.CompileBytecode(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env := rt.NewEnv(io.Discard, rt.Budget{}, nil)
+		vm, err := bytecode.NewVM(bc, env)
+		if err == nil {
+			err = vm.RunMain()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps := env.Steps
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := driver.RunBytecode(bc, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(steps)*float64(b.N)/float64(b.Elapsed().Microseconds()), "steps/µs")
 		})
 	}
 }
