@@ -20,12 +20,25 @@ func Compile(prog *sema.Program) (*Program, error) {
 		}
 		p.Classes = append(p.Classes, cf)
 		for _, m := range c.Methods {
-			if m.Name == "main" && m.Static && p.Main == "" {
-				p.Main = c.Name
+			if p.Main == "" && isEntry(prog, m) {
+				p.Main, p.MainDesc = c.Name, methodDescOf(m)
 			}
 		}
 	}
 	return p, nil
+}
+
+// isEntry reports whether m can be a program's entry, by ssabuild's rule:
+// static main() or main(String[]).
+func isEntry(prog *sema.Program, m *sema.MethodSym) bool {
+	if m.Name != "main" || !m.Static || len(m.Params) > 1 {
+		return false
+	}
+	if len(m.Params) == 0 {
+		return true
+	}
+	p := m.Params[0]
+	return p.Kind == sema.KindArray && p.Elem == prog.String
 }
 
 // descOf renders the Java descriptor of a type.

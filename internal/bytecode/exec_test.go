@@ -29,7 +29,11 @@ func runHand(t *testing.T, p *Program) rt.Value {
 		t.Fatal(err)
 	}
 	c := vm.classes["H"]
-	return vm.call(c, c.methods["go()I"], nil)
+	v, threw := vm.call(vm.activation(0, c, c.methods["go()I"]))
+	if threw {
+		t.Fatal(uncaught(v))
+	}
+	return v
 }
 
 func TestStackOps(t *testing.T) {
@@ -140,13 +144,8 @@ func TestExceptionTableDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var caught error
-	func() {
-		defer vm.catchTopLevel(&caught)
-		c := vm.classes["H"]
-		vm.call(c, c.methods["go()I"], nil)
-	}()
-	if caught == nil {
+	c := vm.classes["H"]
+	if _, threw := vm.call(vm.activation(0, c, c.methods["go()I"])); !threw {
 		t.Fatal("wrong-typed handler caught the exception")
 	}
 }

@@ -6,84 +6,78 @@ import (
 	"safetsa/internal/rt"
 )
 
-// execInvoke handles the three invocation opcodes, including the imported
-// host library (Math, PrintStream, String, StringBuilder, Throwable).
-func (vm *VM) execInvoke(fr *frame, in Instr) {
-	cp := fr.c.cf.CP.Entries
-	ref := cp[in.A]
-	class := cpUTF8Of(fr.c.cf, cp[ref.A].A)
-	name := cpUTF8Of(fr.c.cf, ref.B)
-	desc := cpUTF8Of(fr.c.cf, ref.C)
-	sig := name + desc
-	_, result := paramDescs(desc)
-
-	words := descSlots(desc)
+// invoke executes the three invocation opcodes, including the imported
+// host library (Math, PrintStream, String, StringBuilder, Throwable). A
+// call copies its arguments from fr's operand stack straight into the
+// callee's locals; threw reports an exception v raised at fr.pc.
+func (vm *VM) invoke(fr *frame, in Instr) (v rt.Value, threw bool) {
+	r := vm.methodRef(fr.c, in.A)
+	words := int(r.params)
 	if in.Op != INVOKESTATIC {
 		words++
 	}
-	args := make([]rt.Value, words)
-	copy(args, fr.stack[len(fr.stack)-words:])
-	fr.stack = fr.stack[:len(fr.stack)-words]
+	sp := len(fr.stack) - words
+	args := fr.stack[sp:]
 
-	pushResult := func(v rt.Value) {
-		switch result {
-		case "V":
-		case "J", "D":
-			fr.pushWide(v)
-		default:
-			fr.push(v)
+	var c *rtClass
+	var m *Method
+	switch in.Op {
+	case INVOKESTATIC:
+		if r.math {
+			v = vm.nativeMath(r.name, r.desc, args)
+			fr.stack = fr.stack[:sp]
+			fr.pushResult(r, v)
+			return rt.Value{}, false
+		}
+		if r.method == nil {
+			panic(unresolvedStatic(r))
+		}
+		c, m = r.class, r.method
+	case INVOKESPECIAL:
+		if args[0].R == nil {
+			return vm.nullReceiver(r), true
+		}
+		c, m = r.class, r.method
+		if m == nil && r.name == "<init>" {
+			vm.nativeInit(r.owner, args)
+			fr.stack = fr.stack[:sp]
+			return rt.Value{}, false
+		}
+	default: // INVOKEVIRTUAL: resolved through the receiver's dynamic class
+		recv := args[0].R
+		if recv == nil {
+			return vm.nullReceiver(r), true
+		}
+		if obj, ok := recv.(*rt.Object); ok {
+			c, m = vm.virtual(r, obj.Class)
 		}
 	}
-
-	if in.Op == INVOKESTATIC {
-		if class == "Math" {
-			pushResult(vm.nativeMath(name, desc, args))
-			return
+	if m == nil {
+		if v, threw = vm.nativeVirtual(r.owner, r.name, r.desc, args); threw {
+			return v, true
 		}
-		c, m := vm.findStatic(class, sig)
-		if m == nil {
-			panic(fmt.Sprintf("bytecode: unresolved static method %s.%s", class, sig))
-		}
-		pushResult(vm.call(c, m, args))
-		return
+		fr.stack = fr.stack[:sp]
+		fr.pushResult(r, v)
+		return rt.Value{}, false
 	}
 
-	recv := args[0]
-	if recv.R == nil {
-		vm.throwNew(vm.exc.NPE, "null receiver for "+class+"."+name)
+	callee := vm.activation(fr.depth+1, c, m)
+	copy(callee.locals, args)
+	fr.stack = fr.stack[:sp]
+	if v, threw = vm.call(callee); threw {
+		return v, true
 	}
-
-	if in.Op == INVOKESPECIAL {
-		if name == "<init>" {
-			if c, m := vm.findStatic(class, sig); m != nil {
-				vm.call(c, m, args)
-				return
-			}
-			vm.nativeInit(class, recv, args)
-			return
-		}
-		// super.m(...) — non-virtual.
-		c, m := vm.findStatic(class, sig)
-		if m == nil {
-			pushResult(vm.nativeVirtual(class, name, desc, args))
-			return
-		}
-		pushResult(vm.call(c, m, args))
-		return
-	}
-
-	// INVOKEVIRTUAL: resolve through the receiver's dynamic class.
-	if obj, ok := recv.R.(*rt.Object); ok {
-		if c, m := vm.findVirtual(obj.Class, sig); m != nil {
-			pushResult(vm.call(c, m, args))
-			return
-		}
-	}
-	pushResult(vm.nativeVirtual(class, name, desc, args))
+	fr.pushResult(r, v)
+	return rt.Value{}, false
 }
 
-func (vm *VM) nativeInit(class string, recv rt.Value, args []rt.Value) {
-	obj, _ := recv.R.(*rt.Object)
+// nullReceiver is the exception a call through r raises on null.
+func (vm *VM) nullReceiver(r *ref) rt.Value {
+	return vm.newExc(vm.exc.NPE, "null receiver for "+r.owner+"."+r.name)
+}
+
+func (vm *VM) nativeInit(class string, args []rt.Value) {
+	obj, _ := args[0].R.(*rt.Object)
 	switch class {
 	case "Object":
 	case "StringBuilder":
@@ -132,7 +126,9 @@ func (vm *VM) nativeMath(name, desc string, args []rt.Value) rt.Value {
 	panic("bytecode: unknown Math intrinsic " + name + desc)
 }
 
-func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) rt.Value {
+// nativeVirtual runs an imported instance method; threw reports an
+// exception v it raised.
+func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) (v rt.Value, threw bool) {
 	env := vm.Env
 	recv := args[0]
 	str := func(v rt.Value) string {
@@ -163,7 +159,7 @@ func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) rt.Value 
 		} else {
 			env.Print(text)
 		}
-		return rt.Value{}
+		return rt.Value{}, false
 	case "StringBuilder":
 		obj := recv.R.(*rt.Object)
 		cur, _ := rt.GetStr(obj.Fields[0].R)
@@ -187,51 +183,51 @@ func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) rt.Value 
 				add = rt.RefString(args[1].R)
 			}
 			obj.Fields[0] = rt.RefValue(env.NewStr(cur + add))
-			return recv
+			return recv, false
 		case "toString":
-			return rt.RefValue(env.Str(cur))
+			return rt.RefValue(env.Str(cur)), false
 		}
 	case "String":
 		s := str(recv)
 		switch name {
 		case "length":
-			return rt.IntValue(rt.AsStr(recv.R).Len())
+			return rt.IntValue(rt.AsStr(recv.R).Len()), false
 		case "charAt":
 			c, ok := rt.AsStr(recv.R).CharAt(args[1].Int())
 			if !ok {
-				vm.throwNew(vm.exc.Bounds, fmt.Sprintf("string index %d", args[1].Int()))
+				return vm.newExc(vm.exc.Bounds, fmt.Sprintf("string index %d", args[1].Int())), true
 			}
-			return rt.CharValue(rune(c))
+			return rt.CharValue(rune(c)), false
 		case "substring":
 			sub, ok := rt.AsStr(recv.R).Substring(args[1].Int(), args[2].Int())
 			if !ok {
-				vm.throwNew(vm.exc.Bounds, "substring bounds")
+				return vm.newExc(vm.exc.Bounds, "substring bounds"), true
 			}
-			return rt.RefValue(env.Str(sub))
+			return rt.RefValue(env.Str(sub)), false
 		case "equals":
 			o, ok := rt.GetStr(args[1].R)
-			return rt.BoolValue(ok && o == s)
+			return rt.BoolValue(ok && o == s), false
 		case "compareTo":
-			return rt.IntValue(rt.CompareStr(s, str(args[1])))
+			return rt.IntValue(rt.CompareStr(s, str(args[1]))), false
 		case "indexOf":
-			return rt.IntValue(rt.IndexOfStr(s, str(args[1])))
+			return rt.IntValue(rt.IndexOfStr(s, str(args[1]))), false
 		case "hashCode":
-			return rt.IntValue(rt.StringHash(s))
+			return rt.IntValue(rt.StringHash(s)), false
 		}
 	}
 	// Object / Throwable defaults.
 	switch name {
 	case "hashCode":
-		return rt.IntValue(int32(rt.Identity(recv.R)))
+		return rt.IntValue(int32(rt.Identity(recv.R))), false
 	case "equals":
-		return rt.BoolValue(refEq(recv.R, args[1].R))
+		return rt.BoolValue(refEq(recv.R, args[1].R)), false
 	case "toString":
-		return rt.RefValue(env.Str(rt.RefString(recv.R)))
+		return rt.RefValue(env.Str(rt.RefString(recv.R))), false
 	case "getMessage":
 		if obj, ok := recv.R.(*rt.Object); ok && len(obj.Fields) > 0 {
-			return obj.Fields[0]
+			return obj.Fields[0], false
 		}
-		return rt.Value{}
+		return rt.Value{}, false
 	}
 	panic(fmt.Sprintf("bytecode: unresolved virtual method %s.%s%s", class, name, desc))
 }
