@@ -1,7 +1,8 @@
 // Package fuzzseed is shared by the fuzz targets' tests: it runs a
-// target's generated seeds under their own names, reads the inputs a
-// fuzzer found, and holds FuzzWireDecode's seed generator, whose inputs
-// the wire and oracle tests both sweep. Only tests import it.
+// target's generated seeds under their own names, checks an input replayed
+// under several names once, reads the inputs a fuzzer found, and holds
+// FuzzWireDecode's seed generator, whose inputs the wire and oracle tests
+// both sweep. Only tests import it.
 package fuzzseed
 
 import (
@@ -14,6 +15,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"safetsa/internal/corpus"
@@ -40,7 +42,7 @@ func Add(f *testing.F, seeds []Seed) {
 	for _, s := range seeds {
 		f.Add(s.Data)
 	}
-	if fl := flag.Lookup("test.fuzz"); fl != nil && fl.Value.String() != "" {
+	if fuzzing() {
 		return
 	}
 	root := f.TempDir()
@@ -76,6 +78,66 @@ func Add(f *testing.F, seeds []Seed) {
 		write(s.Name, fmt.Appendf(nil, "go test fuzz v1\n[]byte(%q)\n", s.Data))
 	}
 	f.Chdir(root)
+}
+
+// fuzzing reports whether this test binary is fuzzing rather than
+// replaying its corpus.
+func fuzzing() bool {
+	fl := flag.Lookup("test.fuzz")
+	return fl != nil && fl.Value.String() != ""
+}
+
+// Verdicts remembers, per distinct input, the subtest that checked it and
+// how that ended, so that an input replayed under several names — each
+// seed as <target>/seed#N and by its name, an optimized seed the
+// optimizer left byte-identical to its plain one — is checked once and
+// every name reports the one verdict. The zero value is ready to use.
+type Verdicts struct {
+	mu sync.Mutex
+	by map[string]verdict
+}
+
+type verdict struct {
+	name            string
+	failed, skipped bool
+}
+
+// Run checks data with check under t, unless an earlier subtest checked
+// the same bytes: then t ends as that one did, naming it.
+func (v *Verdicts) Run(t *testing.T, data []byte, check func(*testing.T, []byte)) {
+	t.Helper()
+	v.mu.Lock()
+	first, seen := v.by[string(data)]
+	v.mu.Unlock()
+	if seen {
+		switch {
+		case first.failed:
+			t.Fatalf("the same input as %s, which failed", first.name)
+		case first.skipped:
+			t.Skipf("the same input as %s, which was skipped", first.name)
+		}
+		return
+	}
+	defer func() {
+		v.mu.Lock()
+		if v.by == nil {
+			v.by = map[string]verdict{}
+		}
+		v.by[string(data)] = verdict{t.Name(), t.Failed(), t.Skipped()}
+		v.mu.Unlock()
+	}()
+	check(t, data)
+}
+
+// Once is a fuzz body that, replaying the corpus under plain `go test`,
+// checks each distinct input once (see Verdicts); while fuzzing it is
+// body.
+func Once(body func(*testing.T, []byte)) func(*testing.T, []byte) {
+	if fuzzing() {
+		return body
+	}
+	v := new(Verdicts)
+	return func(t *testing.T, data []byte) { v.Run(t, data, body) }
 }
 
 // Found is every input a fuzzer found for one target, the files of dir

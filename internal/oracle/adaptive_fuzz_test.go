@@ -84,7 +84,7 @@ func adaptiveSeeds(tb testing.TB) []fuzzseed.Seed {
 // fuzzer found, on every plain `go test`.
 func FuzzAdaptiveWire(f *testing.F) {
 	fuzzseed.Add(f, adaptiveSeeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(fuzzseed.Once(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")
 		}
@@ -94,7 +94,7 @@ func FuzzAdaptiveWire(f *testing.F) {
 		if err := oracle.CheckAdmission(data); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}))
 }
 
 // TestAdaptiveWireSeeds sweeps every generated seed under a

@@ -519,14 +519,14 @@ var fuzzBudgets = oracle.Budgets{MaxSteps: 1 << 16, MaxAlloc: 1 << 18}
 // generated seeds and the inputs a fuzzer found, on every plain `go test`.
 func fuzzEngines(f *testing.F, seeds seedSet) {
 	fuzzseed.Add(f, seeds.seeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(fuzzseed.Once(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")
 		}
 		if err := oracle.PreparedDifferential(data, fuzzBudgets); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}))
 }
 
 // TestDepthKillSeedsDieOfDepth: the depth seeds of the engine and pooled

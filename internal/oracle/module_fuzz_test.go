@@ -138,14 +138,14 @@ var moduleSeeds = seedSet{moduleSeedSources, []string{"m0", "m1"}}
 // generated seeds, on every plain `go test`.
 func FuzzModulePasses(f *testing.F) {
 	fuzzseed.Add(f, moduleSeeds.seeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(fuzzseed.Once(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")
 		}
 		if err := oracle.ModuleDifferential(data, fuzzBudgets); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}))
 }
 
 // TestModuleDifferentialSeeds replays the hand-written seeds through the

@@ -177,14 +177,14 @@ var pooledSeeds = seedSet{pooledSeedSources, []string{"p0", "p1"}}
 // seeds, on every plain `go test`.
 func FuzzPooledDifferential(f *testing.F) {
 	fuzzseed.Add(f, pooledSeeds.seeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(fuzzseed.Once(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")
 		}
 		if err := oracle.PooledDifferential(data, fuzzBudgets); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}))
 }
 
 // TestPooledDifferentialSeeds replays the hand-written seeds through the

@@ -3,11 +3,13 @@ package oracle_test
 import (
 	"bytes"
 	"strconv"
+	"strings"
 	"testing"
 
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
+	"safetsa/internal/fuzzseed"
 	"safetsa/internal/oracle"
 	"safetsa/internal/wire"
 )
@@ -99,13 +101,16 @@ func TestSchedulesCannotDisagreeCorpus(t *testing.T) {
 // copies of the link rule once disagreed — clean, truncated at every
 // prefix that is cheap to try, and under a byte-flip sweep.
 func TestSchedulesCannotDisagreeSeeds(t *testing.T) {
+	var verdicts fuzzseed.Verdicts
 	for _, target := range []string{"FuzzWireDecode", "FuzzAdaptiveWire"} {
 		for _, in := range replayedInputs(t, target) {
 			t.Run(target+"/"+in.Name, func(t *testing.T) {
-				sweep(in.Data, func(what string, data []byte) {
-					if err := oracle.CheckStreamingWire(data, fuzzBudgets); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
+				verdicts.Run(t, in.Data, func(t *testing.T, in []byte) {
+					sweep(in, func(what string, data []byte) {
+						if err := oracle.CheckStreamingWire(data, fuzzBudgets); err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+					})
 				})
 			})
 		}
@@ -119,14 +124,27 @@ func TestSchedulesCannotDisagreeSeeds(t *testing.T) {
 // reads admits a unit exactly when the decoder alone reads it and the
 // self-checking walker accepts what it read.
 func TestAdmissionDriversAgreeOnSeeds(t *testing.T) {
+	type input struct {
+		data  []byte
+		names []string // every target/name it is replayed under
+	}
+	var inputs []*input
+	byData := map[string]*input{}
 	for _, target := range append([]string{"FuzzWireDecode"}, sortedKeys(fuzzTargets)...) {
 		for _, in := range replayedInputs(t, target) {
-			sweep(in.Data, func(what string, data []byte) {
-				if err := oracle.CheckAdmission(data); err != nil {
-					t.Fatalf("%s/%s, %s: %v", target, in.Name, what, err)
-				}
-			})
+			if byData[string(in.Data)] == nil {
+				byData[string(in.Data)] = &input{data: in.Data}
+				inputs = append(inputs, byData[string(in.Data)])
+			}
+			byData[string(in.Data)].names = append(byData[string(in.Data)].names, target+"/"+in.Name)
 		}
+	}
+	for _, in := range inputs {
+		sweep(in.data, func(what string, data []byte) {
+			if err := oracle.CheckAdmission(data); err != nil {
+				t.Fatalf("%s, %s: %v", strings.Join(in.names, " = "), what, err)
+			}
+		})
 	}
 }
 

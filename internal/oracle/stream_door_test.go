@@ -10,6 +10,7 @@ import (
 	"safetsa/internal/core"
 	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
+	"safetsa/internal/fuzzseed"
 	"safetsa/internal/interp"
 	"safetsa/internal/oracle"
 	"safetsa/internal/rt"
@@ -163,9 +164,12 @@ func streamedReady(data []byte, b oracle.Budgets) int {
 // edges, the static-init deaths among them — behaves the same through both
 // doors.
 func TestStreamDoorMatchesRunDoorSeeds(t *testing.T) {
+	var verdicts fuzzseed.Verdicts
 	for _, target := range []string{"FuzzCompiledDifferential", "FuzzPooledDifferential"} {
 		for _, in := range replayedInputs(t, target) {
-			t.Run(target+"/"+in.Name, func(t *testing.T) { streamDoorAgrees(t, in.Data, fuzzBudgets) })
+			t.Run(target+"/"+in.Name, func(t *testing.T) {
+				verdicts.Run(t, in.Data, func(t *testing.T, data []byte) { streamDoorAgrees(t, data, fuzzBudgets) })
+			})
 		}
 	}
 }
