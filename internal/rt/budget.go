@@ -159,10 +159,10 @@ func (e *Env) Enter(slots int64) {
 // Leave ends an activation Enter charged, on return and on throw alike.
 func (e *Env) Leave(slots int64) { e.slots -= slots }
 
-// The engines that unwind a guest exception by Go panic (interp's prepared
-// evaluator and the bytecode VM; the compiled engine and the reference
-// walker return it) arm a deferred recover per handler, and a kill has to
-// get past every one of them. A site that recovers whatever arrives and
+// The engine that unwinds a guest exception by Go panic, interp's prepared
+// evaluator, arms a deferred recover per handler (the compiled engine, the
+// reference walker and the bytecode VM return the exception), and a kill
+// has to get past every one of them. A site that recovers whatever arrives and
 // panics again with what it did not want makes that quadratic in the
 // depth — the runtime rescans the stack for each new panic: 8 000 frames
 // under try took 108 s to die of a step limit, with no interrupt able to
@@ -172,7 +172,9 @@ func (e *Env) Leave(slots int64) { e.slots -= slots }
 // only for an exception it will handle; everything else passes through a
 // deferred call that returns.
 
-// Throw unwinds the Go stack with carrier c, a Thrown.
+// Throw unwinds the Go stack with carrier c, a Thrown: how the prepared
+// engine raises a guest exception, and how interp's Loader.call hands an
+// exception nothing caught to its top level.
 func (e *Env) Throw(c any) {
 	e.inflight = c
 	panic(c)

@@ -110,11 +110,11 @@ func (c *ClassInfo) IsSubclassOf(d *ClassInfo) bool {
 }
 
 // Thrown carries a TJ exception through the Go stack via panic/recover.
-// It is how an uncaught exception reaches a consumer's top-level
-// boundary, and how package interp's prepared evaluator and package
-// bytecode unwind between frames; the served compiled engine and the
-// reference walker unwind by return and panic a Thrown only once, at
-// Loader.call, for an exception nothing caught.
+// It is how an uncaught exception reaches package interp's top-level
+// boundary, and how its prepared evaluator unwinds between frames; the
+// served compiled engine and the reference walker unwind by return and
+// panic a Thrown only once, at Loader.call, for an exception nothing
+// caught. The bytecode VM returns its exceptions and panics none.
 type Thrown struct{ Val Value }
 
 // Env is the execution environment shared by the interpreters. An Env
@@ -252,16 +252,6 @@ func Identity(r Ref) int64 {
 type ExcClasses struct {
 	Throwable, Exception              *ClassInfo
 	NPE, Arith, Bounds, Cast, NegSize *ClassInfo
-}
-
-// ThrowNew panics with a freshly allocated exception of class c carrying
-// the message in field slot 0.
-func (e *Env) ThrowNew(c *ClassInfo, msg string) {
-	o := e.NewObject(c)
-	if len(o.Fields) > 0 {
-		o.Fields[0] = RefValue(e.Str(msg))
-	}
-	e.Throw(Thrown{Val: RefValue(o)})
 }
 
 // ---------------------------------------------------------------------

@@ -306,22 +306,6 @@ func TestEnvObjectsAndExceptions(t *testing.T) {
 		t.Error("array allocation wrong")
 	}
 
-	exc := &ClassInfo{Name: "Boom", NumSlots: 1}
-	func() {
-		defer func() {
-			r := recover()
-			th, ok := r.(Thrown)
-			if !ok {
-				t.Fatalf("ThrowNew panicked with %T", r)
-			}
-			o := th.Val.R.(*Object)
-			if msg, _ := GetStr(o.Fields[0].R); msg != "bang" {
-				t.Errorf("message %q", msg)
-			}
-		}()
-		env.ThrowNew(exc, "bang")
-	}()
-
 	env.Println("line")
 	env.Print("x")
 	if out.String() != "line\nx" {
