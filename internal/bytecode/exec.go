@@ -397,7 +397,7 @@ func (vm *VM) exec(fr *frame) (v rt.Value, threw bool) {
 		case NEWARRAY, ANEWARRAY:
 			n := fr.pop().Int()
 			if n < 0 {
-				return vm.newExc(vm.exc.NegSize, fmt.Sprintf("%d", n)), true
+				return vm.newExc(vm.exc.NegSize, rt.NegativeSizeMessage(n)), true
 			}
 			var id int32
 			if in.Op == NEWARRAY {
@@ -541,7 +541,7 @@ func (vm *VM) element(fr *frame) (arr *rt.Array, i int32, exc rt.Value) {
 		return nil, 0, vm.nullArray()
 	}
 	if i < 0 || int(i) >= len(arr.Elems) {
-		return nil, 0, vm.newExc(vm.exc.Bounds, fmt.Sprintf("index %d out of bounds for length %d", i, len(arr.Elems)))
+		return nil, 0, vm.newExc(vm.exc.Bounds, rt.IndexMessage(i, len(arr.Elems)))
 	}
 	return arr, i, rt.Value{}
 }
@@ -570,7 +570,7 @@ func primDesc(tag int32) string {
 func (vm *VM) multiNew(r *ref, d int, dims []rt.Value) (arr *rt.Array, exc rt.Value) {
 	n := dims[0].Int()
 	if n < 0 {
-		return nil, vm.newExc(vm.exc.NegSize, fmt.Sprintf("%d", n))
+		return nil, vm.newExc(vm.exc.NegSize, rt.NegativeSizeMessage(n))
 	}
 	arr = vm.Env.NewArray(n, vm.dimType(r, d))
 	if len(dims) > 1 {

@@ -195,7 +195,7 @@ func (vm *VM) nativeVirtual(class, name, desc string, args []rt.Value) (v rt.Val
 		case "charAt":
 			c, ok := rt.AsStr(recv.R).CharAt(args[1].Int())
 			if !ok {
-				return vm.newExc(vm.exc.Bounds, fmt.Sprintf("string index %d", args[1].Int())), true
+				return vm.newExc(vm.exc.Bounds, rt.StringIndexMessage(args[1].Int())), true
 			}
 			return rt.CharValue(rune(c)), false
 		case "substring":

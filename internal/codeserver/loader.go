@@ -137,7 +137,7 @@ func NewLoaderCache(maxModules, maxWarm int, m *Metrics) *LoaderCache {
 	if maxWarm == 0 {
 		maxWarm = 256
 	}
-	c := &LoaderCache{m: m, units: newLRU[*LoadedUnit](maxModules, &m.loaderEvict, nil), maxWarm: int64(maxWarm)}
+	c := &LoaderCache{m: m, units: newLRU[*LoadedUnit](maxModules, &m.n[mLoaderEvicted], nil), maxWarm: int64(maxWarm)}
 	c.units.drop = c.drop
 	return c
 }
@@ -195,9 +195,9 @@ func (c *LoaderCache) offer(lu *LoadedUnit, l *interp.Loader, initOut []byte) {
 		// A snapshot that cannot reproduce itself must never serve
 		// traffic; the counter is the alarm (this indicates a clone
 		// machinery bug, not a property of the unit).
-		c.m.poolVerifyFails.Add(1)
+		c.m.n[mPoolVerifyFails].Add(1)
 	case lu.warm.CompareAndSwap(nil, snap):
-		c.m.poolBuilds.Add(1)
+		c.m.n[mPoolBuilds].Add(1)
 		return
 	}
 	c.warm.Add(-1)
@@ -224,7 +224,7 @@ func (c *LoaderCache) reserve() bool {
 func (c *LoaderCache) drop(lu *LoadedUnit) {
 	if lu.warm.Swap(dropped) != nil {
 		c.warm.Add(-1)
-		c.m.poolEvictions.Add(1)
+		c.m.n[mPoolEvictions].Add(1)
 	}
 	lu.letGo()
 }
@@ -243,7 +243,7 @@ func (c *LoaderCache) drop(lu *LoadedUnit) {
 func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Context, Key) (*Unit, *core.Module, error)) (*LoadedUnit, error) {
 	u, mod, err := fetch(ctx, k)
 	if err != nil {
-		c.m.loadErrors.Add(1)
+		c.m.n[mLoadErrors].Add(1)
 		return nil, err
 	}
 	lu := &LoadedUnit{Mod: mod}
@@ -261,11 +261,11 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Contex
 		lu.Mod, lu.Comp = su.Mod, interp.PulledIn(su.Mod, su.NumFuncs(), c.pull(k, lu, su), a.Second)
 		return nil
 	}); err != nil {
-		c.m.loadErrors.Add(1)
+		c.m.n[mLoadErrors].Add(1)
 		return nil, &driver.Error{Kind: driver.KindVerify,
 			Err: fmt.Errorf("codeserver: unit %s: %s: %w", k, stageNames[stageDecode], err)}
 	}
-	c.m.loads.Add(1)
+	c.m.n[mLoads].Add(1)
 	return lu, nil
 }
 
@@ -290,7 +290,7 @@ func (c *LoaderCache) pull(k Key, lu *LoadedUnit, su *wire.StreamingUnit) func(f
 		err := su.WaitFunc(fi)
 		if fi >= ready {
 			c.m.stages[stageDecode].Observe(time.Since(start))
-			c.m.pulledFuncs.Add(uint64(su.Ready() - ready))
+			c.m.n[mPulledFunctions].Add(int64(su.Ready() - ready))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: codeserver: unit %s: admitted whole, function %d no longer decodes: %w",

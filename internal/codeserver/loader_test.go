@@ -194,7 +194,7 @@ func TestSessionOutlivesItsUnit(t *testing.T) {
 	eventually(t, "the guest is spinning on a unit holding the snapshot its static init published", func() bool {
 		var ok bool
 		lu, ok = s.loader.units.get(u.Key)
-		return s.m.runsInFlight.Load() == 1 && s.m.pulledFuncs.Load() > 0 && ok && lu.snapshot() != nil
+		return s.m.n[mRunsInFlight].Load() == 1 && s.m.n[mPulledFunctions].Load() > 0 && ok && lu.snapshot() != nil
 	})
 	for _, k := range others {
 		if res, err := s.RunUnitOpts(ctx, k, RunOptions{}); err != nil || !res.OK {
@@ -205,15 +205,15 @@ func TestSessionOutlivesItsUnit(t *testing.T) {
 	if lu.snapshot() != nil {
 		t.Error("the unit pushed out of the loader cache kept its snapshot")
 	}
-	pulled := s.m.pulledFuncs.Load()
-	if s.m.runsInFlight.Load() != 1 {
+	pulled := s.m.n[mPulledFunctions].Load()
+	if s.m.n[mRunsInFlight].Load() != 1 {
 		t.Fatal("the guest ended before its unit was dropped; spin longer")
 	}
 	got := <-done
 	if got.err != nil || got.res != want {
 		t.Errorf("the session that outlived its unit answered %+v, %v\nunpooled %+v", got.res, got.err, want)
 	}
-	if s.m.pulledFuncs.Load() == pulled {
+	if s.m.n[mPulledFunctions].Load() == pulled {
 		t.Error("the guest pulled nothing after its unit was dropped")
 	}
 }

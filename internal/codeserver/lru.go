@@ -18,10 +18,10 @@ type lru[V any] struct {
 	order   *list.List            // front = most recently used
 	flights map[Key]*flight[V]
 
-	evictions *atomic.Uint64 // entries pushed out at capacity
+	evictions *atomic.Int64 // entries pushed out at capacity
 	// joins counts callers waiting on or served by another caller's
 	// flight; a waiter that starts over takes its count back.
-	joins *atomic.Uint64
+	joins *atomic.Int64
 	// drop, when set, is called once for every value that leaves the
 	// cache, by eviction or remove, after c.mu is let go: the cache's
 	// hold on a value ends there (LoadedUnit). A flight's value that
@@ -54,9 +54,9 @@ const (
 
 // newLRU creates a cache of at most max entries that counts into the
 // caller's metrics; joins may be nil when nothing reads it.
-func newLRU[V any](max int, evictions, joins *atomic.Uint64) lru[V] {
+func newLRU[V any](max int, evictions, joins *atomic.Int64) lru[V] {
 	if joins == nil {
-		joins = new(atomic.Uint64)
+		joins = new(atomic.Int64)
 	}
 	return lru[V]{
 		max:       max,
@@ -166,7 +166,7 @@ func (c *lru[V]) fill(ctx context.Context, k Key, fn func(context.Context) (V, e
 			if err := ctx.Err(); err != nil {
 				return zero, joined, err
 			}
-			c.joins.Add(^uint64(0))
+			c.joins.Add(-1)
 		case <-ctx.Done():
 			return zero, joined, ctx.Err()
 		}

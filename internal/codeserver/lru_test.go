@@ -37,7 +37,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // in fill.
 func TestLRU(t *testing.T) {
 	t.Run("recency order and eviction count", func(t *testing.T) {
-		var evicted atomic.Uint64
+		var evicted atomic.Int64
 		c := newLRU[int](2, &evicted, nil)
 		c.add(lruKey(0), 0)
 		c.add(lruKey(1), 1)
@@ -66,7 +66,7 @@ func TestLRU(t *testing.T) {
 	})
 
 	t.Run("racing adds insert once", func(t *testing.T) {
-		var evicted atomic.Uint64
+		var evicted atomic.Int64
 		c := newLRU[int](4, &evicted, nil)
 		const n = 16
 		var wg sync.WaitGroup
@@ -126,7 +126,7 @@ func TestLRU(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			const waiters = 3
-			var evicted, joins atomic.Uint64
+			var evicted, joins atomic.Int64
 			var runs atomic.Int32
 			c := newLRU[int](4, &evicted, &joins)
 			k := lruKey(0)
@@ -220,7 +220,7 @@ func TestLRU(t *testing.T) {
 // inserted (the flight failed), and not of an add that lost to the
 // resident value.
 func TestLRUDropHook(t *testing.T) {
-	var evicted atomic.Uint64
+	var evicted atomic.Int64
 	c := newLRU[int](2, &evicted, nil)
 	dropped := map[int]int{}
 	c.drop = func(v int) { dropped[v]++ }

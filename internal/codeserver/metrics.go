@@ -14,91 +14,138 @@ import (
 )
 
 // Metrics is the server-wide instrumentation, updated with atomics on
-// every request path so it is safe under full concurrency. It has one
+// every request path: n holds each counter and gauge of metrics at its
+// handle, added to at a constant index (m.n[mRuns].Add(1)). It has one
 // reader, snapshot: GET /stats serves the Stats it cuts, GET /metrics
-// renders that same value (writePrometheus), and a fleet member's gossip
-// row embeds it.
+// renders that same value (writePrometheus), and gossip rows embed it.
 type Metrics struct {
 	// node is the fleet identity stamped onto every Prometheus series
 	// and the stats snapshot ("" for a single-node server: no label).
 	node string
+	n    [numMetrics]atomic.Int64
 
-	compileRequests  atomic.Uint64
-	cacheHits        atomic.Uint64
-	diskHits         atomic.Uint64
-	compiles         atomic.Uint64
-	coalesced        atomic.Uint64
-	compileErrors    atomic.Uint64
-	compilesInFlight atomic.Int64
-	evictions        atomic.Uint64
-
-	// Peer-fill accounting (cluster mode): units fetched from a fleet
-	// peer and re-admitted through the local decode+verify path, fetches
-	// that failed before admission, and — the security counter — peer
-	// bytes rejected by local admission. Rejected bytes never reach the
-	// memory or disk tier.
-	peerFills       atomic.Uint64
-	peerFillErrors  atomic.Uint64
-	peerFillRejects atomic.Uint64
-
-	loads       atomic.Uint64
-	loaderHits  atomic.Uint64
-	loadErrors  atomic.Uint64
-	loaderEvict atomic.Uint64
-	// loweredFuncs counts function bodies run sessions lowered, on both run
-	// doors alike: on a function's first call, once per function of a
-	// form, however many sessions raced to call it (interp.Loader.lower).
-	loweredFuncs atomic.Uint64
-	// pulledFuncs counts function bodies decoded and admitted from a
-	// resident unit's cursor on first call (LoaderCache.pull); each is
-	// pulled once per load.
-	pulledFuncs atomic.Uint64
-
-	runs         atomic.Uint64
-	runErrors    atomic.Uint64
-	runsInFlight atomic.Int64
-
-	// streamRejects counts streaming runs whose unit was rejected at any
-	// point in the stream (header, tables, a function the verifier
-	// refused, truncation, trailing garbage). Rejected bytes never reach
-	// either cache tier.
-	streamRejects atomic.Uint64
-	// residentStreams counts streaming runs whose tail was not decoded
-	// because the store's memory tier held the same bytes (Server.tail).
-	residentStreams atomic.Uint64
-
-	// Run-session budget accounting: cumulative guest work (rt.Env step
-	// and allocation counters drained after every session). Kills are
-	// counted once, in the killed session's tenant row; the server-wide
-	// figures are sums over the rows.
-	guestSteps  atomic.Int64
-	guestAllocs atomic.Int64
-
-	// Warm-session pool accounting: sessions served from a snapshot
-	// clone (hits), snapshots built+verified+published (builds),
-	// requests whose budgets were too tight to admit a clone (declines,
-	// served fresh), snapshots that failed their publish-time
-	// self-verification (verifyFails — a clone-machinery alarm, always 0
-	// in a healthy server), and snapshots dropped with their unit when
-	// the loader cache let go of it (evictions).
-	poolHits        atomic.Uint64
-	poolBuilds      atomic.Uint64
-	poolDeclines    atomic.Uint64
-	poolVerifyFails atomic.Uint64
-	poolEvictions   atomic.Uint64
-
-	// Per-tenant accounting. tenantRejects is the fleet-visible total of
-	// fair-admission 429s; the per-tenant breakdown (runs, rejects,
-	// in-flight, budget drain, kills by reason) lives in tenants, a
-	// lazily grown bounded map — beyond maxTenants, rows fold into the
-	// "overflow" tenant so a tenant-id flood cannot grow the map without
-	// bound.
-	tenantRejects atomic.Uint64
-	tmu           sync.Mutex
-	tenants       map[string]*tenantCounters
+	// Per-tenant rows, lazily grown and bounded: beyond maxTenants, rows
+	// fold into the "overflow" tenant so a tenant-id flood cannot grow the
+	// map without bound.
+	tmu     sync.Mutex
+	tenants map[string]*tenantCounters
 
 	// stages holds one latency histogram per pipeline stage.
 	stages [numStages]obs.Histogram
+}
+
+// metric is the handle of one server-wide /metrics family: its index in
+// metrics and, for a counted one, in Metrics.n.
+type metric int
+
+const (
+	mCompileRequests metric = iota
+	mCacheHits
+	mDiskHits
+	mCompiles
+	mCoalesced
+	mCompileErrors
+	mEvictions
+	mCompilesInFlight
+	mUnitsCached
+	mPeerFills
+	mPeerFillErrors
+	mPeerFillRejects
+	mLoads
+	mLoaderHits
+	mLoadErrors
+	mLoaderEvicted
+	mModulesLoaded
+	mLoweredFunctions
+	mPulledFunctions
+	mRuns
+	mRunErrors
+	mStreamRejects
+	mResidentStreams
+	mRunsInFlight
+	mGuestSteps
+	mGuestAllocs
+	mGuestKills
+	mPoolHits
+	mPoolBuilds
+	mPoolDeclines
+	mPoolVerifyFails
+	mPoolEvictions
+	mPoolSessions
+	mStockGives
+	mTenantRejects
+	numMetrics
+)
+
+const counter, gauge = "counter", "gauge"
+
+// A family declares one /metrics family: its type, name, help text and
+// the field of S that carries it. A uint64 or int64 field is counted at
+// the entry's handle; an int field is an occupancy Server.Stats fills in;
+// a map field is a composite family, one sample per key (samples).
+type family[S any] struct {
+	kind, name, help string
+	field            func(*S) any
+}
+
+// metrics is every server-wide family, the one spelling of each: adding
+// one takes a Stats field and an entry here.
+var metrics = [numMetrics]family[Stats]{
+	mCompileRequests:  {counter, "safetsa_compile_requests_total", "Compile requests received.", func(s *Stats) any { return &s.CompileRequests }},
+	mCacheHits:        {counter, "safetsa_cache_hits_total", "Compile requests served from the in-memory unit store.", func(s *Stats) any { return &s.CacheHits }},
+	mDiskHits:         {counter, "safetsa_disk_hits_total", "Compile requests served from the on-disk unit store.", func(s *Stats) any { return &s.DiskHits }},
+	mCompiles:         {counter, "safetsa_compiles_total", "Producer pipelines actually run.", func(s *Stats) any { return &s.Compiles }},
+	mCoalesced:        {counter, "safetsa_coalesced_total", "Compile requests coalesced onto an in-flight compile.", func(s *Stats) any { return &s.Coalesced }},
+	mCompileErrors:    {counter, "safetsa_compile_errors_total", "Failed producer pipelines.", func(s *Stats) any { return &s.CompileErrors }},
+	mEvictions:        {counter, "safetsa_evictions_total", "Units evicted from the in-memory store.", func(s *Stats) any { return &s.Evictions }},
+	mCompilesInFlight: {gauge, "safetsa_compiles_in_flight", "Producer pipelines currently running.", func(s *Stats) any { return &s.CompilesInFlight }},
+	mUnitsCached:      {gauge, "safetsa_units_cached", "Encoded units resident in the in-memory store.", func(s *Stats) any { return &s.UnitsCached }},
+	mPeerFills:        {counter, "safetsa_peer_fills_total", "Units fetched from a fleet peer and admitted by local re-verification.", func(s *Stats) any { return &s.PeerFills }},
+	mPeerFillErrors:   {counter, "safetsa_peer_fill_errors_total", "Peer unit fetches that failed before admission.", func(s *Stats) any { return &s.PeerFillErrors }},
+	mPeerFillRejects:  {counter, "safetsa_peer_fill_rejects_total", "Peer-supplied units rejected by local decode+verify admission.", func(s *Stats) any { return &s.PeerFillRejects }},
+	mLoads:            {counter, "safetsa_loads_total", "Units decoded and verified by the loader.", func(s *Stats) any { return &s.Loads }},
+	mLoaderHits:       {counter, "safetsa_loader_hits_total", "Run requests served from the decoded-module cache.", func(s *Stats) any { return &s.LoaderHits }},
+	mLoadErrors:       {counter, "safetsa_load_errors_total", "Units rejected by decode or the verifier.", func(s *Stats) any { return &s.LoadErrors }},
+	mLoaderEvicted:    {counter, "safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", func(s *Stats) any { return &s.LoaderEvicted }},
+	mModulesLoaded:    {gauge, "safetsa_modules_loaded", "Decoded modules resident in the loader cache.", func(s *Stats) any { return &s.ModulesLoaded }},
+	mLoweredFunctions: {counter, "safetsa_lowered_functions_total", "Function bodies run sessions lowered on first call, on both run doors.", func(s *Stats) any { return &s.LoweredFunctions }},
+	mPulledFunctions:  {counter, "safetsa_pulled_functions_total", "Function bodies run sessions decoded and admitted from a resident unit's bytes on first call.", func(s *Stats) any { return &s.PulledFunctions }},
+	mRuns:             {counter, "safetsa_runs_total", "Execution sessions started.", func(s *Stats) any { return &s.Runs }},
+	mRunErrors:        {counter, "safetsa_run_errors_total", "Execution sessions ending in a guest failure.", func(s *Stats) any { return &s.RunErrors }},
+	mStreamRejects:    {counter, "safetsa_stream_rejects_total", "Streaming runs whose unit was rejected mid-stream; nothing cached.", func(s *Stats) any { return &s.StreamRejects }},
+	mResidentStreams:  {counter, "safetsa_resident_streams_total", "Streaming runs whose tail was not decoded: the store already held the same bytes, admitted whole.", func(s *Stats) any { return &s.ResidentStreams }},
+	mRunsInFlight:     {gauge, "safetsa_runs_in_flight", "Execution sessions currently running.", func(s *Stats) any { return &s.RunsInFlight }},
+	mGuestSteps:       {counter, "safetsa_guest_steps_total", "Interpreter steps executed by guest programs.", func(s *Stats) any { return &s.GuestSteps }},
+	mGuestAllocs:      {counter, "safetsa_guest_allocs_total", "Allocation units charged by guest programs.", func(s *Stats) any { return &s.GuestAllocs }},
+	mGuestKills:       {counter, "safetsa_guest_kills_total", "Guest sessions terminated by an exhausted budget, by reason and tenant.", func(s *Stats) any { return &s.Tenants }},
+	mPoolHits:         {counter, "safetsa_pool_hits_total", "Run sessions served from a warm-session snapshot clone.", func(s *Stats) any { return &s.PoolHits }},
+	mPoolBuilds:       {counter, "safetsa_pool_builds_total", "Warm-session snapshots built, verified, and published.", func(s *Stats) any { return &s.PoolBuilds }},
+	mPoolDeclines:     {counter, "safetsa_pool_declines_total", "Runs declined by the pool because their budgets were below the init drain.", func(s *Stats) any { return &s.PoolDeclines }},
+	mPoolVerifyFails:  {counter, "safetsa_pool_verify_fails_total", "Warm-session snapshots rejected by publish-time self-verification.", func(s *Stats) any { return &s.PoolVerifyFails }},
+	mPoolEvictions:    {counter, "safetsa_pool_evictions_total", "Warm-session snapshots dropped with their unit when the loader cache let go of it.", func(s *Stats) any { return &s.PoolEvictions }},
+	mPoolSessions:     {gauge, "safetsa_pool_sessions", "Warm-session snapshots resident in the pool.", func(s *Stats) any { return &s.PoolSessions }},
+	mStockGives:       {counter, "safetsa_stock_gives_total", "Recycled items given back to a process-wide stock, kept for reuse or dropped over the stock's byte cap.", func(s *Stats) any { return &s.StockGives }},
+	mTenantRejects:    {counter, "safetsa_tenant_rejects_total", "Runs rejected by the per-tenant fair-admission gate.", func(s *Stats) any { return &s.TenantRejects }},
+}
+
+// The handle of a per-tenant family: its index in tenantMetrics and in
+// tenantCounters.n.
+const (
+	tRuns = iota
+	tRejects
+	tSteps
+	tAllocs
+	tInFlight
+	numTenantMetrics
+)
+
+// tenantMetrics is every per-tenant family, one sample per tenant.
+var tenantMetrics = [numTenantMetrics]family[TenantStats]{
+	tRuns:     {counter, "safetsa_tenant_runs_total", "Run sessions accounted per tenant.", func(t *TenantStats) any { return &t.Runs }},
+	tRejects:  {counter, "safetsa_tenant_throttled_total", "Fair-admission rejections per tenant.", func(t *TenantStats) any { return &t.Rejects }},
+	tSteps:    {counter, "safetsa_tenant_steps_total", "Interpreter steps drained per tenant.", func(t *TenantStats) any { return &t.Steps }},
+	tAllocs:   {counter, "safetsa_tenant_allocs_total", "Allocation units drained per tenant.", func(t *TenantStats) any { return &t.Allocs }},
+	tInFlight: {gauge, "safetsa_tenant_runs_in_flight", "Run sessions currently in flight per tenant.", func(t *TenantStats) any { return &t.InFlight }},
 }
 
 // stage is one timed pipeline stage. stageNames is its one spelling: the
@@ -133,7 +180,7 @@ func (m *Metrics) lowered(lw interp.Lowering) {
 	if lw.Funcs == 0 {
 		return
 	}
-	m.loweredFuncs.Add(uint64(lw.Funcs))
+	m.n[mLoweredFunctions].Add(int64(lw.Funcs))
 	m.stages[stagePrepare].Observe(lw.Flatten)
 	m.stages[stageCompileBackend].Observe(lw.Fuse)
 }
@@ -146,13 +193,10 @@ const DefaultTenant = "anon"
 // distinct tenant ids get their own rows, later ones share "overflow".
 const maxTenants = 256
 
-// tenantCounters is one tenant's accounting row.
+// tenantCounters is one tenant's accounting row: n holds each of
+// tenantMetrics at its handle.
 type tenantCounters struct {
-	runs     atomic.Uint64
-	rejects  atomic.Uint64
-	inFlight atomic.Int64
-	steps    atomic.Int64
-	allocs   atomic.Int64
+	n [numTenantMetrics]atomic.Int64
 	// kills is indexed by reason: rt's list of kills is the only one, so
 	// a reason added there is counted and rendered here.
 	kills [rt.NumKills]atomic.Uint64
@@ -162,16 +206,14 @@ type tenantCounters struct {
 func (m *Metrics) tenant(name string) *tenantCounters {
 	m.tmu.Lock()
 	defer m.tmu.Unlock()
-	if m.tenants == nil {
-		m.tenants = make(map[string]*tenantCounters)
-	}
 	tc, ok := m.tenants[name]
+	if !ok && len(m.tenants) >= maxTenants {
+		name = "overflow"
+		tc, ok = m.tenants[name]
+	}
 	if !ok {
-		if len(m.tenants) >= maxTenants {
-			name = "overflow"
-			if tc, ok = m.tenants[name]; ok {
-				return tc
-			}
+		if m.tenants == nil {
+			m.tenants = make(map[string]*tenantCounters)
 		}
 		tc = &tenantCounters{}
 		m.tenants[name] = tc
@@ -208,7 +250,9 @@ type Stats struct {
 	Evictions        uint64 `json:"evictions"`
 	UnitsCached      int    `json:"units_cached"`
 
-	// Cluster peer-fill path (see Metrics).
+	// Cluster peer-fill path: units fetched from a fleet peer and admitted
+	// by local decode+verify, fetches that failed before admission, and
+	// peer bytes admission rejected, which never reach either cache tier.
 	PeerFills       uint64 `json:"peer_fills"`
 	PeerFillErrors  uint64 `json:"peer_fill_errors"`
 	PeerFillRejects uint64 `json:"peer_fill_rejects"`
@@ -219,23 +263,23 @@ type Stats struct {
 	LoadErrors    uint64 `json:"load_errors"`
 	LoaderEvicted uint64 `json:"loader_evicted"`
 	ModulesLoaded int    `json:"modules_loaded"`
-	// LoweredFunctions counts the function bodies run sessions lowered (see
-	// Metrics.loweredFuncs).
+	// LoweredFunctions counts each function body once per form, however
+	// many sessions raced to call it first (interp.Loader.lower).
 	LoweredFunctions uint64 `json:"lowered_functions"`
-	// PulledFunctions counts the function bodies run sessions decoded from
-	// a resident unit's cursor on first call (see Metrics.pulledFuncs).
+	// PulledFunctions counts the bodies pulled through a resident unit's
+	// cursor on first call, once per load (LoaderCache.pull).
 	PulledFunctions uint64 `json:"pulled_functions"`
 	Runs            uint64 `json:"runs"`
 	RunErrors       uint64 `json:"run_errors"`
 	RunsInFlight    int64  `json:"runs_in_flight"`
 	StreamRejects   uint64 `json:"stream_rejects"`
 	// ResidentStreams counts streaming runs whose tail the store vouched
-	// for (see Metrics.residentStreams).
+	// for (Server.tail).
 	ResidentStreams uint64 `json:"resident_streams"`
 
-	// Guest budget accounting (see Metrics). Kills holds every reason
-	// that has killed a session; the four *Kills keys are the legacy
-	// spelling of four of its entries.
+	// Guest budget accounting. Kills holds every reason that has killed a
+	// session, summed over the tenant rows; the four *Kills keys are the
+	// legacy spelling of four of its entries.
 	GuestSteps      int64             `json:"guest_steps"`
 	GuestAllocs     int64             `json:"guest_allocs"`
 	Kills           map[string]uint64 `json:"kills,omitempty"`
@@ -244,8 +288,8 @@ type Stats struct {
 	InterruptKills  uint64            `json:"interrupt_kills"`
 	DeadlineKills   uint64            `json:"deadline_kills"`
 
-	// Warm-session pool (see Metrics). PoolSessions is the number of
-	// loaded units holding a snapshot, filled in by the server.
+	// Warm-session pool (PoolVerifyFails is an alarm, 0 when healthy).
+	// PoolSessions, the loaded units holding a snapshot, is the server's.
 	PoolHits        uint64 `json:"pool_hits"`
 	PoolBuilds      uint64 `json:"pool_builds"`
 	PoolDeclines    uint64 `json:"pool_declines"`
@@ -294,58 +338,19 @@ type Stats struct {
 // snapshot is the one reader of m: every counter, tenant row and stage
 // histogram, cut once.
 func (m *Metrics) snapshot() Stats {
-	st := Stats{
-		Node:             m.node,
-		CompileRequests:  m.compileRequests.Load(),
-		CacheHits:        m.cacheHits.Load(),
-		DiskHits:         m.diskHits.Load(),
-		Compiles:         m.compiles.Load(),
-		Coalesced:        m.coalesced.Load(),
-		CompileErrors:    m.compileErrors.Load(),
-		CompilesInFlight: m.compilesInFlight.Load(),
-		Evictions:        m.evictions.Load(),
-		PeerFills:        m.peerFills.Load(),
-		PeerFillErrors:   m.peerFillErrors.Load(),
-		PeerFillRejects:  m.peerFillRejects.Load(),
-		Loads:            m.loads.Load(),
-		LoaderHits:       m.loaderHits.Load(),
-		LoadErrors:       m.loadErrors.Load(),
-		LoaderEvicted:    m.loaderEvict.Load(),
-		LoweredFunctions: m.loweredFuncs.Load(),
-		PulledFunctions:  m.pulledFuncs.Load(),
-		Runs:             m.runs.Load(),
-		RunErrors:        m.runErrors.Load(),
-		RunsInFlight:     m.runsInFlight.Load(),
-		StreamRejects:    m.streamRejects.Load(),
-		ResidentStreams:  m.residentStreams.Load(),
-		GuestSteps:       m.guestSteps.Load(),
-		GuestAllocs:      m.guestAllocs.Load(),
-		Kills:            map[string]uint64{},
-		PoolHits:         m.poolHits.Load(),
-		PoolBuilds:       m.poolBuilds.Load(),
-		PoolDeclines:     m.poolDeclines.Load(),
-		PoolVerifyFails:  m.poolVerifyFails.Load(),
-		PoolEvictions:    m.poolEvictions.Load(),
-		TenantRejects:    m.tenantRejects.Load(),
+	st := Stats{Node: m.node, Kills: map[string]uint64{}}
+	for h := range m.n {
+		count(metrics[h].field(&st), m.n[h].Load())
 	}
-
 	m.tmu.Lock()
-	if len(m.tenants) > 0 {
-		st.Tenants = make(map[string]TenantStats, len(m.tenants))
-	}
+	st.Tenants = make(map[string]TenantStats, len(m.tenants))
 	for name, tc := range m.tenants {
-		ts := TenantStats{
-			Runs:     tc.runs.Load(),
-			Rejects:  tc.rejects.Load(),
-			InFlight: tc.inFlight.Load(),
-			Steps:    tc.steps.Load(),
-			Allocs:   tc.allocs.Load(),
+		ts := TenantStats{Kills: map[string]uint64{}}
+		for h := range tc.n {
+			count(tenantMetrics[h].field(&ts), tc.n[h].Load())
 		}
 		for k := range tc.kills {
 			if n := tc.kills[k].Load(); n > 0 {
-				if ts.Kills == nil {
-					ts.Kills = make(map[string]uint64)
-				}
 				ts.Kills[rt.Kill(k).String()] = n
 				st.Kills[rt.Kill(k).String()] += n
 			}
@@ -373,89 +378,64 @@ func (m *Metrics) snapshot() Stats {
 	return st
 }
 
-// writePrometheus renders st in the Prometheus text exposition format. In
-// cluster mode every series carries a node="<name>" label so fleet
+// count stores v in the field p points to if it is a counted one.
+func count(p any, v int64) {
+	switch p := p.(type) {
+	case *uint64:
+		*p = uint64(v)
+	case *int64:
+		*p = v
+	}
+}
+
+// samples renders the field p points to as its family's samples, each
+// carrying labels: one for a scalar; for the tenant rows, their kills,
+// every reason per tenant in (reason, tenant) order so scrapes see a
+// fixed matrix; for the stocks, each stock's kept and dropped gives.
+func samples(p any, labels ...string) []obs.Sample {
+	var out []obs.Sample
+	switch p := p.(type) {
+	case *uint64:
+		return []obs.Sample{{Labels: labels, Value: int64(*p)}}
+	case *int64:
+		return []obs.Sample{{Labels: labels, Value: *p}}
+	case *int:
+		return []obs.Sample{{Labels: labels, Value: int64(*p)}}
+	case *map[string]TenantStats:
+		tenants := sortedKeys(*p)
+		for k := rt.Kill(0); k < rt.NumKills; k++ {
+			for _, t := range tenants {
+				out = append(out, obs.Sample{Labels: []string{"reason", k.String(), "tenant", t}, Value: int64((*p)[t].Kills[k.String()])})
+			}
+		}
+	case *map[string]core.StockCount:
+		for _, name := range sortedKeys(*p) {
+			c := (*p)[name]
+			out = append(out,
+				obs.Sample{Labels: []string{"stock", name, "outcome", "kept"}, Value: int64(c.Kept)},
+				obs.Sample{Labels: []string{"stock", name, "outcome", "dropped"}, Value: int64(c.Dropped)})
+		}
+	}
+	return out
+}
+
+// writePrometheus renders st in the Prometheus text exposition format.
+// In cluster mode every series carries a node="<name>" label so fleet
 // scrapes stay per-node.
 func writePrometheus(w io.Writer, st Stats) {
 	p := obs.NewPromWriter(w).ConstLabel("node", st.Node)
-	counter := func(name, help string, v uint64) { p.Family("counter", name, help, obs.Sample{Value: int64(v)}) }
-	gauge := func(name, help string, v int64) { p.Family("gauge", name, help, obs.Sample{Value: v}) }
-
-	counter("safetsa_compile_requests_total", "Compile requests received.", st.CompileRequests)
-	counter("safetsa_cache_hits_total", "Compile requests served from the in-memory unit store.", st.CacheHits)
-	counter("safetsa_disk_hits_total", "Compile requests served from the on-disk unit store.", st.DiskHits)
-	counter("safetsa_compiles_total", "Producer pipelines actually run.", st.Compiles)
-	counter("safetsa_coalesced_total", "Compile requests coalesced onto an in-flight compile.", st.Coalesced)
-	counter("safetsa_compile_errors_total", "Failed producer pipelines.", st.CompileErrors)
-	counter("safetsa_evictions_total", "Units evicted from the in-memory store.", st.Evictions)
-	gauge("safetsa_compiles_in_flight", "Producer pipelines currently running.", st.CompilesInFlight)
-	gauge("safetsa_units_cached", "Encoded units resident in the in-memory store.", int64(st.UnitsCached))
-
-	counter("safetsa_peer_fills_total", "Units fetched from a fleet peer and admitted by local re-verification.", st.PeerFills)
-	counter("safetsa_peer_fill_errors_total", "Peer unit fetches that failed before admission.", st.PeerFillErrors)
-	counter("safetsa_peer_fill_rejects_total", "Peer-supplied units rejected by local decode+verify admission.", st.PeerFillRejects)
-
-	counter("safetsa_loads_total", "Units decoded and verified by the loader.", st.Loads)
-	counter("safetsa_loader_hits_total", "Run requests served from the decoded-module cache.", st.LoaderHits)
-	counter("safetsa_load_errors_total", "Units rejected by decode or the verifier.", st.LoadErrors)
-	counter("safetsa_loader_evicted_total", "Decoded modules evicted from the loader cache.", st.LoaderEvicted)
-	gauge("safetsa_modules_loaded", "Decoded modules resident in the loader cache.", int64(st.ModulesLoaded))
-	counter("safetsa_lowered_functions_total", "Function bodies run sessions lowered on first call, on both run doors.", st.LoweredFunctions)
-	counter("safetsa_pulled_functions_total", "Function bodies run sessions decoded and admitted from a resident unit's bytes on first call.", st.PulledFunctions)
-
-	counter("safetsa_runs_total", "Execution sessions started.", st.Runs)
-	counter("safetsa_run_errors_total", "Execution sessions ending in a guest failure.", st.RunErrors)
-	counter("safetsa_stream_rejects_total", "Streaming runs whose unit was rejected mid-stream; nothing cached.", st.StreamRejects)
-	counter("safetsa_resident_streams_total", "Streaming runs whose tail was not decoded: the store already held the same bytes, admitted whole.", st.ResidentStreams)
-	gauge("safetsa_runs_in_flight", "Execution sessions currently running.", st.RunsInFlight)
-	counter("safetsa_guest_steps_total", "Interpreter steps executed by guest programs.", uint64(st.GuestSteps))
-	counter("safetsa_guest_allocs_total", "Allocation units charged by guest programs.", uint64(st.GuestAllocs))
-
-	// Per-tenant families render one sample per tenant in name order; the
-	// kill counters carry the budget dimension too, every reason per
-	// tenant in (reason, tenant) order, so scrapes see a fixed matrix.
+	for _, f := range metrics {
+		p.Family(f.kind, f.name, f.help, samples(f.field(&st))...)
+	}
 	tenants := sortedKeys(st.Tenants)
-	perTenant := func(typ, name, help string, v func(TenantStats) int64) {
-		rows := make([]obs.Sample, len(tenants))
-		for i, t := range tenants {
-			rows[i] = obs.Sample{Labels: []string{"tenant", t}, Value: v(st.Tenants[t])}
-		}
-		p.Family(typ, name, help, rows...)
-	}
-	var kills []obs.Sample
-	for k := rt.Kill(0); k < rt.NumKills; k++ {
+	for _, f := range tenantMetrics {
+		var rows []obs.Sample
 		for _, t := range tenants {
-			kills = append(kills, obs.Sample{
-				Labels: []string{"reason", k.String(), "tenant", t},
-				Value:  int64(st.Tenants[t].Kills[k.String()]),
-			})
+			ts := st.Tenants[t]
+			rows = append(rows, samples(f.field(&ts), "tenant", t)...)
 		}
+		p.Family(f.kind, f.name, f.help, rows...)
 	}
-	p.Family("counter", "safetsa_guest_kills_total", "Guest sessions terminated by an exhausted budget, by reason and tenant.", kills...)
-
-	counter("safetsa_pool_hits_total", "Run sessions served from a warm-session snapshot clone.", st.PoolHits)
-	counter("safetsa_pool_builds_total", "Warm-session snapshots built, verified, and published.", st.PoolBuilds)
-	counter("safetsa_pool_declines_total", "Runs declined by the pool because their budgets were below the init drain.", st.PoolDeclines)
-	counter("safetsa_pool_verify_fails_total", "Warm-session snapshots rejected by publish-time self-verification.", st.PoolVerifyFails)
-	counter("safetsa_pool_evictions_total", "Warm-session snapshots dropped with their unit when the loader cache let go of it.", st.PoolEvictions)
-	gauge("safetsa_pool_sessions", "Warm-session snapshots resident in the pool.", int64(st.PoolSessions))
-
-	var gives []obs.Sample
-	for _, name := range sortedKeys(st.StockGives) {
-		c := st.StockGives[name]
-		gives = append(gives,
-			obs.Sample{Labels: []string{"stock", name, "outcome", "kept"}, Value: int64(c.Kept)},
-			obs.Sample{Labels: []string{"stock", name, "outcome", "dropped"}, Value: int64(c.Dropped)})
-	}
-	p.Family("counter", "safetsa_stock_gives_total", "Recycled items given back to a process-wide stock, kept for reuse or dropped over the stock's byte cap.", gives...)
-
-	counter("safetsa_tenant_rejects_total", "Runs rejected by the per-tenant fair-admission gate.", st.TenantRejects)
-	perTenant("counter", "safetsa_tenant_runs_total", "Run sessions accounted per tenant.", func(t TenantStats) int64 { return int64(t.Runs) })
-	perTenant("counter", "safetsa_tenant_throttled_total", "Fair-admission rejections per tenant.", func(t TenantStats) int64 { return int64(t.Rejects) })
-	perTenant("counter", "safetsa_tenant_steps_total", "Interpreter steps drained per tenant.", func(t TenantStats) int64 { return t.Steps })
-	perTenant("counter", "safetsa_tenant_allocs_total", "Allocation units drained per tenant.", func(t TenantStats) int64 { return t.Allocs })
-	perTenant("gauge", "safetsa_tenant_runs_in_flight", "Run sessions currently in flight per tenant.", func(t TenantStats) int64 { return t.InFlight })
-
 	stages := make(map[string]obs.HistogramSnapshot, numStages)
 	for s, h := range st.stages {
 		stages[stageNames[s]] = h

@@ -5,10 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,48 +25,34 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files")
 
 // goldenMetrics is the hand-populated Metrics both golden files are
-// rendered from.
+// rendered from. Every figure is set at its declaration's handle.
 func goldenMetrics() *Metrics {
 	m := &Metrics{}
-	m.compileRequests.Store(100)
-	m.cacheHits.Store(60)
-	m.diskHits.Store(5)
-	m.compiles.Store(20)
-	m.coalesced.Store(14)
-	m.compileErrors.Store(1)
-	m.compilesInFlight.Store(2)
-	m.evictions.Store(3)
-	m.loads.Store(18)
-	m.loaderHits.Store(40)
-	m.loadErrors.Store(1)
-	m.loaderEvict.Store(2)
-	m.loweredFuncs.Store(37)
-	m.pulledFuncs.Store(29)
-	m.runs.Store(58)
-	m.runErrors.Store(4)
-	m.runsInFlight.Store(1)
-	m.residentStreams.Store(11)
-	m.guestSteps.Store(123456)
-	m.guestAllocs.Store(7890)
-	m.poolHits.Store(30)
-	m.poolBuilds.Store(6)
-	m.poolDeclines.Store(2)
-	m.poolEvictions.Store(1)
-	m.tenantRejects.Store(5)
+	for h, v := range map[metric]int64{
+		mCompileRequests: 100, mCacheHits: 60, mDiskHits: 5, mCompiles: 20,
+		mCoalesced: 14, mCompileErrors: 1, mCompilesInFlight: 2, mEvictions: 3,
+		mLoads: 18, mLoaderHits: 40, mLoadErrors: 1, mLoaderEvicted: 2,
+		mLoweredFunctions: 37, mPulledFunctions: 29, mRuns: 58, mRunErrors: 4,
+		mRunsInFlight: 1, mResidentStreams: 11, mGuestSteps: 123456, mGuestAllocs: 7890,
+		mPoolHits: 30, mPoolBuilds: 6, mPoolDeclines: 2, mPoolEvictions: 1,
+		mTenantRejects: 5,
+	} {
+		m.n[h].Store(v)
+	}
 	// Two tenants so the per-tenant families and the (reason, tenant)
 	// kill matrix render with a deterministic multi-row shape.
-	acme := m.tenant("acme")
-	acme.runs.Store(40)
-	acme.rejects.Store(5)
-	acme.inFlight.Store(1)
-	acme.steps.Store(100000)
-	acme.allocs.Store(6000)
+	for name, row := range map[string][numTenantMetrics]int64{
+		"acme":        {tRuns: 40, tRejects: 5, tInFlight: 1, tSteps: 100000, tAllocs: 6000},
+		DefaultTenant: {tRuns: 18, tSteps: 23456, tAllocs: 1890},
+	} {
+		tc := m.tenant(name)
+		for h, v := range row {
+			tc.n[h].Store(v)
+		}
+	}
+	acme, anon := m.tenant("acme"), m.tenant(DefaultTenant)
 	acme.kills[rt.KillStepLimit].Store(2)
 	acme.kills[rt.KillAllocLimit].Store(1)
-	anon := m.tenant(DefaultTenant)
-	anon.runs.Store(18)
-	anon.steps.Store(23456)
-	anon.allocs.Store(1890)
 	anon.kills[rt.KillInterrupt].Store(1)
 	anon.kills[rt.KillDeadline].Store(1)
 	// Deterministic histogram contents: one sample per stage in known
@@ -282,84 +266,6 @@ func promValue(t *testing.T, text, series string) float64 {
 	}
 	t.Fatalf("series %q not found in:\n%s", series, text)
 	return 0
-}
-
-// TestMetricsEndpointMatchesCounters is the acceptance check for the
-// observability layer: after real compile/run traffic, /metrics serves
-// per-stage histograms whose sample counts equal the request counters of
-// /stats.
-func TestMetricsEndpointMatchesCounters(t *testing.T) {
-	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp := postJSON(t, ts.URL+"/compile", CompileRequest{Files: helloFiles(), Optimize: true})
-	cr := decodeBody[CompileResponse](t, resp)
-	for i := 0; i < 3; i++ {
-		resp = postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{})
-		decodeBody[RunResult](t, resp)
-	}
-	// One peer fill of each outcome: admitted, refused, never fetched.
-	good := helloUnit(t).Wire
-	for i, fetch := range []func(context.Context) ([]byte, error){
-		func(context.Context) ([]byte, error) { return good, nil },
-		func(context.Context) ([]byte, error) { return good[:len(good)/2], nil },
-		func(context.Context) ([]byte, error) { return nil, errors.New("owner unreachable") },
-	} {
-		_, _, err := s.PeerFillUnit(context.Background(), Key{0: 0xfe, 1: byte(i)}, fetch)
-		if (err == nil) != (i == 0) {
-			t.Fatalf("peer fill %d: err %v", i, err)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	st := s.Stats()
-
-	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="compile"}`); got != float64(st.Compiles) {
-		t.Errorf("compile histogram count %v != compiles %d", got, st.Compiles)
-	}
-	// decode counts the loads that opened the unit's bytes themselves, and
-	// the pulls of bodies through them. The one load here is such a load:
-	// the unit came in through the compile door, which keeps its decode
-	// (cluster's door table has the loads that admit nothing), and the first
-	// run pulls main, the one body the three runs call. The verify row is
-	// declared and unfed: admission is one step.
-	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="decode"}`); got != float64(st.Loads+st.PulledFunctions) ||
-		st.Loads != 1 || st.PulledFunctions != 1 {
-		t.Errorf("decode histogram count %v != loads %d + pulled functions %d (want 1 + 1)", got, st.Loads, st.PulledFunctions)
-	}
-	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="verify"}`); got != 0 {
-		t.Errorf("verify histogram count %v, want 0: nothing in the server verifies apart from decoding", got)
-	}
-	if got := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="run"}`); got != float64(st.Runs) {
-		t.Errorf("run histogram count %v != runs %d", got, st.Runs)
-	}
-	if got, want := promValue(t, text, `safetsa_stage_duration_seconds_count{stage="peer_fill"}`),
-		st.PeerFills+st.PeerFillRejects+st.PeerFillErrors; got != float64(want) || want != 3 {
-		t.Errorf("peer_fill histogram count %v != fills %d + rejects %d + errors %d (one of each)",
-			got, st.PeerFills, st.PeerFillRejects, st.PeerFillErrors)
-	}
-	if got := promValue(t, text, "safetsa_compile_requests_total"); got != float64(st.CompileRequests) {
-		t.Errorf("compile_requests %v != %d", got, st.CompileRequests)
-	}
-	if got := promValue(t, text, "safetsa_runs_total"); got != 3 {
-		t.Errorf("runs_total %v, want 3", got)
-	}
-	if got := promValue(t, text, "safetsa_guest_steps_total"); got <= 0 {
-		t.Errorf("guest_steps_total %v, want > 0", got)
-	}
 }
 
 // TestDebugTracesJSONShape pins the wire contract of /debug/traces: a

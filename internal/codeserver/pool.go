@@ -56,8 +56,8 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 	case <-ctx.Done():
 		return admitted{}, ctx.Err()
 	}
-	p.m.compilesInFlight.Add(1)
-	defer p.m.compilesInFlight.Add(-1)
+	p.m.n[mCompilesInFlight].Add(1)
+	defer p.m.n[mCompilesInFlight].Add(-1)
 	start := time.Now()
 
 	a := compileArenas.Take()
@@ -69,7 +69,7 @@ func (p *Pool) Compile(ctx context.Context, files map[string]string, opts Option
 		return admitted{}, err
 	}
 	compileArenas.Give(a)
-	p.m.compiles.Add(1)
+	p.m.n[mCompiles].Add(1)
 	p.m.stages[stageCompile].Observe(time.Since(start))
 	return out, nil
 }

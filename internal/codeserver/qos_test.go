@@ -334,7 +334,7 @@ class Loop { static void main() { while (true) { } } }`}, Options{})
 		done <- res
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.m.runsInFlight.Load() == 0 {
+	for s.m.n[mRunsInFlight].Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background run never started")
 		}

@@ -170,7 +170,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if s.m.runsInFlight.Load() == 0 {
+		if s.m.n[mRunsInFlight].Load() == 0 {
 			return nil
 		}
 		select {
@@ -302,11 +302,11 @@ func (s *Server) CompileSources(ctx context.Context, k Key, src SourceSet, opts 
 	}
 	ctx, tr := s.tracer.JoinTrace(ctx, "compile")
 	defer tr.Finish()
-	s.m.compileRequests.Add(1)
+	s.m.n[mCompileRequests].Add(1)
 	return s.store.GetOrFill(ctx, k, func(ctx context.Context) (admitted, error) {
 		a, err := s.pool.Compile(ctx, src.Files(), opts)
 		if err != nil {
-			s.m.compileErrors.Add(1)
+			s.m.n[mCompileErrors].Add(1)
 		}
 		return a, err
 	})
@@ -332,15 +332,15 @@ func (s *Server) peerFill(k Key, fetch func(context.Context) ([]byte, error)) fu
 		err = s.m.timed(ctx, stagePeerFill, func(ctx context.Context) error {
 			data, err := fetch(ctx)
 			if err != nil {
-				s.m.peerFillErrors.Add(1)
+				s.m.n[mPeerFillErrors].Add(1)
 				return err
 			}
 			if a, err = admit(data); err != nil {
-				s.m.peerFillRejects.Add(1)
+				s.m.n[mPeerFillRejects].Add(1)
 				return &driver.Error{Kind: driver.KindVerify,
 					Err: fmt.Errorf("codeserver: peer unit %s rejected by local admission: %w", k, err)}
 			}
-			s.m.peerFills.Add(1)
+			s.m.n[mPeerFills].Add(1)
 			return nil
 		})
 		return a, err
@@ -482,18 +482,18 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 	if snap != nil && !snap.Admits(sess.budget) {
 		// The request's budgets would have killed static init; a clone
 		// cannot reproduce that mid-init death, so run fresh.
-		s.m.poolDeclines.Add(1)
+		s.m.n[mPoolDeclines].Add(1)
 		snap = nil
 	}
 	env := sess.begin()
 	var l *interp.Loader
 	if snap != nil {
 		if l, err = snap.NewSession(env); err == nil {
-			s.m.poolHits.Add(1)
+			s.m.n[mPoolHits].Add(1)
 		}
 	} else {
 		if hit {
-			s.m.loaderHits.Add(1)
+			s.m.n[mLoaderHits].Add(1)
 		}
 		if l, err = interp.LoadTrustedDeferred(lu.Mod, nil, lu.Comp, env); err == nil {
 			if err = l.RunStaticInit(); err == nil {
@@ -512,7 +512,7 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 		// loaded unit — serves it again.
 		s.store.forget(k)
 		s.loader.forget(k)
-		s.m.loadErrors.Add(1)
+		s.m.n[mLoadErrors].Add(1)
 		return RunResult{}, &driver.Error{Kind: driver.KindVerify,
 			Err: fmt.Errorf("codeserver: unit %s rejected: %w", k, err)}
 	}
@@ -604,7 +604,7 @@ func (s *Server) runStream(ctx context.Context, body io.Reader, opts RunOptions,
 			// the stream's error is.
 			sess.finish(l, err)
 		}
-		s.m.streamRejects.Add(1)
+		s.m.n[mStreamRejects].Add(1)
 		return RunStreamResult{}, &driver.Error{Kind: driver.KindVerify,
 			Err: fmt.Errorf("codeserver: streamed unit rejected: %w", err)}
 	}
@@ -662,7 +662,7 @@ func (s *Server) tail(ctx context.Context, su *wire.StreamingUnit, src *streamSo
 		if u, ok := s.store.resident(k); ok && bytes.Equal(u.Wire, m.body) {
 			_, rsp := obs.Start(ctx, "resident")
 			rsp.End()
-			s.m.residentStreams.Add(1)
+			s.m.n[mResidentStreams].Add(1)
 			return k, u, nil
 		}
 	}

@@ -375,8 +375,8 @@ func TestStoreEviction(t *testing.T) {
 	if _, ok := st.Get(context.Background(), second); !ok || st.Len() != 1 {
 		t.Errorf("the newer unit is not the one resident (%d resident)", st.Len())
 	}
-	if m.evictions.Load() != 1 {
-		t.Errorf("evictions = %d, want 1", m.evictions.Load())
+	if m.n[mEvictions].Load() != 1 {
+		t.Errorf("evictions = %d, want 1", m.n[mEvictions].Load())
 	}
 }
 

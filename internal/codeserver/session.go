@@ -73,10 +73,10 @@ func (s *Server) newSession(ctx context.Context, trace string, opts RunOptions) 
 	}
 	tc := s.m.tenant(tenant)
 	lim := s.cfg.TenantMaxInFlight
-	if n := tc.inFlight.Add(1); lim > 0 && n > int64(lim) {
-		tc.inFlight.Add(-1)
-		tc.rejects.Add(1)
-		s.m.tenantRejects.Add(1)
+	if n := tc.n[tInFlight].Add(1); lim > 0 && n > int64(lim) {
+		tc.n[tInFlight].Add(-1)
+		tc.n[tRejects].Add(1)
+		s.m.n[mTenantRejects].Add(1)
 		return nil, &TenantBusyError{Tenant: tenant, Limit: lim}
 	}
 	ctx, tr := s.tracer.StartTrace(ctx, trace)
@@ -95,8 +95,8 @@ func (s *Server) newSession(ctx context.Context, trace string, opts RunOptions) 
 // finished.
 func (ss *session) begin() *rt.Env {
 	s := ss.s
-	s.m.runs.Add(1)
-	s.m.runsInFlight.Add(1)
+	s.m.n[mRuns].Add(1)
+	s.m.n[mRunsInFlight].Add(1)
 	_, ss.execSpan = obs.Start(ss.ctx, "exec")
 	ss.start = time.Now()
 	if s.cfg.RunTimeout > 0 {
@@ -128,15 +128,15 @@ func (ss *session) finish(l *interp.Loader, err error) RunResult {
 		s.m.lowered(l.Lowered())
 	}
 	ss.execSpan.End()
-	s.m.runsInFlight.Add(-1)
-	s.m.guestSteps.Add(env.Steps)
-	s.m.guestAllocs.Add(env.Allocs)
-	ss.tc.runs.Add(1)
-	ss.tc.steps.Add(env.Steps)
-	ss.tc.allocs.Add(env.Allocs)
+	s.m.n[mRunsInFlight].Add(-1)
+	s.m.n[mGuestSteps].Add(env.Steps)
+	s.m.n[mGuestAllocs].Add(env.Allocs)
+	ss.tc.n[tRuns].Add(1)
+	ss.tc.n[tSteps].Add(env.Steps)
+	ss.tc.n[tAllocs].Add(env.Allocs)
 	res := RunResult{OK: err == nil, Output: ss.out.String(), Steps: env.Steps, Allocs: env.Allocs}
 	if err != nil {
-		s.m.runErrors.Add(1)
+		s.m.n[mRunErrors].Add(1)
 		res.Error = err.Error()
 		if k, killed := rt.KillOf(err); killed {
 			if k == rt.KillInterrupt && context.Cause(ss.runCtx) == errRunTimeout {
@@ -161,5 +161,5 @@ func (ss *session) release() {
 		ss.stop()
 	}
 	ss.tr.Finish()
-	ss.tc.inFlight.Add(-1)
+	ss.tc.n[tInFlight].Add(-1)
 }

@@ -89,7 +89,7 @@ func (tc *sessionCase) drive(t *testing.T, s *Server, path string) (RunResult, e
 		if tc.meanwhile == nil {
 			return
 		}
-		for i := 0; s.m.runsInFlight.Load() == 0; i++ {
+		for i := 0; s.m.n[mRunsInFlight].Load() == 0; i++ {
 			if i > 4000 {
 				t.Error("run never became in-flight")
 				cancel()

@@ -56,7 +56,7 @@ func TestShutdownDrainsInFlightRuns(t *testing.T) {
 		}(i)
 	}
 	// Wait until every session is actually executing guest code.
-	for i := 0; s.m.runsInFlight.Load() < sessions; i++ {
+	for i := 0; s.m.n[mRunsInFlight].Load() < sessions; i++ {
 		if i > 4000 {
 			t.Fatal("runs never became in-flight")
 		}
@@ -138,7 +138,7 @@ func TestShutdownCompletesHTTPResponses(t *testing.T) {
 		out <- o
 	}()
 
-	for i := 0; s.m.runsInFlight.Load() == 0; i++ {
+	for i := 0; s.m.n[mRunsInFlight].Load() == 0; i++ {
 		if i > 4000 {
 			t.Fatal("run never became in-flight")
 		}

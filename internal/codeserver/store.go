@@ -89,7 +89,7 @@ func NewStore(dir string, maxUnits int, m *Metrics) (*Store, error) {
 			return nil, fmt.Errorf("codeserver: cache dir: %w", err)
 		}
 	}
-	return &Store{dir: dir, m: m, units: newLRU[*Unit](maxUnits, &m.evictions, &m.coalesced)}, nil
+	return &Store{dir: dir, m: m, units: newLRU[*Unit](maxUnits, &m.n[mEvictions], &m.n[mCoalesced])}, nil
 }
 
 // Len reports the number of units resident in memory.
@@ -170,9 +170,9 @@ func (s *Store) GetOrFill(ctx context.Context, k Key, fill func(context.Context)
 	case err != nil:
 		return nil, false, err
 	case how == resident:
-		s.m.cacheHits.Add(1)
+		s.m.n[mCacheHits].Add(1)
 	case how == led && !ran:
-		s.m.diskHits.Add(1)
+		s.m.n[mDiskHits].Add(1)
 	default: // this call, or the flight it joined, ran fill
 		return u, false, nil
 	}

@@ -152,9 +152,9 @@ func TestDiskTierReadmitsUnits(t *testing.T) {
 		fills++
 		return admit(u.Wire)
 	})
-	if err != nil || cached || fills != 1 || m.diskHits.Load() != 0 {
+	if err != nil || cached || fills != 1 || m.n[mDiskHits].Load() != 0 {
 		t.Fatalf("GetOrFill after a rejected disk unit: cached=%v fills=%d disk_hits=%d err=%v, want one fill",
-			cached, fills, m.diskHits.Load(), err)
+			cached, fills, m.n[mDiskHits].Load(), err)
 	}
 	if !bytes.Equal(got.Wire, u.Wire) {
 		t.Fatal("fill result not returned")
@@ -216,7 +216,7 @@ func TestGetOrFillCoalescedCancel(t *testing.T) {
 		_, _, err := st.GetOrFill(ctx, k, mustNotFill)
 		waiterDone <- err
 	}()
-	for i := 0; m.coalesced.Load() == 0; i++ {
+	for i := 0; m.n[mCoalesced].Load() == 0; i++ {
 		if i > 4000 {
 			t.Fatal("waiter never coalesced onto the in-flight fill")
 		}
@@ -281,7 +281,7 @@ func TestGetOrFillOwnerCancelDoesNotPoison(t *testing.T) {
 		})
 		waiterDone <- filled{u, cached, err}
 	}()
-	eventually(t, "the waiter coalesced onto the in-flight fill", func() bool { return m.coalesced.Load() == 1 })
+	eventually(t, "the waiter coalesced onto the in-flight fill", func() bool { return m.n[mCoalesced].Load() == 1 })
 	ownerCancel()
 	select {
 	case err := <-ownerDone:
@@ -300,7 +300,7 @@ func TestGetOrFillOwnerCancelDoesNotPoison(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter did not start over after the abandoned flight")
 	}
-	if n := m.coalesced.Load(); n != 0 {
+	if n := m.n[mCoalesced].Load(); n != 0 {
 		t.Errorf("coalesced = %d after the waiter ran its own fill, want 0", n)
 	}
 
@@ -345,7 +345,7 @@ func TestHTTPCompileSurvivesAbandonedLeader(t *testing.T) {
 		}
 		firstDone <- err
 	}()
-	eventually(t, "the first compile is in flight", func() bool { return s.m.compileRequests.Load() == 1 })
+	eventually(t, "the first compile is in flight", func() bool { return s.m.n[mCompileRequests].Load() == 1 })
 
 	type answer struct {
 		status int
@@ -363,7 +363,7 @@ func TestHTTPCompileSurvivesAbandonedLeader(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		secondDone <- answer{status: resp.StatusCode, body: string(b)}
 	}()
-	eventually(t, "the second compile joined the first", func() bool { return s.m.coalesced.Load() == 1 })
+	eventually(t, "the second compile joined the first", func() bool { return s.m.n[mCoalesced].Load() == 1 })
 
 	disconnect()
 	if err := <-firstDone; !errors.Is(err, context.Canceled) {
@@ -373,7 +373,7 @@ func TestHTTPCompileSurvivesAbandonedLeader(t *testing.T) {
 	// wait for a worker; the second request starts over (or, before the
 	// fix, was answered with the leader's cancellation).
 	eventually(t, "the abandoned flight ended", func() bool {
-		return s.m.coalesced.Load() == 0 || len(secondDone) == 1
+		return s.m.n[mCoalesced].Load() == 0 || len(secondDone) == 1
 	})
 	<-s.pool.sem
 
@@ -422,7 +422,7 @@ func TestGetOrFillCompileNotAnsweredByEmptyLookup(t *testing.T) {
 		})
 		compileDone <- filled{u, err}
 	}()
-	for i := 0; m.coalesced.Load() == 0; i++ {
+	for i := 0; m.n[mCoalesced].Load() == 0; i++ {
 		if i > 4000 {
 			t.Fatal("compile never coalesced onto the in-flight lookup")
 		}
@@ -436,7 +436,7 @@ func TestGetOrFillCompileNotAnsweredByEmptyLookup(t *testing.T) {
 	if got.err != nil || got.u == nil {
 		t.Fatalf("compile coalesced onto an empty lookup returned (%v, %v), want its own unit", got.u, got.err)
 	}
-	if n := m.coalesced.Load(); n != 0 {
+	if n := m.n[mCoalesced].Load(); n != 0 {
 		t.Errorf("coalesced = %d after the compile ran its own fill, want 0", n)
 	}
 }
@@ -600,7 +600,7 @@ func TestFillHandsTheModuleToItsLeader(t *testing.T) {
 			_, mod, _, _ := st.fill(ctx, k, mustNotFill)
 			joinedDone <- mod
 		}()
-		eventually(t, "the second caller joined the flight", func() bool { return st.m.coalesced.Load() == 1 })
+		eventually(t, "the second caller joined the flight", func() bool { return st.m.n[mCoalesced].Load() == 1 })
 		a, err := admit(good.Wire)
 		want = a.mod
 		return a, err

@@ -183,7 +183,7 @@ func (l *Loader) native(mr *core.MethodRef, args []rt.Value) (v rt.Value, thrown
 	case sema.BStrCharAt:
 		c, ok := rt.AsStr(args[0].R).CharAt(args[1].Int())
 		if !ok {
-			return l.newExc(l.exc.Bounds, fmt.Sprintf("string index %d", args[1].Int())), true
+			return l.newExc(l.exc.Bounds, rt.StringIndexMessage(args[1].Int())), true
 		}
 		return rt.CharValue(rune(c)), false
 	case sema.BStrSubstring:

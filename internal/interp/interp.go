@@ -726,13 +726,14 @@ func (l *Loader) newExc(c *rt.ClassInfo, msg string) rt.Value {
 	return rt.RefValue(o)
 }
 
-// The exceptions of the checks that format their message, worded here
-// once for every engine. Out of line, they keep the formatting off the
-// interpreters' host frames, which every activation pays for, and out of
-// the compiled engine's handlers.
+// The exceptions of the checks that format their message, for every
+// engine of this package (rt words the messages, for the bytecode VM
+// too). Out of line, they keep the formatting off the interpreters' host
+// frames, which every activation pays for, and out of the compiled
+// engine's handlers.
 
 func (l *Loader) boundsExc(idx int32, n int) rt.Value {
-	return l.newExc(l.exc.Bounds, fmt.Sprintf("index %d out of bounds for length %d", idx, n))
+	return l.newExc(l.exc.Bounds, rt.IndexMessage(idx, n))
 }
 
 func (l *Loader) castExc(t core.TypeID) rt.Value {
@@ -740,7 +741,7 @@ func (l *Loader) castExc(t core.TypeID) rt.Value {
 }
 
 func (l *Loader) negSizeExc(n int32) rt.Value {
-	return l.newExc(l.exc.NegSize, fmt.Sprintf("%d", n))
+	return l.newExc(l.exc.NegSize, rt.NegativeSizeMessage(n))
 }
 
 // execBlock evaluates a block: phis in parallel against the incoming

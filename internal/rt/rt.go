@@ -254,6 +254,29 @@ type ExcClasses struct {
 	NPE, Arith, Bounds, Cast, NegSize *ClassInfo
 }
 
+// The messages of the implicit exceptions that carry a number, worded
+// here once for every engine. Each builds its text in a stack buffer, so
+// it costs the host one allocation, the string.
+
+// IndexMessage is the message of the IndexOutOfBoundsException an access
+// at index idx of an array of n elements raises.
+func IndexMessage(idx int32, n int) string {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "index "...), int64(idx), 10)
+	return string(strconv.AppendInt(append(b, " out of bounds for length "...), int64(n), 10))
+}
+
+// StringIndexMessage is the message of the IndexOutOfBoundsException
+// String.charAt(i) raises.
+func StringIndexMessage(i int32) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], "string index "...), int64(i), 10))
+}
+
+// NegativeSizeMessage is the message of the NegativeArraySizeException
+// that creating an array of n < 0 elements raises.
+func NegativeSizeMessage(n int32) string { return strconv.Itoa(int(n)) }
+
 // ---------------------------------------------------------------------
 // Java arithmetic semantics
 

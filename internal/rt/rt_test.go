@@ -2,6 +2,7 @@ package rt
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -353,5 +354,27 @@ func TestDRem(t *testing.T) {
 func TestValueSize(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 24 {
 		t.Errorf("unsafe.Sizeof(rt.Value{}) = %d, want 24", got)
+	}
+}
+
+// TestExceptionMessages: the implicit exceptions' messages read as the
+// fmt formats they replaced did, at the ends of their ranges, and cost
+// the host one allocation.
+func TestExceptionMessages(t *testing.T) {
+	for _, i := range []int32{0, 9, -1, 100, math.MaxInt32, math.MinInt32} {
+		for _, n := range []int{0, 7, 256, math.MaxInt32, math.MaxInt64} {
+			if got, want := IndexMessage(i, n), fmt.Sprintf("index %d out of bounds for length %d", i, n); got != want {
+				t.Errorf("IndexMessage(%d, %d) = %q, want %q", i, n, got, want)
+			}
+		}
+		if got, want := StringIndexMessage(i), fmt.Sprintf("string index %d", i); got != want {
+			t.Errorf("StringIndexMessage(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := NegativeSizeMessage(i), fmt.Sprintf("%d", i); got != want {
+			t.Errorf("NegativeSizeMessage(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = IndexMessage(math.MinInt32, math.MaxInt64) }); n > 1 {
+		t.Errorf("IndexMessage allocates %v times, want 1", n)
 	}
 }
