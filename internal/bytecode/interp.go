@@ -171,7 +171,7 @@ func (vm *VM) catchTopLevel(err *error) {
 	if r == nil {
 		return
 	}
-	vm.Env.Unwind(0)
+	vm.Env.Unwind()
 	if t, ok := r.(error); ok && rt.IsExecError(t) {
 		*err = t
 		return

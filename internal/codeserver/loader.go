@@ -269,7 +269,7 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func(context.Contex
 	return lu, nil
 }
 
-// pull is the cursor's side of a Pulled form: it admits function fi of
+// pull is the cursor's side of a PulledIn form: it admits function fi of
 // k's resident bytes on the first call any session or clone makes to
 // it, decoding every body up to fi not decoded yet. The form serialises
 // the calls. What a pull decodes is booked where it runs, inside some

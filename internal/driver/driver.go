@@ -228,24 +228,23 @@ func RunModule(mod *core.Module, maxSteps int64) (string, error) {
 // tagged KindVerify (the unit is at fault); execution failures
 // KindRuntime.
 func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engine string) (string, error) {
+	if engine != "" && engine != EngineCompiled && engine != EngineReference {
+		return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q or %q)",
+			engine, EngineCompiled, EngineReference))
+	}
+	if err := mod.Verify(core.VerifyOptions{}); err != nil {
+		return "", wrapKind(KindVerify, fmt.Errorf("interp: module rejected by verifier: %w", err))
+	}
 	var (
 		out bytes.Buffer
 		l   *interp.Loader
 		err error
 	)
 	env := rt.NewEnv(&out, budget(maxSteps), ctx.Done())
-	switch engine {
-	case "", EngineCompiled:
-		if err = mod.Verify(core.VerifyOptions{}); err != nil {
-			err = fmt.Errorf("interp: module rejected by verifier: %w", err)
-		} else {
-			l, err = interp.LoadTrustedCompiled(mod, interp.Lazy(mod), env)
-		}
-	case EngineReference:
-		l, err = interp.Load(mod, env)
-	default:
-		return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q or %q)",
-			engine, EngineCompiled, EngineReference))
+	if engine == EngineReference {
+		l, err = interp.LoadTrusted(mod, env)
+	} else {
+		l, err = interp.LoadTrustedCompiled(mod, interp.Lazy(mod), env)
 	}
 	if err != nil {
 		return out.String(), wrapKind(KindVerify, err)

@@ -340,3 +340,40 @@ class Main {
 		t.Fatalf("run of a main that does not lower: %v (kind %v), want a verify error that is ErrUnsupported", err, KindOf(err))
 	}
 }
+
+// TestUnverifiedModuleIsRefused: RunModuleEngine verifies the module
+// before it picks an engine, so a module the verifier rejects is refused
+// as the unit's fault on either engine, and none of it runs — not even
+// the print that comes before the broken instruction.
+func TestUnverifiedModuleIsRefused(t *testing.T) {
+	for _, engine := range []string{EngineCompiled, EngineReference} {
+		mod, err := CompileTSASource(map[string]string{"Main.tj": `
+class Main {
+    static int twice(int n) { return n + n; }
+    static void main() {
+        System.out.println("before");
+        System.out.println(twice(21));
+    }
+}`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		broken := false
+		for _, f := range mod.Funcs {
+			for _, b := range f.Blocks {
+				for _, in := range b.Code {
+					if in.Op == core.OpPrim && in.Prim == core.PIAdd {
+						in.Prim, broken = core.PIDiv, true // a division must be an xprimitive
+					}
+				}
+			}
+		}
+		if !broken || mod.Verify(core.VerifyOptions{}) == nil {
+			t.Fatal("the module was not broken as the test means it to be")
+		}
+		out, err := RunModuleEngine(context.Background(), mod, 1_000, engine)
+		if KindOf(err) != KindVerify || out != "" {
+			t.Errorf("%s: unverified module ended with %v (kind %v), output %q; want a verify error and no output", engine, err, KindOf(err), out)
+		}
+	}
+}

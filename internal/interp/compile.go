@@ -106,7 +106,7 @@ type CFunc struct {
 }
 
 // Compiled is the compiled form of a module: a slot per function, holding
-// its compiled body once some session has lowered it. Lazy and Pulled
+// its compiled body once some session has lowered it. Lazy and PulledIn
 // mint one with every slot empty and Compile one with every slot filled;
 // the sessions it backs, any number of them concurrently, fill an empty
 // slot the first time one of them calls the function, and a filled slot
@@ -151,22 +151,19 @@ func Lazy(mod *core.Module) *Compiled {
 	return newCompiled(mod, len(mod.Funcs), nil, nil)
 }
 
-// Pulled is Lazy for a module whose bodies are still behind an admission
-// cursor: mod holds the verified tables, pull(fi) admits function fi and
-// returns its body, and n is how many functions there are. The form has a
-// slot for each, so n must be a count an earlier admission of the whole
-// unit proved, never one the input merely declares. The first call of a
-// function that any session makes — a fresh one or the clone of a
-// Snapshot — pulls it under the form's lock, so all of them pull through
-// the one cursor and each body is decoded once. A pull that fails ends
-// the calling session with its error, as a lowering refusal does.
-func Pulled(mod *core.Module, n int, pull func(fi int) (*core.Func, error)) *Compiled {
-	return PulledIn(mod, n, pull, nil)
-}
-
-// PulledIn is Pulled with the form's code carved from mem, which the
+// PulledIn is Lazy for a module whose bodies are still behind an
+// admission cursor: mod holds the verified tables, pull(fi) admits
+// function fi and returns its body, and n is how many functions there
+// are. The form has a slot for each, so n must be a count an earlier
+// admission of the whole unit proved, never one the input merely
+// declares. The first call of a function that any session makes — a
+// fresh one or the clone of a Snapshot — pulls it under the form's lock,
+// so all of them pull through the one cursor and each body is decoded
+// once. A pull that fails ends the calling session with its error, as a
+// lowering refusal does. The form's code is carved from mem, which the
 // caller lends for as long as anything may run the form and then takes
-// back whole (CodeArena.Rewind); a nil mem is Pulled.
+// back whole (CodeArena.Rewind); a nil mem gives the form an arena of its
+// own.
 func PulledIn(mod *core.Module, n int, pull func(fi int) (*core.Func, error), mem *CodeArena) *Compiled {
 	return newCompiled(mod, n, pull, mem)
 }

@@ -102,8 +102,9 @@ func compareSessions(t *testing.T, engine string, ref, got sessionResult) {
 // differential: every trap kind the runtime can raise (arithmetic,
 // bounds, null, explicit throw), caught at varying depths, plus
 // rethrow across recursive frames — so the exception-edge phi moves and
-// the protected-call recovery paths of all three engines are compared
-// under full budgets and under mid-run kills.
+// the paths that hand a callee's exception to its call site's handler
+// are compared on every engine under full budgets and under mid-run
+// kills.
 const excStormSrc = `
 class ExcStorm {
     int depth;
@@ -273,6 +274,43 @@ class ExcNativeDie {
 }
 `
 
+// excInitDieSrc dies in a static initializer: the first class's
+// initializer prints, the second's catches a few exceptions and then
+// throws one no frame catches, and the third's would print. The session
+// ends with the second's exception, and nothing after it runs — neither
+// the third initializer nor main.
+const excInitDieSrc = `
+class InitFirst {
+    static int a = InitFirst.boot();
+    static int boot() { System.out.println("first"); return 1; }
+    static void main() { System.out.println("main"); }
+}
+
+class InitSecond {
+    static int b = InitSecond.boot();
+    static int boot() {
+        int acc = 0;
+        for (int i = 0; i < 4; i++) {
+            try {
+                if (i % 2 == 0) { throw new Exception("caught " + i); }
+                acc += 10 / (i - 1);
+            } catch (ArithmeticException e) {
+                acc += 100;
+            } catch (Exception e) {
+                acc += e.getMessage().length();
+            }
+        }
+        System.out.println(acc);
+        throw new Exception("second " + acc);
+    }
+}
+
+class InitThird {
+    static int c = InitThird.boot();
+    static int boot() { System.out.println("third"); return 3; }
+}
+`
+
 // TestEngineParityExceptionHeavy is the satellite coverage for the
 // exception-heavy rows: both programs above run on all three engines
 // under a full budget, a step budget at half the real drain, and an
@@ -288,6 +326,7 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 		{"ExcDie", "ExcDie.tj", excDieSrc, true},
 		{"ExcNative", "ExcNative.tj", excNativeSrc, false},
 		{"ExcNativeDie", "ExcNativeDie.tj", excNativeDieSrc, true},
+		{"ExcInitDie", "ExcInitDie.tj", excInitDieSrc, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

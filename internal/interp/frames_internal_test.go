@@ -130,12 +130,12 @@ func TestLowerAbortEmptiesTheStack(t *testing.T) {
 		}
 	}
 	refused := errors.New("refused")
-	comp := Pulled(mod, len(mod.Funcs), func(fi int) (*core.Func, error) {
+	comp := PulledIn(mod, len(mod.Funcs), func(fi int) (*core.Func, error) {
 		if fi == gi {
 			return nil, refused
 		}
 		return mod.Funcs[fi], nil
-	})
+	}, nil)
 	l, err := LoadTrustedCompiled(mod, comp, rt.NewEnv(io.Discard, rt.Budget{}, nil))
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,11 @@
 // the reference walker in this file and instr.go, a small-step machine
 // that executes the Control Structure Tree and the type-separated SSA
 // instructions as they stand and is the meaning the lowered forms are
-// tested against, and the prepared register machine (prepared.go). The
-// walker and the compiled engine return a guest exception from the
-// activation it leaves; only the prepared machine unwinds one by panic.
+// tested against, and the prepared register machine (prepared.go). Every
+// engine returns a guest exception from the activation it leaves, and
+// Loader.call makes one that leaves the outermost frame the session's
+// error; only a kill or a lowering refusal unwinds guest frames by panic,
+// to catchTopLevel.
 package interp
 
 import (
@@ -55,15 +57,6 @@ type Loader struct {
 	walks []*walk
 }
 
-// Load verifies the module and prepares it for execution (class metadata
-// and static initializers).
-func Load(mod *core.Module, env *rt.Env) (*Loader, error) {
-	if err := mod.Verify(core.VerifyOptions{}); err != nil {
-		return nil, fmt.Errorf("interp: module rejected by verifier: %w", err)
-	}
-	return LoadTrusted(mod, env)
-}
-
 // LoadTrusted prepares an already-verified module for execution, skipping
 // the structural verifier but still running the link checks and the
 // static initializers. It is the entry point for loader caches that
@@ -93,7 +86,7 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // pull is the gate: a function is callable once admitted and lowered, and
 // both happen in one step, the first time the guest calls it
 // (Loader.lower) — gate(i), then the first-call lowering every session of
-// a Pulled form runs. So execution proceeds exactly as far as verified
+// a PulledIn form runs. So execution proceeds exactly as far as verified
 // code exists, only what the guest calls is lowered, and a mid-stream
 // failure — the gate's error, or a function lowering refuses, which
 // satisfies errors.Is(err, errors.ErrUnsupported) — aborts the run and is
@@ -170,7 +163,7 @@ func LoadTrustedDeferred(mod *core.Module, prep *Prepared, comp *Compiled, env *
 // engine binding (prep/comp) — and newLoader completes it: link checks,
 // runtime class metadata, then — when init is set — the static
 // initializers, the first guest code the session runs. It reads the
-// module's tables and never its function list, which a Pulled form's
+// module's tables and never its function list, which a PulledIn form's
 // cursor may be appending to. A session whose
 // static initializers fail is returned with their error: it has run guest
 // code, and its caller may still read what that left (its heap, what it
@@ -252,27 +245,30 @@ func newLoader(l *Loader, init bool) (*Loader, error) {
 }
 
 // RunStaticInit executes the static initializers in class order on the
-// session's engine. The Load* entry points run it inside newLoader;
-// sessions built with LoadTrustedDeferred (the warm-pool build path)
-// call it exactly once themselves, before either RunMain or Snapshot.
-func (l *Loader) RunStaticInit() error {
+// session's engine, and stops at the first that fails. The Load* entry
+// points run it inside newLoader; sessions built with
+// LoadTrustedDeferred (the warm-pool build path) call it exactly once
+// themselves, before either RunMain or Snapshot.
+func (l *Loader) RunStaticInit() (err error) {
 	if l.released {
 		return errReleased
 	}
-	var err error
-	func() {
-		defer l.catchTopLevel(&err)
-		for _, fi := range l.Mod.StaticInit {
-			if fi >= 0 {
-				l.call(fi, nil)
+	defer l.catchTopLevel(&err)
+	for _, fi := range l.Mod.StaticInit {
+		if fi >= 0 {
+			if _, err = l.call(fi, nil); err != nil {
+				return err
 			}
 		}
-	}()
-	return err
+	}
+	return nil
 }
 
-// call invokes function index fi on the session's engine.
-func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
+// call invokes function index fi on the session's engine. Every engine
+// returns a guest exception from the activation it leaves; one that
+// leaves the outermost frame is the session's error, worded here alike
+// for all of them.
+func (l *Loader) call(fi int32, args []rt.Value) (rt.Value, error) {
 	var v rt.Value
 	var thrown bool
 	switch {
@@ -285,17 +281,14 @@ func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
 		v, thrown = l.runCompiled(l.cfunc(fi), len(args))
 		l.stack.pop(l.stack.top - len(args))
 	case l.prep != nil:
-		return l.runPrepared(l.prep.Funcs[fi], args)
+		v, thrown = l.runPrepared(l.prep.Funcs[fi], args)
 	default:
 		v, thrown = l.callFunc(fi, args)
 	}
-	// The compiled engine and the walker unwind by return; an exception
-	// that left the outermost frame joins the prepared engine's carrier
-	// here, so catchTopLevel words every engine's uncaught exception alike.
 	if thrown {
-		l.Env.Throw(rt.Thrown{Val: v})
+		return rt.Value{}, fmt.Errorf("uncaught exception: %s", l.describeExc(v))
 	}
-	return v
+	return v, nil
 }
 
 // cfunc is the compiled body of function fi, the one read of comp's
@@ -327,7 +320,7 @@ type lowerAbort struct{ err error }
 // lower makes function fi callable the first time this session calls it,
 // under the form's lock: unless another session filled the slot while
 // this one waited, the form hands over the body — pulling it through its
-// cursor first when it has one (Pulled, LoadTrustedStreaming) — then
+// cursor first when it has one (PulledIn, LoadTrustedStreaming) — then
 // lowerBody lowers it into the form's code memory, and the body is
 // published into its slot. So each function of a form is lowered once,
 // however many sessions race to call it first, and the memory the form's
@@ -413,15 +406,16 @@ func (l *Loader) Release() {
 	l.Env.Release()
 }
 
-// catchTopLevel converts an uncaught TJ exception into a Go error. A
-// host entry point is never re-entered from guest code, so whatever
-// frames a panic left live are dead: the slot count restarts from zero,
-// the compiled engine's stack is emptied, and the session can take
-// another CallStatic.
+// catchTopLevel converts a kill, or a lowering refusal (lowerAbort), into
+// the session's error: the only two things that unwind guest frames by
+// panic. A host entry point is never re-entered from guest code, so
+// whatever frames the panic left live are dead: the slot count restarts
+// from zero, the compiled engine's stack is emptied, and the session can
+// take another CallStatic.
 func (l *Loader) catchTopLevel(err *error) {
 	r := recover()
 	if r != nil {
-		l.Env.Unwind(0)
+		l.Env.Unwind()
 		if s := l.stack; s != nil {
 			s.depth = 0
 			s.pop(0)
@@ -431,8 +425,6 @@ func (l *Loader) catchTopLevel(err *error) {
 	case nil:
 	case lowerAbort:
 		*err = t.err
-	case rt.Thrown:
-		*err = fmt.Errorf("uncaught exception: %s", l.describeExc(t.Val))
 	case error:
 		if rt.IsExecError(t) {
 			*err = t
@@ -459,7 +451,7 @@ func (l *Loader) describeExc(v rt.Value) string {
 }
 
 // RunMain executes the module entry point.
-func (l *Loader) RunMain() error {
+func (l *Loader) RunMain() (err error) {
 	if l.released {
 		return errReleased
 	}
@@ -473,30 +465,22 @@ func (l *Loader) RunMain() error {
 		return fmt.Errorf("interp: entry method has no body")
 	}
 	args := make([]rt.Value, len(mr.Params)) // String[] args arrives null
-	var err error
-	func() {
-		defer l.catchTopLevel(&err)
-		l.call(mr.FuncIdx, args)
-	}()
+	defer l.catchTopLevel(&err)
+	_, err = l.call(mr.FuncIdx, args)
 	return err
 }
 
 // CallStatic invokes a static method by class and name (for tests and
 // examples).
-func (l *Loader) CallStatic(class, name string, args ...rt.Value) (rt.Value, error) {
+func (l *Loader) CallStatic(class, name string, args ...rt.Value) (out rt.Value, err error) {
 	if l.released {
 		return rt.Value{}, errReleased
 	}
 	for _, mr := range l.Mod.Methods {
 		owner := l.Mod.Types.MustGet(mr.Owner)
 		if mr.Static && owner.Name == class && mr.Name == name && mr.FuncIdx >= 0 {
-			var out rt.Value
-			var err error
-			func() {
-				defer l.catchTopLevel(&err)
-				out = l.call(mr.FuncIdx, args)
-			}()
-			return out, err
+			defer l.catchTopLevel(&err)
+			return l.call(mr.FuncIdx, args)
 		}
 	}
 	return rt.Value{}, fmt.Errorf("interp: no static method %s.%s", class, name)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"safetsa/internal/core"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
 	"safetsa/internal/rt"
@@ -17,8 +18,11 @@ func load(t *testing.T, src string) (*interp.Loader, *bytes.Buffer) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := mod.Verify(core.VerifyOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
-	l, err := interp.Load(mod, &rt.Env{Out: &out, MaxSteps: 10_000_000})
+	l, err := interp.LoadTrusted(mod, &rt.Env{Out: &out, MaxSteps: 10_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

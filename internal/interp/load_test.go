@@ -109,7 +109,7 @@ func TestCompileRejectsUnknownOpcode(t *testing.T) {
 	}
 }
 
-// TestLoadEntryPoints drives the six Load* names through the one
+// TestLoadEntryPoints drives the five Load* names through the one
 // constructor behind them and checks the three things it decides: which
 // engine the session is bound to, whether every invocation goes through
 // the gate, and whether the static initializers have run by the time the
@@ -131,7 +131,6 @@ class Main {
 		gated    bool
 		deferred bool
 	}{
-		{"Load", func(env *rt.Env) (*interp.Loader, error) { return interp.Load(mod, env) }, "reference", false, false},
 		{"LoadTrusted", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrusted(mod, env) }, "reference", false, false},
 		{"LoadTrustedStreaming", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedStreaming(mod, gate, env) }, "compiled", true, false},
 		{"LoadTrustedPrepared", func(env *rt.Env) (*interp.Loader, error) { return interp.LoadTrustedPrepared(mod, prep, env) }, "prepared", false, false},
@@ -356,7 +355,7 @@ func TestSharedFormFilledOnce(t *testing.T) {
 }
 
 // TestSharedCursorPulledOnce is TestSharedFormFilledOnce over a form whose
-// bodies are still behind a cursor (interp.Pulled over wire.OpenVerified),
+// bodies are still behind a cursor (interp.PulledIn over wire.OpenVerified),
 // as a resident unit's form is on /run. Sixteen sessions race first calls
 // on it: half fresh, half clones of a snapshot taken after static init and
 // before main, so clones pull bodies no session has pulled yet. Every
@@ -389,7 +388,7 @@ func TestSharedCursorPulledOnce(t *testing.T) {
 	// Written under the form's lock, read between waves.
 	pulled := 0
 	handed := map[int]*core.Func{}
-	form := interp.Pulled(su.Mod, su.NumFuncs(), func(fi int) (*core.Func, error) {
+	form := interp.PulledIn(su.Mod, su.NumFuncs(), func(fi int) (*core.Func, error) {
 		ready := su.Ready()
 		if err := su.WaitFunc(fi); err != nil {
 			return nil, err
@@ -401,7 +400,7 @@ func TestSharedCursorPulledOnce(t *testing.T) {
 		}
 		handed[fi] = f
 		return f, nil
-	})
+	}, nil)
 	var initOut bytes.Buffer
 	initSess, err := interp.LoadTrustedDeferred(su.Mod, nil, form, &rt.Env{Out: &initOut, MaxSteps: full, MaxAlloc: full})
 	if err == nil {

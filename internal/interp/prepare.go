@@ -107,9 +107,9 @@ type Move struct{ Dst, Src int32 }
 // RaiseSite is the precomputed exception edge of a potentially-throwing
 // prepared instruction: on a raise, Moves (the handler block's phi
 // inputs for this edge) are applied in order and control transfers to
-// Target. A nil *RaiseSite means the exception leaves the function
-// (as rt.Thrown on the prepared evaluator, as cThrow on the compiled
-// engine).
+// Target. A nil *RaiseSite means the exception leaves the function,
+// which returns it (noHandler on the prepared evaluator, cThrow on the
+// compiled engine).
 type RaiseSite struct {
 	Target int32
 	Moves  []Move

@@ -23,59 +23,29 @@ func applyMoves(regs []rt.Value, mv []Move) {
 	}
 }
 
+// noHandler is the pc praise yields for a raise with no handler in its
+// function: the exception leaves the activation, which returns it with
+// thrown set.
+const noHandler = -1
+
 // praise raises exception value v from a prepared site: into the
 // precomputed handler (applying the exception edge's phi moves and
-// returning the handler pc) or out of the function as rt.Thrown.
-func (l *Loader) praise(regs []rt.Value, caught *rt.Value, rs *RaiseSite, v rt.Value) int32 {
+// returning the handler pc) or, with none, out of the function (noHandler).
+// Either way *caught is v. It serves a site's own raise and an exception
+// a callee returned alike.
+func praise(regs []rt.Value, caught *rt.Value, rs *RaiseSite, v rt.Value) int32 {
+	*caught = v
 	if rs == nil {
-		l.Env.Throw(rt.Thrown{Val: v}) // does not return
+		return noHandler
 	}
 	applyMoves(regs, rs.Moves)
-	*caught = v
 	return rs.Target
 }
 
-// pinvoke runs a resolved callee: prepared function body or native
-// method.
-func (l *Loader) pinvoke(mr *core.MethodRef, fi int32, args []rt.Value) rt.Value {
-	if fi >= 0 {
-		return l.runPrepared(l.prep.Funcs[fi], args)
-	}
-	return l.nativeOrPanic(mr, args)
-}
-
-// nativeOrPanic is native for this engine, which unwinds a guest
-// exception as rt.Thrown.
-func (l *Loader) nativeOrPanic(mr *core.MethodRef, args []rt.Value) rt.Value {
-	v, thrown := l.native(mr, args)
-	if thrown {
-		l.Env.Throw(rt.Thrown{Val: v})
-	}
-	return v
-}
-
-// pcallProtected is pinvoke under a handler: an uncaught callee
-// exception is intercepted instead of unwinding this frame.
-func (l *Loader) pcallProtected(mr *core.MethodRef, fi int32, args []rt.Value) (out rt.Value, thrown rt.Value, caught bool) {
-	live := l.Env.StackSlots()
-	defer func() {
-		// Recover only a callee's exception; a kill passes through (see
-		// rt.Env.Throw).
-		t, ok := l.Env.InFlight().(rt.Thrown)
-		if !ok {
-			return
-		}
-		recover()
-		l.Env.Unwind(live)
-		thrown, caught = t.Val, true
-	}()
-	out = l.pinvoke(mr, fi, args)
-	return out, thrown, false
-}
-
-// pcall executes a PCall/PDispatch instruction. It reports the handler
-// pc and true when the callee raised into this site's handler.
-func (l *Loader) pcall(regs []rt.Value, caught *rt.Value, in *PreparedInst) (int32, bool) {
+// pinvoke runs a PCall/PDispatch instruction's callee, resolved through
+// the receiver's dispatch table for PDispatch: prepared function body or
+// native method. thrown reports whether v is the exception it raised.
+func (l *Loader) pinvoke(regs []rt.Value, in *PreparedInst) (v rt.Value, thrown bool) {
 	mr := &l.Mod.Methods[in.A]
 	args := make([]rt.Value, len(in.Args))
 	for i, r := range in.Args {
@@ -90,27 +60,22 @@ func (l *Loader) pcall(regs []rt.Value, caught *rt.Value, in *PreparedInst) (int
 		}
 		fi = mr.FuncIdx
 	}
-	if in.Raise == nil {
-		regs[in.Dst] = l.pinvoke(mr, fi, args)
-		return 0, false
+	if fi >= 0 {
+		return l.runPrepared(l.prep.Funcs[fi], args)
 	}
-	out, thrown, wasCaught := l.pcallProtected(mr, fi, args)
-	if wasCaught {
-		return l.praise(regs, caught, in.Raise, thrown), true
-	}
-	regs[in.Dst] = out
-	return 0, false
+	return l.native(mr, args)
 }
 
-// runPrepared executes one prepared function body.
-func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) rt.Value {
+// runPrepared executes one prepared function body. thrown reports
+// whether v is its result or the exception that left it.
+func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) (v rt.Value, thrown bool) {
 	env := l.Env
 	env.Enter(pf.Frame)
 	regs := make([]rt.Value, pf.NumRegs)
 	var caught rt.Value
 	code := pf.Code
 	pc := int32(0)
-	for {
+	for pc >= 0 {
 		in := &code[pc]
 		if in.Op < pCtrl {
 			env.Step()
@@ -139,14 +104,14 @@ func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) rt.Value {
 				zero = bv.I == 0
 			}
 			if zero {
-				pc = l.praise(regs, &caught, in.Raise, l.newExc(l.exc.Arith, "/ by zero"))
+				pc = praise(regs, &caught, in.Raise, l.newExc(l.exc.Arith, "/ by zero"))
 				continue
 			}
 			regs[in.Dst] = l.evalPrim(in.Prim, av, bv)
 		case PNullCheck:
 			v := regs[in.A]
 			if v.R == nil {
-				pc = l.praise(regs, &caught, in.Raise, l.newExc(l.exc.NPE, "null dereference"))
+				pc = praise(regs, &caught, in.Raise, l.newExc(l.exc.NPE, "null dereference"))
 				continue
 			}
 			regs[in.Dst] = v
@@ -154,14 +119,14 @@ func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) rt.Value {
 			arr := regs[in.A].R.(*rt.Array)
 			idx := regs[in.B].Int()
 			if idx < 0 || int(idx) >= len(arr.Elems) {
-				pc = l.praise(regs, &caught, in.Raise, l.boundsExc(idx, len(arr.Elems)))
+				pc = praise(regs, &caught, in.Raise, l.boundsExc(idx, len(arr.Elems)))
 				continue
 			}
 			regs[in.Dst] = rt.IntValue(idx)
 		case PUpcast:
 			v := regs[in.A]
 			if v.R != nil && !l.isInstance(v.R, in.Type) {
-				pc = l.praise(regs, &caught, in.Raise, l.castExc(in.Type))
+				pc = praise(regs, &caught, in.Raise, l.castExc(in.Type))
 				continue
 			}
 			regs[in.Dst] = v
@@ -189,15 +154,17 @@ func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) rt.Value {
 		case PNewArray:
 			n := regs[in.A].Int()
 			if n < 0 {
-				pc = l.praise(regs, &caught, in.Raise, l.negSizeExc(n))
+				pc = praise(regs, &caught, in.Raise, l.negSizeExc(n))
 				continue
 			}
 			regs[in.Dst] = rt.RefValue(env.NewArray(n, int32(in.Type)))
 		case PCall, PDispatch:
-			if target, jumped := l.pcall(regs, &caught, in); jumped {
-				pc = target
+			out, thrown := l.pinvoke(regs, in)
+			if thrown {
+				pc = praise(regs, &caught, in.Raise, out)
 				continue
 			}
+			regs[in.Dst] = out
 		case PCatch:
 			regs[in.Dst] = caught
 		case PLoopStep:
@@ -218,20 +185,22 @@ func (l *Loader) runPrepared(pf *PFunc, args []rt.Value) rt.Value {
 			applyMoves(regs, in.Moves)
 		case PReturn:
 			env.Leave(pf.Frame)
-			return rt.Value{}
+			return rt.Value{}, false
 		case PReturnVal:
 			env.Leave(pf.Frame)
-			return regs[in.A]
+			return regs[in.A], false
 		case PThrow:
 			v := regs[in.A]
 			if v.R == nil {
 				v = l.newExc(l.exc.NPE, "throw of null")
 			}
-			pc = l.praise(regs, &caught, in.Raise, v)
+			pc = praise(regs, &caught, in.Raise, v)
 			continue
 		default:
 			panic(fmt.Sprintf("interp: unhandled prepared opcode %s", in.Op))
 		}
 		pc++
 	}
+	env.Leave(pf.Frame)
+	return caught, true
 }

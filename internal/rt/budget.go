@@ -42,9 +42,13 @@ func Unbudgeted(out io.Writer, reason string) *Env {
 	return &Env{Out: out}
 }
 
-// The kill sentinels: what an engine panics with (as a plain Go panic,
-// not a Thrown — a guest cannot catch its own kill) when a session
-// exceeds what it may take.
+// The kill sentinels: what an engine panics with when a session exceeds
+// what it may take. A guest exception is a value every engine returns
+// from the activation it leaves; a kill is a Go panic, which no guest
+// handler sees, so a guest cannot catch its own kill. Nothing between a
+// kill and its host entry point's one recover may recover and panic
+// again: the runtime rescans the stack for each new panic, which made a
+// kill 8 000 frames deep under try take 108 s (DESIGN.md §9).
 var (
 	// ErrAllocLimit: the allocation budget is exhausted.
 	ErrAllocLimit = fmt.Errorf("rt: allocation limit exceeded")
@@ -159,38 +163,11 @@ func (e *Env) Enter(slots int64) {
 // Leave ends an activation Enter charged, on return and on throw alike.
 func (e *Env) Leave(slots int64) { e.slots -= slots }
 
-// The engine that unwinds a guest exception by Go panic, interp's prepared
-// evaluator, arms a deferred recover per handler (the compiled engine, the
-// reference walker and the bytecode VM return the exception), and a kill
-// has to get past every one of them. A site that recovers whatever arrives and
-// panics again with what it did not want makes that quadratic in the
-// depth — the runtime rescans the stack for each new panic: 8 000 frames
-// under try took 108 s to die of a step limit, with no interrupt able to
-// reach it. So a
-// guest exception is raised with Throw, which leaves its carrier where a
-// site can see it, and a site looks at InFlight first and calls recover
-// only for an exception it will handle; everything else passes through a
-// deferred call that returns.
-
-// Throw unwinds the Go stack with carrier c, a Thrown: how the prepared
-// engine raises a guest exception, and how interp's Loader.call hands an
-// exception nothing caught to its top level.
-func (e *Env) Throw(c any) {
-	e.inflight = c
-	panic(c)
-}
-
-// InFlight is the carrier of the guest exception now unwinding; nil when
-// nothing is, and when what unwinds is a kill or a host failure.
-func (e *Env) InFlight() any { return e.inflight }
-
-// StackSlots is the live slot count, recorded where a handler is armed.
+// StackSlots is the live slot count.
 func (e *Env) StackSlots() int64 { return e.slots }
 
-// Unwind is what a site does after recovering the exception in flight:
-// the frames it crossed died without leaving, so the live slot count
-// goes back to what StackSlots reported when the handler was armed.
-func (e *Env) Unwind(slots int64) {
-	e.slots = slots
-	e.inflight = nil
-}
+// Unwind is what a host entry point does after recovering a kill (or, in
+// interp, a lowering refusal): the frames it crossed died without
+// leaving, and none is live once the entry point has returned, so the
+// live slot count goes back to zero.
+func (e *Env) Unwind() { e.slots = 0 }

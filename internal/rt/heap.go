@@ -188,7 +188,6 @@ func (e *Env) Release() {
 	h.strs.release(strs)
 	h.vals.release(values)
 	h.kept = 0
-	e.inflight = nil
 }
 
 // object is a heap object of class c with n zeroed fields and identity

@@ -115,7 +115,7 @@ func TestDepthLimit(t *testing.T) {
 	if err != ErrDepthLimit || frames != MaxStackSlots/narrow {
 		t.Errorf("died with %v after %d frames, want ErrDepthLimit after %d", err, frames, MaxStackSlots/narrow)
 	}
-	e.Unwind(0)
+	e.Unwind()
 	if err := mustKill(t, func() {
 		for {
 			e.Enter(wide)
@@ -142,37 +142,6 @@ func TestOutputIsCharged(t *testing.T) {
 	if out.String() != "abcde\n" {
 		t.Errorf("the refused write reached the output: %q", out.String())
 	}
-}
-
-// TestThrowLeavesItsCarrierInFlight: what Throw panics with is what a
-// handler site sees before deciding to recover, Unwind clears it, and a
-// kill is never in flight.
-func TestThrowLeavesItsCarrierInFlight(t *testing.T) {
-	e := &Env{}
-	func() {
-		defer func() {
-			if _, ok := e.InFlight().(Thrown); !ok || recover() == nil {
-				t.Errorf("in flight: %v", e.InFlight())
-			}
-			e.Unwind(0)
-		}()
-		e.Enter(5)
-		e.Throw(Thrown{Val: IntValue(1)})
-	}()
-	if e.InFlight() != nil || e.StackSlots() != 0 {
-		t.Errorf("after Unwind: in flight %v, %d slots", e.InFlight(), e.StackSlots())
-	}
-	e.MaxSteps = 1
-	func() {
-		defer func() {
-			if e.InFlight() != nil {
-				t.Errorf("a kill is in flight as %v", e.InFlight())
-			}
-			_ = recover()
-		}()
-		e.Step()
-		e.Step()
-	}()
 }
 
 // TestClonerIsNotRecursive: the shape of the heap is the guest's to

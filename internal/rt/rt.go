@@ -109,14 +109,6 @@ func (c *ClassInfo) IsSubclassOf(d *ClassInfo) bool {
 	return false
 }
 
-// Thrown carries a TJ exception through the Go stack via panic/recover.
-// It is how an uncaught exception reaches package interp's top-level
-// boundary, and how its prepared evaluator unwinds between frames; the
-// served compiled engine and the reference walker unwind by return and
-// panic a Thrown only once, at Loader.call, for an exception nothing
-// caught. The bytecode VM returns its exceptions and panics none.
-type Thrown struct{ Val Value }
-
 // Env is the execution environment shared by the interpreters. An Env
 // (and everything it allocates, from its own heap) belongs to exactly one
 // execution session; it must never be shared between concurrently running
@@ -148,11 +140,9 @@ type Env struct {
 	// anything but the count (see stepSlow); 0 until the first step.
 	stepLimit int64
 	// slots is the live register slots of every guest activation on the
-	// call stack (see Enter), inflight the guest exception unwinding the
-	// Go stack (see Throw).
-	slots    int64
-	inflight any
-	nextID   int64
+	// call stack (see Enter).
+	slots  int64
+	nextID int64
 	// heap is where the session's guest objects live (heap.go).
 	heap heap
 }

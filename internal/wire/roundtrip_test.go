@@ -489,7 +489,10 @@ func TestTamperResistance(t *testing.T) {
 			}()
 			var out bytes.Buffer
 			env := &rt.Env{Out: &out, MaxSteps: 200_000}
-			if l, err := interp.Load(dec, env); err == nil {
+			if dec.Verify(core.VerifyOptions{}) != nil {
+				return
+			}
+			if l, err := interp.LoadTrusted(dec, env); err == nil {
 				_ = l.RunMain()
 			}
 		}()

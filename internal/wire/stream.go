@@ -27,7 +27,7 @@ import (
 // package starts a goroutine or takes a lock: whoever pulls serialises
 // the pulls. The stream door's cursor is pulled by its one session; a
 // resident unit's cursor (OpenVerified) by every session of the unit,
-// under the lock of the compiled form it backs (interp.Pulled).
+// under the lock of the compiled form it backs (interp.PulledIn).
 //
 // Soundness (DESIGN.md §11): the admitted prefix is exactly as
 // trustworthy as a fully decoded unit because (a) the tables are
