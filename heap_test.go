@@ -197,3 +197,56 @@ func TestColdRunByteCeiling(t *testing.T) {
 		}
 	}
 }
+
+// exceptAllocCeilings is what one session of the Except guest may
+// allocate, in allocations, on the compiled engine (as BenchmarkHotRun
+// runs it) and on the bytecode VM (as BenchmarkReference does): measured
+// on this tree, plus 10 %. Before a session memoised its bounds messages
+// (rt.Env.IndexMessage), every bounds exception built a new host string:
+// 2 878 allocations per compiled session and 3 200 per VM run.
+var exceptAllocCeilings = struct{ compiled, vm float64 }{24 * 11 / 10, 340 * 11 / 10}
+
+// TestExceptAllocCeiling: a guest that throws and catches the same
+// out-of-bounds access in a loop costs the host a message once per
+// session, not once per throw, on the served engine and on the reference.
+func TestExceptAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties the session pools at random")
+	}
+	src, err := os.ReadFile(filepath.Join("benchmark", "guests", "Except.tj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{"Except.tj": string(src)}
+	mod, comp := hotForm(t, files)
+	compiled := testing.AllocsPerRun(5, func() {
+		l, err := interp.LoadTrustedCompiled(mod, comp, &rt.Env{Out: io.Discard})
+		if err == nil {
+			err = l.RunMain()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+	})
+	prog, err := driver.Frontend(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := driver.CompileBytecode(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := testing.AllocsPerRun(5, func() {
+		if _, err := driver.RunBytecode(bc, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Except: %.0f allocations per compiled session, %.0f per VM run", compiled, vm)
+	if compiled > exceptAllocCeilings.compiled {
+		t.Errorf("compiled engine: %.0f allocations per Except session, ceiling %.0f", compiled, exceptAllocCeilings.compiled)
+	}
+	if vm > exceptAllocCeilings.vm {
+		t.Errorf("bytecode VM: %.0f allocations per Except run, ceiling %.0f", vm, exceptAllocCeilings.vm)
+	}
+}

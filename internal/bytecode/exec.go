@@ -541,7 +541,7 @@ func (vm *VM) element(fr *frame) (arr *rt.Array, i int32, exc rt.Value) {
 		return nil, 0, vm.nullArray()
 	}
 	if i < 0 || int(i) >= len(arr.Elems) {
-		return nil, 0, vm.newExc(vm.exc.Bounds, rt.IndexMessage(i, len(arr.Elems)))
+		return nil, 0, vm.newExc(vm.exc.Bounds, vm.Env.IndexMessage(i, len(arr.Elems)))
 	}
 	return arr, i, rt.Value{}
 }

@@ -1,10 +1,6 @@
 package interp
 
-import (
-	"hash/fnv"
-
-	"safetsa/internal/rt"
-)
+import "safetsa/internal/rt"
 
 // HeapChecksum digests the session's reachable guest heap — every value
 // reachable from the static fields of every class, walked in a
@@ -15,8 +11,7 @@ import (
 // deterministic walk, not by identity hashes. A released session's statics
 // are cleared (Release), so its checksum digests zeroes.
 func (l *Loader) HeapChecksum() uint64 {
-	h := fnv.New64a()
-	w := &heapWalker{h: h, seen: make(map[rt.Ref]uint64)}
+	w := &heapWalker{h: fnvOffset, seen: make(map[rt.Ref]uint64)}
 	// The class table is indexed by TypeID, so this is TypeID order.
 	for _, ci := range l.classes {
 		if ci == nil {
@@ -26,20 +21,28 @@ func (l *Loader) HeapChecksum() uint64 {
 		w.u64(uint64(len(ci.Statics)))
 		w.values(ci.Statics)
 	}
-	return h.Sum64()
+	return w.h
 }
 
+// FNV-1a's 64-bit offset basis and prime (hash/fnv's New64a).
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// heapWalker digests in place: h is FNV-1a over the bytes written so far,
+// so a write costs no allocation, as a slice passed to a hash.Hash does.
 type heapWalker struct {
-	h    interface{ Write([]byte) (int, error) }
+	h    uint64
 	seen map[rt.Ref]uint64
 }
 
+// u64 writes v's eight bytes, least significant first.
 func (w *heapWalker) u64(v uint64) {
-	var b [8]byte
 	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+		w.byte(byte(v >> (8 * i)))
 	}
-	w.h.Write(b[:])
+}
+
+func (w *heapWalker) byte(b byte) {
+	w.h = (w.h ^ uint64(b)) * fnvPrime
 }
 
 // values digests vs and everything reachable from them, depth first in
@@ -81,7 +84,9 @@ func (w *heapWalker) value(v rt.Value) []rt.Value {
 	switch r := v.R.(type) {
 	case *rt.Str:
 		w.u64(3)
-		w.h.Write([]byte(r.S))
+		for i := 0; i < len(r.S); i++ {
+			w.byte(r.S[i])
+		}
 		w.u64(uint64(len(r.S)))
 	case *rt.Array:
 		w.u64(4)

@@ -145,6 +145,29 @@ type Env struct {
 	nextID int64
 	// heap is where the session's guest objects live (heap.go).
 	heap heap
+	// indexMsgs holds the messages IndexMessage made last, one per slot.
+	indexMsgs [4]indexMsg
+}
+
+// indexMsg is IndexMessage(idx, n), s, when s is not "".
+type indexMsg struct {
+	idx int32
+	n   int
+	s   string
+}
+
+// IndexMessage is the package's IndexMessage(idx, n), made once for as
+// long as the session keeps meeting the same (idx, n): a guest that
+// catches the same out-of-bounds access in a loop pays the host one
+// string for it, not one per throw. Only the host string is kept: every
+// exception still gets a guest string of its own. The memo is
+// direct-mapped and small, as the few accesses a loop repeats are.
+func (e *Env) IndexMessage(idx int32, n int) string {
+	m := &e.indexMsgs[(uint(idx)^uint(n))%uint(len(e.indexMsgs))]
+	if m.s == "" || m.idx != idx || m.n != n {
+		*m = indexMsg{idx, n, IndexMessage(idx, n)}
+	}
+	return m.s
 }
 
 // Charge consumes n units of allocation budget.

@@ -3,6 +3,7 @@ package rt
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -354,6 +355,29 @@ func TestDRem(t *testing.T) {
 func TestValueSize(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 24 {
 		t.Errorf("unsafe.Sizeof(rt.Value{}) = %d, want 24", got)
+	}
+}
+
+// TestIndexMessageMemo: a session's IndexMessage is the package's, for
+// every (index, length), whichever pairs share a slot of its memo, and a
+// pair it meets again costs the host nothing.
+func TestIndexMessageMemo(t *testing.T) {
+	e := NewEnv(io.Discard, Budget{}, nil)
+	for round := range 2 {
+		for _, i := range []int32{0, 1, 4, 8, 9, 10, -1, math.MaxInt32, math.MinInt32} {
+			for _, n := range []int{0, 4, 8, math.MaxInt32, math.MaxInt64} {
+				if got, want := e.IndexMessage(i, n), IndexMessage(i, n); got != want {
+					t.Fatalf("round %d: Env.IndexMessage(%d, %d) = %q, want %q", round, i, n, got, want)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := int32(8); i < 11; i++ {
+			_ = e.IndexMessage(i, 8)
+		}
+	}); n != 0 {
+		t.Errorf("three repeated accesses allocate %v times, want 0", n)
 	}
 }
 
