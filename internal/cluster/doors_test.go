@@ -372,7 +372,7 @@ var mangles = []struct {
 	// row of wire's TestDeclaredCountsAllocateNothing. The tables are
 	// admitted, so the stream door's session begins before the refusal.
 	{"declared function count", func(t *testing.T, _ []byte) [][]byte {
-		bad := []byte("STSB\x00\x00\x00\xc2\x10\x84\b")
+		bad := []byte("STSC\x00\x00\x00\xc2\x10\x84\b")
 		su, err := wire.DecodeVerifiedStream(bytes.NewReader(bad), wire.DecodeOptions{})
 		if err != nil || su.NumFuncs() != 1<<22 || su.Wait() == nil {
 			t.Fatalf("the literal is no longer a head declaring 1<<22 functions and no body (open: %v)", err)

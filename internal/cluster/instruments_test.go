@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -96,10 +97,17 @@ func TestFleetInstrumentsAgree(t *testing.T) {
 		t.Fatalf("stream run: %+v %v", sr, err)
 	}
 
-	// A runaway guest of tenant t1 is killed by its step budget; while it
-	// runs, t1 is at its bound and a second run of t1's gets 429.
-	loop := compile(a, map[string]string{"Loop.tj": `
-class Loop { static void main() { while (true) { } } }`})
+	// A runaway guest of tenant t1, owned by a1 so that running it there
+	// fills nothing, is killed by its step budget; while it runs, t1 is at
+	// its bound and a second run of t1's gets 429.
+	var loop string
+	for i := 0; loop == ""; i++ {
+		files := map[string]string{"Loop.tj": fmt.Sprintf(`
+class Loop { static void main() { int n = %d; while (true) { n++; } } }`, i)}
+		if f.owner(codeserver.KeyFor(files, f.srvs["a1"].ResolveOptions(codeserver.Options{}))) == "a1" {
+			loop = compile(a, files)
+		}
+	}
 	killed := make(chan codeserver.RunResult)
 	go func() {
 		killed <- run(a, loop, codeserver.RunRequest{MaxSteps: 20_000_000, Tenant: "t1"}, http.StatusOK)

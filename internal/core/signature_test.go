@@ -8,14 +8,16 @@ import (
 
 // sigFixture is a module with just enough tables to spell every
 // externalizable opcode: classes A and B extends A, int[], an instance
-// and a static field, and a static, a virtual and a void instance method
-// (host-implemented, so the tables need no bodies). build adds a fifth
-// method, whose body is the function under test.
+// and a static field, a static and a virtual method, a constructor, a
+// static method whose result is NoType, and the Object methods A's
+// dispatch table inherits. build adds one more method, whose body is the
+// function under test, gives the others stub bodies, and derives the
+// rest of the tables as a consumer would (Module.DeriveTables).
 type sigFixture struct {
 	m                            *Module
 	a, b, ints                   TypeID
 	fInst, fStatic               int32
-	mStatic, mVirtual, mInstVoid int32
+	mStatic, mVirtual, mInstVoid int32 // mInstVoid is A's constructor, an instance method without a slot
 	mNoResult                    int32 // a static method whose Result is NoType, not Void
 }
 
@@ -32,18 +34,46 @@ func newSigFixture() *sigFixture {
 	}
 	fx.mStatic, fx.mVirtual, fx.mInstVoid, fx.mNoResult = 0, 1, 2, 3
 	fx.m.Methods = []MethodRef{
-		{Owner: fx.a, Name: "sm", Params: []TypeID{tt.Int}, Result: tt.Int, Static: true, VSlot: -1, Builtin: 1, FuncIdx: -1},
-		{Owner: fx.a, Name: "vm", Params: []TypeID{tt.Int}, Result: tt.Int, VSlot: 0, Builtin: 1, FuncIdx: -1},
-		{Owner: fx.a, Name: "nm", Result: tt.Void, VSlot: -1, Builtin: 1, FuncIdx: -1},
-		{Owner: fx.a, Name: "nr", Result: NoType, Static: true, VSlot: -1, Builtin: 1, FuncIdx: -1},
+		{Owner: fx.a, Name: "sm", Params: []TypeID{tt.Int}, Result: tt.Int, Static: true, FuncIdx: 1},
+		{Owner: fx.a, Name: "vm", Params: []TypeID{tt.Int}, Result: tt.Int, FuncIdx: 2},
+		{Owner: fx.a, Name: "nm", Result: tt.Void, IsCtor: true, FuncIdx: 3},
+		{Owner: fx.a, Name: "nr", Result: NoType, Static: true, FuncIdx: 4},
+		{Owner: tt.Object, Name: "hashCode", Result: tt.Int, FuncIdx: -1},
+		{Owner: tt.Object, Name: "equals", Params: []TypeID{tt.Object}, Result: tt.Boolean, FuncIdx: -1},
+		{Owner: tt.Object, Name: "toString", Result: tt.String, FuncIdx: -1},
 	}
-	fx.m.Classes = []*ClassDef{
-		{Type: fx.a, Super: tt.Object, Fields: []int32{0, 1}, Methods: []int32{0, 1, 2, 3},
-			NumSlots: 1, NumStatics: 1, VTable: []int32{1}},
-		{Type: fx.b, Super: fx.a, NumSlots: 1, VTable: []int32{1}},
-	}
+	fx.m.Classes = []*ClassDef{{Type: fx.a, Super: tt.Object}, {Type: fx.b, Super: fx.a}}
 	fx.m.StaticInit = []int32{-1, -1}
 	return fx
+}
+
+// stub is a body for claim c that returns its last parameter when its
+// method has a result, and nothing otherwise.
+func (fx *sigFixture) stub(c int32) *Func {
+	tt := fx.m.Types
+	f := NewFunc(c)
+	blk := f.NewBlock()
+	f.Entry = blk
+	ret := &CSTNode{Kind: CReturn, At: blk}
+	for i := range fx.m.NumParams(f) {
+		in := &Instr{Op: OpParam, Type: fx.m.Param(f, i), Aux: int32(i), Blk: blk}
+		f.Define(in)
+		blk.Code = append(blk.Code, in)
+		ret.Val = in.ID
+	}
+	if r := fx.m.Result(f); r == NoType || r == tt.Void {
+		ret.Val = NoValue
+	}
+	f.Body = &CSTNode{Kind: CSeq, Kids: []*CSTNode{{Kind: CBlock, Block: blk}, ret}}
+	f.Finish()
+	return f
+}
+
+// derive installs what a consumer derives of the fixture's tables.
+func (fx *sigFixture) derive() {
+	if _, err := fx.m.DeriveTables(len(fx.m.Funcs), nil); err != nil {
+		panic(err)
+	}
 }
 
 // sigCase is one well-typed instruction: the planes its function's
@@ -77,7 +107,7 @@ func (fx *sigFixture) build(c sigCase) (*Func, *Instr, []ValueID) {
 		params = c.params(fx)
 	}
 	fx.m.Methods = append(fx.m.Methods, MethodRef{Owner: fx.a, Name: c.name, Params: append(params, tt.Long, tt.Double),
-		Result: tt.Void, Static: true, VSlot: -1, FuncIdx: 0})
+		Result: tt.Void, Static: true, FuncIdx: 0})
 	f := NewFunc(int32(len(fx.m.Methods) - 1))
 	blk := f.NewBlock()
 	f.Entry = blk
@@ -101,6 +131,10 @@ func (fx *sigFixture) build(c sigCase) (*Func, *Instr, []ValueID) {
 	}}
 	f.Finish()
 	fx.m.Funcs = []*Func{f}
+	for c := fx.mStatic; c <= fx.mNoResult; c++ {
+		fx.m.Funcs = append(fx.m.Funcs, fx.stub(c))
+	}
+	fx.derive()
 	return f, in, p
 }
 
@@ -315,7 +349,7 @@ func sigCases() []sigCase {
 			},
 			broken: []sigBreak{
 				{"negative method", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = -1 }, "method index -1 out of range"},
-				{"method past the table", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = 5 }, "method index 5 out of range"},
+				{"method past the table", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = 8 }, "method index 8 out of range"},
 			},
 		},
 		{
@@ -341,7 +375,7 @@ func sigCases() []sigCase {
 			broken: []sigBreak{
 				{"static method", func(fx *sigFixture, in *Instr, _ []ValueID) { in.Method = fx.mStatic }, "xdispatch of non-virtual method A.sm(int)"},
 				{"non-virtual instance method", func(fx *sigFixture, in *Instr, _ []ValueID) { in.Method = fx.mInstVoid }, "xdispatch of non-virtual method A.nm()"},
-				{"method past the table", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = 5 }, "method index 5 out of range"},
+				{"method past the table", func(_ *sigFixture, in *Instr, _ []ValueID) { in.Method = 8 }, "method index 8 out of range"},
 			},
 		},
 		{
@@ -561,14 +595,10 @@ func TestRefPlaneRule(t *testing.T) {
 func linkFixture() *Module {
 	fx := newSigFixture()
 	m, tt := fx.m, fx.m.Types
-	m.Methods = []MethodRef{
-		{Owner: fx.a, Name: "m0", Result: tt.Void, Static: true, VSlot: -1, FuncIdx: 0},
-		{Owner: fx.a, Name: "m1", Result: tt.Void, Static: true, VSlot: -1, FuncIdx: 1},
-	}
-	for _, cd := range m.Classes {
-		cd.Methods, cd.VTable = nil, nil
-	}
-	m.Classes[0].Methods = []int32{0, 1}
+	m.Methods = append([]MethodRef{
+		{Owner: fx.a, Name: "m0", Result: tt.Void, Static: true, FuncIdx: 0},
+		{Owner: fx.a, Name: "m1", Result: tt.Void, Static: true, FuncIdx: 1},
+	}, m.Methods[fx.mNoResult+1:]...)
 	m.StaticInit = []int32{2, -1}
 	for _, claim := range []int32{0, 1, -1, 0} {
 		f := NewFunc(claim)
@@ -578,6 +608,7 @@ func linkFixture() *Module {
 		f.Finish()
 		m.Funcs = append(m.Funcs, f)
 	}
+	fx.derive()
 	return m
 }
 

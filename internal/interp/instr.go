@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"safetsa/internal/core"
-	"safetsa/internal/lang/sema"
 	"safetsa/internal/rt"
 )
 
@@ -177,66 +176,66 @@ func (l *Loader) native(mr *core.MethodRef, args []rt.Value) (v rt.Value, thrown
 		s, _ := rt.GetStr(args[i].R)
 		return s
 	}
-	switch sema.BuiltinID(mr.Builtin) {
-	case sema.BStrLength:
+	switch mr.Builtin {
+	case core.BStrLength:
 		return rt.IntValue(rt.AsStr(args[0].R).Len()), false
-	case sema.BStrCharAt:
+	case core.BStrCharAt:
 		c, ok := rt.AsStr(args[0].R).CharAt(args[1].Int())
 		if !ok {
 			return l.newExc(l.exc.Bounds, rt.StringIndexMessage(args[1].Int())), true
 		}
 		return rt.CharValue(rune(c)), false
-	case sema.BStrSubstring:
+	case core.BStrSubstring:
 		s, ok := rt.AsStr(args[0].R).Substring(args[1].Int(), args[2].Int())
 		if !ok {
 			return l.newExc(l.exc.Bounds, "substring bounds"), true
 		}
 		return rt.RefValue(env.Str(s)), false
-	case sema.BStrEquals:
+	case core.BStrEquals:
 		o, ok := rt.GetStr(args[1].R)
 		return rt.BoolValue(ok && o == str(0)), false
-	case sema.BStrCompareTo:
+	case core.BStrCompareTo:
 		return rt.IntValue(rt.CompareStr(str(0), str(1))), false
-	case sema.BStrIndexOf:
+	case core.BStrIndexOf:
 		return rt.IntValue(rt.IndexOfStr(str(0), str(1))), false
-	case sema.BStrHashCode:
+	case core.BStrHashCode:
 		return rt.IntValue(rt.StringHash(str(0))), false
-	case sema.BObjHashCode:
+	case core.BObjHashCode:
 		return rt.IntValue(int32(rt.Identity(args[0].R))), false
-	case sema.BObjEquals:
+	case core.BObjEquals:
 		return rt.BoolValue(sameRef(args[0].R, args[1].R)), false
-	case sema.BObjToString:
+	case core.BObjToString:
 		return rt.RefValue(env.Str(rt.RefString(args[0].R))), false
-	case sema.BExcGetMessage:
+	case core.BExcGetMessage:
 		if obj, ok := args[0].R.(*rt.Object); ok && len(obj.Fields) > 0 {
 			return obj.Fields[0], false
 		}
 		return rt.Value{}, false
-	case sema.BPrintlnString:
+	case core.BPrintlnString:
 		env.Println(rt.RefString(args[0].R))
-	case sema.BPrintlnInt:
+	case core.BPrintlnInt:
 		env.Println(rt.StringOf(args[0], 'i'))
-	case sema.BPrintlnLong:
+	case core.BPrintlnLong:
 		env.Println(rt.StringOf(args[0], 'l'))
-	case sema.BPrintlnDouble:
+	case core.BPrintlnDouble:
 		env.Println(rt.StringOf(args[0], 'd'))
-	case sema.BPrintlnBool:
+	case core.BPrintlnBool:
 		env.Println(rt.StringOf(args[0], 'z'))
-	case sema.BPrintlnChar:
+	case core.BPrintlnChar:
 		env.Println(rt.StringOf(args[0], 'c'))
-	case sema.BPrintlnEmpty:
+	case core.BPrintlnEmpty:
 		env.Println("")
-	case sema.BPrintString:
+	case core.BPrintString:
 		env.Print(rt.RefString(args[0].R))
-	case sema.BPrintInt:
+	case core.BPrintInt:
 		env.Print(rt.StringOf(args[0], 'i'))
-	case sema.BPrintLong:
+	case core.BPrintLong:
 		env.Print(rt.StringOf(args[0], 'l'))
-	case sema.BPrintDouble:
+	case core.BPrintDouble:
 		env.Print(rt.StringOf(args[0], 'd'))
-	case sema.BPrintBool:
+	case core.BPrintBool:
 		env.Print(rt.StringOf(args[0], 'z'))
-	case sema.BPrintChar:
+	case core.BPrintChar:
 		env.Print(rt.StringOf(args[0], 'c'))
 	default:
 		panic(fmt.Sprintf("interp: unimplemented native method %s (builtin %d)",

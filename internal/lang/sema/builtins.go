@@ -1,6 +1,9 @@
 package sema
 
-import "safetsa/internal/lang/ast"
+import (
+	"safetsa/internal/core"
+	"safetsa/internal/lang/ast"
+)
 
 // newUniverse creates the Program skeleton with the primitive types and
 // the imported host classes: Object, String, and the exception hierarchy.
@@ -55,36 +58,26 @@ func newUniverse() *Program {
 	p.ClsCast = mkExc("ClassCastException")
 	p.ClsNegArraySize = mkExc("NegativeArraySizeException")
 
-	// Object methods.
-	obj.Methods = []*MethodSym{
-		{Name: "hashCode", Return: p.Int, Owner: obj, Builtin: BObjHashCode},
-		{Name: "equals", Params: []*Type{p.Object}, Return: p.Boolean, Owner: obj, Builtin: BObjEquals},
-		{Name: "toString", Return: p.String, Owner: obj, Builtin: BObjToString},
+	// The imported classes' methods are the host library's
+	// (core.HostMethods), which the consumer binds imported methods by.
+	for _, h := range core.HostMethods() {
+		if h.Static {
+			continue
+		}
+		owner := p.Classes[core.ImplicitType(h.Owner).Name]
+		owner.Methods = append(owner.Methods, &MethodSym{Name: h.Name, Params: p.hostTypes(h.Params),
+			Return: p.hostType(h.Result), Owner: owner, Builtin: h.Builtin})
 	}
 	obj.Ctors = []*MethodSym{
 		{Name: "Object", IsCtor: true, Return: p.Void, Owner: obj, VSlot: -1},
 	}
 
-	// String methods.
-	str.Methods = []*MethodSym{
-		{Name: "length", Return: p.Int, Owner: str, Builtin: BStrLength},
-		{Name: "charAt", Params: []*Type{p.Int}, Return: p.Char, Owner: str, Builtin: BStrCharAt},
-		{Name: "substring", Params: []*Type{p.Int, p.Int}, Return: p.String, Owner: str, Builtin: BStrSubstring},
-		{Name: "equals", Params: []*Type{p.Object}, Return: p.Boolean, Owner: str, Builtin: BStrEquals},
-		{Name: "compareTo", Params: []*Type{p.String}, Return: p.Int, Owner: str, Builtin: BStrCompareTo},
-		{Name: "indexOf", Params: []*Type{p.String}, Return: p.Int, Owner: str, Builtin: BStrIndexOf},
-		{Name: "hashCode", Return: p.Int, Owner: str, Builtin: BStrHashCode},
-	}
-
-	// Throwable/Exception: a message field plus getMessage. The message
+	// Throwable/Exception: a message field, which getMessage reads. The message
 	// field occupies instance slot 0 of every throwable.
 	throwable.Fields = []*FieldSym{
 		{Name: "message", Type: p.String, Owner: throwable, Slot: 0},
 	}
 	throwable.NumSlots = 1
-	throwable.Methods = []*MethodSym{
-		{Name: "getMessage", Return: p.String, Owner: throwable, Builtin: BExcGetMessage},
-	}
 	throwable.Ctors = []*MethodSym{
 		{Name: "Throwable", IsCtor: true, Return: p.Void, Owner: throwable, VSlot: -1},
 		{Name: "Throwable", IsCtor: true, Params: []*Type{p.String}, Return: p.Void, Owner: throwable, VSlot: -1},
@@ -102,73 +95,90 @@ func newUniverse() *Program {
 
 // mathBuiltins maps Math.<name> overload sets.
 func (p *Program) mathBuiltins(name string) []*Builtin {
-	b := func(id BuiltinID, ret *Type, params ...*Type) *Builtin {
+	b := func(id core.BuiltinID, ret *Type, params ...*Type) *Builtin {
 		return &Builtin{ID: id, Name: "Math." + name, Params: params, Return: ret}
 	}
 	switch name {
 	case "sqrt":
-		return []*Builtin{b(BMathSqrt, p.Double, p.Double)}
+		return []*Builtin{b(core.BMathSqrt, p.Double, p.Double)}
 	case "abs":
 		return []*Builtin{
-			b(BMathAbsI, p.Int, p.Int),
-			b(BMathAbsL, p.Long, p.Long),
-			b(BMathAbsD, p.Double, p.Double),
+			b(core.BMathAbsI, p.Int, p.Int),
+			b(core.BMathAbsL, p.Long, p.Long),
+			b(core.BMathAbsD, p.Double, p.Double),
 		}
 	case "min":
 		return []*Builtin{
-			b(BMathMinI, p.Int, p.Int, p.Int),
-			b(BMathMinL, p.Long, p.Long, p.Long),
-			b(BMathMinD, p.Double, p.Double, p.Double),
+			b(core.BMathMinI, p.Int, p.Int, p.Int),
+			b(core.BMathMinL, p.Long, p.Long, p.Long),
+			b(core.BMathMinD, p.Double, p.Double, p.Double),
 		}
 	case "max":
 		return []*Builtin{
-			b(BMathMaxI, p.Int, p.Int, p.Int),
-			b(BMathMaxL, p.Long, p.Long, p.Long),
-			b(BMathMaxD, p.Double, p.Double, p.Double),
+			b(core.BMathMaxI, p.Int, p.Int, p.Int),
+			b(core.BMathMaxL, p.Long, p.Long, p.Long),
+			b(core.BMathMaxD, p.Double, p.Double, p.Double),
 		}
 	case "pow":
-		return []*Builtin{b(BMathPow, p.Double, p.Double, p.Double)}
+		return []*Builtin{b(core.BMathPow, p.Double, p.Double, p.Double)}
 	case "floor":
-		return []*Builtin{b(BMathFloor, p.Double, p.Double)}
+		return []*Builtin{b(core.BMathFloor, p.Double, p.Double)}
 	case "ceil":
-		return []*Builtin{b(BMathCeil, p.Double, p.Double)}
+		return []*Builtin{b(core.BMathCeil, p.Double, p.Double)}
 	case "log":
-		return []*Builtin{b(BMathLog, p.Double, p.Double)}
+		return []*Builtin{b(core.BMathLog, p.Double, p.Double)}
 	case "exp":
-		return []*Builtin{b(BMathExp, p.Double, p.Double)}
+		return []*Builtin{b(core.BMathExp, p.Double, p.Double)}
 	case "sin":
-		return []*Builtin{b(BMathSin, p.Double, p.Double)}
+		return []*Builtin{b(core.BMathSin, p.Double, p.Double)}
 	case "cos":
-		return []*Builtin{b(BMathCos, p.Double, p.Double)}
+		return []*Builtin{b(core.BMathCos, p.Double, p.Double)}
 	}
 	return nil
 }
 
-// printBuiltins maps System.out.<name> overload sets.
+// printBuiltins maps System.out.<name> overload sets: the host
+// library's static methods of that name.
 func (p *Program) printBuiltins(name string) []*Builtin {
-	b := func(id BuiltinID, params ...*Type) *Builtin {
-		return &Builtin{ID: id, Name: "System.out." + name, Params: params, Return: p.Void}
-	}
-	switch name {
-	case "println":
-		return []*Builtin{
-			b(BPrintlnString, p.String),
-			b(BPrintlnInt, p.Int),
-			b(BPrintlnLong, p.Long),
-			b(BPrintlnDouble, p.Double),
-			b(BPrintlnBool, p.Boolean),
-			b(BPrintlnChar, p.Char),
-			b(BPrintlnEmpty),
-		}
-	case "print":
-		return []*Builtin{
-			b(BPrintString, p.String),
-			b(BPrintInt, p.Int),
-			b(BPrintLong, p.Long),
-			b(BPrintDouble, p.Double),
-			b(BPrintBool, p.Boolean),
-			b(BPrintChar, p.Char),
+	var out []*Builtin
+	for _, h := range core.HostMethods() {
+		if h.Static && h.Name == "System.out."+name {
+			out = append(out, &Builtin{ID: h.Builtin, Name: h.Name, Params: p.hostTypes(h.Params), Return: p.hostType(h.Result)})
 		}
 	}
-	return nil
+	return out
+}
+
+// hostType is the universe's type for an entry of the implicit type-table
+// prefix the host library is declared in.
+func (p *Program) hostType(id core.TypeID) *Type {
+	t := core.ImplicitType(id)
+	switch t.Kind {
+	case core.TVoid:
+		return p.Void
+	case core.TInt:
+		return p.Int
+	case core.TLong:
+		return p.Long
+	case core.TDouble:
+		return p.Double
+	case core.TBoolean:
+		return p.Boolean
+	case core.TChar:
+		return p.Char
+	case core.TClass:
+		return p.ClassType(p.Classes[t.Name])
+	}
+	panic("sema: host library type without a universe type: " + t.String())
+}
+
+func (p *Program) hostTypes(ids []core.TypeID) []*Type {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]*Type, len(ids))
+	for i, id := range ids {
+		out[i] = p.hostType(id)
+	}
+	return out
 }

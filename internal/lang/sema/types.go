@@ -7,6 +7,7 @@ package sema
 import (
 	"fmt"
 
+	"safetsa/internal/core"
 	"safetsa/internal/lang/ast"
 )
 
@@ -179,74 +180,9 @@ type FieldSym struct {
 func (f *FieldSym) QName() string { return f.Owner.Name + "." + f.Name }
 
 // BuiltinID identifies a natively-implemented imported method or
-// primitive operation of the host environment.
-type BuiltinID int
-
-// The builtin operations. They cover the imported String and exception
-// classes and the Math/System.out static library.
-const (
-	BNone BuiltinID = iota
-
-	// String instance methods (receiver null-checked).
-	BStrLength
-	BStrCharAt
-	BStrSubstring
-	BStrEquals
-	BStrCompareTo
-	BStrIndexOf
-	BStrHashCode
-
-	// String-typed primitive operations (no null check; null renders
-	// as "null", as in Java string conversion).
-	BStrConcat
-	BStrOfInt
-	BStrOfLong
-	BStrOfDouble
-	BStrOfBool
-	BStrOfChar
-
-	// Object methods.
-	BObjHashCode
-	BObjEquals
-	BObjToString
-
-	// Exception methods.
-	BExcGetMessage
-
-	// Math statics.
-	BMathSqrt
-	BMathAbsD
-	BMathAbsI
-	BMathAbsL
-	BMathMinI
-	BMathMaxI
-	BMathMinD
-	BMathMaxD
-	BMathMinL
-	BMathMaxL
-	BMathPow
-	BMathFloor
-	BMathCeil
-	BMathLog
-	BMathExp
-	BMathSin
-	BMathCos
-
-	// System.out.
-	BPrintlnString
-	BPrintlnInt
-	BPrintlnLong
-	BPrintlnDouble
-	BPrintlnBool
-	BPrintlnChar
-	BPrintlnEmpty
-	BPrintString
-	BPrintInt
-	BPrintLong
-	BPrintDouble
-	BPrintBool
-	BPrintChar
-)
+// primitive operation of the host environment: the host library's
+// numbering (core.HostMethods), which both ends of the wire share.
+type BuiltinID = core.BuiltinID
 
 // MethodSym is a resolved method or constructor.
 type MethodSym struct {

@@ -26,7 +26,7 @@ type Builder struct {
 	methodIdx map[*sema.MethodSym]int32
 	// printIdx caches synthetic imported-method entries for the
 	// System.out builtins, keyed by BuiltinID.
-	printIdx map[sema.BuiltinID]int32
+	printIdx map[core.BuiltinID]int32
 
 	*slabs
 }
@@ -81,7 +81,7 @@ func (a *Arena) Build(prog *sema.Program) (*core.Module, error) {
 		classType: make(map[*sema.Class]core.TypeID),
 		fieldIdx:  make(map[*sema.FieldSym]int32),
 		methodIdx: make(map[*sema.MethodSym]int32),
-		printIdx:  make(map[sema.BuiltinID]int32),
+		printIdx:  make(map[core.BuiltinID]int32),
 		slabs:     &a.slabs,
 	}
 	b.mod = &core.Module{Types: core.NewTypeTable(), Entry: -1}
@@ -265,32 +265,30 @@ func (b *Builder) methodRef(m *sema.MethodSym) int32 {
 		Static:  m.Static,
 		IsCtor:  m.IsCtor,
 		VSlot:   int32(m.VSlot),
-		Builtin: core.BuiltinID(m.Builtin),
+		Builtin: m.Builtin,
 		FuncIdx: -1,
 	})
 	b.methodIdx[m] = i
 	return i
 }
 
-// printRef interns a synthetic imported static method for a System.out
-// builtin.
+// printRef interns the imported static method of a System.out builtin:
+// the host library's entry for it (core.HostMethodOf), which the consumer
+// binds the method by.
 func (b *Builder) printRef(bi *sema.Builtin) int32 {
 	if i, ok := b.printIdx[bi.ID]; ok {
 		return i
 	}
-	params := make([]core.TypeID, len(bi.Params))
-	for j, p := range bi.Params {
-		params[j] = b.typeOf(p)
-	}
+	h := core.HostMethodOf(bi.ID)
 	i := int32(len(b.mod.Methods))
 	b.mod.Methods = append(b.mod.Methods, core.MethodRef{
-		Owner:   b.mod.Types.Object,
-		Name:    bi.Name,
-		Params:  params,
-		Result:  b.mod.Types.Void,
+		Owner:   h.Owner,
+		Name:    h.Name,
+		Params:  append([]core.TypeID(nil), h.Params...),
+		Result:  h.Result,
 		Static:  true,
 		VSlot:   -1,
-		Builtin: core.BuiltinID(bi.ID),
+		Builtin: h.Builtin,
 		FuncIdx: -1,
 	})
 	b.printIdx[bi.ID] = i

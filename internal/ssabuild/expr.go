@@ -825,24 +825,24 @@ func (fb *fnBuilder) emitCall(op core.Op, m *sema.MethodSym, args []core.ValueID
 }
 
 // mathPrims maps Math builtins onto type-subordinate primitives.
-var mathPrims = map[sema.BuiltinID]core.PrimOp{
-	sema.BMathSqrt:  core.PDSqrt,
-	sema.BMathAbsD:  core.PDAbs,
-	sema.BMathAbsI:  core.PIAbs,
-	sema.BMathAbsL:  core.PLAbs,
-	sema.BMathMinI:  core.PIMin,
-	sema.BMathMaxI:  core.PIMax,
-	sema.BMathMinL:  core.PLMin,
-	sema.BMathMaxL:  core.PLMax,
-	sema.BMathMinD:  core.PDMin,
-	sema.BMathMaxD:  core.PDMax,
-	sema.BMathPow:   core.PDPow,
-	sema.BMathFloor: core.PDFloor,
-	sema.BMathCeil:  core.PDCeil,
-	sema.BMathLog:   core.PDLog,
-	sema.BMathExp:   core.PDExp,
-	sema.BMathSin:   core.PDSin,
-	sema.BMathCos:   core.PDCos,
+var mathPrims = map[core.BuiltinID]core.PrimOp{
+	core.BMathSqrt:  core.PDSqrt,
+	core.BMathAbsD:  core.PDAbs,
+	core.BMathAbsI:  core.PIAbs,
+	core.BMathAbsL:  core.PLAbs,
+	core.BMathMinI:  core.PIMin,
+	core.BMathMaxI:  core.PIMax,
+	core.BMathMinL:  core.PLMin,
+	core.BMathMaxL:  core.PLMax,
+	core.BMathMinD:  core.PDMin,
+	core.BMathMaxD:  core.PDMax,
+	core.BMathPow:   core.PDPow,
+	core.BMathFloor: core.PDFloor,
+	core.BMathCeil:  core.PDCeil,
+	core.BMathLog:   core.PDLog,
+	core.BMathExp:   core.PDExp,
+	core.BMathSin:   core.PDSin,
+	core.BMathCos:   core.PDCos,
 }
 
 func (fb *fnBuilder) buildCall(e *ast.CallExpr) core.ValueID {

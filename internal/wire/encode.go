@@ -7,21 +7,25 @@ import (
 	"safetsa/internal/core"
 )
 
-// Distribution units open with "STS" plus a version byte: 'B' is the
+// Distribution units open with "STS" plus a version byte: 'C' is the
 // fixed-probability code (its first revision, 'A', spelled each
-// function's name and signature, and gave the historical magic "STSA"),
-// '2' the adaptive model of model.go.
+// function's name and signature, and gave the historical magic "STSA";
+// 'B' spelled the layouts, member lists, dispatch tables and host
+// operation numbers a consumer derives), '2' the adaptive model of
+// model.go.
 const (
-	versionV1 = 'B'
+	versionV1 = 'C'
 	versionV2 = '2'
 
 	// modelAdaptive is the only model revision the '2' container
 	// currently defines (revision 1 spelled each function's name and
 	// signature, revision 2 decided a symbol's bits by position alone,
 	// revision 3 moved every probability at one rate, decided an opcode
-	// apart from the one before it and spelled every string); dictFlag
-	// marks a dictionary-bearing stream.
-	modelAdaptive = 4
+	// apart from the one before it and spelled every string, revision 4
+	// spelled what a consumer derives of the tables, as v1's 'B' did, and
+	// coded a count in 4-bit groups); dictFlag marks a dictionary-bearing
+	// stream.
+	modelAdaptive = 5
 	dictFlag      = 8
 )
 
@@ -153,7 +157,9 @@ func (e *encoder) typeRef(t core.TypeID) {
 // encodeTables writes the mutable part of the type table (the implicit
 // prefix is regenerated by the consumer and cannot be corrupted), the
 // field and method tables, the class definitions, and the module entry
-// points.
+// points. It writes nothing a consumer derives from them: no slot, no
+// storage size, no member list, no dispatch table or slot, no host
+// operation number (core.Module.DeriveTables).
 func (e *encoder) encodeTables() {
 	tt := e.m.Types
 	w := e.w
@@ -191,7 +197,6 @@ func (e *encoder) encodeTables() {
 		w.str(fr.Name)
 		e.typeRef(fr.Type)
 		w.bit(fr.Static)
-		w.uvarint(uint64(fr.Slot))
 	}
 
 	w.uvarint(uint64(len(e.m.Methods)))
@@ -205,31 +210,16 @@ func (e *encoder) encodeTables() {
 		e.typeRef(mr.Result)
 		w.bit(mr.Static)
 		w.bit(mr.IsCtor)
-		w.svarint(int64(mr.VSlot))
-		w.uvarint(uint64(mr.Builtin))
 		w.svarint(int64(mr.FuncIdx))
 	}
 
+	// A class definition is its type: its superclass is fixed by the type
+	// table, and its member lists, layout and dispatch table are derived
+	// by the consumer (core.Module.DeriveTables), so a disagreeing class
+	// definition is inexpressible.
 	w.uvarint(uint64(len(e.m.Classes)))
 	for _, cd := range e.m.Classes {
-		// The superclass is not transmitted: it is already fixed by the
-		// type table, so a disagreeing class definition is
-		// inexpressible.
 		e.typeRef(cd.Type)
-		w.uvarint(uint64(len(cd.Fields)))
-		for _, fi := range cd.Fields {
-			e.w.symbol(int(fi), len(e.m.Fields))
-		}
-		w.uvarint(uint64(len(cd.Methods)))
-		for _, mi := range cd.Methods {
-			e.w.symbol(int(mi), len(e.m.Methods))
-		}
-		w.uvarint(uint64(cd.NumSlots))
-		w.uvarint(uint64(cd.NumStatics))
-		w.uvarint(uint64(len(cd.VTable)))
-		for _, mi := range cd.VTable {
-			e.w.symbol(int(mi), len(e.m.Methods))
-		}
 	}
 	w.svarint(int64(e.m.Entry))
 	// One static-initializer entry per class definition: the count is

@@ -7,6 +7,9 @@ import (
 	"safetsa/internal/core"
 )
 
+// ModelAdaptive is the v2 model revision this tree writes.
+const ModelAdaptive = modelAdaptive
+
 // Retired reports whether su's decoder has dropped what only decoding
 // another body would use (decoder.retire).
 func Retired(su *StreamingUnit) bool {
@@ -108,12 +111,11 @@ func symbolDecisions(v, n int) int {
 	return k
 }
 
+// uvarintDecisions is what acWriter.uvarint decides for v: its bit length
+// in unary plus the stop, then the bits below the top one.
 func uvarintDecisions(v uint64) int {
-	d := 5
-	for ; v >= 16; v >>= 4 {
-		d += 5
-	}
-	return d
+	n := bits.Len64(v)
+	return n + 1 + max(n-1, 0)
 }
 
 func (r *budget) setProd(p int) { r.prod = p; r.aw.setProd(p) }

@@ -39,7 +39,8 @@ type opTree [1<<opBits - 1]uint16
 
 // prodCtx holds the adaptive bit probabilities for one production: the
 // tree contexts of its symbols, standalone flag bits by order of
-// appearance, and uvarint continuation/payload bits by group.
+// appearance, and a count's length bits (cont) and mantissa bits by
+// length and position (pay); see acWriter.uvarint.
 type prodCtx struct {
 	sym  symCtx
 	flag [8]uint16
@@ -298,28 +299,21 @@ func (w *acWriter) register(v, n int) {
 	acEncodeSymbol(w.rc, &w.mdl.reg[w.far], v, n)
 }
 
+// uvarint codes a count by its magnitude: its bit length L in unary, a
+// decision per length in the production's cont contexts, then the L-1
+// bits below the top one, most significant first, bit pos of length L in
+// pay[min(L,15)][min(pos,3)]. Most counts are below 4 and cost one to
+// four decisions.
 func (w *acWriter) uvarint(v uint64) {
 	pc := w.pc()
-	g := 0
-	for {
-		gi := g
-		if gi >= len(pc.cont) {
-			gi = len(pc.cont) - 1
-		}
-		if v < 16 {
-			w.rc.encodeBit(&pc.cont[gi], 0)
-			for j := 3; j >= 0; j-- {
-				w.rc.encodeBit(&pc.pay[gi][3-j], int(v>>uint(j)&1))
-			}
-			return
-		}
-		w.rc.encodeBit(&pc.cont[gi], 1)
-		lo := v & 15
-		for j := 3; j >= 0; j-- {
-			w.rc.encodeBit(&pc.pay[gi][3-j], int(lo>>uint(j)&1))
-		}
-		v >>= 4
-		g++
+	n := bits.Len64(v)
+	for l := 0; l < n; l++ {
+		w.rc.encodeBit(&pc.cont[min(l, len(pc.cont)-1)], 1)
+	}
+	w.rc.encodeBit(&pc.cont[min(n, len(pc.cont)-1)], 0)
+	pay := &pc.pay[min(n, len(pc.pay)-1)]
+	for pos := 0; pos < n-1; pos++ {
+		w.rc.encodeBit(&pay[min(pos, len(pay)-1)], int(v>>uint(n-2-pos)&1))
 	}
 }
 
@@ -439,22 +433,24 @@ func (r *acReader) register(n int) (int, error) {
 
 func (r *acReader) uvarint() (uint64, error) {
 	pc, rc := r.pc(), &r.rc
-	var v uint64
-	for g, shift := 0, uint(0); ; g, shift = g+1, shift+4 {
-		gi := min(g, len(pc.cont)-1)
-		c := rc.decodeBit(&pc.cont[gi])
-		grp := uint64(rc.bits(pc.pay[gi][:]))
-		if rc.err != nil {
-			return 0, rc.err
-		}
-		if shift > 60 {
+	n := 0
+	for rc.decodeBit(&pc.cont[min(n, len(pc.cont)-1)]) == 1 {
+		if n++; n > 64 {
 			return 0, malformedf("varint overflow")
 		}
-		v |= grp << shift
-		if c == 0 {
-			return v, nil
-		}
 	}
+	if n == 0 {
+		return 0, rc.err
+	}
+	pay := &pc.pay[min(n, len(pc.pay)-1)]
+	v := uint64(1)
+	for pos := 0; pos < n-1; pos++ {
+		v = v<<1 | uint64(rc.decodeBit(&pay[min(pos, len(pay)-1)]))
+	}
+	if rc.err != nil {
+		return 0, rc.err
+	}
+	return v, nil
 }
 
 func (r *acReader) svarint() (int64, error) {

@@ -263,7 +263,7 @@ func TestAdmissionAgreesOnTruncations(t *testing.T) {
 func reframe(t *testing.T, data []byte, delta int, tail []byte) []byte {
 	t.Helper()
 	const head = 5 // "STS2" and the model byte
-	if len(data) < head || string(data[:4]) != "STS2" || data[4] != 4 {
+	if len(data) < head || string(data[:4]) != "STS2" || data[4] != wire.ModelAdaptive {
 		t.Fatalf("not a dictionary-free v2 unit: % x", data[:min(len(data), head)])
 	}
 	plen, n := binary.Uvarint(data[head:])
