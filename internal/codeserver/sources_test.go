@@ -46,12 +46,12 @@ func TestKeyForGolden(t *testing.T) {
 		"Util.tj": "class Util { static int twice(int x) { return x * 2; } } //   café\n",
 	}
 	want := []string{
-		"2d06d075cc4b1d786e997ae6725a5f268bcd8a6014cfbd083d2f3d8e49892d37",
-		"5de72cd47fe316900183f0ce68a231f61553062fe4087117ea6842a070bd3131",
-		"c1b62825a32a74a0802af4c4aebbb57aaa70e505c3febedd7ec27407ea229625",
-		"147bd221da494737888aabce5153503c8b39be90311b90a851ea7138245c78f1",
-		"c7684f055bc00eef6747691783bd3ef0431a96e3041c9fcececb8bcf67383f76",
-		"ceb4ea236dc74848b06ffc4526444e529b6ddb9e7392fd00c3959623aede63f3",
+		"529c0fd11007632e9d29d4e60d107293b88a47b6d61a071374149b5bc271e9e6",
+		"dd8aadc11d8e4ceff18fe4652c41124d2a42d0b1dec4d5af64c512fd83069552",
+		"44371591e34c72390bb1a0f7b3bc05858940053cefc505b6d921618147263d94",
+		"af0990ea4e698a5504757112647a4d9dc6f6c498011e2fe0e40fdcf6b88f09f3",
+		"f3eb09caae5870ab3d646d4b818550ca1b0ef6f9892e59e44c6078741ce1d492",
+		"b2e9ab8077409f47d96829de43ee4efed8c7a7f9ccc4641a3d468719a12c48db",
 	}
 	for i, o := range resolvedOptionRows {
 		if got := KeyFor(files, o).String(); got != want[i] {
@@ -186,8 +186,9 @@ func TestSourceSetKeyIsKeyFor(t *testing.T) {
 // rows of TestCompileRequestSeedVerdicts: the shapes json reads
 // differently from a plain reading (re-cased, escaped and duplicate
 // members, nulls, surrogates, invalid UTF-8) and the malformed ones, each
-// with whether the scanner takes it and the status and unit hash the
-// parent tree's handler gave it (recorded there, not here).
+// with whether the scanner takes it and the status the parent tree's
+// handler gave it (recorded there, not here), and the unit hash it is
+// answered with, which moves with the pipeline version.
 var compileRequestSeeds = []struct {
 	name   string
 	body   string
@@ -196,32 +197,32 @@ var compileRequestSeeds = []struct {
 	hash   string
 }{
 	{"json_marshal_html_escaped", `{"files":{"Hello.tj":"class Hello {\n\tstatic void main() { System.out.println(\"\u003ca\u0026b\u003e\u2028\" + (6 * 7)); }\n}\n"},"optimize":true,"module_opt":false}`,
-		true, 200, "9ab2e9a3c8bd6994b68bca427c72b1c2f2e2f200ba7cb754a600f8ee1b662149"},
+		true, 200, "cb9d301614ab5cb81565f44d2801a135fecec4b5db936b1f751f09bd799eabda"},
 	{"members_reordered_spaced", "  {\r\n\t\"module_opt\" : true ,\n \"files\" : { \"B.tj\" : \"class B { }\" , \"A.tj\" : \"class A { static void main() { } }\" } }\n ",
-		true, 200, "7948359d135886d4f66dfcc49797375c37940ace1c60f8e152e6ffc6c3b97868"},
+		true, 200, "cfab6a038a8537b15e4e2c0cf549b8b361ed0d939dd21571d4980fee959e87ce"},
 	{"escapes_all_eight", `{"files":{"A\/.tj":"class A { static void main() { } } /* \"\\\/\b\f\n\r\t\u00e9\u000A */"}}`,
-		true, 200, "de8017ad97c29146d50baefa218c03f3e77ee2385dbb49dfdc3ea22d45995f44"},
+		true, 200, "36ebad7c6bbd8c85bb4cab4e39ee40b6ed11e69867ad433fe8f84cf179abf043"},
 	{"escaped_member_name", `{"fil\u0065s":{"A.tj":"class A { static void main() { } }"}}`,
-		true, 200, "0d588b9e36888b48e9f1d35b310beef855ff332bd4709f8b834bcea043eb7815"},
+		true, 200, "6ae9e3a6717efe33be35a2e8858349a8814f23147cb8f42bb02e57a8fe703330"},
 	{"empty_object", `{}`, true, 400, ""},
 	{"surrogate_pair", `{"files":{"A.tj":"class A { static void main() { System.out.println(\"\ud83d\ude00\"); } }"}}`,
-		false, 200, "1cc9ae13e6065e8fdf6ad7a86fb6be9df180afa2baa1fd580affc232623bc430"},
+		false, 200, "e12bf5392788b15b0612d6a1c07d937629a4aa40cee198c11391181fb50762fc"},
 	{"lone_surrogate", `{"files":{"A.tj":"class A { static void main() { System.out.println(\"\ud800\"); } }"}}`,
-		false, 200, "aebc5555130ee90da712d30831d4c0e79f6b401180feed75fdebf423934305cc"},
+		false, 200, "3ce6ac82eb27beaefc86b475a96217abadcd36366c3ea6e2b65377a9bae4dd9d"},
 	{"invalid_utf8", "{\"files\":{\"A.tj\":\"class A { static void main() { } } // \xff\xc0\xaf\"}}",
-		false, 200, "1ca2dba1416426d81f00805087ac2ecb60518342ffea668ddf1214eb4beb2278"},
+		false, 200, "c99047c769d2bf03f069529ad9478c2d0dd5bd65c4277fca6dc23f4004119b95"},
 	{"duplicate_file_name", `{"files":{"A.tj":"class A { }","A.tj":"class A { static void main() { } }"}}`,
-		false, 200, "0d588b9e36888b48e9f1d35b310beef855ff332bd4709f8b834bcea043eb7815"},
+		false, 200, "6ae9e3a6717efe33be35a2e8858349a8814f23147cb8f42bb02e57a8fe703330"},
 	{"duplicate_files_member", `{"files":{"A.tj":"class A { static void main() { } }"},"files":{"B.tj":"class B { }"}}`,
-		false, 200, "7aaaff289b027b7e93d72866d9ab5abad17913724997462b37eb4f7db4c25f85"},
+		false, 200, "03c4fafcb6c99623c4d3dcc1d0f34a3e185a50385cfba11aba51553a11d02971"},
 	{"duplicate_optimize", `{"optimize":false,"files":{"A.tj":"class A { static void main() { } }"},"optimize":true}`,
-		false, 200, "5cc4cf607cee4b94e7f0919eb2313423a2f71333b84c9b556402e24ad50424a8"},
+		false, 200, "a8b3751ca80fdb5e76821cd0050d36c5dd707e4b46baf1553c35c678aadfe4e8"},
 	{"uppercase_member", `{"FILES":{"A.tj":"class A { static void main() { } }"},"Optimize":true}`,
-		false, 200, "5cc4cf607cee4b94e7f0919eb2313423a2f71333b84c9b556402e24ad50424a8"},
+		false, 200, "a8b3751ca80fdb5e76821cd0050d36c5dd707e4b46baf1553c35c678aadfe4e8"},
 	{"unknown_member", `{"files":{"A.tj":"class A { static void main() { } }"},"engine":"compiled"}`,
-		false, 200, "0d588b9e36888b48e9f1d35b310beef855ff332bd4709f8b834bcea043eb7815"},
+		false, 200, "6ae9e3a6717efe33be35a2e8858349a8814f23147cb8f42bb02e57a8fe703330"},
 	{"optimize_null", `{"files":{"A.tj":"class A { static void main() { } }"},"optimize":null}`,
-		false, 200, "0d588b9e36888b48e9f1d35b310beef855ff332bd4709f8b834bcea043eb7815"},
+		false, 200, "6ae9e3a6717efe33be35a2e8858349a8814f23147cb8f42bb02e57a8fe703330"},
 	{"files_null", `{"files":null,"optimize":true}`, false, 400, ""},
 	{"top_level_null", `null`, false, 400, ""},
 	{"raw_control_byte", "{\"files\":{\"A.tj\":\"class A { }\x01\"}}", false, 400, ""},
