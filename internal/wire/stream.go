@@ -10,9 +10,9 @@ import (
 // StreamingUnit is a distribution unit being decoded and admitted
 // incrementally behind an io.Reader: a cursor over the one decode-admit
 // step, advanced by whoever needs the next function. The symbol tables
-// are complete and statically verified (core.Module.VerifyTables) before
-// the constructor returns; after that nothing is read until the consumer
-// asks. WaitFunc(i) decodes and admits forward, on the caller's
+// are complete, derived and statically verified
+// (core.Module.DeriveTables) before the constructor returns; after that
+// nothing is read until the consumer asks. WaitFunc(i) decodes and admits forward, on the caller's
 // goroutine, until function i is admitted — so a session may begin
 // executing before the last byte has arrived, and reads the next bytes
 // itself when it calls a body that has not. Any failure, at any point,
