@@ -241,12 +241,14 @@ func (c *checker) buildVTables() {
 			if m.Static {
 				continue
 			}
+			// A dispatch table holds no statics: a superclass's static
+			// method of the same signature is found in its member list.
+			if overridesStatic(cls.Super, m) {
+				c.errorf(m.Decl.P, "method %s overrides a static method", m.Sig())
+			}
 			slot := -1
 			for i, inherited := range cls.VTable {
 				if sameSignature(inherited, m) {
-					if inherited.Static {
-						c.errorf(m.Decl.P, "method %s overrides a static method", m.Sig())
-					}
 					if inherited.Return != m.Return {
 						c.errorf(m.Decl.P, "method %s overrides %s with a different return type", m.Sig(), inherited.Sig())
 					}
@@ -263,6 +265,19 @@ func (c *checker) buildVTables() {
 			m.VSlot = slot
 		}
 	}
+}
+
+// overridesStatic reports whether class c or one of its superclasses
+// declares a static method of m's name and parameters.
+func overridesStatic(c *Class, m *MethodSym) bool {
+	for ; c != nil; c = c.Super {
+		for _, s := range c.Methods {
+			if s.Static && sameSignature(s, m) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------

@@ -62,6 +62,8 @@ func TestHierarchyErrors(t *testing.T) {
 	expectError(t, "class A {} class A {}", "redeclared")
 	expectError(t, "class String {}", "imported host class")
 	expectError(t, "class A extends String {}", "may not extend String")
+	expectError(t, "class A { static int f() { return 1; } } class B extends A {} class C extends B { int f() { return 2; } }",
+		"overrides a static method")
 }
 
 func TestVTableSlots(t *testing.T) {
