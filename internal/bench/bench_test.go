@@ -48,6 +48,16 @@ func TestMeasureAllShape(t *testing.T) {
 	}
 }
 
+// TestV2WithinDeflatedBytecode: on every row the optimized unit in wire
+// v2 is no larger than its class files deflated at best compression.
+func TestV2WithinDeflatedBytecode(t *testing.T) {
+	for _, r := range measured(t) {
+		if r.BCDeflateSize <= 0 || r.TSAV2Size > r.BCDeflateSize {
+			t.Errorf("%s: %d B in wire v2, %d B of deflated class files", r.Name, r.TSAV2Size, r.BCDeflateSize)
+		}
+	}
+}
+
 func TestClaimsAllHold(t *testing.T) {
 	rows := measured(t)
 	for _, c := range CheckClaims(rows) {

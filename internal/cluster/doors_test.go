@@ -367,15 +367,15 @@ var mangles = []struct {
 		t.Fatal("no byte flip in the last function breaks verification")
 		return nil
 	}},
-	// Not a copy of good at all: an empty module head (wire v1) whose last
-	// table entry declares 1<<22 functions, and then nothing — the "functions"
-	// row of wire's TestDeclaredCountsAllocateNothing. The tables are
-	// admitted, so the stream door's session begins before the refusal.
+	// Not a copy of good at all: the head (wire v1) of class M { static
+	// void main() { } }, whose tables place two bodies, and then nothing.
+	// The tables are admitted, so the stream door's session begins before
+	// the refusal.
 	{"declared function count", func(t *testing.T, _ []byte) [][]byte {
-		bad := []byte("STSC\x00\x00\x00\xc2\x10\x84\b")
+		bad := []byte("STSD\x08\x29\xae\x01\xbc\x46\xd6\x16\x96\xe0\x05\xe0\xa6\x80\x16\x03\x05\x84\xcf\x80")
 		su, err := wire.DecodeVerifiedStream(bytes.NewReader(bad), wire.DecodeOptions{})
-		if err != nil || su.NumFuncs() != 1<<22 || su.Wait() == nil {
-			t.Fatalf("the literal is no longer a head declaring 1<<22 functions and no body (open: %v)", err)
+		if err != nil || su.NumFuncs() != 2 || su.Wait() == nil {
+			t.Fatalf("the literal is no longer a head placing two bodies and no body (open: %v)", err)
 		}
 		return [][]byte{bad}
 	}},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -77,50 +78,53 @@ func TestVerifyTablesHoldsTheDerivation(t *testing.T) {
 
 // TestDerivationRefuses: the tables a derivation cannot complete are
 // refused, in process and as a consumer derives them: an override that
-// changes the result type or overrides a static method, a method with
-// neither a body nor a host operation of its signature, an inherited host
+// changes the result type or overrides a static method, an imported
+// method with no host operation of its signature, an inherited host
 // method the method table does not list, and a hierarchy whose dispatch
-// tables cost too much to derive.
+// tables cost too much to derive. A unit method without a body is a
+// module built in process alone can hold: the body rule gives every unit
+// method one.
 func TestDerivationRefuses(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		hack func(m *Module)
-		want string
+		name       string
+		hack       func(m *Module)
+		want       string
+		verifyOnly bool
 	}{
 		{"override with another result", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[1].Type, Name: "vm",
 				Params: []TypeID{m.Types.Int}, Result: m.Types.Boolean, FuncIdx: int32(len(m.Funcs))})
-		}, "class B: method 8 (B.vm(int)) overrides an inherited method with a different result type"},
+		}, "class B: method 8 (B.vm(int)) overrides an inherited method with a different result type", false},
 		{"override of a host method with another result", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[0].Type, Name: "hashCode",
 				Result: m.Types.Long, FuncIdx: int32(len(m.Funcs))})
-		}, "class A: method 8 (A.hashCode()) overrides an inherited method with a different result type"},
+		}, "class A: method 8 (A.hashCode()) overrides an inherited method with a different result type", false},
 		{"override of a static method", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[1].Type, Name: "sm",
 				Params: []TypeID{m.Types.Int}, Result: m.Types.Int, FuncIdx: int32(len(m.Funcs))})
-		}, "class B: method 8 (B.sm(int)) overrides a static method"},
+		}, "class B: method 8 (B.sm(int)) overrides a static method", false},
 		{"override of a host static method", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[0].Type, Name: "System.out.println",
 				Result: m.Types.Void, FuncIdx: int32(len(m.Funcs))})
-		}, "class A: method 8 (A.System.out.println()) overrides a static method"},
+		}, "class A: method 8 (A.System.out.println()) overrides a static method", false},
 		{"imported method of no host signature", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Types.String, Name: "size", Result: m.Types.Int, FuncIdx: -1})
-		}, "method 8 (String.size()): no body and no host operation of its signature"},
+		}, "method 8 (String.size()): no body and no host operation of its signature", false},
 		{"host method called static", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Types.String, Name: "length", Result: m.Types.Int, Static: true, FuncIdx: -1})
-		}, "method 8 (String.length()): no body and no host operation of its signature"},
+		}, "method 8 (String.length()): no body and no host operation of its signature", false},
 		{"host method of another result", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Types.String, Name: "length", Result: m.Types.Long, FuncIdx: -1})
-		}, "method 8 (String.length()): no body and no host operation of its signature"},
+		}, "method 8 (String.length()): no body and no host operation of its signature", false},
 		{"unit method without a body", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[0].Type, Name: "g", Result: m.Types.Int, FuncIdx: -1})
-		}, "method 8 (A.g()): no body and no host operation of its signature"},
+		}, "method 8 (g): body index -1, the body rule gives 5", true},
 		{"unit class without a definition", func(m *Module) {
 			m.Classes, m.StaticInit = m.Classes[:1], m.StaticInit[:1]
-		}, "class B has no definition"},
+		}, "class B has no definition", false},
 		{"inherited host method missing", func(m *Module) {
 			m.Methods = m.Methods[:6] // Object.toString is the seventh entry
-		}, "class A: inherits Object.toString, which the method table does not list"},
+		}, "class A: inherits Object.toString, which the method table does not list", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := derivedFixture(t)
@@ -128,7 +132,10 @@ func TestDerivationRefuses(t *testing.T) {
 			for _, drive := range []struct {
 				name   string
 				tables func(n int) (*Admission, error)
-			}{{"VerifyTables", m.VerifyTables}, {"DeriveTables", func(n int) (*Admission, error) { return m.DeriveTables(n, nil) }}} {
+			}{{"VerifyTables", m.VerifyTables}, {"DeriveTables", func(int) (*Admission, error) { return m.DeriveTables(nil) }}} {
+				if tc.verifyOnly && drive.name == "DeriveTables" {
+					continue
+				}
 				_, err := drive.tables(len(m.Funcs) + 1)
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Errorf("%s: %v; want a refusal mentioning %q", drive.name, err, tc.want)
@@ -147,26 +154,36 @@ func TestDerivationRefuses(t *testing.T) {
 		depth, leaves int
 	}{{"a 3 000-class chain", 3000, 0}, {"2 000 methods inherited down a 3 000-class chain", 3000, 2000}} {
 		m := chain(tc.depth, tc.leaves)
-		if _, err := m.DeriveTables(len(m.Methods), nil); err == nil || !strings.Contains(err.Error(), "dispatch tables too large to derive") {
+		if _, err := m.DeriveTables(nil); err == nil || !strings.Contains(err.Error(), "dispatch tables too large to derive") {
 			t.Errorf("%s: %v; want the dispatch tables refused as too large", tc.name, err)
 		}
 		// What the derivation held when it refused: the member lists, the
 		// host library's tables and at most the bound's worth of copies
-		// and placed methods.
+		// and placed methods; and what it allocated for them: its lists
+		// are carved once, at the length it keeps (dispatchRoom), where
+		// growing them by append would allocate several times as much.
 		defIdx := map[TypeID]int{}
 		for k, cd := range m.Classes {
 			defIdx[cd.Type] = k
 		}
-		var mem derivedMem
-		d := m.derive(&mem, func(t TypeID) int {
+		mem := new(derivedMem)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := m.derive(mem, func(t TypeID) int {
 			if k, ok := defIdx[t]; ok {
 				return k
 			}
 			return -1
 		}, func(string, ...any) {})
+		runtime.ReadMemStats(&after)
 		if limit := len(m.Methods) + len(hostMethods) + maxDispatchWork; len(d.lists) > limit {
 			t.Errorf("%s: the derivation's lists grew to %d entries, past %d", tc.name, len(d.lists), limit)
 		}
+		got, kept := after.TotalAlloc-before.TotalAlloc, uint64(4*len(d.lists))
+		if got > kept*3/2 {
+			t.Errorf("%s: the derivation allocated %d B for %d entries (%d B)", tc.name, got, len(d.lists), kept)
+		}
+		t.Logf("%s: %d entries kept, %d B allocated", tc.name, len(d.lists), got)
 	}
 }
 
@@ -179,10 +196,10 @@ func chain(depth, leaves int) *Module {
 	m := &Module{Types: tt, Entry: -1}
 	for _, name := range []string{"hashCode", "equals", "toString"} {
 		h := HostMethods()[hostMethodIndex(name)]
-		m.Methods = append(m.Methods, MethodRef{Owner: h.Owner, Name: h.Name, Params: h.Params, Result: h.Result, FuncIdx: -1})
+		m.Methods = append(m.Methods, MethodRef{Owner: h.Owner, Name: h.Name, Params: h.Params, Result: h.Result})
 	}
 	method := func(owner TypeID, name string) {
-		m.Methods = append(m.Methods, MethodRef{Owner: owner, Name: name, Result: tt.Void, FuncIdx: int32(len(m.Methods))})
+		m.Methods = append(m.Methods, MethodRef{Owner: owner, Name: name, Result: tt.Void})
 	}
 	super := tt.Object
 	for i := range depth {
@@ -199,6 +216,7 @@ func chain(depth, leaves int) *Module {
 		}
 		super = c
 	}
+	m.PlaceBodies()
 	return m
 }
 
@@ -231,7 +249,7 @@ func TestHostLibrary(t *testing.T) {
 		m.Methods = append(m.Methods, MethodRef{Owner: h.Owner, Name: h.Name, Params: h.Params, Result: h.Result,
 			Static: h.Static, FuncIdx: -1})
 	}
-	if _, err := m.DeriveTables(0, nil); err != nil {
+	if _, err := m.DeriveTables(nil); err != nil {
 		t.Fatalf("the host library's methods refused: %v", err)
 	}
 	var got []string

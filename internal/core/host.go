@@ -78,10 +78,13 @@ const (
 // implicit prefix every type table starts with (NewTypeTable), so its
 // types are the same TypeIDs in every module. The producer's front end
 // declares the imported classes' methods and the System.out operations
-// from this table, and admission binds each imported method-table entry
-// to the operation whose owner, name, parameters, result and staticness
-// it names (Module.DeriveTables): both ends read one table, so a unit
-// cannot bind a method to an operation of another shape.
+// from this table; a unit names an imported method by its place in the
+// table (ImportedSymbol), and the consumer copies the entry from here
+// (ImportedMethod), so a unit cannot bind a method to an operation of
+// another shape. Admission binds each imported method-table entry to the
+// operation whose owner, name, parameters, result and staticness it names
+// (Module.DeriveTables), which for a decoded entry is the one it was
+// copied from.
 type HostMethod struct {
 	Owner   TypeID
 	Name    string
@@ -162,6 +165,80 @@ func hostMethodFor(mr *MethodRef) int {
 		}
 	}
 	return -1
+}
+
+// The imported methods a unit may name are an alphabet both ends hold
+// (DESIGN.md §11): an imported class's methods in hostMethods, in table
+// order, then its constructor forms — the one of no argument and, for a
+// throwable, the one of a message. A unit names an imported method by
+// its owner and its symbol in the owner's alphabet, and the consumer
+// copies the entry from here, so no imported entry can name an operation
+// the host does not have. The order is wire meaning.
+
+// hostOwned lists, by imported type, the indices in hostMethods of the
+// methods it owns.
+var hostOwned = func() [][]int32 {
+	out := make([][]int32, implicit.ImplicitLen)
+	for i, h := range hostMethods {
+		out[h.Owner] = append(out[h.Owner], int32(i))
+	}
+	return out
+}()
+
+// messageParams is the parameter list of a throwable's message
+// constructor, shared by every entry that names it.
+var messageParams = []TypeID{implicit.String}
+
+// ImportedMethods is the size of imported class owner's alphabet: its
+// host methods and its constructor forms; 0 for any other type.
+func ImportedMethods(owner TypeID) int {
+	t := ImplicitType(owner)
+	if t == nil || t.Kind != TClass {
+		return 0
+	}
+	if implicit.IsSubclass(owner, implicit.Throwable) {
+		return len(hostOwned[owner]) + 2
+	}
+	return len(hostOwned[owner]) + 1
+}
+
+// ImportedMethod is the method-table entry symbol s < ImportedMethods(owner)
+// of owner's alphabet names. Its parameter list is the host library's,
+// which the caller reads and never writes.
+func ImportedMethod(owner TypeID, s int) MethodRef {
+	mr := MethodRef{Owner: owner, VSlot: -1, FuncIdx: -1}
+	if hs := hostOwned[owner]; s < len(hs) {
+		h := &hostMethods[hs[s]]
+		mr.Name, mr.Params, mr.Result, mr.Static, mr.Builtin = h.Name, h.Params, h.Result, h.Static, h.Builtin
+		return mr
+	} else if s > len(hs) {
+		mr.Params = messageParams
+	}
+	mr.Name, mr.Result, mr.IsCtor = implicit.ByID[owner].Name, implicit.Void, true
+	return mr
+}
+
+// ImportedSymbol is the symbol of imported entry mr in its owner's
+// alphabet: the host method of its name, parameters, result and
+// staticness, or the constructor form of its parameters; -1 for none.
+func ImportedSymbol(mr *MethodRef) int {
+	n := ImportedMethods(mr.Owner)
+	switch {
+	case n == 0:
+		return -1
+	case mr.IsCtor:
+		if mr.Static {
+			return -1
+		}
+		if len(mr.Params) == 0 {
+			return len(hostOwned[mr.Owner])
+		}
+		if n > len(hostOwned[mr.Owner])+1 && slices.Equal(mr.Params, messageParams) {
+			return n - 1
+		}
+		return -1
+	}
+	return slices.Index(hostOwned[mr.Owner], int32(hostMethodFor(mr)))
 }
 
 // ImplicitType is the entry id of the implicit prefix every type table

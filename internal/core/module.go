@@ -26,11 +26,12 @@ type MethodRef struct {
 	// otherwise. Admission derives it (DeriveTables).
 	VSlot int32
 	// Builtin is the host operation of an imported, natively implemented
-	// method, which admission binds by signature (HostMethods); 0
-	// otherwise.
+	// method: the host library's entry of the method's owner, name,
+	// parameters, result and staticness (HostMethods); 0 otherwise.
+	// Admission derives it (DeriveTables).
 	Builtin BuiltinID
-	// FuncIdx indexes Module.Funcs for user methods; -1 for imported
-	// methods and for the bodies of other classes in partial units.
+	// FuncIdx indexes Module.Funcs for the unit's methods, where the body
+	// rule places their bodies (PlaceBodies); -1 for imported methods.
 	FuncIdx int32
 }
 
@@ -47,7 +48,8 @@ func (m *MethodRef) Sig(tt *TypeTable) string {
 }
 
 // ClassDef describes one user class of the distribution unit. Its type
-// and superclass are the type table's; everything else admission derives
+// and superclass are the type table's, and the class list is the type
+// table's unit classes in type order; everything else admission derives
 // from the tables (DeriveTables).
 type ClassDef struct {
 	Type  TypeID
@@ -74,10 +76,12 @@ type Module struct {
 	Fields  []FieldRef
 	Methods []MethodRef
 	Funcs   []*Func
-	// Entry is the method-table index of static main, or -1.
+	// Entry is the method-table index of static main, or -1; the body
+	// rule gives it (PlaceBodies).
 	Entry int32
 	// StaticInit lists, per class in Classes order, the function index
-	// of the synthetic static initializer (-1 if none).
+	// of the synthetic static initializer (-1 if none), where the body
+	// rule places it.
 	StaticInit []int32
 }
 

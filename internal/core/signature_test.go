@@ -11,8 +11,9 @@ import (
 // and a static field, a static and a virtual method, a constructor, a
 // static method whose result is NoType, and the Object methods A's
 // dispatch table inherits. build adds one more method, whose body is the
-// function under test, gives the others stub bodies, and derives the
-// rest of the tables as a consumer would (Module.DeriveTables).
+// function under test, gives the others stub bodies, places the bodies
+// by the body rule (Module.PlaceBodies) and derives the rest of the
+// tables as a consumer would (Module.DeriveTables).
 type sigFixture struct {
 	m                            *Module
 	a, b, ints                   TypeID
@@ -34,13 +35,13 @@ func newSigFixture() *sigFixture {
 	}
 	fx.mStatic, fx.mVirtual, fx.mInstVoid, fx.mNoResult = 0, 1, 2, 3
 	fx.m.Methods = []MethodRef{
-		{Owner: fx.a, Name: "sm", Params: []TypeID{tt.Int}, Result: tt.Int, Static: true, FuncIdx: 1},
-		{Owner: fx.a, Name: "vm", Params: []TypeID{tt.Int}, Result: tt.Int, FuncIdx: 2},
-		{Owner: fx.a, Name: "nm", Result: tt.Void, IsCtor: true, FuncIdx: 3},
-		{Owner: fx.a, Name: "nr", Result: NoType, Static: true, FuncIdx: 4},
-		{Owner: tt.Object, Name: "hashCode", Result: tt.Int, FuncIdx: -1},
-		{Owner: tt.Object, Name: "equals", Params: []TypeID{tt.Object}, Result: tt.Boolean, FuncIdx: -1},
-		{Owner: tt.Object, Name: "toString", Result: tt.String, FuncIdx: -1},
+		{Owner: fx.a, Name: "sm", Params: []TypeID{tt.Int}, Result: tt.Int, Static: true},
+		{Owner: fx.a, Name: "vm", Params: []TypeID{tt.Int}, Result: tt.Int},
+		{Owner: fx.a, Name: "nm", Result: tt.Void, IsCtor: true},
+		{Owner: fx.a, Name: "nr", Result: NoType, Static: true},
+		{Owner: tt.Object, Name: "hashCode", Result: tt.Int},
+		{Owner: tt.Object, Name: "equals", Params: []TypeID{tt.Object}, Result: tt.Boolean},
+		{Owner: tt.Object, Name: "toString", Result: tt.String},
 	}
 	fx.m.Classes = []*ClassDef{{Type: fx.a, Super: tt.Object}, {Type: fx.b, Super: fx.a}}
 	fx.m.StaticInit = []int32{-1, -1}
@@ -69,9 +70,11 @@ func (fx *sigFixture) stub(c int32) *Func {
 	return f
 }
 
-// derive installs what a consumer derives of the fixture's tables.
+// derive places the fixture's bodies by the body rule and installs what
+// a consumer derives of its tables.
 func (fx *sigFixture) derive() {
-	if _, err := fx.m.DeriveTables(len(fx.m.Funcs), nil); err != nil {
+	fx.m.PlaceBodies()
+	if _, err := fx.m.DeriveTables(nil); err != nil {
 		panic(err)
 	}
 }
@@ -107,7 +110,7 @@ func (fx *sigFixture) build(c sigCase) (*Func, *Instr, []ValueID) {
 		params = c.params(fx)
 	}
 	fx.m.Methods = append(fx.m.Methods, MethodRef{Owner: fx.a, Name: c.name, Params: append(params, tt.Long, tt.Double),
-		Result: tt.Void, Static: true, FuncIdx: 0})
+		Result: tt.Void, Static: true})
 	f := NewFunc(int32(len(fx.m.Methods) - 1))
 	blk := f.NewBlock()
 	f.Entry = blk
@@ -588,18 +591,17 @@ func TestRefPlaneRule(t *testing.T) {
 }
 
 // linkFixture is a module whose tables make every kind of claim about
-// function indices: methods 0 and 1 of class A name bodies 0 and 1
-// (A.m0, A.m1), class A's static initializer is function 2 (A.<clinit>),
-// and function 3 is an orphan that claims method 0 without being its
-// body.
+// function indices: by the body rule, class A's static initializer is
+// function 0 (A.<clinit>), and methods 0 and 1 of class A have bodies 1
+// and 2 (A.m0, A.m1); function 3 is an orphan that claims method 0
+// without being its body.
 func linkFixture() *Module {
 	fx := newSigFixture()
 	m, tt := fx.m, fx.m.Types
 	m.Methods = append([]MethodRef{
-		{Owner: fx.a, Name: "m0", Result: tt.Void, Static: true, FuncIdx: 0},
-		{Owner: fx.a, Name: "m1", Result: tt.Void, Static: true, FuncIdx: 1},
+		{Owner: fx.a, Name: "m0", Result: tt.Void, Static: true},
+		{Owner: fx.a, Name: "m1", Result: tt.Void, Static: true},
 	}, m.Methods[fx.mNoResult+1:]...)
-	m.StaticInit = []int32{2, -1}
 	for _, claim := range []int32{0, 1, -1, 0} {
 		f := NewFunc(claim)
 		blk := f.NewBlock()
@@ -612,11 +614,12 @@ func linkFixture() *Module {
 	return m
 }
 
-// TestLinkRule: the per-function link rule and the static range checks
-// behind it, one violation at a time. A body holds only its claim, so a
-// claim that disagrees with the tables' is the one link violation a body
-// can carry; a name or signature that disagrees with its claim cannot be
-// built.
+// TestLinkRule: the per-function link rule and the body rule behind it,
+// one violation at a time. A body holds only its claim, so a claim that
+// disagrees with the tables' is the one link violation a body can carry;
+// a name or signature that disagrees with its claim cannot be built. A
+// body index or static-initializer index the tables carry is the one the
+// body rule gives, or the module is refused.
 func TestLinkRule(t *testing.T) {
 	if err := linkFixture().Verify(VerifyOptions{}); err != nil {
 		t.Fatalf("well-linked module (orphan body included) rejected: %v", err)
@@ -626,26 +629,26 @@ func TestLinkRule(t *testing.T) {
 		hack func(m *Module)
 		want string
 	}{
-		{"body claimed by m0 names m1", func(m *Module) { m.Funcs[0].Claim = 1 },
-			"function 0 (A.m0): body of method 0 (m0) names method 1"},
-		{"body claimed by m1 names no method", func(m *Module) { m.Funcs[1].Claim = -1 },
-			"function 1 (A.m1): body of method 1 (m1) names method -1"},
-		{"static initializer naming a method", func(m *Module) { m.Funcs[2].Claim = 0 },
-			"function 2 (A.<clinit>): static initializer claims A.m0"},
-		{"two methods claim one body", func(m *Module) { m.Methods[1].FuncIdx = 0 },
-			"method 1 (m1): body index 0 already claimed for another role"},
-		{"method body is also a static initializer", func(m *Module) { m.StaticInit[1] = 1 },
-			"static initializer 1: function index 1 already claimed for another role"},
-		{"one static initializer for two classes", func(m *Module) { m.StaticInit[1] = 2 },
-			"static initializer 1: function index 2 already claimed for another role"},
+		{"body claimed by m0 names m1", func(m *Module) { m.Funcs[1].Claim = 1 },
+			"function 1 (A.m0): body of method 0 (m0) names method 1"},
+		{"body claimed by m1 names no method", func(m *Module) { m.Funcs[2].Claim = -1 },
+			"function 2 (A.m1): body of method 1 (m1) names method -1"},
+		{"static initializer naming a method", func(m *Module) { m.Funcs[0].Claim = 0 },
+			"function 0 (A.<clinit>): static initializer claims A.m0"},
+		{"two methods claim one body", func(m *Module) { m.Methods[1].FuncIdx = 1 },
+			"method 1 (m1): body index 1, the body rule gives 2"},
+		{"method body is also a static initializer", func(m *Module) { m.StaticInit[1] = 2 },
+			"static initializer 1: function index 2, the body rule gives 1"},
+		{"one static initializer for two classes", func(m *Module) { m.StaticInit[1] = 0 },
+			"static initializer 1: function index 0, the body rule gives 1"},
 		{"a class without a static-initializer entry", func(m *Module) { m.StaticInit = m.StaticInit[:1] },
 			"1 static-initializer entries for 2 class definitions"},
 		{"a static-initializer entry without a class", func(m *Module) { m.StaticInit = append(m.StaticInit, -1) },
 			"3 static-initializer entries for 2 class definitions"},
 		{"body index past the functions", func(m *Module) { m.Methods[1].FuncIdx = 4 },
-			"method 1 (m1): body index 4 out of range"},
+			"method 1 (m1): body index 4, the body rule gives 2"},
 		{"static initializer past the functions", func(m *Module) { m.StaticInit[1] = 4 },
-			"static initializer 1: function index 4 out of range"},
+			"static initializer 1: function index 4, the body rule gives 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := linkFixture()
@@ -667,7 +670,7 @@ func TestLinkRule(t *testing.T) {
 			t.Errorf("function %d refused on arrival: %v", j, err)
 		}
 	}
-	if err := adm.Link(1, &stray); err == nil || !strings.Contains(err.Error(), "body of method 1 (m1) names method 0") {
-		t.Errorf("a body naming m0 linked at index 1: %v", err)
+	if err := adm.Link(2, &stray); err == nil || !strings.Contains(err.Error(), "function 2 (A.m1): body of method 1 (m1) names method 0") {
+		t.Errorf("a body naming m0 linked at index 2: %v", err)
 	}
 }

@@ -18,34 +18,34 @@ type produceAllocs struct{ frontend, build, o2, encode float64 }
 
 // produceAllocCeiling is the committed allocation budget of the producer,
 // stage by stage and unit by unit: what this tree measures plus 10 %, or
-// the earlier ceiling where that was lower (ssabuild.Build's column). The
+// the earlier ceiling where that was lower. The
 // counts are exact for a given tree (no pool, no global), so exceeding
 // one means that stage went back to allocating per token, per instruction
 // or per block (DESIGN.md §5, "who owns producer memory"). `go test -v
 // -run TestProduceAllocCeiling ./internal/driver` logs the measured rows
 // in this form.
 var produceAllocCeiling = map[string]produceAllocs{
-	"BatchEnvironment":        {925, 3689, 308, 107}, // measured 841, 3420, 280, 98
-	"BatchParser":             {572, 992, 125, 85},   // measured 520, 927, 114, 78
-	"CompilerMember":          {387, 346, 90, 41},    // measured 352, 327, 82, 38
-	"ErrorMessage":            {378, 325, 80, 53},    // measured 344, 304, 73, 49
-	"Main":                    {832, 2638, 259, 110}, // measured 757, 2451, 236, 100
-	"SourceClass":             {915, 3449, 321, 112}, // measured 832, 3203, 292, 102
-	"SourceMember":            {788, 2648, 238, 104}, // measured 717, 2456, 217, 95
-	"AmbiguousClass":          {357, 249, 79, 33},    // measured 325, 235, 72, 30
-	"AmbiguousMember":         {401, 387, 86, 50},    // measured 365, 360, 79, 46
-	"ArrayType":               {401, 347, 95, 48},    // measured 365, 327, 87, 44
-	"BinaryAttribute":         {498, 644, 116, 73},   // measured 453, 600, 106, 67
-	"BinaryClass":             {664, 1643, 177, 93},  // measured 604, 1527, 161, 85
-	"BinaryCode":              {495, 779, 114, 83},   // measured 450, 724, 104, 76
-	"Parser":                  {937, 1372, 394, 104}, // measured 852, 1353, 359, 95
-	"Scanner":                 {632, 744, 150, 94},   // measured 575, 703, 137, 86
-	"BigDecimal":              {578, 636, 177, 60},   // measured 526, 620, 161, 55
-	"BigInteger":              {663, 1207, 134, 96},  // measured 603, 1139, 122, 88
-	"BitSieve":                {411, 503, 180, 67},   // measured 374, 490, 164, 61
-	"MutableBigInteger":       {620, 1111, 156, 103}, // measured 564, 1054, 142, 94
-	"SignedMutableBigInteger": {532, 1267, 169, 99},  // measured 484, 1198, 154, 90
-	"Linpack":                 {528, 1193, 93, 119},  // measured 480, 1106, 85, 109
+	"BatchEnvironment":        {910, 3654, 292, 107}, // measured 827, 3321, 265, 100
+	"BatchParser":             {556, 955, 124, 85},   // measured 505, 868, 112, 77
+	"CompilerMember":          {371, 308, 90, 41},    // measured 337, 280, 82, 38
+	"ErrorMessage":            {362, 290, 80, 50},    // measured 329, 263, 73, 45
+	"Main":                    {817, 2603, 247, 110}, // measured 742, 2366, 224, 102
+	"SourceClass":             {899, 3425, 301, 112}, // measured 817, 3113, 273, 104
+	"SourceMember":            {773, 2612, 226, 104}, // measured 702, 2374, 205, 97
+	"AmbiguousClass":          {341, 211, 79, 29},    // measured 310, 191, 72, 26
+	"AmbiguousMember":         {385, 347, 86, 50},    // measured 350, 315, 79, 45
+	"ArrayType":               {385, 311, 95, 47},    // measured 350, 282, 87, 42
+	"BinaryAttribute":         {482, 604, 115, 73},   // measured 438, 549, 104, 68
+	"BinaryClass":             {648, 1605, 171, 93},  // measured 589, 1459, 155, 87
+	"BinaryCode":              {479, 742, 110, 83},   // measured 435, 674, 100, 78
+	"Parser":                  {917, 1372, 394, 103}, // measured 833, 1256, 359, 93
+	"Scanner":                 {621, 712, 150, 94},   // measured 564, 647, 137, 85
+	"BigDecimal":              {558, 618, 177, 60},   // measured 507, 561, 161, 55
+	"BigInteger":              {643, 1184, 134, 96},  // measured 584, 1076, 122, 88
+	"BitSieve":                {404, 482, 180, 65},   // measured 367, 438, 164, 59
+	"MutableBigInteger":       {596, 1085, 156, 103}, // measured 541, 986, 142, 94
+	"SignedMutableBigInteger": {525, 1232, 169, 98},  // measured 477, 1120, 154, 89
+	"Linpack":                 {526, 1153, 93, 119},  // measured 478, 1048, 85, 109
 }
 
 func TestProduceAllocCeiling(t *testing.T) {

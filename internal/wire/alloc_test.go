@@ -40,27 +40,27 @@ func corpusO2(t testing.TB, u corpus.Unit) *core.Module {
 // TestDecodeAllocCeiling` logs each unit's count, to re-measure by, once
 // plain and once with -race.
 var decodeAllocCeiling = map[string][2]float64{ // plain, race
-	"BatchEnvironment":        {445, 448}, // measured 404, 407
-	"BatchParser":             {238, 241}, // measured 216, 219
-	"CompilerMember":          {132, 134}, // measured 120, 121
-	"ErrorMessage":            {151, 153}, // measured 137, 139
-	"Main":                    {390, 393}, // measured 354, 357
-	"SourceClass":             {447, 450}, // measured 406, 409
-	"SourceMember":            {382, 385}, // measured 347, 350
-	"AmbiguousClass":          {108, 109}, // measured 98, 99
-	"AmbiguousMember":         {150, 152}, // measured 136, 138
-	"ArrayType":               {148, 150}, // measured 134, 136
-	"BinaryAttribute":         {209, 212}, // measured 190, 192
-	"BinaryClass":             {300, 303}, // measured 272, 275
-	"BinaryCode":              {239, 242}, // measured 217, 220
-	"Parser":                  {301, 308}, // measured 273, 280
-	"Scanner":                 {244, 247}, // measured 221, 224
-	"BigDecimal":              {178, 179}, // measured 161, 162
-	"BigInteger":              {248, 250}, // measured 225, 227
-	"BitSieve":                {182, 184}, // measured 165, 167
-	"MutableBigInteger":       {261, 264}, // measured 237, 240
-	"SignedMutableBigInteger": {266, 269}, // measured 241, 244
-	"Linpack":                 {278, 282}, // measured 252, 256
+	"BatchEnvironment":        {431, 434}, // measured 391, 394
+	"BatchParser":             {223, 226}, // measured 202, 205
+	"CompilerMember":          {121, 123}, // measured 110, 111
+	"ErrorMessage":            {140, 142}, // measured 127, 129
+	"Main":                    {374, 378}, // measured 340, 343
+	"SourceClass":             {432, 435}, // measured 392, 395
+	"SourceMember":            {367, 370}, // measured 333, 336
+	"AmbiguousClass":          {96, 97},   // measured 87, 88
+	"AmbiguousMember":         {139, 141}, // measured 126, 128
+	"ArrayType":               {137, 139}, // measured 124, 126
+	"BinaryAttribute":         {196, 198}, // measured 178, 180
+	"BinaryClass":             {286, 290}, // measured 260, 263
+	"BinaryCode":              {226, 229}, // measured 205, 208
+	"Parser":                  {286, 294}, // measured 260, 267
+	"Scanner":                 {227, 230}, // measured 206, 209
+	"BigDecimal":              {162, 163}, // measured 147, 148
+	"BigInteger":              {234, 236}, // measured 212, 214
+	"BitSieve":                {169, 171}, // measured 153, 155
+	"MutableBigInteger":       {248, 251}, // measured 225, 228
+	"SignedMutableBigInteger": {252, 256}, // measured 229, 232
+	"Linpack":                 {262, 267}, // measured 238, 242
 }
 
 // TestDecodeAllocCeiling is an exact gate as a plain test: allocations per

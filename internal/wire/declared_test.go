@@ -28,36 +28,35 @@ func declaring(body func(w symWriter)) map[string][]byte {
 }
 
 // TestDeclaredCountsAllocateNothing: a few bytes that announce 1<<22
-// functions, instructions, phis, CST children, parameters or fields (two
-// of one name), or a 1 MiB string, and then stop
-// must cost the consumer next to nothing — no slab, arena or presize takes its
-// size from a count the stream only declares (4 M instructions would be
-// a 450 MiB chunk).
+// instructions, phis, CST children, parameters or fields (two of one
+// name), or a 1 MiB string, and then stop must cost the consumer next to
+// nothing — no slab, arena or presize takes its size from a count the
+// stream only declares (4 M instructions would be a 450 MiB chunk).
 func TestDeclaredCountsAllocateNothing(t *testing.T) {
 	const declared = 1 << 22
+	// m is a unit of one class M with one static method, whose body is the
+	// unit's one function.
 	tt := core.NewTypeTable()
-	// head writes the tables of a unit of funcs functions whose first is
-	// the body of a static void method of Object, and opens that body.
-	head := func(funcs int) func(w symWriter) {
-		m := &core.Module{Types: tt, Entry: -1, Funcs: make([]*core.Func, funcs),
-			Methods: []core.MethodRef{{Owner: tt.Object, Name: "f", Result: tt.Void, Static: true, VSlot: -1}}}
-		return func(w symWriter) {
-			(&encoder{m: m, w: w}).encodeTables()
-			w.setProd(prodCST)
-		}
+	mc := tt.AddClass("M", tt.Object)
+	m := &core.Module{Types: tt, Entry: -1, Classes: []*core.ClassDef{{Type: mc, Super: tt.Object}},
+		StaticInit: []int32{-1}, Methods: []core.MethodRef{{Owner: mc, Name: "f", Result: tt.Void, Static: true}}}
+	// body writes m's tables and opens the body.
+	body := func(w symWriter) {
+		(&encoder{m: m, w: w}).encodeTables()
+		w.setProd(prodCST)
 	}
-	body := head(1)
-	// method opens the method table's one entry, owned by Object.
+	// method opens the method table's one entry, owned by M.
 	method := func(w symWriter) {
 		w.setProd(prodTables)
-		w.uvarint(0) // types
+		w.uvarint(1) // types
+		w.bit(false)
+		w.str("M")
+		w.symbol(int(tt.Object)-1, int(mc)-1)
 		w.uvarint(0) // fields
 		w.uvarint(1) // methods
-		w.symbol(int(tt.Object)-1, len(tt.ByID)-1)
+		w.symbol(int(mc)-1, len(tt.ByID)-1)
 	}
 	cases := map[string]func(w symWriter){
-		// The table section's own last count: no body follows at all.
-		"functions": head(declared),
 		// A method's parameter list, in the method table.
 		"parameters": func(w symWriter) {
 			method(w)
@@ -104,9 +103,9 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 			w.uvarint(0) // types
 			w.uvarint(declared)
 			for i := 0; i < 2; i++ {
-				w.symbol(int(tt.Object)-1, len(tt.ByID)-1)
+				w.symbol(int(tt.Object)-1, tt.ImplicitLen-1)
 				w.str("f")
-				w.symbol(int(tt.Int)-1, len(tt.ByID)-1)
+				w.symbol(int(tt.Int)-1, tt.ImplicitLen-1)
 				w.bit(true)
 				w.uvarint(uint64(i))
 			}

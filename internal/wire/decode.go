@@ -153,8 +153,7 @@ func newStreamReader(src *byteSource, o DecodeOptions, mdl *model, v1Only bool) 
 // "trivial counter comparisons").
 func (d *decoder) decodeHead(r symReader) error {
 	d.r, d.m = r, &core.Module{Types: core.NewTypeTable()}
-	var err error
-	d.nFuncs, err = d.decodeTables()
+	err := d.decodeTables()
 	if !d.lent {
 		// Only a lent arena keeps its scratch for the next unit.
 		d.fieldBuf, d.methodBuf, d.classBuf, d.indexBuf = nil, nil, nil, nil
@@ -162,17 +161,18 @@ func (d *decoder) decodeHead(r symReader) error {
 	if err != nil {
 		return err
 	}
-	if d.adm, err = d.m.DeriveTables(d.nFuncs, &d.indices); err != nil {
+	if d.adm, err = d.m.DeriveTables(&d.indices); err != nil {
 		return malformedf("inconsistent tables: %v", err)
 	}
+	d.nFuncs = d.adm.NumFuncs()
 	return nil
 }
 
 type decoder struct {
 	r symReader
 	m *core.Module
-	// Set by decodeHead: the declared function count and the admission
-	// the verified tables grant those functions.
+	// Set by decodeHead: the function count the body rule gives the
+	// tables, and the admission the verified tables grant those functions.
 	nFuncs int
 	adm    *core.Admission
 	// verify admits each item of a body as it is decoded, through the
@@ -236,76 +236,86 @@ func (d *decoder) count(what string) (int, error) {
 	return int(v), nil
 }
 
-func (d *decoder) decodeTables() (int, error) {
+// decodeTables reads the tables the head carries. The class list is the
+// unit classes in type order, each class definition made as its type is
+// read; everything else the tables do not carry is derived by
+// core.Module.DeriveTables.
+func (d *decoder) decodeTables() error {
 	tt := d.m.Types
 	r := d.r
 	r.setProd(prodTables)
 
 	nTypes, err := d.count("type")
 	if err != nil {
-		return 0, err
+		return err
 	}
+	classes := d.classBuf[:0]
 	for i := 0; i < nTypes; i++ {
 		isArray, err := r.bit()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if isArray {
 			elem, err := d.typeRef()
 			if err != nil {
-				return 0, err
+				return err
 			}
 			et := tt.MustGet(elem)
 			if et.Kind == core.TSafeRef || et.Kind == core.TSafeIndex ||
 				et.Kind == core.TVoid || et.Kind == core.TMem {
-				return 0, malformedf("array of non-value type")
+				return malformedf("array of non-value type")
 			}
 			tt.ArrayOf(elem)
 			continue
 		}
 		name, err := r.str()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		super, err := d.typeRef()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		st := tt.MustGet(super)
 		if st.Kind != core.TClass {
-			return 0, malformedf("class %s extends a non-class type", name)
+			return malformedf("class %s extends a non-class type", name)
 		}
 		if tt.Class(name) != core.NoType {
-			return 0, malformedf("class %s redeclared", name)
+			return malformedf("class %s redeclared", name)
 		}
-		tt.AddClass(name, super)
+		cd := d.classes.One()
+		cd.Type, cd.Super = tt.AddClass(name, super), super
+		classes = append(classes, cd)
 	}
+	d.m.Classes = d.classVec.Keep(classes)
+	clear(classes)
+	d.classBuf = classes[:0]
 
 	// Each table is collected in the arena's scratch and kept at the
 	// length it turned out to have: a declared count sizes nothing.
 	nFields, err := d.count("field")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	fields := d.fieldBuf[:0]
 	for i := 0; i < nFields; i++ {
 		var fr core.FieldRef
 		if fr.Owner, err = d.refTypeRef(); err != nil {
-			return 0, err
+			return err
 		}
 		if fr.Name, err = r.str(); err != nil {
-			return 0, err
+			return err
 		}
 		if fr.Type, err = d.typeRef(); err != nil {
-			return 0, err
+			return err
 		}
 		ft := tt.MustGet(fr.Type)
 		if ft.Kind == core.TSafeRef || ft.Kind == core.TSafeIndex ||
 			ft.Kind == core.TVoid || ft.Kind == core.TMem {
-			return 0, malformedf("field %s has a non-value type", fr.Name)
+			return malformedf("field %s has a non-value type", fr.Name)
 		}
 		if fr.Static, err = r.bit(); err != nil {
-			return 0, err
+			return err
 		}
 		fields = append(fields, fr)
 	}
@@ -315,100 +325,82 @@ func (d *decoder) decodeTables() (int, error) {
 
 	nMethods, err := d.count("method")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	methods := d.methodBuf[:0]
 	for i := 0; i < nMethods; i++ {
 		var mr core.MethodRef
 		if mr.Owner, err = d.refTypeRef(); err != nil {
-			return 0, err
+			return err
+		}
+		// An imported method is a symbol of the host library's alphabet
+		// of its owner's methods, and the entry the host library's.
+		if n := core.ImportedMethods(mr.Owner); n > 0 {
+			s, err := r.symbol(n)
+			if err != nil {
+				return err
+			}
+			methods = append(methods, core.ImportedMethod(mr.Owner, s))
+			continue
 		}
 		if mr.Name, err = r.str(); err != nil {
-			return 0, err
+			return err
 		}
 		np, err := d.count("parameter")
 		if err != nil {
-			return 0, err
+			return err
 		}
 		ps := d.paramBuf[:0]
 		for j := 0; j < np; j++ {
 			p, err := d.typeRef()
 			if err != nil {
-				return 0, err
+				return err
 			}
 			ps = append(ps, p)
 		}
 		mr.Params, d.paramBuf = d.types.Keep(ps), ps[:0]
 		if mr.Result, err = d.typeRef(); err != nil {
-			return 0, err
+			return err
 		}
 		if mr.Static, err = r.bit(); err != nil {
-			return 0, err
+			return err
 		}
 		if mr.IsCtor, err = r.bit(); err != nil {
-			return 0, err
+			return err
 		}
-		fi, err := r.svarint()
-		if err != nil {
-			return 0, err
-		}
-		mr.FuncIdx = int32(fi)
 		methods = append(methods, mr)
 	}
 	d.m.Methods = d.methods.Keep(methods)
 	clear(methods)
 	d.methodBuf = methods[:0]
 
-	nClasses, err := d.count("class")
-	if err != nil {
-		return 0, err
-	}
-	classes := d.classBuf[:0]
-	for i := 0; i < nClasses; i++ {
-		cd := d.classes.One()
-		if cd.Type, err = d.refTypeRef(); err != nil {
-			return 0, err
-		}
-		ct := tt.MustGet(cd.Type)
-		if ct.Kind != core.TClass || ct.Imported {
-			return 0, malformedf("class definition for a non-unit type")
-		}
-		cd.Super = ct.Super
-		classes = append(classes, cd)
-	}
-	d.m.Classes = d.classVec.Keep(classes)
-	clear(classes)
-	d.classBuf = classes[:0]
-
-	entry, err := r.svarint()
-	if err != nil {
-		return 0, err
-	}
-	d.m.Entry = int32(entry)
+	// Which classes have a static initializer: the body rule numbers them
+	// (DeriveTables).
 	inits := d.indexBuf[:0]
 	for range d.m.Classes {
-		v, err := r.svarint()
+		has, err := r.bit()
 		if err != nil {
-			return 0, err
+			return err
 		}
-		inits = append(inits, int32(v))
+		si := int32(-1)
+		if has {
+			si = 0
+		}
+		inits = append(inits, si)
 	}
 	d.m.StaticInit, d.indexBuf = d.indices.Keep(inits), inits[:0]
-	return d.count("function")
+	return nil
 }
 
-// decodeFunc reads function j in three phases and reconstructs its
-// structure. A body's claim is not on the wire: it is the claim the
-// verified tables make about index j (core.Admission.Claim), which is all
-// a core.Func holds of its identity (its name and signature are derived
-// from it), so a body's link holds by construction, and an index no table
-// entry claims is malformed.
+// decodeFunc reads function j < nFuncs in three phases and reconstructs
+// its structure. A body's claim is not on the wire: it is the claim the
+// body rule makes of index j (core.Admission.Claim), which is all a
+// core.Func holds of its identity (its name and signature are derived
+// from it), so a body's link holds by construction, and every index below
+// the function count is claimed.
 func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 	r := d.r
-	claim, ok := d.adm.Claim(j)
-	if !ok {
-		return nil, malformedf("no method or static initializer claims the body")
-	}
+	claim, _ := d.adm.Claim(j)
 	// The body is carved from the arena, its value table built in the
 	// arena's scratch until it is kept at its exact length.
 	f := d.funcs.One()

@@ -16,16 +16,21 @@ import (
 )
 
 // derivedTables renders what a consumer derives of m's tables: each
-// field's slot, each method's dispatch slot and host operation, and each
-// class's storage sizes, member lists and dispatch table.
+// field's slot; each method's signature, staticness, dispatch slot, host
+// operation and body index, which for an imported method are copied from
+// the host library; the static initializers' indices and the entry
+// method; and, in class-list order, each class's storage sizes, member
+// lists and dispatch table.
 func derivedTables(m *core.Module) string {
 	var b strings.Builder
 	for i, fr := range m.Fields {
 		fmt.Fprintf(&b, "field %d %s slot %d\n", i, fr.Name, fr.Slot)
 	}
 	for i, mr := range m.Methods {
-		fmt.Fprintf(&b, "method %d %s vslot %d builtin %d\n", i, mr.Name, mr.VSlot, mr.Builtin)
+		fmt.Fprintf(&b, "method %d %s %v result %d static %v ctor %v vslot %d builtin %d body %d\n",
+			i, mr.Sig(m.Types), mr.Params, mr.Result, mr.Static, mr.IsCtor, mr.VSlot, mr.Builtin, mr.FuncIdx)
 	}
+	fmt.Fprintf(&b, "static initializers %v entry %d\n", m.StaticInit, m.Entry)
 	for _, cd := range m.Classes {
 		fmt.Fprintf(&b, "class %s slots %d statics %d fields %v methods %v vtable %v\n",
 			m.Types.Describe(cd.Type), cd.NumSlots, cd.NumStatics, cd.Fields, cd.Methods, cd.VTable)
@@ -34,10 +39,10 @@ func derivedTables(m *core.Module) string {
 }
 
 // TestDecodedTablesAreTheProducers: the wire carries no layout, member
-// list, dispatch table or host operation number, and for every corpus
-// unit and benchmark guest at O0 and O2 what the consumer derives of its
-// tables is what the producer's front end computed, in both wire
-// versions.
+// list, dispatch table, host operation number, imported method signature,
+// body index, entry method or class list, and for every corpus unit and
+// benchmark guest at O0 and O2 what the consumer derives of its tables is
+// what the producer built, in both wire versions.
 func TestDecodedTablesAreTheProducers(t *testing.T) {
 	type unit struct {
 		name  string
@@ -93,12 +98,13 @@ class Main {
 	}
 }`
 
-// TestUnderivableTablesAreRefused: a unit whose imported method names no
-// host operation of its signature, or whose override changes the
-// inherited result type or overrides a static method, is refused on
-// every door — the in-process verifier, the whole-unit decoders, the
-// cursors and the streams, in both wire versions — with the derivation's
-// reason.
+// TestUnderivableTablesAreRefused: a unit whose override changes the
+// inherited result type or overrides a static method is refused on every
+// door — the in-process verifier, the whole-unit decoders, the cursors
+// and the streams, in both wire versions — with the derivation's reason.
+// One whose imported method names no host operation of its signature is
+// refused by the verifier, and the encoder cannot spell it: an imported
+// method is a symbol of the host library's alphabet.
 func TestUnderivableTablesAreRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -125,6 +131,22 @@ func TestUnderivableTablesAreRefused(t *testing.T) {
 			}
 			if err := mod.Verify(core.VerifyOptions{}); err == nil || !strings.Contains(err.Error(), tc.becauseOf) {
 				t.Errorf("Verify: %v, want a refusal mentioning %q", err, tc.becauseOf)
+			}
+			if tc.owner == "String" {
+				for version, encode := range map[string]func(*core.Module) []byte{
+					"v1": wire.EncodeModule,
+					"v2": func(m *core.Module) []byte { return wire.EncodeModuleV2(m, nil) },
+				} {
+					func() {
+						defer func() {
+							if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "is no method of the host library") {
+								t.Errorf("%s: the encoder spelled an imported method the host library lacks (%v)", version, p)
+							}
+						}()
+						encode(mod)
+					}()
+				}
+				return
 			}
 			doors := []struct {
 				name string

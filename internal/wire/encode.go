@@ -7,14 +7,15 @@ import (
 	"safetsa/internal/core"
 )
 
-// Distribution units open with "STS" plus a version byte: 'C' is the
+// Distribution units open with "STS" plus a version byte: 'D' is the
 // fixed-probability code (its first revision, 'A', spelled each
 // function's name and signature, and gave the historical magic "STSA";
 // 'B' spelled the layouts, member lists, dispatch tables and host
-// operation numbers a consumer derives), '2' the adaptive model of
-// model.go.
+// operation numbers a consumer derives; 'C' spelled each imported
+// method's name and signature, the body indices, the entry method, the
+// class list and the function count), '2' the adaptive model of model.go.
 const (
-	versionV1 = 'C'
+	versionV1 = 'D'
 	versionV2 = '2'
 
 	// modelAdaptive is the only model revision the '2' container
@@ -23,9 +24,9 @@ const (
 	// revision 3 moved every probability at one rate, decided an opcode
 	// apart from the one before it and spelled every string, revision 4
 	// spelled what a consumer derives of the tables, as v1's 'B' did, and
-	// coded a count in 4-bit groups); dictFlag marks a dictionary-bearing
-	// stream.
-	modelAdaptive = 5
+	// coded a count in 4-bit groups, and revision 5 spelled what v1's 'C'
+	// did); dictFlag marks a dictionary-bearing stream.
+	modelAdaptive = 6
 	dictFlag      = 8
 )
 
@@ -139,7 +140,9 @@ type encoder struct {
 }
 
 func (e *encoder) encodeAll() {
-	e.encodeTables()
+	if places := e.encodeTables(); len(e.m.Funcs) != places {
+		panic(fmt.Sprintf("wire: %d bodies for the %d the tables place", len(e.m.Funcs), places))
+	}
 	for j, f := range e.m.Funcs {
 		e.checkClaim(j, f)
 		e.encodeFunc(f)
@@ -156,11 +159,15 @@ func (e *encoder) typeRef(t core.TypeID) {
 
 // encodeTables writes the mutable part of the type table (the implicit
 // prefix is regenerated by the consumer and cannot be corrupted), the
-// field and method tables, the class definitions, and the module entry
-// points. It writes nothing a consumer derives from them: no slot, no
-// storage size, no member list, no dispatch table or slot, no host
-// operation number (core.Module.DeriveTables).
-func (e *encoder) encodeTables() {
+// field and method tables, and which classes have a static initializer.
+// It writes nothing a consumer derives from them: no slot, no storage
+// size, no member list, no dispatch table or slot, no host operation
+// number (core.Module.DeriveTables), and no class list, body index,
+// entry method or function count (the body rule, core.Module.PlaceBodies).
+// An imported method is its owner and its symbol in the host library's
+// alphabet of the owner's methods (core.ImportedMethods). It returns the
+// number of bodies the tables place.
+func (e *encoder) encodeTables() (places int) {
 	tt := e.m.Types
 	w := e.w
 	w.setProd(prodTables)
@@ -176,6 +183,7 @@ func (e *encoder) encodeTables() {
 		}
 	}
 	w.uvarint(uint64(len(entries)))
+	classes := 0
 	for _, t := range entries {
 		// References inside the type section use the alphabet of the
 		// table as it existed when this entry was created, which is
@@ -185,10 +193,18 @@ func (e *encoder) encodeTables() {
 			w.bit(false)
 			w.str(t.Name)
 			w.symbol(int(t.Super)-1, n)
+			// The class list is the unit classes in type order.
+			if classes >= len(e.m.Classes) || e.m.Classes[classes].Type != t.ID {
+				panic(fmt.Sprintf("wire: class %s is not class definition %d", t.Name, classes))
+			}
+			classes++
 		} else {
 			w.bit(true)
 			w.symbol(int(t.Elem)-1, n)
 		}
+	}
+	if classes != len(e.m.Classes) {
+		panic(fmt.Sprintf("wire: %d class definitions for %d unit classes", len(e.m.Classes), classes))
 	}
 
 	w.uvarint(uint64(len(e.m.Fields)))
@@ -200,8 +216,18 @@ func (e *encoder) encodeTables() {
 	}
 
 	w.uvarint(uint64(len(e.m.Methods)))
-	for _, mr := range e.m.Methods {
+	for i := range e.m.Methods {
+		mr := &e.m.Methods[i]
 		e.typeRef(mr.Owner)
+		if n := core.ImportedMethods(mr.Owner); n > 0 {
+			s := core.ImportedSymbol(mr)
+			if s < 0 {
+				panic(fmt.Sprintf("wire: method %d (%s) is no method of the host library", i, mr.Sig(tt)))
+			}
+			w.symbol(s, n)
+			continue
+		}
+		places++
 		w.str(mr.Name)
 		w.uvarint(uint64(len(mr.Params)))
 		for _, p := range mr.Params {
@@ -210,35 +236,28 @@ func (e *encoder) encodeTables() {
 		e.typeRef(mr.Result)
 		w.bit(mr.Static)
 		w.bit(mr.IsCtor)
-		w.svarint(int64(mr.FuncIdx))
 	}
 
-	// A class definition is its type: its superclass is fixed by the type
-	// table, and its member lists, layout and dispatch table are derived
-	// by the consumer (core.Module.DeriveTables), so a disagreeing class
-	// definition is inexpressible.
-	w.uvarint(uint64(len(e.m.Classes)))
-	for _, cd := range e.m.Classes {
-		e.typeRef(cd.Type)
-	}
-	w.svarint(int64(e.m.Entry))
-	// One static-initializer entry per class definition: the count is
-	// the class count.
+	// One flag per class definition: whether it has a static initializer.
 	if len(e.m.StaticInit) != len(e.m.Classes) {
 		panic(fmt.Sprintf("wire: %d static-initializer entries for %d classes", len(e.m.StaticInit), len(e.m.Classes)))
 	}
 	for _, si := range e.m.StaticInit {
-		w.svarint(int64(si))
+		w.bit(si >= 0)
+		if si >= 0 {
+			places++
+		}
 	}
-	w.uvarint(uint64(len(e.m.Funcs)))
+	return places
 }
 
 // checkClaim panics unless function j is the body its tables claim. A
-// body's claim is not written: the tables claim index j for one method's
-// body or one class's static initializer, and the consumer takes the
+// body's claim is not written: the body rule places one method's body or
+// one class's static initializer at index j, and the consumer takes the
 // body's claim, and with it its name and signature, from there. So a body
-// whose claim names another index, or that no table entry claims and
-// nothing could call, is a producer bug.
+// whose claim the rule places elsewhere, or nowhere, is a producer bug;
+// so is a unit short of a body the rule places, which its consumers would
+// wait for.
 func (e *encoder) checkClaim(j int, f *core.Func) {
 	if e.m.ClaimedIndex(f.Claim) != int32(j) {
 		panic(fmt.Sprintf("wire: function %d (%s) is not the body its tables claim", j, e.m.FuncName(f)))

@@ -19,16 +19,14 @@ func Retired(su *StreamingUnit) bool {
 		(ac == nil || ac.mdl == nil && ac.seen == nil)
 }
 
-// EncodeHead is a v1 unit's head — magic, m's tables, and a function
-// count of n — with no body after it: a head may declare what it likes.
-func EncodeHead(m *core.Module, n int) []byte {
+// EncodeHead is a v1 unit's head — magic and m's tables — with no body
+// after it.
+func EncodeHead(m *core.Module) []byte {
 	w := &bitWriter{}
 	for _, b := range magic {
 		w.writeBits(uint64(b), 8)
 	}
-	head := *m
-	head.Funcs = make([]*core.Func, n)
-	(&encoder{m: &head, w: w}).encodeTables()
+	(&encoder{m: m, w: w}).encodeTables()
 	return w.bytes()
 }
 

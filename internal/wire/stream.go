@@ -169,7 +169,7 @@ func (su *StreamingUnit) pull(n int) error {
 	return nil
 }
 
-// NumFuncs reports the declared function count.
+// NumFuncs reports the function count the body rule gives the tables.
 func (su *StreamingUnit) NumFuncs() int { return su.d.nFuncs }
 
 // Ready reports how many functions (a prefix) are admitted so far.

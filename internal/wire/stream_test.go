@@ -3,7 +3,6 @@ package wire_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -535,19 +534,15 @@ func TestLentStreamAdmitsEachBody(t *testing.T) {
 	}
 }
 
-// TestClaimedIndexGrowsNothing: a head that declares 1<<22 functions and
-// names the last of them as main's body, and then ends. The tables are
-// admitted, so a session over a stream cursor lent an arena begins and its
-// main waits for that body; the stream ends first. Nothing on the way is
-// sized by the claim: the session's form has a slot per body the gate
+// TestClaimedIndexGrowsNothing: a head whose main's body never comes —
+// the stream ends after the tables. The tables are admitted, so a session
+// over a stream cursor lent an arena begins and its main waits for that
+// body; the stream ends first. Nothing on the way is sized by the body
+// the tables place: the session's form has a slot per body the gate
 // admitted — none.
 func TestClaimedIndexGrowsNothing(t *testing.T) {
 	mod := compileAll(t, `class M { static void main() { } }`, true)
-	mod.Methods[mod.Entry].FuncIdx = 1<<22 - 1
-	for i := range mod.StaticInit {
-		mod.StaticInit[i] = -1
-	}
-	head := wire.EncodeHead(mod, 1<<22)
+	head := wire.EncodeHead(mod)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	su, err := wire.DecodeVerifiedStreamIn(bytes.NewReader(head), wire.DecodeOptions{}, new(wire.Arena))
@@ -563,7 +558,7 @@ func TestClaimedIndexGrowsNothing(t *testing.T) {
 		t.Fatalf("a head with no bodies ran: %v, wait %v, ready %d", err, su.Wait(), su.Ready())
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Errorf("a %d-byte head claiming function index 1<<22-1 cost %d bytes", len(head), got)
+		t.Errorf("a %d-byte head whose main's body never comes cost %d bytes", len(head), got)
 	}
 	t.Logf("%d-byte head", len(head))
 }
@@ -617,12 +612,14 @@ func TestLentArenaDecodesWhatDecodeModuleDoes(t *testing.T) {
 	}
 }
 
-// TestUnclaimedFunctionIsMalformed: a body holds only its claim, so a
-// body the tables claim for no role has nothing to be decoded as. The encoder refuses to spell one; written anyway, after
-// tables that are otherwise whole, every decoder entry and both wire
-// versions refuse it as malformed, with one text, at that body: the
-// stream's gate opens for every body before it and never for it, and the
-// schedules agree (oracle.CheckStreamingWire).
+// TestUnclaimedFunctionIsMalformed: a body holds only its claim, and the
+// body rule places as many bodies as the tables give roles, so a body
+// past them has nothing to be decoded as. The encoder refuses to spell
+// one; written anyway, after tables that are otherwise whole, it is bytes
+// after the unit's final production, which every decoder entry refuses as
+// malformed, with one text per wire version: the stream's gate opens for
+// every body before it and never for it, and the schedules agree
+// (oracle.CheckStreamingWire).
 func TestUnclaimedFunctionIsMalformed(t *testing.T) {
 	mod := compileAll(t, `
 class Main {
@@ -644,7 +641,10 @@ class Main {
 			encode(mod)
 		}()
 	}
-	want := fmt.Sprintf("function %d: %v: no method or static initializer claims the body", bad, wire.ErrMalformed)
+	wants := map[string]string{
+		"v1": "trailing data after the final production",
+		"v2": "payload length does not match the final production",
+	}
 	entries := map[string]func([]byte) error{
 		"DecodeModule":   func(b []byte) error { _, err := wire.DecodeModule(b); return err },
 		"DecodeVerified": func(b []byte) error { _, err := wire.DecodeVerified(b); return err },
@@ -668,10 +668,11 @@ class Main {
 			t.Fatalf("%s: %v", version, err)
 		}
 		var text string
+		want := wants[version]
 		for entry, decode := range entries {
 			err := decode(data)
 			if !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s %s: got %v, want ErrMalformed naming the unclaimed body (%q)", version, entry, err, want)
+				t.Errorf("%s %s: got %v, want ErrMalformed refusing the unclaimed body (%q)", version, entry, err, want)
 			} else if text == "" {
 				text = err.Error()
 			} else if err.Error() != text {

@@ -271,14 +271,15 @@ func TestNamesAreNotOnTheWire(t *testing.T) {
 }
 
 // TestOldModelRevisionsAreUnsupported: a v2 unit whose model byte names a
-// revision other than this decoder's — revision 4 spelled what a consumer
-// derives of the tables and coded counts in 4-bit groups, revision 3
+// revision other than this decoder's — revision 5 spelled each imported
+// method's signature and the body indices, revision 4 spelled what a
+// consumer derives of the tables and coded counts in 4-bit groups, revision 3
 // moved every probability at one rate, revision 2 coded every symbol
 // against per-position probabilities, revision 1 spelled each body's
 // signature — is ErrUnsupportedVersion on every door that reads v2, with
 // or without a dictionary flag, and DecodeModuleV1 refuses v2 as such. So
-// is a v1 unit of the revision that spelled the derived tables ('B'), on
-// every door.
+// is a v1 unit of the revision that spelled the derived tables ('B') or
+// the imported signatures and body indices ('C'), on every door.
 func TestOldModelRevisionsAreUnsupported(t *testing.T) {
 	mod := compileAll(t, testPrograms["objects"], true)
 	cur := wire.EncodeModuleV2(mod, nil)
@@ -304,7 +305,7 @@ func TestOldModelRevisionsAreUnsupported(t *testing.T) {
 			return err
 		}},
 	}
-	for _, rev := range []byte{0, 1, 2, 3, 4, 6, 7} {
+	for _, rev := range []byte{0, 1, 2, 3, 4, 5, 7} {
 		for _, dictFlag := range []byte{0, 8} {
 			old := bytes.Clone(cur)
 			old[4] = rev | dictFlag
@@ -315,11 +316,13 @@ func TestOldModelRevisionsAreUnsupported(t *testing.T) {
 			}
 		}
 	}
-	old := wire.EncodeModule(mod)
-	old[3] = 'B'
-	for _, d := range doors {
-		if err := d.decode(old); !errors.Is(err, wire.ErrUnsupportedVersion) {
-			t.Errorf("%s: v1 unit of version 'B': got %v, want ErrUnsupportedVersion", d.name, err)
+	for _, version := range []byte{'B', 'C'} {
+		old := wire.EncodeModule(mod)
+		old[3] = version
+		for _, d := range doors {
+			if err := d.decode(old); !errors.Is(err, wire.ErrUnsupportedVersion) {
+				t.Errorf("%s: v1 unit of version %q: got %v, want ErrUnsupportedVersion", d.name, version, err)
+			}
 		}
 	}
 }
