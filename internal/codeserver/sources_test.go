@@ -46,12 +46,12 @@ func TestKeyForGolden(t *testing.T) {
 		"Util.tj": "class Util { static int twice(int x) { return x * 2; } } //   café\n",
 	}
 	want := []string{
-		"529c0fd11007632e9d29d4e60d107293b88a47b6d61a071374149b5bc271e9e6",
-		"dd8aadc11d8e4ceff18fe4652c41124d2a42d0b1dec4d5af64c512fd83069552",
-		"44371591e34c72390bb1a0f7b3bc05858940053cefc505b6d921618147263d94",
-		"af0990ea4e698a5504757112647a4d9dc6f6c498011e2fe0e40fdcf6b88f09f3",
-		"f3eb09caae5870ab3d646d4b818550ca1b0ef6f9892e59e44c6078741ce1d492",
-		"b2e9ab8077409f47d96829de43ee4efed8c7a7f9ccc4641a3d468719a12c48db",
+		"2ab970951f2a04efb20d74f76445e501ba257a8e16af85f01166e8018f393735",
+		"b1cdbc8187d6d88cdca0b7ff4ce1976b989351c41cd406f6b3ac3e94e8261fe1",
+		"76319d3e312722d468888ebf7798f474d2bc46110b1b5459f373ca901156e097",
+		"0fdc71346d3e632c8b0261befaf25da892721e6ac29b8ff94fd7526bbd7f0391",
+		"33694e95c66e226c21f4111661a886e168d47bbce1c0ab6bcee593705af38f05",
+		"6c2c6996a240c8b7f33c51f9fcabbd8001510bc38263ff509791d73470507f3b",
 	}
 	for i, o := range resolvedOptionRows {
 		if got := KeyFor(files, o).String(); got != want[i] {
@@ -197,32 +197,32 @@ var compileRequestSeeds = []struct {
 	hash   string
 }{
 	{"json_marshal_html_escaped", `{"files":{"Hello.tj":"class Hello {\n\tstatic void main() { System.out.println(\"\u003ca\u0026b\u003e\u2028\" + (6 * 7)); }\n}\n"},"optimize":true,"module_opt":false}`,
-		true, 200, "cb9d301614ab5cb81565f44d2801a135fecec4b5db936b1f751f09bd799eabda"},
+		true, 200, "048ca47f25fe0d4a6c94b0f5ea18dec98da07f95da58f2dbc330e1b9d8cc6347"},
 	{"members_reordered_spaced", "  {\r\n\t\"module_opt\" : true ,\n \"files\" : { \"B.tj\" : \"class B { }\" , \"A.tj\" : \"class A { static void main() { } }\" } }\n ",
-		true, 200, "cfab6a038a8537b15e4e2c0cf549b8b361ed0d939dd21571d4980fee959e87ce"},
+		true, 200, "3d5d14a7d2f82040f2763e96c54ee1a0d5297d7d1075dd8c9c0af7cc1493c6eb"},
 	{"escapes_all_eight", `{"files":{"A\/.tj":"class A { static void main() { } } /* \"\\\/\b\f\n\r\t\u00e9\u000A */"}}`,
-		true, 200, "36ebad7c6bbd8c85bb4cab4e39ee40b6ed11e69867ad433fe8f84cf179abf043"},
+		true, 200, "38489e76a4c360c97270472560b3dbcd36ca29eaa47637176cef4081ae315d2c"},
 	{"escaped_member_name", `{"fil\u0065s":{"A.tj":"class A { static void main() { } }"}}`,
-		true, 200, "6ae9e3a6717efe33be35a2e8858349a8814f23147cb8f42bb02e57a8fe703330"},
+		true, 200, "1bd195d2c09d818c886c66daab0c23b1f9e5e12092d2eb06bcd309591fd79ed7"},
 	{"empty_object", `{}`, true, 400, ""},
 	{"surrogate_pair", `{"files":{"A.tj":"class A { static void main() { System.out.println(\"\ud83d\ude00\"); } }"}}`,
-		false, 200, "e12bf5392788b15b0612d6a1c07d937629a4aa40cee198c11391181fb50762fc"},
+		false, 200, "e0f6e893c38c8e85332484029105105553d2c201631effb9c52aa33a776cb007"},
 	{"lone_surrogate", `{"files":{"A.tj":"class A { static void main() { System.out.println(\"\ud800\"); } }"}}`,
-		false, 200, "3ce6ac82eb27beaefc86b475a96217abadcd36366c3ea6e2b65377a9bae4dd9d"},
+		false, 200, "49479889d75e8a38f726930e9d0c560672edc4e8ee24a86c4ed1044496a7af9c"},
 	{"invalid_utf8", "{\"files\":{\"A.tj\":\"class A { static void main() { } } // \xff\xc0\xaf\"}}",
-		false, 200, "c99047c769d2bf03f069529ad9478c2d0dd5bd65c4277fca6dc23f4004119b95"},
+		false, 200, "37f1e16b4837f2f4fe218fc9040206f4ff54548907d89b6e51df31fd233f450e"},
 	{"duplicate_file_name", `{"files":{"A.tj":"class A { }","A.tj":"class A { static void main() { } }"}}`,
-		false, 200, "6ae9e3a6717efe33be35a2e8858349a8814f23147cb8f42bb02e57a8fe703330"},
+		false, 200, "1bd195d2c09d818c886c66daab0c23b1f9e5e12092d2eb06bcd309591fd79ed7"},
 	{"duplicate_files_member", `{"files":{"A.tj":"class A { static void main() { } }"},"files":{"B.tj":"class B { }"}}`,
-		false, 200, "03c4fafcb6c99623c4d3dcc1d0f34a3e185a50385cfba11aba51553a11d02971"},
+		false, 200, "d1ae6b1ce5b55ffc8ae1ce462d6924be01ff90625e64acb3fa7990b1e9c3a98f"},
 	{"duplicate_optimize", `{"optimize":false,"files":{"A.tj":"class A { static void main() { } }"},"optimize":true}`,
-		false, 200, "a8b3751ca80fdb5e76821cd0050d36c5dd707e4b46baf1553c35c678aadfe4e8"},
+		false, 200, "54a11f137130b4cf03fd0224150eb65389573a665b737846e66bf56477a9a302"},
 	{"uppercase_member", `{"FILES":{"A.tj":"class A { static void main() { } }"},"Optimize":true}`,
-		false, 200, "a8b3751ca80fdb5e76821cd0050d36c5dd707e4b46baf1553c35c678aadfe4e8"},
+		false, 200, "54a11f137130b4cf03fd0224150eb65389573a665b737846e66bf56477a9a302"},
 	{"unknown_member", `{"files":{"A.tj":"class A { static void main() { } }"},"engine":"compiled"}`,
-		false, 200, "6ae9e3a6717efe33be35a2e8858349a8814f23147cb8f42bb02e57a8fe703330"},
+		false, 200, "1bd195d2c09d818c886c66daab0c23b1f9e5e12092d2eb06bcd309591fd79ed7"},
 	{"optimize_null", `{"files":{"A.tj":"class A { static void main() { } }"},"optimize":null}`,
-		false, 200, "6ae9e3a6717efe33be35a2e8858349a8814f23147cb8f42bb02e57a8fe703330"},
+		false, 200, "1bd195d2c09d818c886c66daab0c23b1f9e5e12092d2eb06bcd309591fd79ed7"},
 	{"files_null", `{"files":null,"optimize":true}`, false, 400, ""},
 	{"top_level_null", `null`, false, 400, ""},
 	{"raw_control_byte", "{\"files\":{\"A.tj\":\"class A { }\x01\"}}", false, 400, ""},
