@@ -73,3 +73,25 @@ func TestReachableBodiesLead(t *testing.T) {
 		}
 	}
 }
+
+// TestEntryFollowsStaticInitializers: in every corpus unit the entry
+// method leads the method table, so the body rule places its body right
+// after the static initializers and a streaming consumer begins main
+// after admitting them and it alone.
+func TestEntryFollowsStaticInitializers(t *testing.T) {
+	for _, u := range corpus.Units() {
+		mod, err := driver.CompileTSASource(u.Files)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		inits := 0
+		for _, si := range mod.StaticInit {
+			if si >= 0 {
+				inits++
+			}
+		}
+		if mod.Entry != 0 || mod.Methods[0].FuncIdx != int32(inits) {
+			t.Errorf("%s: entry method %d, method 0's body %d, after %d static initializers", u.Name, mod.Entry, mod.Methods[0].FuncIdx, inits)
+		}
+	}
+}
