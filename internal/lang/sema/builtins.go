@@ -66,27 +66,24 @@ func newUniverse() *Program {
 		}
 		owner := p.Classes[core.ImplicitType(h.Owner).Name]
 		owner.Methods = append(owner.Methods, &MethodSym{Name: h.Name, Params: p.hostTypes(h.Params),
-			Return: p.hostType(h.Result), Owner: owner, Builtin: h.Builtin})
+			Return: p.hostType(h.Result), Owner: owner})
 	}
 	obj.Ctors = []*MethodSym{
-		{Name: "Object", IsCtor: true, Return: p.Void, Owner: obj, VSlot: -1},
+		{Name: "Object", IsCtor: true, Return: p.Void, Owner: obj},
 	}
 
-	// Throwable/Exception: a message field, which getMessage reads. The message
-	// field occupies instance slot 0 of every throwable.
+	// Throwable/Exception: a message field, which getMessage reads.
 	throwable.Fields = []*FieldSym{
-		{Name: "message", Type: p.String, Owner: throwable, Slot: 0},
+		{Name: "message", Type: p.String, Owner: throwable},
 	}
-	throwable.NumSlots = 1
 	throwable.Ctors = []*MethodSym{
-		{Name: "Throwable", IsCtor: true, Return: p.Void, Owner: throwable, VSlot: -1},
-		{Name: "Throwable", IsCtor: true, Params: []*Type{p.String}, Return: p.Void, Owner: throwable, VSlot: -1},
+		{Name: "Throwable", IsCtor: true, Return: p.Void, Owner: throwable},
+		{Name: "Throwable", IsCtor: true, Params: []*Type{p.String}, Return: p.Void, Owner: throwable},
 	}
 	for _, c := range []*Class{exc, p.ClsNPE, p.ClsArith, p.ClsBounds, p.ClsCast, p.ClsNegArraySize} {
-		c.NumSlots = 1
 		c.Ctors = []*MethodSym{
-			{Name: c.Name, IsCtor: true, Return: p.Void, Owner: c, VSlot: -1},
-			{Name: c.Name, IsCtor: true, Params: []*Type{p.String}, Return: p.Void, Owner: c, VSlot: -1},
+			{Name: c.Name, IsCtor: true, Return: p.Void, Owner: c},
+			{Name: c.Name, IsCtor: true, Params: []*Type{p.String}, Return: p.Void, Owner: c},
 		}
 	}
 

@@ -871,7 +871,7 @@ func (fb *fnBuilder) buildCall(e *ast.CallExpr) core.ValueID {
 		}
 		recv := fb.safeRef(recvV, fb.tt().SafeRefOf(fb.b.classID(sym.Owner)))
 		op := core.OpXDispatch
-		if sym.Owner.Imported || sym.VSlot < 0 {
+		if sym.Owner.Imported || sym.IsCtor {
 			// Imported classes are final hosts: their methods bind
 			// statically (see DESIGN.md).
 			op = core.OpXCall
