@@ -18,9 +18,9 @@ import "slices"
 // So each method's FuncIdx, Module.StaticInit, the function count and
 // Module.Entry follow from the tables and which classes have a static
 // initializer, which is all a unit says of them. The producer orders its
-// bodies by the rule (PlaceBodies); admission installs it for decoded
-// tables (DeriveTables) and holds a module built in process to it
-// (VerifyTables).
+// bodies by the rule (PlaceBodies); admission installs it over whatever
+// the tables carried (DeriveTables), and Admission.Link refuses a body
+// that stands where the rule places another.
 
 // bodyRule walks the rule over m's tables, in which StaticInit[k] >= 0
 // says that class definition k has a static initializer: place is called

@@ -27,41 +27,37 @@ func TestBodyRule(t *testing.T) {
 	}
 }
 
-// TestVerifyTablesHoldsTheBodyRule: a module built in process whose body
-// indices, entry method, class list or function count are not what the
-// body rule gives its tables is refused, each with its own message.
+// TestVerifyTablesHoldsTheBodyRule: Verify installs the body rule's
+// places over whatever a module built by hand carries — body indices,
+// the entry method — and refuses a module whose class list is out of type
+// order, whose bodies do not stand where the rule places them
+// (Admission.Link), or which holds fewer functions than the rule places.
 func TestVerifyTablesHoldsTheBodyRule(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		hack func(m *Module)
-		want string
+		want string // "" for a module Verify admits with the rule installed
 	}{
 		{"bodies out of order", func(m *Module) {
 			m.Funcs[1], m.Funcs[2] = m.Funcs[2], m.Funcs[1]
 			m.Methods[0].FuncIdx, m.Methods[1].FuncIdx = 2, 1
-		}, "method 0 (m0): body index 2, the body rule gives 1"},
+		}, "function 1 (A.m0): body of method 0 (m0) names method 1"},
 		{"a static initializer after a method body", func(m *Module) {
 			m.Funcs[0], m.Funcs[1] = m.Funcs[1], m.Funcs[0]
 			m.StaticInit[0], m.Methods[0].FuncIdx = 1, 0
-		}, "static initializer 0: function index 1, the body rule gives 0"},
-		{"an imported method with a body index", func(m *Module) { m.Methods[2].FuncIdx = 3 },
-			"method 2 (hashCode): body index 3 of an imported method"},
-		{"an entry method the rule does not give", func(m *Module) { m.Entry = 0 },
-			"entry method 0, the body rule gives -1"},
+		}, "function 0 (A.<clinit>): static initializer claims A.m0"},
+		{"an imported method with a body index", func(m *Module) { m.Methods[2].FuncIdx = 3 }, ""},
+		{"an entry method the rule does not give", func(m *Module) { m.Entry = 0 }, ""},
 		{"class list out of type order", func(m *Module) {
 			m.Classes[0], m.Classes[1] = m.Classes[1], m.Classes[0]
 		}, "class A is class definition 1, the type table puts it at 0"},
 		{"a body short", func(m *Module) { m.Funcs = m.Funcs[:2] },
 			"2 functions for the 3 bodies the tables place"},
+		{"a unit method without a body", func(m *Module) {
+			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[0].Type, Name: "g", Result: m.Types.Void, Static: true, FuncIdx: -1})
+		}, "function 3 (A.g): body of method 5 (g) names method 0"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := linkFixture()
-			if err := m.Verify(VerifyOptions{}); err != nil {
-				t.Fatalf("placed by the rule, refused: %v", err)
-			}
-			tc.hack(m)
-			wantRejected(t, m, tc.want)
-		})
+		t.Run(tc.name, func(t *testing.T) { wantVerdict(t, linkFixture, tc.hack, tc.want) })
 	}
 }
 

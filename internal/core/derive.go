@@ -26,8 +26,8 @@ import "slices"
 //     method with neither a body nor a host operation is refused.
 //
 // The wire carries none of it, so a forged layout or binding is
-// inexpressible; for a module built in process, VerifyTables holds the
-// values it carries to the same derivation.
+// inexpressible; a module built in process gets the same derivation
+// installed over whatever it carried (DeriveTables, which Verify calls).
 
 // maxDispatchWork bounds what deriving a unit's dispatch tables may cost,
 // in entries copied and signatures compared: a deep hierarchy of classes
@@ -101,7 +101,7 @@ func carve[T any](buf []T, n int) []T {
 // derive computes, in mem where it is long enough, what admission derives
 // of m's tables. defIdx maps a TypeID to its class definition's
 // index in m.Classes, -1 for none; the tables it reads have passed
-// VerifyTables' reference checks: every unit class and every field's
+// DeriveTables' reference checks: every unit class and every field's
 // owner has a definition, every method's owner is a class, and
 // each definition's superclass is its type's.
 func (m *Module) derive(mem *derivedMem, defIdx func(TypeID) int, bad func(string, ...any)) derived {
@@ -372,15 +372,16 @@ func entry(m *Module, e int32) (string, []TypeID, TypeID) {
 	return mr.Name, mr.Params, mr.Result
 }
 
-// install writes the derivation into m's tables, each list kept from keep
-// (allocated when keep is nil).
+// install writes the derivation into m's tables, each list kept from keep,
+// or, when keep is nil, the list m holds if it is the derivation's and a
+// new one if not.
 func (m *Module) install(d *derived, keep *Slab[int32]) {
-	kept := func(v []int32) []int32 {
-		if keep != nil {
+	kept := func(have, v []int32) []int32 {
+		switch {
+		case keep != nil:
 			return keep.Keep(v)
-		}
-		if len(v) == 0 {
-			return nil
+		case slices.Equal(have, v):
+			return have
 		}
 		return append([]int32(nil), v...)
 	}
@@ -393,44 +394,8 @@ func (m *Module) install(d *derived, keep *Slab[int32]) {
 	for k, cd := range m.Classes {
 		c := &d.classes[k]
 		cd.NumSlots, cd.NumStatics = c.numSlots, c.numStatics
-		cd.Fields, cd.Methods, cd.VTable = kept(d.list(c.fields)), kept(d.list(c.methods)), kept(d.list(c.vtable))
-	}
-}
-
-// check reports every value of m's tables that differs from the
-// derivation: a producer that lays out, lists, dispatches or binds
-// differently from its consumers.
-func (m *Module) check(d *derived, bad func(string, ...any)) {
-	for i := range m.Fields {
-		if fr := &m.Fields[i]; fr.Slot != d.slot[i] {
-			bad("field %d (%s): slot %d, the layout gives %d", i, fr.Name, fr.Slot, d.slot[i])
-		}
-	}
-	for i := range m.Methods {
-		mr := &m.Methods[i]
-		if mr.VSlot != d.vslot[i] {
-			bad("method %d (%s): dispatch slot %d, the dispatch tables give %d", i, mr.Name, mr.VSlot, d.vslot[i])
-		}
-		if mr.Builtin != BuiltinID(d.builtin[i]) {
-			bad("method %d (%s): host operation %d, the host library gives %d", i, mr.Name, mr.Builtin, d.builtin[i])
-		}
-	}
-	for k, cd := range m.Classes {
-		c, name := &d.classes[k], m.Types.Describe(cd.Type)
-		if cd.NumSlots != c.numSlots || cd.NumStatics != c.numStatics {
-			bad("class %s: %d instance and %d static slots, the layout gives %d and %d",
-				name, cd.NumSlots, cd.NumStatics, c.numSlots, c.numStatics)
-		}
-		checkList(name, "field list", cd.Fields, d.list(c.fields), bad)
-		checkList(name, "method list", cd.Methods, d.list(c.methods), bad)
-		checkList(name, "dispatch table", cd.VTable, d.list(c.vtable), bad)
-	}
-}
-
-// checkList reports a class's list that differs from the derivation's.
-func checkList(class, what string, have, out []int32, bad func(string, ...any)) {
-	if !slices.Equal(have, out) {
-		// A copy: the derivation's memory is its caller's frame.
-		bad("class %s: %s %v, the tables give %v", class, what, have, append([]int32(nil), out...))
+		cd.Fields = kept(cd.Fields, d.list(c.fields))
+		cd.Methods = kept(cd.Methods, d.list(c.methods))
+		cd.VTable = kept(cd.VTable, d.list(c.vtable))
 	}
 }

@@ -42,38 +42,66 @@ func TestDerivedTables(t *testing.T) {
 	}
 }
 
-// TestVerifyTablesHoldsTheDerivation: a module built in process carries
-// what a consumer derives, and VerifyTables refuses each value that
-// differs from the derivation — a producer that lays out, lists,
-// dispatches or binds otherwise than its consumers would.
+// TestVerifyTablesHoldsTheDerivation: Verify installs what a consumer
+// derives over whatever a module built by hand carries — its layouts,
+// member lists, dispatch tables and host operations, and the body rule's
+// places — so a producer that computed one otherwise cannot ship it.
 func TestVerifyTablesHoldsTheDerivation(t *testing.T) {
+	fixture := func() *Module { return derivedFixture(t) }
 	for _, tc := range []struct {
 		name string
 		hack func(m *Module)
-		want string
 	}{
-		{"field slot", func(m *Module) { m.Fields[0].Slot = 1 }, "field 0 (x): slot 1, the layout gives 0"},
-		{"static slot", func(m *Module) { m.Fields[1].Slot = 2 }, "field 1 (s): slot 2, the layout gives 0"},
-		{"instance slots", func(m *Module) { m.Classes[1].NumSlots = 2 },
-			"class B: 2 instance and 0 static slots, the layout gives 1 and 0"},
-		{"static slots", func(m *Module) { m.Classes[0].NumStatics = 0 },
-			"class A: 1 instance and 0 static slots, the layout gives 1 and 1"},
-		{"dispatch slot", func(m *Module) { m.Methods[1].VSlot = 0 }, "method 1 (vm): dispatch slot 0, the dispatch tables give 3"},
-		{"slot of a static method", func(m *Module) { m.Methods[0].VSlot = 4 }, "method 0 (sm): dispatch slot 4, the dispatch tables give -1"},
-		{"host operation", func(m *Module) { m.Methods[4].Builtin = BStrHashCode },
-			fmt.Sprintf("method 4 (hashCode): host operation %d, the host library gives %d", BStrHashCode, BObjHashCode)},
-		{"host operation of a unit method", func(m *Module) { m.Methods[0].Builtin = BStrLength },
-			fmt.Sprintf("method 0 (sm): host operation %d, the host library gives 0", BStrLength)},
-		{"field list", func(m *Module) { m.Classes[0].Fields = []int32{1, 0} }, "class A: field list [1 0], the tables give [0 1]"},
-		{"method list", func(m *Module) { m.Classes[0].Methods = []int32{0, 1} }, "class A: method list [0 1], the tables give [0 1 2 3 7]"},
-		{"dispatch table", func(m *Module) { m.Classes[1].VTable = []int32{4, 5, 6} }, "class B: dispatch table [4 5 6], the tables give [4 5 6 1]"},
+		{"field slot", func(m *Module) { m.Fields[0].Slot = 1 }},
+		{"static slot", func(m *Module) { m.Fields[1].Slot = 2 }},
+		{"instance slots", func(m *Module) { m.Classes[1].NumSlots = 2 }},
+		{"static slots", func(m *Module) { m.Classes[0].NumStatics = 0 }},
+		{"dispatch slot", func(m *Module) { m.Methods[1].VSlot = 0 }},
+		{"slot of a static method", func(m *Module) { m.Methods[0].VSlot = 4 }},
+		{"host operation", func(m *Module) { m.Methods[4].Builtin = BStrHashCode }},
+		{"host operation of a unit method", func(m *Module) { m.Methods[0].Builtin = BStrLength }},
+		{"field list", func(m *Module) { m.Classes[0].Fields = []int32{1, 0} }},
+		{"method list", func(m *Module) { m.Classes[0].Methods = []int32{0, 1} }},
+		{"dispatch table", func(m *Module) { m.Classes[1].VTable = []int32{4, 5, 6} }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := derivedFixture(t)
-			tc.hack(m)
-			wantRejected(t, m, tc.want)
-		})
+		t.Run(tc.name, func(t *testing.T) { wantInstalled(t, fixture, tc.hack) })
 	}
+}
+
+// wantInstalled verifies the fixture changed by hack and holds its tables
+// to the unchanged fixture's.
+func wantInstalled(t *testing.T, fixture func() *Module, hack func(m *Module)) {
+	t.Helper()
+	m := fixture()
+	hack(m)
+	if err := m.Verify(VerifyOptions{}); err != nil {
+		t.Fatalf("refused: %v", err)
+	}
+	if got, want := tables(m), tables(fixture()); got != want {
+		t.Errorf("Verify left the tables\n%s\nwant\n%s", got, want)
+	}
+}
+
+// wantVerdict is wantRejected when want is a refusal, and wantInstalled
+// when it is "".
+func wantVerdict(t *testing.T, fixture func() *Module, hack func(m *Module), want string) {
+	t.Helper()
+	if want == "" {
+		wantInstalled(t, fixture, hack)
+		return
+	}
+	m := fixture()
+	hack(m)
+	wantRejected(t, m, want)
+}
+
+// tables spells what admission installs in m's tables.
+func tables(m *Module) string {
+	s := fmt.Sprint(m.Fields, m.Methods, m.StaticInit, m.Entry)
+	for _, cd := range m.Classes {
+		s += fmt.Sprint(*cd)
+	}
+	return s
 }
 
 // TestDerivationRefuses: the tables a derivation cannot complete are
@@ -81,65 +109,50 @@ func TestVerifyTablesHoldsTheDerivation(t *testing.T) {
 // changes the result type or overrides a static method, an imported
 // method with no host operation of its signature, an inherited host
 // method the method table does not list, and a hierarchy whose dispatch
-// tables cost too much to derive. A unit method without a body is a
-// module built in process alone can hold: the body rule gives every unit
-// method one.
+// tables cost too much to derive.
 func TestDerivationRefuses(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		hack       func(m *Module)
-		want       string
-		verifyOnly bool
+		name string
+		hack func(m *Module)
+		want string
 	}{
 		{"override with another result", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[1].Type, Name: "vm",
 				Params: []TypeID{m.Types.Int}, Result: m.Types.Boolean, FuncIdx: int32(len(m.Funcs))})
-		}, "class B: method 8 (B.vm(int)) overrides an inherited method with a different result type", false},
+		}, "class B: method 8 (B.vm(int)) overrides an inherited method with a different result type"},
 		{"override of a host method with another result", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[0].Type, Name: "hashCode",
 				Result: m.Types.Long, FuncIdx: int32(len(m.Funcs))})
-		}, "class A: method 8 (A.hashCode()) overrides an inherited method with a different result type", false},
+		}, "class A: method 8 (A.hashCode()) overrides an inherited method with a different result type"},
 		{"override of a static method", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[1].Type, Name: "sm",
 				Params: []TypeID{m.Types.Int}, Result: m.Types.Int, FuncIdx: int32(len(m.Funcs))})
-		}, "class B: method 8 (B.sm(int)) overrides a static method", false},
+		}, "class B: method 8 (B.sm(int)) overrides a static method"},
 		{"override of a host static method", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[0].Type, Name: "System.out.println",
 				Result: m.Types.Void, FuncIdx: int32(len(m.Funcs))})
-		}, "class A: method 8 (A.System.out.println()) overrides a static method", false},
+		}, "class A: method 8 (A.System.out.println()) overrides a static method"},
 		{"imported method of no host signature", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Types.String, Name: "size", Result: m.Types.Int, FuncIdx: -1})
-		}, "method 8 (String.size()): no body and no host operation of its signature", false},
+		}, "method 8 (String.size()): no body and no host operation of its signature"},
 		{"host method called static", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Types.String, Name: "length", Result: m.Types.Int, Static: true, FuncIdx: -1})
-		}, "method 8 (String.length()): no body and no host operation of its signature", false},
+		}, "method 8 (String.length()): no body and no host operation of its signature"},
 		{"host method of another result", func(m *Module) {
 			m.Methods = append(m.Methods, MethodRef{Owner: m.Types.String, Name: "length", Result: m.Types.Long, FuncIdx: -1})
-		}, "method 8 (String.length()): no body and no host operation of its signature", false},
-		{"unit method without a body", func(m *Module) {
-			m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[0].Type, Name: "g", Result: m.Types.Int, FuncIdx: -1})
-		}, "method 8 (g): body index -1, the body rule gives 5", true},
+		}, "method 8 (String.length()): no body and no host operation of its signature"},
 		{"unit class without a definition", func(m *Module) {
 			m.Classes, m.StaticInit = m.Classes[:1], m.StaticInit[:1]
-		}, "class B has no definition", false},
+		}, "class B has no definition"},
 		{"inherited host method missing", func(m *Module) {
 			m.Methods = m.Methods[:6] // Object.toString is the seventh entry
-		}, "class A: inherits Object.toString, which the method table does not list", false},
+		}, "class A: inherits Object.toString, which the method table does not list"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := derivedFixture(t)
 			tc.hack(m)
-			for _, drive := range []struct {
-				name   string
-				tables func(n int) (*Admission, error)
-			}{{"VerifyTables", m.VerifyTables}, {"DeriveTables", func(int) (*Admission, error) { return m.DeriveTables(nil) }}} {
-				if tc.verifyOnly && drive.name == "DeriveTables" {
-					continue
-				}
-				_, err := drive.tables(len(m.Funcs) + 1)
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("%s: %v; want a refusal mentioning %q", drive.name, err, tc.want)
-				}
+			if _, err := m.DeriveTables(nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v; want a refusal mentioning %q", err, tc.want)
 			}
 		})
 	}

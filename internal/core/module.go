@@ -153,7 +153,7 @@ func (m *Module) NumParams(f *Func) int {
 
 // Param is the type of f's parameter i < NumParams(f): the receiver's
 // safe-ref unless f's method is static, then the method's parameters.
-// VerifyTables holds every owner to a reference type, which has one.
+// DeriveTables holds every owner to a reference type, which has one.
 func (m *Module) Param(f *Func, i int) TypeID {
 	mr := m.claimedMethod(f)
 	if !mr.Static {

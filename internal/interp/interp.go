@@ -437,7 +437,7 @@ func (l *Loader) RunMain() (err error) {
 		return fmt.Errorf("interp: module has no main method")
 	}
 	// The tables say all that is needed of the entry (static, by
-	// VerifyTables); its body may not have arrived yet.
+	// DeriveTables); its body may not have arrived yet.
 	mr := &l.Mod.Methods[l.Mod.Entry]
 	if mr.FuncIdx < 0 {
 		return fmt.Errorf("interp: entry method has no body")

@@ -155,7 +155,7 @@ class Main {
 // admitted: the gate opened for a prefix of the functions and for
 // nothing else, and the rule stands behind every function it opened for.
 func checkRejectedPrefix(su *wire.StreamingUnit) error {
-	adm, err := su.Mod.VerifyTables(su.NumFuncs())
+	adm, err := su.Mod.DeriveTables(nil)
 	if err != nil {
 		return fmt.Errorf("oracle: stream started on tables the static check rejects: %w", err)
 	}

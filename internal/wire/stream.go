@@ -199,7 +199,7 @@ func (su *StreamingUnit) WaitFunc(i int) error {
 // WaitEntry admits every function needed to begin main — the static
 // initializers and the entry method's body.
 func (su *StreamingUnit) WaitEntry() error {
-	// VerifyTables has put every index below in range.
+	// DeriveTables has put every index below in range.
 	need := -1
 	for _, si := range su.Mod.StaticInit {
 		need = max(need, int(si))
