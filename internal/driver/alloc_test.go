@@ -25,27 +25,27 @@ type produceAllocs struct{ frontend, build, o2, encode float64 }
 // -run TestProduceAllocCeiling ./internal/driver` logs the measured rows
 // in this form.
 var produceAllocCeiling = map[string]produceAllocs{
-	"BatchEnvironment":        {910, 3654, 292, 107}, // measured 827, 3321, 265, 100
-	"BatchParser":             {556, 955, 124, 85},   // measured 505, 868, 112, 77
-	"CompilerMember":          {371, 308, 90, 41},    // measured 337, 280, 82, 38
-	"ErrorMessage":            {362, 290, 80, 50},    // measured 329, 263, 73, 45
-	"Main":                    {817, 2603, 247, 110}, // measured 742, 2366, 224, 102
-	"SourceClass":             {899, 3425, 301, 112}, // measured 817, 3113, 273, 104
-	"SourceMember":            {773, 2612, 226, 104}, // measured 702, 2374, 205, 97
-	"AmbiguousClass":          {341, 211, 79, 29},    // measured 310, 191, 72, 26
-	"AmbiguousMember":         {385, 347, 86, 50},    // measured 350, 315, 79, 45
-	"ArrayType":               {385, 311, 95, 47},    // measured 350, 282, 87, 42
-	"BinaryAttribute":         {482, 604, 115, 73},   // measured 438, 549, 104, 68
-	"BinaryClass":             {648, 1605, 171, 93},  // measured 589, 1459, 155, 87
-	"BinaryCode":              {479, 742, 110, 83},   // measured 435, 674, 100, 78
-	"Parser":                  {917, 1372, 394, 103}, // measured 833, 1256, 359, 93
-	"Scanner":                 {621, 712, 150, 94},   // measured 564, 647, 137, 85
-	"BigDecimal":              {558, 618, 177, 60},   // measured 507, 561, 161, 55
-	"BigInteger":              {643, 1184, 134, 96},  // measured 584, 1076, 122, 88
-	"BitSieve":                {404, 482, 180, 65},   // measured 367, 438, 164, 59
-	"MutableBigInteger":       {596, 1085, 156, 103}, // measured 541, 986, 142, 94
-	"SignedMutableBigInteger": {525, 1232, 169, 98},  // measured 477, 1120, 154, 89
-	"Linpack":                 {526, 1153, 93, 119},  // measured 478, 1048, 85, 109
+	"BatchEnvironment":        {893, 3651, 292, 107}, // measured 811, 3319, 265, 100
+	"BatchParser":             {539, 953, 124, 85},   // measured 490, 866, 112, 77
+	"CompilerMember":          {355, 306, 90, 41},    // measured 322, 278, 82, 38
+	"ErrorMessage":            {346, 288, 80, 50},    // measured 314, 261, 73, 45
+	"Main":                    {799, 2601, 247, 110}, // measured 726, 2364, 224, 102
+	"SourceClass":             {883, 3423, 301, 112}, // measured 802, 3111, 273, 104
+	"SourceMember":            {755, 2610, 226, 104}, // measured 686, 2372, 205, 97
+	"AmbiguousClass":          {325, 208, 79, 29},    // measured 295, 189, 72, 26
+	"AmbiguousMember":         {369, 345, 86, 50},    // measured 335, 313, 79, 45
+	"ArrayType":               {369, 308, 95, 47},    // measured 335, 280, 87, 42
+	"BinaryAttribute":         {467, 602, 115, 73},   // measured 424, 547, 104, 68
+	"BinaryClass":             {632, 1603, 171, 93},  // measured 574, 1457, 155, 87
+	"BinaryCode":              {464, 740, 110, 83},   // measured 421, 672, 100, 78
+	"Parser":                  {894, 1372, 394, 103}, // measured 812, 1250, 359, 93
+	"Scanner":                 {604, 710, 150, 94},   // measured 549, 645, 137, 85
+	"BigDecimal":              {541, 615, 177, 60},   // measured 491, 559, 161, 55
+	"BigInteger":              {625, 1182, 134, 96},  // measured 568, 1074, 122, 88
+	"BitSieve":                {387, 480, 180, 65},   // measured 351, 436, 164, 59
+	"MutableBigInteger":       {578, 1084, 156, 103}, // measured 525, 985, 142, 94
+	"SignedMutableBigInteger": {506, 1230, 169, 98},  // measured 460, 1118, 154, 89
+	"Linpack":                 {511, 1150, 93, 119},  // measured 464, 1045, 85, 109
 }
 
 func TestProduceAllocCeiling(t *testing.T) {
