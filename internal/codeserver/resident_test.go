@@ -24,7 +24,10 @@ class P {
 
 // tailUnit encodes tailSrc at wire v2 and returns the bytes, where the
 // last body begins in them, and a copy damaged in that body so admission
-// refuses it while everything before it decodes as in good.
+// refuses it while everything before it decodes as in good. The range
+// coder reads a few bytes ahead of the symbols it has decoded, so the
+// damage is searched for from the unit's end back, and kept where the
+// bodies before the last still decode.
 func tailUnit(t *testing.T) (good []byte, last int, bad []byte) {
 	t.Helper()
 	mod, err := driver.CompileTSASource(map[string]string{"P.tj": tailSrc})
@@ -43,10 +46,14 @@ func tailUnit(t *testing.T) (good []byte, last int, bad []byte) {
 	if err := su.WaitFunc(su.NumFuncs() - 1); err != nil || !named(su.Mod, su.Mod.Funcs[su.NumFuncs()-1], "unused") {
 		t.Fatalf("the last body on the wire is not the one main never calls (%v)", err)
 	}
-	for i := last; i < len(good); i++ {
+	for i := len(good) - 1; i >= last-8; i-- {
 		bad = bytes.Clone(good)
 		bad[i] ^= 0x40
-		if _, err := wire.DecodeVerified(bad); err != nil {
+		if _, err := wire.DecodeVerified(bad); err == nil {
+			continue
+		}
+		su, err := wire.DecodeVerifiedStream(bytes.NewReader(bad), wire.DecodeOptions{})
+		if err == nil && su.WaitFunc(su.NumFuncs()-2) == nil {
 			return good, last, bad
 		}
 	}

@@ -44,6 +44,9 @@ type symWriter interface {
 	opcode(v int)
 	level(v, n int)
 	register(v, n int)
+	// cstKind writes a CST node's kind, which the adaptive model decides
+	// in ctx, the context of the node's place in the tree (cstRoot …).
+	cstKind(v, ctx int)
 	uvarint(v uint64)
 	svarint(v int64)
 	float64bits(f float64)
@@ -63,6 +66,7 @@ type symReader interface {
 	opcode() (int, error)
 	level(n int) (int, error)
 	register(n int) (int, error)
+	cstKind(ctx int) (int, error)
 	uvarint() (uint64, error)
 	svarint() (int64, error)
 	float64bits() (float64, error)
@@ -129,6 +133,7 @@ func (w *bitWriter) symbol(v, n int) {
 func (w *bitWriter) opcode(v int)      { w.symbol(v, core.NumOps) }
 func (w *bitWriter) level(v, n int)    { w.symbol(v, n) }
 func (w *bitWriter) register(v, n int) { w.symbol(v, n) }
+func (w *bitWriter) cstKind(v, _ int)  { w.symbol(v, core.NumCSTKinds) }
 
 // uvarint emits an unbounded non-negative integer as 4-bit groups, each
 // preceded by a continuation bit.
@@ -229,6 +234,7 @@ func (r *bitReader) symbol(n int) (int, error) {
 func (r *bitReader) opcode() (int, error)        { return r.symbol(core.NumOps) }
 func (r *bitReader) level(n int) (int, error)    { return r.symbol(n) }
 func (r *bitReader) register(n int) (int, error) { return r.symbol(n) }
+func (r *bitReader) cstKind(int) (int, error)    { return r.symbol(core.NumCSTKinds) }
 
 func (r *bitReader) uvarint() (uint64, error) {
 	var v uint64

@@ -47,11 +47,14 @@ func (d *decoder) decodeBlocks(n *core.CSTNode) error {
 
 func (d *decoder) decodeBlock(b *core.Block) error {
 	f, tt := d.f, d.m.Types
-	d.r.setProd(prodBlock)
+	// Every predecessor of b is known: the normal edges from the tree's
+	// shape, and a handler's exception edges from the sites before it.
+	d.r.setProd(phiProd(len(b.Preds)))
 	nPhis, err := d.count("phi")
 	if err != nil {
 		return err
 	}
+	d.r.setProd(prodBlock)
 	// A block with no predecessors offers no edge alphabet to draw phi
 	// operands from: checked before the phis are read, and by DecodeModule
 	// too, which must not produce unverifiable modules at all.

@@ -65,26 +65,27 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 		},
 		"CST children": func(w symWriter) {
 			body(w)
-			w.symbol(int(core.CSeq), core.NumCSTKinds)
+			w.cstKind(int(core.CSeq), cstRoot)
 			w.uvarint(declared)
 		},
 		"phis": func(w symWriter) {
 			// The entry block has no predecessors and may not declare
 			// phis; the block after an if may.
 			body(w)
-			w.symbol(int(core.CSeq), core.NumCSTKinds)
+			w.cstKind(int(core.CSeq), cstRoot)
 			w.uvarint(3)
-			w.symbol(int(core.CBlock), core.NumCSTKinds)
-			w.symbol(int(core.CIf), core.NumCSTKinds)
+			w.cstKind(int(core.CBlock), cstFirst)
+			w.cstKind(int(core.CIf), cstAfter+int(core.CBlock))
 			w.bit(false)
-			w.symbol(int(core.CBlock), core.NumCSTKinds)
-			w.symbol(int(core.CBlock), core.NumCSTKinds)
-			for i := 0; i < 2; i++ {
+			w.cstKind(int(core.CBlock), cstThen)
+			w.cstKind(int(core.CBlock), cstAfter+int(core.CIf))
+			for _, preds := range []int{0, 1} {
+				w.setProd(phiProd(preds))
+				w.uvarint(0)
 				w.setProd(prodBlock)
 				w.uvarint(0)
-				w.uvarint(0)
 			}
-			w.setProd(prodBlock)
+			w.setProd(prodJoinPhis)
 			w.uvarint(declared)
 		},
 		// A method's name declares the longest string a stream may and
@@ -112,9 +113,10 @@ func TestDeclaredCountsAllocateNothing(t *testing.T) {
 		},
 		"instructions": func(w symWriter) {
 			body(w)
-			w.symbol(int(core.CBlock), core.NumCSTKinds)
-			w.setProd(prodBlock)
+			w.cstKind(int(core.CBlock), cstRoot)
+			w.setProd(prodPhis)
 			w.uvarint(0)
+			w.setProd(prodBlock)
 			w.uvarint(declared)
 		},
 	}

@@ -48,6 +48,7 @@ func (c *strCollector) symbol(int, int)     {}
 func (c *strCollector) opcode(int)          {}
 func (c *strCollector) level(int, int)      {}
 func (c *strCollector) register(int, int)   {}
+func (c *strCollector) cstKind(int, int)    {}
 func (c *strCollector) uvarint(uint64)      {}
 func (c *strCollector) svarint(int64)       {}
 func (c *strCollector) float64bits(float64) {}

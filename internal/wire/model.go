@@ -17,10 +17,27 @@ import (
 const (
 	prodTables = int(core.NumOps) + iota // type/field/method/class tables
 	prodCST                              // control structure tree productions
-	prodBlock                            // per-block phi and instruction counts
+	prodBlock                            // per-block phi types and instruction counts
 	prodRefs                             // phase-3 phi operands and CST refs
 	numProd
+
+	// A block's phi count is a production of its own, picked by whether
+	// the block has one predecessor (most blocks, which have no phi) or
+	// several. The two take the productions of the opcodes no instruction
+	// has as its payload: OpInvalid, which no admitted instruction is,
+	// and OpPhi, which no block's code holds.
+	prodPhis     = int(core.OpInvalid)
+	prodJoinPhis = int(core.OpPhi)
 )
+
+// phiProd is the production of the phi count of a block of npreds
+// predecessors.
+func phiProd(npreds int) int {
+	if npreds >= 2 {
+		return prodJoinPhis
+	}
+	return prodPhis
+}
 
 // An opcode is a symbol of the NumOps alphabet, its opBits code bits all
 // decided in one prefix tree (opTree) — the tree of the opcode before it
@@ -36,6 +53,48 @@ var (
 )
 
 type opTree [1<<opBits - 1]uint16
+
+// A CST node's kind is a symbol of the NumCSTKinds alphabet, its cstBits
+// code bits decided in the prefix tree (cstTree) of the node's place in
+// the tree: the root; a sequence's first child, or a child after a
+// sibling of each kind; an if's then or else arm; either kid of a while,
+// a do-while or a try.
+const cstBits = 4
+
+// cstBits is bits.Len(NumCSTKinds-1).
+var (
+	_ [core.NumCSTKinds - 1<<(cstBits-1) - 1]struct{}
+	_ [1<<cstBits - core.NumCSTKinds]struct{}
+)
+
+type cstTree [1<<cstBits - 1]uint16
+
+// The contexts of a CST node's kind: cstAfter+k after a sibling of kind
+// k, and kid i of a while, a do-while or a try at cstWhile+i,
+// cstDoWhile+i or cstTry+i.
+const (
+	cstRoot    = 0
+	cstFirst   = 1 // a sequence's first child
+	cstAfter   = 2
+	cstThen    = cstAfter + core.NumCSTKinds
+	cstElse    = cstThen + 1
+	cstWhile   = cstElse + 1
+	cstDoWhile = cstWhile + 2
+	cstTry     = cstDoWhile + 2
+	numCSTCtx  = cstTry + 2
+)
+
+// cstKids is where the contexts of a while's, a do-while's or a try's two
+// kids start.
+func cstKids(k core.CSTKind) int {
+	switch k {
+	case core.CWhile:
+		return cstWhile
+	case core.CDoWhile:
+		return cstDoWhile
+	}
+	return cstTry
+}
 
 // prodCtx holds the adaptive bit probabilities for one production: the
 // tree contexts of its symbols, standalone flag bits by order of
@@ -108,6 +167,7 @@ func (s *symCtx) class(k int) []uint16 {
 type model struct {
 	prods   [numProd]prodCtx // one per production
 	ops     [core.NumOps]opTree
+	cst     [numCSTCtx]cstTree
 	lvl     symCtx
 	reg     [2]symCtx
 	lit     [256]uint16
@@ -172,6 +232,11 @@ func (m *model) eachProb(f func(*uint16)) {
 	for i := range m.ops {
 		for j := range m.ops[i] {
 			f(&m.ops[i][j])
+		}
+	}
+	for i := range m.cst {
+		for j := range m.cst[i] {
+			f(&m.cst[i][j])
 		}
 	}
 	m.lvl.eachProb(f)
@@ -288,6 +353,13 @@ func (w *acWriter) opcode(v int) {
 	}
 	acEncodeCode(w.rc, w.mdl.ops[w.op][:], nil, opBits, v, core.NumOps)
 	w.op = v
+}
+
+func (w *acWriter) cstKind(v, ctx int) {
+	if v < 0 || v >= core.NumCSTKinds {
+		panic(fmt.Sprintf("wire: CST kind %d outside alphabet of size %d", v, core.NumCSTKinds))
+	}
+	acEncodeCode(w.rc, w.mdl.cst[ctx][:], nil, cstBits, v, core.NumCSTKinds)
 }
 
 func (w *acWriter) level(v, n int) {
@@ -419,6 +491,10 @@ func (r *acReader) opcode() (int, error) {
 	v, err := r.rc.code(r.mdl.ops[r.op][:], nil, opBits, core.NumOps)
 	r.op = v
 	return v, err
+}
+
+func (r *acReader) cstKind(ctx int) (int, error) {
+	return r.rc.code(r.mdl.cst[ctx][:], nil, cstBits, core.NumCSTKinds)
 }
 
 func (r *acReader) level(n int) (int, error) {

@@ -25,10 +25,11 @@ func TestModelTemplate(t *testing.T) {
 	// the class of widths 6 and up) and 18 deep positions (6 to 23): 138.
 	// A production is a symCtx, 8 flags, 16 continuations and 16x4
 	// payload bits: 226, times 26 productions is 5 876. Add the opcode
-	// trees (22 of 31 nodes: 682), the reference contexts (l, r near, r
-	// far: 414), 256 literal-byte nodes, and a flag and a symCtx each for
-	// the dictionary's strings and the unit's own (278): 7 506.
-	const count = 7506
+	// trees (22 of 31 nodes: 682), the CST kinds' trees (20 of 15 nodes:
+	// 300), the reference contexts (l, r near, r far: 414), 256
+	// literal-byte nodes, and a flag and a symCtx each for the
+	// dictionary's strings and the unit's own (278): 7 806.
+	const count = 7806
 	if n != modelProbCount || n != count {
 		t.Errorf("eachProb visits %d probabilities, modelProbCount is %d; want both %d", n, modelProbCount, count)
 	}
@@ -50,6 +51,8 @@ func TestModelTemplate(t *testing.T) {
 //     against probabilities earlier alphabets have moved;
 //   - runs of opcodes in 300 blocks, each decided in the tree of the one
 //     before it, which a block's start resets to OpInvalid's;
+//   - every CST kind in every context of a CST node's kind, the contexts
+//     interleaved;
 //   - strings by every path: a literal, the empty one included, a
 //     reference to the dictionary's table, one to the strings the unit has
 //     sent — among them the first, after 1 000 others.
@@ -59,7 +62,7 @@ func TestAdaptiveSymbolRoundTrip(t *testing.T) {
 		t.Fatalf("alphabets up to %d do not reach past the tree and the class cap", maxN)
 	}
 	type step struct {
-		kind string // "prod", "symbol", "level", "register", "opcode" or "str"
+		kind string // "prod", "symbol", "level", "register", "opcode", "cst" or "str"
 		v, n int
 		s    string
 	}
@@ -76,6 +79,11 @@ func TestAdaptiveSymbolRoundTrip(t *testing.T) {
 			op := (b*7 + i*i*5) % core.NumOps
 			script = append(script, step{kind: "opcode", v: op}, step{kind: "prod", v: op},
 				step{kind: "symbol", v: b % 3, n: 3})
+		}
+	}
+	for v := 0; v < core.NumCSTKinds; v++ {
+		for ctx := 0; ctx < numCSTCtx; ctx++ {
+			script = append(script, step{kind: "cst", v: (v + ctx) % core.NumCSTKinds, n: ctx})
 		}
 	}
 	for _, s := range []string{"", "a", "", "dict0", "a", "dict1", "b"} {
@@ -102,6 +110,8 @@ func TestAdaptiveSymbolRoundTrip(t *testing.T) {
 			w.register(st.v, st.n)
 		case "opcode":
 			w.opcode(st.v)
+		case "cst":
+			w.cstKind(st.v, st.n)
 		case "str":
 			w.str(st.s)
 		}
@@ -126,6 +136,8 @@ func TestAdaptiveSymbolRoundTrip(t *testing.T) {
 			got, err = r.register(st.n)
 		case "opcode":
 			got, err = r.opcode()
+		case "cst":
+			got, err = r.cstKind(st.n)
 		case "str":
 			if s, err = r.str(); err != nil || s != st.s {
 				t.Fatalf("step %d: string %q decoded as %q (%v)", i, st.s, s, err)
