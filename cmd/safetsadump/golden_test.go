@@ -42,19 +42,24 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenTSADump pins the .tsa disassembly of the quickstart program:
-// any change to the wire format, the decoder, or the printer shows up as
-// a diff here.
+// TestGoldenTSADump pins the .tsa disassembly of the quickstart program
+// in wire v1 and in v2: any change to the wire format, the decoder, or the
+// printer shows up as a diff here.
 func TestGoldenTSADump(t *testing.T) {
 	mod, err := driver.CompileTSASource(quickstartFiles(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dumpTSA(wire.EncodeModule(mod))
-	if err != nil {
-		t.Fatal(err)
+	for golden, data := range map[string][]byte{
+		"quickstart.tsa.golden":    wire.EncodeModule(mod),
+		"quickstart.v2.tsa.golden": wire.EncodeModuleV2(mod, nil),
+	} {
+		got, err := dumpTSA(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, golden, got)
 	}
-	checkGolden(t, "quickstart.tsa.golden", got)
 }
 
 // TestGoldenJBCDump pins the baseline class-file disassembly of the same

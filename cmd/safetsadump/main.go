@@ -1,5 +1,6 @@
 // Command safetsadump disassembles mobile-code containers. For a SafeTSA
-// distribution unit it prints the textual form of the paper's Figure 4
+// distribution unit it prints its container line (wire version, v2 model
+// revision, payload bytes) and the textual form of the paper's Figure 4
 // (type-separated instructions with (l-r) operand references inside the
 // Control Structure Tree); with -jbc it compiles TJ source through the
 // baseline pipeline and prints the class-file disassembly (the baseline's
@@ -60,14 +61,19 @@ func main() {
 	fmt.Print(out)
 }
 
-// dumpTSA decodes a distribution unit and renders the Figure-4-style
-// disassembly.
+// dumpTSA decodes a distribution unit and renders its container line and
+// the Figure-4-style disassembly.
 func dumpTSA(data []byte) (string, error) {
+	c, err := wire.ReadContainer(data)
+	if err != nil {
+		return "", err
+	}
 	mod, err := wire.DecodeModule(data)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s\n", c)
 	tt := mod.Types
 	fmt.Fprintf(&sb, "types: %d (%d implicit)\n", len(tt.ByID)-1, tt.ImplicitLen-1)
 	for _, cd := range mod.Classes {
