@@ -46,12 +46,12 @@ func TestKeyForGolden(t *testing.T) {
 		"Util.tj": "class Util { static int twice(int x) { return x * 2; } } //   café\n",
 	}
 	want := []string{
-		"2ab970951f2a04efb20d74f76445e501ba257a8e16af85f01166e8018f393735",
-		"b1cdbc8187d6d88cdca0b7ff4ce1976b989351c41cd406f6b3ac3e94e8261fe1",
-		"76319d3e312722d468888ebf7798f474d2bc46110b1b5459f373ca901156e097",
-		"0fdc71346d3e632c8b0261befaf25da892721e6ac29b8ff94fd7526bbd7f0391",
-		"33694e95c66e226c21f4111661a886e168d47bbce1c0ab6bcee593705af38f05",
-		"6c2c6996a240c8b7f33c51f9fcabbd8001510bc38263ff509791d73470507f3b",
+		"b60dc00e3ed16bf76b9fd216b324ea1b23d3fb0d2bd0774b037d87ebaa5f4e37",
+		"809e03d2f909caf849d522c3b084df05fb17347dca086888ca65852d4e59e20d",
+		"62534bcb8380d9701c87dc38692951fdbc86d08d67b0d85b6770e69910acc77b",
+		"687794132b25404686fe2fe354142c283e0101f5ce13c62678990c12530b6462",
+		"b75d74c323694298457bb2a93e581dc3730b3c89a4d5a795b89a55fc3f48cdff",
+		"00b97756ff2e7e5bbf7a5005b8e3eac3cfce094b078ac9e91ac8607f89d7ec72",
 	}
 	for i, o := range resolvedOptionRows {
 		if got := KeyFor(files, o).String(); got != want[i] {
@@ -197,32 +197,32 @@ var compileRequestSeeds = []struct {
 	hash   string
 }{
 	{"json_marshal_html_escaped", `{"files":{"Hello.tj":"class Hello {\n\tstatic void main() { System.out.println(\"\u003ca\u0026b\u003e\u2028\" + (6 * 7)); }\n}\n"},"optimize":true,"module_opt":false}`,
-		true, 200, "048ca47f25fe0d4a6c94b0f5ea18dec98da07f95da58f2dbc330e1b9d8cc6347"},
+		true, 200, "d92b726d3a77e2e0d5e349239404c02a8117785e1894d765e95011aa75465881"},
 	{"members_reordered_spaced", "  {\r\n\t\"module_opt\" : true ,\n \"files\" : { \"B.tj\" : \"class B { }\" , \"A.tj\" : \"class A { static void main() { } }\" } }\n ",
-		true, 200, "3d5d14a7d2f82040f2763e96c54ee1a0d5297d7d1075dd8c9c0af7cc1493c6eb"},
+		true, 200, "b8bb5ab5e88f1a649334f437390eb1e9cbd3804a0fcf5a3b6fb1f57131de8225"},
 	{"escapes_all_eight", `{"files":{"A\/.tj":"class A { static void main() { } } /* \"\\\/\b\f\n\r\t\u00e9\u000A */"}}`,
-		true, 200, "38489e76a4c360c97270472560b3dbcd36ca29eaa47637176cef4081ae315d2c"},
+		true, 200, "030d7d6435f0bf146f2b4d70221144f1e297dc959b474e732217e9b2fef79e5f"},
 	{"escaped_member_name", `{"fil\u0065s":{"A.tj":"class A { static void main() { } }"}}`,
-		true, 200, "1bd195d2c09d818c886c66daab0c23b1f9e5e12092d2eb06bcd309591fd79ed7"},
+		true, 200, "eb776cf01169d71f75dd2d487412bb92ae063826ac78681a0610d4741764ef4d"},
 	{"empty_object", `{}`, true, 400, ""},
 	{"surrogate_pair", `{"files":{"A.tj":"class A { static void main() { System.out.println(\"\ud83d\ude00\"); } }"}}`,
-		false, 200, "e0f6e893c38c8e85332484029105105553d2c201631effb9c52aa33a776cb007"},
+		false, 200, "d5a8f17630f911fd93c53d2cd1d89dfcd7be61473f242585c65edea814d3fae7"},
 	{"lone_surrogate", `{"files":{"A.tj":"class A { static void main() { System.out.println(\"\ud800\"); } }"}}`,
-		false, 200, "49479889d75e8a38f726930e9d0c560672edc4e8ee24a86c4ed1044496a7af9c"},
+		false, 200, "d78cd906517664a40e0c33d8c2cd312fe3fa3362d8ed4c61c4740453ebca8c8b"},
 	{"invalid_utf8", "{\"files\":{\"A.tj\":\"class A { static void main() { } } // \xff\xc0\xaf\"}}",
-		false, 200, "37f1e16b4837f2f4fe218fc9040206f4ff54548907d89b6e51df31fd233f450e"},
+		false, 200, "01937a142cddc7f9130254540bf218aba2e0f53e69c5fa9b06b9df31ce9a87eb"},
 	{"duplicate_file_name", `{"files":{"A.tj":"class A { }","A.tj":"class A { static void main() { } }"}}`,
-		false, 200, "1bd195d2c09d818c886c66daab0c23b1f9e5e12092d2eb06bcd309591fd79ed7"},
+		false, 200, "eb776cf01169d71f75dd2d487412bb92ae063826ac78681a0610d4741764ef4d"},
 	{"duplicate_files_member", `{"files":{"A.tj":"class A { static void main() { } }"},"files":{"B.tj":"class B { }"}}`,
-		false, 200, "d1ae6b1ce5b55ffc8ae1ce462d6924be01ff90625e64acb3fa7990b1e9c3a98f"},
+		false, 200, "a6ab322d724a443b409ea261c45e09ec9ce66ad61c5a3b06afdfc0e086eaea50"},
 	{"duplicate_optimize", `{"optimize":false,"files":{"A.tj":"class A { static void main() { } }"},"optimize":true}`,
-		false, 200, "54a11f137130b4cf03fd0224150eb65389573a665b737846e66bf56477a9a302"},
+		false, 200, "82f811fc0fae00a49dcd742523535aa1cc97840cfa4425254f4fa834d060d466"},
 	{"uppercase_member", `{"FILES":{"A.tj":"class A { static void main() { } }"},"Optimize":true}`,
-		false, 200, "54a11f137130b4cf03fd0224150eb65389573a665b737846e66bf56477a9a302"},
+		false, 200, "82f811fc0fae00a49dcd742523535aa1cc97840cfa4425254f4fa834d060d466"},
 	{"unknown_member", `{"files":{"A.tj":"class A { static void main() { } }"},"engine":"compiled"}`,
-		false, 200, "1bd195d2c09d818c886c66daab0c23b1f9e5e12092d2eb06bcd309591fd79ed7"},
+		false, 200, "eb776cf01169d71f75dd2d487412bb92ae063826ac78681a0610d4741764ef4d"},
 	{"optimize_null", `{"files":{"A.tj":"class A { static void main() { } }"},"optimize":null}`,
-		false, 200, "1bd195d2c09d818c886c66daab0c23b1f9e5e12092d2eb06bcd309591fd79ed7"},
+		false, 200, "eb776cf01169d71f75dd2d487412bb92ae063826ac78681a0610d4741764ef4d"},
 	{"files_null", `{"files":null,"optimize":true}`, false, 400, ""},
 	{"top_level_null", `null`, false, 400, ""},
 	{"raw_control_byte", "{\"files\":{\"A.tj\":\"class A { }\x01\"}}", false, 400, ""},
