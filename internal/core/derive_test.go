@@ -233,6 +233,46 @@ func chain(depth, leaves int) *Module {
 	return m
 }
 
+// TestOverrideChainDerives: a chain of 3 000 classes that each override
+// one method has dispatch tables of four entries, and deriving them costs
+// work in proportion to the chain: the search for a static the override
+// would hide looks only through the classes that declare one. A static of
+// the method's signature halfway down the chain is still found, from the
+// class below it and from the last.
+func TestOverrideChainDerives(t *testing.T) {
+	const depth = 3000
+	overrides := func() *Module {
+		m := chain(depth, 0)
+		for i := range m.Methods[3:] {
+			m.Methods[3+i].Name = "m"
+		}
+		// The root declares a static of another signature, which every
+		// override's search reads.
+		m.Methods = append(m.Methods, MethodRef{Owner: m.Classes[0].Type, Name: "s", Result: m.Types.Void, Static: true})
+		m.PlaceBodies()
+		return m
+	}
+	m := overrides()
+	if _, err := m.DeriveTables(nil); err != nil {
+		t.Fatalf("a %d-class chain of overrides: %v", depth, err)
+	}
+	if n := len(m.Classes[depth-1].VTable); n != 4 {
+		t.Errorf("the last class's dispatch table has %d entries, want 4", n)
+	}
+
+	m = overrides()
+	half := m.Classes[depth/2].Type
+	m.Methods = append(m.Methods, MethodRef{Owner: half, Name: "m", Result: m.Types.Void, Static: true})
+	m.PlaceBodies()
+	_, err := m.DeriveTables(nil)
+	for _, k := range []int{depth/2 + 1, depth - 1} {
+		want := fmt.Sprintf("class C%d: method %d (C%d.m()) overrides a static method", k, 3+k, k)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v; want a refusal mentioning %q", err, want)
+		}
+	}
+}
+
 // hostMethodIndex is the index in HostMethods of Object's method name.
 func hostMethodIndex(name string) int {
 	for i, h := range HostMethods() {

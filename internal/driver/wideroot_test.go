@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"safetsa/internal/wire"
 )
 
 // wideRoot is a TJ source of one class of methods methods over a chain of
@@ -46,5 +48,38 @@ func TestFrontendBytesBoundedBySource(t *testing.T) {
 	t.Logf("%d B of source, %d B allocated: %.1f B per byte", len(src), least, perByte)
 	if perByte > 64 {
 		t.Errorf("the front end allocated %.1f B per source byte, over 64", perByte)
+	}
+}
+
+// overrideChain is a TJ source of a chain of depth classes under C0, each
+// overriding C0's one virtual method, whose main calls it on the last.
+func overrideChain(depth int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "class C0 {\n    int m() { return 0; }\n")
+	fmt.Fprintf(&b, "    static void main() { C0 x = new C%d(); System.out.println(x.m()); }\n}\n", depth)
+	for i := 1; i <= depth; i++ {
+		fmt.Fprintf(&b, "class C%d extends C%d { int m() { return %d; } }\n", i, i-1, i)
+	}
+	return b.String()
+}
+
+// TestOverrideChainCompiles: a chain of 3 000 classes that each override
+// one method is a valid program whose dispatch tables hold four entries
+// each. The front end and admission search the superclasses of each
+// override in steps proportional to the program, so it compiles, decodes
+// through DecodeVerified and runs.
+func TestOverrideChainCompiles(t *testing.T) {
+	const depth = 3000
+	mod, err := CompileTSASource(map[string]string{"O.tj": overrideChain(depth)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := wire.DecodeVerified(wire.EncodeModuleV2(mod, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := RunModule(dec, 1_000_000)
+	if err != nil || out != fmt.Sprintln(depth) {
+		t.Fatalf("ran %q, %v; want %d", out, err, depth)
 	}
 }

@@ -75,6 +75,37 @@ func TestHierarchyErrors(t *testing.T) {
 	}
 }
 
+// TestOverridesSeeOnlyTheirSuperclasses: the override check sees what a
+// class inherits and nothing of its siblings' subtrees: a static above is
+// found past a class that declares none, the nearest of two inherited
+// methods is the one a result is checked against, and methods of five
+// parameters are told apart by the ones past the fourth.
+func TestOverridesSeeOnlyTheirSuperclasses(t *testing.T) {
+	checkOK(t, `
+class A { static void f() { } int g() { return 1; } }
+class B extends A { }
+class C { void f() { } long g() { return 1; } }
+class D extends C { void f() { } long g() { return 2; } }
+class E extends A { long g(int x) { return 1; } }
+class F { void h(int a, int b, int c, int d, int e) { } }
+class G extends F { static void h(int a, int b, int c, int d, long e) { } }
+class H extends G { void h(int a, int b, int c, int d, int e) { } }
+`)
+	_, errs := check(t, `
+class A { long g() { return 1; } }
+class B extends A { int g() { return 2; } }
+class C extends B { int g() { return 3; } }
+class D extends C { static void s() { } }
+class E extends D { void s() { } }
+class F extends A { void s() { } }
+`)
+	want := "[t.tj:3:21: method B.g() int overrides A.g() long with a different return type " +
+		"t.tj:6:21: method E.s() void overrides a static method]"
+	if fmt.Sprint(errs) != want {
+		t.Errorf("errors %v, want %s", errs, want)
+	}
+}
+
 func TestOverloadResolution(t *testing.T) {
 	checkOK(t, `
 class A {
