@@ -120,8 +120,10 @@ func (a *Arena) Rewind() int {
 // streamed unit, or a resident one its loader holds as a cursor — stops
 // at the highest body its guest calls, so the tail is never decoded. The
 // method references of the bodies are rewritten to match, and the tables
-// are derived over the ordered method table as every consumer derives
-// them (core.Module.DeriveTables); the permutation is semantics-free.
+// derived over the table as built (core.Module.DeriveTables) are moved to
+// what every consumer derives over the ordered table
+// (core.Module.MoveTables), so they are derived once; the permutation is
+// semantics-free.
 func orderFuncsForStreaming(m *core.Module) error {
 	// The call graph reads the dispatch tables of the tables as built.
 	m.PlaceBodies()
@@ -182,6 +184,7 @@ func orderFuncsForStreaming(m *core.Module) error {
 		take(int32(i))
 	}
 	m.Methods = methods
+	m.MoveTables(moved)
 	for _, f := range m.Funcs {
 		if f.Claim >= 0 {
 			f.Claim = moved[f.Claim]
@@ -195,8 +198,7 @@ func orderFuncsForStreaming(m *core.Module) error {
 		}
 	}
 	m.PlaceBodies()
-	_, err := m.DeriveTables(nil)
-	return err
+	return nil
 }
 
 // typeOf maps a sema type to the module type table.
