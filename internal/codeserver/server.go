@@ -543,10 +543,11 @@ const MaxUnitBytes = 64 << 20
 // callable once admitted and lowered. The guest pulls: calling a function
 // that has not arrived reads the body, on the session's own goroutine,
 // exactly as far as that function, and lowers it then
-// (wire.DecodeVerifiedStreamIn + interp.LoadTrustedStreamingIn) — the
-// rule RunUnitOpts's sessions follow, with the same handlers, into a form
-// of the session's own: this door takes nothing from the loader cache or
-// the pool and leaves nothing in them. The cursor decodes, and the session
+// (wire.DecodeVerifiedStreamIn + interp.PulledIn, sized by the function
+// count of the admitted tables) — the rule RunUnitOpts's sessions follow,
+// with the same handlers, into a form of the session's own: this door
+// takes nothing from the loader cache or the pool and leaves nothing in
+// them. The cursor decodes, and the session
 // lowers, into memory lent from the stock a resident unit's is lent from
 // (unitArenas), which the door gives back once the session has finished.
 // Any failure anywhere in the stream — truncation, a function the
@@ -590,7 +591,15 @@ func (s *Server) runStream(ctx context.Context, body io.Reader, opts RunOptions,
 		if su, err = wire.DecodeVerifiedStreamIn(src, wire.DecodeOptions{}, a.First); err != nil {
 			return err
 		}
-		if l, runErr = interp.LoadTrustedStreamingIn(su.Mod, streamGate(su), sess.begin(), a.Second); runErr == nil {
+		gate := streamGate(su)
+		pull := func(fi int) (*core.Func, error) {
+			if err := gate(fi); err != nil {
+				return nil, err
+			}
+			return su.Mod.Funcs[fi], nil
+		}
+		comp := interp.PulledIn(su.Mod, su.NumFuncs(), pull, a.Second)
+		if l, runErr = interp.LoadTrustedCompiled(su.Mod, comp, sess.begin()); runErr == nil {
 			runErr = l.RunMain()
 		}
 		var tailErr error

@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"safetsa/internal/core"
+	"safetsa/internal/corpus"
 	"safetsa/internal/driver"
 	"safetsa/internal/interp"
+	"safetsa/internal/opt"
 	"safetsa/internal/rt"
 	"safetsa/internal/wire"
 )
@@ -512,4 +514,40 @@ class P {
 // derived from its claim) ending in suffix.
 func named(mod *core.Module, f *core.Func, suffix string) bool {
 	return strings.HasSuffix(mod.FuncName(f), suffix)
+}
+
+// TestStreamRefusesEveryTailFlip: the stream door admits a v2 unit's last
+// bytes in the one spelling the encoder writes, so it refuses each
+// single-bit flip in the last 4 bytes of every corpus unit, at O0 and O2.
+// A one-step budget ends each guest at once; the tail decides the unit
+// whatever the guest did.
+func TestStreamRefusesEveryTailFlip(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx := context.Background()
+	for level, moduleLevel := range map[string]bool{"O0": false, "O2": true} {
+		admitted, flips := 0, 0
+		for _, u := range corpus.Units() {
+			mod, err := driver.CompileTSASource(u.Files)
+			if err == nil && moduleLevel {
+				_, err = driver.OptimizeModuleOptions(ctx, mod, opt.Options{ModuleLevel: true})
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", u.Name, err)
+			}
+			unit := wire.EncodeModuleV2(mod, nil)
+			for i := len(unit) - 4; i < len(unit); i++ {
+				for bit := 0; bit < 8; bit++ {
+					flip := bytes.Clone(unit)
+					flip[i] ^= 1 << bit
+					flips++
+					if _, err := s.RunUnitStream(ctx, bytes.NewReader(flip), RunOptions{MaxSteps: 1}); err == nil {
+						admitted++
+					}
+				}
+			}
+		}
+		if flips != 672 || admitted != 0 {
+			t.Errorf("%s: the stream door admits %d of %d tail flips", level, admitted, flips)
+		}
+	}
 }

@@ -48,6 +48,12 @@ func (m *Module) bodyRule(place func(j, claim int32)) (n, entry int32) {
 	return n, entry
 }
 
+// NumBodies is the function count the body rule gives m's tables.
+func (m *Module) NumBodies() int {
+	n, _ := m.bodyRule(func(int32, int32) {})
+	return int(n)
+}
+
 // isMain reports whether mr is a static method main() or main(String[]).
 func (m *Module) isMain(mr *MethodRef) bool {
 	if !mr.Static || mr.IsCtor || mr.Name != "main" {

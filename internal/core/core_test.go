@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -278,40 +279,60 @@ func TestDominatesAndPlaneIndex(t *testing.T) {
 	}
 }
 
+// TestRemoveExcSite: removing a site's edge from its handler, with the
+// site, leaves every other site's edge where the tree puts it.
 func TestRemoveExcSite(t *testing.T) {
 	tt := NewTypeTable()
 	f := NewFunc(-1)
 	entry := f.NewBlock()
 	f.Entry = entry
+	body := f.NewBlock()
+	body.IDom = entry
 	handler := f.NewBlock()
 	handler.IDom = entry
+	body.Preds = []Pred{{From: entry}}
 
 	div := func() *Instr {
-		c := &Instr{Op: OpConst, Type: tt.Int, Const: ConstVal{Kind: KInt, I: 1}, Blk: entry}
+		c := &Instr{Op: OpConst, Type: tt.Int, Const: ConstVal{Kind: KInt, I: 1}, Blk: body}
 		f.Define(c)
-		in := &Instr{Op: OpXPrim, Type: tt.Int, Prim: PIDiv, Args: []ValueID{c.ID, c.ID}, Blk: entry}
+		in := &Instr{Op: OpXPrim, Type: tt.Int, Prim: PIDiv, Args: []ValueID{c.ID, c.ID}, Blk: body}
 		f.Define(in)
-		entry.Code = append(entry.Code, c, in)
+		body.Code = append(body.Code, c, in)
 		return in
 	}
 	d1, d2, d3 := div(), div(), div()
-	for i, in := range []*Instr{d1, d2, d3} {
-		handler.Preds = append(handler.Preds, Pred{From: entry, Site: in})
-		f.AddExcSite(in, handler, i)
+	for _, in := range []*Instr{d1, d2, d3} {
+		handler.Preds = append(handler.Preds, Pred{From: body, Site: in})
 	}
 	phi := &Instr{Op: OpPhi, Type: tt.Int, Args: []ValueID{d1.Args[0], d2.Args[0], d3.Args[0]}, Blk: handler}
 	f.Define(phi)
 	handler.Phis = append(handler.Phis, phi)
+	f.Body = &CSTNode{Kind: CSeq, Kids: []*CSTNode{
+		{Kind: CBlock, Block: entry},
+		{Kind: CTry, Handler: handler, Kids: []*CSTNode{{Kind: CBlock, Block: body}, {Kind: CBlock, Block: handler}}},
+	}}
+	f.Finish()
 
 	f.RemoveExcSite(d2)
+	body.Code = slices.DeleteFunc(body.Code, func(in *Instr) bool { return in == d2 })
 	if len(handler.Preds) != 2 || len(phi.Args) != 2 {
 		t.Fatalf("edge not removed: %d preds, %d phi args", len(handler.Preds), len(phi.Args))
 	}
-	if f.ExcEdge[d1] != 0 || f.ExcEdge[d3] != 1 {
-		t.Errorf("edge indices not renumbered: %d %d", f.ExcEdge[d1], f.ExcEdge[d3])
+	if phi.Args[0] != d1.Args[0] || phi.Args[1] != d3.Args[0] {
+		t.Errorf("phi operands %v, want those of d1 and d3", phi.Args)
 	}
-	if _, ok := f.ExcEdge[d2]; ok {
-		t.Error("removed site still registered")
+	var sites []*Instr
+	f.ExcSites(func(s ExcSite) {
+		sites = append(sites, s.Pred.Site)
+		if s.Handler != handler || handler.Preds[s.Edge] != s.Pred {
+			t.Errorf("v%d is not edge %d of its handler", s.Pred.Site.ID, s.Edge)
+		}
+	}, func(*Block, int) {})
+	if !slices.Equal(sites, []*Instr{d1, d3}) {
+		t.Errorf("sites after removal: %v", sites)
+	}
+	if err := f.PositionsInto(new(Positions)); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -9,11 +9,23 @@ package core
 // interprocedural optimizer tier (devirtualization, inlining).
 
 // Subclasses returns the module's class definitions whose type is a
-// reflexive subclass of root, in Classes order.
+// reflexive subclass of root, in Classes order. The definitions stand in
+// type order, which puts every superclass before its subclasses, so one
+// pass decides each class by its superclass: a class is in when it is
+// root or its superclass is — a unit class already decided, or an
+// imported one the type table puts under root. The set of classes in is
+// on the stack for a table of up to 512 types.
 func (m *Module) Subclasses(root TypeID) []*ClassDef {
+	var small [8]uint64
+	in := small[:]
+	if n := (len(m.Types.ByID) + 63) / 64; n > len(in) {
+		in = make([]uint64, n)
+	}
 	var out []*ClassDef
 	for _, cd := range m.Classes {
-		if m.Types.IsSubclass(cd.Type, root) {
+		s, unit := uint(cd.Super), m.unitClass(cd.Super)
+		if cd.Type == root || unit && in[s/64]&(1<<(s%64)) != 0 || !unit && m.Types.IsSubclass(cd.Super, root) {
+			in[cd.Type/64] |= 1 << (cd.Type % 64)
 			out = append(out, cd)
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // FieldRef is one entry of the module field table ("symbolic reference to
 // a data member" in the paper's getfield/setfield description).
@@ -313,57 +316,68 @@ func cstDeeper(n *CSTNode, levels int) bool {
 	return false
 }
 
-// CheckExcSites reports the first function of m whose exception edges
-// are not the ones its CST implies. The wire spells no edge: a decoder
-// gives every potentially-throwing instruction and throw node inside a
-// try the next edge of its innermost handler, in transmission order, and
-// the handler no other edge. The producer holds itself to that rule.
-func (m *Module) CheckExcSites() error {
-	for _, f := range m.Funcs {
-		if f.Body == nil {
-			continue
-		}
-		if err := f.checkExcSites(f.Body, nil, new(int)); err != nil {
-			return fmt.Errorf("%s: %w", m.FuncName(f), err)
-		}
-	}
-	return nil
+// ExcSite is an exception site of a function body inside a try: a
+// potentially-throwing instruction or a throw node. The wire spells no
+// exception edge (DESIGN.md §10): the site takes the next edge of its
+// innermost handler, in transmission order, and the handler has no other
+// edge. So the site's edge is Handler.Preds[Edge], which is Pred when the
+// body keeps the rule.
+type ExcSite struct {
+	Handler *Block
+	Edge    int
+	// Pred is the edge the site raises along: from its block, with the
+	// instruction as its Site, nil for a throw node.
+	Pred Pred
+	// At is the site's position in its block (Positions), how far into
+	// it the edge's phi operands see; -1 for a throw node, which ends its
+	// block.
+	At int
 }
 
-// checkExcSites walks n as the decoder's decodeBlocks does, with h the
-// innermost handler (nil outside every try) and *next its next edge.
-func (f *Func) checkExcSites(n *CSTNode, h *Block, next *int) error {
-	wrong := func(got *Block, edge int) bool {
-		*next++
-		return got != h || h != nil && edge != *next-1
+// ExcSites walks f's body in transmission order. It calls site for every
+// exception site inside a try, and closed for every try once its body is
+// walked, with the try's handler and the number of sites in its body: the
+// number of edges the rule gives the handler.
+func (f *Func) ExcSites(site func(ExcSite), closed func(h *Block, sites int)) {
+	if f.Body != nil {
+		excSites(f.Body, nil, new(int), site, closed)
 	}
+}
+
+// excSites walks n with h its innermost handler (nil outside every try)
+// and *next the ordinal of h's next edge.
+func excSites(n *CSTNode, h *Block, next *int, site func(ExcSite), closed func(*Block, int)) {
 	switch n.Kind {
 	case CBlock:
-		for _, in := range n.Block.Code {
-			if in.Op.CanThrow() && wrong(f.HandlerOf[in], f.ExcEdge[in]) {
-				return fmt.Errorf("v%d (%s) in b%d is not edge %d of its innermost handler", in.ID, in.Op, n.Block.Index, *next-1)
+		if h == nil {
+			return
+		}
+		for i, in := range n.Block.Code {
+			if in.Op.CanThrow() {
+				site(ExcSite{Handler: h, Edge: *next, Pred: Pred{From: n.Block, Site: in}, At: i + 1})
+				*next++
 			}
 		}
+		return
 	case CThrow:
-		if wrong(f.ThrowHandler[n], f.ThrowEdge[n]) {
-			return fmt.Errorf("the throw from b%d is not edge %d of its innermost handler", n.At.Index, *next-1)
+		if h != nil {
+			site(ExcSite{Handler: h, Edge: *next, Pred: Pred{From: n.At}, At: -1})
+			*next++
 		}
+		return
 	case CTry:
+		if n.Handler == nil || len(n.Kids) != 2 {
+			break // no try the wire can say; its kids are walked as a sequence's
+		}
 		k := 0
-		if err := f.checkExcSites(n.Kids[0], n.Handler, &k); err != nil {
-			return err
-		}
-		if k != len(n.Handler.Preds) {
-			return fmt.Errorf("handler b%d has %d edges for %d sites", n.Handler.Index, len(n.Handler.Preds), k)
-		}
-		return f.checkExcSites(n.Kids[1], h, next)
+		excSites(n.Kids[0], n.Handler, &k, site, closed)
+		closed(n.Handler, k)
+		excSites(n.Kids[1], h, next, site, closed)
+		return
 	}
 	for _, k := range n.Kids {
-		if err := f.checkExcSites(k, h, next); err != nil {
-			return err
-		}
+		excSites(k, h, next, site, closed)
 	}
-	return nil
 }
 
 // Func is one SafeTSA function body.
@@ -384,24 +398,10 @@ type Func struct {
 	// values[id] is the defining instruction of each SSA value;
 	// index 0 unused.
 	values []*Instr
-
-	// ExcEdge maps a potentially-throwing instruction inside a try
-	// region to the index of its exception edge into the innermost
-	// handler block (parallel to Handler.Preds).
-	ExcEdge map[*Instr]int
-	// HandlerOf maps the same instructions to their innermost handler
-	// block.
-	HandlerOf map[*Instr]*Block
-	// ThrowEdge/ThrowHandler play the same role for explicit CThrow
-	// nodes that occur inside a try region.
-	ThrowEdge    map[*CSTNode]int
-	ThrowHandler map[*CSTNode]*Block
 }
 
 // NewFunc creates an empty function with the given claim, with room for a
-// small body's values. The exception-edge maps are made by AddExcSite and
-// AddThrowSite when a first try region needs them; most functions have
-// none, and a nil map reads as empty.
+// small body's values.
 func NewFunc(claim int32) *Func {
 	return &Func{Claim: claim, values: make([]*Instr, 1, 16)}
 }
@@ -422,26 +422,6 @@ func (f *Func) KeepValues(s *Slab[*Instr]) []*Instr {
 	f.values = s.Keep(built)
 	clear(built)
 	return built[:0]
-}
-
-// AddExcSite records that potentially-throwing instruction in raises into
-// handler block h along h.Preds[edge].
-func (f *Func) AddExcSite(in *Instr, h *Block, edge int) {
-	if f.ExcEdge == nil {
-		f.ExcEdge = make(map[*Instr]int)
-		f.HandlerOf = make(map[*Instr]*Block)
-	}
-	f.ExcEdge[in], f.HandlerOf[in] = edge, h
-}
-
-// AddThrowSite is AddExcSite for an explicit CThrow node inside a try
-// region.
-func (f *Func) AddThrowSite(n *CSTNode, h *Block, edge int) {
-	if f.ThrowEdge == nil {
-		f.ThrowEdge = make(map[*CSTNode]int)
-		f.ThrowHandler = make(map[*CSTNode]*Block)
-	}
-	f.ThrowEdge[n], f.ThrowHandler[n] = edge, h
 }
 
 // NewBlock appends a fresh block.
@@ -576,37 +556,29 @@ func (b *Block) number(depth, counter int) int {
 	return counter + 1
 }
 
-// RemoveExcSite detaches a potentially-throwing instruction from its
-// exception handler: the handler loses the corresponding predecessor
-// edge, every handler phi drops the matching operand, and later sites'
-// edge indices shift down. Used when the optimizer deletes a redundant
-// check (the dominating check subsumes its exception behaviour).
-func (f *Func) RemoveExcSite(in *Instr) {
-	h := f.HandlerOf[in]
-	if h == nil {
-		return
-	}
-	k := f.ExcEdge[in]
-	h.Preds = append(h.Preds[:k], h.Preds[k+1:]...)
-	for _, phi := range h.Phis {
-		phi.Args = append(phi.Args[:k], phi.Args[k+1:]...)
-	}
-	delete(f.ExcEdge, in)
-	delete(f.HandlerOf, in)
-	f.ShiftExcEdges(h, k, -1)
-}
-
-// ShiftExcEdges adds by to the index of every edge of handler h past
-// edge k, for a caller that removed or inserted edges after it.
-func (f *Func) ShiftExcEdges(h *Block, k, by int) {
-	for site, e := range f.ExcEdge {
-		if f.HandlerOf[site] == h && e > k {
-			f.ExcEdge[site] = e + by
+// ExcEdgeOf finds the exception edge of potentially-throwing instruction
+// in: its handler h and the edge's index k there, the edge's position in
+// h.Preds; h is nil for a site outside every try.
+func (f *Func) ExcEdgeOf(in *Instr) (h *Block, k int) {
+	e := Pred{From: in.Blk, Site: in}
+	for _, b := range f.Blocks {
+		if k := slices.Index(b.Preds, e); k >= 0 {
+			return b, k
 		}
 	}
-	for node, e := range f.ThrowEdge {
-		if f.ThrowHandler[node] == h && e > k {
-			f.ThrowEdge[node] = e + by
+	return nil, -1
+}
+
+// RemoveExcSite removes the exception edge of potentially-throwing
+// instruction in from its handler, and from every phi of the handler the
+// matching operand; the edges after it keep their order. Used when the
+// optimizer deletes a redundant check (the dominating check subsumes its
+// exception behaviour), with the check.
+func (f *Func) RemoveExcSite(in *Instr) {
+	if h, k := f.ExcEdgeOf(in); h != nil {
+		h.Preds = slices.Delete(h.Preds, k, k+1)
+		for _, phi := range h.Phis {
+			phi.Args = slices.Delete(phi.Args, k, k+1)
 		}
 	}
 }

@@ -501,7 +501,7 @@ func TestSignatureRuleTable(t *testing.T) {
 }
 
 // TestSignatureRejectsNonCodeOpcodes: what has no place in a transmitted
-// code section has no signature — except mem0 inside the optimizer.
+// code section has no signature.
 func TestSignatureRejectsNonCodeOpcodes(t *testing.T) {
 	for _, tc := range []struct {
 		op   Op
@@ -518,11 +518,6 @@ func TestSignatureRejectsNonCodeOpcodes(t *testing.T) {
 		}}
 		fx.build(c)
 		wantRejected(t, fx.m, tc.want)
-		if tc.op == OpMem0 {
-			if err := fx.m.Verify(VerifyOptions{AllowMem: true}); err != nil {
-				t.Errorf("mem0 rejected inside the optimizer: %v", err)
-			}
-		}
 	}
 }
 
@@ -662,7 +657,7 @@ func TestLinkRule(t *testing.T) {
 	}
 	stray := *m.Funcs[3]
 	for j, f := range []*Func{m.Funcs[0], m.Funcs[1], m.Funcs[2], m.Funcs[3]} {
-		if err := adm.Admit(j, f, VerifyOptions{}); err != nil {
+		if err := adm.Admit(j, f); err != nil {
 			t.Errorf("function %d refused on arrival: %v", j, err)
 		}
 	}

@@ -5,12 +5,9 @@ import (
 	"fmt"
 )
 
-// VerifyOptions tunes verification.
-type VerifyOptions struct {
-	// AllowMem permits the optimizer-internal memory-state values
-	// (OpMem0 and mem-typed phis); the wire format never carries them.
-	AllowMem bool
-}
+// VerifyOptions is empty: Verify takes no options. Callers outside
+// internal/ spell it.
+type VerifyOptions struct{}
 
 // Verify admits the module's tables (DeriveTables, which installs what
 // it derives of them), then each function index (Admission.Admit): the
@@ -30,7 +27,7 @@ type VerifyOptions struct {
 // Signature — and only the structural half is an independent check; for
 // ssabuild and opt output, which build instructions by hand, all of it
 // is.
-func (m *Module) Verify(opts VerifyOptions) error {
+func (m *Module) Verify(VerifyOptions) error {
 	adm, err := m.DeriveTables(nil)
 	if err != nil {
 		return err
@@ -41,7 +38,7 @@ func (m *Module) Verify(opts VerifyOptions) error {
 	var errs []error
 	var pos Positions // one table, rebuilt for each function
 	for j, f := range m.Funcs {
-		if err := adm.admit(j, f, opts, &pos); err != nil {
+		if err := adm.admit(j, f, &pos); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -95,16 +92,16 @@ func (a *Admission) Link(j int, f *Func) error {
 // tables and on f, which is why a function admitted while the rest of its
 // unit is still in flight is exactly as trustworthy as one admitted by
 // Verify.
-func (a *Admission) Admit(j int, f *Func, opts VerifyOptions) error {
-	return a.admit(j, f, opts, new(Positions))
+func (a *Admission) Admit(j int, f *Func) error {
+	return a.admit(j, f, new(Positions))
 }
 
 // admit is Admit with the walker's position table built in pos.
-func (a *Admission) admit(j int, f *Func, opts VerifyOptions, pos *Positions) error {
+func (a *Admission) admit(j int, f *Func, pos *Positions) error {
 	if err := a.Link(j, f); err != nil {
 		return err
 	}
-	if err := a.m.verifyFunc(f, opts, pos); err != nil {
+	if err := a.m.verifyFunc(f, pos); err != nil {
 		return fmt.Errorf("function %d (%s): %w", j, a.m.FuncName(f), err)
 	}
 	return nil
@@ -263,11 +260,14 @@ type Positions struct {
 	limit []int32 // by edge: the position of its throwing site, -1 for a normal edge
 }
 
-// PositionsInto builds the table in p's memory, when it is long enough.
-// An exception edge whose site no block holds (or that HandlerOf/ExcEdge
-// do not name) keeps position 0: nothing of its source block is in scope
-// on it, and Rules.ExcEdge refuses it.
-func (f *Func) PositionsInto(p *Positions) {
+// PositionsInto builds the table in p's memory, when it is long enough,
+// and places each exception edge at its site (Func.ExcSites). It refuses a
+// body whose exception edges are not the ones its CST implies: a site
+// inside a try that is not the next edge of its innermost handler, or a
+// handler with an edge no site accounts for. An exception edge that no
+// site takes keeps position 0: nothing of its source block is in scope on
+// it, and Rules.ExcEdge refuses it.
+func (f *Func) PositionsInto(p *Positions) error {
 	nv, nb, ne := len(f.values), len(f.Blocks), 0
 	for _, b := range f.Blocks {
 		ne += len(b.Preds)
@@ -293,26 +293,36 @@ func (f *Func) PositionsInto(p *Positions) {
 			ne++
 		}
 	}
-	place := func(b *Block, in *Instr, at int32) {
-		if f.Value(in.ID) == in {
-			p.val[in.ID] = at
-		}
-		h := f.HandlerOf[in]
-		if h == nil || uint(h.Index) >= uint(nb) || f.Blocks[h.Index] != h {
-			return
-		}
-		if k := f.ExcEdge[in]; uint(k) < uint(len(h.Preds)) && h.Preds[k] == (Pred{From: b, Site: in}) {
-			p.limit[int(p.first[h.Index])+k] = at
-		}
-	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Phis {
-			place(b, in, 0)
+			if f.Value(in.ID) == in {
+				p.val[in.ID] = 0
+			}
 		}
 		for i, in := range b.Code {
-			place(b, in, int32(i+1))
+			if f.Value(in.ID) == in {
+				p.val[in.ID] = int32(i + 1)
+			}
 		}
 	}
+	var err error
+	f.ExcSites(func(s ExcSite) {
+		h := s.Handler
+		switch {
+		case err != nil:
+		case uint(h.Index) >= uint(nb) || f.Blocks[h.Index] != h:
+			err = fmt.Errorf("try handler is not a block of the function")
+		case s.Edge >= len(h.Preds) || h.Preds[s.Edge] != s.Pred:
+			err = fmt.Errorf("exception edge %d of handler block %d is not its site's", s.Edge, h.Index)
+		default:
+			p.limit[int(p.first[h.Index])+s.Edge] = int32(s.At)
+		}
+	}, func(h *Block, sites int) {
+		if err == nil && sites != len(h.Preds) {
+			err = fmt.Errorf("handler block %d has %d exception edges for %d sites", h.Index, len(h.Preds), sites)
+		}
+	})
+	return err
 }
 
 // Reset empties p for a body whose values are placed one by one, with
@@ -373,10 +383,9 @@ func (p *Positions) limitAt(bi, k int) int { return int(p.limit[int(p.first[bi])
 // appended (dominators and reference blocks from the tree's shape, edges
 // once the block section is read, definitions before their uses).
 type Rules struct {
-	m        *Module
-	f        *Func
-	pos      *Positions
-	allowMem bool
+	m   *Module
+	f   *Func
+	pos *Positions
 }
 
 // Rules is the rule set for the body f of a function the tables claim,
@@ -414,10 +423,7 @@ func (r *Rules) Phi(b *Block, in *Instr) (operands bool, err error) {
 		return false, instrErr(b, in, fmt.Errorf("arity %d != %d predecessors", len(in.Args), len(b.Preds)))
 	}
 	if in.Type == r.m.Types.Mem {
-		if !r.allowMem {
-			return false, instrErr(b, in, fmt.Errorf("memory-state phi outside optimization"))
-		}
-		return false, nil
+		return false, instrErr(b, in, fmt.Errorf("memory-state phi outside optimization"))
 	}
 	if in.Bind != NoValue {
 		if _, err := r.available(in.Bind, b, 0); err != nil {
@@ -462,7 +468,7 @@ func (r *Rules) PhiOperand(b *Block, in *Instr, k, limit int) error {
 // operands see (PhiOperand's limit).
 func (r *Rules) ExcEdge(e Pred, at int) error {
 	if in := e.Site; in.Blk != e.From || !in.Op.CanThrow() || at < 1 {
-		return fmt.Errorf("exception edge from block %d: %s is not a throwing site registered there", e.From.Index, in.Op)
+		return fmt.Errorf("exception edge from block %d: %s is not a throwing site that takes it there", e.From.Index, in.Op)
 	}
 	return nil
 }
@@ -564,15 +570,15 @@ func describePlane(tt *TypeTable, k PlaneKey) string {
 // position table in pos and feeds every item of f to its rule, working
 // out each fact — positions, edge limits, signatures, reference planes —
 // from the finished body, and reports every rule broken.
-func (m *Module) verifyFunc(f *Func, opts VerifyOptions, pos *Positions) error {
-	f.PositionsInto(pos)
-	r := Rules{m: m, f: f, pos: pos, allowMem: opts.AllowMem}
+func (m *Module) verifyFunc(f *Func, pos *Positions) error {
+	r := Rules{m: m, f: f, pos: pos}
 	var errs []error
 	report := func(err error) {
 		if err != nil {
 			errs = append(errs, err)
 		}
 	}
+	report(f.PositionsInto(pos))
 	for bi, b := range f.Blocks {
 		report(r.Phis(b, len(b.Phis)))
 		for k, e := range b.Preds {
@@ -591,9 +597,6 @@ func (m *Module) verifyFunc(f *Func, opts VerifyOptions, pos *Positions) error {
 		}
 		for i, in := range b.Code {
 			sig, err := m.Signature(f, in)
-			if in.Op == OpMem0 && opts.AllowMem {
-				sig, err = Signature{Result: m.Types.Mem}, nil
-			}
 			if err != nil {
 				report(r.Code(b, i+1, in, nil))
 				report(instrErr(b, in, err))

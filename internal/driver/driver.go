@@ -114,14 +114,10 @@ func compileTSA(ctx context.Context, prog *sema.Program, ba *ssabuild.Arena) (*c
 // shippable refuses a module that verifies but that no consumer would
 // admit: one whose CST nests deeper than the wire format carries
 // (core.MaxCSTDepth), the program's fault, reported as the parser's own
-// nesting bound is; or one whose exception edges are not the ones its CST
-// implies, the producer's. Every producer stage that can change the
-// module checks again.
+// nesting bound is. Every producer stage that can change the module
+// checks again.
 func shippable(mod *core.Module) error {
-	if err := mod.CheckCSTDepth(); err != nil {
-		return wrapKind(KindParse, err)
-	}
-	return wrapKind(KindInternal, mod.CheckExcSites())
+	return wrapKind(KindParse, mod.CheckCSTDepth())
 }
 
 // CompileTSASource is the one-call helper: source text → verified module.

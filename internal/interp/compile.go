@@ -115,8 +115,6 @@ type Compiled struct {
 	funcs []atomic.Pointer[CFunc] // parallel to Module.Funcs
 	// mod is the module this form was minted from (see bound).
 	mod *core.Module
-	// nFuncs bounds the function indices a lowered call may name.
-	nFuncs int
 	// mu serialises first calls (Loader.lower): the pulls, the lowering,
 	// and every carve from mem.
 	mu sync.Mutex
@@ -126,7 +124,7 @@ type Compiled struct {
 	// session reads mod.Funcs while a pull appends to it.
 	pull func(fi int) (*core.Func, error)
 	// mem is what the form's code is carved from: memory a door lent
-	// (PulledIn, LoadTrustedStreamingIn) or the form's own.
+	// (PulledIn) or the form's own.
 	mem *CodeArena
 }
 
@@ -138,7 +136,7 @@ func newCompiled(mod *core.Module, n int, pull func(fi int) (*core.Func, error),
 	} else {
 		mem.lend()
 	}
-	return &Compiled{mod: mod, nFuncs: n, funcs: make([]atomic.Pointer[CFunc], n), pull: pull, mem: mem}
+	return &Compiled{mod: mod, funcs: make([]atomic.Pointer[CFunc], n), pull: pull, mem: mem}
 }
 
 // Lazy mints mod's compiled form with nothing lowered yet: a session
@@ -181,11 +179,10 @@ func (c *Compiled) body(fi int32) (*core.Func, error) {
 // arrays and headers of every function lowered into one form, so lowering
 // costs a chunk per ~128 records, not an allocation per instruction. A
 // form minted without one has an arena of its own, which the collector
-// takes back with the form; a door that lends one (PulledIn,
-// LoadTrustedStreamingIn) takes it back whole once nothing runs the
-// form's code (Rewind) and lends it to the next unit, whose functions are
-// carved from the same chunks. The zero CodeArena is ready to use; an
-// arena serves one form at a time.
+// takes back with the form; a door that lends one (PulledIn) takes it
+// back whole once nothing runs the form's code (Rewind) and lends it to
+// the next unit, whose functions are carved from the same chunks. The
+// zero CodeArena is ready to use; an arena serves one form at a time.
 type CodeArena struct {
 	funcs core.Slab[CFunc]
 	code  core.Slab[cinst]

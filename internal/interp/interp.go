@@ -20,8 +20,7 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"safetsa/internal/core"
@@ -81,40 +80,23 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // stands in Mod.Funcs, decoding up to it on this goroutine if it must, or
 // returns the stream's terminal error.
 //
-// The session runs on the compiled engine, over a form of its own whose
-// pull is the gate: a function is callable once admitted and lowered, and
-// both happen in one step, the first time the guest calls it
-// (Loader.lower) — gate(i), then the first-call lowering every session of
-// a PulledIn form runs. So execution proceeds exactly as far as verified
-// code exists, only what the guest calls is lowered, and a mid-stream
-// failure — the gate's error, or a function lowering refuses, which
-// satisfies errors.Is(err, errors.ErrUnsupported) — aborts the run and is
-// the error the session ends with. How many functions there will be is
-// only declared, so the gate, not the form, range-checks an index, and
-// the form grows a slot per function the gate admitted. A form that grows
-// is this session's alone: nothing else may run on it, so the session is
-// not one to snapshot.
+// The session runs on the compiled engine, over a PulledIn form of its
+// own, sized by the function count the admitted tables give
+// (core.Module.NumBodies), whose pull is the gate: a function is callable
+// once admitted and lowered, and both happen in one step, the first time
+// the guest calls it (Loader.lower). So execution proceeds exactly as far
+// as verified code exists, only what the guest calls is lowered, and a
+// mid-stream failure — the gate's error, or a function lowering refuses,
+// which satisfies errors.Is(err, errors.ErrUnsupported) — aborts the run
+// and is the error the session ends with.
 func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env) (*Loader, error) {
-	return LoadTrustedStreamingIn(mod, gate, env, nil)
-}
-
-// LoadTrustedStreamingIn is LoadTrustedStreaming with the session's code
-// carved from mem, which the caller lends for the session and takes back
-// whole once it has ended (CodeArena.Rewind); a nil mem is
-// LoadTrustedStreaming.
-func LoadTrustedStreamingIn(mod *core.Module, gate func(fi int) error, env *rt.Env, mem *CodeArena) (*Loader, error) {
-	comp := newCompiled(mod, 0, nil, mem)
-	comp.nFuncs = math.MaxInt32
-	comp.pull = func(fi int) (*core.Func, error) {
+	pull := func(fi int) (*core.Func, error) {
 		if err := gate(fi); err != nil {
 			return nil, err
 		}
-		if fi >= len(comp.funcs) {
-			comp.funcs = append(comp.funcs, make([]atomic.Pointer[CFunc], fi+1-len(comp.funcs))...)
-		}
 		return mod.Funcs[fi], nil
 	}
-	return newLoader(&Loader{Mod: mod, Env: env, comp: comp}, true)
+	return LoadTrustedCompiled(mod, PulledIn(mod, mod.NumBodies(), pull, nil), env)
 }
 
 // LoadTrustedPrepared is LoadTrusted for a session that executes the
@@ -274,10 +256,8 @@ func (l *Loader) call(fi int32, args []rt.Value) (rt.Value, error) {
 // session over a resident form pays the load and the test and nothing
 // else.
 func (l *Loader) cfunc(fi int32) *CFunc {
-	if funcs := l.comp.funcs; int(fi) < len(funcs) {
-		if cf := funcs[fi].Load(); cf != nil {
-			return cf
-		}
+	if cf := l.comp.funcs[fi].Load(); cf != nil {
+		return cf
 	}
 	return l.lower(fi)
 }
@@ -309,10 +289,8 @@ func (l *Loader) lower(fi int32) *CFunc {
 	c := l.comp
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if int(fi) < len(c.funcs) {
-		if cf := c.funcs[fi].Load(); cf != nil {
-			return cf
-		}
+	if cf := c.funcs[fi].Load(); cf != nil {
+		return cf
 	}
 	f, err := c.body(fi)
 	var cf *CFunc
@@ -331,7 +309,7 @@ func (l *Loader) lower(fi int32) *CFunc {
 // errors.Is(err, errors.ErrUnsupported). The caller holds the form's lock.
 func (l *Loader) lowerBody(fi int32, f *core.Func) (*CFunc, error) {
 	c := lowerers.Take()
-	c.mod, c.nFuncs = l.Mod, l.comp.nFuncs
+	c.mod, c.nFuncs = l.Mod, len(l.comp.funcs)
 	cf, err := c.lowerFunc(f, &l.lowered, l.comp.mem)
 	lowerers.Give(c)
 	if err != nil {
@@ -493,15 +471,18 @@ type frame struct {
 	// enterEdge its edge into handler.
 	raised  bool
 	handler *core.Block
+	// guard is the innermost handler of the block being run, which its
+	// sites raise into (nil: none).
+	guard *core.Block
 }
 
 // walk is the side table the walker steps one function's body by: the
 // CST in preorder — a node's first kid is the entry after it, a kid's
 // next sibling the entry its subtree ends at — with each node's parent
-// and its index there, and the try of each handler entry block. It is
-// linear in the body, which was admitted whole, and built on the
-// function's first call in a session, as a lowered form is: a call
-// costs nothing of it.
+// and its index there and its innermost handler, and the try of each
+// handler entry block. It is linear in the body, which was admitted
+// whole, and built on the function's first call in a session, as a
+// lowered form is: a call costs nothing of it.
 type walk struct {
 	nodes []wnode
 	tries map[*core.Block]int32
@@ -519,13 +500,17 @@ type wnode struct {
 	// continue no loop encloses (which no decoder admits) ends the
 	// activation as falling off the body does.
 	body int32
+	// handler is the handler of the innermost try whose body holds this
+	// node: the one its exception sites raise into (nil: none).
+	handler *core.Block
 }
 
-// add appends n's subtree in preorder. It recurses once per level, as the
-// lowering does, over a tree the format bounds (core.MaxCSTDepth).
-func (w *walk) add(n *core.CSTNode, parent, kid, body int32) {
+// add appends n's subtree in preorder, under handler h. It recurses once
+// per level, as the lowering does, over a tree the format bounds
+// (core.MaxCSTDepth).
+func (w *walk) add(n *core.CSTNode, parent, kid, body int32, h *core.Block) {
 	at := int32(len(w.nodes))
-	w.nodes = append(w.nodes, wnode{n: n, parent: parent, kid: kid, body: body})
+	w.nodes = append(w.nodes, wnode{n: n, parent: parent, kid: kid, body: body, handler: h})
 	if n != nil {
 		if n.Kind == core.CTry {
 			w.tries[n.Handler] = at
@@ -535,7 +520,11 @@ func (w *walk) add(n *core.CSTNode, parent, kid, body int32) {
 			if n.Kind == core.CWhile && k == 1 || n.Kind == core.CDoWhile && k == 0 {
 				in = int32(len(w.nodes)) // the loop's body is the next entry
 			}
-			w.add(c, at, int32(k), in)
+			kh := h
+			if n.Kind == core.CTry && k == 0 {
+				kh = n.Handler
+			}
+			w.add(c, at, int32(k), in, kh)
 		}
 	}
 	w.nodes[at].next = int32(len(w.nodes))
@@ -551,7 +540,7 @@ func (l *Loader) callFunc(fi int32, args []rt.Value) (rt.Value, bool) {
 	w := l.walks[fi]
 	if w == nil {
 		w = &walk{tries: make(map[*core.Block]int32)}
-		w.add(f.Body, 0, 0, 0)
+		w.add(f.Body, 0, 0, 0, nil)
 		l.walks[fi] = w
 	}
 	slots := rt.FrameSlots(f.NumValues() + 1)
@@ -596,6 +585,7 @@ func (l *Loader) run(fr *frame, w *walk) (rt.Value, bool) {
 				at, exit = at+1, false
 			}
 		case core.CBlock:
+			fr.guard = e.handler
 			l.execBlock(fr, n.Block)
 		case core.CIf:
 			if fr.val(n.Cond).Bool() {
@@ -623,7 +613,7 @@ func (l *Loader) run(fr *frame, w *walk) (rt.Value, bool) {
 			if v.R == nil {
 				v = l.newExc(l.exc.NPE, "throw of null")
 			}
-			fr.raise(fr.f.ThrowHandler[n], fr.f.ThrowEdge[n], v)
+			fr.raise(e.handler, core.Pred{From: n.At}, v)
 		case core.CTry:
 			at, exit = at+1, false
 		default:
@@ -670,16 +660,20 @@ func (l *Loader) exit(fr *frame, p *core.CSTNode, e *wnode) (int32, bool) {
 	return e.parent, true
 }
 
-// raise raises v along the exception edge numbered edge into handler
-// (nil: out of the activation). What raised stops there; the machine
-// takes it on from the node that ran it.
-func (fr *frame) raise(handler *core.Block, edge int, v rt.Value) {
-	fr.raised, fr.handler, fr.enterEdge, fr.caught = true, handler, edge, v
+// raise raises v along exception edge e into handler (nil: out of the
+// activation), which is the edge at e's position among the handler's. What
+// raised stops there; the machine takes it on from the node that ran it.
+func (fr *frame) raise(handler *core.Block, e core.Pred, v rt.Value) {
+	fr.raised, fr.handler, fr.enterEdge, fr.caught = true, handler, -1, v
+	if handler != nil {
+		fr.enterEdge = slices.Index(handler.Preds, e)
+	}
 }
 
-// raiseAt raises v from instruction site in.
+// raiseAt raises v from instruction site in, into the handler of the block
+// being run.
 func (fr *frame) raiseAt(in *core.Instr, v rt.Value) {
-	fr.raise(fr.f.HandlerOf[in], fr.f.ExcEdge[in], v)
+	fr.raise(fr.guard, core.Pred{From: in.Blk, Site: in}, v)
 }
 
 func (l *Loader) newExc(c *rt.ClassInfo, msg string) rt.Value {

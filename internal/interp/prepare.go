@@ -265,8 +265,7 @@ type loopCtx struct {
 type fcomp struct {
 	mod *core.Module
 	// nFuncs bounds the function indices a call may name: the length of
-	// the module's function list, or no bound while that list is still
-	// arriving (see LoadTrustedStreaming).
+	// the module's function list, or of the form's slots.
 	nFuncs int
 	f      *core.Func
 	code   []PreparedInst
@@ -292,6 +291,10 @@ type fcomp struct {
 	// outer handlers after inner ones).
 	raiseFix []raiseFixup
 	handlers map[*core.Block]int32
+	// tries is the try context of the walk: the handler of each try whose
+	// body is being lowered, innermost last, with the edge the next
+	// exception site takes (core.Func.ExcSites).
+	tries []raiseFixup
 
 	// A body flattened only to be encoded (lowerFunc) carves its operand
 	// vectors, move sets and raise sites from these, which the next
@@ -323,6 +326,7 @@ func newFcomp(mod *core.Module, nFuncs int) fcomp {
 func (c *fcomp) Rewind() int {
 	clear(c.code)
 	clear(c.raiseFix)
+	clear(c.tries[:cap(c.tries)])
 	clear(c.loop[:cap(c.loop)])
 	clear(c.handlers)
 	clear(c.side.strs)
@@ -330,7 +334,7 @@ func (c *fcomp) Rewind() int {
 	c.mod, c.f, c.fl, c.jtop = nil, nil, flow{}, 0
 	c.code, c.raiseFix, c.loop, c.side.strs = c.code[:0], c.raiseFix[:0], c.loop[:0], c.side.strs[:0]
 	return int(unsafe.Sizeof(PreparedInst{}))*cap(c.code) + 8*len(c.moveBuf) + 4*len(c.ints) +
-		int(unsafe.Sizeof(raiseFixup{}))*cap(c.raiseFix) + int(unsafe.Sizeof(loopCtx{}))*cap(c.loop) +
+		int(unsafe.Sizeof(raiseFixup{}))*(cap(c.raiseFix)+cap(c.tries)) + int(unsafe.Sizeof(loopCtx{}))*cap(c.loop) +
 		4*(cap(c.argBuf)+cap(c.side.args)) + 8*(cap(c.moveArr)+cap(c.side.moves)) +
 		int(unsafe.Sizeof(RaiseSite{}))*cap(c.siteBuf) + int(unsafe.Sizeof(csite{}))*cap(c.side.sites) +
 		int(unsafe.Sizeof(rt.Str{}))*cap(c.side.strs) + int(unsafe.Sizeof(pendingJump{}))*len(c.jbuf)
@@ -429,7 +433,7 @@ func (c *fcomp) prepareFunc(f *core.Func) (*PFunc, error) {
 func (c *fcomp) flatten(f *core.Func, keep bool) (PFunc, error) {
 	r := roomOf(f)
 	c.grow(r)
-	c.f, c.fl, c.code, c.raiseFix = f, flow{open: true}, c.code[:0], c.raiseFix[:0]
+	c.f, c.fl, c.code, c.raiseFix, c.tries = f, flow{open: true}, c.code[:0], c.raiseFix[:0], c.tries[:0]
 	clear(c.jbuf[:c.jtop])
 	c.jtop = 0
 	c.par, c.seq = c.moveBuf[:0:r.par], c.moveBuf[r.par:r.par]
@@ -940,21 +944,20 @@ func (c *fcomp) node(n *core.CSTNode) error {
 		if err != nil {
 			return err
 		}
-		at := c.emit(PreparedInst{Op: PThrow, A: r})
-		if h := c.f.ThrowHandler[n]; h != nil {
-			c.raiseFix = append(c.raiseFix, raiseFixup{at: at, handler: h, edge: c.f.ThrowEdge[n]})
-		}
+		c.site(c.emit(PreparedInst{Op: PThrow, A: r}))
 		c.fl = flow{}
 		return nil
 
 	case core.CTry:
-		if err := c.node(n.Kids[0]); err != nil {
-			return err
-		}
-		after := c.divert()
 		if n.Handler == nil {
 			return fmt.Errorf("try without a handler block")
 		}
+		c.tries = append(c.tries, raiseFixup{handler: n.Handler})
+		if err := c.node(n.Kids[0]); err != nil {
+			return err
+		}
+		c.tries = c.tries[:len(c.tries)-1]
+		after := c.divert()
 		// The handler entry is reached only through raises, which apply
 		// the exception-edge phi moves before transferring here.
 		c.handlers[n.Handler] = c.pc()
@@ -1001,6 +1004,9 @@ func (c *fcomp) block(b *core.Block) error {
 		if err := c.instr(in); err != nil {
 			return fmt.Errorf("block %d, %s v%d: %w", b.Index, in.Op, in.ID, err)
 		}
+		if in.Op.CanThrow() {
+			c.site(len(c.code) - 1) // the instruction the lowering ends with
+		}
 	}
 	c.fl = flow{open: true, src: b}
 	return nil
@@ -1027,13 +1033,18 @@ func (c *fcomp) typeArg(id core.TypeID) (core.TypeID, error) {
 	return id, nil
 }
 
-// site registers the exception edge of a potentially-throwing
-// instruction for post-compilation fixup; instructions outside any try
-// region keep a nil Raise and let the exception leave the function.
-func (c *fcomp) site(at int, in *core.Instr) {
-	if h := c.f.HandlerOf[in]; h != nil {
-		c.raiseFix = append(c.raiseFix, raiseFixup{at: at, handler: h, edge: c.f.ExcEdge[in]})
+// site registers the exception edge of the exception site lowered last,
+// at instruction index at — a potentially-throwing instruction or a throw
+// node — for post-compilation fixup: the next edge of its innermost
+// handler (core.Func.ExcSites). A site outside any try region keeps a nil
+// Raise and lets the exception leave the function.
+func (c *fcomp) site(at int) {
+	if len(c.tries) == 0 {
+		return
 	}
+	t := &c.tries[len(c.tries)-1]
+	c.raiseFix = append(c.raiseFix, raiseFixup{at: at, handler: t.handler, edge: t.edge})
+	t.edge++
 }
 
 func (c *fcomp) instr(in *core.Instr) error {
@@ -1071,8 +1082,7 @@ func (c *fcomp) instr(in *core.Instr) error {
 		switch in.Prim {
 		case core.PIDiv, core.PIRem, core.PLDiv, core.PLRem:
 			p.Op = PXPrim
-			at := c.emit(p)
-			c.site(at, in)
+			c.emit(p)
 			return nil
 		}
 		c.emit(p)
@@ -1082,16 +1092,14 @@ func (c *fcomp) instr(in *core.Instr) error {
 		if err != nil {
 			return err
 		}
-		at := c.emit(PreparedInst{Op: PNullCheck, Dst: dst(in), A: a[0]})
-		c.site(at, in)
+		c.emit(PreparedInst{Op: PNullCheck, Dst: dst(in), A: a[0]})
 
 	case core.OpIndexCheck:
 		a, err := c.argRegs(in, 2)
 		if err != nil {
 			return err
 		}
-		at := c.emit(PreparedInst{Op: PIndexCheck, Dst: dst(in), A: a[0], B: a[1]})
-		c.site(at, in)
+		c.emit(PreparedInst{Op: PIndexCheck, Dst: dst(in), A: a[0], B: a[1]})
 
 	case core.OpUpcast:
 		a, err := c.argRegs(in, 1)
@@ -1102,8 +1110,7 @@ func (c *fcomp) instr(in *core.Instr) error {
 		if err != nil {
 			return err
 		}
-		at := c.emit(PreparedInst{Op: PUpcast, Dst: dst(in), A: a[0], Type: t})
-		c.site(at, in)
+		c.emit(PreparedInst{Op: PUpcast, Dst: dst(in), A: a[0], Type: t})
 
 	case core.OpDowncast:
 		a, err := c.argRegs(in, 1)
@@ -1191,8 +1198,7 @@ func (c *fcomp) instr(in *core.Instr) error {
 		if err != nil {
 			return err
 		}
-		at := c.emit(PreparedInst{Op: PNewArray, Dst: dst(in), A: a[0], Type: t})
-		c.site(at, in)
+		c.emit(PreparedInst{Op: PNewArray, Dst: dst(in), A: a[0], Type: t})
 
 	case core.OpXCall, core.OpXDispatch:
 		if in.Method < 0 || int(in.Method) >= len(c.mod.Methods) {
@@ -1217,8 +1223,7 @@ func (c *fcomp) instr(in *core.Instr) error {
 				return fmt.Errorf("function index %d out of range", mr.FuncIdx)
 			}
 		}
-		at := c.emit(p)
-		c.site(at, in)
+		c.emit(p)
 
 	case core.OpCatch:
 		c.emit(PreparedInst{Op: PCatch, Dst: dst(in)})

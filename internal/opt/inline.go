@@ -18,8 +18,8 @@ import (
 // position in the code, so the decoder's strict program-order edge
 // numbering is preserved. Each handler phi duplicates its operand for
 // edge k across the new edges (sound: that operand was available before
-// the call, hence before every clone), and the edge indices of later
-// sites into the same handler shift by the difference. A callee that
+// the call, hence before every clone). An edge's index is its position in
+// the predecessor list, so nothing else is renumbered. A callee that
 // cannot throw at all removes the call's edge entirely.
 const (
 	// inlineMaxInstrs bounds the callee body size (non-parameter code
@@ -226,10 +226,10 @@ func cloneBody(sc *scratch, out []*core.Instr, f *core.Func, b *core.Block, g *c
 }
 
 // stitchExcEdges rethreads the call's exception edge (if any) to the
-// cloned throwing instructions, keeping the handler's predecessor list
-// in strict program order and every handler phi aligned with it.
+// cloned throwing instructions, keeping the handler's predecessor list in
+// transmission order and every handler phi aligned with it.
 func stitchExcEdges(f *core.Func, call *core.Instr, clones []*core.Instr) {
-	h := f.HandlerOf[call]
+	h, k := f.ExcEdgeOf(call)
 	if h == nil {
 		return
 	}
@@ -239,32 +239,19 @@ func stitchExcEdges(f *core.Func, call *core.Instr, clones []*core.Instr) {
 			throwers = append(throwers, c)
 		}
 	}
-	if len(throwers) == 0 {
-		f.RemoveExcSite(call)
-		return
-	}
-	k := f.ExcEdge[call]
 	n := len(throwers)
 	preds := make([]core.Pred, 0, len(h.Preds)+n-1)
 	preds = append(preds, h.Preds[:k]...)
 	for _, t := range throwers {
 		preds = append(preds, core.Pred{From: call.Blk, Site: t})
 	}
-	preds = append(preds, h.Preds[k+1:]...)
-	h.Preds = preds
+	h.Preds = append(preds, h.Preds[k+1:]...)
 	for _, phi := range h.Phis {
 		args := make([]core.ValueID, 0, len(phi.Args)+n-1)
-		args = append(args, phi.Args[:k+1]...)
-		for i := 1; i < n; i++ {
+		args = append(args, phi.Args[:k]...)
+		for range n {
 			args = append(args, phi.Args[k])
 		}
-		args = append(args, phi.Args[k+1:]...)
-		phi.Args = args
-	}
-	delete(f.ExcEdge, call)
-	delete(f.HandlerOf, call)
-	f.ShiftExcEdges(h, k, n-1)
-	for i, t := range throwers {
-		f.AddExcSite(t, h, k+i)
+		phi.Args = append(args, phi.Args[k+1:]...)
 	}
 }

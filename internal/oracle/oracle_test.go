@@ -3,6 +3,7 @@ package oracle
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,25 +124,25 @@ func compileExcProbe(t *testing.T) *core.Module {
 	return mod
 }
 
-// pruneSite emulates the optimizer bug the verifier cannot see: it drops
-// the exception edge of the first try-covered site whose handler keeps
-// another, and keeps the site. The module still verifies, but no wire
-// form carries it: a decoder gives the site its edge back.
+// pruneSite emulates an optimizer bug: it drops the exception edge of the
+// first try-covered site whose handler keeps another, and keeps the site.
+// No wire form carries such a module: a decoder gives the site its edge
+// back.
 func pruneSite(f *core.Func) bool {
-	for _, b := range f.Blocks {
-		for _, in := range b.Code {
-			if h := f.HandlerOf[in]; h != nil && len(h.Preds) > 1 {
-				f.RemoveExcSite(in)
-				return true
-			}
+	pruned := false
+	f.ExcSites(func(s core.ExcSite) {
+		if !pruned && s.Pred.Site != nil && len(s.Handler.Preds) > 1 {
+			f.RemoveExcSite(s.Pred.Site)
+			pruned = true
 		}
-	}
-	return false
+	}, func(*core.Block, int) {})
+	return pruned
 }
 
 // TestPrunedExceptionEdgeIsRefused: a pass that prunes a kept site's
-// exception edge is blamed by name by the per-pass oracle, and the driver
-// refuses to ship its output, as a fault of the producer's own.
+// exception edge is blamed by name by the per-pass oracle, Verify refuses
+// its output, and the driver refuses to ship it, as a fault of the
+// producer's own.
 func TestPrunedExceptionEdgeIsRefused(t *testing.T) {
 	pruned := 0
 	evil := opt.Pass{Name: "evil-prune", Run: func(m *core.Module, f *core.Func, o opt.Options, st *opt.Stats) {
@@ -164,8 +165,8 @@ func TestPrunedExceptionEdgeIsRefused(t *testing.T) {
 	if _, err := opt.RunPasses(mod, opt.Options{}, []opt.Pass{evil}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := mod.Verify(core.VerifyOptions{}); err != nil {
-		t.Fatalf("the pruned module must verify, so that only the wire rule sees the fault: %v", err)
+	if err := mod.Verify(core.VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "exception edge") {
+		t.Fatalf("Verify answered %v for the pruned module, want the exception-edge rule's refusal", err)
 	}
 	_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
 	if err == nil {
@@ -176,40 +177,65 @@ func TestPrunedExceptionEdgeIsRefused(t *testing.T) {
 	}
 }
 
-// TestCheckExcSites: the producer's exception-edge rule accepts what the
-// front end builds and refuses a can-throw instruction or a throw node
-// inside a try that is not registered as the next edge of its innermost
-// handler, and a handler with an edge no site accounts for.
+// firstTry returns the sites of f's first try that holds any, or nil.
+func firstTry(f *core.Func) []core.ExcSite {
+	var sites []core.ExcSite
+	f.ExcSites(func(s core.ExcSite) {
+		if len(sites) == 0 || s.Handler == sites[0].Handler {
+			sites = append(sites, s)
+		}
+	}, func(*core.Block, int) {})
+	return sites
+}
+
+// removeEdge drops edge k of handler h, with its phi operands.
+func removeEdge(h *core.Block, k int) {
+	h.Preds = slices.Delete(h.Preds, k, k+1)
+	for _, phi := range h.Phis {
+		phi.Args = slices.Delete(phi.Args, k, k+1)
+	}
+}
+
+// TestCheckExcSites: Verify holds a body's exception edges to the ones its
+// CST implies. It accepts what the front end builds and refuses a
+// can-throw instruction or a throw node inside a try whose edge is not the
+// next edge of its innermost handler, and a handler with an edge no site
+// accounts for.
 func TestCheckExcSites(t *testing.T) {
-	if err := compileExcProbe(t).CheckExcSites(); err != nil {
+	if err := compileExcProbe(t).Verify(core.VerifyOptions{}); err != nil {
 		t.Fatalf("front-end module refused: %v", err)
 	}
 	for name, tamper := range map[string]func(f *core.Func) bool{
 		"pruned instruction": pruneSite,
+		// Two instructions' edges trade places; the phi operands stay.
 		"swapped instructions": func(f *core.Func) bool {
-			for a, h := range f.HandlerOf {
-				for b, g := range f.HandlerOf {
-					if a != b && h == g {
-						f.ExcEdge[a], f.ExcEdge[b] = f.ExcEdge[b], f.ExcEdge[a]
-						return true
-					}
-				}
+			sites := firstTry(f)
+			if len(sites) < 2 || sites[0].Pred.Site == nil || sites[1].Pred.Site == nil {
+				return false
 			}
-			return false
+			p := sites[0].Handler.Preds
+			p[sites[0].Edge], p[sites[1].Edge] = p[sites[1].Edge], p[sites[0].Edge]
+			return true
 		},
 		"stale edge": func(f *core.Func) bool {
-			for _, h := range f.HandlerOf {
-				h.Preds = append(h.Preds, h.Preds[0])
-				return true
+			sites := firstTry(f)
+			if len(sites) == 0 {
+				return false
 			}
-			return false
+			h := sites[0].Handler
+			h.Preds = append(h.Preds, h.Preds[0])
+			return true
 		},
+		// A throw inside a try loses its edge, with the phi operands.
 		"throw": func(f *core.Func) bool {
-			for n := range f.ThrowHandler {
-				delete(f.ThrowHandler, n)
-				return true
-			}
-			return false
+			done := false
+			f.ExcSites(func(s core.ExcSite) {
+				if !done && s.Pred.Site == nil {
+					removeEdge(s.Handler, s.Edge)
+					done = true
+				}
+			}, func(*core.Block, int) {})
+			return done
 		},
 	} {
 		mod, tampered := compileExcProbe(t), false
@@ -222,42 +248,43 @@ func TestCheckExcSites(t *testing.T) {
 		if !tampered {
 			t.Fatalf("%s: probe program has no site to tamper with", name)
 		}
-		if err := mod.CheckExcSites(); err == nil {
-			t.Errorf("%s: the tampered module is accepted", name)
+		if err := mod.Verify(core.VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "exception edge") {
+			t.Errorf("%s: Verify answered %v, want the exception-edge rule's refusal", name, err)
 		}
 	}
 }
 
-// TestVerifyRefusesAStrayExceptionEdge: admission's exception-edge rule
-// (core.Rules.ExcEdge) holds producer output to what the wire can say —
-// an exception edge leaves a potentially-throwing instruction of its
-// source block that is registered as that edge. Neither module below has
-// a wire spelling; before the rule, Verify accepted both.
+// TestVerifyRefusesAStrayExceptionEdge: admission's exception-edge rules
+// hold producer output to what the wire can say — an exception edge
+// leaves a potentially-throwing instruction of its source block, which
+// takes it as the next edge of its innermost handler. Neither module below
+// has a wire spelling.
 func TestVerifyRefusesAStrayExceptionEdge(t *testing.T) {
 	if err := compileExcProbe(t).Verify(core.VerifyOptions{}); err != nil {
 		t.Fatalf("front-end module refused: %v", err)
 	}
 	for name, tamper := range map[string]func(f *core.Func) bool{
-		// The edge stays, its site forgets it.
+		// The edge stays, its site is one no block holds.
 		"unregistered site": func(f *core.Func) bool {
-			for in := range f.HandlerOf {
-				delete(f.HandlerOf, in)
-				delete(f.ExcEdge, in)
-				return true
+			for _, s := range firstTry(f) {
+				if in := s.Pred.Site; in != nil {
+					stray := *in
+					s.Handler.Preds[s.Edge].Site = &stray
+					return true
+				}
 			}
 			return false
 		},
-		// The edge and its registration move to an instruction of the
-		// same block that cannot throw.
+		// The edge moves to an instruction of the same block that cannot
+		// throw.
 		"site that cannot throw": func(f *core.Func) bool {
-			for in, h := range f.HandlerOf {
-				k := f.ExcEdge[in]
-				for _, c := range in.Blk.Code {
+			for _, s := range firstTry(f) {
+				if s.Pred.Site == nil {
+					continue
+				}
+				for _, c := range s.Pred.From.Code {
 					if !c.Op.CanThrow() {
-						delete(f.HandlerOf, in)
-						delete(f.ExcEdge, in)
-						f.AddExcSite(c, h, k)
-						h.Preds[k].Site = c
+						s.Handler.Preds[s.Edge].Site = c
 						return true
 					}
 				}

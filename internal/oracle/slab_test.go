@@ -56,9 +56,6 @@ func unslab(t *testing.T, mod *core.Module, f *core.Func) *core.Func {
 			blocks[b].Preds = append(blocks[b].Preds, np)
 		}
 	}
-	for in, h := range f.HandlerOf {
-		g.AddExcSite(clone(in), blocks[h], f.ExcEdge[in])
-	}
 	var node func(n *core.CSTNode) *core.CSTNode
 	node = func(n *core.CSTNode) *core.CSTNode {
 		if n == nil {
@@ -68,9 +65,6 @@ func unslab(t *testing.T, mod *core.Module, f *core.Func) *core.Func {
 			Block: blocks[n.Block], Handler: blocks[n.Handler], At: blocks[n.At]}
 		for _, k := range n.Kids {
 			c.Kids = append(c.Kids, node(k))
-		}
-		if h := f.ThrowHandler[n]; h != nil {
-			g.AddThrowSite(c, blocks[h], f.ThrowEdge[n])
 		}
 		return c
 	}

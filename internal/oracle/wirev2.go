@@ -165,7 +165,7 @@ func checkRejectedPrefix(su *wire.StreamingUnit) error {
 		if err := su.WaitFunc(j); err != nil {
 			return fmt.Errorf("oracle: admitted function %d is no longer available: %v", j, err)
 		}
-		if err := adm.Admit(j, su.Mod.Funcs[j], core.VerifyOptions{}); err != nil {
+		if err := adm.Admit(j, su.Mod.Funcs[j]); err != nil {
 			return fmt.Errorf("oracle: stream admitted a function the rule rejects: %w", err)
 		}
 	}

@@ -74,10 +74,9 @@ type tryCtx struct {
 // siteSnap is one potential point of exception: an instruction site or
 // an explicit throw node, with the variable versions live at that point.
 type siteSnap struct {
-	from  *core.Block
-	site  *core.Instr   // nil for CThrow edges
-	throw *core.CSTNode // the throw node for CThrow edges
-	vars  snapshot
+	from *core.Block
+	site *core.Instr // nil for CThrow edges
+	vars snapshot
 }
 
 // fnBuilder builds one function body.
@@ -836,7 +835,7 @@ func (fb *fnBuilder) throwValue(v core.ValueID, seq *[]*core.CSTNode) {
 	tv := fb.adjustRef(v, fb.tt().Throwable)
 	node := fb.node(core.CSTNode{Kind: core.CThrow, Val: tv, At: fb.cur})
 	if t := fb.routingTry(); t != nil {
-		t.sites = append(t.sites, siteSnap{from: fb.cur, throw: node, vars: fb.snapshotVars()})
+		t.sites = append(t.sites, siteSnap{from: fb.cur, vars: fb.snapshotVars()})
 	}
 	*seq = append(*seq, node)
 	fb.setCur(nil)
@@ -900,11 +899,6 @@ func (fb *fnBuilder) buildTry(s *ast.TryStmt, seq *[]*core.CSTNode) {
 	h.Preds = fb.b.preds.Take(len(ctx.sites))
 	for i, site := range ctx.sites {
 		h.Preds[i] = core.Pred{From: site.from, Site: site.site}
-		if site.site != nil {
-			fb.f.AddExcSite(site.site, h, i)
-		} else {
-			fb.f.AddThrowSite(site.throw, h, i)
-		}
 	}
 	hVars := fb.newSnapshot()
 	h.Phis = fb.b.instrVec.Take(len(scopeAtEntry))

@@ -42,11 +42,9 @@ type Arena struct {
 	blks  []*core.Block   // the function's blocks, in creation order
 	code  []*core.Instr   // the block section being collected
 	loops []loopShape     // linkShape's stack of open loops
-	// handlers is the try context of the phase-2 walk (sites register in
-	// program order, as on the producer side); sitePos the position of
-	// each registered site, which windows its edge's phi operands.
-	handlers []*core.Block
-	sitePos  map[*core.Instr]int
+	// lims is the limit of each exception edge of the phase-2 walk,
+	// which windows the edge's phi operands.
+	lims edgeLimits
 	// vals is where a kept Func's value table is built before it is kept
 	// at its exact length.
 	vals []*core.Instr
@@ -56,34 +54,10 @@ type Arena struct {
 	methodBuf []core.MethodRef
 	classBuf  []*core.ClassDef
 	indexBuf  []int32
-	// sites are the exception-site maps (Func.ExcEdge, Func.HandlerOf) of
-	// the bodies decoded into the arena, made once and cleared by Rewind;
-	// the first nsites are in use.
-	sites  []siteMaps
-	nsites int
 
 	// A v2 unit's adaptive model, and a stream's read buffer.
 	mdl *model
 	buf *[4096]byte
-}
-
-type siteMaps struct {
-	edge    map[*core.Instr]int
-	handler map[*core.Instr]*core.Block
-}
-
-// siteMaps returns an empty pair of exception-site maps for the body being
-// decoded.
-func (a *Arena) siteMaps() (map[*core.Instr]int, map[*core.Instr]*core.Block) {
-	if a.nsites == len(a.sites) {
-		a.sites = append(a.sites, siteMaps{})
-	}
-	s := &a.sites[a.nsites]
-	a.nsites++
-	if s.edge == nil {
-		s.edge, s.handler = make(map[*core.Instr]int), make(map[*core.Instr]*core.Block)
-	}
-	return s.edge, s.handler
 }
 
 // Rewind takes back everything a cursor lent a (OpenVerified,
@@ -102,22 +76,8 @@ func (a *Arena) Rewind() int {
 		a.instrVec.Rewind() + a.nodeVec.Rewind() + a.blockVec.Rewind() + a.preds.Rewind() +
 		a.funcs.Rewind() + a.types.Rewind() + a.fields.Rewind() + a.methods.Rewind() +
 		a.classes.Rewind() + a.classVec.Rewind() + a.indices.Rewind()
-	for i := range a.sites[:a.nsites] {
-		s := &a.sites[i]
-		if len(s.edge) > maxKeptPlanes {
-			*s = siteMaps{}
-		} else {
-			n += 32 * len(s.edge) // what the two maps keep of their size
-			clear(s.edge)
-			clear(s.handler)
-		}
-	}
-	a.nsites = 0
 	if len(a.rf.bound) > maxKeptPlanes {
 		a.rf.bound = nil
-	}
-	if len(a.sitePos) > maxKeptPlanes {
-		a.sitePos = nil
 	}
 	if a.buf != nil {
 		n += len(a.buf)
@@ -125,9 +85,9 @@ func (a *Arena) Rewind() int {
 	if a.mdl != nil {
 		n += int(unsafe.Sizeof(*a.mdl))
 	}
-	n += 8*(cap(a.kids)+cap(a.blks)+cap(a.code)+cap(a.handlers)+cap(a.vals)) +
+	n += 8*(cap(a.kids)+cap(a.blks)+cap(a.code)+cap(a.vals)) +
 		int(unsafe.Sizeof(loopShape{}))*cap(a.loops) + 4*cap(a.paramBuf) +
-		int(unsafe.Sizeof(siteMaps{}))*cap(a.sites) + 16*len(a.sitePos) + a.rf.bytes() +
+		a.lims.bytes() + a.rf.bytes() +
 		int(unsafe.Sizeof(core.FieldRef{}))*cap(a.fieldBuf) +
 		int(unsafe.Sizeof(core.MethodRef{}))*cap(a.methodBuf) + 8*cap(a.classBuf) + 4*cap(a.indexBuf)
 	return n
@@ -157,8 +117,8 @@ func (a *Arena) recycle() {
 // unit lives as long as the unit does and would pin it. A lent arena keeps
 // it for the next cursor it is lent to.
 func (a *Arena) dropScratch() {
-	a.f, a.rf, a.sitePos = nil, regFile{}, nil
-	a.kids, a.blks, a.code, a.loops, a.handlers = nil, nil, nil, nil, nil
+	a.f, a.rf, a.lims = nil, regFile{}, edgeLimits{}
+	a.kids, a.blks, a.code, a.loops = nil, nil, nil, nil
 	a.vals = nil
 	a.paramBuf, a.fieldBuf, a.methodBuf, a.classBuf, a.indexBuf = nil, nil, nil, nil, nil
 }

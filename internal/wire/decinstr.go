@@ -1,43 +1,34 @@
 package wire
 
 import (
+	"slices"
+
 	"safetsa/internal/core"
 )
 
-func (d *decoder) innermostHandler() *core.Block {
-	if len(d.handlers) == 0 {
-		return nil
-	}
-	return d.handlers[len(d.handlers)-1]
-}
-
 // decodeBlocks walks the CST in transmission order decoding each block's
-// phi types and instructions, maintaining the try context so that
-// potentially-throwing instructions and throw nodes register their
-// implicit exception edges exactly as the producer did.
-func (d *decoder) decodeBlocks(n *core.CSTNode) error {
-	if n == nil {
-		return nil
-	}
+// phi types and instructions, with h the innermost handler (nil outside
+// every try), so that potentially-throwing instructions and throw nodes
+// take their implicit exception edges exactly as the producer's did.
+func (d *decoder) decodeBlocks(n *core.CSTNode, h *core.Block) error {
 	switch n.Kind {
 	case core.CBlock:
-		return d.decodeBlock(n.Block)
+		return d.decodeBlock(n.Block, h)
 	case core.CThrow:
-		if h := d.innermostHandler(); h != nil {
-			d.f.AddThrowSite(n, h, len(h.Preds))
+		if h != nil {
 			h.Preds = append(h.Preds, core.Pred{From: n.At})
+			d.lims.add(-1)
 		}
 		return nil
 	case core.CTry:
-		d.handlers = append(d.handlers, n.Handler)
-		if err := d.decodeBlocks(n.Kids[0]); err != nil {
+		if err := d.decodeBlocks(n.Kids[0], n.Handler); err != nil {
 			return err
 		}
-		d.handlers = d.handlers[:len(d.handlers)-1]
-		return d.decodeBlocks(n.Kids[1])
+		d.lims.close(n.Handler, len(n.Handler.Preds))
+		return d.decodeBlocks(n.Kids[1], h)
 	default:
 		for _, k := range n.Kids {
-			if err := d.decodeBlocks(k); err != nil {
+			if err := d.decodeBlocks(k, h); err != nil {
 				return err
 			}
 		}
@@ -45,7 +36,7 @@ func (d *decoder) decodeBlocks(n *core.CSTNode) error {
 	}
 }
 
-func (d *decoder) decodeBlock(b *core.Block) error {
+func (d *decoder) decodeBlock(b, h *core.Block) error {
 	f, tt := d.f, d.m.Types
 	// Every predecessor of b is known: the normal edges from the tree's
 	// shape, and a handler's exception edges from the sites before it.
@@ -106,14 +97,10 @@ func (d *decoder) decodeBlock(b *core.Block) error {
 		code = append(code, in)
 		d.rf.add(b, in, p)
 		if in.Op.CanThrow() {
-			if h := d.innermostHandler(); h != nil {
-				if f.ExcEdge == nil {
-					f.ExcEdge, f.HandlerOf = d.siteMaps()
-				}
+			if h != nil {
 				e := core.Pred{From: b, Site: in}
-				f.AddExcSite(in, h, len(h.Preds))
 				h.Preds = append(h.Preds, e)
-				d.sitePos[in] = p
+				d.lims.add(p)
 				if d.verify {
 					if err := d.rules.ExcEdge(e, p); err != nil {
 						return malformedf("%v", err)
@@ -152,16 +139,49 @@ func (d *decoder) decodeRef(b *core.Block, plane core.PlaneKey, limit int) (core
 	return w[r].id, nil
 }
 
-// edgeLimit is how far into its source block an edge's phi operands see,
-// by sitePos, the position of each exception site: the whole block (-1)
-// on a normal edge, the registers before the throwing site on an
-// exception edge.
-func edgeLimit(edge core.Pred, sitePos map[*core.Instr]int) int {
-	if edge.Site == nil {
-		return -1
-	}
-	return sitePos[edge.Site]
+// edgeLimits is how far into its source block each exception edge's phi
+// operands see: the position of the edge's throwing instruction, or -1
+// (the whole block) for a throw node's, as a normal edge sees its whole
+// source block. A codec keeps each limit as it meets the edge's site in
+// transmission order, which is the order of the handler's edges (DESIGN.md
+// §10), and lays a handler's out in one run once its try's body is done.
+type edgeLimits struct {
+	open  []int32 // the sites' limits of the tries being walked, innermost try's last
+	lim   []int32 // each closed try's limits in one run
+	first []int32 // by block index: where the block's run starts in lim; -1 for none
 }
+
+// reset empties l for a body of n blocks.
+func (l *edgeLimits) reset(n int) {
+	l.open, l.lim = l.open[:0], l.lim[:0]
+	l.first = slices.Grow(l.first[:0], n)[:n]
+	for i := range l.first {
+		l.first[i] = -1
+	}
+}
+
+// add keeps the limit of the innermost open try's next edge.
+func (l *edgeLimits) add(at int) { l.open = append(l.open, int32(at)) }
+
+// close ends the body of the try whose handler is h: its n sites are the
+// last added, and their edges all of h's.
+func (l *edgeLimits) close(h *core.Block, n int) {
+	k := len(l.open) - n
+	l.first[h.Index] = int32(len(l.lim))
+	l.lim = append(l.lim, l.open[k:]...)
+	l.open = l.open[:k]
+}
+
+// of is the limit of edge k into block b.
+func (l *edgeLimits) of(b *core.Block, k int) int {
+	if at := l.first[b.Index]; at >= 0 {
+		return int(l.lim[int(at)+k])
+	}
+	return -1
+}
+
+// bytes is what l keeps of its size.
+func (l *edgeLimits) bytes() int { return 4 * (cap(l.open) + cap(l.lim) + cap(l.first)) }
 
 func (d *decoder) decodeCSTRefs(n *core.CSTNode) error {
 	if n == nil {

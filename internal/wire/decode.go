@@ -478,13 +478,8 @@ func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 
 	// Phase 2: block contents in the canonical CST order.
 	d.rf.reset(len(d.m.Types.ByID), 0)
-	d.handlers = d.handlers[:0]
-	if d.sitePos == nil || len(d.sitePos) > maxKeptPlanes {
-		d.sitePos = make(map[*core.Instr]int)
-	} else {
-		clear(d.sitePos)
-	}
-	if err := d.decodeBlocks(f.Body); err != nil {
+	d.lims.reset(len(f.Blocks))
+	if err := d.decodeBlocks(f.Body, nil); err != nil {
 		return nil, err
 	}
 
@@ -501,7 +496,7 @@ func (d *decoder) decodeFunc(j int) (*core.Func, error) {
 			}
 			for k := range phi.Args {
 				e := b.Preds[k]
-				limit := edgeLimit(e, d.sitePos)
+				limit := d.lims.of(b, k)
 				v, err := d.decodeRef(e.From, phi.Plane(), limit)
 				if err != nil {
 					return nil, err

@@ -124,7 +124,7 @@ func (e *Encoder) Rewind() int {
 		core.Poison(e.rc.out[:cap(e.rc.out)])
 	}
 	n := int(unsafe.Sizeof(*e)) + cap(e.rc.out) + cap(e.out) +
-		16*len(e.enc.sitePos) + 8*cap(e.enc.blocks) + e.enc.rf.bytes() +
+		e.enc.lims.bytes() + 8*cap(e.enc.blocks) + e.enc.rf.bytes() +
 		seenEntryBytes*e.seenPeak
 	return n
 }
@@ -138,13 +138,13 @@ type encoder struct {
 	w symWriter
 
 	// Per function: the function, its register file as filled so far
-	// (which places every definition in its block), where each exception
-	// site of a try region sits in its block, and its blocks in CST order.
-	// Both are filled in transmission order, as the decoder fills its own.
-	f       *core.Func
-	rf      regFile
-	sitePos map[*core.Instr]int
-	blocks  []*core.Block
+	// (which places every definition in its block), the limit of each
+	// exception edge, and its blocks in CST order. All are filled in
+	// transmission order, as the decoder fills its own.
+	f      *core.Func
+	rf     regFile
+	lims   edgeLimits
+	blocks []*core.Block
 }
 
 func (e *encoder) encodeAll() {
@@ -286,11 +286,6 @@ func (e *encoder) encodeFunc(f *core.Func) {
 	// "doesn't correspond to any actual code").
 	e.f = f
 	e.rf.reset(len(e.m.Types.ByID), f.NumValues()+1)
-	if len(e.sitePos) > maxKeptPlanes {
-		e.sitePos = nil
-	} else {
-		clear(e.sitePos)
-	}
 	rf := &e.rf
 	e.blocks = f.AppendCSTBlocks(e.blocks[:0])
 	blocks := e.blocks
@@ -326,16 +321,18 @@ func (e *encoder) encodeFunc(f *core.Func) {
 		for i := skip; i < len(code); i++ {
 			e.encodeInstr(b, code[i], i+1)
 			rf.add(b, code[i], i+1)
-			if f.HandlerOf[code[i]] != nil {
-				if e.sitePos == nil {
-					e.sitePos = make(map[*core.Instr]int)
-				}
-				e.sitePos[code[i]] = i + 1
-			}
 		}
 	}
 
-	// Phase 3: phi operands, then the CST value references.
+	// Phase 3: phi operands, then the CST value references. Each site
+	// takes its innermost handler's next edge, as the decoder gives it.
+	e.lims.reset(len(blocks))
+	f.ExcSites(func(s core.ExcSite) { e.lims.add(s.At) }, func(h *core.Block, sites int) {
+		if sites != len(h.Preds) {
+			panic(fmt.Sprintf("wire: %s: handler block %d has %d exception edges for %d sites", e.m.FuncName(f), h.Index, len(h.Preds), sites))
+		}
+		e.lims.close(h, sites)
+	})
 	w.setProd(prodRefs)
 	for _, b := range blocks {
 		for _, phi := range b.Phis {
@@ -343,8 +340,7 @@ func (e *encoder) encodeFunc(f *core.Func) {
 				// A phi operand is referenced from its edge's source point:
 				// the end of the source block, or just before the throwing
 				// site of an exception edge.
-				edge := b.Preds[k]
-				e.encodeRef(edge.From, edgeLimit(edge, e.sitePos), a, phi.Plane())
+				e.encodeRef(b.Preds[k].From, e.lims.of(b, k), a, phi.Plane())
 			}
 		}
 	}

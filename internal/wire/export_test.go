@@ -15,7 +15,7 @@ const ModelAdaptive = modelAdaptive
 func Retired(su *StreamingUnit) bool {
 	d := &su.d
 	ac, _ := d.r.(*acReader)
-	return d.adm == nil && d.sitePos == nil && d.rf.planes == nil && d.kids == nil &&
+	return d.adm == nil && d.lims.first == nil && d.rf.planes == nil && d.kids == nil &&
 		(ac == nil || ac.mdl == nil && ac.seen == nil)
 }
 

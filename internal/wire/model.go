@@ -600,10 +600,16 @@ func (r *acReader) str() (string, error) {
 
 // end enforces the v2 canonical tail: the range coder must have
 // consumed the declared payload exactly (byte-count symmetry with the
-// encoder, see rangecoder.go), and the enclosing source must be at EOF.
+// encoder, see rangecoder.go) and end with its code at 0 — the encoder's
+// flush writes the coder's low end, so that is the one spelling of the
+// last bytes, and LZMA's own end check — and the enclosing source must be
+// at EOF.
 func (r *acReader) end() error {
 	if !r.rc.consumed() {
 		return malformedf("payload length does not match the final production")
+	}
+	if r.rc.cod != 0 {
+		return malformedf("range coder does not end at the encoder's flush")
 	}
 	if _, err := r.rc.src.ReadByte(); err == nil {
 		return malformedf("trailing data after the final production")

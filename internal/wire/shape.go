@@ -242,11 +242,14 @@ func (s *shaper) walkNode(n *core.CSTNode) (walkResult, error) {
 			return flows, malformedf("try without a handler block")
 		}
 		n.Handler = handler
-		// Exception edges are appended during instruction decoding; the
-		// handler region starts with no predecessors.
+		// Exception edges are appended during instruction decoding, and
+		// are all the handler's: no construct may give it a normal edge.
 		handlerTerm, handlerEnd, err := s.walkRegion(n.Kids[1], nil, c)
 		if err != nil {
 			return flows, err
+		}
+		if len(handler.Preds) > 0 {
+			return flows, malformedf("try handler entered by a normal edge")
 		}
 		return s.join(c, bodyTerm, bodyEnd, handlerTerm, handlerEnd), nil
 	}
