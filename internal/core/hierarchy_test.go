@@ -8,7 +8,7 @@ import (
 
 // TestSubclassesOfADeepChain: over a chain of 1 000 classes, each
 // extending the one before, asking for every class's subclasses — as the
-// call graph does once per dispatch site — costs a pass over the classes
+// call graph does once per dispatched method — costs a pass over the classes
 // each, not a walk up the chain per class: milliseconds, where walking
 // the chain took seconds.
 func TestSubclassesOfADeepChain(t *testing.T) {

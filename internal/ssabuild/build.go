@@ -114,7 +114,8 @@ func (a *Arena) Rewind() int {
 // initializers and lets a streaming decoder (wire.DecodeVerifiedStream)
 // start main after admitting a short prefix; then the other methods
 // reachable from those roots through the call graph (Module.CallGraph:
-// direct calls, and every implementation a dispatch can select), in
+// direct calls, and through a dispatched method's node every
+// implementation a dispatch can select), in
 // their order before; then the methods no guest can call; and the
 // imported methods last. A consumer that pulls bodies on first call — a
 // streamed unit, or a resident one its loader holds as a cursor — stops
@@ -130,31 +131,12 @@ func orderFuncsForStreaming(m *core.Module) error {
 	if _, err := m.DeriveTables(nil); err != nil {
 		return err
 	}
-	cg := m.CallGraph()
-	n := len(m.Funcs)
-	reach := make(map[*core.Func]bool, n)
-	var stack []*core.Func
-	mark := func(f *core.Func) {
-		if f != nil && !reach[f] {
-			reach[f] = true
-			stack = append(stack, f)
-		}
-	}
-	for _, si := range m.StaticInit {
-		if si >= 0 {
-			mark(m.Funcs[si])
-		}
-	}
+	roots := make([]int32, 0, len(m.StaticInit)+1)
+	roots = append(roots, m.StaticInit...)
 	if m.Entry >= 0 {
-		mark(m.FuncOf(m.Entry))
+		roots = append(roots, m.Methods[m.Entry].FuncIdx)
 	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, g := range cg[f] {
-			mark(g)
-		}
-	}
+	reach := m.CallGraph().Reach(roots...)
 
 	// moved[i] is method i's index in the ordered table, -1 until it is
 	// taken.
@@ -172,8 +154,8 @@ func orderFuncsForStreaming(m *core.Module) error {
 	if m.Entry >= 0 {
 		take(m.Entry)
 	}
-	for _, f := range m.Funcs {
-		if reach[f] {
+	for i, f := range m.Funcs {
+		if reach[i] {
 			take(f.Claim)
 		}
 	}

@@ -18,25 +18,15 @@ import (
 // reachable marks the bodies a guest can call: the static initializers,
 // the entry's body and, through the call graph, everything they can call.
 func reachable(m *core.Module) map[*core.Func]bool {
-	cg := m.CallGraph()
-	reach := map[*core.Func]bool{}
-	var visit func(f *core.Func)
-	visit = func(f *core.Func) {
-		if f == nil || reach[f] {
-			return
-		}
-		reach[f] = true
-		for _, g := range cg[f] {
-			visit(g)
-		}
-	}
-	for _, si := range m.StaticInit {
-		if si >= 0 {
-			visit(m.Funcs[si])
-		}
-	}
+	roots := slices.Clone(m.StaticInit)
 	if m.Entry >= 0 {
-		visit(m.FuncOf(m.Entry))
+		roots = append(roots, m.Methods[m.Entry].FuncIdx)
+	}
+	reach := map[*core.Func]bool{}
+	for i, in := range m.CallGraph().Reach(roots...)[:len(m.Funcs)] {
+		if in {
+			reach[m.Funcs[i]] = true
+		}
 	}
 	return reach
 }
