@@ -24,7 +24,7 @@ type Options struct {
 // pipelineVersion is folded into every key so that a pipeline change
 // (new optimizer, new wire format) invalidates previously stored units
 // instead of serving stale code.
-const pipelineVersion = "safetsa-pipeline-v8"
+const pipelineVersion = "safetsa-pipeline-v9"
 
 // Key is the content address of a distribution unit: the SHA-256 of the
 // pipeline version, the options, and the full, order-independent source

@@ -22,7 +22,7 @@ func declaring(body func(w symWriter)) map[string][]byte {
 	aw := &acWriter{mdl: newModel(nil, nil), rc: newRCEncoder()}
 	body(aw)
 	payload := aw.finish()
-	v2 := appendLEB([]byte{'S', 'T', 'S', versionV2, modelAdaptive}, uint64(len(payload)))
+	v2 := appendLEB([]byte{'S', 'T', 'S', versionV2, 0, modelAdaptive}, uint64(len(payload)))
 
 	return map[string][]byte{"v1": bw.bytes(), "v2": append(v2, payload...)}
 }

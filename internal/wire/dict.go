@@ -25,7 +25,7 @@ type Dictionary struct {
 	// Probs is a full snapshot of the model's probability words in
 	// eachProb order (see model.go) — each a probability and the count of
 	// decisions that trained it, so a primed probability adapts at the
-	// rate its count has reached — or empty for default initialization.
+	// rate its count has reached — or empty to start from the prior.
 	Probs []uint16
 }
 
@@ -58,9 +58,9 @@ func (c *strCollector) setProd(int)         {}
 // TrainDictionary builds a dictionary over a distribution bundle: the
 // string table holds every string that appears at least twice across
 // the bundle (capped, most frequent first), and the probabilities are
-// the adaptive model's state after encoding the whole bundle — so a
-// fresh unit starts from the bundle's learned symbol statistics instead
-// of the uniform prior.
+// the adaptive model's state after encoding the whole bundle from the
+// trained prior — so a fresh unit starts from the bundle's learned symbol
+// statistics as well as the prior's.
 func TrainDictionary(mods []*core.Module) *Dictionary {
 	c := &strCollector{counts: make(map[string]int)}
 	for _, m := range mods {
@@ -83,11 +83,7 @@ func TrainDictionary(mods []*core.Module) *Dictionary {
 	}
 
 	mdl := newModel(nil, nil)
-	for _, m := range mods {
-		aw := &acWriter{mdl: mdl, rc: newRCEncoder()}
-		(&encoder{m: m, w: aw}).encodeAll()
-		aw.finish()
-	}
+	mdl.train(mods)
 
 	d := &Dictionary{Strings: names, Probs: mdl.snapshot()}
 	d.ID = dictID(d.body())

@@ -157,3 +157,17 @@ func (r *budget) str(s string) {
 	}
 	r.charge("strings", d, func() { r.aw.str(s) })
 }
+
+// TrainPrior is a prior trained on mods: the model's words after encoding
+// them from every probability at probInit, each count capped at limit,
+// serialized as the embedded prior is.
+func TrainPrior(mods []*core.Module, limit int) []byte {
+	var m model
+	m.eachProb(func(p *uint16) { *p = probInit })
+	m.train(mods)
+	probs := m.snapshot()
+	for i, w := range probs {
+		probs[i] = uint16(min(int(w>>probBits), limit))<<probBits | w&probMask
+	}
+	return (&Dictionary{Probs: probs}).Bytes()
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	_ "embed"
 	"fmt"
 	"math"
 	"math/bits"
@@ -153,9 +154,9 @@ func (s *symCtx) class(k int) []uint16 {
 }
 
 // model is the complete adaptive state shared (by symmetric
-// construction, not by reference) between encoder and decoder. A
-// Dictionary primes the initial probabilities and contributes a shared
-// string table; everything else starts at probInit.
+// construction, not by reference) between encoder and decoder. Every
+// probability starts at the trained prior's (modelTemplate), or at a
+// Dictionary's, which also contributes a shared string table.
 //
 // An operand reference's (l, r) is decided apart from the immediates of
 // the production it sits in, and in contexts every production shares:
@@ -180,16 +181,31 @@ type model struct {
 	dictIndex   map[string]int // writer-side lookup, nil on the reader
 }
 
-// modelTemplate is the model with every probability at probInit, built
-// once: a new model is a copy of it, not a visit to each probability.
+// prior is the model's trained starting state: every probability word
+// (a probability and its count, eachProb order) the adaptive model holds
+// after encoding a fixed set of generated programs at O2, each count
+// capped, serialized as a dictionary without strings. TestPriorIsTrained
+// rebuilds it from its training list, and DESIGN.md §11 says how the list
+// and the cap were chosen.
+//
+//go:embed prior.stsd
+var prior []byte
+
+// modelTemplate is the prior as a model, parsed once through the word
+// checks of ParseDictionary: a new model is a copy of it, not a visit to
+// each probability.
 var modelTemplate = func() (m model) {
-	m.eachProb(func(p *uint16) { *p = probInit })
+	d, err := ParseDictionary(prior)
+	if err != nil || len(d.Strings) != 0 || len(d.Probs) == 0 {
+		panic(fmt.Sprintf("wire: the embedded prior is not a model: %v", err))
+	}
+	m.load(d.Probs)
 	return m
 }()
 
 // modelProbCount is the exact length of a probability snapshot; a
 // dictionary with any other count is rejected at parse time.
-var modelProbCount = len(modelTemplate.snapshot())
+var modelProbCount = len(new(model).snapshot())
 
 // newModel makes a model primed by dict, in m's memory when m is not nil.
 func newModel(dict *Dictionary, m *model) *model {
@@ -199,8 +215,7 @@ func newModel(dict *Dictionary, m *model) *model {
 	*m = modelTemplate
 	if dict != nil {
 		if len(dict.Probs) > 0 {
-			i := 0
-			m.eachProb(func(p *uint16) { *p = dict.Probs[i]; i++ })
+			m.load(dict.Probs)
 		}
 		m.dictStrings = dict.Strings
 		m.dictIndex = make(map[string]int, len(dict.Strings))
@@ -209,6 +224,22 @@ func newModel(dict *Dictionary, m *model) *model {
 		}
 	}
 	return m
+}
+
+// load sets m's probability words to a snapshot's, in eachProb order.
+func (m *model) load(probs []uint16) {
+	i := 0
+	m.eachProb(func(p *uint16) { *p = probs[i]; i++ })
+}
+
+// train encodes each module through m, one unit after another, as the v2
+// encoder would: m ends in the state the modules taught it.
+func (m *model) train(mods []*core.Module) {
+	for _, mod := range mods {
+		aw := &acWriter{mdl: m, rc: newRCEncoder()}
+		(&encoder{m: mod, w: aw}).encodeAll()
+		aw.finish()
+	}
 }
 
 // eachProb visits every adaptive probability in a fixed canonical

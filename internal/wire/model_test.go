@@ -9,17 +9,22 @@ import (
 	"safetsa/internal/core"
 )
 
-// TestModelTemplate: the template newModel copies is the model eachProb
-// initialises, probability for probability; the count a dictionary must
-// carry is its length; and a new model is a copy of its own, so a coder
-// adapting it leaves the template and every later model at probInit.
+// TestModelTemplate: the template newModel copies is the embedded prior
+// parsed through ParseDictionary's word checks, word for word in eachProb
+// order; the count a dictionary must carry is its length; and a new model
+// is a copy of its own, so a coder adapting it leaves the template and
+// every later model at the prior.
 func TestModelTemplate(t *testing.T) {
+	d, err := ParseDictionary(prior)
+	if err != nil || len(d.Strings) != 0 {
+		t.Fatalf("the prior does not parse as a dictionary of probabilities alone: %v", err)
+	}
 	var want model
 	n := 0
-	want.eachProb(func(p *uint16) { *p = probInit; n++ })
+	want.eachProb(func(p *uint16) { *p = d.Probs[n]; n++ })
 	m := newModel(nil, nil)
 	if !reflect.DeepEqual(*m, want) {
-		t.Fatal("newModel(nil, nil) is not the eachProb-initialised model")
+		t.Fatal("newModel(nil, nil) is not the parsed prior")
 	}
 	// A symCtx is 120 tree nodes (1+3+7+15+31+63 for widths 1 to 5 and
 	// the class of widths 6 and up) and 18 deep positions (6 to 23): 138.
@@ -30,8 +35,9 @@ func TestModelTemplate(t *testing.T) {
 	// literal-byte nodes, and a flag and a symCtx each for the
 	// dictionary's strings and the unit's own (278): 7 806.
 	const count = 7806
-	if n != modelProbCount || n != count {
-		t.Errorf("eachProb visits %d probabilities, modelProbCount is %d; want both %d", n, modelProbCount, count)
+	if n != modelProbCount || n != count || len(d.Probs) != count {
+		t.Errorf("eachProb visits %d probabilities, modelProbCount is %d, the prior has %d; want all %d",
+			n, modelProbCount, len(d.Probs), count)
 	}
 	m.prods[prodTables].sym.tree[0], m.lit[1], m.dictSym.deep[0] = 1, 2, 3
 	if !reflect.DeepEqual(modelTemplate, want) || !reflect.DeepEqual(*newModel(nil, nil), want) {

@@ -23,7 +23,7 @@ const (
 	probBits = 11
 	probOne  = 1 << probBits
 	probMask = probOne - 1
-	probInit = probOne / 2 // and a count of 0
+	probInit = probOne / 2 // and a count of 0: where the prior's training starts
 
 	// A probability word is a uint16: the probability in its low probBits
 	// bits, and above them the count of decisions it has taken, which

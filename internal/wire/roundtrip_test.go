@@ -262,8 +262,8 @@ func TestAdmissionAgreesOnTruncations(t *testing.T) {
 // appended to the payload.
 func reframe(t *testing.T, data []byte, delta int, tail []byte) []byte {
 	t.Helper()
-	const head = 5 // "STS2" and the model byte
-	if len(data) < head || string(data[:4]) != "STS2" || data[4] != wire.ModelAdaptive {
+	const head = 6 // "STS2", the model byte and the model revision
+	if len(data) < head || string(data[:4]) != "STS2" || data[4] != 0 || data[5] != wire.ModelAdaptive {
 		t.Fatalf("not a dictionary-free v2 unit: % x", data[:min(len(data), head)])
 	}
 	plen, n := binary.Uvarint(data[head:])

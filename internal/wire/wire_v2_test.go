@@ -270,18 +270,22 @@ func TestNamesAreNotOnTheWire(t *testing.T) {
 	}
 }
 
-// TestOldModelRevisionsAreUnsupported: a v2 unit whose model byte names a
-// revision other than this decoder's — revision 6 decided every CST kind
+// TestOldModelRevisionsAreUnsupported: a v2 unit of a model revision
+// other than this decoder's is ErrUnsupportedVersion on every door that
+// reads v2, with or without a dictionary flag, and DecodeModuleV1 refuses
+// v2 as such. Revisions 1 to 7 were the model byte's low bits — revision
+// 7 started every probability at 1/2, revision 6 decided every CST kind
 // in one context and a block's phi count with its instruction count,
-// revision 0 is how revision 8 will begin, revision 5 spelled each imported
-// method's signature and the body indices, revision 4 spelled what a
-// consumer derives of the tables and coded counts in 4-bit groups, revision 3
-// moved every probability at one rate, revision 2 coded every symbol
-// against per-position probabilities, revision 1 spelled each body's
-// signature — is ErrUnsupportedVersion on every door that reads v2, with
-// or without a dictionary flag, and DecodeModuleV1 refuses v2 as such. So
-// is a v1 unit of the revision that spelled the derived tables ('B') or
-// the imported signatures and body indices ('C'), on every door.
+// revision 5 spelled each imported method's signature and the body
+// indices, revision 4 spelled what a consumer derives of the tables and
+// coded counts in 4-bit groups, revision 3 moved every probability at one
+// rate, revision 2 coded every symbol against per-position probabilities,
+// revision 1 spelled each body's signature — and so is a 0 there followed
+// by a revision byte other than 8, which is how a later revision will
+// begin. A reserved bit of the model byte is still ErrMalformed. A v1 unit
+// of the revision that spelled the derived tables ('B') or the imported
+// signatures and body indices ('C') is ErrUnsupportedVersion on every
+// door.
 func TestOldModelRevisionsAreUnsupported(t *testing.T) {
 	mod := compileAll(t, testPrograms["objects"], true)
 	cur := wire.EncodeModuleV2(mod, nil)
@@ -307,14 +311,39 @@ func TestOldModelRevisionsAreUnsupported(t *testing.T) {
 			return err
 		}},
 	}
-	for _, rev := range []byte{0, 1, 2, 3, 4, 5, 6} {
-		for _, dictFlag := range []byte{0, 8} {
+	if cur[4] != 0 || cur[5] != wire.ModelAdaptive {
+		t.Fatalf("model byte %d and revision %d, want 0 and %d", cur[4], cur[5], wire.ModelAdaptive)
+	}
+	for _, dictFlag := range []byte{0, 8} {
+		for _, rev := range []byte{1, 2, 3, 4, 5, 6, 7} {
 			old := bytes.Clone(cur)
 			old[4] = rev | dictFlag
 			for _, d := range doors {
 				if err := d.decode(old); !errors.Is(err, wire.ErrUnsupportedVersion) {
 					t.Errorf("%s: model byte %d: got %v, want ErrUnsupportedVersion", d.name, old[4], err)
 				}
+			}
+		}
+		for _, rev := range []byte{0, 7, 9, 255} {
+			later := bytes.Clone(cur)
+			later[4], later[5] = dictFlag, rev
+			for _, d := range doors {
+				if err := d.decode(later); !errors.Is(err, wire.ErrUnsupportedVersion) {
+					t.Errorf("%s: model byte %d, revision byte %d: got %v, want ErrUnsupportedVersion", d.name, later[4], rev, err)
+				}
+			}
+		}
+	}
+	for _, reserved := range []byte{0x10, 0x80} {
+		bad := bytes.Clone(cur)
+		bad[4] = reserved
+		for _, d := range doors {
+			want := wire.ErrMalformed
+			if d.name == "DecodeModuleV1" {
+				want = wire.ErrUnsupportedVersion
+			}
+			if err := d.decode(bad); !errors.Is(err, want) {
+				t.Errorf("%s: model byte %#x: got %v, want %v", d.name, reserved, err, want)
 			}
 		}
 	}
