@@ -46,12 +46,12 @@ func TestKeyForGolden(t *testing.T) {
 		"Util.tj": "class Util { static int twice(int x) { return x * 2; } } //   café\n",
 	}
 	want := []string{
-		"b60dc00e3ed16bf76b9fd216b324ea1b23d3fb0d2bd0774b037d87ebaa5f4e37",
-		"809e03d2f909caf849d522c3b084df05fb17347dca086888ca65852d4e59e20d",
-		"62534bcb8380d9701c87dc38692951fdbc86d08d67b0d85b6770e69910acc77b",
-		"687794132b25404686fe2fe354142c283e0101f5ce13c62678990c12530b6462",
-		"b75d74c323694298457bb2a93e581dc3730b3c89a4d5a795b89a55fc3f48cdff",
-		"00b97756ff2e7e5bbf7a5005b8e3eac3cfce094b078ac9e91ac8607f89d7ec72",
+		"a7a712b047830f57dcc0d31be250065ac1897f93146153aaaa3e66ce160291f0",
+		"dcde157f31a2671f9f50d50872d55d63b84df69ba22bee76c1c19eedb5724dcc",
+		"58c2310a483270c2918db83dce3e18d860e56d22e72670436f6242195cb28ce3",
+		"592d02fe7a21ce526866c400815c92fe2d8f6b84a9336906e6b72ca9f619a11c",
+		"5b7b3603e9675c7472a12edd36376b9cfa20dca779b7abf45703ddb92662f94d",
+		"f60163ecdaecd27be24be501c472d471448d7c3ec7a5086e7a4fba7b97aeec3a",
 	}
 	for i, o := range resolvedOptionRows {
 		if got := KeyFor(files, o).String(); got != want[i] {
@@ -197,32 +197,32 @@ var compileRequestSeeds = []struct {
 	hash   string
 }{
 	{"json_marshal_html_escaped", `{"files":{"Hello.tj":"class Hello {\n\tstatic void main() { System.out.println(\"\u003ca\u0026b\u003e\u2028\" + (6 * 7)); }\n}\n"},"optimize":true,"module_opt":false}`,
-		true, 200, "d92b726d3a77e2e0d5e349239404c02a8117785e1894d765e95011aa75465881"},
+		true, 200, "b49db68f24dc18dd2231039a5aadd44be8dc5b09066e4e725c2dc1f6ffd66fcb"},
 	{"members_reordered_spaced", "  {\r\n\t\"module_opt\" : true ,\n \"files\" : { \"B.tj\" : \"class B { }\" , \"A.tj\" : \"class A { static void main() { } }\" } }\n ",
-		true, 200, "b8bb5ab5e88f1a649334f437390eb1e9cbd3804a0fcf5a3b6fb1f57131de8225"},
+		true, 200, "b4a02554e7bfef797c410eed961e36600cf47bedf769dbeddc8f354f688c2123"},
 	{"escapes_all_eight", `{"files":{"A\/.tj":"class A { static void main() { } } /* \"\\\/\b\f\n\r\t\u00e9\u000A */"}}`,
-		true, 200, "030d7d6435f0bf146f2b4d70221144f1e297dc959b474e732217e9b2fef79e5f"},
+		true, 200, "8a48cf52617fc652dd584506689ef7fb597263d66a70f73ad35c6d346a91e829"},
 	{"escaped_member_name", `{"fil\u0065s":{"A.tj":"class A { static void main() { } }"}}`,
-		true, 200, "eb776cf01169d71f75dd2d487412bb92ae063826ac78681a0610d4741764ef4d"},
+		true, 200, "d8c78ae5b29357dea88fdc747d5206aefa44f0e09f96b0bab689a48c6162f0e9"},
 	{"empty_object", `{}`, true, 400, ""},
 	{"surrogate_pair", `{"files":{"A.tj":"class A { static void main() { System.out.println(\"\ud83d\ude00\"); } }"}}`,
-		false, 200, "d5a8f17630f911fd93c53d2cd1d89dfcd7be61473f242585c65edea814d3fae7"},
+		false, 200, "02a3885573adc23226730f98f47aa8064dcb45fd423732fed662154bbc608f69"},
 	{"lone_surrogate", `{"files":{"A.tj":"class A { static void main() { System.out.println(\"\ud800\"); } }"}}`,
-		false, 200, "d78cd906517664a40e0c33d8c2cd312fe3fa3362d8ed4c61c4740453ebca8c8b"},
+		false, 200, "e14efff7d3e122454bfd76b95270d6c5cc67f59d52564a2fda730bf5c9594473"},
 	{"invalid_utf8", "{\"files\":{\"A.tj\":\"class A { static void main() { } } // \xff\xc0\xaf\"}}",
-		false, 200, "01937a142cddc7f9130254540bf218aba2e0f53e69c5fa9b06b9df31ce9a87eb"},
+		false, 200, "494dacb0e4ad76730a348ec8a29b90a8908887967b18d99a19d47fb409d004ec"},
 	{"duplicate_file_name", `{"files":{"A.tj":"class A { }","A.tj":"class A { static void main() { } }"}}`,
-		false, 200, "eb776cf01169d71f75dd2d487412bb92ae063826ac78681a0610d4741764ef4d"},
+		false, 200, "d8c78ae5b29357dea88fdc747d5206aefa44f0e09f96b0bab689a48c6162f0e9"},
 	{"duplicate_files_member", `{"files":{"A.tj":"class A { static void main() { } }"},"files":{"B.tj":"class B { }"}}`,
-		false, 200, "a6ab322d724a443b409ea261c45e09ec9ce66ad61c5a3b06afdfc0e086eaea50"},
+		false, 200, "34b428c482d060a447d8a74fe8f65497ce9c52d7b64892b1fae574c9a15d617c"},
 	{"duplicate_optimize", `{"optimize":false,"files":{"A.tj":"class A { static void main() { } }"},"optimize":true}`,
-		false, 200, "82f811fc0fae00a49dcd742523535aa1cc97840cfa4425254f4fa834d060d466"},
+		false, 200, "c3a76d946db7c426415c6097b68077cebb050381a94cfa2d4073c0ae918550aa"},
 	{"uppercase_member", `{"FILES":{"A.tj":"class A { static void main() { } }"},"Optimize":true}`,
-		false, 200, "82f811fc0fae00a49dcd742523535aa1cc97840cfa4425254f4fa834d060d466"},
+		false, 200, "c3a76d946db7c426415c6097b68077cebb050381a94cfa2d4073c0ae918550aa"},
 	{"unknown_member", `{"files":{"A.tj":"class A { static void main() { } }"},"engine":"compiled"}`,
-		false, 200, "eb776cf01169d71f75dd2d487412bb92ae063826ac78681a0610d4741764ef4d"},
+		false, 200, "d8c78ae5b29357dea88fdc747d5206aefa44f0e09f96b0bab689a48c6162f0e9"},
 	{"optimize_null", `{"files":{"A.tj":"class A { static void main() { } }"},"optimize":null}`,
-		false, 200, "eb776cf01169d71f75dd2d487412bb92ae063826ac78681a0610d4741764ef4d"},
+		false, 200, "d8c78ae5b29357dea88fdc747d5206aefa44f0e09f96b0bab689a48c6162f0e9"},
 	{"files_null", `{"files":null,"optimize":true}`, false, 400, ""},
 	{"top_level_null", `null`, false, 400, ""},
 	{"raw_control_byte", "{\"files\":{\"A.tj\":\"class A { }\x01\"}}", false, 400, ""},
