@@ -20,7 +20,7 @@ import "slices"
 //     it must keep, or else is appended, and may not share a superclass's
 //     static method's name and parameters. Statics and constructors have
 //     no slot. The imported classes' tables follow the same rule from the
-//     host library's methods.
+//     host library's methods, derived once per process (hostTables).
 //   - Native bindings: each imported method's Builtin, the host operation
 //     of the same owner, name, parameters, result and staticness. A
 //     method with neither a body nor a host operation is refused.
@@ -37,40 +37,34 @@ import "slices"
 // tables take, grow with the square of the unit's size.
 const maxDispatchWork = 1 << 22
 
-// hostTableLen is, by imported class, the length of its dispatch table:
-// its superclass's and its own instance methods that override none of
-// the superclasses'; hostTablesLen is their sum.
-var hostTableLen, hostTablesLen = func() ([]int32, int) {
-	n := make([]int32, implicit.ImplicitLen)
-	sum := 0
-	// overrides reports whether a superclass of hm's owner has an instance
-	// method of hm's name and parameters.
-	overrides := func(hm *HostMethod) bool {
-		for t := implicit.ByID[hm.Owner].Super; t != NoType; t = implicit.ByID[t].Super {
-			for _, h := range hostOwned[t] {
-				if s := &hostMethods[h]; !s.Static && s.Name == hm.Name && slices.Equal(s.Params, hm.Params) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	for t := TypeID(1); int(t) < len(n); t++ {
+// hostTables is, by imported class, its dispatch table, each entry -1-i
+// for hostMethods[i]; hostSlot is each host method's dispatch slot, -1 for
+// a static. They are the same in every unit, so they are derived once per
+// process (deriveHostTables), and every derivation copies from them and
+// never writes them.
+var hostTables, hostSlot = deriveHostTables()
+
+// deriveHostTables derives the imported classes' dispatch tables by the
+// rule the unit's classes follow (place, which reads no module for a host
+// method's entry). Type-table order puts every superclass before its
+// subclasses, and Object's superclass, NoType, has an empty table.
+func deriveHostTables() ([][]int32, []int32) {
+	tables, slot := make([][]int32, implicit.ImplicitLen), make([]int32, len(hostMethods))
+	for t := TypeID(1); int(t) < len(tables); t++ {
 		if implicit.ByID[t].Kind != TClass {
 			continue
 		}
-		if s := implicit.ByID[t].Super; s != NoType {
-			n[t] = n[s]
-		}
+		vt := slices.Clone(tables[implicit.ByID[t].Super])
 		for _, h := range hostOwned[t] {
-			if hm := &hostMethods[h]; !hm.Static && !overrides(hm) {
-				n[t]++
+			slot[h] = -1
+			if !hostMethods[h].Static {
+				vt, slot[h], _ = place(nil, vt, 0, -1-h)
 			}
 		}
-		sum += int(n[t])
+		tables[t] = slices.Clip(vt)
 	}
-	return n, sum
-}()
+	return tables, slot
+}
 
 // derived is the derivation's result, by field, by method and by class
 // definition.
@@ -105,7 +99,6 @@ func (d *derived) list(s span) []int32 { return d.lists[s.off : s.off+s.n] }
 type derivedMem struct {
 	scratch [256]int32
 	classes [32]derivedClass
-	host    [64]span
 	lists   [512]int32
 }
 
@@ -126,19 +119,16 @@ func carve[T any](buf []T, n int) []T {
 // each definition's superclass is its type's.
 func (m *Module) derive(mem *derivedMem, defIdx func(TypeID) int, bad func(string, ...any)) derived {
 	nf, nm, nh := len(m.Fields), len(m.Methods), len(hostMethods)
-	scratch := carve(mem.scratch[:], nf+2*nm+2*nh)
+	scratch := carve(mem.scratch[:], nf+2*nm+nh)
 	d := derived{
 		slot:    scratch[:nf:nf],
 		vslot:   scratch[nf : nf+nm : nf+nm],
 		builtin: scratch[nf+nm : nf+2*nm : nf+2*nm],
 		classes: carve(mem.classes[:], len(m.Classes)),
 	}
-	// hostAt is the first method-table entry bound to each host method,
-	// hostSlot each host method's dispatch slot.
-	hostAt, hostSlot := scratch[nf+2*nm:nf+2*nm+nh], scratch[nf+2*nm+nh:]
-	for i := range hostAt {
-		hostAt[i], hostSlot[i] = -1, -1
-	}
+	// hostAt is 1 + the first method-table entry bound to each host method,
+	// 0 for none.
+	hostAt := scratch[nf+2*nm:]
 
 	// Member lists: count what each class owns, then fill the lists in
 	// table order. A field's slot is first its ordinal among its owner's
@@ -158,7 +148,7 @@ func (m *Module) derive(mem *derivedMem, defIdx func(TypeID) int, bad func(strin
 			}
 		}
 	}
-	room := hostTablesLen + m.dispatchRoom(&d, defIdx)
+	room := m.dispatchRoom(&d, defIdx)
 	n := int32(0)
 	for k := range d.classes {
 		c := &d.classes[k]
@@ -191,26 +181,6 @@ func (m *Module) derive(mem *derivedMem, defIdx func(TypeID) int, bad func(strin
 		}
 	}
 
-	// The imported classes' dispatch tables, by the rule the unit's
-	// classes follow, their entries -1-i for hostMethods[i]. Type-table
-	// order puts every superclass before its subclasses.
-	host := carve(mem.host[:], m.Types.ImplicitLen)
-	for t := TypeID(1); int(t) < len(host); t++ {
-		if m.Types.ByID[t].Kind != TClass {
-			continue
-		}
-		start := int32(len(d.lists))
-		if s := m.Types.ByID[t].Super; s != NoType {
-			d.lists = append(d.lists, d.list(host[s])...)
-		}
-		for h := range hostMethods {
-			if hm := &hostMethods[h]; hm.Owner == t && !hm.Static {
-				d.lists, hostSlot[h], _ = place(m, d.lists, start, int32(-1-h))
-			}
-		}
-		host[t] = span{start, int32(len(d.lists)) - start}
-	}
-
 	// Native bindings: an imported method is the host operation of its
 	// signature; any other method has a body.
 	for i := range m.Methods {
@@ -222,8 +192,8 @@ func (m *Module) derive(mem *derivedMem, defIdx func(TypeID) int, bad func(strin
 		if t := m.Types.Get(mr.Owner); t.Imported && t.Kind == TClass {
 			if h := hostMethodFor(mr); h >= 0 {
 				d.builtin[i], d.vslot[i] = int32(hostMethods[h].Builtin), hostSlot[h]
-				if hostAt[h] < 0 {
-					hostAt[h] = int32(i)
+				if hostAt[h] == 0 {
+					hostAt[h] = int32(i) + 1
 				}
 				continue
 			}
@@ -241,26 +211,26 @@ func (m *Module) derive(mem *derivedMem, defIdx func(TypeID) int, bad func(strin
 			continue
 		}
 		c, name, super := &d.classes[k], m.Types.ByID[t].Name, m.Classes[k].Super
-		inheritedVT, inherited := span{}, int32(0)
+		inheritedVT, inherited := []int32(nil), int32(0)
 		c.staticAt, c.hostUp = -1, super
 		if ks := defIdx(super); ks >= 0 {
 			sc := &d.classes[ks]
-			inheritedVT, inherited = sc.vtable, sc.numSlots
+			inheritedVT, inherited = d.list(sc.vtable), sc.numSlots
 			c.staticAt, c.hostUp = sc.staticAt, sc.hostUp
-		} else if int(super) < len(host) {
+		} else if int(super) < len(hostTables) {
 			if m.Types.IsSubclass(super, m.Types.Throwable) {
 				inherited = 1 // the message every throwable holds
 			}
-			inheritedVT = host[super]
+			inheritedVT = hostTables[super]
 		}
 		// The bound is checked before the inherited table is copied: a
 		// class that adds no method still costs its copy.
-		if work += int(inheritedVT.n); work > maxDispatchWork {
+		if work += len(inheritedVT); work > maxDispatchWork {
 			bad("class %s: dispatch tables too large to derive", name)
 			return d
 		}
 		start := int32(len(d.lists))
-		d.lists = append(d.lists, d.list(inheritedVT)...)
+		d.lists = append(d.lists, inheritedVT...)
 		c.numSlots += inherited
 		for _, fi := range d.list(c.fields) {
 			if !m.Fields[fi].Static {
@@ -297,8 +267,8 @@ func (m *Module) derive(mem *derivedMem, defIdx func(TypeID) int, bad func(strin
 				continue
 			}
 			h := &hostMethods[-1-e]
-			if at := hostAt[-1-e]; at >= 0 {
-				d.lists[int(start)+j] = at
+			if at := hostAt[-1-e]; at > 0 {
+				d.lists[int(start)+j] = at - 1
 			} else {
 				bad("class %s: inherits %s.%s, which the method table does not list", name, m.Types.Describe(h.Owner), h.Name)
 			}
@@ -330,8 +300,8 @@ func (m *Module) dispatchRoom(d *derived, defIdx func(TypeID) int) int {
 			if sc.statics > 0 {
 				c.above += sc.methods.n
 			}
-		} else if int(super) < len(hostTableLen) {
-			inherited = int(hostTableLen[super])
+		} else if int(super) < len(hostTables) {
+			inherited = len(hostTables[super])
 		}
 		if work += inherited; work > maxDispatchWork {
 			return room
@@ -409,73 +379,6 @@ func entry(m *Module, e int32) (string, []TypeID, TypeID) {
 	}
 	mr := &m.Methods[e]
 	return mr.Name, mr.Params, mr.Result
-}
-
-// MoveTables moves the tables derived over m's method table
-// (DeriveTables) to what a derivation over the table permuted by moved —
-// method i now at moved[i], m.Methods already in the new order — gives,
-// without deriving them again. A permutation changes no override, only
-// the order in which a class appends the virtual methods that override
-// none: a dispatch table keeps the slots it inherits in its superclass's
-// new order and takes its own after them in the new table order, and a
-// member list stays in table order.
-func (m *Module) MoveTables(moved []int32) {
-	nt, nc, total, longest := len(m.Types.ByID), len(m.Classes), 0, 0
-	for _, cd := range m.Classes {
-		total += len(cd.VTable)
-		longest = max(longest, len(cd.VTable))
-	}
-	// One buffer holds, by type, 1 + its class definition's index; by
-	// class, where its slot map starts; the slot maps, each class's slots
-	// to their new places; and the scratch a table is rewritten through:
-	// its own slots in their new order, and a copy of its entries.
-	var small [256]int32
-	buf := carve(small[:], nt+nc+total+2*longest)
-	def, start, perm := buf[:nt], buf[nt:nt+nc], buf[nt+nc:nt+nc+total]
-	order, vt := buf[nt+nc+total:nt+nc+total+longest], buf[nt+nc+total+longest:]
-	off := int32(0)
-	for k, cd := range m.Classes {
-		def[cd.Type], start[k] = int32(k+1), off
-		off += int32(len(cd.VTable))
-	}
-	for k, cd := range m.Classes {
-		p := perm[start[k] : int(start[k])+len(cd.VTable)]
-		// The inherited slots go where the superclass's went; an imported
-		// superclass's do not move. The class's own follow in the new
-		// table order.
-		n := 0
-		if ks := def[cd.Super] - 1; ks >= 0 {
-			n = copy(p, perm[start[ks]:int(start[ks])+len(m.Classes[ks].VTable)])
-		} else {
-			n = int(hostTableLen[cd.Super])
-			for s := range n {
-				p[s] = int32(s)
-			}
-		}
-		own := order[:len(p)-n]
-		for r := range own {
-			own[r] = int32(n + r)
-		}
-		slices.SortFunc(own, func(a, b int32) int { return int(moved[cd.VTable[a]] - moved[cd.VTable[b]]) })
-		for r, s := range own {
-			p[s] = int32(n + r)
-		}
-		copy(vt, cd.VTable)
-		for s, e := range vt[:len(p)] {
-			cd.VTable[p[s]] = moved[e]
-		}
-		for j, e := range cd.Methods {
-			cd.Methods[j] = moved[e]
-		}
-		slices.Sort(cd.Methods)
-	}
-	for i := range m.Methods {
-		if mr := &m.Methods[i]; mr.VSlot >= 0 {
-			if k := def[mr.Owner] - 1; k >= 0 {
-				mr.VSlot = perm[start[k]+mr.VSlot]
-			}
-		}
-	}
 }
 
 // install writes the derivation into m's tables, each list kept from keep,

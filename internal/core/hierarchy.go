@@ -8,30 +8,49 @@ package core
 // one Module sound, and these queries are the substrate of the
 // interprocedural optimizer tier (devirtualization, inlining).
 
-import "slices"
+import (
+	"slices"
+	"strings"
+)
 
 // Subclasses returns the module's class definitions whose type is a
-// reflexive subclass of root, in Classes order. The definitions stand in
-// type order, which puts every superclass before its subclasses, so one
-// pass decides each class by its superclass: a class is in when it is
-// root or its superclass is — a unit class already decided, or an
-// imported one the type table puts under root. The set of classes in is
-// on the stack for a table of up to 512 types.
+// reflexive subclass of root, in Classes order (subclassSet).
 func (m *Module) Subclasses(root TypeID) []*ClassDef {
 	var small [8]uint64
-	in := small[:]
-	if n := (len(m.Types.ByID) + 63) / 64; n > len(in) {
-		in = make([]uint64, n)
-	}
+	in := m.subclassSet(root, small[:])
 	var out []*ClassDef
 	for _, cd := range m.Classes {
-		s, unit := uint(cd.Super), m.unitClass(cd.Super)
-		if cd.Type == root || unit && in[s/64]&(1<<(s%64)) != 0 || !unit && m.Types.IsSubclass(cd.Super, root) {
-			in[cd.Type/64] |= 1 << (cd.Type % 64)
+		if in.has(cd.Type) {
 			out = append(out, cd)
 		}
 	}
 	return out
+}
+
+// typeSet is a set of TypeIDs, one bit each.
+type typeSet []uint64
+
+func (s typeSet) has(t TypeID) bool { return int(t/64) < len(s) && s[t/64]&(1<<(t%64)) != 0 }
+
+// subclassSet is the set of the unit's class types that are reflexive
+// subclasses of root, made in buf when it is long enough (8 words hold a
+// table of 512 types). The definitions stand in type order, which puts
+// every superclass before its subclasses, so one pass decides each class
+// by its superclass: a class is in when it is root or its superclass is —
+// a unit class already decided, or an imported one under root.
+func (m *Module) subclassSet(root TypeID, buf []uint64) typeSet {
+	in := typeSet(buf)
+	if n := (len(m.Types.ByID) + 63) / 64; n > len(in) {
+		in = make(typeSet, n)
+	}
+	clear(in)
+	for _, cd := range m.Classes {
+		unit := m.unitClass(cd.Super)
+		if cd.Type == root || unit && in.has(cd.Super) || !unit && m.Types.IsSubclass(cd.Super, root) {
+			in[cd.Type/64] |= 1 << (cd.Type % 64)
+		}
+	}
+	return in
 }
 
 // InstantiatedClasses returns the set of class types the module can ever
@@ -96,10 +115,11 @@ func (m *Module) MonomorphicTarget(method int32, instantiated map[TypeID]bool) i
 // CallGraph is a module's call graph over unit-local bodies. Node i below
 // Bodies is m.Funcs[i]; each method an xdispatch names has one node past
 // the bodies, whose successors are the bodies a receiver of a subclass of
-// its owner selects through its dispatch slot, computed once. A body's
-// successors are the bodies its xcalls name and the nodes of the methods
-// it dispatches, each once. So a dispatch site is one edge however many
-// overrides it can select, and the graph's size is the module's call
+// its owner can select: the bodies of the unit's virtual methods of its
+// name and parameters that its owner or a subclass declares, computed once.
+// A body's successors are the bodies its xcalls name and the nodes of the
+// methods it dispatches, each once. So a dispatch site is one edge however
+// many overrides it can select, and the graph's size is the module's call
 // sites plus its dispatched methods' overrides. Imported callees (no body
 // in the unit) do not appear.
 type CallGraph struct {
@@ -141,7 +161,8 @@ func (g *CallGraph) Reach(roots ...int32) []bool {
 }
 
 // CallGraph builds m's call graph; m's bodies must stand where their
-// methods' FuncIdx say, and its dispatch tables must be derived.
+// methods' FuncIdx say. It reads the hierarchy, not the dispatch tables, so
+// it holds before they are derived.
 func (m *Module) CallGraph() *CallGraph {
 	nb := len(m.Funcs)
 	g := &CallGraph{Bodies: nb, start: make([]int32, 0, nb+1)}
@@ -156,23 +177,18 @@ func (m *Module) CallGraph() *CallGraph {
 			g.succ = append(g.succ, n)
 		}
 	}
-	body := func(method int32) int32 {
-		if m.FuncOf(method) == nil {
-			return -1
-		}
-		return m.Methods[method].FuncIdx
-	}
+	virtual := func(mr *MethodRef) bool { return !mr.Static && !mr.IsCtor }
 	for i, f := range m.Funcs {
 		g.start = append(g.start, int32(len(g.succ)))
 		for _, b := range f.Blocks {
 			for _, in := range b.Code {
 				switch in.Op {
 				case OpXCall:
-					if fi := body(in.Method); fi >= 0 {
-						add(int32(i), fi)
+					if m.FuncOf(in.Method) != nil {
+						add(int32(i), m.Methods[in.Method].FuncIdx)
 					}
 				case OpXDispatch:
-					if in.Method < 0 || int(in.Method) >= len(m.Methods) || m.Methods[in.Method].VSlot < 0 {
+					if in.Method < 0 || int(in.Method) >= len(m.Methods) || !virtual(&m.Methods[in.Method]) {
 						continue
 					}
 					if node[in.Method] == 0 {
@@ -185,15 +201,29 @@ func (m *Module) CallGraph() *CallGraph {
 			}
 		}
 	}
+	// byName is the virtual methods with a body, by name: what a dispatch
+	// can select is one run of it, however many methods the subclasses own.
+	var byName []int32
+	if len(dispatched) > 0 {
+		byName = make([]int32, 0, len(m.Methods))
+		for i := range m.Methods {
+			if virtual(&m.Methods[i]) && m.FuncOf(int32(i)) != nil {
+				byName = append(byName, int32(i))
+			}
+		}
+		slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(m.Methods[a].Name, m.Methods[b].Name) })
+	}
+	var small [8]uint64
+	in := typeSet(small[:])
 	for k, mi := range dispatched {
 		n := int32(nb + k)
 		g.start = append(g.start, int32(len(g.succ)))
 		mr := &m.Methods[mi]
-		for _, cd := range m.Subclasses(mr.Owner) {
-			if int(mr.VSlot) < len(cd.VTable) {
-				if fi := body(cd.VTable[mr.VSlot]); fi >= 0 {
-					add(n, fi)
-				}
+		in = m.subclassSet(mr.Owner, in)
+		j, _ := slices.BinarySearchFunc(byName, mr.Name, func(c int32, name string) int { return strings.Compare(m.Methods[c].Name, name) })
+		for ; j < len(byName) && m.Methods[byName[j]].Name == mr.Name; j++ {
+			if c := &m.Methods[byName[j]]; in.has(c.Owner) && slices.Equal(c.Params, mr.Params) {
+				add(n, c.FuncIdx)
 			}
 		}
 	}

@@ -114,23 +114,18 @@ func (a *Arena) Rewind() int {
 // initializers and lets a streaming decoder (wire.DecodeVerifiedStream)
 // start main after admitting a short prefix; then the other methods
 // reachable from those roots through the call graph (Module.CallGraph:
-// direct calls, and through a dispatched method's node every
-// implementation a dispatch can select), in
-// their order before; then the methods no guest can call; and the
-// imported methods last. A consumer that pulls bodies on first call — a
-// streamed unit, or a resident one its loader holds as a cursor — stops
-// at the highest body its guest calls, so the tail is never decoded. The
-// method references of the bodies are rewritten to match, and the tables
-// derived over the table as built (core.Module.DeriveTables) are moved to
-// what every consumer derives over the ordered table
-// (core.Module.MoveTables), so they are derived once; the permutation is
-// semantics-free.
+// direct calls, and through a dispatched method's node every override a
+// dispatch can select), in their order before; then the methods no guest
+// can call; and the imported methods last. A consumer that pulls bodies
+// on first call — a streamed unit, or a resident one its loader holds as
+// a cursor — stops at the highest body its guest calls, so the tail is
+// never decoded. The method references of the bodies are rewritten to
+// match; the permutation is semantics-free. The call graph reads the
+// hierarchy, not the dispatch tables, so the tables are derived once,
+// over the ordered table, as every consumer derives them
+// (core.Module.DeriveTables).
 func orderFuncsForStreaming(m *core.Module) error {
-	// The call graph reads the dispatch tables of the tables as built.
 	m.PlaceBodies()
-	if _, err := m.DeriveTables(nil); err != nil {
-		return err
-	}
 	roots := make([]int32, 0, len(m.StaticInit)+1)
 	roots = append(roots, m.StaticInit...)
 	if m.Entry >= 0 {
@@ -138,17 +133,14 @@ func orderFuncsForStreaming(m *core.Module) error {
 	}
 	reach := m.CallGraph().Reach(roots...)
 
-	// moved[i] is method i's index in the ordered table, -1 until it is
+	// moved[i] is 1 + method i's index in the ordered table, 0 until it is
 	// taken.
 	moved := make([]int32, len(m.Methods))
-	for i := range moved {
-		moved[i] = -1
-	}
 	methods := make([]core.MethodRef, 0, len(m.Methods))
 	take := func(c int32) {
-		if c >= 0 && moved[c] < 0 {
-			moved[c] = int32(len(methods))
+		if c >= 0 && moved[c] == 0 {
 			methods = append(methods, m.Methods[c])
+			moved[c] = int32(len(methods))
 		}
 	}
 	if m.Entry >= 0 {
@@ -166,21 +158,21 @@ func orderFuncsForStreaming(m *core.Module) error {
 		take(int32(i))
 	}
 	m.Methods = methods
-	m.MoveTables(moved)
 	for _, f := range m.Funcs {
 		if f.Claim >= 0 {
-			f.Claim = moved[f.Claim]
+			f.Claim = moved[f.Claim] - 1
 		}
 		for _, b := range f.Blocks {
 			for _, in := range b.Code {
 				if in.Op == core.OpXCall || in.Op == core.OpXDispatch {
-					in.Method = moved[in.Method]
+					in.Method = moved[in.Method] - 1
 				}
 			}
 		}
 	}
 	m.PlaceBodies()
-	return nil
+	_, err := m.DeriveTables(nil)
+	return err
 }
 
 // typeOf maps a sema type to the module type table.

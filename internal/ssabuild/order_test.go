@@ -2,6 +2,7 @@ package ssabuild_test
 
 import (
 	"context"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -91,14 +92,12 @@ func TestEntryFollowsStaticInitializers(t *testing.T) {
 	}
 }
 
-// TestOrderedTablesAreDerived: Build derives the tables once, over the
-// method table as built, and moves its member lists and dispatch tables
-// with the method table it orders. What it leaves is what a derivation
-// over the ordered table gives, entry for entry, in every corpus unit and
-// benchmark guest (Except's classes extend an imported throwable), and in
-// a hierarchy whose classes append methods their guest reaches in another
-// order than the table as built holds them.
-func TestOrderedTablesAreDerived(t *testing.T) {
+// orderUnits is every corpus unit and benchmark guest (Except's classes
+// extend an imported throwable), and a hierarchy whose classes append
+// methods their guest reaches in another order than the table as built
+// holds them, by name.
+func orderUnits(t *testing.T) map[string]map[string]string {
+	t.Helper()
 	units := map[string]map[string]string{"Reorder": {"Reorder.tj": `
 class A { int f() { return 1; } int g() { return 2; } int h() { return 3; } }
 class B extends A { int p() { return 4; } int f() { return 5; } int q() { return 6; } }
@@ -125,6 +124,15 @@ class Reorder {
 		}
 		units[filepath.Base(path)] = map[string]string{filepath.Base(path): string(src)}
 	}
+	return units
+}
+
+// TestOrderedTablesAreDerived: Build orders the method table first and
+// derives the tables once, after the order. What it leaves is what a
+// derivation over the ordered table gives, entry for entry, in every unit
+// of orderUnits.
+func TestOrderedTablesAreDerived(t *testing.T) {
+	units := orderUnits(t)
 	for name, files := range units {
 		prog, err := driver.Frontend(files)
 		if err != nil {
@@ -155,6 +163,80 @@ class Reorder {
 		}
 		if derived := snapshot(); !reflect.DeepEqual(built, derived) {
 			t.Errorf("%s: the tables Build leaves are not the ordered table's derivation", name)
+		}
+	}
+}
+
+// TestCallGraphSelectsWhatDispatchSelects: the call graph reads the
+// hierarchy, not the dispatch tables, and its rule — a dispatched method's
+// node leads to the bodies of the virtual methods of its name and
+// parameters that its owner or a subclass declares — selects what the
+// derived tables do: the bodies cd.VTable[VSlot] names over the owner's
+// subclasses. It holds for every unit of orderUnits at O0 and O2, and for
+// a unit that dispatches a method with an overload, one whose signature a
+// class outside the owner's subclasses also declares, and a host method a
+// class under an imported throwable overrides.
+func TestCallGraphSelectsWhatDispatchSelects(t *testing.T) {
+	units := orderUnits(t)
+	units["Select"] = map[string]string{"Select.tj": `
+class Shape { int area() { return 0; } int area(int k) { return k; } }
+class Square extends Shape { int area() { return 4; } int area(int k) { return 4 * k; } }
+class Label { int area() { return 9; } }
+class Oops extends Exception { String getMessage() { return "oops"; } }
+class Select {
+    static void main() {
+        Shape s = new Square();
+        Shape t = new Shape();
+        Label l = new Label();
+        Exception e = new Oops();
+        System.out.println(s.area() + t.area(2) + l.area());
+        System.out.println(e.getMessage());
+    }
+}`}
+	for name, files := range units {
+		for _, o2 := range []bool{false, true} {
+			mod, err := driver.CompileTSASource(files)
+			if err == nil && o2 {
+				_, err = driver.OptimizeModuleOptions(context.Background(), mod, opt.Options{ModuleLevel: true})
+			}
+			if err != nil {
+				t.Fatalf("%s O2=%v: %v", name, o2, err)
+			}
+			// The dispatched methods, in the order the graph gives them nodes.
+			var dispatched []int32
+			for _, f := range mod.Funcs {
+				for _, b := range f.Blocks {
+					for _, in := range b.Code {
+						if in.Op == core.OpXDispatch && !slices.Contains(dispatched, in.Method) {
+							dispatched = append(dispatched, in.Method)
+						}
+					}
+				}
+			}
+			g := mod.CallGraph()
+			if g.Nodes() != g.Bodies+len(dispatched) {
+				t.Fatalf("%s O2=%v: %d nodes over %d bodies and %d dispatched methods", name, o2, g.Nodes(), g.Bodies, len(dispatched))
+			}
+			for k, mi := range dispatched {
+				mr := &mod.Methods[mi]
+				if mr.VSlot < 0 {
+					t.Fatalf("%s O2=%v: dispatched method %d (%s) has no slot", name, o2, mi, mr.Name)
+				}
+				want := map[int32]bool{}
+				for _, cd := range mod.Subclasses(mr.Owner) {
+					if fi := mod.Methods[cd.VTable[mr.VSlot]].FuncIdx; fi >= 0 {
+						want[fi] = true
+					}
+				}
+				got := map[int32]bool{}
+				for _, fi := range g.Succ(int32(g.Bodies + k)) {
+					got[fi] = true
+				}
+				if !maps.Equal(got, want) {
+					t.Errorf("%s O2=%v: dispatching %d (%s) reaches bodies %v in the call graph, %v through the tables",
+						name, o2, mi, mr.Name, got, want)
+				}
+			}
 		}
 	}
 }

@@ -40,27 +40,27 @@ func corpusO2(t testing.TB, u corpus.Unit) *core.Module {
 // TestDecodeAllocCeiling` logs each unit's count, to re-measure by, once
 // plain and once with -race.
 var decodeAllocCeiling = map[string][2]float64{ // plain, race
-	"BatchEnvironment":        {431, 434}, // measured 391, 394
-	"BatchParser":             {223, 226}, // measured 202, 205
-	"CompilerMember":          {121, 123}, // measured 110, 111
-	"ErrorMessage":            {140, 142}, // measured 127, 129
-	"Main":                    {374, 378}, // measured 340, 343
-	"SourceClass":             {432, 435}, // measured 392, 395
-	"SourceMember":            {367, 370}, // measured 333, 336
-	"AmbiguousClass":          {96, 97},   // measured 87, 88
-	"AmbiguousMember":         {139, 141}, // measured 126, 128
-	"ArrayType":               {137, 139}, // measured 124, 126
-	"BinaryAttribute":         {196, 198}, // measured 178, 180
-	"BinaryClass":             {286, 290}, // measured 260, 263
-	"BinaryCode":              {226, 229}, // measured 205, 208
-	"Parser":                  {286, 294}, // measured 260, 267
-	"Scanner":                 {227, 230}, // measured 206, 209
-	"BigDecimal":              {162, 163}, // measured 147, 148
-	"BigInteger":              {234, 236}, // measured 212, 214
-	"BitSieve":                {169, 171}, // measured 153, 155
-	"MutableBigInteger":       {248, 251}, // measured 225, 228
-	"SignedMutableBigInteger": {252, 256}, // measured 229, 232
-	"Linpack":                 {262, 267}, // measured 238, 242
+	"BatchEnvironment":        {399, 405}, // measured 362, 368
+	"BatchParser":             {219, 226}, // measured 199, 205
+	"CompilerMember":          {121, 123}, // measured 111, 114
+	"ErrorMessage":            {140, 142}, // measured 128, 132
+	"Main":                    {347, 355}, // measured 315, 322
+	"SourceClass":             {398, 406}, // measured 361, 369
+	"SourceMember":            {338, 345}, // measured 307, 313
+	"AmbiguousClass":          {96, 97},   // measured 87, 89
+	"AmbiguousMember":         {139, 141}, // measured 127, 131
+	"ArrayType":               {137, 139}, // measured 125, 129
+	"BinaryAttribute":         {193, 198}, // measured 175, 180
+	"BinaryClass":             {272, 279}, // measured 247, 253
+	"BinaryCode":              {217, 224}, // measured 197, 203
+	"Parser":                  {286, 294}, // measured 264, 276
+	"Scanner":                 {227, 230}, // measured 208, 214
+	"BigDecimal":              {162, 163}, // measured 148, 151
+	"BigInteger":              {234, 236}, // measured 215, 221
+	"BitSieve":                {169, 171}, // measured 154, 158
+	"MutableBigInteger":       {248, 251}, // measured 227, 233
+	"SignedMutableBigInteger": {252, 256}, // measured 231, 237
+	"Linpack":                 {262, 267}, // measured 240, 247
 }
 
 // TestDecodeAllocCeiling is an exact gate as a plain test: allocations per
